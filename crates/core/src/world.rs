@@ -18,15 +18,14 @@ use manet_geom::Vec2;
 use manet_mac::timing::SLOT;
 use manet_mac::{frame_airtime, Dcf, FrameHandle, MacAction, MacStats};
 use manet_mobility::{
-    grid_placement, line_placement, uniform_placement, Map, Mobility, RandomTurn, RandomTurnParams,
+    grid_placement, line_placement, uniform_placement, Mobility, RandomTurn, RandomTurnParams,
     RandomWaypoint, RandomWaypointParams, Segment, Stationary,
 };
 use manet_net::HelloPayload;
-use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NeighborGrid, NodeId, ShardMap};
+use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NodeId};
 use manet_scenario::{Region, WorldAction};
 use manet_sim_engine::{
-    EventKey, EventQueue, LoopProfiler, ShardDelta, SimDuration, SimRng, SimTime, Slab, Timeline,
-    WorkerPool,
+    EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab, Timeline,
 };
 
 use crate::config::{NeighborInfo, SimConfig};
@@ -38,7 +37,10 @@ use crate::trace::{
     DecisionKind, FrameKind, NoopObserver, SimObserver, SuppressReason, TraceEvent,
 };
 
+mod geometry;
 pub mod snapshot;
+
+use geometry::Geometry;
 
 /// Events on the simulation queue.
 #[derive(Debug)]
@@ -230,158 +232,6 @@ impl ScenarioState {
     }
 }
 
-/// How often the sharded executor rebuilds strip membership from fresh
-/// positions. Between syncs, membership drifts by at most
-/// `max_speed × elapsed`, which the query windows absorb (see
-/// [`World::in_range_strips`]).
-const STRIP_SYNC_INTERVAL: manet_sim_engine::SimDuration =
-    manet_sim_engine::SimDuration::from_secs(1);
-
-/// Host count below which a full position refresh stays single-threaded:
-/// under ~8k segment evaluations, the fan-out overhead eats the win.
-const PARALLEL_REFRESH_MIN_HOSTS: usize = 8_192;
-
-/// Absolute slack (meters) added to the `max_speed × elapsed` drift bound
-/// in strip range queries, absorbing the floating-point rounding of that
-/// product. Overestimating drift only widens the candidate window — the
-/// exact distance test still decides membership — so a micrometer of
-/// safety costs nothing and removes any 1-ulp exclusion hazard.
-const DRIFT_SLACK: f64 = 1e-6;
-
-/// A `BeginTx` surfaced by a shard drain, deferred to the epoch barrier.
-/// `seq` is the global sequence stamp of the timer event that produced it:
-/// the barrier executes deferred transmissions in `(time, seq)` order
-/// (globally unique stamps, so the shard index never has to break a tie),
-/// which is exactly where the sequential executor would have placed them.
-#[derive(Debug, Clone, Copy)]
-struct DeferredTx {
-    time: SimTime,
-    seq: u64,
-    node: NodeId,
-    handle: FrameHandle,
-    payload_bytes: usize,
-}
-
-/// Unsafe shared-mutable slice for handing disjoint elements (or disjoint
-/// index ranges) of one buffer to concurrent pool jobs. Every access site
-/// must guarantee disjointness; the epoch executor's is the single-live-
-/// timer invariant (each node's pending MAC timer lives in exactly one
-/// shard queue, so no two drains ever touch the same node).
-struct SharedSliceMut<T>(*mut T, usize);
-
-unsafe impl<T: Send> Sync for SharedSliceMut<T> {}
-
-impl<T> SharedSliceMut<T> {
-    fn new(slice: &mut [T]) -> Self {
-        SharedSliceMut(slice.as_mut_ptr(), slice.len())
-    }
-
-    /// Pointer to element `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure no two concurrent users dereference the
-    /// same index.
-    unsafe fn get(&self, i: usize) -> *mut T {
-        debug_assert!(i < self.1, "index {i} out of bounds ({})", self.1);
-        unsafe { self.0.add(i) }
-    }
-
-    /// Mutable subslice `start..end`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure concurrent users take disjoint ranges.
-    // The `&self -> &mut` shape is this type's entire purpose: it fans
-    // one `&mut [T]` out to pool jobs whose disjointness the caller
-    // proves (see the safety contract).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, start: usize, end: usize) -> &mut [T] {
-        debug_assert!(start <= end && end <= self.1, "range out of bounds");
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), end - start) }
-    }
-}
-
-/// One shard's epoch drain: pop MAC timers strictly below `limit`, step
-/// the owning MACs, re-arm timers into the *same* queue, and defer every
-/// `BeginTx` to the barrier. Runs concurrently with the other shards'
-/// drains — the `epoch_shard` lint fences it from the global RNGs, the
-/// `Medium`, and the global `event_seq` counter, whose ownership stays
-/// with the barrier. Re-armed timers are stamped `base_seq + j·shards + s`
-/// so stamps are unique across shards and strictly increasing within the
-/// queue without touching shared state.
-#[cfg_attr(simlint, epoch_shard)]
-#[allow(clippy::too_many_arguments)]
-fn drain_shard_epoch(
-    s: usize,
-    shards: u64,
-    base_seq: u64,
-    limit: (SimTime, u64),
-    queue: &mut EventQueue<Event>,
-    nodes: &SharedSliceMut<Node>,
-    pending: &SharedSliceMut<Option<(u32, EventKey)>>,
-    node_epochs: Option<&[u32]>,
-    delta: &mut ShardDelta,
-    out: &mut Vec<DeferredTx>,
-) {
-    let mut rearmed = 0u64;
-    while queue.peek_key().is_some_and(|key| key < limit) {
-        let (now, seq, event) = queue.pop_entry().expect("peeked event vanished");
-        let Event::MacTimer {
-            node,
-            generation,
-            epoch,
-        } = event
-        else {
-            unreachable!("shard queues hold only MacTimer events");
-        };
-        delta.events += 1;
-        delta.last_event_at = Some(now);
-        if epoch != node_epochs.map_or(0, |epochs| epochs[node.index()]) {
-            // Outlived its MAC; its pending slot was cleared (and the key
-            // cancelled) at deactivation, so leave the slot alone.
-            continue;
-        }
-        // SAFETY: the single-live-timer invariant — this node's live
-        // timer was in *this* queue, so no concurrent drain touches its
-        // MAC or pending slot.
-        let slot = unsafe { &mut *pending.get(node.index()) };
-        *slot = None;
-        let mac = unsafe { &mut (*nodes.get(node.index())).mac };
-        match mac.on_timer(generation, now) {
-            None => {}
-            Some(MacAction::StartTimer { delay, generation }) => {
-                let stamp = base_seq + rearmed * shards + s as u64;
-                rearmed += 1;
-                delta.rescheduled += 1;
-                let key = queue.schedule_seq(
-                    now + delay,
-                    stamp,
-                    Event::MacTimer {
-                        node,
-                        generation,
-                        epoch,
-                    },
-                );
-                *slot = Some((s as u32, key));
-            }
-            Some(MacAction::BeginTx {
-                handle,
-                payload_bytes,
-            }) => {
-                delta.deferred += 1;
-                out.push(DeferredTx {
-                    time: now,
-                    seq,
-                    node,
-                    handle,
-                    payload_bytes,
-                });
-            }
-        }
-    }
-}
-
 /// A complete simulation run.
 ///
 /// # Examples
@@ -401,44 +251,10 @@ fn drain_shard_epoch(
 #[derive(Debug)]
 pub struct World {
     cfg: SimConfig,
-    map: Map,
     queue: EventQueue<Event>,
-    /// Per-shard event queues, one per spatial strip; empty on sequential
-    /// runs (`shards == 1`), where everything stays on `queue`. Shard
-    /// queues hold only [`Event::MacTimer`] — the dominant event kind and
-    /// the only one that is never cancelled, so no cross-queue tombstone
-    /// routing is needed. All queues share the global [`Self::event_seq`]
-    /// counter, making the merged pop order (time, then seq) identical to
-    /// the single-queue order for **any** shard count.
-    shard_queues: Vec<EventQueue<Event>>,
-    /// Global event sequence counter stamping every scheduled event across
-    /// the control queue and all shard queues. Assigned in schedule order,
-    /// exactly as a single queue's internal counter would — the invariant
-    /// behind bit-identical sharded execution.
-    event_seq: u64,
-    /// Spatial strip partition of the map's x-axis (strips ≥ one radio
-    /// radius wide). `shards() == 1` on sequential runs.
-    shard_map: ShardMap,
-    /// Strip owning each host, as of the last strip sync.
-    strip_of_host: Vec<u32>,
-    /// Each strip's hosts as `(sync position, id)`, sorted by the
-    /// position's y (ties by id), as of the last sync. Read-only between
-    /// syncs, so strip range queries can slice out the y-window of a
-    /// query disc and prefilter candidates against the cached positions
-    /// without touching the mobility segments: a host within `radius` of
-    /// a query point now was within `radius + drift` of it at the sync
-    /// (nobody outruns [`Self::max_speed_ms`]), and only hosts passing
-    /// that coarse test need an exact position evaluation.
-    strip_hosts: Vec<Vec<(Vec2, u32)>>,
-    /// Host-id-indexed hit bitmap for strip range queries: the spatial
-    /// scan marks ids here, then a word sweep reads them back in
-    /// ascending-id order (the order the grid query produces) without a
-    /// sort. All-zero between queries. Empty on sequential runs.
-    range_bits: Vec<u64>,
-    /// When strip membership was last rebuilt.
-    strip_sync_at: SimTime,
-    /// Upper bound on host speed in m/s, for the membership drift margin.
-    max_speed_ms: f64,
+    /// Host motion and the range-query index over it: the only place
+    /// positions are evaluated or cached.
+    geometry: Geometry,
     nodes: Vec<Node>,
     medium: Medium,
     metrics: MetricsCollector,
@@ -464,23 +280,6 @@ pub struct World {
     /// Frames on the air, indexed by [`FrameId`] slot (the medium recycles
     /// ids, so a slot is reused only after its frame ends).
     in_flight: Vec<Option<InFlight>>,
-    /// Spatial index over `snap_positions`, kept in lockstep by
-    /// [`refresh_positions`](Self::refresh_positions).
-    grid: NeighborGrid,
-    /// Cached host positions, valid at `snap_at`. Mobility is piecewise
-    /// deterministic, so every query at the same timestamp returns the
-    /// same snapshot; the buffer is reused across refreshes.
-    snap_positions: Vec<Vec2>,
-    snap_at: Option<SimTime>,
-    /// Dense copy of every host's current motion segment, refreshed on
-    /// mobility turns. Snapshot refreshes evaluate these in one pass —
-    /// identical arithmetic to each model's `position_at`, without the
-    /// per-host dispatch into the node structs.
-    segments: Vec<Segment>,
-    /// Timestamp the grid was last synced to `snap_positions` at; lags
-    /// `snap_at` because only grid-using queries pay for re-indexing (see
-    /// [`refresh_grid`](Self::refresh_grid)).
-    grid_at: Option<SimTime>,
     // Reusable hot-path scratch buffers. Each is `mem::take`n for the
     // duration of the call that fills it and restored afterwards, so
     // accidental re-entry degrades to a fresh allocation instead of
@@ -521,33 +320,6 @@ pub struct World {
     /// Churn and fault-injection state; `None` unless the config carries
     /// a scenario.
     scenario: Option<ScenarioState>,
-    /// Persistent worker pool for the epoch-parallel shard advance and
-    /// the dense position refresh. Sized once at construction; zero
-    /// workers (inline execution) on single-core hosts or sequential runs.
-    pool: WorkerPool,
-    /// `true` when this run uses the epoch-parallel executor: the config
-    /// opted in **and** the strip partition is real **and** the
-    /// carrier-sense delay (the safety horizon) is nonzero.
-    epoch_par: bool,
-    /// Parallel mode only: per-node `(queue index, key)` of the node's
-    /// single live MAC timer, `None` when no timer is pending. Lets the
-    /// control phase cancel timers the MAC has invalidated (busy-freeze,
-    /// deactivation) instead of delivering them stale — which is also
-    /// what makes concurrent drains sound: every live timer of a node
-    /// sits in exactly one queue, so no two drains touch the same node.
-    pending_timer: Vec<Option<(u32, EventKey)>>,
-    /// Per-shard buffers of transmissions surfaced during the current
-    /// epoch's drains, merged at the barrier. Kept allocated across
-    /// epochs.
-    shard_tx: Vec<Vec<DeferredTx>>,
-    /// Scratch for the barrier's `(time, seq)`-sorted merge of
-    /// `shard_tx`.
-    epoch_tx_scratch: Vec<DeferredTx>,
-    /// Per-shard drain tallies, merged into the profiler at each barrier.
-    shard_deltas: Vec<ShardDelta>,
-    /// Number of parallel epochs executed (diagnostics; lets tests assert
-    /// the parallel path actually ran).
-    epochs: u64,
 }
 
 impl World {
@@ -659,67 +431,18 @@ impl World {
 
         let pure = PureModels::new(&config);
 
-        // The sharded executor's strip partition. Construction scheduling
-        // above used the queue's internal counter; the world-owned global
-        // counter picks up exactly where it left off, so sequence numbers
-        // are identical to a single-queue run.
-        let shard_map = ShardMap::new(map.bounds().width(), config.radio_radius, config.shards);
-        let shards = shard_map.shards();
-        let event_seq = queue.counters().1;
-        let shard_queues: Vec<EventQueue<Event>> = if shards > 1 {
-            (0..shards).map(|_| EventQueue::new()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut strip_of_host = Vec::new();
-        let mut strip_hosts: Vec<Vec<(Vec2, u32)>> = Vec::new();
-        if shards > 1 {
-            strip_of_host.reserve(hosts);
-            strip_hosts.resize_with(shards, Vec::new);
-            for (i, &p) in positions.iter().enumerate() {
-                let s = shard_map.shard_of_x(p.x);
-                strip_of_host.push(s as u32);
-                strip_hosts[s].push((p, i as u32));
-            }
-            for hosts in &mut strip_hosts {
-                hosts.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));
-            }
-        }
-        // RandomWaypoint floors its speed at 3.6 km/h, so the drift bound
-        // must too; overestimating only widens query windows, never
-        // changes results.
-        let max_speed_ms = config.effective_max_speed_kmh().max(3.6) / 3.6;
-
-        let epoch_par = config.parallel_epochs && shards > 1 && !config.cs_delay.is_zero();
-        // One worker per strip, capped by the cores actually present
-        // (minus the participating caller). Zero workers means pool jobs
-        // run inline — correct, just not concurrent.
-        let pool_threads = if shards > 1 {
-            match config.workers {
-                Some(workers) => (workers as usize).min(shards),
-                None => std::thread::available_parallelism()
-                    .map_or(0, |n| n.get().saturating_sub(1))
-                    .min(shards),
-            }
-        } else {
-            0
-        };
+        let geometry = Geometry::new(
+            &map,
+            config.radio_radius,
+            max_speed,
+            positions,
+            segments,
+            config.capture.is_some() || config.scenario.is_some(),
+        );
 
         World {
-            map,
             queue,
-            shard_queues,
-            event_seq,
-            shard_map,
-            strip_of_host,
-            strip_hosts,
-            range_bits: if shards > 1 {
-                vec![0u64; hosts.div_ceil(64)]
-            } else {
-                Vec::new()
-            },
-            strip_sync_at: SimTime::ZERO,
-            max_speed_ms,
+            geometry,
             medium: {
                 let mut medium = Medium::new(hosts);
                 if config.drop_probability > 0.0 {
@@ -739,18 +462,6 @@ impl World {
             workload_rng,
             proto_rng,
             in_flight: Vec::new(),
-            grid: NeighborGrid::new(
-                map.bounds().width(),
-                map.bounds().height(),
-                config.radio_radius,
-            ),
-            // Strip-lazy refreshes write individual entries, so the
-            // sharded executor needs the buffer pre-sized (the entries are
-            // stale until their strip's stamp says otherwise).
-            snap_positions: if shards > 1 { positions } else { Vec::new() },
-            snap_at: None,
-            grid_at: None,
-            segments,
             scratch_listeners: Vec::new(),
             scratch_signals: Vec::new(),
             scratch_begin_carrier: Vec::new(),
@@ -776,21 +487,6 @@ impl World {
                 LoopProfiler::disabled()
             },
             scenario,
-            pool: WorkerPool::new(pool_threads),
-            epoch_par,
-            pending_timer: if epoch_par {
-                vec![None; hosts]
-            } else {
-                Vec::new()
-            },
-            shard_tx: if epoch_par {
-                (0..shards).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            epoch_tx_scratch: Vec::new(),
-            shard_deltas: vec![ShardDelta::default(); if epoch_par { shards } else { 0 }],
-            epochs: 0,
             nodes,
             cfg: config,
         }
@@ -825,87 +521,6 @@ impl World {
         self.scenario
             .as_ref()
             .map_or(0, |st| st.node_epoch[node.index()])
-    }
-
-    // ---- sharded execution ------------------------------------------------
-    //
-    // The executor maintains one control queue plus (when `--shards N`
-    // asked for more than one strip) a queue per spatial strip. Every
-    // scheduled event is stamped from a single global sequence counter in
-    // program order, and events are popped in global `(time, seq)` order
-    // across all queues — so the delivered event stream, and with it every
-    // RNG draw and tie-break, is bit-identical for any shard count. Shard
-    // queues hold only `MacTimer` events (never cancelled; cancellation
-    // keys always resolve against the control queue), routed by the
-    // scheduling host's strip.
-
-    /// Schedules `event`, stamping it from the global sequence counter and
-    /// routing it to its owner queue.
-    #[cfg_attr(simlint, shard_merge)]
-    fn schedule_event(&mut self, time: SimTime, event: Event) -> EventKey {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        let queue = match &event {
-            Event::MacTimer { node, .. } if !self.shard_queues.is_empty() => {
-                &mut self.shard_queues[self.strip_of_host[node.index()] as usize]
-            }
-            _ => &mut self.queue,
-        };
-        queue.schedule_seq(time, seq, event)
-    }
-
-    /// The `(time, queue)` of the globally next event across the control
-    /// queue (index 0) and every shard queue (index `strip + 1`), merged
-    /// by the deterministic `(time, seq)` rule.
-    #[cfg_attr(simlint, shard_merge)]
-    fn peek_next(&mut self) -> Option<(SimTime, usize)> {
-        let mut best = self.queue.peek_key().map(|key| (key, 0));
-        for (i, q) in self.shard_queues.iter_mut().enumerate() {
-            if let Some(key) = q.peek_key() {
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, i + 1));
-                }
-            }
-        }
-        best.map(|((time, _), queue)| (time, queue))
-    }
-
-    /// Pops the head of the queue selected by [`peek_next`](Self::peek_next).
-    #[cfg_attr(simlint, shard_merge)]
-    fn pop_next(&mut self, queue: usize) -> (SimTime, Event) {
-        let q = if queue == 0 {
-            &mut self.queue
-        } else {
-            &mut self.shard_queues[queue - 1]
-        };
-        q.pop().expect("peeked event vanished")
-    }
-
-    /// Merged queue counters `(now, next_seq, delivered, scheduled)` across
-    /// the control and shard queues — the values a single-queue run would
-    /// report for the same event stream. `now` is the time of the globally
-    /// last popped event; `next_seq` is the global sequence counter.
-    fn queue_counters(&self) -> (SimTime, u64, u64, u64) {
-        let (mut now, _, mut delivered, mut scheduled) = self.queue.counters();
-        for q in &self.shard_queues {
-            let (q_now, _, q_delivered, q_scheduled) = q.counters();
-            now = now.max(q_now);
-            delivered += q_delivered;
-            scheduled += q_scheduled;
-        }
-        (now, self.event_seq, delivered, scheduled)
-    }
-
-    /// Live entries of the control and shard queues merged into one global
-    /// `(time, seq)`-sorted stream — byte-identical to the single-queue
-    /// image for any shard count.
-    fn queue_image(&self) -> Vec<(SimTime, u64, &Event)> {
-        let mut entries = self.queue.snapshot_entries();
-        for q in &self.shard_queues {
-            entries.extend(q.snapshot_entries());
-        }
-        entries.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-        entries
     }
 
     /// Runs the simulation to completion and returns the aggregated
@@ -968,8 +583,8 @@ impl World {
     /// `pause_at` equal to a queued event's timestamp pauses **strictly
     /// before** any event at that instant fires. Every event at
     /// `pause_at` stays queued and is delivered after the resume, so a
-    /// snapshot taken exactly on an event timestamp (or an epoch barrier
-    /// landing on one) resumes bit-identically.
+    /// snapshot taken exactly on an event timestamp resumes
+    /// bit-identically.
     pub fn advance_until(&mut self, pause_at: SimTime, observer: &mut dyn SimObserver) -> bool {
         if self.finished {
             return true;
@@ -977,230 +592,26 @@ impl World {
         // The profiler is moved out for the duration of the loop so the
         // event handlers can borrow `self` freely.
         let mut profiler = std::mem::replace(&mut self.profiler, LoopProfiler::disabled());
-        let finished = if self.epoch_par {
-            self.advance_epochs(pause_at, &mut profiler, observer)
-        } else {
-            self.advance_sequential(pause_at, &mut profiler, observer)
-        };
-        self.profiler = profiler;
-        finished
-    }
-
-    /// The default executor: one globally `(time, seq)`-ordered event at a
-    /// time — bit-identical for any shard count.
-    fn advance_sequential(
-        &mut self,
-        pause_at: SimTime,
-        profiler: &mut LoopProfiler,
-        observer: &mut dyn SimObserver,
-    ) -> bool {
-        loop {
-            let Some((next, queue)) = self.peek_next() else {
-                self.finished = true;
-                return true;
+        let finished = loop {
+            let Some(next) = self.queue.peek_time() else {
+                break true;
             };
             if next >= pause_at {
-                return false;
+                break false;
             }
-            let (now, event) = self.pop_next(queue);
+            let (now, event) = self.queue.pop().expect("peeked event vanished");
             if now > self.stop_at {
-                self.finished = true;
-                return true;
+                break true;
             }
             self.last_event_at = now;
             let kind = event.kind();
             let started = profiler.begin();
             self.handle(now, event, observer);
             profiler.record(kind, started);
-        }
-    }
-
-    /// The epoch-parallel executor (`--parallel-epochs`): control-queue
-    /// events still run one at a time in global order, but whenever the
-    /// globally next event is a shard-queue MAC timer, *every* shard
-    /// drains its queue concurrently up to the safety horizon.
-    ///
-    /// Soundness rests on three facts. (1) Physics: a frame transmitted
-    /// in strip `i` is first *sensed* anywhere — including strips `i±1`,
-    /// the only others it can reach, since strips are ≥ one radio radius
-    /// wide — `cs_delay` after transmission start, so MAC state at
-    /// `t < epoch_start + cs_delay` cannot depend on any transmission
-    /// begun inside the epoch; deferring `BeginTx` side effects to the
-    /// barrier is invisible to every MAC. (2) Isolation: a drain touches
-    /// only its own queue plus the per-node MAC/pending slots of nodes
-    /// whose timers it pops, and the single-live-timer invariant (see
-    /// [`Self::pending_timer`]) puts each node's live timer in exactly
-    /// one queue — so concurrent drains write disjoint state. (3)
-    /// Determinism: re-armed timers are stamped `base + j·shards + s`
-    /// (disjoint per shard, monotone per queue), deferred transmissions
-    /// are merged in `(time, seq)` order at the barrier, and the global
-    /// counter is advanced past every stamp — so results are independent
-    /// of drain interleaving and worker count.
-    fn advance_epochs(
-        &mut self,
-        pause_at: SimTime,
-        profiler: &mut LoopProfiler,
-        observer: &mut dyn SimObserver,
-    ) -> bool {
-        loop {
-            let control = self.queue.peek_key();
-            let mut shard_best: Option<(SimTime, u64)> = None;
-            for q in self.shard_queues.iter_mut() {
-                if let Some(key) = q.peek_key() {
-                    if shard_best.is_none_or(|b| key < b) {
-                        shard_best = Some(key);
-                    }
-                }
-            }
-            let next = match (control, shard_best) {
-                (None, None) => {
-                    self.finished = true;
-                    return true;
-                }
-                (Some(c), None) => c,
-                (None, Some(s)) => s,
-                (Some(c), Some(s)) => c.min(s),
-            };
-            if next.0 >= pause_at {
-                return false;
-            }
-            if next.0 > self.stop_at {
-                self.finished = true;
-                return true;
-            }
-            let run_control = match (control, shard_best) {
-                (Some(_), None) => true,
-                // Stamps are globally unique, so equality cannot happen.
-                (Some(c), Some(s)) => c < s,
-                _ => false,
-            };
-            if run_control {
-                // Control events (transmission ends, deliveries, carrier
-                // reports, workload, scenario) run sequentially: they
-                // touch global state and draw from the global RNG.
-                let (now, event) = self.queue.pop().expect("peeked control event vanished");
-                self.last_event_at = now;
-                let kind = event.kind();
-                let started = profiler.begin();
-                self.handle(now, event, observer);
-                profiler.record(kind, started);
-            } else {
-                // The key comparison above is on full (time, seq), so a
-                // control event at the same instant but a later seq still
-                // lets earlier-stamped shard timers drain first.
-                let epoch_start = shard_best.expect("epoch without shard events").0;
-                let mut limit = (epoch_start + self.cfg.cs_delay, 0u64);
-                if let Some(c) = control {
-                    limit = limit.min(c);
-                }
-                // Pause is exclusive (events at pause_at stay queued);
-                // stop is inclusive (events at stop_at still run).
-                limit = limit.min((pause_at, 0));
-                limit = limit.min((self.stop_at, u64::MAX));
-                self.run_epoch(limit, profiler, observer);
-            }
-        }
-    }
-
-    /// One parallel epoch: concurrently drain every shard queue strictly
-    /// below `limit`, then merge the buffered cross-strip effects.
-    fn run_epoch(
-        &mut self,
-        limit: (SimTime, u64),
-        profiler: &mut LoopProfiler,
-        observer: &mut dyn SimObserver,
-    ) {
-        self.epochs += 1;
-        let shards = self.shard_queues.len();
-        let base_seq = self.event_seq;
-        let node_epochs = self.scenario.as_ref().map(|st| st.node_epoch.as_slice());
-        for delta in &mut self.shard_deltas {
-            *delta = ShardDelta::default();
-        }
-        let started = profiler.begin();
-        {
-            let queues = SharedSliceMut::new(&mut self.shard_queues);
-            let nodes = SharedSliceMut::new(&mut self.nodes);
-            let pending = SharedSliceMut::new(&mut self.pending_timer);
-            let deltas = SharedSliceMut::new(&mut self.shard_deltas);
-            let buffers = SharedSliceMut::new(&mut self.shard_tx);
-            self.pool.run(shards, &|s| {
-                // SAFETY: job `s` takes shard `s`'s queue, delta, and tx
-                // buffer — disjoint by index. Node-level slots are
-                // disjoint via the single-live-timer invariant.
-                let queue = unsafe { &mut *queues.get(s) };
-                let delta = unsafe { &mut *deltas.get(s) };
-                let out = unsafe { &mut *buffers.get(s) };
-                drain_shard_epoch(
-                    s,
-                    shards as u64,
-                    base_seq,
-                    limit,
-                    queue,
-                    &nodes,
-                    &pending,
-                    node_epochs,
-                    delta,
-                    out,
-                );
-            });
-        }
-        // Barrier. Advance the global counter past every stamp any shard
-        // may have used (stamps are base + j·shards + s with j < max
-        // rescheduled), fold the tallies, and replay the deferred
-        // transmissions in global (time, seq) order.
-        let max_rescheduled = self
-            .shard_deltas
-            .iter()
-            .map(|d| d.rescheduled)
-            .max()
-            .unwrap_or(0);
-        self.event_seq = base_seq + max_rescheduled * shards as u64;
-        let mut total = ShardDelta::default();
-        for delta in &self.shard_deltas {
-            total.merge(delta);
-        }
-        if let Some(t) = total.last_event_at {
-            self.last_event_at = self.last_event_at.max(t);
-        }
-        let mut merged = std::mem::take(&mut self.epoch_tx_scratch);
-        merged.clear();
-        for buffer in &mut self.shard_tx {
-            merged.append(buffer);
-        }
-        merged.sort_unstable_by_key(|tx| (tx.time, tx.seq));
-        for tx in merged.drain(..) {
-            self.begin_transmission(tx.node, tx.handle, tx.payload_bytes, tx.time, observer);
-        }
-        self.epoch_tx_scratch = merged;
-        // One timing window covers the whole epoch (drain + barrier);
-        // per-event means stay comparable to the sequential profile, max
-        // does not.
-        profiler.record_batch("mac_timer", started, total.events);
-    }
-
-    /// Number of parallel epochs executed so far (0 in sequential mode).
-    pub fn epochs_run(&self) -> u64 {
-        self.epochs
-    }
-
-    /// The epoch-parallel executor's safety horizon for `config`: the
-    /// minimum delay before any event in one strip can influence MAC
-    /// state in another, or `None` when the config cannot run parallel
-    /// epochs (single effective strip, or instant carrier sensing).
-    ///
-    /// The horizon is the carrier-sense latency: a cross-strip influence
-    /// needs a transmission, and a transmission begun at `t` first
-    /// touches any other host's MAC at `t + cs_delay` (its own strip
-    /// included — neighboring strips only later or equal, which is all
-    /// the executor needs).
-    pub fn epoch_horizon(config: &SimConfig) -> Option<manet_sim_engine::SimDuration> {
-        let shard_map = ShardMap::new(
-            config.map().bounds().width(),
-            config.radio_radius,
-            config.shards,
-        );
-        (shard_map.shards() > 1 && !config.cs_delay.is_zero()).then_some(config.cs_delay)
+        };
+        self.profiler = profiler;
+        self.finished = finished;
+        finished
     }
 
     /// Consumes the (finished or paused) world, harvesting the per-host
@@ -1228,7 +639,7 @@ impl World {
         let (re, srb, latency) = summarize(&outcomes);
         SimReport {
             scheme: self.cfg.scheme.label(),
-            map: self.map.label(),
+            map: self.cfg.map().label(),
             broadcasts: self.issued,
             reachability: re,
             saved_rebroadcasts: srb,
@@ -1252,14 +663,12 @@ impl World {
             Event::MobilityTurn { node } => {
                 let mobility = &mut self.nodes[node.index()].mobility;
                 mobility.advance(now);
-                self.segments[node.index()] = mobility.segment();
-                // The host's trajectory changed; drop the snapshot (and
-                // the grid synced to it) so a later query at this same
-                // timestamp re-evaluates it.
-                self.snap_at = None;
-                self.grid_at = None;
+                // The host's trajectory changed; the geometry drops its
+                // dense caches so a later query at this same timestamp
+                // re-evaluates it.
+                self.geometry.set_segment(node, mobility.segment());
                 if let Some(next) = self.nodes[node.index()].mobility.next_change() {
-                    self.schedule_event(next, Event::MobilityTurn { node });
+                    self.queue.schedule(next, Event::MobilityTurn { node });
                 }
             }
             Event::HelloTimer { node } => {
@@ -1362,7 +771,7 @@ impl World {
                 };
                 if target < at {
                     self.queue.cancel(key);
-                    let key = self.schedule_event(target, Event::HelloTimer { node });
+                    let key = self.queue.schedule(target, Event::HelloTimer { node });
                     self.nodes[node.index()].hello_pending = Some((key, target));
                 }
             }
@@ -1387,7 +796,7 @@ impl World {
                 let jitter_num = self.proto_rng.gen_range_u32(95..106);
                 let next = interval * u64::from(jitter_num) / 100;
                 let at = now + next;
-                let key = self.schedule_event(at, Event::HelloTimer { node });
+                let key = self.queue.schedule(at, Event::HelloTimer { node });
                 self.nodes[node.index()].hello_pending = Some((key, at));
             }
             Effect::FirstHeard { node, packet } => {
@@ -1427,7 +836,9 @@ impl World {
                 // draws contend - the paper's Fig. 2 contention scenario.
                 let slots = self.proto_rng.gen_range_u32(0..32);
                 let delay = self.cfg.cs_delay + manet_mac::timing::DIFS + SLOT * u64::from(slots);
-                let key = self.schedule_event(now + delay, Event::AssessmentDone { node, packet });
+                let key = self
+                    .queue
+                    .schedule(now + delay, Event::AssessmentDone { node, packet });
                 self.pure.set_assessment_key(node, packet.seq, key);
                 observer.event(&TraceEvent::Decision {
                     node,
@@ -1502,194 +913,6 @@ impl World {
         }
     }
 
-    /// Ensures `snap_positions` holds every host's position at `now`.
-    /// Mobility models are evaluated once per distinct timestamp; every
-    /// further query at the same `now` is free.
-    ///
-    /// On sharded runs with enough hosts the dense evaluation fans out
-    /// over the persistent worker pool. Each job writes a disjoint chunk
-    /// of the buffer with a pure function of the (shared, read-only)
-    /// segments, so the result is independent of job-to-thread
-    /// assignment.
-    fn refresh_positions(&mut self, now: SimTime) {
-        if self.snap_at == Some(now) {
-            return;
-        }
-        let bounds = self.map.bounds();
-        let n = self.segments.len();
-        if self.shard_map.shards() > 1 && n >= PARALLEL_REFRESH_MIN_HOSTS {
-            let jobs = self.shard_map.shards().min(8);
-            let chunk = n.div_ceil(jobs);
-            let mut snap = std::mem::take(&mut self.snap_positions);
-            snap.resize(n, Vec2::ZERO);
-            {
-                let out = SharedSliceMut::new(&mut snap);
-                let segments = &self.segments;
-                self.pool.run(jobs, &|j| {
-                    let start = (j * chunk).min(n);
-                    let end = ((j + 1) * chunk).min(n);
-                    // SAFETY: job `j` writes only `start..end`, disjoint
-                    // across jobs.
-                    let dst = unsafe { out.slice(start, end) };
-                    for (s, p) in segments[start..end].iter().zip(dst) {
-                        *p = s.position_at(now, bounds);
-                    }
-                });
-            }
-            self.snap_positions = snap;
-        } else {
-            self.snap_positions.clear();
-            self.snap_positions
-                .extend(self.segments.iter().map(|s| s.position_at(now, bounds)));
-        }
-        self.snap_at = Some(now);
-    }
-
-    /// Rebuilds strip membership from fresh positions once per
-    /// [`STRIP_SYNC_INTERVAL`] of simulated time. The sync is *not* an
-    /// event: it consumes no sequence number and draws no randomness, so
-    /// it cannot perturb the delivered event stream — it only re-balances
-    /// which strip scans which hosts.
-    fn maybe_strip_sync(&mut self, now: SimTime) {
-        if now < self.strip_sync_at + STRIP_SYNC_INTERVAL {
-            return;
-        }
-        self.refresh_positions(now);
-        for hosts in &mut self.strip_hosts {
-            hosts.clear();
-        }
-        for (i, &p) in self.snap_positions.iter().enumerate() {
-            let s = self.shard_map.shard_of_x(p.x);
-            self.strip_of_host[i] = s as u32;
-            self.strip_hosts[s].push((p, i as u32));
-        }
-        for hosts in &mut self.strip_hosts {
-            hosts.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));
-        }
-        self.strip_sync_at = now;
-    }
-
-    /// Strip-lazy replacement for the brute-force range scan on sharded
-    /// runs: prefilters the strips within reach of `of` against the
-    /// sync-time position cache, then runs the exact squared-distance
-    /// test on the survivors' *fresh* positions. The result is
-    /// byte-identical to [`manet_phy::in_range_into`] over a full
-    /// snapshot (ascending ids, identical arithmetic on identical fresh
-    /// positions); only the number of segment evaluations changes — a
-    /// radius-sized disc's worth instead of whole strips'.
-    ///
-    /// Window correctness: a host within `radius` of the transmitter now
-    /// sat, at the last sync, within `radius + drift` of the
-    /// transmitter's *current* position (it moved at most
-    /// `max_speed × elapsed` since; `DRIFT_SLACK` absorbs the rounding of
-    /// that product), so the coarse test against the sync-time positions
-    /// keeps every host that could be in range, and the same inflated
-    /// window bounds which strips — and which y-slice of each strip —
-    /// can hold candidates. By the same bound, a candidate within
-    /// `radius - drift` at the sync cannot have escaped the disc, so
-    /// membership is already decided for it; only the remaining annulus
-    /// of uncertainty needs a position evaluated at `now` for the exact
-    /// test. Downstream readers of [`Self::snap_positions`] see fresh
-    /// listener entries only where they look: capture-mode signal
-    /// strengths and scenario link faults are the sole consumers, so the
-    /// certain candidates' evaluations are skipped unless one of those
-    /// features is on.
-    #[cfg_attr(simlint, hot_path)]
-    fn in_range_strips(&mut self, now: SimTime, of: NodeId, out: &mut Vec<NodeId>) {
-        debug_assert!(
-            !self.shard_queues.is_empty(),
-            "strip scan on a sequential run"
-        );
-        self.maybe_strip_sync(now);
-        let bounds = self.map.bounds();
-        let center = if self.snap_at == Some(now) {
-            self.snap_positions[of.index()]
-        } else {
-            let p = self.segments[of.index()].position_at(now, bounds);
-            self.snap_positions[of.index()] = p;
-            p
-        };
-        let radius = self.cfg.radio_radius;
-        let drift = self.max_speed_ms
-            * now
-                .saturating_duration_since(self.strip_sync_at)
-                .as_secs_f64()
-            + DRIFT_SLACK;
-        let reach = radius + drift;
-        let (lo, hi) = self
-            .shard_map
-            .strips_overlapping(center.x - reach, center.x + reach);
-        out.clear();
-        let m2 = reach * reach;
-        let r2 = radius * radius;
-        // Inside this radius at the sync, a host cannot have left the
-        // disc since (negative sentinel when drift swallows the radius:
-        // nothing is certain, every candidate takes the exact test).
-        let inner = radius - drift;
-        let inner2 = if inner > 0.0 { inner * inner } else { -1.0 };
-        let needs_positions = self.cfg.capture.is_some() || self.scenario.is_some();
-        let me = of.index() as u32;
-        let lo_y = center.y - reach;
-        let hi_y = center.y + reach;
-        for s in lo..=hi {
-            let hosts = &self.strip_hosts[s];
-            let start = hosts.partition_point(|&(p, _)| p.y < lo_y);
-            for &(sync_pos, h) in &hosts[start..] {
-                if sync_pos.y > hi_y {
-                    break;
-                }
-                if h == me {
-                    continue;
-                }
-                let d2 = sync_pos.distance_squared_to(center);
-                if d2 > m2 {
-                    continue;
-                }
-                if d2 > inner2 {
-                    let p = self.segments[h as usize].position_at(now, bounds);
-                    self.snap_positions[h as usize] = p;
-                    if p.distance_squared_to(center) > r2 {
-                        continue;
-                    }
-                } else if needs_positions {
-                    self.snap_positions[h as usize] =
-                        self.segments[h as usize].position_at(now, bounds);
-                }
-                self.range_bits[(h >> 6) as usize] |= 1u64 << (h & 63);
-            }
-        }
-        // The strips were visited in x order and each strip in y order, so
-        // the hits land in spatial order; the id-indexed bitmap reads them
-        // back ascending — the same order the grid query produces — without
-        // sorting. Words are zeroed as they are consumed, keeping the map
-        // clean for the next query.
-        for (w, word) in self.range_bits.iter_mut().enumerate() {
-            let mut bits = *word;
-            if bits == 0 {
-                continue;
-            }
-            *word = 0;
-            let base = (w as u32) << 6;
-            while bits != 0 {
-                out.push(NodeId::new(base + bits.trailing_zeros()));
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// Ensures the spatial grid indexes the position snapshot at `now`.
-    /// Re-indexing costs an O(hosts) pass, so only the multi-query
-    /// consumers (flood reachability, oracle neighbor views) sync the
-    /// grid; single-query paths scan the snapshot directly instead.
-    fn refresh_grid(&mut self, now: SimTime) {
-        self.refresh_positions(now);
-        if self.grid_at == Some(now) {
-            return;
-        }
-        self.grid.update(&self.snap_positions);
-        self.grid_at = Some(now);
-    }
-
     // ---- workload -------------------------------------------------------
 
     fn issue_broadcast(&mut self, now: SimTime, observer: &mut dyn SimObserver) {
@@ -1715,26 +938,12 @@ impl World {
         self.next_seq += 1;
         self.issued += 1;
 
-        self.refresh_grid(now);
         let mut reachable_set = std::mem::take(&mut self.scratch_reachable);
-        if let Some(st) = &self.scenario {
-            // Hosts that are down cannot relay or receive: reachability
-            // (`e` in the RE metric) is computed over the live topology.
-            self.grid.reachable_masked_into(
-                &self.snap_positions,
-                source,
-                self.cfg.radio_radius,
-                &st.active,
-                &mut reachable_set,
-            );
-        } else {
-            self.grid.reachable_into(
-                &self.snap_positions,
-                source,
-                self.cfg.radio_radius,
-                &mut reachable_set,
-            );
-        }
+        // Under a scenario, hosts that are down cannot relay or receive:
+        // reachability (`e` in the RE metric) is over the live topology.
+        let active = self.scenario.as_ref().map(|st| st.active.as_slice());
+        self.geometry
+            .reachable_into(now, source, active, &mut reachable_set);
         let reachable = reachable_set.len() as u32;
         if self.scenario.is_some() {
             self.metrics
@@ -1769,7 +978,7 @@ impl World {
             let gap = self
                 .workload_rng
                 .gen_duration_up_to(self.cfg.max_interarrival);
-            self.schedule_event(now + gap, Event::IssueBroadcast);
+            self.queue.schedule(now + gap, Event::IssueBroadcast);
         } else {
             self.stop_at = now + self.cfg.grace;
         }
@@ -1809,7 +1018,7 @@ impl World {
         match action {
             Some(MacAction::StartTimer { delay, generation }) => {
                 let epoch = self.current_epoch(node);
-                let key = self.schedule_event(
+                self.queue.schedule(
                     now + delay,
                     Event::MacTimer {
                         node,
@@ -1817,19 +1026,6 @@ impl World {
                         epoch,
                     },
                 );
-                if self.epoch_par {
-                    // Track the node's (single) live timer so busy-freeze
-                    // and deactivation can cancel it instead of letting a
-                    // stale delivery float between queues. A previous
-                    // entry should already have been cancelled or
-                    // delivered; cancel defensively so the invariant
-                    // holds even if a new MAC path arms over a live one.
-                    let strip = self.strip_of_host[node.index()];
-                    let previous = self.pending_timer[node.index()].replace((strip, key));
-                    if let Some((queue, old)) = previous {
-                        self.shard_queues[queue as usize].cancel(old);
-                    }
-                }
             }
             Some(MacAction::BeginTx {
                 handle,
@@ -1864,23 +1060,7 @@ impl World {
             Payload::Hello(_) => self.hello_frames += 1,
         }
         let mut listeners = std::mem::take(&mut self.scratch_listeners);
-        if self.shard_queues.is_empty() {
-            self.refresh_positions(now);
-            // A transmission start makes exactly one range query at this
-            // timestamp, so the O(hosts) snapshot scan beats re-indexing
-            // the grid (also O(hosts)) just to make one O(1) cell lookup.
-            manet_phy::in_range_into(
-                &self.snap_positions,
-                node,
-                self.cfg.radio_radius,
-                &mut listeners,
-            );
-        } else {
-            // Sharded runs refresh and scan only the strips within reach
-            // of the transmitter — same output, a fraction of the segment
-            // evaluations.
-            self.in_range_strips(now, node, &mut listeners);
-        }
+        self.geometry.in_range(now, node, &mut listeners);
         if let Some(st) = &self.scenario {
             // Hosts that are down have no radio: they neither sense this
             // frame's carrier nor receive it.
@@ -1896,7 +1076,7 @@ impl World {
             at: now,
         });
         let end = now + frame_airtime(payload_bytes);
-        let own = self.snap_positions[node.index()];
+        let own = self.geometry.cached_position(node);
         let mut carrier = std::mem::take(&mut self.scratch_begin_carrier);
         let frame = if let Some(capture) = self.cfg.capture {
             // Received power falls off as (r / d)^alpha, normalized so a
@@ -1904,7 +1084,7 @@ impl World {
             let mut signals = std::mem::take(&mut self.scratch_signals);
             signals.clear();
             signals.extend(listeners.iter().map(|&l| {
-                let d = self.snap_positions[l.index()].distance_to(own).max(1.0);
+                let d = self.geometry.cached_position(l).distance_to(own).max(1.0);
                 manet_phy::Listener {
                     node: l,
                     signal: (self.cfg.radio_radius / d).powf(capture.path_loss_exponent),
@@ -1933,7 +1113,7 @@ impl World {
             self.apply_link_faults(frame, node, &listeners);
         }
         self.scratch_listeners = listeners;
-        self.schedule_event(end, Event::TxEnd { frame });
+        self.queue.schedule(end, Event::TxEnd { frame });
         let slot = usize::try_from(frame.as_u64()).expect("frame slot out of range");
         if slot >= self.in_flight.len() {
             self.in_flight.resize_with(slot + 1, || None);
@@ -1980,7 +1160,8 @@ impl World {
             hearers.clear();
             hearers.extend(changes.iter().map(|c| c.node));
             let slot = self.carrier_batches.insert(hearers);
-            self.schedule_event(now + self.cfg.cs_delay, Event::CarrierBatch { slot, busy });
+            self.queue
+                .schedule(now + self.cfg.cs_delay, Event::CarrierBatch { slot, busy });
         }
     }
 
@@ -1997,16 +1178,6 @@ impl World {
         // radio; its replacement MAC syncs its own carrier view on rejoin.
         if !self.is_active(node) {
             return;
-        }
-        if busy && self.epoch_par {
-            // Busy invalidates any armed DIFS/backoff countdown (the MAC
-            // bumps its generation below). Cancel the tracked timer so the
-            // stale delivery never floats in a shard queue; whenever the
-            // node holds a live timer it is in Difs/Backoff, so the slot
-            // is `Some` exactly when there is something to cancel.
-            if let Some((queue, key)) = self.pending_timer[node.index()].take() {
-                self.shard_queues[queue as usize].cancel(key);
-            }
         }
         let mac = &mut self.nodes[node.index()].mac;
         let action = if busy {
@@ -2101,7 +1272,7 @@ impl World {
         observer: &mut dyn SimObserver,
     ) {
         self.metrics.packet_received(packet, node);
-        let own_position = self.segments[node.index()].position_at(now, self.map.bounds());
+        let own_position = self.geometry.position_at(node, now);
 
         // Oracle-mode neighbor views are geometry, which only the
         // dispatcher can evaluate; they ride into the pure step on the
@@ -2115,47 +1286,18 @@ impl World {
         neighbors.clear();
         sender_neighbors.clear();
         let oracle = if use_oracle {
-            if self.shard_queues.is_empty() {
-                self.refresh_grid(now);
-                self.grid.in_range_into(
-                    &self.snap_positions,
-                    node,
-                    self.cfg.radio_radius,
-                    &mut neighbors,
-                );
-                let neighbor_count = neighbors.len();
-                if needs_two_hop {
-                    self.grid.in_range_into(
-                        &self.snap_positions,
-                        sender,
-                        self.cfg.radio_radius,
-                        &mut sender_neighbors,
-                    );
-                } else {
-                    neighbors.clear();
-                }
-                Some(OracleView {
-                    neighbor_count,
-                    neighbors: &neighbors,
-                    sender_neighbors: &sender_neighbors,
-                })
+            self.geometry.in_range(now, node, &mut neighbors);
+            let neighbor_count = neighbors.len();
+            if needs_two_hop {
+                self.geometry.in_range(now, sender, &mut sender_neighbors);
             } else {
-                // Sharded runs answer oracle views with the strip scan —
-                // byte-identical to the grid query, without the O(hosts)
-                // grid re-index per timestamp.
-                self.in_range_strips(now, node, &mut neighbors);
-                let neighbor_count = neighbors.len();
-                if needs_two_hop {
-                    self.in_range_strips(now, sender, &mut sender_neighbors);
-                } else {
-                    neighbors.clear();
-                }
-                Some(OracleView {
-                    neighbor_count,
-                    neighbors: &neighbors,
-                    sender_neighbors: &sender_neighbors,
-                })
+                neighbors.clear();
             }
+            Some(OracleView {
+                neighbor_count,
+                neighbors: &neighbors,
+                sender_neighbors: &sender_neighbors,
+            })
         } else {
             None
         };
@@ -2267,14 +1409,6 @@ impl World {
         if let Some((key, _)) = self.nodes[idx].hello_pending.take() {
             self.queue.cancel(key);
         }
-        // Parallel mode: the epoch bump above already makes any pending
-        // MAC timer undeliverable; cancel it too so the tracked-timer
-        // invariant (slot `Some` ⇔ one live timer in that queue) holds.
-        if self.epoch_par {
-            if let Some((queue, key)) = self.pending_timer[idx].take() {
-                self.shard_queues[queue as usize].cancel(key);
-            }
-        }
         // Abandon per-packet scheme state: pending assessment wakeups come
         // back as an `AbandonAssessments` effect and are cancelled there;
         // MAC-queued rebroadcasts are handled by the queue sweep below
@@ -2317,7 +1451,7 @@ impl World {
         // deterministic and terminates because the downed MAC cannot
         // start anything new.
         if self.medium.is_transmitting(node) {
-            self.schedule_event(
+            self.queue.schedule(
                 now + manet_sim_engine::SimDuration::from_millis(5),
                 Event::Scenario { index },
             );
@@ -2348,7 +1482,7 @@ impl World {
         }
         if self.hellos_enabled() {
             let at = now + phase;
-            let key = self.schedule_event(at, Event::HelloTimer { node });
+            let key = self.queue.schedule(at, Event::HelloTimer { node });
             self.nodes[idx].hello_pending = Some((key, at));
         }
     }
@@ -2367,7 +1501,7 @@ impl World {
         }
         let st = self.scenario.as_mut().expect("faults without a scenario");
         let s = sender.index() as u32;
-        let sender_pos = self.snap_positions[sender.index()];
+        let sender_pos = self.geometry.cached_position(sender);
         // Independent overlapping bursts compose: survive all or drop.
         let noise_drop = 1.0 - st.noise.iter().fold(1.0, |acc, &p| acc * (1.0 - p));
         for &listener in listeners {
@@ -2379,7 +1513,7 @@ impl World {
             {
                 Some(FaultKind::Blackout)
             } else if st.partitions.iter().any(|region| {
-                let lp = self.snap_positions[listener.index()];
+                let lp = self.geometry.cached_position(listener);
                 region.contains(sender_pos.x, sender_pos.y) != region.contains(lp.x, lp.y)
             }) {
                 Some(FaultKind::Partition)

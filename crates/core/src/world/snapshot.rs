@@ -15,7 +15,7 @@
 //!   scheme thresholds, the compiled scenario timeline — all re-derived
 //!   from the [`SimConfig`] the caller passes to [`World::resume`];
 //! * scratch buffers and recycling pools (capacity caches only);
-//! * position/grid caches (`snap_at`/`grid_at` are invalidated);
+//! * the geometry index's position caches and strips (re-derived);
 //! * the action recorder and the event-loop profiler.
 //!
 //! The stream opens with a length-prefixed **config fingerprint**:
@@ -81,17 +81,12 @@ impl World {
         enc.bytes(fingerprint.as_slice());
 
         // Event queue: counters, then live entries in (time, seq) order.
-        // On sharded runs the control and shard queues are merged back
-        // into one global (time, seq) stream with summed counters — the
-        // exact image a single-queue run would produce, which is what
-        // makes snapshots shard-count-agnostic: a run snapshotted at 4
-        // shards resumes at 1 (and vice versa), byte-identically.
-        let (now, next_seq, delivered, scheduled) = self.queue_counters();
+        let (now, next_seq, delivered, scheduled) = self.queue.counters();
         enc.u64(now.as_nanos());
         enc.u64(next_seq);
         enc.u64(delivered);
         enc.u64(scheduled);
-        let entries = self.queue_image();
+        let entries = self.queue.snapshot_entries();
         enc.len(entries.len());
         for (time, seq, event) in entries {
             enc.u64(time.as_nanos());
@@ -206,10 +201,7 @@ impl World {
 
         // Event queue: drop the fresh world's schedule entirely and
         // rebuild the snapshotted one (same times, same seqs, so stored
-        // cancellation keys still address their events). All entries land
-        // on the control queue regardless of this run's shard count —
-        // queue placement is an execution detail with no bearing on the
-        // merged pop order, and newly armed MAC timers re-shard naturally.
+        // cancellation keys still address their events).
         let now = SimTime::from_nanos(dec.u64()?);
         let next_seq = dec.u64()?;
         let delivered = dec.u64()?;
@@ -223,7 +215,6 @@ impl World {
             entries.push((time, seq, event));
         }
         world.queue = EventQueue::restore(now, next_seq, delivered, scheduled, entries);
-        world.event_seq = next_seq;
 
         world.workload_rng = decode_rng(&mut dec)?;
         world.proto_rng = decode_rng(&mut dec)?;
@@ -235,7 +226,7 @@ impl World {
                 what: "snapshot host count mismatch",
             });
         }
-        for node in &mut world.nodes {
+        for (i, node) in world.nodes.iter_mut().enumerate() {
             node.mac = Dcf::restore_snapshot(&mut dec)?;
             node.outgoing = decode_payload_slab(&mut dec)?;
             node.hello_pending = if dec.bool()? {
@@ -246,14 +237,13 @@ impl World {
                 None
             };
             decode_mobility(&mut dec, &mut node.mobility)?;
+            // The geometry's segments mirror the mobility models; its
+            // strips stay as `World::new` built them at time zero, which
+            // the drift bound covers until the first query re-syncs them.
+            world
+                .geometry
+                .set_segment(NodeId::new(i as u32), node.mobility.segment());
         }
-        // Motion segments are a dense cache over the mobility models;
-        // re-derive them and drop the position/grid caches.
-        for (seg, node) in world.segments.iter_mut().zip(&world.nodes) {
-            *seg = node.mobility.segment();
-        }
-        world.snap_at = None;
-        world.grid_at = None;
 
         world.medium.restore_snapshot(&mut dec)?;
 

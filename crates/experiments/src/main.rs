@@ -12,8 +12,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use manet_experiments::{
-    all_figures, drain_metrics_capture, enable_metrics_capture, render_metrics_json,
-    set_parallel_epochs_override, set_shards_override, set_workers_override, FigureRunner,
+    all_figures, drain_metrics_capture, enable_metrics_capture, render_metrics_json, FigureRunner,
     MetricsRecord, Scale,
 };
 
@@ -32,14 +31,6 @@ fn usage() -> &'static str {
      \x20                              normalize (fig05 = fig5 = fig5a-fig5d)\n\
      \x20 --metrics FILE               write per-run counters and histograms\n\
      \x20                              as JSON (schema manet-broadcast-metrics/1)\n\
-     \x20 --shards N                   spatial strips per world (default 1);\n\
-     \x20                              execution-only: results are bit-identical\n\
-     \x20 --parallel-epochs            drain shard queues concurrently in\n\
-     \x20                              carrier-sense-bounded epochs; counts are\n\
-     \x20                              equivalent but byte-identity is waived\n\
-     \x20 --workers N                  pool threads for sharded execution\n\
-     \x20                              (default: cores - 1; 0 = inline);\n\
-     \x20                              execution-only, never changes results\n\
      \x20 --list                       list available figures and exit\n"
 }
 
@@ -120,33 +111,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 scale = parsed;
-            }
-            "--shards" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--shards needs a value\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<u32>() {
-                    Ok(shards) if shards > 0 => set_shards_override(shards),
-                    _ => {
-                        eprintln!("bad --shards '{value}' (positive integer)\n\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--parallel-epochs" => set_parallel_epochs_override(true),
-            "--workers" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--workers needs a value\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<u32>() {
-                    Ok(workers) => set_workers_override(Some(workers)),
-                    Err(_) => {
-                        eprintln!("bad --workers '{value}' (integer)\n\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
             }
             "--csv" => {
                 let Some(value) = iter.next() else {

@@ -94,6 +94,11 @@ fn registry_for(record: &MetricsRecord) -> MetricsRegistry {
     reg
 }
 
+/// One record's `metrics` object, exactly as the document embeds it.
+pub(crate) fn render_record_metrics(record: &MetricsRecord) -> String {
+    registry_for(record).to_json()
+}
+
 /// Renders the full `--metrics` document for the figures that ran, in run
 /// order. `figures` pairs each figure id with the records its runs
 /// captured (already sorted by [`drain_metrics_capture`]).
@@ -122,7 +127,7 @@ pub fn render_metrics_json(scale: &str, figures: &[(String, Vec<MetricsRecord>)]
             out.push_str("\",\"repeats\":");
             out.push_str(&record.repeats.to_string());
             out.push_str(",\"metrics\":");
-            out.push_str(&registry_for(record).to_json());
+            out.push_str(&render_record_metrics(record));
             out.push('}');
         }
         out.push_str("]}");
@@ -134,7 +139,9 @@ pub fn render_metrics_json(scale: &str, figures: &[(String, Vec<MetricsRecord>)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{drain_metrics_capture, enable_metrics_capture, run_averaged};
+    use crate::runner::{
+        capture_test_guard, drain_metrics_capture, enable_metrics_capture, run_averaged,
+    };
     use broadcast_core::{SchemeSpec, SimConfig};
 
     #[test]
@@ -144,6 +151,7 @@ mod tests {
             .broadcasts(4)
             .seed(11)
             .build();
+        let _guard = capture_test_guard();
         enable_metrics_capture();
         let _ = run_averaged(&config, 1);
         let records: Vec<_> = drain_metrics_capture()

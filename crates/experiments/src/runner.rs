@@ -11,6 +11,8 @@ use broadcast_core::{
 };
 use manet_sim_engine::{Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_S};
 
+use crate::metrics_out::render_record_metrics;
+
 /// How much work a figure reproduction does.
 ///
 /// The paper runs 10 000 broadcast requests per data point. [`Scale::Full`]
@@ -214,66 +216,13 @@ struct CaptureState {
 /// because `run_grid` fans runs out over worker threads.
 static METRICS_SINK: Mutex<Option<CaptureState>> = Mutex::new(None);
 
-/// Execution-only shard-count override applied by [`run_averaged`]
-/// (0 = none). Sharded execution is bit-identical to sequential, so this
-/// knob changes wall time, never results — which is why a process-wide
-/// atomic is safe even with figure sweeps running concurrently.
-static SHARDS_OVERRIDE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Makes every subsequent [`run_averaged`] run its worlds with `shards`
-/// spatial strips (clamped per-map by the world so every strip spans at
-/// least one radio radius). Pass 0 to clear.
-pub fn set_shards_override(shards: u32) {
-    SHARDS_OVERRIDE.store(shards, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The active shard-count override, if any.
-pub fn shards_override() -> Option<u32> {
-    match SHARDS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Whether [`run_averaged`] worlds run the epoch-parallel executor.
-/// Unlike plain sharding, `--parallel-epochs` waives byte-identity for
-/// count-level equivalence, so this is opt-in per process and the figure
-/// pipelines keep their pinned hashes unless the user asks for it.
-static PARALLEL_EPOCHS_OVERRIDE: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Makes every subsequent [`run_averaged`] world drain its shard queues
-/// in parallel epochs (no-op for worlds that end up with one strip).
-pub fn set_parallel_epochs_override(enabled: bool) {
-    PARALLEL_EPOCHS_OVERRIDE.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The active epoch-parallel override.
-pub fn parallel_epochs_override() -> bool {
-    PARALLEL_EPOCHS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Pool-thread override for sharded executors (`u32::MAX` = none).
-/// `Some(0)` is meaningful — it forces inline execution — so the
-/// sentinel is `MAX` rather than zero. Like the shard override, this is
-/// execution-only: it never changes results, only wall time.
-static WORKERS_OVERRIDE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(u32::MAX);
-
-/// Makes every subsequent [`run_averaged`] world use `workers` pool
-/// threads for sharded execution (`None` restores auto-detection).
-pub fn set_workers_override(workers: Option<u32>) {
-    WORKERS_OVERRIDE.store(
-        workers.unwrap_or(u32::MAX),
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The active worker-thread override, if any.
-pub fn workers_override() -> Option<u32> {
-    match WORKERS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        u32::MAX => None,
-        n => Some(n),
-    }
+/// Held by every test that enables and drains the capture sink: the sink
+/// is process-wide, so a concurrent test's `drain` would steal records.
+#[cfg(test)]
+pub(crate) fn capture_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed assertion in one holder must not fail the others.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn sink_lock() -> std::sync::MutexGuard<'static, Option<CaptureState>> {
@@ -297,14 +246,22 @@ pub fn enable_metrics_capture_with_bounds(latency_bounds_s: &[f64]) {
     });
 }
 
-/// Stops capturing and returns the captured records sorted by
-/// `(scheme, map)` — worker scheduling must not leak into the output.
+/// Stops capturing and returns the captured records in a total order
+/// over their content — `(scheme, map, repeats)`, then the rendered
+/// metrics — so worker scheduling cannot leak into the output even when
+/// a figure captures several records per `(scheme, map)`.
 pub fn drain_metrics_capture() -> Vec<MetricsRecord> {
     let mut records = sink_lock()
         .take()
         .map(|state| state.records)
         .unwrap_or_default();
-    records.sort_by(|a, b| (&a.scheme, &a.map).cmp(&(&b.scheme, &b.map)));
+    records.sort_by(|a, b| {
+        (&a.scheme, &a.map, a.repeats)
+            .cmp(&(&b.scheme, &b.map, b.repeats))
+            // Only tied records are ever rendered (fig11's and
+            // ext-oracle's sweeps: a few hundred renders per figure).
+            .then_with(|| render_record_metrics(a).cmp(&render_record_metrics(b)))
+    });
     records
 }
 
@@ -322,15 +279,6 @@ pub fn run_averaged(config: &SimConfig, repeats: u64) -> AveragedReport {
     let reports: Vec<SimReport> = parallel_map((0..repeats).collect(), |&i| {
         let mut c = config.clone();
         c.seed = config.seed.wrapping_add(i);
-        if let Some(shards) = shards_override() {
-            c.shards = shards;
-        }
-        if parallel_epochs_override() {
-            c.parallel_epochs = true;
-        }
-        if let Some(workers) = workers_override() {
-            c.workers = Some(workers);
-        }
         World::new(c).run()
     });
     let averaged = AveragedReport::from_reports(&reports);
@@ -578,6 +526,7 @@ mod tests {
             .broadcasts(4)
             .seed(5)
             .build();
+        let _guard = capture_test_guard();
         enable_metrics_capture();
         let _ = run_averaged(&flooding, 1);
         let _ = run_averaged(&config, 2);
@@ -602,6 +551,38 @@ mod tests {
     }
 
     #[test]
+    fn tied_records_drain_in_one_order_whatever_the_insertion_order() {
+        // Two records under one (scheme, map, repeats) key, as fig11's
+        // speed sweep produces: the rendered document must not depend on
+        // which worker finished first.
+        let report = |seed: u64| {
+            let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(2))
+                .hosts(20)
+                .broadcasts(4)
+                .seed(seed)
+                .build();
+            vec![World::new(config).run()]
+        };
+        let (first, second) = (report(5), report(6));
+        assert_ne!(metrics_record(&first), metrics_record(&second));
+        let _guard = capture_test_guard();
+        let document = |order: [&[SimReport]; 2]| {
+            enable_metrics_capture();
+            for reports in order {
+                record_metrics(reports);
+            }
+            // Concurrent tests may add records of their own; keep ours.
+            let ours: Vec<_> = drain_metrics_capture()
+                .into_iter()
+                .filter(|r| r.scheme == "C=2" && r.map == "3x3" && r.repeats == 1)
+                .collect();
+            assert_eq!(ours.len(), 2);
+            crate::render_metrics_json("quick", &[("fig11".to_string(), ours)])
+        };
+        assert_eq!(document([&first, &second]), document([&second, &first]));
+    }
+
+    #[test]
     fn parallel_repeats_match_sequential() {
         // The exact loop `run_averaged` ran before repeats were fanned out
         // over workers; the parallel version must reproduce it bit for bit,
@@ -622,6 +603,7 @@ mod tests {
         let seq_avg = AveragedReport::from_reports(&seq_reports);
         let seq_metrics = RunMetricsSummary::from_reports(&seq_reports);
 
+        let _guard = capture_test_guard();
         enable_metrics_capture();
         let par_avg = run_averaged(&config, repeats);
         let records = drain_metrics_capture();
@@ -646,6 +628,7 @@ mod tests {
             .seed(21)
             .build();
         let coarse = [0.01, 1.0];
+        let _guard = capture_test_guard();
         enable_metrics_capture_with_bounds(&coarse);
         let _ = run_averaged(&config, 1);
         let records = drain_metrics_capture();

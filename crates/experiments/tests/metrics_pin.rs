@@ -25,18 +25,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Runs fig05 at quick scale (optionally sharded) and returns the FNV-1a
-/// 64 hash of the metrics JSON it writes.
-fn fig05_quick_hash(label: &str, extra_args: &[&str]) -> u64 {
-    let dir =
-        std::env::temp_dir().join(format!("manet-metrics-pin-{label}-{}", std::process::id()));
+/// Runs fig05 at quick scale and returns the FNV-1a 64 hash of the
+/// metrics JSON it writes.
+fn fig05_quick_hash() -> u64 {
+    let dir = std::env::temp_dir().join(format!("manet-metrics-pin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir creatable");
     let metrics: PathBuf = dir.join("fig05-quick-metrics.json");
 
     let output = Command::new(env!("CARGO_BIN_EXE_manet-experiments"))
         .args(["--figure", "fig05", "--scale", "quick", "--metrics"])
         .arg(&metrics)
-        .args(extra_args)
         .output()
         .expect("experiment binary runs");
     assert!(
@@ -54,7 +52,7 @@ fn fig05_quick_hash(label: &str, extra_args: &[&str]) -> u64 {
 
 #[test]
 fn fig05_quick_metrics_hash_is_pinned() {
-    let hash = fig05_quick_hash("seq", &[]);
+    let hash = fig05_quick_hash();
     assert_eq!(
         hash, PINNED_FNV1A64,
         "fig05 quick metrics drifted from the pinned baseline \
@@ -62,20 +60,5 @@ fn fig05_quick_metrics_hash_is_pinned() {
          is intentional, rerun `manet-experiments --figure fig05 --scale \
          quick --metrics m.json`, recompute FNV-1a 64 over the file, and \
          update PINNED_FNV1A64."
-    );
-}
-
-#[test]
-fn fig05_quick_metrics_hash_is_pinned_at_four_shards() {
-    // Sharded execution is a pure execution strategy: the same pinned
-    // hash must come out at --shards 4 as sequentially. A mismatch here
-    // (with the sequential pin passing) means the shard merge reordered
-    // events or perturbed an RNG stream.
-    let hash = fig05_quick_hash("sh4", &["--shards", "4"]);
-    assert_eq!(
-        hash, PINNED_FNV1A64,
-        "fig05 quick metrics at --shards 4 diverged from the sequential \
-         pin (got {hash:#018x}, pinned {PINNED_FNV1A64:#018x}): sharded \
-         execution is no longer bit-identical."
     );
 }

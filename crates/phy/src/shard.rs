@@ -1,13 +1,11 @@
-//! Spatial strip partition for sharded world execution.
+//! Strip partition of the map for range queries.
 //!
-//! A [`ShardMap`] splits the map into `shards` vertical strips of equal
-//! width. Each strip must be at least one radio radius wide — that is the
-//! lockstep-window invariant: a frame transmitted from inside strip `s`
-//! can only reach hosts in strips `s-1..=s+1`, so the minimum cross-shard
-//! propagation "delay" (in space) is one whole strip and a 3-strip scan
-//! around any transmitter is provably sufficient. Requested shard counts
-//! that would violate the invariant are clamped, never rejected: a 5×R
-//! map asked for 16 shards silently runs 5.
+//! A [`ShardMap`] splits the map into as many equal-width vertical strips
+//! as fit while each stays at least one radio radius wide (a map narrower
+//! than one radius is a single strip). That width is what keeps a range
+//! query local: a disc of one radius around any host intersects at most
+//! three strips, so the world's geometry index scans the strips a query
+//! window overlaps instead of every host.
 //!
 //! Strip assignment mirrors [`NeighborGrid`](crate::NeighborGrid) cell
 //! clamping exactly: coordinates at or past the right map edge (including
@@ -23,15 +21,15 @@
 /// ```
 /// use manet_phy::ShardMap;
 ///
-/// // A 2500 m map with 500 m radios supports at most 5 strips.
-/// let map = ShardMap::new(2_500.0, 500.0, 4);
-/// assert_eq!(map.shards(), 4);
+/// // A 2500 m map with 500 m radios is cut into 5 strips.
+/// let map = ShardMap::new(2_500.0, 500.0);
+/// assert_eq!(map.shards(), 5);
 /// assert_eq!(map.shard_of_x(0.0), 0);
-/// assert_eq!(map.shard_of_x(2_500.0), 3); // right edge bins into the last strip
-/// assert_eq!(map.strips_overlapping(600.0, 700.0), (0, 1));
+/// assert_eq!(map.shard_of_x(2_500.0), 4); // right edge bins into the last strip
+/// assert_eq!(map.strips_overlapping(600.0, 1_100.0), (1, 2));
 ///
-/// // Requests past the feasible maximum are clamped.
-/// assert_eq!(ShardMap::new(2_500.0, 500.0, 64).shards(), 5);
+/// // A map narrower than one radius is a single strip.
+/// assert_eq!(ShardMap::new(400.0, 500.0).shards(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardMap {
@@ -41,14 +39,13 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// Builds a partition of a `width`-wide map into `requested` strips,
-    /// clamped so every strip is at least `radius` wide (and to at least
-    /// one strip).
+    /// Partitions a `width`-wide map into `floor(width / radius)` strips
+    /// (at least one), so every strip is at least `radius` wide.
     ///
     /// # Panics
     ///
     /// Panics unless `width` and `radius` are finite and positive.
-    pub fn new(width: f64, radius: f64, requested: u32) -> Self {
+    pub fn new(width: f64, radius: f64) -> Self {
         assert!(
             width.is_finite() && width > 0.0,
             "map width must be positive and finite"
@@ -57,8 +54,7 @@ impl ShardMap {
             radius.is_finite() && radius > 0.0,
             "radio radius must be positive and finite"
         );
-        let feasible = (width / radius).floor().max(1.0) as usize;
-        let shards = (requested.max(1) as usize).min(feasible);
+        let shards = (width / radius).floor().max(1.0) as usize;
         ShardMap {
             width,
             strip: width / shards as f64,
@@ -66,7 +62,7 @@ impl ShardMap {
         }
     }
 
-    /// Number of strips after clamping.
+    /// Number of strips.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -96,18 +92,6 @@ impl ShardMap {
         debug_assert!(lo <= hi, "inverted interval");
         (self.shard_of_x(lo), self.shard_of_x(hi))
     }
-
-    /// Whether strips `a` and `b` can interact within one radio hop.
-    ///
-    /// Because every strip is at least one radio radius wide, a frame
-    /// transmitted from inside strip `s` reaches only strips `s-1..=s+1`
-    /// — so two strips interact iff they are the same or neighbors. This
-    /// is the adjacency relation the epoch-parallel executor's safety
-    /// horizon rests on.
-    pub fn adjacent(&self, a: usize, b: usize) -> bool {
-        debug_assert!(a < self.shards && b < self.shards, "strip out of range");
-        a.abs_diff(b) <= 1
-    }
 }
 
 #[cfg(test)]
@@ -115,25 +99,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clamps_to_feasible_strip_count() {
-        assert_eq!(ShardMap::new(2_500.0, 500.0, 1).shards(), 1);
-        assert_eq!(ShardMap::new(2_500.0, 500.0, 5).shards(), 5);
-        assert_eq!(ShardMap::new(2_500.0, 500.0, 6).shards(), 5);
-        assert_eq!(ShardMap::new(400.0, 500.0, 8).shards(), 1);
-        assert_eq!(ShardMap::new(2_500.0, 500.0, 0).shards(), 1);
+    fn strip_count_is_the_whole_radii_that_fit() {
+        assert_eq!(ShardMap::new(2_500.0, 500.0).shards(), 5);
+        assert_eq!(ShardMap::new(2_499.0, 500.0).shards(), 4);
+        assert_eq!(ShardMap::new(500.0, 500.0).shards(), 1);
+        assert_eq!(ShardMap::new(400.0, 500.0).shards(), 1);
     }
 
     #[test]
     fn every_strip_is_at_least_one_radius_wide() {
-        for &(w, r, k) in &[
-            (2_500.0, 500.0, 7u32),
-            (5_000.0, 500.0, 64),
-            (1_234.5, 300.0, 3),
-        ] {
-            let map = ShardMap::new(w, r, k);
+        for &(w, r) in &[(2_500.0, 500.0), (5_000.0, 500.0), (1_234.5, 300.0)] {
+            let map = ShardMap::new(w, r);
             assert!(
                 map.strip_width() >= r,
-                "{w}x{r}@{k}: strip {}",
+                "{w}x{r}: strip {}",
                 map.strip_width()
             );
         }
@@ -141,7 +120,7 @@ mod tests {
 
     #[test]
     fn exact_boundaries_bin_like_the_grid() {
-        let map = ShardMap::new(2_000.0, 500.0, 4);
+        let map = ShardMap::new(2_000.0, 500.0);
         assert_eq!(map.shard_of_x(-50.0), 0);
         assert_eq!(map.shard_of_x(0.0), 0);
         assert_eq!(map.shard_of_x(499.999), 0);
@@ -153,29 +132,22 @@ mod tests {
 
     #[test]
     fn overlap_ranges_cover_the_query_window() {
-        let map = ShardMap::new(2_000.0, 500.0, 4);
+        let map = ShardMap::new(2_000.0, 500.0);
         assert_eq!(map.strips_overlapping(-100.0, 2_100.0), (0, 3));
         assert_eq!(map.strips_overlapping(750.0, 750.0), (1, 1));
         assert_eq!(map.strips_overlapping(499.0, 501.0), (0, 1));
     }
 
     #[test]
-    fn adjacency_is_reflexive_symmetric_and_one_wide() {
-        let map = ShardMap::new(2_500.0, 500.0, 5);
-        for a in 0..map.shards() {
-            for b in 0..map.shards() {
-                assert_eq!(map.adjacent(a, b), map.adjacent(b, a));
-                assert_eq!(map.adjacent(a, b), a.abs_diff(b) <= 1);
-            }
-        }
-        // Any transmitter's one-hop window overlaps only adjacent strips.
-        let radius = 500.0;
+    fn a_one_radius_window_spans_at_most_three_strips() {
+        let map = ShardMap::new(2_500.0, 500.0);
         for x in [0.0, 250.0, 999.9, 1_000.0, 1_700.0, 2_500.0] {
             let home = map.shard_of_x(x);
-            let (lo, hi) = map.strips_overlapping(x - radius, x + radius);
-            for s in lo..=hi {
-                assert!(map.adjacent(home, s), "x={x}: strip {s} not adjacent");
-            }
+            let (lo, hi) = map.strips_overlapping(x - 500.0, x + 500.0);
+            assert!(
+                lo + 1 >= home && hi <= home + 1,
+                "x={x}: strips {lo}..={hi}"
+            );
         }
     }
 }

@@ -60,7 +60,7 @@ mod wire;
 
 pub use metrics::{
     json_escape, json_f64, Counter, Gauge, Histogram, HistogramSnapshot, KindProfile, LoopProfile,
-    LoopProfiler, MetricsRegistry, ShardDelta, DEFAULT_LATENCY_BOUNDS_S,
+    LoopProfiler, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_S,
 };
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue};

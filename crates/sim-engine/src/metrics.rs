@@ -15,40 +15,6 @@ use std::collections::BTreeMap;
 // simlint: allow(wall-clock) — LoopProfiler measures real per-event cost
 use std::time::Instant;
 
-use crate::time::SimTime;
-
-/// Mergeable tally of the work one shard did during a parallel epoch.
-///
-/// Each shard fills its own delta while draining its queue concurrently;
-/// at the epoch barrier the executor folds the deltas into the global
-/// counters with [`merge`](Self::merge) — associative and commutative, so
-/// the merged totals are identical for any shard count or drain
-/// interleaving.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardDelta {
-    /// Events popped from the shard queue (including stale timers).
-    pub events: u64,
-    /// Timers re-armed back into the shard queue.
-    pub rescheduled: u64,
-    /// Effects deferred to the barrier (e.g. transmissions to begin).
-    pub deferred: u64,
-    /// Timestamp of the latest event drained, if any.
-    pub last_event_at: Option<SimTime>,
-}
-
-impl ShardDelta {
-    /// Folds another shard's tally into this one.
-    pub fn merge(&mut self, other: &ShardDelta) {
-        self.events += other.events;
-        self.rescheduled += other.rescheduled;
-        self.deferred += other.deferred;
-        self.last_event_at = match (self.last_event_at, other.last_event_at) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
 /// Default upper bucket bounds (seconds) for end-to-end latency
 /// histograms.
 ///
@@ -456,28 +422,6 @@ impl LoopProfiler {
         stats.max_ns = stats.max_ns.max(ns);
     }
 
-    /// Finishes timing a *batch* of `count` events handled under one
-    /// clock window (the epoch-parallel executor drains many timer events
-    /// per wall-clock measurement). The window's elapsed time is
-    /// attributed to `kind` once; the event count grows by `count`, so
-    /// per-event means stay meaningful while max-per-event does not apply
-    /// to batched kinds.
-    pub fn record_batch(&mut self, kind: &'static str, started: Option<Instant>, count: u64) {
-        self.events += count;
-        let Some(t0) = started else { return };
-        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let stats = match self.kinds.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, stats)) => stats,
-            None => {
-                self.kinds.push((kind, KindStats::default()));
-                &mut self.kinds.last_mut().expect("just pushed").1
-            }
-        };
-        stats.count += count;
-        stats.total_ns += ns;
-        stats.max_ns = stats.max_ns.max(ns);
-    }
-
     /// Total events seen (counted even when disabled).
     pub fn events_processed(&self) -> u64 {
         self.events
@@ -655,50 +599,6 @@ mod tests {
         let profile = p.profile();
         assert_eq!(profile.events, 2);
         assert!(profile.kinds.is_empty());
-    }
-
-    #[test]
-    fn shard_delta_merge_is_order_independent() {
-        let deltas = [
-            ShardDelta {
-                events: 3,
-                rescheduled: 1,
-                deferred: 0,
-                last_event_at: Some(SimTime::from_millis(5)),
-            },
-            ShardDelta::default(),
-            ShardDelta {
-                events: 2,
-                rescheduled: 2,
-                deferred: 4,
-                last_event_at: Some(SimTime::from_millis(9)),
-            },
-        ];
-        let mut forward = ShardDelta::default();
-        let mut backward = ShardDelta::default();
-        for d in &deltas {
-            forward.merge(d);
-        }
-        for d in deltas.iter().rev() {
-            backward.merge(d);
-        }
-        assert_eq!(forward, backward);
-        assert_eq!(forward.events, 5);
-        assert_eq!(forward.deferred, 4);
-        assert_eq!(forward.last_event_at, Some(SimTime::from_millis(9)));
-    }
-
-    #[test]
-    fn record_batch_counts_events_even_when_disabled() {
-        let mut p = LoopProfiler::disabled();
-        p.record_batch("mac_timer", None, 17);
-        assert_eq!(p.events_processed(), 17);
-        let mut p = LoopProfiler::enabled();
-        let t0 = p.begin();
-        p.record_batch("mac_timer", t0, 3);
-        let profile = p.profile();
-        assert_eq!(profile.events, 3);
-        assert_eq!(profile.kinds[0].count, 3);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Persistent worker pool for intra-step parallelism.
+//! Persistent worker pool for fanning independent jobs out over threads.
 //!
 //! [`WorkerPool`] owns a fixed set of parked OS threads that execute
-//! index-addressed jobs (`f(0), f(1), ..., f(count-1)`) on demand. The
-//! pool exists so hot loops that fan work out every few simulated
-//! microseconds — the epoch-parallel shard advance and the dense position
-//! refresh — pay a condvar wake instead of a thread spawn/join per batch.
+//! index-addressed jobs (`f(0), f(1), ..., f(count-1)`) on demand, so a
+//! caller that fans out repeatedly — the campaign scheduler runs one
+//! batch per submitted campaign — pays a condvar wake instead of a
+//! thread spawn/join per batch. A simulated world never owns one.
 //!
 //! Determinism contract: the pool itself orders nothing. Callers must
 //! make every job write to disjoint state (per-index output slots) and

@@ -11,18 +11,14 @@
 //! ([`crate::ast`]), and applies the *local* rules, storing the file's
 //! facts; [`Linter::finish`] then builds the workspace call graph
 //! ([`crate::graph`]) and runs the *transitive* analyses — annotation
-//! propagation (`hot_path`, `pure_model`, `shard_merge`, `epoch_shard`
+//! propagation (`hot_path`, `pure_model`
 //! findings in any function reachable from an annotated one, with the
 //! propagation chain printed), [`crate::locks`] lock ordering, and
 //! `fork-escape` — before applying allow directives and flagging the
 //! unused ones. `serve_loop` is deliberately *not* propagated: its
 //! bounded-growth check keys off identifiers visible in the annotated
 //! fn's own body, and the session loops already confine peer input
-//! handling to the annotated fns. Likewise the RNG-draw half of the
-//! `epoch-barrier` rule stays direct-only: per-node streams drawn
-//! inside the node models a drain calls into are the sanctioned
-//! mechanism, so propagation checks callees only for the effects that
-//! are global no matter the receiver (`event_seq`, `Medium` mutation).
+//! handling to the annotated fns.
 
 use crate::ast::{parse_fields, parse_fns, FieldDef, ParsedFn};
 use crate::forks::ForkRegistry;
@@ -52,20 +48,6 @@ pub const RULE_PURE_MODEL: &str = "pure-model-effect";
 /// Types deriving `Ord`/`PartialOrd` (candidate event-queue keys) must
 /// not contain `f32`/`f64` fields.
 pub const RULE_FLOAT_KEY: &str = "float-event-key";
-/// Functions annotated `#[cfg_attr(simlint, shard_merge)]` route or merge
-/// events across shard queues; any `HashMap`/`HashSet` there — or in a
-/// function reachable from there — risks iteration order leaking into
-/// the global event order, which must stay a pure function of
-/// `(time, seq)`.
-pub const RULE_SHARD_BOUNDARY: &str = "shard-boundary";
-/// Functions annotated `#[cfg_attr(simlint, epoch_shard)]` run
-/// concurrently, one per shard, inside a parallel epoch. They must not
-/// mutate the shared `Medium`, draw from an RNG receiver (the global
-/// stream is not shard-safe; per-node streams live inside the node
-/// models), or touch the global `event_seq` counter — every global
-/// effect belongs after the epoch barrier. The `Medium`/`event_seq`
-/// half also applies transitively to every function a drain can reach.
-pub const RULE_EPOCH_BARRIER: &str = "epoch-barrier";
 /// Mutex/RwLock acquisition order: derived acquired-while-held edges
 /// must be acyclic and respect the ranks declared in `LOCKS.md`.
 pub const RULE_LOCK_ORDER: &str = "lock-order";
@@ -94,8 +76,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_HOT_PATH,
     RULE_PURE_MODEL,
     RULE_FLOAT_KEY,
-    RULE_SHARD_BOUNDARY,
-    RULE_EPOCH_BARRIER,
     RULE_SERVE_LOOP,
     RULE_LOCK_ORDER,
     RULE_FORK_ESCAPE,
@@ -104,7 +84,7 @@ pub const ALL_RULES: &[&str] = &[
 ];
 
 /// Markers whose rules propagate through the call graph.
-const PROPAGATED_MARKERS: &[&str] = &["hot_path", "pure_model", "shard_merge", "epoch_shard"];
+const PROPAGATED_MARKERS: &[&str] = &["hot_path", "pure_model"];
 
 /// Crates whose state feeds event scheduling or report output; the
 /// iteration and float-key rules apply only here.
@@ -313,27 +293,6 @@ impl Linter {
                                     code[i].text, f.name
                                 ),
                             ));
-                        }
-                    }
-                    "shard_merge" => {
-                        for i in shard_findings(&code, start, end) {
-                            raw.push(Diagnostic::new(
-                                file,
-                                &code[i],
-                                RULE_SHARD_BOUNDARY,
-                                format!(
-                                    "`{}` inside shard-merge fn `{}`: cross-shard \
-                                     routing and merging must never depend on hash-map \
-                                     iteration order — the merged event order is a pure \
-                                     function of (time, seq)",
-                                    code[i].text, f.name
-                                ),
-                            ));
-                        }
-                    }
-                    "epoch_shard" => {
-                        for (i, what) in epoch_findings(&code, start, end, true) {
-                            raw.push(epoch_direct_diag(file, &code, i, what, &f.name));
                         }
                     }
                     "serve_loop" => {
@@ -586,40 +545,6 @@ fn propagated_diags(
                         code[i].text, f.name
                     ),
                 );
-            }
-        }
-        "shard_merge" => {
-            for i in shard_findings(code, start, end) {
-                push(
-                    i,
-                    RULE_SHARD_BOUNDARY,
-                    format!(
-                        "`{}` in `{}`, reachable from shard-merge fn `{root}`: the \
-                         merged event order must stay a pure function of (time, seq)",
-                        code[i].text, f.name
-                    ),
-                );
-            }
-        }
-        "epoch_shard" => {
-            // RNG draws are direct-only (per-node streams in callees are
-            // the sanctioned mechanism); globals propagate.
-            for (i, what) in epoch_findings(code, start, end, false) {
-                let message = match what {
-                    EpochEffect::EventSeq => format!(
-                        "global `event_seq` touched in `{}`, reachable from \
-                         epoch-shard fn `{root}`; only the barrier may advance the \
-                         global counter",
-                        f.name
-                    ),
-                    _ => format!(
-                        "`.{}(...)` mutates the shared Medium in `{}`, reachable \
-                         from epoch-shard fn `{root}`; buffer the effect and apply \
-                         it after the epoch barrier",
-                        code[i].text, f.name
-                    ),
-                };
-                push(i, RULE_EPOCH_BARRIER, message);
             }
         }
         _ => {}
@@ -1064,94 +989,6 @@ fn effect_findings(code: &[Token], start: usize, end: usize) -> Vec<(usize, &'st
     out
 }
 
-/// `HashMap`/`HashSet` mentions in `[start, end)` (any hasher).
-fn shard_findings(code: &[Token], start: usize, end: usize) -> Vec<usize> {
-    (start..end.min(code.len()))
-        .filter(|&i| matches!(ident_at(code, i), Some("HashMap" | "HashSet")))
-        .collect()
-}
-
-/// What an epoch-shard finding touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EpochEffect {
-    /// The global `event_seq` counter.
-    EventSeq,
-    /// An RNG receiver draw (`.fork(` / `.gen_*(`); direct scans only.
-    Rng,
-    /// Shared `Medium` mutation.
-    Medium,
-}
-
-/// Epoch-barrier hazards in `[start, end)`. With `include_rng` false
-/// (the propagated scan) RNG receiver draws are skipped: per-node
-/// streams inside the node models a drain calls into are sanctioned.
-fn epoch_findings(
-    code: &[Token],
-    start: usize,
-    end: usize,
-    include_rng: bool,
-) -> Vec<(usize, EpochEffect)> {
-    let mut out = Vec::new();
-    for i in start..end.min(code.len()) {
-        let Some(name) = ident_at(code, i) else {
-            continue;
-        };
-        if name == "event_seq" {
-            out.push((i, EpochEffect::EventSeq));
-            continue;
-        }
-        if i == 0 || !is_punct(code, i - 1, ".") || !is_punct(code, i + 1, "(") {
-            continue;
-        }
-        if name == "fork" || name.starts_with("gen_") {
-            if include_rng {
-                out.push((i, EpochEffect::Rng));
-            }
-        } else if matches!(
-            name,
-            "begin_transmission"
-                | "begin_transmission_into"
-                | "finish_transmission"
-                | "end_transmission"
-        ) {
-            out.push((i, EpochEffect::Medium));
-        }
-    }
-    out
-}
-
-/// The v1-format direct diagnostic for one epoch-shard finding.
-fn epoch_direct_diag(
-    file: &str,
-    code: &[Token],
-    i: usize,
-    what: EpochEffect,
-    fn_name: &str,
-) -> Diagnostic {
-    let tok = &code[i];
-    let message = match what {
-        EpochEffect::EventSeq => format!(
-            "global `event_seq` touched inside epoch-shard fn \
-             `{fn_name}`; shard drains must stamp re-armed events \
-             from their disjoint (base + j*shards + s) lane and let \
-             the barrier advance the global counter"
-        ),
-        EpochEffect::Rng => format!(
-            "`.{}(...)` draws from an RNG receiver inside epoch-shard fn `{fn_name}`; \
-             shard drains run concurrently — buffer the effect and \
-             apply it after the epoch barrier",
-            tok.text
-        ),
-        EpochEffect::Medium => format!(
-            "`.{}(...)` mutates the shared Medium inside epoch-shard fn `{fn_name}`; \
-             shard drains run concurrently — buffer the effect and \
-             apply it after the epoch barrier",
-            tok.text
-        ),
-    };
-    Diagnostic::new(file, tok, RULE_EPOCH_BARRIER, message)
-}
-
 /// Serve-loop fns sit between a network peer and the scheduler: the
 /// peer chooses how many bytes arrive and when. Three hazards are
 /// banned. Whole-stream slurps (`read_to_end`/`read_to_string`) hand
@@ -1530,52 +1367,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_barrier_fires_only_in_annotated_fns() {
-        let diags = lint_sim(
-            "fn barrier(&mut self) { self.event_seq += 1; self.medium.begin_transmission(n, t); }\n\
-             #[cfg_attr(simlint, epoch_shard)]\n\
-             fn drain(&mut self, q: &mut Q, m: &mut Medium) {\n\
-                 let r = self.rng.gen_unit_f64();\n\
-                 self.event_seq += 1;\n\
-                 m.begin_transmission_into(n, now, airtime);\n\
-                 q.schedule_seq(t, s, e);\n\
-                 q.cancel(k);\n\
-             }\n",
-        );
-        let fired: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == RULE_EPOCH_BARRIER)
-            .map(|d| d.line)
-            .collect();
-        // RNG draw, global counter, Medium mutation fire; the shard's own
-        // queue operations (schedule_seq/cancel) are the drain's job.
-        assert_eq!(fired, vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn epoch_barrier_propagates_globals_but_not_per_node_rng() {
-        let diags = lint_sim(
-            "struct Shard;\n\
-             impl Shard {\n\
-                 #[cfg_attr(simlint, epoch_shard)]\n\
-                 fn drain(&mut self) { self.node_step(); }\n\
-                 fn node_step(&mut self) {\n\
-                     let r = self.rng.gen_unit_f64();\n\
-                     self.event_seq += 1;\n\
-                 }\n\
-             }\n",
-        );
-        let fired: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == RULE_EPOCH_BARRIER)
-            .map(|d| d.line)
-            .collect();
-        // The per-node RNG draw in the callee is sanctioned; the global
-        // counter touch propagates.
-        assert_eq!(fired, vec![7], "{diags:?}");
-    }
-
-    #[test]
     fn serve_loop_fires_on_slurps_growth_and_wall_clock() {
         let diags = lint_sim(
             "fn anywhere(&mut self) { self.buf.read_to_end(&mut v); }\n\
@@ -1733,23 +1524,23 @@ mod tests {
         let mut linter = Linter::new(ForkRegistry::default(), LockRegistry::default());
         linter.lint_file(
             "entry.rs",
-            "#[cfg_attr(simlint, shard_merge)]\n\
+            "#[cfg_attr(simlint, hot_path)]\n\
              fn merge(&mut self) { route_all(self); }\n",
             &CrateContext::fixture(),
         );
         linter.lint_file(
             "router.rs",
-            "pub fn route_all(w: &mut W) { let m: HashMap<u32, u32> = seed(); }\n",
+            "pub fn route_all(w: &mut W) { let m: Vec<u32> = Vec::new(); }\n",
             &CrateContext::fixture(),
         );
         linter.finish(false);
-        let shard: Vec<&Diagnostic> = linter
+        let hot: Vec<&Diagnostic> = linter
             .diagnostics
             .iter()
-            .filter(|d| d.rule == RULE_SHARD_BOUNDARY)
+            .filter(|d| d.rule == RULE_HOT_PATH)
             .collect();
-        assert_eq!(shard.len(), 1, "{:?}", linter.diagnostics);
-        assert_eq!(shard[0].file, "router.rs");
-        assert_eq!(shard[0].chain, vec!["entry::merge", "router::route_all"]);
+        assert_eq!(hot.len(), 1, "{:?}", linter.diagnostics);
+        assert_eq!(hot[0].file, "router.rs");
+        assert_eq!(hot[0].chain, vec!["entry::merge", "router::route_all"]);
     }
 }

@@ -40,16 +40,6 @@ options:
   --per-broadcast FILE  write per-broadcast outcomes as CSV
   --metrics FILE        write run counters and histograms as JSON
                         (schema manet-broadcast-metrics/1)
-  --shards N            spatial strips for sharded execution (default 1;
-                        clamped so every strip spans >= one radio radius;
-                        results are bit-identical for any N)
-  --parallel-epochs     drain the shard queues concurrently in epochs
-                        bounded by the carrier-sense horizon; same
-                        decisions and counts as sequential, but event
-                        interleaving (and so byte-identity) is waived
-  --workers N           pool threads for sharded execution (default:
-                        cores - 1, capped by the shard count; 0 forces
-                        inline); execution-only, never changes results
   --profile             measure event-loop wall time per event kind
   --snapshot-at T_NS    pause at T_NS simulated nanoseconds, write a
                         checkpoint (requires --snapshot-out), continue
@@ -142,9 +132,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut per_broadcast = None;
     let mut metrics = None;
     let mut profile = false;
-    let mut shards = 1u32;
-    let mut parallel_epochs = false;
-    let mut workers: Option<u32> = None;
     let mut snapshot_at: Option<u64> = None;
     let mut snapshot_out: Option<String> = None;
     let mut resume: Option<String> = None;
@@ -201,22 +188,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--per-broadcast" => per_broadcast = Some(value("--per-broadcast")?),
             "--metrics" => metrics = Some(value("--metrics")?),
             "--profile" => profile = true,
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if shards == 0 {
-                    return Err("bad --shards: need at least one shard".into());
-                }
-            }
-            "--parallel-epochs" => parallel_epochs = true,
-            "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?,
-                )
-            }
             "--snapshot-at" => {
                 snapshot_at = Some(
                     value("--snapshot-at")?
@@ -260,12 +231,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         .seed(seed)
         .mobility(parse_mobility(&mobility)?)
         .drop_probability(drop)
-        .profile_events(profile)
-        .shards(shards)
-        .parallel_epochs(parallel_epochs);
-    if let Some(workers) = workers {
-        builder = builder.workers(workers);
-    }
+        .profile_events(profile);
     if let Some(scenario) = scenario {
         builder = builder.scenario(scenario);
     }
@@ -656,35 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_parses() {
-        let options = parse_args(&args(&["--shards", "4"]))
-            .expect("parses")
-            .expect("not help");
-        assert_eq!(options.config.shards, 4);
-        assert!(!options.config.parallel_epochs, "default is sequential");
-        let options = parse_args(&args(&["--shards", "8", "--parallel-epochs"]))
-            .expect("parses")
-            .expect("not help");
-        assert!(options.config.parallel_epochs);
-        assert!(parse_args(&args(&["--shards", "x"])).is_err());
-        assert!(
-            parse_args(&args(&["--shards", "0"])).is_err(),
-            "zero shards rejected at parse time"
-        );
-    }
-
-    #[test]
-    fn workers_flag_parses() {
-        let options = parse_args(&args(&["--shards", "4", "--workers", "2"]))
-            .expect("parses")
-            .expect("not help");
-        assert_eq!(options.config.workers, Some(2));
-        let options = parse_args(&[]).expect("parses").expect("not help");
-        assert_eq!(options.config.workers, None, "default auto-detects");
-        assert!(parse_args(&args(&["--workers", "x"])).is_err());
-    }
-
-    #[test]
     fn serve_arguments_parse() {
         let options = parse_serve_args(&[]).expect("parses").expect("not help");
         assert!(options.socket.is_none(), "pipe mode is the default");
@@ -808,6 +745,11 @@ mod tests {
     #[test]
     fn unknown_option_errors() {
         assert!(parse_args(&args(&["--frobnicate"])).is_err());
+        // One executor: the flags that used to select another are gone,
+        // and `--workers` is a `serve` option only.
+        for removed in [["--shards", "4"], ["--workers", "2"]] {
+            assert!(parse_args(&args(&removed)).is_err(), "{removed:?} accepted");
+        }
         assert!(parse_args(&args(&["--map"])).is_err(), "missing value");
     }
 
