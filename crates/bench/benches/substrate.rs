@@ -6,6 +6,7 @@ use manet_bench::harness::Suite;
 use manet_geom::{CoverageGrid, Vec2};
 use manet_mac::{Dcf, FrameHandle, MacAction};
 use manet_mobility::{uniform_placement, Map, Mobility, RandomTurn, RandomTurnParams};
+use manet_net::NeighborTable;
 use manet_phy::{in_range_of, reachable_from, Medium, NeighborGrid, NodeId};
 use manet_sim_engine::{EventQueue, SimDuration, SimRng, SimTime};
 
@@ -154,6 +155,47 @@ fn mobility_advance(s: &mut Suite) {
     });
 }
 
+fn neighbor_table_flap(s: &mut Suite) {
+    // One host's table on a dense map: 110 neighbors beaconing every 1 s
+    // (re-armed at 95–105 % like the world does), each advertising all
+    // 110. A rotating third of them loses every other beacon, so a gap
+    // hovers around the two-interval deadline and entries flap — the
+    // `nc_dense1k` regime, where half of all HELLOs collide. The world's
+    // call pattern: an expiry check before every recorded HELLO, and a
+    // rare `N_{x,h}` read (most lists are rewritten unread).
+    const NEIGHBORS: u32 = 110;
+    const BEACONS: u64 = 30;
+    let listed: Vec<NodeId> = (0..=NEIGHBORS).map(NodeId::new).collect();
+    let mut rng = SimRng::seed_from(6);
+    let mut heard: Vec<(SimTime, NodeId)> = Vec::new();
+    for j in 1..=NEIGHBORS {
+        let mut at = SimTime::from_millis(u64::from(j) * 9);
+        for k in 0..BEACONS {
+            let flaky = u64::from(j % 3) == (k / 2) % 3;
+            if !(flaky && k % 2 == 1) {
+                heard.push((at, NodeId::new(j)));
+            }
+            at += SimDuration::from_millis(10 * u64::from(rng.gen_range_u32(95..106)));
+        }
+    }
+    heard.sort_unstable();
+    let interval = SimDuration::from_secs(1);
+    s.bench("neighbor_table_flap_110", || {
+        let mut table = NeighborTable::new();
+        let mut leaves = Vec::new();
+        let mut read = 0;
+        for (n, &(at, from)) in heard.iter().enumerate() {
+            table.expire_into(at, &mut leaves);
+            table.record_hello(from, at, interval, &listed);
+            if n % 10 == 0 {
+                let h = NodeId::new(n as u32 / 10 * 7 % NEIGHBORS + 1);
+                read += table.neighbors_of(h).map_or(0, <[NodeId]>::len);
+            }
+        }
+        black_box((leaves.len(), read))
+    });
+}
+
 fn simlint_workspace(s: &mut Suite) {
     // End-to-end lint of the real workspace: lex, parse, symbol table,
     // call graph, propagation, lock-order, fork-escape. The lint runs in
@@ -197,6 +239,7 @@ fn main() {
     mac_state_machine(&mut suite);
     medium_collisions(&mut suite);
     mobility_advance(&mut suite);
+    neighbor_table_flap(&mut suite);
     simlint_workspace(&mut suite);
     suite.finish();
 }

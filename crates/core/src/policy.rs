@@ -23,6 +23,11 @@ use manet_phy::NodeId;
 ///
 /// Fields the active scheme does not need are cheap defaults (e.g. the
 /// neighbor slices are empty unless the neighbor-coverage scheme runs).
+///
+/// **Contract:** `neighbors` and `sender_neighbors` are strictly ascending
+/// by id — neighbor coverage subtracts them from its pending set in one
+/// merge pass. Neighbor tables and the geometry index both produce them
+/// that way; [`PureModels`](crate::PureModels) asserts it in debug builds.
 #[derive(Debug)]
 pub struct HearContext<'a> {
     /// The hearing host's live neighbor count `n` (HELLO-derived or

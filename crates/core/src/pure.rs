@@ -52,7 +52,8 @@ const PLACEHOLDER_HANDLE: FrameHandle = FrameHandle(u64::MAX);
 /// [`PureAction::PacketHeard`].
 ///
 /// In HELLO mode this is absent: the pure models derive the same view from
-/// their own neighbor tables.
+/// their own neighbor tables. Both slices are strictly ascending by id (the
+/// [`HearContext`] contract).
 #[derive(Debug, Clone, Copy)]
 pub struct OracleView<'a> {
     /// Hosts currently in radio range of the hearer.
@@ -372,11 +373,8 @@ pub struct PureModels {
     trackers: Vec<VariationTracker>,
     /// Scheme decisions tallied as the pure transitions make them.
     suppression: SuppressionCounts,
-    // Scratch for the HELLO-mode neighbor view (reused across steps so the
-    // hot path does not allocate).
-    scratch_neighbors: Vec<NodeId>,
-    scratch_sender_neighbors: Vec<NodeId>,
-    /// Scratch for expiry sweeps and deactivation drains, same reuse idea.
+    /// Scratch for expiry sweeps and deactivation drains (reused across
+    /// steps so the hot path does not allocate).
     scratch_changes: Vec<MembershipChange>,
     scratch_handles: Vec<FrameHandle>,
 }
@@ -401,8 +399,6 @@ impl PureModels {
             tables: (0..hosts).map(|_| NeighborTable::new()).collect(),
             trackers: (0..hosts).map(|_| VariationTracker::new()).collect(),
             suppression: SuppressionCounts::default(),
-            scratch_neighbors: Vec::new(),
-            scratch_sender_neighbors: Vec::new(),
             scratch_changes: Vec::new(),
             scratch_handles: Vec::new(),
         }
@@ -532,35 +528,39 @@ impl PureModels {
         fx: &mut Vec<Effect>,
     ) {
         let i = node.index();
-        self.scratch_neighbors.clear();
-        self.scratch_sender_neighbors.clear();
-        let neighbor_count = if !self.needs_count && !self.needs_two_hop {
-            0
-        } else if let Some(view) = oracle {
-            self.scratch_neighbors.extend_from_slice(view.neighbors);
-            self.scratch_sender_neighbors
-                .extend_from_slice(view.sender_neighbors);
-            view.neighbor_count
-        } else {
+        let wants_view = self.needs_count || self.needs_two_hop;
+        if wants_view && oracle.is_none() {
             // HELLO mode: the models' own tables are the source of truth.
+            // Expiry runs for every copy, wanted or not — its tracker
+            // updates, beacon accelerations and leave counts are observable.
             self.expire_neighbors(node, now, fx);
-            let count = self.tables[i].neighbor_count();
-            if self.needs_two_hop {
-                self.tables[i].neighbor_ids_into(&mut self.scratch_neighbors);
-                if let Some(known) = self.tables[i].neighbors_of(sender) {
-                    self.scratch_sender_neighbors.extend_from_slice(known);
-                }
+        }
+        // Ledger first: three copies in four reach a host that is the
+        // source or already finished with the packet ("rebroadcast at most
+        // once"), and those need no neighbor view at all.
+        if let PacketView::Source | PacketView::Done = self.ledgers[i].view(packet.seq) {
+            return;
+        }
+        let (neighbor_count, neighbors, sender_neighbors): (_, &[NodeId], &[NodeId]) = match oracle
+        {
+            _ if !wants_view => (0, &[], &[]),
+            Some(view) => (view.neighbor_count, view.neighbors, view.sender_neighbors),
+            None if self.needs_two_hop => {
+                let (own, known) = self.tables[i].coverage_view(sender);
+                (own.len(), own, known.unwrap_or_default())
             }
-            count
+            None => (self.tables[i].neighbor_count(), &[], &[]),
         };
+        let ascending = |ids: &[NodeId]| ids.is_sorted_by(|a, b| a < b);
+        debug_assert!(ascending(neighbors) && ascending(sender_neighbors));
 
         let ctx = HearContext {
             neighbor_count,
             own_position,
             sender,
             sender_position,
-            neighbors: &self.scratch_neighbors,
-            sender_neighbors: &self.scratch_sender_neighbors,
+            neighbors,
+            sender_neighbors,
             coverage: &self.coverage,
             radio_radius: self.radio_radius,
             random_unit,
@@ -576,9 +576,7 @@ impl PureModels {
         }
         let outcome = match self.ledgers[i].view(packet.seq) {
             PacketView::Unheard => Outcome::FirstHear,
-            // The source never reacts to copies of its own broadcast, and
-            // finished packets stay finished ("rebroadcast at most once").
-            PacketView::Source | PacketView::Done => Outcome::Ignore,
+            PacketView::Source | PacketView::Done => unreachable!("settled above"),
             PacketView::Active(active) => match active {
                 ActivePacket::Assessing { key, policy } => {
                     if policy.on_duplicate_hear(&ctx) == DuplicateDecision::Cancel {
@@ -708,9 +706,9 @@ impl PureModels {
         }
     }
 
-    /// The host's current one-hop neighbor ids, sorted, appended to `out`.
-    pub fn neighbor_ids_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
-        self.tables[node.index()].neighbor_ids_into(out);
+    /// The host's current one-hop neighbor ids `N_x`, strictly ascending.
+    pub fn neighbor_ids(&self, node: NodeId) -> &[NodeId] {
+        self.tables[node.index()].neighbor_ids()
     }
 
     /// Scheme decisions tallied so far.

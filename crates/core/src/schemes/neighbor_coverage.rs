@@ -10,8 +10,6 @@
 //! are — which is exactly the trade-off the paper's dynamic hello interval
 //! addresses (§4.3).
 
-use std::collections::BTreeSet;
-
 use manet_phy::NodeId;
 
 use crate::policy::{DuplicateDecision, FirstDecision, HearContext, RebroadcastPolicy};
@@ -19,8 +17,8 @@ use crate::policy::{DuplicateDecision, FirstDecision, HearContext, RebroadcastPo
 /// Neighbor-coverage suppression.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborCoverageScheme {
-    /// The pending set `T`.
-    pending: BTreeSet<NodeId>,
+    /// The pending set `T`, strictly ascending.
+    pending: Vec<NodeId>,
 }
 
 impl NeighborCoverageScheme {
@@ -29,22 +27,25 @@ impl NeighborCoverageScheme {
         NeighborCoverageScheme::default()
     }
 
-    /// The hosts still believed uncovered.
+    /// The hosts still believed uncovered, ascending.
     pub fn pending(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.pending.iter().copied()
     }
 
-    /// Overwrites the pending set `T` when restoring from a world
-    /// snapshot.
-    pub(crate) fn restore_pending(&mut self, pending: BTreeSet<NodeId>) {
+    /// Overwrites the pending set `T` (strictly ascending) when restoring
+    /// from a world snapshot.
+    pub(crate) fn restore_pending(&mut self, pending: Vec<NodeId>) {
         self.pending = pending;
     }
 
+    /// `T = T − N_{x,h} − {h}` as one merge pass: `T` and the context's
+    /// neighbor slices are all ascending.
     fn subtract_sender(&mut self, ctx: &HearContext<'_>) {
-        self.pending.remove(&ctx.sender);
-        for covered in ctx.sender_neighbors {
-            self.pending.remove(covered);
-        }
+        let mut covered = ctx.sender_neighbors.iter().peekable();
+        self.pending.retain(|&p| {
+            while covered.next_if(|&&c| c < p).is_some() {}
+            p != ctx.sender && covered.peek() != Some(&&p)
+        });
     }
 }
 
@@ -53,7 +54,7 @@ impl RebroadcastPolicy for NeighborCoverageScheme {
         // S1: T = N_x − N_{x,h} − {h}. Building T is the scheme's own
         // bookkeeping, once per (host, packet) first hear.
         // simlint: allow(hot-path-alloc) — per-packet policy state
-        self.pending = ctx.neighbors.iter().copied().collect();
+        self.pending = ctx.neighbors.to_vec();
         self.subtract_sender(ctx);
         if self.pending.is_empty() {
             FirstDecision::Inhibit
@@ -88,7 +89,7 @@ mod tests {
         let fx = CtxFixture {
             sender: id(9),
             neighbors: vec![id(1), id(2), id(9)],
-            sender_neighbors: vec![id(1), id(2), id(0)],
+            sender_neighbors: vec![id(0), id(1), id(2)],
             ..CtxFixture::default()
         };
         let mut p = NeighborCoverageScheme::new();

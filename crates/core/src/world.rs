@@ -780,7 +780,7 @@ impl World {
                 let mut neighbors = self.hello_pool.pop().unwrap_or_default();
                 neighbors.clear();
                 if include_neighbors {
-                    self.pure.neighbor_ids_into(node, &mut neighbors);
+                    neighbors.extend_from_slice(self.pure.neighbor_ids(node));
                 }
                 let payload = HelloPayload {
                     sender: node,

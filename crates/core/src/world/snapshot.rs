@@ -38,8 +38,6 @@
 //! packets, carrier batches, active transmissions) is exported *with
 //! its slot layout* because handles and event payloads index into it.
 
-use std::collections::BTreeSet;
-
 use manet_geom::Vec2;
 use manet_mac::{Dcf, FrameHandle, MacStats};
 use manet_mobility::Mobility;
@@ -610,9 +608,15 @@ fn decode_policy(
         }
         (4, PacketPolicy::NeighborCoverage(p)) => {
             let count = dec.len()?;
-            let mut pending = BTreeSet::new();
+            let mut pending: Vec<NodeId> = Vec::with_capacity(count.min(1 << 16));
             for _ in 0..count {
-                pending.insert(NodeId::new(dec.u32()?));
+                let at = dec.position();
+                let id = NodeId::new(dec.u32()?);
+                if pending.last().is_some_and(|&last| last >= id) {
+                    let what = "pending set is not strictly ascending";
+                    return Err(WireError { at, what });
+                }
+                pending.push(id);
             }
             p.restore_pending(pending);
         }
@@ -923,4 +927,39 @@ fn restore_scenario_state(
     st.retired_joins = dec.u64()?;
     st.retired_leaves = dec.u64()?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Corruption is never silent: a pending set with two ids swapped or
+    /// one duplicated used to be normalised through a `BTreeSet` into some
+    /// other set; now the decoder refuses it.
+    #[test]
+    fn pending_set_out_of_order_is_refused() {
+        let scheme = SchemeSpec::NeighborCoverage;
+        let mut policy = scheme.build();
+        let PacketPolicy::NeighborCoverage(p) = &mut policy else {
+            unreachable!("nc builds the neighbor-coverage policy");
+        };
+        p.restore_pending([3, 7, 9].map(NodeId::new).to_vec());
+        let mut enc = WireEncoder::new();
+        encode_policy(&mut enc, &policy);
+        let bytes = enc.into_bytes();
+        // Tag, set length, then the ids.
+        let ids = 1 + 8;
+        assert_eq!(
+            bytes[ids..].iter().step_by(4).collect::<Vec<_>>(),
+            [&3, &7, &9]
+        );
+        assert!(decode_policy(&mut WireDecoder::new(&bytes), &scheme).is_ok());
+        for (a, b) in [(7, 3), (3, 3), (7, 7)] {
+            let mut bad = bytes.clone();
+            (bad[ids], bad[ids + 4]) = (a, b);
+            let err = decode_policy(&mut WireDecoder::new(&bad), &scheme)
+                .expect_err("accepted a pending set out of order");
+            assert_eq!(err.at, ids + 4, "{err}");
+        }
+    }
 }

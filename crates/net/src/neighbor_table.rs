@@ -11,35 +11,8 @@
 //! neighbor list, giving the receiver (possibly stale) two-hop knowledge:
 //! `N_{x,h}`, "the set of neighbors of h known by host x".
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
-
-/// Multiplicative hasher for [`NodeId`] keys. Host ids are small dense
-/// integers, so Fibonacci hashing spreads them across buckets at the cost
-/// of one multiply — the table is touched on every decoded HELLO, where
-/// SipHash is measurable. Every iteration consumer sorts its output, so
-/// the bucket order this changes never reaches an observable result.
-#[derive(Debug, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("NodeId hashes via write_u32");
-    }
-
-    fn write_u32(&mut self, value: u32) {
-        self.0 = u64::from(value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type IdMap<V> = HashMap<NodeId, V, BuildHasherDefault<IdHasher>>;
 
 /// What a host knows about one of its neighbors.
 #[derive(Debug, Clone)]
@@ -49,9 +22,14 @@ struct NeighborEntry {
     /// The hello interval the neighbor announced; entry expires after two
     /// of these without a HELLO.
     interval: SimDuration,
-    /// The neighbor's own one-hop set as of its last HELLO (`N_{x,h}`).
+    /// The neighbor's own one-hop set as of its last HELLO (`N_{x,h}`),
+    /// possibly still listing hosts that departed since (see `written`).
     /// Empty when HELLOs do not carry neighbor lists.
     neighbors: Vec<NodeId>,
+    /// The table's sweep count when `neighbors` was last written or
+    /// filtered: a listed host is hidden iff it departed this table after
+    /// that (see [`hidden`]).
+    written: u64,
 }
 
 /// Membership changes produced by [`NeighborTable::record_hello`] and
@@ -86,17 +64,34 @@ pub enum MembershipChange {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NeighborTable {
-    entries: IdMap<NeighborEntry>,
+    /// The one-hop set `N_x`, strictly ascending (≈ 110 ids on a dense
+    /// map: a binary search is ≤ 7 steps and `N_x` is borrowed as is).
+    ids: Vec<NodeId>,
+    /// `entries[k]` is what this host knows about `ids[k]`.
+    entries: Vec<NeighborEntry>,
     /// Lower bound on the earliest entry deadline (`last_heard` plus two
     /// intervals). [`expire`](Self::expire) is a no-op until the clock
     /// passes it, which keeps the per-event expiry check O(1); refreshes
     /// only push deadlines later, so a stale bound merely costs one
     /// harmless rescan. `None` while the table is empty.
     min_deadline: Option<SimTime>,
+    /// Expiry sweeps that removed someone. A counter, not a timestamp, so
+    /// a HELLO and an expiry at one instant order exactly as called.
+    sweeps: u64,
+    /// Id-sorted `(host, sweep)`: the latest sweep in which `host` left
+    /// this table, kept while some surviving list predates it.
+    departed: Vec<(NodeId, u64)>,
     /// Lifetime join count (statistics; never reset).
     joins: u64,
     /// Lifetime expiry count (statistics; never reset).
     leaves: u64,
+}
+
+/// The lazy-purge test: `id` left the table in a sweep after the list
+/// stamped `written` was written.
+fn hidden(departed: &[(NodeId, u64)], written: u64, id: NodeId) -> bool {
+    let at = departed.binary_search_by_key(&id, |&(host, _)| host);
+    at.is_ok_and(|k| departed[k].1 > written)
 }
 
 impl NeighborTable {
@@ -117,27 +112,31 @@ impl NeighborTable {
     ) -> Option<MembershipChange> {
         let deadline = now + interval * 2;
         self.min_deadline = Some(self.min_deadline.map_or(deadline, |d| d.min(deadline)));
-        match self.entries.entry(from) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
+        match self.ids.binary_search(&from) {
+            Ok(k) => {
                 // Refresh in place, reusing the entry's neighbor buffer —
                 // this runs once per decoded HELLO and must not allocate
                 // in steady state.
-                let entry = occupied.get_mut();
+                let entry = &mut self.entries[k];
                 entry.last_heard = now;
                 entry.interval = interval;
                 entry.neighbors.clear();
                 entry.neighbors.extend_from_slice(neighbors);
+                entry.written = self.sweeps;
                 None
             }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert(NeighborEntry {
+            Err(k) => {
+                self.ids.insert(k, from);
+                let entry = NeighborEntry {
                     last_heard: now,
                     interval,
                     // One allocation per newly-joined neighbor; steady-state
                     // HELLOs take the occupied arm above and reuse the buffer.
                     // simlint: allow(hot-path-alloc) — join-time only
                     neighbors: neighbors.to_vec(),
-                });
+                    written: self.sweeps,
+                };
+                self.entries.insert(k, entry);
                 self.joins += 1;
                 Some(MembershipChange::Joined(from))
             }
@@ -161,8 +160,8 @@ impl NeighborTable {
     }
 
     /// Allocation-free form of [`expire`](Self::expire): appends the
-    /// leave events to `leaves` so steady-state callers can reuse one
-    /// buffer across the whole run.
+    /// leave events (ascending by id) to `leaves` so steady-state callers
+    /// can reuse one buffer across the whole run.
     pub fn expire_into(&mut self, now: SimTime, leaves: &mut Vec<MembershipChange>) {
         match self.min_deadline {
             // Nothing can have expired yet: every deadline is at or past
@@ -171,38 +170,43 @@ impl NeighborTable {
             None => return,
             Some(_) => {}
         }
-        let first = leaves.len();
+        // Expiry is *not* rare where it matters: on a dense map half of all
+        // HELLOs collide (`nc_dense1k`, seed 7: 31 939 sweeps removed 99 442
+        // entries), and rewriting the ≈ 110 surviving two-hop lists on each
+        // was ≈ 0.4 of that run. So a sweep only notes who left; the lists
+        // are filtered when read, and most are rewritten by their owner's
+        // next HELLO before anyone reads them.
+        let (first, sweep) = (leaves.len(), self.sweeps + 1);
         let mut next_bound: Option<SimTime> = None;
-        self.entries.retain(|&id, entry| {
+        let (mut kept, mut oldest_list) = (0, u64::MAX);
+        for k in 0..self.ids.len() {
+            let entry = &self.entries[k];
             let deadline = entry.last_heard + entry.interval * 2;
             if now > deadline {
+                let id = self.ids[k];
                 leaves.push(MembershipChange::Left(id));
-                false
+                match self.departed.binary_search_by_key(&id, |&(host, _)| host) {
+                    Ok(at) => self.departed[at].1 = sweep,
+                    Err(at) => self.departed.insert(at, (id, sweep)),
+                }
             } else {
                 next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
-                true
-            }
-        });
-        self.min_deadline = next_bound;
-        let leaves = &mut leaves[first..];
-        leaves.sort_by_key(|change| match change {
-            MembershipChange::Left(id) | MembershipChange::Joined(id) => *id,
-        });
-        if !leaves.is_empty() {
-            // Expiry is rare relative to HELLO traffic, so a linear sweep
-            // over the surviving two-hop lists is fine here.
-            let departed = |id: &NodeId| {
-                leaves
-                    .binary_search_by_key(id, |change| match change {
-                        MembershipChange::Left(id) | MembershipChange::Joined(id) => *id,
-                    })
-                    .is_ok()
-            };
-            for entry in self.entries.values_mut() {
-                entry.neighbors.retain(|id| !departed(id));
+                oldest_list = oldest_list.min(entry.written);
+                if kept < k {
+                    self.ids.swap(kept, k);
+                    self.entries.swap(kept, k);
+                }
+                kept += 1;
             }
         }
-        self.leaves += leaves.len() as u64;
+        self.ids.truncate(kept);
+        self.entries.truncate(kept);
+        self.min_deadline = next_bound;
+        self.departed.retain(|&(_, left)| left > oldest_list);
+        if leaves.len() > first {
+            self.sweeps = sweep;
+            self.leaves += (leaves.len() - first) as u64;
+        }
     }
 
     /// Hosts that have ever joined this table (lifetime churn statistic).
@@ -219,52 +223,56 @@ impl NeighborTable {
     /// Number of live neighbors — the `n` that parameterizes the adaptive
     /// thresholds `C(n)` and `A(n)`.
     pub fn neighbor_count(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// `true` when `id` is currently believed to be a neighbor.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.entries.contains_key(&id)
+        self.ids.binary_search(&id).is_ok()
     }
 
-    /// The current one-hop set `N_x`, sorted.
-    pub fn neighbor_ids(&self) -> Vec<NodeId> {
-        let mut ids = Vec::new();
-        self.neighbor_ids_into(&mut ids);
-        ids
-    }
-
-    /// Writes the current one-hop set `N_x`, sorted, into `out` (cleared
-    /// first). Allocation-free once `out` has grown to the peak
-    /// neighborhood size — the hot-path variant of
-    /// [`neighbor_ids`](Self::neighbor_ids).
-    pub fn neighbor_ids_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.entries.keys().copied());
-        out.sort_unstable();
+    /// The current one-hop set `N_x`, strictly ascending.
+    pub fn neighbor_ids(&self) -> &[NodeId] {
+        &self.ids
     }
 
     /// The two-hop knowledge `N_{x,h}`: what `h` last claimed its
-    /// neighborhood was. `None` when `h` is not a (live) neighbor.
-    pub fn neighbors_of(&self, h: NodeId) -> Option<&[NodeId]> {
-        self.entries.get(&h).map(|e| e.neighbors.as_slice())
+    /// neighborhood was, less the hosts that departed this table since.
+    /// `None` when `h` is not a (live) neighbor. Takes `&mut self` because
+    /// this read is where a stale list gets filtered.
+    pub fn neighbors_of(&mut self, h: NodeId) -> Option<&[NodeId]> {
+        self.coverage_view(h).1
     }
 
-    /// Serializes the table for a world snapshot. Entries are written
-    /// sorted by neighbor id so the encoding is byte-stable regardless of
-    /// hash-map bucket order (which is never observable elsewhere either —
-    /// every iteration consumer sorts).
+    /// `(N_x, N_{x,h})` borrowed together — everything the
+    /// neighbor-coverage scheme reads when a copy arrives from `h`.
+    pub fn coverage_view(&mut self, h: NodeId) -> (&[NodeId], Option<&[NodeId]>) {
+        let Ok(k) = self.ids.binary_search(&h) else {
+            return (&self.ids, None);
+        };
+        let entry = &mut self.entries[k];
+        if entry.written < self.sweeps {
+            let (departed, written) = (&self.departed, entry.written);
+            entry.neighbors.retain(|&id| !hidden(departed, written, id));
+            entry.written = self.sweeps;
+        }
+        (&self.ids, Some(&entry.neighbors))
+    }
+
+    /// Serializes the table for a world snapshot, each two-hop list as
+    /// [`neighbors_of`](Self::neighbors_of) would return it: the encoding
+    /// carries no purge bookkeeping, so it does not depend on which lists
+    /// happen to have been read.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        let mut ids: Vec<NodeId> = self.entries.keys().copied().collect();
-        ids.sort_unstable();
-        enc.len(ids.len());
-        for id in ids {
-            let entry = &self.entries[&id];
+        enc.len(self.ids.len());
+        for (id, entry) in self.ids.iter().zip(&self.entries) {
             enc.u32(id.index() as u32);
             enc.u64(entry.last_heard.as_nanos());
             enc.u64(entry.interval.as_nanos());
-            enc.len(entry.neighbors.len());
-            for &neighbor in &entry.neighbors {
+            let hides = |id: &&NodeId| hidden(&self.departed, entry.written, **id);
+            let visible = || entry.neighbors.iter().filter(|id| !hides(id));
+            enc.len(visible().count());
+            for neighbor in visible() {
                 enc.u32(neighbor.index() as u32);
             }
         }
@@ -280,40 +288,40 @@ impl NeighborTable {
     }
 
     /// Rebuilds a table from [`snapshot_into`](Self::snapshot_into)
-    /// output.
+    /// output, refusing entries that are not strictly ascending by id.
     pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<NeighborTable, WireError> {
         let entry_count = dec.len()?;
-        let mut entries = IdMap::default();
-        entries.reserve(entry_count);
+        let mut table = NeighborTable::new();
         for _ in 0..entry_count {
+            let at = dec.position();
             let id = NodeId::new(dec.u32()?);
+            if table.ids.last().is_some_and(|&last| last >= id) {
+                let what = "neighbor table entries are not strictly ascending";
+                return Err(WireError { at, what });
+            }
             let last_heard = SimTime::from_nanos(dec.u64()?);
             let interval = SimDuration::from_nanos(dec.u64()?);
             let neighbor_count = dec.len()?;
-            let mut neighbors = Vec::with_capacity(neighbor_count);
+            let mut neighbors = Vec::with_capacity(neighbor_count.min(1 << 16));
             for _ in 0..neighbor_count {
                 neighbors.push(NodeId::new(dec.u32()?));
             }
-            entries.insert(
-                id,
-                NeighborEntry {
-                    last_heard,
-                    interval,
-                    neighbors,
-                },
-            );
+            table.ids.push(id);
+            table.entries.push(NeighborEntry {
+                last_heard,
+                interval,
+                neighbors,
+                written: 0,
+            });
         }
-        let min_deadline = if dec.bool()? {
+        table.min_deadline = if dec.bool()? {
             Some(SimTime::from_nanos(dec.u64()?))
         } else {
             None
         };
-        Ok(NeighborTable {
-            entries,
-            min_deadline,
-            joins: dec.u64()?,
-            leaves: dec.u64()?,
-        })
+        table.joins = dec.u64()?;
+        table.leaves = dec.u64()?;
+        Ok(table)
     }
 }
 
@@ -459,5 +467,28 @@ mod tests {
         t.record_hello(id(1), SimTime::from_secs(1), SEC * 5, &[]);
         assert!(t.expire(SimTime::from_secs(10)).is_empty());
         assert_eq!(t.expire(SimTime::from_millis(11_001)).len(), 1);
+    }
+
+    #[test]
+    fn restore_refuses_entries_that_are_not_strictly_ascending() {
+        // Corruption is never silent: swapped or duplicated entry ids used
+        // to be normalised through the hash map into some other table.
+        let mut t = NeighborTable::new();
+        t.record_hello(id(3), SimTime::ZERO, SEC, &[]);
+        t.record_hello(id(7), SimTime::ZERO, SEC, &[]);
+        let mut enc = WireEncoder::new();
+        t.snapshot_into(&mut enc);
+        let bytes = enc.into_bytes();
+        // Entry count, then per entry: id, last_heard, interval, list length.
+        let (first, second) = (8, 8 + 4 + 8 + 8 + 8);
+        assert_eq!((bytes[first], bytes[second]), (3, 7));
+        assert!(NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes)).is_ok());
+        for (a, b) in [(7, 3), (3, 3), (7, 7)] {
+            let mut bad = bytes.clone();
+            (bad[first], bad[second]) = (a, b);
+            let err = NeighborTable::restore_snapshot(&mut WireDecoder::new(&bad))
+                .expect_err("accepted entries out of order");
+            assert_eq!(err.at, second, "{err}");
+        }
     }
 }
