@@ -198,7 +198,7 @@ fn neighbor_table_flap(s: &mut Suite) {
 
 fn simlint_workspace(s: &mut Suite) {
     // End-to-end lint of the real workspace: lex, parse, symbol table,
-    // call graph, propagation, lock-order, fork-escape. The lint runs in
+    // call graph, hot-path propagation, fork-escape. The lint runs in
     // tier-1 CI on every PR, so its wall-clock is a substrate the same
     // way the event queue is. Sources are read once outside the timed
     // region; the bench times analysis, not disk.
@@ -208,7 +208,6 @@ fn simlint_workspace(s: &mut Suite) {
         .expect("bench crate lives two levels below the workspace root")
         .to_path_buf();
     let forks_text = std::fs::read_to_string(root.join("FORKS.md")).expect("FORKS.md");
-    let locks_text = std::fs::read_to_string(root.join("LOCKS.md")).expect("LOCKS.md");
     let files: Vec<(String, String)> = simlint::workspace_files(&root)
         .expect("workspace scan")
         .into_iter()
@@ -220,8 +219,7 @@ fn simlint_workspace(s: &mut Suite) {
         .collect();
     s.bench("simlint_workspace", || {
         let forks = simlint::ForkRegistry::parse("FORKS.md", &forks_text);
-        let locks = simlint::LockRegistry::parse("LOCKS.md", &locks_text);
-        let mut linter = simlint::Linter::new(forks, locks);
+        let mut linter = simlint::Linter::new(forks);
         for (label, source) in &files {
             let ctx = simlint::CrateContext::for_workspace_path(label);
             linter.lint_file(label, source, &ctx);

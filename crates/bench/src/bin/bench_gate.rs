@@ -144,9 +144,9 @@ fn skip_colon(s: &str) -> Result<&str, String> {
     Ok(s.trim_start())
 }
 
-/// Parses a JSON string literal at the start of `s` (the escapes the
-/// harness writer emits: `\"`, `\\`, and `\u00XX` control codes are
-/// passed through verbatim — names are compared, never displayed raw).
+/// Parses a JSON string literal at the start of `s`; the escapes the
+/// harness writer emits (`json_escape`: `\"`, `\\`, `\n`, `\u00XX`, ...)
+/// are passed through verbatim — names are compared, never displayed raw.
 fn parse_string(s: &str) -> Result<(String, &str), String> {
     let body = s.strip_prefix('"').ok_or("expected '\"'")?;
     let mut out = String::new();

@@ -32,6 +32,7 @@
 //!   `BENCH_<suite>.json` at the workspace root.
 //! * `--samples N` — observations per benchmark (default 15).
 
+use manet_sim_engine::json_escape;
 use std::hint::black_box;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -180,16 +181,16 @@ impl Suite {
     pub fn finish(self) {
         let path = &self.json_path;
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"suite\": {},\n", json_string(&self.name)));
+        out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(&self.name)));
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         out.push_str("  \"benches\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             let comma = if i + 1 < self.records.len() { "," } else { "" };
             out.push_str(&format!(
-                "    {{\"name\": {}, \"iters_per_sample\": {}, \"samples\": {}, \
+                "    {{\"name\": \"{}\", \"iters_per_sample\": {}, \"samples\": {}, \
                  \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"min_ns\": {:.1}, \
                  \"mean_ns\": {:.1}}}{comma}\n",
-                json_string(&r.name),
+                json_escape(&r.name),
                 r.iters_per_sample,
                 r.samples,
                 r.median_ns,
@@ -255,21 +256,6 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,13 +276,6 @@ mod tests {
         let mut samples = vec![1.0, 2.0, 3.0, 4.0];
         let r = summarize("x", 1, &mut samples);
         assert_eq!(r.median_ns, 2.5);
-    }
-
-    #[test]
-    fn json_strings_escape_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\u000ay\"");
     }
 
     #[test]

@@ -127,7 +127,6 @@ fn filename_safe(label: &str) -> bool {
 ///
 /// Transport errors, a `Rejected` reply, a protocol violation, or the
 /// stream ending before the summary — all as `io::Error`.
-#[cfg_attr(simlint, serve_loop)]
 pub fn run_session(
     input: impl Read,
     output: impl Write,

@@ -456,7 +456,6 @@ impl<R: Read> FrameReader<R> {
     /// Transport errors, EOF inside a frame, a length over
     /// [`MAX_FRAME_LEN`], or an undecodable payload (as
     /// [`io::ErrorKind::InvalidData`]).
-    #[cfg_attr(simlint, serve_loop)]
     pub fn read(&mut self) -> io::Result<Option<Frame>> {
         let mut len_bytes = [0u8; 4];
         if !read_exact_or_eof(&mut self.input, &mut len_bytes)? {

@@ -71,7 +71,6 @@ pub struct ServeSummary {
 /// Closes the queue on *every* exit path — the scheduler loop blocks on
 /// [`CampaignQueue::pop`], so an early return that skipped the close
 /// would deadlock the session.
-#[cfg_attr(simlint, serve_loop)]
 fn reader_loop<W: Write + Send>(
     input: impl Read,
     queue: &CampaignQueue,
@@ -131,7 +130,6 @@ fn reader_loop<W: Write + Send>(
 
 /// The scheduler: pops campaigns until the queue closes and drains, and
 /// streams each one's results plus a final summary frame.
-#[cfg_attr(simlint, serve_loop)]
 fn scheduler_loop<W: Write + Send>(
     queue: &CampaignQueue,
     pool: &WorkerPool,

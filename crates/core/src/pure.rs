@@ -410,7 +410,6 @@ impl PureModels {
     /// This is the *only* mutator of the pure state (besides the
     /// dispatcher's placeholder patches), and it is effect-free itself: no
     /// RNG, no event queue, no medium.
-    #[cfg_attr(simlint, pure_model)]
     pub fn step(&mut self, now: SimTime, action: &PureAction<'_>, fx: &mut Vec<Effect>) {
         match *action {
             PureAction::Originate { node, packet } => {
@@ -513,7 +512,6 @@ impl PureModels {
     }
 
     /// The S1/S4/S5 decision pipeline for one heard copy of a packet.
-    #[cfg_attr(simlint, pure_model)]
     #[allow(clippy::too_many_arguments)]
     fn packet_heard(
         &mut self,
@@ -656,7 +654,6 @@ impl PureModels {
     /// Expires stale neighbors, feeding leave events to the variation
     /// tracker; churn under the dynamic hello policy may accelerate the
     /// host's beacon.
-    #[cfg_attr(simlint, pure_model)]
     fn expire_neighbors(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
         let i = node.index();
         self.scratch_changes.clear();
@@ -674,7 +671,6 @@ impl PureModels {
     /// the live variation and asks the dispatcher to pull the beacon
     /// forward if it now fires too late. (The paper notes "each host's
     /// hello interval may change dynamically".)
-    #[cfg_attr(simlint, pure_model)]
     fn push_accelerate(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
         let Some(HelloIntervalPolicy::Dynamic(params)) = self.hello_policy else {
             return;

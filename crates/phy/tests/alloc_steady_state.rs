@@ -6,6 +6,10 @@
 //! Lives in its own integration-test binary because the `#[global_allocator]`
 //! wrapper counts every allocation in the process.
 
+// The workspace denies `unsafe_code`; implementing `GlobalAlloc` is the
+// one place that needs it.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -5,7 +5,7 @@
 //! This crate is the foundation of the MANET broadcast-storm reproduction:
 //! everything above it — radio channel, IEEE 802.11 DCF, mobility, the
 //! broadcast schemes themselves — is expressed as events scheduled on the
-//! [`EventQueue`] and consumed by an [`EventHandler`].
+//! [`EventQueue`] and consumed by the model's own `pop` loop.
 //!
 //! Design goals:
 //!
@@ -19,28 +19,22 @@
 //!   pending rebroadcasts, so [`EventQueue::cancel`] is a first-class,
 //!   `O(1)` operation (lazy deletion).
 //! * **No global state.** The engine owns nothing about the model; it is a
-//!   clock, a queue, and a loop.
+//!   clock and a queue.
 //!
 //! # Examples
 //!
 //! ```
-//! use manet_sim_engine::{run, EventHandler, EventQueue, SimDuration, SimTime};
-//!
-//! struct Countdown(u32);
-//!
-//! impl EventHandler<&'static str> for Countdown {
-//!     fn handle(&mut self, now: SimTime, _: &'static str, q: &mut EventQueue<&'static str>) {
-//!         if self.0 > 0 {
-//!             self.0 -= 1;
-//!             q.schedule(now + SimDuration::from_secs(1), "tick");
-//!         }
-//!     }
-//! }
+//! use manet_sim_engine::{EventQueue, SimDuration, SimTime};
 //!
 //! let mut queue = EventQueue::new();
 //! queue.schedule(SimTime::ZERO, "tick");
-//! let mut model = Countdown(3);
-//! run(&mut model, &mut queue);
+//! let mut countdown = 3;
+//! while let Some((now, _tick)) = queue.pop() {
+//!     if countdown > 0 {
+//!         countdown -= 1;
+//!         queue.schedule(now + SimDuration::from_secs(1), "tick");
+//!     }
+//! }
 //! assert_eq!(queue.now(), SimTime::from_secs(3));
 //! ```
 
@@ -52,20 +46,18 @@ mod pool;
 pub mod prng;
 mod queue;
 mod rng;
-mod runner;
 mod slab;
 mod time;
 mod timeline;
 mod wire;
 
 pub use metrics::{
-    json_escape, json_f64, Counter, Gauge, Histogram, HistogramSnapshot, KindProfile, LoopProfile,
-    LoopProfiler, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_S,
+    json_escape, json_f64, Histogram, HistogramSnapshot, KindProfile, LoopProfile, LoopProfiler,
+    MetricsRegistry, DEFAULT_LATENCY_BOUNDS_S,
 };
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
-pub use runner::{run, run_profiled, run_until, EventHandler, RunOutcome};
 pub use slab::{Slab, SlabSlot};
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;

@@ -1,6 +1,6 @@
-//! Zero-dependency metrics primitives: counters, gauges, fixed-bucket
-//! histograms, a named registry with a serialisable snapshot, and a
-//! wall-clock profiler for event loops.
+//! Zero-dependency metrics primitives: fixed-bucket histograms, a named
+//! registry of counters, gauges and histogram snapshots with a
+//! serialisable form, and a wall-clock profiler for event loops.
 //!
 //! Everything here is plain data — no atomics, no global state — because
 //! the simulation is single-threaded per run. Aggregation across parallel
@@ -24,58 +24,6 @@ use std::time::Instant;
 pub const DEFAULT_LATENCY_BOUNDS_S: [f64; 12] = [
     0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 5.0,
 ];
-
-/// A monotonically increasing `u64` counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A last-write-wins `f64` gauge.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge(0.0)
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-}
 
 /// A fixed-bucket histogram over `f64` samples.
 ///
@@ -485,17 +433,6 @@ impl KindProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
 
     #[test]
     fn histogram_buckets_and_overflow() {

@@ -1,10 +1,10 @@
-//! Persistent worker pool for fanning independent jobs out over threads.
+//! Worker pool for fanning independent jobs out over threads.
 //!
-//! [`WorkerPool`] owns a fixed set of parked OS threads that execute
-//! index-addressed jobs (`f(0), f(1), ..., f(count-1)`) on demand, so a
-//! caller that fans out repeatedly — the campaign scheduler runs one
-//! batch per submitted campaign — pays a condvar wake instead of a
-//! thread spawn/join per batch. A simulated world never owns one.
+//! [`WorkerPool`] runs index-addressed jobs (`f(0), f(1), ...,
+//! f(count-1)`) on a fixed number of scoped threads spawned per
+//! [`WorkerPool::run`] — the campaign scheduler runs one batch per
+//! submitted campaign, so a spawn per batch is noise next to the jobs.
+//! A simulated world never owns one.
 //!
 //! Determinism contract: the pool itself orders nothing. Callers must
 //! make every job write to disjoint state (per-index output slots) and
@@ -15,91 +15,23 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
-/// The published batch: a lifetime-erased pointer to the caller's job
-/// closure plus the number of indices to cover.
-///
-/// Safety: the pointer is only dereferenced between publication and the
-/// batch's completion handshake, and [`WorkerPool::run`] does not return
-/// (even on panic) until every worker has finished the batch — so the
-/// closure outlives every dereference.
-#[derive(Clone, Copy)]
-struct Job {
-    f: *const (dyn Fn(usize) + Sync),
-    count: usize,
-}
-
-// The pointer crosses threads inside the handshake described on `Job`.
-unsafe impl Send for Job {}
-
-struct PoolState {
-    job: Option<Job>,
-    /// Bumped once per published batch so parked workers can tell new
-    /// work from the batch they just finished.
-    batch: u64,
-    /// Workers still running the current batch.
-    active: usize,
-    /// First panic payload captured from a worker this batch.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-    batch_done: Condvar,
-    /// Next unclaimed job index; workers and the caller race on it.
-    cursor: AtomicUsize,
-}
-
-fn lock(shared: &Shared) -> MutexGuard<'_, PoolState> {
-    shared.state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A fixed-size pool of persistent worker threads; see the module docs.
+/// A fixed-size pool of worker threads; see the module docs.
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.workers.len())
-            .finish()
-    }
+    threads: usize,
 }
 
 impl WorkerPool {
     /// Creates a pool with `threads` worker threads (zero is valid and
     /// means every [`run`](Self::run) executes inline on the caller).
     pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                job: None,
-                batch: 0,
-                active: 0,
-                panic: None,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-        });
-        let workers = (0..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_main(&shared))
-            })
-            .collect();
-        WorkerPool { shared, workers }
+        WorkerPool { threads }
     }
 
     /// Number of worker threads (not counting the participating caller).
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
     /// Runs `f(i)` for every `i in 0..count`, returning when all calls
@@ -110,115 +42,42 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// If any job panics, the first captured payload is re-raised here —
-    /// after every thread has left the batch, so the closure is never
-    /// used after free.
+    /// If any job panics, that thread stops claiming indices and the
+    /// first payload (in join order) is re-raised here once every thread
+    /// has left the batch.
     pub fn run(&self, count: usize, f: &(dyn Fn(usize) + Sync)) {
-        if count == 0 {
-            return;
-        }
-        if self.workers.is_empty() || count == 1 {
+        if self.threads == 0 || count <= 1 {
             for i in 0..count {
                 f(i);
             }
             return;
         }
-        // SAFETY: erase the borrow lifetime so the pointer can sit in the
-        // shared state; the completion handshake below guarantees no
-        // dereference outlives this call.
-        fn erase<'a>(f: &'a (dyn Fn(usize) + Sync + 'a)) -> *const (dyn Fn(usize) + Sync) {
-            unsafe { std::mem::transmute(f as *const (dyn Fn(usize) + Sync + 'a)) }
-        }
-        let erased = erase(f);
-        {
-            let mut st = lock(&self.shared);
-            debug_assert!(st.active == 0 && st.job.is_none(), "re-entrant run()");
-            self.shared.cursor.store(0, Ordering::Relaxed);
-            st.job = Some(Job { f: erased, count });
-            st.batch += 1;
-            st.active = self.workers.len();
-            self.shared.work_ready.notify_all();
-        }
-        // Work the batch from this thread too; defer any panic until the
-        // workers are done with the closure.
-        let caller = catch_unwind(AssertUnwindSafe(|| loop {
-            let i = self.shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                break;
-            }
-            f(i);
-        }));
-        let mut st = lock(&self.shared);
-        while st.active > 0 {
-            st = self
-                .shared
-                .batch_done
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        st.job = None;
-        let worker_panic = st.panic.take();
-        drop(st);
-        if let Err(payload) = caller {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = worker_panic {
-            resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared);
-            st.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_main(shared: &Shared) {
-    let mut seen_batch = 0u64;
-    loop {
-        let job = {
-            let mut st = lock(shared);
-            loop {
-                if st.shutdown {
-                    return;
+        // Next unclaimed job index; workers and the caller race on it.
+        // Relaxed: it publishes nothing but itself, and the scope's
+        // joins order every job's writes before `run` returns.
+        let cursor = AtomicUsize::new(0);
+        let drain = || {
+            catch_unwind(AssertUnwindSafe(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    break;
                 }
-                if st.batch != seen_batch {
-                    seen_batch = st.batch;
-                    break st.job.expect("batch published without a job");
-                }
-                st = shared
-                    .work_ready
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+                f(i);
+            }))
         };
-        // SAFETY: `run` keeps the closure alive until this batch's
-        // completion handshake below.
-        let f = unsafe { &*job.f };
-        let result = catch_unwind(AssertUnwindSafe(|| loop {
-            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= job.count {
-                break;
+        let first_panic = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.threads.min(count - 1))
+                .map(|_| scope.spawn(drain))
+                .collect();
+            let mut first = drain().err();
+            for worker in workers {
+                let joined = worker.join().expect("drain catches every job panic");
+                first = first.or(joined.err());
             }
-            f(i);
-        }));
-        let mut st = lock(shared);
-        if let Err(payload) = result {
-            if st.panic.is_none() {
-                st.panic = Some(payload);
-            }
-        }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.batch_done.notify_all();
+            first
+        });
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
         }
     }
 }

@@ -256,24 +256,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// The `(time, seq)` key of the next non-cancelled event, if any.
-    ///
-    /// This is the comparison key a multi-queue executor needs to merge
-    /// several queues into one deterministic global order: pop from the
-    /// queue whose head has the smallest `(time, seq)`. Cancelled entries
-    /// at the head are dropped eagerly, as in [`peek_time`](Self::peek_time).
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(entry) = self.heap.peek() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&entry.seq) {
-                let entry = self.heap.pop().expect("peeked entry vanished");
-                self.cancelled.remove(&entry.seq);
-                continue;
-            }
-            return Some((entry.time, entry.seq));
-        }
-        None
-    }
-
     /// Number of pending entries, **including** tombstoned ones.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -438,16 +420,13 @@ mod tests {
             for (i, &t) in times.iter().enumerate() {
                 queues[i % shards].schedule_seq(SimTime::from_millis(t), i as u64, i);
             }
-            let mut merged = Vec::new();
-            loop {
-                let winner = queues
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(|(q, queue)| queue.peek_key().map(|key| (key, q)))
-                    .min();
-                let Some((_, q)) = winner else { break };
-                merged.push(queues[q].pop().expect("peeked entry vanished"));
-            }
+            let mut entries: Vec<(SimTime, u64, usize)> = queues
+                .iter_mut()
+                .flat_map(|queue| std::iter::from_fn(|| queue.pop_entry()))
+                .collect();
+            entries.sort_unstable();
+            let merged: Vec<(SimTime, usize)> =
+                entries.into_iter().map(|(t, _, e)| (t, e)).collect();
             assert_eq!(merged, expected, "merge order diverged at {shards} shards");
         }
     }
@@ -469,15 +448,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_seq(SimTime::from_millis(1), 3, ());
         q.schedule_seq(SimTime::from_millis(2), 3, ());
-    }
-
-    #[test]
-    fn peek_key_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(SimTime::from_millis(1), 1);
-        q.schedule(SimTime::from_millis(5), 2);
-        q.cancel(k);
-        assert_eq!(q.peek_key(), Some((SimTime::from_millis(5), 1)));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A recursive-descent item parser on top of the lexer.
 //!
-//! simlint v2 needs more than per-file token scans: transitive rules
-//! (`hot-path-alloc` through a helper, `lock-order` across functions)
-//! require knowing *which function* every token belongs to and *what
-//! that function is called*. This module parses the comment-free token
+//! simlint needs more than per-file token scans: transitive rules
+//! (`hot-path-alloc` through a helper, `fork-escape` out of the
+//! workspace) require knowing *which function* every token belongs to
+//! and *what that function is called*. This module parses the comment-free token
 //! stream into a flat list of function items — free functions, inherent
 //! and trait-impl methods, and trait default methods — each carrying its
 //! simlint markers, its enclosing `impl`/`trait` type, its module path,

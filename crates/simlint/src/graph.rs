@@ -1,6 +1,6 @@
 //! Workspace symbol table, call-site extraction, and the call graph.
 //!
-//! simlint v2's transitive rules all reduce to one question: *which
+//! simlint's transitive rules all reduce to one question: *which
 //! workspace functions can this function reach?* This module answers it.
 //! Every parsed function from every linted file becomes a node; call
 //! sites inside each body (`helper(..)`, `Type::method(..)`,

@@ -13,10 +13,6 @@
 //! | `wall-clock` | no `Instant`/`SystemTime` reads outside bench/testkit |
 //! | `rng-fork-discipline` | literal `fork(N)` streams registered in `FORKS.md`, unique per crate |
 //! | `hot-path-alloc` | `#[cfg_attr(simlint, hot_path)]` fns — and everything they reach — free of allocating constructs |
-//! | `pure-model-effect` | `#[cfg_attr(simlint, pure_model)]` fns — and everything they reach — free of RNG, queue, and Medium effects |
-//! | `float-event-key` | no `f32`/`f64` fields in `Ord`/`PartialOrd` types in sim crates |
-//! | `serve-loop-block` | `#[cfg_attr(simlint, serve_loop)]` fns free of slurps, unbounded growth, wall clock |
-//! | `lock-order` | `.lock()`/`.read()`/`.write()` acquisition graph acyclic and ranked per `LOCKS.md` |
 //! | `fork-escape` | literal `fork(N)` handles never flow into non-workspace functions |
 //! | `unused-allow` | every allow directive suppresses something |
 //!
@@ -29,10 +25,9 @@
 //! The front end is a hand-rolled Rust lexer (strings, raw strings,
 //! char-vs-lifetime, nested block comments, numeric literals) so code
 //! samples inside strings or comments never false-positive; on top of it
-//! [`ast`] parses items and functions, [`graph`] builds the
-//! workspace-wide symbol table and call graph for transitive annotation
-//! propagation, and [`locks`] derives the lock-acquisition graph. Zero
-//! dependencies, like everything else in the tree.
+//! [`ast`] parses items and functions and [`graph`] builds the
+//! workspace-wide symbol table and call graph for transitive `hot_path`
+//! propagation. Zero dependencies, like everything else in the tree.
 
 #![warn(missing_docs)]
 
@@ -40,11 +35,9 @@ pub mod ast;
 pub mod forks;
 pub mod graph;
 pub mod lexer;
-pub mod locks;
 pub mod rules;
 
 pub use forks::ForkRegistry;
-pub use locks::LockRegistry;
 pub use rules::{CrateContext, Diagnostic, Linter, ALL_RULES};
 
 use std::path::{Path, PathBuf};
@@ -130,15 +123,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Lints the whole workspace under `root` against the registries,
-/// returning the sorted diagnostics. Stale fork-registry rows and
-/// unregistered/stale locks are errors here.
-pub fn lint_workspace(
-    root: &Path,
-    forks: ForkRegistry,
-    locks: LockRegistry,
-) -> std::io::Result<Vec<Diagnostic>> {
-    let mut linter = Linter::new(forks, locks);
+/// Lints the whole workspace under `root` against the fork registry,
+/// returning the sorted diagnostics. Stale registry rows are errors here.
+pub fn lint_workspace(root: &Path, forks: ForkRegistry) -> std::io::Result<Vec<Diagnostic>> {
+    let mut linter = Linter::new(forks);
     for rel in workspace_files(root)? {
         let label = rel.to_string_lossy().replace('\\', "/");
         let source = std::fs::read_to_string(root.join(&rel))?;
@@ -151,12 +139,8 @@ pub fn lint_workspace(
 
 /// Lints explicitly listed files in fixture context (every rule active;
 /// stale registry rows are not checked, since the file list is partial).
-pub fn lint_paths(
-    paths: &[PathBuf],
-    forks: ForkRegistry,
-    locks: LockRegistry,
-) -> std::io::Result<Vec<Diagnostic>> {
-    let mut linter = Linter::new(forks, locks);
+pub fn lint_paths(paths: &[PathBuf], forks: ForkRegistry) -> std::io::Result<Vec<Diagnostic>> {
+    let mut linter = Linter::new(forks);
     let ctx = CrateContext::fixture();
     for path in paths {
         let label = path.to_string_lossy().replace('\\', "/");

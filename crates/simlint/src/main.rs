@@ -2,10 +2,7 @@
 //!
 //! ```text
 //! simlint --workspace              lint the whole workspace (CI tier-1 mode)
-//! simlint [--forks F] [--locks L] FILE...
-//!                                  lint specific files in fixture context
-//! simlint --json ...               machine-readable diagnostics (one JSON
-//!                                  object per line)
+//! simlint [--forks F] FILE...      lint specific files in fixture context
 //! ```
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.
@@ -13,83 +10,37 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{
-    find_workspace_root, lint_paths, lint_workspace, Diagnostic, ForkRegistry, LockRegistry,
-};
+use simlint::{find_workspace_root, lint_paths, lint_workspace, ForkRegistry};
 
 const USAGE: &str = "\
-usage: simlint --workspace [--forks FORKS.md] [--locks LOCKS.md] [--json]
-       simlint [--forks FORKS.md] [--locks LOCKS.md] [--json] FILE...
+usage: simlint --workspace [--forks FORKS.md]
+       simlint [--forks FORKS.md] FILE...
 
 Lints Rust sources against the workspace's determinism and hot-path
-invariants. In --workspace mode the fork registry defaults to FORKS.md and
-the lock registry to LOCKS.md at the workspace root, and stale registry
-rows are errors; with explicit FILE arguments every rule is active
-(fixture context) and the registries are empty unless --forks/--locks are
-given. --json emits one JSON object per diagnostic (fields: file, line,
-col, rule, message, chain) instead of text.
+invariants. In --workspace mode the fork registry defaults to FORKS.md at
+the workspace root, and stale registry rows are errors; with explicit FILE
+arguments every rule is active (fixture context) and the registry is empty
+unless --forks is given.
 
 Rules: nondeterministic-iteration, wall-clock, rng-fork-discipline,
-hot-path-alloc, pure-model-effect, float-event-key, serve-loop-block,
-lock-order, fork-escape, unused-allow (plus unknown-rule for bad allow
-directives). The marker rules propagate through the workspace call graph;
-transitive findings print their chain.
+hot-path-alloc, fork-escape, unused-allow (plus unknown-rule for bad allow
+directives). hot-path-alloc propagates from `#[cfg_attr(simlint, hot_path)]`
+fns through the workspace call graph; transitive findings print their chain.
 Suppress one diagnostic with `// simlint: allow(<rule>, ...)` on the same
 line or the line above.";
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn to_json(diag: &Diagnostic) -> String {
-    let chain: Vec<String> = diag
-        .chain
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
-    format!(
-        "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"message\":\"{}\",\"chain\":[{}]}}",
-        json_escape(&diag.file),
-        diag.line,
-        diag.col,
-        diag.rule,
-        json_escape(&diag.message),
-        chain.join(",")
-    )
-}
-
 fn run() -> Result<usize, String> {
     let mut workspace = false;
-    let mut json = false;
     let mut forks_path: Option<PathBuf> = None;
-    let mut locks_path: Option<PathBuf> = None;
     let mut files: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--json" => json = true,
             "--forks" => {
                 let value = args.next().ok_or("--forks needs a path")?;
                 forks_path = Some(PathBuf::from(value));
-            }
-            "--locks" => {
-                let value = args.next().ok_or("--locks needs a path")?;
-                locks_path = Some(PathBuf::from(value));
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -107,11 +58,6 @@ fn run() -> Result<usize, String> {
             .map_err(|e| format!("cannot read fork registry {}: {e}", path.display()))?;
         Ok(ForkRegistry::parse(&path.to_string_lossy(), &text))
     };
-    let load_locks = |path: &PathBuf| -> Result<LockRegistry, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read lock registry {}: {e}", path.display()))?;
-        Ok(LockRegistry::parse(&path.to_string_lossy(), &text))
-    };
 
     let diagnostics = if workspace {
         if !files.is_empty() {
@@ -121,8 +67,7 @@ fn run() -> Result<usize, String> {
         let root = find_workspace_root(&cwd)
             .ok_or("no workspace root (Cargo.toml with [workspace]) above cwd")?;
         let forks = load_forks(&forks_path.unwrap_or_else(|| root.join("FORKS.md")))?;
-        let locks = load_locks(&locks_path.unwrap_or_else(|| root.join("LOCKS.md")))?;
-        lint_workspace(&root, forks, locks).map_err(|e| e.to_string())?
+        lint_workspace(&root, forks).map_err(|e| e.to_string())?
     } else {
         if files.is_empty() {
             return Err(format!("no input files\n{USAGE}"));
@@ -131,19 +76,11 @@ fn run() -> Result<usize, String> {
             Some(path) => load_forks(path)?,
             None => ForkRegistry::default(),
         };
-        let locks = match &locks_path {
-            Some(path) => load_locks(path)?,
-            None => LockRegistry::default(),
-        };
-        lint_paths(&files, forks, locks).map_err(|e| e.to_string())?
+        lint_paths(&files, forks).map_err(|e| e.to_string())?
     };
 
     for diag in &diagnostics {
-        if json {
-            println!("{}", to_json(diag));
-        } else {
-            println!("{diag}");
-        }
+        println!("{diag}");
     }
     Ok(diagnostics.len())
 }

@@ -7,24 +7,18 @@
 //! 1-based `line:col` spans and a stable rule id, and deny by default:
 //! any diagnostic fails the build.
 //!
-//! v2 runs in two phases. [`Linter::lint_file`] lexes, parses
+//! The driver runs in two phases. [`Linter::lint_file`] lexes, parses
 //! ([`crate::ast`]), and applies the *local* rules, storing the file's
 //! facts; [`Linter::finish`] then builds the workspace call graph
-//! ([`crate::graph`]) and runs the *transitive* analyses — annotation
-//! propagation (`hot_path`, `pure_model`
-//! findings in any function reachable from an annotated one, with the
-//! propagation chain printed), [`crate::locks`] lock ordering, and
-//! `fork-escape` — before applying allow directives and flagging the
-//! unused ones. `serve_loop` is deliberately *not* propagated: its
-//! bounded-growth check keys off identifiers visible in the annotated
-//! fn's own body, and the session loops already confine peer input
-//! handling to the annotated fns.
+//! ([`crate::graph`]) and runs the *transitive* analyses — `hot_path`
+//! propagation (findings in any function reachable from an annotated
+//! one, with the propagation chain printed) and `fork-escape` — before
+//! applying allow directives and flagging the unused ones.
 
 use crate::ast::{parse_fields, parse_fns, FieldDef, ParsedFn};
 use crate::forks::ForkRegistry;
 use crate::graph::{Callee, FileView, Graph};
 use crate::lexer::{lex, Token, TokenKind};
-use crate::locks::{self, LockRegistry};
 use std::collections::BTreeMap;
 
 /// `HashMap`/`HashSet` with the default `RandomState`: iteration order is
@@ -40,17 +34,6 @@ pub const RULE_FORK: &str = "rng-fork-discipline";
 /// workspace function reachable from one — must not contain allocating
 /// constructs.
 pub const RULE_HOT_PATH: &str = "hot-path-alloc";
-/// Functions annotated `#[cfg_attr(simlint, pure_model)]` — and every
-/// workspace function reachable from one — must not draw RNG, touch the
-/// event queue, or mutate the `Medium`: every effect belongs to the
-/// dispatcher, so recorded traces replay through the pure models alone.
-pub const RULE_PURE_MODEL: &str = "pure-model-effect";
-/// Types deriving `Ord`/`PartialOrd` (candidate event-queue keys) must
-/// not contain `f32`/`f64` fields.
-pub const RULE_FLOAT_KEY: &str = "float-event-key";
-/// Mutex/RwLock acquisition order: derived acquired-while-held edges
-/// must be acyclic and respect the ranks declared in `LOCKS.md`.
-pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// A `let`-bound literal `fork(N)` RNG handle passed to a call that
 /// resolves to no workspace function: the stream leaves analyzed code
 /// and its draw discipline can no longer be checked.
@@ -60,13 +43,6 @@ pub const RULE_UNKNOWN: &str = "unknown-rule";
 /// An allow directive that suppressed nothing: stale allows hide future
 /// regressions and must be deleted (this rule cannot itself be allowed).
 pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
-/// Functions annotated `#[cfg_attr(simlint, serve_loop)]` sit on the
-/// campaign server's session path, where the peer controls the input:
-/// no whole-stream slurps (`read_to_end`/`read_to_string`), no buffer
-/// growth without a visible bound (`MAX_*`/capacity mention in the fn),
-/// and no wall-clock reads — session behavior must be a function of the
-/// protocol bytes alone.
-pub const RULE_SERVE_LOOP: &str = "serve-loop-block";
 
 /// All rule ids, in diagnostic-documentation order.
 pub const ALL_RULES: &[&str] = &[
@@ -74,21 +50,29 @@ pub const ALL_RULES: &[&str] = &[
     RULE_WALL_CLOCK,
     RULE_FORK,
     RULE_HOT_PATH,
-    RULE_PURE_MODEL,
-    RULE_FLOAT_KEY,
-    RULE_SERVE_LOOP,
-    RULE_LOCK_ORDER,
     RULE_FORK_ESCAPE,
     RULE_UNUSED_ALLOW,
     RULE_UNKNOWN,
 ];
 
-/// Markers whose rules propagate through the call graph.
-const PROPAGATED_MARKERS: &[&str] = &["hot_path", "pure_model"];
+/// The one marker attribute; [`RULE_HOT_PATH`] propagates from it
+/// through the call graph.
+const HOT_PATH_MARKER: &str = "hot_path";
 
-/// Crates whose state feeds event scheduling or report output; the
-/// iteration and float-key rules apply only here.
-pub const SIM_CRATES: &[&str] = &["sim-engine", "phy", "mac", "net", "core", "scenario"];
+/// Crates whose state feeds event scheduling, protocol decisions or
+/// `cmp`-gated output; the iteration rule applies only here.
+pub const SIM_CRATES: &[&str] = &[
+    "sim-engine",
+    "geom",
+    "mobility",
+    "phy",
+    "mac",
+    "net",
+    "core",
+    "scenario",
+    "experiments",
+    "campaign",
+];
 
 /// Crates that legitimately read the wall clock (benchmarks and the test
 /// harness measure real elapsed time).
@@ -147,12 +131,12 @@ pub struct CrateContext {
     /// Crate directory name (`core`, `phy`, ...), `main` for the root
     /// crate, `fixture` for explicitly listed files.
     pub name: String,
-    /// Subject to [`RULE_NONDET_ITER`] and [`RULE_FLOAT_KEY`].
+    /// Subject to [`RULE_NONDET_ITER`].
     pub sim: bool,
     /// Exempt from [`RULE_WALL_CLOCK`].
     pub wall_clock_exempt: bool,
-    /// Integration test / bench / example target: fork and float-key
-    /// discipline does not apply (tests probe arbitrary streams).
+    /// Integration test / bench / example target: fork discipline does
+    /// not apply (tests probe arbitrary streams).
     pub test_target: bool,
 }
 
@@ -207,11 +191,10 @@ struct FileFacts {
     raw: Vec<Diagnostic>,
 }
 
-/// Cross-file lint state: the registries, every file's parsed facts, and
-/// — after [`Linter::finish`] — the final diagnostics.
+/// Cross-file lint state: the fork registry, every file's parsed facts,
+/// and — after [`Linter::finish`] — the final diagnostics.
 pub struct Linter {
     forks: ForkRegistry,
-    locks: LockRegistry,
     /// `(crate, stream) -> (file, line)` of the first literal call site.
     fork_sites: BTreeMap<(String, u64), (String, u32)>,
     files: Vec<FileFacts>,
@@ -222,11 +205,10 @@ pub struct Linter {
 }
 
 impl Linter {
-    /// A linter enforcing against the given fork and lock registries.
-    pub fn new(forks: ForkRegistry, locks: LockRegistry) -> Linter {
+    /// A linter enforcing against the given fork registry.
+    pub fn new(forks: ForkRegistry) -> Linter {
         Linter {
             forks,
-            locks,
             fork_sites: BTreeMap::new(),
             files: Vec::new(),
             unknown: Vec::new(),
@@ -263,47 +245,22 @@ impl Linter {
             let Some((start, end)) = f.body else {
                 continue;
             };
-            for marker in &f.markers {
-                match marker.as_str() {
-                    "hot_path" => {
-                        for (i, construct) in alloc_findings(&code, start, end) {
-                            raw.push(Diagnostic::new(
-                                file,
-                                &code[i],
-                                RULE_HOT_PATH,
-                                format!(
-                                    "allocating construct `{construct}` inside hot-path fn \
-                                     `{}` (banned: {})",
-                                    f.name,
-                                    ALLOC_CONSTRUCTS.join(", ")
-                                ),
-                            ));
-                        }
-                    }
-                    "pure_model" => {
-                        for (i, what) in effect_findings(&code, start, end) {
-                            raw.push(Diagnostic::new(
-                                file,
-                                &code[i],
-                                RULE_PURE_MODEL,
-                                format!(
-                                    "`.{}(...)` is {what} inside pure-model fn `{}`; \
-                                     every effect must flow through the dispatcher so recorded \
-                                     traces replay through the pure models alone",
-                                    code[i].text, f.name
-                                ),
-                            ));
-                        }
-                    }
-                    "serve_loop" => {
-                        rule_serve_loop_block(file, &code, start, end, &f.name, &mut raw);
-                    }
-                    _ => {}
-                }
+            if !f.markers.iter().any(|m| m == HOT_PATH_MARKER) {
+                continue;
             }
-        }
-        if ctx.sim && !ctx.test_target {
-            rule_float_event_key(file, &code, &in_test, &mut raw);
+            for (i, construct) in alloc_findings(&code, start, end) {
+                raw.push(Diagnostic::new(
+                    file,
+                    &code[i],
+                    RULE_HOT_PATH,
+                    format!(
+                        "allocating construct `{construct}` inside hot-path fn \
+                         `{}` (banned: {})",
+                        f.name,
+                        ALLOC_CONSTRUCTS.join(", ")
+                    ),
+                ));
+            }
         }
 
         self.files.push(FileFacts {
@@ -327,7 +284,7 @@ impl Linter {
     /// analyses, applies allow directives, and flags unused ones.
     /// Duplicate registry rows always fail; in `check_stale` mode (the
     /// `--workspace` sweep) registered fork streams with no call site
-    /// and unregistered/stale locks fail too, so the tables cannot rot.
+    /// fail too, so the table cannot rot.
     pub fn finish(&mut self, check_stale: bool) {
         let mut all: Vec<Diagnostic> = Vec::new();
         {
@@ -345,16 +302,10 @@ impl Linter {
                 })
                 .collect();
             let graph = Graph::build(&views);
-            for marker in PROPAGATED_MARKERS {
-                let roots = graph.roots(marker);
-                if roots.is_empty() {
-                    continue;
-                }
-                for (node, chain) in graph.propagate(marker, &roots) {
-                    all.extend(propagated_diags(&graph, marker, node, &chain));
-                }
+            let roots = graph.roots(HOT_PATH_MARKER);
+            for (node, chain) in graph.propagate(HOT_PATH_MARKER, &roots) {
+                all.extend(propagated_diags(&graph, node, &chain));
             }
-            all.extend(locks::check(&graph, &self.locks, check_stale));
             all.extend(rule_fork_escape(&graph));
         }
         for f in &mut self.files {
@@ -495,7 +446,6 @@ impl Linter {
 /// names the annotated root, and the chain prints the call path.
 fn propagated_diags(
     graph: &Graph<'_>,
-    marker: &str,
     node: crate::graph::NodeId,
     chain: &[crate::graph::NodeId],
 ) -> Vec<Diagnostic> {
@@ -505,51 +455,23 @@ fn propagated_diags(
         return Vec::new();
     };
     let chain_disp: Vec<String> = chain.iter().map(|n| graph.display(*n)).collect();
-    let root = chain_disp[0].clone();
-    let code = fv.code;
-    let mut out = Vec::new();
-    let mut push = |i: usize, rule: &'static str, message: String| {
-        out.push(Diagnostic {
+    let root = &chain_disp[0];
+    alloc_findings(fv.code, start, end)
+        .into_iter()
+        .map(|(i, construct)| Diagnostic {
             file: fv.file.to_string(),
-            line: code[i].line,
-            col: code[i].col,
-            rule,
-            message,
+            line: fv.code[i].line,
+            col: fv.code[i].col,
+            rule: RULE_HOT_PATH,
+            message: format!(
+                "allocating construct `{construct}` in `{}`, reachable from \
+                 hot-path fn `{root}` (banned: {})",
+                f.name,
+                ALLOC_CONSTRUCTS.join(", ")
+            ),
             chain: chain_disp.clone(),
-        });
-    };
-    match marker {
-        "hot_path" => {
-            for (i, construct) in alloc_findings(code, start, end) {
-                push(
-                    i,
-                    RULE_HOT_PATH,
-                    format!(
-                        "allocating construct `{construct}` in `{}`, reachable from \
-                         hot-path fn `{root}` (banned: {})",
-                        f.name,
-                        ALLOC_CONSTRUCTS.join(", ")
-                    ),
-                );
-            }
-        }
-        "pure_model" => {
-            for (i, what) in effect_findings(code, start, end) {
-                push(
-                    i,
-                    RULE_PURE_MODEL,
-                    format!(
-                        "`.{}(...)` is {what} in `{}`, reachable from pure-model fn \
-                         `{root}`; every effect must flow through the dispatcher so \
-                         recorded traces replay through the pure models alone",
-                        code[i].text, f.name
-                    ),
-                );
-            }
-        }
-        _ => {}
-    }
-    out
+        })
+        .collect()
 }
 
 /// `let`-bound literal fork handles that escape into unresolvable calls.
@@ -963,208 +885,12 @@ fn alloc_findings(code: &[Token], start: usize, end: usize) -> Vec<(usize, &'sta
     out
 }
 
-/// Effectful method calls in `[start, end)`: RNG draws, event-queue
-/// scheduling/cancellation, and `Medium` mutation. The scan looks for
-/// `.name(` receivers, so type paths and doc text never fire.
-fn effect_findings(code: &[Token], start: usize, end: usize) -> Vec<(usize, &'static str)> {
-    let mut out = Vec::new();
-    for i in start..end.min(code.len()) {
-        let Some(name) = ident_at(code, i) else {
-            continue;
-        };
-        if i == 0 || !is_punct(code, i - 1, ".") || !is_punct(code, i + 1, "(") {
-            continue;
-        }
-        let what = if name == "fork" || name.starts_with("gen_") {
-            "an RNG draw"
-        } else if name == "schedule" || name == "cancel" {
-            "an event-queue mutation"
-        } else if name == "begin_transmission" || name == "finish_transmission" {
-            "a Medium mutation"
-        } else {
-            continue;
-        };
-        out.push((i, what));
-    }
-    out
-}
-
-/// Serve-loop fns sit between a network peer and the scheduler: the
-/// peer chooses how many bytes arrive and when. Three hazards are
-/// banned. Whole-stream slurps (`read_to_end`/`read_to_string`) hand
-/// the peer an unbounded allocation; frame loops must read
-/// length-prefixed payloads and reject lengths over an explicit cap.
-/// Buffer growth (`push`/`extend`/`extend_from_slice`/`append`/
-/// `resize`) is allowed only when the fn visibly bounds it — some
-/// identifier in the body mentioning `MAX`/capacity; otherwise
-/// per-frame growth compounds across a session. And wall-clock reads
-/// are banned outright: session behavior must be a function of the
-/// protocol bytes, so pipe-mode replays and socket sessions behave
-/// identically.
-fn rule_serve_loop_block(
-    file: &str,
-    code: &[Token],
-    start: usize,
-    end: usize,
-    fn_name: &str,
-    raw: &mut Vec<Diagnostic>,
-) {
-    let end = end.min(code.len());
-    // A bound mention anywhere in the body legitimizes growth calls:
-    // `MAX_FRAME_LEN`, `with_capacity`, `queue_capacity`, ...
-    let has_bound = (start..end).any(|i| {
-        ident_at(code, i).is_some_and(|name| name.contains("MAX") || name.contains("capacity"))
-    });
-    for i in start..end {
-        let Some(name) = ident_at(code, i) else {
-            continue;
-        };
-        let tok = &code[i];
-        if (name == "Instant" || name == "SystemTime")
-            && is_punct(code, i + 1, ":")
-            && is_punct(code, i + 2, ":")
-            && matches!(ident_at(code, i + 3), Some("now" | "UNIX_EPOCH"))
-        {
-            raw.push(Diagnostic::new(
-                file,
-                tok,
-                RULE_SERVE_LOOP,
-                format!(
-                    "`{name}` wall-clock read inside serve-loop fn `{fn_name}`; \
-                     session behavior must be a function of the protocol \
-                     bytes, not the host clock",
-                    name = tok.text
-                ),
-            ));
-            continue;
-        }
-        if i == 0 || !is_punct(code, i - 1, ".") || !is_punct(code, i + 1, "(") {
-            continue;
-        }
-        if name == "read_to_end" || name == "read_to_string" {
-            raw.push(Diagnostic::new(
-                file,
-                tok,
-                RULE_SERVE_LOOP,
-                format!(
-                    "`.{name}(...)` slurps unbounded peer input inside \
-                     serve-loop fn `{fn_name}`; read length-prefixed frames \
-                     and reject lengths over an explicit cap"
-                ),
-            ));
-            continue;
-        }
-        if matches!(
-            name,
-            "push" | "extend" | "extend_from_slice" | "append" | "resize"
-        ) && !has_bound
-        {
-            raw.push(Diagnostic::new(
-                file,
-                tok,
-                RULE_SERVE_LOOP,
-                format!(
-                    "`.{name}(...)` grows a buffer inside serve-loop fn \
-                     `{fn_name}` with no visible bound (no MAX_*/capacity \
-                     mention in the fn); peer-driven growth must be capped"
-                ),
-            ));
-        }
-    }
-}
-
-fn rule_float_event_key(
-    file: &str,
-    code: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    raw: &mut Vec<Diagnostic>,
-) {
-    let mut i = 0;
-    while i + 3 < code.len() {
-        let is_derive = is_punct(code, i, "#")
-            && is_punct(code, i + 1, "[")
-            && is_ident(code, i + 2, "derive")
-            && is_punct(code, i + 3, "(");
-        if !is_derive || in_test(i) {
-            i += 1;
-            continue;
-        }
-        let close_paren = match_delim(code, i + 3, "(", ")");
-        let ordered =
-            (i + 4..close_paren).any(|k| matches!(ident_at(code, k), Some("Ord" | "PartialOrd")));
-        let attr_end = match_delim(code, i + 1, "[", "]");
-        if !ordered {
-            i = attr_end + 1;
-            continue;
-        }
-        let mut j = skip_attrs(code, attr_end + 1);
-        // Skip visibility (`pub`, `pub(crate)`).
-        while matches!(
-            ident_at(code, j),
-            Some("pub" | "crate" | "in" | "super" | "self")
-        ) || is_punct(code, j, "(")
-            || is_punct(code, j, ")")
-        {
-            j += 1;
-        }
-        let keyword = ident_at(code, j);
-        if !matches!(keyword, Some("struct" | "enum")) {
-            i = attr_end + 1;
-            continue;
-        }
-        let type_name = ident_at(code, j + 1).unwrap_or("?").to_string();
-        // Find the item body: `{...}`, `(...);`, or a bare `;`.
-        let mut k = j + 2;
-        let body_range = loop {
-            if k >= code.len() {
-                break None;
-            }
-            if is_punct(code, k, "<") {
-                let (_, close) = generic_args(code, k);
-                k = close + 1;
-                continue;
-            }
-            if is_punct(code, k, "{") {
-                break Some((k + 1, match_delim(code, k, "{", "}")));
-            }
-            if is_punct(code, k, "(") {
-                break Some((k + 1, match_delim(code, k, "(", ")")));
-            }
-            if is_punct(code, k, ";") {
-                break None;
-            }
-            k += 1;
-        };
-        if let Some((lo, hi)) = body_range {
-            for f in lo..hi.min(code.len()) {
-                if matches!(ident_at(code, f), Some("f32" | "f64")) {
-                    let tok = &code[f];
-                    raw.push(Diagnostic::new(
-                        file,
-                        tok,
-                        RULE_FLOAT_KEY,
-                        format!(
-                            "`{}` field in `{type_name}`, which derives an ordering: \
-                             floats must never key the event queue (NaN breaks \
-                             total order; rounding breaks replay)",
-                            tok.text
-                        ),
-                    ));
-                }
-            }
-            i = hi.max(attr_end) + 1;
-        } else {
-            i = attr_end + 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint_sim(source: &str) -> Vec<Diagnostic> {
-        let mut linter = Linter::new(ForkRegistry::default(), LockRegistry::default());
+        let mut linter = Linter::new(ForkRegistry::default());
         linter.lint_file("test.rs", source, &CrateContext::fixture());
         linter.finish(false);
         linter.diagnostics
@@ -1184,6 +910,15 @@ mod tests {
             .map(|d| d.line)
             .collect();
         assert_eq!(fired, vec![1, 4, 4]);
+    }
+
+    #[test]
+    fn iteration_rule_covers_positions_coverage_and_cmp_gated_output() {
+        for krate in ["mobility", "geom", "experiments", "campaign"] {
+            let path = format!("crates/{krate}/src/map.rs");
+            assert!(CrateContext::for_workspace_path(&path).sim, "{path}");
+        }
+        assert!(!CrateContext::for_workspace_path("crates/bench/src/harness.rs").sim);
     }
 
     #[test]
@@ -1261,9 +996,13 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_an_error() {
-        let diags = lint_sim("// simlint: allow(no-such-rule)\n");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RULE_UNKNOWN);
+        // `lock-order` was a rule once; a leftover allow for it must not
+        // pass silently.
+        for name in ["no-such-rule", "lock-order"] {
+            let diags = lint_sim(&format!("// simlint: allow({name})\n"));
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].rule, RULE_UNKNOWN);
+        }
     }
 
     #[test]
@@ -1324,108 +1063,9 @@ mod tests {
     }
 
     #[test]
-    fn pure_model_effects_fire_only_in_annotated_fns() {
-        let diags = lint_sim(
-            "fn dispatcher(&mut self) { let r = self.rng.gen_unit_f64(); }\n\
-             #[cfg_attr(simlint, pure_model)]\n\
-             fn step(&mut self, q: &mut Q, m: &mut Medium) {\n\
-                 let r = self.rng.gen_unit_f64();\n\
-                 let s = self.rng.fork(3);\n\
-                 let k = q.schedule(t, e);\n\
-                 q.cancel(k);\n\
-                 m.begin_transmission(n, now, airtime);\n\
-                 self.tables.push(t);\n\
-             }\n",
-        );
-        let fired: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == RULE_PURE_MODEL)
-            .map(|d| d.line)
-            .collect();
-        assert_eq!(fired, vec![4, 5, 6, 7, 8]);
-        // fork(3) inside the body also trips fork discipline separately;
-        // the pure-model rule itself must not fire outside the marker.
-        assert!(diags
-            .iter()
-            .all(|d| d.rule != RULE_PURE_MODEL || d.line >= 4));
-    }
-
-    #[test]
-    fn pure_model_effects_propagate_to_callees() {
-        let diags = lint_sim(
-            "struct M;\n\
-             impl M {\n\
-                 #[cfg_attr(simlint, pure_model)]\n\
-                 fn decide(&self) { self.inner(); }\n\
-                 fn inner(&self) { self.rng.gen_unit_f64(); }\n\
-             }\n",
-        );
-        let pure: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == RULE_PURE_MODEL).collect();
-        assert_eq!(pure.len(), 1, "{diags:?}");
-        assert_eq!(pure[0].line, 5);
-        assert_eq!(pure[0].chain, vec!["test::decide", "test::inner"]);
-    }
-
-    #[test]
-    fn serve_loop_fires_on_slurps_growth_and_wall_clock() {
-        let diags = lint_sim(
-            "fn anywhere(&mut self) { self.buf.read_to_end(&mut v); }\n\
-             #[cfg_attr(simlint, serve_loop)]\n\
-             fn session(&mut self, input: &mut R) {\n\
-                 input.read_to_end(&mut self.buf);\n\
-                 input.read_to_string(&mut self.text);\n\
-                 self.frames.push(frame);\n\
-                 let t = Instant::now();\n\
-             }\n",
-        );
-        let fired: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == RULE_SERVE_LOOP)
-            .map(|d| d.line)
-            .collect();
-        assert_eq!(fired, vec![4, 5, 6, 7], "unmarked fns never fire");
-    }
-
-    #[test]
-    fn serve_loop_growth_passes_with_a_visible_bound() {
-        let diags = lint_sim(
-            "#[cfg_attr(simlint, serve_loop)]\n\
-             fn read_frame(&mut self) {\n\
-                 if len > MAX_FRAME_LEN { return Err(too_big(len)); }\n\
-                 self.buf.resize(len, 0);\n\
-                 self.frames.push(frame);\n\
-             }\n\
-             #[cfg_attr(simlint, serve_loop)]\n\
-             fn admit(&mut self, jobs: Vec<Job>) {\n\
-                 let mut out = Vec::with_capacity(jobs.len());\n\
-                 out.extend(jobs);\n\
-             }\n",
-        );
-        assert!(diags.iter().all(|d| d.rule != RULE_SERVE_LOOP), "{diags:?}");
-    }
-
-    #[test]
-    fn float_event_key_fires_on_ordered_types_only() {
-        let diags = lint_sim(
-            "#[derive(PartialOrd, PartialEq)]\n\
-             struct Bad { t: f64 }\n\
-             #[derive(Clone)]\n\
-             struct Fine { t: f64 }\n\
-             #[derive(Ord, PartialOrd, Eq, PartialEq)]\n\
-             struct Good(u64);\n",
-        );
-        let float: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == RULE_FLOAT_KEY)
-            .map(|d| d.line)
-            .collect();
-        assert_eq!(float, vec![2]);
-    }
-
-    #[test]
     fn fork_literals_must_be_registered_and_unique() {
         let registry = ForkRegistry::parse("R.md", "| fixture | 4 | x |\n");
-        let mut linter = Linter::new(registry, LockRegistry::default());
+        let mut linter = Linter::new(registry);
         linter.lint_file(
             "a.rs",
             "fn f(r: &SimRng) { let a = r.fork(4); let b = r.fork(4); let c = r.fork(9); }\n",
@@ -1446,7 +1086,7 @@ mod tests {
     #[test]
     fn stale_registry_rows_fail_workspace_runs() {
         let registry = ForkRegistry::parse("R.md", "| fixture | 4 | x |\n| fixture | 5 | y |\n");
-        let mut linter = Linter::new(registry, LockRegistry::default());
+        let mut linter = Linter::new(registry);
         linter.lint_file(
             "a.rs",
             "fn f(r: &SimRng) { let a = r.fork(4); }\n",
@@ -1474,7 +1114,7 @@ mod tests {
     #[test]
     fn fork_escape_fires_when_a_handle_leaves_the_workspace() {
         let registry = ForkRegistry::parse("R.md", "| fixture | 7 | x |\n");
-        let mut linter = Linter::new(registry, LockRegistry::default());
+        let mut linter = Linter::new(registry);
         linter.lint_file(
             "a.rs",
             "fn f(r: &SimRng) {\n\
@@ -1496,7 +1136,7 @@ mod tests {
     #[test]
     fn fork_escape_passes_for_workspace_resolvable_calls_and_draws() {
         let registry = ForkRegistry::parse("R.md", "| fixture | 7 | x |\n");
-        let mut linter = Linter::new(registry, LockRegistry::default());
+        let mut linter = Linter::new(registry);
         linter.lint_file(
             "a.rs",
             "fn f(r: &SimRng) {\n\
@@ -1521,7 +1161,7 @@ mod tests {
 
     #[test]
     fn cross_file_propagation_carries_both_files_in_the_chain() {
-        let mut linter = Linter::new(ForkRegistry::default(), LockRegistry::default());
+        let mut linter = Linter::new(ForkRegistry::default());
         linter.lint_file(
             "entry.rs",
             "#[cfg_attr(simlint, hot_path)]\n\

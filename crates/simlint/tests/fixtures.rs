@@ -9,10 +9,9 @@ use std::process::Command;
 
 use simlint::forks::ForkRegistry;
 use simlint::lint_paths;
-use simlint::locks::LockRegistry;
 use simlint::rules::{
-    RULE_FLOAT_KEY, RULE_FORK, RULE_FORK_ESCAPE, RULE_HOT_PATH, RULE_LOCK_ORDER, RULE_NONDET_ITER,
-    RULE_PURE_MODEL, RULE_SERVE_LOOP, RULE_UNKNOWN, RULE_UNUSED_ALLOW, RULE_WALL_CLOCK,
+    ALL_RULES, RULE_FORK, RULE_FORK_ESCAPE, RULE_HOT_PATH, RULE_NONDET_ITER, RULE_UNKNOWN,
+    RULE_UNUSED_ALLOW, RULE_WALL_CLOCK,
 };
 
 fn fixtures_dir() -> PathBuf {
@@ -23,12 +22,6 @@ fn fixture_forks() -> ForkRegistry {
     let path = fixtures_dir().join("FORKS.md");
     let text = std::fs::read_to_string(&path).expect("read fixtures/FORKS.md");
     ForkRegistry::parse("FORKS.md", &text)
-}
-
-fn fixture_locks() -> LockRegistry {
-    let path = fixtures_dir().join("LOCKS.md");
-    let text = std::fs::read_to_string(&path).expect("read fixtures/LOCKS.md");
-    LockRegistry::parse("LOCKS.md", &text)
 }
 
 fn rs_files(sub: &str) -> Vec<PathBuf> {
@@ -48,12 +41,8 @@ fn rs_files(sub: &str) -> Vec<PathBuf> {
 #[test]
 fn ok_corpus_is_clean() {
     for file in rs_files("ok") {
-        let diags = lint_paths(
-            std::slice::from_ref(&file),
-            fixture_forks(),
-            fixture_locks(),
-        )
-        .unwrap_or_else(|e| panic!("lint {}: {e}", file.display()));
+        let diags = lint_paths(std::slice::from_ref(&file), fixture_forks())
+            .unwrap_or_else(|e| panic!("lint {}: {e}", file.display()));
         assert!(
             diags.is_empty(),
             "{} should be clean, got:\n{}",
@@ -82,7 +71,7 @@ fn bad_corpus_matches_snapshots() {
         );
         let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
             .current_dir(fixtures_dir())
-            .args(["--forks", "FORKS.md", "--locks", "LOCKS.md", &rel])
+            .args(["--forks", "FORKS.md", &rel])
             .output()
             .expect("run simlint");
         assert_eq!(
@@ -109,20 +98,13 @@ fn bad_fixtures_fire_exactly_their_rules() {
     let cases: &[(&str, &[&str])] = &[
         ("allow_once.rs", &[RULE_NONDET_ITER]),
         ("chain_hop1.rs", &[RULE_HOT_PATH]),
-        ("chain_hop2.rs", &[RULE_PURE_MODEL]),
+        ("chain_hop2.rs", &[RULE_HOT_PATH]),
         ("chain_hop3.rs", &[RULE_HOT_PATH]),
-        ("float_key.rs", &[RULE_FLOAT_KEY]),
         ("fork_duplicate.rs", &[RULE_FORK]),
         ("fork_escape.rs", &[RULE_FORK_ESCAPE]),
         ("fork_unregistered.rs", &[RULE_FORK]),
         ("hot_path.rs", &[RULE_HOT_PATH]),
         ("iteration.rs", &[RULE_NONDET_ITER]),
-        ("lock_cycle.rs", &[RULE_LOCK_ORDER]),
-        ("lock_order.rs", &[RULE_LOCK_ORDER]),
-        ("pure_model.rs", &[RULE_PURE_MODEL]),
-        // The wall-clock read inside the marked fn trips both the
-        // serve-loop rule and the crate-level wall-clock rule.
-        ("serve_loop.rs", &[RULE_SERVE_LOOP, RULE_WALL_CLOCK]),
         ("unknown_rule.rs", &[RULE_UNKNOWN]),
         ("unused_allow.rs", &[RULE_UNUSED_ALLOW]),
         ("wall_clock.rs", &[RULE_WALL_CLOCK]),
@@ -136,16 +118,35 @@ fn bad_fixtures_fire_exactly_their_rules() {
 
     for (name, rules) in cases {
         let file = fixtures_dir().join("bad").join(name);
-        let diags = lint_paths(
-            std::slice::from_ref(&file),
-            fixture_forks(),
-            fixture_locks(),
-        )
-        .unwrap_or_else(|e| panic!("lint {name}: {e}"));
+        let diags = lint_paths(std::slice::from_ref(&file), fixture_forks())
+            .unwrap_or_else(|e| panic!("lint {name}: {e}"));
         let fired: BTreeSet<&str> = diags.iter().map(|d| d.rule).collect();
         let expected: BTreeSet<&str> = rules.iter().copied().collect();
         assert_eq!(fired, expected, "{name}: wrong rule set");
     }
+}
+
+/// Every rule id has a firing fixture and every snapshot names a live
+/// rule: the ids printed across the `.expected` files are exactly
+/// [`ALL_RULES`].
+#[test]
+fn all_rules_equals_the_rule_ids_in_the_snapshots() {
+    let mut fired = BTreeSet::new();
+    for sub in ["bad", "bad_multi"] {
+        for entry in std::fs::read_dir(fixtures_dir().join(sub)).expect("read_dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|x| x != "expected") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("read snapshot");
+            for line in text.lines() {
+                let (_, rest) = line.split_once(": error[").expect("diagnostic line");
+                fired.insert(rest.split_once(']').expect("rule id").0.to_string());
+            }
+        }
+    }
+    let all: BTreeSet<String> = ALL_RULES.iter().map(|r| r.to_string()).collect();
+    assert_eq!(fired, all);
 }
 
 /// The hop fixtures pin the propagation chain itself: the printed path
@@ -178,12 +179,8 @@ fn propagation_chains_walk_the_call_path() {
     ];
     for (name, chain) in cases {
         let file = fixtures_dir().join("bad").join(name);
-        let diags = lint_paths(
-            std::slice::from_ref(&file),
-            fixture_forks(),
-            fixture_locks(),
-        )
-        .unwrap_or_else(|e| panic!("lint {name}: {e}"));
+        let diags = lint_paths(std::slice::from_ref(&file), fixture_forks())
+            .unwrap_or_else(|e| panic!("lint {name}: {e}"));
         assert_eq!(diags.len(), 1, "{name}: {diags:?}");
         assert_eq!(diags[0].chain, *chain, "{name}: wrong chain");
         let rendered = diags[0].to_string();
@@ -207,8 +204,6 @@ fn cross_file_chain_matches_snapshot() {
         .args([
             "--forks",
             "FORKS.md",
-            "--locks",
-            "LOCKS.md",
             "bad_multi/cross_a.rs",
             "bad_multi/cross_b.rs",
         ])
@@ -229,12 +224,7 @@ fn cross_file_chain_matches_snapshot() {
 #[test]
 fn allow_suppresses_exactly_one_diagnostic() {
     let file = fixtures_dir().join("bad/allow_once.rs");
-    let diags = lint_paths(
-        std::slice::from_ref(&file),
-        fixture_forks(),
-        fixture_locks(),
-    )
-    .expect("lint");
+    let diags = lint_paths(std::slice::from_ref(&file), fixture_forks()).expect("lint");
     assert_eq!(diags.len(), 2, "one of three violations should be allowed");
     assert!(diags.iter().all(|d| d.rule == RULE_NONDET_ITER));
     assert!(diags.iter().all(|d| d.line == 8), "line 7 was allowed");
@@ -244,12 +234,7 @@ fn allow_suppresses_exactly_one_diagnostic() {
 #[test]
 fn unknown_rule_in_allow_directive_errors() {
     let file = fixtures_dir().join("bad/unknown_rule.rs");
-    let diags = lint_paths(
-        std::slice::from_ref(&file),
-        fixture_forks(),
-        fixture_locks(),
-    )
-    .expect("lint");
+    let diags = lint_paths(std::slice::from_ref(&file), fixture_forks()).expect("lint");
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].rule, RULE_UNKNOWN);
     assert!(diags[0].message.contains("no-such-rule"));
@@ -265,7 +250,7 @@ fn cli_exits_zero_on_ok_corpus() {
         .collect();
     let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
         .current_dir(fixtures_dir())
-        .args(["--forks", "FORKS.md", "--locks", "LOCKS.md"])
+        .args(["--forks", "FORKS.md"])
         .args(&rels)
         .output()
         .expect("run simlint");
@@ -277,34 +262,6 @@ fn cli_exits_zero_on_ok_corpus() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(out.stdout.is_empty());
-}
-
-/// `--json` emits one object per diagnostic with the chain as an array;
-/// output stays line-oriented for the problem matcher's text mode.
-#[test]
-fn json_mode_emits_machine_readable_diagnostics() {
-    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .current_dir(fixtures_dir())
-        .args([
-            "--forks",
-            "FORKS.md",
-            "--locks",
-            "LOCKS.md",
-            "--json",
-            "bad/chain_hop1.rs",
-        ])
-        .output()
-        .expect("run simlint");
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 1, "{stdout}");
-    assert!(lines[0].starts_with("{\"file\":\"bad/chain_hop1.rs\""));
-    assert!(lines[0].contains("\"rule\":\"hot-path-alloc\""));
-    assert!(
-        lines[0].contains("\"chain\":[\"chain_hop1::deliver\",\"chain_hop1::log_delivery\"]"),
-        "{stdout}"
-    );
 }
 
 #[test]

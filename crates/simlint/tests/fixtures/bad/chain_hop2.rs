@@ -1,11 +1,11 @@
 //! Seeded violation two call-graph hops below the annotation: the
-//! pure-model decision fn calls an assessor that calls a jitter helper
-//! that draws from the RNG.
+//! hot-path decision fn calls an assessor that calls a jitter helper
+//! that collects into a fresh `Vec`.
 
 struct Gossip;
 
 impl Gossip {
-    #[cfg_attr(simlint, pure_model)]
+    #[cfg_attr(simlint, hot_path)]
     fn decide(&mut self, now: u64) {
         self.assess(now);
     }
@@ -15,7 +15,7 @@ impl Gossip {
     }
 
     fn jitter(&mut self, now: u64) {
-        let j = self.rng.gen_range_u32(95..106);
-        let _ = (now, j);
+        let slots: Vec<u64> = (95..106).map(|j| now + j).collect();
+        let _ = slots;
     }
 }

@@ -1,7 +1,7 @@
-//! The helper called from cross_a.rs: its RNG draw and queue mutation
-//! trip the pure-model rule one file away.
+//! The helper called from cross_a.rs: its boxed timer and formatted
+//! label trip the hot-path rule one file away.
 
 pub fn apply_jitter(state: &mut Proto, pkt: u64) {
-    let j = state.rng.gen_range_u32(95..106);
-    state.queue.schedule(j.into(), pkt);
+    let timer = Box::new(pkt);
+    state.log(format!("jitter {timer}"));
 }
