@@ -69,13 +69,7 @@ impl JobEnvelope {
         enc.u32(self.broadcasts);
         enc.u64(self.seed);
         enc.u32(self.repeats);
-        match &self.scenario {
-            Some(text) => {
-                enc.bool(true);
-                enc.str(text);
-            }
-            None => enc.bool(false),
-        }
+        enc.option(self.scenario.as_deref(), WireEncoder::str);
     }
 
     fn decode(dec: &mut WireDecoder<'_>) -> Result<JobEnvelope, WireError> {
@@ -87,11 +81,7 @@ impl JobEnvelope {
             broadcasts: dec.u32()?,
             seed: dec.u64()?,
             repeats: dec.u32()?,
-            scenario: if dec.bool()? {
-                Some(dec.str()?.to_string())
-            } else {
-                None
-            },
+            scenario: dec.option(|dec| Ok(dec.str()?.to_string()))?,
         })
     }
 }
@@ -221,10 +211,7 @@ impl Frame {
             Frame::Submit { name, jobs } => {
                 enc.u8(TAG_SUBMIT);
                 enc.str(name);
-                enc.len(jobs.len());
-                for job in jobs {
-                    job.encode(enc);
-                }
+                enc.seq(jobs, |enc, job| job.encode(enc));
             }
             Frame::Accepted { campaign, jobs } => {
                 enc.u8(TAG_ACCEPTED);
@@ -286,17 +273,12 @@ impl Frame {
     /// field, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
         let mut dec = WireDecoder::new(payload);
-        let tag_at = dec.position();
-        let frame = match dec.u8()? {
-            TAG_SUBMIT => {
-                let name = dec.str()?.to_string();
-                let count = dec.len()?;
-                let mut jobs = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    jobs.push(JobEnvelope::decode(&mut dec)?);
-                }
-                Frame::Submit { name, jobs }
-            }
+        let (tag, unknown) = dec.tag("unknown MCMP frame tag")?;
+        let frame = match tag {
+            TAG_SUBMIT => Frame::Submit {
+                name: dec.str()?.to_string(),
+                jobs: dec.seq(41, JobEnvelope::decode)?,
+            },
             TAG_ACCEPTED => Frame::Accepted {
                 campaign: dec.u64()?,
                 jobs: dec.u64()?,
@@ -329,12 +311,7 @@ impl Frame {
                 campaign: dec.u64()?,
             },
             TAG_SHUTDOWN => Frame::Shutdown,
-            _ => {
-                return Err(WireError {
-                    at: tag_at,
-                    what: "unknown MCMP frame tag",
-                })
-            }
+            _ => return Err(unknown),
         };
         dec.finish()?;
         Ok(frame)

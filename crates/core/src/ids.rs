@@ -3,6 +3,7 @@
 use std::fmt;
 
 use manet_phy::NodeId;
+use manet_sim_engine::{WireDecoder, WireEncoder, WireError};
 
 /// Identifies one logical broadcast: the `(source ID, sequence number)`
 /// tuple the paper prescribes for duplicate detection (§2.1).
@@ -33,6 +34,18 @@ impl PacketId {
     pub const fn new(source: NodeId, seq: u32) -> Self {
         PacketId { source, seq }
     }
+}
+
+/// Appends a packet id to a snapshot or trace: source, then sequence
+/// number.
+pub(crate) fn encode_packet(enc: &mut WireEncoder, packet: PacketId) {
+    packet.source.encode(enc);
+    enc.u32(packet.seq);
+}
+
+/// Reads a packet id written by [`encode_packet`].
+pub(crate) fn decode_packet(dec: &mut WireDecoder<'_>) -> Result<PacketId, WireError> {
+    Ok(PacketId::new(NodeId::decode(dec)?, dec.u32()?))
 }
 
 impl fmt::Display for PacketId {

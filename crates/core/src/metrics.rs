@@ -14,7 +14,7 @@ use manet_mac::MacStats;
 use manet_phy::{LossCounters, NodeId};
 use manet_sim_engine::{LoopProfile, SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
-use crate::ids::PacketId;
+use crate::ids::{decode_packet, encode_packet, PacketId};
 use crate::trace::SuppressReason;
 
 /// Compact membership set over host indices.
@@ -50,18 +50,18 @@ impl HostSet {
     }
 
     fn snapshot_into(&self, enc: &mut WireEncoder) {
-        enc.len(self.words.len());
-        for &word in &self.words {
-            enc.u64(word);
-        }
+        enc.seq(self.words.iter().copied(), WireEncoder::u64);
         enc.u32(self.count);
     }
 
-    fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<HostSet, WireError> {
-        let word_count = dec.len()?;
-        let mut words = Vec::with_capacity(word_count);
-        for _ in 0..word_count {
-            words.push(dec.u64()?);
+    /// Reads a set over `hosts` hosts, refusing any other word count (a
+    /// short vector would be indexed past its end on the next insert).
+    fn restore_snapshot(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<HostSet, WireError> {
+        let at = dec.position();
+        let words = dec.seq(8, WireDecoder::u64)?;
+        if words.len() != hosts.div_ceil(64) {
+            let what = "host set size does not match the host count";
+            return Err(WireError { at, what });
         }
         Ok(HostSet {
             words,
@@ -401,49 +401,43 @@ impl MetricsCollector {
     /// world snapshot.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.usize(self.hosts);
-        enc.len(self.records.len());
-        for (packet, record) in &self.records {
-            enc.u32(packet.source.index() as u32);
-            enc.u32(packet.seq);
-            enc.u32(record.source.index() as u32);
-            enc.u64(record.issued_at.as_nanos());
+        enc.seq(&self.records, |enc, (packet, record)| {
+            encode_packet(enc, *packet);
+            record.source.encode(enc);
+            enc.time(record.issued_at);
             enc.u32(record.reachable);
             record.received.snapshot_into(enc);
             record.rebroadcasters.snapshot_into(enc);
-            enc.u64(record.last_decision.as_nanos());
-            match &record.eligible {
-                None => enc.bool(false),
-                Some(set) => {
-                    enc.bool(true);
-                    set.snapshot_into(enc);
-                }
-            }
-        }
+            enc.time(record.last_decision);
+            enc.option(record.eligible.as_ref(), |enc, set| set.snapshot_into(enc));
+        });
     }
 
     /// Rebuilds a collector from [`snapshot_into`](Self::snapshot_into)
-    /// output.
-    pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<MetricsCollector, WireError> {
-        let hosts = dec.usize()?;
-        let record_count = dec.len()?;
-        let mut records = Vec::with_capacity(record_count);
-        for _ in 0..record_count {
-            let packet = PacketId::new(NodeId::new(dec.u32()?), dec.u32()?);
-            let record = BroadcastRecord {
-                source: NodeId::new(dec.u32()?),
-                issued_at: SimTime::from_nanos(dec.u64()?),
-                reachable: dec.u32()?,
-                received: HostSet::restore_snapshot(dec)?,
-                rebroadcasters: HostSet::restore_snapshot(dec)?,
-                last_decision: SimTime::from_nanos(dec.u64()?),
-                eligible: if dec.bool()? {
-                    Some(HostSet::restore_snapshot(dec)?)
-                } else {
-                    None
-                },
-            };
-            records.push((packet, record));
+    /// output for a world of `hosts` hosts, refusing a snapshot taken
+    /// over a different population.
+    pub fn restore_snapshot(
+        dec: &mut WireDecoder<'_>,
+        hosts: usize,
+    ) -> Result<MetricsCollector, WireError> {
+        let at = dec.position();
+        if dec.usize()? != hosts {
+            let what = "metrics host count mismatch";
+            return Err(WireError { at, what });
         }
+        let records = dec.seq(57, |dec| {
+            let packet = decode_packet(dec)?;
+            let record = BroadcastRecord {
+                source: NodeId::decode(dec)?,
+                issued_at: dec.time()?,
+                reachable: dec.u32()?,
+                received: HostSet::restore_snapshot(dec, hosts)?,
+                rebroadcasters: HostSet::restore_snapshot(dec, hosts)?,
+                last_decision: dec.time()?,
+                eligible: dec.option(|dec| HostSet::restore_snapshot(dec, hosts))?,
+            };
+            Ok((packet, record))
+        })?;
         Ok(MetricsCollector { hosts, records })
     }
 
@@ -687,5 +681,35 @@ mod tests {
         assert!(!m.has_received(pid(0), id(1)));
         m.packet_received(pid(0), id(1));
         assert!(m.has_received(pid(0), id(1)));
+    }
+
+    /// A snapshot whose host sets are shorter than the world's population
+    /// used to restore, then index past the set on the next reception.
+    #[test]
+    fn restore_refuses_a_collector_of_another_population() {
+        let mut m = MetricsCollector::new(70);
+        m.broadcast_issued(pid(0), id(0), 69, SimTime::ZERO);
+        m.packet_received(pid(0), id(65));
+        let mut enc = WireEncoder::new();
+        m.snapshot_into(&mut enc);
+        let bytes = enc.into_bytes();
+        let restore = |bytes: &[u8], hosts| {
+            MetricsCollector::restore_snapshot(&mut WireDecoder::new(bytes), hosts)
+        };
+        assert!(restore(&bytes, 70).unwrap().has_received(pid(0), id(65)));
+        assert_eq!(restore(&bytes, 64).unwrap_err().at, 0);
+
+        // Hosts, record count, packet, source, issue time and reachable
+        // precede the first set: drop its second word.
+        let set = 8 + 8 + 8 + 4 + 8 + 4;
+        assert_eq!(bytes[set..set + 8], 2u64.to_le_bytes());
+        let mut short = bytes.clone();
+        short[set] = 1;
+        short.drain(set + 16..set + 24);
+        let err = restore(&short, 70).unwrap_err();
+        assert_eq!(
+            (err.at, err.what),
+            (set, "host set size does not match the host count")
+        );
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! # Wire format
 //!
-//! All fields use the fixed-width little-endian primitives of
-//! [`WireEncoder`]. The file layout is:
+//! All fields are written in the vocabulary of [`WireEncoder`]. The
+//! file layout is:
 //!
 //! ```text
 //! magic "MTRC" | version u32 (=1)
@@ -39,7 +39,8 @@
 //! | 6   | `Deactivate`      | node `u32`, crash `u8` |
 //!
 //! A packet is `source u32, seq u32`; a neighbor list is a `u64` count
-//! followed by that many `u32` ids. Decision payloads (`record tag 1`)
+//! followed by that many `u32` ids. Every node id must be below the
+//! replay config's `hosts`. Decision payloads (`record tag 1`)
 //! are `node u32, packet, kind u8 (0 scheduled / 1 inhibited / 2
 //! cancelled), reason u8 (0 none / 1 counter / 2 coverage / 3
 //! neighbor-coverage / 4 probabilistic)`.
@@ -47,10 +48,10 @@
 use manet_geom::Vec2;
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_phy::NodeId;
-use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
+use manet_sim_engine::{SimTime, WireDecoder, WireEncoder, WireError};
 
 use crate::config::{NeighborInfo, SimConfig};
-use crate::ids::PacketId;
+use crate::ids::{decode_packet, encode_packet, PacketId};
 use crate::pure::{Effect, OwnedAction, PureAction, PureModels};
 use crate::schemes::SchemeSpec;
 use crate::threshold::{AreaThreshold, AreaThresholdKind, CounterThreshold};
@@ -108,22 +109,28 @@ impl TraceWriter {
     /// Records one dispatched action.
     pub fn action(&mut self, at: SimTime, action: &PureAction<'_>) {
         self.enc.u8(0);
-        self.enc.u64(at.as_nanos());
+        self.enc.time(at);
         encode_action(&mut self.enc, action);
     }
 
     /// Records one scheme decision.
     pub fn decision(&mut self, record: DecisionRecord) {
         self.enc.u8(1);
-        self.enc.u64(record.at.as_nanos());
-        self.enc.u32(node_raw(record.node));
+        self.enc.time(record.at);
+        record.node.encode(&mut self.enc);
         encode_packet(&mut self.enc, record.packet);
         self.enc.u8(match record.kind {
             DecisionKind::Scheduled => 0,
             DecisionKind::InhibitedOnFirstHear => 1,
             DecisionKind::Cancelled => 2,
         });
-        self.enc.u8(encode_reason(record.reason));
+        self.enc.u8(match record.reason {
+            None => 0,
+            Some(SuppressReason::CounterThreshold) => 1,
+            Some(SuppressReason::CoverageThreshold) => 2,
+            Some(SuppressReason::NeighborCoverage) => 3,
+            Some(SuppressReason::Probabilistic) => 4,
+        });
     }
 
     /// Finishes the trace, returning the encoded bytes.
@@ -160,46 +167,43 @@ impl TraceFile {
             });
         }
         let config = decode_replay_config(&mut dec)?;
+        let hosts = config.hosts;
         let mut records = Vec::new();
         while !dec.is_empty() {
-            let at = dec.position();
-            let tag = dec.u8()?;
-            let time = SimTime::from_nanos(dec.u64()?);
-            match tag {
-                0 => records.push(TraceRecord::Action {
-                    at: time,
-                    action: decode_action(&mut dec)?,
-                }),
-                1 => {
-                    let node = node_from_raw(dec.u32()?);
-                    let packet = decode_packet(&mut dec)?;
-                    let kind = match dec.u8()? {
-                        0 => DecisionKind::Scheduled,
-                        1 => DecisionKind::InhibitedOnFirstHear,
-                        2 => DecisionKind::Cancelled,
-                        _ => {
-                            return Err(WireError {
-                                at,
-                                what: "invalid decision kind",
-                            })
+            let (tag, invalid) = dec.tag("invalid record tag")?;
+            let at = dec.time()?;
+            records.push(match tag {
+                0 => TraceRecord::Action {
+                    at,
+                    action: decode_action(&mut dec, hosts)?,
+                },
+                1 => TraceRecord::Decision(DecisionRecord {
+                    at,
+                    node: decode_node(&mut dec, hosts)?,
+                    packet: decode_packet(&mut dec)?,
+                    kind: {
+                        let (tag, invalid) = dec.tag("invalid decision kind")?;
+                        match tag {
+                            0 => DecisionKind::Scheduled,
+                            1 => DecisionKind::InhibitedOnFirstHear,
+                            2 => DecisionKind::Cancelled,
+                            _ => return Err(invalid),
                         }
-                    };
-                    let reason = decode_reason(dec.u8()?, at)?;
-                    records.push(TraceRecord::Decision(DecisionRecord {
-                        at: time,
-                        node,
-                        packet,
-                        kind,
-                        reason,
-                    }));
-                }
-                _ => {
-                    return Err(WireError {
-                        at,
-                        what: "invalid record tag",
-                    })
-                }
-            }
+                    },
+                    reason: {
+                        let (tag, invalid) = dec.tag("invalid suppress reason")?;
+                        match tag {
+                            0 => None,
+                            1 => Some(SuppressReason::CounterThreshold),
+                            2 => Some(SuppressReason::CoverageThreshold),
+                            3 => Some(SuppressReason::NeighborCoverage),
+                            4 => Some(SuppressReason::Probabilistic),
+                            _ => return Err(invalid),
+                        }
+                    },
+                }),
+                _ => return Err(invalid),
+            });
         }
         dec.finish()?;
         Ok(TraceFile { config, records })
@@ -340,77 +344,32 @@ fn effect_target(effect: &Effect) -> (NodeId, PacketId) {
     }
 }
 
-fn node_raw(node: NodeId) -> u32 {
-    node.index() as u32
-}
-
-fn node_from_raw(raw: u32) -> NodeId {
-    NodeId::new(raw)
-}
-
-fn encode_packet(enc: &mut WireEncoder, packet: PacketId) {
-    enc.u32(node_raw(packet.source));
-    enc.u32(packet.seq);
-}
-
-fn decode_packet(dec: &mut WireDecoder<'_>) -> Result<PacketId, WireError> {
-    let source = node_from_raw(dec.u32()?);
-    let seq = dec.u32()?;
-    Ok(PacketId::new(source, seq))
-}
-
-fn encode_nodes(enc: &mut WireEncoder, nodes: &[NodeId]) {
-    enc.len(nodes.len());
-    for &n in nodes {
-        enc.u32(node_raw(n));
+/// Reads a host id, refusing one outside the recorded population:
+/// replay indexes per-host protocol state with it.
+fn decode_node(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<NodeId, WireError> {
+    let at = dec.position();
+    let node = NodeId::decode(dec)?;
+    if node.index() >= hosts as usize {
+        let what = "node id outside the recorded population";
+        return Err(WireError { at, what });
     }
+    Ok(node)
 }
 
-fn decode_nodes(dec: &mut WireDecoder<'_>) -> Result<Vec<NodeId>, WireError> {
-    let count = dec.len()?;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        out.push(node_from_raw(dec.u32()?));
-    }
-    Ok(out)
-}
-
-fn encode_reason(reason: Option<SuppressReason>) -> u8 {
-    match reason {
-        None => 0,
-        Some(SuppressReason::CounterThreshold) => 1,
-        Some(SuppressReason::CoverageThreshold) => 2,
-        Some(SuppressReason::NeighborCoverage) => 3,
-        Some(SuppressReason::Probabilistic) => 4,
-    }
-}
-
-fn decode_reason(raw: u8, at: usize) -> Result<Option<SuppressReason>, WireError> {
-    Ok(match raw {
-        0 => None,
-        1 => Some(SuppressReason::CounterThreshold),
-        2 => Some(SuppressReason::CoverageThreshold),
-        3 => Some(SuppressReason::NeighborCoverage),
-        4 => Some(SuppressReason::Probabilistic),
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid suppress reason",
-            })
-        }
-    })
+fn decode_nodes(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<Vec<NodeId>, WireError> {
+    dec.seq(4, |dec| decode_node(dec, hosts))
 }
 
 fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
     match *action {
         PureAction::Originate { node, packet } => {
             enc.u8(0);
-            enc.u32(node_raw(node));
+            node.encode(enc);
             encode_packet(enc, packet);
         }
         PureAction::HelloPrepare { node } => {
             enc.u8(1);
-            enc.u32(node_raw(node));
+            node.encode(enc);
         }
         PureAction::HelloHeard {
             node,
@@ -419,10 +378,10 @@ fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
             neighbors,
         } => {
             enc.u8(2);
-            enc.u32(node_raw(node));
-            enc.u32(node_raw(sender));
-            enc.u64(interval.as_nanos());
-            encode_nodes(enc, neighbors);
+            node.encode(enc);
+            sender.encode(enc);
+            enc.duration(interval);
+            NodeId::encode_seq(enc, neighbors.iter().copied());
         }
         PureAction::PacketHeard {
             node,
@@ -434,101 +393,82 @@ fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
             oracle,
         } => {
             enc.u8(3);
-            enc.u32(node_raw(node));
+            node.encode(enc);
             encode_packet(enc, packet);
-            enc.u32(node_raw(sender));
+            sender.encode(enc);
             enc.f64(sender_position.x);
             enc.f64(sender_position.y);
             enc.f64(own_position.x);
             enc.f64(own_position.y);
             enc.f64(random_unit);
-            match oracle {
-                None => enc.bool(false),
-                Some(view) => {
-                    enc.bool(true);
-                    enc.usize(view.neighbor_count);
-                    encode_nodes(enc, view.neighbors);
-                    encode_nodes(enc, view.sender_neighbors);
-                }
-            }
+            enc.option(oracle, |enc, view| {
+                enc.usize(view.neighbor_count);
+                NodeId::encode_seq(enc, view.neighbors.iter().copied());
+                NodeId::encode_seq(enc, view.sender_neighbors.iter().copied());
+            });
         }
         PureAction::AssessmentFired { node, packet } => {
             enc.u8(4);
-            enc.u32(node_raw(node));
+            node.encode(enc);
             encode_packet(enc, packet);
         }
         PureAction::FrameSent { node, packet } => {
             enc.u8(5);
-            enc.u32(node_raw(node));
+            node.encode(enc);
             encode_packet(enc, packet);
         }
         PureAction::Deactivate { node, crash } => {
             enc.u8(6);
-            enc.u32(node_raw(node));
+            node.encode(enc);
             enc.bool(crash);
         }
     }
 }
 
-fn decode_action(dec: &mut WireDecoder<'_>) -> Result<OwnedAction, WireError> {
-    let at = dec.position();
-    Ok(match dec.u8()? {
+fn decode_action(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<OwnedAction, WireError> {
+    let (tag, invalid) = dec.tag("invalid action tag")?;
+    Ok(match tag {
         0 => OwnedAction::Originate {
-            node: node_from_raw(dec.u32()?),
+            node: decode_node(dec, hosts)?,
             packet: decode_packet(dec)?,
         },
         1 => OwnedAction::HelloPrepare {
-            node: node_from_raw(dec.u32()?),
+            node: decode_node(dec, hosts)?,
         },
         2 => OwnedAction::HelloHeard {
-            node: node_from_raw(dec.u32()?),
-            sender: node_from_raw(dec.u32()?),
-            interval: SimDuration::from_nanos(dec.u64()?),
-            neighbors: decode_nodes(dec)?,
+            node: decode_node(dec, hosts)?,
+            sender: decode_node(dec, hosts)?,
+            interval: dec.duration()?,
+            neighbors: decode_nodes(dec, hosts)?,
         },
-        3 => {
-            let node = node_from_raw(dec.u32()?);
-            let packet = decode_packet(dec)?;
-            let sender = node_from_raw(dec.u32()?);
-            let sender_position = Vec2::new(dec.f64()?, dec.f64()?);
-            let own_position = Vec2::new(dec.f64()?, dec.f64()?);
-            let random_unit = dec.f64()?;
-            let oracle = if dec.bool()? {
-                let count = dec.usize()?;
-                let neighbors = decode_nodes(dec)?;
-                let sender_neighbors = decode_nodes(dec)?;
-                Some((count, neighbors, sender_neighbors))
-            } else {
-                None
-            };
-            OwnedAction::PacketHeard {
-                node,
-                packet,
-                sender,
-                sender_position,
-                own_position,
-                random_unit,
-                oracle,
-            }
-        }
+        3 => OwnedAction::PacketHeard {
+            node: decode_node(dec, hosts)?,
+            packet: decode_packet(dec)?,
+            sender: decode_node(dec, hosts)?,
+            sender_position: Vec2::new(dec.f64()?, dec.f64()?),
+            own_position: Vec2::new(dec.f64()?, dec.f64()?),
+            random_unit: dec.f64()?,
+            oracle: dec.option(|dec| {
+                Ok((
+                    dec.usize()?,
+                    decode_nodes(dec, hosts)?,
+                    decode_nodes(dec, hosts)?,
+                ))
+            })?,
+        },
         4 => OwnedAction::AssessmentFired {
-            node: node_from_raw(dec.u32()?),
+            node: decode_node(dec, hosts)?,
             packet: decode_packet(dec)?,
         },
         5 => OwnedAction::FrameSent {
-            node: node_from_raw(dec.u32()?),
+            node: decode_node(dec, hosts)?,
             packet: decode_packet(dec)?,
         },
         6 => OwnedAction::Deactivate {
-            node: node_from_raw(dec.u32()?),
+            node: decode_node(dec, hosts)?,
             crash: dec.bool()?,
         },
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid action tag",
-            })
-        }
+        _ => return Err(invalid),
     })
 }
 
@@ -541,13 +481,13 @@ pub(crate) fn encode_replay_config(enc: &mut WireEncoder, cfg: &SimConfig) {
     match &cfg.neighbor_info {
         NeighborInfo::Hello(HelloIntervalPolicy::Fixed(d)) => {
             enc.u8(0);
-            enc.u64(d.as_nanos());
+            enc.duration(*d);
         }
         NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p)) => {
             enc.u8(1);
             enc.f64(p.nv_max);
-            enc.u64(p.hi_min.as_nanos());
-            enc.u64(p.hi_max.as_nanos());
+            enc.duration(p.hi_min);
+            enc.duration(p.hi_max);
         }
         NeighborInfo::Oracle => enc.u8(2),
     }
@@ -562,22 +502,16 @@ pub(crate) fn decode_replay_config(dec: &mut WireDecoder<'_>) -> Result<SimConfi
     let radio_radius = dec.f64()?;
     let coverage_resolution = dec.usize()?;
     let scheme = decode_scheme(dec)?;
-    let neighbor_info = match dec.u8()? {
-        0 => NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::from_nanos(
-            dec.u64()?,
-        ))),
+    let (tag, invalid) = dec.tag("invalid neighbor-info tag")?;
+    let neighbor_info = match tag {
+        0 => NeighborInfo::Hello(HelloIntervalPolicy::Fixed(dec.duration()?)),
         1 => NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams {
             nv_max: dec.f64()?,
-            hi_min: SimDuration::from_nanos(dec.u64()?),
-            hi_max: SimDuration::from_nanos(dec.u64()?),
+            hi_min: dec.duration()?,
+            hi_max: dec.duration()?,
         })),
         2 => NeighborInfo::Oracle,
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid neighbor-info tag",
-            })
-        }
+        _ => return Err(invalid),
     };
     if hosts == 0 || !(radio_radius.is_finite() && radio_radius > 0.0) || coverage_resolution < 2 {
         return Err(WireError {
@@ -602,10 +536,7 @@ fn encode_scheme(enc: &mut WireEncoder, scheme: &SchemeSpec) {
         }
         SchemeSpec::AdaptiveCounter(t) => {
             enc.u8(2);
-            enc.len(t.sequence().len());
-            for &c in t.sequence() {
-                enc.u32(c);
-            }
+            enc.seq(t.sequence().iter().copied(), WireEncoder::u32);
             enc.str(t.label());
         }
         SchemeSpec::Distance(d) => {
@@ -641,16 +572,13 @@ fn encode_scheme(enc: &mut WireEncoder, scheme: &SchemeSpec) {
 }
 
 fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
-    let at = dec.position();
-    Ok(match dec.u8()? {
+    let (tag, invalid) = dec.tag("invalid scheme tag")?;
+    Ok(match tag {
         0 => SchemeSpec::Flooding,
         1 => SchemeSpec::Counter(dec.u32()?),
         2 => {
-            let count = dec.len()?;
-            let mut sequence = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                sequence.push(dec.u32()?);
-            }
+            let at = dec.position();
+            let sequence = dec.seq(4, WireDecoder::u32)?;
             let label = dec.str()?.to_string();
             if sequence.is_empty() || sequence.iter().any(|&c| c < 2) {
                 return Err(WireError {
@@ -663,31 +591,22 @@ fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
         3 => SchemeSpec::Distance(dec.f64()?),
         4 => SchemeSpec::Location(dec.f64()?),
         5 => {
-            let kind = match dec.u8()? {
+            let (tag, invalid) = dec.tag("invalid area threshold kind")?;
+            let kind = match tag {
                 0 => AreaThresholdKind::Fixed(dec.f64()?),
                 1 => AreaThresholdKind::Adaptive {
                     n1: dec.u32()?,
                     n2: dec.u32()?,
                     ceiling: dec.f64()?,
                 },
-                _ => {
-                    return Err(WireError {
-                        at,
-                        what: "invalid area threshold kind",
-                    })
-                }
+                _ => return Err(invalid),
             };
             let label = dec.str()?.to_string();
             SchemeSpec::AdaptiveLocation(AreaThreshold::from_parts(kind, label))
         }
         6 => SchemeSpec::NeighborCoverage,
         7 => SchemeSpec::Probabilistic(dec.f64()?),
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid scheme tag",
-            })
-        }
+        _ => return Err(invalid),
     })
 }
 
@@ -695,6 +614,7 @@ fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
 mod tests {
     use super::*;
     use crate::threshold::{AreaThreshold, CounterThreshold};
+    use manet_sim_engine::SimDuration;
 
     fn cfg(scheme: SchemeSpec) -> SimConfig {
         SimConfig::builder(1, scheme).hosts(8).broadcasts(1).build()
@@ -858,5 +778,40 @@ mod tests {
             replay_decisions(&tampered),
             Err(ReplayError::Mismatch { .. })
         ));
+    }
+
+    /// A node id outside the recorded population used to reach
+    /// `PureModels::step` and index its per-host state out of bounds.
+    #[test]
+    fn node_ids_outside_the_population_are_refused() {
+        let config = cfg(SchemeSpec::Flooding);
+        let header = TraceWriter::new(&config).into_bytes().len();
+        let packet = PacketId::new(NodeId::new(0), 0);
+        let stranger = NodeId::new(config.hosts);
+
+        let mut writer = TraceWriter::new(&config);
+        writer.action(
+            SimTime::ZERO,
+            &PureAction::Originate {
+                node: stranger,
+                packet,
+            },
+        );
+        let err = replay_decisions(&writer.into_bytes()).expect_err("host 8 of 8");
+        // Record tag, time, action tag, then the id.
+        let at = header + 1 + 8 + 1;
+        let what = "node id outside the recorded population";
+        assert_eq!(err, ReplayError::Wire(WireError { at, what }));
+
+        let mut writer = TraceWriter::new(&config);
+        writer.decision(DecisionRecord {
+            at: SimTime::ZERO,
+            node: stranger,
+            packet,
+            kind: DecisionKind::Scheduled,
+            reason: None,
+        });
+        let err = TraceFile::decode(&writer.into_bytes()).expect_err("host 8 of 8");
+        assert_eq!(err.at, header + 1 + 8);
     }
 }

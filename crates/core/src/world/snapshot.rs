@@ -26,11 +26,13 @@
 //!
 //! # Wire format
 //!
-//! All fields use the fixed-width little-endian primitives of
-//! [`WireEncoder`]. Layout (in order): magic `MSNP` + version `u32`;
-//! fingerprint bytes; event queue (counters, then `(time, seq, event)`
-//! entries); workload and protocol RNG states; per-host MAC, outgoing
-//! payload slab, pending-HELLO timer, and mobility state; the medium;
+//! All fields are written in the vocabulary of [`WireEncoder`]
+//! (sequences, options, tagged choices, RNG states, slabs and the event
+//! queue are each coded once, there). Layout (in order): magic `MSNP` +
+//! version `u32`; fingerprint bytes; event queue (counters, then `(time,
+//! seq, event)` entries); workload and protocol RNG states; per-host
+//! MAC, outgoing payload slab, pending-HELLO timer, and mobility state;
+//! the medium;
 //! the pure models (ledgers, neighbor tables, variation trackers,
 //! suppression tallies); the metrics collector; in-flight frames; the
 //! delayed carrier-report batches; the workload scalars; and the
@@ -43,13 +45,10 @@ use manet_mac::{Dcf, FrameHandle, MacStats};
 use manet_mobility::Mobility;
 use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
-use manet_sim_engine::{
-    EventKey, EventQueue, SimDuration, SimRng, SimTime, Slab, SlabSlot, WireDecoder, WireEncoder,
-    WireError,
-};
+use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 
 use crate::config::{MobilitySpec, PlacementSpec, SimConfig};
-use crate::ids::PacketId;
+use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
 use crate::record::encode_replay_config;
@@ -78,35 +77,18 @@ impl World {
         encode_fingerprint(&mut fingerprint, &self.cfg);
         enc.bytes(fingerprint.as_slice());
 
-        // Event queue: counters, then live entries in (time, seq) order.
-        let (now, next_seq, delivered, scheduled) = self.queue.counters();
-        enc.u64(now.as_nanos());
-        enc.u64(next_seq);
-        enc.u64(delivered);
-        enc.u64(scheduled);
-        let entries = self.queue.snapshot_entries();
-        enc.len(entries.len());
-        for (time, seq, event) in entries {
-            enc.u64(time.as_nanos());
-            enc.u64(seq);
-            encode_event(&mut enc, event);
-        }
-
-        encode_rng(&mut enc, &self.workload_rng);
-        encode_rng(&mut enc, &self.proto_rng);
+        self.queue.encode(&mut enc, encode_event);
+        enc.rng(&self.workload_rng);
+        enc.rng(&self.proto_rng);
 
         enc.len(self.nodes.len());
         for node in &self.nodes {
             node.mac.snapshot_into(&mut enc);
-            encode_payload_slab(&mut enc, &node.outgoing);
-            match node.hello_pending {
-                None => enc.bool(false),
-                Some((key, at)) => {
-                    enc.bool(true);
-                    enc.u64(key.as_raw());
-                    enc.u64(at.as_nanos());
-                }
-            }
+            node.outgoing.encode(&mut enc, encode_payload);
+            enc.option(node.hello_pending, |enc, (key, at)| {
+                enc.key(key);
+                enc.time(at);
+            });
             encode_mobility(&mut enc, &node.mobility);
         }
 
@@ -126,39 +108,30 @@ impl World {
 
         self.metrics.snapshot_into(&mut enc);
 
-        enc.len(self.in_flight.len());
-        for slot in &self.in_flight {
-            match slot {
-                None => enc.bool(false),
-                Some(frame) => {
-                    enc.bool(true);
-                    enc.u32(frame.sender.index() as u32);
-                    encode_payload(&mut enc, &frame.payload);
-                    enc.f64(frame.sent_from.x);
-                    enc.f64(frame.sent_from.y);
-                    enc.u32(frame.sender_epoch);
-                }
-            }
-        }
+        enc.seq(&self.in_flight, |enc, slot| {
+            enc.option(slot.as_ref(), |enc, frame| {
+                frame.sender.encode(enc);
+                encode_payload(enc, &frame.payload);
+                enc.f64(frame.sent_from.x);
+                enc.f64(frame.sent_from.y);
+                enc.u32(frame.sender_epoch);
+            });
+        });
 
-        encode_carrier_batches(&mut enc, &self.carrier_batches);
+        self.carrier_batches.encode(&mut enc, |enc, hearers| {
+            NodeId::encode_seq(enc, hearers.iter().copied());
+        });
 
         enc.u32(self.next_seq);
         enc.u32(self.issued);
-        enc.u64(self.stop_at.as_nanos());
+        enc.time(self.stop_at);
         enc.u64(self.hello_frames);
         enc.u64(self.data_frames);
         enc.u64(self.hello_rx);
-        enc.u64(self.last_event_at.as_nanos());
+        enc.time(self.last_event_at);
         enc.bool(self.finished);
 
-        match &self.scenario {
-            None => enc.bool(false),
-            Some(st) => {
-                enc.bool(true);
-                encode_scenario_state(&mut enc, st);
-            }
-        }
+        enc.option(self.scenario.as_ref(), encode_scenario_state);
 
         enc.into_bytes()
     }
@@ -197,25 +170,12 @@ impl World {
         let mut world = World::new(config);
         let hosts = world.nodes.len();
 
-        // Event queue: drop the fresh world's schedule entirely and
-        // rebuild the snapshotted one (same times, same seqs, so stored
-        // cancellation keys still address their events).
-        let now = SimTime::from_nanos(dec.u64()?);
-        let next_seq = dec.u64()?;
-        let delivered = dec.u64()?;
-        let scheduled = dec.u64()?;
-        let count = dec.len()?;
-        let mut entries = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let time = SimTime::from_nanos(dec.u64()?);
-            let seq = dec.u64()?;
-            let event = decode_event(&mut dec)?;
-            entries.push((time, seq, event));
-        }
-        world.queue = EventQueue::restore(now, next_seq, delivered, scheduled, entries);
-
-        world.workload_rng = decode_rng(&mut dec)?;
-        world.proto_rng = decode_rng(&mut dec)?;
+        // Drop the fresh world's schedule entirely and rebuild the
+        // snapshotted one (same times, same seqs, so stored cancellation
+        // keys still address their events).
+        world.queue = EventQueue::decode(&mut dec, 1, decode_event)?;
+        world.workload_rng = dec.rng()?;
+        world.proto_rng = dec.rng()?;
 
         let hosts_at = dec.position();
         if dec.len()? != hosts {
@@ -226,14 +186,8 @@ impl World {
         }
         for (i, node) in world.nodes.iter_mut().enumerate() {
             node.mac = Dcf::restore_snapshot(&mut dec)?;
-            node.outgoing = decode_payload_slab(&mut dec)?;
-            node.hello_pending = if dec.bool()? {
-                let key = EventKey::from_raw(dec.u64()?);
-                let at = SimTime::from_nanos(dec.u64()?);
-                Some((key, at))
-            } else {
-                None
-            };
+            node.outgoing = Slab::decode(&mut dec, 9, decode_payload)?;
+            node.hello_pending = dec.option(|dec| Ok((dec.key()?, dec.time()?)))?;
             decode_mobility(&mut dec, &mut node.mobility)?;
             // The geometry's segments mirror the mobility models; its
             // strips stay as `World::new` built them at time zero, which
@@ -245,50 +199,42 @@ impl World {
 
         world.medium.restore_snapshot(&mut dec)?;
 
-        let mut ledgers = Vec::with_capacity(hosts);
-        for _ in 0..hosts {
-            ledgers.push(decode_ledger(&mut dec, &scheme)?);
-        }
-        let mut tables = Vec::with_capacity(hosts);
-        for _ in 0..hosts {
-            tables.push(NeighborTable::restore_snapshot(&mut dec)?);
-        }
-        let mut trackers = Vec::with_capacity(hosts);
-        for _ in 0..hosts {
-            trackers.push(VariationTracker::restore_snapshot(&mut dec)?);
-        }
+        let ledgers = (0..hosts)
+            .map(|_| decode_ledger(&mut dec, &scheme))
+            .collect::<Result<_, _>>()?;
+        let tables = (0..hosts)
+            .map(|_| NeighborTable::restore_snapshot(&mut dec))
+            .collect::<Result<_, _>>()?;
+        let trackers = (0..hosts)
+            .map(|_| VariationTracker::restore_snapshot(&mut dec))
+            .collect::<Result<_, _>>()?;
         let suppression = decode_suppression(&mut dec)?;
         world
             .pure
             .restore_parts(ledgers, tables, trackers, suppression);
 
-        world.metrics = MetricsCollector::restore_snapshot(&mut dec)?;
+        world.metrics = MetricsCollector::restore_snapshot(&mut dec, hosts)?;
 
-        let slots = dec.len()?;
-        world.in_flight.clear();
-        world.in_flight.reserve(slots.min(1 << 16));
-        for _ in 0..slots {
-            world.in_flight.push(if dec.bool()? {
-                Some(InFlight {
-                    sender: NodeId::new(dec.u32()?),
-                    payload: decode_payload(&mut dec)?,
+        world.in_flight = dec.seq(1, |dec| {
+            dec.option(|dec| {
+                Ok(InFlight {
+                    sender: NodeId::decode(dec)?,
+                    payload: decode_payload(dec)?,
                     sent_from: Vec2::new(dec.f64()?, dec.f64()?),
                     sender_epoch: dec.u32()?,
                 })
-            } else {
-                None
-            });
-        }
+            })
+        })?;
 
-        world.carrier_batches = decode_carrier_batches(&mut dec)?;
+        world.carrier_batches = Slab::decode(&mut dec, 8, NodeId::decode_seq)?;
 
         world.next_seq = dec.u32()?;
         world.issued = dec.u32()?;
-        world.stop_at = SimTime::from_nanos(dec.u64()?);
+        world.stop_at = dec.time()?;
         world.hello_frames = dec.u64()?;
         world.data_frames = dec.u64()?;
         world.hello_rx = dec.u64()?;
-        world.last_event_at = SimTime::from_nanos(dec.u64()?);
+        world.last_event_at = dec.time()?;
         world.finished = dec.bool()?;
 
         let scenario_at = dec.position();
@@ -317,20 +263,16 @@ fn encode_fingerprint(enc: &mut WireEncoder, cfg: &SimConfig) {
     enc.u64(cfg.seed);
     enc.u32(cfg.map_units);
     enc.u32(cfg.broadcasts);
-    enc.u64(cfg.max_interarrival.as_nanos());
+    enc.duration(cfg.max_interarrival);
     enc.usize(cfg.packet_bytes);
-    enc.u64(cfg.grace.as_nanos());
-    enc.u64(cfg.warmup.as_nanos());
+    enc.duration(cfg.grace);
+    enc.duration(cfg.warmup);
     enc.f64(cfg.drop_probability);
-    enc.u64(cfg.cs_delay.as_nanos());
-    match cfg.capture {
-        None => enc.bool(false),
-        Some(capture) => {
-            enc.bool(true);
-            enc.f64(capture.sir_threshold);
-            enc.f64(capture.path_loss_exponent);
-        }
-    }
+    enc.duration(cfg.cs_delay);
+    enc.option(cfg.capture, |enc, capture| {
+        enc.f64(capture.sir_threshold);
+        enc.f64(capture.path_loss_exponent);
+    });
     match cfg.placement {
         PlacementSpec::Uniform => enc.u8(0),
         PlacementSpec::Grid => enc.u8(1),
@@ -339,63 +281,28 @@ fn encode_fingerprint(enc: &mut WireEncoder, cfg: &SimConfig) {
             enc.u32(spacing_m);
         }
     }
-    match cfg.mobility {
-        MobilitySpec::RandomTurn => enc.u8(0),
-        MobilitySpec::RandomWaypoint => enc.u8(1),
-        MobilitySpec::Stationary => enc.u8(2),
-    }
-    match cfg.max_speed_kmh {
-        None => enc.bool(false),
-        Some(speed) => {
-            enc.bool(true);
-            enc.f64(speed);
-        }
-    }
+    enc.u8(match cfg.mobility {
+        MobilitySpec::RandomTurn => 0,
+        MobilitySpec::RandomWaypoint => 1,
+        MobilitySpec::Stationary => 2,
+    });
+    enc.option(cfg.max_speed_kmh, WireEncoder::f64);
     // The scenario script compiles deterministically; its debug form is
     // a canonical description of the timeline.
-    match &cfg.scenario {
-        None => enc.bool(false),
-        Some(scenario) => {
-            enc.bool(true);
-            enc.str(&format!("{scenario:?}"));
-        }
-    }
-}
-
-fn encode_rng(enc: &mut WireEncoder, rng: &SimRng) {
-    for word in rng.state() {
-        enc.u64(word);
-    }
-}
-
-fn decode_rng(dec: &mut WireDecoder<'_>) -> Result<SimRng, WireError> {
-    let mut state = [0u64; 4];
-    for word in &mut state {
-        *word = dec.u64()?;
-    }
-    Ok(SimRng::from_state(state))
-}
-
-fn encode_packet(enc: &mut WireEncoder, packet: PacketId) {
-    enc.u32(packet.source.index() as u32);
-    enc.u32(packet.seq);
-}
-
-fn decode_packet(dec: &mut WireDecoder<'_>) -> Result<PacketId, WireError> {
-    let source = NodeId::new(dec.u32()?);
-    let seq = dec.u32()?;
-    Ok(PacketId::new(source, seq))
+    enc.option(cfg.scenario.as_ref(), |enc, scenario| {
+        enc.str(&format!("{scenario:?}"));
+    });
 }
 
 fn encode_event(enc: &mut WireEncoder, event: &Event) {
     match *event {
         Event::MobilityTurn { node } => {
             enc.u8(0);
-            enc.u32(node.index() as u32);
+            node.encode(enc);
         }
         Event::HelloTimer { node } => {
             enc.u8(1);
-            enc.u32(node.index() as u32);
+            node.encode(enc);
         }
         Event::MacTimer {
             node,
@@ -403,7 +310,7 @@ fn encode_event(enc: &mut WireEncoder, event: &Event) {
             epoch,
         } => {
             enc.u8(2);
-            enc.u32(node.index() as u32);
+            node.encode(enc);
             enc.u64(generation);
             enc.u32(epoch);
         }
@@ -413,7 +320,7 @@ fn encode_event(enc: &mut WireEncoder, event: &Event) {
         }
         Event::AssessmentDone { node, packet } => {
             enc.u8(4);
-            enc.u32(node.index() as u32);
+            node.encode(enc);
             encode_packet(enc, packet);
         }
         Event::IssueBroadcast => enc.u8(5),
@@ -430,16 +337,16 @@ fn encode_event(enc: &mut WireEncoder, event: &Event) {
 }
 
 fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
-    let at = dec.position();
-    Ok(match dec.u8()? {
+    let (tag, invalid) = dec.tag("invalid event tag")?;
+    Ok(match tag {
         0 => Event::MobilityTurn {
-            node: NodeId::new(dec.u32()?),
+            node: NodeId::decode(dec)?,
         },
         1 => Event::HelloTimer {
-            node: NodeId::new(dec.u32()?),
+            node: NodeId::decode(dec)?,
         },
         2 => Event::MacTimer {
-            node: NodeId::new(dec.u32()?),
+            node: NodeId::decode(dec)?,
             generation: dec.u64()?,
             epoch: dec.u32()?,
         },
@@ -447,7 +354,7 @@ fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
             frame: FrameId::from_raw(dec.u64()?),
         },
         4 => Event::AssessmentDone {
-            node: NodeId::new(dec.u32()?),
+            node: NodeId::decode(dec)?,
             packet: decode_packet(dec)?,
         },
         5 => Event::IssueBroadcast,
@@ -456,12 +363,7 @@ fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
             busy: dec.bool()?,
         },
         7 => Event::Scenario { index: dec.u32()? },
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid event tag",
-            })
-        }
+        _ => return Err(invalid),
     })
 }
 
@@ -473,82 +375,24 @@ fn encode_payload(enc: &mut WireEncoder, payload: &Payload) {
         }
         Payload::Hello(hello) => {
             enc.u8(1);
-            enc.u32(hello.sender.index() as u32);
-            enc.u64(hello.interval.as_nanos());
-            enc.len(hello.neighbors.len());
-            for &n in &hello.neighbors {
-                enc.u32(n.index() as u32);
-            }
+            hello.sender.encode(enc);
+            enc.duration(hello.interval);
+            NodeId::encode_seq(enc, hello.neighbors.iter().copied());
         }
     }
 }
 
 fn decode_payload(dec: &mut WireDecoder<'_>) -> Result<Payload, WireError> {
-    let at = dec.position();
-    Ok(match dec.u8()? {
+    let (tag, invalid) = dec.tag("invalid payload tag")?;
+    Ok(match tag {
         0 => Payload::Broadcast(decode_packet(dec)?),
-        1 => {
-            let sender = NodeId::new(dec.u32()?);
-            let interval = SimDuration::from_nanos(dec.u64()?);
-            let count = dec.len()?;
-            let mut neighbors = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                neighbors.push(NodeId::new(dec.u32()?));
-            }
-            Payload::Hello(HelloPayload {
-                sender,
-                interval,
-                neighbors,
-            })
-        }
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid payload tag",
-            })
-        }
+        1 => Payload::Hello(HelloPayload {
+            sender: NodeId::decode(dec)?,
+            interval: dec.duration()?,
+            neighbors: NodeId::decode_seq(dec)?,
+        }),
+        _ => return Err(invalid),
     })
-}
-
-fn encode_payload_slab(enc: &mut WireEncoder, slab: &Slab<Payload>) {
-    let (free_head, slots) = slab.export_slots();
-    enc.u32(free_head);
-    let slots: Vec<_> = slots.collect();
-    enc.len(slots.len());
-    for slot in slots {
-        match slot {
-            SlabSlot::Vacant { next_free } => {
-                enc.u8(0);
-                enc.u32(next_free);
-            }
-            SlabSlot::Occupied(payload) => {
-                enc.u8(1);
-                encode_payload(enc, payload);
-            }
-        }
-    }
-}
-
-fn decode_payload_slab(dec: &mut WireDecoder<'_>) -> Result<Slab<Payload>, WireError> {
-    let free_head = dec.u32()?;
-    let count = dec.len()?;
-    let mut slots = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let at = dec.position();
-        slots.push(match dec.u8()? {
-            0 => SlabSlot::Vacant {
-                next_free: dec.u32()?,
-            },
-            1 => SlabSlot::Occupied(decode_payload(dec)?),
-            _ => {
-                return Err(WireError {
-                    at,
-                    what: "invalid payload slot tag",
-                })
-            }
-        });
-    }
-    Ok(Slab::from_slots(free_head, slots))
 }
 
 fn encode_policy(enc: &mut WireEncoder, policy: &PacketPolicy) {
@@ -565,20 +409,15 @@ fn encode_policy(enc: &mut WireEncoder, policy: &PacketPolicy) {
         PacketPolicy::Location(p) => {
             enc.u8(3);
             let (uncovered, total) = p.coverage_parts();
-            enc.len(uncovered.len());
-            for point in uncovered {
+            enc.seq(uncovered, |enc, point| {
                 enc.f64(point.x);
                 enc.f64(point.y);
-            }
+            });
             enc.usize(total);
         }
         PacketPolicy::NeighborCoverage(p) => {
             enc.u8(4);
-            let pending: Vec<NodeId> = p.pending().collect();
-            enc.len(pending.len());
-            for n in pending {
-                enc.u32(n.index() as u32);
-            }
+            NodeId::encode_seq(enc, p.pending());
         }
         PacketPolicy::Probabilistic(_) => enc.u8(5),
     }
@@ -590,42 +429,29 @@ fn decode_policy(
     dec: &mut WireDecoder<'_>,
     scheme: &SchemeSpec,
 ) -> Result<PacketPolicy, WireError> {
-    let at = dec.position();
-    let tag = dec.u8()?;
+    let (tag, mismatch) = dec.tag("policy tag does not match the configured scheme")?;
     let mut policy = scheme.build();
     match (tag, &mut policy) {
         (0, PacketPolicy::Flooding(_)) | (5, PacketPolicy::Probabilistic(_)) => {}
         (1, PacketPolicy::Counter(p)) => p.restore_count(dec.u32()?),
         (2, PacketPolicy::Distance(p)) => p.restore_min_distance(dec.f64()?),
         (3, PacketPolicy::Location(p)) => {
-            let count = dec.len()?;
-            let mut uncovered = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                uncovered.push(Vec2::new(dec.f64()?, dec.f64()?));
-            }
-            let total = dec.usize()?;
-            p.restore_coverage(uncovered, total);
+            let uncovered = dec.seq(16, |dec| Ok(Vec2::new(dec.f64()?, dec.f64()?)))?;
+            p.restore_coverage(uncovered, dec.usize()?);
         }
         (4, PacketPolicy::NeighborCoverage(p)) => {
-            let count = dec.len()?;
-            let mut pending: Vec<NodeId> = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
+            let mut last = None;
+            p.restore_pending(dec.seq(4, |dec| {
                 let at = dec.position();
-                let id = NodeId::new(dec.u32()?);
-                if pending.last().is_some_and(|&last| last >= id) {
+                let id = NodeId::decode(dec)?;
+                if last.replace(id).is_some_and(|last| last >= id) {
                     let what = "pending set is not strictly ascending";
                     return Err(WireError { at, what });
                 }
-                pending.push(id);
-            }
-            p.restore_pending(pending);
+                Ok(id)
+            })?);
         }
-        _ => {
-            return Err(WireError {
-                at,
-                what: "policy tag does not match the configured scheme",
-            })
-        }
+        _ => return Err(mismatch),
     }
     Ok(policy)
 }
@@ -634,7 +460,7 @@ fn encode_active(enc: &mut WireEncoder, active: &ActivePacket) {
     match active {
         ActivePacket::Assessing { key, policy } => {
             enc.u8(0);
-            enc.u64(key.as_raw());
+            enc.key(*key);
             encode_policy(enc, policy);
         }
         ActivePacket::Queued { handle, policy } => {
@@ -649,80 +475,33 @@ fn decode_active(
     dec: &mut WireDecoder<'_>,
     scheme: &SchemeSpec,
 ) -> Result<ActivePacket, WireError> {
-    let at = dec.position();
-    Ok(match dec.u8()? {
+    let (tag, invalid) = dec.tag("invalid active-packet tag")?;
+    Ok(match tag {
         0 => ActivePacket::Assessing {
-            key: EventKey::from_raw(dec.u64()?),
+            key: dec.key()?,
             policy: decode_policy(dec, scheme)?,
         },
         1 => ActivePacket::Queued {
             handle: FrameHandle(dec.u64()?),
             policy: decode_policy(dec, scheme)?,
         },
-        _ => {
-            return Err(WireError {
-                at,
-                what: "invalid active-packet tag",
-            })
-        }
+        _ => return Err(invalid),
     })
 }
 
 fn encode_ledger(enc: &mut WireEncoder, ledger: &PacketLedger) {
     let (tags, active) = ledger.snapshot_parts();
-    enc.len(tags.len());
-    for &tag in tags {
-        enc.u32(tag);
-    }
-    let (free_head, slots) = active.export_slots();
-    enc.u32(free_head);
-    let slots: Vec<_> = slots.collect();
-    enc.len(slots.len());
-    for slot in slots {
-        match slot {
-            SlabSlot::Vacant { next_free } => {
-                enc.u8(0);
-                enc.u32(next_free);
-            }
-            SlabSlot::Occupied(state) => {
-                enc.u8(1);
-                encode_active(enc, state);
-            }
-        }
-    }
+    enc.seq(tags.iter().copied(), WireEncoder::u32);
+    active.encode(enc, encode_active);
 }
 
 fn decode_ledger(
     dec: &mut WireDecoder<'_>,
     scheme: &SchemeSpec,
 ) -> Result<PacketLedger, WireError> {
-    let count = dec.len()?;
-    let mut tags = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        tags.push(dec.u32()?);
-    }
-    let free_head = dec.u32()?;
-    let slot_count = dec.len()?;
-    let mut slots = Vec::with_capacity(slot_count.min(1 << 16));
-    for _ in 0..slot_count {
-        let at = dec.position();
-        slots.push(match dec.u8()? {
-            0 => SlabSlot::Vacant {
-                next_free: dec.u32()?,
-            },
-            1 => SlabSlot::Occupied(decode_active(dec, scheme)?),
-            _ => {
-                return Err(WireError {
-                    at,
-                    what: "invalid ledger slot tag",
-                })
-            }
-        });
-    }
-    Ok(PacketLedger::from_parts(
-        tags,
-        Slab::from_slots(free_head, slots),
-    ))
+    let tags = dec.seq(4, WireDecoder::u32)?;
+    let active = Slab::decode(dec, 10, |dec| decode_active(dec, scheme))?;
+    Ok(PacketLedger::from_parts(tags, active))
 }
 
 fn encode_mobility(enc: &mut WireEncoder, mobility: &HostMobility) {
@@ -744,67 +523,13 @@ fn decode_mobility(
     dec: &mut WireDecoder<'_>,
     mobility: &mut HostMobility,
 ) -> Result<(), WireError> {
-    let at = dec.position();
-    match (dec.u8()?, mobility) {
+    let (tag, mismatch) = dec.tag("mobility tag does not match the configured model")?;
+    match (tag, mobility) {
         (0, HostMobility::Turn(m)) => m.restore_snapshot(dec),
         (1, HostMobility::Waypoint(m)) => m.restore_snapshot(dec),
         (2, HostMobility::Fixed(_)) => Ok(()),
-        _ => Err(WireError {
-            at,
-            what: "mobility tag does not match the configured model",
-        }),
+        _ => Err(mismatch),
     }
-}
-
-fn encode_carrier_batches(enc: &mut WireEncoder, batches: &Slab<Vec<NodeId>>) {
-    let (free_head, slots) = batches.export_slots();
-    enc.u32(free_head);
-    let slots: Vec<_> = slots.collect();
-    enc.len(slots.len());
-    for slot in slots {
-        match slot {
-            SlabSlot::Vacant { next_free } => {
-                enc.u8(0);
-                enc.u32(next_free);
-            }
-            SlabSlot::Occupied(hearers) => {
-                enc.u8(1);
-                enc.len(hearers.len());
-                for &n in hearers {
-                    enc.u32(n.index() as u32);
-                }
-            }
-        }
-    }
-}
-
-fn decode_carrier_batches(dec: &mut WireDecoder<'_>) -> Result<Slab<Vec<NodeId>>, WireError> {
-    let free_head = dec.u32()?;
-    let count = dec.len()?;
-    let mut slots = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let at = dec.position();
-        slots.push(match dec.u8()? {
-            0 => SlabSlot::Vacant {
-                next_free: dec.u32()?,
-            },
-            1 => {
-                let hearer_count = dec.len()?;
-                let mut hearers = Vec::with_capacity(hearer_count.min(1 << 16));
-                for _ in 0..hearer_count {
-                    hearers.push(NodeId::new(dec.u32()?));
-                }
-                SlabSlot::Occupied(hearers)
-            }
-            _ => {
-                return Err(WireError {
-                    at,
-                    what: "invalid carrier-batch slot tag",
-                })
-            }
-        });
-    }
-    Ok(Slab::from_slots(free_head, slots))
 }
 
 fn encode_suppression(enc: &mut WireEncoder, counts: SuppressionCounts) {
@@ -830,32 +555,24 @@ fn decode_suppression(dec: &mut WireDecoder<'_>) -> Result<SuppressionCounts, Wi
 }
 
 fn encode_scenario_state(enc: &mut WireEncoder, st: &ScenarioState) {
-    enc.len(st.active.len());
-    for &up in &st.active {
-        enc.bool(up);
-    }
+    enc.seq(st.active.iter().copied(), WireEncoder::bool);
     enc.u32(st.active_count);
     for &epoch in &st.node_epoch {
         enc.u32(epoch);
     }
-    enc.len(st.blackouts.len());
-    for &(a, b) in &st.blackouts {
+    enc.seq(&st.blackouts, |enc, &(a, b)| {
         enc.u32(a);
         enc.u32(b);
-    }
-    enc.len(st.noise.len());
-    for &p in &st.noise {
-        enc.f64(p);
-    }
-    enc.len(st.partitions.len());
-    for region in &st.partitions {
+    });
+    enc.seq(st.noise.iter().copied(), WireEncoder::f64);
+    enc.seq(&st.partitions, |enc, region| {
         enc.f64(region.x0);
         enc.f64(region.y0);
         enc.f64(region.x1);
         enc.f64(region.y1);
-    }
-    encode_rng(enc, &st.rng);
-    encode_rng(enc, &st.respawn_rng);
+    });
+    enc.rng(&st.rng);
+    enc.rng(&st.respawn_rng);
     enc.u64(st.respawn_seq);
     enc.u64(st.counts.leaves);
     enc.u64(st.counts.joins);
@@ -889,30 +606,18 @@ fn restore_scenario_state(
     for epoch in &mut st.node_epoch {
         *epoch = dec.u32()?;
     }
-    let blackout_count = dec.len()?;
-    st.blackouts.clear();
-    for _ in 0..blackout_count {
-        let a = dec.u32()?;
-        let b = dec.u32()?;
-        st.blackouts.push((a, b));
-    }
-    let noise_count = dec.len()?;
-    st.noise.clear();
-    for _ in 0..noise_count {
-        st.noise.push(dec.f64()?);
-    }
-    let partition_count = dec.len()?;
-    st.partitions.clear();
-    for _ in 0..partition_count {
-        st.partitions.push(manet_scenario::Region {
+    st.blackouts = dec.seq(8, |dec| Ok((dec.u32()?, dec.u32()?)))?;
+    st.noise = dec.seq(8, WireDecoder::f64)?;
+    st.partitions = dec.seq(32, |dec| {
+        Ok(manet_scenario::Region {
             x0: dec.f64()?,
             y0: dec.f64()?,
             x1: dec.f64()?,
             y1: dec.f64()?,
-        });
-    }
-    st.rng = decode_rng(dec)?;
-    st.respawn_rng = decode_rng(dec)?;
+        })
+    })?;
+    st.rng = dec.rng()?;
+    st.respawn_rng = dec.rng()?;
     st.respawn_seq = dec.u64()?;
     st.counts = ScenarioCounts {
         leaves: dec.u64()?,

@@ -1,0 +1,226 @@
+//! `MSNP` and `MTRC` under hostile bytes — the counterparts of
+//! `campaign/tests/mcmp_props.rs`. Whatever is done to a snapshot or a
+//! trace (cut anywhere, one byte changed, a length prefix replaced by a
+//! huge one), [`World::resume`] and [`TraceFile::decode`] answer `Ok` or
+//! `Err`: they never panic, never abort on an allocation they cannot get,
+//! and never ask the allocator for a block out of proportion to the input.
+//!
+//! The last claim is measured, not assumed: a counting allocator records
+//! the largest single request each decode makes.
+
+// The workspace denies `unsafe_code`; implementing `GlobalAlloc` needs it.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use broadcast_core::trace::NoopObserver;
+use broadcast_core::{
+    ChurnKind, MobilitySpec, NeighborInfo, Scenario, SchemeSpec, SimConfig, TraceFile, World,
+};
+use manet_net::HelloIntervalPolicy;
+use manet_sim_engine::{SimDuration, SimTime};
+use manet_testkit::Gen;
+
+thread_local! {
+    /// Largest single request this thread made since the last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct PeakAlloc;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = LARGEST.try_with(|peak| peak.set(peak.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// A decoder that bounds every count by the input never requests a block
+/// beyond a small multiple of the input's length: the multiple covers
+/// enum padding and `Vec` growth by doubling (the measured peak, a trace's
+/// record vector, is under 5×). The 65 536-element reservations the
+/// pre-vocabulary decoders made from any large count are far above it.
+const MEMORY_PER_WIRE_BYTE: usize = 8;
+
+/// Counter scheme under churn, a blackout, noise and a partition: the
+/// scenario state, retired MACs and the event queue's scenario entries.
+fn churn_config() -> SimConfig {
+    let scenario = Scenario::new("hostile-churn")
+        .with_hosts(8)
+        .churn(SimTime::from_millis(500), ChurnKind::Leave, 3)
+        .churn(SimTime::from_millis(1000), ChurnKind::Crash, 7)
+        .churn(SimTime::from_millis(1500), ChurnKind::Join, 3)
+        .blackout(SimTime::from_secs(1), SimTime::from_secs(9), 1, 2)
+        .noise(SimTime::from_secs(1), SimTime::from_secs(9), 0.2)
+        .partition(
+            SimTime::from_secs(1),
+            SimTime::from_secs(9),
+            broadcast_core::Region {
+                x0: 0.0,
+                y0: 0.0,
+                x1: 200.0,
+                y1: 200.0,
+            },
+        );
+    SimConfig::builder(1, SchemeSpec::Counter(3))
+        .hosts(8)
+        .broadcasts(4)
+        .scenario(scenario)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(500))
+        .grace(SimDuration::from_secs(1))
+        .seed(5)
+        .build()
+}
+
+/// Neighbor coverage over 1 s HELLOs, waypoint mobility and injected
+/// drops: pending sets, neighbor tables, variation trackers, HELLO
+/// payloads in the MAC queues, the waypoint phase and the drop RNG.
+fn coverage_config() -> SimConfig {
+    SimConfig::builder(1, SchemeSpec::NeighborCoverage)
+        .hosts(8)
+        .broadcasts(4)
+        .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Fixed(
+            SimDuration::from_secs(1),
+        )))
+        .mobility(MobilitySpec::RandomWaypoint)
+        .drop_probability(0.1)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(500))
+        .grace(SimDuration::from_secs(1))
+        .seed(5)
+        .build()
+}
+
+/// Runs `config`, pausing every 5 ms, and returns the largest snapshot
+/// seen: taken mid-flood, with per-packet policies live and frames on
+/// the air.
+fn busiest_snapshot(config: &SimConfig) -> Vec<u8> {
+    let mut world = World::new(config.clone());
+    let mut largest = Vec::new();
+    let mut pause = SimTime::ZERO;
+    while !world.advance_until(pause, &mut NoopObserver) {
+        let bytes = world.snapshot();
+        if bytes.len() > largest.len() {
+            largest = bytes;
+        }
+        pause += SimDuration::from_millis(5);
+    }
+    largest
+}
+
+/// The trace of a whole run of `config`.
+fn trace(config: &SimConfig) -> Vec<u8> {
+    let mut world = World::new(config.clone());
+    world.enable_recording();
+    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    world.take_trace().expect("recording was armed")
+}
+
+/// Feeds `bytes` to `decode`, failing the test on a panic or on a single
+/// allocation above `limit`; accepting and refusing are both fine.
+fn survives<T>(
+    what: &str,
+    bytes: &[u8],
+    limit: usize,
+    decode: &impl Fn(&[u8]) -> Result<T, manet_sim_engine::WireError>,
+) {
+    LARGEST.with(|peak| peak.set(0));
+    let outcome = catch_unwind(AssertUnwindSafe(|| decode(bytes).is_ok()));
+    let largest = LARGEST.with(Cell::get);
+    assert!(outcome.is_ok(), "decoder panicked on {what}");
+    assert!(
+        largest <= limit,
+        "decoder requested {largest} bytes at once on {what} (input {}, limit {limit})",
+        bytes.len()
+    );
+}
+
+/// The three attacks, against one pristine image.
+fn attack<T>(
+    name: &str,
+    image: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, manet_sim_engine::WireError>,
+) {
+    // What an honest decode requests at once (for a snapshot, mostly
+    // `World::new`'s own arrays) is the floor of the limit.
+    LARGEST.with(|peak| peak.set(0));
+    assert!(decode(image).is_ok(), "{name}: pristine image must decode");
+    let limit = LARGEST
+        .with(Cell::get)
+        .max(MEMORY_PER_WIRE_BYTE * image.len());
+
+    // Every truncation point. Neither format has optional trailing
+    // fields, but a trace is a record stream: a cut between two records
+    // is a shorter, valid trace.
+    for cut in 0..image.len() {
+        survives(
+            &format!("{name} cut at {cut}"),
+            &image[..cut],
+            limit,
+            &decode,
+        );
+    }
+
+    // Random single-byte mutations.
+    let mut g = Gen::from_seed(0x6d73_6e70);
+    for _ in 0..512 {
+        let at = g.usize_in(0..image.len());
+        let mut bytes = image.to_vec();
+        bytes[at] ^= g.u32_in(1..256) as u8;
+        survives(&format!("{name} byte {at} changed"), &bytes, limit, &decode);
+    }
+
+    // Every u64 length prefix, overwritten with huge counts. A prefix in
+    // a pristine image counts elements that follow it, so its value
+    // cannot exceed the image's length: that test finds them all (and
+    // other small integers besides, which only widens the attack).
+    for at in 0..image.len().saturating_sub(8) {
+        let field: [u8; 8] = image[at..at + 8].try_into().expect("8 bytes");
+        if u64::from_le_bytes(field) > image.len() as u64 {
+            continue;
+        }
+        for k in (0..64).step_by(8) {
+            let mut bytes = image.to_vec();
+            bytes[at..at + 8].copy_from_slice(&(u64::MAX >> k).to_le_bytes());
+            let what = format!("{name} length at {at} set to u64::MAX >> {k}");
+            survives(&what, &bytes, limit, &decode);
+        }
+    }
+}
+
+#[test]
+fn snapshots_survive_truncation_mutation_and_huge_lengths() {
+    for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
+        let snapshot = busiest_snapshot(&config);
+        attack(&format!("{name} snapshot"), &snapshot, |bytes| {
+            World::resume(config.clone(), bytes)
+        });
+    }
+}
+
+#[test]
+fn traces_survive_truncation_mutation_and_huge_lengths() {
+    for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
+        attack(&format!("{name} trace"), &trace(&config), TraceFile::decode);
+    }
+}

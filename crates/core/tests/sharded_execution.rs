@@ -10,9 +10,10 @@
 
 use broadcast_core::trace::NoopObserver;
 use broadcast_core::{
-    AreaThreshold, ChurnKind, CounterThreshold, NeighborInfo, Scenario, SchemeSpec, SimConfig,
-    World,
+    AreaThreshold, CaptureConfig, ChurnKind, CounterThreshold, MobilitySpec, NeighborInfo,
+    Scenario, SchemeSpec, SimConfig, World,
 };
+use manet_net::HelloIntervalPolicy;
 use manet_sim_engine::{SimDuration, SimTime};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -116,6 +117,47 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     let resumed = World::resume(churn_config(), &bytes).expect("snapshot resumes");
     let hash = fnv1a64(format!("{:?}", resumed.run()).as_bytes());
     assert_eq!(hash, 0x14f5_be2a_0383_f335, "resumed: got {hash:#018x}");
+
+    // The `MTRC` bytes of the same run.
+    let mut world = World::new(churn_config());
+    world.enable_recording();
+    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    let hash = fnv1a64(&world.take_trace().expect("recording was armed"));
+    assert_eq!(hash, 0x3afa_39d0_4048_b378, "trace: got {hash:#018x}");
+
+    // Snapshot branches the counter world never encodes: the pending-set
+    // policy, neighbor tables, variation trackers, waypoint mobility and
+    // the drop RNG; then the coverage policy and capture signals.
+    let nc = SimConfig::builder(3, SchemeSpec::NeighborCoverage)
+        .hosts(40)
+        .broadcasts(15)
+        .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Fixed(
+            SimDuration::from_secs(1),
+        )))
+        .mobility(MobilitySpec::RandomWaypoint)
+        .drop_probability(0.1)
+        .seed(9)
+        .build();
+    let al = SimConfig::builder(
+        3,
+        SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
+    )
+    .hosts(40)
+    .broadcasts(15)
+    .capture(CaptureConfig::typical())
+    .seed(9)
+    .build();
+    // Each pause falls in the middle of a flood, where the per-packet
+    // policies are live and frames are on the air.
+    for (label, config, pause_ms, pin) in [
+        ("nc", nc, 11_407, 0xe65f_313b_e1b6_e053u64),
+        ("al", al, 7_226, 0x9a60_6ceb_181e_882a),
+    ] {
+        let mut world = World::new(config);
+        world.advance_until(SimTime::from_millis(pause_ms), &mut NoopObserver);
+        let hash = fnv1a64(&world.snapshot());
+        assert_eq!(hash, pin, "{label} snapshot: got {hash:#018x}");
+    }
 }
 
 /// `advance_until(t)` pauses **strictly before** any event queued at

@@ -402,79 +402,50 @@ impl Dcf {
             State::Difs => enc.u8(2),
             State::Backoff { started, slots } => {
                 enc.u8(3);
-                enc.u64(started.as_nanos());
+                enc.time(started);
                 enc.u32(slots);
             }
             State::Transmitting => enc.u8(4),
         }
-        enc.len(self.queue.len());
-        for &(handle, bytes) in &self.queue {
+        enc.seq(&self.queue, |enc, &(handle, bytes)| {
             enc.u64(handle.0);
             enc.usize(bytes);
-        }
-        match self.backoff_slots {
-            None => enc.bool(false),
-            Some(slots) => {
-                enc.bool(true);
-                enc.u32(slots);
-            }
-        }
+        });
+        enc.option(self.backoff_slots, WireEncoder::u32);
         enc.bool(self.medium_busy);
-        enc.u64(self.idle_since.as_nanos());
+        enc.time(self.idle_since);
         enc.u64(self.generation);
-        for word in self.rng.state() {
-            enc.u64(word);
-        }
+        enc.rng(&self.rng);
         enc.u64(self.transmitted);
         self.stats.snapshot_into(enc);
     }
 
     /// Rebuilds a MAC from [`snapshot_into`](Self::snapshot_into) output.
     pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<Dcf, WireError> {
-        let tag_at = dec.position();
-        let state = match dec.u8()? {
+        let (tag, invalid) = dec.tag("DCF state tag")?;
+        let state = match tag {
             0 => State::Idle,
             1 => State::WaitIdle,
             2 => State::Difs,
             3 => State::Backoff {
-                started: SimTime::from_nanos(dec.u64()?),
+                started: dec.time()?,
                 slots: dec.u32()?,
             },
             4 => State::Transmitting,
-            _ => {
-                return Err(WireError {
-                    at: tag_at,
-                    what: "DCF state tag",
-                })
-            }
+            _ => return Err(invalid),
         };
-        let queue_len = dec.len()?;
-        let mut queue = std::collections::VecDeque::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            let handle = FrameHandle(dec.u64()?);
-            let bytes = dec.usize()?;
-            queue.push_back((handle, bytes));
-        }
-        let backoff_slots = if dec.bool()? { Some(dec.u32()?) } else { None };
-        let medium_busy = dec.bool()?;
-        let idle_since = SimTime::from_nanos(dec.u64()?);
-        let generation = dec.u64()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = dec.u64()?;
-        }
-        let transmitted = dec.u64()?;
-        let stats = MacStats::restore_snapshot(dec)?;
         Ok(Dcf {
             state,
-            queue,
-            backoff_slots,
-            medium_busy,
-            idle_since,
-            generation,
-            rng: SimRng::from_state(rng_state),
-            transmitted,
-            stats,
+            queue: dec
+                .seq(16, |dec| Ok((FrameHandle(dec.u64()?), dec.usize()?)))?
+                .into(),
+            backoff_slots: dec.option(WireDecoder::u32)?,
+            medium_busy: dec.bool()?,
+            idle_since: dec.time()?,
+            generation: dec.u64()?,
+            rng: dec.rng()?,
+            transmitted: dec.u64()?,
+            stats: MacStats::restore_snapshot(dec)?,
         })
     }
 

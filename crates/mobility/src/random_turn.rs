@@ -182,29 +182,23 @@ impl RandomTurn {
     /// written: [`restore_snapshot`](Self::restore_snapshot) targets a
     /// host already built with the same configuration.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        for word in self.rng.state() {
-            enc.u64(word);
-        }
+        enc.rng(&self.rng);
         enc.f64(self.origin.x);
         enc.f64(self.origin.y);
         enc.f64(self.velocity.x);
         enc.f64(self.velocity.y);
-        enc.u64(self.seg_start.as_nanos());
-        enc.u64(self.seg_end.as_nanos());
+        enc.time(self.seg_start);
+        enc.time(self.seg_end);
     }
 
     /// Overwrites this host's mutable state from
     /// [`snapshot_into`](Self::snapshot_into) output.
     pub fn restore_snapshot(&mut self, dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = dec.u64()?;
-        }
-        self.rng = SimRng::from_state(state);
+        self.rng = dec.rng()?;
         self.origin = Vec2::new(dec.f64()?, dec.f64()?);
         self.velocity = Vec2::new(dec.f64()?, dec.f64()?);
-        self.seg_start = SimTime::from_nanos(dec.u64()?);
-        self.seg_end = SimTime::from_nanos(dec.u64()?);
+        self.seg_start = dec.time()?;
+        self.seg_end = dec.time()?;
         Ok(())
     }
 }

@@ -164,9 +164,7 @@ impl RandomWaypoint {
     /// not written: [`restore_snapshot`](Self::restore_snapshot) targets
     /// a host already built with the same configuration.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        for word in self.rng.state() {
-            enc.u64(word);
-        }
+        enc.rng(&self.rng);
         match self.phase {
             Phase::Pausing => enc.u8(0),
             Phase::Moving { velocity } => {
@@ -177,34 +175,25 @@ impl RandomWaypoint {
         }
         enc.f64(self.origin.x);
         enc.f64(self.origin.y);
-        enc.u64(self.seg_start.as_nanos());
-        enc.u64(self.seg_end.as_nanos());
+        enc.time(self.seg_start);
+        enc.time(self.seg_end);
     }
 
     /// Overwrites this host's mutable state from
     /// [`snapshot_into`](Self::snapshot_into) output.
     pub fn restore_snapshot(&mut self, dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = dec.u64()?;
-        }
-        self.rng = SimRng::from_state(state);
-        let tag_at = dec.position();
-        self.phase = match dec.u8()? {
+        self.rng = dec.rng()?;
+        let (tag, invalid) = dec.tag("waypoint phase tag")?;
+        self.phase = match tag {
             0 => Phase::Pausing,
             1 => Phase::Moving {
                 velocity: Vec2::new(dec.f64()?, dec.f64()?),
             },
-            _ => {
-                return Err(WireError {
-                    at: tag_at,
-                    what: "waypoint phase tag",
-                })
-            }
+            _ => return Err(invalid),
         };
         self.origin = Vec2::new(dec.f64()?, dec.f64()?);
-        self.seg_start = SimTime::from_nanos(dec.u64()?);
-        self.seg_end = SimTime::from_nanos(dec.u64()?);
+        self.seg_start = dec.time()?;
+        self.seg_end = dec.time()?;
         Ok(())
     }
 }

@@ -264,25 +264,14 @@ impl NeighborTable {
     /// carries no purge bookkeeping, so it does not depend on which lists
     /// happen to have been read.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        enc.len(self.ids.len());
-        for (id, entry) in self.ids.iter().zip(&self.entries) {
-            enc.u32(id.index() as u32);
-            enc.u64(entry.last_heard.as_nanos());
-            enc.u64(entry.interval.as_nanos());
-            let hides = |id: &&NodeId| hidden(&self.departed, entry.written, **id);
-            let visible = || entry.neighbors.iter().filter(|id| !hides(id));
-            enc.len(visible().count());
-            for neighbor in visible() {
-                enc.u32(neighbor.index() as u32);
-            }
-        }
-        match self.min_deadline {
-            None => enc.bool(false),
-            Some(deadline) => {
-                enc.bool(true);
-                enc.u64(deadline.as_nanos());
-            }
-        }
+        enc.seq(self.ids.iter().zip(&self.entries), |enc, (id, entry)| {
+            id.encode(enc);
+            enc.time(entry.last_heard);
+            enc.duration(entry.interval);
+            let visible = |id: &NodeId| !hidden(&self.departed, entry.written, *id);
+            NodeId::encode_seq(enc, entry.neighbors.iter().copied().filter(visible));
+        });
+        enc.option(self.min_deadline, WireEncoder::time);
         enc.u64(self.joins);
         enc.u64(self.leaves);
     }
@@ -290,35 +279,23 @@ impl NeighborTable {
     /// Rebuilds a table from [`snapshot_into`](Self::snapshot_into)
     /// output, refusing entries that are not strictly ascending by id.
     pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<NeighborTable, WireError> {
-        let entry_count = dec.len()?;
         let mut table = NeighborTable::new();
-        for _ in 0..entry_count {
+        table.entries = dec.seq(28, |dec| {
             let at = dec.position();
-            let id = NodeId::new(dec.u32()?);
+            let id = NodeId::decode(dec)?;
             if table.ids.last().is_some_and(|&last| last >= id) {
                 let what = "neighbor table entries are not strictly ascending";
                 return Err(WireError { at, what });
             }
-            let last_heard = SimTime::from_nanos(dec.u64()?);
-            let interval = SimDuration::from_nanos(dec.u64()?);
-            let neighbor_count = dec.len()?;
-            let mut neighbors = Vec::with_capacity(neighbor_count.min(1 << 16));
-            for _ in 0..neighbor_count {
-                neighbors.push(NodeId::new(dec.u32()?));
-            }
             table.ids.push(id);
-            table.entries.push(NeighborEntry {
-                last_heard,
-                interval,
-                neighbors,
+            Ok(NeighborEntry {
+                last_heard: dec.time()?,
+                interval: dec.duration()?,
+                neighbors: NodeId::decode_seq(dec)?,
                 written: 0,
-            });
-        }
-        table.min_deadline = if dec.bool()? {
-            Some(SimTime::from_nanos(dec.u64()?))
-        } else {
-            None
-        };
+            })
+        })?;
+        table.min_deadline = dec.option(WireDecoder::time)?;
         table.joins = dec.u64()?;
         table.leaves = dec.u64()?;
         Ok(table)

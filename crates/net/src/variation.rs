@@ -83,20 +83,13 @@ impl VariationTracker {
 
     /// Serializes the event window for a world snapshot.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        enc.len(self.events.len());
-        for &event in &self.events {
-            enc.u64(event.as_nanos());
-        }
+        enc.seq(self.events.iter().copied(), WireEncoder::time);
     }
 
     /// Rebuilds a tracker from [`snapshot_into`](Self::snapshot_into)
     /// output.
     pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<VariationTracker, WireError> {
-        let event_count = dec.len()?;
-        let mut events = VecDeque::with_capacity(event_count);
-        for _ in 0..event_count {
-            events.push_back(SimTime::from_nanos(dec.u64()?));
-        }
+        let events = dec.seq(8, WireDecoder::time)?.into();
         Ok(VariationTracker { events })
     }
 }

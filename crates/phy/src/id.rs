@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use manet_sim_engine::{WireDecoder, WireEncoder, WireError};
+
 /// Identifies a mobile host. Hosts are numbered densely from zero, so the
 /// id doubles as an index into per-host arrays.
 ///
@@ -26,6 +28,28 @@ impl NodeId {
     /// The host number, usable as an array index.
     pub const fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Appends the id to a snapshot or trace as a `u32`.
+    #[inline]
+    pub fn encode(self, enc: &mut WireEncoder) {
+        enc.u32(self.0);
+    }
+
+    /// Reads an id written by [`encode`](Self::encode).
+    #[inline]
+    pub fn decode(dec: &mut WireDecoder<'_>) -> Result<NodeId, WireError> {
+        dec.u32().map(NodeId)
+    }
+
+    /// Appends a sequence of ids.
+    pub fn encode_seq(enc: &mut WireEncoder, ids: impl IntoIterator<Item = NodeId>) {
+        enc.seq(ids, |enc, id| id.encode(enc));
+    }
+
+    /// Reads a sequence written by [`encode_seq`](Self::encode_seq).
+    pub fn decode_seq(dec: &mut WireDecoder<'_>) -> Result<Vec<NodeId>, WireError> {
+        dec.seq(4, NodeId::decode)
     }
 }
 

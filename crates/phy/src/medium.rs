@@ -25,7 +25,7 @@
 //! host; a host's own transmission is not carrier (the MAC knows about its
 //! own frames).
 
-use manet_sim_engine::{SimRng, SimTime, Slab, SlabSlot, WireDecoder, WireEncoder, WireError};
+use manet_sim_engine::{SimRng, SimTime, Slab, WireDecoder, WireEncoder, WireError};
 
 use crate::id::{FrameId, NodeId};
 
@@ -631,56 +631,25 @@ impl Medium {
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.len(self.radios.len());
         for radio in &self.radios {
-            match radio.tx_end {
-                None => enc.bool(false),
-                Some(end) => {
-                    enc.bool(true);
-                    enc.u64(end.as_nanos());
-                }
-            }
-            enc.len(radio.incoming.len());
-            for inc in &radio.incoming {
+            enc.option(radio.tx_end, WireEncoder::time);
+            enc.seq(&radio.incoming, |enc, inc| {
                 enc.u64(inc.frame.as_u64());
                 enc.f64(inc.signal);
-                match inc.cause {
-                    None => enc.u8(0),
-                    Some(LossCause::Overlap) => enc.u8(1),
-                    Some(LossCause::HalfDuplex) => enc.u8(2),
-                    Some(LossCause::Injected) => enc.u8(3),
-                    Some(LossCause::Capture) => enc.u8(4),
-                }
-            }
+                enc.u8(match inc.cause {
+                    None => 0,
+                    Some(LossCause::Overlap) => 1,
+                    Some(LossCause::HalfDuplex) => 2,
+                    Some(LossCause::Injected) => 3,
+                    Some(LossCause::Capture) => 4,
+                });
+            });
         }
-        let (free_head, slots) = self.active.export_slots();
-        let slots: Vec<SlabSlot<&ActiveTx>> = slots.collect();
-        enc.u32(free_head);
-        enc.len(slots.len());
-        for slot in slots {
-            match slot {
-                SlabSlot::Vacant { next_free } => {
-                    enc.u8(0);
-                    enc.u32(next_free);
-                }
-                SlabSlot::Occupied(tx) => {
-                    enc.u8(1);
-                    enc.u32(tx.source.index() as u32);
-                    enc.len(tx.listeners.len());
-                    for &listener in &tx.listeners {
-                        enc.u32(listener.index() as u32);
-                    }
-                    enc.u64(tx.end.as_nanos());
-                }
-            }
-        }
-        match &self.drop_rng {
-            None => enc.bool(false),
-            Some(rng) => {
-                enc.bool(true);
-                for word in rng.state() {
-                    enc.u64(word);
-                }
-            }
-        }
+        self.active.encode(enc, |enc, tx| {
+            tx.source.encode(enc);
+            NodeId::encode_seq(enc, tx.listeners.iter().copied());
+            enc.time(tx.end);
+        });
+        enc.option(self.drop_rng.as_ref(), WireEncoder::rng);
         enc.u64(self.losses.overlap);
         enc.u64(self.losses.half_duplex);
         enc.u64(self.losses.injected);
@@ -702,87 +671,42 @@ impl Medium {
             });
         }
         for radio in &mut self.radios {
-            radio.tx_end = if dec.bool()? {
-                Some(SimTime::from_nanos(dec.u64()?))
-            } else {
-                None
-            };
-            let incoming_len = dec.len()?;
-            radio.incoming.clear();
-            radio.incoming.reserve(incoming_len);
-            for _ in 0..incoming_len {
+            radio.tx_end = dec.option(WireDecoder::time)?;
+            radio.incoming = dec.seq(17, |dec| {
                 let frame = FrameId::new(dec.u64()?);
                 let signal = dec.f64()?;
-                let tag_at = dec.position();
-                let cause = match dec.u8()? {
+                let (tag, invalid) = dec.tag("loss cause tag")?;
+                let cause = match tag {
                     0 => None,
                     1 => Some(LossCause::Overlap),
                     2 => Some(LossCause::HalfDuplex),
                     3 => Some(LossCause::Injected),
                     4 => Some(LossCause::Capture),
-                    _ => {
-                        return Err(WireError {
-                            at: tag_at,
-                            what: "loss cause tag",
-                        })
-                    }
+                    _ => return Err(invalid),
                 };
-                radio.incoming.push(IncomingFrame {
+                Ok(IncomingFrame {
                     frame,
                     signal,
                     cause,
-                });
-            }
-        }
-        let free_head = dec.u32()?;
-        let slot_count = dec.len()?;
-        let mut slots = Vec::with_capacity(slot_count);
-        for _ in 0..slot_count {
-            let tag_at = dec.position();
-            match dec.u8()? {
-                0 => slots.push(SlabSlot::Vacant {
-                    next_free: dec.u32()?,
-                }),
-                1 => {
-                    let source = NodeId::new(dec.u32()?);
-                    let listener_count = dec.len()?;
-                    let mut listeners = Vec::with_capacity(listener_count);
-                    for _ in 0..listener_count {
-                        listeners.push(NodeId::new(dec.u32()?));
-                    }
-                    let end = SimTime::from_nanos(dec.u64()?);
-                    slots.push(SlabSlot::Occupied(ActiveTx {
-                        source,
-                        listeners,
-                        end,
-                    }));
-                }
-                _ => {
-                    return Err(WireError {
-                        at: tag_at,
-                        what: "active-tx slot tag",
-                    })
-                }
-            }
-        }
-        self.active = Slab::from_slots(free_head, slots);
-        let rng_at = dec.position();
-        match (dec.bool()?, self.drop_rng.as_mut()) {
-            (false, None) => {}
-            (true, Some(rng)) => {
-                let mut state = [0u64; 4];
-                for word in &mut state {
-                    *word = dec.u64()?;
-                }
-                *rng = SimRng::from_state(state);
-            }
-            _ => {
-                return Err(WireError {
-                    at: rng_at,
-                    what: "drop RNG presence mismatch",
                 })
-            }
+            })?;
         }
+        self.active = Slab::decode(dec, 20, |dec| {
+            Ok(ActiveTx {
+                source: NodeId::decode(dec)?,
+                listeners: NodeId::decode_seq(dec)?,
+                end: dec.time()?,
+            })
+        })?;
+        let rng_at = dec.position();
+        let drop_rng = dec.option(WireDecoder::rng)?;
+        if drop_rng.is_some() != self.drop_rng.is_some() {
+            return Err(WireError {
+                at: rng_at,
+                what: "drop RNG presence mismatch",
+            });
+        }
+        self.drop_rng = drop_rng;
         self.losses = LossCounters {
             overlap: dec.u64()?,
             half_duplex: dec.u64()?,

@@ -6,15 +6,14 @@
 //! fault-free runs: hosts leave and rejoin (gracefully or by crashing),
 //! individual links black out for a window, bursts of packet errors raise
 //! the channel loss rate, and a map region is partitioned off for a while.
-//! Scenarios are plain data with two on-disk encodings — a line-based text
-//! format and a JSON document, both under schema [`SCHEMA`]
-//! (`manet-scenario/1`) and both parsed by in-tree code (the workspace has
-//! no third-party dependencies).
+//! Scenarios are plain data with one on-disk encoding — a line-based text
+//! format under schema [`SCHEMA`] (`manet-scenario/1`), parsed by in-tree
+//! code (the workspace has no third-party dependencies).
 //!
 //! The life cycle is parse → [`validate`] → [`compile`]:
 //!
-//! * [`Scenario::parse`] accepts either encoding (auto-detected) and
-//!   rejects malformed input with a line- or offset-tagged error.
+//! * [`Scenario::parse`] reads the text encoding and rejects malformed
+//!   input with a line- and column-tagged error.
 //! * [`validate`] checks the script against a concrete host count: ids in
 //!   range, windows well-formed, per-host churn alternation (a host must
 //!   be up to leave/crash and down to join/recover, and rejoins must match
@@ -26,9 +25,8 @@
 //!   world schedules onto its main event queue at start-up.
 //!
 //! Determinism: parsing, validation, and compilation are pure functions of
-//! the input text, and times round-trip exactly (text timestamps are
-//! decimal seconds with at most nanosecond precision; JSON carries integer
-//! nanoseconds).
+//! the input text, and times round-trip exactly (timestamps are decimal
+//! seconds with at most nanosecond precision).
 //!
 //! [`validate`]: Scenario::validate
 //! [`compile`]: Scenario::compile
@@ -50,14 +48,12 @@
 //! scenario.validate(10).unwrap();
 //! assert_eq!(scenario.compile().len(), 4); // crash, recover, noise on/off
 //! assert_eq!(Scenario::parse(&scenario.to_text()).unwrap(), scenario);
-//! assert_eq!(Scenario::parse(&scenario.to_json()).unwrap(), scenario);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod campaign;
-mod json;
 mod text;
 
 use std::error::Error;
@@ -67,8 +63,7 @@ use manet_sim_engine::{SimTime, Timeline};
 
 pub use campaign::{CampaignSpec, JobSpec, CAMPAIGN_SCHEMA, MAX_CAMPAIGN_JOBS};
 
-/// Schema identifier, the first line of the text format and the `schema`
-/// field of the JSON document.
+/// Schema identifier, the first line of the text format.
 pub const SCHEMA: &str = "manet-scenario/1";
 
 /// An axis-aligned map region in meters, used by partition faults.
@@ -274,20 +269,15 @@ pub enum WorldAction {
 
 /// A parse or validation failure, tagged with where in the source it
 /// happened: a 1-based line (and, for token-level errors, column) in the
-/// text encoding, or a JSON pointer (RFC 6901) into the JSON document.
-/// Validation errors describe the script as a whole and carry no
-/// location.
+/// text encoding. Validation errors describe the script as a whole and
+/// carry no location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioError {
-    /// 1-based line of the offending text, when known. For JSON input
-    /// this is set only by structural (syntax) errors.
+    /// 1-based line of the offending text, when known.
     pub line: Option<usize>,
     /// 1-based character column of the offending token, when known.
     /// Always accompanied by [`line`](ScenarioError::line).
     pub column: Option<usize>,
-    /// JSON pointer to the offending value (e.g. `/churn/0/at_ns`), set
-    /// by extraction errors on JSON input.
-    pub pointer: Option<String>,
     /// What went wrong.
     pub message: String,
 }
@@ -297,7 +287,6 @@ impl ScenarioError {
         ScenarioError {
             line: None,
             column: None,
-            pointer: None,
             message: message.into(),
         }
     }
@@ -306,16 +295,6 @@ impl ScenarioError {
         ScenarioError {
             line: Some(line),
             column: Some(column),
-            pointer: None,
-            message: message.into(),
-        }
-    }
-
-    pub(crate) fn at_pointer(pointer: impl Into<String>, message: impl Into<String>) -> Self {
-        ScenarioError {
-            line: None,
-            column: None,
-            pointer: Some(pointer.into()),
             message: message.into(),
         }
     }
@@ -323,9 +302,6 @@ impl ScenarioError {
 
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Some(pointer) = &self.pointer {
-            return write!(f, "at {pointer}: {}", self.message);
-        }
         match (self.line, self.column) {
             (Some(line), Some(column)) => {
                 write!(f, "line {line}, column {column}: {}", self.message)
@@ -397,27 +373,15 @@ impl Scenario {
         self
     }
 
-    /// Parses either on-disk encoding, auto-detected: input whose first
-    /// non-whitespace byte is `{` is treated as JSON, anything else as the
-    /// line-based text format.
+    /// Parses the line-based text encoding.
     pub fn parse(input: &str) -> Result<Scenario, ScenarioError> {
-        if input.trim_start().starts_with('{') {
-            json::parse_scenario(input)
-        } else {
-            text::parse_scenario(input)
-        }
+        text::parse_scenario(input)
     }
 
     /// Renders the canonical text encoding. `parse(to_text(s)) == s` for
     /// every parseable scenario.
     pub fn to_text(&self) -> String {
         text::render_scenario(self)
-    }
-
-    /// Renders the JSON encoding. `parse(to_json(s)) == s` for every
-    /// parseable scenario.
-    pub fn to_json(&self) -> String {
-        json::render_scenario(self)
     }
 
     /// Total scripted declarations (churn events plus fault windows).

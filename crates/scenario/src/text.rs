@@ -365,6 +365,12 @@ mod tests {
         assert!(parse_scenario("").is_err());
         let err = parse_scenario("manet-scenario/2\n").unwrap_err();
         assert_eq!(err.line, Some(1));
+        // There is no second, brace-opened encoding: such a document
+        // fails the header check like any other text.
+        let braced = "{\"schema\": \"manet-scenario/1\", \"name\": \"demo\"}";
+        let err = crate::Scenario::parse(braced).unwrap_err();
+        assert_eq!(err.line, Some(1));
+        assert!(err.message.contains("expected schema header"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property tests: any generated scenario survives parse → serialize →
-//! parse unchanged, through both on-disk encodings, and compiles to the
-//! same timeline afterwards.
+//! parse unchanged, and compiles to the same timeline afterwards.
 
 use manet_scenario::{ChurnKind, Region, Scenario};
 use manet_sim_engine::SimTime;
@@ -73,23 +72,5 @@ prop_check! {
         let a: Vec<_> = scenario.compile().iter().map(|(t, v)| (t, *v)).collect();
         let b: Vec<_> = reparsed.compile().iter().map(|(t, v)| (t, *v)).collect();
         assert_eq!(a, b, "compiled timelines diverged");
-    }
-}
-
-prop_check! {
-    /// JSON encoding: parse(to_json(s)) == s, and the two encodings agree
-    /// with each other.
-    fn json_round_trip(g, cases = 200) {
-        let scenario = gen_scenario(g);
-        let json = scenario.to_json();
-        let reparsed = Scenario::parse(&json).unwrap_or_else(|e| {
-            panic!("canonical JSON failed to parse: {e}\n{json}")
-        });
-        assert_eq!(reparsed, scenario, "JSON round-trip changed the scenario:\n{json}");
-        assert_eq!(
-            Scenario::parse(&reparsed.to_text()).unwrap(),
-            scenario,
-            "text/JSON encodings disagree"
-        );
     }
 }

@@ -58,7 +58,7 @@ pub use metrics::{
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
-pub use slab::{Slab, SlabSlot};
+pub use slab::Slab;
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;
 pub use wire::{WireDecoder, WireEncoder, WireError};

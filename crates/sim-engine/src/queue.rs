@@ -15,6 +15,7 @@ use std::collections::{BinaryHeap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::{SimDuration, SimTime};
+use crate::wire::{WireDecoder, WireEncoder, WireError};
 
 /// Multiplicative hasher for the tombstone set. Its keys are unique,
 /// roughly sequential `u64` sequence numbers, so Fibonacci hashing spreads
@@ -276,57 +277,67 @@ impl<E> EventQueue<E> {
         self.scheduled
     }
 
-    /// The live (non-tombstoned) entries as `(time, seq, &event)`, sorted
-    /// in pop order. Together with [`counters`](Self::counters) this is a
-    /// complete image of the queue for snapshot serialization.
-    pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut entries: Vec<_> = self
+    /// Appends a complete image of the queue to a snapshot: the counters
+    /// (`now`, next sequence number, delivered, scheduled), then the live
+    /// (non-tombstoned) entries in pop order, each as time, sequence
+    /// number and the event as `put` writes it.
+    pub fn encode(&self, enc: &mut WireEncoder, mut put: impl FnMut(&mut WireEncoder, &E)) {
+        enc.time(self.now);
+        enc.u64(self.next_seq);
+        enc.u64(self.popped);
+        enc.u64(self.scheduled);
+        let mut live: Vec<_> = self
             .heap
             .iter()
             .filter(|entry| !self.cancelled.contains(&entry.seq))
-            .map(|entry| (entry.time, entry.seq, &entry.event))
             .collect();
-        entries.sort_by_key(|&(time, seq, _)| (time, seq));
-        entries
+        live.sort_by_key(|entry| (entry.time, entry.seq));
+        enc.seq(live, |enc, entry| {
+            enc.time(entry.time);
+            enc.u64(entry.seq);
+            put(enc, &entry.event);
+        });
     }
 
-    /// The queue's counters `(now, next_seq, delivered, scheduled)`, for
-    /// snapshot serialization.
-    pub fn counters(&self) -> (SimTime, u64, u64, u64) {
-        (self.now, self.next_seq, self.popped, self.scheduled)
-    }
-
-    /// Rebuilds a queue from [`snapshot_entries`](Self::snapshot_entries)
-    /// and [`counters`](Self::counters) output. Tombstoned entries are not
-    /// restored (they were already logically gone); the restored queue pops
-    /// the same `(time, seq, event)` stream and hands out fresh keys from
-    /// `next_seq`, so it is behaviorally identical to the exported one.
+    /// Rebuilds a queue from [`encode`](Self::encode) output; `get` reads
+    /// one event, which occupies at least `min_bytes` of input.
+    /// Tombstoned entries were not written (they were already logically
+    /// gone); the restored queue pops the same `(time, seq, event)` stream
+    /// and hands out fresh keys from the stored sequence number, so it is
+    /// behaviorally identical to the encoded one.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an entry predates `now` or carries a sequence number at
-    /// or past `next_seq`.
-    pub fn restore(
-        now: SimTime,
-        next_seq: u64,
-        delivered: u64,
-        scheduled: u64,
-        entries: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) -> Self {
-        let mut heap = BinaryHeap::new();
-        for (time, seq, event) in entries {
-            assert!(time >= now, "restored event predates the clock");
-            assert!(seq < next_seq, "restored event from the future");
-            heap.push(Entry { time, seq, event });
-        }
-        EventQueue {
-            heap,
+    /// A positioned [`WireError`] on malformed input, including an entry
+    /// that predates the clock or carries a sequence number not yet
+    /// handed out.
+    pub fn decode<'a>(
+        dec: &mut WireDecoder<'a>,
+        min_bytes: usize,
+        mut get: impl FnMut(&mut WireDecoder<'a>) -> Result<E, WireError>,
+    ) -> Result<Self, WireError> {
+        let now = dec.time()?;
+        let next_seq = dec.u64()?;
+        let popped = dec.u64()?;
+        let scheduled = dec.u64()?;
+        let entries = dec.seq(16 + min_bytes, |dec| {
+            let at = dec.position();
+            let (time, seq) = (dec.time()?, dec.u64()?);
+            if time < now || seq >= next_seq {
+                let what = "queued event predates the clock or postdates the sequence counter";
+                return Err(WireError { at, what });
+            }
+            let event = get(dec)?;
+            Ok(Entry { time, seq, event })
+        })?;
+        Ok(EventQueue {
+            heap: BinaryHeap::from(entries),
             cancelled: SeqSet::default(),
             next_seq,
             now,
-            popped: delivered,
+            popped,
             scheduled,
-        }
+        })
     }
 }
 
@@ -469,5 +480,39 @@ mod tests {
         while q.pop().is_some() {}
         assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.delivered_count(), 1);
+    }
+
+    #[test]
+    fn codec_round_trips_live_entries_and_refuses_impossible_ones() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(5), 50u32);
+        let gone = q.schedule(SimTime::from_millis(6), 60);
+        q.schedule(SimTime::from_millis(7), 70);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(5), 50)));
+        q.cancel(gone);
+        let image = |q: &EventQueue<u32>| {
+            let mut enc = WireEncoder::new();
+            q.encode(&mut enc, |enc, &e| enc.u32(e));
+            enc.into_bytes()
+        };
+        let decode = |bytes: &[u8]| {
+            EventQueue::<u32>::decode(&mut WireDecoder::new(bytes), 4, WireDecoder::u32)
+        };
+        let bytes = image(&q);
+        let mut back = decode(&bytes).unwrap();
+        assert_eq!(image(&back), bytes);
+        assert_eq!(back.now(), SimTime::from_millis(5));
+        assert_eq!(back.delivered_count(), 1);
+        assert_eq!(back.schedule(SimTime::from_millis(9), 90), EventKey(3));
+        assert_eq!(back.pop(), Some((SimTime::from_millis(7), 70)));
+
+        // Counters are 4 x u64, the entry count one more; the one live
+        // entry's time and sequence number follow.
+        let (time_at, seq_at) = (40, 48);
+        for (at, value) in [(time_at, 4_999_999u64), (seq_at, 3)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(decode(&bad).unwrap_err().at, time_at);
+        }
     }
 }

@@ -30,6 +30,8 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::wire::{WireDecoder, WireEncoder, WireError};
+
 /// One slot: occupied with a value, or vacant and linking to the next
 /// free slot.
 #[derive(Debug, Clone)]
@@ -40,24 +42,6 @@ enum Entry<T> {
 
 /// Sentinel terminating the free list.
 const NIL: u32 = u32::MAX;
-
-/// The raw image of one slab slot, exposed for snapshot serialization.
-///
-/// Restoring a slab from raw slots (rather than re-inserting the live
-/// values) preserves the exact slot layout **and** free-list order, so
-/// keys handed out after a restore match the keys the exporting slab would
-/// have handed out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlabSlot<T> {
-    /// The slot holds a live value.
-    Occupied(T),
-    /// The slot is vacant; `next_free` is the next slot on the free list
-    /// (`u32::MAX` terminates the list).
-    Vacant {
-        /// Raw free-list link, exactly as stored.
-        next_free: u32,
-    },
-}
 
 /// A slab of `T` values with `u32` keys and free-list slot reuse.
 #[derive(Clone)]
@@ -189,37 +173,74 @@ impl<T> Slab<T> {
             })
     }
 
-    /// The free-list head plus every slot's raw image in index order, for
-    /// snapshot serialization (see [`SlabSlot`]).
-    pub fn export_slots(&self) -> (u32, impl Iterator<Item = SlabSlot<&T>>) {
-        let slots = self.entries.iter().map(|entry| match entry {
-            Entry::Occupied(value) => SlabSlot::Occupied(value),
-            Entry::Vacant { next_free } => SlabSlot::Vacant {
-                next_free: *next_free,
-            },
+    /// Appends the slab to a snapshot **with its slot layout**: the
+    /// free-list head (`u32`, `u32::MAX` for none), then a sequence of
+    /// slots, each a tag `u8` — `0` vacant + next-free link `u32`, `1`
+    /// occupied + the value as `put` writes it. Keeping the layout (rather
+    /// than re-inserting the live values) preserves the keys held
+    /// elsewhere in the snapshot and the keys later inserts hand out.
+    pub fn encode(&self, enc: &mut WireEncoder, mut put: impl FnMut(&mut WireEncoder, &T)) {
+        enc.u32(self.free_head);
+        enc.seq(&self.entries, |enc, entry| match entry {
+            Entry::Vacant { next_free } => {
+                enc.u8(0);
+                enc.u32(*next_free);
+            }
+            Entry::Occupied(value) => {
+                enc.u8(1);
+                put(enc, value);
+            }
         });
-        (self.free_head, slots)
     }
 
-    /// Rebuilds a slab from [`export_slots`](Self::export_slots) output,
-    /// reproducing the exact slot layout and free-list order.
-    pub fn from_slots(free_head: u32, slots: impl IntoIterator<Item = SlabSlot<T>>) -> Self {
-        let entries: Vec<Entry<T>> = slots
-            .into_iter()
-            .map(|slot| match slot {
-                SlabSlot::Occupied(value) => Entry::Occupied(value),
-                SlabSlot::Vacant { next_free } => Entry::Vacant { next_free },
-            })
-            .collect();
-        let len = entries
-            .iter()
-            .filter(|e| matches!(e, Entry::Occupied(_)))
-            .count();
-        Slab {
+    /// Rebuilds a slab from [`encode`](Self::encode) output; `get` reads
+    /// one value, which occupies at least `min_bytes` of input.
+    ///
+    /// # Errors
+    ///
+    /// A positioned [`WireError`] on malformed input, including a free
+    /// list that does not visit exactly the vacant slots.
+    pub fn decode<'a>(
+        dec: &mut WireDecoder<'a>,
+        min_bytes: usize,
+        mut get: impl FnMut(&mut WireDecoder<'a>) -> Result<T, WireError>,
+    ) -> Result<Self, WireError> {
+        let at = dec.position();
+        let free_head = dec.u32()?;
+        let entries = dec.seq(1 + min_bytes.min(4), |dec| {
+            let (tag, invalid) = dec.tag("invalid slab slot tag")?;
+            match tag {
+                0 => Ok(Entry::Vacant {
+                    next_free: dec.u32()?,
+                }),
+                1 => Ok(Entry::Occupied(get(dec)?)),
+                _ => Err(invalid),
+            }
+        })?;
+        let vacant = |e: &Entry<T>| matches!(e, Entry::Vacant { .. });
+        let mut unvisited = entries.iter().filter(|e| vacant(e)).count();
+        let len = entries.len() - unvisited;
+        // Every link must land on a vacant slot, and the chain must end
+        // having used each of them once (a cycle runs out of budget).
+        let mut next = free_head;
+        while next != NIL {
+            match entries.get(next as usize) {
+                Some(Entry::Vacant { next_free }) if unvisited > 0 => {
+                    unvisited -= 1;
+                    next = *next_free;
+                }
+                _ => break,
+            }
+        }
+        if next != NIL || unvisited != 0 {
+            let what = "slab free list does not match the vacant slots";
+            return Err(WireError { at, what });
+        }
+        Ok(Slab {
             entries,
             free_head,
             len,
-        }
+        })
     }
 }
 
@@ -321,5 +342,59 @@ mod tests {
         let slab: Slab<u8> = Slab::new();
         assert_eq!(slab.get(3), None);
         assert!(!slab.contains(3));
+    }
+
+    fn image(slab: &Slab<u32>) -> Vec<u8> {
+        let mut enc = WireEncoder::new();
+        slab.encode(&mut enc, |enc, &v| enc.u32(v));
+        enc.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Slab<u32>, WireError> {
+        Slab::decode(&mut WireDecoder::new(bytes), 4, WireDecoder::u32)
+    }
+
+    #[test]
+    fn codec_preserves_layout_and_free_list_order() {
+        let mut slab = Slab::new();
+        let keys: Vec<u32> = (0..5).map(|v| slab.insert(v * 10)).collect();
+        slab.remove(keys[1]);
+        slab.remove(keys[3]);
+        let bytes = image(&slab);
+        let mut back = decode(&bytes).unwrap();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.get(keys[1]), None);
+        assert_eq!(back[keys[4]], 40);
+        assert_eq!(image(&back), bytes);
+        // Same keys, in the same order, as the original would hand out.
+        for expected in [slab.insert(7), slab.insert(8), slab.insert(9)] {
+            assert_eq!(back.insert(0), expected);
+        }
+    }
+
+    #[test]
+    fn decode_refuses_a_free_list_that_is_not_the_vacant_slots() {
+        let mut slab = Slab::new();
+        let keys: Vec<u32> = (0..4).map(|v| slab.insert(v)).collect();
+        slab.remove(keys[0]);
+        slab.remove(keys[2]);
+        let bytes = image(&slab);
+        assert!(decode(&bytes).is_ok());
+        // Layout: head u32, count u64, then 5-byte slots; slot 2 is the
+        // head and links to slot 0, which ends the list.
+        assert_eq!(bytes[..4], 2u32.to_le_bytes());
+        let link = |slot: usize| 4 + 8 + 5 * slot + 1;
+        let patched = |at: usize, value: u32| {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            decode(&bad).unwrap_err().what
+        };
+        let what = "slab free list does not match the vacant slots";
+        assert_eq!(patched(0, 9), what, "head out of range");
+        assert_eq!(patched(0, 1), what, "head on an occupied slot");
+        assert_eq!(patched(0, NIL), what, "vacant slots left off the list");
+        assert_eq!(patched(link(2), NIL), what, "list ends early");
+        assert_eq!(patched(link(2), 7), what, "link out of range");
+        assert_eq!(patched(link(0), 2), what, "cycle");
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Snapshots (`MSNP`) and action traces (`MTRC`) both need a compact,
 //! versioned, byte-exact serialization without pulling in serde. This
-//! module provides the shared primitive layer: a [`WireEncoder`] that
-//! appends fixed-width little-endian fields to a buffer, and a
-//! [`WireDecoder`] that reads them back with positioned errors.
+//! module is the whole vocabulary those formats (and the campaign
+//! stream, `MCMP`) are written in: a [`WireEncoder`] that appends fields
+//! to a buffer, and a [`WireDecoder`] that reads them back with
+//! positioned errors and never allocates from a length it has not
+//! bounded by the input.
 //!
 //! Layout rules:
 //!
@@ -12,8 +14,19 @@
 //!   `u64`.
 //! * `f64` travels as its IEEE-754 bit pattern, so round-trips are exact
 //!   (including `-0.0`, infinities, and NaN payloads).
+//! * [`SimTime`] and [`SimDuration`] travel as `u64` nanoseconds, an
+//!   [`EventKey`] as its `u64` sequence number, a [`SimRng`] as its four
+//!   `u64` state words (all-zero is refused).
 //! * Strings and byte slices are length-prefixed (`u64` count, then raw
-//!   bytes); sequences are length-prefixed by element count.
+//!   bytes).
+//! * A sequence is a `u64` element count followed by the elements. The
+//!   decoder refuses a count the remaining input cannot hold (`count ×
+//!   minimum element bytes > bytes remaining`) at the prefix's offset,
+//!   before it allocates.
+//! * An option is a strict `bool` (`0`/`1`) followed, when `1`, by the
+//!   value.
+//! * A choice is a `u8` tag followed by the fields of that variant; an
+//!   unknown tag is an error at the tag's offset.
 //! * A file begins with a 4-byte magic and a `u32` format version via
 //!   [`WireEncoder::with_magic`] / [`WireDecoder::expect_magic`].
 //!
@@ -35,6 +48,10 @@
 //! ```
 
 use std::fmt;
+
+use crate::queue::EventKey;
+use crate::rng::SimRng;
+use crate::time::{SimDuration, SimTime};
 
 /// A decoding failure, carrying the byte offset where it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,16 +92,19 @@ impl WireEncoder {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, value: u8) {
         self.buf.push(value);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, value: u32) {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, value: u64) {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
@@ -115,10 +135,57 @@ impl WireEncoder {
         self.bytes(value.as_bytes());
     }
 
-    /// Appends a sequence length prefix; the caller then appends that many
-    /// elements.
+    /// Appends a bare element count, for a sequence whose length the
+    /// reader already knows and only checks; [`seq`](Self::seq) writes
+    /// every other sequence.
     pub fn len(&mut self, count: usize) {
         self.usize(count);
+    }
+
+    /// Appends an instant as `u64` nanoseconds.
+    pub fn time(&mut self, value: SimTime) {
+        self.u64(value.as_nanos());
+    }
+
+    /// Appends a duration as `u64` nanoseconds.
+    pub fn duration(&mut self, value: SimDuration) {
+        self.u64(value.as_nanos());
+    }
+
+    /// Appends an event key as its `u64` sequence number.
+    pub fn key(&mut self, value: EventKey) {
+        self.u64(value.as_raw());
+    }
+
+    /// Appends a generator's stream position (four `u64` words).
+    pub fn rng(&mut self, value: &SimRng) {
+        for word in value.state() {
+            self.u64(word);
+        }
+    }
+
+    /// Appends an option: a `bool`, then the value when present.
+    pub fn option<T>(&mut self, value: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.bool(value.is_some());
+        if let Some(value) = value {
+            put(self, value);
+        }
+    }
+
+    /// Appends a sequence: a `u64` element count, then each element.
+    pub fn seq<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut Self, T),
+    ) {
+        let prefix = self.buf.len();
+        self.u64(0);
+        let mut count = 0u64;
+        for item in items {
+            put(self, item);
+            count += 1;
+        }
+        self.buf[prefix..prefix + 8].copy_from_slice(&count.to_le_bytes());
     }
 
     /// The encoded bytes so far.
@@ -160,6 +227,7 @@ impl<'a> WireDecoder<'a> {
         self.pos >= self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -186,17 +254,20 @@ impl<'a> WireDecoder<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1, "u8")?[0])
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         let bytes = self.take(4, "u32")?;
         Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         let bytes = self.take(8, "u64")?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
@@ -244,9 +315,81 @@ impl<'a> WireDecoder<'a> {
         })
     }
 
-    /// Reads a sequence length prefix.
+    /// Reads a bare element count to check against a length the caller
+    /// already knows. It is **not** bounded by the input: never allocate
+    /// from it — [`seq`](Self::seq) reads every other sequence.
     pub fn len(&mut self) -> Result<usize, WireError> {
         self.usize()
+    }
+
+    /// Reads an instant.
+    pub fn time(&mut self) -> Result<SimTime, WireError> {
+        self.u64().map(SimTime::from_nanos)
+    }
+
+    /// Reads a duration.
+    pub fn duration(&mut self) -> Result<SimDuration, WireError> {
+        self.u64().map(SimDuration::from_nanos)
+    }
+
+    /// Reads an event key.
+    pub fn key(&mut self) -> Result<EventKey, WireError> {
+        self.u64().map(EventKey::from_raw)
+    }
+
+    /// Reads a generator's stream position, rejecting the all-zero state
+    /// (the generator's fixed point, which no seeding produces).
+    pub fn rng(&mut self) -> Result<SimRng, WireError> {
+        let at = self.pos;
+        let state = [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
+        if state == [0; 4] {
+            return Err(WireError {
+                at,
+                what: "all-zero RNG state",
+            });
+        }
+        Ok(SimRng::from_state(state))
+    }
+
+    /// Reads an option written by [`WireEncoder::option`].
+    pub fn option<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        self.bool()?.then(|| get(self)).transpose()
+    }
+
+    /// Reads a choice tag. Also returns the error to give back when the
+    /// tag names no variant: `what`, positioned at the tag.
+    pub fn tag(&mut self, what: &'static str) -> Result<(u8, WireError), WireError> {
+        let at = self.pos;
+        Ok((self.u8()?, WireError { at, what }))
+    }
+
+    /// Reads a sequence written by [`WireEncoder::seq`], each element
+    /// occupying at least `min_bytes` (≥ 1) of input. A count the
+    /// remaining input cannot hold is refused at the prefix's offset, so
+    /// the allocation for the elements is bounded by the input's size.
+    pub fn seq<T>(
+        &mut self,
+        min_bytes: usize,
+        mut get: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let at = self.pos;
+        let count = self.len()?;
+        if count > (self.buf.len() - self.pos) / min_bytes {
+            return Err(WireError {
+                at,
+                what: "sequence longer than the remaining input",
+            });
+        }
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            let before = self.pos;
+            items.push(get(self)?);
+            debug_assert!(self.pos - before >= min_bytes, "min_bytes overstated");
+        }
+        Ok(items)
     }
 
     /// Asserts every input byte was consumed (catches framing drift).
@@ -356,5 +499,70 @@ mod tests {
         assert!(enc.as_slice().is_empty());
         enc.u8(5);
         assert_eq!(enc.as_slice(), &[5]);
+    }
+
+    #[test]
+    fn vocabulary_round_trips() {
+        let mut rng = SimRng::seed_from(9);
+        rng.gen_range_u32(0..10);
+        let mut enc = WireEncoder::new();
+        enc.time(SimTime::from_millis(3));
+        enc.duration(SimDuration::from_micros(7));
+        enc.key(EventKey::from_raw(11));
+        enc.rng(&rng);
+        enc.option(Some(5u32), WireEncoder::u32);
+        enc.option(None, WireEncoder::u32);
+        enc.seq([1u32, 2, 3], WireEncoder::u32);
+        // An iterator of unknown length: the prefix is patched afterwards.
+        enc.seq((0u32..10).filter(|n| n % 2 == 1), WireEncoder::u32);
+        let bytes = enc.into_bytes();
+
+        let mut dec = WireDecoder::new(&bytes);
+        assert_eq!(dec.time().unwrap(), SimTime::from_millis(3));
+        assert_eq!(dec.duration().unwrap(), SimDuration::from_micros(7));
+        assert_eq!(dec.key().unwrap(), EventKey::from_raw(11));
+        assert_eq!(dec.rng().unwrap().state(), rng.state());
+        assert_eq!(dec.option(WireDecoder::u32).unwrap(), Some(5));
+        assert_eq!(dec.option(WireDecoder::u32).unwrap(), None);
+        assert_eq!(dec.seq(4, WireDecoder::u32).unwrap(), [1, 2, 3]);
+        assert_eq!(dec.seq(4, WireDecoder::u32).unwrap(), [1, 3, 5, 7, 9]);
+        assert!(dec.finish().is_ok());
+    }
+
+    #[test]
+    fn sequence_longer_than_the_input_fails_at_its_prefix() {
+        let mut enc = WireEncoder::new();
+        enc.u8(0xEE);
+        enc.seq([1u32, 2, 3], WireEncoder::u32);
+        let mut bytes = enc.into_bytes();
+        // Four elements of four bytes cannot fit in the twelve that remain,
+        // and neither can u64::MAX of them (no overflow on the way).
+        for count in [4, u64::MAX >> 8, u64::MAX] {
+            bytes[1..9].copy_from_slice(&count.to_le_bytes());
+            let mut dec = WireDecoder::new(&bytes);
+            dec.u8().unwrap();
+            let err = dec.seq(4, WireDecoder::u32).unwrap_err();
+            assert_eq!(err.at, 1, "{err}");
+            assert_eq!(err.what, "sequence longer than the remaining input");
+        }
+        // The same count is fine for one-byte elements.
+        bytes[1..9].copy_from_slice(&12u64.to_le_bytes());
+        let mut dec = WireDecoder::new(&bytes);
+        dec.u8().unwrap();
+        assert_eq!(dec.seq(1, WireDecoder::u8).unwrap().len(), 12);
+    }
+
+    #[test]
+    fn unknown_tag_and_zero_rng_state_are_positioned_errors() {
+        let mut dec = WireDecoder::new(&[0, 9]);
+        dec.u8().unwrap();
+        let (tag, invalid) = dec.tag("invalid test tag").unwrap();
+        assert_eq!((tag, invalid.at, invalid.what), (9, 1, "invalid test tag"));
+
+        let zeros = [0u8; 33];
+        let mut dec = WireDecoder::new(&zeros);
+        dec.u8().unwrap();
+        let err = dec.rng().unwrap_err();
+        assert_eq!((err.at, err.what), (1, "all-zero RNG state"));
     }
 }
