@@ -1,36 +1,35 @@
 //! The in-tree benchmark harness — the zero-dependency replacement for
 //! Criterion in this workspace.
 //!
-//! Each bench binary builds a [`Suite`], registers benchmarks with
-//! [`Suite::bench`], and calls [`Suite::finish`], which prints a summary
-//! and writes machine-readable `BENCH_<suite>.json` so successive PRs can
-//! track the perf trajectory.
+//! A bench binary builds a [`Suite`], registers benchmarks with
+//! [`Suite::bench`], and calls [`Suite::finish`], which writes the
+//! machine-readable `BENCH_<suite>.json` at the workspace root — the
+//! committed record of the rows `perfbench` cannot see.
 //!
 //! Methodology per benchmark:
 //!
 //! 1. **Warmup** — the closure runs until a time budget elapses, letting
 //!    caches, branch predictors, and the allocator settle, and yielding a
 //!    per-iteration estimate.
-//! 2. **Sampling** — the closure runs `samples` batches of
+//! 2. **Sampling** — the closure runs 15 batches of
 //!    `iters_per_sample` iterations (sized so one batch takes tens of
 //!    milliseconds); each batch yields one mean-nanoseconds-per-iteration
 //!    observation.
 //! 3. **Statistics** — the observations are summarised as median, p95,
-//!    minimum, and mean. Median and p95 are what the JSON trajectory
-//!    tracks: the median is robust to scheduler noise, the p95 bounds it.
+//!    minimum, and mean. Median and p95 are what the report is read
+//!    for: the median is robust to scheduler noise, the p95 bounds it.
 //!
 //! Return values are routed through [`std::hint::black_box`] so the
 //! optimizer cannot delete the measured work.
 //!
 //! CLI flags (after `cargo bench --bench <suite> --`):
 //!
-//! * `--quick` — 1 sample × 1 iteration, minimal warmup: a smoke test
-//!   that every benchmark still runs, in seconds instead of minutes.
+//! * `--quick` — 1 sample × 1 iteration, no warmup: a smoke test that
+//!   every benchmark still runs, in seconds instead of minutes. It
+//!   writes no report: one-sample numbers must never reach the
+//!   committed file.
 //! * `--filter SUBSTR` (or a bare positional) — only run benchmarks whose
-//!   name contains `SUBSTR`.
-//! * `--json PATH` — write the JSON report to `PATH` instead of
-//!   `BENCH_<suite>.json` at the workspace root.
-//! * `--samples N` — observations per benchmark (default 15).
+//!   name contains `SUBSTR`; a partial pass writes no report either.
 
 use manet_sim_engine::json_escape;
 use std::hint::black_box;
@@ -42,8 +41,8 @@ use std::time::{Duration, Instant};
 const WARMUP_BUDGET: Duration = Duration::from_millis(150);
 /// Target wall-clock time for one sample batch.
 const SAMPLE_BUDGET: Duration = Duration::from_millis(40);
-/// Default number of sample batches per benchmark.
-const DEFAULT_SAMPLES: usize = 15;
+/// Sample batches per benchmark.
+const SAMPLES: usize = 15;
 
 /// The summary statistics of one benchmark, in nanoseconds per iteration.
 #[derive(Debug, Clone)]
@@ -71,8 +70,6 @@ pub struct Suite {
     name: String,
     quick: bool,
     filter: Option<String>,
-    samples: usize,
-    json_path: PathBuf,
     records: Vec<BenchRecord>,
 }
 
@@ -84,15 +81,17 @@ impl Suite {
     ///
     /// Panics on unknown options or missing flag values.
     pub fn from_args(name: &str) -> Suite {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Suite::parse(name, &args)
+    }
+
+    fn parse(name: &str, args: &[String]) -> Suite {
         let mut suite = Suite {
             name: name.to_string(),
             quick: false,
             filter: None,
-            samples: DEFAULT_SAMPLES,
-            json_path: workspace_root().join(format!("BENCH_{name}.json")),
             records: Vec::new(),
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
@@ -100,14 +99,6 @@ impl Suite {
                 "--filter" => {
                     let value = iter.next().expect("--filter needs a value");
                     suite.filter = Some(value.clone());
-                }
-                "--json" => {
-                    let value = iter.next().expect("--json needs a path");
-                    suite.json_path = PathBuf::from(value);
-                }
-                "--samples" => {
-                    let value = iter.next().expect("--samples needs a count");
-                    suite.samples = value.parse().expect("--samples needs an integer");
                 }
                 // Cargo passes `--bench` to harness-less bench targets.
                 "--bench" | "--test" => {}
@@ -118,15 +109,8 @@ impl Suite {
         suite
     }
 
-    /// Runs one benchmark with the suite's default sample count.
-    pub fn bench<T>(&mut self, name: &str, f: impl FnMut() -> T) {
-        let samples = self.samples;
-        self.bench_with_samples(name, samples, f);
-    }
-
-    /// Runs one benchmark with an explicit sample count (for expensive
-    /// bodies where the default would take minutes).
-    pub fn bench_with_samples<T>(&mut self, name: &str, samples: usize, mut f: impl FnMut() -> T) {
+    /// Runs one benchmark and records its statistics.
+    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return;
@@ -148,7 +132,7 @@ impl Suite {
             let per_iter = spent / warm_iters;
             let iters =
                 (SAMPLE_BUDGET.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1_000_000) as u64;
-            (samples.max(1), iters)
+            (SAMPLES, iters)
         };
 
         let mut sample_means_ns = Vec::with_capacity(samples);
@@ -173,16 +157,28 @@ impl Suite {
         self.records.push(record);
     }
 
-    /// Prints the report location and writes `BENCH_<suite>.json`.
+    /// Where a full pass writes its report: `BENCH_<suite>.json` at the
+    /// workspace root.
+    fn report_path(&self) -> PathBuf {
+        workspace_root().join(format!("BENCH_{}.json", self.name))
+    }
+
+    /// Writes `BENCH_<suite>.json` and prints its location; a `--quick`
+    /// or filtered pass writes nothing, so only a full run of every row
+    /// can replace the committed report.
     ///
     /// # Panics
     ///
     /// Panics if the JSON report cannot be written.
     pub fn finish(self) {
-        let path = &self.json_path;
+        if self.quick || self.filter.is_some() {
+            println!("[bench] quick or filtered pass: no report written");
+            return;
+        }
+        let path = &self.report_path();
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(&self.name)));
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
+        out.push_str("  \"quick\": false,\n");
         out.push_str("  \"benches\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             let comma = if i + 1 < self.records.len() { "," } else { "" };
@@ -209,8 +205,8 @@ impl Suite {
 }
 
 /// Cargo runs bench binaries with the *package* directory as CWD; the
-/// JSON trajectory belongs at the workspace root so successive PRs
-/// overwrite one well-known file. Walk up to the `[workspace]` manifest,
+/// report belongs at the workspace root so a re-recording overwrites
+/// one well-known file. Walk up to the `[workspace]` manifest,
 /// falling back to the CWD when run outside the repo.
 fn workspace_root() -> PathBuf {
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
@@ -276,6 +272,17 @@ mod tests {
         let mut samples = vec![1.0, 2.0, 3.0, 4.0];
         let r = summarize("x", 1, &mut samples);
         assert_eq!(r.median_ns, 2.5);
+    }
+
+    #[test]
+    fn a_quick_pass_leaves_the_report_path_untouched() {
+        let args = ["--quick".to_string()];
+        let mut suite = Suite::parse("harness_quick_selftest", &args);
+        suite.bench("noop", || 1 + 1);
+        assert_eq!(suite.records.len(), 1, "the benchmark itself still runs");
+        let path = suite.report_path();
+        suite.finish();
+        assert!(!path.exists(), "{} was written", path.display());
     }
 
     #[test]

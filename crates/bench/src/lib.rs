@@ -1,52 +1,20 @@
 //! # manet-bench
 //!
-//! Benchmark support for the broadcast-storm reproduction: the in-tree
-//! [`harness`] (warmup + timed samples, median/p95 statistics, JSON
-//! reports — the workspace's zero-dependency replacement for Criterion)
-//! plus shared helpers. The actual benchmarks live in `benches/`:
+//! The in-tree [`harness`] (warmup + timed samples, median/p95
+//! statistics, one JSON report — the workspace's zero-dependency
+//! replacement for Criterion) and, in `benches/substrate.rs`, the one
+//! suite that uses it.
 //!
-//! * `figures` — one benchmark per reproduced paper figure, running a
-//!   scaled-down version of that figure's computation (the full
-//!   regeneration is the `manet-experiments` binary).
-//! * `substrate` — microbenchmarks of the building blocks: event queue,
-//!   coverage grid, reachability BFS, MAC state machine, mobility.
-//! * `ablations` — design-choice sweeps called out in DESIGN.md:
-//!   coverage-grid resolution, oracle vs HELLO neighbor information,
-//!   channel loss injection, and `C(n)` descent shapes.
+//! Speed questions are asked of the repository benchmark (`perfbench/`,
+//! `BENCHMARK.json`); this suite holds only the rows it cannot see — a
+//! flapping neighbor table, and the campaign scheduler inline against
+//! two workers. EXPERIMENTS.md "Bench successors" maps every row that
+//! used to live here to the `perfbench` metric that answers it.
 //!
-//! Run them with `cargo bench -p manet-bench --bench substrate`; append
-//! `-- --quick` for a seconds-long smoke pass that still writes
-//! `BENCH_substrate.json` at the workspace root.
+//! `cargo bench -p manet-bench --bench substrate` re-records
+//! `BENCH_substrate.json` at the workspace root; append `-- --quick` for
+//! a seconds-long does-it-run pass that writes nothing.
 
 #![warn(missing_docs)]
 
 pub mod harness;
-
-use broadcast_core::{SchemeSpec, SimConfig, SimReport, World};
-
-/// A miniature simulation sized so one run fits in a bench iteration
-/// (tens of milliseconds): 40 hosts, 12 broadcasts.
-pub fn mini_run(map_units: u32, scheme: SchemeSpec, seed: u64) -> SimReport {
-    World::new(mini_config(map_units, scheme, seed)).run()
-}
-
-/// The configuration behind [`mini_run`], for benches that tweak it.
-pub fn mini_config(map_units: u32, scheme: SchemeSpec, seed: u64) -> SimConfig {
-    SimConfig::builder(map_units, scheme)
-        .hosts(40)
-        .broadcasts(12)
-        .seed(seed)
-        .build()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mini_run_is_fast_and_sane() {
-        let report = mini_run(3, SchemeSpec::Flooding, 5);
-        assert_eq!(report.broadcasts, 12);
-        assert!(report.reachability > 0.0);
-    }
-}

@@ -45,12 +45,11 @@ mod metrics_out;
 mod runner;
 mod table;
 
-pub use manet_sim_engine::DEFAULT_LATENCY_BOUNDS_S;
 pub use metrics_out::render_metrics_json;
 pub use runner::{
-    drain_metrics_capture, enable_metrics_capture, enable_metrics_capture_with_bounds,
-    metrics_record, metrics_record_with_bounds, parallel_map, record_metrics, run_averaged,
-    run_grid, AveragedReport, MetricsRecord, RunMetricsSummary, Scale, BASE_SEED, PAPER_MAPS,
+    drain_metrics_capture, enable_metrics_capture, metrics_record, parallel_map, record_metrics,
+    run_averaged, run_grid, AveragedReport, MetricsRecord, RunMetricsSummary, Scale, BASE_SEED,
+    PAPER_MAPS,
 };
 pub use table::{pct, secs, Table};
 

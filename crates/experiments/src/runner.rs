@@ -9,7 +9,7 @@ use broadcast_core::{
     LossCounters, MacStats, NetActivity, ScenarioCounts, SimConfig, SimReport, SuppressionCounts,
     World,
 };
-use manet_sim_engine::{Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_S};
+use manet_sim_engine::{Histogram, HistogramSnapshot, WorkerPool, DEFAULT_LATENCY_BOUNDS_S};
 
 use crate::metrics_out::render_record_metrics;
 
@@ -140,21 +140,12 @@ pub struct RunMetricsSummary {
 
 impl RunMetricsSummary {
     fn from_reports(reports: &[SimReport]) -> Self {
-        Self::from_reports_with_bounds(reports, &DEFAULT_LATENCY_BOUNDS_S)
-    }
-
-    /// Sums `reports` with explicit latency-histogram bucket edges in
-    /// seconds (strictly increasing; see [`Histogram::new`]). The default
-    /// edges ([`DEFAULT_LATENCY_BOUNDS_S`]) suit the paper's
-    /// few-millisecond to few-hundred-millisecond range; sweeps whose
-    /// latencies live elsewhere (large maps, heavy churn) pass their own.
-    pub fn from_reports_with_bounds(reports: &[SimReport], latency_bounds_s: &[f64]) -> Self {
         let mut losses = LossCounters::default();
         let mut mac = MacStats::default();
         let mut net = NetActivity::default();
         let mut suppression = SuppressionCounts::default();
         let mut scenario: Option<ScenarioCounts> = None;
-        let mut latency = Histogram::new(latency_bounds_s);
+        let mut latency = Histogram::new(&DEFAULT_LATENCY_BOUNDS_S);
         for r in reports {
             losses.merge(&r.losses);
             mac.merge(&r.mac);
@@ -203,18 +194,11 @@ pub struct MetricsRecord {
     pub metrics: RunMetricsSummary,
 }
 
-/// What an enabled capture sink holds: the records so far plus the
-/// latency-histogram bucket edges every record is summed with.
-#[derive(Debug)]
-struct CaptureState {
-    latency_bounds_s: Vec<f64>,
-    records: Vec<MetricsRecord>,
-}
-
-/// The capture sink: `None` while disabled (the common case — recording
-/// costs nothing when off). A plain `Mutex` rather than thread-locals
-/// because `run_grid` fans runs out over worker threads.
-static METRICS_SINK: Mutex<Option<CaptureState>> = Mutex::new(None);
+/// The capture sink: the records so far, `None` while disabled (the
+/// common case — recording costs nothing when off). A plain `Mutex`
+/// rather than thread-locals because `run_grid` fans runs out over worker
+/// threads.
+static METRICS_SINK: Mutex<Option<Vec<MetricsRecord>>> = Mutex::new(None);
 
 /// Held by every test that enables and drains the capture sink: the sink
 /// is process-wide, so a concurrent test's `drain` would steal records.
@@ -225,25 +209,16 @@ pub(crate) fn capture_test_guard() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn sink_lock() -> std::sync::MutexGuard<'static, Option<CaptureState>> {
+fn sink_lock() -> std::sync::MutexGuard<'static, Option<Vec<MetricsRecord>>> {
     // A worker that panicked mid-run poisons the lock; the sink's data is
     // append-only and stays coherent, so recover rather than cascade.
     METRICS_SINK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Starts capturing a [`MetricsRecord`] per [`run_averaged`] call with the
-/// default latency buckets, discarding anything captured earlier.
+/// Starts capturing a [`MetricsRecord`] per [`run_averaged`] call,
+/// discarding anything captured earlier.
 pub fn enable_metrics_capture() {
-    enable_metrics_capture_with_bounds(&DEFAULT_LATENCY_BOUNDS_S);
-}
-
-/// Starts capturing with explicit latency-histogram bucket edges, seconds
-/// (strictly increasing). Existing captures are discarded.
-pub fn enable_metrics_capture_with_bounds(latency_bounds_s: &[f64]) {
-    *sink_lock() = Some(CaptureState {
-        latency_bounds_s: latency_bounds_s.to_vec(),
-        records: Vec::new(),
-    });
+    *sink_lock() = Some(Vec::new());
 }
 
 /// Stops capturing and returns the captured records in a total order
@@ -251,10 +226,7 @@ pub fn enable_metrics_capture_with_bounds(latency_bounds_s: &[f64]) {
 /// metrics — so worker scheduling cannot leak into the output even when
 /// a figure captures several records per `(scheme, map)`.
 pub fn drain_metrics_capture() -> Vec<MetricsRecord> {
-    let mut records = sink_lock()
-        .take()
-        .map(|state| state.records)
-        .unwrap_or_default();
+    let mut records = sink_lock().take().unwrap_or_default();
     records.sort_by(|a, b| {
         (&a.scheme, &a.map, a.repeats)
             .cmp(&(&b.scheme, &b.map, b.repeats))
@@ -292,10 +264,8 @@ pub fn run_averaged(config: &SimConfig, repeats: u64) -> AveragedReport {
 /// [`SimReport`], e.g. per-cause loss splits — call it so their runs still
 /// land in the `--metrics` document.
 pub fn record_metrics(reports: &[SimReport]) {
-    let mut sink = sink_lock();
-    if let Some(state) = sink.as_mut() {
-        let record = metrics_record_with_bounds(reports, &state.latency_bounds_s);
-        state.records.push(record);
+    if let Some(records) = sink_lock().as_mut() {
+        records.push(metrics_record(reports));
     }
 }
 
@@ -316,92 +286,35 @@ pub fn metrics_record(reports: &[SimReport]) -> MetricsRecord {
     }
 }
 
-/// [`metrics_record`] with explicit latency-histogram bucket edges.
-///
-/// # Panics
-///
-/// Panics when `reports` is empty or the edges are not strictly
-/// increasing.
-pub fn metrics_record_with_bounds(
-    reports: &[SimReport],
-    latency_bounds_s: &[f64],
-) -> MetricsRecord {
-    assert!(!reports.is_empty(), "need at least one report");
-    MetricsRecord {
-        scheme: reports[0].scheme.clone(),
-        map: reports[0].map.clone(),
-        repeats: reports.len(),
-        metrics: RunMetricsSummary::from_reports_with_bounds(reports, latency_bounds_s),
-    }
-}
-
 /// Evaluates `job` over `inputs` on up to `available_parallelism` OS
-/// threads, preserving input order. Plain `std::thread` — simulations are
+/// threads (the caller included), preserving input order: a
+/// [`WorkerPool`] batch in which job `i` fills slot `i`. Simulations are
 /// independent and CPU-bound, so this is all the parallelism the harness
-/// needs.
+/// needs; a nested call (`run_grid` → [`run_averaged`]) is its own batch
+/// on its own scoped threads.
 ///
-/// Workers collect into thread-local vectors (no shared lock that a
-/// panicking job would poison); a panic in `job` is re-raised on the
-/// caller with its original payload once every worker has stopped.
+/// A slot's lock is taken only to store a finished output, so a
+/// panicking job poisons nothing; the pool re-raises the panic on the
+/// caller with its original payload once every thread has stopped.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
 where
     I: Send + Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let workers = thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(inputs.len().max(1));
-    if workers <= 1 {
-        return inputs.iter().map(&job).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, O)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= inputs.len() {
-                            break;
-                        }
-                        local.push((idx, job(&inputs[idx])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Join everything first so no worker outlives the scope, then
-        // propagate the first panic with its original payload.
-        let joined: Vec<thread::Result<Vec<(usize, O)>>> =
-            handles.into_iter().map(|h| h.join()).collect();
-        let mut collected = Vec::with_capacity(workers);
-        let mut payload_hold = None;
-        for result in joined {
-            match result {
-                Ok(local) => collected.push(local),
-                Err(payload) => {
-                    if payload_hold.is_none() {
-                        payload_hold = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = payload_hold {
-            std::panic::resume_unwind(payload);
-        }
-        collected
+    let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let slots: Vec<Mutex<Option<O>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    WorkerPool::new(threads - 1).run(inputs.len(), &|i| {
+        let output = job(&inputs[i]);
+        *slots[i].lock().expect("no job runs under a slot lock") = Some(output);
     });
-    let mut slots: Vec<Option<O>> = Vec::new();
-    slots.resize_with(inputs.len(), || None);
-    for (idx, out) in per_worker.into_iter().flatten() {
-        slots[idx] = Some(out);
-    }
     slots
         .into_iter()
-        .map(|o| o.expect("worker skipped a slot"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no job runs under a slot lock")
+                .expect("the pool ran every index")
+        })
         .collect()
 }
 
@@ -618,34 +531,6 @@ mod tests {
             rec.metrics, seq_metrics,
             "summed metrics must be bit-identical"
         );
-    }
-
-    #[test]
-    fn custom_latency_bounds_reach_the_capture_sink() {
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(4))
-            .hosts(18)
-            .broadcasts(4)
-            .seed(21)
-            .build();
-        let coarse = [0.01, 1.0];
-        let _guard = capture_test_guard();
-        enable_metrics_capture_with_bounds(&coarse);
-        let _ = run_averaged(&config, 1);
-        let records = drain_metrics_capture();
-        let rec = records
-            .iter()
-            .find(|r| r.scheme == "C=4" && r.map == "3x3")
-            .expect("captured the C=4 record");
-        assert_eq!(
-            rec.metrics.latency_s.bounds,
-            coarse.to_vec(),
-            "sink uses the configured bucket edges"
-        );
-        // The default-bounds path is byte-identical to the old constant.
-        let reports = vec![World::new(config).run()];
-        let default_rec = metrics_record(&reports);
-        let explicit = metrics_record_with_bounds(&reports, &DEFAULT_LATENCY_BOUNDS_S);
-        assert_eq!(default_rec, explicit);
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use medium::{
     TxStart,
 };
 pub use shard::ShardMap;
-pub use topology::{components, in_range, in_range_into, in_range_of, reachable_from};
+pub use topology::{in_range, in_range_into, in_range_of, reachable_from};

@@ -80,30 +80,6 @@ pub fn reachable_from(positions: &[Vec2], source: NodeId, radius: f64) -> Vec<No
     out
 }
 
-/// The connected components of the unit-disk graph, each sorted, largest
-/// first.
-pub fn components(positions: &[Vec2], radius: f64) -> Vec<Vec<NodeId>> {
-    let n = positions.len();
-    let mut seen = vec![false; n];
-    let mut comps = Vec::new();
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        seen[start] = true;
-        let mut comp = vec![NodeId::new(start as u32)];
-        let mut rest = reachable_from(positions, NodeId::new(start as u32), radius);
-        for &node in &rest {
-            seen[node.index()] = true;
-        }
-        comp.append(&mut rest);
-        comp.sort();
-        comps.push(comp);
-    }
-    comps.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,10 +117,6 @@ mod tests {
         pos.extend((0..5).map(|i| Vec2::new(offset + i as f64 * 450.0, 0.0)));
         let reach = reachable_from(&pos, NodeId::new(0), R);
         assert_eq!(reach.len(), 4, "only the first segment is reachable");
-        let comps = components(&pos, R);
-        assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0].len(), 5);
-        assert_eq!(comps[1].len(), 5);
     }
 
     #[test]
@@ -161,21 +133,5 @@ mod tests {
             assert_eq!(reach.len(), 5, "all hosts mutually reachable");
             assert!(!reach.contains(&NodeId::new(i)), "excludes self");
         }
-    }
-
-    #[test]
-    fn components_cover_all_nodes_once() {
-        let pos = [
-            Vec2::ZERO,
-            Vec2::new(400.0, 0.0),
-            Vec2::new(5_000.0, 0.0),
-            Vec2::new(5_400.0, 0.0),
-            Vec2::new(20_000.0, 0.0),
-        ];
-        let comps = components(&pos, R);
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 5);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps.last().unwrap().len(), 1);
     }
 }
