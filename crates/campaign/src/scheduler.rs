@@ -14,14 +14,13 @@
 //! integers, not a re-serialized report. Cancellation is cooperative at
 //! two levels: unstarted jobs observe the token before building a world,
 //! and in-flight worlds drain at their next
-//! [`advance_until`](broadcast_core::World::advance_until) pause
+//! [`advance`](broadcast_core::World::advance) pause
 //! boundary via [`World::run_cancellable`](broadcast_core::World).
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use broadcast_core::trace::NoopObserver;
 use broadcast_core::{CancelToken, Scenario, SchemeSpec, SimConfig, World};
 use manet_sim_engine::{SimDuration, WorkerPool};
 
@@ -96,7 +95,7 @@ fn execute_job(job: &JobEnvelope, cancel: &CancelToken) -> JobOutcome {
     };
     let mut reports = Vec::with_capacity(configs.len());
     for config in configs {
-        match World::new(config).run_cancellable(cancel, CANCEL_SLICE, &mut NoopObserver) {
+        match World::new(config).run_cancellable(cancel, CANCEL_SLICE) {
             Some(report) => reports.push(report),
             None => return JobOutcome::Cancelled,
         }

@@ -4,7 +4,7 @@
 //! driving a [`World`](crate::World) and whoever may want to stop it — a
 //! campaign scheduler draining a cancelled job, a service shutting down.
 //! Cancellation is *cooperative*: the simulation only observes the token
-//! at [`advance_until`](crate::World::advance_until) pause boundaries, so
+//! at [`advance`](crate::World::advance) pause boundaries, so
 //! a cancelled run always stops between events with the world in a
 //! consistent (snapshot-able) state, never mid-dispatch.
 

@@ -6,12 +6,26 @@
 //! fixed parameters (§4); a builder makes the sweeps in the experiment
 //! harness terse.
 
-use manet_mobility::{Map, PAPER_RADIO_RADIUS_M};
+use manet_mobility::Map;
 use manet_net::HelloIntervalPolicy;
 use manet_scenario::Scenario;
 use manet_sim_engine::SimDuration;
 
 use crate::schemes::SchemeSpec;
+
+// The paper's fixed parameters that no run varies. The transmission
+// radius is the fourth: `manet_mobility::PAPER_RADIO_RADIUS_M`.
+
+/// Broadcast payload size in bytes.
+pub(crate) const PACKET_BYTES: usize = 280;
+/// Grid resolution of the location schemes' coverage estimator.
+pub(crate) const COVERAGE_RESOLUTION: usize = 48;
+/// Carrier-sense latency: how long after a frame appears on the air
+/// neighbors' clear-channel assessment reports busy (and how long after
+/// it ends they report idle). The paper's collision analysis leans on
+/// carriers not being sensed immediately ("RF delays"); 15 µs is the DSSS
+/// CCA assessment time.
+pub(crate) const CS_DELAY: SimDuration = SimDuration::from_micros(15);
 
 /// Where the adaptive schemes get their neighborhood information.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,10 +115,6 @@ pub struct SimConfig {
     /// Interarrival between broadcasts is uniform in `[0, this]`
     /// (paper: 2 s).
     pub max_interarrival: SimDuration,
-    /// Broadcast payload size in bytes (paper: 280).
-    pub packet_bytes: usize,
-    /// Transmission radius in meters (paper: 500).
-    pub radio_radius: f64,
     /// Root RNG seed; every component derives its stream from this.
     pub seed: u64,
     /// Extra simulated time after the last broadcast is issued, letting
@@ -116,15 +126,6 @@ pub struct SimConfig {
     /// Independent per-delivery frame-loss probability (failure
     /// injection; 0 reproduces the paper).
     pub drop_probability: f64,
-    /// Grid resolution of the location schemes' coverage estimator.
-    pub coverage_resolution: usize,
-    /// Carrier-sense latency: how long after a frame appears on the air
-    /// neighbors' clear-channel assessment reports busy (and how long
-    /// after it ends they report idle). The paper's collision analysis
-    /// leans on carriers not being sensed immediately ("RF delays");
-    /// 15 µs is the DSSS CCA assessment time. Zero gives an idealized
-    /// instant-sensing channel.
-    pub cs_delay: SimDuration,
     /// Optional physical-layer capture model; `None` reproduces the
     /// paper's no-capture collisions.
     pub capture: Option<CaptureConfig>,
@@ -160,14 +161,10 @@ impl SimConfig {
                 mobility: MobilitySpec::RandomTurn,
                 broadcasts: 100,
                 max_interarrival: SimDuration::from_secs(2),
-                packet_bytes: 280,
-                radio_radius: PAPER_RADIO_RADIUS_M,
                 seed: 1,
                 grace: SimDuration::from_secs(5),
                 warmup: SimDuration::from_secs(5),
                 drop_probability: 0.0,
-                coverage_resolution: 48,
-                cs_delay: SimDuration::from_micros(15),
                 capture: None,
                 profile_events: false,
                 scenario: None,
@@ -204,22 +201,13 @@ impl SimConfig {
         if self.broadcasts == 0 {
             return Err("need at least one broadcast".into());
         }
-        if !(self.radio_radius.is_finite() && self.radio_radius > 0.0) {
-            return Err(format!("bad radio radius {}", self.radio_radius));
-        }
         if !(0.0..=1.0).contains(&self.drop_probability) {
             return Err(format!("bad drop probability {}", self.drop_probability));
-        }
-        if self.coverage_resolution < 2 {
-            return Err("coverage resolution must be at least 2".into());
         }
         if let Some(speed) = self.max_speed_kmh {
             if !(speed.is_finite() && speed >= 0.0) {
                 return Err(format!("bad max speed {speed}"));
             }
-        }
-        if self.packet_bytes == 0 {
-            return Err("packet must have at least one byte".into());
         }
         if let Some(capture) = self.capture {
             if !(capture.sir_threshold.is_finite() && capture.sir_threshold > 0.0) {
@@ -337,12 +325,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Coverage-grid resolution for the location schemes (default 48).
-    pub fn coverage_resolution(mut self, resolution: usize) -> Self {
-        self.config.coverage_resolution = resolution;
-        self
-    }
-
     /// Enables physical-layer capture (default: off, as in the paper).
     pub fn capture(mut self, capture: CaptureConfig) -> Self {
         self.config.capture = Some(capture);
@@ -356,28 +338,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Carrier-sense latency (default 15 µs; zero = instant sensing).
-    pub fn cs_delay(mut self, delay: SimDuration) -> Self {
-        self.config.cs_delay = delay;
-        self
-    }
-
     /// Attaches a scripted scenario (churn and fault windows); validated
     /// against the run's host count at [`build`](Self::build).
     pub fn scenario(mut self, scenario: Scenario) -> Self {
         self.config.scenario = Some(scenario);
-        self
-    }
-
-    /// Broadcast payload size in bytes (default 280).
-    pub fn packet_bytes(mut self, bytes: usize) -> Self {
-        self.config.packet_bytes = bytes;
-        self
-    }
-
-    /// Radio radius in meters (default 500).
-    pub fn radio_radius(mut self, meters: f64) -> Self {
-        self.config.radio_radius = meters;
         self
     }
 
@@ -403,8 +367,6 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = SimConfig::builder(3, SchemeSpec::Flooding).build();
         assert_eq!(c.hosts, 100);
-        assert_eq!(c.packet_bytes, 280);
-        assert_eq!(c.radio_radius, 500.0);
         assert_eq!(c.max_interarrival, SimDuration::from_secs(2));
         assert_eq!(c.effective_max_speed_kmh(), 30.0);
     }

@@ -387,16 +387,6 @@ impl MetricsCollector {
         record.last_decision = record.last_decision.max(now);
     }
 
-    /// `true` when `node` already counted as a receiver of `packet`.
-    pub fn has_received(&self, packet: PacketId, node: NodeId) -> bool {
-        self.records
-            .get(packet.seq as usize)
-            .expect("unknown broadcast")
-            .1
-            .received
-            .contains(node)
-    }
-
     /// Serializes the collector — every per-broadcast record — for a
     /// world snapshot.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
@@ -674,15 +664,6 @@ mod tests {
         assert_eq!(a.injected_drops(), 10);
     }
 
-    #[test]
-    fn has_received_reflects_state() {
-        let mut m = MetricsCollector::new(4);
-        m.broadcast_issued(pid(0), id(0), 3, SimTime::ZERO);
-        assert!(!m.has_received(pid(0), id(1)));
-        m.packet_received(pid(0), id(1));
-        assert!(m.has_received(pid(0), id(1)));
-    }
-
     /// A snapshot whose host sets are shorter than the world's population
     /// used to restore, then index past the set on the next reception.
     #[test]
@@ -696,7 +677,10 @@ mod tests {
         let restore = |bytes: &[u8], hosts| {
             MetricsCollector::restore_snapshot(&mut WireDecoder::new(bytes), hosts)
         };
-        assert!(restore(&bytes, 70).unwrap().has_received(pid(0), id(65)));
+        // Host 65's bit came back: hearing it again counts nobody new.
+        let mut restored = restore(&bytes, 70).unwrap();
+        restored.packet_received(pid(0), id(65));
+        assert_eq!(restored.outcomes()[0].received, 1);
         assert_eq!(restore(&bytes, 64).unwrap_err().at, 0);
 
         // Hosts, record count, packet, source, issue time and reachable

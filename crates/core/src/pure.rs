@@ -24,11 +24,12 @@
 
 use manet_geom::{CoverageGrid, Vec2};
 use manet_mac::FrameHandle;
+use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationTracker};
 use manet_phy::NodeId;
 use manet_sim_engine::{EventKey, SimDuration, SimTime};
 
-use crate::config::{NeighborInfo, SimConfig};
+use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
 use crate::ids::PacketId;
 use crate::ledger::{ActivePacket, PacketLedger, PacketView};
 use crate::metrics::SuppressionCounts;
@@ -284,13 +285,6 @@ pub enum Effect {
         /// The interval to advertise (and re-arm from).
         interval: SimDuration,
     },
-    /// The host heard this packet for the first time (observability).
-    FirstHeard {
-        /// The hearing host.
-        node: NodeId,
-        /// The packet.
-        packet: PacketId,
-    },
     /// S1 declined immediately: record the inhibit decision.
     InhibitFirstHear {
         /// The deciding host.
@@ -362,7 +356,6 @@ pub struct PureModels {
     hello_policy: Option<HelloIntervalPolicy>,
     needs_count: bool,
     needs_two_hop: bool,
-    radio_radius: f64,
     /// Shared additional-coverage estimator for the location schemes.
     coverage: CoverageGrid,
     /// Per-host packet progress, host-indexed.
@@ -393,8 +386,7 @@ impl PureModels {
             // of the borrowed config.)
             needs_count: cfg.scheme.needs_neighbor_count(),
             needs_two_hop: cfg.scheme.needs_two_hop_hellos(),
-            radio_radius: cfg.radio_radius,
-            coverage: CoverageGrid::new(cfg.coverage_resolution),
+            coverage: CoverageGrid::new(COVERAGE_RESOLUTION),
             ledgers: (0..hosts).map(|_| PacketLedger::new()).collect(),
             tables: (0..hosts).map(|_| NeighborTable::new()).collect(),
             trackers: (0..hosts).map(|_| VariationTracker::new()).collect(),
@@ -560,7 +552,7 @@ impl PureModels {
             neighbors,
             sender_neighbors,
             coverage: &self.coverage,
-            radio_radius: self.radio_radius,
+            radio_radius: PAPER_RADIO_RADIUS_M,
             random_unit,
         };
 
@@ -597,7 +589,6 @@ impl PureModels {
             Outcome::Ignore => {}
             Outcome::FirstHear => {
                 // S1: first copy.
-                fx.push(Effect::FirstHeard { node, packet });
                 let mut policy = self.scheme.build();
                 match policy.on_first_hear(&ctx) {
                     FirstDecision::Inhibit => {
@@ -785,16 +776,10 @@ mod tests {
         );
         assert_eq!(
             fx,
-            vec![
-                Effect::FirstHeard {
-                    node: NodeId::new(1),
-                    packet
-                },
-                Effect::ScheduleAssessment {
-                    node: NodeId::new(1),
-                    packet
-                },
-            ]
+            vec![Effect::ScheduleAssessment {
+                node: NodeId::new(1),
+                packet
+            }]
         );
         assert_eq!(pure.suppression().scheduled, 1);
     }
@@ -917,6 +902,6 @@ mod tests {
             },
             &mut fx,
         );
-        assert!(matches!(fx[0], Effect::FirstHeard { .. }));
+        assert!(matches!(fx[0], Effect::ScheduleAssessment { .. }));
     }
 }

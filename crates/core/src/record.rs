@@ -5,7 +5,8 @@
 //! resulting effects carried — is appended to a [`TraceWriter`]. The
 //! resulting byte stream is self-contained: it embeds the slice of the
 //! [`SimConfig`] the pure models need (scheme, neighbor-info policy,
-//! radio radius, coverage resolution, host count), so a trace can be
+//! host count, and the build's fixed radio radius and coverage
+//! resolution, which decode checks), so a trace can be
 //! replayed through a fresh [`PureModels`] with **no event queue, no
 //! radio medium and no RNG at all** (see [`replay_decisions`]) — ideal
 //! for fuzzing scheme logic against recorded runs.
@@ -40,17 +41,20 @@
 //!
 //! A packet is `source u32, seq u32`; a neighbor list is a `u64` count
 //! followed by that many `u32` ids. Every node id must be below the
-//! replay config's `hosts`. Decision payloads (`record tag 1`)
+//! replay config's `hosts`, and every packet `seq` below the number of
+//! `Originate` records up to and including the one it appears in (live
+//! runs number packets 0, 1, 2 …). Decision payloads (`record tag 1`)
 //! are `node u32, packet, kind u8 (0 scheduled / 1 inhibited / 2
 //! cancelled), reason u8 (0 none / 1 counter / 2 coverage / 3
 //! neighbor-coverage / 4 probabilistic)`.
 
 use manet_geom::Vec2;
+use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_phy::NodeId;
 use manet_sim_engine::{SimTime, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{NeighborInfo, SimConfig};
+use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
 use crate::ids::{decode_packet, encode_packet, PacketId};
 use crate::pure::{Effect, OwnedAction, PureAction, PureModels};
 use crate::schemes::SchemeSpec;
@@ -133,6 +137,14 @@ impl TraceWriter {
         });
     }
 
+    /// Records, in order, the scheme decisions among `effects`: what the
+    /// pure step of the action just recorded, at `at`, asked for.
+    pub fn decisions(&mut self, at: SimTime, effects: &[Effect]) {
+        for record in effects.iter().filter_map(|effect| decision_of(at, effect)) {
+            self.decision(record);
+        }
+    }
+
     /// Finishes the trace, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.enc.into_bytes()
@@ -168,6 +180,9 @@ impl TraceFile {
         }
         let config = decode_replay_config(&mut dec)?;
         let hosts = config.hosts;
+        // Live runs number packets 0, 1, 2 … per `Originate`, and replay
+        // sizes each ledger by the largest `seq` it meets.
+        let mut originated = 0;
         let mut records = Vec::new();
         while !dec.is_empty() {
             let (tag, invalid) = dec.tag("invalid record tag")?;
@@ -175,12 +190,12 @@ impl TraceFile {
             records.push(match tag {
                 0 => TraceRecord::Action {
                     at,
-                    action: decode_action(&mut dec, hosts)?,
+                    action: decode_action(&mut dec, hosts, &mut originated)?,
                 },
                 1 => TraceRecord::Decision(DecisionRecord {
                     at,
                     node: decode_node(&mut dec, hosts)?,
-                    packet: decode_packet(&mut dec)?,
+                    packet: decode_issued_packet(&mut dec, originated)?,
                     kind: {
                         let (tag, invalid) = dec.tag("invalid decision kind")?;
                         match tag {
@@ -279,18 +294,7 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
                 }
                 fx.clear();
                 pure.step(*at, &action.as_action(), &mut fx);
-                for effect in &fx {
-                    if let Some((kind, reason)) = decision_of(effect) {
-                        let (node, packet) = effect_target(effect);
-                        expected.push_back(DecisionRecord {
-                            at: *at,
-                            node,
-                            packet,
-                            kind,
-                            reason,
-                        });
-                    }
-                }
+                expected.extend(fx.iter().filter_map(|effect| decision_of(*at, effect)));
                 summary.actions += 1;
             }
             TraceRecord::Decision(recorded) => match expected.pop_front() {
@@ -319,29 +323,38 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
     Ok(summary)
 }
 
-/// The decision an effect carries, if it carries one.
-fn decision_of(effect: &Effect) -> Option<(DecisionKind, Option<SuppressReason>)> {
-    match effect {
-        Effect::ScheduleAssessment { .. } => Some((DecisionKind::Scheduled, None)),
-        Effect::InhibitFirstHear { reason, .. } => {
-            Some((DecisionKind::InhibitedOnFirstHear, *reason))
+/// The decision an effect of the step at `at` carries, if it carries one.
+fn decision_of(at: SimTime, effect: &Effect) -> Option<DecisionRecord> {
+    let (node, packet, kind, reason) = match *effect {
+        Effect::ScheduleAssessment { node, packet } => {
+            (node, packet, DecisionKind::Scheduled, None)
         }
-        Effect::CancelAssessment { reason, .. } | Effect::CancelQueued { reason, .. } => {
-            Some((DecisionKind::Cancelled, *reason))
+        Effect::InhibitFirstHear {
+            node,
+            packet,
+            reason,
+        } => (node, packet, DecisionKind::InhibitedOnFirstHear, reason),
+        Effect::CancelAssessment {
+            node,
+            packet,
+            reason,
+            ..
         }
-        _ => None,
-    }
-}
-
-/// The `(node, packet)` a decision-bearing effect refers to.
-fn effect_target(effect: &Effect) -> (NodeId, PacketId) {
-    match effect {
-        Effect::ScheduleAssessment { node, packet }
-        | Effect::InhibitFirstHear { node, packet, .. }
-        | Effect::CancelAssessment { node, packet, .. }
-        | Effect::CancelQueued { node, packet, .. } => (*node, *packet),
-        other => unreachable!("effect {other:?} carries no decision"),
-    }
+        | Effect::CancelQueued {
+            node,
+            packet,
+            reason,
+            ..
+        } => (node, packet, DecisionKind::Cancelled, reason),
+        _ => return None,
+    };
+    Some(DecisionRecord {
+        at,
+        node,
+        packet,
+        kind,
+        reason,
+    })
 }
 
 /// Reads a host id, refusing one outside the recorded population:
@@ -354,6 +367,18 @@ fn decode_node(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<NodeId, WireErro
         return Err(WireError { at, what });
     }
     Ok(node)
+}
+
+/// Reads a packet id, refusing a `seq` no `Originate` so far has issued:
+/// replay grows a host's ledger to `seq + 1` entries.
+fn decode_issued_packet(dec: &mut WireDecoder<'_>, originated: u32) -> Result<PacketId, WireError> {
+    let at = dec.position();
+    let packet = decode_packet(dec)?;
+    if packet.seq >= originated {
+        let what = "packet seq not issued by an earlier Originate";
+        return Err(WireError { at, what });
+    }
+    Ok(packet)
 }
 
 fn decode_nodes(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<Vec<NodeId>, WireError> {
@@ -425,13 +450,22 @@ fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
     }
 }
 
-fn decode_action(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<OwnedAction, WireError> {
+/// Reads one action; `originated` counts the `Originate`s so far, this
+/// one included, and bounds every packet `seq`.
+fn decode_action(
+    dec: &mut WireDecoder<'_>,
+    hosts: u32,
+    originated: &mut u32,
+) -> Result<OwnedAction, WireError> {
     let (tag, invalid) = dec.tag("invalid action tag")?;
     Ok(match tag {
-        0 => OwnedAction::Originate {
-            node: decode_node(dec, hosts)?,
-            packet: decode_packet(dec)?,
-        },
+        0 => {
+            *originated = originated.saturating_add(1);
+            OwnedAction::Originate {
+                node: decode_node(dec, hosts)?,
+                packet: decode_issued_packet(dec, *originated)?,
+            }
+        }
         1 => OwnedAction::HelloPrepare {
             node: decode_node(dec, hosts)?,
         },
@@ -443,7 +477,7 @@ fn decode_action(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<OwnedAction, W
         },
         3 => OwnedAction::PacketHeard {
             node: decode_node(dec, hosts)?,
-            packet: decode_packet(dec)?,
+            packet: decode_issued_packet(dec, *originated)?,
             sender: decode_node(dec, hosts)?,
             sender_position: Vec2::new(dec.f64()?, dec.f64()?),
             own_position: Vec2::new(dec.f64()?, dec.f64()?),
@@ -458,11 +492,11 @@ fn decode_action(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<OwnedAction, W
         },
         4 => OwnedAction::AssessmentFired {
             node: decode_node(dec, hosts)?,
-            packet: decode_packet(dec)?,
+            packet: decode_issued_packet(dec, *originated)?,
         },
         5 => OwnedAction::FrameSent {
             node: decode_node(dec, hosts)?,
-            packet: decode_packet(dec)?,
+            packet: decode_issued_packet(dec, *originated)?,
         },
         6 => OwnedAction::Deactivate {
             node: decode_node(dec, hosts)?,
@@ -475,8 +509,8 @@ fn decode_action(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<OwnedAction, W
 /// Encodes the slice of the configuration [`PureModels::new`] reads.
 pub(crate) fn encode_replay_config(enc: &mut WireEncoder, cfg: &SimConfig) {
     enc.u32(cfg.hosts);
-    enc.f64(cfg.radio_radius);
-    enc.usize(cfg.coverage_resolution);
+    enc.f64(PAPER_RADIO_RADIUS_M);
+    enc.usize(COVERAGE_RESOLUTION);
     encode_scheme(enc, &cfg.scheme);
     match &cfg.neighbor_info {
         NeighborInfo::Hello(HelloIntervalPolicy::Fixed(d)) => {
@@ -499,8 +533,18 @@ pub(crate) fn encode_replay_config(enc: &mut WireEncoder, cfg: &SimConfig) {
 pub(crate) fn decode_replay_config(dec: &mut WireDecoder<'_>) -> Result<SimConfig, WireError> {
     let at = dec.position();
     let hosts = dec.u32()?;
-    let radio_radius = dec.f64()?;
-    let coverage_resolution = dec.usize()?;
+    // Both are constants of this build; the header keeps the fields so
+    // the format (and every recorded trace) is unchanged.
+    let fixed = dec.position();
+    if dec.f64()?.to_bits() != PAPER_RADIO_RADIUS_M.to_bits() {
+        let what = "radio radius differs from this build's constant";
+        return Err(WireError { at: fixed, what });
+    }
+    let fixed = dec.position();
+    if dec.usize()? != COVERAGE_RESOLUTION {
+        let what = "coverage resolution differs from this build's constant";
+        return Err(WireError { at: fixed, what });
+    }
     let scheme = decode_scheme(dec)?;
     let (tag, invalid) = dec.tag("invalid neighbor-info tag")?;
     let neighbor_info = match tag {
@@ -513,7 +557,7 @@ pub(crate) fn decode_replay_config(dec: &mut WireDecoder<'_>) -> Result<SimConfi
         2 => NeighborInfo::Oracle,
         _ => return Err(invalid),
     };
-    if hosts == 0 || !(radio_radius.is_finite() && radio_radius > 0.0) || coverage_resolution < 2 {
+    if hosts == 0 {
         return Err(WireError {
             at,
             what: "invalid replay config",
@@ -521,8 +565,6 @@ pub(crate) fn decode_replay_config(dec: &mut WireDecoder<'_>) -> Result<SimConfi
     }
     Ok(SimConfig::builder(1, scheme)
         .hosts(hosts)
-        .radio_radius(radio_radius)
-        .coverage_resolution(coverage_resolution)
         .neighbor_info(neighbor_info)
         .build())
 }
@@ -733,14 +775,26 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(TraceFile::decode(&wrong_magic).is_err());
+        // Magic, version and hosts precede the radius; the resolution
+        // follows it. Neither may differ from this build's constant.
+        for (at, other) in [(12, 250.0f64.to_le_bytes()), (20, 96u64.to_le_bytes())] {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(&other);
+            assert_eq!(TraceFile::decode(&patched).unwrap_err().at, at);
+        }
     }
 
     #[test]
     fn replay_verifies_a_hand_built_trace() {
         // Flooding: a heard packet is always Scheduled.
         let config = cfg(SchemeSpec::Flooding);
-        let mut writer = TraceWriter::new(&config);
         let packet = PacketId::new(NodeId::new(0), 0);
+        let originate = PureAction::Originate {
+            node: NodeId::new(0),
+            packet,
+        };
+        let mut writer = TraceWriter::new(&config);
+        writer.action(SimTime::ZERO, &originate);
         let hear = OwnedAction::PacketHeard {
             node: NodeId::new(1),
             packet,
@@ -760,11 +814,12 @@ mod tests {
         });
         let bytes = writer.into_bytes();
         let summary = replay_decisions(&bytes).expect("replay");
-        assert_eq!(summary.actions, 1);
+        assert_eq!(summary.actions, 2);
         assert_eq!(summary.decisions, 1);
 
         // Tampering with the recorded decision must be detected.
         let mut writer = TraceWriter::new(&config);
+        writer.action(SimTime::ZERO, &originate);
         writer.action(SimTime::from_millis(1), &hear.as_action());
         writer.decision(DecisionRecord {
             at: SimTime::from_millis(1),

@@ -171,14 +171,6 @@ impl SchemeSpec {
             )),
         }
     }
-
-    /// `true` when the scheme relies on positions (GPS assumption).
-    pub fn needs_positions(&self) -> bool {
-        matches!(
-            self,
-            SchemeSpec::Distance(_) | SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_)
-        )
-    }
 }
 
 /// Per-packet decision state for whichever scheme is configured.
@@ -292,8 +284,6 @@ mod tests {
         );
         assert!(!SchemeSpec::Counter(2).needs_neighbor_count());
         assert!(SchemeSpec::NeighborCoverage.needs_two_hop_hellos());
-        assert!(SchemeSpec::Location(0.1).needs_positions());
-        assert!(!SchemeSpec::Flooding.needs_positions());
     }
 
     #[test]

@@ -1,44 +1,33 @@
-//! Run observability: a hook interface the simulation calls at every
-//! protocol-level event, with ready-made observers for counting and
-//! recording.
-//!
-//! Attach an observer with [`World::run_observed`](crate::World::run_observed)
-//! to see *why* a run produced its numbers — which hosts rebroadcast,
-//! which decisions suppressed, where frames were lost — without changing
-//! the simulation itself. Observers receive events strictly in simulation
-//! order.
+//! The vocabulary of scheme decisions: what a host decided about a
+//! pending rebroadcast ([`DecisionKind`]) and which criterion made it
+//! suppress ([`SuppressReason`]). The `MTRC` action trace
+//! ([`crate::record`]) records one of each per decision, and
+//! [`SuppressionCounts`](crate::SuppressionCounts) tallies them in the
+//! report.
 //!
 //! # Examples
 //!
 //! ```
-//! use broadcast_core::trace::TraceRecorder;
-//! use broadcast_core::{SchemeSpec, SimConfig, World};
+//! use broadcast_core::trace::{DecisionKind, SuppressReason};
+//! use broadcast_core::{SchemeSpec, SimConfig, TraceFile, TraceRecord, World};
+//! use manet_sim_engine::SimTime;
 //!
 //! let config = SimConfig::builder(3, SchemeSpec::Counter(2))
 //!     .hosts(15)
 //!     .broadcasts(2)
 //!     .seed(9)
 //!     .build();
-//! let mut recorder = TraceRecorder::unbounded();
-//! let report = World::new(config).run_observed(&mut recorder);
-//! assert_eq!(recorder.events().len() > 0, report.data_frames > 0);
+//! let mut world = World::new(config);
+//! world.enable_recording();
+//! world.advance(SimTime::MAX);
+//! let trace = TraceFile::decode(&world.take_trace().unwrap()).unwrap();
+//! // The counter scheme cancels for exactly one reason.
+//! let cancels = trace.records.iter().filter(|record| {
+//!     matches!(record, TraceRecord::Decision(d) if d.kind == DecisionKind::Cancelled
+//!         && d.reason == Some(SuppressReason::CounterThreshold))
+//! });
+//! assert_eq!(cancels.count() as u64, world.into_report().suppression.cancelled);
 //! ```
-
-use std::fmt;
-
-use manet_phy::NodeId;
-use manet_sim_engine::SimTime;
-
-use crate::ids::PacketId;
-
-/// What a transmitted frame carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// A copy of a broadcast packet.
-    Broadcast(PacketId),
-    /// A HELLO beacon.
-    Hello,
-}
 
 /// A scheme-level decision about a pending rebroadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,413 +55,9 @@ pub enum SuppressReason {
     Probabilistic,
 }
 
-impl SuppressReason {
-    /// A short machine-readable label (used as a metrics key suffix).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SuppressReason::CounterThreshold => "counter_threshold",
-            SuppressReason::CoverageThreshold => "coverage_threshold",
-            SuppressReason::NeighborCoverage => "neighbor_coverage",
-            SuppressReason::Probabilistic => "probabilistic",
-        }
-    }
-}
-
-/// One protocol-level event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A broadcast request entered the network.
-    BroadcastIssued {
-        /// The new packet.
-        packet: PacketId,
-        /// The issuing host.
-        source: NodeId,
-        /// Hosts reachable from the source at this instant (`e`).
-        reachable: u32,
-        /// Simulation time.
-        at: SimTime,
-    },
-    /// A frame went on the air.
-    FrameStarted {
-        /// The transmitting host.
-        node: NodeId,
-        /// What the frame carried.
-        kind: FrameKind,
-        /// Hosts in range at transmission start.
-        listeners: u32,
-        /// Simulation time.
-        at: SimTime,
-    },
-    /// A frame left the air.
-    FrameFinished {
-        /// The transmitting host.
-        node: NodeId,
-        /// What the frame carried.
-        kind: FrameKind,
-        /// Listeners that decoded the frame.
-        decoded: u32,
-        /// Listeners that lost it to collisions/half-duplex/injected loss.
-        lost: u32,
-        /// Simulation time.
-        at: SimTime,
-    },
-    /// A host heard a broadcast packet for the first time.
-    FirstHeard {
-        /// The hearing host.
-        node: NodeId,
-        /// The packet.
-        packet: PacketId,
-        /// Simulation time.
-        at: SimTime,
-    },
-    /// A scheme decision was taken.
-    Decision {
-        /// The deciding host.
-        node: NodeId,
-        /// The packet the decision concerns.
-        packet: PacketId,
-        /// What was decided.
-        kind: DecisionKind,
-        /// Why a suppressing decision suppressed; `None` for
-        /// [`DecisionKind::Scheduled`].
-        reason: Option<SuppressReason>,
-        /// Simulation time.
-        at: SimTime,
-    },
-}
-
-impl TraceEvent {
-    /// The simulation time of the event.
-    pub fn at(&self) -> SimTime {
-        match self {
-            TraceEvent::BroadcastIssued { at, .. }
-            | TraceEvent::FrameStarted { at, .. }
-            | TraceEvent::FrameFinished { at, .. }
-            | TraceEvent::FirstHeard { at, .. }
-            | TraceEvent::Decision { at, .. } => *at,
-        }
-    }
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::BroadcastIssued {
-                packet,
-                source,
-                reachable,
-                at,
-            } => write!(f, "{at} {source} issues {packet} (e={reachable})"),
-            TraceEvent::FrameStarted {
-                node,
-                kind,
-                listeners,
-                at,
-            } => match kind {
-                FrameKind::Broadcast(packet) => {
-                    write!(f, "{at} {node} tx {packet} -> {listeners} listeners")
-                }
-                FrameKind::Hello => write!(f, "{at} {node} tx HELLO -> {listeners} listeners"),
-            },
-            TraceEvent::FrameFinished {
-                node,
-                kind,
-                decoded,
-                lost,
-                at,
-            } => match kind {
-                FrameKind::Broadcast(packet) => write!(
-                    f,
-                    "{at} {node} done {packet}: {decoded} decoded, {lost} lost"
-                ),
-                FrameKind::Hello => {
-                    write!(f, "{at} {node} done HELLO: {decoded} decoded, {lost} lost")
-                }
-            },
-            TraceEvent::FirstHeard { node, packet, at } => {
-                write!(f, "{at} {node} first hears {packet}")
-            }
-            TraceEvent::Decision {
-                node,
-                packet,
-                kind,
-                reason,
-                at,
-            } => {
-                let verb = match kind {
-                    DecisionKind::Scheduled => "schedules rebroadcast of",
-                    DecisionKind::InhibitedOnFirstHear => "declines to rebroadcast",
-                    DecisionKind::Cancelled => "cancels rebroadcast of",
-                };
-                write!(f, "{at} {node} {verb} {packet}")?;
-                if let Some(reason) = reason {
-                    write!(f, " ({})", reason.label())?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Receives every [`TraceEvent`] of a run, in simulation order.
-///
-/// All methods have empty defaults: implement only what you need.
-pub trait SimObserver {
-    /// Called for every event.
-    fn event(&mut self, event: &TraceEvent) {
-        let _ = event;
-    }
-}
-
-/// The do-nothing observer used by [`World::run`](crate::World::run).
-#[derive(Debug, Clone, Copy, Default)]
+/// The second argument of the hidden `World::advance_until` shim, kept
+/// only because the frozen `perfbench/src/workloads/{world,record_resume}.rs`
+/// name it; it goes with the shim (ROADMAP 1(f)).
+#[doc(hidden)]
+#[derive(Debug)]
 pub struct NoopObserver;
-
-impl SimObserver for NoopObserver {}
-
-/// Records events into memory, optionally bounded.
-#[derive(Debug, Default)]
-pub struct TraceRecorder {
-    events: Vec<TraceEvent>,
-    limit: Option<usize>,
-    dropped: u64,
-}
-
-impl TraceRecorder {
-    /// Records every event (memory grows with the run).
-    pub fn unbounded() -> Self {
-        TraceRecorder::default()
-    }
-
-    /// Records at most `limit` events; later events are counted but
-    /// dropped.
-    pub fn bounded(limit: usize) -> Self {
-        TraceRecorder {
-            events: Vec::new(),
-            limit: Some(limit),
-            dropped: 0,
-        }
-    }
-
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events that arrived after the bound was hit.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The recorded events for one broadcast, in order.
-    pub fn packet_timeline(&self, packet: PacketId) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| match e {
-                TraceEvent::BroadcastIssued { packet: p, .. }
-                | TraceEvent::FirstHeard { packet: p, .. }
-                | TraceEvent::Decision { packet: p, .. } => *p == packet,
-                TraceEvent::FrameStarted {
-                    kind: FrameKind::Broadcast(p),
-                    ..
-                }
-                | TraceEvent::FrameFinished {
-                    kind: FrameKind::Broadcast(p),
-                    ..
-                } => *p == packet,
-                _ => false,
-            })
-            .copied()
-            .collect()
-    }
-
-    /// Renders the whole trace as one line per event.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.to_string());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl SimObserver for TraceRecorder {
-    fn event(&mut self, event: &TraceEvent) {
-        if self.limit.is_some_and(|l| self.events.len() >= l) {
-            self.dropped += 1;
-        } else {
-            self.events.push(*event);
-        }
-    }
-}
-
-/// Tallies events by kind — cheap enough to attach to any run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounters {
-    /// Broadcasts issued.
-    pub broadcasts: u64,
-    /// Data frames transmitted.
-    pub data_frames: u64,
-    /// HELLO frames transmitted.
-    pub hello_frames: u64,
-    /// Successful frame deliveries.
-    pub deliveries: u64,
-    /// Lost frame deliveries.
-    pub losses: u64,
-    /// First-hear events.
-    pub first_hears: u64,
-    /// Rebroadcasts scheduled.
-    pub scheduled: u64,
-    /// Rebroadcasts never scheduled (S1 inhibit).
-    pub inhibited: u64,
-    /// Rebroadcasts cancelled after duplicates (S5).
-    pub cancelled: u64,
-    /// Suppressions (inhibits + cancels) by counter threshold.
-    pub suppressed_counter: u64,
-    /// Suppressions by coverage/distance threshold.
-    pub suppressed_coverage: u64,
-    /// Suppressions by neighbor-coverage early exit.
-    pub suppressed_neighbor: u64,
-    /// Suppressions by a declined gossip draw.
-    pub suppressed_probabilistic: u64,
-}
-
-impl SimObserver for EventCounters {
-    fn event(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::BroadcastIssued { .. } => self.broadcasts += 1,
-            TraceEvent::FrameStarted { kind, .. } => match kind {
-                FrameKind::Broadcast(_) => self.data_frames += 1,
-                FrameKind::Hello => self.hello_frames += 1,
-            },
-            TraceEvent::FrameFinished { decoded, lost, .. } => {
-                self.deliveries += u64::from(*decoded);
-                self.losses += u64::from(*lost);
-            }
-            TraceEvent::FirstHeard { .. } => self.first_hears += 1,
-            TraceEvent::Decision { kind, reason, .. } => {
-                match kind {
-                    DecisionKind::Scheduled => self.scheduled += 1,
-                    DecisionKind::InhibitedOnFirstHear => self.inhibited += 1,
-                    DecisionKind::Cancelled => self.cancelled += 1,
-                }
-                match reason {
-                    Some(SuppressReason::CounterThreshold) => self.suppressed_counter += 1,
-                    Some(SuppressReason::CoverageThreshold) => self.suppressed_coverage += 1,
-                    Some(SuppressReason::NeighborCoverage) => self.suppressed_neighbor += 1,
-                    Some(SuppressReason::Probabilistic) => self.suppressed_probabilistic += 1,
-                    None => {}
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_events() -> Vec<TraceEvent> {
-        let packet = PacketId::new(NodeId::new(0), 1);
-        vec![
-            TraceEvent::BroadcastIssued {
-                packet,
-                source: NodeId::new(0),
-                reachable: 5,
-                at: SimTime::from_millis(1),
-            },
-            TraceEvent::FrameStarted {
-                node: NodeId::new(0),
-                kind: FrameKind::Broadcast(packet),
-                listeners: 3,
-                at: SimTime::from_millis(2),
-            },
-            TraceEvent::FrameFinished {
-                node: NodeId::new(0),
-                kind: FrameKind::Broadcast(packet),
-                decoded: 2,
-                lost: 1,
-                at: SimTime::from_millis(4),
-            },
-            TraceEvent::FirstHeard {
-                node: NodeId::new(1),
-                packet,
-                at: SimTime::from_millis(4),
-            },
-            TraceEvent::Decision {
-                node: NodeId::new(1),
-                packet,
-                kind: DecisionKind::Scheduled,
-                reason: None,
-                at: SimTime::from_millis(4),
-            },
-            TraceEvent::Decision {
-                node: NodeId::new(2),
-                packet,
-                kind: DecisionKind::Cancelled,
-                reason: Some(SuppressReason::CounterThreshold),
-                at: SimTime::from_millis(5),
-            },
-            TraceEvent::FrameStarted {
-                node: NodeId::new(2),
-                kind: FrameKind::Hello,
-                listeners: 4,
-                at: SimTime::from_millis(5),
-            },
-        ]
-    }
-
-    #[test]
-    fn recorder_keeps_order_and_timeline() {
-        let mut recorder = TraceRecorder::unbounded();
-        for event in sample_events() {
-            recorder.event(&event);
-        }
-        assert_eq!(recorder.events().len(), 7);
-        let timeline = recorder.packet_timeline(PacketId::new(NodeId::new(0), 1));
-        assert_eq!(timeline.len(), 6, "hello not part of the packet timeline");
-        assert!(timeline.windows(2).all(|w| w[0].at() <= w[1].at()));
-    }
-
-    #[test]
-    fn bounded_recorder_drops_overflow() {
-        let mut recorder = TraceRecorder::bounded(2);
-        for event in sample_events() {
-            recorder.event(&event);
-        }
-        assert_eq!(recorder.events().len(), 2);
-        assert_eq!(recorder.dropped_count(), 5);
-    }
-
-    #[test]
-    fn counters_tally_by_kind() {
-        let mut counters = EventCounters::default();
-        for event in sample_events() {
-            counters.event(&event);
-        }
-        assert_eq!(counters.broadcasts, 1);
-        assert_eq!(counters.data_frames, 1);
-        assert_eq!(counters.hello_frames, 1);
-        assert_eq!(counters.deliveries, 2);
-        assert_eq!(counters.losses, 1);
-        assert_eq!(counters.first_hears, 1);
-        assert_eq!(counters.scheduled, 1);
-        assert_eq!(counters.cancelled, 1);
-        assert_eq!(counters.suppressed_counter, 1);
-        assert_eq!(counters.suppressed_coverage, 0);
-    }
-
-    #[test]
-    fn events_render_readably() {
-        let rendered = sample_events()
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(rendered.contains("h0 issues h0#1 (e=5)"));
-        assert!(rendered.contains("h1 schedules rebroadcast of h0#1"));
-        assert!(rendered.contains("h2 cancels rebroadcast of h0#1 (counter_threshold)"));
-        assert!(rendered.contains("tx HELLO"));
-    }
-}

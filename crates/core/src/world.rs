@@ -19,7 +19,7 @@ use manet_mac::timing::SLOT;
 use manet_mac::{frame_airtime, Dcf, FrameHandle, MacAction, MacStats};
 use manet_mobility::{
     grid_placement, line_placement, uniform_placement, Mobility, RandomTurn, RandomTurnParams,
-    RandomWaypoint, RandomWaypointParams, Segment, Stationary,
+    RandomWaypoint, RandomWaypointParams, Segment, Stationary, PAPER_RADIO_RADIUS_M,
 };
 use manet_net::HelloPayload;
 use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NodeId};
@@ -28,14 +28,12 @@ use manet_sim_engine::{
     EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab, Timeline,
 };
 
-use crate::config::{NeighborInfo, SimConfig};
+use crate::config::{NeighborInfo, SimConfig, CS_DELAY, PACKET_BYTES};
 use crate::ids::PacketId;
 use crate::metrics::{summarize, MetricsCollector, NetActivity, ScenarioCounts, SimReport};
 use crate::pure::{Effect, OracleView, PureAction, PureModels};
-use crate::record::{DecisionRecord, TraceWriter};
-use crate::trace::{
-    DecisionKind, FrameKind, NoopObserver, SimObserver, SuppressReason, TraceEvent,
-};
+use crate::record::TraceWriter;
+use crate::trace::NoopObserver;
 
 mod geometry;
 pub mod snapshot;
@@ -313,7 +311,7 @@ pub struct World {
     /// Timestamp of the last handled event, reported as the run length.
     last_event_at: SimTime,
     /// Set once the run has drained (or passed `stop_at`); further
-    /// [`advance_until`](Self::advance_until) calls return immediately.
+    /// [`advance`](Self::advance) calls return immediately.
     finished: bool,
     /// Event-loop profiler; enabled via `SimConfig::profile_events`.
     profiler: LoopProfiler,
@@ -433,7 +431,7 @@ impl World {
 
         let geometry = Geometry::new(
             &map,
-            config.radio_radius,
+            PAPER_RADIO_RADIUS_M,
             max_speed,
             positions,
             segments,
@@ -525,21 +523,15 @@ impl World {
 
     /// Runs the simulation to completion and returns the aggregated
     /// report.
-    pub fn run(self) -> SimReport {
-        self.run_observed(&mut NoopObserver)
-    }
-
-    /// Runs the simulation with an observer receiving every protocol-level
-    /// [`TraceEvent`] in simulation order (see [`crate::trace`]).
-    pub fn run_observed(mut self, observer: &mut dyn SimObserver) -> SimReport {
-        self.advance_until(SimTime::MAX, observer);
+    pub fn run(mut self) -> SimReport {
+        self.advance(SimTime::MAX);
         self.into_report()
     }
 
     /// Runs the simulation to completion unless `token` is cancelled
     /// first, in which case the run is abandoned and `None` returned.
     ///
-    /// The token is only observed at [`advance_until`](Self::advance_until)
+    /// The token is only observed at [`advance`](Self::advance)
     /// pause boundaries — the world advances in slices of `slice`
     /// simulated time and checks the flag between slices, so a cancelled
     /// run always stops between events (the same consistent states a
@@ -552,7 +544,6 @@ impl World {
         mut self,
         token: &crate::CancelToken,
         slice: SimDuration,
-        observer: &mut dyn SimObserver,
     ) -> Option<SimReport> {
         let slice = if slice.is_zero() {
             SimDuration::from_millis(250)
@@ -564,7 +555,7 @@ impl World {
             if token.is_cancelled() {
                 return None;
             }
-            if self.advance_until(pause_at, observer) {
+            if self.advance(pause_at) {
                 return Some(self.into_report());
             }
             // Skip idle gaps: resume one slice past the furthest point the
@@ -585,7 +576,7 @@ impl World {
     /// `pause_at` stays queued and is delivered after the resume, so a
     /// snapshot taken exactly on an event timestamp resumes
     /// bit-identically.
-    pub fn advance_until(&mut self, pause_at: SimTime, observer: &mut dyn SimObserver) -> bool {
+    pub fn advance(&mut self, pause_at: SimTime) -> bool {
         if self.finished {
             return true;
         }
@@ -606,12 +597,20 @@ impl World {
             self.last_event_at = now;
             let kind = event.kind();
             let started = profiler.begin();
-            self.handle(now, event, observer);
+            self.handle(now, event);
             profiler.record(kind, started);
         };
         self.profiler = profiler;
         self.finished = finished;
         finished
+    }
+
+    /// [`advance`](Self::advance) under its old name and signature. Exists
+    /// only because the frozen `perfbench/src/workloads/{world,record_resume}.rs`
+    /// call it; ROADMAP 1(f) swaps those two calls and deletes this.
+    #[doc(hidden)]
+    pub fn advance_until(&mut self, pause_at: SimTime, _: &mut NoopObserver) -> bool {
+        self.advance(pause_at)
     }
 
     /// Consumes the (finished or paused) world, harvesting the per-host
@@ -658,7 +657,7 @@ impl World {
         }
     }
 
-    fn handle(&mut self, now: SimTime, event: Event, observer: &mut dyn SimObserver) {
+    fn handle(&mut self, now: SimTime, event: Event) {
         match event {
             Event::MobilityTurn { node } => {
                 let mobility = &mut self.nodes[node.index()].mobility;
@@ -671,9 +670,7 @@ impl World {
                     self.queue.schedule(next, Event::MobilityTurn { node });
                 }
             }
-            Event::HelloTimer { node } => {
-                self.dispatch(now, PureAction::HelloPrepare { node }, observer)
-            }
+            Event::HelloTimer { node } => self.dispatch(now, PureAction::HelloPrepare { node }),
             Event::MacTimer {
                 node,
                 generation,
@@ -685,23 +682,23 @@ impl World {
                     return;
                 }
                 let actions = self.nodes[node.index()].mac.on_timer(generation, now);
-                self.process_mac_action(node, actions, now, observer);
+                self.process_mac_action(node, actions, now);
             }
-            Event::TxEnd { frame } => self.finish_transmission(frame, now, observer),
+            Event::TxEnd { frame } => self.finish_transmission(frame, now),
             Event::AssessmentDone { node, packet } => {
-                self.dispatch(now, PureAction::AssessmentFired { node, packet }, observer)
+                self.dispatch(now, PureAction::AssessmentFired { node, packet })
             }
-            Event::IssueBroadcast => self.issue_broadcast(now, observer),
+            Event::IssueBroadcast => self.issue_broadcast(now),
             Event::CarrierBatch { slot, busy } => {
                 let hearers = self.carrier_batches.remove(slot);
                 for &node in &hearers {
-                    self.apply_carrier_change(node, busy, now, observer);
+                    self.apply_carrier_change(node, busy, now);
                 }
                 // Recycle the hearer list (keeping its capacity) for the
                 // next delayed report.
                 self.carrier_pool.push(hearers);
             }
-            Event::Scenario { index } => self.apply_scenario_action(index, now, observer),
+            Event::Scenario { index } => self.apply_scenario_action(index, now),
         }
     }
 
@@ -710,15 +707,18 @@ impl World {
     /// Feeds one action through the pure models and executes the effects
     /// it requests, in order. The single entry point for protocol state
     /// changes — and therefore the single tap point for recording.
-    fn dispatch(&mut self, now: SimTime, action: PureAction<'_>, observer: &mut dyn SimObserver) {
+    fn dispatch(&mut self, now: SimTime, action: PureAction<'_>) {
         if let Some(rec) = &mut self.recorder {
             rec.action(now, &action);
         }
         let mut fx = std::mem::take(&mut self.fx);
         debug_assert!(fx.is_empty(), "dispatch re-entered through an effect");
         self.pure.step(now, &action, &mut fx);
+        if let Some(rec) = &mut self.recorder {
+            rec.decisions(now, &fx);
+        }
         for effect in fx.drain(..) {
-            self.apply_effect(now, effect, observer);
+            self.apply_effect(now, effect);
         }
         self.fx = fx;
     }
@@ -735,30 +735,10 @@ impl World {
         self.fx_leaf.clear();
     }
 
-    /// Appends one scheme decision to the trace, if recording.
-    fn record_decision(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        packet: PacketId,
-        kind: DecisionKind,
-        reason: Option<SuppressReason>,
-    ) {
-        if let Some(rec) = &mut self.recorder {
-            rec.decision(DecisionRecord {
-                at,
-                node,
-                packet,
-                kind,
-                reason,
-            });
-        }
-    }
-
     /// Executes one effect requested by a pure step. This is where the
     /// queue, the RNG streams, the MACs, and the metrics are touched on
     /// the pure models' behalf.
-    fn apply_effect(&mut self, now: SimTime, effect: Effect, observer: &mut dyn SimObserver) {
+    fn apply_effect(&mut self, now: SimTime, effect: Effect) {
         match effect {
             Effect::AccelerateHello { node, target } => {
                 // Under the dynamic hello policy, membership churn may
@@ -791,7 +771,7 @@ impl World {
                 let n = &mut self.nodes[node.index()];
                 let handle = n.queue_payload(Payload::Hello(payload));
                 let actions = n.mac.enqueue(handle, bytes, now);
-                self.process_mac_action(node, actions, now, observer);
+                self.process_mac_action(node, actions, now);
                 // Re-arm with a small jitter so beacons do not phase-lock.
                 let jitter_num = self.proto_rng.gen_range_u32(95..106);
                 let next = interval * u64::from(jitter_num) / 100;
@@ -799,32 +779,7 @@ impl World {
                 let key = self.queue.schedule(at, Event::HelloTimer { node });
                 self.nodes[node.index()].hello_pending = Some((key, at));
             }
-            Effect::FirstHeard { node, packet } => {
-                observer.event(&TraceEvent::FirstHeard {
-                    node,
-                    packet,
-                    at: now,
-                });
-            }
-            Effect::InhibitFirstHear {
-                node,
-                packet,
-                reason,
-            } => {
-                observer.event(&TraceEvent::Decision {
-                    node,
-                    packet,
-                    kind: DecisionKind::InhibitedOnFirstHear,
-                    reason,
-                    at: now,
-                });
-                self.record_decision(
-                    now,
-                    node,
-                    packet,
-                    DecisionKind::InhibitedOnFirstHear,
-                    reason,
-                );
+            Effect::InhibitFirstHear { packet, .. } => {
                 self.metrics.rebroadcast_inhibited(packet, now);
             }
             Effect::ScheduleAssessment { node, packet } => {
@@ -835,55 +790,26 @@ impl World {
                 // distinct, carrier-separable instants, while same-slot
                 // draws contend - the paper's Fig. 2 contention scenario.
                 let slots = self.proto_rng.gen_range_u32(0..32);
-                let delay = self.cfg.cs_delay + manet_mac::timing::DIFS + SLOT * u64::from(slots);
+                let delay = CS_DELAY + manet_mac::timing::DIFS + SLOT * u64::from(slots);
                 let key = self
                     .queue
                     .schedule(now + delay, Event::AssessmentDone { node, packet });
                 self.pure.set_assessment_key(node, packet.seq, key);
-                observer.event(&TraceEvent::Decision {
-                    node,
-                    packet,
-                    kind: DecisionKind::Scheduled,
-                    reason: None,
-                    at: now,
-                });
-                self.record_decision(now, node, packet, DecisionKind::Scheduled, None);
             }
-            Effect::CancelAssessment {
-                node,
-                packet,
-                key,
-                reason,
-            } => {
+            Effect::CancelAssessment { packet, key, .. } => {
                 self.queue.cancel(key);
-                observer.event(&TraceEvent::Decision {
-                    node,
-                    packet,
-                    kind: DecisionKind::Cancelled,
-                    reason,
-                    at: now,
-                });
-                self.record_decision(now, node, packet, DecisionKind::Cancelled, reason);
                 self.metrics.rebroadcast_inhibited(packet, now);
             }
             Effect::CancelQueued {
                 node,
                 packet,
                 handle,
-                reason,
+                ..
             } => {
                 let n = &mut self.nodes[node.index()];
                 let cancelled = n.mac.cancel(handle);
                 debug_assert!(cancelled, "queued frame must still be cancellable");
                 n.take_payload(handle);
-                observer.event(&TraceEvent::Decision {
-                    node,
-                    packet,
-                    kind: DecisionKind::Cancelled,
-                    reason,
-                    at: now,
-                });
-                self.record_decision(now, node, packet, DecisionKind::Cancelled, reason);
                 self.metrics.rebroadcast_inhibited(packet, now);
             }
             Effect::EnqueueRebroadcast { node, packet } => {
@@ -894,10 +820,9 @@ impl World {
                 // queued entry intact.
                 let n = &mut self.nodes[node.index()];
                 let handle = n.queue_payload(Payload::Broadcast(packet));
-                let bytes = self.cfg.packet_bytes;
-                let actions = n.mac.enqueue(handle, bytes, now);
+                let actions = n.mac.enqueue(handle, PACKET_BYTES, now);
                 self.pure.set_queued_handle(node, packet.seq, handle);
-                self.process_mac_action(node, actions, now, observer);
+                self.process_mac_action(node, actions, now);
             }
             Effect::AbandonAssessments { keys } => {
                 for key in keys {
@@ -915,7 +840,7 @@ impl World {
 
     // ---- workload -------------------------------------------------------
 
-    fn issue_broadcast(&mut self, now: SimTime, observer: &mut dyn SimObserver) {
+    fn issue_broadcast(&mut self, now: SimTime) {
         // Under a scenario only active hosts can originate traffic: the
         // draw selects among them by rank so the workload stream stays
         // deterministic for a given membership history. Without a scenario
@@ -953,12 +878,6 @@ impl World {
                 .broadcast_issued(packet, source, reachable, now);
         }
         self.scratch_reachable = reachable_set;
-        observer.event(&TraceEvent::BroadcastIssued {
-            packet,
-            source,
-            reachable,
-            at: now,
-        });
 
         // The source transmits unconditionally: queue straight to its MAC.
         self.dispatch_leaf(
@@ -970,9 +889,8 @@ impl World {
         );
         let node = &mut self.nodes[source.index()];
         let handle = node.queue_payload(Payload::Broadcast(packet));
-        let bytes = self.cfg.packet_bytes;
-        let actions = node.mac.enqueue(handle, bytes, now);
-        self.process_mac_action(source, actions, now, observer);
+        let actions = node.mac.enqueue(handle, PACKET_BYTES, now);
+        self.process_mac_action(source, actions, now);
 
         if self.issued < self.cfg.broadcasts {
             let gap = self
@@ -986,13 +904,7 @@ impl World {
 
     // ---- HELLO beaconing ------------------------------------------------
 
-    fn hello_received(
-        &mut self,
-        node: NodeId,
-        payload: &HelloPayload,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn hello_received(&mut self, node: NodeId, payload: &HelloPayload, now: SimTime) {
         self.hello_rx += 1;
         self.dispatch(
             now,
@@ -1002,19 +914,12 @@ impl World {
                 interval: payload.interval,
                 neighbors: &payload.neighbors,
             },
-            observer,
         );
     }
 
     // ---- MAC / channel wiring --------------------------------------------
 
-    fn process_mac_action(
-        &mut self,
-        node: NodeId,
-        action: Option<MacAction>,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn process_mac_action(&mut self, node: NodeId, action: Option<MacAction>, now: SimTime) {
         match action {
             Some(MacAction::StartTimer { delay, generation }) => {
                 let epoch = self.current_epoch(node);
@@ -1030,7 +935,7 @@ impl World {
             Some(MacAction::BeginTx {
                 handle,
                 payload_bytes,
-            }) => self.begin_transmission(node, handle, payload_bytes, now, observer),
+            }) => self.begin_transmission(node, handle, payload_bytes, now),
             None => {}
         }
     }
@@ -1042,7 +947,6 @@ impl World {
         handle: FrameHandle,
         payload_bytes: usize,
         now: SimTime,
-        observer: &mut dyn SimObserver,
     ) {
         let payload = self.nodes[node.index()].take_payload(handle);
         match &payload {
@@ -1066,15 +970,6 @@ impl World {
             // frame's carrier nor receive it.
             listeners.retain(|l| st.active[l.index()]);
         }
-        observer.event(&TraceEvent::FrameStarted {
-            node,
-            kind: match &payload {
-                Payload::Broadcast(packet) => FrameKind::Broadcast(*packet),
-                Payload::Hello(_) => FrameKind::Hello,
-            },
-            listeners: listeners.len() as u32,
-            at: now,
-        });
         let end = now + frame_airtime(payload_bytes);
         let own = self.geometry.cached_position(node);
         let mut carrier = std::mem::take(&mut self.scratch_begin_carrier);
@@ -1087,7 +982,7 @@ impl World {
                 let d = self.geometry.cached_position(l).distance_to(own).max(1.0);
                 manet_phy::Listener {
                     node: l,
-                    signal: (self.cfg.radio_radius / d).powf(capture.path_loss_exponent),
+                    signal: (PAPER_RADIO_RADIUS_M / d).powf(capture.path_loss_exponent),
                 }
             }));
             let frame = self.medium.begin_transmission_with_signals_into(
@@ -1128,52 +1023,33 @@ impl World {
         // Busy-carrier fan-out cannot re-enter this function: a MAC that
         // senses carrier never starts a transmission in response (it only
         // freezes backoff), so the scratch buffers above are settled.
-        self.deliver_carrier_changes(&carrier, true, now, observer);
+        self.deliver_carrier_changes(&carrier, true, now);
         self.scratch_begin_carrier = carrier;
     }
 
-    /// Routes one frame's carrier-sense transitions to the hearers' MACs,
-    /// applying the configured CCA latency. With a nonzero delay the whole
-    /// fan-out rides a single [`Event::CarrierBatch`]: every per-host
-    /// report would fire at the same instant with consecutive sequence
-    /// numbers anyway, so one event delivering them in list order is
-    /// indistinguishable from scheduling them individually — at a fraction
-    /// of the event-queue traffic (carrier reports are over half of all
-    /// events in a storm).
+    /// Routes one frame's carrier-sense transitions to the hearers' MACs
+    /// after the CCA latency. The whole fan-out rides a single
+    /// [`Event::CarrierBatch`]: every per-host report would fire at the
+    /// same instant with consecutive sequence numbers anyway, so one
+    /// event delivering them in list order is indistinguishable from
+    /// scheduling them individually — at a fraction of the event-queue
+    /// traffic (carrier reports are over half of all events in a storm).
     #[cfg_attr(simlint, hot_path)]
-    fn deliver_carrier_changes(
-        &mut self,
-        changes: &[CarrierChange],
-        busy: bool,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn deliver_carrier_changes(&mut self, changes: &[CarrierChange], busy: bool, now: SimTime) {
         if changes.is_empty() {
             return;
         }
-        if self.cfg.cs_delay.is_zero() {
-            for &CarrierChange { node, .. } in changes {
-                self.apply_carrier_change(node, busy, now, observer);
-            }
-        } else {
-            let mut hearers = self.carrier_pool.pop().unwrap_or_default();
-            hearers.clear();
-            hearers.extend(changes.iter().map(|c| c.node));
-            let slot = self.carrier_batches.insert(hearers);
-            self.queue
-                .schedule(now + self.cfg.cs_delay, Event::CarrierBatch { slot, busy });
-        }
+        let mut hearers = self.carrier_pool.pop().unwrap_or_default();
+        hearers.clear();
+        hearers.extend(changes.iter().map(|c| c.node));
+        let slot = self.carrier_batches.insert(hearers);
+        self.queue
+            .schedule(now + CS_DELAY, Event::CarrierBatch { slot, busy });
     }
 
     /// Feeds one carrier transition to a host's MAC.
     #[cfg_attr(simlint, hot_path)]
-    fn apply_carrier_change(
-        &mut self,
-        node: NodeId,
-        busy: bool,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn apply_carrier_change(&mut self, node: NodeId, busy: bool, now: SimTime) {
         // A host that deactivated after the report was scheduled has no
         // radio; its replacement MAC syncs its own carrier view on rejoin.
         if !self.is_active(node) {
@@ -1185,16 +1061,11 @@ impl World {
         } else {
             mac.on_medium_idle(now)
         };
-        self.process_mac_action(node, action, now, observer);
+        self.process_mac_action(node, action, now);
     }
 
     #[cfg_attr(simlint, hot_path)]
-    fn finish_transmission(
-        &mut self,
-        frame: FrameId,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn finish_transmission(&mut self, frame: FrameId, now: SimTime) {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         let mut carrier = std::mem::take(&mut self.scratch_end_carrier);
         let source = self
@@ -1210,23 +1081,12 @@ impl World {
         // mid-flight is skipped: its current MAC never started this frame.
         if in_flight.sender_epoch == self.current_epoch(source) {
             let actions = self.nodes[source.index()].mac.on_tx_end(now);
-            self.process_mac_action(source, actions, now, observer);
+            self.process_mac_action(source, actions, now);
         }
 
         if let Payload::Broadcast(packet) = in_flight.payload {
             self.metrics.transmission_finished(packet, source, now);
         }
-        let decoded = deliveries.iter().filter(|d| d.decoded).count() as u32;
-        observer.event(&TraceEvent::FrameFinished {
-            node: source,
-            kind: match &in_flight.payload {
-                Payload::Broadcast(packet) => FrameKind::Broadcast(*packet),
-                Payload::Hello(_) => FrameKind::Hello,
-            },
-            decoded,
-            lost: deliveries.len() as u32 - decoded,
-            at: now,
-        });
 
         // Deliver decoded copies to the upper layer. A listener that went
         // down while the frame was airing has no radio left to decode it.
@@ -1235,16 +1095,9 @@ impl World {
                 continue;
             }
             match &in_flight.payload {
-                Payload::Hello(h) => self.hello_received(delivery.to, h, now, observer),
+                Payload::Hello(h) => self.hello_received(delivery.to, h, now),
                 Payload::Broadcast(packet) => {
-                    self.packet_heard(
-                        delivery.to,
-                        *packet,
-                        source,
-                        in_flight.sent_from,
-                        now,
-                        observer,
-                    );
+                    self.packet_heard(delivery.to, *packet, source, in_flight.sent_from, now);
                 }
             }
         }
@@ -1255,7 +1108,7 @@ impl World {
         }
 
         // Carrier-sense idle transitions may resume frozen backoffs.
-        self.deliver_carrier_changes(&carrier, false, now, observer);
+        self.deliver_carrier_changes(&carrier, false, now);
         self.scratch_deliveries = deliveries;
         self.scratch_end_carrier = carrier;
     }
@@ -1269,7 +1122,6 @@ impl World {
         sender: NodeId,
         sender_pos: Vec2,
         now: SimTime,
-        observer: &mut dyn SimObserver,
     ) {
         self.metrics.packet_received(packet, node);
         let own_position = self.geometry.position_at(node, now);
@@ -1316,7 +1168,6 @@ impl World {
                 random_unit,
                 oracle,
             },
-            observer,
         );
         self.scratch_neighbors = neighbors;
         self.scratch_sender_neighbors = sender_neighbors;
@@ -1338,13 +1189,13 @@ impl World {
     }
 
     /// Applies the scenario timeline entry at `index`.
-    fn apply_scenario_action(&mut self, index: u32, now: SimTime, observer: &mut dyn SimObserver) {
+    fn apply_scenario_action(&mut self, index: u32, now: SimTime) {
         let action = *self.scenario_mut().timeline.get(index as usize).1;
         match action {
-            WorldAction::Leave { host } => self.deactivate_host(host, false, now, observer),
-            WorldAction::Crash { host } => self.deactivate_host(host, true, now, observer),
-            WorldAction::Join { host } => self.reactivate_host(index, host, false, now, observer),
-            WorldAction::Recover { host } => self.reactivate_host(index, host, true, now, observer),
+            WorldAction::Leave { host } => self.deactivate_host(host, false, now),
+            WorldAction::Crash { host } => self.deactivate_host(host, true, now),
+            WorldAction::Join { host } => self.reactivate_host(index, host, false, now),
+            WorldAction::Recover { host } => self.reactivate_host(index, host, true, now),
             WorldAction::BlackoutStart { a, b } => self.scenario_mut().blackouts.push((a, b)),
             WorldAction::BlackoutEnd { a, b } => {
                 let st = self.scenario_mut();
@@ -1384,13 +1235,7 @@ impl World {
     /// of its cancellable protocol activity is abandoned, and (on a crash)
     /// its protocol state is wiped. Mobility continues — a parked radio
     /// still moves with its host.
-    fn deactivate_host(
-        &mut self,
-        host: u32,
-        crash: bool,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn deactivate_host(&mut self, host: u32, crash: bool, now: SimTime) {
         let node = NodeId::new(host);
         let idx = node.index();
         {
@@ -1414,7 +1259,7 @@ impl World {
         // MAC-queued rebroadcasts are handled by the queue sweep below
         // (which also covers HELLO frames). On a crash the models also
         // wipe the host's memory, retiring its counters.
-        self.dispatch(now, PureAction::Deactivate { node, crash }, observer);
+        self.dispatch(now, PureAction::Deactivate { node, crash });
         // Sweep the MAC queue: every payload still in `outgoing` belongs
         // to a queued (not yet airing) frame — `begin_transmission` takes
         // the payload out the moment a frame hits the air.
@@ -1435,14 +1280,7 @@ impl World {
 
     /// Puts a host back on the air with a factory-fresh radio/MAC, syncing
     /// its carrier view with whatever is currently airing around it.
-    fn reactivate_host(
-        &mut self,
-        index: u32,
-        host: u32,
-        recover: bool,
-        now: SimTime,
-        observer: &mut dyn SimObserver,
-    ) {
+    fn reactivate_host(&mut self, index: u32, host: u32, recover: bool, now: SimTime) {
         let node = NodeId::new(host);
         let idx = node.index();
         // The host's final frame may still be draining out of its old
@@ -1478,7 +1316,7 @@ impl World {
         // if a neighbor's frame is airing over this host right now.
         if self.medium.is_carrier_busy(node) {
             let action = self.nodes[idx].mac.on_medium_busy(now);
-            self.process_mac_action(node, action, now, observer);
+            self.process_mac_action(node, action, now);
         }
         if self.hellos_enabled() {
             let at = now + phase;

@@ -1,7 +1,7 @@
 //! World snapshots: the `MSNP` binary checkpoint format.
 //!
 //! [`World::snapshot`] serializes a *paused* world — pause with
-//! [`World::advance_until`](crate::World::advance_until) — into a
+//! [`World::advance`](crate::World::advance) — into a
 //! self-contained byte stream; [`World::resume`] rebuilds a world from
 //! those bytes that continues **bit-identically** to the uninterrupted
 //! run. Everything behaviorally relevant is captured: the event queue
@@ -47,7 +47,7 @@ use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
 use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{MobilitySpec, PlacementSpec, SimConfig};
+use crate::config::{MobilitySpec, PlacementSpec, SimConfig, CS_DELAY, PACKET_BYTES};
 use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
@@ -67,7 +67,7 @@ impl World {
     /// run bit-identically to never having paused.
     ///
     /// Pause at a clean boundary first:
-    /// [`advance_until`](Self::advance_until) stops *between* events, so
+    /// [`advance`](Self::advance) stops *between* events, so
     /// no transient scratch state is live. An armed action recorder is
     /// not captured — a trace must cover a whole run to replay.
     pub fn snapshot(&self) -> Vec<u8> {
@@ -264,11 +264,11 @@ fn encode_fingerprint(enc: &mut WireEncoder, cfg: &SimConfig) {
     enc.u32(cfg.map_units);
     enc.u32(cfg.broadcasts);
     enc.duration(cfg.max_interarrival);
-    enc.usize(cfg.packet_bytes);
+    enc.usize(PACKET_BYTES);
     enc.duration(cfg.grace);
     enc.duration(cfg.warmup);
     enc.f64(cfg.drop_probability);
-    enc.duration(cfg.cs_delay);
+    enc.duration(CS_DELAY);
     enc.option(cfg.capture, |enc, capture| {
         enc.f64(capture.sir_threshold);
         enc.f64(capture.path_loss_exponent);

@@ -1,7 +1,6 @@
 //! Cooperative cancellation: a cancelled token abandons the run at a
 //! pause boundary; an untouched token changes nothing about the result.
 
-use broadcast_core::trace::NoopObserver;
 use broadcast_core::{CancelToken, SchemeSpec, SimConfig, World};
 use manet_sim_engine::SimDuration;
 
@@ -18,7 +17,7 @@ fn uncancelled_run_matches_plain_run() {
     let plain = World::new(config(7)).run();
     let token = CancelToken::new();
     let report = World::new(config(7))
-        .run_cancellable(&token, SimDuration::from_millis(100), &mut NoopObserver)
+        .run_cancellable(&token, SimDuration::from_millis(100))
         .expect("token was never cancelled");
     assert_eq!(report.reachability, plain.reachability);
     assert_eq!(report.data_frames, plain.data_frames);
@@ -29,11 +28,7 @@ fn uncancelled_run_matches_plain_run() {
 fn pre_cancelled_token_abandons_immediately() {
     let token = CancelToken::new();
     token.cancel();
-    let outcome = World::new(config(7)).run_cancellable(
-        &token,
-        SimDuration::from_millis(100),
-        &mut NoopObserver,
-    );
+    let outcome = World::new(config(7)).run_cancellable(&token, SimDuration::from_millis(100));
     assert!(outcome.is_none(), "cancelled before the first slice");
 }
 
@@ -41,7 +36,7 @@ fn pre_cancelled_token_abandons_immediately() {
 fn zero_slice_falls_back_to_a_sane_default() {
     let token = CancelToken::new();
     let report = World::new(config(9))
-        .run_cancellable(&token, SimDuration::ZERO, &mut NoopObserver)
+        .run_cancellable(&token, SimDuration::ZERO)
         .expect("not cancelled");
     assert!(report.sim_seconds > 0.0);
 }

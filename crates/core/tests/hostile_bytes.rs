@@ -15,11 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use broadcast_core::trace::NoopObserver;
 use broadcast_core::{
-    ChurnKind, MobilitySpec, NeighborInfo, Scenario, SchemeSpec, SimConfig, TraceFile, World,
+    ChurnKind, MobilitySpec, NeighborInfo, PacketId, PureAction, Scenario, SchemeSpec, SimConfig,
+    TraceFile, TraceWriter, World,
 };
 use manet_net::HelloIntervalPolicy;
+use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
 use manet_testkit::Gen;
 
@@ -118,7 +119,7 @@ fn busiest_snapshot(config: &SimConfig) -> Vec<u8> {
     let mut world = World::new(config.clone());
     let mut largest = Vec::new();
     let mut pause = SimTime::ZERO;
-    while !world.advance_until(pause, &mut NoopObserver) {
+    while !world.advance(pause) {
         let bytes = world.snapshot();
         if bytes.len() > largest.len() {
             largest = bytes;
@@ -132,7 +133,7 @@ fn busiest_snapshot(config: &SimConfig) -> Vec<u8> {
 fn trace(config: &SimConfig) -> Vec<u8> {
     let mut world = World::new(config.clone());
     world.enable_recording();
-    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    world.advance(SimTime::MAX);
     world.take_trace().expect("recording was armed")
 }
 
@@ -223,4 +224,29 @@ fn traces_survive_truncation_mutation_and_huge_lengths() {
     for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
         attack(&format!("{name} trace"), &trace(&config), TraceFile::decode);
     }
+}
+
+/// Replay grows a host's packet ledger to `seq + 1` entries, so a trace
+/// may only name a `seq` an `Originate` has issued: live runs number
+/// packets 0, 1, 2 …. Unbounded, one `Originate` carrying `seq` 2³² − 5
+/// decodes and then makes `replay_decisions` ask for 16 GiB.
+#[test]
+fn a_trace_cannot_name_a_packet_seq_no_originate_issued() {
+    let config = churn_config();
+    let source = NodeId::new(0);
+    let only_originate = |seq| {
+        let mut writer = TraceWriter::new(&config);
+        let packet = PacketId::new(source, seq);
+        writer.action(
+            SimTime::ZERO,
+            &PureAction::Originate {
+                node: source,
+                packet,
+            },
+        );
+        writer.into_bytes()
+    };
+    assert!(TraceFile::decode(&only_originate(0)).is_ok());
+    let err = TraceFile::decode(&only_originate(1_000_000)).expect_err("seq 1 000 000 of 1");
+    assert_eq!(err.what, "packet seq not issued by an earlier Originate");
 }

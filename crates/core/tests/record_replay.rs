@@ -4,10 +4,10 @@
 //! the run; and the trace's decision tallies must equal the live
 //! suppression counters.
 
-use broadcast_core::trace::{DecisionKind, NoopObserver, SuppressReason};
+use broadcast_core::trace::{DecisionKind, SuppressReason};
 use broadcast_core::{
-    replay_decisions, ChurnKind, CounterThreshold, Scenario, SchemeSpec, SimConfig, SimReport,
-    SuppressionCounts, TraceFile, TraceRecord, World,
+    replay_decisions, ChurnKind, CounterThreshold, ReplayError, Scenario, SchemeSpec, SimConfig,
+    SimReport, SuppressionCounts, TraceFile, TraceRecord, World,
 };
 use manet_sim_engine::SimTime;
 
@@ -36,7 +36,7 @@ fn all_schemes() -> Vec<SchemeSpec> {
 fn record_run(config: SimConfig) -> (Vec<u8>, SimReport) {
     let mut world = World::new(config);
     world.enable_recording();
-    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    world.advance(SimTime::MAX);
     let trace = world.take_trace().expect("recording was armed");
     (trace, world.into_report())
 }
@@ -156,19 +156,20 @@ fn corrupted_traces_are_rejected() {
         "truncated trace replayed cleanly",
     );
 
-    // Forge a Cancelled decision for a packet nobody decided about:
-    // tag=1, time u64, node u32, packet (source u32, seq u32), kind u8,
-    // reason u8 — all little-endian, matching the writer.
+    // Forge a Cancelled decision nobody made, about the first packet (an
+    // unissued `seq` would already fail to decode): tag=1, time u64,
+    // node u32, packet (source u32, seq u32), kind u8, reason u8 — all
+    // little-endian, matching the writer.
     let mut forged = trace.clone();
     forged.push(1);
     forged.extend_from_slice(&1_000_000u64.to_le_bytes());
     forged.extend_from_slice(&0u32.to_le_bytes());
     forged.extend_from_slice(&0u32.to_le_bytes());
-    forged.extend_from_slice(&9_999u32.to_le_bytes());
+    forged.extend_from_slice(&0u32.to_le_bytes());
     forged.push(2);
     forged.push(0);
     assert!(
-        replay_decisions(&forged).is_err(),
+        matches!(replay_decisions(&forged), Err(ReplayError::Mismatch { .. })),
         "forged decision replayed cleanly",
     );
 }

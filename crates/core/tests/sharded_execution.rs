@@ -5,10 +5,9 @@
 //! the churn run's mid-run snapshot bytes — is pinned here. A mismatch
 //! means the one geometry path no longer reproduces that run bit for bit.
 //!
-//! Also pins the `advance_until` pause boundary: a pause time equal to a
+//! Also pins the `advance` pause boundary: a pause time equal to a
 //! queued event's timestamp stops **strictly before** that event fires.
 
-use broadcast_core::trace::NoopObserver;
 use broadcast_core::{
     AreaThreshold, CaptureConfig, ChurnKind, CounterThreshold, MobilitySpec, NeighborInfo,
     Scenario, SchemeSpec, SimConfig, World,
@@ -108,7 +107,7 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     assert_eq!(hash, 0x14f5_be2a_0383_f335, "report: got {hash:#018x}");
 
     let mut world = World::new(churn_config());
-    world.advance_until(SimTime::from_secs(5), &mut NoopObserver);
+    world.advance(SimTime::from_secs(5));
     let bytes = world.snapshot();
     let hash = fnv1a64(&bytes);
     assert_eq!(hash, 0x510f_b2b6_ff89_c26d, "snapshot: got {hash:#018x}");
@@ -121,7 +120,7 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     // The `MTRC` bytes of the same run.
     let mut world = World::new(churn_config());
     world.enable_recording();
-    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    world.advance(SimTime::MAX);
     let hash = fnv1a64(&world.take_trace().expect("recording was armed"));
     assert_eq!(hash, 0x3afa_39d0_4048_b378, "trace: got {hash:#018x}");
 
@@ -154,13 +153,13 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
         ("al", al, 7_226, 0x9a60_6ceb_181e_882a),
     ] {
         let mut world = World::new(config);
-        world.advance_until(SimTime::from_millis(pause_ms), &mut NoopObserver);
+        world.advance(SimTime::from_millis(pause_ms));
         let hash = fnv1a64(&world.snapshot());
         assert_eq!(hash, pin, "{label} snapshot: got {hash:#018x}");
     }
 }
 
-/// `advance_until(t)` pauses **strictly before** any event queued at
+/// `advance(t)` pauses **strictly before** any event queued at
 /// exactly `t`. The scenario schedules a churn action at exactly 1 s, so
 /// pausing at 1 s and pausing one nanosecond earlier must leave the world
 /// in the same state — and resuming from either checkpoint must finish
@@ -171,12 +170,9 @@ fn pause_exactly_at_event_time_excludes_the_event() {
     let just_before = exactly - SimDuration::from_nanos(1);
 
     let mut at_event = World::new(churn_config());
-    assert!(
-        !at_event.advance_until(exactly, &mut NoopObserver),
-        "run must pause, not finish"
-    );
+    assert!(!at_event.advance(exactly), "run must pause, not finish");
     let mut before_event = World::new(churn_config());
-    assert!(!before_event.advance_until(just_before, &mut NoopObserver));
+    assert!(!before_event.advance(just_before));
     assert_eq!(
         at_event.snapshot(),
         before_event.snapshot(),

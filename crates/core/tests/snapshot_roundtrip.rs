@@ -5,7 +5,6 @@
 //! counters, suppression tallies, scenario counts), so string equality is
 //! full-report equality.
 
-use broadcast_core::trace::NoopObserver;
 use broadcast_core::{
     ChurnKind, CounterThreshold, NeighborInfo, Scenario, SchemeSpec, SimConfig, SimReport, World,
 };
@@ -68,7 +67,7 @@ fn assert_roundtrip(make: impl Fn() -> SimConfig, pause: SimTime) {
     let baseline: SimReport = World::new(make()).run();
 
     let mut world = World::new(make());
-    world.advance_until(pause, &mut NoopObserver);
+    world.advance(pause);
     let bytes = world.snapshot();
     drop(world); // the resumed world must not share anything with it
 
@@ -125,7 +124,7 @@ fn oracle_mode_roundtrip_is_bit_identical() {
 #[test]
 fn snapshot_of_resumed_world_is_byte_identical() {
     let mut world = World::new(churn_config(9));
-    world.advance_until(SimTime::from_secs(5), &mut NoopObserver);
+    world.advance(SimTime::from_secs(5));
     let bytes = world.snapshot();
     let resumed = World::resume(churn_config(9), &bytes).expect("snapshot resumes");
     assert_eq!(bytes, resumed.snapshot());
@@ -134,7 +133,7 @@ fn snapshot_of_resumed_world_is_byte_identical() {
 #[test]
 fn resume_rejects_a_different_config() {
     let mut world = World::new(adaptive_config(7));
-    world.advance_until(SimTime::from_secs(2), &mut NoopObserver);
+    world.advance(SimTime::from_secs(2));
     let bytes = world.snapshot();
     let err = World::resume(adaptive_config(8), &bytes).expect_err("seed differs");
     assert!(err.to_string().contains("different config"), "{err}");
@@ -143,7 +142,7 @@ fn resume_rejects_a_different_config() {
 #[test]
 fn resume_rejects_truncated_bytes() {
     let mut world = World::new(adaptive_config(7));
-    world.advance_until(SimTime::from_secs(2), &mut NoopObserver);
+    world.advance(SimTime::from_secs(2));
     let bytes = world.snapshot();
     for cut in [0, 4, bytes.len() / 2, bytes.len() - 1] {
         assert!(
@@ -157,7 +156,7 @@ fn resume_rejects_truncated_bytes() {
 #[test]
 fn finished_world_roundtrips() {
     let mut world = World::new(adaptive_config(7));
-    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    world.advance(SimTime::MAX);
     let bytes = world.snapshot();
     let baseline = world.into_report();
     let resumed = World::resume(adaptive_config(7), &bytes).expect("snapshot resumes");

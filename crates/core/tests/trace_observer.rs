@@ -1,8 +1,15 @@
-//! End-to-end tests of the trace observer: counters must agree with the
-//! run report, and packet timelines must be causally ordered.
+//! What a run lets you observe without a debugger: the decoded `MTRC`
+//! action trace must tell one causal story per packet and agree with the
+//! run report, and the report's own counters must match each scheme's
+//! semantics. (The file is named after the observer hook these tests
+//! used to attach; the trace and the report are what replaced it.)
 
-use broadcast_core::trace::{DecisionKind, EventCounters, FrameKind, TraceEvent, TraceRecorder};
-use broadcast_core::{CounterThreshold, SchemeSpec, SimConfig, World};
+use std::collections::{BTreeMap, BTreeSet};
+
+use broadcast_core::{
+    CounterThreshold, OwnedAction, PacketId, SchemeSpec, SimConfig, SimReport, TraceFile,
+    TraceRecord, World,
+};
 use manet_sim_engine::SimTime;
 
 fn config(scheme: SchemeSpec) -> SimConfig {
@@ -13,18 +20,33 @@ fn config(scheme: SchemeSpec) -> SimConfig {
         .build()
 }
 
+/// Runs `config` with recording armed; returns the decoded records and
+/// the report.
+fn recorded_run(config: SimConfig) -> (Vec<TraceRecord>, SimReport) {
+    let mut world = World::new(config);
+    world.enable_recording();
+    world.advance(SimTime::MAX);
+    let trace = world.take_trace().expect("recording was armed");
+    let file = TraceFile::decode(&trace).expect("a live trace decodes");
+    (file.records, world.into_report())
+}
+
 #[test]
 fn counters_agree_with_the_report() {
-    let mut counters = EventCounters::default();
-    let report = World::new(config(SchemeSpec::AdaptiveCounter(
+    let (records, report) = recorded_run(config(SchemeSpec::AdaptiveCounter(
         CounterThreshold::paper_recommended(),
-    )))
-    .run_observed(&mut counters);
+    )));
+    let count = |wanted: fn(&OwnedAction) -> bool| {
+        records
+            .iter()
+            .filter(|r| matches!(r, TraceRecord::Action { action, .. } if wanted(action)))
+            .count() as u64
+    };
+    let originated = count(|a| matches!(a, OwnedAction::Originate { .. }));
+    let sent = count(|a| matches!(a, OwnedAction::FrameSent { .. }));
 
-    assert_eq!(counters.broadcasts, u64::from(report.broadcasts));
-    assert_eq!(counters.data_frames, report.data_frames);
-    assert_eq!(counters.hello_frames, report.hello_packets);
-    assert_eq!(counters.losses, report.losses.total());
+    assert_eq!(originated, u64::from(report.broadcasts));
+    assert_eq!(sent, report.data_frames);
     assert_eq!(
         report.collisions,
         report.losses.overlap + report.losses.capture,
@@ -32,51 +54,45 @@ fn counters_agree_with_the_report() {
     );
     // Every scheduled rebroadcast either transmits or is cancelled; the
     // source frames are extra.
-    assert!(counters.scheduled >= counters.cancelled);
+    assert!(report.suppression.scheduled >= report.suppression.cancelled);
     assert!(
-        counters.data_frames <= counters.scheduled + counters.broadcasts,
+        sent <= report.suppression.scheduled + originated,
         "every data frame is a source frame or a scheduled rebroadcast"
     );
 }
 
 #[test]
 fn flooding_never_inhibits_or_cancels() {
-    let mut counters = EventCounters::default();
-    let _ = World::new(config(SchemeSpec::Flooding)).run_observed(&mut counters);
-    assert_eq!(counters.inhibited, 0);
-    assert_eq!(counters.cancelled, 0);
-    assert_eq!(counters.scheduled, counters.first_hears);
+    let report = World::new(config(SchemeSpec::Flooding)).run();
+    assert_eq!(report.suppression.inhibited_first_hear, 0);
+    assert_eq!(report.suppression.cancelled, 0);
+    let first_hears: u32 = report.per_broadcast.iter().map(|o| o.received).sum();
+    assert_eq!(report.suppression.scheduled, u64::from(first_hears));
 }
 
 #[test]
 fn counter_scheme_cancels_in_dense_networks() {
-    let mut counters = EventCounters::default();
-    let _ = World::new(config(SchemeSpec::Counter(2))).run_observed(&mut counters);
-    assert!(counters.cancelled > 0, "C=2 must cancel on a 3x3 map");
+    let report = World::new(config(SchemeSpec::Counter(2))).run();
+    assert!(
+        report.suppression.cancelled > 0,
+        "C=2 must cancel on a 3x3 map"
+    );
     assert_eq!(
-        counters.inhibited, 0,
+        report.suppression.inhibited_first_hear, 0,
         "the counter scheme never inhibits on first hear"
     );
 }
 
 #[test]
-fn report_suppression_and_profile_agree_with_the_observer() {
+fn report_suppressions_carry_reasons_and_the_profile_names_event_kinds() {
     let cfg = SimConfig::builder(3, SchemeSpec::Counter(2))
         .hosts(25)
         .broadcasts(8)
         .seed(77)
         .profile_events(true)
         .build();
-    let mut counters = EventCounters::default();
-    let report = World::new(cfg).run_observed(&mut counters);
+    let report = World::new(cfg).run();
 
-    assert_eq!(report.suppression.scheduled, counters.scheduled);
-    assert_eq!(report.suppression.inhibited_first_hear, counters.inhibited);
-    assert_eq!(report.suppression.cancelled, counters.cancelled);
-    assert_eq!(
-        report.suppression.counter_threshold,
-        counters.suppressed_counter
-    );
     assert_eq!(
         report.suppression.counter_threshold
             + report.suppression.coverage_threshold
@@ -104,100 +120,75 @@ fn profile_is_absent_by_default() {
 
 #[test]
 fn packet_timelines_are_causal() {
-    let mut recorder = TraceRecorder::unbounded();
-    let report = World::new(config(SchemeSpec::Counter(3))).run_observed(&mut recorder);
+    let (records, report) = recorded_run(config(SchemeSpec::Counter(3)));
 
-    for outcome in &report.per_broadcast {
-        let timeline = recorder.packet_timeline(outcome.packet);
-        assert!(!timeline.is_empty());
-        // Issue comes first; times never decrease.
-        assert!(matches!(timeline[0], TraceEvent::BroadcastIssued { .. }));
-        let mut last = SimTime::ZERO;
-        let mut first_heard = std::collections::BTreeSet::new();
-        for event in &timeline {
-            assert!(event.at() >= last);
-            last = event.at();
-            match event {
-                TraceEvent::FirstHeard { node, .. } => {
-                    assert!(first_heard.insert(*node), "{node} first-heard twice");
+    // Times never decrease along the trace, so neither along any packet.
+    let at = |record: &TraceRecord| match record {
+        TraceRecord::Action { at, .. } => *at,
+        TraceRecord::Decision(d) => d.at,
+    };
+    assert!(records.windows(2).all(|w| at(&w[0]) <= at(&w[1])));
+
+    // Per packet: has its `Originate` been seen, and who has heard it.
+    let mut timelines: BTreeMap<PacketId, BTreeSet<_>> = BTreeMap::new();
+    for record in &records {
+        match record {
+            TraceRecord::Action { action, .. } => match action {
+                OwnedAction::Originate { node, packet } => {
+                    assert_eq!(*node, packet.source);
+                    let fresh = timelines.insert(*packet, BTreeSet::new()).is_none();
+                    assert!(fresh, "{packet} originated twice");
                 }
-                TraceEvent::Decision { node, kind, .. } => {
-                    // A decision requires a prior first-hear at that host.
-                    assert!(
-                        first_heard.contains(node),
-                        "decision {kind:?} at {node} before first hear"
-                    );
+                OwnedAction::PacketHeard { node, packet, .. } => {
+                    let hearers = timelines.get_mut(packet);
+                    hearers
+                        .unwrap_or_else(|| panic!("{packet} heard before its Originate"))
+                        .insert(*node);
+                }
+                OwnedAction::AssessmentFired { packet, .. }
+                | OwnedAction::FrameSent { packet, .. } => {
+                    assert!(timelines.contains_key(packet), "{packet} before Originate");
                 }
                 _ => {}
-            }
+            },
+            // A decision requires a prior hear at that host.
+            TraceRecord::Decision(d) => assert!(
+                timelines
+                    .get(&d.packet)
+                    .is_some_and(|h| h.contains(&d.node)),
+                "decision {:?} at {} before it heard {}",
+                d.kind,
+                d.node,
+                d.packet
+            ),
         }
-        // The number of hosts that first-heard equals the receiver count.
-        assert_eq!(first_heard.len() as u32, outcome.received);
     }
-}
 
-#[test]
-fn bounded_recorder_survives_large_runs() {
-    let mut recorder = TraceRecorder::bounded(100);
-    let _ = World::new(config(SchemeSpec::Flooding)).run_observed(&mut recorder);
-    assert_eq!(recorder.events().len(), 100);
-    assert!(recorder.dropped_count() > 0);
-}
-
-#[test]
-fn rendered_trace_mentions_every_broadcast() {
-    let mut recorder = TraceRecorder::unbounded();
-    let report = World::new(config(SchemeSpec::Counter(3))).run_observed(&mut recorder);
-    let text = recorder.render();
+    // The hosts that heard a packet, its source aside, are its receivers.
+    assert_eq!(timelines.len(), report.per_broadcast.len());
     for outcome in &report.per_broadcast {
-        assert!(
-            text.contains(&outcome.packet.to_string()),
-            "trace misses {}",
-            outcome.packet
-        );
+        let mut hearers = timelines[&outcome.packet].clone();
+        hearers.remove(&outcome.packet.source);
+        assert_eq!(hearers.len() as u32, outcome.received);
     }
 }
 
 #[test]
 fn hello_frames_appear_for_adaptive_schemes_only() {
-    let mut counters = EventCounters::default();
-    let _ = World::new(config(SchemeSpec::Counter(3))).run_observed(&mut counters);
-    assert_eq!(counters.hello_frames, 0);
+    let report = World::new(config(SchemeSpec::Counter(3))).run();
+    assert_eq!(report.hello_packets, 0);
 
-    let mut counters = EventCounters::default();
-    let _ = World::new(config(SchemeSpec::NeighborCoverage)).run_observed(&mut counters);
-    assert!(counters.hello_frames > 0);
-}
-
-#[test]
-fn frame_kinds_partition_the_frames() {
-    let mut recorder = TraceRecorder::unbounded();
-    let report = World::new(config(SchemeSpec::AdaptiveCounter(
-        CounterThreshold::paper_recommended(),
-    )))
-    .run_observed(&mut recorder);
-    let (mut data, mut hello) = (0u64, 0u64);
-    for event in recorder.events() {
-        if let TraceEvent::FrameStarted { kind, .. } = event {
-            match kind {
-                FrameKind::Broadcast(_) => data += 1,
-                FrameKind::Hello => hello += 1,
-            }
-        }
-    }
-    assert_eq!(data, report.data_frames);
-    assert_eq!(hello, report.hello_packets);
+    let report = World::new(config(SchemeSpec::NeighborCoverage)).run();
+    assert!(report.hello_packets > 0);
 }
 
 #[test]
 fn decision_kinds_match_scheme_semantics() {
     // Neighbor coverage inhibits on first hear (empty pending set) but the
     // counter scheme never does; both can cancel.
-    let mut nc = EventCounters::default();
-    let _ = World::new(config(SchemeSpec::NeighborCoverage)).run_observed(&mut nc);
+    let report = World::new(config(SchemeSpec::NeighborCoverage)).run();
     assert!(
-        nc.inhibited > 0,
+        report.suppression.inhibited_first_hear > 0,
         "NC on a dense map should inhibit some hosts outright"
     );
-    let _ = DecisionKind::Scheduled; // referenced for the doc story
 }

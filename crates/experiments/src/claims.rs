@@ -31,6 +31,19 @@ fn config(map: u32, scheme: SchemeSpec, scale: Scale) -> SimConfig {
         .build()
 }
 
+/// Title of the `passed | total` table [`run`] ends with.
+const SUMMARY_TITLE: &str = "Claim summary";
+
+/// `false` when `tables`, as [`run`] returned them, record a failed
+/// claim: the summary's `passed` differs from its `total`.
+pub fn all_passed(tables: &[Table]) -> bool {
+    tables
+        .iter()
+        .filter(|table| table.title() == SUMMARY_TITLE)
+        .flat_map(Table::rows)
+        .all(|row| row[0] == row[1])
+}
+
 /// Runs every encoded claim and renders the verdict table.
 pub fn run(scale: Scale) -> Vec<Table> {
     let mut claims = Vec::new();
@@ -270,7 +283,23 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
     let passed = claims.iter().filter(|c| c.pass).count();
-    let mut summary = Table::new("Claim summary", vec!["passed".into(), "total".into()]);
+    let mut summary = Table::new(SUMMARY_TITLE, vec!["passed".into(), "total".into()]);
     summary.row(vec![passed.to_string(), claims.len().to_string()]);
     vec![table, summary]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_failed_claim_fails_the_table() {
+        let summary = |passed: &str| {
+            let mut table = Table::new(SUMMARY_TITLE, vec!["passed".into(), "total".into()]);
+            table.row(vec![passed.into(), "17".into()]);
+            vec![Table::new("Paper-claim verification", vec![]), table]
+        };
+        assert!(all_passed(&summary("17")));
+        assert!(!all_passed(&summary("16")));
+    }
 }

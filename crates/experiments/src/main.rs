@@ -5,6 +5,9 @@
 //! manet-experiments all [--scale default]
 //! manet-experiments --list
 //! ```
+//!
+//! Exits 1 on a usage or I/O error, and when `claims` ran and any claim
+//! came out `FAIL`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -12,8 +15,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use manet_experiments::{
-    all_figures, drain_metrics_capture, enable_metrics_capture, render_metrics_json, FigureRunner,
-    MetricsRecord, Scale,
+    all_figures, claims, drain_metrics_capture, enable_metrics_capture, render_metrics_json,
+    FigureRunner, MetricsRecord, Scale,
 };
 
 fn usage() -> &'static str {
@@ -22,6 +25,7 @@ fn usage() -> &'static str {
      figures: fig1 fig2 fig5a fig5b fig5c fig5d fig6 fig7 fig8 fig9\n\
      \x20        fig10 fig11 fig12 fig13 ext-distance ext-oracle ext-capture\n\
      \x20        ext-mobility ext-load ext-hosts ext-churn claims | all\n\
+     \x20        (claims exits 1 when any paper claim comes out FAIL)\n\
      \n\
      options:\n\
      \x20 --scale quick|default|full   work per data point (default: default)\n\
@@ -172,6 +176,7 @@ fn main() -> ExitCode {
         Scale::Full => "full",
     };
     let mut captured: Vec<(String, Vec<MetricsRecord>)> = Vec::new();
+    let mut claims_hold = true;
     for (id, runner) in selected {
         // simlint: allow(wall-clock) — wall time never feeds the sim, only stderr
         let started = Instant::now();
@@ -179,6 +184,7 @@ fn main() -> ExitCode {
             enable_metrics_capture();
         }
         let tables = runner(scale);
+        claims_hold &= claims::all_passed(&tables);
         if metrics_path.is_some() {
             captured.push((id.to_string(), drain_metrics_capture()));
         }
@@ -209,6 +215,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("[metrics] {}", path.display());
+    }
+    if !claims_hold {
+        eprintln!("claims: a paper claim failed (see the FAIL rows above)");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

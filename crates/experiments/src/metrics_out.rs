@@ -22,81 +22,96 @@
 //! }
 //! ```
 //!
-//! Each run's `metrics` object is a [`MetricsRegistry`] snapshot: dotted
-//! counter names (`losses.overlap`, `mac.backoff_draws`,
-//! `suppression.cancelled`, …) plus the `latency_s` and `backoff_slots`
-//! histograms. Keys are emitted in lexicographic order, so the document is
-//! byte-stable for a given run set.
+//! Each run's `metrics` object holds dotted counter names
+//! (`losses.overlap`, `mac.backoff_draws`, `suppression.cancelled`, …),
+//! an always-empty `gauges` object, and the `latency_s` and
+//! `backoff_slots` histograms. Keys are emitted in byte order from the
+//! static [`COUNTERS`] table, so the document is byte-stable for a given
+//! run set.
 
-use manet_sim_engine::{json_escape, MetricsRegistry};
+use std::fmt::Write;
 
-use crate::runner::MetricsRecord;
+use manet_sim_engine::json_escape;
 
-/// Builds the per-run registry out of one captured record.
-fn registry_for(record: &MetricsRecord) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    let m = &record.metrics;
+use crate::runner::{MetricsRecord, RunMetricsSummary};
 
-    reg.set_counter("losses.overlap", m.losses.overlap);
-    reg.set_counter("losses.half_duplex", m.losses.half_duplex);
-    reg.set_counter("losses.injected", m.losses.injected);
-    reg.set_counter("losses.capture", m.losses.capture);
-    reg.set_counter("losses.total", m.losses.total());
+/// Reads one counter off a record; `None` omits the key.
+type ReadCounter = fn(&RunMetricsSummary) -> Option<u64>;
 
-    reg.set_counter("mac.backoff_draws", m.mac.backoff_draws);
-    reg.set_counter("mac.backoff_slots_total", m.mac.backoff_slots_total);
-    reg.set_counter("mac.freezes", m.mac.freezes);
-    reg.set_counter("mac.deferrals", m.mac.deferrals);
-    reg.set_counter("mac.enqueued", m.mac.enqueued);
-    reg.set_counter("mac.cancelled", m.mac.cancelled);
-    reg.set_counter("mac.max_queue_depth", m.mac.max_queue_depth);
-
-    reg.set_counter("net.hello_sent", m.net.hello_sent);
-    reg.set_counter("net.hello_received", m.net.hello_received);
-    reg.set_counter("net.neighbor_joins", m.net.neighbor_joins);
-    reg.set_counter("net.neighbor_leaves", m.net.neighbor_leaves);
-
-    reg.set_counter("suppression.scheduled", m.suppression.scheduled);
-    reg.set_counter(
-        "suppression.inhibited_first_hear",
-        m.suppression.inhibited_first_hear,
-    );
-    reg.set_counter("suppression.cancelled", m.suppression.cancelled);
-    reg.set_counter(
-        "suppression.counter_threshold",
-        m.suppression.counter_threshold,
-    );
-    reg.set_counter(
-        "suppression.coverage_threshold",
-        m.suppression.coverage_threshold,
-    );
-    reg.set_counter(
-        "suppression.neighbor_coverage",
-        m.suppression.neighbor_coverage,
-    );
-    reg.set_counter("suppression.probabilistic", m.suppression.probabilistic);
-
-    // Scenario counters appear only on scenario (churn/fault) runs, so
-    // non-scenario documents stay byte-identical to earlier versions.
-    if let Some(sc) = &m.scenario {
-        reg.set_counter("scenario.leaves", sc.leaves);
-        reg.set_counter("scenario.joins", sc.joins);
-        reg.set_counter("scenario.crashes", sc.crashes);
-        reg.set_counter("scenario.recoveries", sc.recoveries);
-        reg.set_counter("scenario.blackout_drops", sc.blackout_drops);
-        reg.set_counter("scenario.partition_drops", sc.partition_drops);
-        reg.set_counter("scenario.noise_drops", sc.noise_drops);
-        reg.set_counter("scenario.injected_drops", sc.injected_drops());
-    }
-
-    reg.set_histogram("latency_s", m.latency_s.clone());
-    reg.set_histogram("backoff_slots", m.backoff_slots.clone());
-    reg
-}
+/// Every counter key in byte order, which is the order the document
+/// emits them in. The `scenario.*` keys appear only on scenario
+/// (churn/fault) runs, so every other document is unchanged by them.
+const COUNTERS: [(&str, ReadCounter); 31] = [
+    ("losses.capture", |m| Some(m.losses.capture)),
+    ("losses.half_duplex", |m| Some(m.losses.half_duplex)),
+    ("losses.injected", |m| Some(m.losses.injected)),
+    ("losses.overlap", |m| Some(m.losses.overlap)),
+    ("losses.total", |m| Some(m.losses.total())),
+    ("mac.backoff_draws", |m| Some(m.mac.backoff_draws)),
+    ("mac.backoff_slots_total", |m| {
+        Some(m.mac.backoff_slots_total)
+    }),
+    ("mac.cancelled", |m| Some(m.mac.cancelled)),
+    ("mac.deferrals", |m| Some(m.mac.deferrals)),
+    ("mac.enqueued", |m| Some(m.mac.enqueued)),
+    ("mac.freezes", |m| Some(m.mac.freezes)),
+    ("mac.max_queue_depth", |m| Some(m.mac.max_queue_depth)),
+    ("net.hello_received", |m| Some(m.net.hello_received)),
+    ("net.hello_sent", |m| Some(m.net.hello_sent)),
+    ("net.neighbor_joins", |m| Some(m.net.neighbor_joins)),
+    ("net.neighbor_leaves", |m| Some(m.net.neighbor_leaves)),
+    ("scenario.blackout_drops", |m| {
+        m.scenario.map(|s| s.blackout_drops)
+    }),
+    ("scenario.crashes", |m| m.scenario.map(|s| s.crashes)),
+    ("scenario.injected_drops", |m| {
+        m.scenario.map(|s| s.injected_drops())
+    }),
+    ("scenario.joins", |m| m.scenario.map(|s| s.joins)),
+    ("scenario.leaves", |m| m.scenario.map(|s| s.leaves)),
+    ("scenario.noise_drops", |m| {
+        m.scenario.map(|s| s.noise_drops)
+    }),
+    ("scenario.partition_drops", |m| {
+        m.scenario.map(|s| s.partition_drops)
+    }),
+    ("scenario.recoveries", |m| m.scenario.map(|s| s.recoveries)),
+    ("suppression.cancelled", |m| Some(m.suppression.cancelled)),
+    ("suppression.counter_threshold", |m| {
+        Some(m.suppression.counter_threshold)
+    }),
+    ("suppression.coverage_threshold", |m| {
+        Some(m.suppression.coverage_threshold)
+    }),
+    ("suppression.inhibited_first_hear", |m| {
+        Some(m.suppression.inhibited_first_hear)
+    }),
+    ("suppression.neighbor_coverage", |m| {
+        Some(m.suppression.neighbor_coverage)
+    }),
+    ("suppression.probabilistic", |m| {
+        Some(m.suppression.probabilistic)
+    }),
+    ("suppression.scheduled", |m| Some(m.suppression.scheduled)),
+];
 
 /// One record's `metrics` object, exactly as the document embeds it.
 pub(crate) fn render_record_metrics(record: &MetricsRecord) -> String {
-    registry_for(record).to_json()
+    let m = &record.metrics;
+    let mut out = String::from("{\"counters\":{");
+    let mut comma = "";
+    for (key, read) in COUNTERS {
+        if let Some(value) = read(m) {
+            write!(out, "{comma}\"{key}\":{value}").expect("writing to a String");
+            comma = ",";
+        }
+    }
+    out.push_str("},\"gauges\":{},\"histograms\":{\"backoff_slots\":");
+    out.push_str(&m.backoff_slots.to_json());
+    out.push_str(",\"latency_s\":");
+    out.push_str(&m.latency_s.to_json());
+    out.push_str("}}");
+    out
 }
 
 /// Renders the full `--metrics` document for the figures that ran, in run
@@ -140,9 +155,11 @@ pub fn render_metrics_json(scale: &str, figures: &[(String, Vec<MetricsRecord>)]
 mod tests {
     use super::*;
     use crate::runner::{
-        capture_test_guard, drain_metrics_capture, enable_metrics_capture, run_averaged,
+        capture_test_guard, drain_metrics_capture, enable_metrics_capture, metrics_record,
+        run_averaged,
     };
-    use broadcast_core::{SchemeSpec, SimConfig};
+    use broadcast_core::{ChurnKind, Scenario, SchemeSpec, SimConfig, World};
+    use manet_sim_engine::SimTime;
 
     #[test]
     fn document_contains_the_required_keys() {
@@ -185,6 +202,56 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The counter keys of one rendered `metrics` object, in order.
+    fn counter_keys(json: &str) -> Vec<&str> {
+        let counters = json
+            .strip_prefix("{\"counters\":{")
+            .and_then(|rest| rest.split_once("},\"gauges\":{},\"histograms\":{\"backoff_slots\":"))
+            .expect("the three sections, in order")
+            .0;
+        counters
+            .split(',')
+            .map(|pair| pair.split_once(':').expect("key:value").0.trim_matches('"'))
+            .collect()
+    }
+
+    #[test]
+    fn key_table_is_byte_sorted_and_scenario_keys_are_optional() {
+        assert!(
+            COUNTERS
+                .windows(2)
+                .all(|w| w[0].0.as_bytes() < w[1].0.as_bytes()),
+            "COUNTERS must be strictly byte-sorted"
+        );
+        let all: Vec<&str> = COUNTERS.iter().map(|(key, _)| *key).collect();
+        let plain: Vec<&str> = all
+            .iter()
+            .copied()
+            .filter(|key| !key.starts_with("scenario."))
+            .collect();
+        assert_eq!(all.len() - plain.len(), 8);
+
+        let report = |scenario| {
+            let mut builder = SimConfig::builder(1, SchemeSpec::Counter(2))
+                .hosts(8)
+                .broadcasts(2);
+            if let Some(scenario) = scenario {
+                builder = builder.scenario(scenario);
+            }
+            metrics_record(&[World::new(builder.build()).run()])
+        };
+        assert_eq!(counter_keys(&render_record_metrics(&report(None))), plain);
+        let churn = Scenario::new("one-leave").with_hosts(8).churn(
+            SimTime::from_secs(1),
+            ChurnKind::Leave,
+            3,
+        );
+        assert_eq!(
+            counter_keys(&render_record_metrics(&report(Some(churn)))),
+            all
+        );
     }
 
     #[test]

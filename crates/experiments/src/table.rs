@@ -55,6 +55,11 @@ impl Table {
         &self.title
     }
 
+    /// The rows added so far.
+    pub(crate) fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// Renders an aligned text table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -77,27 +82,6 @@ impl Table {
                 let _ = write!(line, "{cell:>w$}  ", w = w);
             }
             let _ = writeln!(out, "{}", line.trim_end());
-        }
-        out
-    }
-
-    /// Renders a GitHub-flavored markdown table (with the title as a
-    /// heading), ready for inclusion in EXPERIMENTS.md.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}\n", self.title);
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
         }
         out
     }
@@ -167,17 +151,6 @@ mod tests {
         // Header line and row line have the same width.
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[1].len(), lines[3].len());
-    }
-
-    #[test]
-    fn markdown_has_header_separator_and_rows() {
-        let mut t = Table::new("sample", vec!["a".into(), "b".into()]);
-        t.row(vec!["1".into(), "2".into()]);
-        let md = t.to_markdown();
-        assert!(md.starts_with("### sample"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Pinned-metrics regression: the fig5a quick-scale metrics JSON must
-//! hash to a known constant. `determinism.rs` proves two runs agree with
+//! Pinned-metrics regression: the fig05 and ext-churn quick-scale
+//! metrics JSON must each hash to a known constant (ext-churn is the
+//! figure whose runs carry the optional `scenario.*` counters). `determinism.rs` proves two runs agree with
 //! each other; this test proves they agree with *history* — any change
 //! to the PRNG, event ordering, propagation model, or metrics encoding
 //! shows up as a hash mismatch even if the run is still self-consistent.
 //!
 //! If the change is intentional (a model fix that legitimately moves the
 //! numbers), regenerate the hash with the command in the assert message
-//! and update `PINNED_FNV1A64` in the same commit.
+//! and update the pinned constant in the same commit.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -14,6 +15,10 @@ use std::process::Command;
 /// FNV-1a 64 of the fig05 quick-scale metrics JSON, pinned at the commit
 /// that introduced this test.
 const PINNED_FNV1A64: u64 = 0xc05cb88f2d2fe4a3;
+
+/// The same for ext-churn, pinned at the parent of the commit that
+/// replaced the metrics registry with a static key table.
+const PINNED_CHURN_FNV1A64: u64 = 0x268e0614a48e0258;
 
 /// FNV-1a 64-bit: tiny, dependency-free, and stable across platforms.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -25,15 +30,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Runs fig05 at quick scale and returns the FNV-1a 64 hash of the
+/// Runs `figure` at quick scale and returns the FNV-1a 64 hash of the
 /// metrics JSON it writes.
-fn fig05_quick_hash() -> u64 {
-    let dir = std::env::temp_dir().join(format!("manet-metrics-pin-{}", std::process::id()));
+fn quick_hash(figure: &str) -> u64 {
+    let dir =
+        std::env::temp_dir().join(format!("manet-metrics-pin-{figure}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir creatable");
-    let metrics: PathBuf = dir.join("fig05-quick-metrics.json");
+    let metrics: PathBuf = dir.join("quick-metrics.json");
 
     let output = Command::new(env!("CARGO_BIN_EXE_manet-experiments"))
-        .args(["--figure", "fig05", "--scale", "quick", "--metrics"])
+        .args(["--figure", figure, "--scale", "quick", "--metrics"])
         .arg(&metrics)
         .output()
         .expect("experiment binary runs");
@@ -52,7 +58,7 @@ fn fig05_quick_hash() -> u64 {
 
 #[test]
 fn fig05_quick_metrics_hash_is_pinned() {
-    let hash = fig05_quick_hash();
+    let hash = quick_hash("fig05");
     assert_eq!(
         hash, PINNED_FNV1A64,
         "fig05 quick metrics drifted from the pinned baseline \
@@ -60,5 +66,15 @@ fn fig05_quick_metrics_hash_is_pinned() {
          is intentional, rerun `manet-experiments --figure fig05 --scale \
          quick --metrics m.json`, recompute FNV-1a 64 over the file, and \
          update PINNED_FNV1A64."
+    );
+}
+
+#[test]
+fn ext_churn_quick_metrics_hash_is_pinned() {
+    let hash = quick_hash("ext-churn");
+    assert_eq!(
+        hash, PINNED_CHURN_FNV1A64,
+        "ext-churn quick metrics drifted from the pinned baseline \
+         (got {hash:#018x}, pinned {PINNED_CHURN_FNV1A64:#018x})."
     );
 }

@@ -57,12 +57,6 @@ impl Circle {
     pub fn contains(&self, point: Vec2) -> bool {
         self.center.distance_squared_to(point) <= self.radius * self.radius
     }
-
-    /// Area of the intersection with another circle of the **same** radius
-    /// whose center is at distance `d` — the paper's `INTC(d)`.
-    pub fn intersection_area_equal(&self, other_center: Vec2) -> f64 {
-        intc(self.center.distance_to(other_center), self.radius)
-    }
 }
 
 /// The paper's `INTC(d)`: intersection area of two circles of radius `r`
@@ -227,13 +221,6 @@ mod tests {
         assert!(c.contains(Vec2::new(13.0, 14.0)));
         assert!(!c.contains(Vec2::new(16.0, 10.0)));
         assert!((c.area() - PI * 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn intersection_area_equal_uses_distance() {
-        let a = Circle::new(Vec2::ZERO, R);
-        let other = Vec2::new(R, 0.0);
-        assert!((a.intersection_area_equal(other) - intc(R, R)).abs() < 1e-9);
     }
 
     #[test]

@@ -63,29 +63,6 @@ impl Rect {
     pub fn clamp(&self, p: Vec2) -> Vec2 {
         p.clamp(Vec2::ZERO, Vec2::new(self.width, self.height))
     }
-
-    /// Reflects `p` back into the rectangle, mirror-style.
-    ///
-    /// A point that left through an edge re-enters as if the edge were a
-    /// mirror; used by the mobility model's bouncing boundary. Points
-    /// further out than one full width/height are folded repeatedly.
-    pub fn reflect(&self, p: Vec2) -> Vec2 {
-        Vec2::new(fold(p.x, self.width), fold(p.y, self.height))
-    }
-}
-
-/// Folds `x` into `[0, len]` by repeated mirror reflection.
-fn fold(x: f64, len: f64) -> f64 {
-    let period = 2.0 * len;
-    let mut m = x % period;
-    if m < 0.0 {
-        m += period;
-    }
-    if m > len {
-        period - m
-    } else {
-        m
-    }
 }
 
 #[cfg(test)]
@@ -112,30 +89,6 @@ mod tests {
     fn clamp_pins_to_edges() {
         let r = Rect::new(10.0, 10.0);
         assert_eq!(r.clamp(Vec2::new(-5.0, 15.0)), Vec2::new(0.0, 10.0));
-    }
-
-    #[test]
-    fn reflect_mirrors_once() {
-        let r = Rect::new(10.0, 10.0);
-        assert_eq!(r.reflect(Vec2::new(12.0, 5.0)), Vec2::new(8.0, 5.0));
-        assert_eq!(r.reflect(Vec2::new(-3.0, 5.0)), Vec2::new(3.0, 5.0));
-    }
-
-    #[test]
-    fn reflect_folds_repeatedly() {
-        let r = Rect::new(10.0, 10.0);
-        // 25 -> mirrors at 10 (to -5 relative motion) -> 2*10 - (25 % 20 = 5)
-        // folding: 25 % 20 = 5, within [0,10] -> 5
-        assert_eq!(r.reflect(Vec2::new(25.0, 0.0)), Vec2::new(5.0, 0.0));
-        // 38 % 20 = 18 > 10 -> 20 - 18 = 2
-        assert_eq!(r.reflect(Vec2::new(38.0, 0.0)), Vec2::new(2.0, 0.0));
-    }
-
-    #[test]
-    fn reflect_is_idempotent_inside() {
-        let r = Rect::new(10.0, 10.0);
-        let p = Vec2::new(4.0, 9.0);
-        assert_eq!(r.reflect(p), p);
     }
 
     #[test]

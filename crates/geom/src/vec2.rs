@@ -61,16 +61,6 @@ impl Vec2 {
         self.x * other.x + self.y * other.y
     }
 
-    /// The vector scaled to unit length, or `None` for the zero vector.
-    pub fn normalized(self) -> Option<Vec2> {
-        let len = self.length();
-        if len == 0.0 {
-            None
-        } else {
-            Some(self / len)
-        }
-    }
-
     /// Component-wise clamp into the axis-aligned box `[min, max]`.
     pub fn clamp(self, min: Vec2, max: Vec2) -> Vec2 {
         Vec2::new(self.x.clamp(min.x, max.x), self.y.clamp(min.y, max.y))
@@ -166,13 +156,6 @@ mod tests {
             let v = Vec2::from_angle(angle);
             assert!((v.length() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn normalization() {
-        let v = Vec2::new(0.0, 5.0).normalized().unwrap();
-        assert!((v.length() - 1.0).abs() < 1e-12);
-        assert_eq!(Vec2::ZERO.normalized(), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry layer.
 
-use manet_geom::{additional_coverage_two, intc, sample_in_disk, CoverageGrid, Rect, Vec2};
+use manet_geom::{additional_coverage_two, intc, sample_in_disk, CoverageGrid, Vec2};
 use manet_sim_engine::SimRng;
 use manet_testkit::prop_check;
 use std::f64::consts::PI;
@@ -74,28 +74,5 @@ prop_check! {
             let p = sample_in_disk(c, 500.0, &mut rng);
             assert!(c.distance_to(p) <= 500.0 + 1e-9);
         }
-    }
-
-    /// Reflection always lands inside the rectangle.
-    fn reflect_lands_inside(g) {
-        let x = g.f64_in(-10_000.0..10_000.0);
-        let y = g.f64_in(-10_000.0..10_000.0);
-        let w = g.f64_in(1.0..6_000.0);
-        let h = g.f64_in(1.0..6_000.0);
-        let rect = Rect::new(w, h);
-        let p = rect.reflect(Vec2::new(x, y));
-        assert!(rect.contains(p), "({x}, {y}) reflected to {p} outside {w}x{h}");
-    }
-
-    /// Reflection is the identity for interior points.
-    fn reflect_fixes_interior(g) {
-        let fx = g.f64_in_incl(0.0, 1.0);
-        let fy = g.f64_in_incl(0.0, 1.0);
-        let w = g.f64_in(1.0..6_000.0);
-        let h = g.f64_in(1.0..6_000.0);
-        let rect = Rect::new(w, h);
-        let p = Vec2::new(fx * w, fy * h);
-        let q = rect.reflect(p);
-        assert!((p - q).length() < 1e-9);
     }
 }

@@ -127,11 +127,6 @@ impl RandomWaypoint {
         host
     }
 
-    /// `true` while the host is paused at a waypoint.
-    pub fn is_paused(&self) -> bool {
-        matches!(self.phase, Phase::Pausing)
-    }
-
     fn pick_waypoint(&mut self, now: SimTime) {
         let dest = Vec2::new(
             self.rng.gen_range_f64(0.0..self.map.bounds().width()),
@@ -275,7 +270,7 @@ mod tests {
         let mut saw_pause = false;
         let mut saw_travel = false;
         for _ in 0..20 {
-            if h.is_paused() {
+            if matches!(h.phase, Phase::Pausing) {
                 saw_pause = true;
                 // Position is constant during a pause.
                 let start = h.position_at(h.seg_start);
@@ -297,7 +292,7 @@ mod tests {
         for _ in 0..10 {
             let end = h.next_change().unwrap();
             h.advance(end);
-            if h.is_paused() {
+            if matches!(h.phase, Phase::Pausing) {
                 let length = h.next_change().unwrap() - h.seg_start;
                 assert_eq!(length, SimDuration::from_secs(5));
                 return;

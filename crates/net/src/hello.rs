@@ -27,10 +27,6 @@ use crate::variation::VariationTracker;
 /// 280-byte broadcast payload, matching their "cheap beacon" role.
 pub const HELLO_BASE_BYTES: usize = 28;
 
-/// Additional bytes per neighbor id carried in a HELLO (for two-hop
-/// knowledge).
-pub const HELLO_BYTES_PER_NEIGHBOR: usize = 4;
-
 /// The content of one HELLO packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HelloPayload {
@@ -45,11 +41,6 @@ pub struct HelloPayload {
 }
 
 impl HelloPayload {
-    /// Full serialized size in bytes, including the neighbor list.
-    pub fn size_bytes(&self) -> usize {
-        HELLO_BASE_BYTES + self.neighbors.len() * HELLO_BYTES_PER_NEIGHBOR
-    }
-
     /// Size the beacon occupies **on the air** in the simulation.
     ///
     /// The paper does not model beacon size at all; a naive encoding
@@ -135,21 +126,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn payload_size_grows_with_neighbors() {
+    fn air_bytes_ignore_the_neighbor_list() {
         let empty = HelloPayload {
             sender: NodeId::new(0),
             interval: SimDuration::from_secs(1),
             neighbors: vec![],
         };
-        assert_eq!(empty.size_bytes(), HELLO_BASE_BYTES);
+        assert_eq!(empty.air_bytes(), HELLO_BASE_BYTES);
         let with = HelloPayload {
             neighbors: (0..10).map(NodeId::new).collect(),
             ..empty
         };
-        assert_eq!(
-            with.size_bytes(),
-            HELLO_BASE_BYTES + 10 * HELLO_BYTES_PER_NEIGHBOR
-        );
+        assert_eq!(with.air_bytes(), HELLO_BASE_BYTES);
     }
 
     #[test]

@@ -49,9 +49,6 @@ mod hello;
 mod neighbor_table;
 mod variation;
 
-pub use hello::{
-    DynamicHelloParams, HelloIntervalPolicy, HelloPayload, HELLO_BASE_BYTES,
-    HELLO_BYTES_PER_NEIGHBOR,
-};
+pub use hello::{DynamicHelloParams, HelloIntervalPolicy, HelloPayload, HELLO_BASE_BYTES};
 pub use neighbor_table::{MembershipChange, NeighborTable};
 pub use variation::{VariationTracker, VARIATION_WINDOW};

@@ -277,11 +277,6 @@ impl Medium {
         self
     }
 
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.radios.len()
-    }
-
     /// `true` when a foreign signal is in the air at `node`.
     pub fn is_carrier_busy(&self, node: NodeId) -> bool {
         self.radios[node.index()].carrier_busy()
@@ -1035,7 +1030,6 @@ mod tests {
         let s = m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &[NodeId::new(1)]);
         m.end_transmission(s.frame, t0 + AIRTIME);
         assert_eq!(m.frames_sent(), 1);
-        assert_eq!(m.host_count(), 2);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl ShardMap {
         self.shards
     }
 
-    /// Width of one strip.
-    pub fn strip_width(&self) -> f64 {
-        self.strip
-    }
-
     /// The strip owning x-coordinate `x`, clamped into `0..shards`.
     ///
     /// `x <= 0` maps to strip 0 and `x >= width` (including exactly
@@ -110,11 +105,7 @@ mod tests {
     fn every_strip_is_at_least_one_radius_wide() {
         for &(w, r) in &[(2_500.0, 500.0), (5_000.0, 500.0), (1_234.5, 300.0)] {
             let map = ShardMap::new(w, r);
-            assert!(
-                map.strip_width() >= r,
-                "{w}x{r}: strip {}",
-                map.strip_width()
-            );
+            assert!(map.strip >= r, "{w}x{r}: strip {}", map.strip);
         }
     }
 

@@ -53,7 +53,7 @@ mod wire;
 
 pub use metrics::{
     json_escape, json_f64, Histogram, HistogramSnapshot, KindProfile, LoopProfile, LoopProfiler,
-    MetricsRegistry, DEFAULT_LATENCY_BOUNDS_S,
+    DEFAULT_LATENCY_BOUNDS_S,
 };
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue};

@@ -1,17 +1,16 @@
-//! Zero-dependency metrics primitives: fixed-bucket histograms, a named
-//! registry of counters, gauges and histogram snapshots with a
-//! serialisable form, and a wall-clock profiler for event loops.
+//! Zero-dependency metrics primitives: fixed-bucket histograms with a
+//! serialisable snapshot form, JSON number/string helpers, and a
+//! wall-clock profiler for event loops.
 //!
 //! Everything here is plain data — no atomics, no global state — because
 //! the simulation is single-threaded per run. Aggregation across parallel
 //! runs happens by merging snapshots after the fact.
 //!
-//! The JSON emitted by [`MetricsRegistry::to_json`] and
-//! [`HistogramSnapshot::to_json`] is hand-rolled (the workspace builds with
-//! an empty registry, so there is no serde). The schema is documented in
-//! `DESIGN.md` § "Metrics JSON schema" and is considered stable.
+//! The JSON emitted by [`HistogramSnapshot::to_json`] is hand-rolled (the
+//! workspace builds with an empty registry, so there is no serde). The
+//! schema is documented in `DESIGN.md` § "Metrics JSON schema" and is
+//! considered stable.
 
-use std::collections::BTreeMap;
 // simlint: allow(wall-clock) — LoopProfiler measures real per-event cost
 use std::time::Instant;
 
@@ -202,94 +201,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A named collection of counters, gauges, and histogram snapshots.
-///
-/// `BTreeMap`-backed so iteration — and therefore the JSON rendering — is
-/// deterministic regardless of insertion order. Names are dotted paths by
-/// convention (`losses.overlap`, `mac.backoff_draws`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets (overwrites) a counter.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
-    }
-
-    /// Adds to a counter, creating it at zero first if absent.
-    pub fn add_counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Sets (overwrites) a gauge.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Stores a histogram snapshot under `name`.
-    pub fn set_histogram(&mut self, name: &str, snapshot: HistogramSnapshot) {
-        self.histograms.insert(name.to_string(), snapshot);
-    }
-
-    /// Reads a counter back, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Reads a gauge back, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Reads a histogram snapshot back, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Renders the registry as a JSON object with three sections:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-    ///
-    /// Keys are emitted in lexicographic order, so the output is
-    /// byte-deterministic for a given registry state.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v)))
-            .collect();
-        let histograms: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v.to_json()))
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            counters.join(","),
-            gauges.join(","),
-            histograms.join(",")
-        )
-    }
-}
-
 /// Wall-clock profiler for an event loop, keyed by a static event-kind
 /// label.
 ///
@@ -368,11 +279,6 @@ impl LoopProfiler {
         stats.count += 1;
         stats.total_ns += ns;
         stats.max_ns = stats.max_ns.max(ns);
-    }
-
-    /// Total events seen (counted even when disabled).
-    pub fn events_processed(&self) -> u64 {
-        self.events
     }
 
     /// An owned summary of what was observed so far. Per-kind entries are
@@ -493,27 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_json_is_sorted_and_valid_shape() {
-        let mut r = MetricsRegistry::new();
-        r.set_counter("z.last", 2);
-        r.add_counter("a.first", 1);
-        r.add_counter("a.first", 1);
-        r.set_gauge("ratio", 0.5);
-        let mut h = Histogram::new(&[1.0]);
-        h.record(0.5);
-        r.set_histogram("lat", h.snapshot());
-        let json = r.to_json();
-        assert_eq!(r.counter("a.first"), Some(2));
-        // Lexicographic key order: "a.first" before "z.last".
-        let a = json.find("a.first").expect("a.first present");
-        let z = json.find("z.last").expect("z.last present");
-        assert!(a < z, "keys must be sorted: {json}");
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"gauges\":{\"ratio\":0.5}"));
-        assert!(json.contains("\"histograms\":{\"lat\":{\"bounds\":[1],"));
-    }
-
-    #[test]
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
@@ -532,7 +417,6 @@ mod tests {
         assert!(p.begin().is_none());
         p.record("tick", None);
         p.record("tock", None);
-        assert_eq!(p.events_processed(), 2);
         let profile = p.profile();
         assert_eq!(profile.events, 2);
         assert!(profile.kinds.is_empty());

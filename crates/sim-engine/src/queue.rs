@@ -14,7 +14,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::wire::{WireDecoder, WireEncoder, WireError};
 
 /// Multiplicative hasher for the tombstone set. Its keys are unique,
@@ -159,11 +159,6 @@ impl<E> EventQueue<E> {
         EventKey(seq)
     }
 
-    /// Schedules `event` at `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventKey {
-        self.schedule(self.now + delay, event)
-    }
-
     /// Schedules `event` at `time` under an externally assigned sequence
     /// number. This is how a set of per-shard queues shares one global
     /// FIFO tie-break: the caller owns a single monotone counter, stamps
@@ -265,16 +260,6 @@ impl<E> EventQueue<E> {
     /// `true` when no entries (live or tombstoned) remain.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total events delivered so far (diagnostics).
-    pub fn delivered_count(&self) -> u64 {
-        self.popped
-    }
-
-    /// Total events ever scheduled (diagnostics).
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled
     }
 
     /// Appends a complete image of the queue to a snapshot: the counters
@@ -395,15 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), "first");
-        q.pop();
-        q.schedule_after(SimDuration::from_secs(2), "second");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(3), "second")));
-    }
-
-    #[test]
     fn peek_time_skips_cancelled_head() {
         let mut q = EventQueue::new();
         let k = q.schedule(SimTime::from_millis(1), 1);
@@ -478,8 +454,8 @@ mod tests {
         let k = q.schedule(SimTime::from_millis(2), ());
         q.cancel(k);
         while q.pop().is_some() {}
-        assert_eq!(q.scheduled_count(), 2);
-        assert_eq!(q.delivered_count(), 1);
+        assert_eq!(q.scheduled, 2);
+        assert_eq!(q.popped, 1);
     }
 
     #[test]
@@ -502,7 +478,7 @@ mod tests {
         let mut back = decode(&bytes).unwrap();
         assert_eq!(image(&back), bytes);
         assert_eq!(back.now(), SimTime::from_millis(5));
-        assert_eq!(back.delivered_count(), 1);
+        assert_eq!(back.popped, 1);
         assert_eq!(back.schedule(SimTime::from_millis(9), 90), EventKey(3));
         assert_eq!(back.pop(), Some((SimTime::from_millis(7), 70)));
 

@@ -82,11 +82,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The span from `earlier` to `self`, or `None` when `earlier` is later.
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The span from `earlier` to `self`, clamping to zero when `earlier`
     /// is actually later than `self`.
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
@@ -328,7 +323,6 @@ mod tests {
             late.saturating_duration_since(early),
             SimDuration::from_secs(2)
         );
-        assert_eq!(early.checked_duration_since(late), None);
     }
 
     #[test]

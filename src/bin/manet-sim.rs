@@ -12,7 +12,6 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use manet_broadcast::campaign::{serve, ServerConfig};
-use manet_broadcast::core::trace::NoopObserver;
 use manet_broadcast::{
     CaptureConfig, DynamicHelloParams, HelloIntervalPolicy, MobilitySpec, NeighborInfo, Scenario,
     SchemeSpec, SimConfig, SimDuration, SimTime, World,
@@ -453,14 +452,14 @@ fn main() -> ExitCode {
         world.enable_recording();
     }
     if let (Some(at), Some(out)) = (options.snapshot_at, &options.snapshot_out) {
-        world.advance_until(SimTime::from_nanos(at), &mut NoopObserver);
+        world.advance(SimTime::from_nanos(at));
         if let Err(err) = std::fs::write(out, world.snapshot()) {
             eprintln!("error: cannot write {out}: {err}");
             return ExitCode::FAILURE;
         }
         println!("checkpoint at {at} ns written to {out}");
     }
-    world.advance_until(SimTime::MAX, &mut NoopObserver);
+    world.advance(SimTime::MAX);
     let trace = world.take_trace();
     let report = world.into_report();
     if let Some(path) = &options.record {
