@@ -405,9 +405,14 @@ mod tests {
     fn bad_schemes_fail_at_load_time() {
         let dir = scratch("badscheme");
         let campaign = dir.join("c.txt");
-        fs::write(&campaign, "manet-campaign/1\njob scheme=warp9 seed=1\n").unwrap();
-        let err = load_campaign(&campaign).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An unknown name, and a known one with an out-of-range parameter.
+        for (scheme, names) in [("warp9", "warp9"), ("counter:1", "counter threshold 1")] {
+            let text = format!("manet-campaign/1\njob scheme={scheme} seed=1\n");
+            fs::write(&campaign, text).unwrap();
+            let err = load_campaign(&campaign).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(names), "{scheme}: {err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

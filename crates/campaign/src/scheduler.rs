@@ -234,7 +234,14 @@ mod tests {
 
     #[test]
     fn invalid_envelopes_fail_without_panicking() {
-        for bad in [
+        // Out-of-range scheme parameters used to pass here and panic the
+        // worker at the first hear.
+        let bad_schemes = ["counter:1", "location:2", "distance:-3", "distance:nan"];
+        let bad_schemes = bad_schemes.map(|scheme| JobEnvelope {
+            scheme: scheme.into(),
+            ..envelope(scheme, 1)
+        });
+        for bad in bad_schemes.into_iter().chain([
             JobEnvelope {
                 scheme: "bogus".into(),
                 ..envelope("a", 1)
@@ -256,7 +263,7 @@ mod tests {
                 scenario: Some("not a scenario".into()),
                 ..envelope("e", 1)
             },
-        ] {
+        ]) {
             assert!(job_configs(&bad).is_err(), "{bad:?}");
         }
     }

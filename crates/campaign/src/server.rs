@@ -321,6 +321,46 @@ mod tests {
         ));
     }
 
+    /// A raw envelope naming an out-of-range scheme parameter is one
+    /// failed job, not a dead worker: its neighbours still run and the
+    /// campaign still ends in a summary.
+    #[test]
+    fn an_out_of_range_scheme_fails_its_job_not_the_session() {
+        let bad = JobEnvelope {
+            scheme: "counter:1".into(),
+            ..job("bad", 2)
+        };
+        let input = client_script(&[
+            Frame::Submit {
+                name: "badscheme".into(),
+                jobs: vec![job("a", 1), bad, job("c", 3)],
+            },
+            Frame::Shutdown,
+        ]);
+        let mut output = Vec::new();
+        let summary = serve(&input[..], &mut output, &quick_config()).unwrap();
+        assert_eq!((summary.jobs.completed, summary.jobs.failed), (2, 1));
+
+        let frames = server_frames(&output);
+        assert!(frames.iter().any(|f| matches!(
+            f,
+            Frame::JobFailed { job: 1, label, reason, .. }
+                if label == "bad" && reason.contains("counter threshold 1")
+        )));
+        assert!(matches!(
+            frames.last(),
+            Some(Frame::Summary {
+                counts: CampaignCounts {
+                    total: 3,
+                    completed: 2,
+                    failed: 1,
+                    ..
+                },
+                ..
+            })
+        ));
+    }
+
     #[test]
     fn eof_without_shutdown_still_drains_the_backlog() {
         let input = client_script(&[Frame::Submit {

@@ -201,6 +201,7 @@ impl SimConfig {
         if self.broadcasts == 0 {
             return Err("need at least one broadcast".into());
         }
+        self.scheme.validate()?;
         if !(0.0..=1.0).contains(&self.drop_probability) {
             return Err(format!("bad drop probability {}", self.drop_probability));
         }

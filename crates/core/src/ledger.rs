@@ -3,7 +3,7 @@
 //! Every host must remember, for every broadcast packet, whether it has
 //! heard it and what it decided — forever, because duplicate suppression
 //! ("rebroadcast at most once") must hold for the whole run. The seed
-//! implementation kept a `HashMap<PacketId, PacketState>` per host, which
+//! implementation kept one `HashMap` keyed by `PacketId` per host, which
 //! costs a hash on every delivery and an allocation per state change.
 //!
 //! [`PacketLedger`] exploits that packet sequence numbers are issued from
@@ -17,7 +17,7 @@
 use manet_mac::FrameHandle;
 use manet_sim_engine::{EventKey, Slab};
 
-use crate::schemes::PacketPolicy;
+use crate::schemes::PacketState;
 
 /// A packet that was never heard by this host.
 const UNHEARD: u32 = u32::MAX;
@@ -36,14 +36,14 @@ pub(crate) enum ActivePacket {
         /// Cancellation key of the pending `AssessmentDone` event.
         key: EventKey,
         /// The scheme state accumulated so far for this packet.
-        policy: PacketPolicy,
+        state: PacketState,
     },
     /// Submitted to the MAC; cancellable until it hits the air.
     Queued {
         /// MAC queue handle for cancellation.
         handle: FrameHandle,
         /// The scheme state accumulated so far for this packet.
-        policy: PacketPolicy,
+        state: PacketState,
     },
 }
 
@@ -57,7 +57,7 @@ pub(crate) enum PacketView<'a> {
     /// Terminal: transmitted or inhibited.
     Done,
     /// Assessing or MAC-queued; mutable so duplicate hears can update the
-    /// policy in place.
+    /// scheme state in place.
     Active(&'a mut ActivePacket),
 }
 
@@ -104,7 +104,7 @@ impl PacketLedger {
     }
 
     /// Moves packet `seq` to the terminal state, releasing any active
-    /// slab entry (and dropping its policy).
+    /// slab entry (and dropping its scheme state).
     pub(crate) fn mark_done(&mut self, seq: u32) {
         let tag = self.tag(seq);
         if tag <= MAX_SLOT {
@@ -184,10 +184,6 @@ impl PacketLedger {
 mod tests {
     use super::*;
 
-    fn policy() -> PacketPolicy {
-        crate::schemes::SchemeSpec::Flooding.build()
-    }
-
     fn key() -> EventKey {
         let mut q = manet_sim_engine::EventQueue::new();
         q.schedule(manet_sim_engine::SimTime::ZERO, ())
@@ -201,7 +197,7 @@ mod tests {
             0,
             ActivePacket::Assessing {
                 key: key(),
-                policy: policy(),
+                state: PacketState::Stateless,
             },
         );
         assert!(matches!(
@@ -212,7 +208,7 @@ mod tests {
             0,
             ActivePacket::Queued {
                 handle: FrameHandle(4),
-                policy: policy(),
+                state: PacketState::Stateless,
             },
         );
         assert!(matches!(
@@ -242,7 +238,7 @@ mod tests {
             2,
             ActivePacket::Assessing {
                 key: key(),
-                policy: policy(),
+                state: PacketState::Stateless,
             },
         );
         let taken = ledger.take_active(2);

@@ -50,8 +50,9 @@
 //! # Crate map
 //!
 //! * [`threshold`] — the `C(n)` / `A(n)` function families (Figs 3, 4, 6, 8).
-//! * [`schemes`] — per-packet decision state for all seven schemes.
-//! * [`policy`] — the S1–S5 decision interface the schemes implement.
+//! * [`schemes`] — the seven schemes' S1/S4 decision logic and the plain
+//!   per-packet state it keeps.
+//! * [`policy`] — the hear context and verdicts the decisions speak in.
 //! * [`pure`] — the pure protocol models (actions in, effects out).
 //! * [`world`] — the effectful dispatcher (queue, RNG, channel, MAC, workload).
 //! * [`record`] — the action-level `MTRC` trace format and pure replay.
@@ -88,16 +89,13 @@ pub use metrics::{
     latency_summary, summarize, BroadcastOutcome, LatencySummary, MetricsCollector, NetActivity,
     ScenarioCounts, SimReport, SuppressionCounts,
 };
-pub use policy::{DuplicateDecision, FirstDecision, HearContext, RebroadcastPolicy};
+pub use policy::{DuplicateDecision, FirstDecision, HearContext};
 pub use pure::{Effect, OracleView, OwnedAction, PureAction, PureModels};
 pub use record::{
     replay_decisions, DecisionRecord, ReplayError, ReplaySummary, TraceFile, TraceRecord,
     TraceWriter, TRACE_MAGIC, TRACE_VERSION,
 };
-pub use schemes::{
-    CounterScheme, DistanceScheme, Flooding, LocationScheme, NeighborCoverageScheme, PacketPolicy,
-    ProbabilisticScheme, SchemeSpec,
-};
+pub use schemes::{PacketState, SchemeSpec};
 pub use threshold::{
     AreaThreshold, CounterThreshold, DescentShape, EAC2_FRACTION, MIN_COUNTER_THRESHOLD,
 };

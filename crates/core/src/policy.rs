@@ -1,20 +1,21 @@
-//! The rebroadcast-decision interface shared by all schemes.
+//! The rebroadcast-decision vocabulary shared by all schemes.
 //!
 //! Every scheme in the paper fits one shape (§3, steps S1–S5):
 //!
 //! 1. **S1** — on hearing packet `P` for the first time, initialize some
 //!    per-packet state and decide whether to schedule a rebroadcast at all
-//!    ([`RebroadcastPolicy::on_first_hear`]).
+//!    ([`SchemeSpec::first_hear`](crate::SchemeSpec::first_hear)).
 //! 2. **S2** — wait a random number (0–31) of slots, then submit `P` to
 //!    the MAC. The waiting and queueing are *common machinery* owned by
 //!    the simulation world, not the scheme.
 //! 3. **S4** — every time `P` is heard again before the transmission
 //!    actually starts, update the state and possibly cancel
-//!    ([`RebroadcastPolicy::on_duplicate_hear`] → S5).
+//!    ([`SchemeSpec::duplicate_hear`](crate::SchemeSpec::duplicate_hear)
+//!    → S5).
 //!
-//! A policy instance holds the state for **one packet at one host** and is
-//! created per `(host, packet)` pair by
-//! [`SchemeSpec::build`](crate::SchemeSpec::build).
+//! The procedure and its thresholds are the world's one
+//! [`SchemeSpec`](crate::SchemeSpec); what exists per `(host, packet)` is a
+//! [`PacketState`](crate::PacketState) value and nothing else.
 
 use manet_geom::{CoverageGrid, Vec2};
 use manet_phy::NodeId;
@@ -47,11 +48,9 @@ pub struct HearContext<'a> {
     pub sender_neighbors: &'a [NodeId],
     /// Shared additional-coverage estimator (location-based only).
     pub coverage: &'a CoverageGrid,
-    /// Radio radius in meters.
-    pub radio_radius: f64,
     /// A uniform `[0, 1)` sample drawn by the simulation for this hear
-    /// event (consumed by randomized schemes; deterministic policies
-    /// ignore it).
+    /// event (consumed by randomized schemes; deterministic ones ignore
+    /// it).
     pub random_unit: f64,
 }
 
@@ -74,21 +73,6 @@ pub enum DuplicateDecision {
     Cancel,
 }
 
-/// Per-packet, per-host rebroadcast decision state.
-///
-/// The world calls [`on_first_hear`](Self::on_first_hear) exactly once,
-/// then [`on_duplicate_hear`](Self::on_duplicate_hear) for every further
-/// copy that arrives while the rebroadcast is pending (assessment delay or
-/// MAC queue). Once the packet is on the air or cancelled, the policy is
-/// dropped.
-pub trait RebroadcastPolicy: std::fmt::Debug {
-    /// S1: the first copy of the packet arrived.
-    fn on_first_hear(&mut self, ctx: &HearContext<'_>) -> FirstDecision;
-
-    /// S4: another copy arrived while the rebroadcast was still pending.
-    fn on_duplicate_hear(&mut self, ctx: &HearContext<'_>) -> DuplicateDecision;
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     //! Helpers for scheme unit tests.
@@ -106,7 +90,6 @@ pub(crate) mod test_support {
         pub neighbors: Vec<NodeId>,
         pub sender_neighbors: Vec<NodeId>,
         pub coverage: CoverageGrid,
-        pub radio_radius: f64,
         pub random_unit: f64,
     }
 
@@ -120,7 +103,6 @@ pub(crate) mod test_support {
                 neighbors: vec![],
                 sender_neighbors: vec![],
                 coverage: CoverageGrid::new(64),
-                radio_radius: 500.0,
                 random_unit: 0.5,
             }
         }
@@ -136,7 +118,6 @@ pub(crate) mod test_support {
                 neighbors: &self.neighbors,
                 sender_neighbors: &self.sender_neighbors,
                 coverage: &self.coverage,
-                radio_radius: self.radio_radius,
                 random_unit: self.random_unit,
             }
         }

@@ -24,7 +24,6 @@
 
 use manet_geom::{CoverageGrid, Vec2};
 use manet_mac::FrameHandle;
-use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationTracker};
 use manet_phy::NodeId;
 use manet_sim_engine::{EventKey, SimDuration, SimTime};
@@ -33,7 +32,7 @@ use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
 use crate::ids::PacketId;
 use crate::ledger::{ActivePacket, PacketLedger, PacketView};
 use crate::metrics::SuppressionCounts;
-use crate::policy::{DuplicateDecision, FirstDecision, HearContext, RebroadcastPolicy};
+use crate::policy::{DuplicateDecision, FirstDecision, HearContext};
 use crate::schemes::SchemeSpec;
 use crate::trace::SuppressReason;
 
@@ -455,14 +454,14 @@ impl PureModels {
             PureAction::AssessmentFired { node, packet } => {
                 let i = node.index();
                 match self.ledgers[i].take_active(packet.seq) {
-                    ActivePacket::Assessing { policy, .. } => {
+                    ActivePacket::Assessing { state, .. } => {
                         // S2 continued: the dispatcher submits to the MAC
                         // and patches the real frame handle back in.
                         self.ledgers[i].set_active(
                             packet.seq,
                             ActivePacket::Queued {
                                 handle: PLACEHOLDER_HANDLE,
-                                policy,
+                                state,
                             },
                         );
                         fx.push(Effect::EnqueueRebroadcast { node, packet });
@@ -552,7 +551,6 @@ impl PureModels {
             neighbors,
             sender_neighbors,
             coverage: &self.coverage,
-            radio_radius: PAPER_RADIO_RADIUS_M,
             random_unit,
         };
 
@@ -561,38 +559,36 @@ impl PureModels {
         enum Outcome {
             Ignore,
             FirstHear,
-            CancelAssessment(EventKey, Option<SuppressReason>),
-            CancelQueued(FrameHandle, Option<SuppressReason>),
+            CancelAssessment(EventKey),
+            CancelQueued(FrameHandle),
         }
+        let scheme = &self.scheme;
         let outcome = match self.ledgers[i].view(packet.seq) {
             PacketView::Unheard => Outcome::FirstHear,
             PacketView::Source | PacketView::Done => unreachable!("settled above"),
-            PacketView::Active(active) => match active {
-                ActivePacket::Assessing { key, policy } => {
-                    if policy.on_duplicate_hear(&ctx) == DuplicateDecision::Cancel {
-                        Outcome::CancelAssessment(*key, policy.suppress_reason())
-                    } else {
-                        Outcome::Ignore
+            PacketView::Active(active) => {
+                let (state, cancel) = match active {
+                    ActivePacket::Assessing { key, state } => {
+                        (state, Outcome::CancelAssessment(*key))
                     }
-                }
-                ActivePacket::Queued { handle, policy } => {
-                    if policy.on_duplicate_hear(&ctx) == DuplicateDecision::Cancel {
-                        Outcome::CancelQueued(*handle, policy.suppress_reason())
-                    } else {
-                        Outcome::Ignore
+                    ActivePacket::Queued { handle, state } => {
+                        (state, Outcome::CancelQueued(*handle))
                     }
+                };
+                match scheme.duplicate_hear(state, &ctx) {
+                    DuplicateDecision::Cancel => cancel,
+                    DuplicateDecision::Keep => Outcome::Ignore,
                 }
-            },
+            }
         };
 
+        let reason = scheme.suppress_reason();
         match outcome {
             Outcome::Ignore => {}
             Outcome::FirstHear => {
                 // S1: first copy.
-                let mut policy = self.scheme.build();
-                match policy.on_first_hear(&ctx) {
-                    FirstDecision::Inhibit => {
-                        let reason = policy.suppress_reason();
+                match scheme.first_hear(&ctx) {
+                    (FirstDecision::Inhibit, _) => {
                         self.suppression.inhibited_first_hear += 1;
                         self.suppression.record_reason(reason);
                         self.ledgers[i].mark_done(packet.seq);
@@ -602,7 +598,7 @@ impl PureModels {
                             reason,
                         });
                     }
-                    FirstDecision::Schedule => {
+                    (FirstDecision::Schedule, state) => {
                         // S2: the dispatcher draws the 0–31 slot delay,
                         // schedules the wakeup, and patches the key in.
                         self.suppression.scheduled += 1;
@@ -610,14 +606,14 @@ impl PureModels {
                             packet.seq,
                             ActivePacket::Assessing {
                                 key: EventKey::from_raw(PLACEHOLDER_KEY),
-                                policy,
+                                state,
                             },
                         );
                         fx.push(Effect::ScheduleAssessment { node, packet });
                     }
                 }
             }
-            Outcome::CancelAssessment(key, reason) => {
+            Outcome::CancelAssessment(key) => {
                 self.suppression.cancelled += 1;
                 self.suppression.record_reason(reason);
                 self.ledgers[i].mark_done(packet.seq);
@@ -628,7 +624,7 @@ impl PureModels {
                     reason,
                 });
             }
-            Outcome::CancelQueued(handle, reason) => {
+            Outcome::CancelQueued(handle) => {
                 self.suppression.cancelled += 1;
                 self.suppression.record_reason(reason);
                 self.ledgers[i].mark_done(packet.seq);

@@ -615,7 +615,7 @@ fn encode_scheme(enc: &mut WireEncoder, scheme: &SchemeSpec) {
 
 fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
     let (tag, invalid) = dec.tag("invalid scheme tag")?;
-    Ok(match tag {
+    let scheme = match tag {
         0 => SchemeSpec::Flooding,
         1 => SchemeSpec::Counter(dec.u32()?),
         2 => {
@@ -649,7 +649,14 @@ fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
         6 => SchemeSpec::NeighborCoverage,
         7 => SchemeSpec::Probabilistic(dec.f64()?),
         _ => return Err(invalid),
-    })
+    };
+    // Replay feeds every hear through this scheme: refuse here what would
+    // otherwise misbehave there.
+    if scheme.validate().is_err() {
+        let what = "scheme parameter out of range";
+        return Err(WireError { what, ..invalid });
+    }
+    Ok(scheme)
 }
 
 #[cfg(test)]

@@ -83,12 +83,8 @@ impl CounterThreshold {
             c >= MIN_COUNTER_THRESHOLD,
             "a threshold below 2 suppresses everything"
         );
-        // Reached via per-packet policy construction on first hear; the
-        // one-element sequence and its label are the packet's scheme state.
         CounterThreshold {
-            // simlint: allow(hot-path-alloc) — per-packet policy state
             sequence: vec![c],
-            // simlint: allow(hot-path-alloc) — per-packet policy state
             label: format!("C={c}"),
         }
     }
@@ -250,7 +246,6 @@ impl AreaThreshold {
         );
         AreaThreshold {
             kind: AreaThresholdKind::Fixed(a),
-            // simlint: allow(hot-path-alloc) — per-packet policy state
             label: format!("A={a}"),
         }
     }

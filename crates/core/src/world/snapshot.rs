@@ -52,7 +52,7 @@ use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
 use crate::record::encode_replay_config;
-use crate::schemes::{PacketPolicy, SchemeSpec};
+use crate::schemes::{PacketState, SchemeSpec};
 
 use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
 
@@ -96,7 +96,7 @@ impl World {
 
         let (ledgers, tables, trackers, suppression) = self.pure.snapshot_parts();
         for ledger in ledgers {
-            encode_ledger(&mut enc, ledger);
+            encode_ledger(&mut enc, ledger, &self.cfg.scheme);
         }
         for table in tables {
             table.snapshot_into(&mut enc);
@@ -395,53 +395,54 @@ fn decode_payload(dec: &mut WireDecoder<'_>) -> Result<Payload, WireError> {
     })
 }
 
-fn encode_policy(enc: &mut WireEncoder, policy: &PacketPolicy) {
-    match policy {
-        PacketPolicy::Flooding(_) => enc.u8(0),
-        PacketPolicy::Counter(p) => {
-            enc.u8(1);
-            enc.u32(p.count());
-        }
-        PacketPolicy::Distance(p) => {
-            enc.u8(2);
-            enc.f64(p.min_distance());
-        }
-        PacketPolicy::Location(p) => {
-            enc.u8(3);
-            let (uncovered, total) = p.coverage_parts();
-            enc.seq(uncovered, |enc, point| {
-                enc.f64(point.x);
-                enc.f64(point.y);
-            });
-            enc.usize(total);
-        }
-        PacketPolicy::NeighborCoverage(p) => {
-            enc.u8(4);
-            NodeId::encode_seq(enc, p.pending());
-        }
-        PacketPolicy::Probabilistic(_) => enc.u8(5),
+/// The `MSNP` tag of each scheme family's packet state. Flooding (0) and
+/// probabilistic (5) have been told apart since format version 1 although
+/// neither keeps a field.
+fn state_tag(scheme: &SchemeSpec) -> u8 {
+    match scheme {
+        SchemeSpec::Flooding => 0,
+        SchemeSpec::Counter(_) | SchemeSpec::AdaptiveCounter(_) => 1,
+        SchemeSpec::Distance(_) => 2,
+        SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_) => 3,
+        SchemeSpec::NeighborCoverage => 4,
+        SchemeSpec::Probabilistic(_) => 5,
     }
 }
 
-/// Rebuilds a per-packet policy: thresholds and parameters come from the
-/// configured scheme, mutable progress from the snapshot.
-fn decode_policy(
-    dec: &mut WireDecoder<'_>,
-    scheme: &SchemeSpec,
-) -> Result<PacketPolicy, WireError> {
-    let (tag, mismatch) = dec.tag("policy tag does not match the configured scheme")?;
-    let mut policy = scheme.build();
-    match (tag, &mut policy) {
-        (0, PacketPolicy::Flooding(_)) | (5, PacketPolicy::Probabilistic(_)) => {}
-        (1, PacketPolicy::Counter(p)) => p.restore_count(dec.u32()?),
-        (2, PacketPolicy::Distance(p)) => p.restore_min_distance(dec.f64()?),
-        (3, PacketPolicy::Location(p)) => {
-            let uncovered = dec.seq(16, |dec| Ok(Vec2::new(dec.f64()?, dec.f64()?)))?;
-            p.restore_coverage(uncovered, dec.usize()?);
+fn encode_state(enc: &mut WireEncoder, state: &PacketState, scheme: &SchemeSpec) {
+    enc.u8(state_tag(scheme));
+    match state {
+        PacketState::Stateless => {}
+        PacketState::Count(count) => enc.u32(*count),
+        PacketState::MinDistance(d_min) => enc.f64(*d_min),
+        PacketState::Uncovered { points, total } => {
+            enc.seq(points, |enc, point| {
+                enc.f64(point.x);
+                enc.f64(point.y);
+            });
+            enc.usize(*total);
         }
-        (4, PacketPolicy::NeighborCoverage(p)) => {
+        PacketState::Pending(pending) => NodeId::encode_seq(enc, pending.iter().copied()),
+    }
+}
+
+/// Reads the variant the configured scheme keeps; thresholds and
+/// parameters are the scheme's and were never in the snapshot.
+fn decode_state(dec: &mut WireDecoder<'_>, scheme: &SchemeSpec) -> Result<PacketState, WireError> {
+    let (tag, mismatch) = dec.tag("policy tag does not match the configured scheme")?;
+    if tag != state_tag(scheme) {
+        return Err(mismatch);
+    }
+    Ok(match tag {
+        1 => PacketState::Count(dec.u32()?),
+        2 => PacketState::MinDistance(dec.f64()?),
+        3 => PacketState::Uncovered {
+            points: dec.seq(16, |dec| Ok(Vec2::new(dec.f64()?, dec.f64()?)))?,
+            total: dec.usize()?,
+        },
+        4 => {
             let mut last = None;
-            p.restore_pending(dec.seq(4, |dec| {
+            PacketState::Pending(dec.seq(4, |dec| {
                 let at = dec.position();
                 let id = NodeId::decode(dec)?;
                 if last.replace(id).is_some_and(|last| last >= id) {
@@ -449,24 +450,24 @@ fn decode_policy(
                     return Err(WireError { at, what });
                 }
                 Ok(id)
-            })?);
+            })?)
         }
-        _ => return Err(mismatch),
-    }
-    Ok(policy)
+        // Flooding (0) and probabilistic (5).
+        _ => PacketState::Stateless,
+    })
 }
 
-fn encode_active(enc: &mut WireEncoder, active: &ActivePacket) {
+fn encode_active(enc: &mut WireEncoder, active: &ActivePacket, scheme: &SchemeSpec) {
     match active {
-        ActivePacket::Assessing { key, policy } => {
+        ActivePacket::Assessing { key, state } => {
             enc.u8(0);
             enc.key(*key);
-            encode_policy(enc, policy);
+            encode_state(enc, state, scheme);
         }
-        ActivePacket::Queued { handle, policy } => {
+        ActivePacket::Queued { handle, state } => {
             enc.u8(1);
             enc.u64(handle.0);
-            encode_policy(enc, policy);
+            encode_state(enc, state, scheme);
         }
     }
 }
@@ -479,20 +480,20 @@ fn decode_active(
     Ok(match tag {
         0 => ActivePacket::Assessing {
             key: dec.key()?,
-            policy: decode_policy(dec, scheme)?,
+            state: decode_state(dec, scheme)?,
         },
         1 => ActivePacket::Queued {
             handle: FrameHandle(dec.u64()?),
-            policy: decode_policy(dec, scheme)?,
+            state: decode_state(dec, scheme)?,
         },
         _ => return Err(invalid),
     })
 }
 
-fn encode_ledger(enc: &mut WireEncoder, ledger: &PacketLedger) {
+fn encode_ledger(enc: &mut WireEncoder, ledger: &PacketLedger, scheme: &SchemeSpec) {
     let (tags, active) = ledger.snapshot_parts();
     enc.seq(tags.iter().copied(), WireEncoder::u32);
-    active.encode(enc, encode_active);
+    active.encode(enc, |enc, active| encode_active(enc, active, scheme));
 }
 
 fn decode_ledger(
@@ -644,13 +645,9 @@ mod tests {
     #[test]
     fn pending_set_out_of_order_is_refused() {
         let scheme = SchemeSpec::NeighborCoverage;
-        let mut policy = scheme.build();
-        let PacketPolicy::NeighborCoverage(p) = &mut policy else {
-            unreachable!("nc builds the neighbor-coverage policy");
-        };
-        p.restore_pending([3, 7, 9].map(NodeId::new).to_vec());
+        let state = PacketState::Pending([3, 7, 9].map(NodeId::new).to_vec());
         let mut enc = WireEncoder::new();
-        encode_policy(&mut enc, &policy);
+        encode_state(&mut enc, &state, &scheme);
         let bytes = enc.into_bytes();
         // Tag, set length, then the ids.
         let ids = 1 + 8;
@@ -658,11 +655,14 @@ mod tests {
             bytes[ids..].iter().step_by(4).collect::<Vec<_>>(),
             [&3, &7, &9]
         );
-        assert!(decode_policy(&mut WireDecoder::new(&bytes), &scheme).is_ok());
+        assert_eq!(
+            decode_state(&mut WireDecoder::new(&bytes), &scheme),
+            Ok(state)
+        );
         for (a, b) in [(7, 3), (3, 3), (7, 7)] {
             let mut bad = bytes.clone();
             (bad[ids], bad[ids + 4]) = (a, b);
-            let err = decode_policy(&mut WireDecoder::new(&bad), &scheme)
+            let err = decode_state(&mut WireDecoder::new(&bad), &scheme)
                 .expect_err("accepted a pending set out of order");
             assert_eq!(err.at, ids + 4, "{err}");
         }

@@ -8,52 +8,19 @@
 //! The last claim is measured, not assumed: a counting allocator records
 //! the largest single request each decode makes.
 
-// The workspace denies `unsafe_code`; implementing `GlobalAlloc` needs it.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use broadcast_core::{
-    ChurnKind, MobilitySpec, NeighborInfo, PacketId, PureAction, Scenario, SchemeSpec, SimConfig,
-    TraceFile, TraceWriter, World,
+    replay_decisions, ChurnKind, MobilitySpec, NeighborInfo, PacketId, PureAction, ReplayError,
+    Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
 };
 use manet_net::HelloIntervalPolicy;
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
-use manet_testkit::Gen;
-
-thread_local! {
-    /// Largest single request this thread made since the last reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct PeakAlloc;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = LARGEST.try_with(|peak| peak.set(peak.get().max(size)));
-}
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use manet_testkit::{CountingAlloc, Gen};
 
 #[global_allocator]
-static ALLOCATOR: PeakAlloc = PeakAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A decoder that bounds every count by the input never requests a block
 /// beyond a small multiple of the input's length: the multiple covers
@@ -145,13 +112,13 @@ fn survives<T>(
     limit: usize,
     decode: &impl Fn(&[u8]) -> Result<T, manet_sim_engine::WireError>,
 ) {
-    LARGEST.with(|peak| peak.set(0));
-    let outcome = catch_unwind(AssertUnwindSafe(|| decode(bytes).is_ok()));
-    let largest = LARGEST.with(Cell::get);
+    let (outcome, asked) =
+        CountingAlloc::measure(|| catch_unwind(AssertUnwindSafe(|| decode(bytes).is_ok())));
     assert!(outcome.is_ok(), "decoder panicked on {what}");
     assert!(
-        largest <= limit,
-        "decoder requested {largest} bytes at once on {what} (input {}, limit {limit})",
+        asked.largest <= limit,
+        "decoder requested {} bytes at once on {what} (input {}, limit {limit})",
+        asked.largest,
         bytes.len()
     );
 }
@@ -164,11 +131,9 @@ fn attack<T>(
 ) {
     // What an honest decode requests at once (for a snapshot, mostly
     // `World::new`'s own arrays) is the floor of the limit.
-    LARGEST.with(|peak| peak.set(0));
-    assert!(decode(image).is_ok(), "{name}: pristine image must decode");
-    let limit = LARGEST
-        .with(Cell::get)
-        .max(MEMORY_PER_WIRE_BYTE * image.len());
+    let (pristine, asked) = CountingAlloc::measure(|| decode(image).is_ok());
+    assert!(pristine, "{name}: pristine image must decode");
+    let limit = asked.largest.max(MEMORY_PER_WIRE_BYTE * image.len());
 
     // Every truncation point. Neither format has optional trailing
     // fields, but a trace is a record stream: a cut between two records
@@ -249,4 +214,46 @@ fn a_trace_cannot_name_a_packet_seq_no_originate_issued() {
     assert!(TraceFile::decode(&only_originate(0)).is_ok());
     let err = TraceFile::decode(&only_originate(1_000_000)).expect_err("seq 1 000 000 of 1");
     assert_eq!(err.what, "packet seq not issued by an earlier Originate");
+}
+
+/// Replay runs every recorded hear through the scheme the header names,
+/// so the header may only name parameters the decision logic accepts.
+/// These used to decode and then panic in the first hear's per-packet
+/// constructor (`counter:1`, a negative distance, a fraction above 1).
+#[test]
+fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
+    // Magic, version, hosts, radius, resolution; then the scheme tag and
+    // its fields.
+    const SCHEME_TAG: usize = 4 + 4 + 4 + 8 + 8;
+    let f64_at = |offset: usize, v: f64| (SCHEME_TAG + offset, v.to_le_bytes().to_vec());
+    let u32_at = |offset: usize, v: u32| (SCHEME_TAG + offset, v.to_le_bytes().to_vec());
+    for (scheme, (at, field)) in [
+        ("counter:3", u32_at(1, 1)),
+        ("distance:200", f64_at(1, -3.0)),
+        ("distance:200", f64_at(1, f64::NAN)),
+        ("location:0.0134", f64_at(1, 2.0)),
+        ("prob:0.7", f64_at(1, 1.5)),
+        // `al`: kind tag, n1, n2, ceiling.
+        ("al", u32_at(2, 0)),
+        ("al", f64_at(10, 1.5)),
+        // `ac`: sequence length, then C(1), C(2), …
+        ("ac", u32_at(9, 1)),
+    ] {
+        let config = SimConfig::builder(1, SchemeSpec::parse(scheme).unwrap())
+            .hosts(8)
+            .broadcasts(2)
+            .seed(5)
+            .build();
+        let mut bytes = trace(&config);
+        assert!(replay_decisions(&bytes).is_ok(), "{scheme}: pristine trace");
+        bytes[at..at + field.len()].copy_from_slice(&field);
+        match replay_decisions(&bytes) {
+            Err(ReplayError::Wire(e)) => assert!(
+                (SCHEME_TAG..=at).contains(&e.at),
+                "{scheme}: refused at {} for a field at {at}",
+                e.at
+            ),
+            other => panic!("{scheme} with bytes {at}.. patched: {other:?}"),
+        }
+    }
 }

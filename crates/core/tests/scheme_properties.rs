@@ -1,11 +1,8 @@
 //! Property-based tests of the scheme decision state machines, driven as
 //! pure functions over arbitrary duplicate sequences.
 
-use broadcast_core::policy::{DuplicateDecision, FirstDecision, HearContext, RebroadcastPolicy};
-use broadcast_core::{
-    AreaThreshold, CounterScheme, CounterThreshold, DistanceScheme, LocationScheme,
-    NeighborCoverageScheme, SchemeSpec,
-};
+use broadcast_core::policy::{DuplicateDecision, FirstDecision, HearContext};
+use broadcast_core::{AreaThreshold, CounterThreshold, PacketState, SchemeSpec};
 use manet_geom::{CoverageGrid, Vec2};
 use manet_phy::NodeId;
 use manet_testkit::{prop_check, Gen};
@@ -36,7 +33,6 @@ impl Fixture {
             neighbors: &self.neighbors,
             sender_neighbors: &self.sender_neighbors,
             coverage: &self.coverage,
-            radio_radius: 500.0,
             random_unit: 0.5,
         }
     }
@@ -54,6 +50,30 @@ fn arrivals(g: &mut Gen) -> Vec<(u32, f64, f64, usize)> {
     })
 }
 
+/// The additional-coverage estimate `ac` a location-scheme state stands for.
+fn ac(state: &PacketState) -> f64 {
+    match state {
+        PacketState::Uncovered { points, total } => points.len() as f64 / *total as f64,
+        other => panic!("location keeps the uncovered points, not {other:?}"),
+    }
+}
+
+/// The `d_min` a distance-scheme state stands for.
+fn d_min(state: &PacketState) -> f64 {
+    match state {
+        PacketState::MinDistance(d) => *d,
+        other => panic!("distance keeps d_min, not {other:?}"),
+    }
+}
+
+/// The pending set `T` a neighbor-coverage state stands for.
+fn pending_set(state: &PacketState) -> Vec<NodeId> {
+    match state {
+        PacketState::Pending(t) => t.clone(),
+        other => panic!("neighbor coverage keeps T, not {other:?}"),
+    }
+}
+
 prop_check! {
     /// The counter scheme cancels exactly when the running count reaches
     /// the threshold evaluated at that moment.
@@ -61,16 +81,15 @@ prop_check! {
         let seq = arrivals(g);
         let fx = Fixture::new();
         let threshold = CounterThreshold::paper_recommended();
-        let mut policy = CounterScheme::new(threshold.clone());
+        let spec = SchemeSpec::AdaptiveCounter(threshold.clone());
         let first = &seq[0];
-        assert_eq!(
-            policy.on_first_hear(&fx.ctx(first.3, first.0, first.1, first.2)),
-            FirstDecision::Schedule
-        );
+        let (decision, mut state) = spec.first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
+        assert_eq!(decision, FirstDecision::Schedule);
         let mut count = 1u32;
         for dup in &seq[1..] {
-            let decision = policy.on_duplicate_hear(&fx.ctx(dup.3, dup.0, dup.1, dup.2));
+            let decision = spec.duplicate_hear(&mut state, &fx.ctx(dup.3, dup.0, dup.1, dup.2));
             count += 1;
+            assert_eq!(state, PacketState::Count(count));
             let expected = if count < threshold.threshold(dup.3) {
                 DuplicateDecision::Keep
             } else {
@@ -88,18 +107,17 @@ prop_check! {
     fn location_coverage_is_monotone(g, cases = 64) {
         let seq = arrivals(g);
         let fx = Fixture::new();
-        let threshold = AreaThreshold::fixed(0.05);
-        let mut policy = LocationScheme::new(threshold);
+        let spec = SchemeSpec::Location(0.05);
         let first = &seq[0];
-        let decision = policy.on_first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
+        let (decision, mut state) = spec.first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
         if decision == FirstDecision::Inhibit {
-            assert!(policy.additional_coverage() < 0.05);
+            assert!(ac(&state) < 0.05);
             return;
         }
-        let mut prev = policy.additional_coverage();
+        let mut prev = ac(&state);
         for dup in &seq[1..] {
-            let decision = policy.on_duplicate_hear(&fx.ctx(dup.3, dup.0, dup.1, dup.2));
-            let ac = policy.additional_coverage();
+            let decision = spec.duplicate_hear(&mut state, &fx.ctx(dup.3, dup.0, dup.1, dup.2));
+            let ac = ac(&state);
             assert!(ac <= prev + 1e-12, "coverage grew: {prev} -> {ac}");
             prev = ac;
             match decision {
@@ -118,20 +136,20 @@ prop_check! {
         let seq = arrivals(g);
         let threshold = g.f64_in(0.0..400.0);
         let fx = Fixture::new();
-        let mut policy = DistanceScheme::new(threshold);
+        let spec = SchemeSpec::Distance(threshold);
         let first = &seq[0];
-        let decision = policy.on_first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
+        let (decision, mut state) = spec.first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
         assert_eq!(
             decision == FirstDecision::Inhibit,
-            policy.min_distance() < threshold
+            d_min(&state) < threshold
         );
         if decision == FirstDecision::Inhibit {
             return;
         }
-        let mut prev = policy.min_distance();
+        let mut prev = d_min(&state);
         for dup in &seq[1..] {
-            let decision = policy.on_duplicate_hear(&fx.ctx(dup.3, dup.0, dup.1, dup.2));
-            let d = policy.min_distance();
+            let decision = spec.duplicate_hear(&mut state, &fx.ctx(dup.3, dup.0, dup.1, dup.2));
+            let d = d_min(&state);
             assert!(d <= prev + 1e-12);
             prev = d;
             assert_eq!(decision == DuplicateDecision::Cancel, d < threshold);
@@ -148,7 +166,7 @@ prop_check! {
         let senders = g.vec(1..8, |g| (g.u32_in(0..30), g.u32_set(0..30, 0..6)));
         let mut fx = Fixture::new();
         fx.neighbors = neighbors.iter().map(|&i| NodeId::new(i)).collect();
-        let mut policy = NeighborCoverageScheme::new();
+        let spec = SchemeSpec::NeighborCoverage;
 
         let (first_sender, first_known) = &senders[0];
         fx.sender_neighbors = first_known.iter().map(|&i| NodeId::new(i)).collect();
@@ -160,11 +178,10 @@ prop_check! {
             neighbors: &fx.neighbors,
             sender_neighbors: &fx.sender_neighbors,
             coverage: &fx.coverage,
-            radio_radius: 500.0,
             random_unit: 0.5,
         };
-        let decision = policy.on_first_hear(&ctx);
-        let mut pending: Vec<NodeId> = policy.pending().collect();
+        let (decision, mut state) = spec.first_hear(&ctx);
+        let mut pending = pending_set(&state);
         assert_eq!(decision == FirstDecision::Inhibit, pending.is_empty());
         if pending.is_empty() {
             return;
@@ -185,11 +202,10 @@ prop_check! {
                 neighbors: &fx.neighbors,
                 sender_neighbors: &fx.sender_neighbors,
                 coverage: &fx.coverage,
-                radio_radius: 500.0,
-                random_unit: 0.5,
+                    random_unit: 0.5,
             };
-            let decision = policy.on_duplicate_hear(&ctx);
-            let next: Vec<NodeId> = policy.pending().collect();
+            let decision = spec.duplicate_hear(&mut state, &ctx);
+            let next = pending_set(&state);
             assert!(next.len() <= pending.len(), "pending set grew");
             assert!(next.iter().all(|p| pending.contains(p)));
             assert_eq!(decision == DuplicateDecision::Cancel, next.is_empty());
@@ -200,8 +216,8 @@ prop_check! {
         }
     }
 
-    /// Every scheme, built through SchemeSpec, survives an arbitrary
-    /// arrival sequence without panicking and never un-cancels.
+    /// Every scheme survives an arbitrary arrival sequence without
+    /// panicking and never un-cancels.
     fn all_schemes_are_total(g, cases = 64) {
         let seq = arrivals(g);
         let which = g.usize_in(0..7);
@@ -216,14 +232,13 @@ prop_check! {
         };
         let mut fx = Fixture::new();
         fx.neighbors = (0..5).map(NodeId::new).collect();
-        let mut policy = spec.build();
         let first = &seq[0];
-        let decision = policy.on_first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
+        let (decision, mut state) = spec.first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
         if decision == FirstDecision::Inhibit {
             return;
         }
         for dup in &seq[1..] {
-            if policy.on_duplicate_hear(&fx.ctx(dup.3, dup.0, dup.1, dup.2))
+            if spec.duplicate_hear(&mut state, &fx.ctx(dup.3, dup.0, dup.1, dup.2))
                 == DuplicateDecision::Cancel
             {
                 break;

@@ -1,8 +1,7 @@
 //! What a run lets you observe without a debugger: the decoded `MTRC`
 //! action trace must tell one causal story per packet and agree with the
 //! run report, and the report's own counters must match each scheme's
-//! semantics. (The file is named after the observer hook these tests
-//! used to attach; the trace and the report are what replaced it.)
+//! semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -3,38 +3,12 @@
 //! buffers have grown to their peak size, `begin_transmission_into` /
 //! `end_transmission_into` must not touch the allocator at all.
 //!
-//! Lives in its own integration-test binary because the `#[global_allocator]`
-//! wrapper counts every allocation in the process.
-
-// The workspace denies `unsafe_code`; implementing `GlobalAlloc` is the
-// one place that needs it.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Lives in its own integration-test binary because a `#[global_allocator]`
+//! is per process.
 
 use manet_phy::{Medium, NodeId};
 use manet_sim_engine::SimTime;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use manet_testkit::CountingAlloc;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -98,20 +72,19 @@ fn medium_hot_path_settles_to_zero_allocations() {
         );
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for round in 32..160 {
-        cycle(
-            round,
-            &mut medium,
-            &mut begin_carrier,
-            &mut deliveries,
-            &mut end_carrier,
-        );
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let ((), steady) = CountingAlloc::measure(|| {
+        for round in 32..160 {
+            cycle(
+                round,
+                &mut medium,
+                &mut begin_carrier,
+                &mut deliveries,
+                &mut end_carrier,
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        steady.requests, 0,
         "steady-state begin/end_transmission must not allocate"
     );
 }

@@ -26,6 +26,10 @@
 //! * `TESTKIT_SEED=0xHEX|decimal` — run exactly one case with that seed,
 //!   for reproducing a reported failure.
 //!
+//! The crate also carries [`CountingAlloc`], the counting
+//! `#[global_allocator]` the allocation-bounding integration tests install
+//! (the workspace's one piece of `unsafe`).
+//!
 //! # Examples
 //!
 //! ```
@@ -44,8 +48,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod alloc;
 mod gen;
 
+pub use alloc::{AllocStats, CountingAlloc};
 pub use gen::Gen;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -27,7 +27,8 @@ options:
   --seed N              RNG seed (default 1)
   --speed KMH           max roaming speed; default = paper's per-map value
   --scheme S            flooding | counter:C | ac | distance:D |
-                        location:A | al | nc        (default ac)
+                        location:A | al | nc | prob:P  (default ac);
+                        C >= 2, D >= 0 meters, A and P in 0..=1
   --hello P             fixed seconds (e.g. 1) | dynamic | oracle
                         (default: fixed 1 s beacons)
   --mobility M          turn | waypoint | none      (default turn)
@@ -567,6 +568,21 @@ mod tests {
         assert_eq!(parse_scheme("distance:250").unwrap().label(), "D=250");
         assert!(parse_scheme("bogus").is_err());
         assert!(parse_scheme("counter:x").is_err());
+    }
+
+    /// Out-of-range parameters end argument parsing (exit 1) with the
+    /// parameter named; they used to run and panic at the first hear.
+    #[test]
+    fn out_of_range_scheme_parameters_are_usage_errors() {
+        for (scheme, names) in [
+            ("counter:1", "counter threshold 1"),
+            ("location:2", "coverage threshold 2"),
+            ("distance:-3", "distance threshold -3"),
+            ("distance:nan", "distance threshold NaN"),
+        ] {
+            let err = parse_args(&args(&["--map", "1", "--scheme", scheme])).unwrap_err();
+            assert!(err.contains(names), "{scheme}: {err}");
+        }
     }
 
     #[test]
