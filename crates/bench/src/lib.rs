@@ -16,5 +16,9 @@
 //! a seconds-long does-it-run pass that writes nothing.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this crate exists to read the wall clock; nothing here feeds a simulation"
+)]
 
 pub mod harness;

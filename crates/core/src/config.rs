@@ -205,6 +205,17 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.drop_probability) {
             return Err(format!("bad drop probability {}", self.drop_probability));
         }
+        if let NeighborInfo::Hello(policy) = &self.neighbor_info {
+            // A zero interval re-arms the HELLO timer at the same instant
+            // forever: the run would never advance.
+            let shortest = match policy {
+                HelloIntervalPolicy::Fixed(interval) => *interval,
+                HelloIntervalPolicy::Dynamic(params) => params.hi_min,
+            };
+            if shortest.is_zero() {
+                return Err("hello interval must be longer than zero".into());
+            }
+        }
         if let Some(speed) = self.max_speed_kmh {
             if !(speed.is_finite() && speed >= 0.0) {
                 return Err(format!("bad max speed {speed}"));
@@ -346,6 +357,18 @@ impl SimConfigBuilder {
         self
     }
 
+    /// Finalizes the configuration; the form for values that arrive from
+    /// outside the program (a command line, a campaign file).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimConfig::validate`]'s message if the configuration is
+    /// inconsistent.
+    pub fn try_build(self) -> Result<SimConfig, String> {
+        self.config.validate()?;
+        Ok(self.config)
+    }
+
     /// Finalizes the configuration.
     ///
     /// # Panics
@@ -353,10 +376,8 @@ impl SimConfigBuilder {
     /// Panics if the configuration is inconsistent (see
     /// [`SimConfig::validate`]).
     pub fn build(self) -> SimConfig {
-        if let Err(msg) = self.config.validate() {
-            panic!("invalid simulation config: {msg}");
-        }
-        self.config
+        self.try_build()
+            .unwrap_or_else(|msg| panic!("invalid simulation config: {msg}"))
     }
 }
 
@@ -388,6 +409,12 @@ mod tests {
         c.drop_probability = 0.0;
         c.hosts = 0;
         assert!(c.validate().is_err());
+        c.hosts = 100;
+        c.neighbor_info = NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::ZERO));
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "hello interval must be longer than zero"
+        );
     }
 
     #[test]

@@ -478,7 +478,6 @@ impl PureModels {
                 // The key list moves into the AbandonAssessments effect
                 // below, so it cannot reuse a scratch buffer; Deactivate
                 // fires on churn, not per packet.
-                // simlint: allow(hot-path-alloc) — churn-rate, moves into fx
                 let mut keys = Vec::new();
                 self.scratch_handles.clear();
                 self.ledgers[i].drain_active(&mut keys, &mut self.scratch_handles);

@@ -557,16 +557,14 @@ pub(crate) fn decode_replay_config(dec: &mut WireDecoder<'_>) -> Result<SimConfi
         2 => NeighborInfo::Oracle,
         _ => return Err(invalid),
     };
-    if hosts == 0 {
-        return Err(WireError {
-            at,
-            what: "invalid replay config",
-        });
-    }
-    Ok(SimConfig::builder(1, scheme)
+    SimConfig::builder(1, scheme)
         .hosts(hosts)
         .neighbor_info(neighbor_info)
-        .build())
+        .try_build()
+        .map_err(|_| WireError {
+            at,
+            what: "invalid replay config",
+        })
 }
 
 fn encode_scheme(enc: &mut WireEncoder, scheme: &SchemeSpec) {

@@ -143,7 +143,7 @@ impl SchemeSpec {
                     points,
                 }
             }
-            // simlint: allow(hot-path-alloc) — T = N_x is the packet's state
+            // One allocation per first hear: T = N_x is the packet's state.
             SchemeSpec::NeighborCoverage => PacketState::Pending(ctx.neighbors.to_vec()),
         };
         let suppress = match self {

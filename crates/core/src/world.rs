@@ -320,6 +320,42 @@ pub struct World {
     scenario: Option<ScenarioState>,
 }
 
+/// The streams [`World::new`] forks off the root `SimRng` (seeded from
+/// `SimConfig::seed`). Two subsystems on one stream would consume each
+/// other's randomness and silently change every result, so each stream
+/// is a variant here and a duplicated number is compile error E0081. A
+/// subsystem that needs randomness gets a **new** variant; renumbering
+/// an existing one re-pins every hash in the test suite.
+///
+/// Nothing else forks the root: the pure models draw no randomness,
+/// the strip index draws none, and a snapshot stores every stream's
+/// position verbatim instead of forking afresh on resume.
+#[repr(u64)]
+enum Stream {
+    /// Initial host positions on the map.
+    Placement = 0,
+    /// Broadcast origination schedule: interarrivals and sources.
+    Workload = 1,
+    /// Scheme-level draws: assessment slots, HELLO jitter.
+    Protocol = 2,
+    /// Injected channel loss (`SimConfig::drop_probability`).
+    ChannelLoss = 3,
+    /// Scenario link-fault draws (blackout, noise, partition).
+    ScenarioFaults = 4,
+    /// Base of the DCF streams handed to hosts that join or recover.
+    /// Never drawn from directly: each respawn takes the child
+    /// `respawn_rng.fork(seq)` with a per-world monotone `seq`.
+    ScenarioRespawn = 5,
+    /// `+ host`: per-host mobility model.
+    Mobility = 100,
+    /// `+ host`: per-host DCF backoff. From host 9 900 up `Mobility +
+    /// host` runs into this range (host 9 900's mobility stream is host
+    /// 0's DCF stream), so worlds that large share streams between the
+    /// two subsystems. Moving either base changes every pinned hash; it
+    /// is a ROADMAP item, not a silent fix.
+    Dcf = 10_000,
+}
+
 impl World {
     /// Builds the initial state for `config`: places the hosts, arms the
     /// mobility and HELLO timers, and schedules the first broadcast at the
@@ -334,9 +370,9 @@ impl World {
         }
         let map = config.map();
         let root = SimRng::seed_from(config.seed);
-        let mut placement_rng = root.fork(0);
-        let workload_rng = root.fork(1);
-        let mut proto_rng = root.fork(2);
+        let mut placement_rng = root.fork(Stream::Placement as u64);
+        let workload_rng = root.fork(Stream::Workload as u64);
+        let mut proto_rng = root.fork(Stream::Protocol as u64);
         let hosts = config.hosts as usize;
         let positions = match config.placement {
             crate::config::PlacementSpec::Uniform => {
@@ -364,7 +400,7 @@ impl World {
                     RandomTurnParams::paper(max_speed),
                     pos,
                     SimTime::ZERO,
-                    root.fork(100 + i as u64),
+                    root.fork(Stream::Mobility as u64 + i as u64),
                 )),
                 crate::config::MobilitySpec::RandomWaypoint => {
                     HostMobility::Waypoint(RandomWaypoint::new(
@@ -372,7 +408,7 @@ impl World {
                         RandomWaypointParams::conventional(max_speed.max(3.6)),
                         pos,
                         SimTime::ZERO,
-                        root.fork(100 + i as u64),
+                        root.fork(Stream::Mobility as u64 + i as u64),
                     ))
                 }
                 crate::config::MobilitySpec::Stationary => {
@@ -382,9 +418,6 @@ impl World {
             if let Some(next) = mobility.next_change() {
                 queue.schedule(next, Event::MobilityTurn { node: id });
             }
-            // An `if` rather than `bool::then(|| ..)`: handing a closure
-            // that captures `proto_rng` to std would hide the draw from
-            // simlint's fork-escape analysis.
             let hello_pending = if hellos_enabled {
                 // Random initial phase so beacons do not synchronize.
                 let first =
@@ -396,7 +429,7 @@ impl World {
             };
             nodes.push(Node {
                 mobility,
-                mac: Dcf::new(root.fork(10_000 + i as u64)),
+                mac: Dcf::new(root.fork(Stream::Dcf as u64 + i as u64)),
                 outgoing: Slab::new(),
                 hello_pending,
             });
@@ -417,8 +450,8 @@ impl World {
                 blackouts: Vec::new(),
                 noise: Vec::new(),
                 partitions: Vec::new(),
-                rng: root.fork(4),
-                respawn_rng: root.fork(5),
+                rng: root.fork(Stream::ScenarioFaults as u64),
+                respawn_rng: root.fork(Stream::ScenarioRespawn as u64),
                 respawn_seq: 0,
                 counts: ScenarioCounts::default(),
                 retired_mac: MacStats::default(),
@@ -444,7 +477,10 @@ impl World {
             medium: {
                 let mut medium = Medium::new(hosts);
                 if config.drop_probability > 0.0 {
-                    medium = medium.with_drop_probability(config.drop_probability, root.fork(3));
+                    medium = medium.with_drop_probability(
+                        config.drop_probability,
+                        root.fork(Stream::ChannelLoss as u64),
+                    );
                 }
                 if let Some(capture) = config.capture {
                     medium =
@@ -940,7 +976,6 @@ impl World {
         }
     }
 
-    #[cfg_attr(simlint, hot_path)]
     fn begin_transmission(
         &mut self,
         node: NodeId,
@@ -1034,7 +1069,6 @@ impl World {
     /// event delivering them in list order is indistinguishable from
     /// scheduling them individually — at a fraction of the event-queue
     /// traffic (carrier reports are over half of all events in a storm).
-    #[cfg_attr(simlint, hot_path)]
     fn deliver_carrier_changes(&mut self, changes: &[CarrierChange], busy: bool, now: SimTime) {
         if changes.is_empty() {
             return;
@@ -1048,7 +1082,6 @@ impl World {
     }
 
     /// Feeds one carrier transition to a host's MAC.
-    #[cfg_attr(simlint, hot_path)]
     fn apply_carrier_change(&mut self, node: NodeId, busy: bool, now: SimTime) {
         // A host that deactivated after the report was scheduled has no
         // radio; its replacement MAC syncs its own carrier view on rejoin.
@@ -1064,7 +1097,6 @@ impl World {
         self.process_mac_action(node, action, now);
     }
 
-    #[cfg_attr(simlint, hot_path)]
     fn finish_transmission(&mut self, frame: FrameId, now: SimTime) {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         let mut carrier = std::mem::take(&mut self.scratch_end_carrier);

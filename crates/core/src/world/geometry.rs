@@ -173,7 +173,6 @@ impl Geometry {
     /// annulus in between needs a position evaluated at `now` for the
     /// exact squared-distance test (identical arithmetic on an identical
     /// position, hence identical results).
-    #[cfg_attr(simlint, hot_path)]
     pub(super) fn in_range(&mut self, now: SimTime, of: NodeId, out: &mut Vec<NodeId>) {
         self.maybe_strip_sync(now);
         let bounds = self.bounds;

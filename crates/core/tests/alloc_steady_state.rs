@@ -11,7 +11,11 @@
 //! Lives in its own integration-test binary because a `#[global_allocator]`
 //! is per process.
 
-use broadcast_core::{OwnedAction, SchemeSpec, SimConfig, TraceFile, TraceRecord, World};
+use broadcast_core::{
+    CaptureConfig, MobilitySpec, NeighborInfo, OwnedAction, Scenario, SchemeSpec, SimConfig,
+    SimConfigBuilder, TraceFile, TraceRecord, World,
+};
+use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::SimTime;
 use manet_testkit::CountingAlloc;
 
@@ -24,60 +28,136 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 const WINDOW_START: SimTime = SimTime::from_secs(25);
 const WINDOW_END: SimTime = SimTime::from_secs(65);
 
-fn config(scheme: &str) -> SimConfig {
-    SimConfig::builder(5, SchemeSpec::parse(scheme).expect("a scheme spelling"))
-        .hosts(100)
-        .broadcasts(80)
-        .seed(7)
-        .build()
+fn builder(map_units: u32, scheme: &str) -> SimConfigBuilder {
+    SimConfig::builder(
+        map_units,
+        SchemeSpec::parse(scheme).expect("a scheme spelling"),
+    )
+    .hosts(100)
+    .broadcasts(80)
+    .seed(7)
 }
 
-/// Broadcasts issued inside the window, read off a recorded twin of the
+/// Broadcasts issued in `from..to`, read off a recorded twin of the
 /// measured run (recording itself allocates, so the twin is not measured).
-fn issued_in_window(config: &SimConfig) -> u64 {
+fn issued_between(config: &SimConfig, from: SimTime, to: SimTime) -> u64 {
     let mut world = World::new(config.clone());
     world.enable_recording();
-    world.advance(WINDOW_END);
+    world.advance(to);
     let trace = world.take_trace().expect("recording was armed");
     let file = TraceFile::decode(&trace).expect("a live trace decodes");
     let originates = file.records.iter().filter(|record| {
         matches!(record, TraceRecord::Action { at, action: OwnedAction::Originate { .. } }
-            if *at >= WINDOW_START)
+            if *at >= from)
     });
     originates.count() as u64
 }
 
+/// What a run of `config` asks of the allocator in `from..to`.
+fn requests_between(config: SimConfig, from: SimTime, to: SimTime) -> u64 {
+    let mut world = World::new(config);
+    world.advance(from);
+    let (finished, asked) = CountingAlloc::measure(|| world.advance(to));
+    assert!(!finished, "the run ended inside the window");
+    asked.requests
+}
+
 #[test]
 fn a_steady_state_world_allocates_per_broadcast_not_per_hear() {
-    for (scheme, ceiling) in [
-        ("flooding", 16.0),
-        ("counter:3", 16.0),
-        ("ac", 16.0),
-        ("distance:200", 16.0),
-        ("prob:0.7", 16.0),
+    type Variant = fn(SimConfigBuilder) -> SimConfigBuilder;
+    let plain: Variant = |b| b;
+    let rows: [(&str, &str, Variant, f64); 13] = [
+        ("flooding", "", plain, 16.0),
+        ("counter:3", "", plain, 16.0),
+        ("ac", "", plain, 16.0),
+        ("distance:200", "", plain, 16.0),
+        ("prob:0.7", "", plain, 16.0),
         // One 29 KB sample lattice per first hear (ROADMAP item 2).
-        ("location:0.0134", 110.0),
-        ("al", 110.0),
+        ("location:0.0134", "", plain, 110.0),
+        ("al", "", plain, 110.0),
         // The pending-set copy per first hear, plus neighbor lists as
         // hosts join tables.
-        ("nc", 200.0),
-    ] {
-        let config = config(scheme);
-        let issued = issued_in_window(&config);
+        ("nc", "", plain, 200.0),
+        // The branches a plain run never takes: the capture and
+        // injected-loss arms of the medium, the other mobility model,
+        // the dynamic HELLO interval, and oracle neighbor lookups.
+        (
+            "counter:3",
+            " + capture",
+            |b| b.capture(CaptureConfig::typical()),
+            16.0,
+        ),
+        (
+            "counter:3",
+            " + drop 0.1",
+            |b| b.drop_probability(0.1),
+            16.0,
+        ),
+        (
+            "counter:3",
+            " + waypoint",
+            |b| b.mobility(MobilitySpec::RandomWaypoint),
+            16.0,
+        ),
+        (
+            "ac",
+            " + dynamic hello",
+            |b| {
+                b.neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
+                    DynamicHelloParams::paper(),
+                )))
+            },
+            16.0,
+        ),
+        (
+            "ac",
+            " + oracle",
+            |b| b.neighbor_info(NeighborInfo::Oracle),
+            16.0,
+        ),
+    ];
+    for (scheme, with, variant, ceiling) in rows {
+        let label = format!("{scheme}{with}");
+        let config = variant(builder(5, scheme)).build();
+        let issued = issued_between(&config, WINDOW_START, WINDOW_END);
         assert!(
             issued >= 30,
-            "{scheme}: only {issued} broadcasts in the window"
+            "{label}: only {issued} broadcasts in the window"
         );
-
-        let mut world = World::new(config);
-        world.advance(WINDOW_START);
-        let (finished, asked) = CountingAlloc::measure(|| world.advance(WINDOW_END));
-        assert!(!finished, "{scheme}: the run ended inside the window");
-        let per_broadcast = asked.requests as f64 / issued as f64;
-        println!("{scheme}: {per_broadcast:.1} allocations per broadcast ({issued} broadcasts)");
+        let requests = requests_between(config, WINDOW_START, WINDOW_END);
+        let per_broadcast = requests as f64 / issued as f64;
+        println!("{label}: {per_broadcast:.1} allocations per broadcast ({issued} broadcasts)");
         assert!(
             per_broadcast <= ceiling,
-            "{scheme}: {per_broadcast:.1} allocations per broadcast, ceiling {ceiling}"
+            "{label}: {per_broadcast:.1} allocations per broadcast, ceiling {ceiling}"
+        );
+    }
+}
+
+/// Churn allocates per churn *event* (a deactivation's key list, a
+/// respawned host's fresh tables), never per packet or per HELLO
+/// afterwards: over the committed script's 6–23 s churn, a run asks for
+/// at most a few requests per scripted event more than its twin without
+/// the script.
+#[test]
+fn churn_allocates_per_churn_event() {
+    const CHURN_EVENTS: u64 = 24;
+    const PER_EVENT_CEILING: f64 = 16.0;
+    let (from, to) = (SimTime::from_secs(5), SimTime::from_secs(25));
+    let script = Scenario::parse(include_str!("../../../examples/scenarios/churn_quick.txt"))
+        .expect("the committed script parses");
+    for scheme in ["counter:3", "ac"] {
+        let calm = requests_between(builder(3, scheme).build(), from, to);
+        let churned = requests_between(
+            builder(3, scheme).scenario(script.clone()).build(),
+            from,
+            to,
+        );
+        let per_event = (churned as f64 - calm as f64) / CHURN_EVENTS as f64;
+        println!("{scheme}: {calm} calm, {churned} churned, {per_event:.1} per churn event");
+        assert!(
+            per_event <= PER_EVENT_CEILING,
+            "{scheme}: {per_event:.1} extra allocations per churn event, ceiling {PER_EVENT_CEILING}"
         );
     }
 }

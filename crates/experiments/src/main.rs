@@ -11,7 +11,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-// simlint: allow(wall-clock) — the CLI prints real elapsed time per figure
 use std::time::Instant;
 
 use manet_experiments::{
@@ -178,7 +177,10 @@ fn main() -> ExitCode {
     let mut captured: Vec<(String, Vec<MetricsRecord>)> = Vec::new();
     let mut claims_hold = true;
     for (id, runner) in selected {
-        // simlint: allow(wall-clock) — wall time never feeds the sim, only stderr
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the CLI prints real elapsed time per figure to stderr; it never feeds a sim"
+        )]
         let started = Instant::now();
         if metrics_path.is_some() {
             enable_metrics_capture();

@@ -33,7 +33,7 @@ struct NeighborEntry {
 }
 
 /// Membership changes produced by [`NeighborTable::record_hello`] and
-/// [`NeighborTable::expire`]; feed these to the variation tracker.
+/// [`NeighborTable::expire_into`]; feed these to the variation tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipChange {
     /// A host became a neighbor.
@@ -58,7 +58,8 @@ pub enum MembershipChange {
 /// assert_eq!(table.neighbor_count(), 1);
 ///
 /// // Two intervals pass without another HELLO: h expires.
-/// let leaves = table.expire(SimTime::from_millis(2_001));
+/// let mut leaves = Vec::new();
+/// table.expire_into(SimTime::from_millis(2_001), &mut leaves);
 /// assert_eq!(table.neighbor_count(), 0);
 /// assert_eq!(leaves.len(), 1);
 /// ```
@@ -70,8 +71,8 @@ pub struct NeighborTable {
     /// `entries[k]` is what this host knows about `ids[k]`.
     entries: Vec<NeighborEntry>,
     /// Lower bound on the earliest entry deadline (`last_heard` plus two
-    /// intervals). [`expire`](Self::expire) is a no-op until the clock
-    /// passes it, which keeps the per-event expiry check O(1); refreshes
+    /// intervals). [`expire_into`](Self::expire_into) is a no-op until the
+    /// clock passes it, which keeps the per-event expiry check O(1); refreshes
     /// only push deadlines later, so a stale bound merely costs one
     /// harmless rescan. `None` while the table is empty.
     min_deadline: Option<SimTime>,
@@ -132,7 +133,6 @@ impl NeighborTable {
                     interval,
                     // One allocation per newly-joined neighbor; steady-state
                     // HELLOs take the occupied arm above and reuse the buffer.
-                    // simlint: allow(hot-path-alloc) — join-time only
                     neighbors: neighbors.to_vec(),
                     written: self.sweeps,
                 };
@@ -144,7 +144,9 @@ impl NeighborTable {
     }
 
     /// Drops every neighbor whose last HELLO is more than two of its own
-    /// hello intervals old, returning the leave events.
+    /// hello intervals old, appending the leave events (ascending by id)
+    /// to `leaves`: the caller owns the buffer and reuses it across the
+    /// whole run, so steady-state expiry never allocates.
     ///
     /// An expired host is also purged from every surviving entry's two-hop
     /// list: first-hand silence supersedes a relay's stale claim that the
@@ -153,15 +155,6 @@ impl NeighborTable {
     /// this, a host that left the network lingers in `N_{x,h}` sets until
     /// each relay happens to re-beacon, and the neighbor-coverage scheme
     /// keeps "covering" a ghost.
-    pub fn expire(&mut self, now: SimTime) -> Vec<MembershipChange> {
-        let mut leaves = Vec::new();
-        self.expire_into(now, &mut leaves);
-        leaves
-    }
-
-    /// Allocation-free form of [`expire`](Self::expire): appends the
-    /// leave events (ascending by id) to `leaves` so steady-state callers
-    /// can reuse one buffer across the whole run.
     pub fn expire_into(&mut self, now: SimTime, leaves: &mut Vec<MembershipChange>) {
         match self.min_deadline {
             // Nothing can have expired yet: every deadline is at or past
@@ -312,6 +305,12 @@ mod tests {
         NodeId::new(i)
     }
 
+    fn expire(t: &mut NeighborTable, now: SimTime) -> Vec<MembershipChange> {
+        let mut leaves = Vec::new();
+        t.expire_into(now, &mut leaves);
+        leaves
+    }
+
     #[test]
     fn records_joins_once() {
         let mut t = NeighborTable::new();
@@ -334,14 +333,14 @@ mod tests {
         t.record_hello(id(1), SimTime::ZERO, SEC, &[]);
         t.record_hello(id(2), SimTime::ZERO, SEC * 5, &[]);
         // At t = 2.5 s: host 1 (interval 1 s) is stale, host 2 (5 s) is not.
-        let leaves = t.expire(SimTime::from_millis(2_500));
+        let leaves = expire(&mut t, SimTime::from_millis(2_500));
         assert_eq!(leaves, vec![MembershipChange::Left(id(1))]);
         assert!(!t.contains(id(1)));
         assert!(t.contains(id(2)));
         // Host 2 expires only after 10 s.
-        assert!(t.expire(SimTime::from_secs(10)).is_empty());
+        assert!(expire(&mut t, SimTime::from_secs(10)).is_empty());
         assert_eq!(
-            t.expire(SimTime::from_millis(10_001)),
+            expire(&mut t, SimTime::from_millis(10_001)),
             vec![MembershipChange::Left(id(2))]
         );
     }
@@ -353,12 +352,12 @@ mod tests {
         let mut t = NeighborTable::new();
         t.record_hello(id(1), SimTime::ZERO, SEC, &[]);
         assert!(
-            t.expire(SimTime::from_secs(2)).is_empty(),
+            expire(&mut t, SimTime::from_secs(2)).is_empty(),
             "entry must survive at exactly the deadline"
         );
         assert!(t.contains(id(1)));
         assert_eq!(
-            t.expire(SimTime::from_nanos(2_000_000_001)),
+            expire(&mut t, SimTime::from_nanos(2_000_000_001)),
             vec![MembershipChange::Left(id(1))],
             "entry must expire just past the deadline"
         );
@@ -373,14 +372,14 @@ mod tests {
         let mut t = NeighborTable::new();
         t.record_hello(id(1), SimTime::ZERO, SEC, &[]);
         t.record_hello(id(2), SimTime::ZERO, SEC * 5, &[id(1), id(9)]);
-        assert!(t.expire(SimTime::from_secs(2)).is_empty());
+        assert!(expire(&mut t, SimTime::from_secs(2)).is_empty());
         assert_eq!(
             t.neighbors_of(id(2)),
             Some(&[id(1), id(9)][..]),
             "two-hop claim intact at exactly host 1's deadline"
         );
         assert_eq!(
-            t.expire(SimTime::from_nanos(2_000_000_001)),
+            expire(&mut t, SimTime::from_nanos(2_000_000_001)),
             vec![MembershipChange::Left(id(1))]
         );
         assert_eq!(
@@ -401,7 +400,7 @@ mod tests {
         t.record_hello(id(1), SimTime::from_secs(1), SEC, &[]); // refresh, not a join
         assert_eq!(t.join_count(), 2);
         assert_eq!(t.leave_count(), 0);
-        t.expire(SimTime::from_secs(10));
+        expire(&mut t, SimTime::from_secs(10));
         assert_eq!(t.leave_count(), 2);
         // Rejoining counts again: these are lifetime churn totals.
         t.record_hello(id(1), SimTime::from_secs(10), SEC, &[]);
@@ -413,8 +412,8 @@ mod tests {
         let mut t = NeighborTable::new();
         t.record_hello(id(1), SimTime::ZERO, SEC, &[]);
         t.record_hello(id(1), SimTime::from_millis(1_900), SEC, &[]);
-        assert!(t.expire(SimTime::from_millis(3_800)).is_empty());
-        assert_eq!(t.expire(SimTime::from_millis(3_901)).len(), 1);
+        assert!(expire(&mut t, SimTime::from_millis(3_800)).is_empty());
+        assert_eq!(expire(&mut t, SimTime::from_millis(3_901)).len(), 1);
     }
 
     #[test]
@@ -442,8 +441,8 @@ mod tests {
         t.record_hello(id(1), SimTime::ZERO, SEC, &[]);
         // The neighbor slows its beacons to 5 s; expiry horizon follows.
         t.record_hello(id(1), SimTime::from_secs(1), SEC * 5, &[]);
-        assert!(t.expire(SimTime::from_secs(10)).is_empty());
-        assert_eq!(t.expire(SimTime::from_millis(11_001)).len(), 1);
+        assert!(expire(&mut t, SimTime::from_secs(10)).is_empty());
+        assert_eq!(expire(&mut t, SimTime::from_millis(11_001)).len(), 1);
     }
 
     #[test]

@@ -365,7 +365,6 @@ impl Medium {
     /// [`begin_transmission`](Self::begin_transmission): carrier-sense
     /// transitions are appended to the caller's reusable `carrier_changes`
     /// buffer (cleared first) and only the new [`FrameId`] is returned.
-    #[cfg_attr(simlint, hot_path)]
     pub fn begin_transmission_into(
         &mut self,
         source: NodeId,
@@ -415,7 +414,6 @@ impl Medium {
     /// Allocation-free variant of
     /// [`begin_transmission_with_signals`](Self::begin_transmission_with_signals);
     /// see [`begin_transmission_into`](Self::begin_transmission_into).
-    #[cfg_attr(simlint, hot_path)]
     pub fn begin_transmission_with_signals_into(
         &mut self,
         source: NodeId,
@@ -434,7 +432,6 @@ impl Medium {
     /// that listener is touched — and crucially before any drop-RNG draw,
     /// keeping the injected-loss stream identical to the old two-pass
     /// implementation.
-    #[cfg_attr(simlint, hot_path)]
     fn begin_tx_inner(
         &mut self,
         source: NodeId,
@@ -567,7 +564,6 @@ impl Medium {
     /// reusable buffers (cleared first) and the transmitting host is
     /// returned. The frame's listener vector goes back into the internal
     /// pool for the next transmission.
-    #[cfg_attr(simlint, hot_path)]
     pub fn end_transmission_into(
         &mut self,
         frame: FrameId,

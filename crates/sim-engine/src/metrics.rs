@@ -11,7 +11,6 @@
 //! schema is documented in `DESIGN.md` § "Metrics JSON schema" and is
 //! considered stable.
 
-// simlint: allow(wall-clock) — LoopProfiler measures real per-event cost
 use std::time::Instant;
 
 /// Default upper bucket bounds (seconds) for end-to-end latency
@@ -254,9 +253,12 @@ impl LoopProfiler {
     /// Starts timing one event. Returns `None` (and does not read the
     /// clock) when disabled.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "LoopProfiler measures real per-event cost; the reading goes to the profile, never to sim state"
+    )]
     pub fn begin(&self) -> Option<Instant> {
         if self.enabled {
-            // simlint: allow(wall-clock) — profiling reads, never sim state
             Some(Instant::now())
         } else {
             None

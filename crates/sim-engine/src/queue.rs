@@ -11,7 +11,7 @@
 //! both `schedule` and `cancel` at `O(log n)` / `O(1)`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::SimTime;
@@ -37,7 +37,11 @@ impl Hasher for SeqHasher {
     }
 }
 
-type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "explicit fixed hasher, and the set is only probed (insert / contains / remove), never iterated"
+)]
+type SeqSet = std::collections::HashSet<u64, BuildHasherDefault<SeqHasher>>;
 
 /// Identifier of a scheduled event, used for cancellation.
 ///

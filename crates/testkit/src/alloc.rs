@@ -83,3 +83,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// Positive control. The gates built on `measure` assert "none" or
+    /// "few", which a tally that stopped counting would also satisfy.
+    #[test]
+    fn measure_counts_every_request() {
+        const BOXES: usize = 64;
+        let (boxes, asked) = CountingAlloc::measure(|| {
+            (0..BOXES)
+                .map(|i| std::hint::black_box(Box::new(i)))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(boxes.len(), BOXES);
+        assert!(asked.requests >= BOXES as u64, "{asked:?}");
+        assert!(asked.largest >= std::mem::size_of::<usize>(), "{asked:?}");
+
+        let ((), quiet) = CountingAlloc::measure(|| ());
+        assert_eq!(quiet, AllocStats::ZERO);
+    }
+}

@@ -34,9 +34,9 @@ options:
   --mobility M          turn | waypoint | none      (default turn)
   --capture             enable 10 dB physical-layer capture
   --drop P              inject per-delivery loss probability P
-  --scenario FILE       replay a churn/fault script (manet-scenario/1,
-                        text or JSON); its host count is the default
-                        when --hosts is not given
+  --scenario FILE       replay a churn/fault script (manet-scenario/1);
+                        its host count is the default when --hosts is
+                        not given
   --per-broadcast FILE  write per-broadcast outcomes as CSV
   --metrics FILE        write run counters and histograms as JSON
                         (schema manet-broadcast-metrics/1)
@@ -91,6 +91,12 @@ fn parse_scheme(s: &str) -> Result<SchemeSpec, String> {
     SchemeSpec::parse(s)
 }
 
+/// Longest `--hello` interval, ≈ 11 days (the paper's longest is 30 s).
+/// The world computes `interval * 105 / 100` (re-arm jitter) and
+/// `interval * 2` (neighbor expiry) in u64 nanoseconds; this keeps both,
+/// added to any run's clock, far from overflow.
+const MAX_HELLO_SECS: f64 = 1e6;
+
 fn parse_hello(s: &str) -> Result<NeighborInfo, String> {
     match s {
         "dynamic" => Ok(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
@@ -100,8 +106,12 @@ fn parse_hello(s: &str) -> Result<NeighborInfo, String> {
         seconds => seconds
             .parse::<f64>()
             .ok()
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .map(|v| NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::from_secs_f64(v))))
+            .filter(|v| (0.0..=MAX_HELLO_SECS).contains(v))
+            .map(SimDuration::from_secs_f64)
+            // Rounds to zero nanoseconds: the HELLO timer would re-arm at
+            // the same instant forever.
+            .filter(|interval| !interval.is_zero())
+            .map(|interval| NeighborInfo::Hello(HelloIntervalPolicy::Fixed(interval)))
             .ok_or_else(|| format!("bad hello policy '{seconds}' (seconds | dynamic | oracle)")),
     }
 }
@@ -214,16 +224,10 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     };
     // Population: explicit --hosts, then the host count the scenario script
     // declares, then the paper's 100. A script's `hosts` line is a contract,
-    // so a conflicting --hosts is an error (caught here for a clean message
-    // rather than a panic out of SimConfig::build).
+    // so a conflicting --hosts is an error (out of `try_build` below).
     let hosts = hosts
         .or_else(|| scenario.as_ref().and_then(|s| s.hosts))
         .unwrap_or(100);
-    if let Some(scenario) = &scenario {
-        scenario
-            .validate(hosts)
-            .map_err(|e| format!("bad scenario: {e}"))?;
-    }
 
     let mut builder = SimConfig::builder(map, parse_scheme(&scheme)?)
         .hosts(hosts)
@@ -259,8 +263,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         return Err("--record cannot start from --resume: a trace must cover a whole run".into());
     }
 
-    let config = builder.build();
-    config.validate()?;
+    let config = builder.try_build()?;
     Ok(Some(Options {
         config,
         per_broadcast,
@@ -599,6 +602,11 @@ mod tests {
         ));
         assert!(parse_hello("-1").is_err());
         assert!(parse_hello("sometimes").is_err());
+        // Rounds to zero nanoseconds; does not fit the clock; not a number.
+        for bad in ["0", "1e-10", "1e30", "inf", "nan"] {
+            assert!(parse_hello(bad).is_err(), "{bad}");
+        }
+        assert!(parse_hello("1e-9").is_ok());
     }
 
     #[test]

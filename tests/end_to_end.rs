@@ -271,3 +271,36 @@ fn report_metrics_are_well_formed() {
         assert!(outcome.rebroadcast <= outcome.received.max(1));
     }
 }
+
+/// Numbers no run can use are usage errors — one `error:` line and exit
+/// 1 before any event runs — not a panic out of the builder (exit 101)
+/// or, for a HELLO interval that rounds to zero, a timer that re-arms at
+/// the same instant forever.
+#[test]
+fn cli_rejects_invalid_numbers_without_running() {
+    for (flag, value, names) in [
+        ("--drop", "2", "bad drop probability 2"),
+        ("--drop", "nan", "bad drop probability NaN"),
+        ("--speed", "-5", "bad max speed -5"),
+        ("--speed", "nan", "bad max speed NaN"),
+        ("--hosts", "0", "need at least one host"),
+        ("--map", "0", "map must be at least 1x1"),
+        ("--broadcasts", "0", "need at least one broadcast"),
+        ("--hello", "1e-10", "bad hello policy '1e-10'"),
+        ("--hello", "1e30", "bad hello policy '1e30'"),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_manet-sim"))
+            .args(["--map", "1", "--broadcasts", "1", flag, value])
+            .output()
+            .expect("manet-sim runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} {value}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("error: {names}")),
+            "{flag} {value}: {first}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag} {value} printed a run");
+    }
+}
