@@ -15,7 +15,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use broadcast_core::{Scenario, SchemeSpec};
-use manet_scenario::CampaignSpec;
+use manet_scenario::{is_job_label, CampaignSpec};
 
 use crate::mcmp::{CampaignCounts, Frame, FrameReader, FrameWriter, JobEnvelope};
 
@@ -107,18 +107,6 @@ pub fn load_campaign(path: &Path) -> io::Result<(String, Vec<JobEnvelope>)> {
 /// grow the client's memory without bound.
 const MAX_REPORTED_FAILURES: usize = 1024;
 
-/// Refuses labels that could escape `out_dir` when used as a filename.
-/// Labels from [`load_campaign`] always pass; this guards raw-protocol
-/// sessions against a hostile or confused server.
-fn filename_safe(label: &str) -> bool {
-    !label.is_empty()
-        && label.len() <= 128
-        && label
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-        && !label.starts_with('.')
-}
-
 /// Submits one campaign over an MCMP session and streams it to
 /// completion (or through a [`SessionOptions::cancel_after`] cancel).
 /// Blocks until the server's `Summary` frame, then sends `Shutdown`.
@@ -165,7 +153,9 @@ pub fn run_session(
                 return Err(invalid(format!("campaign '{name}' rejected: {reason}")));
             }
             Frame::JobMetrics { label, payload, .. } => {
-                if !filename_safe(&label) {
+                // `load_campaign` admitted its labels by this predicate;
+                // this guards against a hostile or confused server.
+                if !is_job_label(&label) {
                     return Err(invalid(format!("unsafe job label from server: {label:?}")));
                 }
                 fs::write(options.out_dir.join(format!("{label}.json")), &payload)?;
@@ -374,9 +364,9 @@ mod tests {
     #[test]
     fn unsafe_labels_never_touch_the_filesystem() {
         for bad in ["", "../escape", "a/b", ".hidden", "nul\0byte"] {
-            assert!(!filename_safe(bad), "{bad:?}");
+            assert!(!is_job_label(bad), "{bad:?}");
         }
-        assert!(filename_safe("j0001_counter-3_s42.v2"));
+        assert!(is_job_label("j0001_counter-3_s42.v2"));
     }
 
     #[test]

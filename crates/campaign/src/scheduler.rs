@@ -42,19 +42,16 @@ enum JobOutcome {
     Failed(String),
 }
 
-/// Validates an envelope and expands it into one config per repeat
-/// (seeds `seed..seed + repeats`), mirroring the experiment harness.
+/// Expands an envelope into one validated config per repeat (seeds
+/// `seed..seed + repeats`), mirroring the experiment harness.
 ///
 /// # Errors
 ///
-/// Returns the first problem as a human-readable string; nothing in the
-/// returned configs can make [`SimConfig::validate`] fail, so the
-/// builder below never panics on wire input.
+/// The first problem, as text: what only the envelope can get wrong (no
+/// repeats, a seed range past `u64::MAX`, an unparseable scenario), then
+/// whatever [`SimConfig::validate`] refuses — wire input never panics a world.
 fn job_configs(job: &JobEnvelope) -> Result<Vec<SimConfig>, String> {
     let scheme = SchemeSpec::parse(&job.scheme)?;
-    if job.map_units == 0 || job.hosts == 0 || job.broadcasts == 0 {
-        return Err("map, hosts, and broadcasts must be nonzero".into());
-    }
     if job.repeats == 0 {
         return Err("repeats must be nonzero".into());
     }
@@ -63,16 +60,10 @@ fn job_configs(job: &JobEnvelope) -> Result<Vec<SimConfig>, String> {
         .checked_add(u64::from(job.repeats) - 1)
         .ok_or("seed + repeats overflows")?;
     let scenario = match &job.scenario {
-        Some(text) => {
-            let scenario = Scenario::parse(text).map_err(|e| format!("scenario: {e}"))?;
-            scenario
-                .validate(job.hosts)
-                .map_err(|e| format!("scenario: {e}"))?;
-            Some(scenario)
-        }
+        Some(text) => Some(Scenario::parse(text).map_err(|e| format!("scenario: {e}"))?),
         None => None,
     };
-    Ok((job.seed..=last_seed)
+    (job.seed..=last_seed)
         .map(|seed| {
             let mut builder = SimConfig::builder(job.map_units, scheme.clone())
                 .hosts(job.hosts)
@@ -81,9 +72,9 @@ fn job_configs(job: &JobEnvelope) -> Result<Vec<SimConfig>, String> {
             if let Some(scenario) = &scenario {
                 builder = builder.scenario(scenario.clone());
             }
-            builder.build()
+            builder.try_build()
         })
-        .collect())
+        .collect()
 }
 
 /// Runs one job to its metrics document, observing `cancel` at pause

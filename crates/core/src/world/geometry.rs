@@ -4,7 +4,7 @@
 //! Hosts move along piecewise-linear [`Segment`]s, so a position is a pure
 //! function of `(segment, now)`. A range query must not pay for all of
 //! them: the map is cut into vertical strips at least one radio radius
-//! wide ([`ShardMap`]), each strip keeps its hosts y-sorted at the
+//! wide ([`StripMap`]), each strip keeps its hosts y-sorted at the
 //! positions they had at the last *sync* (once per simulated second), and
 //! a query evaluates fresh positions only for hosts whose sync position
 //! leaves their membership undecided (see [`Geometry::in_range`]). The
@@ -14,7 +14,7 @@
 
 use manet_geom::{Rect, Vec2};
 use manet_mobility::{Map, Segment};
-use manet_phy::{NeighborGrid, NodeId, ShardMap};
+use manet_phy::{NeighborGrid, NodeId, StripMap};
 use manet_sim_engine::{SimDuration, SimTime};
 
 /// How often strip membership is rebuilt from fresh positions. Between
@@ -47,7 +47,7 @@ pub(super) struct Geometry {
     /// values (see [`Geometry::cached_position`]).
     positions: Vec<Vec2>,
     positions_at: Option<SimTime>,
-    strips: ShardMap,
+    strips: StripMap,
     /// Each strip's hosts as `(sync position, id)`, sorted by the
     /// position's y (ties by id). Read-only between syncs.
     strip_hosts: Vec<Vec<(Vec2, u32)>>,
@@ -74,7 +74,7 @@ impl Geometry {
         keep_hit_positions: bool,
     ) -> Self {
         let bounds = map.bounds();
-        let strips = ShardMap::new(bounds.width(), radius);
+        let strips = StripMap::new(bounds.width(), radius);
         let mut geometry = Geometry {
             bounds,
             radius,
@@ -86,7 +86,7 @@ impl Geometry {
             range_bits: vec![0; positions.len().div_ceil(64)],
             positions,
             positions_at: None,
-            strip_hosts: vec![Vec::new(); strips.shards()],
+            strip_hosts: vec![Vec::new(); strips.strips()],
             strips,
             strip_sync_at: SimTime::ZERO,
             grid: NeighborGrid::new(bounds.width(), bounds.height(), radius),
@@ -137,7 +137,7 @@ impl Geometry {
             hosts.clear();
         }
         for (i, &p) in self.positions.iter().enumerate() {
-            self.strip_hosts[self.strips.shard_of_x(p.x)].push((p, i as u32));
+            self.strip_hosts[self.strips.strip_of_x(p.x)].push((p, i as u32));
         }
         for hosts in &mut self.strip_hosts {
             hosts.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));

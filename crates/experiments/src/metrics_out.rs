@@ -188,6 +188,8 @@ mod tests {
             "\"losses.half_duplex\"",
             "\"losses.injected\"",
             "\"losses.capture\"",
+            "\"suppression.scheduled\"",
+            "\"suppression.cancelled\"",
             "\"suppression.counter_threshold\"",
             "\"mac.backoff_draws\"",
             "\"net.hello_sent\"",

@@ -39,6 +39,13 @@ fn committed_scenario_runs_are_byte_identical() {
     // per-broadcast outcomes, loss counters, and scenario counts.
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
+    // The script's churn is applied in full, and every injected loss is
+    // attributed to exactly one scripted fault kind.
+    let counts = a.scenario.expect("scenario counters");
+    assert_eq!(counts.leaves, 8);
+    assert_eq!(counts.crashes, 4);
+    assert_eq!(counts.injected_drops(), a.losses.injected);
+
     // The rendered metrics document is byte-stable too.
     let json_a = render_metrics_json("test", &[("churn".into(), vec![metrics_record(&[a])])]);
     let json_b = render_metrics_json("test", &[("churn".into(), vec![metrics_record(&[b])])]);

@@ -39,7 +39,7 @@
 mod grid;
 mod id;
 mod medium;
-mod shard;
+mod strips;
 mod topology;
 
 pub use grid::NeighborGrid;
@@ -48,5 +48,5 @@ pub use medium::{
     CaptureModel, CarrierChange, Delivery, Listener, LossCause, LossCounters, Medium, TxEnd,
     TxStart,
 };
-pub use shard::ShardMap;
+pub use strips::StripMap;
 pub use topology::{in_range, in_range_into, in_range_of, reachable_from};

@@ -1,6 +1,6 @@
 //! Strip partition of the map for range queries.
 //!
-//! A [`ShardMap`] splits the map into as many equal-width vertical strips
+//! A [`StripMap`] splits the map into as many equal-width vertical strips
 //! as fit while each stays at least one radio radius wide (a map narrower
 //! than one radius is a single strip). That width is what keeps a range
 //! query local: a disc of one radius around any host intersects at most
@@ -19,26 +19,26 @@
 /// # Examples
 ///
 /// ```
-/// use manet_phy::ShardMap;
+/// use manet_phy::StripMap;
 ///
 /// // A 2500 m map with 500 m radios is cut into 5 strips.
-/// let map = ShardMap::new(2_500.0, 500.0);
-/// assert_eq!(map.shards(), 5);
-/// assert_eq!(map.shard_of_x(0.0), 0);
-/// assert_eq!(map.shard_of_x(2_500.0), 4); // right edge bins into the last strip
+/// let map = StripMap::new(2_500.0, 500.0);
+/// assert_eq!(map.strips(), 5);
+/// assert_eq!(map.strip_of_x(0.0), 0);
+/// assert_eq!(map.strip_of_x(2_500.0), 4); // right edge bins into the last strip
 /// assert_eq!(map.strips_overlapping(600.0, 1_100.0), (1, 2));
 ///
 /// // A map narrower than one radius is a single strip.
-/// assert_eq!(ShardMap::new(400.0, 500.0).shards(), 1);
+/// assert_eq!(StripMap::new(400.0, 500.0).strips(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardMap {
+pub struct StripMap {
     width: f64,
     strip: f64,
-    shards: usize,
+    strips: usize,
 }
 
-impl ShardMap {
+impl StripMap {
     /// Partitions a `width`-wide map into `floor(width / radius)` strips
     /// (at least one), so every strip is at least `radius` wide.
     ///
@@ -54,29 +54,29 @@ impl ShardMap {
             radius.is_finite() && radius > 0.0,
             "radio radius must be positive and finite"
         );
-        let shards = (width / radius).floor().max(1.0) as usize;
-        ShardMap {
+        let strips = (width / radius).floor().max(1.0) as usize;
+        StripMap {
             width,
-            strip: width / shards as f64,
-            shards,
+            strip: width / strips as f64,
+            strips,
         }
     }
 
     /// Number of strips.
-    pub fn shards(&self) -> usize {
-        self.shards
+    pub fn strips(&self) -> usize {
+        self.strips
     }
 
-    /// The strip owning x-coordinate `x`, clamped into `0..shards`.
+    /// The strip owning x-coordinate `x`, clamped into `0..strips`.
     ///
     /// `x <= 0` maps to strip 0 and `x >= width` (including exactly
     /// `width`) to the last strip, matching the grid's cell clamping.
-    pub fn shard_of_x(&self, x: f64) -> usize {
+    pub fn strip_of_x(&self, x: f64) -> usize {
         let idx = (x / self.strip).floor();
         if idx <= 0.0 {
             0
         } else {
-            (idx as usize).min(self.shards - 1)
+            (idx as usize).min(self.strips - 1)
         }
     }
 
@@ -85,7 +85,7 @@ impl ShardMap {
     /// map; it is clamped into the border strips.
     pub fn strips_overlapping(&self, lo: f64, hi: f64) -> (usize, usize) {
         debug_assert!(lo <= hi, "inverted interval");
-        (self.shard_of_x(lo), self.shard_of_x(hi))
+        (self.strip_of_x(lo), self.strip_of_x(hi))
     }
 }
 
@@ -95,35 +95,35 @@ mod tests {
 
     #[test]
     fn strip_count_is_the_whole_radii_that_fit() {
-        assert_eq!(ShardMap::new(2_500.0, 500.0).shards(), 5);
-        assert_eq!(ShardMap::new(2_499.0, 500.0).shards(), 4);
-        assert_eq!(ShardMap::new(500.0, 500.0).shards(), 1);
-        assert_eq!(ShardMap::new(400.0, 500.0).shards(), 1);
+        assert_eq!(StripMap::new(2_500.0, 500.0).strips(), 5);
+        assert_eq!(StripMap::new(2_499.0, 500.0).strips(), 4);
+        assert_eq!(StripMap::new(500.0, 500.0).strips(), 1);
+        assert_eq!(StripMap::new(400.0, 500.0).strips(), 1);
     }
 
     #[test]
     fn every_strip_is_at_least_one_radius_wide() {
         for &(w, r) in &[(2_500.0, 500.0), (5_000.0, 500.0), (1_234.5, 300.0)] {
-            let map = ShardMap::new(w, r);
+            let map = StripMap::new(w, r);
             assert!(map.strip >= r, "{w}x{r}: strip {}", map.strip);
         }
     }
 
     #[test]
     fn exact_boundaries_bin_like_the_grid() {
-        let map = ShardMap::new(2_000.0, 500.0);
-        assert_eq!(map.shard_of_x(-50.0), 0);
-        assert_eq!(map.shard_of_x(0.0), 0);
-        assert_eq!(map.shard_of_x(499.999), 0);
-        assert_eq!(map.shard_of_x(500.0), 1, "interior boundary goes right");
-        assert_eq!(map.shard_of_x(1_999.999), 3);
-        assert_eq!(map.shard_of_x(2_000.0), 3, "exact right edge stays in-map");
-        assert_eq!(map.shard_of_x(2_400.0), 3);
+        let map = StripMap::new(2_000.0, 500.0);
+        assert_eq!(map.strip_of_x(-50.0), 0);
+        assert_eq!(map.strip_of_x(0.0), 0);
+        assert_eq!(map.strip_of_x(499.999), 0);
+        assert_eq!(map.strip_of_x(500.0), 1, "interior boundary goes right");
+        assert_eq!(map.strip_of_x(1_999.999), 3);
+        assert_eq!(map.strip_of_x(2_000.0), 3, "exact right edge stays in-map");
+        assert_eq!(map.strip_of_x(2_400.0), 3);
     }
 
     #[test]
     fn overlap_ranges_cover_the_query_window() {
-        let map = ShardMap::new(2_000.0, 500.0);
+        let map = StripMap::new(2_000.0, 500.0);
         assert_eq!(map.strips_overlapping(-100.0, 2_100.0), (0, 3));
         assert_eq!(map.strips_overlapping(750.0, 750.0), (1, 1));
         assert_eq!(map.strips_overlapping(499.0, 501.0), (0, 1));
@@ -131,9 +131,9 @@ mod tests {
 
     #[test]
     fn a_one_radius_window_spans_at_most_three_strips() {
-        let map = ShardMap::new(2_500.0, 500.0);
+        let map = StripMap::new(2_500.0, 500.0);
         for x in [0.0, 250.0, 999.9, 1_000.0, 1_700.0, 2_500.0] {
-            let home = map.shard_of_x(x);
+            let home = map.strip_of_x(x);
             let (lo, hi) = map.strips_overlapping(x - 500.0, x + 500.0);
             assert!(
                 lo + 1 >= home && hi <= home + 1,

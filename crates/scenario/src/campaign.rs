@@ -234,11 +234,8 @@ impl CampaignSpec {
         }
         let mut seen = std::collections::BTreeSet::new();
         for job in &self.jobs {
-            if job.label.is_empty() || !job.label.chars().all(is_label_char) {
-                return Err(ScenarioError::new(format!(
-                    "bad job label {:?} (want [A-Za-z0-9._-]+)",
-                    job.label
-                )));
+            if !is_job_label(&job.label) {
+                return Err(ScenarioError::new(bad_label(&job.label)));
             }
             if !seen.insert(job.label.as_str()) {
                 return Err(ScenarioError::new(format!(
@@ -259,6 +256,21 @@ impl CampaignSpec {
 
 fn is_label_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.')
+}
+
+/// The one rule for job labels, shared by the campaign parser,
+/// [`CampaignSpec::validate`] and the client that names a result file
+/// `<label>.json`: 1–128 bytes of `[A-Za-z0-9._-]`, not starting with a
+/// dot (so neither `..` nor a hidden file can be spelled).
+pub fn is_job_label(label: &str) -> bool {
+    !label.is_empty()
+        && label.len() <= 128
+        && !label.starts_with('.')
+        && label.chars().all(is_label_char)
+}
+
+fn bad_label(label: &str) -> String {
+    format!("bad job label {label:?} (want 1-128 of [A-Za-z0-9._-], no leading dot)")
 }
 
 /// Derives a unique default label from the job's position and identity:
@@ -285,6 +297,11 @@ fn push_job(
             first.col,
             format!("campaign exceeds {MAX_CAMPAIGN_JOBS} jobs"),
         ));
+    }
+    // A sweep's `<prefix>_s<seed>` or a derived label can outgrow the
+    // length limit its parts respect.
+    if !is_job_label(&label) {
+        return Err(ScenarioError::at(line_no, first.col, bad_label(&label)));
     }
     jobs.push(JobSpec {
         label,
@@ -359,12 +376,8 @@ fn apply_binding(
 }
 
 fn parse_label(value: &str, field: Field<'_>, line_no: usize) -> Result<String, ScenarioError> {
-    if value.is_empty() || !value.chars().all(is_label_char) {
-        return Err(ScenarioError::at(
-            line_no,
-            field.col,
-            format!("bad label {value:?} (want [A-Za-z0-9._-]+)"),
-        ));
+    if !is_job_label(value) {
+        return Err(ScenarioError::at(line_no, field.col, bad_label(value)));
     }
     Ok(value.to_string())
 }
@@ -475,6 +488,23 @@ mod tests {
         assert!(err.message.contains("duplicate"), "{err}");
         let err = CampaignSpec::parse("manet-campaign/1\njob scheme=ac label=a/b\n").unwrap_err();
         assert!(err.message.contains("label"), "{err}");
+        // A label is a file name at the client: no leading dot (hidden
+        // files, `..`), at most 128 bytes — refused where it is written.
+        let long = "x".repeat(129);
+        for bad in [".x", "..", long.as_str()] {
+            let text = format!("manet-campaign/1\njob scheme=ac label={bad}\n");
+            let err = CampaignSpec::parse(&text).unwrap_err();
+            assert_eq!((err.line, err.column), (Some(2), Some(15)), "{bad}");
+            assert!(err.message.contains("bad job label"), "{err}");
+        }
+        assert!(is_job_label(&long[..128]) && is_job_label("a..b") && is_job_label("x."));
+        // A sweep suffix can push a legal prefix over the limit.
+        let text = format!(
+            "manet-campaign/1\nsweep label={} seeds=1..3\n",
+            &long[..127]
+        );
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, Some(2), "{err}");
         // Derived labels sanitize scheme punctuation.
         let spec = CampaignSpec::parse("manet-campaign/1\njob scheme=counter:3 seed=42\n").unwrap();
         assert_eq!(spec.jobs[0].label, "j0000_counter-3_s42");

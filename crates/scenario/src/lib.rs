@@ -61,7 +61,7 @@ use std::fmt;
 
 use manet_sim_engine::{SimTime, Timeline};
 
-pub use campaign::{CampaignSpec, JobSpec, CAMPAIGN_SCHEMA, MAX_CAMPAIGN_JOBS};
+pub use campaign::{is_job_label, CampaignSpec, JobSpec, CAMPAIGN_SCHEMA, MAX_CAMPAIGN_JOBS};
 
 /// Schema identifier, the first line of the text format.
 pub const SCHEMA: &str = "manet-scenario/1";
