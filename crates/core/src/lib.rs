@@ -95,7 +95,7 @@ pub use record::{
     replay_decisions, DecisionRecord, ReplayError, ReplaySummary, TraceFile, TraceRecord,
     TraceWriter, TRACE_MAGIC, TRACE_VERSION,
 };
-pub use schemes::{PacketState, SchemeSpec};
+pub use schemes::{Lattice, PacketState, SchemeSpec};
 pub use threshold::{
     AreaThreshold, CounterThreshold, DescentShape, EAC2_FRACTION, MIN_COUNTER_THRESHOLD,
 };

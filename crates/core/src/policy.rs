@@ -17,7 +17,7 @@
 //! [`SchemeSpec`](crate::SchemeSpec); what exists per `(host, packet)` is a
 //! [`PacketState`](crate::PacketState) value and nothing else.
 
-use manet_geom::{CoverageGrid, Vec2};
+use manet_geom::Vec2;
 use manet_phy::NodeId;
 
 /// Everything a scheme may consult when a copy of the packet arrives.
@@ -46,8 +46,6 @@ pub struct HearContext<'a> {
     /// The hearing host's knowledge of the sender's one-hop set `N_{x,h}`
     /// (neighbor-coverage only).
     pub sender_neighbors: &'a [NodeId],
-    /// Shared additional-coverage estimator (location-based only).
-    pub coverage: &'a CoverageGrid,
     /// A uniform `[0, 1)` sample drawn by the simulation for this hear
     /// event (consumed by randomized schemes; deterministic ones ignore
     /// it).
@@ -89,7 +87,6 @@ pub(crate) mod test_support {
         pub sender_position: Vec2,
         pub neighbors: Vec<NodeId>,
         pub sender_neighbors: Vec<NodeId>,
-        pub coverage: CoverageGrid,
         pub random_unit: f64,
     }
 
@@ -102,7 +99,6 @@ pub(crate) mod test_support {
                 sender_position: Vec2::new(250.0, 0.0),
                 neighbors: vec![],
                 sender_neighbors: vec![],
-                coverage: CoverageGrid::new(64),
                 random_unit: 0.5,
             }
         }
@@ -117,7 +113,6 @@ pub(crate) mod test_support {
                 sender_position: self.sender_position,
                 neighbors: &self.neighbors,
                 sender_neighbors: &self.sender_neighbors,
-                coverage: &self.coverage,
                 random_unit: self.random_unit,
             }
         }

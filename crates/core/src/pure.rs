@@ -22,13 +22,13 @@
 //! with no queue, no medium and no RNG at all — the scheme logic re-derives
 //! every decision from the actions alone.
 
-use manet_geom::{CoverageGrid, Vec2};
+use manet_geom::Vec2;
 use manet_mac::FrameHandle;
 use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationTracker};
 use manet_phy::NodeId;
 use manet_sim_engine::{EventKey, SimDuration, SimTime};
 
-use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
+use crate::config::{NeighborInfo, SimConfig};
 use crate::ids::PacketId;
 use crate::ledger::{ActivePacket, PacketLedger, PacketView};
 use crate::metrics::SuppressionCounts;
@@ -355,8 +355,6 @@ pub struct PureModels {
     hello_policy: Option<HelloIntervalPolicy>,
     needs_count: bool,
     needs_two_hop: bool,
-    /// Shared additional-coverage estimator for the location schemes.
-    coverage: CoverageGrid,
     /// Per-host packet progress, host-indexed.
     ledgers: Vec<PacketLedger>,
     /// Per-host HELLO-derived neighbor tables, host-indexed.
@@ -385,7 +383,6 @@ impl PureModels {
             // of the borrowed config.)
             needs_count: cfg.scheme.needs_neighbor_count(),
             needs_two_hop: cfg.scheme.needs_two_hop_hellos(),
-            coverage: CoverageGrid::new(COVERAGE_RESOLUTION),
             ledgers: (0..hosts).map(|_| PacketLedger::new()).collect(),
             tables: (0..hosts).map(|_| NeighborTable::new()).collect(),
             trackers: (0..hosts).map(|_| VariationTracker::new()).collect(),
@@ -549,7 +546,6 @@ impl PureModels {
             sender_position,
             neighbors,
             sender_neighbors,
-            coverage: &self.coverage,
             random_unit,
         };
 

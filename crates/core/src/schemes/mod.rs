@@ -5,10 +5,11 @@
 use std::fmt::Display;
 use std::str::FromStr;
 
-use manet_geom::Vec2;
+use manet_geom::{CoverageGrid, Vec2};
 use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_phy::NodeId;
 
+use crate::config::COVERAGE_RESOLUTION;
 use crate::policy::{DuplicateDecision, FirstDecision, HearContext};
 use crate::threshold::{AreaThreshold, AreaThresholdKind, CounterThreshold};
 use crate::trace::SuppressReason;
@@ -63,13 +64,12 @@ pub enum SchemeSpec {
     /// and suppresses once `ac < A`.
     ///
     /// The estimate is maintained **incrementally**
-    /// ([`PacketState::Uncovered`]): on the first copy the host
-    /// materializes the grid sample points of its own disk and deletes
-    /// those the sender covers; every duplicate deletes more. The
-    /// surviving fraction is exactly the grid estimate of
-    /// [`CoverageGrid::additional_fraction`](manet_geom::CoverageGrid::additional_fraction)
-    /// but costs `O(points)` per duplicate instead of
-    /// `O(points × transmitters)`.
+    /// ([`PacketState::Uncovered`]): on the first copy the host takes the
+    /// lattice of its own disk and clears the points the sender covers;
+    /// every duplicate clears more. The surviving fraction is exactly the
+    /// grid estimate of [`CoverageGrid::additional_fraction`] at the
+    /// position of the first hear, one
+    /// [`cover`](CoverageGrid::cover) per copy.
     Location(f64),
     /// The paper's **adaptive location-based scheme (AL)**, §3.2: the same
     /// estimate against the threshold function `A(n)` at the host's
@@ -114,14 +114,40 @@ pub enum PacketState {
     /// Distance-based: the smallest distance to any heard transmitter.
     MinDistance(f64),
     /// Location-based: what is left of the host's own disk.
-    Uncovered {
-        /// Sample points not yet covered by any heard transmitter.
-        points: Vec<Vec2>,
-        /// Sample-point count of the full disk (the `πr²` denominator).
-        total: usize,
-    },
+    Uncovered(Box<Lattice>),
     /// Neighbor coverage: the pending set `T`, strictly ascending.
     Pending(Vec<NodeId>),
+}
+
+/// The simulator's coverage estimator, built at compile time: a world
+/// that runs no location scheme pays nothing for it.
+pub(crate) static COVERAGE: CoverageGrid = CoverageGrid::new(COVERAGE_RESOLUTION);
+
+/// The sample lattice of one host's disk, as laid down where the host
+/// first heard the packet: the lattice points no heard transmitter has
+/// covered yet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lattice {
+    /// Where the host was at the first hear; the lattice stays there.
+    pub(crate) center: Vec2,
+    /// Per lattice column, the rows still uncovered
+    /// ([`CoverageGrid::disk`] to start with).
+    pub(crate) columns: [u64; COVERAGE_RESOLUTION],
+}
+
+impl Lattice {
+    /// The additional coverage `ac`: the share of the disk's sample
+    /// points still uncovered.
+    pub fn additional_coverage(&self) -> f64 {
+        COVERAGE.fraction(&self.columns)
+    }
+
+    /// Clears the sample points a transmitter at `sender` covers and
+    /// returns what is left, the additional coverage `ac`.
+    fn cover(&mut self, sender: Vec2) -> f64 {
+        COVERAGE.cover(self.center, PAPER_RADIO_RADIUS_M, &mut self.columns, sender);
+        self.additional_coverage()
+    }
 }
 
 impl SchemeSpec {
@@ -134,14 +160,14 @@ impl SchemeSpec {
             SchemeSpec::Flooding | SchemeSpec::Probabilistic(_) => PacketState::Stateless,
             SchemeSpec::Counter(_) | SchemeSpec::AdaptiveCounter(_) => PacketState::Count(0),
             SchemeSpec::Distance(_) => PacketState::MinDistance(f64::INFINITY),
+            // One allocation per first hear, 400 bytes.
             SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_) => {
-                let points = ctx
-                    .coverage
-                    .sample_points(ctx.own_position, PAPER_RADIO_RADIUS_M);
-                PacketState::Uncovered {
-                    total: points.len(),
-                    points,
-                }
+                let mut columns = [0; COVERAGE_RESOLUTION];
+                columns.copy_from_slice(COVERAGE.disk());
+                PacketState::Uncovered(Box::new(Lattice {
+                    center: ctx.own_position,
+                    columns,
+                }))
             }
             // One allocation per first hear: T = N_x is the packet's state.
             SchemeSpec::NeighborCoverage => PacketState::Pending(ctx.neighbors.to_vec()),
@@ -197,11 +223,11 @@ impl SchemeSpec {
                 *d_min = d_min.min(ctx.own_position.distance_to(ctx.sender_position));
                 *d_min < *threshold_m
             }
-            (SchemeSpec::Location(a), PacketState::Uncovered { points, total }) => {
-                additional_coverage(points, *total, ctx.sender_position) < *a
+            (SchemeSpec::Location(a), PacketState::Uncovered(lattice)) => {
+                lattice.cover(ctx.sender_position) < *a
             }
-            (SchemeSpec::AdaptiveLocation(f), PacketState::Uncovered { points, total }) => {
-                additional_coverage(points, *total, ctx.sender_position) < f.threshold(n)
+            (SchemeSpec::AdaptiveLocation(f), PacketState::Uncovered(lattice)) => {
+                lattice.cover(ctx.sender_position) < f.threshold(n)
             }
             (SchemeSpec::NeighborCoverage, PacketState::Pending(pending)) => {
                 // T = T − N_{x,h} − {h} as one merge pass: T and the
@@ -363,14 +389,6 @@ impl SchemeSpec {
     }
 }
 
-/// Deletes the sample points a transmitter at `sender` covers and returns
-/// the surviving fraction of the disk — the additional coverage `ac`.
-fn additional_coverage(points: &mut Vec<Vec2>, total: usize, sender: Vec2) -> f64 {
-    let r2 = PAPER_RADIO_RADIUS_M * PAPER_RADIO_RADIUS_M;
-    points.retain(|p| p.distance_squared_to(sender) > r2);
-    points.len() as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +505,15 @@ mod tests {
             SchemeSpec::Probabilistic(0.7).suppress_reason(),
             Some(SuppressReason::Probabilistic)
         );
+    }
+
+    /// Every ledger entry carries a `PacketState`: the lattice lives
+    /// behind its box so counter and `nc` worlds do not pay for it.
+    #[test]
+    fn the_lattice_does_not_widen_packet_state() {
+        // 32 bytes while the location state was a point list and a count.
+        assert!(size_of::<PacketState>() <= 32);
+        assert_eq!(size_of::<Lattice>(), 16 + 8 * COVERAGE_RESOLUTION);
     }
 
     #[test]
@@ -692,7 +719,7 @@ mod location {
         /// The additional-coverage estimate `ac` a state stands for.
         fn ac(state: &PacketState) -> f64 {
             match state {
-                PacketState::Uncovered { points, total } => points.len() as f64 / *total as f64,
+                PacketState::Uncovered(lattice) => lattice.additional_coverage(),
                 other => panic!("location keeps the uncovered points, not {other:?}"),
             }
         }

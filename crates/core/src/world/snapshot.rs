@@ -47,12 +47,14 @@ use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
 use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{MobilitySpec, PlacementSpec, SimConfig, CS_DELAY, PACKET_BYTES};
+use crate::config::{
+    MobilitySpec, PlacementSpec, SimConfig, COVERAGE_RESOLUTION, CS_DELAY, PACKET_BYTES,
+};
 use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
 use crate::record::encode_replay_config;
-use crate::schemes::{PacketState, SchemeSpec};
+use crate::schemes::{Lattice, PacketState, SchemeSpec, COVERAGE};
 
 use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
 
@@ -397,13 +399,15 @@ fn decode_payload(dec: &mut WireDecoder<'_>) -> Result<Payload, WireError> {
 
 /// The `MSNP` tag of each scheme family's packet state. Flooding (0) and
 /// probabilistic (5) have been told apart since format version 1 although
-/// neither keeps a field.
+/// neither keeps a field. Tag 3 was the location schemes' list of sample
+/// points until 2026-10; the lattice origin cannot be recovered from it,
+/// so it is refused and the lattice is written under tag 6.
 fn state_tag(scheme: &SchemeSpec) -> u8 {
     match scheme {
         SchemeSpec::Flooding => 0,
         SchemeSpec::Counter(_) | SchemeSpec::AdaptiveCounter(_) => 1,
         SchemeSpec::Distance(_) => 2,
-        SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_) => 3,
+        SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_) => 6,
         SchemeSpec::NeighborCoverage => 4,
         SchemeSpec::Probabilistic(_) => 5,
     }
@@ -415,12 +419,13 @@ fn encode_state(enc: &mut WireEncoder, state: &PacketState, scheme: &SchemeSpec)
         PacketState::Stateless => {}
         PacketState::Count(count) => enc.u32(*count),
         PacketState::MinDistance(d_min) => enc.f64(*d_min),
-        PacketState::Uncovered { points, total } => {
-            enc.seq(points, |enc, point| {
-                enc.f64(point.x);
-                enc.f64(point.y);
-            });
-            enc.usize(*total);
+        PacketState::Uncovered(lattice) => {
+            enc.f64(lattice.center.x);
+            enc.f64(lattice.center.y);
+            enc.len(COVERAGE_RESOLUTION);
+            for &column in &lattice.columns {
+                enc.u64(column);
+            }
         }
         PacketState::Pending(pending) => NodeId::encode_seq(enc, pending.iter().copied()),
     }
@@ -430,16 +435,17 @@ fn encode_state(enc: &mut WireEncoder, state: &PacketState, scheme: &SchemeSpec)
 /// parameters are the scheme's and were never in the snapshot.
 fn decode_state(dec: &mut WireDecoder<'_>, scheme: &SchemeSpec) -> Result<PacketState, WireError> {
     let (tag, mismatch) = dec.tag("policy tag does not match the configured scheme")?;
+    if tag == 3 {
+        let what = "the location point-list state (tag 3) is retired; take a new snapshot";
+        return Err(WireError { what, ..mismatch });
+    }
     if tag != state_tag(scheme) {
         return Err(mismatch);
     }
     Ok(match tag {
         1 => PacketState::Count(dec.u32()?),
         2 => PacketState::MinDistance(dec.f64()?),
-        3 => PacketState::Uncovered {
-            points: dec.seq(16, |dec| Ok(Vec2::new(dec.f64()?, dec.f64()?)))?,
-            total: dec.usize()?,
-        },
+        6 => PacketState::Uncovered(Box::new(decode_lattice(dec)?)),
         4 => {
             let mut last = None;
             PacketState::Pending(dec.seq(4, |dec| {
@@ -455,6 +461,33 @@ fn decode_state(dec: &mut WireDecoder<'_>, scheme: &SchemeSpec) -> Result<Packet
         // Flooding (0) and probabilistic (5).
         _ => PacketState::Stateless,
     })
+}
+
+fn decode_lattice(dec: &mut WireDecoder<'_>) -> Result<Lattice, WireError> {
+    let coordinate = |dec: &mut WireDecoder<'_>| {
+        let (at, what) = (dec.position(), "lattice center is not finite");
+        let value = dec.f64()?;
+        value
+            .is_finite()
+            .then_some(value)
+            .ok_or(WireError { at, what })
+    };
+    let center = Vec2::new(coordinate(dec)?, coordinate(dec)?);
+    let at = dec.position();
+    if dec.len()? != COVERAGE_RESOLUTION {
+        let what = "lattice column count differs from this build's coverage resolution";
+        return Err(WireError { at, what });
+    }
+    let mut columns = [0; COVERAGE_RESOLUTION];
+    for (column, disk) in columns.iter_mut().zip(COVERAGE.disk()) {
+        let at = dec.position();
+        *column = dec.u64()?;
+        if *column & !disk != 0 {
+            let what = "lattice column has a point outside the host's disk";
+            return Err(WireError { at, what });
+        }
+    }
+    Ok(Lattice { center, columns })
 }
 
 fn encode_active(enc: &mut WireEncoder, active: &ActivePacket, scheme: &SchemeSpec) {

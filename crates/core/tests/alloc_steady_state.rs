@@ -3,8 +3,8 @@
 //!
 //! Per-packet scheme state is plain data (`PacketState`), so a host's
 //! first hear allocates only what the scheme's variable itself needs: the
-//! location schemes' sample lattice, neighbor coverage's pending set, and
-//! nothing for the rest. The ceilings below are loose guards against a
+//! location schemes' 400-byte lattice mask, neighbor coverage's pending
+//! set, and nothing for the rest. The ceilings below are loose guards against a
 //! per-hear allocation coming back (when each first hear built a policy
 //! object, `counter:3` and `ac` read ≈ 190 per broadcast), not targets.
 //!
@@ -17,7 +17,7 @@ use broadcast_core::{
 };
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::SimTime;
-use manet_testkit::CountingAlloc;
+use manet_testkit::{AllocStats, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -54,12 +54,12 @@ fn issued_between(config: &SimConfig, from: SimTime, to: SimTime) -> u64 {
 }
 
 /// What a run of `config` asks of the allocator in `from..to`.
-fn requests_between(config: SimConfig, from: SimTime, to: SimTime) -> u64 {
+fn requests_between(config: SimConfig, from: SimTime, to: SimTime) -> AllocStats {
     let mut world = World::new(config);
     world.advance(from);
     let (finished, asked) = CountingAlloc::measure(|| world.advance(to));
     assert!(!finished, "the run ended inside the window");
-    asked.requests
+    asked
 }
 
 #[test]
@@ -72,7 +72,8 @@ fn a_steady_state_world_allocates_per_broadcast_not_per_hear() {
         ("ac", "", plain, 16.0),
         ("distance:200", "", plain, 16.0),
         ("prob:0.7", "", plain, 16.0),
-        // One 29 KB sample lattice per first hear (ROADMAP item 2).
+        // One boxed lattice mask per first hear, 400 bytes (it was a
+        // 29 KB point list).
         ("location:0.0134", "", plain, 110.0),
         ("al", "", plain, 110.0),
         // The pending-set copy per first hear, plus neighbor lists as
@@ -116,6 +117,13 @@ fn a_steady_state_world_allocates_per_broadcast_not_per_hear() {
             16.0,
         ),
     ];
+    // The largest single request of a run that keeps no per-packet state
+    // is the world's own bookkeeping (the metrics ledger doubling to 8 KB
+    // inside the window). No scheme's state may be what raises it: the
+    // location lattice is a 400-byte box, not the 29 KB point list it was.
+    let flooding = builder(5, "flooding").build();
+    let bookkeeping = requests_between(flooding, WINDOW_START, WINDOW_END).largest;
+    let bookkeeping = bookkeeping.max(1024);
     for (scheme, with, variant, ceiling) in rows {
         let label = format!("{scheme}{with}");
         let config = variant(builder(5, scheme)).build();
@@ -124,12 +132,20 @@ fn a_steady_state_world_allocates_per_broadcast_not_per_hear() {
             issued >= 30,
             "{label}: only {issued} broadcasts in the window"
         );
-        let requests = requests_between(config, WINDOW_START, WINDOW_END);
-        let per_broadcast = requests as f64 / issued as f64;
-        println!("{label}: {per_broadcast:.1} allocations per broadcast ({issued} broadcasts)");
+        let asked = requests_between(config, WINDOW_START, WINDOW_END);
+        let per_broadcast = asked.requests as f64 / issued as f64;
+        let largest = asked.largest;
+        println!(
+            "{label}: {per_broadcast:.1} allocations per broadcast ({issued} broadcasts), \
+             largest {largest} bytes"
+        );
         assert!(
             per_broadcast <= ceiling,
             "{label}: {per_broadcast:.1} allocations per broadcast, ceiling {ceiling}"
+        );
+        assert!(
+            largest <= bookkeeping,
+            "{label}: {largest} bytes in one request, flooding asks for {bookkeeping}"
         );
     }
 }
@@ -147,12 +163,13 @@ fn churn_allocates_per_churn_event() {
     let script = Scenario::parse(include_str!("../../../examples/scenarios/churn_quick.txt"))
         .expect("the committed script parses");
     for scheme in ["counter:3", "ac"] {
-        let calm = requests_between(builder(3, scheme).build(), from, to);
+        let calm = requests_between(builder(3, scheme).build(), from, to).requests;
         let churned = requests_between(
             builder(3, scheme).scenario(script.clone()).build(),
             from,
             to,
-        );
+        )
+        .requests;
         let per_event = (churned as f64 - calm as f64) / CHURN_EVENTS as f64;
         println!("{scheme}: {calm} calm, {churned} churned, {per_event:.1} per churn event");
         assert!(

@@ -14,6 +14,7 @@ use broadcast_core::{
     replay_decisions, ChurnKind, MobilitySpec, NeighborInfo, PacketId, PureAction, ReplayError,
     Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
 };
+use manet_geom::CoverageGrid;
 use manet_net::HelloIntervalPolicy;
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
@@ -72,6 +73,19 @@ fn coverage_config() -> SimConfig {
         )))
         .mobility(MobilitySpec::RandomWaypoint)
         .drop_probability(0.1)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(500))
+        .grace(SimDuration::from_secs(1))
+        .seed(5)
+        .build()
+}
+
+/// Fixed-threshold location scheme on a map small enough that every host
+/// hears every flood: a sample lattice per host and pending packet.
+fn location_config() -> SimConfig {
+    SimConfig::builder(1, SchemeSpec::Location(0.0134))
+        .hosts(8)
+        .broadcasts(4)
         .warmup(SimDuration::from_secs(2))
         .max_interarrival(SimDuration::from_millis(500))
         .grace(SimDuration::from_secs(1))
@@ -176,7 +190,11 @@ fn attack<T>(
 
 #[test]
 fn snapshots_survive_truncation_mutation_and_huge_lengths() {
-    for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
+    for (name, config) in [
+        ("churn", churn_config()),
+        ("nc", coverage_config()),
+        ("location", location_config()),
+    ] {
         let snapshot = busiest_snapshot(&config);
         attack(&format!("{name} snapshot"), &snapshot, |bytes| {
             World::resume(config.clone(), bytes)
@@ -188,6 +206,68 @@ fn snapshots_survive_truncation_mutation_and_huge_lengths() {
 fn traces_survive_truncation_mutation_and_huge_lengths() {
     for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
         attack(&format!("{name} trace"), &trace(&config), TraceFile::decode);
+    }
+}
+
+/// A location state is a center and one row mask per lattice column of
+/// *this build's* grid: a center that is not a position, a column count
+/// other than the resolution, a point outside the host's own disk and the
+/// point list the state used to be (tag 3) are each refused where they
+/// stand, before anything is sized from them.
+#[test]
+fn a_snapshot_cannot_carry_a_lattice_this_build_would_not_lay() {
+    const RESOLUTION: usize = 48;
+    let disk = CoverageGrid::new(RESOLUTION);
+    let u64_at = |bytes: &[u8], at: usize| {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+    };
+    let config = location_config();
+    let image = busiest_snapshot(&config);
+    // Tag 6, center, column count, columns: find the first one.
+    const CENTER: usize = 1;
+    const COUNT: usize = CENTER + 16;
+    const COLUMNS: usize = COUNT + 8;
+    let tag = (0..image.len().saturating_sub(COLUMNS + 8 * RESOLUTION))
+        .find(|&at| {
+            image[at] == 6
+                && u64_at(&image, at + COUNT) == RESOLUTION as u64
+                && (disk.disk().iter().enumerate())
+                    .all(|(i, disk)| u64_at(&image, at + COLUMNS + 8 * i) & !disk == 0)
+        })
+        .expect("the busiest snapshot holds a live lattice");
+    let (pristine, asked) =
+        CountingAlloc::measure(|| World::resume(config.clone(), &image).is_ok());
+    assert!(pristine, "pristine image must resume");
+    let limit = asked.largest.max(MEMORY_PER_WIRE_BYTE * image.len());
+
+    // Row 0 of column 0 is a corner of the bounding square.
+    let corner = u64_at(&image, tag + COLUMNS) | 1;
+    for (what, field, patch) in [
+        ("retired tag 3", 0, vec![3u8]),
+        ("NaN center x", CENTER, f64::NAN.to_le_bytes().to_vec()),
+        (
+            "infinite center y",
+            CENTER + 8,
+            f64::INFINITY.to_le_bytes().to_vec(),
+        ),
+        ("one column short", COUNT, 47u64.to_le_bytes().to_vec()),
+        ("one column over", COUNT, 49u64.to_le_bytes().to_vec()),
+        ("huge column count", COUNT, u64::MAX.to_le_bytes().to_vec()),
+        (
+            "point outside the disk",
+            COLUMNS,
+            corner.to_le_bytes().to_vec(),
+        ),
+    ] {
+        let mut bytes = image.clone();
+        bytes[tag + field..tag + field + patch.len()].copy_from_slice(&patch);
+        let (outcome, asked) = CountingAlloc::measure(|| World::resume(config.clone(), &bytes));
+        assert_eq!(outcome.err().map(|e| e.at), Some(tag + field), "{what}");
+        assert!(
+            asked.largest <= limit,
+            "{what}: {} bytes at once",
+            asked.largest
+        );
     }
 }
 

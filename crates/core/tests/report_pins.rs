@@ -147,15 +147,22 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     .seed(9)
     .build();
     // Each pause falls in the middle of a flood, where the per-packet
-    // policies are live and frames are on the air.
+    // policies are live and frames are on the air. None of the 48 default
+    // cases of `tests/equivalence.rs` pauses on a live lattice (DESIGN.md
+    // §5), so tier-1's round trip of one is here.
     for (label, config, pause_ms, pin) in [
         ("nc", nc, 11_407, 0xe65f_313b_e1b6_e053u64),
-        ("al", al, 7_226, 0x9a60_6ceb_181e_882a),
+        ("al", al, 7_226, 0xee46_6741_042e_1452),
     ] {
-        let mut world = World::new(config);
+        let mut world = World::new(config.clone());
         world.advance(SimTime::from_millis(pause_ms));
-        let hash = fnv1a64(&world.snapshot());
+        let bytes = world.snapshot();
+        let hash = fnv1a64(&bytes);
         assert_eq!(hash, pin, "{label} snapshot: got {hash:#018x}");
+        let resumed = World::resume(config, &bytes).expect("snapshot resumes");
+        assert_eq!(resumed.snapshot(), bytes, "{label}: re-snapshot");
+        let (resumed, paused) = (resumed.run(), world.run());
+        assert_eq!(format!("{resumed:?}"), format!("{paused:?}"), "{label}");
     }
 }
 

@@ -3,14 +3,13 @@
 
 use broadcast_core::policy::{DuplicateDecision, FirstDecision, HearContext};
 use broadcast_core::{AreaThreshold, CounterThreshold, PacketState, SchemeSpec};
-use manet_geom::{CoverageGrid, Vec2};
+use manet_geom::Vec2;
 use manet_phy::NodeId;
 use manet_testkit::{prop_check, Gen};
 
 /// Builds a context for a sender at polar position (rho, theta) with a
 /// given neighbor count.
 struct Fixture {
-    coverage: CoverageGrid,
     neighbors: Vec<NodeId>,
     sender_neighbors: Vec<NodeId>,
 }
@@ -18,7 +17,6 @@ struct Fixture {
 impl Fixture {
     fn new() -> Self {
         Fixture {
-            coverage: CoverageGrid::new(32),
             neighbors: Vec::new(),
             sender_neighbors: Vec::new(),
         }
@@ -32,7 +30,6 @@ impl Fixture {
             sender_position: Vec2::from_angle(theta) * rho,
             neighbors: &self.neighbors,
             sender_neighbors: &self.sender_neighbors,
-            coverage: &self.coverage,
             random_unit: 0.5,
         }
     }
@@ -53,7 +50,7 @@ fn arrivals(g: &mut Gen) -> Vec<(u32, f64, f64, usize)> {
 /// The additional-coverage estimate `ac` a location-scheme state stands for.
 fn ac(state: &PacketState) -> f64 {
     match state {
-        PacketState::Uncovered { points, total } => points.len() as f64 / *total as f64,
+        PacketState::Uncovered(lattice) => lattice.additional_coverage(),
         other => panic!("location keeps the uncovered points, not {other:?}"),
     }
 }
@@ -177,7 +174,6 @@ prop_check! {
             sender_position: Vec2::new(100.0, 0.0),
             neighbors: &fx.neighbors,
             sender_neighbors: &fx.sender_neighbors,
-            coverage: &fx.coverage,
             random_unit: 0.5,
         };
         let (decision, mut state) = spec.first_hear(&ctx);
@@ -201,7 +197,6 @@ prop_check! {
                 sender_position: Vec2::new(100.0, 0.0),
                 neighbors: &fx.neighbors,
                 sender_neighbors: &fx.sender_neighbors,
-                coverage: &fx.coverage,
                     random_unit: 0.5,
             };
             let decision = spec.duplicate_hear(&mut state, &ctx);

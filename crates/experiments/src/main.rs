@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! manet-experiments <figure>... [--scale quick|default|full] [--csv DIR]
+//! manet-experiments --figure fig05 --figure ext-churn   # same as: fig05 ext-churn
 //! manet-experiments all [--scale default]
 //! manet-experiments --list
 //! ```
@@ -24,20 +25,20 @@ fn usage() -> &'static str {
      figures: fig1 fig2 fig5a fig5b fig5c fig5d fig6 fig7 fig8 fig9\n\
      \x20        fig10 fig11 fig12 fig13 ext-distance ext-oracle ext-capture\n\
      \x20        ext-mobility ext-load ext-hosts ext-churn claims | all\n\
-     \x20        (claims exits 1 when any paper claim comes out FAIL)\n\
+     \x20        (claims exits 1 when any paper claim comes out FAIL;\n\
+     \x20        zero-padded ids normalize: fig05 = fig5 = fig5a-fig5d)\n\
      \n\
      options:\n\
      \x20 --scale quick|default|full   work per data point (default: default)\n\
      \x20                              full = the paper's 10,000 broadcasts\n\
      \x20 --csv DIR                    also write each table as CSV into DIR\n\
-     \x20 --figure ID                  select a figure by id; zero-padded ids\n\
-     \x20                              normalize (fig05 = fig5 = fig5a-fig5d)\n\
+     \x20 --figure ID                  the same as naming ID among the figures\n\
      \x20 --metrics FILE               write per-run counters and histograms\n\
      \x20                              as JSON (schema manet-broadcast-metrics/1)\n\
      \x20 --list                       list available figures and exit\n"
 }
 
-/// Normalizes a `--figure` id: `fig` followed by a zero-padded number
+/// Normalizes a figure id: `fig` followed by a zero-padded number
 /// loses the padding (`fig05` → `fig5`, `fig05a` → `fig5a`). Other ids
 /// pass through unchanged.
 fn normalize_figure_id(id: &str) -> String {
@@ -61,13 +62,15 @@ fn normalize_figure_id(id: &str) -> String {
     }
 }
 
-/// Expands one `--figure` id against the registry: an exact match wins;
+type Figure = (&'static str, FigureRunner);
+
+/// Expands one figure id against the registry: an exact match wins;
 /// otherwise the id selects every sub-figure that extends it with a
 /// letter suffix (`fig5` → `fig5a` … `fig5d`).
-fn expand_figure_id(registry: &[(&'static str, FigureRunner)], id: &str) -> Vec<String> {
+fn expand_figure_id(registry: &[Figure], id: &str) -> Vec<Figure> {
     let wanted = normalize_figure_id(id);
-    if registry.iter().any(|(rid, _)| *rid == wanted) {
-        return vec![wanted];
+    if let Some(exact) = registry.iter().find(|(rid, _)| *rid == wanted) {
+        return vec![*exact];
     }
     registry
         .iter()
@@ -76,98 +79,106 @@ fn expand_figure_id(registry: &[(&'static str, FigureRunner)], id: &str) -> Vec<
                 !rest.is_empty() && rest.chars().all(|c| c.is_ascii_alphabetic())
             })
         })
-        .map(|(rid, _)| (*rid).to_string())
+        .copied()
         .collect()
+}
+
+/// The figures `ids` name, in order; `all` anywhere selects the whole
+/// registry.
+fn select_figures(registry: Vec<Figure>, ids: &[String]) -> Result<Vec<Figure>, String> {
+    if ids.is_empty() {
+        return Err("no figure named".to_string());
+    }
+    if ids.iter().any(|id| id == "all") {
+        return Ok(registry);
+    }
+    let mut selected = Vec::new();
+    for id in ids {
+        let expanded = expand_figure_id(&registry, id);
+        if expanded.is_empty() {
+            return Err(format!("unknown figure '{id}'"));
+        }
+        selected.extend(expanded);
+    }
+    Ok(selected)
+}
+
+/// What the command line asks for.
+#[derive(Debug)]
+enum Invocation {
+    Run(Cli),
+    List,
+    Help,
+}
+
+#[derive(Debug)]
+struct Cli {
+    scale: Scale,
+    csv_dir: Option<PathBuf>,
+    metrics_path: Option<PathBuf>,
+    /// Figure ids in command-line order: a positional argument and a
+    /// `--figure` value are the same thing.
+    figures: Vec<String>,
+}
+
+fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    let mut cli = Cli {
+        scale: Scale::Default,
+        csv_dir: None,
+        metrics_path: None,
+        figures: Vec::new(),
+    };
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let mut value = |needs: &str| iter.next().ok_or_else(|| format!("{arg} needs {needs}"));
+        match arg.as_str() {
+            "--figure" => cli.figures.push(value("an id")?.clone()),
+            "--metrics" => cli.metrics_path = Some(PathBuf::from(value("a file path")?)),
+            "--scale" => {
+                let value = value("a value")?;
+                cli.scale =
+                    Scale::parse(value).ok_or_else(|| format!("unknown scale '{value}'"))?;
+            }
+            "--csv" => cli.csv_dir = Some(PathBuf::from(value("a directory")?)),
+            "--list" => return Ok(Invocation::List),
+            "--help" | "-h" => return Ok(Invocation::Help),
+            other if other.starts_with('-') => return Err(format!("unknown option '{other}'")),
+            figure => cli.figures.push(figure.to_string()),
+        }
+    }
+    Ok(Invocation::Run(cli))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Default;
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut metrics_path: Option<PathBuf> = None;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut figure_args: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--figure" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--figure needs an id\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                figure_args.push(value.clone());
-            }
-            "--metrics" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--metrics needs a file path\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                metrics_path = Some(PathBuf::from(value));
-            }
-            "--scale" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--scale needs a value\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                let Some(parsed) = Scale::parse(value) else {
-                    eprintln!("unknown scale '{value}'\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                scale = parsed;
-            }
-            "--csv" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--csv needs a directory\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                csv_dir = Some(PathBuf::from(value));
-            }
-            "--list" => {
-                for (id, _) in all_figures() {
-                    println!("{id}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown option '{other}'\n\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-            figure => wanted.push(figure.to_string()),
-        }
-    }
-    let registry = all_figures();
-    for figure_arg in &figure_args {
-        let expanded = expand_figure_id(&registry, figure_arg);
-        if expanded.is_empty() {
-            eprintln!("unknown figure '{figure_arg}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-        wanted.extend(expanded);
-    }
-    if wanted.is_empty() {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    }
-
-    let selected: Vec<(&str, FigureRunner)> = if wanted.iter().any(|w| w == "all") {
-        registry
-    } else {
-        let mut selected = Vec::new();
-        for want in &wanted {
-            match registry.iter().find(|(id, _)| id == want) {
-                Some(entry) => selected.push(*entry),
-                None => {
-                    eprintln!("unknown figure '{want}'\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        selected
+    let usage_error = |problem: String| {
+        eprintln!("{problem}\n\n{}", usage());
+        ExitCode::FAILURE
     };
+    let cli = match parse_args(&args) {
+        Ok(Invocation::Run(cli)) => cli,
+        Ok(Invocation::List) => {
+            for (id, _) in all_figures() {
+                println!("{id}");
+            }
+            return ExitCode::SUCCESS;
+        }
+        Ok(Invocation::Help) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(problem) => return usage_error(problem),
+    };
+    let selected = match select_figures(all_figures(), &cli.figures) {
+        Ok(selected) => selected,
+        Err(problem) => return usage_error(problem),
+    };
+    let Cli {
+        scale,
+        csv_dir,
+        metrics_path,
+        ..
+    } = cli;
 
     let scale_name = match scale {
         Scale::Quick => "quick",
@@ -223,4 +234,58 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The figure ids a command line selects, or its error.
+    fn selected(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+        let Invocation::Run(cli) = parse_args(&args)? else {
+            panic!("{args:?} is a run");
+        };
+        let figures = select_figures(all_figures(), &cli.figures)?;
+        Ok(figures.into_iter().map(|(id, _)| id).collect())
+    }
+
+    /// One spelling rule: an id means the same as a positional argument
+    /// and after `--figure`.
+    #[test]
+    fn positional_and_flag_ids_expand_alike() {
+        let fig5 = ["fig5a", "fig5b", "fig5c", "fig5d"];
+        for (id, want) in [
+            ("fig05", &fig5[..]),
+            ("fig5", &fig5[..]),
+            ("fig5a", &fig5[..1]),
+            ("fig05a", &fig5[..1]),
+            ("ext-churn", &["ext-churn"][..]),
+        ] {
+            assert_eq!(selected(&[id]).unwrap(), want, "positional {id}");
+            assert_eq!(selected(&["--figure", id]).unwrap(), want, "--figure {id}");
+        }
+        let everything: Vec<_> = all_figures().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(selected(&["all"]).unwrap(), everything);
+        assert_eq!(selected(&["--figure", "all"]).unwrap(), everything);
+        // Command-line order, whichever way each id is spelled.
+        assert_eq!(
+            selected(&["--figure", "fig09", "fig1", "--scale", "quick", "--figure", "claims"]),
+            Ok(vec!["fig9", "fig1", "claims"])
+        );
+        for unknown in [&["fig99"][..], &["--figure", "fig99"], &["fig5x"]] {
+            assert_eq!(
+                selected(unknown),
+                Err(format!("unknown figure '{}'", unknown.last().unwrap()))
+            );
+        }
+        assert_eq!(
+            selected(&["--figure"]),
+            Err("--figure needs an id".to_string())
+        );
+        assert_eq!(
+            selected(&["--scale", "quick"]),
+            Err("no figure named".to_string())
+        );
+    }
 }

@@ -20,11 +20,26 @@ use manet_sim_engine::SimRng;
 
 use crate::vec2::Vec2;
 
+/// Most lattice columns a grid can have: a column's rows are the bits of
+/// one `u64`.
+const MAX_RESOLUTION: usize = 64;
+
+/// How close (in rows) a chord end may come to a lattice row before the
+/// per-point predicate is consulted: its boundary lies within
+/// `√ulp(r²) · n / 2r ≤ 2⁻²⁶ · 32 ≈ 4.8·10⁻⁷` rows of the computed end for
+/// coordinates up to 10⁶ radii ([`CoverageGrid::cover`]).
+const ROW_TOLERANCE: f64 = 1e-6;
+
 /// Deterministic grid estimator of additional coverage.
 ///
-/// The estimator lays a `resolution × resolution` grid of cell centers over
-/// the bounding square of the host's disk and counts cells that fall inside
-/// the host's disk but outside every heard disk.
+/// The estimator lays a `resolution × resolution` lattice of cell centers
+/// over the bounding square of the host's disk — point `(i, j)` sits at
+/// `center - r + (i + 0.5) · 2r/resolution` on each axis — and counts the
+/// points inside the host's disk but outside every heard disk. A lattice
+/// column is one `u64` of row bits, so the points still uncovered are
+/// `resolution` words ([`disk`](Self::disk) to start with) and hearing one
+/// more transmitter clears one row interval per column
+/// ([`cover`](Self::cover)).
 ///
 /// # Examples
 ///
@@ -40,6 +55,10 @@ use crate::vec2::Vec2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoverageGrid {
     resolution: usize,
+    /// Bit `j` of `disk[i]`: lattice point `(i, j)` is inside the disk.
+    disk: [u64; MAX_RESOLUTION],
+    /// Lattice points inside the disk (the `πr²` denominator).
+    total: u32,
 }
 
 impl CoverageGrid {
@@ -49,17 +68,127 @@ impl CoverageGrid {
     /// under about one percentage point, which is far below the spacing of
     /// the paper's `A` thresholds.
     ///
+    /// The own-disk mask is built here, once, on the unit disk: it depends
+    /// on neither the center nor the radius. In units of the lattice step a
+    /// point's squared distance from the center is `k + ½` (even
+    /// resolution) or `k` (odd) for an integer `k`, while `r²` is
+    /// `resolution²/4` — an integer or an integer plus `¼` — so every point
+    /// misses the rim by at least `¼` step², a relative `2.4·10⁻⁴` of `r²`
+    /// at resolution 64, against a float error of `10⁻¹⁰` for centers up
+    /// to 10⁶ radii from the origin.
+    ///
     /// # Panics
     ///
-    /// Panics if `resolution < 2`.
-    pub fn new(resolution: usize) -> Self {
-        assert!(resolution >= 2, "grid resolution must be at least 2");
-        CoverageGrid { resolution }
+    /// Panics if `resolution` is outside `2..=64`.
+    pub const fn new(resolution: usize) -> Self {
+        assert!(
+            2 <= resolution && resolution <= MAX_RESOLUTION,
+            "grid resolution must be at least 2 and at most 64 (one word per column)"
+        );
+        let step = 2.0 / resolution as f64;
+        let mut disk = [0u64; MAX_RESOLUTION];
+        let mut total = 0;
+        let mut i = 0;
+        while i < resolution {
+            let x = -1.0 + (i as f64 + 0.5) * step;
+            let mut j = 0;
+            while j < resolution {
+                let y = -1.0 + (j as f64 + 0.5) * step;
+                if x * x + y * y <= 1.0 {
+                    disk[i] |= 1 << j;
+                    total += 1;
+                }
+                j += 1;
+            }
+            i += 1;
+        }
+        CoverageGrid {
+            resolution,
+            disk,
+            total,
+        }
     }
 
     /// Grid resolution per axis.
     pub fn resolution(&self) -> usize {
         self.resolution
+    }
+
+    /// The lattice points inside a host's own disk, one word of row bits
+    /// per column: what is uncovered before any transmitter is heard.
+    pub fn disk(&self) -> &[u64] {
+        &self.disk[..self.resolution]
+    }
+
+    /// Clears from `columns` every lattice point of the disk at `center`
+    /// (radius `r`) that the same-radius disk of a transmitter at `sender`
+    /// covers — exactly the points `p` with
+    /// `p.distance_squared_to(sender) <= r * r`.
+    ///
+    /// Per column the covered points are one row interval: the chord of
+    /// the sender's disk at that `x`, half-length `h = √(r² − dx²)`. Only a
+    /// chord end within `10⁻⁶` rows of a lattice row — closer than
+    /// the rounding of `dx² + dy²`, `r² − dx²` and the square root can move
+    /// it — is settled by evaluating the float predicate at that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not positive and finite, or `columns` is not
+    /// [`resolution`](Self::resolution) long.
+    pub fn cover(&self, center: Vec2, r: f64, columns: &mut [u64], sender: Vec2) {
+        assert!(r.is_finite() && r > 0.0, "radius must be positive, got {r}");
+        let n = self.resolution;
+        assert_eq!(columns.len(), n, "one word per lattice column");
+        let r2 = r * r;
+        let step = 2.0 * r / n as f64;
+        let rows_per_unit = 1.0 / step;
+        let origin = Vec2::new(center.x - r, center.y - r);
+        let at = |origin: f64, index: i64| origin + (index as f64 + 0.5) * step;
+        for (i, column) in columns.iter_mut().enumerate() {
+            if *column == 0 {
+                continue;
+            }
+            let dx = sender.x - at(origin.x, i as i64);
+            let dx2 = dx * dx;
+            if dx2 > r2 {
+                continue;
+            }
+            let covered = |row: i64| {
+                let dy = sender.y - at(origin.y, row);
+                dx2 + dy * dy <= r2
+            };
+            // A chord end as (nearest row, signed offset from it), clamped
+            // to one row beyond the lattice: `t + 1.5` stays positive, so
+            // the cast's truncation rounds `t` to nearest.
+            let nearest = |y: f64| {
+                let t = ((y - origin.y) * rows_per_unit - 0.5).clamp(-1.0, n as f64);
+                let row = (t + 1.5) as i64 - 1;
+                (row, t - row as f64)
+            };
+            let h = (r2 - dx2).sqrt();
+            let (row, off) = nearest(sender.y - h);
+            let lo = if off.abs() < ROW_TOLERANCE {
+                row + i64::from(!covered(row))
+            } else {
+                row + i64::from(off > 0.0)
+            };
+            let (row, off) = nearest(sender.y + h);
+            let hi = if off.abs() < ROW_TOLERANCE {
+                row - i64::from(!covered(row))
+            } else {
+                row - i64::from(off < 0.0)
+            };
+            let (lo, hi) = (lo.max(0), hi.min(n as i64 - 1));
+            if lo <= hi {
+                *column &= !((u64::MAX >> (63 - (hi - lo))) << lo);
+            }
+        }
+    }
+
+    /// The share of the disk's lattice points still set in `columns`.
+    pub fn fraction(&self, columns: &[u64]) -> f64 {
+        let left: u32 = columns.iter().map(|column| column.count_ones()).sum();
+        f64::from(left) / f64::from(self.total)
     }
 
     /// Fraction of the disk at `center` with radius `r` that is **not**
@@ -69,77 +198,21 @@ impl CoverageGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `r` is not positive and finite.
+    /// Panics as [`cover`](Self::cover) does once `heard` is not empty.
     pub fn additional_fraction(&self, center: Vec2, r: f64, heard: &[Vec2]) -> f64 {
-        assert!(r.is_finite() && r > 0.0, "radius must be positive, got {r}");
-        if heard.is_empty() {
-            return 1.0;
+        let mut columns = self.disk;
+        let columns = &mut columns[..self.resolution];
+        for &sender in heard {
+            self.cover(center, r, columns, sender);
         }
-        // Fast path: a co-located (or nearly so) transmitter covers all.
-        if heard
-            .iter()
-            .any(|h| h.distance_squared_to(center) < (r * 1e-9) * (r * 1e-9))
-        {
-            return 0.0;
-        }
-        let r2 = r * r;
-        let n = self.resolution;
-        let step = 2.0 * r / n as f64;
-        let mut inside = 0u64;
-        let mut uncovered = 0u64;
-        for i in 0..n {
-            let x = center.x - r + (i as f64 + 0.5) * step;
-            for j in 0..n {
-                let y = center.y - r + (j as f64 + 0.5) * step;
-                let p = Vec2::new(x, y);
-                if p.distance_squared_to(center) > r2 {
-                    continue;
-                }
-                inside += 1;
-                if heard.iter().all(|h| h.distance_squared_to(p) > r2) {
-                    uncovered += 1;
-                }
-            }
-        }
-        if inside == 0 {
-            return 0.0;
-        }
-        uncovered as f64 / inside as f64
-    }
-
-    /// The grid's sample points that fall inside the disk at `center`
-    /// with radius `r`, as absolute positions.
-    ///
-    /// This is the same point set `additional_fraction` integrates over,
-    /// exposed so callers can track coverage *incrementally*: keep the
-    /// points, delete those covered as each new transmitter is heard, and
-    /// the uncovered fraction is `remaining / initial` (used by the
-    /// location-based broadcast schemes, which update their estimate on
-    /// every duplicate).
-    pub fn sample_points(&self, center: Vec2, r: f64) -> Vec<Vec2> {
-        assert!(r.is_finite() && r > 0.0, "radius must be positive, got {r}");
-        let r2 = r * r;
-        let n = self.resolution;
-        let step = 2.0 * r / n as f64;
-        let mut points = Vec::with_capacity(n * n * 4 / 5);
-        for i in 0..n {
-            let x = center.x - r + (i as f64 + 0.5) * step;
-            for j in 0..n {
-                let y = center.y - r + (j as f64 + 0.5) * step;
-                let p = Vec2::new(x, y);
-                if p.distance_squared_to(center) <= r2 {
-                    points.push(p);
-                }
-            }
-        }
-        points
+        self.fraction(columns)
     }
 }
 
 impl Default for CoverageGrid {
-    /// The resolution used by the simulator (64).
+    /// The finest resolution (64).
     fn default() -> Self {
-        CoverageGrid::new(64)
+        CoverageGrid::new(MAX_RESOLUTION)
     }
 }
 
@@ -203,7 +276,7 @@ mod tests {
 
     #[test]
     fn grid_matches_two_circle_closed_form() {
-        let grid = CoverageGrid::new(128);
+        let grid = CoverageGrid::new(64);
         for frac in [0.2, 0.5, 0.8, 1.0, 1.5] {
             let d = frac * R;
             let exact = additional_coverage_two(d, R) / (PI * R * R);
@@ -278,5 +351,11 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn tiny_resolution_panics() {
         let _ = CoverageGrid::new(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn multi_word_columns_are_refused() {
+        let _ = CoverageGrid::new(65);
     }
 }

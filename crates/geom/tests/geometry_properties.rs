@@ -41,7 +41,7 @@ prop_check! {
     fn grid_estimator_bounded_and_accurate(g) {
         let d = g.f64_in(0.0..1_200.0);
         let r = 500.0;
-        let grid = CoverageGrid::new(96);
+        let grid = CoverageGrid::new(64);
         let frac = grid.additional_fraction(Vec2::ZERO, r, &[Vec2::new(d, 0.0)]);
         assert!((0.0..=1.0).contains(&frac));
         let exact = additional_coverage_two(d, r) / (PI * r * r);
