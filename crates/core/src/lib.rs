@@ -90,7 +90,7 @@ pub use metrics::{
     ScenarioCounts, SimReport, SuppressionCounts,
 };
 pub use policy::{DuplicateDecision, FirstDecision, HearContext};
-pub use pure::{Effect, OracleView, OwnedAction, PureAction, PureModels};
+pub use pure::{Effect, OracleView, PureAction, PureModels};
 pub use record::{
     replay_decisions, DecisionRecord, ReplayError, ReplaySummary, TraceFile, TraceRecord,
     TraceWriter, TRACE_MAGIC, TRACE_VERSION,

@@ -54,7 +54,7 @@ const PLACEHOLDER_HANDLE: FrameHandle = FrameHandle(u64::MAX);
 /// In HELLO mode this is absent: the pure models derive the same view from
 /// their own neighbor tables. Both slices are strictly ascending by id (the
 /// [`HearContext`] contract).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OracleView<'a> {
     /// Hosts currently in radio range of the hearer.
     pub neighbor_count: usize,
@@ -68,9 +68,10 @@ pub struct OracleView<'a> {
 
 /// One input to the pure protocol state machine.
 ///
-/// Actions borrow bulk data (neighbor lists) from the dispatcher's
-/// buffers; [`OwnedAction`] is the owning twin used by the trace codec.
-#[derive(Debug, Clone, Copy)]
+/// Actions borrow bulk data (neighbor lists) from whoever produced them:
+/// the dispatcher's buffers live, the trace reader's
+/// ([`TraceFile`](crate::TraceFile)) on replay.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PureAction<'a> {
     /// The workload issued a broadcast at `node`.
     Originate {
@@ -139,128 +140,17 @@ pub enum PureAction<'a> {
     },
 }
 
-/// The owning twin of [`PureAction`], produced by the trace decoder.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedAction {
-    /// See [`PureAction::Originate`].
-    Originate {
-        /// The issuing host.
-        node: NodeId,
-        /// The new packet.
-        packet: PacketId,
-    },
-    /// See [`PureAction::HelloPrepare`].
-    HelloPrepare {
-        /// The beaconing host.
-        node: NodeId,
-    },
-    /// See [`PureAction::HelloHeard`].
-    HelloHeard {
-        /// The hearing host.
-        node: NodeId,
-        /// The beaconing host.
-        sender: NodeId,
-        /// The interval advertised in the beacon.
-        interval: SimDuration,
-        /// The sender's advertised one-hop neighbor list.
-        neighbors: Vec<NodeId>,
-    },
-    /// See [`PureAction::PacketHeard`]. Oracle-mode neighbor views are
-    /// stored inline.
-    PacketHeard {
-        /// The hearing host.
-        node: NodeId,
-        /// The packet heard.
-        packet: PacketId,
-        /// The host the copy was heard from.
-        sender: NodeId,
-        /// The sender's position as carried in the packet.
-        sender_position: Vec2,
-        /// The hearer's own position.
-        own_position: Vec2,
-        /// The uniform sample drawn for this hear event.
-        random_unit: f64,
-        /// Oracle neighbor view as `(count, neighbors, sender_neighbors)`.
-        oracle: Option<(usize, Vec<NodeId>, Vec<NodeId>)>,
-    },
-    /// See [`PureAction::AssessmentFired`].
-    AssessmentFired {
-        /// The assessing host.
-        node: NodeId,
-        /// The packet whose rebroadcast is due.
-        packet: PacketId,
-    },
-    /// See [`PureAction::FrameSent`].
-    FrameSent {
-        /// The transmitting host.
-        node: NodeId,
-        /// The packet that went on the air.
-        packet: PacketId,
-    },
-    /// See [`PureAction::Deactivate`].
-    Deactivate {
-        /// The departing host.
-        node: NodeId,
-        /// `true` wipes the host's protocol memory.
-        crash: bool,
-    },
-}
-
-impl OwnedAction {
-    /// A borrowed view of this action, usable with [`PureModels::step`].
-    pub fn as_action(&self) -> PureAction<'_> {
+impl PureAction<'_> {
+    /// The host the action happens at: the one whose state it steps.
+    pub(crate) fn node_mut(&mut self) -> &mut NodeId {
         match self {
-            OwnedAction::Originate { node, packet } => PureAction::Originate {
-                node: *node,
-                packet: *packet,
-            },
-            OwnedAction::HelloPrepare { node } => PureAction::HelloPrepare { node: *node },
-            OwnedAction::HelloHeard {
-                node,
-                sender,
-                interval,
-                neighbors,
-            } => PureAction::HelloHeard {
-                node: *node,
-                sender: *sender,
-                interval: *interval,
-                neighbors,
-            },
-            OwnedAction::PacketHeard {
-                node,
-                packet,
-                sender,
-                sender_position,
-                own_position,
-                random_unit,
-                oracle,
-            } => PureAction::PacketHeard {
-                node: *node,
-                packet: *packet,
-                sender: *sender,
-                sender_position: *sender_position,
-                own_position: *own_position,
-                random_unit: *random_unit,
-                oracle: oracle
-                    .as_ref()
-                    .map(|(count, neighbors, sender_neighbors)| OracleView {
-                        neighbor_count: *count,
-                        neighbors,
-                        sender_neighbors,
-                    }),
-            },
-            OwnedAction::AssessmentFired { node, packet } => PureAction::AssessmentFired {
-                node: *node,
-                packet: *packet,
-            },
-            OwnedAction::FrameSent { node, packet } => PureAction::FrameSent {
-                node: *node,
-                packet: *packet,
-            },
-            OwnedAction::Deactivate { node, crash } => PureAction::Deactivate {
-                node: *node,
-                crash: *crash,
-            },
+            PureAction::Originate { node, .. }
+            | PureAction::HelloPrepare { node }
+            | PureAction::HelloHeard { node, .. }
+            | PureAction::PacketHeard { node, .. }
+            | PureAction::AssessmentFired { node, .. }
+            | PureAction::FrameSent { node, .. }
+            | PureAction::Deactivate { node, .. } => node,
         }
     }
 }
@@ -372,7 +262,14 @@ pub struct PureModels {
 impl PureModels {
     /// Fresh protocol state for every host in `cfg`.
     pub fn new(cfg: &SimConfig) -> Self {
-        let hosts = cfg.hosts as usize;
+        let mut models = Self::without_hosts(cfg);
+        models.grow_to(cfg.hosts as usize);
+        models
+    }
+
+    /// The models of `cfg` with no per-host state yet: replay adds it as
+    /// hosts act ([`grow_to`](Self::grow_to)), never from a header's count.
+    pub(crate) fn without_hosts(cfg: &SimConfig) -> Self {
         PureModels {
             scheme: cfg.scheme.clone(),
             hello_policy: match cfg.neighbor_info {
@@ -383,12 +280,21 @@ impl PureModels {
             // of the borrowed config.)
             needs_count: cfg.scheme.needs_neighbor_count(),
             needs_two_hop: cfg.scheme.needs_two_hop_hellos(),
-            ledgers: (0..hosts).map(|_| PacketLedger::new()).collect(),
-            tables: (0..hosts).map(|_| NeighborTable::new()).collect(),
-            trackers: (0..hosts).map(|_| VariationTracker::new()).collect(),
+            ledgers: Vec::new(),
+            tables: Vec::new(),
+            trackers: Vec::new(),
             suppression: SuppressionCounts::default(),
             scratch_changes: Vec::new(),
             scratch_handles: Vec::new(),
+        }
+    }
+
+    /// Gives hosts `0..hosts` fresh protocol state where they have none.
+    pub(crate) fn grow_to(&mut self, hosts: usize) {
+        if hosts > self.ledgers.len() {
+            self.ledgers.resize_with(hosts, PacketLedger::new);
+            self.tables.resize_with(hosts, NeighborTable::new);
+            self.trackers.resize_with(hosts, VariationTracker::new);
         }
     }
 

@@ -9,7 +9,8 @@
 //! resolution, which decode checks), so a trace can be
 //! replayed through a fresh [`PureModels`] with **no event queue, no
 //! radio medium and no RNG at all** (see [`replay_decisions`]) — ideal
-//! for fuzzing scheme logic against recorded runs.
+//! for fuzzing scheme logic against recorded runs. [`TraceFile`] reads
+//! it in one forward pass, one borrowed [`TraceRecord`] at a time.
 //!
 //! # Wire format
 //!
@@ -56,7 +57,7 @@ use manet_sim_engine::{SimTime, WireDecoder, WireEncoder, WireError};
 
 use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
 use crate::ids::{decode_packet, encode_packet, PacketId};
-use crate::pure::{Effect, OwnedAction, PureAction, PureModels};
+use crate::pure::{Effect, OracleView, PureAction, PureModels};
 use crate::schemes::SchemeSpec;
 use crate::threshold::{AreaThreshold, AreaThresholdKind, CounterThreshold};
 use crate::trace::{DecisionKind, SuppressReason};
@@ -81,15 +82,17 @@ pub struct DecisionRecord {
     pub reason: Option<SuppressReason>,
 }
 
-/// One decoded trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceRecord {
+/// One trace record as [`TraceFile::next_record`] hands it out: an
+/// action's neighbor lists are borrowed from the reader until it reads the
+/// next record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceRecord<'a> {
     /// An action dispatched into the pure models.
     Action {
         /// Dispatch time.
         at: SimTime,
         /// The action.
-        action: OwnedAction,
+        action: PureAction<'a>,
     },
     /// A scheme decision one of the action's effects carried.
     Decision(DecisionRecord),
@@ -151,77 +154,151 @@ impl TraceWriter {
     }
 }
 
-/// A fully decoded trace: the replay configuration plus every record in
-/// recording order.
+/// An `MTRC` trace, read in one forward pass: the replay configuration,
+/// then each record in recording order from
+/// [`next_record`](Self::next_record). Nothing is collected; an action's
+/// neighbor lists are decoded into two buffers the reader reuses.
 #[derive(Debug)]
-pub struct TraceFile {
+pub struct TraceFile<'a> {
     /// A configuration sufficient to rebuild the pure models (map size,
     /// workload and timing fields are placeholders — the pure models do
     /// not read them).
     pub config: SimConfig,
-    /// All records, in recording order.
-    pub records: Vec<TraceRecord>,
+    dec: WireDecoder<'a>,
+    /// `Originate`s read so far: live runs number packets 0, 1, 2 … per
+    /// `Originate`, and replay sizes each ledger by the largest `seq`.
+    originated: u32,
+    neighbors: Vec<NodeId>,
+    sender_neighbors: Vec<NodeId>,
 }
 
-impl TraceFile {
-    /// Decodes an `MTRC` byte stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the positioned [`WireError`] on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<TraceFile, WireError> {
+impl<'a> TraceFile<'a> {
+    /// Reads the header of an `MTRC` byte stream (a malformed one is a
+    /// positioned [`WireError`]); the records follow from
+    /// [`next_record`](Self::next_record).
+    pub fn open(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut dec = WireDecoder::new(bytes);
-        let version = dec.expect_magic(TRACE_MAGIC)?;
-        if version != TRACE_VERSION {
-            return Err(WireError {
-                at: 4,
-                what: "unsupported trace version",
-            });
+        if dec.expect_magic(TRACE_MAGIC)? != TRACE_VERSION {
+            let what = "unsupported trace version";
+            return Err(WireError { at: 4, what });
         }
-        let config = decode_replay_config(&mut dec)?;
-        let hosts = config.hosts;
-        // Live runs number packets 0, 1, 2 … per `Originate`, and replay
-        // sizes each ledger by the largest `seq` it meets.
-        let mut originated = 0;
-        let mut records = Vec::new();
-        while !dec.is_empty() {
-            let (tag, invalid) = dec.tag("invalid record tag")?;
-            let at = dec.time()?;
-            records.push(match tag {
-                0 => TraceRecord::Action {
-                    at,
-                    action: decode_action(&mut dec, hosts, &mut originated)?,
+        Ok(TraceFile {
+            config: decode_replay_config(&mut dec)?,
+            dec,
+            originated: 0,
+            neighbors: Vec::new(),
+            sender_neighbors: Vec::new(),
+        })
+    }
+
+    /// Checks a whole `MTRC` byte stream by walking it to the end — the
+    /// first malformed byte is a positioned [`WireError`] — and returns it
+    /// opened at its first record.
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut file = Self::open(bytes)?;
+        while file.next_record()?.is_some() {}
+        Self::open(bytes)
+    }
+
+    /// The next record, `None` at the end of the input, or the positioned
+    /// [`WireError`] of a malformed one. A lending read: the record borrows
+    /// the reader, so take what you need from it before the next.
+    pub fn next_record(&mut self) -> Result<Option<TraceRecord<'_>>, WireError> {
+        if self.dec.is_empty() {
+            return Ok(None);
+        }
+        let (tag, invalid) = self.dec.tag("invalid record tag")?;
+        let at = self.dec.time()?;
+        let (dec, hosts) = (&mut self.dec, self.config.hosts);
+        Ok(Some(match tag {
+            0 => TraceRecord::Action {
+                at,
+                action: self.action()?,
+            },
+            1 => TraceRecord::Decision(DecisionRecord {
+                at,
+                node: decode_node(dec, hosts)?,
+                packet: decode_issued_packet(dec, self.originated)?,
+                kind: {
+                    let (tag, invalid) = dec.tag("invalid decision kind")?;
+                    match tag {
+                        0 => DecisionKind::Scheduled,
+                        1 => DecisionKind::InhibitedOnFirstHear,
+                        2 => DecisionKind::Cancelled,
+                        _ => return Err(invalid),
+                    }
                 },
-                1 => TraceRecord::Decision(DecisionRecord {
-                    at,
-                    node: decode_node(&mut dec, hosts)?,
-                    packet: decode_issued_packet(&mut dec, originated)?,
-                    kind: {
-                        let (tag, invalid) = dec.tag("invalid decision kind")?;
-                        match tag {
-                            0 => DecisionKind::Scheduled,
-                            1 => DecisionKind::InhibitedOnFirstHear,
-                            2 => DecisionKind::Cancelled,
-                            _ => return Err(invalid),
-                        }
-                    },
-                    reason: {
-                        let (tag, invalid) = dec.tag("invalid suppress reason")?;
-                        match tag {
-                            0 => None,
-                            1 => Some(SuppressReason::CounterThreshold),
-                            2 => Some(SuppressReason::CoverageThreshold),
-                            3 => Some(SuppressReason::NeighborCoverage),
-                            4 => Some(SuppressReason::Probabilistic),
-                            _ => return Err(invalid),
-                        }
-                    },
-                }),
-                _ => return Err(invalid),
-            });
-        }
-        dec.finish()?;
-        Ok(TraceFile { config, records })
+                reason: {
+                    let (tag, invalid) = dec.tag("invalid suppress reason")?;
+                    match tag {
+                        0 => None,
+                        1 => Some(SuppressReason::CounterThreshold),
+                        2 => Some(SuppressReason::CoverageThreshold),
+                        3 => Some(SuppressReason::NeighborCoverage),
+                        4 => Some(SuppressReason::Probabilistic),
+                        _ => return Err(invalid),
+                    }
+                },
+            }),
+            _ => return Err(invalid),
+        }))
+    }
+
+    /// Reads one action, its neighbor lists into the reader's buffers; an
+    /// `Originate` counts itself before its `seq` is checked.
+    fn action(&mut self) -> Result<PureAction<'_>, WireError> {
+        let (dec, hosts, originated) = (&mut self.dec, self.config.hosts, &mut self.originated);
+        let id = move |dec: &mut WireDecoder<'_>| decode_node(dec, hosts);
+        let (tag, invalid) = dec.tag("invalid action tag")?;
+        Ok(match tag {
+            0 => {
+                *originated = originated.saturating_add(1);
+                PureAction::Originate {
+                    node: decode_node(dec, hosts)?,
+                    packet: decode_issued_packet(dec, *originated)?,
+                }
+            }
+            1 => PureAction::HelloPrepare {
+                node: decode_node(dec, hosts)?,
+            },
+            2 => PureAction::HelloHeard {
+                node: decode_node(dec, hosts)?,
+                sender: decode_node(dec, hosts)?,
+                interval: dec.duration()?,
+                neighbors: dec.seq_into(4, &mut self.neighbors, id)?,
+            },
+            3 => PureAction::PacketHeard {
+                node: decode_node(dec, hosts)?,
+                packet: decode_issued_packet(dec, *originated)?,
+                sender: decode_node(dec, hosts)?,
+                sender_position: Vec2::new(dec.f64()?, dec.f64()?),
+                own_position: Vec2::new(dec.f64()?, dec.f64()?),
+                random_unit: dec.f64()?,
+                // An option, read by hand so the view can borrow the buffers.
+                oracle: if dec.bool()? {
+                    Some(OracleView {
+                        neighbor_count: dec.usize()?,
+                        neighbors: dec.seq_into(4, &mut self.neighbors, id)?,
+                        sender_neighbors: dec.seq_into(4, &mut self.sender_neighbors, id)?,
+                    })
+                } else {
+                    None
+                },
+            },
+            4 => PureAction::AssessmentFired {
+                node: decode_node(dec, hosts)?,
+                packet: decode_issued_packet(dec, *originated)?,
+            },
+            5 => PureAction::FrameSent {
+                node: decode_node(dec, hosts)?,
+                packet: decode_issued_packet(dec, *originated)?,
+            },
+            6 => PureAction::Deactivate {
+                node: decode_node(dec, hosts)?,
+                crash: dec.bool()?,
+            },
+            _ => return Err(invalid),
+        })
     }
 }
 
@@ -232,7 +309,7 @@ pub enum ReplayError {
     Wire(WireError),
     /// Replay re-derived a different decision stream than the recording.
     Mismatch {
-        /// Index of the offending record in [`TraceFile::records`].
+        /// Index of the offending record, from 0 in recording order.
         record: usize,
         /// Human-readable description of the divergence.
         detail: String,
@@ -277,15 +354,17 @@ pub struct ReplaySummary {
 /// when the re-derived decisions diverge from the recording (a scheme
 /// logic bug, or a trace from different code).
 pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
-    let file = TraceFile::decode(bytes)?;
-    let mut pure = PureModels::new(&file.config);
+    // Only a trace that decodes whole reaches `step`.
+    let mut file = TraceFile::decode(bytes)?;
+    let mut pure = PureModels::without_hosts(&file.config);
+    let mut slots = std::collections::BTreeMap::new();
     let mut fx = Vec::new();
-    let mut expected: std::collections::VecDeque<DecisionRecord> =
-        std::collections::VecDeque::new();
+    let mut expected = std::collections::VecDeque::new();
     let mut summary = ReplaySummary::default();
-    for (index, record) in file.records.iter().enumerate() {
+    let mut index = 0;
+    while let Some(record) = file.next_record()? {
         match record {
-            TraceRecord::Action { at, action } => {
+            TraceRecord::Action { at, mut action } => {
                 if let Some(stale) = expected.front() {
                     return Err(ReplayError::Mismatch {
                         record: index,
@@ -293,12 +372,20 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
                     });
                 }
                 fx.clear();
-                pure.step(*at, &action.as_action(), &mut fx);
-                expected.extend(fx.iter().filter_map(|effect| decision_of(*at, effect)));
+                // A host's state is the next slot the first time it acts, so
+                // the records size it, not their ids (a header may claim
+                // 2³² − 1 hosts); what its step derives is at its own id.
+                let host = action.node_mut();
+                let (id, next) = (*host, NodeId::new(slots.len() as u32));
+                *host = *slots.entry(id).or_insert(next);
+                pure.grow_to(slots.len());
+                pure.step(at, &action, &mut fx);
+                let derived = fx.iter().filter_map(|effect| decision_of(at, effect));
+                expected.extend(derived.map(|d| DecisionRecord { node: id, ..d }));
                 summary.actions += 1;
             }
             TraceRecord::Decision(recorded) => match expected.pop_front() {
-                Some(derived) if derived == *recorded => summary.decisions += 1,
+                Some(derived) if derived == recorded => summary.decisions += 1,
                 Some(derived) => {
                     return Err(ReplayError::Mismatch {
                         record: index,
@@ -313,10 +400,11 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
                 }
             },
         }
+        index += 1;
     }
     if let Some(stale) = expected.front() {
         return Err(ReplayError::Mismatch {
-            record: file.records.len(),
+            record: index,
             detail: format!("recording ended before re-derived decision {stale:?}"),
         });
     }
@@ -379,10 +467,6 @@ fn decode_issued_packet(dec: &mut WireDecoder<'_>, originated: u32) -> Result<Pa
         return Err(WireError { at, what });
     }
     Ok(packet)
-}
-
-fn decode_nodes(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<Vec<NodeId>, WireError> {
-    dec.seq(4, |dec| decode_node(dec, hosts))
 }
 
 fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
@@ -448,62 +532,6 @@ fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
             enc.bool(crash);
         }
     }
-}
-
-/// Reads one action; `originated` counts the `Originate`s so far, this
-/// one included, and bounds every packet `seq`.
-fn decode_action(
-    dec: &mut WireDecoder<'_>,
-    hosts: u32,
-    originated: &mut u32,
-) -> Result<OwnedAction, WireError> {
-    let (tag, invalid) = dec.tag("invalid action tag")?;
-    Ok(match tag {
-        0 => {
-            *originated = originated.saturating_add(1);
-            OwnedAction::Originate {
-                node: decode_node(dec, hosts)?,
-                packet: decode_issued_packet(dec, *originated)?,
-            }
-        }
-        1 => OwnedAction::HelloPrepare {
-            node: decode_node(dec, hosts)?,
-        },
-        2 => OwnedAction::HelloHeard {
-            node: decode_node(dec, hosts)?,
-            sender: decode_node(dec, hosts)?,
-            interval: dec.duration()?,
-            neighbors: decode_nodes(dec, hosts)?,
-        },
-        3 => OwnedAction::PacketHeard {
-            node: decode_node(dec, hosts)?,
-            packet: decode_issued_packet(dec, *originated)?,
-            sender: decode_node(dec, hosts)?,
-            sender_position: Vec2::new(dec.f64()?, dec.f64()?),
-            own_position: Vec2::new(dec.f64()?, dec.f64()?),
-            random_unit: dec.f64()?,
-            oracle: dec.option(|dec| {
-                Ok((
-                    dec.usize()?,
-                    decode_nodes(dec, hosts)?,
-                    decode_nodes(dec, hosts)?,
-                ))
-            })?,
-        },
-        4 => OwnedAction::AssessmentFired {
-            node: decode_node(dec, hosts)?,
-            packet: decode_issued_packet(dec, *originated)?,
-        },
-        5 => OwnedAction::FrameSent {
-            node: decode_node(dec, hosts)?,
-            packet: decode_issued_packet(dec, *originated)?,
-        },
-        6 => OwnedAction::Deactivate {
-            node: decode_node(dec, hosts)?,
-            crash: dec.bool()?,
-        },
-        _ => return Err(invalid),
-    })
 }
 
 /// Encodes the slice of the configuration [`PureModels::new`] reads.
@@ -671,74 +699,83 @@ mod tests {
     fn actions_round_trip_through_the_wire() {
         let config = cfg(SchemeSpec::NeighborCoverage);
         let mut writer = TraceWriter::new(&config);
-        let neighbors = vec![NodeId::new(3), NodeId::new(5)];
-        let sender_neighbors = vec![NodeId::new(1)];
-        let actions: Vec<OwnedAction> = vec![
-            OwnedAction::Originate {
+        let packet = PacketId::new(NodeId::new(0), 0);
+        let neighbors = [NodeId::new(3), NodeId::new(5)];
+        let sender_neighbors = [NodeId::new(1)];
+        let hello = |neighbors| PureAction::HelloHeard {
+            node: NodeId::new(1),
+            sender: NodeId::new(2),
+            interval: SimDuration::from_secs(1),
+            neighbors,
+        };
+        let actions = [
+            PureAction::Originate {
                 node: NodeId::new(0),
-                packet: PacketId::new(NodeId::new(0), 0),
+                packet,
             },
-            OwnedAction::HelloPrepare {
+            PureAction::HelloPrepare {
                 node: NodeId::new(2),
             },
-            OwnedAction::HelloHeard {
-                node: NodeId::new(1),
-                sender: NodeId::new(2),
-                interval: SimDuration::from_secs(1),
-                neighbors: neighbors.clone(),
-            },
-            OwnedAction::PacketHeard {
+            hello(&neighbors),
+            PureAction::PacketHeard {
                 node: NodeId::new(4),
-                packet: PacketId::new(NodeId::new(0), 0),
+                packet,
                 sender: NodeId::new(0),
                 sender_position: Vec2::new(1.5, -2.0),
                 own_position: Vec2::new(250.0, 300.25),
                 random_unit: 0.625,
-                oracle: Some((2, neighbors.clone(), sender_neighbors)),
+                oracle: Some(OracleView {
+                    neighbor_count: 2,
+                    neighbors: &neighbors,
+                    sender_neighbors: &sender_neighbors,
+                }),
             },
-            OwnedAction::AssessmentFired {
+            // The reader's buffers are reused: a shorter list after a
+            // longer one must not keep the tail.
+            hello(&sender_neighbors),
+            PureAction::AssessmentFired {
                 node: NodeId::new(4),
-                packet: PacketId::new(NodeId::new(0), 0),
+                packet,
             },
-            OwnedAction::FrameSent {
+            PureAction::FrameSent {
                 node: NodeId::new(4),
-                packet: PacketId::new(NodeId::new(0), 0),
+                packet,
             },
-            OwnedAction::Deactivate {
+            PureAction::Deactivate {
                 node: NodeId::new(5),
                 crash: true,
             },
         ];
         for (i, action) in actions.iter().enumerate() {
-            writer.action(SimTime::from_millis(i as u64), &action.as_action());
+            writer.action(SimTime::from_millis(i as u64), action);
         }
-        writer.decision(DecisionRecord {
+        let decision = DecisionRecord {
             at: SimTime::from_millis(3),
             node: NodeId::new(4),
-            packet: PacketId::new(NodeId::new(0), 0),
+            packet,
             kind: DecisionKind::Cancelled,
             reason: Some(SuppressReason::NeighborCoverage),
-        });
+        };
+        writer.decision(decision);
 
         let bytes = writer.into_bytes();
-        let file = TraceFile::decode(&bytes).expect("decode");
+        let mut file = TraceFile::decode(&bytes).expect("decode");
         assert_eq!(file.config.scheme.label(), config.scheme.label());
         assert_eq!(file.config.hosts, 8);
-        assert_eq!(file.records.len(), actions.len() + 1);
-        for (record, action) in file.records.iter().zip(&actions) {
-            let TraceRecord::Action {
-                action: decoded, ..
-            } = record
-            else {
-                panic!("expected action record, got {record:?}");
-            };
-            assert_eq!(decoded, action);
+        for (i, action) in actions.iter().enumerate() {
+            let at = SimTime::from_millis(i as u64);
+            let record = file.next_record().expect("well-formed");
+            assert_eq!(
+                record,
+                Some(TraceRecord::Action {
+                    at,
+                    action: *action
+                })
+            );
         }
-        let TraceRecord::Decision(d) = &file.records[actions.len()] else {
-            panic!("expected decision record");
-        };
-        assert_eq!(d.kind, DecisionKind::Cancelled);
-        assert_eq!(d.reason, Some(SuppressReason::NeighborCoverage));
+        let record = file.next_record().expect("well-formed");
+        assert_eq!(record, Some(TraceRecord::Decision(decision)));
+        assert_eq!(file.next_record(), Ok(None));
     }
 
     #[test]
@@ -800,7 +837,7 @@ mod tests {
         };
         let mut writer = TraceWriter::new(&config);
         writer.action(SimTime::ZERO, &originate);
-        let hear = OwnedAction::PacketHeard {
+        let hear = PureAction::PacketHeard {
             node: NodeId::new(1),
             packet,
             sender: NodeId::new(0),
@@ -809,7 +846,7 @@ mod tests {
             random_unit: 0.5,
             oracle: None,
         };
-        writer.action(SimTime::from_millis(1), &hear.as_action());
+        writer.action(SimTime::from_millis(1), &hear);
         writer.decision(DecisionRecord {
             at: SimTime::from_millis(1),
             node: NodeId::new(1),
@@ -825,7 +862,7 @@ mod tests {
         // Tampering with the recorded decision must be detected.
         let mut writer = TraceWriter::new(&config);
         writer.action(SimTime::ZERO, &originate);
-        writer.action(SimTime::from_millis(1), &hear.as_action());
+        writer.action(SimTime::from_millis(1), &hear);
         writer.decision(DecisionRecord {
             at: SimTime::from_millis(1),
             node: NodeId::new(1),

@@ -20,13 +20,20 @@
 //! let mut world = World::new(config);
 //! world.enable_recording();
 //! world.advance(SimTime::MAX);
-//! let trace = TraceFile::decode(&world.take_trace().unwrap()).unwrap();
-//! // The counter scheme cancels for exactly one reason.
-//! let cancels = trace.records.iter().filter(|record| {
-//!     matches!(record, TraceRecord::Decision(d) if d.kind == DecisionKind::Cancelled
-//!         && d.reason == Some(SuppressReason::CounterThreshold))
-//! });
-//! assert_eq!(cancels.count() as u64, world.into_report().suppression.cancelled);
+//! let bytes = world.take_trace().unwrap();
+//! // The trace is read in one pass, a record at a time.
+//! let mut trace = TraceFile::open(&bytes).unwrap();
+//! let mut cancels = 0;
+//! while let Some(record) = trace.next_record().unwrap() {
+//!     // The counter scheme cancels for exactly one reason.
+//!     if let TraceRecord::Decision(d) = record {
+//!         if d.kind == DecisionKind::Cancelled {
+//!             assert_eq!(d.reason, Some(SuppressReason::CounterThreshold));
+//!             cancels += 1;
+//!         }
+//!     }
+//! }
+//! assert_eq!(cancels, world.into_report().suppression.cancelled);
 //! ```
 
 /// A scheme-level decision about a pending rebroadcast.

@@ -12,7 +12,7 @@
 //! is per process.
 
 use broadcast_core::{
-    CaptureConfig, MobilitySpec, NeighborInfo, OwnedAction, Scenario, SchemeSpec, SimConfig,
+    CaptureConfig, MobilitySpec, NeighborInfo, PureAction, Scenario, SchemeSpec, SimConfig,
     SimConfigBuilder, TraceFile, TraceRecord, World,
 };
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
@@ -45,12 +45,14 @@ fn issued_between(config: &SimConfig, from: SimTime, to: SimTime) -> u64 {
     world.enable_recording();
     world.advance(to);
     let trace = world.take_trace().expect("recording was armed");
-    let file = TraceFile::decode(&trace).expect("a live trace decodes");
-    let originates = file.records.iter().filter(|record| {
-        matches!(record, TraceRecord::Action { at, action: OwnedAction::Originate { .. } }
-            if *at >= from)
-    });
-    originates.count() as u64
+    let mut file = TraceFile::open(&trace).expect("a live trace opens");
+    let mut issued = 0;
+    while let Some(record) = file.next_record().expect("a live trace decodes") {
+        let originate = matches!(record, TraceRecord::Action { at, action: PureAction::Originate { .. } }
+            if at >= from);
+        issued += u64::from(originate);
+    }
+    issued
 }
 
 /// What a run of `config` asks of the allocator in `from..to`.

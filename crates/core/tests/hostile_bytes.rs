@@ -6,18 +6,19 @@
 //! and never ask the allocator for a block out of proportion to the input.
 //!
 //! The last claim is measured, not assumed: a counting allocator records
-//! the largest single request each decode makes.
+//! the largest single request each decode makes. Replay is held to it
+//! too: no host id a trace names sizes what replay allocates.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use broadcast_core::{
     replay_decisions, ChurnKind, MobilitySpec, NeighborInfo, PacketId, PureAction, ReplayError,
-    Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
+    ReplaySummary, Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
 };
 use manet_geom::CoverageGrid;
 use manet_net::HelloIntervalPolicy;
 use manet_phy::NodeId;
-use manet_sim_engine::{SimDuration, SimTime};
+use manet_sim_engine::{SimDuration, SimTime, WireError};
 use manet_testkit::{CountingAlloc, Gen};
 
 #[global_allocator]
@@ -25,10 +26,16 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A decoder that bounds every count by the input never requests a block
 /// beyond a small multiple of the input's length: the multiple covers
-/// enum padding and `Vec` growth by doubling (the measured peak, a trace's
-/// record vector, is under 5×). The 65 536-element reservations the
-/// pre-vocabulary decoders made from any large count are far above it.
-const MEMORY_PER_WIRE_BYTE: usize = 8;
+/// enum padding and `Vec` growth by doubling. The 65 536-element
+/// reservations the pre-vocabulary decoders made from any large count are
+/// far above it. A snapshot decode may also ask for what `World::new`
+/// itself does (see [`snapshot_limit`]).
+const SNAPSHOT_BYTES_PER_WIRE_BYTE: usize = 8;
+
+/// A trace is read in one pass and nothing is collected: its largest
+/// blocks are the two reused neighbor-list buffers, 4 bytes per id as on
+/// the wire, so materialising the records (≈ 4–5× the input) fails it.
+const TRACE_BYTES_PER_WIRE_BYTE: usize = 2;
 
 /// Counter scheme under churn, a blackout, noise and a partition: the
 /// scenario state, retired MACs and the event queue's scenario entries.
@@ -119,35 +126,45 @@ fn trace(config: &SimConfig) -> Vec<u8> {
 }
 
 /// Feeds `bytes` to `decode`, failing the test on a panic or on a single
-/// allocation above `limit`; accepting and refusing are both fine.
+/// allocation above `limit`; returns whether it accepted (refusing is
+/// fine too).
 fn survives<T>(
     what: &str,
     bytes: &[u8],
     limit: usize,
     decode: &impl Fn(&[u8]) -> Result<T, manet_sim_engine::WireError>,
-) {
+) -> bool {
     let (outcome, asked) =
         CountingAlloc::measure(|| catch_unwind(AssertUnwindSafe(|| decode(bytes).is_ok())));
-    assert!(outcome.is_ok(), "decoder panicked on {what}");
     assert!(
         asked.largest <= limit,
         "decoder requested {} bytes at once on {what} (input {}, limit {limit})",
         asked.largest,
         bytes.len()
     );
+    outcome.unwrap_or_else(|_| panic!("decoder panicked on {what}"))
 }
 
-/// The three attacks, against one pristine image.
+/// What resuming `image` may request at once: what the honest resume
+/// does (mostly `World::new`'s own arrays), or 8× the input.
+fn snapshot_limit(config: &SimConfig, image: &[u8]) -> usize {
+    let (pristine, asked) = CountingAlloc::measure(|| World::resume(config.clone(), image).is_ok());
+    assert!(pristine, "pristine image must resume");
+    asked
+        .largest
+        .max(SNAPSHOT_BYTES_PER_WIRE_BYTE * image.len())
+}
+
+/// The three attacks, against one pristine image that decodes within
+/// `limit`, as every attack on it must.
 fn attack<T>(
     name: &str,
     image: &[u8],
+    limit: usize,
     decode: impl Fn(&[u8]) -> Result<T, manet_sim_engine::WireError>,
 ) {
-    // What an honest decode requests at once (for a snapshot, mostly
-    // `World::new`'s own arrays) is the floor of the limit.
-    let (pristine, asked) = CountingAlloc::measure(|| decode(image).is_ok());
+    let pristine = survives(&format!("{name}, pristine"), image, limit, &decode);
     assert!(pristine, "{name}: pristine image must decode");
-    let limit = asked.largest.max(MEMORY_PER_WIRE_BYTE * image.len());
 
     // Every truncation point. Neither format has optional trailing
     // fields, but a trace is a record stream: a cut between two records
@@ -196,7 +213,8 @@ fn snapshots_survive_truncation_mutation_and_huge_lengths() {
         ("location", location_config()),
     ] {
         let snapshot = busiest_snapshot(&config);
-        attack(&format!("{name} snapshot"), &snapshot, |bytes| {
+        let limit = snapshot_limit(&config, &snapshot);
+        attack(&format!("{name} snapshot"), &snapshot, limit, |bytes| {
             World::resume(config.clone(), bytes)
         });
     }
@@ -205,7 +223,11 @@ fn snapshots_survive_truncation_mutation_and_huge_lengths() {
 #[test]
 fn traces_survive_truncation_mutation_and_huge_lengths() {
     for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
-        attack(&format!("{name} trace"), &trace(&config), TraceFile::decode);
+        let image = trace(&config);
+        let limit = TRACE_BYTES_PER_WIRE_BYTE * image.len();
+        attack(&format!("{name} trace"), &image, limit, |bytes| {
+            TraceFile::decode(bytes).map(drop)
+        });
     }
 }
 
@@ -235,10 +257,7 @@ fn a_snapshot_cannot_carry_a_lattice_this_build_would_not_lay() {
                     .all(|(i, disk)| u64_at(&image, at + COLUMNS + 8 * i) & !disk == 0)
         })
         .expect("the busiest snapshot holds a live lattice");
-    let (pristine, asked) =
-        CountingAlloc::measure(|| World::resume(config.clone(), &image).is_ok());
-    assert!(pristine, "pristine image must resume");
-    let limit = asked.largest.max(MEMORY_PER_WIRE_BYTE * image.len());
+    let limit = snapshot_limit(&config, &image);
 
     // Row 0 of column 0 is a corner of the bounding square.
     let corner = u64_at(&image, tag + COLUMNS) | 1;
@@ -336,4 +355,100 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
             other => panic!("{scheme} with bytes {at}.. patched: {other:?}"),
         }
     }
+}
+
+/// Replay used to size per-host state from the header's host count: a
+/// header-only trace naming 2³² − 1 hosts asked for hundreds of GB at once
+/// and aborted. Each acting host now gets the next slot the first time it
+/// acts, so neither the count nor an id below it (one record at host
+/// 2³² − 2 would do, were state sized by the largest id) sizes anything.
+#[test]
+fn no_id_a_trace_names_sizes_replay_state() {
+    // Magic and version, then the host count.
+    const HOSTS: usize = 4 + 4;
+    let config = churn_config();
+    let claiming = |hosts: u32, mut bytes: Vec<u8>| {
+        bytes[HOSTS..HOSTS + 4].copy_from_slice(&hosts.to_le_bytes());
+        bytes
+    };
+    // A graceful leave: one action, no effects.
+    let leaving = |node: u32| {
+        let mut writer = TraceWriter::new(&config);
+        let node = NodeId::new(node);
+        writer.action(
+            SimTime::ZERO,
+            &PureAction::Deactivate { node, crash: false },
+        );
+        writer.into_bytes()
+    };
+    let one_action = Ok(ReplaySummary {
+        actions: 1,
+        decisions: 0,
+    });
+    // What one host's state asks for, under the real header.
+    let (replayed, one_host) = CountingAlloc::measure(|| replay_decisions(&leaving(0)));
+    assert_eq!(replayed, one_action);
+    // 100 000 first: what the old sizings could allocate, so they fail on
+    // the limit, not by aborting.
+    for hosts in [100_000, u32::MAX] {
+        let header = claiming(hosts, TraceWriter::new(&config).into_bytes());
+        let (replayed, asked) = CountingAlloc::measure(|| replay_decisions(&header));
+        assert_eq!(replayed, Ok(ReplaySummary::default()), "{hosts} hosts");
+        let limit = TRACE_BYTES_PER_WIRE_BYTE * header.len();
+        assert!(
+            asked.largest <= limit,
+            "{hosts} hosts: replay requested {} bytes at once from a {}-byte trace",
+            asked.largest,
+            header.len()
+        );
+
+        let last = claiming(hosts, leaving(hosts - 1));
+        let (replayed, asked) = CountingAlloc::measure(|| replay_decisions(&last));
+        assert_eq!(replayed, one_action, "host {} of {hosts}", hosts - 1);
+        assert!(
+            asked.largest <= one_host.largest,
+            "host {} of {hosts}: replay requested {} bytes at once, host 0 of 8 {}",
+            hosts - 1,
+            asked.largest,
+            one_host.largest
+        );
+    }
+
+    let bytes = trace(&config);
+    let replayed = replay_decisions(&bytes);
+    assert!(
+        replayed.as_ref().is_ok_and(|s| s.actions > 0),
+        "{replayed:?}"
+    );
+    assert_eq!(replay_decisions(&claiming(u32::MAX, bytes)), replayed);
+}
+
+/// Replay steps nothing until the whole trace decodes. A decodable prefix
+/// no world could emit (a host assessing a packet it never heard) panics
+/// in `step` (ROADMAP 4); a bad byte after it must still be the refusal.
+#[test]
+fn a_malformed_trace_is_refused_before_replay_steps_it() {
+    let config = churn_config();
+    let source = NodeId::new(0);
+    let packet = PacketId::new(source, 0);
+    let mut writer = TraceWriter::new(&config);
+    writer.action(
+        SimTime::ZERO,
+        &PureAction::Originate {
+            node: source,
+            packet,
+        },
+    );
+    let node = NodeId::new(1);
+    writer.action(SimTime::ZERO, &PureAction::AssessmentFired { node, packet });
+    let mut bytes = writer.into_bytes();
+    // A record with tag 9 (and a time).
+    let at = bytes.len();
+    bytes.extend([9, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let what = "invalid record tag";
+    let replayed = catch_unwind(|| replay_decisions(&bytes));
+    assert_eq!(
+        replayed.ok(),
+        Some(Err(ReplayError::Wire(WireError { at, what })))
+    );
 }

@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use broadcast_core::{
-    CounterThreshold, OwnedAction, PacketId, SchemeSpec, SimConfig, SimReport, TraceFile,
+    CounterThreshold, PacketId, PureAction, SchemeSpec, SimConfig, SimReport, TraceFile,
     TraceRecord, World,
 };
 use manet_sim_engine::SimTime;
@@ -19,30 +19,35 @@ fn config(scheme: SchemeSpec) -> SimConfig {
         .build()
 }
 
-/// Runs `config` with recording armed; returns the decoded records and
-/// the report.
-fn recorded_run(config: SimConfig) -> (Vec<TraceRecord>, SimReport) {
+/// Runs `config` with recording armed, hands `visit` each record of the
+/// trace in order, and returns the report.
+fn recorded_run(config: SimConfig, mut visit: impl FnMut(TraceRecord<'_>)) -> SimReport {
     let mut world = World::new(config);
     world.enable_recording();
     world.advance(SimTime::MAX);
     let trace = world.take_trace().expect("recording was armed");
-    let file = TraceFile::decode(&trace).expect("a live trace decodes");
-    (file.records, world.into_report())
+    let mut file = TraceFile::open(&trace).expect("a live trace opens");
+    while let Some(record) = file.next_record().expect("a live trace decodes") {
+        visit(record);
+    }
+    world.into_report()
 }
 
 #[test]
 fn counters_agree_with_the_report() {
-    let (records, report) = recorded_run(config(SchemeSpec::AdaptiveCounter(
-        CounterThreshold::paper_recommended(),
-    )));
-    let count = |wanted: fn(&OwnedAction) -> bool| {
-        records
-            .iter()
-            .filter(|r| matches!(r, TraceRecord::Action { action, .. } if wanted(action)))
-            .count() as u64
-    };
-    let originated = count(|a| matches!(a, OwnedAction::Originate { .. }));
-    let sent = count(|a| matches!(a, OwnedAction::FrameSent { .. }));
+    let (mut originated, mut sent) = (0, 0);
+    let scheme = SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended());
+    let report = recorded_run(config(scheme), |record| match record {
+        TraceRecord::Action {
+            action: PureAction::Originate { .. },
+            ..
+        } => originated += 1,
+        TraceRecord::Action {
+            action: PureAction::FrameSent { .. },
+            ..
+        } => sent += 1,
+        _ => {}
+    });
 
     assert_eq!(originated, u64::from(report.broadcasts));
     assert_eq!(sent, report.data_frames);
@@ -119,34 +124,33 @@ fn profile_is_absent_by_default() {
 
 #[test]
 fn packet_timelines_are_causal() {
-    let (records, report) = recorded_run(config(SchemeSpec::Counter(3)));
-
-    // Times never decrease along the trace, so neither along any packet.
-    let at = |record: &TraceRecord| match record {
-        TraceRecord::Action { at, .. } => *at,
-        TraceRecord::Decision(d) => d.at,
-    };
-    assert!(records.windows(2).all(|w| at(&w[0]) <= at(&w[1])));
-
     // Per packet: has its `Originate` been seen, and who has heard it.
     let mut timelines: BTreeMap<PacketId, BTreeSet<_>> = BTreeMap::new();
-    for record in &records {
+    let mut last = SimTime::ZERO;
+    let report = recorded_run(config(SchemeSpec::Counter(3)), |record| {
+        // Times never decrease along the trace, so neither along any packet.
+        let at = match record {
+            TraceRecord::Action { at, .. } => at,
+            TraceRecord::Decision(d) => d.at,
+        };
+        assert!(last <= at, "{record:?} after {last}");
+        last = at;
         match record {
             TraceRecord::Action { action, .. } => match action {
-                OwnedAction::Originate { node, packet } => {
-                    assert_eq!(*node, packet.source);
-                    let fresh = timelines.insert(*packet, BTreeSet::new()).is_none();
+                PureAction::Originate { node, packet } => {
+                    assert_eq!(node, packet.source);
+                    let fresh = timelines.insert(packet, BTreeSet::new()).is_none();
                     assert!(fresh, "{packet} originated twice");
                 }
-                OwnedAction::PacketHeard { node, packet, .. } => {
-                    let hearers = timelines.get_mut(packet);
+                PureAction::PacketHeard { node, packet, .. } => {
+                    let hearers = timelines.get_mut(&packet);
                     hearers
                         .unwrap_or_else(|| panic!("{packet} heard before its Originate"))
-                        .insert(*node);
+                        .insert(node);
                 }
-                OwnedAction::AssessmentFired { packet, .. }
-                | OwnedAction::FrameSent { packet, .. } => {
-                    assert!(timelines.contains_key(packet), "{packet} before Originate");
+                PureAction::AssessmentFired { packet, .. }
+                | PureAction::FrameSent { packet, .. } => {
+                    assert!(timelines.contains_key(&packet), "{packet} before Originate");
                 }
                 _ => {}
             },
@@ -161,7 +165,7 @@ fn packet_timelines_are_causal() {
                 d.packet
             ),
         }
-    }
+    });
 
     // The hosts that heard a packet, its source aside, are its receivers.
     assert_eq!(timelines.len(), report.per_broadcast.len());

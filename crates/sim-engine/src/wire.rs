@@ -373,8 +373,22 @@ impl<'a> WireDecoder<'a> {
     pub fn seq<T>(
         &mut self,
         min_bytes: usize,
-        mut get: impl FnMut(&mut Self) -> Result<T, WireError>,
+        get: impl FnMut(&mut Self) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
+        let mut items = Vec::new();
+        self.seq_into(min_bytes, &mut items, get)?;
+        Ok(items)
+    }
+
+    /// [`seq`](Self::seq) into a buffer the caller reuses: `items` is
+    /// cleared, then grown to exactly the count if it is too small, and
+    /// returned filled.
+    pub fn seq_into<'v, T>(
+        &mut self,
+        min_bytes: usize,
+        items: &'v mut Vec<T>,
+        mut get: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<&'v [T], WireError> {
         let at = self.pos;
         let count = self.len()?;
         if count > (self.buf.len() - self.pos) / min_bytes {
@@ -383,7 +397,8 @@ impl<'a> WireDecoder<'a> {
                 what: "sequence longer than the remaining input",
             });
         }
-        let mut items = Vec::with_capacity(count);
+        items.clear();
+        items.reserve_exact(count);
         for _ in 0..count {
             let before = self.pos;
             items.push(get(self)?);

@@ -9,11 +9,15 @@
 //! test --test equivalence`; widen the search with `TESTKIT_CASES=512`.
 //! DESIGN.md §5 has the generator's ranges and what is left out, and why.
 
+use std::collections::BTreeSet;
+
 use manet_broadcast::campaign::{
     serve, Frame, FrameReader, FrameWriter, JobEnvelope, ServerConfig,
 };
 use manet_broadcast::core::trace::DecisionKind;
-use manet_broadcast::core::{replay_decisions, SuppressionCounts, TraceFile, TraceRecord};
+use manet_broadcast::core::{
+    replay_decisions, PureAction, SuppressionCounts, TraceFile, TraceRecord,
+};
 use manet_broadcast::{
     AreaThreshold, CaptureConfig, ChurnKind, CounterThreshold, DescentShape, DynamicHelloParams,
     HelloIntervalPolicy, MobilitySpec, NeighborInfo, Region, Scenario, SchemeSpec, SimConfig,
@@ -33,7 +37,8 @@ enum Pause {
     BeforeWarmup,
     MidRun,
     /// Exactly on a recorded event's timestamp (the boundary is exclusive:
-    /// that event must fire once, after the resume).
+    /// that event must fire once, after the resume): a duplicate hear's when
+    /// the run has one, so that per-packet state is live at the pause.
     OnEvent,
     /// Past the stop time: the snapshot is of a finished world.
     PastEnd,
@@ -203,38 +208,81 @@ fn assert_same_run(leg: &str, baseline: &str, report: &SimReport) {
     assert_same(leg, what, baseline.as_bytes(), outcome(report).as_bytes());
 }
 
-/// The trace's decision records, tallied as the live metrics tally effects.
-fn decision_tallies(trace: &TraceFile) -> SuppressionCounts {
+/// What the property reads off a recorded trace, in one walk.
+struct Walked {
+    /// The decision records, tallied as the live metrics tally effects.
+    tallies: SuppressionCounts,
+    actions: u64,
+    /// Every record's time, in recording order.
+    times: Vec<SimTime>,
+    /// When a host heard a copy of a packet whose `Scheduled` decision is
+    /// still pending there: a pause at one of these snapshots a live
+    /// counter, lattice or pending set.
+    duplicates: Vec<SimTime>,
+}
+
+fn walk(mtrc: &[u8]) -> Walked {
+    let mut trace = TraceFile::open(mtrc).expect("a live trace opens");
     let mut tallies = SuppressionCounts::default();
-    for record in &trace.records {
-        let TraceRecord::Decision(d) = record else {
-            continue;
+    let (mut actions, mut times, mut duplicates) = (0, Vec::new(), Vec::new());
+    let mut pending = BTreeSet::new();
+    while let Some(record) = trace.next_record().expect("a live trace decodes") {
+        let at = match record {
+            TraceRecord::Action { at, action } => {
+                actions += 1;
+                match action {
+                    PureAction::PacketHeard { node, packet, .. }
+                        if pending.contains(&(node, packet)) =>
+                    {
+                        duplicates.push(at);
+                    }
+                    PureAction::FrameSent { node, packet } => {
+                        pending.remove(&(node, packet));
+                    }
+                    PureAction::Deactivate { node, .. } => {
+                        pending.retain(|&(host, _)| host != node)
+                    }
+                    _ => {}
+                }
+                at
+            }
+            TraceRecord::Decision(d) => {
+                match d.kind {
+                    DecisionKind::Scheduled => {
+                        tallies.scheduled += 1;
+                        pending.insert((d.node, d.packet));
+                    }
+                    DecisionKind::InhibitedOnFirstHear => tallies.inhibited_first_hear += 1,
+                    DecisionKind::Cancelled => {
+                        tallies.cancelled += 1;
+                        pending.remove(&(d.node, d.packet));
+                    }
+                }
+                tallies.record_reason(d.reason);
+                d.at
+            }
         };
-        match d.kind {
-            DecisionKind::Scheduled => tallies.scheduled += 1,
-            DecisionKind::InhibitedOnFirstHear => tallies.inhibited_first_hear += 1,
-            DecisionKind::Cancelled => tallies.cancelled += 1,
-        }
-        tallies.record_reason(d.reason);
+        times.push(at);
     }
-    tallies
+    Walked {
+        tallies,
+        actions,
+        times,
+        duplicates,
+    }
 }
 
 /// Resolves the case's pause against the times the run actually visited.
-fn pause_time(case: &Case, trace: &TraceFile) -> SimTime {
-    let time_of = |record: &TraceRecord| match record {
-        TraceRecord::Action { at, .. } => *at,
-        TraceRecord::Decision(d) => d.at,
-    };
-    let end = trace.records.last().map_or(SimTime::ZERO, time_of);
+fn pause_time(case: &Case, trace: &Walked) -> SimTime {
+    let end = trace.times.last().copied().unwrap_or(SimTime::ZERO);
     let scaled = |span: u64| SimTime::from_nanos((span as f64 * case.at) as u64);
+    let nth = |times: &[SimTime]| times.get((times.len() as f64 * case.at) as usize).copied();
     match case.pause {
         BeforeWarmup => scaled(case.config.warmup.as_nanos()),
         MidRun => scaled(end.as_nanos()),
-        OnEvent => {
-            let nth = (trace.records.len() as f64 * case.at) as usize;
-            trace.records.get(nth).map_or(SimTime::ZERO, time_of)
-        }
+        OnEvent => nth(&trace.duplicates)
+            .or_else(|| nth(&trace.times))
+            .unwrap_or(SimTime::ZERO),
         PastEnd => end + SimDuration::from_secs(3_600),
     }
 }
@@ -344,15 +392,14 @@ prop_check! {
         let mtrc = world.take_trace().expect("recording was armed");
         let recorded = world.into_report();
         assert_same_run("recorded", &baseline, &recorded);
-        let trace = TraceFile::decode(&mtrc).expect("a live trace decodes");
+        let trace = walk(&mtrc);
         let live = recorded.suppression;
-        assert_eq!(decision_tallies(&trace), live, "trace tallies diverge from the live counters");
+        assert_eq!(trace.tallies, live, "trace tallies diverge from the live counters");
 
         // 3. Replayed through the pure models alone.
         let replay = replay_decisions(&mtrc).unwrap_or_else(|e| panic!("replayed: {e}"));
         assert_eq!(replay.decisions, live.scheduled + live.inhibited_first_hear + live.cancelled);
-        let actions = trace.records.iter().filter(|r| matches!(r, TraceRecord::Action { .. }));
-        assert_eq!(replay.actions, actions.count() as u64);
+        assert_eq!(replay.actions, trace.actions);
 
         // 4. Paused, snapshotted, continued — recording throughout.
         let pause = pause_time(&case, &trace);
