@@ -22,6 +22,8 @@
 //! with no queue, no medium and no RNG at all — the scheme logic re-derives
 //! every decision from the actions alone.
 
+use std::rc::Rc;
+
 use manet_geom::Vec2;
 use manet_mac::FrameHandle;
 use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationTracker};
@@ -249,6 +251,13 @@ pub struct PureModels {
     ledgers: Vec<PacketLedger>,
     /// Per-host HELLO-derived neighbor tables, host-indexed.
     tables: Vec<NeighborTable>,
+    /// The neighbor list each host last advertised, sender-indexed and
+    /// shared by every table that heard it. A cache, never encoded, sized
+    /// with the tables and never by a sender id (replay's ids are not its
+    /// slots). A share is made on equal content, so what a slot holds only
+    /// decides whether a list is copied, and a sender beyond the store is
+    /// never shared.
+    published: Vec<Rc<[NodeId]>>,
     /// Per-host neighborhood-variation trackers, host-indexed.
     trackers: Vec<VariationTracker>,
     /// Scheme decisions tallied as the pure transitions make them.
@@ -282,6 +291,7 @@ impl PureModels {
             needs_two_hop: cfg.scheme.needs_two_hop_hellos(),
             ledgers: Vec::new(),
             tables: Vec::new(),
+            published: Vec::new(),
             trackers: Vec::new(),
             suppression: SuppressionCounts::default(),
             scratch_changes: Vec::new(),
@@ -294,6 +304,7 @@ impl PureModels {
         if hosts > self.ledgers.len() {
             self.ledgers.resize_with(hosts, PacketLedger::new);
             self.tables.resize_with(hosts, NeighborTable::new);
+            self.published.resize_with(hosts, Rc::default);
             self.trackers.resize_with(hosts, VariationTracker::new);
         }
     }
@@ -324,9 +335,19 @@ impl PureModels {
                 neighbors,
             } => {
                 self.expire_neighbors(node, now, fx);
+                // One allocation per changed list, shared by every hearer.
+                let list = match self.published.get_mut(sender.index()) {
+                    Some(last) => {
+                        if **last != *neighbors {
+                            *last = neighbors.into();
+                        }
+                        Rc::clone(last)
+                    }
+                    None => neighbors.into(),
+                };
                 let i = node.index();
                 if self.tables[i]
-                    .record_hello(sender, now, interval, neighbors)
+                    .record_shared(sender, now, interval, list)
                     .is_some()
                 {
                     self.trackers[i].record_change(now);
@@ -610,8 +631,8 @@ impl PureModels {
 
     /// The mutable protocol state a world snapshot must carry: per-host
     /// ledgers, neighbor tables, variation trackers, and the suppression
-    /// tally. Everything else in `PureModels` is config-derived or
-    /// scratch.
+    /// tally. Everything else in `PureModels` is config-derived, scratch
+    /// or the `published` cache.
     pub(crate) fn snapshot_parts(
         &self,
     ) -> (
@@ -742,6 +763,35 @@ mod tests {
             &mut fx,
         );
         assert!(fx.is_empty());
+    }
+
+    #[test]
+    fn hearers_of_one_hello_share_one_list() {
+        let mut pure = PureModels::new(&cfg(SchemeSpec::NeighborCoverage));
+        let sender = NodeId::new(0);
+        // Steps one HELLO at `node`; the address and length of the list
+        // that hearer now holds for the sender.
+        let mut hear = |node: u32, listed: &[u32], at_ms: u64| {
+            let neighbors: Vec<NodeId> = listed.iter().copied().map(NodeId::new).collect();
+            let action = PureAction::HelloHeard {
+                node: NodeId::new(node),
+                sender,
+                interval: SimDuration::from_secs(1),
+                neighbors: &neighbors,
+            };
+            pure.step(SimTime::from_millis(at_ms), &action, &mut Vec::new());
+            let held = pure.tables[node as usize].neighbors_of(sender);
+            held.expect("the sender was heard") as *const [NodeId]
+        };
+        let first = hear(1, &[1, 2, 3], 0);
+        assert!(std::ptr::eq(first, hear(2, &[1, 2, 3], 0)), "two hearers");
+        assert!(
+            std::ptr::eq(first, hear(3, &[1, 2, 3], 900)),
+            "unchanged re-beacon"
+        );
+        let changed = hear(1, &[2, 3], 1_000);
+        assert!(!std::ptr::eq(first, changed));
+        assert!(std::ptr::eq(changed, hear(2, &[2, 3], 1_000)));
     }
 
     #[test]

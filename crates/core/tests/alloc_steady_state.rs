@@ -78,8 +78,9 @@ fn a_steady_state_world_allocates_per_broadcast_not_per_hear() {
         // 29 KB point list).
         ("location:0.0134", "", plain, 110.0),
         ("al", "", plain, 110.0),
-        // The pending-set copy per first hear, plus neighbor lists as
-        // hosts join tables.
+        // The pending-set copy per first hear, plus one shared list per
+        // HELLO whose advertised neighbors changed (and a filtered copy
+        // where a read hides a departed host).
         ("nc", "", plain, 200.0),
         // The branches a plain run never takes: the capture and
         // injected-loss arms of the medium, the other mobility model,

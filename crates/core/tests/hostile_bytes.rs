@@ -362,11 +362,13 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
 /// and aborted. Each acting host now gets the next slot the first time it
 /// acts, so neither the count nor an id below it (one record at host
 /// 2³² − 2 would do, were state sized by the largest id) sizes anything.
+/// Nor does a HELLO's sender, which is not mapped to a slot: the store
+/// that shares advertised lists is sized with the tables.
 #[test]
 fn no_id_a_trace_names_sizes_replay_state() {
     // Magic and version, then the host count.
     const HOSTS: usize = 4 + 4;
-    let config = churn_config();
+    let (config, coverage) = (churn_config(), coverage_config());
     let claiming = |hosts: u32, mut bytes: Vec<u8>| {
         bytes[HOSTS..HOSTS + 4].copy_from_slice(&hosts.to_le_bytes());
         bytes
@@ -381,12 +383,30 @@ fn no_id_a_trace_names_sizes_replay_state() {
         );
         writer.into_bytes()
     };
+    // A HELLO with a list, heard under a neighbor-coverage header: one
+    // action, no effects under its fixed interval.
+    let hearing = |node: u32, sender: u32| {
+        let mut writer = TraceWriter::new(&coverage);
+        let listed = [NodeId::new(0), NodeId::new(node)];
+        writer.action(
+            SimTime::ZERO,
+            &PureAction::HelloHeard {
+                node: NodeId::new(node),
+                sender: NodeId::new(sender),
+                interval: SimDuration::from_secs(1),
+                neighbors: &listed,
+            },
+        );
+        writer.into_bytes()
+    };
     let one_action = Ok(ReplaySummary {
         actions: 1,
         decisions: 0,
     });
-    // What one host's state asks for, under the real header.
+    // What one host's state asks for, under the real headers.
     let (replayed, one_host) = CountingAlloc::measure(|| replay_decisions(&leaving(0)));
+    assert_eq!(replayed, one_action);
+    let (replayed, one_hello) = CountingAlloc::measure(|| replay_decisions(&hearing(0, 1)));
     assert_eq!(replayed, one_action);
     // 100 000 first: what the old sizings could allocate, so they fail on
     // the limit, not by aborting.
@@ -411,6 +431,17 @@ fn no_id_a_trace_names_sizes_replay_state() {
             hosts - 1,
             asked.largest,
             one_host.largest
+        );
+
+        let heard = claiming(hosts, hearing(hosts - 1, hosts - 2));
+        let (replayed, asked) = CountingAlloc::measure(|| replay_decisions(&heard));
+        assert_eq!(replayed, one_action, "HELLO from {} of {hosts}", hosts - 2);
+        assert!(
+            asked.largest <= one_hello.largest,
+            "HELLO from {} of {hosts}: replay requested {} bytes at once, from 1 of 8 {}",
+            hosts - 2,
+            asked.largest,
+            one_hello.largest
         );
     }
 

@@ -11,6 +11,8 @@
 //! neighbor list, giving the receiver (possibly stale) two-hop knowledge:
 //! `N_{x,h}`, "the set of neighbors of h known by host x".
 
+use std::rc::Rc;
+
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
@@ -24,8 +26,10 @@ struct NeighborEntry {
     interval: SimDuration,
     /// The neighbor's own one-hop set as of its last HELLO (`N_{x,h}`),
     /// possibly still listing hosts that departed since (see `written`).
-    /// Empty when HELLOs do not carry neighbor lists.
-    neighbors: Vec<NodeId>,
+    /// Empty when HELLOs do not carry neighbor lists. Other tables that
+    /// heard the same HELLO may hold the same list, so it is never written
+    /// through: a filter replaces the handle.
+    neighbors: Rc<[NodeId]>,
     /// The table's sweep count when `neighbors` was last written or
     /// filtered: a listed host is hidden iff it departed this table after
     /// that (see [`hidden`]).
@@ -111,31 +115,33 @@ impl NeighborTable {
         interval: SimDuration,
         neighbors: &[NodeId],
     ) -> Option<MembershipChange> {
+        self.record_shared(from, now, interval, neighbors.into())
+    }
+
+    /// [`record_hello`](Self::record_hello) with the advertised list
+    /// already shared: every table that heard one HELLO holds one copy.
+    pub fn record_shared(
+        &mut self,
+        from: NodeId,
+        now: SimTime,
+        interval: SimDuration,
+        neighbors: Rc<[NodeId]>,
+    ) -> Option<MembershipChange> {
         let deadline = now + interval * 2;
         self.min_deadline = Some(self.min_deadline.map_or(deadline, |d| d.min(deadline)));
+        let entry = NeighborEntry {
+            last_heard: now,
+            interval,
+            neighbors,
+            written: self.sweeps,
+        };
         match self.ids.binary_search(&from) {
             Ok(k) => {
-                // Refresh in place, reusing the entry's neighbor buffer —
-                // this runs once per decoded HELLO and must not allocate
-                // in steady state.
-                let entry = &mut self.entries[k];
-                entry.last_heard = now;
-                entry.interval = interval;
-                entry.neighbors.clear();
-                entry.neighbors.extend_from_slice(neighbors);
-                entry.written = self.sweeps;
+                self.entries[k] = entry;
                 None
             }
             Err(k) => {
                 self.ids.insert(k, from);
-                let entry = NeighborEntry {
-                    last_heard: now,
-                    interval,
-                    // One allocation per newly-joined neighbor; steady-state
-                    // HELLOs take the occupied arm above and reuse the buffer.
-                    neighbors: neighbors.to_vec(),
-                    written: self.sweeps,
-                };
                 self.entries.insert(k, entry);
                 self.joins += 1;
                 Some(MembershipChange::Joined(from))
@@ -167,7 +173,7 @@ impl NeighborTable {
         // HELLOs collide (`nc_dense1k`, seed 7: 31 939 sweeps removed 99 442
         // entries), and rewriting the ≈ 110 surviving two-hop lists on each
         // was ≈ 0.4 of that run. So a sweep only notes who left; the lists
-        // are filtered when read, and most are rewritten by their owner's
+        // are filtered when read, and most are replaced by their owner's
         // next HELLO before anyone reads them.
         let (first, sweep) = (leaves.len(), self.sweeps + 1);
         let mut next_bound: Option<SimTime> = None;
@@ -245,8 +251,11 @@ impl NeighborTable {
         };
         let entry = &mut self.entries[k];
         if entry.written < self.sweeps {
-            let (departed, written) = (&self.departed, entry.written);
-            entry.neighbors.retain(|&id| !hidden(departed, written, id));
+            // Other tables may share the list: hiding anyone takes a copy.
+            let visible = |&id: &NodeId| !hidden(&self.departed, entry.written, id);
+            if !entry.neighbors.iter().all(visible) {
+                entry.neighbors = entry.neighbors.iter().copied().filter(visible).collect();
+            }
             entry.written = self.sweeps;
         }
         (&self.ids, Some(&entry.neighbors))
@@ -284,7 +293,7 @@ impl NeighborTable {
             Ok(NeighborEntry {
                 last_heard: dec.time()?,
                 interval: dec.duration()?,
-                neighbors: NodeId::decode_seq(dec)?,
+                neighbors: NodeId::decode_seq(dec)?.into(),
                 written: 0,
             })
         })?;

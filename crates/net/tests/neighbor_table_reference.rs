@@ -1,9 +1,10 @@
 //! Test oracle for the lazy-purge [`NeighborTable`]: the table as it was
 //! before — a map of entries whose `expire_into` eagerly rewrites
-//! every surviving two-hop list — and a differential property test that
-//! drives both through the public API with the same operations.
+//! every surviving two-hop list — and differential property tests that
+//! drive both through the public API with the same operations.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use manet_net::{MembershipChange, NeighborTable};
 use manet_phy::NodeId;
@@ -214,6 +215,63 @@ prop_check! {
                 }
             }
             assert_same(&lazy, &eager, universe);
+        }
+    }
+}
+
+prop_check! {
+    /// Hearers of one HELLO share one copy of its list, as `PureModels`
+    /// hands it out, yet each filters by its own departures: after every
+    /// step each of 2–4 lazy tables is its own eager reference, so a filter
+    /// at one hearer never changes another's `N_{x,h}`. Each hearer misses
+    /// a HELLO, expires, reads and restores on its own draws, so their
+    /// departures diverge.
+    fn hearers_of_shared_lists_each_match_their_own_reference(g, cases = 200) {
+        let universe = if g.bool() { g.u32_in(1..9) } else { g.u32_in(1..41) };
+        let hearers = g.usize_in(2..5);
+        let mut lazy = vec![NeighborTable::new(); hearers];
+        let mut eager = vec![EagerTable::default(); hearers];
+        let mut now = SimTime::ZERO;
+        for _ in 0..g.usize_in(1..150) {
+            if g.u32_in(0..3) != 0 {
+                now += SimDuration::from_millis(g.u64_in(1..1_800));
+            }
+            let at = g.usize_in(0..hearers);
+            match g.u32_in(0..7) {
+                0..=2 => {
+                    let from = gen_id(g, universe);
+                    let interval = SimDuration::from_millis(g.u64_in(1..6) * 500);
+                    let mut listed = g.vec(0..universe.min(24) as usize + 1, |g| gen_id(g, universe));
+                    listed.sort_unstable();
+                    listed.dedup();
+                    let shared: Rc<[NodeId]> = listed.as_slice().into();
+                    for k in 0..hearers {
+                        if k == at || g.bool() {
+                            assert_eq!(
+                                lazy[k].record_shared(from, now, interval, Rc::clone(&shared)),
+                                eager[k].record_hello(from, now, interval, &listed)
+                            );
+                        }
+                    }
+                }
+                3 | 4 => {
+                    let (mut left_lazy, mut left_eager) = (Vec::new(), Vec::new());
+                    lazy[at].expire_into(now, &mut left_lazy);
+                    eager[at].expire_into(now, &mut left_eager);
+                    assert_eq!(left_lazy, left_eager, "leave lists");
+                }
+                5 => {
+                    let h = gen_id(g, universe);
+                    assert_eq!(lazy[at].neighbors_of(h), eager[at].neighbors_of(h));
+                }
+                _ => {
+                    let bytes = bytes_of(|enc| lazy[at].snapshot_into(enc));
+                    lazy[at] = NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes)).unwrap();
+                }
+            }
+            for (lazy, eager) in lazy.iter().zip(&eager) {
+                assert_same(lazy, eager, universe);
+            }
         }
     }
 }
