@@ -256,7 +256,8 @@ pub struct PureModels {
     /// with the tables and never by a sender id (replay's ids are not its
     /// slots). A share is made on equal content, so what a slot holds only
     /// decides whether a list is copied, and a sender beyond the store is
-    /// never shared.
+    /// never shared. A resume leaves in each slot the last list it
+    /// restored for that sender ([`publish_restored`](Self::publish_restored)).
     published: Vec<Rc<[NodeId]>>,
     /// Per-host neighborhood-variation trackers, host-indexed.
     trackers: Vec<VariationTracker>,
@@ -423,6 +424,37 @@ impl PureModels {
                 }
             }
         }
+    }
+
+    /// The handle a restored table keeps on `sender`'s two-hop list, shared
+    /// as a live HELLO's is — except that a list `sender` did not publish
+    /// last is looked up among `restored[sender]`, the lists of `sender`
+    /// this resume restored so far (host-indexed like `published`, added
+    /// to when new). Tables that missed a sender's latest HELLO interleave
+    /// by host with those that heard it, so comparing against `published`
+    /// alone would copy a list again at every switch. A table holds one
+    /// list per sender, so a sender's lists number at most the hosts.
+    pub(crate) fn publish_restored(
+        &mut self,
+        sender: NodeId,
+        neighbors: &[NodeId],
+        restored: &mut [Vec<Rc<[NodeId]>>],
+    ) -> Rc<[NodeId]> {
+        let i = sender.index();
+        let (Some(last), Some(lists)) = (self.published.get_mut(i), restored.get_mut(i)) else {
+            return neighbors.into();
+        };
+        if **last != *neighbors {
+            *last = match lists.iter().find(|list| ***list == *neighbors) {
+                Some(list) => Rc::clone(list),
+                None => {
+                    let list: Rc<[NodeId]> = neighbors.into();
+                    lists.push(Rc::clone(&list));
+                    list
+                }
+            };
+        }
+        Rc::clone(last)
     }
 
     /// The S1/S4/S5 decision pipeline for one heard copy of a packet.
@@ -647,6 +679,12 @@ impl PureModels {
             &self.trackers,
             self.suppression,
         )
+    }
+
+    /// The per-host neighbor tables, for tests that read what they hold.
+    #[cfg(test)]
+    pub(crate) fn tables_mut(&mut self) -> &mut [NeighborTable] {
+        &mut self.tables
     }
 
     /// Overwrites the mutable protocol state when restoring from a world

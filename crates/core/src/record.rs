@@ -18,7 +18,7 @@
 //! file layout is:
 //!
 //! ```text
-//! magic "MTRC" | version u32 (=1)
+//! magic "MTRC" | version u32 (=2)
 //! replay config:
 //!     hosts u32 | radio_radius f64 | coverage_resolution u64
 //!     scheme (tagged, below) | neighbor-info (tagged, below)
@@ -33,27 +33,36 @@
 //! | tag | action            | fields |
 //! |-----|-------------------|--------|
 //! | 0   | `Originate`       | node `u32`, packet |
-//! | 1   | `HelloPrepare`    | node `u32` |
-//! | 2   | `HelloHeard`      | node `u32`, sender `u32`, interval `u64`, neighbor list |
+//! | 1   | `HelloPrepare`    | node `u32` (refused under an oracle header) |
+//! | 2   | `HelloHeard`      | node `u32`, sender `u32`, advertisement tag `u8`: 0 = interval `u64` + neighbor list, 1 = the sender's previous advertisement repeated |
 //! | 3   | `PacketHeard`     | node `u32`, packet, sender `u32`, sender pos `2×f64`, own pos `2×f64`, random unit `f64`, oracle flag `u8` (+ count `u64`, two neighbor lists) |
 //! | 4   | `AssessmentFired` | node `u32`, packet |
 //! | 5   | `FrameSent`       | node `u32`, packet |
 //! | 6   | `Deactivate`      | node `u32`, crash `u8` |
 //!
 //! A packet is `source u32, seq u32`; a neighbor list is a `u64` count
-//! followed by that many `u32` ids. Every node id must be below the
-//! replay config's `hosts`, and every packet `seq` below the number of
-//! `Originate` records up to and including the one it appears in (live
-//! runs number packets 0, 1, 2 …). Decision payloads (`record tag 1`)
-//! are `node u32, packet, kind u8 (0 scheduled / 1 inhibited / 2
-//! cancelled), reason u8 (0 none / 1 counter / 2 coverage / 3
-//! neighbor-coverage / 4 probabilistic)`.
+//! followed by that many `u32` ids, strictly ascending. Every node id must
+//! be below the replay config's `hosts`, and every packet `seq` below the
+//! number of `Originate` records up to and including the one it appears
+//! in (live runs number packets 0, 1, 2 …). A sender's *advertisement* is
+//! the (interval, list) pair its last tag-0 `HelloHeard` carried: one
+//! HELLO is heard by every host in range, and the writer spells it out
+//! only when it differs from what the trace last carried for that sender,
+//! so a tag 1 before the sender's first tag 0 is refused. Decision
+//! payloads (`record tag 1`) are `node u32, packet, kind u8 (0 scheduled /
+//! 1 inhibited / 2 cancelled), reason u8 (0 none / 1 counter / 2 coverage
+//! / 3 neighbor-coverage / 4 probabilistic)`.
+//!
+//! Version 1 wrote every `HelloHeard`'s interval and list in full; it is
+//! refused by name at the version's offset.
+
+use std::collections::BTreeMap;
 
 use manet_geom::Vec2;
 use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_phy::NodeId;
-use manet_sim_engine::{SimTime, WireDecoder, WireEncoder, WireError};
+use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
 use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
 use crate::ids::{decode_packet, encode_packet, PacketId};
@@ -65,7 +74,11 @@ use crate::trace::{DecisionKind, SuppressReason};
 /// Magic bytes opening a trace file.
 pub const TRACE_MAGIC: &[u8; 4] = b"MTRC";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
+
+/// The (interval, list) each sender last advertised in a trace, keyed by
+/// id — never sized by one, since a header may claim 2³² − 1 hosts.
+type Advertisements = BTreeMap<NodeId, (SimDuration, Vec<NodeId>)>;
 
 /// One scheme decision as recorded (and as re-derived on replay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +115,8 @@ pub enum TraceRecord<'a> {
 #[derive(Debug)]
 pub struct TraceWriter {
     enc: WireEncoder,
+    /// What each sender's next `HelloHeard` is compared against.
+    advertised: Advertisements,
 }
 
 impl TraceWriter {
@@ -110,14 +125,17 @@ impl TraceWriter {
     pub fn new(cfg: &SimConfig) -> Self {
         let mut enc = WireEncoder::with_magic(TRACE_MAGIC, TRACE_VERSION);
         encode_replay_config(&mut enc, cfg);
-        TraceWriter { enc }
+        TraceWriter {
+            enc,
+            advertised: BTreeMap::new(),
+        }
     }
 
     /// Records one dispatched action.
     pub fn action(&mut self, at: SimTime, action: &PureAction<'_>) {
         self.enc.u8(0);
         self.enc.time(at);
-        encode_action(&mut self.enc, action);
+        encode_action(&mut self.enc, &mut self.advertised, action);
     }
 
     /// Records one scheme decision.
@@ -156,8 +174,9 @@ impl TraceWriter {
 
 /// An `MTRC` trace, read in one forward pass: the replay configuration,
 /// then each record in recording order from
-/// [`next_record`](Self::next_record). Nothing is collected; an action's
-/// neighbor lists are decoded into two buffers the reader reuses.
+/// [`next_record`](Self::next_record). Nothing is collected but each
+/// sender's current advertisement; an oracle view's neighbor lists are
+/// decoded into two buffers the reader reuses.
 #[derive(Debug)]
 pub struct TraceFile<'a> {
     /// A configuration sufficient to rebuild the pure models (map size,
@@ -168,6 +187,8 @@ pub struct TraceFile<'a> {
     /// `Originate`s read so far: live runs number packets 0, 1, 2 … per
     /// `Originate`, and replay sizes each ledger by the largest `seq`.
     originated: u32,
+    /// What a tag-1 `HelloHeard` from each sender repeats.
+    advertised: Advertisements,
     neighbors: Vec<NodeId>,
     sender_neighbors: Vec<NodeId>,
 }
@@ -178,14 +199,19 @@ impl<'a> TraceFile<'a> {
     /// [`next_record`](Self::next_record).
     pub fn open(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut dec = WireDecoder::new(bytes);
-        if dec.expect_magic(TRACE_MAGIC)? != TRACE_VERSION {
-            let what = "unsupported trace version";
+        let what = match dec.expect_magic(TRACE_MAGIC)? {
+            TRACE_VERSION => None,
+            1 => Some("trace version 1 is retired (a list per hearer); record the run again"),
+            _ => Some("unsupported trace version"),
+        };
+        if let Some(what) = what {
             return Err(WireError { at: 4, what });
         }
         Ok(TraceFile {
             config: decode_replay_config(&mut dec)?,
             dec,
             originated: 0,
+            advertised: BTreeMap::new(),
             neighbors: Vec::new(),
             sender_neighbors: Vec::new(),
         })
@@ -258,15 +284,41 @@ impl<'a> TraceFile<'a> {
                     packet: decode_issued_packet(dec, *originated)?,
                 }
             }
+            // No HELLO timer runs under oracle neighbor info.
+            1 if matches!(self.config.neighbor_info, NeighborInfo::Oracle) => {
+                let what = "HelloPrepare under an oracle neighbor-info header";
+                return Err(WireError { what, ..invalid });
+            }
             1 => PureAction::HelloPrepare {
                 node: decode_node(dec, hosts)?,
             },
-            2 => PureAction::HelloHeard {
-                node: decode_node(dec, hosts)?,
-                sender: decode_node(dec, hosts)?,
-                interval: dec.duration()?,
-                neighbors: dec.seq_into(4, &mut self.neighbors, id)?,
-            },
+            2 => {
+                let node = decode_node(dec, hosts)?;
+                let sender = decode_node(dec, hosts)?;
+                let (tag, invalid) = dec.tag("invalid advertisement tag")?;
+                let (interval, neighbors) = match tag {
+                    0 => {
+                        let interval = dec.duration()?;
+                        let (last, list) = self.advertised.entry(sender).or_default();
+                        *last = interval;
+                        (interval, NodeId::decode_ascending(dec, list, id)?)
+                    }
+                    1 => match self.advertised.get(&sender) {
+                        Some((interval, list)) => (*interval, list.as_slice()),
+                        None => {
+                            let what = "HELLO repeats an advertisement its sender has not made";
+                            return Err(WireError { what, ..invalid });
+                        }
+                    },
+                    _ => return Err(invalid),
+                };
+                PureAction::HelloHeard {
+                    node,
+                    sender,
+                    interval,
+                    neighbors,
+                }
+            }
             3 => PureAction::PacketHeard {
                 node: decode_node(dec, hosts)?,
                 packet: decode_issued_packet(dec, *originated)?,
@@ -278,8 +330,12 @@ impl<'a> TraceFile<'a> {
                 oracle: if dec.bool()? {
                     Some(OracleView {
                         neighbor_count: dec.usize()?,
-                        neighbors: dec.seq_into(4, &mut self.neighbors, id)?,
-                        sender_neighbors: dec.seq_into(4, &mut self.sender_neighbors, id)?,
+                        neighbors: NodeId::decode_ascending(dec, &mut self.neighbors, id)?,
+                        sender_neighbors: NodeId::decode_ascending(
+                            dec,
+                            &mut self.sender_neighbors,
+                            id,
+                        )?,
                     })
                 } else {
                     None
@@ -469,7 +525,7 @@ fn decode_issued_packet(dec: &mut WireDecoder<'_>, originated: u32) -> Result<Pa
     Ok(packet)
 }
 
-fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
+fn encode_action(enc: &mut WireEncoder, advertised: &mut Advertisements, action: &PureAction<'_>) {
     match *action {
         PureAction::Originate { node, packet } => {
             enc.u8(0);
@@ -489,8 +545,15 @@ fn encode_action(enc: &mut WireEncoder, action: &PureAction<'_>) {
             enc.u8(2);
             node.encode(enc);
             sender.encode(enc);
-            enc.duration(interval);
-            NodeId::encode_seq(enc, neighbors.iter().copied());
+            let last = advertised.get(&sender);
+            if last.is_some_and(|(last, list)| *last == interval && list == neighbors) {
+                enc.u8(1);
+            } else {
+                enc.u8(0);
+                enc.duration(interval);
+                NodeId::encode_seq(enc, neighbors.iter().copied());
+                advertised.insert(sender, (interval, neighbors.to_vec()));
+            }
         }
         PureAction::PacketHeard {
             node,
@@ -733,6 +796,8 @@ mod tests {
             // The reader's buffers are reused: a shorter list after a
             // longer one must not keep the tail.
             hello(&sender_neighbors),
+            // Unchanged, so written as a repeat (tag 1).
+            hello(&sender_neighbors),
             PureAction::AssessmentFired {
                 node: NodeId::new(4),
                 packet,
@@ -817,6 +882,17 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(TraceFile::decode(&wrong_magic).is_err());
+        // Version 1 is refused by name; any other unknown one generically.
+        for (version, retired) in [(1u32, true), (3, false)] {
+            let mut old = bytes.clone();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = TraceFile::decode(&old).unwrap_err();
+            assert_eq!(
+                (err.at, err.what.contains("retired")),
+                (4, retired),
+                "{err}"
+            );
+        }
         // Magic, version and hosts precede the radius; the resolution
         // follows it. Neither may differ from this build's constant.
         for (at, other) in [(12, 250.0f64.to_le_bytes()), (20, 96u64.to_le_bytes())] {

@@ -12,8 +12,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use broadcast_core::{
-    replay_decisions, ChurnKind, MobilitySpec, NeighborInfo, PacketId, PureAction, ReplayError,
-    ReplaySummary, Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
+    replay_decisions, ChurnKind, MobilitySpec, NeighborInfo, OracleView, PacketId, PureAction,
+    ReplayError, ReplaySummary, Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
 };
 use manet_geom::CoverageGrid;
 use manet_net::HelloIntervalPolicy;
@@ -32,9 +32,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// itself does (see [`snapshot_limit`]).
 const SNAPSHOT_BYTES_PER_WIRE_BYTE: usize = 8;
 
-/// A trace is read in one pass and nothing is collected: its largest
-/// blocks are the two reused neighbor-list buffers, 4 bytes per id as on
-/// the wire, so materialising the records (≈ 4–5× the input) fails it.
+/// A trace is read in one pass and nothing is collected but each sender's
+/// current advertisement: its largest blocks are neighbor lists, 4 bytes
+/// per id as on the wire, and the nodes of that id-keyed store, so
+/// materialising the records (≈ 4–5× the input) fails it.
 const TRACE_BYTES_PER_WIRE_BYTE: usize = 2;
 
 /// Counter scheme under churn, a blackout, noise and a partition: the
@@ -363,7 +364,8 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
 /// acts, so neither the count nor an id below it (one record at host
 /// 2³² − 2 would do, were state sized by the largest id) sizes anything.
 /// Nor does a HELLO's sender, which is not mapped to a slot: the store
-/// that shares advertised lists is sized with the tables.
+/// that shares advertised lists is sized with the tables, and the reader's
+/// store of each sender's advertisement is keyed by id.
 #[test]
 fn no_id_a_trace_names_sizes_replay_state() {
     // Magic and version, then the host count.
@@ -383,31 +385,38 @@ fn no_id_a_trace_names_sizes_replay_state() {
         );
         writer.into_bytes()
     };
-    // A HELLO with a list, heard under a neighbor-coverage header: one
-    // action, no effects under its fixed interval.
+    // A HELLO with a list and the same HELLO again, which the writer
+    // spells as a repeat (its last byte, tag 1), heard under a
+    // neighbor-coverage header: two actions, no effects under its fixed
+    // interval.
     let hearing = |node: u32, sender: u32| {
         let mut writer = TraceWriter::new(&coverage);
         let listed = [NodeId::new(0), NodeId::new(node)];
-        writer.action(
-            SimTime::ZERO,
-            &PureAction::HelloHeard {
-                node: NodeId::new(node),
-                sender: NodeId::new(sender),
-                interval: SimDuration::from_secs(1),
-                neighbors: &listed,
-            },
-        );
-        writer.into_bytes()
+        let hello = PureAction::HelloHeard {
+            node: NodeId::new(node),
+            sender: NodeId::new(sender),
+            interval: SimDuration::from_secs(1),
+            neighbors: &listed,
+        };
+        writer.action(SimTime::ZERO, &hello);
+        writer.action(SimTime::from_millis(1), &hello);
+        let bytes = writer.into_bytes();
+        assert_eq!(bytes.last(), Some(&1), "the second HELLO is a repeat");
+        bytes
     };
     let one_action = Ok(ReplaySummary {
         actions: 1,
         decisions: 0,
     });
+    let two_actions = Ok(ReplaySummary {
+        actions: 2,
+        decisions: 0,
+    });
     // What one host's state asks for, under the real headers.
     let (replayed, one_host) = CountingAlloc::measure(|| replay_decisions(&leaving(0)));
     assert_eq!(replayed, one_action);
-    let (replayed, one_hello) = CountingAlloc::measure(|| replay_decisions(&hearing(0, 1)));
-    assert_eq!(replayed, one_action);
+    let (replayed, one_hello) = CountingAlloc::measure(|| replay_decisions(&hearing(1, 2)));
+    assert_eq!(replayed, two_actions);
     // 100 000 first: what the old sizings could allocate, so they fail on
     // the limit, not by aborting.
     for hosts in [100_000, u32::MAX] {
@@ -435,10 +444,10 @@ fn no_id_a_trace_names_sizes_replay_state() {
 
         let heard = claiming(hosts, hearing(hosts - 1, hosts - 2));
         let (replayed, asked) = CountingAlloc::measure(|| replay_decisions(&heard));
-        assert_eq!(replayed, one_action, "HELLO from {} of {hosts}", hosts - 2);
+        assert_eq!(replayed, two_actions, "HELLO from {} of {hosts}", hosts - 2);
         assert!(
             asked.largest <= one_hello.largest,
-            "HELLO from {} of {hosts}: replay requested {} bytes at once, from 1 of 8 {}",
+            "HELLO from {} of {hosts}: replay requested {} bytes at once, from 2 of 8 {}",
             hosts - 2,
             asked.largest,
             one_hello.largest
@@ -452,6 +461,200 @@ fn no_id_a_trace_names_sizes_replay_state() {
         "{replayed:?}"
     );
     assert_eq!(replay_decisions(&claiming(u32::MAX, bytes)), replayed);
+}
+
+/// A `HelloHeard` either carries its sender's advertisement (tag 0) or
+/// repeats the one the trace last carried for that sender (tag 1). A repeat
+/// with nothing to repeat — before any advertisement, or from another
+/// sender than the one that made it — and any other tag are refused at the
+/// tag.
+#[test]
+fn a_hello_repeats_only_an_advertisement_its_sender_made() {
+    let config = coverage_config();
+    let header = TraceWriter::new(&config).into_bytes().len();
+    let listed = [NodeId::new(2), NodeId::new(3)];
+    let hello = PureAction::HelloHeard {
+        node: NodeId::new(0),
+        sender: NodeId::new(1),
+        interval: SimDuration::from_secs(1),
+        neighbors: &listed,
+    };
+    let mut writer = TraceWriter::new(&config);
+    writer.action(SimTime::ZERO, &hello);
+    writer.action(SimTime::from_millis(1), &hello);
+    let bytes = writer.into_bytes();
+    assert!(TraceFile::decode(&bytes).is_ok());
+    // Record and action tags, time, node and sender precede the
+    // advertisement tag; a tag-0 record then holds the interval and list.
+    let tag = 1 + 8 + 1 + 4 + 4;
+    let advertisement = tag + 1 + 8 + 8 + 4 * listed.len();
+    assert_eq!(bytes.len(), header + advertisement + tag + 1);
+    assert_eq!(
+        (bytes[header + tag], bytes[header + advertisement + tag]),
+        (0, 1)
+    );
+
+    let unmade = "HELLO repeats an advertisement its sender has not made";
+    let repeat_only = [&bytes[..header], &bytes[header + advertisement..]].concat();
+    let mut other_sender = bytes.clone();
+    let sender = header + advertisement + tag - 4;
+    other_sender[sender..sender + 4].copy_from_slice(&2u32.to_le_bytes());
+    let mut unknown_tag = bytes.clone();
+    unknown_tag[header + tag] = 2;
+    for (case, bytes, at, what) in [
+        ("a repeat first", repeat_only, header + tag, unmade),
+        (
+            "a repeat from sender 2",
+            other_sender,
+            header + advertisement + tag,
+            unmade,
+        ),
+        (
+            "tag 2",
+            unknown_tag,
+            header + tag,
+            "invalid advertisement tag",
+        ),
+    ] {
+        let err = TraceFile::decode(&bytes).expect_err(case);
+        assert_eq!(err, WireError { at, what }, "{case}");
+    }
+}
+
+/// The reader keeps each sender's current advertisement, keyed by id.
+/// However many distinct ones a trace carries — every record a new
+/// sender, each with its own list — no block it asks for outgrows the
+/// input.
+#[test]
+fn distinct_advertisements_stay_within_the_trace_bound() {
+    const HOSTS: usize = 4 + 4;
+    let mut writer = TraceWriter::new(&coverage_config());
+    for k in 0..2_048u32 {
+        let sender = k.wrapping_mul(2_097_143);
+        let listed: Vec<NodeId> = (k..=k + k % 8).map(NodeId::new).collect();
+        let hello = PureAction::HelloHeard {
+            node: NodeId::new(0),
+            sender: NodeId::new(sender),
+            interval: SimDuration::from_secs(u64::from(1 + k % 3)),
+            neighbors: &listed,
+        };
+        writer.action(SimTime::from_millis(u64::from(k)), &hello);
+    }
+    let mut bytes = writer.into_bytes();
+    bytes[HOSTS..HOSTS + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let limit = TRACE_BYTES_PER_WIRE_BYTE * bytes.len();
+    let (decoded, asked) = CountingAlloc::measure(|| TraceFile::decode(&bytes).map(drop));
+    assert_eq!(decoded, Ok(()));
+    assert!(
+        asked.largest <= limit,
+        "decode requested {} bytes at once from a {}-byte trace",
+        asked.largest,
+        bytes.len()
+    );
+}
+
+/// Every reader of a neighbor list merges or searches it by id, so decode
+/// refuses one out of order at the list's offset: a HELLO's advertisement
+/// (once, where it is spelled out) and either list of an oracle view. An
+/// advertised `[3, 2]` used to reach the neighbor-coverage merge, where a
+/// debug build panicked and a release build derived another decision.
+#[test]
+fn a_neighbor_list_out_of_order_is_refused() {
+    let ids = |ids: &[u32]| ids.iter().copied().map(NodeId::new).collect::<Vec<_>>();
+    let (hearer, sender) = (NodeId::new(0), NodeId::new(1));
+    let packet = PacketId::new(sender, 0);
+    let originate = PureAction::Originate {
+        node: sender,
+        packet,
+    };
+    // Host 0 hears host 1's packet.
+    fn heard(packet: PacketId, oracle: Option<OracleView<'_>>) -> PureAction<'_> {
+        PureAction::PacketHeard {
+            node: NodeId::new(0),
+            packet,
+            sender: NodeId::new(1),
+            sender_position: manet_geom::Vec2::ZERO,
+            own_position: manet_geom::Vec2::new(100.0, 0.0),
+            random_unit: 0.5,
+            oracle,
+        }
+    }
+    let what = "neighbor list is not strictly ascending";
+
+    // HELLO: the list closes the first record.
+    let config = coverage_config();
+    let advertised = ids(&[3, 2]);
+    let mut writer = TraceWriter::new(&config);
+    let hello = PureAction::HelloHeard {
+        node: hearer,
+        sender,
+        interval: SimDuration::from_secs(1),
+        neighbors: &advertised,
+    };
+    writer.action(SimTime::ZERO, &hello);
+    let at = writer.into_bytes().len() - 8 - 4 * advertised.len();
+    let mut writer = TraceWriter::new(&config);
+    writer.action(SimTime::ZERO, &hello);
+    writer.action(SimTime::from_millis(1), &originate);
+    writer.action(SimTime::from_millis(2), &heard(packet, None));
+    let bytes = writer.into_bytes();
+    let replayed = catch_unwind(|| replay_decisions(&bytes));
+    assert_eq!(
+        replayed.ok(),
+        Some(Err(ReplayError::Wire(WireError { at, what }))),
+        "advertised [3, 2]"
+    );
+
+    // Oracle view: the two lists close the trace.
+    let oracle = SimConfig::builder(1, SchemeSpec::NeighborCoverage)
+        .hosts(8)
+        .broadcasts(4)
+        .neighbor_info(NeighborInfo::Oracle)
+        .build();
+    for (own, theirs, from_end) in [([1, 2], [3, 2], 16), ([2, 1], [0, 3], 32)] {
+        let (own, theirs) = (ids(&own), ids(&theirs));
+        let view = OracleView {
+            neighbor_count: own.len(),
+            neighbors: &own,
+            sender_neighbors: &theirs,
+        };
+        let mut writer = TraceWriter::new(&oracle);
+        writer.action(SimTime::ZERO, &originate);
+        writer.action(SimTime::from_millis(1), &heard(packet, Some(view)));
+        let bytes = writer.into_bytes();
+        let at = bytes.len() - from_end;
+        let replayed = catch_unwind(|| replay_decisions(&bytes));
+        assert_eq!(
+            replayed.ok(),
+            Some(Err(ReplayError::Wire(WireError { at, what }))),
+            "oracle view {own:?} / {theirs:?}"
+        );
+    }
+}
+
+/// No HELLO timer runs under oracle neighbor info, so a `HelloPrepare`
+/// under an oracle header is refused at its tag. It used to decode and
+/// then panic in `step` ("hello timer fired in oracle mode").
+#[test]
+fn a_hello_prepare_under_an_oracle_header_is_refused() {
+    let config = SimConfig::builder(1, SchemeSpec::Counter(3))
+        .hosts(8)
+        .broadcasts(4)
+        .neighbor_info(NeighborInfo::Oracle)
+        .build();
+    let header = TraceWriter::new(&config).into_bytes().len();
+    let mut writer = TraceWriter::new(&config);
+    let node = NodeId::new(0);
+    writer.action(SimTime::ZERO, &PureAction::HelloPrepare { node });
+    let bytes = writer.into_bytes();
+    // Record tag and time, then the action tag.
+    let at = header + 1 + 8;
+    let what = "HelloPrepare under an oracle neighbor-info header";
+    let replayed = catch_unwind(|| replay_decisions(&bytes));
+    assert_eq!(
+        replayed.ok(),
+        Some(Err(ReplayError::Wire(WireError { at, what })))
+    );
 }
 
 /// Replay steps nothing until the whole trace decodes. A decodable prefix

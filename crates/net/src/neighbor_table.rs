@@ -279,9 +279,17 @@ impl NeighborTable {
     }
 
     /// Rebuilds a table from [`snapshot_into`](Self::snapshot_into)
-    /// output, refusing entries that are not strictly ascending by id.
-    pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<NeighborTable, WireError> {
+    /// output, refusing entries or two-hop lists that are not strictly
+    /// ascending by id. Each list is read into a scratch buffer and
+    /// handed to `share` with its sender, which returns the handle the
+    /// entry keeps: a caller that interns lists by content restores
+    /// tables that share them the way live hearers do.
+    pub fn restore_snapshot(
+        dec: &mut WireDecoder<'_>,
+        mut share: impl FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>,
+    ) -> Result<NeighborTable, WireError> {
         let mut table = NeighborTable::new();
+        let mut list = Vec::new();
         table.entries = dec.seq(28, |dec| {
             let at = dec.position();
             let id = NodeId::decode(dec)?;
@@ -293,7 +301,10 @@ impl NeighborTable {
             Ok(NeighborEntry {
                 last_heard: dec.time()?,
                 interval: dec.duration()?,
-                neighbors: NodeId::decode_seq(dec)?.into(),
+                neighbors: share(
+                    id,
+                    NodeId::decode_ascending(dec, &mut list, NodeId::decode)?,
+                ),
                 written: 0,
             })
         })?;
@@ -467,13 +478,46 @@ mod tests {
         // Entry count, then per entry: id, last_heard, interval, list length.
         let (first, second) = (8, 8 + 4 + 8 + 8 + 8);
         assert_eq!((bytes[first], bytes[second]), (3, 7));
-        assert!(NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes)).is_ok());
+        assert!(restore(&bytes).is_ok());
         for (a, b) in [(7, 3), (3, 3), (7, 7)] {
             let mut bad = bytes.clone();
             (bad[first], bad[second]) = (a, b);
-            let err = NeighborTable::restore_snapshot(&mut WireDecoder::new(&bad))
-                .expect_err("accepted entries out of order");
+            let err = restore(&bad).expect_err("accepted entries out of order");
             assert_eq!(err.at, second, "{err}");
         }
+    }
+
+    fn restore(bytes: &[u8]) -> Result<NeighborTable, WireError> {
+        NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), |_, list| list.into())
+    }
+
+    #[test]
+    fn restore_refuses_a_two_hop_list_that_is_not_strictly_ascending() {
+        // A list out of order used to be restored as is, and the
+        // neighbor-coverage merge then read it as a sorted set.
+        let mut t = NeighborTable::new();
+        t.record_hello(id(4), SimTime::ZERO, SEC, &[id(2), id(6)]);
+        let mut enc = WireEncoder::new();
+        t.snapshot_into(&mut enc);
+        let bytes = enc.into_bytes();
+        // Entry count, then the entry: id, last_heard, interval, the list.
+        let list = 8 + 4 + 8 + 8;
+        assert_eq!((bytes[list + 8], bytes[list + 12]), (2, 6));
+        for (a, b) in [(6, 2), (2, 2)] {
+            let mut bad = bytes.clone();
+            (bad[list + 8], bad[list + 12]) = (a, b);
+            let err = restore(&bad).expect_err("accepted a list out of order");
+            assert_eq!(err.at, list, "{err}");
+        }
+        // What `share` returns is what the entry holds.
+        let shared: Rc<[NodeId]> = Rc::from([id(2), id(6)]);
+        let mut restored =
+            NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes), |h, l| {
+                assert_eq!((h, l), (id(4), &shared[..]));
+                Rc::clone(&shared)
+            })
+            .expect("a pristine table restores");
+        let held = restored.neighbors_of(id(4)).expect("host 4 is a neighbor");
+        assert!(std::ptr::eq(held, &shared[..]));
     }
 }

@@ -51,6 +51,24 @@ impl NodeId {
     pub fn decode_seq(dec: &mut WireDecoder<'_>) -> Result<Vec<NodeId>, WireError> {
         dec.seq(4, NodeId::decode)
     }
+
+    /// Reads a neighbor list — a sequence of ids, each read by `get` —
+    /// into `buf`, refusing at the list's offset one that is not strictly
+    /// ascending: every reader of a neighbor list merges or searches it
+    /// by id.
+    pub fn decode_ascending<'v>(
+        dec: &mut WireDecoder<'_>,
+        buf: &'v mut Vec<NodeId>,
+        get: impl FnMut(&mut WireDecoder<'_>) -> Result<NodeId, WireError>,
+    ) -> Result<&'v [NodeId], WireError> {
+        let at = dec.position();
+        let list = dec.seq_into(4, buf, get)?;
+        if !list.is_sorted_by(|a, b| a < b) {
+            let what = "neighbor list is not strictly ascending";
+            return Err(WireError { at, what });
+        }
+        Ok(list)
+    }
 }
 
 impl From<u32> for NodeId {
@@ -105,6 +123,28 @@ mod tests {
         let n = NodeId::from(7u32);
         assert_eq!(n.index(), 7);
         assert_eq!(n, NodeId::new(7));
+    }
+
+    #[test]
+    fn a_neighbor_list_out_of_order_is_refused_at_its_offset() {
+        for (ids, ok) in [
+            (&[2, 5, 9][..], true),
+            (&[], true),
+            (&[5, 2], false),
+            (&[3, 3], false),
+        ] {
+            let mut enc = WireEncoder::new();
+            enc.u8(7);
+            NodeId::encode_seq(&mut enc, ids.iter().copied().map(NodeId::new));
+            let bytes = enc.into_bytes();
+            let mut dec = WireDecoder::new(&bytes);
+            dec.u8().expect("the lead byte");
+            let mut buf = Vec::new();
+            match NodeId::decode_ascending(&mut dec, &mut buf, NodeId::decode) {
+                Ok(list) => assert!(ok && list.iter().map(|id| id.0).eq(ids.iter().copied())),
+                Err(e) => assert!(!ok && e.at == 1, "{ids:?}: {e}"),
+            }
+        }
     }
 
     #[test]
