@@ -1374,7 +1374,7 @@ impl World {
         let sender_pos = self.geometry.cached_position(sender);
         // Independent overlapping bursts compose: survive all or drop.
         let noise_drop = 1.0 - st.noise.iter().fold(1.0, |acc, &p| acc * (1.0 - p));
-        for &listener in listeners {
+        for (index, &listener) in listeners.iter().enumerate() {
             let l = listener.index() as u32;
             let kind = if st
                 .blackouts
@@ -1393,7 +1393,7 @@ impl World {
                 None
             };
             if let Some(kind) = kind {
-                if self.medium.inject_loss(frame, listener) {
+                if self.medium.inject_loss(frame, index) {
                     match kind {
                         FaultKind::Blackout => st.counts.blackout_drops += 1,
                         FaultKind::Partition => st.counts.partition_drops += 1,

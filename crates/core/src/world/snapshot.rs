@@ -60,8 +60,10 @@ use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
 
 /// Magic bytes opening a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 1 kept each radio's list of
+/// incoming frames; version 2 writes the medium frame-major (DESIGN.md
+/// §12), and version 1 is refused by name.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 impl World {
     /// Serializes this (paused or finished) world into a self-contained
@@ -73,27 +75,7 @@ impl World {
     /// no transient scratch state is live. An armed action recorder is
     /// not captured — a trace must cover a whole run to replay.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut enc = WireEncoder::with_magic(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-
-        let mut fingerprint = WireEncoder::new();
-        encode_fingerprint(&mut fingerprint, &self.cfg);
-        enc.bytes(fingerprint.as_slice());
-
-        self.queue.encode(&mut enc, encode_event);
-        enc.rng(&self.workload_rng);
-        enc.rng(&self.proto_rng);
-
-        enc.len(self.nodes.len());
-        for node in &self.nodes {
-            node.mac.snapshot_into(&mut enc);
-            node.outgoing.encode(&mut enc, encode_payload);
-            enc.option(node.hello_pending, |enc, (key, at)| {
-                enc.key(key);
-                enc.time(at);
-            });
-            encode_mobility(&mut enc, &node.mobility);
-        }
-
+        let mut enc = self.encode_through_nodes();
         self.medium.snapshot_into(&mut enc);
 
         let (ledgers, tables, trackers, suppression) = self.pure.snapshot_parts();
@@ -138,6 +120,33 @@ impl World {
         enc.into_bytes()
     }
 
+    /// The snapshot up to the medium: magic, version, fingerprint, event
+    /// queue, the two world RNGs, and every host's MAC, MAC queue, HELLO
+    /// timer and mobility.
+    fn encode_through_nodes(&self) -> WireEncoder {
+        let mut enc = WireEncoder::with_magic(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+
+        let mut fingerprint = WireEncoder::new();
+        encode_fingerprint(&mut fingerprint, &self.cfg);
+        enc.bytes(fingerprint.as_slice());
+
+        self.queue.encode(&mut enc, encode_event);
+        enc.rng(&self.workload_rng);
+        enc.rng(&self.proto_rng);
+
+        enc.len(self.nodes.len());
+        for node in &self.nodes {
+            node.mac.snapshot_into(&mut enc);
+            node.outgoing.encode(&mut enc, encode_payload);
+            enc.option(node.hello_pending, |enc, (key, at)| {
+                enc.key(key);
+                enc.time(at);
+            });
+            encode_mobility(&mut enc, &node.mobility);
+        }
+        enc
+    }
+
     /// Rebuilds a world from a [`snapshot`](Self::snapshot), continuing
     /// the run bit-identically to the world the snapshot was taken from.
     ///
@@ -151,12 +160,15 @@ impl World {
     /// or fingerprint mismatch, or state inconsistent with `config`.
     pub fn resume(config: SimConfig, bytes: &[u8]) -> Result<World, WireError> {
         let mut dec = WireDecoder::new(bytes);
-        let version = dec.expect_magic(SNAPSHOT_MAGIC)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(WireError {
-                at: 4,
-                what: "unsupported snapshot version",
-            });
+        let what = match dec.expect_magic(SNAPSHOT_MAGIC)? {
+            SNAPSHOT_VERSION => None,
+            1 => {
+                Some("snapshot version 1 is retired (a frame list per radio); take a new snapshot")
+            }
+            _ => Some("unsupported snapshot version"),
+        };
+        if let Some(what) = what {
+            return Err(WireError { at: 4, what });
         }
         let fingerprint_at = dec.position();
         let stored = dec.bytes()?;
@@ -199,6 +211,7 @@ impl World {
                 .set_segment(NodeId::new(i as u32), node.mobility.segment());
         }
 
+        let medium_at = dec.position();
         world.medium.restore_snapshot(&mut dec)?;
 
         let ledgers = (0..hosts)
@@ -259,8 +272,73 @@ impl World {
         }
 
         dec.finish()?;
+        check_frames_on_air(&world, medium_at)?;
         Ok(world)
     }
+}
+
+/// Checks the medium against the rest of the world. Each frame on the air
+/// has the in-flight record of its source, a sender MAC that is
+/// transmitting it (or, if the sender has left since, an older churn
+/// epoch) and exactly one `TxEnd`, at its end; there is no other in-flight
+/// record or `TxEnd`, and no active host's MAC transmits without a frame.
+/// A snapshot breaking any of these used to resume and then panic; it is
+/// refused at the medium section, `at`.
+fn check_frames_on_air(world: &World, at: usize) -> Result<(), WireError> {
+    let refuse = |what| Err(WireError { at, what });
+    // The time of each in-flight slot's `TxEnd`.
+    let mut ends = vec![None; world.in_flight.len()];
+    let mut tx_ends = 0;
+    for (time, event) in world.queue.iter() {
+        let Event::TxEnd { frame } = event else {
+            continue;
+        };
+        tx_ends += 1;
+        let slot = usize::try_from(frame.as_u64()).unwrap_or(usize::MAX);
+        match ends.get_mut(slot) {
+            Some(end @ None) => *end = Some(time),
+            Some(Some(_)) => return refuse("two TxEnd events for one frame"),
+            None => return refuse("a TxEnd names a frame that is not on the air"),
+        }
+    }
+    let mut on_air = 0;
+    for (frame, source, end) in world.medium.frames_on_air() {
+        on_air += 1;
+        let slot = frame.as_u64() as usize;
+        let Some(Some(sent)) = world.in_flight.get(slot) else {
+            return refuse("a frame on the air has no in-flight record");
+        };
+        if sent.sender != source {
+            return refuse("a frame's in-flight sender is not its source");
+        }
+        let epoch = world.current_epoch(source);
+        let sending = if world.is_active(source) {
+            sent.sender_epoch == epoch && world.nodes[source.index()].mac.is_transmitting()
+        } else {
+            sent.sender_epoch < epoch
+        };
+        if !sending {
+            return refuse("a frame on the air is not its sender MAC's transmission");
+        }
+        if ends[slot] != Some(end) {
+            return refuse("a frame on the air has no TxEnd at its end");
+        }
+    }
+    if world.in_flight.iter().flatten().count() != on_air {
+        return refuse("an in-flight record has no frame on the air");
+    }
+    if tx_ends != on_air {
+        return refuse("a TxEnd names a frame that is not on the air");
+    }
+    let idle_sender = (0..world.nodes.len() as u32).map(NodeId::new).any(|id| {
+        world.is_active(id)
+            && world.nodes[id.index()].mac.is_transmitting()
+            && !world.medium.is_transmitting(id)
+    });
+    if idle_sender {
+        return refuse("a transmitting MAC has no frame on the air");
+    }
+    Ok(())
 }
 
 /// Encodes every behavior-affecting configuration field, canonically.
@@ -711,6 +789,92 @@ mod tests {
             }
         }
         assert!(shared > 0, "no two tables hold one sender's list");
+    }
+
+    /// Every one-bit flip of the medium section of a mid-flood snapshot is
+    /// refused or runs a simulated second without panicking. In the
+    /// per-radio format, flips of listener ids, causes and frame slots
+    /// resumed and then panicked ("listener lost an incoming frame",
+    /// "frame ended at the wrong time", an index out of bounds).
+    #[test]
+    fn a_flipped_medium_bit_is_refused_or_runs_a_second() {
+        use manet_sim_engine::{SimDuration, SimTime};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        use crate::config::NeighborInfo;
+        use manet_net::HelloIntervalPolicy;
+        use manet_scenario::{ChurnKind, Region, Scenario};
+
+        let short = |builder: crate::config::SimConfigBuilder| {
+            builder
+                .hosts(20)
+                .broadcasts(4)
+                .warmup(SimDuration::from_secs(2))
+                .max_interarrival(SimDuration::from_millis(500))
+                .grace(SimDuration::from_secs(1))
+                .seed(5)
+                .build()
+        };
+        let nc = short(
+            SimConfig::builder(3, SchemeSpec::NeighborCoverage)
+                .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Fixed(
+                    SimDuration::from_secs(1),
+                )))
+                .mobility(MobilitySpec::RandomWaypoint)
+                .drop_probability(0.1),
+        );
+        let region = Region {
+            x0: 0.0,
+            y0: 0.0,
+            x1: 200.0,
+            y1: 200.0,
+        };
+        let scenario = Scenario::new("flipped-medium")
+            .with_hosts(20)
+            .churn(SimTime::from_millis(500), ChurnKind::Leave, 3)
+            .churn(SimTime::from_millis(1000), ChurnKind::Crash, 7)
+            .churn(SimTime::from_millis(1500), ChurnKind::Join, 3)
+            .blackout(SimTime::from_secs(1), SimTime::from_secs(9), 1, 2)
+            .noise(SimTime::from_secs(1), SimTime::from_secs(9), 0.2)
+            .partition(SimTime::from_secs(1), SimTime::from_secs(9), region);
+        let churn = short(SimConfig::builder(3, SchemeSpec::Counter(3)).scenario(scenario));
+
+        for (name, config) in [("nc", nc), ("churn", churn)] {
+            // The pause with the most frames on the air.
+            let mut world = World::new(config.clone());
+            let (mut pause, mut busiest) = (SimTime::ZERO, (0, SimTime::ZERO, Vec::new(), 0..0));
+            while !world.advance(pause) {
+                let on_air = world.medium.frames_on_air().count();
+                if on_air > busiest.0 {
+                    let start = world.encode_through_nodes().as_slice().len();
+                    let mut medium = WireEncoder::new();
+                    world.medium.snapshot_into(&mut medium);
+                    let section = start..start + medium.as_slice().len();
+                    busiest = (on_air, pause, world.snapshot(), section);
+                }
+                pause += SimDuration::from_micros(100);
+            }
+            let (on_air, pause, image, section) = busiest;
+            assert!(on_air >= 2, "{name}: no overlap on the air");
+            let (mut refused, mut ran) = (0, 0);
+            for bit in section.start * 8..section.end * 8 {
+                let mut bytes = image.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    World::resume(config.clone(), &bytes)
+                        .map(|mut world| world.advance(pause + SimDuration::from_secs(1)))
+                }));
+                match outcome {
+                    Ok(Ok(_)) => ran += 1,
+                    Ok(Err(_)) => refused += 1,
+                    Err(_) => panic!("{name}: byte {} bit {} panicked", bit / 8, bit % 8),
+                }
+            }
+            assert!(
+                refused > 0 && ran > 0,
+                "{name}: {refused} refused, {ran} ran"
+            );
+        }
     }
 
     /// Corruption is never silent: a pending set with two ids swapped or

@@ -1,5 +1,5 @@
 //! What `World::resume` refuses: a snapshot taken under a different
-//! configuration, and a snapshot cut short. That a good snapshot resumes
+//! configuration, one cut short, and one in a retired format version. That a good snapshot resumes
 //! **bit-identically** — at any pause time, for any configuration — is the
 //! generated property in the root `tests/equivalence.rs`.
 
@@ -39,4 +39,20 @@ fn resume_rejects_truncated_bytes() {
             "accepted a snapshot truncated to {cut} bytes",
         );
     }
+}
+
+/// Version 1 kept a list of incoming frames per radio; it is refused by
+/// name at the version field, not misread as the frame-major medium.
+#[test]
+fn resume_refuses_the_retired_version_1() {
+    let mut world = World::new(adaptive_config(7));
+    world.advance(SimTime::from_secs(2));
+    let mut bytes = world.snapshot();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let err = World::resume(adaptive_config(7), &bytes).expect_err("version 1");
+    assert_eq!(err.at, 4);
+    assert!(
+        err.what.starts_with("snapshot version 1 is retired"),
+        "{err}"
+    );
 }

@@ -192,13 +192,19 @@ impl RandomTurn {
     }
 
     /// Overwrites this host's mutable state from
-    /// [`snapshot_into`](Self::snapshot_into) output.
+    /// [`snapshot_into`](Self::snapshot_into) output, refusing a segment
+    /// that ends before it starts (every position query clamps into it).
     pub fn restore_snapshot(&mut self, dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         self.rng = dec.rng()?;
         self.origin = Vec2::new(dec.f64()?, dec.f64()?);
         self.velocity = Vec2::new(dec.f64()?, dec.f64()?);
+        let at = dec.position();
         self.seg_start = dec.time()?;
         self.seg_end = dec.time()?;
+        if self.seg_end < self.seg_start {
+            let what = "motion segment ends before it starts";
+            return Err(WireError { at, what });
+        }
         Ok(())
     }
 }
@@ -389,6 +395,33 @@ mod tests {
             assert!(host.position_at(end).distance_to(start) < 1e-6);
             host.advance(end);
         }
+    }
+
+    /// Every position query clamps into the segment, so a restored one
+    /// that ends before it starts used to panic at the first query
+    /// (`clamp`'s `min <= max`). It is refused at the segment.
+    #[test]
+    fn restore_refuses_a_segment_that_ends_before_it_starts() {
+        let map = Map::square_units(3);
+        let mut host = RandomTurn::new(
+            map,
+            RandomTurnParams::paper(30.0),
+            map.bounds().center(),
+            SimTime::ZERO,
+            SimRng::seed_from(6),
+        );
+        host.advance(host.next_change().unwrap());
+        let mut enc = WireEncoder::new();
+        host.snapshot_into(&mut enc);
+        let mut bytes = enc.into_bytes();
+        // The segment closes the image: start, then end.
+        let segment = bytes.len() - 16;
+        assert!(host.restore_snapshot(&mut WireDecoder::new(&bytes)).is_ok());
+        bytes[segment + 8..].copy_from_slice(&0u64.to_le_bytes());
+        let err = host
+            .restore_snapshot(&mut WireDecoder::new(&bytes))
+            .expect_err("a segment ending at 0, before its start");
+        assert_eq!(err.at, segment, "{err}");
     }
 
     #[test]

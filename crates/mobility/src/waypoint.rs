@@ -175,7 +175,8 @@ impl RandomWaypoint {
     }
 
     /// Overwrites this host's mutable state from
-    /// [`snapshot_into`](Self::snapshot_into) output.
+    /// [`snapshot_into`](Self::snapshot_into) output, refusing a segment
+    /// that ends before it starts (every position query clamps into it).
     pub fn restore_snapshot(&mut self, dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         self.rng = dec.rng()?;
         let (tag, invalid) = dec.tag("waypoint phase tag")?;
@@ -187,8 +188,13 @@ impl RandomWaypoint {
             _ => return Err(invalid),
         };
         self.origin = Vec2::new(dec.f64()?, dec.f64()?);
+        let at = dec.position();
         self.seg_start = dec.time()?;
         self.seg_end = dec.time()?;
+        if self.seg_end < self.seg_start {
+            let what = "motion segment ends before it starts";
+            return Err(WireError { at, what });
+        }
         Ok(())
     }
 }
@@ -328,6 +334,26 @@ mod tests {
             let after = h.position_at(end);
             assert!(before.distance_to(after) < 1e-6);
         }
+    }
+
+    /// Every position query clamps into the segment, so a restored one
+    /// that ends before it starts used to panic at the first query
+    /// (`clamp`'s `min <= max`). It is refused at the segment.
+    #[test]
+    fn restore_refuses_a_segment_that_ends_before_it_starts() {
+        let mut h = host(7);
+        h.advance(h.next_change().unwrap());
+        let mut enc = WireEncoder::new();
+        h.snapshot_into(&mut enc);
+        let mut bytes = enc.into_bytes();
+        // The segment closes the image: start, then end.
+        let segment = bytes.len() - 16;
+        assert!(h.restore_snapshot(&mut WireDecoder::new(&bytes)).is_ok());
+        bytes[segment + 8..].copy_from_slice(&0u64.to_le_bytes());
+        let err = h
+            .restore_snapshot(&mut WireDecoder::new(&bytes))
+            .expect_err("a segment ending at 0, before its start");
+        assert_eq!(err.at, segment, "{err}");
     }
 
     #[test]

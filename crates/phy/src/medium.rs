@@ -24,6 +24,28 @@
 //! Carrier sense reports whether any *foreign* signal is in the air at a
 //! host; a host's own transmission is not carrier (the MAC knows about its
 //! own frames).
+//!
+//! ## State: at most one decodable frame per radio
+//!
+//! Without capture a frame stays decodable at a listener only if the
+//! listener was idle and not transmitting when it arrived, and nothing
+//! else arrives and the listener does not transmit before it ends: the
+//! moment a second frame arrives, both are lost. So at any instant a radio
+//! holds **at most one** decodable frame, and all that begin and end need
+//! at a listener is one 16-byte record: the foreign frames on the air
+//! there (carrier sense), whether the host is transmitting, and which
+//! frame, if any, is still decodable. Each delivery's verdict lives on its
+//! frame, in a cause list parallel to the frame's listeners: begin writes
+//! the first cause to strike, [`inject_loss`](Medium::inject_loss) names
+//! the delivery by the listener's position in the frame, and end reads the
+//! list back. Begin and end are O(1) per listener.
+//!
+//! Capture breaks the argument: a strong frame survives a weak one, and at
+//! a threshold of 1 or less two equal frames both survive. A medium built
+//! [`with_capture`](Medium::with_capture) therefore also keeps, per radio,
+//! every frame on the air there with its signal, in arrival order (an
+//! ended frame is swap-removed), and garbles through that list; each SIR
+//! sum adds its terms in that order.
 
 use manet_sim_engine::{SimRng, SimTime, Slab, WireDecoder, WireEncoder, WireError};
 
@@ -87,23 +109,46 @@ impl LossCounters {
     }
 }
 
-/// A frame currently being received (or jammed) at one listener.
-#[derive(Debug, Clone)]
-struct IncomingFrame {
-    frame: FrameId,
-    /// Received signal strength at this listener (arbitrary linear units;
-    /// only ratios matter). 1.0 when the wiring does not model power.
-    signal: f64,
-    /// Why this frame is already lost at this listener; `None` while it is
-    /// still decodable. First cause wins (see [`LossCause`]).
-    cause: Option<LossCause>,
+/// One delivery of a frame on the air: the frame's slab slot and the
+/// listener's index among the frame's listeners.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct At {
+    slot: u32,
+    index: u32,
 }
 
-impl IncomingFrame {
-    /// Marks the frame lost for `cause` unless an earlier cause already
-    /// struck it.
-    fn garble(&mut self, cause: LossCause) {
-        self.cause.get_or_insert(cause);
+impl At {
+    /// No delivery. The slab never hands out slot `u32::MAX` (its free-list
+    /// sentinel).
+    const NONE: At = At {
+        slot: u32::MAX,
+        index: 0,
+    };
+}
+
+/// Per-host transceiver state: all that begin and end consult at a
+/// listener, in 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Radio {
+    /// Foreign frames on the air here; carrier is busy while non-zero.
+    on_air: u32,
+    /// This host's own frame is on the air.
+    transmitting: bool,
+    /// Without capture, the one frame still decodable here, or
+    /// [`At::NONE`]. Unused under capture.
+    decodable: At,
+}
+
+impl Radio {
+    const IDLE: Radio = Radio {
+        on_air: 0,
+        transmitting: false,
+        decodable: At::NONE,
+    };
+
+    fn take_decodable(&mut self) -> Option<At> {
+        let at = std::mem::replace(&mut self.decodable, At::NONE);
+        (at != At::NONE).then_some(at)
     }
 }
 
@@ -141,27 +186,42 @@ impl CaptureModel {
     }
 }
 
-/// Per-host transceiver state.
-#[derive(Debug, Clone, Default)]
-struct Radio {
-    /// End of this host's own transmission, if it is transmitting.
-    tx_end: Option<SimTime>,
-    /// Foreign frames currently on the air at this host.
-    incoming: Vec<IncomingFrame>,
+/// A frame on the air at one radio, as the SIR test sees it.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    at: At,
+    /// Received signal strength at this radio.
+    signal: f64,
 }
 
-impl Radio {
-    fn carrier_busy(&self) -> bool {
-        !self.incoming.is_empty()
-    }
+/// What only a capture medium keeps: the model, and per radio every
+/// foreign frame on the air there in arrival order (an ended frame is
+/// `swap_remove`d), so each interference sum adds the same terms in the
+/// same order.
+#[derive(Debug)]
+struct Capture {
+    model: CaptureModel,
+    arrivals: Vec<Vec<Arrival>>,
 }
 
 /// Record of one active transmission.
 #[derive(Debug, Clone)]
 struct ActiveTx {
     source: NodeId,
-    listeners: Vec<NodeId>,
     end: SimTime,
+    listeners: Vec<NodeId>,
+    /// Parallel to `listeners`: why the frame is already lost at each one,
+    /// `None` while it is still decodable there. First cause wins (see
+    /// [`LossCause`]).
+    causes: Vec<Option<LossCause>>,
+}
+
+impl ActiveTx {
+    /// Marks the delivery at `index` lost for `cause` unless an earlier
+    /// cause already struck it.
+    fn garble(&mut self, index: u32, cause: LossCause) {
+        self.causes[index as usize].get_or_insert(cause);
+    }
 }
 
 /// Carrier-sense transition at one host caused by a transmission starting
@@ -230,14 +290,14 @@ pub struct Medium {
     /// frames — all any caller may key on — while lookup and removal stay
     /// hash-free.
     active: Slab<ActiveTx>,
-    /// Listener vectors recycled between frames: ended frames return
-    /// theirs here and starting frames take one back, so steady-state
-    /// frame turnover performs no allocation.
-    listener_pool: Vec<Vec<NodeId>>,
+    /// Listener and cause vectors recycled between frames: ended frames
+    /// return theirs here and starting frames take a pair back, so
+    /// steady-state frame turnover performs no allocation.
+    pool: Vec<(Vec<NodeId>, Vec<Option<LossCause>>)>,
     /// Independent per-delivery loss probability (failure injection).
     drop_probability: f64,
     drop_rng: Option<SimRng>,
-    capture: Option<CaptureModel>,
+    capture: Option<Capture>,
     losses: LossCounters,
     frames_sent: u64,
 }
@@ -246,9 +306,9 @@ impl Medium {
     /// Creates a medium for `hosts` transceivers, all idle.
     pub fn new(hosts: usize) -> Self {
         Medium {
-            radios: vec![Radio::default(); hosts],
+            radios: vec![Radio::IDLE; hosts],
             active: Slab::new(),
-            listener_pool: Vec::new(),
+            pool: Vec::new(),
             drop_probability: 0.0,
             drop_rng: None,
             capture: None,
@@ -273,18 +333,29 @@ impl Medium {
     /// Enables physical-layer capture with the given linear SIR
     /// threshold. Off by default (the paper's no-capture assumption).
     pub fn with_capture(mut self, model: CaptureModel) -> Self {
-        self.capture = Some(model);
+        self.capture = Some(Capture {
+            model,
+            arrivals: vec![Vec::new(); self.radios.len()],
+        });
         self
     }
 
     /// `true` when a foreign signal is in the air at `node`.
     pub fn is_carrier_busy(&self, node: NodeId) -> bool {
-        self.radios[node.index()].carrier_busy()
+        self.radios[node.index()].on_air > 0
     }
 
     /// `true` when `node` is currently transmitting.
     pub fn is_transmitting(&self, node: NodeId) -> bool {
-        self.radios[node.index()].tx_end.is_some()
+        self.radios[node.index()].transmitting
+    }
+
+    /// Every frame on the air as `(frame, source, scheduled end)`, in
+    /// frame-slot order.
+    pub fn frames_on_air(&self) -> impl Iterator<Item = (FrameId, NodeId, SimTime)> + '_ {
+        self.active
+            .iter()
+            .map(|(slot, tx)| (FrameId::new(u64::from(slot)), tx.source, tx.end))
     }
 
     /// Total frames put on the air so far.
@@ -306,8 +377,10 @@ impl Medium {
         self.losses
     }
 
-    /// Scripted fault injection: marks `frame` as lost at `listener` with
-    /// [`LossCause::Injected`] unless an earlier cause already struck it.
+    /// Scripted fault injection: marks `frame` as lost at its listener
+    /// number `index` (in the order the listeners were passed to begin)
+    /// with [`LossCause::Injected`] unless an earlier cause already struck
+    /// it.
     ///
     /// This is the hook the scenario subsystem drives for link blackouts,
     /// region partitions, and noise bursts. The frame stays on the air —
@@ -319,19 +392,27 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics when `frame` is not on the air at `listener`.
-    pub fn inject_loss(&mut self, frame: FrameId, listener: NodeId) -> bool {
-        let incoming = self.radios[listener.index()]
-            .incoming
-            .iter_mut()
-            .find(|inc| inc.frame == frame)
-            .expect("inject_loss: frame is not on the air at listener");
-        if incoming.cause.is_none() {
-            incoming.cause = Some(LossCause::Injected);
-            true
-        } else {
-            false
+    /// Panics when `frame` is not on the air or has no listener `index`.
+    pub fn inject_loss(&mut self, frame: FrameId, index: usize) -> bool {
+        let slot = u32::try_from(frame.as_u64()).expect("frame slot out of range");
+        let tx = self
+            .active
+            .get_mut(slot)
+            .expect("inject_loss: frame is not on the air");
+        let cause = &mut tx.causes[index];
+        if cause.is_some() {
+            return false;
         }
+        *cause = Some(LossCause::Injected);
+        let radio = &mut self.radios[tx.listeners[index].index()];
+        let at = At {
+            slot,
+            index: index as u32,
+        };
+        if radio.decodable == at {
+            radio.decodable = At::NONE;
+        }
+        true
     }
 
     /// Puts a frame on the air from `source`, heard by `listeners`,
@@ -340,7 +421,7 @@ impl Medium {
     /// The listener set is captured now (receivers moving in or out of
     /// range mid-frame are not re-evaluated; at the paper's speeds a host
     /// moves millimeters per frame). The source must not appear in
-    /// `listeners`.
+    /// `listeners`, and no listener may appear twice.
     ///
     /// # Panics
     ///
@@ -427,11 +508,11 @@ impl Medium {
 
     /// Shared transmission-start path. Generic over the listener iterator
     /// so the plain-`NodeId` entry point can adapt on the fly instead of
-    /// materializing a `Vec<Listener>`. Single pass: per-listener
-    /// validation happens inline, in listener order, before any state for
-    /// that listener is touched — and crucially before any drop-RNG draw,
-    /// keeping the injected-loss stream identical to the old two-pass
-    /// implementation.
+    /// materializing a `Vec<Listener>`. Single pass, in listener order:
+    /// each listener is validated before its state is touched, and the
+    /// drop RNG is drawn only for deliveries still decodable, so the
+    /// injected-loss stream does not depend on how much the contention
+    /// model garbled.
     fn begin_tx_inner(
         &mut self,
         source: NodeId,
@@ -447,28 +528,38 @@ impl Medium {
         );
         self.frames_sent += 1;
 
-        // Reserve the frame's slot up front so listeners can be tagged
-        // with it as they are processed; the listener list is filled in
-        // below, reusing a pooled vector.
-        let mut tx_listeners = self.listener_pool.pop().unwrap_or_default();
+        // Reserve the frame's slot up front so each delivery can be named
+        // by it as it is processed; the listener and cause lists are filled
+        // in below, reusing a pooled pair.
+        let (mut tx_listeners, mut causes) = self.pool.pop().unwrap_or_default();
         tx_listeners.clear();
+        causes.clear();
         let slot = self.active.insert(ActiveTx {
             source,
-            listeners: tx_listeners,
             end,
+            listeners: tx_listeners,
+            causes,
         });
-        let frame = FrameId::new(u64::from(slot));
 
-        // Half-duplex: starting to transmit garbles everything the source
+        // Half-duplex: starting to transmit garbles whatever the source
         // was in the middle of receiving.
         let src_radio = &mut self.radios[source.index()];
-        src_radio.tx_end = Some(end);
-        for inc in &mut src_radio.incoming {
-            inc.garble(LossCause::HalfDuplex);
+        src_radio.transmitting = true;
+        match &self.capture {
+            None => {
+                if let Some(at) = src_radio.take_decodable() {
+                    self.active[at.slot].garble(at.index, LossCause::HalfDuplex);
+                }
+            }
+            Some(capture) => {
+                for arrival in &capture.arrivals[source.index()] {
+                    self.active[arrival.at.slot].garble(arrival.at.index, LossCause::HalfDuplex);
+                }
+            }
         }
 
         carrier_changes.clear();
-        for listener in listeners {
+        for (index, listener) in (0u32..).zip(listeners) {
             assert!(
                 listener.node != source,
                 "source {source} cannot listen to itself"
@@ -478,43 +569,50 @@ impl Medium {
                 "signal strengths must be positive and finite"
             );
             let radio = &mut self.radios[listener.node.index()];
-            let was_busy = radio.carrier_busy();
+            let was_busy = radio.on_air > 0;
 
             // A listener that is itself transmitting misses the frame
             // outright (half-duplex). This takes precedence over any
             // overlap: the transceiver could not have received the frame
             // even on a clear channel.
-            let mut cause = radio.tx_end.is_some().then_some(LossCause::HalfDuplex);
-            if !radio.incoming.is_empty() {
-                match self.capture {
-                    None => {
-                        // No capture: any overlap garbles everything
-                        // involved (paper §2.2.3).
-                        for other in &mut radio.incoming {
-                            other.garble(LossCause::Overlap);
+            let mut cause = radio.transmitting.then_some(LossCause::HalfDuplex);
+            match &mut self.capture {
+                // No capture: any overlap garbles everything involved
+                // (paper §2.2.3) — the new frame and the one frame still
+                // decodable here, if any.
+                None => {
+                    if was_busy {
+                        if let Some(at) = radio.take_decodable() {
+                            self.active[at.slot].garble(at.index, LossCause::Overlap);
                         }
                         cause.get_or_insert(LossCause::Overlap);
                     }
-                    Some(model) => {
-                        // SIR test: each frame survives only if its signal
-                        // beats the sum of all others by the threshold.
+                }
+                // SIR test: each frame survives only if its signal beats
+                // the sum of all others by the threshold.
+                Some(capture) => {
+                    let arrivals = &mut capture.arrivals[listener.node.index()];
+                    if !arrivals.is_empty() {
+                        let threshold = capture.model.threshold;
                         let total: f64 =
-                            radio.incoming.iter().map(|f| f.signal).sum::<f64>() + listener.signal;
-                        for other in &mut radio.incoming {
-                            if other.signal < model.threshold * (total - other.signal) {
-                                other.garble(LossCause::Capture);
+                            arrivals.iter().map(|a| a.signal).sum::<f64>() + listener.signal;
+                        for other in arrivals.iter() {
+                            if other.signal < threshold * (total - other.signal) {
+                                self.active[other.at.slot]
+                                    .garble(other.at.index, LossCause::Capture);
                             }
                         }
-                        if listener.signal < model.threshold * (total - listener.signal) {
+                        if listener.signal < threshold * (total - listener.signal) {
                             cause.get_or_insert(LossCause::Capture);
                         }
                     }
+                    arrivals.push(Arrival {
+                        at: At { slot, index },
+                        signal: listener.signal,
+                    });
                 }
             }
             // Injected channel loss (failure injection, not a collision).
-            // The RNG is consulted only for frames still decodable, so the
-            // injected-loss stream is independent of how much garbling the
-            // contention model produced.
             if cause.is_none() && self.drop_probability > 0.0 {
                 let rng = self
                     .drop_rng
@@ -524,20 +622,21 @@ impl Medium {
                     cause = Some(LossCause::Injected);
                 }
             }
-            radio.incoming.push(IncomingFrame {
-                frame,
-                signal: listener.signal,
-                cause,
-            });
+            radio.on_air += 1;
+            if cause.is_none() && self.capture.is_none() {
+                radio.decodable = At { slot, index };
+            }
             if !was_busy {
                 carrier_changes.push(CarrierChange {
                     node: listener.node,
                     busy: true,
                 });
             }
-            self.active[slot].listeners.push(listener.node);
+            let tx = &mut self.active[slot];
+            tx.listeners.push(listener.node);
+            tx.causes.push(cause);
         }
-        frame
+        FrameId::new(u64::from(slot))
     }
 
     /// Takes a frame off the air at its scheduled end time, reporting
@@ -562,8 +661,8 @@ impl Medium {
     /// [`end_transmission`](Self::end_transmission): per-listener outcomes
     /// and idle carrier-sense transitions are appended to the caller's
     /// reusable buffers (cleared first) and the transmitting host is
-    /// returned. The frame's listener vector goes back into the internal
-    /// pool for the next transmission.
+    /// returned. The frame's listener and cause vectors go back into the
+    /// internal pool for the next transmission.
     pub fn end_transmission_into(
         &mut self,
         frame: FrameId,
@@ -578,55 +677,68 @@ impl Medium {
         );
         let tx = self.active.remove(slot);
         assert_eq!(tx.end, now, "frame ended at the wrong time");
-
-        let src_radio = &mut self.radios[tx.source.index()];
-        debug_assert_eq!(src_radio.tx_end, Some(now), "source lost its tx state");
-        src_radio.tx_end = None;
+        self.radios[tx.source.index()].transmitting = false;
 
         deliveries.clear();
         carrier_changes.clear();
-        for &listener in &tx.listeners {
+        for (index, (&listener, &cause)) in (0u32..).zip(tx.listeners.iter().zip(&tx.causes)) {
             let radio = &mut self.radios[listener.index()];
-            let idx = radio
-                .incoming
-                .iter()
-                .position(|inc| inc.frame == frame)
-                .expect("listener lost an incoming frame");
-            let inc = radio.incoming.swap_remove(idx);
-            if let Some(cause) = inc.cause {
+            radio.on_air -= 1;
+            let at = At { slot, index };
+            match &mut self.capture {
+                None => {
+                    if radio.decodable == at {
+                        radio.decodable = At::NONE;
+                    }
+                }
+                Some(capture) => {
+                    let arrivals = &mut capture.arrivals[listener.index()];
+                    let here = arrivals
+                        .iter()
+                        .position(|a| a.at == at)
+                        .expect("listener lost an incoming frame");
+                    arrivals.swap_remove(here);
+                }
+            }
+            if let Some(cause) = cause {
                 self.losses.tally(cause);
             }
             deliveries.push(Delivery {
                 to: listener,
-                decoded: inc.cause.is_none(),
-                cause: inc.cause,
+                decoded: cause.is_none(),
+                cause,
             });
-            if !radio.carrier_busy() {
+            if radio.on_air == 0 {
                 carrier_changes.push(CarrierChange {
                     node: listener,
                     busy: false,
                 });
             }
         }
-        let source = tx.source;
-        self.listener_pool.push(tx.listeners);
-        source
+        self.pool.push((tx.listeners, tx.causes));
+        tx.source
     }
 
-    /// Serializes the medium's mutable state — transceivers, frames on
-    /// the air, injected-drop RNG position, and loss counters — for a
-    /// world snapshot. Configuration (host count, drop probability,
-    /// capture model) is *not* written:
+    /// Serializes the medium's mutable state — frames on the air,
+    /// injected-drop RNG position, and loss counters — for a world
+    /// snapshot. Configuration (host count, drop probability, capture
+    /// model) is *not* written:
     /// [`restore_snapshot`](Self::restore_snapshot) targets a medium
     /// already built with the same configuration.
+    ///
+    /// The section is frame-major: the host count, then the frame slab
+    /// with its slot layout, each frame as source, end and its listeners
+    /// with their causes; under capture, each radio's arrivals in order.
+    /// The per-radio counts, flags and decodable frames are derived on
+    /// restore.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.len(self.radios.len());
-        for radio in &self.radios {
-            enc.option(radio.tx_end, WireEncoder::time);
-            enc.seq(&radio.incoming, |enc, inc| {
-                enc.u64(inc.frame.as_u64());
-                enc.f64(inc.signal);
-                enc.u8(match inc.cause {
+        self.active.encode(enc, |enc, tx| {
+            tx.source.encode(enc);
+            enc.time(tx.end);
+            enc.seq(tx.listeners.iter().zip(&tx.causes), |enc, (id, &cause)| {
+                id.encode(enc);
+                enc.u8(match cause {
                     None => 0,
                     Some(LossCause::Overlap) => 1,
                     Some(LossCause::HalfDuplex) => 2,
@@ -634,12 +746,16 @@ impl Medium {
                     Some(LossCause::Capture) => 4,
                 });
             });
-        }
-        self.active.encode(enc, |enc, tx| {
-            tx.source.encode(enc);
-            NodeId::encode_seq(enc, tx.listeners.iter().copied());
-            enc.time(tx.end);
         });
+        if let Some(capture) = &self.capture {
+            for arrivals in &capture.arrivals {
+                enc.seq(arrivals, |enc, arrival| {
+                    enc.u32(arrival.at.slot);
+                    enc.u32(arrival.at.index);
+                    enc.f64(arrival.signal);
+                });
+            }
+        }
         enc.option(self.drop_rng.as_ref(), WireEncoder::rng);
         enc.u64(self.losses.overlap);
         enc.u64(self.losses.half_duplex);
@@ -653,42 +769,134 @@ impl Medium {
     /// have been built with the same configuration (host count, drop
     /// probability, capture model) as the snapshotted one; mismatches in
     /// the parts the snapshot can see are reported as errors.
+    ///
+    /// Frames no run could put on the air are refused at the frame: a host
+    /// id out of range, a listener that is the source or is listed twice,
+    /// a host sending two frames, a frame decodable at a transmitting
+    /// listener, two decodable at one radio without capture, and capture
+    /// arrivals that are not exactly the frames' deliveries.
     pub fn restore_snapshot(&mut self, dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
+        let hosts = self.radios.len();
         let count_at = dec.position();
-        if dec.len()? != self.radios.len() {
+        if dec.len()? != hosts {
             return Err(WireError {
                 at: count_at,
                 what: "medium host count mismatch",
             });
         }
-        for radio in &mut self.radios {
-            radio.tx_end = dec.option(WireDecoder::time)?;
-            radio.incoming = dec.seq(17, |dec| {
-                let frame = FrameId::new(dec.u64()?);
-                let signal = dec.f64()?;
+        let host = |dec: &mut WireDecoder<'_>| {
+            let at = dec.position();
+            let id = NodeId::decode(dec)?;
+            let what = "medium host id out of range";
+            (id.index() < hosts)
+                .then_some(id)
+                .ok_or(WireError { at, what })
+        };
+        // The frame each host was last listed by, to refuse a repeat.
+        let mut listed_by = vec![u32::MAX; hosts];
+        let mut frame_at = Vec::new();
+        self.active = Slab::decode(dec, 20, |dec| {
+            frame_at.push(dec.position());
+            let frame = frame_at.len() as u32;
+            let source = host(dec)?;
+            let end = dec.time()?;
+            let mut causes = Vec::new();
+            let listeners = dec.seq(5, |dec| {
+                let at = dec.position();
+                let id = host(dec)?;
+                if id == source {
+                    let what = "a frame's source is among its listeners";
+                    return Err(WireError { at, what });
+                }
+                if std::mem::replace(&mut listed_by[id.index()], frame) == frame {
+                    let what = "a frame lists one listener twice";
+                    return Err(WireError { at, what });
+                }
                 let (tag, invalid) = dec.tag("loss cause tag")?;
-                let cause = match tag {
+                causes.push(match tag {
                     0 => None,
                     1 => Some(LossCause::Overlap),
                     2 => Some(LossCause::HalfDuplex),
                     3 => Some(LossCause::Injected),
                     4 => Some(LossCause::Capture),
                     _ => return Err(invalid),
-                };
-                Ok(IncomingFrame {
-                    frame,
-                    signal,
-                    cause,
-                })
+                });
+                Ok(id)
             })?;
-        }
-        self.active = Slab::decode(dec, 20, |dec| {
             Ok(ActiveTx {
-                source: NodeId::decode(dec)?,
-                listeners: NodeId::decode_seq(dec)?,
-                end: dec.time()?,
+                source,
+                end,
+                listeners,
+                causes,
             })
         })?;
+
+        // Derive the radios. Occupied slots decode in slot order, so the
+        // n-th frame of `iter` started at `frame_at[n]`.
+        self.radios.fill(Radio::IDLE);
+        for (&at, (_, tx)) in frame_at.iter().zip(self.active.iter()) {
+            let radio = &mut self.radios[tx.source.index()];
+            if radio.transmitting {
+                let what = "a host is the source of two frames on the air";
+                return Err(WireError { at, what });
+            }
+            radio.transmitting = true;
+        }
+        for (&at, (slot, tx)) in frame_at.iter().zip(self.active.iter()) {
+            for (index, (&listener, cause)) in (0u32..).zip(tx.listeners.iter().zip(&tx.causes)) {
+                let radio = &mut self.radios[listener.index()];
+                radio.on_air += 1;
+                if cause.is_some() {
+                    continue;
+                }
+                if radio.transmitting {
+                    let what = "a frame is decodable at a listener that is transmitting";
+                    return Err(WireError { at, what });
+                }
+                if self.capture.is_none() {
+                    if radio.decodable != At::NONE {
+                        let what = "two frames are decodable at one radio without capture";
+                        return Err(WireError { at, what });
+                    }
+                    radio.decodable = At { slot, index };
+                }
+            }
+        }
+        if let Some(capture) = &mut self.capture {
+            // The radio each frame was last heard at, to refuse a repeat.
+            let mut heard_at = Vec::new();
+            for (host, arrivals) in capture.arrivals.iter_mut().enumerate() {
+                let at = dec.position();
+                *arrivals = dec.seq(16, |dec| {
+                    let at = dec.position();
+                    let (slot, index, signal) = (dec.u32()?, dec.u32()?, dec.f64()?);
+                    let listener =
+                        (self.active.get(slot)).and_then(|tx| tx.listeners.get(index as usize));
+                    if listener.is_none_or(|id| id.index() != host)
+                        || !(signal.is_finite() && signal > 0.0)
+                    {
+                        let what = "a capture arrival names no delivery at its radio";
+                        return Err(WireError { at, what });
+                    }
+                    let slot_index = slot as usize;
+                    if heard_at.len() <= slot_index {
+                        heard_at.resize(slot_index + 1, usize::MAX);
+                    }
+                    if std::mem::replace(&mut heard_at[slot_index], host) == host {
+                        let what = "a capture arrival repeats a delivery";
+                        return Err(WireError { at, what });
+                    }
+                    Ok(Arrival {
+                        at: At { slot, index },
+                        signal,
+                    })
+                })?;
+                if arrivals.len() != self.radios[host].on_air as usize {
+                    let what = "a radio's capture arrivals differ from its frames on the air";
+                    return Err(WireError { at, what });
+                }
+            }
+        }
         let rng_at = dec.position();
         let drop_rng = dec.option(WireDecoder::rng)?;
         if drop_rng.is_some() != self.drop_rng.is_some() {
@@ -736,12 +944,10 @@ mod tests {
         let mut m = Medium::new(4);
         let t0 = SimTime::ZERO;
         let start = m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &ids(1..4));
+        // Host 2 is the frame's listener number 1.
+        assert!(m.inject_loss(start.frame, 1), "first cause wins");
         assert!(
-            m.inject_loss(start.frame, NodeId::new(2)),
-            "first cause wins"
-        );
-        assert!(
-            !m.inject_loss(start.frame, NodeId::new(2)),
+            !m.inject_loss(start.frame, 1),
             "already garbled: injection must report not-applied"
         );
         assert!(
@@ -1174,5 +1380,169 @@ mod tests {
         let mut m = Medium::new(1);
         let t0 = SimTime::ZERO;
         m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &[NodeId::new(0)]);
+    }
+
+    #[test]
+    fn a_radio_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Radio>(), 16);
+    }
+
+    fn listener(node: u32, signal: f64) -> Listener {
+        Listener {
+            node: NodeId::new(node),
+            signal,
+        }
+    }
+
+    /// Host 0 sends to 1 and 2, then host 3 to 2: the frames overlap at 2,
+    /// and the first is still decodable at 1. Capture uses threshold 1.
+    fn overlapped(capture: bool) -> Medium {
+        let mut m = Medium::new(4);
+        if capture {
+            m = m.with_capture(CaptureModel::new(1.0));
+        }
+        let t0 = SimTime::ZERO;
+        let (a, b) = (NodeId::new(0), NodeId::new(3));
+        let to_both = [listener(1, 2.0), listener(2, 3.0)];
+        m.begin_transmission_with_signals(a, t0, t0 + AIRTIME, &to_both);
+        m.begin_transmission_with_signals(b, t0, t0 + AIRTIME, &[listener(2, 1.0)]);
+        m
+    }
+
+    fn image(m: &Medium) -> Vec<u8> {
+        let mut enc = WireEncoder::new();
+        m.snapshot_into(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// A restored medium re-encodes to the same bytes, derives the same
+    /// carrier and transmit state, and treats later frames alike: host 2
+    /// starts sending to host 1, garbling what each of them still holds.
+    #[test]
+    fn a_restored_medium_derives_its_radios_and_continues_alike() {
+        for capture in [false, true] {
+            let mut live = overlapped(capture);
+            let bytes = image(&live);
+            let mut restored = Medium::new(4);
+            if capture {
+                restored = restored.with_capture(CaptureModel::new(1.0));
+            }
+            restored
+                .restore_snapshot(&mut WireDecoder::new(&bytes))
+                .expect("restores");
+            assert_eq!(image(&restored), bytes);
+            let t0 = SimTime::ZERO;
+            let outcome = |m: &mut Medium| {
+                let late = t0 + AIRTIME / 2;
+                let c = m.begin_transmission_with_signals(
+                    NodeId::new(2),
+                    late,
+                    late + AIRTIME,
+                    &[listener(1, 1.0)],
+                );
+                let state: Vec<_> = (0..4)
+                    .map(|h| {
+                        (
+                            m.is_carrier_busy(NodeId::new(h)),
+                            m.is_transmitting(NodeId::new(h)),
+                        )
+                    })
+                    .collect();
+                let mut ended: Vec<_> = [(0, t0 + AIRTIME), (1, t0 + AIRTIME)]
+                    .into_iter()
+                    .map(|(slot, at)| m.end_transmission(FrameId::new(slot), at).deliveries)
+                    .collect();
+                ended.push(m.end_transmission(c.frame, late + AIRTIME).deliveries);
+                (state, ended, m.loss_counters())
+            };
+            assert_eq!(
+                outcome(&mut live),
+                outcome(&mut restored),
+                "capture {capture}"
+            );
+        }
+    }
+
+    /// Frames no run could put on the air are refused at the field or the
+    /// frame. Layout: host count (8), free-list head (4), slot count (8);
+    /// slot 0 at 20 (tag, source 21, end 25, listener count 33, then id
+    /// and cause at 41/45 and 46/50); slot 1 at 51 (source 52, its one
+    /// listener at 72/76). Under capture each radio's arrivals follow:
+    /// radio 1's one at 93 (slot, index, signal at 101), radio 2's two at
+    /// 117 and 133 after their count at 109.
+    #[test]
+    fn restore_refuses_frames_no_run_could_put_on_the_air() {
+        let id = |v: u32| v.to_le_bytes().to_vec();
+        for (capture, what, patches, at) in [
+            (false, "medium host id out of range", vec![(41, id(9))], 41),
+            (
+                false,
+                "a frame's source is among its listeners",
+                vec![(41, id(0))],
+                41,
+            ),
+            (
+                false,
+                "a frame lists one listener twice",
+                vec![(46, id(1))],
+                46,
+            ),
+            (false, "loss cause tag", vec![(45, vec![5])], 45),
+            (
+                false,
+                "a host is the source of two frames on the air",
+                vec![(52, id(0))],
+                52,
+            ),
+            (
+                false,
+                "a frame is decodable at a listener that is transmitting",
+                vec![(41, id(3))],
+                21,
+            ),
+            (
+                false,
+                "two frames are decodable at one radio without capture",
+                vec![(50, vec![0]), (76, vec![0])],
+                52,
+            ),
+            (
+                true,
+                "a capture arrival names no delivery at its radio",
+                vec![(97, id(1))],
+                93,
+            ),
+            (
+                true,
+                "a capture arrival names no delivery at its radio",
+                vec![(101, 0f64.to_le_bytes().to_vec())],
+                93,
+            ),
+            (
+                true,
+                "a capture arrival repeats a delivery",
+                vec![(133, id(0)), (137, id(1))],
+                133,
+            ),
+        ] {
+            let mut bytes = image(&overlapped(capture));
+            for (offset, patch) in &patches {
+                bytes[*offset..offset + patch.len()].copy_from_slice(patch);
+            }
+            let mut fresh = Medium::new(4);
+            if capture {
+                fresh = fresh.with_capture(CaptureModel::new(1.0));
+            }
+            let err = fresh.restore_snapshot(&mut WireDecoder::new(&bytes));
+            assert_eq!(err, Err(WireError { at, what }), "{what}");
+        }
+        // Radio 2 keeps only the first of its two arrivals.
+        let mut bytes = image(&overlapped(true));
+        bytes.drain(133..149);
+        bytes[109..117].copy_from_slice(&1u64.to_le_bytes());
+        let mut fresh = Medium::new(4).with_capture(CaptureModel::new(1.0));
+        let what = "a radio's capture arrivals differ from its frames on the air";
+        let err = fresh.restore_snapshot(&mut WireDecoder::new(&bytes));
+        assert_eq!(err, Err(WireError { at: 109, what }));
     }
 }

@@ -266,6 +266,15 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// The pending (non-cancelled) entries as `(time, event)`, in no
+    /// particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.heap
+            .iter()
+            .filter(|entry| !self.cancelled.contains(&entry.seq))
+            .map(|entry| (entry.time, &entry.event))
+    }
+
     /// Appends a complete image of the queue to a snapshot: the counters
     /// (`now`, next sequence number, delivered, scheduled), then the live
     /// (non-tombstoned) entries in pop order, each as time, sequence
