@@ -53,7 +53,7 @@ enum Event {
     /// replacement, whose `generation` counter restarted from zero.
     MacTimer {
         node: NodeId,
-        generation: u64,
+        generation: u32,
         epoch: u32,
     },
     /// A frame's airtime ended.
@@ -73,6 +73,10 @@ enum Event {
     /// window edge) takes effect; `index` addresses the compiled timeline.
     Scenario { index: u32 },
 }
+
+// At most sixteen bytes, so a queue entry (time, sequence number, event)
+// is 32.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 impl Event {
     /// Static label used to attribute event-loop wall time by kind.

@@ -41,7 +41,7 @@
 //! its slot layout* because handles and event payloads index into it.
 
 use manet_geom::Vec2;
-use manet_mac::{Dcf, FrameHandle, MacStats};
+use manet_mac::{decode_generation, Dcf, FrameHandle, MacStats};
 use manet_mobility::Mobility;
 use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
@@ -187,6 +187,7 @@ impl World {
         // Drop the fresh world's schedule entirely and rebuild the
         // snapshotted one (same times, same seqs, so stored cancellation
         // keys still address their events).
+        let queue_at = dec.position();
         world.queue = EventQueue::decode(&mut dec, 1, decode_event)?;
         world.workload_rng = dec.rng()?;
         world.proto_rng = dec.rng()?;
@@ -248,6 +249,7 @@ impl World {
             })
         })?;
 
+        let batches_at = dec.position();
         world.carrier_batches = Slab::decode(&mut dec, 8, NodeId::decode_seq)?;
 
         world.next_seq = dec.u32()?;
@@ -272,9 +274,54 @@ impl World {
         }
 
         dec.finish()?;
+        check_queued_events(&world, queue_at, batches_at)?;
         check_frames_on_air(&world, medium_at)?;
         Ok(world)
     }
+}
+
+/// Checks what the queue names against the world: every host a queued
+/// event names exists, every queued carrier batch has its hearer list and
+/// every hearer exists, and every queued scenario action is on the
+/// timeline. A snapshot breaking one used to resume and then panic; it is
+/// refused at the queue section, `queue_at`, or for a hearer at the
+/// carrier batches, `batches_at`.
+fn check_queued_events(world: &World, queue_at: usize, batches_at: usize) -> Result<(), WireError> {
+    let hosts = world.nodes.len();
+    let refuse = |at, what| Err(WireError { at, what });
+    for (_, event) in world.queue.iter() {
+        let named = match *event {
+            Event::MobilityTurn { node }
+            | Event::HelloTimer { node }
+            | Event::MacTimer { node, .. }
+            | Event::AssessmentDone { node, .. } => node,
+            Event::CarrierBatch { slot, .. } if !world.carrier_batches.contains(slot) => {
+                return refuse(queue_at, "a queued carrier batch has no hearer list");
+            }
+            Event::Scenario { index } => {
+                let timeline = world.scenario.as_ref().map_or(0, |st| st.timeline.len());
+                if index as usize >= timeline {
+                    return refuse(queue_at, "a queued scenario action is not on the timeline");
+                }
+                continue;
+            }
+            Event::CarrierBatch { .. } | Event::TxEnd { .. } | Event::IssueBroadcast => continue,
+        };
+        if named.index() >= hosts {
+            return refuse(queue_at, "a queued event names a host that does not exist");
+        }
+    }
+    let stray = world
+        .carrier_batches
+        .iter()
+        .any(|(_, hearers)| hearers.iter().any(|hearer| hearer.index() >= hosts));
+    if stray {
+        return refuse(
+            batches_at,
+            "a carrier batch names a host that does not exist",
+        );
+    }
+    Ok(())
 }
 
 /// Checks the medium against the rest of the world. Each frame on the air
@@ -398,7 +445,7 @@ fn encode_event(enc: &mut WireEncoder, event: &Event) {
         } => {
             enc.u8(2);
             node.encode(enc);
-            enc.u64(generation);
+            enc.u64(u64::from(generation));
             enc.u32(epoch);
         }
         Event::TxEnd { frame } => {
@@ -434,7 +481,7 @@ fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
         },
         2 => Event::MacTimer {
             node: NodeId::decode(dec)?,
-            generation: dec.u64()?,
+            generation: decode_generation(dec)?,
             epoch: dec.u32()?,
         },
         3 => Event::TxEnd {
@@ -789,6 +836,81 @@ mod tests {
             }
         }
         assert!(shared > 0, "no two tables hold one sender's list");
+    }
+
+    /// A queued event naming a host past the last, a carrier batch with no
+    /// hearer list, a hearer past the last host and a scenario action off
+    /// the timeline are each refused, at the queue section or (the hearer)
+    /// at the carrier batches. Each used to resume and then panic.
+    #[test]
+    fn queued_events_naming_nothing_are_refused() {
+        use manet_sim_engine::SimTime;
+
+        let config = SimConfig::builder(3, SchemeSpec::Counter(3))
+            .hosts(8)
+            .seed(5)
+            .build();
+        let mut fingerprint = WireEncoder::new();
+        encode_fingerprint(&mut fingerprint, &config);
+        // Magic, version and the fingerprint's length prefix.
+        let queue_at = 4 + 4 + 8 + fingerprint.as_slice().len();
+        let ghost = NodeId::new(8);
+        let packet = crate::ids::PacketId::new(NodeId::new(0), 0);
+        let host = "a queued event names a host that does not exist";
+        let cases = [
+            (Event::MobilityTurn { node: ghost }, None, host),
+            (Event::HelloTimer { node: ghost }, None, host),
+            (
+                Event::MacTimer {
+                    node: ghost,
+                    generation: 1,
+                    epoch: 0,
+                },
+                None,
+                host,
+            ),
+            (
+                Event::AssessmentDone {
+                    node: ghost,
+                    packet,
+                },
+                None,
+                host,
+            ),
+            (
+                Event::CarrierBatch {
+                    slot: 0,
+                    busy: true,
+                },
+                None,
+                "a queued carrier batch has no hearer list",
+            ),
+            (
+                Event::Scenario { index: 0 },
+                None,
+                "a queued scenario action is not on the timeline",
+            ),
+            (
+                Event::CarrierBatch {
+                    slot: 0,
+                    busy: true,
+                },
+                Some(vec![NodeId::new(0), ghost]),
+                "a carrier batch names a host that does not exist",
+            ),
+        ];
+        for (event, hearers, what) in cases {
+            let mut world = World::new(config.clone());
+            assert!(World::resume(config.clone(), &world.snapshot()).is_ok());
+            let batch = hearers.is_some();
+            if let Some(hearers) = hearers {
+                assert_eq!(world.carrier_batches.insert(hearers), 0);
+            }
+            world.queue.schedule(SimTime::from_secs(1), event);
+            let err = World::resume(config.clone(), &world.snapshot()).expect_err(what);
+            assert_eq!(err.what, what);
+            assert_eq!(err.at == queue_at, !batch, "{what} refused at {}", err.at);
+        }
     }
 
     /// Every one-bit flip of the medium section of a mid-flood snapshot is

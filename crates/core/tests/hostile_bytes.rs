@@ -102,16 +102,16 @@ fn location_config() -> SimConfig {
 }
 
 /// Runs `config`, pausing every 5 ms, and returns the largest snapshot
-/// seen: taken mid-flood, with per-packet policies live and frames on
-/// the air.
-fn busiest_snapshot(config: &SimConfig) -> Vec<u8> {
+/// seen, and when it was taken: mid-flood, with per-packet policies live
+/// and frames on the air.
+fn busiest_snapshot(config: &SimConfig) -> (Vec<u8>, SimTime) {
     let mut world = World::new(config.clone());
-    let mut largest = Vec::new();
+    let mut largest = (Vec::new(), SimTime::ZERO);
     let mut pause = SimTime::ZERO;
     while !world.advance(pause) {
         let bytes = world.snapshot();
-        if bytes.len() > largest.len() {
-            largest = bytes;
+        if bytes.len() > largest.0.len() {
+            largest = (bytes, pause);
         }
         pause += SimDuration::from_millis(5);
     }
@@ -213,12 +213,38 @@ fn snapshots_survive_truncation_mutation_and_huge_lengths() {
         ("nc", coverage_config()),
         ("location", location_config()),
     ] {
-        let snapshot = busiest_snapshot(&config);
+        let (snapshot, _) = busiest_snapshot(&config);
         let limit = snapshot_limit(&config, &snapshot);
         attack(&format!("{name} snapshot"), &snapshot, limit, |bytes| {
             World::resume(config.clone(), bytes)
         });
     }
+}
+
+/// Decoding is not the whole defence: a snapshot that decodes must also
+/// run. Every byte of the busiest `nc` snapshot, xor 1, is refused or
+/// resumes and runs a simulated second without panicking. Queued events
+/// naming a host past the last (six of these bytes) used to resume and
+/// then panic.
+#[test]
+fn a_snapshot_with_any_byte_flipped_is_refused_or_runs_a_second() {
+    let config = coverage_config();
+    let (image, pause) = busiest_snapshot(&config);
+    let (mut refused, mut ran) = (0, 0);
+    for at in 0..image.len() {
+        let mut bytes = image.clone();
+        bytes[at] ^= 1;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            World::resume(config.clone(), &bytes)
+                .map(|mut world| world.advance(pause + SimDuration::from_secs(1)))
+        }));
+        match outcome {
+            Ok(Ok(_)) => ran += 1,
+            Ok(Err(_)) => refused += 1,
+            Err(_) => panic!("byte {at} xor 1 resumed and then panicked"),
+        }
+    }
+    assert!(refused > 0 && ran > 0, "{refused} refused, {ran} ran");
 }
 
 #[test]
@@ -245,7 +271,7 @@ fn a_snapshot_cannot_carry_a_lattice_this_build_would_not_lay() {
         u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
     };
     let config = location_config();
-    let image = busiest_snapshot(&config);
+    let (image, _) = busiest_snapshot(&config);
     // Tag 6, center, column count, columns: find the first one.
     const CENTER: usize = 1;
     const COUNT: usize = CENTER + 16;

@@ -41,7 +41,7 @@ pub enum MacAction {
         /// Time from now until the timer fires.
         delay: SimDuration,
         /// Generation token to pass back to [`Dcf::on_timer`].
-        generation: u64,
+        generation: u32,
     },
     /// Put the frame on the air now, for `airtime`. The wiring must call
     /// [`Dcf::on_tx_end`] when the airtime elapses.
@@ -188,8 +188,9 @@ pub struct Dcf {
     medium_busy: bool,
     /// Start of the current idle period, when `!medium_busy`.
     idle_since: SimTime,
-    /// Live timer generation; stale timer firings are ignored.
-    generation: u64,
+    /// Live timer generation; stale timer firings are ignored. It wraps:
+    /// a timer is stale after one bump, and outlives far fewer than 2³².
+    generation: u32,
     rng: SimRng,
     /// Frames handed to the air (statistics).
     transmitted: u64,
@@ -282,7 +283,7 @@ impl Dcf {
             State::Difs => {
                 // DIFS interrupted: this counts as a deferral, so a backoff
                 // is required when the medium frees up.
-                self.generation += 1; // invalidate the DIFS timer
+                self.bump_generation(); // invalidate the DIFS timer
                 self.stats.deferrals += 1;
                 self.ensure_backoff();
                 self.state = State::WaitIdle;
@@ -290,7 +291,7 @@ impl Dcf {
             }
             State::Backoff { started, slots } => {
                 // Freeze: whole slots that elapsed are consumed.
-                self.generation += 1; // invalidate the countdown timer
+                self.bump_generation(); // invalidate the countdown timer
                 self.stats.freezes += 1;
                 let elapsed = now.saturating_duration_since(started);
                 let consumed = (elapsed.as_nanos() / SLOT.as_nanos()) as u32;
@@ -325,7 +326,7 @@ impl Dcf {
     ///
     /// Stale generations (from timers superseded by a state change) are
     /// ignored and return no action.
-    pub fn on_timer(&mut self, generation: u64, now: SimTime) -> Option<MacAction> {
+    pub fn on_timer(&mut self, generation: u32, now: SimTime) -> Option<MacAction> {
         if generation != self.generation {
             return None;
         }
@@ -404,7 +405,7 @@ impl Dcf {
         enc.option(self.backoff_slots, WireEncoder::u32);
         enc.bool(self.medium_busy);
         enc.time(self.idle_since);
-        enc.u64(self.generation);
+        enc.u64(u64::from(self.generation));
         enc.rng(&self.rng);
         enc.u64(self.transmitted);
         self.stats.snapshot_into(enc);
@@ -432,7 +433,7 @@ impl Dcf {
             backoff_slots: dec.option(WireDecoder::u32)?,
             medium_busy: dec.bool()?,
             idle_since: dec.time()?,
-            generation: dec.u64()?,
+            generation: decode_generation(dec)?,
             rng: dec.rng()?,
             transmitted: dec.u64()?,
             stats: MacStats::restore_snapshot(dec)?,
@@ -475,12 +476,29 @@ impl Dcf {
     }
 
     fn arm_timer(&mut self, delay: SimDuration) -> MacAction {
-        self.generation += 1;
+        self.bump_generation();
         MacAction::StartTimer {
             delay,
             generation: self.generation,
         }
     }
+
+    fn bump_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+    }
+}
+
+/// Reads a timer generation, which the wire carries as a `u64`.
+///
+/// # Errors
+///
+/// A generation above `u32::MAX` is refused where it stands.
+pub fn decode_generation(dec: &mut WireDecoder<'_>) -> Result<u32, WireError> {
+    let at = dec.position();
+    u32::try_from(dec.u64()?).map_err(|_| WireError {
+        at,
+        what: "MAC timer generation above u32::MAX",
+    })
 }
 
 #[cfg(test)]
@@ -741,6 +759,20 @@ mod tests {
     fn stale_timers_are_ignored() {
         let mut m = mac();
         assert!(m.on_timer(999, SimTime::from_millis(1)).is_none());
+    }
+
+    #[test]
+    fn a_timer_generation_past_u32_is_refused() {
+        let mut enc = WireEncoder::new();
+        mac().snapshot_into(&mut enc);
+        let mut bytes = enc.into_bytes();
+        assert!(Dcf::restore_snapshot(&mut WireDecoder::new(&bytes)).is_ok());
+        // State tag, empty queue, no backoff, carrier flag, idle since.
+        let at = 1 + 8 + 1 + 1 + 8;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let err = Dcf::restore_snapshot(&mut WireDecoder::new(&bytes)).unwrap_err();
+        let what = "MAC timer generation above u32::MAX";
+        assert_eq!((err.at, err.what), (at, what));
     }
 
     #[test]

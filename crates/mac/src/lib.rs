@@ -38,5 +38,5 @@
 mod dcf;
 pub mod timing;
 
-pub use dcf::{Dcf, FrameHandle, MacAction, MacStats};
+pub use dcf::{decode_generation, Dcf, FrameHandle, MacAction, MacStats};
 pub use timing::frame_airtime;

@@ -41,12 +41,12 @@ fn drive(seed: u64, steps: &[Step]) -> Vec<FrameHandle> {
     let mut transmitted = Vec::new();
     // At most one armed timer is live at a time (newer generations
     // supersede older ones).
-    let mut timer: Option<(SimTime, u64)> = None;
+    let mut timer: Option<(SimTime, u32)> = None;
 
     let apply = |mac: &mut Dcf,
                  action: Option<MacAction>,
                  now: &mut SimTime,
-                 timer: &mut Option<(SimTime, u64)>,
+                 timer: &mut Option<(SimTime, u32)>,
                  transmitted: &mut Vec<FrameHandle>| {
         let mut pending = action;
         while let Some(action) = pending.take() {

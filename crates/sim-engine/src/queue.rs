@@ -1,17 +1,71 @@
 //! Cancellable, deterministic event queue.
 //!
-//! [`EventQueue`] is a priority queue of `(SimTime, E)` pairs. Two events
-//! scheduled for the same instant are delivered in the order they were
-//! scheduled (FIFO tie-breaking via a monotonically increasing sequence
-//! number), which makes runs bit-for-bit reproducible.
+//! [`EventQueue`] is a future-event list of `(SimTime, E)` pairs. Two
+//! events scheduled for the same instant are delivered in the order they
+//! were scheduled (FIFO tie-breaking via a monotonically increasing
+//! sequence number), which makes runs bit-for-bit reproducible: the pop
+//! order is exactly ascending `(time, seq)`.
 //!
 //! Every scheduled event gets an [`EventKey`]. Cancelling a key tombstones
-//! the entry: the heap node stays in place but is silently skipped by
-//! [`EventQueue::pop`]. This is the standard lazy-deletion trick and keeps
-//! both `schedule` and `cancel` at `O(log n)` / `O(1)`.
+//! the entry: it stays where it is and is silently skipped when it reaches
+//! the front. This is the standard lazy-deletion trick; `cancel` is `O(1)`.
+//!
+//! # A monotone radix heap
+//!
+//! Simulated time never runs backwards ([`EventQueue::schedule`] refuses
+//! the past), so the queue is a radix heap keyed by nanosecond time rather
+//! than a comparison heap. It keeps a *base* time, at or before every
+//! entry, and files each entry by the highest bit at which its time
+//! differs from the base:
+//!
+//! * `due` holds the entries at exactly the base, in `seq` order; pops are
+//!   served from its front.
+//! * `buckets[b]` holds the entries whose time first differs from the base
+//!   at bit `b`. Every time in bucket `b` is below every time in bucket
+//!   `b + 1`, so the lowest non-empty bucket (one bit scan of `occupied`)
+//!   holds the earliest entries. Each bucket also keeps its minimum time.
+//!
+//! When `due` runs dry, the lowest non-empty bucket's minimum becomes the
+//! new base and the bucket is spread: each entry is filed again against
+//! the new base, which sends it to `due` or to a strictly lower bucket. A
+//! bucket of one entry moves straight to `due`. Buckets above the spread
+//! one are untouched, because the new base agrees with the old one on
+//! every bit above it.
+//!
+//! **Why the order is `(time, seq)`.** Entries are filed by time alone, so
+//! time order holds by the bucket ranges above. Ties are the question:
+//! entries with equal times always share a container (the bucket is a
+//! function of the time), every container only ever appends, and spreading
+//! preserves relative order. Each new entry carries a larger `seq` than
+//! everything already queued (`schedule_seq` refuses reuse), and
+//! [`decode`](EventQueue::decode) files its entries in `(time, seq)` order.
+//! So equal times are in `seq` order in every container, including `due`,
+//! without any sort.
+//!
+//! **Cost.** `schedule` is `O(1)`: one XOR, one bit scan, one push. A pop
+//! from `due` is `O(1)`. Each spread moves an entry to a strictly lower
+//! bucket, so an entry filed in bucket `b` moves at most `b + 1 ≤ 64`
+//! times over its life, and in practice once or twice: events that fall
+//! due at one instant — the carrier-sense reports of one frame's hearers,
+//! the DIFS timers those reports arm — leave a spread together and then
+//! pop from `due` with no further work. A comparison heap pays `log n`
+//! sifts on every schedule and pop instead.
+//!
+//! **Memory.** A bucket that fills moves into a buffer twice its size. A
+//! spread bucket keeps a small buffer for its next entries and gives a
+//! large one up. Given-up buffers wait as spares, by power-of-two size
+//! class, for the next bucket that needs that size, up to half as many
+//! entries as the queue holds. So large buffers follow the entries down
+//! from bucket to bucket instead of each bucket keeping the largest it
+//! ever held, and a queue cycling a steady population stops allocating.
+//!
+//! **Peek, then schedule earlier.** [`peek_time`](EventQueue::peek_time)
+//! may move the base past `now` to reach the next entry. A caller that
+//! then schedules between `now` and that entry (pause, snapshot, schedule)
+//! gets a correct queue through a cold path that files every entry again
+//! against the earlier base.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::SimTime;
@@ -63,34 +117,27 @@ impl EventKey {
     }
 }
 
+/// One radix bucket per bit of a nanosecond timestamp.
+const BUCKETS: usize = u64::BITS as usize;
+
+/// A bucket's first buffer holds `1 << MIN_CLASS` entries; each next one
+/// twice its predecessor.
+const MIN_CLASS: u32 = 4;
+
+/// A spread bucket keeps a buffer of up to this many entries for the
+/// next entries filed there, which spares small queues a trip through the
+/// spares on every spread; a larger one becomes a spare.
+const KEPT: usize = 32;
+
+/// Spare capacity, in entries, kept however few entries are queued:
+/// enough for a 100-host world's steady state to stop allocating.
+const SPARE_FLOOR: usize = 1024;
+
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
-}
-
-// Order entries so the BinaryHeap (a max-heap) pops the earliest time first,
-// breaking ties by insertion order.
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: earliest (time, seq) is the "greatest" heap element.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A deterministic future-event list.
@@ -109,7 +156,30 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// The radix base, in ns: no entry is earlier. It equals `now` except
+    /// after [`peek_time`](Self::peek_time) moved it up to the next entry.
+    base: u64,
+    /// The entries at exactly `base`, in `seq` order.
+    due: VecDeque<Entry<E>>,
+    /// `buckets[b]`: the entries whose time first differs from `base` at
+    /// bit `b`.
+    buckets: [Vec<Entry<E>>; BUCKETS],
+    /// `mins[b]`: the earliest time in `buckets[b]`, `u64::MAX` when empty.
+    mins: [u64; BUCKETS],
+    /// Bit `b` is set while `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Empty buffers, outgrown or drained, by size class: `spares[k]`
+    /// holds buffers of `1 << k` entries. A full bucket moves into a spare
+    /// of twice its size, so buffers follow the entries from bucket to
+    /// bucket instead of each bucket keeping the largest it ever needed.
+    spares: [Vec<Vec<Entry<E>>>; BUCKETS],
+    /// Bit `k` is set while `spares[k]` is non-empty.
+    spare_classes: u64,
+    /// Total capacity of `spares`, held within half of `len` (or
+    /// `SPARE_FLOOR`).
+    spare_capacity: usize,
+    /// Entries held, tombstoned ones included.
+    len: usize,
     cancelled: SeqSet,
     next_seq: u64,
     now: SimTime,
@@ -126,11 +196,25 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
+        Self::starting(SimTime::ZERO, 0)
+    }
+
+    /// An empty queue whose clock reads `now` and whose next key is
+    /// `next_seq`.
+    fn starting(now: SimTime, next_seq: u64) -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            base: now.as_nanos(),
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; BUCKETS],
+            occupied: 0,
+            spares: std::array::from_fn(|_| Vec::new()),
+            spare_classes: 0,
+            spare_capacity: 0,
+            len: 0,
             cancelled: SeqSet::default(),
-            next_seq: 0,
-            now: SimTime::ZERO,
+            next_seq,
+            now,
             popped: 0,
             scheduled: 0,
         }
@@ -150,17 +234,8 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than [`now`](Self::now): scheduling into
     /// the past would break causality.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventKey {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: {} < {}",
-            time,
-            self.now
-        );
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        self.heap.push(Entry { time, seq, event });
-        EventKey(seq)
+        self.insert(time, seq, event)
     }
 
     /// Schedules `event` at `time` under an externally assigned sequence
@@ -181,20 +256,168 @@ impl<E> EventQueue<E> {
     /// tie-breaking and tombstone identity).
     pub fn schedule_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
         assert!(
+            seq >= self.next_seq,
+            "sequence number {seq} reused (queue already at {})",
+            self.next_seq
+        );
+        self.insert(time, seq, event)
+    }
+
+    /// Queues a fresh entry; `seq` is at least `next_seq`.
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
+        assert!(
             time >= self.now,
             "cannot schedule into the past: {} < {}",
             time,
             self.now
         );
-        assert!(
-            seq >= self.next_seq,
-            "sequence number {seq} reused (queue already at {})",
-            self.next_seq
-        );
+        if time.as_nanos() < self.base {
+            self.rebase(time.as_nanos());
+        }
         self.next_seq = seq + 1;
         self.scheduled += 1;
-        self.heap.push(Entry { time, seq, event });
+        self.len += 1;
+        self.file(Entry { time, seq, event });
         EventKey(seq)
+    }
+
+    /// Files `entry` (at or after `base`) into `due` or its bucket.
+    #[inline]
+    fn file(&mut self, entry: Entry<E>) {
+        let time = entry.time.as_nanos();
+        let differs = time ^ self.base;
+        if differs == 0 {
+            self.due.push_back(entry);
+            return;
+        }
+        let b = (u64::BITS - 1 - differs.leading_zeros()) as usize;
+        self.occupied |= 1 << b;
+        self.mins[b] = self.mins[b].min(time);
+        if self.buckets[b].len() == self.buckets[b].capacity() {
+            self.enlarge(b);
+        }
+        self.buckets[b].push(entry);
+    }
+
+    /// Moves the full `buckets[b]` into a buffer twice its size, a spare
+    /// if one is at hand.
+    #[cold]
+    #[inline(never)]
+    fn enlarge(&mut self, b: usize) {
+        let capacity = self.buckets[b].capacity();
+        let class = if capacity == 0 {
+            MIN_CLASS
+        } else {
+            capacity.ilog2() + 1
+        };
+        let mut buffer = self
+            .take_spare(class)
+            .unwrap_or_else(|| Vec::with_capacity(1 << class));
+        buffer.append(&mut self.buckets[b]);
+        let outgrown = std::mem::replace(&mut self.buckets[b], buffer);
+        self.retire(outgrown);
+    }
+
+    /// Keeps the empty `buffer` as a spare, then drops the largest spares
+    /// while together they could hold more than half the queue. A queue
+    /// cycling a steady population then finds the buffers it needs there,
+    /// and one that shrank lets go of what it no longer needs.
+    fn retire(&mut self, buffer: Vec<Entry<E>>) {
+        debug_assert!(buffer.is_empty(), "retiring a buffer in use");
+        if buffer.capacity() == 0 {
+            return;
+        }
+        let class = buffer.capacity().ilog2();
+        self.spare_capacity += buffer.capacity();
+        self.spares[class as usize].push(buffer);
+        self.spare_classes |= 1 << class;
+        while self.spare_capacity > (self.len / 2).max(SPARE_FLOOR) {
+            let largest = u64::BITS - 1 - self.spare_classes.leading_zeros();
+            self.take_spare(largest);
+        }
+    }
+
+    /// A spare of `1 << class` entries, if one is kept.
+    fn take_spare(&mut self, class: u32) -> Option<Vec<Entry<E>>> {
+        let spares = &mut self.spares[class as usize];
+        let spare = spares.pop()?;
+        if spares.is_empty() {
+            self.spare_classes &= !(1 << class);
+        }
+        self.spare_capacity -= spare.capacity();
+        Some(spare)
+    }
+
+    /// Moves the base back to `base` and files every entry again. Only a
+    /// schedule between `now` and a time [`peek_time`](Self::peek_time)
+    /// moved the base to gets here.
+    #[cold]
+    fn rebase(&mut self, base: u64) {
+        let due = std::mem::take(&mut self.due);
+        let buckets = std::mem::replace(&mut self.buckets, std::array::from_fn(|_| Vec::new()));
+        self.base = base;
+        self.mins = [u64::MAX; BUCKETS];
+        self.occupied = 0;
+        for entry in due {
+            self.file(entry);
+        }
+        for mut bucket in buckets {
+            for entry in bucket.drain(..) {
+                self.file(entry);
+            }
+            self.retire(bucket);
+        }
+    }
+
+    /// Refills the empty `due` from the lowest non-empty bucket, whose
+    /// minimum becomes the base. Returns `false` when no entry is left.
+    fn refill(&mut self) -> bool {
+        debug_assert!(self.due.is_empty(), "refill with entries due");
+        if self.occupied == 0 {
+            return false;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        self.base = std::mem::replace(&mut self.mins[b], u64::MAX);
+        if self.buckets[b].len() == 1 {
+            // A lone entry is the base.
+            self.due.extend(self.buckets[b].pop());
+            return true;
+        }
+        // Every entry lands in `due` or below `b`, so the bucket's buffer
+        // is free to walk while they are filed.
+        let mut spread = std::mem::take(&mut self.buckets[b]);
+        for entry in spread.drain(..) {
+            self.file(entry);
+        }
+        if spread.capacity() <= KEPT {
+            self.buckets[b] = spread;
+        } else {
+            self.retire(spread);
+        }
+        true
+    }
+
+    /// Brings the earliest live entry to the front of `due` and returns its
+    /// time: refills `due` when it runs dry and drops tombstoned entries
+    /// that reach its front.
+    fn head_time(&mut self) -> Option<SimTime> {
+        loop {
+            let Some(entry) = self.due.front() else {
+                if self.refill() {
+                    continue;
+                }
+                return None;
+            };
+            // Skip the tombstone hash lookup entirely while no
+            // cancellations are outstanding — the common case on the hot
+            // loop (hundreds of thousands of pops per run).
+            if self.cancelled.is_empty() || !self.cancelled.remove(&entry.seq) {
+                return Some(entry.time);
+            }
+            self.due.pop_front();
+            self.len -= 1;
+        }
     }
 
     /// Cancels a previously scheduled event.
@@ -206,10 +429,10 @@ impl<E> EventQueue<E> {
         if key.0 >= self.next_seq {
             return false;
         }
-        // An event that already fired is gone from the heap; inserting its
-        // key into `cancelled` would leak, so only record keys that can
-        // still be in the heap. We cannot cheaply tell "fired" apart from
-        // "pending", so we record and rely on pop() to clean up.
+        // An event that already fired is gone from the queue; inserting
+        // its key into `cancelled` would leak, so only record keys that
+        // can still be queued. We cannot cheaply tell "fired" apart from
+        // "pending", so we record and rely on the pops to clean up.
         self.cancelled.insert(key.0)
     }
 
@@ -225,19 +448,13 @@ impl<E> EventQueue<E> {
     /// during a parallel epoch by the `(time, seq)` of the event that
     /// produced them.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        while let Some(entry) = self.heap.pop() {
-            // Skip the tombstone hash lookup entirely while no
-            // cancellations are outstanding — the common case on the hot
-            // loop (hundreds of thousands of pops per run).
-            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            debug_assert!(entry.time >= self.now, "event queue went backwards");
-            self.now = entry.time;
-            self.popped += 1;
-            return Some((entry.time, entry.seq, entry.event));
-        }
-        None
+        self.head_time()?;
+        let entry = self.due.pop_front().expect("a live entry at the front");
+        self.len -= 1;
+        debug_assert!(entry.time >= self.now, "event queue went backwards");
+        self.now = entry.time;
+        self.popped += 1;
+        Some((entry.time, entry.seq, entry.event))
     }
 
     /// The timestamp of the next non-cancelled event, if any.
@@ -245,34 +462,29 @@ impl<E> EventQueue<E> {
     /// Cancelled entries at the head are dropped eagerly so the returned
     /// time is accurate.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&entry.seq) {
-                let entry = self.heap.pop().expect("peeked entry vanished");
-                self.cancelled.remove(&entry.seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+        self.head_time()
     }
 
     /// Number of pending entries, **including** tombstoned ones.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` when no entries (live or tombstoned) remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
+    }
+
+    /// The non-tombstoned entries, in no particular order.
+    fn live(&self) -> impl Iterator<Item = &Entry<E>> {
+        let held = self.due.iter().chain(self.buckets.iter().flatten());
+        held.filter(|entry| !self.cancelled.contains(&entry.seq))
     }
 
     /// The pending (non-cancelled) entries as `(time, event)`, in no
     /// particular order.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.heap
-            .iter()
-            .filter(|entry| !self.cancelled.contains(&entry.seq))
-            .map(|entry| (entry.time, &entry.event))
+        self.live().map(|entry| (entry.time, &entry.event))
     }
 
     /// Appends a complete image of the queue to a snapshot: the counters
@@ -284,11 +496,7 @@ impl<E> EventQueue<E> {
         enc.u64(self.next_seq);
         enc.u64(self.popped);
         enc.u64(self.scheduled);
-        let mut live: Vec<_> = self
-            .heap
-            .iter()
-            .filter(|entry| !self.cancelled.contains(&entry.seq))
-            .collect();
+        let mut live: Vec<_> = self.live().collect();
         live.sort_by_key(|entry| (entry.time, entry.seq));
         enc.seq(live, |enc, entry| {
             enc.time(entry.time);
@@ -307,8 +515,8 @@ impl<E> EventQueue<E> {
     /// # Errors
     ///
     /// A positioned [`WireError`] on malformed input, including an entry
-    /// that predates the clock or carries a sequence number not yet
-    /// handed out.
+    /// that predates the clock, carries a sequence number not yet handed
+    /// out, or does not follow its predecessor in pop order.
     pub fn decode<'a>(
         dec: &mut WireDecoder<'a>,
         min_bytes: usize,
@@ -318,6 +526,7 @@ impl<E> EventQueue<E> {
         let next_seq = dec.u64()?;
         let popped = dec.u64()?;
         let scheduled = dec.u64()?;
+        let mut last = None;
         let entries = dec.seq(16 + min_bytes, |dec| {
             let at = dec.position();
             let (time, seq) = (dec.time()?, dec.u64()?);
@@ -325,17 +534,22 @@ impl<E> EventQueue<E> {
                 let what = "queued event predates the clock or postdates the sequence counter";
                 return Err(WireError { at, what });
             }
+            if last.is_some_and(|last| last >= (time, seq)) {
+                let what = "queued events out of (time, seq) order";
+                return Err(WireError { at, what });
+            }
+            last = Some((time, seq));
             let event = get(dec)?;
             Ok(Entry { time, seq, event })
         })?;
-        Ok(EventQueue {
-            heap: BinaryHeap::from(entries),
-            cancelled: SeqSet::default(),
-            next_seq,
-            now,
-            popped,
-            scheduled,
-        })
+        let mut queue = EventQueue::starting(now, next_seq);
+        queue.popped = popped;
+        queue.scheduled = scheduled;
+        queue.len = entries.len();
+        for entry in entries {
+            queue.file(entry);
+        }
+        Ok(queue)
     }
 }
 
@@ -399,6 +613,36 @@ mod tests {
         q.schedule(SimTime::from_millis(5), 2);
         q.cancel(k);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
+    }
+
+    #[test]
+    fn a_schedule_before_a_peeked_time_pops_first() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(1), 'a');
+        q.schedule(SimTime::from_millis(9), 'c');
+        q.schedule(SimTime::from_millis(9), 'd');
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 'a')));
+        // The peek moves the radix base to 9 ms, past `now`.
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
+        q.schedule(SimTime::from_millis(1), 'b');
+        q.schedule(SimTime::from_millis(9), 'e');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['b', 'c', 'd', 'e']);
+    }
+
+    #[test]
+    fn far_apart_times_spread_into_order() {
+        let mut q = EventQueue::new();
+        let times = [u64::MAX, 1 << 40, 3, (1 << 40) + 1, 2, 1 << 63, 3, 0];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), i);
+        }
+        let mut expected: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
+        expected.sort();
+        let popped: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop().map(|(t, i)| (t.as_nanos(), i))).collect();
+        assert_eq!(popped, expected);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -502,6 +746,27 @@ mod tests {
             let mut bad = bytes.clone();
             bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
             assert_eq!(decode(&bad).unwrap_err().at, time_at);
+        }
+
+        // Entries out of pop order, or one repeated, are refused at the
+        // second: (3 ms, 0) before (2 ms, 1), and (1 ms, 0) twice.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(1), 10u32);
+        q.schedule(SimTime::from_millis(2), 20);
+        let bytes = image(&q);
+        let second = time_at + 8 + 8 + 4;
+        let patches: [&[(usize, u64)]; 2] = [
+            &[(time_at, 3_000_000)],
+            &[(second, 1_000_000), (second + 8, 0)],
+        ];
+        for patch in patches {
+            let mut bad = bytes.clone();
+            for &(at, value) in patch {
+                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            let err = decode(&bad).unwrap_err();
+            let what = "queued events out of (time, seq) order";
+            assert_eq!((err.at, err.what), (second, what), "{patch:?}");
         }
     }
 }
