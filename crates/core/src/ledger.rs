@@ -14,6 +14,8 @@
 //! At any instant a host has at most a handful of packets in flight, so
 //! the slab stays tiny and steady-state transitions touch no allocator.
 
+use std::collections::BTreeSet;
+
 use manet_mac::FrameHandle;
 use manet_sim_engine::{EventKey, Slab};
 
@@ -146,9 +148,27 @@ impl PacketLedger {
     }
 
     /// Rebuilds a ledger from the parts exposed by
-    /// [`snapshot_parts`](Self::snapshot_parts).
-    pub(crate) fn from_parts(tags: Vec<u32>, active: Slab<ActivePacket>) -> Self {
-        PacketLedger { tags, active }
+    /// [`snapshot_parts`](Self::snapshot_parts), refusing parts no ledger
+    /// holds: each active state is named by exactly one tag. The error
+    /// carries the index of the offending tag, or `None` for an active
+    /// state no tag names.
+    pub(crate) fn from_parts(
+        tags: Vec<u32>,
+        active: Slab<ActivePacket>,
+    ) -> Result<Self, (Option<usize>, &'static str)> {
+        let mut named = BTreeSet::new();
+        for (i, &tag) in tags.iter().enumerate().filter(|&(_, &tag)| tag <= MAX_SLOT) {
+            if !active.contains(tag) {
+                return Err((Some(i), "a ledger tag names a vacant slot"));
+            }
+            if !named.insert(tag) {
+                return Err((Some(i), "two ledger tags name one slot"));
+            }
+        }
+        if named.len() != active.len() {
+            return Err((None, "an active packet state has no ledger tag"));
+        }
+        Ok(PacketLedger { tags, active })
     }
 
     /// Abandons every active (assessing or MAC-queued) state, marking the

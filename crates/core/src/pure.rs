@@ -426,6 +426,26 @@ impl PureModels {
         }
     }
 
+    /// Why `action` cannot follow the state so far, or `None`: on these
+    /// well-formed actions no world delivers, [`step`](Self::step) panics.
+    pub(crate) fn illegal(&mut self, action: &PureAction<'_>) -> Option<&'static str> {
+        match *action {
+            PureAction::Originate { node, packet } => {
+                match self.ledgers[node.index()].view(packet.seq) {
+                    PacketView::Unheard => None,
+                    _ => Some("Originate of a packet its source already knows"),
+                }
+            }
+            PureAction::AssessmentFired { node, packet } => {
+                match self.ledgers[node.index()].view(packet.seq) {
+                    PacketView::Active(ActivePacket::Assessing { .. }) => None,
+                    _ => Some("AssessmentFired at a host not assessing the packet"),
+                }
+            }
+            _ => None,
+        }
+    }
+
     /// The handle a restored table keeps on `sender`'s two-hop list, shared
     /// as a live HELLO's is — except that a list `sender` did not publish
     /// last is looked up among `restored[sender]`, the lists of `sender`

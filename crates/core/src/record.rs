@@ -3,10 +3,8 @@
 //! While a world runs with recording enabled, every [`PureAction`]
 //! dispatched into the pure models — and every scheme *decision* the
 //! resulting effects carried — is appended to a [`TraceWriter`]. The
-//! resulting byte stream is self-contained: it embeds the slice of the
-//! [`SimConfig`] the pure models need (scheme, neighbor-info policy,
-//! host count, and the build's fixed radio radius and coverage
-//! resolution, which decode checks), so a trace can be
+//! resulting byte stream is self-contained: it opens with the whole
+//! [`SimConfig`] of the run ([`SimConfig::encode`]), so a trace can be
 //! replayed through a fresh [`PureModels`] with **no event queue, no
 //! radio medium and no RNG at all** (see [`replay_decisions`]) — ideal
 //! for fuzzing scheme logic against recorded runs. [`TraceFile`] reads
@@ -18,10 +16,8 @@
 //! file layout is:
 //!
 //! ```text
-//! magic "MTRC" | version u32 (=2)
-//! replay config:
-//!     hosts u32 | radio_radius f64 | coverage_resolution u64
-//!     scheme (tagged, below) | neighbor-info (tagged, below)
+//! magic "MTRC" | version u32 (=3)
+//! config (SimConfig::encode; DESIGN.md §12)
 //! records until end of input, each:
 //!     record tag u8: 0 = action, 1 = decision
 //!     at u64 (nanoseconds)
@@ -42,7 +38,7 @@
 //!
 //! A packet is `source u32, seq u32`; a neighbor list is a `u64` count
 //! followed by that many `u32` ids, strictly ascending. Every node id must
-//! be below the replay config's `hosts`, and every packet `seq` below the
+//! be below the config's `hosts`, and every packet `seq` below the
 //! number of `Originate` records up to and including the one it appears
 //! in (live runs number packets 0, 1, 2 …). A sender's *advertisement* is
 //! the (interval, list) pair its last tag-0 `HelloHeard` carried: one
@@ -53,28 +49,25 @@
 //! 1 inhibited / 2 cancelled), reason u8 (0 none / 1 counter / 2 coverage
 //! / 3 neighbor-coverage / 4 probabilistic)`.
 //!
-//! Version 1 wrote every `HelloHeard`'s interval and list in full; it is
-//! refused by name at the version's offset.
+//! Version 1 wrote every `HelloHeard`'s interval and list in full, and
+//! version 2 opened with a replay slice of the config; both are refused
+//! by name at the version's offset.
 
 use std::collections::BTreeMap;
 
 use manet_geom::Vec2;
-use manet_mobility::PAPER_RADIO_RADIUS_M;
-use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{NeighborInfo, SimConfig, COVERAGE_RESOLUTION};
+use crate::config::{NeighborInfo, SimConfig};
 use crate::ids::{decode_packet, encode_packet, PacketId};
 use crate::pure::{Effect, OracleView, PureAction, PureModels};
-use crate::schemes::SchemeSpec;
-use crate::threshold::{AreaThreshold, AreaThresholdKind, CounterThreshold};
 use crate::trace::{DecisionKind, SuppressReason};
 
 /// Magic bytes opening a trace file.
 pub const TRACE_MAGIC: &[u8; 4] = b"MTRC";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 
 /// The (interval, list) each sender last advertised in a trace, keyed by
 /// id — never sized by one, since a header may claim 2³² − 1 hosts.
@@ -121,10 +114,10 @@ pub struct TraceWriter {
 
 impl TraceWriter {
     /// Starts a trace for a run of `cfg`, writing the header and the
-    /// replay slice of the configuration.
+    /// configuration.
     pub fn new(cfg: &SimConfig) -> Self {
         let mut enc = WireEncoder::with_magic(TRACE_MAGIC, TRACE_VERSION);
-        encode_replay_config(&mut enc, cfg);
+        cfg.encode(&mut enc);
         TraceWriter {
             enc,
             advertised: BTreeMap::new(),
@@ -172,16 +165,14 @@ impl TraceWriter {
     }
 }
 
-/// An `MTRC` trace, read in one forward pass: the replay configuration,
+/// An `MTRC` trace, read in one forward pass: the run's configuration,
 /// then each record in recording order from
 /// [`next_record`](Self::next_record). Nothing is collected but each
 /// sender's current advertisement; an oracle view's neighbor lists are
 /// decoded into two buffers the reader reuses.
 #[derive(Debug)]
 pub struct TraceFile<'a> {
-    /// A configuration sufficient to rebuild the pure models (map size,
-    /// workload and timing fields are placeholders — the pure models do
-    /// not read them).
+    /// The configuration of the recorded run.
     pub config: SimConfig,
     dec: WireDecoder<'a>,
     /// `Originate`s read so far: live runs number packets 0, 1, 2 … per
@@ -202,13 +193,14 @@ impl<'a> TraceFile<'a> {
         let what = match dec.expect_magic(TRACE_MAGIC)? {
             TRACE_VERSION => None,
             1 => Some("trace version 1 is retired (a list per hearer); record the run again"),
+            2 => Some("trace version 2 is retired (a replay-slice header); record the run again"),
             _ => Some("unsupported trace version"),
         };
         if let Some(what) = what {
             return Err(WireError { at: 4, what });
         }
         Ok(TraceFile {
-            config: decode_replay_config(&mut dec)?,
+            config: SimConfig::decode(&mut dec)?,
             dec,
             originated: 0,
             advertised: BTreeMap::new(),
@@ -370,6 +362,15 @@ pub enum ReplayError {
         /// Human-readable description of the divergence.
         detail: String,
     },
+    /// A well-formed action no world could deliver in the state replay
+    /// had reached, such as an `AssessmentFired` at a host not assessing
+    /// the packet.
+    Illegal {
+        /// Index of the offending record, from 0 in recording order.
+        record: usize,
+        /// Why the action cannot happen there.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -378,6 +379,9 @@ impl std::fmt::Display for ReplayError {
             ReplayError::Wire(e) => write!(f, "trace decode failed: {e}"),
             ReplayError::Mismatch { record, detail } => {
                 write!(f, "replay diverged at record {record}: {detail}")
+            }
+            ReplayError::Illegal { record, what } => {
+                write!(f, "replay refused record {record}: {what}")
             }
         }
     }
@@ -406,7 +410,8 @@ pub struct ReplaySummary {
 ///
 /// # Errors
 ///
-/// [`ReplayError::Wire`] on malformed input; [`ReplayError::Mismatch`]
+/// [`ReplayError::Wire`] on malformed input; [`ReplayError::Illegal`] on
+/// an action the state reached cannot take; [`ReplayError::Mismatch`]
 /// when the re-derived decisions diverge from the recording (a scheme
 /// logic bug, or a trace from different code).
 pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
@@ -435,6 +440,12 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
                 let (id, next) = (*host, NodeId::new(slots.len() as u32));
                 *host = *slots.entry(id).or_insert(next);
                 pure.grow_to(slots.len());
+                if let Some(what) = pure.illegal(&action) {
+                    return Err(ReplayError::Illegal {
+                        record: index,
+                        what,
+                    });
+                }
                 pure.step(at, &action, &mut fx);
                 let derived = fx.iter().filter_map(|effect| decision_of(at, effect));
                 expected.extend(derived.map(|d| DecisionRecord { node: id, ..d }));
@@ -597,162 +608,10 @@ fn encode_action(enc: &mut WireEncoder, advertised: &mut Advertisements, action:
     }
 }
 
-/// Encodes the slice of the configuration [`PureModels::new`] reads.
-pub(crate) fn encode_replay_config(enc: &mut WireEncoder, cfg: &SimConfig) {
-    enc.u32(cfg.hosts);
-    enc.f64(PAPER_RADIO_RADIUS_M);
-    enc.usize(COVERAGE_RESOLUTION);
-    encode_scheme(enc, &cfg.scheme);
-    match &cfg.neighbor_info {
-        NeighborInfo::Hello(HelloIntervalPolicy::Fixed(d)) => {
-            enc.u8(0);
-            enc.duration(*d);
-        }
-        NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p)) => {
-            enc.u8(1);
-            enc.f64(p.nv_max);
-            enc.duration(p.hi_min);
-            enc.duration(p.hi_max);
-        }
-        NeighborInfo::Oracle => enc.u8(2),
-    }
-}
-
-/// Decodes [`encode_replay_config`] output back into a [`SimConfig`]
-/// sufficient for the pure models (workload/timing fields take builder
-/// defaults; the pure models never read them).
-pub(crate) fn decode_replay_config(dec: &mut WireDecoder<'_>) -> Result<SimConfig, WireError> {
-    let at = dec.position();
-    let hosts = dec.u32()?;
-    // Both are constants of this build; the header keeps the fields so
-    // the format (and every recorded trace) is unchanged.
-    let fixed = dec.position();
-    if dec.f64()?.to_bits() != PAPER_RADIO_RADIUS_M.to_bits() {
-        let what = "radio radius differs from this build's constant";
-        return Err(WireError { at: fixed, what });
-    }
-    let fixed = dec.position();
-    if dec.usize()? != COVERAGE_RESOLUTION {
-        let what = "coverage resolution differs from this build's constant";
-        return Err(WireError { at: fixed, what });
-    }
-    let scheme = decode_scheme(dec)?;
-    let (tag, invalid) = dec.tag("invalid neighbor-info tag")?;
-    let neighbor_info = match tag {
-        0 => NeighborInfo::Hello(HelloIntervalPolicy::Fixed(dec.duration()?)),
-        1 => NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams {
-            nv_max: dec.f64()?,
-            hi_min: dec.duration()?,
-            hi_max: dec.duration()?,
-        })),
-        2 => NeighborInfo::Oracle,
-        _ => return Err(invalid),
-    };
-    SimConfig::builder(1, scheme)
-        .hosts(hosts)
-        .neighbor_info(neighbor_info)
-        .try_build()
-        .map_err(|_| WireError {
-            at,
-            what: "invalid replay config",
-        })
-}
-
-fn encode_scheme(enc: &mut WireEncoder, scheme: &SchemeSpec) {
-    match scheme {
-        SchemeSpec::Flooding => enc.u8(0),
-        SchemeSpec::Counter(c) => {
-            enc.u8(1);
-            enc.u32(*c);
-        }
-        SchemeSpec::AdaptiveCounter(t) => {
-            enc.u8(2);
-            enc.seq(t.sequence().iter().copied(), WireEncoder::u32);
-            enc.str(t.label());
-        }
-        SchemeSpec::Distance(d) => {
-            enc.u8(3);
-            enc.f64(*d);
-        }
-        SchemeSpec::Location(a) => {
-            enc.u8(4);
-            enc.f64(*a);
-        }
-        SchemeSpec::AdaptiveLocation(t) => {
-            enc.u8(5);
-            match t.kind() {
-                AreaThresholdKind::Fixed(a) => {
-                    enc.u8(0);
-                    enc.f64(a);
-                }
-                AreaThresholdKind::Adaptive { n1, n2, ceiling } => {
-                    enc.u8(1);
-                    enc.u32(n1);
-                    enc.u32(n2);
-                    enc.f64(ceiling);
-                }
-            }
-            enc.str(t.label());
-        }
-        SchemeSpec::NeighborCoverage => enc.u8(6),
-        SchemeSpec::Probabilistic(p) => {
-            enc.u8(7);
-            enc.f64(*p);
-        }
-    }
-}
-
-fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
-    let (tag, invalid) = dec.tag("invalid scheme tag")?;
-    let scheme = match tag {
-        0 => SchemeSpec::Flooding,
-        1 => SchemeSpec::Counter(dec.u32()?),
-        2 => {
-            let at = dec.position();
-            let sequence = dec.seq(4, WireDecoder::u32)?;
-            let label = dec.str()?.to_string();
-            if sequence.is_empty() || sequence.iter().any(|&c| c < 2) {
-                return Err(WireError {
-                    at,
-                    what: "invalid counter threshold",
-                });
-            }
-            SchemeSpec::AdaptiveCounter(CounterThreshold::from_sequence(sequence, label))
-        }
-        3 => SchemeSpec::Distance(dec.f64()?),
-        4 => SchemeSpec::Location(dec.f64()?),
-        5 => {
-            let (tag, invalid) = dec.tag("invalid area threshold kind")?;
-            let kind = match tag {
-                0 => AreaThresholdKind::Fixed(dec.f64()?),
-                1 => AreaThresholdKind::Adaptive {
-                    n1: dec.u32()?,
-                    n2: dec.u32()?,
-                    ceiling: dec.f64()?,
-                },
-                _ => return Err(invalid),
-            };
-            let label = dec.str()?.to_string();
-            SchemeSpec::AdaptiveLocation(AreaThreshold::from_parts(kind, label))
-        }
-        6 => SchemeSpec::NeighborCoverage,
-        7 => SchemeSpec::Probabilistic(dec.f64()?),
-        _ => return Err(invalid),
-    };
-    // Replay feeds every hear through this scheme: refuse here what would
-    // otherwise misbehave there.
-    if scheme.validate().is_err() {
-        let what = "scheme parameter out of range";
-        return Err(WireError { what, ..invalid });
-    }
-    Ok(scheme)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threshold::{AreaThreshold, CounterThreshold};
-    use manet_sim_engine::SimDuration;
+    use crate::schemes::SchemeSpec;
 
     fn cfg(scheme: SchemeSpec) -> SimConfig {
         SimConfig::builder(1, scheme).hosts(8).broadcasts(1).build()
@@ -844,34 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn every_scheme_round_trips() {
-        let schemes = [
-            SchemeSpec::Flooding,
-            SchemeSpec::Counter(3),
-            SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
-            SchemeSpec::Distance(40.0),
-            SchemeSpec::Location(0.0469),
-            SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
-            SchemeSpec::AdaptiveLocation(AreaThreshold::fixed(0.1871)),
-            SchemeSpec::NeighborCoverage,
-            SchemeSpec::Probabilistic(0.65),
-        ];
-        for scheme in schemes {
-            let mut enc = WireEncoder::new();
-            encode_scheme(&mut enc, &scheme);
-            let bytes = enc.into_bytes();
-            let mut dec = WireDecoder::new(&bytes);
-            let decoded = decode_scheme(&mut dec).expect("decode scheme");
-            dec.finish().expect("no trailing bytes");
-            assert_eq!(decoded.label(), scheme.label());
-            // Re-encoding the decoded scheme must be byte-identical.
-            let mut enc2 = WireEncoder::new();
-            encode_scheme(&mut enc2, &decoded);
-            assert_eq!(enc2.into_bytes(), bytes);
-        }
-    }
-
-    #[test]
     fn decode_rejects_corruption() {
         let config = cfg(SchemeSpec::Flooding);
         let writer = TraceWriter::new(&config);
@@ -882,8 +713,9 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(TraceFile::decode(&wrong_magic).is_err());
-        // Version 1 is refused by name; any other unknown one generically.
-        for (version, retired) in [(1u32, true), (3, false)] {
+        // Versions 1 and 2 are refused by name; any other unknown one
+        // generically.
+        for (version, retired) in [(1u32, true), (2, true), (4, false)] {
             let mut old = bytes.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             let err = TraceFile::decode(&old).unwrap_err();
@@ -892,13 +724,6 @@ mod tests {
                 (4, retired),
                 "{err}"
             );
-        }
-        // Magic, version and hosts precede the radius; the resolution
-        // follows it. Neither may differ from this build's constant.
-        for (at, other) in [(12, 250.0f64.to_le_bytes()), (20, 96u64.to_le_bytes())] {
-            let mut patched = bytes.clone();
-            patched[at..at + 8].copy_from_slice(&other);
-            assert_eq!(TraceFile::decode(&patched).unwrap_err().at, at);
         }
     }
 

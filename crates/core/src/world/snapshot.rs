@@ -13,30 +13,31 @@
 //!
 //! * config-derived structure — the map, spatial grid, coverage grid,
 //!   scheme thresholds, the compiled scenario timeline — all re-derived
-//!   from the [`SimConfig`] the caller passes to [`World::resume`];
+//!   from the [`SimConfig`] in the header;
 //! * scratch buffers and recycling pools (capacity caches only);
 //! * the geometry index's position caches and strips (re-derived);
 //! * the action recorder and the event-loop profiler.
 //!
-//! The stream opens with a length-prefixed **config fingerprint**:
-//! a canonical encoding of every behavior-affecting [`SimConfig`] field.
-//! [`World::resume`] re-encodes the fingerprint of the config it is
-//! given and rejects the snapshot on any mismatch, so a checkpoint can
-//! never be resumed against a world built from different parameters.
+//! The stream opens with the run's whole [`SimConfig`]
+//! ([`SimConfig::encode`]): [`config_of`] reads it back, and
+//! [`World::resume`] refuses a config that encodes differently, so a
+//! checkpoint can never be resumed against a world built from different
+//! parameters.
 //!
 //! # Wire format
 //!
 //! All fields are written in the vocabulary of [`WireEncoder`]
 //! (sequences, options, tagged choices, RNG states, slabs and the event
 //! queue are each coded once, there). Layout (in order): magic `MSNP` +
-//! version `u32`; fingerprint bytes; event queue (counters, then `(time,
+//! version `u32`; the config; event queue (counters, then `(time,
 //! seq, event)` entries); workload and protocol RNG states; per-host
 //! MAC, outgoing payload slab, pending-HELLO timer, and mobility state;
 //! the medium;
 //! the pure models (ledgers, neighbor tables, variation trackers,
 //! suppression tallies); the metrics collector; in-flight frames; the
-//! delayed carrier-report batches; the workload scalars; and the
-//! optional scenario state. Slab-backed state (MAC queues, active
+//! delayed carrier-report batches; the workload scalars; and, when the
+//! config has a scenario, its state. What the config fixes (the host
+//! count, whether a scenario runs) is not written again. Slab-backed state (MAC queues, active
 //! packets, carrier batches, active transmissions) is exported *with
 //! its slot layout* because handles and event payloads index into it.
 
@@ -47,13 +48,10 @@ use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
 use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{
-    MobilitySpec, PlacementSpec, SimConfig, COVERAGE_RESOLUTION, CS_DELAY, PACKET_BYTES,
-};
+use crate::config::{SimConfig, COVERAGE_RESOLUTION};
 use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
-use crate::record::encode_replay_config;
 use crate::schemes::{Lattice, PacketState, SchemeSpec, COVERAGE};
 
 use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
@@ -61,9 +59,33 @@ use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
 /// Magic bytes opening a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
 /// Current snapshot format version. Version 1 kept each radio's list of
-/// incoming frames; version 2 writes the medium frame-major (DESIGN.md
-/// §12), and version 1 is refused by name.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// incoming frames and version 2 a write-only config fingerprint; version
+/// 3 opens with the config itself (DESIGN.md §12), and both older ones are
+/// refused by name.
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// The configuration a snapshot was taken under, read from its header:
+/// what `manet-sim --resume FILE` resumes with.
+///
+/// # Errors
+///
+/// A positioned [`WireError`] on a bad magic or version, or a malformed
+/// or invalid config.
+pub fn config_of(bytes: &[u8]) -> Result<SimConfig, WireError> {
+    let mut dec = WireDecoder::new(bytes);
+    expect_version(&mut dec)?;
+    SimConfig::decode(&mut dec)
+}
+
+fn expect_version(dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
+    let what = match dec.expect_magic(SNAPSHOT_MAGIC)? {
+        SNAPSHOT_VERSION => return Ok(()),
+        1 => "snapshot version 1 is retired (a frame list per radio); take a new snapshot",
+        2 => "snapshot version 2 is retired (a config fingerprint); take a new snapshot",
+        _ => "unsupported snapshot version",
+    };
+    Err(WireError { at: 4, what })
+}
 
 impl World {
     /// Serializes this (paused or finished) world into a self-contained
@@ -115,26 +137,24 @@ impl World {
         enc.time(self.last_event_at);
         enc.bool(self.finished);
 
-        enc.option(self.scenario.as_ref(), encode_scenario_state);
+        if let Some(st) = &self.scenario {
+            encode_scenario_state(&mut enc, st);
+        }
 
         enc.into_bytes()
     }
 
-    /// The snapshot up to the medium: magic, version, fingerprint, event
+    /// The snapshot up to the medium: magic, version, config, event
     /// queue, the two world RNGs, and every host's MAC, MAC queue, HELLO
     /// timer and mobility.
     fn encode_through_nodes(&self) -> WireEncoder {
         let mut enc = WireEncoder::with_magic(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-
-        let mut fingerprint = WireEncoder::new();
-        encode_fingerprint(&mut fingerprint, &self.cfg);
-        enc.bytes(fingerprint.as_slice());
+        self.cfg.encode(&mut enc);
 
         self.queue.encode(&mut enc, encode_event);
         enc.rng(&self.workload_rng);
         enc.rng(&self.proto_rng);
 
-        enc.len(self.nodes.len());
         for node in &self.nodes {
             node.mac.snapshot_into(&mut enc);
             node.outgoing.encode(&mut enc, encode_payload);
@@ -150,35 +170,28 @@ impl World {
     /// Rebuilds a world from a [`snapshot`](Self::snapshot), continuing
     /// the run bit-identically to the world the snapshot was taken from.
     ///
-    /// `config` must describe the same run the snapshot was taken from;
-    /// it is checked against the embedded fingerprint. Recording and
-    /// profiling are not resumed.
+    /// `config` must describe the same run the snapshot was taken from
+    /// ([`config_of`] reads it); it must encode to the header's bytes.
+    /// Recording and profiling are not resumed.
     ///
     /// # Errors
     ///
     /// Returns a positioned [`WireError`] on malformed input, a version
-    /// or fingerprint mismatch, or state inconsistent with `config`.
+    /// or config mismatch, or state inconsistent with `config`.
     pub fn resume(config: SimConfig, bytes: &[u8]) -> Result<World, WireError> {
         let mut dec = WireDecoder::new(bytes);
-        let what = match dec.expect_magic(SNAPSHOT_MAGIC)? {
-            SNAPSHOT_VERSION => None,
-            1 => {
-                Some("snapshot version 1 is retired (a frame list per radio); take a new snapshot")
-            }
-            _ => Some("unsupported snapshot version"),
-        };
-        if let Some(what) = what {
-            return Err(WireError { at: 4, what });
-        }
-        let fingerprint_at = dec.position();
-        let stored = dec.bytes()?;
-        let mut fingerprint = WireEncoder::new();
-        encode_fingerprint(&mut fingerprint, &config);
-        if stored != fingerprint.as_slice() {
-            return Err(WireError {
-                at: fingerprint_at,
-                what: "snapshot was taken under a different config",
-            });
+        expect_version(&mut dec)?;
+        let (mut own, at) = (WireEncoder::new(), dec.position());
+        config.encode(&mut own);
+        dec.expect_bytes(
+            own.as_slice(),
+            "snapshot was taken under a different config",
+        )?;
+        // Every host writes bytes of its own below: a body shorter than the
+        // host count is refused before `World::new` sizes anything by it.
+        if config.hosts as usize > bytes.len() - dec.position() {
+            let what = "snapshot body too short for its host count";
+            return Err(WireError { at, what });
         }
         let scheme = config.scheme.clone();
         let mut world = World::new(config);
@@ -192,13 +205,6 @@ impl World {
         world.workload_rng = dec.rng()?;
         world.proto_rng = dec.rng()?;
 
-        let hosts_at = dec.position();
-        if dec.len()? != hosts {
-            return Err(WireError {
-                at: hosts_at,
-                what: "snapshot host count mismatch",
-            });
-        }
         for (i, node) in world.nodes.iter_mut().enumerate() {
             node.mac = Dcf::restore_snapshot(&mut dec)?;
             node.outgoing = Slab::decode(&mut dec, 9, decode_payload)?;
@@ -261,16 +267,8 @@ impl World {
         world.last_event_at = dec.time()?;
         world.finished = dec.bool()?;
 
-        let scenario_at = dec.position();
-        match (dec.bool()?, world.scenario.as_mut()) {
-            (false, None) => {}
-            (true, Some(st)) => restore_scenario_state(&mut dec, st)?,
-            _ => {
-                return Err(WireError {
-                    at: scenario_at,
-                    what: "scenario presence mismatch",
-                })
-            }
+        if let Some(st) = world.scenario.as_mut() {
+            restore_scenario_state(&mut dec, st)?;
         }
 
         dec.finish()?;
@@ -386,46 +384,6 @@ fn check_frames_on_air(world: &World, at: usize) -> Result<(), WireError> {
         return refuse("a transmitting MAC has no frame on the air");
     }
     Ok(())
-}
-
-/// Encodes every behavior-affecting configuration field, canonically.
-/// Two configs with equal fingerprints drive identical runs.
-fn encode_fingerprint(enc: &mut WireEncoder, cfg: &SimConfig) {
-    // The replay slice (hosts, radius, coverage, scheme, neighbor info)…
-    encode_replay_config(enc, cfg);
-    // …plus everything the dispatcher reads.
-    enc.u64(cfg.seed);
-    enc.u32(cfg.map_units);
-    enc.u32(cfg.broadcasts);
-    enc.duration(cfg.max_interarrival);
-    enc.usize(PACKET_BYTES);
-    enc.duration(cfg.grace);
-    enc.duration(cfg.warmup);
-    enc.f64(cfg.drop_probability);
-    enc.duration(CS_DELAY);
-    enc.option(cfg.capture, |enc, capture| {
-        enc.f64(capture.sir_threshold);
-        enc.f64(capture.path_loss_exponent);
-    });
-    match cfg.placement {
-        PlacementSpec::Uniform => enc.u8(0),
-        PlacementSpec::Grid => enc.u8(1),
-        PlacementSpec::Line { spacing_m } => {
-            enc.u8(2);
-            enc.u32(spacing_m);
-        }
-    }
-    enc.u8(match cfg.mobility {
-        MobilitySpec::RandomTurn => 0,
-        MobilitySpec::RandomWaypoint => 1,
-        MobilitySpec::Stationary => 2,
-    });
-    enc.option(cfg.max_speed_kmh, WireEncoder::f64);
-    // The scenario script compiles deterministically; its debug form is
-    // a canonical description of the timeline.
-    enc.option(cfg.scenario.as_ref(), |enc, scenario| {
-        enc.str(&format!("{scenario:?}"));
-    });
 }
 
 fn encode_event(enc: &mut WireEncoder, event: &Event) {
@@ -665,9 +623,15 @@ fn decode_ledger(
     dec: &mut WireDecoder<'_>,
     scheme: &SchemeSpec,
 ) -> Result<PacketLedger, WireError> {
+    let tags_at = dec.position();
     let tags = dec.seq(4, WireDecoder::u32)?;
+    let active_at = dec.position();
     let active = Slab::decode(dec, 10, |dec| decode_active(dec, scheme))?;
-    Ok(PacketLedger::from_parts(tags, active))
+    // A tag at index `i` sits past the sequence's `u64` count.
+    PacketLedger::from_parts(tags, active).map_err(|(tag, what)| WireError {
+        at: tag.map_or(active_at, |i| tags_at + 8 + 4 * i),
+        what,
+    })
 }
 
 fn encode_mobility(enc: &mut WireEncoder, mobility: &HostMobility) {
@@ -721,7 +685,9 @@ fn decode_suppression(dec: &mut WireDecoder<'_>) -> Result<SuppressionCounts, Wi
 }
 
 fn encode_scenario_state(enc: &mut WireEncoder, st: &ScenarioState) {
-    enc.seq(st.active.iter().copied(), WireEncoder::bool);
+    for &up in &st.active {
+        enc.bool(up);
+    }
     enc.u32(st.active_count);
     for &epoch in &st.node_epoch {
         enc.u32(epoch);
@@ -758,13 +724,6 @@ fn restore_scenario_state(
     dec: &mut WireDecoder<'_>,
     st: &mut ScenarioState,
 ) -> Result<(), WireError> {
-    let hosts_at = dec.position();
-    if dec.len()? != st.active.len() {
-        return Err(WireError {
-            at: hosts_at,
-            what: "scenario host count mismatch",
-        });
-    }
     for up in &mut st.active {
         *up = dec.bool()?;
     }
@@ -850,10 +809,10 @@ mod tests {
             .hosts(8)
             .seed(5)
             .build();
-        let mut fingerprint = WireEncoder::new();
-        encode_fingerprint(&mut fingerprint, &config);
-        // Magic, version and the fingerprint's length prefix.
-        let queue_at = 4 + 4 + 8 + fingerprint.as_slice().len();
+        let mut header = WireEncoder::new();
+        config.encode(&mut header);
+        // Magic, version and the config.
+        let queue_at = 4 + 4 + header.as_slice().len();
         let ghost = NodeId::new(8);
         let packet = crate::ids::PacketId::new(NodeId::new(0), 0);
         let host = "a queued event names a host that does not exist";
@@ -923,7 +882,7 @@ mod tests {
         use manet_sim_engine::{SimDuration, SimTime};
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        use crate::config::NeighborInfo;
+        use crate::config::{MobilitySpec, NeighborInfo};
         use manet_net::HelloIntervalPolicy;
         use manet_scenario::{ChurnKind, Region, Scenario};
 
@@ -996,6 +955,45 @@ mod tests {
                 refused > 0 && ran > 0,
                 "{name}: {refused} refused, {ran} ran"
             );
+        }
+    }
+
+    /// Each active packet state is named by exactly one ledger tag. A tag
+    /// naming a vacant slot, two tags naming one slot and a state no tag
+    /// names are refused, at the tag or at the slab; all three used to
+    /// resume (and the first two then panicked when the packet moved on).
+    #[test]
+    fn ledger_tags_name_each_active_state_once() {
+        let scheme = SchemeSpec::Counter(3);
+        let assessing = || ActivePacket::Assessing {
+            key: manet_sim_engine::EventKey::from_raw(1),
+            state: PacketState::Count(1),
+        };
+        let mut ledger = PacketLedger::new();
+        ledger.set_active(0, assessing());
+        ledger.mark_done(1);
+        ledger.set_active(2, assessing());
+        let mut enc = WireEncoder::new();
+        encode_ledger(&mut enc, &ledger, &scheme);
+        let bytes = enc.into_bytes();
+        // The tag count, then tags 0, 1, 2: slot 0, done, slot 1.
+        let tag = |i: usize| 8 + 4 * i;
+        let slab = tag(3);
+        let decode = |bytes: &[u8]| decode_ledger(&mut WireDecoder::new(bytes), &scheme);
+        assert!(decode(&bytes).is_ok());
+        for (patched, value, at, what) in [
+            (2, 5, tag(2), "a ledger tag names a vacant slot"),
+            (2, 0, tag(2), "two ledger tags name one slot"),
+            (
+                0,
+                u32::MAX - 1,
+                slab,
+                "an active packet state has no ledger tag",
+            ),
+        ] {
+            let mut bad = bytes.clone();
+            bad[tag(patched)..tag(patched) + 4].copy_from_slice(&u32::to_le_bytes(value));
+            assert_eq!(decode(&bad).err(), Some(WireError { at, what }), "{what}");
         }
     }
 

@@ -12,13 +12,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use broadcast_core::{
-    replay_decisions, ChurnKind, MobilitySpec, NeighborInfo, OracleView, PacketId, PureAction,
-    ReplayError, ReplaySummary, Scenario, SchemeSpec, SimConfig, TraceFile, TraceWriter, World,
+    replay_decisions, snapshot, ChurnKind, MobilitySpec, NeighborInfo, OracleView, PacketId,
+    PureAction, ReplayError, ReplaySummary, Scenario, SchemeSpec, SimConfig, TraceFile,
+    TraceWriter, World,
 };
 use manet_geom::CoverageGrid;
 use manet_net::HelloIntervalPolicy;
 use manet_phy::NodeId;
-use manet_sim_engine::{SimDuration, SimTime, WireError};
+use manet_sim_engine::{SimDuration, SimTime, WireEncoder, WireError};
 use manet_testkit::{CountingAlloc, Gen};
 
 #[global_allocator]
@@ -247,6 +248,55 @@ fn a_snapshot_with_any_byte_flipped_is_refused_or_runs_a_second() {
     assert!(refused > 0 && ran > 0, "{refused} refused, {ran} ran");
 }
 
+/// `manet-sim --resume FILE` takes the run from the file, so the header is
+/// hostile input too. Every header byte of the busiest `churn` and `nc`
+/// snapshots, changed by each of three masks and resumed as the command
+/// does (`config_of`, then `World::resume`), is refused or runs a second.
+/// A host count, map or HELLO interval patched to its largest value is
+/// refused before `World::new` sizes or arms anything by it: a header
+/// claiming 2³² − 1 hosts used to abort on the allocation, and a HELLO
+/// interval near 2⁶⁴ ns to panic at its first re-arm.
+#[test]
+fn a_snapshot_header_read_back_is_refused_or_runs_a_second() {
+    let resume = |bytes: &[u8], until: SimTime| {
+        let config = snapshot::config_of(bytes)?;
+        World::resume(config, bytes).map(|mut world| world.advance(until))
+    };
+    for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
+        let (image, pause) = busiest_snapshot(&config);
+        let mut header = WireEncoder::new();
+        config.encode(&mut header);
+        for at in 8..8 + header.as_slice().len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bytes = image.clone();
+                bytes[at] ^= mask;
+                let until = pause + SimDuration::from_secs(1);
+                let outcome = catch_unwind(AssertUnwindSafe(|| resume(&bytes, until)));
+                assert!(outcome.is_ok(), "{name}: byte {at} xor {mask:#x} panicked");
+            }
+        }
+    }
+
+    // Hosts, then the `nc` scheme tag, then the fixed HELLO interval's tag
+    // and nanoseconds, seed and map.
+    let (image, _) = busiest_snapshot(&coverage_config());
+    for (field, at, width, what) in [
+        ("hosts", 8, 4, "snapshot body too short for its host count"),
+        (
+            "HELLO interval",
+            8 + 4 + 1 + 1,
+            8,
+            "config fails validation",
+        ),
+        ("map", 8 + 4 + 1 + 9 + 8, 4, "config fails validation"),
+    ] {
+        let mut bytes = image.clone();
+        bytes[at..at + width].fill(0xff);
+        let err = resume(&bytes, SimTime::MAX).expect_err(field);
+        assert_eq!(err, WireError { at: 8, what }, "{field}");
+    }
+}
+
 #[test]
 fn traces_survive_truncation_mutation_and_huge_lengths() {
     for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
@@ -348,9 +398,8 @@ fn a_trace_cannot_name_a_packet_seq_no_originate_issued() {
 /// constructor (`counter:1`, a negative distance, a fraction above 1).
 #[test]
 fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
-    // Magic, version, hosts, radius, resolution; then the scheme tag and
-    // its fields.
-    const SCHEME_TAG: usize = 4 + 4 + 4 + 8 + 8;
+    // Magic, version and hosts; then the scheme tag and its fields.
+    const SCHEME_TAG: usize = 4 + 4 + 4;
     let f64_at = |offset: usize, v: f64| (SCHEME_TAG + offset, v.to_le_bytes().to_vec());
     let u32_at = |offset: usize, v: u32| (SCHEME_TAG + offset, v.to_le_bytes().to_vec());
     for (scheme, (at, field)) in [
@@ -391,12 +440,13 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
 /// 2³² − 2 would do, were state sized by the largest id) sizes anything.
 /// Nor does a HELLO's sender, which is not mapped to a slot: the store
 /// that shares advertised lists is sized with the tables, and the reader's
-/// store of each sender's advertisement is keyed by id.
+/// store of each sender's advertisement is keyed by id. (The runs carry
+/// no scenario: a script's `hosts` line would refuse the patched count.)
 #[test]
 fn no_id_a_trace_names_sizes_replay_state() {
     // Magic and version, then the host count.
     const HOSTS: usize = 4 + 4;
-    let (config, coverage) = (churn_config(), coverage_config());
+    let (config, coverage) = (location_config(), coverage_config());
     let claiming = |hosts: u32, mut bytes: Vec<u8>| {
         bytes[HOSTS..HOSTS + 4].copy_from_slice(&hosts.to_le_bytes());
         bytes
@@ -683,9 +733,9 @@ fn a_hello_prepare_under_an_oracle_header_is_refused() {
     );
 }
 
-/// Replay steps nothing until the whole trace decodes. A decodable prefix
-/// no world could emit (a host assessing a packet it never heard) panics
-/// in `step` (ROADMAP 4); a bad byte after it must still be the refusal.
+/// Replay steps nothing until the whole trace decodes: a bad byte after a
+/// decodable prefix no world could emit (a host assessing a packet it
+/// never heard) is the refusal, not the prefix.
 #[test]
 fn a_malformed_trace_is_refused_before_replay_steps_it() {
     let config = churn_config();
@@ -711,4 +761,72 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
         replayed.ok(),
         Some(Err(ReplayError::Wire(WireError { at, what })))
     );
+}
+
+/// A trace that decodes but that no world could emit is refused at the
+/// record that breaks it: an `AssessmentFired` at a host with no
+/// assessment of the packet, and a second `Originate` of one packet at its
+/// source. Both used to reach `step` and panic (the ledger's "no active
+/// state" assert, the "source packet already known" debug assert).
+#[test]
+fn an_action_no_world_could_deliver_is_refused_at_its_record() {
+    let config = churn_config();
+    let source = NodeId::new(0);
+    let packet = PacketId::new(source, 0);
+    let originate = PureAction::Originate {
+        node: source,
+        packet,
+    };
+    let fired = |node| PureAction::AssessmentFired {
+        node: NodeId::new(node),
+        packet,
+    };
+    let heard = PureAction::PacketHeard {
+        node: NodeId::new(1),
+        packet,
+        sender: source,
+        sender_position: manet_geom::Vec2::ZERO,
+        own_position: manet_geom::Vec2::new(100.0, 0.0),
+        random_unit: 0.5,
+        oracle: None,
+    };
+    let not_assessing = "AssessmentFired at a host not assessing the packet";
+    for (case, actions, record, what) in [
+        ("never heard", vec![originate, fired(1)], 1, not_assessing),
+        ("at the source", vec![originate, fired(0)], 1, not_assessing),
+        // Host 1 schedules (record 2 is its decision), fires, then fires
+        // again once the packet is queued.
+        (
+            "fired twice",
+            vec![originate, heard, fired(1), fired(1)],
+            4,
+            not_assessing,
+        ),
+        (
+            "originated twice",
+            vec![originate, originate],
+            1,
+            "Originate of a packet its source already knows",
+        ),
+    ] {
+        let mut writer = TraceWriter::new(&config);
+        for action in &actions {
+            writer.action(SimTime::ZERO, action);
+            if matches!(action, PureAction::PacketHeard { .. }) {
+                writer.decision(broadcast_core::DecisionRecord {
+                    at: SimTime::ZERO,
+                    node: NodeId::new(1),
+                    packet,
+                    kind: broadcast_core::trace::DecisionKind::Scheduled,
+                    reason: None,
+                });
+            }
+        }
+        let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
+        assert_eq!(
+            replayed.ok(),
+            Some(Err(ReplayError::Illegal { record, what })),
+            "{case}"
+        );
+    }
 }

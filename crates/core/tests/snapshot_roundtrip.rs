@@ -1,10 +1,11 @@
 //! What `World::resume` refuses: a snapshot taken under a different
-//! configuration, one cut short, and one in a retired format version. That a good snapshot resumes
+//! configuration, one cut short, and one in a retired format version; and
+//! that the header carries the run. That a good snapshot resumes
 //! **bit-identically** — at any pause time, for any configuration — is the
 //! generated property in the root `tests/equivalence.rs`.
 
-use broadcast_core::{CounterThreshold, SchemeSpec, SimConfig, World};
-use manet_sim_engine::SimTime;
+use broadcast_core::{snapshot, CounterThreshold, SchemeSpec, SimConfig, World};
+use manet_sim_engine::{SimTime, WireEncoder};
 
 /// Adaptive counter: exercises HELLOs, neighbor tables, and variation
 /// trackers alongside the per-packet counter state.
@@ -53,6 +54,34 @@ fn resume_refuses_the_retired_version_1() {
     assert_eq!(err.at, 4);
     assert!(
         err.what.starts_with("snapshot version 1 is retired"),
+        "{err}"
+    );
+}
+
+/// The header is the run's whole config: `config_of` reads back one that
+/// encodes to the same bytes, so resuming needs nothing but the file.
+/// Version 2, whose header was a write-only fingerprint, is refused by
+/// name at the version field.
+#[test]
+fn the_header_carries_the_run_and_version_2_is_retired() {
+    let config = adaptive_config(7);
+    let mut world = World::new(config.clone());
+    world.advance(SimTime::from_secs(2));
+    let mut bytes = world.snapshot();
+    let run = snapshot::config_of(&bytes).expect("the header decodes");
+    let encoded = |config: &SimConfig| {
+        let mut enc = WireEncoder::new();
+        config.encode(&mut enc);
+        enc.into_bytes()
+    };
+    assert_eq!(encoded(&run), encoded(&config));
+    assert!(World::resume(run, &bytes).is_ok());
+
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let err = snapshot::config_of(&bytes).expect_err("version 2");
+    assert_eq!(err.at, 4);
+    assert!(
+        err.what.starts_with("snapshot version 2 is retired"),
         "{err}"
     );
 }

@@ -116,8 +116,8 @@ impl CampaignSpec {
                 Some(at) => &raw[..at],
                 None => raw,
             };
-            let fields = fields_with_cols(code);
-            let Some(&first) = fields.first() else {
+            let mut fields = fields_with_cols(code);
+            let Some(first) = fields.next() else {
                 continue;
             };
             if !saw_schema {
@@ -134,24 +134,24 @@ impl CampaignSpec {
             }
             match first.text {
                 "name" => {
-                    let [_, value] = fields[..] else {
+                    let (Some(value), None) = (fields.next(), fields.next()) else {
                         return Err(ScenarioError::at(line_no, first.col, "usage: name <token>"));
                     };
                     name = value.text.to_string();
                 }
                 "defaults" => {
-                    for field in &fields[1..] {
-                        let (key, value) = split_binding(*field, line_no)?;
-                        apply_binding(&mut defaults, key, value, *field, line_no)?;
+                    for field in fields {
+                        let (key, value) = split_binding(field, line_no)?;
+                        apply_binding(&mut defaults, key, value, field, line_no)?;
                     }
                 }
                 "job" => {
                     let mut job = defaults.clone();
                     let mut label: Option<String> = None;
-                    for field in &fields[1..] {
-                        let (key, value) = split_binding(*field, line_no)?;
+                    for field in fields {
+                        let (key, value) = split_binding(field, line_no)?;
                         match key {
-                            "label" => label = Some(parse_label(value, *field, line_no)?),
+                            "label" => label = Some(parse_label(value, field, line_no)?),
                             "seeds" => {
                                 return Err(ScenarioError::at(
                                     line_no,
@@ -159,7 +159,7 @@ impl CampaignSpec {
                                     "seeds= belongs on a sweep line, not a job",
                                 ));
                             }
-                            _ => apply_binding(&mut job, key, value, *field, line_no)?,
+                            _ => apply_binding(&mut job, key, value, field, line_no)?,
                         }
                     }
                     let label =
@@ -170,11 +170,11 @@ impl CampaignSpec {
                     let mut job = defaults.clone();
                     let mut prefix: Option<String> = None;
                     let mut seeds: Option<(u64, u64)> = None;
-                    for field in &fields[1..] {
-                        let (key, value) = split_binding(*field, line_no)?;
+                    for field in fields {
+                        let (key, value) = split_binding(field, line_no)?;
                         match key {
-                            "label" => prefix = Some(parse_label(value, *field, line_no)?),
-                            "seeds" => seeds = Some(parse_seed_range(value, *field, line_no)?),
+                            "label" => prefix = Some(parse_label(value, field, line_no)?),
+                            "seeds" => seeds = Some(parse_seed_range(value, field, line_no)?),
                             "seed" => {
                                 return Err(ScenarioError::at(
                                     line_no,
@@ -182,7 +182,7 @@ impl CampaignSpec {
                                     "a sweep takes seeds=A..B, not seed=",
                                 ));
                             }
-                            _ => apply_binding(&mut job, key, value, *field, line_no)?,
+                            _ => apply_binding(&mut job, key, value, field, line_no)?,
                         }
                     }
                     let Some((lo, hi)) = seeds else {
@@ -192,6 +192,10 @@ impl CampaignSpec {
                             "sweep requires seeds=A..B (or A..=B)",
                         ));
                     };
+                    // Refused before a job is made, not after a million.
+                    if hi - lo > (MAX_CAMPAIGN_JOBS - jobs.len()) as u64 {
+                        return Err(too_many_jobs(line_no, first));
+                    }
                     for seed in lo..hi {
                         let label = match &prefix {
                             Some(prefix) => format!("{prefix}_s{seed}"),
@@ -283,6 +287,11 @@ fn derive_label(index: usize, scheme: &str, seed: u64) -> String {
     format!("j{index:04}_{scheme}_s{seed}")
 }
 
+fn too_many_jobs(line_no: usize, first: Field<'_>) -> ScenarioError {
+    let message = format!("campaign exceeds {MAX_CAMPAIGN_JOBS} jobs");
+    ScenarioError::at(line_no, first.col, message)
+}
+
 fn push_job(
     jobs: &mut Vec<JobSpec>,
     job: &Defaults,
@@ -292,11 +301,7 @@ fn push_job(
     first: Field<'_>,
 ) -> Result<(), ScenarioError> {
     if jobs.len() >= MAX_CAMPAIGN_JOBS {
-        return Err(ScenarioError::at(
-            line_no,
-            first.col,
-            format!("campaign exceeds {MAX_CAMPAIGN_JOBS} jobs"),
-        ));
+        return Err(too_many_jobs(line_no, first));
     }
     // A sweep's `<prefix>_s<seed>` or a derived label can outgrow the
     // length limit its parts respect.

@@ -186,7 +186,7 @@ pub struct Partition {
 /// events grouped by kind (each group in declaration order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Scenario name (a single whitespace-free token).
+    /// Scenario name (a single token, free of whitespace and `#`).
     pub name: String,
     /// Host count the script was written for, if declared. Used as the
     /// default `--hosts` by runners; [`validate`] checks ids against the
@@ -400,9 +400,11 @@ impl Scenario {
         if hosts == 0 {
             return Err(ScenarioError::new("scenario requires at least one host"));
         }
-        if self.name.is_empty() || self.name.chars().any(char::is_whitespace) {
+        // `#` opens a comment in the text encoding: a name holding one
+        // would not survive `parse(to_text(s))`.
+        if self.name.is_empty() || self.name.chars().any(|c| c.is_whitespace() || c == '#') {
             return Err(ScenarioError::new(format!(
-                "scenario name {:?} must be a non-empty, whitespace-free token",
+                "scenario name {:?} must be a non-empty token without whitespace or '#'",
                 self.name
             )));
         }
@@ -645,6 +647,14 @@ mod tests {
         let s = Scenario::new("x").with_hosts(10);
         assert!(s.validate(10).is_ok());
         assert!(s.validate(20).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_name_the_text_encoding_would_cut() {
+        assert!(Scenario::new("run-1").validate(2).is_ok());
+        for name in ["", "run 1", "run#1"] {
+            assert!(Scenario::new(name).validate(2).is_err(), "{name:?}");
+        }
     }
 
     #[test]

@@ -32,32 +32,24 @@ pub(crate) struct Field<'a> {
     pub(crate) text: &'a str,
 }
 
-/// Splits the code portion of a line (comment stripped) into
-/// whitespace-separated tokens, each tagged with its 1-based character
-/// column in the original line.
-pub(crate) fn fields_with_cols(code: &str) -> Vec<Field<'_>> {
-    let mut fields = Vec::new();
-    let mut start: Option<usize> = None;
-    for (byte, c) in code.char_indices() {
-        if c.is_whitespace() {
-            if let Some(s) = start.take() {
-                fields.push((s, &code[s..byte]));
-            }
-        } else if start.is_none() {
-            start = Some(byte);
-        }
-    }
-    if let Some(s) = start {
-        fields.push((s, &code[s..]));
-    }
-    fields
-        .into_iter()
-        .map(|(byte, text)| Field {
-            col: code[..byte].chars().count() + 1,
-            text,
-        })
-        .collect()
+/// The whitespace-separated tokens of the code portion of a line (comment
+/// stripped), each tagged with its 1-based character column in the
+/// original line. Lazy and linear: a line of many tokens is walked once,
+/// never collected.
+pub(crate) fn fields_with_cols(code: &str) -> impl Iterator<Item = Field<'_>> {
+    let (mut seen, mut col) = (0, 1);
+    code.split_whitespace().map(move |text| {
+        // A token is a subslice of `code`: its offset is the pointer gap.
+        let byte = text.as_ptr() as usize - code.as_ptr() as usize;
+        col += code[seen..byte].chars().count();
+        seen = byte;
+        Field { col, text }
+    })
 }
+
+/// No directive has more than nine fields; a tenth only shows that a line
+/// has too many, so no more are collected.
+const MAX_FIELDS: usize = 10;
 
 /// Parses the text encoding.
 pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
@@ -69,7 +61,7 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
             Some(at) => &raw[..at],
             None => raw,
         };
-        let fields = fields_with_cols(code);
+        let fields: Vec<Field<'_>> = fields_with_cols(code).take(MAX_FIELDS).collect();
         let Some(&first) = fields.first() else {
             continue;
         };
@@ -159,10 +151,14 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
                         return Err(ScenarioError::at(
                             line_no,
                             fields[4].col,
-                            format!(
-                                "bad fault window: {fault:?} with {} operand(s)",
-                                fields.len() - 5
-                            ),
+                            if fields.len() == MAX_FIELDS {
+                                format!("bad fault window: {fault:?} with too many operands")
+                            } else {
+                                format!(
+                                    "bad fault window: {fault:?} with {} operand(s)",
+                                    fields.len() - 5
+                                )
+                            },
                         ));
                     }
                 }
@@ -386,5 +382,9 @@ mod tests {
         assert_eq!(err.line, Some(2));
         let err = parse_scenario("manet-scenario/1\nfrom 1 til 2 noise 0.5\n").unwrap_err();
         assert_eq!(err.line, Some(2));
+        // Fields past the tenth are not collected, so no count is claimed.
+        let err =
+            parse_scenario("manet-scenario/1\nfrom 1 until 2 noise 1 2 3 4 5 6 7\n").unwrap_err();
+        assert!(err.message.ends_with("with too many operands"), "{err}");
     }
 }

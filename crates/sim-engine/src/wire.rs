@@ -253,6 +253,16 @@ impl<'a> WireDecoder<'a> {
         self.u32()
     }
 
+    /// Consumes `expected`, which the input must continue with; anything
+    /// else is refused as `what` where `expected` would start.
+    pub fn expect_bytes(&mut self, expected: &[u8], what: &'static str) -> Result<(), WireError> {
+        let at = self.pos;
+        match self.take(expected.len(), what) {
+            Ok(found) if found == expected => Ok(()),
+            _ => Err(WireError { at, what }),
+        }
+    }
+
     /// Reads one byte.
     #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use manet_broadcast::campaign::{serve, ServerConfig};
+use manet_broadcast::core::{replay_decisions, snapshot};
 use manet_broadcast::{
     CaptureConfig, DynamicHelloParams, HelloIntervalPolicy, MobilitySpec, NeighborInfo, Scenario,
     SchemeSpec, SimConfig, SimDuration, SimTime, World,
@@ -44,8 +45,8 @@ options:
   --snapshot-at T_NS    pause at T_NS simulated nanoseconds, write a
                         checkpoint (requires --snapshot-out), continue
   --snapshot-out FILE   checkpoint destination for --snapshot-at
-  --resume FILE         resume a checkpoint written by --snapshot-out;
-                        the other options must rebuild the same config
+  --resume FILE         continue the run checkpointed in FILE (by
+                        --snapshot-out); --map to --scenario are refused
   --record TRACE        record every dispatched action to TRACE (MTRC)
   --replay TRACE        replay TRACE through the pure models alone and
                         verify every recorded decision (standalone mode)
@@ -87,16 +88,6 @@ struct Options {
     replay: Option<String>,
 }
 
-fn parse_scheme(s: &str) -> Result<SchemeSpec, String> {
-    SchemeSpec::parse(s)
-}
-
-/// Longest `--hello` interval, ≈ 11 days (the paper's longest is 30 s).
-/// The world computes `interval * 105 / 100` (re-arm jitter) and
-/// `interval * 2` (neighbor expiry) in u64 nanoseconds; this keeps both,
-/// added to any run's clock, far from overflow.
-const MAX_HELLO_SECS: f64 = 1e6;
-
 fn parse_hello(s: &str) -> Result<NeighborInfo, String> {
     match s {
         "dynamic" => Ok(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
@@ -106,7 +97,7 @@ fn parse_hello(s: &str) -> Result<NeighborInfo, String> {
         seconds => seconds
             .parse::<f64>()
             .ok()
-            .filter(|v| (0.0..=MAX_HELLO_SECS).contains(v))
+            .filter(|v| (0.0..=SimConfig::MAX_HELLO_INTERVAL.as_secs_f64()).contains(v))
             .map(SimDuration::from_secs_f64)
             // Rounds to zero nanoseconds: the HELLO timer would re-arm at
             // the same instant forever.
@@ -127,21 +118,24 @@ fn parse_mobility(s: &str) -> Result<MobilitySpec, String> {
     }
 }
 
+/// The flags that define the run; under `--resume` the checkpoint does.
+const RUN_FLAGS: &str =
+    "--map --hosts --broadcasts --seed --speed --scheme --hello --mobility --capture --drop --scenario";
+
+fn parsed<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
-    let mut map = 5u32;
-    let mut hosts: Option<u32> = None;
-    let mut broadcasts = 200u32;
-    let mut seed = 1u64;
-    let mut speed: Option<f64> = None;
-    let mut scheme = "ac".to_string();
-    let mut hello: Option<String> = None;
-    let mut mobility = "turn".to_string();
-    let mut capture = false;
-    let mut drop = 0.0f64;
-    let mut scenario_path: Option<String> = None;
+    let mut config = SimConfig::builder(5, SchemeSpec::parse("ac")?)
+        .broadcasts(200)
+        .build();
+    let (mut hosts, mut scenario_path, mut run_flag) = (None, None, None);
     let mut per_broadcast = None;
     let mut metrics = None;
-    let mut profile = false;
     let mut snapshot_at: Option<u64> = None;
     let mut snapshot_out: Option<String> = None;
     let mut resume: Option<String> = None;
@@ -150,106 +144,59 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
+        let arg = arg.as_str();
+        let mut value = || {
             iter.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{arg} needs a value"))
         };
-        match arg.as_str() {
-            "--map" => {
-                map = value("--map")?
-                    .parse()
-                    .map_err(|e| format!("bad --map: {e}"))?
-            }
-            "--hosts" => {
-                hosts = Some(
-                    value("--hosts")?
-                        .parse()
-                        .map_err(|e| format!("bad --hosts: {e}"))?,
-                )
-            }
-            "--broadcasts" => {
-                broadcasts = value("--broadcasts")?
-                    .parse()
-                    .map_err(|e| format!("bad --broadcasts: {e}"))?
-            }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--speed" => {
-                speed = Some(
-                    value("--speed")?
-                        .parse()
-                        .map_err(|e| format!("bad --speed: {e}"))?,
-                )
-            }
-            "--scheme" => scheme = value("--scheme")?,
-            "--hello" => hello = Some(value("--hello")?),
-            "--mobility" => mobility = value("--mobility")?,
-            "--capture" => capture = true,
-            "--drop" => {
-                drop = value("--drop")?
-                    .parse()
-                    .map_err(|e| format!("bad --drop: {e}"))?
-            }
-            "--scenario" => scenario_path = Some(value("--scenario")?),
-            "--per-broadcast" => per_broadcast = Some(value("--per-broadcast")?),
-            "--metrics" => metrics = Some(value("--metrics")?),
-            "--profile" => profile = true,
-            "--snapshot-at" => {
-                snapshot_at = Some(
-                    value("--snapshot-at")?
-                        .parse()
-                        .map_err(|e| format!("bad --snapshot-at: {e}"))?,
-                )
-            }
-            "--snapshot-out" => snapshot_out = Some(value("--snapshot-out")?),
-            "--resume" => resume = Some(value("--resume")?),
-            "--record" => record = Some(value("--record")?),
-            "--replay" => replay = Some(value("--replay")?),
+        if RUN_FLAGS.split(' ').any(|flag| flag == arg) {
+            run_flag.get_or_insert(arg);
+        }
+        match arg {
+            "--map" => config.map_units = parsed(arg, value()?)?,
+            "--hosts" => hosts = Some(parsed(arg, value()?)?),
+            "--broadcasts" => config.broadcasts = parsed(arg, value()?)?,
+            "--seed" => config.seed = parsed(arg, value()?)?,
+            "--speed" => config.max_speed_kmh = Some(parsed(arg, value()?)?),
+            "--scheme" => config.scheme = SchemeSpec::parse(&value()?)?,
+            "--hello" => config.neighbor_info = parse_hello(&value()?)?,
+            "--mobility" => config.mobility = parse_mobility(&value()?)?,
+            "--capture" => config.capture = Some(CaptureConfig::typical()),
+            "--drop" => config.drop_probability = parsed(arg, value()?)?,
+            "--scenario" => scenario_path = Some(value()?),
+            "--per-broadcast" => per_broadcast = Some(value()?),
+            "--metrics" => metrics = Some(value()?),
+            "--profile" => config.profile_events = true,
+            "--snapshot-at" => snapshot_at = Some(parsed(arg, value()?)?),
+            "--snapshot-out" => snapshot_out = Some(value()?),
+            "--resume" => resume = Some(value()?),
+            "--record" => record = Some(value()?),
+            "--replay" => replay = Some(value()?),
             "-h" | "--help" => return Ok(None),
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    if let (Some(_), Some(flag)) = (&resume, run_flag) {
+        return Err(format!(
+            "{flag} defines the run, and --resume takes the run from its file"
+        ));
+    }
 
-    let scenario = match &scenario_path {
-        Some(path) => {
-            let input = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read scenario {path}: {e}"))?;
-            Some(Scenario::parse(&input).map_err(|e| format!("bad scenario {path}: {e}"))?)
-        }
-        None => None,
-    };
+    if let Some(path) = &scenario_path {
+        let input = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read scenario {path}: {e}"))?;
+        config.scenario =
+            Some(Scenario::parse(&input).map_err(|e| format!("bad scenario {path}: {e}"))?);
+    }
     // Population: explicit --hosts, then the host count the scenario script
     // declares, then the paper's 100. A script's `hosts` line is a contract,
-    // so a conflicting --hosts is an error (out of `try_build` below).
-    let hosts = hosts
-        .or_else(|| scenario.as_ref().and_then(|s| s.hosts))
+    // so a conflicting --hosts is an error (out of `validate` below).
+    config.hosts = hosts
+        .or_else(|| config.scenario.as_ref().and_then(|s| s.hosts))
         .unwrap_or(100);
-
-    let mut builder = SimConfig::builder(map, parse_scheme(&scheme)?)
-        .hosts(hosts)
-        .broadcasts(broadcasts)
-        .seed(seed)
-        .mobility(parse_mobility(&mobility)?)
-        .drop_probability(drop)
-        .profile_events(profile);
-    if let Some(scenario) = scenario {
-        builder = builder.scenario(scenario);
-    }
-    if let Some(kmh) = speed {
-        builder = builder.max_speed_kmh(kmh);
-    }
-    if let Some(policy) = hello {
-        builder = builder.neighbor_info(parse_hello(&policy)?);
-    }
-    if capture {
-        builder = builder.capture(CaptureConfig::typical());
-    }
     // Checkpoint/trace flag consistency. --replay is a standalone mode
-    // (the trace embeds its own replay config); a recording must cover a
+    // (the trace embeds its own config); a recording must cover a
     // whole run to be replayable, so it cannot start from a checkpoint.
     if replay.is_some()
         && (record.is_some() || resume.is_some() || snapshot_at.is_some() || snapshot_out.is_some())
@@ -263,7 +210,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         return Err("--record cannot start from --resume: a trace must cover a whole run".into());
     }
 
-    let config = builder.try_build()?;
+    config.validate()?;
     Ok(Some(Options {
         config,
         per_broadcast,
@@ -307,25 +254,18 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeOptions>, String> {
     let mut config = ServerConfig::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
+        let arg = arg.as_str();
+        let mut value = || {
             iter.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{arg} needs a value"))
         };
-        match arg.as_str() {
+        match arg {
             "--pipe" => socket = None,
-            "--socket" => socket = Some(value("--socket")?),
-            "--workers" => {
-                config.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?,
-                )
-            }
+            "--socket" => socket = Some(value()?),
+            "--workers" => config.workers = Some(parsed(arg, value()?)?),
             "--queue-capacity" => {
-                config.queue_capacity = value("--queue-capacity")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-capacity: {e}"))?;
+                config.queue_capacity = parsed(arg, value()?)?;
                 if config.queue_capacity == 0 {
                     return Err("bad --queue-capacity: need room for at least one job".into());
                 }
@@ -394,61 +334,59 @@ fn main() -> ExitCode {
         }
     };
 
+    match run(options) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// One run of the parsed command line; an error ends it with exit 1.
+fn run(options: Options) -> Result<(), String> {
+    let read = |path: &str| std::fs::read(path).map_err(|err| format!("cannot read {path}: {err}"));
+    let write = |path: &str, bytes: &[u8]| {
+        std::fs::write(path, bytes).map_err(|err| format!("cannot write {path}: {err}"))
+    };
     // Standalone replay: no simulation, just the pure models re-deriving
     // and verifying the recorded decision stream.
     if let Some(path) = &options.replay {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(err) => {
-                eprintln!("error: cannot read {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match manet_broadcast::core::replay_decisions(&bytes) {
-            Ok(summary) => {
-                println!(
-                    "replay ok: {} actions, {} decisions verified",
-                    summary.actions, summary.decisions
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(err) => {
-                eprintln!("error: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let summary = replay_decisions(&read(path)?).map_err(|err| err.to_string())?;
+        println!(
+            "replay ok: {} actions, {} decisions verified",
+            summary.actions, summary.decisions
+        );
+        return Ok(());
     }
 
-    let config = options.config;
+    // A checkpoint carries its run; only the profiling flag is added.
+    let mut config = options.config;
+    let checkpoint = match &options.resume {
+        Some(path) => {
+            let bytes = read(path)?;
+            let cannot = move |err| format!("cannot resume {path}: {err}");
+            config = SimConfig {
+                profile_events: config.profile_events,
+                ..snapshot::config_of(&bytes).map_err(cannot)?
+            };
+            Some((path, bytes, cannot))
+        }
+        None => None,
+    };
     println!(
-        "map {}x{}  hosts {}  scheme {}  broadcasts {}  seed {}",
-        config.map_units,
+        "map {0}x{0}  hosts {1}  scheme {2}  broadcasts {3}  seed {4}",
         config.map_units,
         config.hosts,
         config.scheme.label(),
         config.broadcasts,
         config.seed,
     );
-
-    let mut world = match &options.resume {
-        Some(path) => {
-            let bytes = match std::fs::read(path) {
-                Ok(bytes) => bytes,
-                Err(err) => {
-                    eprintln!("error: cannot read {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match World::resume(config, &bytes) {
-                Ok(world) => {
-                    println!("resumed checkpoint {path}");
-                    world
-                }
-                Err(err) => {
-                    eprintln!("error: cannot resume {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let mut world = match checkpoint {
+        Some((path, bytes, cannot)) => {
+            let world = World::resume(config, &bytes).map_err(cannot)?;
+            println!("resumed checkpoint {path}");
+            world
         }
         None => World::new(config),
     };
@@ -457,21 +395,14 @@ fn main() -> ExitCode {
     }
     if let (Some(at), Some(out)) = (options.snapshot_at, &options.snapshot_out) {
         world.advance(SimTime::from_nanos(at));
-        if let Err(err) = std::fs::write(out, world.snapshot()) {
-            eprintln!("error: cannot write {out}: {err}");
-            return ExitCode::FAILURE;
-        }
+        write(out, &world.snapshot())?;
         println!("checkpoint at {at} ns written to {out}");
     }
     world.advance(SimTime::MAX);
     let trace = world.take_trace();
     let report = world.into_report();
     if let Some(path) = &options.record {
-        let trace = trace.expect("recording was armed");
-        if let Err(err) = std::fs::write(path, trace) {
-            eprintln!("error: cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+        write(path, &trace.expect("recording was armed"))?;
         println!("action trace written to {path}");
     }
     let latency = report.latency_summary();
@@ -525,28 +456,22 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = options.per_broadcast {
-        if let Err(err) = std::fs::write(&path, per_broadcast_csv(&report)) {
-            eprintln!("error: cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &options.per_broadcast {
+        write(path, per_broadcast_csv(&report).as_bytes())?;
         println!("per-broadcast outcomes written to {path}");
     }
 
-    if let Some(path) = options.metrics {
+    if let Some(path) = &options.metrics {
         // The same schema manet-experiments emits, with this one run as a
         // single-record "figure" so downstream tooling needs no special
         // case for single runs.
         let record = manet_experiments::metrics_record(std::slice::from_ref(&report));
         let json =
             manet_experiments::render_metrics_json("single", &[("manet-sim".into(), vec![record])]);
-        if let Err(err) = std::fs::write(&path, json) {
-            eprintln!("error: cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+        write(path, json.as_bytes())?;
         println!("run metrics written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
@@ -566,11 +491,14 @@ mod tests {
 
     #[test]
     fn parameterized_schemes_parse() {
-        assert_eq!(parse_scheme("counter:4").unwrap().label(), "C=4");
-        assert_eq!(parse_scheme("location:0.0134").unwrap().label(), "A=0.0134");
-        assert_eq!(parse_scheme("distance:250").unwrap().label(), "D=250");
-        assert!(parse_scheme("bogus").is_err());
-        assert!(parse_scheme("counter:x").is_err());
+        assert_eq!(SchemeSpec::parse("counter:4").unwrap().label(), "C=4");
+        assert_eq!(
+            SchemeSpec::parse("location:0.0134").unwrap().label(),
+            "A=0.0134"
+        );
+        assert_eq!(SchemeSpec::parse("distance:250").unwrap().label(), "D=250");
+        assert!(SchemeSpec::parse("bogus").is_err());
+        assert!(SchemeSpec::parse("counter:x").is_err());
     }
 
     /// Out-of-range parameters end argument parsing (exit 1) with the
@@ -758,6 +686,16 @@ mod tests {
         assert!(parse_args(&args(&["--replay", "t", "--record", "t2"])).is_err());
         assert!(parse_args(&args(&["--replay", "t", "--resume", "w"])).is_err());
         assert!(parse_args(&args(&["--snapshot-at", "x", "--snapshot-out", "w"])).is_err());
+        // A checkpoint carries its run: a flag that defines one is refused
+        // by name, an output flag is not.
+        for flag in [["--map", "4"], ["--scheme", "nc"], ["--seed", "2"]] {
+            let err = parse_args(&args(&["--resume", "w", flag[0], flag[1]])).unwrap_err();
+            assert!(err.starts_with(flag[0]), "{err}");
+        }
+        assert!(parse_args(&args(&["--capture", "--resume", "w"]))
+            .unwrap_err()
+            .starts_with("--capture"));
+        assert!(parse_args(&args(&["--resume", "w", "--metrics", "m", "--profile"])).is_ok());
     }
 
     #[test]

@@ -16,8 +16,9 @@ use manet_broadcast::campaign::{
 };
 use manet_broadcast::core::trace::DecisionKind;
 use manet_broadcast::core::{
-    replay_decisions, PureAction, SuppressionCounts, TraceFile, TraceRecord,
+    replay_decisions, snapshot, PureAction, SuppressionCounts, TraceFile, TraceRecord,
 };
+use manet_broadcast::engine::WireEncoder;
 use manet_broadcast::{
     AreaThreshold, CaptureConfig, ChurnKind, CounterThreshold, DescentShape, DynamicHelloParams,
     HelloIntervalPolicy, MobilitySpec, NeighborInfo, Region, Scenario, SchemeSpec, SimConfig,
@@ -208,6 +209,13 @@ fn assert_same_run(leg: &str, baseline: &str, report: &SimReport) {
     assert_same(leg, what, baseline.as_bytes(), outcome(report).as_bytes());
 }
 
+/// The bytes of `config` as every `MSNP` and `MTRC` header spells it.
+fn header(config: &SimConfig) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
+    config.encode(&mut enc);
+    enc.into_bytes()
+}
+
 /// What the property reads off a recorded trace, in one walk.
 struct Walked {
     /// The decision records, tallied as the live metrics tally effects.
@@ -396,7 +404,10 @@ prop_check! {
         let live = recorded.suppression;
         assert_eq!(trace.tallies, live, "trace tallies diverge from the live counters");
 
-        // 3. Replayed through the pure models alone.
+        // 3. Replayed through the pure models alone, under the trace's own
+        // header: the case's config, byte for byte.
+        let traced = TraceFile::open(&mtrc).expect("a live trace opens").config;
+        assert_same("replayed", "the MTRC header", &header(&case.config), &header(&traced));
         let replay = replay_decisions(&mtrc).unwrap_or_else(|e| panic!("replayed: {e}"));
         assert_eq!(replay.decisions, live.scheduled + live.inhibited_first_hear + live.cancelled);
         assert_eq!(replay.actions, trace.actions);
@@ -413,9 +424,11 @@ prop_check! {
         assert_same_run("paused and continued", &baseline, &world.into_report());
         assert_same("paused and continued", "the MTRC trace", &mtrc, &paused_mtrc);
 
-        // 5. Resumed from the snapshot; snapshotting is a pure function of
-        // world state, so the resumed world re-encodes to the same bytes.
-        let resumed = World::resume(config(), &msnp).expect("a live snapshot resumes");
+        // 5. Resumed from the snapshot alone, under the config its header
+        // carries; snapshotting is a pure function of world state, so the
+        // resumed world re-encodes to the same bytes.
+        let run = snapshot::config_of(&msnp).expect("a live header decodes");
+        let resumed = World::resume(run, &msnp).expect("a live snapshot resumes");
         assert_same("resumed", "the re-snapshot (MSNP)", &msnp, &resumed.snapshot());
         assert_same_run("resumed", &baseline, &resumed.run());
 
