@@ -14,10 +14,7 @@
 //! At any instant a host has at most a handful of packets in flight, so
 //! the slab stays tiny and steady-state transitions touch no allocator.
 
-use std::collections::BTreeSet;
-
-use manet_mac::FrameHandle;
-use manet_sim_engine::{EventKey, Slab};
+use manet_sim_engine::{Slab, WireDecoder, WireEncoder, WireError};
 
 use crate::schemes::PacketState;
 
@@ -30,23 +27,15 @@ const SOURCE: u32 = u32::MAX - 2;
 /// Largest usable slab slot; anything above collides with the sentinels.
 const MAX_SLOT: u32 = u32::MAX - 3;
 
-/// The live, still-cancellable progress of one packet at one host.
+/// The live, still-cancellable progress of one packet at one host, with
+/// the scheme state accumulated so far. Its wakeup key and MAC frame are
+/// the dispatcher's to find, by packet.
 #[derive(Debug)]
 pub(crate) enum ActivePacket {
-    /// In the S2 assessment delay; `key` cancels the wakeup.
-    Assessing {
-        /// Cancellation key of the pending `AssessmentDone` event.
-        key: EventKey,
-        /// The scheme state accumulated so far for this packet.
-        state: PacketState,
-    },
+    /// In the S2 assessment delay.
+    Assessing(PacketState),
     /// Submitted to the MAC; cancellable until it hits the air.
-    Queued {
-        /// MAC queue handle for cancellation.
-        handle: FrameHandle,
-        /// The scheme state accumulated so far for this packet.
-        state: PacketState,
-    },
+    Queued(PacketState),
 }
 
 /// What a host currently knows about one packet.
@@ -139,64 +128,78 @@ impl PacketLedger {
         self.active.remove(tag)
     }
 
-    /// The per-seq tag array and active-state slab, for a world snapshot.
-    /// Slot layout matters: assessment keys and MAC frame handles stored
-    /// elsewhere refer into the slab, so a snapshot must preserve it
-    /// verbatim.
-    pub(crate) fn snapshot_parts(&self) -> (&[u32], &Slab<ActivePacket>) {
-        (&self.tags, &self.active)
+    /// Packets `0..len` have a tag; later ones are unheard.
+    pub(crate) fn len(&self) -> usize {
+        self.tags.len()
     }
 
-    /// Rebuilds a ledger from the parts exposed by
-    /// [`snapshot_parts`](Self::snapshot_parts), refusing parts no ledger
-    /// holds: each active state is named by exactly one tag. The error
-    /// carries the index of the offending tag, or `None` for an active
-    /// state no tag names.
-    pub(crate) fn from_parts(
-        tags: Vec<u32>,
-        active: Slab<ActivePacket>,
-    ) -> Result<Self, (Option<usize>, &'static str)> {
-        let mut named = BTreeSet::new();
-        for (i, &tag) in tags.iter().enumerate().filter(|&(_, &tag)| tag <= MAX_SLOT) {
-            if !active.contains(tag) {
-                return Err((Some(i), "a ledger tag names a vacant slot"));
+    /// The assessing or MAC-queued state of packet `seq`, if it has one.
+    pub(crate) fn active_state(&self, seq: u32) -> Option<&ActivePacket> {
+        let tag = self.tag(seq);
+        (tag <= MAX_SLOT).then(|| &self.active[tag])
+    }
+
+    /// Whether this host issued packet `seq` and has not sent it yet.
+    pub(crate) fn is_source(&self, seq: u32) -> bool {
+        self.tag(seq) == SOURCE
+    }
+
+    /// Writes the ledger for a snapshot, seq by seq: a tag (0 unheard, 1
+    /// source, 2 done, 3 assessing, 4 queued), an active one followed by its
+    /// scheme state as `put` writes it. No slot is written: nothing outside
+    /// the ledger names one.
+    pub(crate) fn encode(
+        &self,
+        enc: &mut WireEncoder,
+        mut put: impl FnMut(&mut WireEncoder, &PacketState),
+    ) {
+        enc.seq(&self.tags, |enc, &tag| match tag {
+            UNHEARD => enc.u8(0),
+            SOURCE => enc.u8(1),
+            DONE => enc.u8(2),
+            slot => {
+                let (tag, state) = match &self.active[slot] {
+                    ActivePacket::Assessing(state) => (3, state),
+                    ActivePacket::Queued(state) => (4, state),
+                };
+                enc.u8(tag);
+                put(enc, state);
             }
-            if !named.insert(tag) {
-                return Err((Some(i), "two ledger tags name one slot"));
-            }
-        }
-        if named.len() != active.len() {
-            return Err((None, "an active packet state has no ledger tag"));
-        }
+        });
+    }
+
+    /// Reads a ledger written by [`encode`](Self::encode); `get` reads one
+    /// scheme state.
+    pub(crate) fn decode<'a>(
+        dec: &mut WireDecoder<'a>,
+        mut get: impl FnMut(&mut WireDecoder<'a>) -> Result<PacketState, WireError>,
+    ) -> Result<Self, WireError> {
+        let mut active = Slab::new();
+        let tags = dec.seq(1, |dec| {
+            let (tag, invalid) = dec.tag("invalid packet ledger tag")?;
+            Ok(match tag {
+                0 => UNHEARD,
+                1 => SOURCE,
+                2 => DONE,
+                3 => active.insert(ActivePacket::Assessing(get(dec)?)),
+                4 => active.insert(ActivePacket::Queued(get(dec)?)),
+                _ => return Err(invalid),
+            })
+        })?;
         Ok(PacketLedger { tags, active })
     }
 
     /// Abandons every active (assessing or MAC-queued) state, marking the
-    /// affected packets done and appending the cancellation tokens —
-    /// assessment event keys and MAC frame handles — to the caller's
-    /// buffers (not cleared first). Used when a host leaves the network:
-    /// the owner must cancel those events/frames itself.
+    /// affected packets done. Used when a host leaves the network: the
+    /// dispatcher cancels the wakeups and frames itself.
     ///
     /// Cold path (host churn): walks the whole tag array, which is
     /// `O(packets issued so far)`.
-    pub(crate) fn drain_active(
-        &mut self,
-        keys: &mut Vec<EventKey>,
-        handles: &mut Vec<FrameHandle>,
-    ) {
-        if self.active.is_empty() {
-            return;
+    pub(crate) fn abandon_active(&mut self) {
+        for tag in self.tags.iter_mut().filter(|tag| **tag <= MAX_SLOT) {
+            self.active.remove(*tag);
+            *tag = DONE;
         }
-        for tag in &mut self.tags {
-            if *tag <= MAX_SLOT {
-                match self.active.remove(*tag) {
-                    ActivePacket::Assessing { key, .. } => keys.push(key),
-                    ActivePacket::Queued { handle, .. } => handles.push(handle),
-                }
-                *tag = DONE;
-            }
-        }
-        debug_assert!(self.active.is_empty(), "tag walk missed a slab entry");
     }
 }
 
@@ -204,36 +207,19 @@ impl PacketLedger {
 mod tests {
     use super::*;
 
-    fn key() -> EventKey {
-        let mut q = manet_sim_engine::EventQueue::new();
-        q.schedule(manet_sim_engine::SimTime::ZERO, ())
-    }
-
     #[test]
     fn lifecycle_first_hear_to_done() {
         let mut ledger = PacketLedger::new();
         assert!(matches!(ledger.view(0), PacketView::Unheard));
-        ledger.set_active(
-            0,
-            ActivePacket::Assessing {
-                key: key(),
-                state: PacketState::Stateless,
-            },
-        );
+        ledger.set_active(0, ActivePacket::Assessing(PacketState::Stateless));
         assert!(matches!(
             ledger.view(0),
-            PacketView::Active(ActivePacket::Assessing { .. })
+            PacketView::Active(ActivePacket::Assessing(_))
         ));
-        ledger.set_active(
-            0,
-            ActivePacket::Queued {
-                handle: FrameHandle(4),
-                state: PacketState::Stateless,
-            },
-        );
+        ledger.set_active(0, ActivePacket::Queued(PacketState::Stateless));
         assert!(matches!(
             ledger.view(0),
-            PacketView::Active(ActivePacket::Queued { .. })
+            PacketView::Active(ActivePacket::Queued(_))
         ));
         ledger.mark_done(0);
         assert!(matches!(ledger.view(0), PacketView::Done));
@@ -254,15 +240,9 @@ mod tests {
     #[test]
     fn take_active_releases_slot() {
         let mut ledger = PacketLedger::new();
-        ledger.set_active(
-            2,
-            ActivePacket::Assessing {
-                key: key(),
-                state: PacketState::Stateless,
-            },
-        );
+        ledger.set_active(2, ActivePacket::Assessing(PacketState::Stateless));
         let taken = ledger.take_active(2);
-        assert!(matches!(taken, ActivePacket::Assessing { .. }));
+        assert!(matches!(taken, ActivePacket::Assessing(_)));
         assert!(matches!(ledger.view(2), PacketView::Unheard));
         assert!(ledger.active.is_empty());
     }

@@ -14,7 +14,7 @@ use manet_mac::MacStats;
 use manet_phy::{LossCounters, NodeId};
 use manet_sim_engine::{LoopProfile, SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
-use crate::ids::{decode_packet, encode_packet, PacketId};
+use crate::ids::PacketId;
 use crate::trace::SuppressReason;
 
 /// Compact membership set over host indices.
@@ -301,6 +301,17 @@ impl MetricsCollector {
         }
     }
 
+    /// Broadcasts issued so far, which are packets `0..issued`.
+    pub fn issued(&self) -> u32 {
+        self.records.len() as u32
+    }
+
+    /// Whether `packet` is one of the broadcasts issued so far.
+    pub(crate) fn was_issued(&self, packet: PacketId) -> bool {
+        let record = self.records.get(packet.seq as usize);
+        record.is_some_and(|(issued, _)| *issued == packet)
+    }
+
     /// A broadcast was issued by `source` with `reachable` hosts reachable.
     ///
     /// Broadcasts must be issued in sequence-number order starting from
@@ -387,12 +398,11 @@ impl MetricsCollector {
         record.last_decision = record.last_decision.max(now);
     }
 
-    /// Serializes the collector — every per-broadcast record — for a
-    /// world snapshot.
+    /// Serializes the collector — every per-broadcast record, whose packet
+    /// is its source and position — for a world snapshot.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.usize(self.hosts);
-        enc.seq(&self.records, |enc, (packet, record)| {
-            encode_packet(enc, *packet);
+        enc.seq(&self.records, |enc, (_, record)| {
             record.source.encode(enc);
             enc.time(record.issued_at);
             enc.u32(record.reachable);
@@ -415,10 +425,13 @@ impl MetricsCollector {
             let what = "metrics host count mismatch";
             return Err(WireError { at, what });
         }
-        let records = dec.seq(57, |dec| {
-            let packet = decode_packet(dec)?;
+        let mut seq = 0;
+        let records = dec.seq(49, |dec| {
+            let source = NodeId::decode(dec)?;
+            let packet = PacketId::new(source, seq);
+            seq += 1;
             let record = BroadcastRecord {
-                source: NodeId::decode(dec)?,
+                source,
                 issued_at: dec.time()?,
                 reachable: dec.u32()?,
                 received: HostSet::restore_snapshot(dec, hosts)?,
@@ -683,9 +696,9 @@ mod tests {
         assert_eq!(restored.outcomes()[0].received, 1);
         assert_eq!(restore(&bytes, 64).unwrap_err().at, 0);
 
-        // Hosts, record count, packet, source, issue time and reachable
-        // precede the first set: drop its second word.
-        let set = 8 + 8 + 8 + 4 + 8 + 4;
+        // Hosts, record count, source, issue time and reachable precede
+        // the first set: drop its second word.
+        let set = 8 + 8 + 4 + 8 + 4;
         assert_eq!(bytes[set..set + 8], 2u64.to_le_bytes());
         let mut short = bytes.clone();
         short[set] = 1;

@@ -25,10 +25,9 @@
 use std::rc::Rc;
 
 use manet_geom::Vec2;
-use manet_mac::FrameHandle;
 use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationTracker};
 use manet_phy::NodeId;
-use manet_sim_engine::{EventKey, SimDuration, SimTime};
+use manet_sim_engine::{SimDuration, SimTime};
 
 use crate::config::{NeighborInfo, SimConfig};
 use crate::ids::PacketId;
@@ -37,17 +36,6 @@ use crate::metrics::SuppressionCounts;
 use crate::policy::{DuplicateDecision, FirstDecision, HearContext};
 use crate::schemes::SchemeSpec;
 use crate::trace::SuppressReason;
-
-/// Placeholder for the assessment event key while a packet transitions
-/// through the pure models; the dispatcher patches in the real key via
-/// [`PureModels::set_assessment_key`] when it executes
-/// [`Effect::ScheduleAssessment`].
-const PLACEHOLDER_KEY: u64 = u64::MAX;
-
-/// Placeholder MAC frame handle, patched via
-/// [`PureModels::set_queued_handle`] when the dispatcher executes
-/// [`Effect::EnqueueRebroadcast`].
-const PLACEHOLDER_HANDLE: FrameHandle = FrameHandle(u64::MAX);
 
 /// Oracle-mode neighbor knowledge, computed by the dispatcher from the
 /// spatial grid and handed to the pure models inside
@@ -185,50 +173,40 @@ pub enum Effect {
         /// The criterion that suppressed.
         reason: Option<SuppressReason>,
     },
-    /// S1 scheduled a rebroadcast: draw the 0–31 slot assessment delay,
-    /// schedule the wakeup, and patch its key into the ledger via
-    /// [`PureModels::set_assessment_key`].
+    /// S1 scheduled a rebroadcast: draw the 0–31 slot assessment delay and
+    /// schedule the wakeup.
     ScheduleAssessment {
         /// The deciding host.
         node: NodeId,
         /// The packet.
         packet: PacketId,
     },
-    /// S5 cancelled a pending assessment: cancel the queued wakeup.
+    /// S5 cancelled a pending assessment: cancel the host's wakeup for
+    /// the packet.
     CancelAssessment {
         /// The deciding host.
         node: NodeId,
         /// The packet.
         packet: PacketId,
-        /// The assessment wakeup to cancel.
-        key: EventKey,
         /// The criterion that suppressed.
         reason: Option<SuppressReason>,
     },
-    /// S5 cancelled a MAC-queued rebroadcast: cancel the frame.
+    /// S5 cancelled a MAC-queued rebroadcast: cancel the host's frame
+    /// carrying the packet.
     CancelQueued {
         /// The deciding host.
         node: NodeId,
         /// The packet.
         packet: PacketId,
-        /// The MAC queue handle to cancel.
-        handle: FrameHandle,
         /// The criterion that suppressed.
         reason: Option<SuppressReason>,
     },
-    /// S2 completed: hand the packet to the host's MAC and patch the frame
-    /// handle back via [`PureModels::set_queued_handle`].
+    /// S2 completed: hand the packet to the host's MAC.
     EnqueueRebroadcast {
         /// The rebroadcasting host.
         node: NodeId,
         /// The packet.
         packet: PacketId,
-    },
-    /// A departing host abandoned these pending assessment wakeups; cancel
-    /// them on the event queue. (Cold path: host churn only.)
-    AbandonAssessments {
-        /// The orphaned assessment keys.
-        keys: Vec<EventKey>,
     },
     /// A crashed host's neighbor-table counters, to be folded into the
     /// run totals before the table was wiped.
@@ -263,10 +241,9 @@ pub struct PureModels {
     trackers: Vec<VariationTracker>,
     /// Scheme decisions tallied as the pure transitions make them.
     suppression: SuppressionCounts,
-    /// Scratch for expiry sweeps and deactivation drains (reused across
-    /// steps so the hot path does not allocate).
+    /// Scratch for expiry sweeps (reused across steps so the hot path
+    /// does not allocate).
     scratch_changes: Vec<MembershipChange>,
-    scratch_handles: Vec<FrameHandle>,
 }
 
 impl PureModels {
@@ -296,7 +273,6 @@ impl PureModels {
             trackers: Vec::new(),
             suppression: SuppressionCounts::default(),
             scratch_changes: Vec::new(),
-            scratch_handles: Vec::new(),
         }
     }
 
@@ -313,9 +289,8 @@ impl PureModels {
     /// Advances the protocol state by one action, appending the requested
     /// side effects to `fx` in execution order.
     ///
-    /// This is the *only* mutator of the pure state (besides the
-    /// dispatcher's placeholder patches), and it is effect-free itself: no
-    /// RNG, no event queue, no medium.
+    /// This is the *only* mutator of the pure state, and it is effect-free
+    /// itself: no RNG, no event queue, no medium.
     pub fn step(&mut self, now: SimTime, action: &PureAction<'_>, fx: &mut Vec<Effect>) {
         match *action {
             PureAction::Originate { node, packet } => {
@@ -379,16 +354,9 @@ impl PureModels {
             PureAction::AssessmentFired { node, packet } => {
                 let i = node.index();
                 match self.ledgers[i].take_active(packet.seq) {
-                    ActivePacket::Assessing { state, .. } => {
-                        // S2 continued: the dispatcher submits to the MAC
-                        // and patches the real frame handle back in.
-                        self.ledgers[i].set_active(
-                            packet.seq,
-                            ActivePacket::Queued {
-                                handle: PLACEHOLDER_HANDLE,
-                                state,
-                            },
-                        );
+                    ActivePacket::Assessing(state) => {
+                        // S2 continued: the dispatcher submits to the MAC.
+                        self.ledgers[i].set_active(packet.seq, ActivePacket::Queued(state));
                         fx.push(Effect::EnqueueRebroadcast { node, packet });
                     }
                     other => unreachable!("assessment fired in state {other:?}"),
@@ -400,18 +368,9 @@ impl PureModels {
             }
             PureAction::Deactivate { node, crash } => {
                 let i = node.index();
-                // The key list moves into the AbandonAssessments effect
-                // below, so it cannot reuse a scratch buffer; Deactivate
-                // fires on churn, not per packet.
-                let mut keys = Vec::new();
-                self.scratch_handles.clear();
-                self.ledgers[i].drain_active(&mut keys, &mut self.scratch_handles);
-                // MAC-queued rebroadcasts (`scratch_handles`) need no effect
-                // of their own: the dispatcher's MAC-queue sweep covers every
-                // queued frame, HELLOs included.
-                if !keys.is_empty() {
-                    fx.push(Effect::AbandonAssessments { keys });
-                }
+                // The dispatcher cancels the host's wakeups and sweeps its
+                // MAC queue itself.
+                self.ledgers[i].abandon_active();
                 if crash {
                     // A crash loses everything above the radio; a graceful
                     // leave keeps the host's memory for its return.
@@ -438,7 +397,7 @@ impl PureModels {
             }
             PureAction::AssessmentFired { node, packet } => {
                 match self.ledgers[node.index()].view(packet.seq) {
-                    PacketView::Active(ActivePacket::Assessing { .. }) => None,
+                    PacketView::Active(ActivePacket::Assessing(_)) => None,
                     _ => Some("AssessmentFired at a host not assessing the packet"),
                 }
             }
@@ -533,24 +492,19 @@ impl PureModels {
         enum Outcome {
             Ignore,
             FirstHear,
-            CancelAssessment(EventKey),
-            CancelQueued(FrameHandle),
+            Cancel { queued: bool },
         }
         let scheme = &self.scheme;
         let outcome = match self.ledgers[i].view(packet.seq) {
             PacketView::Unheard => Outcome::FirstHear,
             PacketView::Source | PacketView::Done => unreachable!("settled above"),
             PacketView::Active(active) => {
-                let (state, cancel) = match active {
-                    ActivePacket::Assessing { key, state } => {
-                        (state, Outcome::CancelAssessment(*key))
-                    }
-                    ActivePacket::Queued { handle, state } => {
-                        (state, Outcome::CancelQueued(*handle))
-                    }
+                let (state, queued) = match active {
+                    ActivePacket::Assessing(state) => (state, false),
+                    ActivePacket::Queued(state) => (state, true),
                 };
                 match scheme.duplicate_hear(state, &ctx) {
-                    DuplicateDecision::Cancel => cancel,
+                    DuplicateDecision::Cancel => Outcome::Cancel { queued },
                     DuplicateDecision::Keep => Outcome::Ignore,
                 }
             }
@@ -573,40 +527,30 @@ impl PureModels {
                         });
                     }
                     (FirstDecision::Schedule, state) => {
-                        // S2: the dispatcher draws the 0–31 slot delay,
-                        // schedules the wakeup, and patches the key in.
+                        // S2: the dispatcher draws the 0–31 slot delay and
+                        // schedules the wakeup.
                         self.suppression.scheduled += 1;
-                        self.ledgers[i].set_active(
-                            packet.seq,
-                            ActivePacket::Assessing {
-                                key: EventKey::from_raw(PLACEHOLDER_KEY),
-                                state,
-                            },
-                        );
+                        self.ledgers[i].set_active(packet.seq, ActivePacket::Assessing(state));
                         fx.push(Effect::ScheduleAssessment { node, packet });
                     }
                 }
             }
-            Outcome::CancelAssessment(key) => {
+            Outcome::Cancel { queued } => {
                 self.suppression.cancelled += 1;
                 self.suppression.record_reason(reason);
                 self.ledgers[i].mark_done(packet.seq);
-                fx.push(Effect::CancelAssessment {
-                    node,
-                    packet,
-                    key,
-                    reason,
-                });
-            }
-            Outcome::CancelQueued(handle) => {
-                self.suppression.cancelled += 1;
-                self.suppression.record_reason(reason);
-                self.ledgers[i].mark_done(packet.seq);
-                fx.push(Effect::CancelQueued {
-                    node,
-                    packet,
-                    handle,
-                    reason,
+                fx.push(if queued {
+                    Effect::CancelQueued {
+                        node,
+                        packet,
+                        reason,
+                    }
+                } else {
+                    Effect::CancelAssessment {
+                        node,
+                        packet,
+                        reason,
+                    }
                 });
             }
         }
@@ -643,24 +587,6 @@ impl PureModels {
             node,
             target: now + interval,
         });
-    }
-
-    /// Patches the real assessment wakeup key into a freshly scheduled
-    /// packet (the counterpart of [`Effect::ScheduleAssessment`]).
-    pub fn set_assessment_key(&mut self, node: NodeId, seq: u32, key: EventKey) {
-        match self.ledgers[node.index()].view(seq) {
-            PacketView::Active(ActivePacket::Assessing { key: slot, .. }) => *slot = key,
-            other => unreachable!("assessment key patch in state {other:?}"),
-        }
-    }
-
-    /// Patches the real MAC frame handle into a freshly queued rebroadcast
-    /// (the counterpart of [`Effect::EnqueueRebroadcast`]).
-    pub fn set_queued_handle(&mut self, node: NodeId, seq: u32, handle: FrameHandle) {
-        match self.ledgers[node.index()].view(seq) {
-            PacketView::Active(ActivePacket::Queued { handle: slot, .. }) => *slot = handle,
-            other => unreachable!("queued handle patch in state {other:?}"),
-        }
     }
 
     /// The host's current one-hop neighbor ids `N_x`, strictly ascending.
@@ -775,7 +701,6 @@ mod tests {
             oracle: None,
         };
         pure.step(SimTime::from_millis(1), &hear(0), &mut fx);
-        pure.set_assessment_key(NodeId::new(1), 0, EventKey::from_raw(7));
         fx.clear();
         pure.step(SimTime::from_millis(2), &hear(2), &mut fx);
         assert_eq!(
@@ -783,7 +708,6 @@ mod tests {
             vec![Effect::CancelAssessment {
                 node: NodeId::new(1),
                 packet,
-                key: EventKey::from_raw(7),
                 reason: Some(SuppressReason::CounterThreshold),
             }]
         );
@@ -870,7 +794,6 @@ mod tests {
             },
             &mut fx,
         );
-        pure.set_assessment_key(NodeId::new(1), 0, EventKey::from_raw(3));
         fx.clear();
         pure.step(
             SimTime::from_millis(2),
@@ -882,15 +805,10 @@ mod tests {
         );
         assert_eq!(
             fx,
-            vec![
-                Effect::AbandonAssessments {
-                    keys: vec![EventKey::from_raw(3)]
-                },
-                Effect::RetireCounters {
-                    joins: 0,
-                    leaves: 0
-                },
-            ]
+            vec![Effect::RetireCounters {
+                joins: 0,
+                leaves: 0
+            }]
         );
         // The wiped ledger treats the packet as unheard again.
         fx.clear();

@@ -101,10 +101,9 @@ enum Payload {
     Hello(HelloPayload),
 }
 
-/// A frame currently on the air.
+/// A frame currently on the air; the medium knows its sender.
 #[derive(Debug)]
 struct InFlight {
-    sender: NodeId,
     payload: Payload,
     /// Sender position at transmission start (carried in the packet for
     /// the location-based schemes).
@@ -167,6 +166,9 @@ struct Node {
     /// its slab slot: unique among queued frames (all the MAC compares
     /// against), recycled once dequeued or cancelled.
     outgoing: Slab<Payload>,
+    /// The pending S2 assessment wakeups, by packet, so S5 and churn can
+    /// cancel them.
+    assessing: Vec<(PacketId, EventKey)>,
     /// The scheduled next HELLO (cancellation key and fire time), so a
     /// dynamic-interval host can pull its beacon forward when churn rises.
     hello_pending: Option<(EventKey, SimTime)>,
@@ -178,14 +180,17 @@ impl Node {
         FrameHandle(u64::from(self.outgoing.insert(payload)))
     }
 
+    /// Forgets and returns the pending wakeup of `packet`'s assessment.
+    fn take_assessment(&mut self, packet: PacketId) -> EventKey {
+        let i = self.assessing.iter().position(|&(p, _)| p == packet);
+        self.assessing
+            .swap_remove(i.expect("no wakeup for the assessment"))
+            .1
+    }
+
     /// Releases and returns the payload queued under `handle`.
     fn take_payload(&mut self, handle: FrameHandle) -> Payload {
-        let slot = u32::try_from(handle.0).expect("frame handle out of range");
-        assert!(
-            self.outgoing.contains(slot),
-            "MAC referenced an unknown frame"
-        );
-        self.outgoing.remove(slot)
+        self.outgoing.remove(handle.0 as u32)
     }
 }
 
@@ -305,8 +310,6 @@ pub struct World {
     /// [`Effect::EmitHello`] and returned when its frame leaves the air,
     /// so steady-state beaconing does not allocate.
     hello_pool: Vec<Vec<NodeId>>,
-    next_seq: u32,
-    issued: u32,
     stop_at: SimTime,
     hello_frames: u64,
     data_frames: u64,
@@ -435,6 +438,7 @@ impl World {
                 mobility,
                 mac: Dcf::new(root.fork(Stream::Dcf as u64 + i as u64)),
                 outgoing: Slab::new(),
+                assessing: Vec::new(),
                 hello_pending,
             });
         }
@@ -511,8 +515,6 @@ impl World {
             carrier_batches: Slab::new(),
             carrier_pool: Vec::new(),
             hello_pool: Vec::new(),
-            next_seq: 0,
-            issued: 0,
             stop_at: SimTime::MAX,
             hello_frames: 0,
             data_frames: 0,
@@ -679,7 +681,7 @@ impl World {
         SimReport {
             scheme: self.cfg.scheme.label(),
             map: self.cfg.map().label(),
-            broadcasts: self.issued,
+            broadcasts: self.metrics.issued(),
             reachability: re,
             saved_rebroadcasts: srb,
             avg_latency_s: latency,
@@ -726,7 +728,8 @@ impl World {
             }
             Event::TxEnd { frame } => self.finish_transmission(frame, now),
             Event::AssessmentDone { node, packet } => {
-                self.dispatch(now, PureAction::AssessmentFired { node, packet })
+                self.nodes[node.index()].take_assessment(packet);
+                self.dispatch(now, PureAction::AssessmentFired { node, packet });
             }
             Event::IssueBroadcast => self.issue_broadcast(now),
             Event::CarrierBatch { slot, busy } => {
@@ -834,41 +837,31 @@ impl World {
                 let key = self
                     .queue
                     .schedule(now + delay, Event::AssessmentDone { node, packet });
-                self.pure.set_assessment_key(node, packet.seq, key);
+                self.nodes[node.index()].assessing.push((packet, key));
             }
-            Effect::CancelAssessment { packet, key, .. } => {
+            Effect::CancelAssessment { node, packet, .. } => {
+                let key = self.nodes[node.index()].take_assessment(packet);
                 self.queue.cancel(key);
                 self.metrics.rebroadcast_inhibited(packet, now);
             }
-            Effect::CancelQueued {
-                node,
-                packet,
-                handle,
-                ..
-            } => {
+            Effect::CancelQueued { node, packet, .. } => {
                 let n = &mut self.nodes[node.index()];
+                let queued = n.outgoing.iter().find_map(|(slot, payload)| {
+                    matches!(payload, Payload::Broadcast(p) if *p == packet).then_some(slot)
+                });
+                let handle = FrameHandle(u64::from(queued.expect("no frame for the packet")));
                 let cancelled = n.mac.cancel(handle);
                 debug_assert!(cancelled, "queued frame must still be cancellable");
                 n.take_payload(handle);
                 self.metrics.rebroadcast_inhibited(packet, now);
             }
             Effect::EnqueueRebroadcast { node, packet } => {
-                // S2 continued: submit to the MAC, then patch the real
-                // frame handle over the ledger's placeholder *before*
-                // running the MAC action — an immediate `BeginTx` marks
-                // the packet done via `FrameSent`, which must find the
-                // queued entry intact.
+                // S2 continued: submit to the MAC. An immediate `BeginTx`
+                // marks the packet done via `FrameSent`.
                 let n = &mut self.nodes[node.index()];
                 let handle = n.queue_payload(Payload::Broadcast(packet));
                 let actions = n.mac.enqueue(handle, PACKET_BYTES, now);
-                self.pure.set_queued_handle(node, packet.seq, handle);
                 self.process_mac_action(node, actions, now);
-            }
-            Effect::AbandonAssessments { keys } => {
-                for key in keys {
-                    let cancelled = self.queue.cancel(key);
-                    debug_assert!(cancelled, "assessment key was already spent");
-                }
             }
             Effect::RetireCounters { joins, leaves } => {
                 let st = self.scenario_mut();
@@ -899,9 +892,7 @@ impl World {
         } else {
             NodeId::new(self.workload_rng.gen_range_u32(0..self.cfg.hosts))
         };
-        let packet = PacketId::new(source, self.next_seq);
-        self.next_seq += 1;
-        self.issued += 1;
+        let packet = PacketId::new(source, self.metrics.issued());
 
         let mut reachable_set = std::mem::take(&mut self.scratch_reachable);
         // Under a scenario, hosts that are down cannot relay or receive:
@@ -932,7 +923,7 @@ impl World {
         let actions = node.mac.enqueue(handle, PACKET_BYTES, now);
         self.process_mac_action(source, actions, now);
 
-        if self.issued < self.cfg.broadcasts {
+        if self.metrics.issued() < self.cfg.broadcasts {
             let gap = self
                 .workload_rng
                 .gen_duration_up_to(self.cfg.max_interarrival);
@@ -1054,7 +1045,6 @@ impl World {
         }
         debug_assert!(self.in_flight[slot].is_none(), "frame slot still occupied");
         self.in_flight[slot] = Some(InFlight {
-            sender: node,
             payload,
             sent_from: own,
             sender_epoch: self.current_epoch(node),
@@ -1109,7 +1099,6 @@ impl World {
             .end_transmission_into(frame, now, &mut deliveries, &mut carrier);
         let slot = usize::try_from(frame.as_u64()).expect("frame slot out of range");
         let in_flight = self.in_flight[slot].take().expect("unknown frame finished");
-        debug_assert_eq!(source, in_flight.sender);
 
         // The transmitter's MAC enters post-backoff. This may immediately
         // start the host's next queued frame — which is why `begin` and
@@ -1286,15 +1275,19 @@ impl World {
                 st.counts.leaves += 1;
             }
         }
-        // Silence the beacon.
-        if let Some((key, _)) = self.nodes[idx].hello_pending.take() {
+        // Silence the beacon and the pending assessments.
+        let n = &mut self.nodes[idx];
+        let hello = n.hello_pending.take().map(|(key, _)| key);
+        for key in hello
+            .into_iter()
+            .chain(n.assessing.drain(..).map(|(_, key)| key))
+        {
             self.queue.cancel(key);
         }
-        // Abandon per-packet scheme state: pending assessment wakeups come
-        // back as an `AbandonAssessments` effect and are cancelled there;
-        // MAC-queued rebroadcasts are handled by the queue sweep below
-        // (which also covers HELLO frames). On a crash the models also
-        // wipe the host's memory, retiring its counters.
+        // Abandon per-packet scheme state; MAC-queued rebroadcasts are
+        // handled by the queue sweep below (which also covers HELLO
+        // frames). On a crash the models also wipe the host's memory,
+        // retiring its counters.
         self.dispatch(now, PureAction::Deactivate { node, crash });
         // Sweep the MAC queue: every payload still in `outgoing` belongs
         // to a queued (not yet airing) frame — `begin_transmission` takes

@@ -30,16 +30,20 @@
 //! (sequences, options, tagged choices, RNG states, slabs and the event
 //! queue are each coded once, there). Layout (in order): magic `MSNP` +
 //! version `u32`; the config; event queue (counters, then `(time,
-//! seq, event)` entries); workload and protocol RNG states; per-host
-//! MAC, outgoing payload slab, pending-HELLO timer, and mobility state;
-//! the medium;
-//! the pure models (ledgers, neighbor tables, variation trackers,
-//! suppression tallies); the metrics collector; in-flight frames; the
-//! delayed carrier-report batches; the workload scalars; and, when the
-//! config has a scenario, its state. What the config fixes (the host
-//! count, whether a scenario runs) is not written again. Slab-backed state (MAC queues, active
-//! packets, carrier batches, active transmissions) is exported *with
-//! its slot layout* because handles and event payloads index into it.
+//! seq, event)` entries); workload and protocol RNG states; the metrics
+//! collector, which every packet written after it must have issued; per
+//! host, the MAC with its queued payloads in queue order, and the mobility
+//! state; the medium; the pure models (ledgers, neighbor tables, variation
+//! trackers, suppression tallies); each frame on the air's payload, send
+//! position and churn epoch, in the medium's order; the delayed
+//! carrier-report batches; the workload scalars; and, when the config has
+//! a scenario, its state. What the config fixes (the host count, whether
+//! a scenario runs) is not written again, and each fact is written once:
+//! what links one part of the world to another — MAC frame handles, the
+//! keys of pending HELLO and assessment wakeups, a frame's sender, the
+//! broadcast counter — is re-derived on resume. Only the medium and the
+//! carrier batches keep their slab layout, because queued events name
+//! their slots.
 
 use manet_geom::Vec2;
 use manet_mac::{decode_generation, Dcf, FrameHandle, MacStats};
@@ -48,7 +52,7 @@ use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
 use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{SimConfig, COVERAGE_RESOLUTION};
+use crate::config::{SimConfig, COVERAGE_RESOLUTION, PACKET_BYTES};
 use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
@@ -59,10 +63,10 @@ use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
 /// Magic bytes opening a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
 /// Current snapshot format version. Version 1 kept each radio's list of
-/// incoming frames and version 2 a write-only config fingerprint; version
-/// 3 opens with the config itself (DESIGN.md §12), and both older ones are
-/// refused by name.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// incoming frames, version 2 a write-only config fingerprint and version
+/// 3 the queue keys and MAC handles of the links resume now re-derives
+/// (DESIGN.md §12); all three are refused by name.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The configuration a snapshot was taken under, read from its header:
 /// what `manet-sim --resume FILE` resumes with.
@@ -82,6 +86,7 @@ fn expect_version(dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         SNAPSHOT_VERSION => return Ok(()),
         1 => "snapshot version 1 is retired (a frame list per radio); take a new snapshot",
         2 => "snapshot version 2 is retired (a config fingerprint); take a new snapshot",
+        3 => "snapshot version 3 is retired (queue keys and MAC handles); take a new snapshot",
         _ => "unsupported snapshot version",
     };
     Err(WireError { at: 4, what })
@@ -101,8 +106,9 @@ impl World {
         self.medium.snapshot_into(&mut enc);
 
         let (ledgers, tables, trackers, suppression) = self.pure.snapshot_parts();
+        let scheme = &self.cfg.scheme;
         for ledger in ledgers {
-            encode_ledger(&mut enc, ledger, &self.cfg.scheme);
+            ledger.encode(&mut enc, |enc, state| encode_state(enc, state, scheme));
         }
         for table in tables {
             table.snapshot_into(&mut enc);
@@ -112,24 +118,19 @@ impl World {
         }
         encode_suppression(&mut enc, suppression);
 
-        self.metrics.snapshot_into(&mut enc);
-
-        enc.seq(&self.in_flight, |enc, slot| {
-            enc.option(slot.as_ref(), |enc, frame| {
-                frame.sender.encode(enc);
-                encode_payload(enc, &frame.payload);
-                enc.f64(frame.sent_from.x);
-                enc.f64(frame.sent_from.y);
-                enc.u32(frame.sender_epoch);
-            });
-        });
+        for (frame, _, _) in self.medium.frames_on_air() {
+            let sent = self.in_flight[frame.as_u64() as usize].as_ref();
+            let sent = sent.expect("a frame on the air has its in-flight record");
+            encode_payload(&mut enc, &sent.payload);
+            enc.f64(sent.sent_from.x);
+            enc.f64(sent.sent_from.y);
+            enc.u32(sent.sender_epoch);
+        }
 
         self.carrier_batches.encode(&mut enc, |enc, hearers| {
             NodeId::encode_seq(enc, hearers.iter().copied());
         });
 
-        enc.u32(self.next_seq);
-        enc.u32(self.issued);
         enc.time(self.stop_at);
         enc.u64(self.hello_frames);
         enc.u64(self.data_frames);
@@ -145,8 +146,8 @@ impl World {
     }
 
     /// The snapshot up to the medium: magic, version, config, event
-    /// queue, the two world RNGs, and every host's MAC, MAC queue, HELLO
-    /// timer and mobility.
+    /// queue, the two world RNGs, the metrics, and every host's MAC with
+    /// its queued payloads and its mobility.
     fn encode_through_nodes(&self) -> WireEncoder {
         let mut enc = WireEncoder::with_magic(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         self.cfg.encode(&mut enc);
@@ -154,13 +155,11 @@ impl World {
         self.queue.encode(&mut enc, encode_event);
         enc.rng(&self.workload_rng);
         enc.rng(&self.proto_rng);
+        self.metrics.snapshot_into(&mut enc);
 
         for node in &self.nodes {
-            node.mac.snapshot_into(&mut enc);
-            node.outgoing.encode(&mut enc, encode_payload);
-            enc.option(node.hello_pending, |enc, (key, at)| {
-                enc.key(key);
-                enc.time(at);
+            node.mac.snapshot_into(&mut enc, |enc, handle| {
+                encode_payload(enc, &node.outgoing[handle.0 as u32]);
             });
             encode_mobility(&mut enc, &node.mobility);
         }
@@ -198,31 +197,49 @@ impl World {
         let hosts = world.nodes.len();
 
         // Drop the fresh world's schedule entirely and rebuild the
-        // snapshotted one (same times, same seqs, so stored cancellation
-        // keys still address their events).
+        // snapshotted one (same times, same seqs, so the keys re-derived
+        // below address their events).
         let queue_at = dec.position();
         world.queue = EventQueue::decode(&mut dec, 1, decode_event)?;
         world.workload_rng = dec.rng()?;
         world.proto_rng = dec.rng()?;
+        world.metrics = MetricsCollector::restore_snapshot(&mut dec, hosts)?;
 
+        let metrics = &world.metrics;
         for (i, node) in world.nodes.iter_mut().enumerate() {
-            node.mac = Dcf::restore_snapshot(&mut dec)?;
-            node.outgoing = Slab::decode(&mut dec, 9, decode_payload)?;
-            node.hello_pending = dec.option(|dec| Ok((dec.key()?, dec.time()?)))?;
+            // The fresh world's HELLO keys name its own, discarded queue.
+            node.hello_pending = None;
+            let (id, outgoing) = (NodeId::new(i as u32), &mut node.outgoing);
+            node.mac = Dcf::restore_snapshot(&mut dec, 9, |dec| {
+                let payload = decode_payload(dec, id, metrics)?;
+                let bytes = match &payload {
+                    Payload::Broadcast(_) => PACKET_BYTES,
+                    Payload::Hello(hello) => hello.air_bytes(),
+                };
+                Ok((FrameHandle(u64::from(outgoing.insert(payload))), bytes))
+            })?;
             decode_mobility(&mut dec, &mut node.mobility)?;
             // The geometry's segments mirror the mobility models; its
             // strips stay as `World::new` built them at time zero, which
             // the drift bound covers until the first query re-syncs them.
-            world
-                .geometry
-                .set_segment(NodeId::new(i as u32), node.mobility.segment());
+            world.geometry.set_segment(id, node.mobility.segment());
         }
 
         let medium_at = dec.position();
         world.medium.restore_snapshot(&mut dec)?;
 
+        let pure_at = dec.position();
+        let issued = world.metrics.issued() as usize;
         let ledgers = (0..hosts)
-            .map(|_| decode_ledger(&mut dec, &scheme))
+            .map(|_| {
+                let at = dec.position();
+                let ledger = PacketLedger::decode(&mut dec, |dec| decode_state(dec, &scheme))?;
+                if ledger.len() > issued {
+                    let what = "a ledger names a packet the metrics never issued";
+                    return Err(WireError { at, what });
+                }
+                Ok(ledger)
+            })
             .collect::<Result<_, _>>()?;
         // Each two-hop list is interned by content, so the restored tables
         // share lists as the paused ones did.
@@ -242,24 +259,26 @@ impl World {
             .pure
             .restore_parts(ledgers, tables, trackers, suppression);
 
-        world.metrics = MetricsCollector::restore_snapshot(&mut dec, hosts)?;
-
-        world.in_flight = dec.seq(1, |dec| {
-            dec.option(|dec| {
-                Ok(InFlight {
-                    sender: NodeId::decode(dec)?,
-                    payload: decode_payload(dec)?,
-                    sent_from: Vec2::new(dec.f64()?, dec.f64()?),
-                    sender_epoch: dec.u32()?,
-                })
-            })
-        })?;
+        let on_air: Vec<_> = world
+            .medium
+            .frames_on_air()
+            .map(|(f, s, _)| (f, s))
+            .collect();
+        for (frame, source) in on_air {
+            let slot = frame.as_u64() as usize;
+            if slot >= world.in_flight.len() {
+                world.in_flight.resize_with(slot + 1, || None);
+            }
+            world.in_flight[slot] = Some(InFlight {
+                payload: decode_payload(&mut dec, source, &world.metrics)?,
+                sent_from: Vec2::new(dec.f64()?, dec.f64()?),
+                sender_epoch: dec.u32()?,
+            });
+        }
 
         let batches_at = dec.position();
         world.carrier_batches = Slab::decode(&mut dec, 8, NodeId::decode_seq)?;
 
-        world.next_seq = dec.u32()?;
-        world.issued = dec.u32()?;
         world.stop_at = dec.time()?;
         world.hello_frames = dec.u64()?;
         world.data_frames = dec.u64()?;
@@ -272,108 +291,188 @@ impl World {
         }
 
         dec.finish()?;
-        check_queued_events(&world, queue_at, batches_at)?;
+        world.link_queued_events(queue_at, pure_at, batches_at)?;
         check_frames_on_air(&world, medium_at)?;
         Ok(world)
     }
-}
 
-/// Checks what the queue names against the world: every host a queued
-/// event names exists, every queued carrier batch has its hearer list and
-/// every hearer exists, and every queued scenario action is on the
-/// timeline. A snapshot breaking one used to resume and then panic; it is
-/// refused at the queue section, `queue_at`, or for a hearer at the
-/// carrier batches, `batches_at`.
-fn check_queued_events(world: &World, queue_at: usize, batches_at: usize) -> Result<(), WireError> {
-    let hosts = world.nodes.len();
-    let refuse = |at, what| Err(WireError { at, what });
-    for (_, event) in world.queue.iter() {
-        let named = match *event {
-            Event::MobilityTurn { node }
-            | Event::HelloTimer { node }
-            | Event::MacTimer { node, .. }
-            | Event::AssessmentDone { node, .. } => node,
-            Event::CarrierBatch { slot, .. } if !world.carrier_batches.contains(slot) => {
-                return refuse(queue_at, "a queued carrier batch has no hearer list");
-            }
-            Event::Scenario { index } => {
-                let timeline = world.scenario.as_ref().map_or(0, |st| st.timeline.len());
-                if index as usize >= timeline {
-                    return refuse(queue_at, "a queued scenario action is not on the timeline");
-                }
-                continue;
-            }
-            Event::CarrierBatch { .. } | Event::TxEnd { .. } | Event::IssueBroadcast => continue,
-        };
-        if named.index() >= hosts {
-            return refuse(queue_at, "a queued event names a host that does not exist");
+    /// Re-derives what the hosts hold of the queue — each HELLO timer's
+    /// key and time, each pending assessment's key — in one pass over it,
+    /// and refuses a queue, ledgers and MACs that disagree:
+    ///
+    /// * an event naming a host, carrier batch, scenario action or packet
+    ///   that is not there, or a carrier batch twice;
+    /// * a frame on the air without exactly one `TxEnd`, at its end;
+    /// * a HELLO timer in a run that sends none, at a host that is down,
+    ///   or twice at one host;
+    /// * an assessment wakeup at a host not assessing the packet, or an
+    ///   assessing packet without one;
+    /// * a live MAC timer (at the MAC's epoch and generation) its MAC does
+    ///   not await, or none where it does;
+    /// * a MAC-queued broadcast its host neither sources nor holds queued,
+    ///   or a held one without its frame.
+    ///
+    /// A finished world runs nothing more, so it needs no pending event.
+    /// Each used to resume and then panic; each is refused at the queue
+    /// section, `queue_at`, at the pure models, `pure_at`, or for a hearer
+    /// at the carrier batches, `batches_at`.
+    fn link_queued_events(
+        &mut self,
+        queue_at: usize,
+        pure_at: usize,
+        batches_at: usize,
+    ) -> Result<(), WireError> {
+        let (hosts, hellos) = (self.nodes.len(), self.hellos_enabled());
+        let timeline = self.scenario.as_ref().map_or(0, |st| st.timeline.len());
+        let (ledgers, ..) = self.pure.snapshot_parts();
+        let (mut timed, mut batches) = (vec![false; hosts], Vec::new());
+        let mut ends = vec![None; self.in_flight.len()];
+        for (frame, _, end) in self.medium.frames_on_air() {
+            ends[frame.as_u64() as usize] = Some(end);
         }
+        for (key, time, event) in self.queue.iter() {
+            let refuse = |what| Err(WireError { at: queue_at, what });
+            let node = match *event {
+                Event::TxEnd { frame } => {
+                    let end = usize::try_from(frame.as_u64())
+                        .ok()
+                        .and_then(|f| ends.get_mut(f));
+                    if end.and_then(Option::take) != Some(time) {
+                        return refuse("a TxEnd names no frame on the air, or not its end");
+                    }
+                    continue;
+                }
+                Event::MobilityTurn { node }
+                | Event::HelloTimer { node }
+                | Event::MacTimer { node, .. }
+                | Event::AssessmentDone { node, .. } => node,
+                Event::CarrierBatch { slot, .. } if !self.carrier_batches.contains(slot) => {
+                    return refuse("a queued carrier batch has no hearer list");
+                }
+                Event::CarrierBatch { slot, .. } => {
+                    batches.push(slot);
+                    continue;
+                }
+                Event::Scenario { index } if index as usize >= timeline => {
+                    return refuse("a queued scenario action is not on the timeline");
+                }
+                _ => continue,
+            };
+            let i = node.index();
+            if i >= hosts {
+                return refuse("a queued event names a host that does not exist");
+            }
+            let (up, epoch) = (self.is_active(node), self.current_epoch(node));
+            let n = &mut self.nodes[i];
+            match *event {
+                Event::HelloTimer { .. } if !hellos || !up => {
+                    return refuse("a HELLO timer at a host that sends none");
+                }
+                Event::HelloTimer { .. } if n.hello_pending.replace((key, time)).is_some() => {
+                    return refuse("two HELLO timers at one host");
+                }
+                Event::MacTimer {
+                    generation,
+                    epoch: at,
+                    ..
+                } if at == epoch
+                    && generation == n.mac.generation()
+                    && (!(up && n.mac.awaits_timer())
+                        || std::mem::replace(&mut timed[i], true)) =>
+                {
+                    return refuse("a live MAC timer its MAC does not await");
+                }
+                Event::AssessmentDone { packet, .. } => {
+                    if !self.metrics.was_issued(packet) {
+                        return refuse("an event names a packet the metrics never issued");
+                    }
+                    let state = ledgers[i].active_state(packet.seq);
+                    let assessing = matches!(state, Some(ActivePacket::Assessing(_)));
+                    if !up || !assessing || n.assessing.iter().any(|&(p, _)| p.seq == packet.seq) {
+                        return refuse("an assessment wakeup its host is not assessing");
+                    }
+                    n.assessing.push((packet, key));
+                }
+                _ => {}
+            }
+        }
+        let refuse = |at, what| Err(WireError { at, what });
+        batches.sort_unstable();
+        if batches.windows(2).any(|pair| pair[0] == pair[1]) {
+            return refuse(queue_at, "two queued events name one carrier batch");
+        }
+        if !self.finished && ends.iter().any(Option::is_some) {
+            return refuse(queue_at, "a frame on the air has no TxEnd");
+        }
+        for (i, (n, ledger)) in self.nodes.iter().zip(ledgers).enumerate() {
+            let up = self.is_active(NodeId::new(i as u32));
+            if !self.finished && up && n.mac.awaits_timer() && !timed[i] {
+                return refuse(queue_at, "a MAC awaits a timer that is not queued");
+            }
+            let (mut assessing, mut rebroadcasts) = (0, 0);
+            for seq in 0..ledger.len() as u32 {
+                match ledger.active_state(seq) {
+                    Some(ActivePacket::Assessing(_)) => assessing += 1,
+                    Some(ActivePacket::Queued(_)) => rebroadcasts += 1,
+                    None => {}
+                }
+            }
+            if !self.finished && assessing != n.assessing.len() {
+                return refuse(pure_at, "an assessing packet has no wakeup");
+            }
+            // A MAC queues each packet its host sources or holds queued,
+            // once, and every one the ledger holds; a host that is down
+            // queues nothing.
+            let mut frames: Vec<u32> = (n.outgoing.iter())
+                .filter_map(|(_, payload)| match payload {
+                    Payload::Broadcast(packet) => Some(packet.seq),
+                    Payload::Hello(_) => None,
+                })
+                .collect();
+            let queued = frames.len();
+            frames.sort_unstable();
+            frames.dedup();
+            let held = (frames.iter())
+                .filter(|&&seq| matches!(ledger.active_state(seq), Some(ActivePacket::Queued(_))))
+                .count();
+            let own = frames.iter().filter(|&&seq| ledger.is_source(seq)).count();
+            if held != rebroadcasts || held + own != queued || !up && !n.outgoing.is_empty() {
+                return refuse(pure_at, "a host's MAC queue and ledger disagree");
+            }
+        }
+        let stray = self
+            .carrier_batches
+            .iter()
+            .any(|(_, hearers)| hearers.iter().any(|hearer| hearer.index() >= hosts));
+        if stray {
+            return refuse(
+                batches_at,
+                "a carrier batch names a host that does not exist",
+            );
+        }
+        Ok(())
     }
-    let stray = world
-        .carrier_batches
-        .iter()
-        .any(|(_, hearers)| hearers.iter().any(|hearer| hearer.index() >= hosts));
-    if stray {
-        return refuse(
-            batches_at,
-            "a carrier batch names a host that does not exist",
-        );
-    }
-    Ok(())
 }
 
-/// Checks the medium against the rest of the world. Each frame on the air
-/// has the in-flight record of its source, a sender MAC that is
-/// transmitting it (or, if the sender has left since, an older churn
-/// epoch) and exactly one `TxEnd`, at its end; there is no other in-flight
-/// record or `TxEnd`, and no active host's MAC transmits without a frame.
-/// A snapshot breaking any of these used to resume and then panic; it is
-/// refused at the medium section, `at`.
+/// Checks the medium against the MACs: each frame on the air is its
+/// sender MAC's transmission (or, if the sender has left since, from an
+/// older churn epoch), and no active host's MAC transmits without a frame.
+/// A snapshot breaking either used to resume and then panic; it is refused
+/// at the medium section, `at`.
 fn check_frames_on_air(world: &World, at: usize) -> Result<(), WireError> {
     let refuse = |what| Err(WireError { at, what });
-    // The time of each in-flight slot's `TxEnd`.
-    let mut ends = vec![None; world.in_flight.len()];
-    let mut tx_ends = 0;
-    for (time, event) in world.queue.iter() {
-        let Event::TxEnd { frame } = event else {
-            continue;
-        };
-        tx_ends += 1;
-        let slot = usize::try_from(frame.as_u64()).unwrap_or(usize::MAX);
-        match ends.get_mut(slot) {
-            Some(end @ None) => *end = Some(time),
-            Some(Some(_)) => return refuse("two TxEnd events for one frame"),
-            None => return refuse("a TxEnd names a frame that is not on the air"),
-        }
-    }
-    let mut on_air = 0;
-    for (frame, source, end) in world.medium.frames_on_air() {
-        on_air += 1;
-        let slot = frame.as_u64() as usize;
-        let Some(Some(sent)) = world.in_flight.get(slot) else {
-            return refuse("a frame on the air has no in-flight record");
-        };
-        if sent.sender != source {
-            return refuse("a frame's in-flight sender is not its source");
-        }
-        let epoch = world.current_epoch(source);
+    for (frame, source, _) in world.medium.frames_on_air() {
+        let sent = world.in_flight[frame.as_u64() as usize].as_ref();
+        let epoch = sent.expect("decoded per frame on the air").sender_epoch;
         let sending = if world.is_active(source) {
-            sent.sender_epoch == epoch && world.nodes[source.index()].mac.is_transmitting()
+            epoch == world.current_epoch(source)
+                && world.nodes[source.index()].mac.is_transmitting()
         } else {
-            sent.sender_epoch < epoch
+            epoch < world.current_epoch(source)
         };
         if !sending {
             return refuse("a frame on the air is not its sender MAC's transmission");
         }
-        if ends[slot] != Some(end) {
-            return refuse("a frame on the air has no TxEnd at its end");
-        }
-    }
-    if world.in_flight.iter().flatten().count() != on_air {
-        return refuse("an in-flight record has no frame on the air");
-    }
-    if tx_ends != on_air {
-        return refuse("a TxEnd names a frame that is not on the air");
     }
     let idle_sender = (0..world.nodes.len() as u32).map(NodeId::new).any(|id| {
         world.is_active(id)
@@ -459,6 +558,9 @@ fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
     })
 }
 
+/// A MAC-queued or airing frame's payload. A HELLO's sender is not
+/// written: it is the host whose MAC queues it, or the medium's source of
+/// the frame.
 fn encode_payload(enc: &mut WireEncoder, payload: &Payload) {
     match payload {
         Payload::Broadcast(packet) => {
@@ -467,19 +569,31 @@ fn encode_payload(enc: &mut WireEncoder, payload: &Payload) {
         }
         Payload::Hello(hello) => {
             enc.u8(1);
-            hello.sender.encode(enc);
             enc.duration(hello.interval);
             NodeId::encode_seq(enc, hello.neighbors.iter().copied());
         }
     }
 }
 
-fn decode_payload(dec: &mut WireDecoder<'_>) -> Result<Payload, WireError> {
+/// Reads a payload of `sender`'s, refusing a packet `metrics` never issued.
+fn decode_payload(
+    dec: &mut WireDecoder<'_>,
+    sender: NodeId,
+    metrics: &MetricsCollector,
+) -> Result<Payload, WireError> {
     let (tag, invalid) = dec.tag("invalid payload tag")?;
     Ok(match tag {
-        0 => Payload::Broadcast(decode_packet(dec)?),
+        0 => {
+            let at = dec.position();
+            let packet = decode_packet(dec)?;
+            if !metrics.was_issued(packet) {
+                let what = "a frame carries a packet the metrics never issued";
+                return Err(WireError { at, what });
+            }
+            Payload::Broadcast(packet)
+        }
         1 => Payload::Hello(HelloPayload {
-            sender: NodeId::decode(dec)?,
+            sender,
             interval: dec.duration()?,
             neighbors: NodeId::decode_seq(dec)?,
         }),
@@ -578,60 +692,6 @@ fn decode_lattice(dec: &mut WireDecoder<'_>) -> Result<Lattice, WireError> {
         }
     }
     Ok(Lattice { center, columns })
-}
-
-fn encode_active(enc: &mut WireEncoder, active: &ActivePacket, scheme: &SchemeSpec) {
-    match active {
-        ActivePacket::Assessing { key, state } => {
-            enc.u8(0);
-            enc.key(*key);
-            encode_state(enc, state, scheme);
-        }
-        ActivePacket::Queued { handle, state } => {
-            enc.u8(1);
-            enc.u64(handle.0);
-            encode_state(enc, state, scheme);
-        }
-    }
-}
-
-fn decode_active(
-    dec: &mut WireDecoder<'_>,
-    scheme: &SchemeSpec,
-) -> Result<ActivePacket, WireError> {
-    let (tag, invalid) = dec.tag("invalid active-packet tag")?;
-    Ok(match tag {
-        0 => ActivePacket::Assessing {
-            key: dec.key()?,
-            state: decode_state(dec, scheme)?,
-        },
-        1 => ActivePacket::Queued {
-            handle: FrameHandle(dec.u64()?),
-            state: decode_state(dec, scheme)?,
-        },
-        _ => return Err(invalid),
-    })
-}
-
-fn encode_ledger(enc: &mut WireEncoder, ledger: &PacketLedger, scheme: &SchemeSpec) {
-    let (tags, active) = ledger.snapshot_parts();
-    enc.seq(tags.iter().copied(), WireEncoder::u32);
-    active.encode(enc, |enc, active| encode_active(enc, active, scheme));
-}
-
-fn decode_ledger(
-    dec: &mut WireDecoder<'_>,
-    scheme: &SchemeSpec,
-) -> Result<PacketLedger, WireError> {
-    let tags_at = dec.position();
-    let tags = dec.seq(4, WireDecoder::u32)?;
-    let active_at = dec.position();
-    let active = Slab::decode(dec, 10, |dec| decode_active(dec, scheme))?;
-    // A tag at index `i` sits past the sequence's `u64` count.
-    PacketLedger::from_parts(tags, active).map_err(|(tag, what)| WireError {
-        at: tag.map_or(active_at, |i| tags_at + 8 + 4 * i),
-        what,
-    })
 }
 
 fn encode_mobility(enc: &mut WireEncoder, mobility: &HostMobility) {
@@ -800,7 +860,9 @@ mod tests {
     /// A queued event naming a host past the last, a carrier batch with no
     /// hearer list, a hearer past the last host and a scenario action off
     /// the timeline are each refused, at the queue section or (the hearer)
-    /// at the carrier batches. Each used to resume and then panic.
+    /// at the carrier batches; so are, at an existing host, an assessment
+    /// of a packet not yet issued, a HELLO timer in a run without HELLOs
+    /// and a live timer at an idle MAC. Each used to resume and then panic.
     #[test]
     fn queued_events_naming_nothing_are_refused() {
         use manet_sim_engine::SimTime;
@@ -816,7 +878,27 @@ mod tests {
         let ghost = NodeId::new(8);
         let packet = crate::ids::PacketId::new(NodeId::new(0), 0);
         let host = "a queued event names a host that does not exist";
+        let node = NodeId::new(1);
         let cases = [
+            (
+                Event::AssessmentDone { node, packet },
+                None,
+                "an event names a packet the metrics never issued",
+            ),
+            (
+                Event::HelloTimer { node },
+                None,
+                "a HELLO timer at a host that sends none",
+            ),
+            (
+                Event::MacTimer {
+                    node,
+                    generation: 0,
+                    epoch: 0,
+                },
+                None,
+                "a live MAC timer its MAC does not await",
+            ),
             (Event::MobilityTurn { node: ghost }, None, host),
             (Event::HelloTimer { node: ghost }, None, host),
             (
@@ -955,45 +1037,6 @@ mod tests {
                 refused > 0 && ran > 0,
                 "{name}: {refused} refused, {ran} ran"
             );
-        }
-    }
-
-    /// Each active packet state is named by exactly one ledger tag. A tag
-    /// naming a vacant slot, two tags naming one slot and a state no tag
-    /// names are refused, at the tag or at the slab; all three used to
-    /// resume (and the first two then panicked when the packet moved on).
-    #[test]
-    fn ledger_tags_name_each_active_state_once() {
-        let scheme = SchemeSpec::Counter(3);
-        let assessing = || ActivePacket::Assessing {
-            key: manet_sim_engine::EventKey::from_raw(1),
-            state: PacketState::Count(1),
-        };
-        let mut ledger = PacketLedger::new();
-        ledger.set_active(0, assessing());
-        ledger.mark_done(1);
-        ledger.set_active(2, assessing());
-        let mut enc = WireEncoder::new();
-        encode_ledger(&mut enc, &ledger, &scheme);
-        let bytes = enc.into_bytes();
-        // The tag count, then tags 0, 1, 2: slot 0, done, slot 1.
-        let tag = |i: usize| 8 + 4 * i;
-        let slab = tag(3);
-        let decode = |bytes: &[u8]| decode_ledger(&mut WireDecoder::new(bytes), &scheme);
-        assert!(decode(&bytes).is_ok());
-        for (patched, value, at, what) in [
-            (2, 5, tag(2), "a ledger tag names a vacant slot"),
-            (2, 0, tag(2), "two ledger tags name one slot"),
-            (
-                0,
-                u32::MAX - 1,
-                slab,
-                "an active packet state has no ledger tag",
-            ),
-        ] {
-            let mut bad = bytes.clone();
-            bad[tag(patched)..tag(patched) + 4].copy_from_slice(&u32::to_le_bytes(value));
-            assert_eq!(decode(&bad).err(), Some(WireError { at, what }), "{what}");
         }
     }
 

@@ -102,6 +102,19 @@ fn location_config() -> SimConfig {
         .build()
 }
 
+/// A 30-host storm of four broadcasts on map 3: many hosts assess and
+/// queue rebroadcasts of one packet at once.
+fn storm_config(scheme: SchemeSpec) -> SimConfig {
+    SimConfig::builder(3, scheme)
+        .hosts(30)
+        .broadcasts(4)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(500))
+        .grace(SimDuration::from_secs(1))
+        .seed(5)
+        .build()
+}
+
 /// Runs `config`, pausing every 5 ms, and returns the largest snapshot
 /// seen, and when it was taken: mid-flood, with per-packet policies live
 /// and frames on the air.
@@ -117,6 +130,117 @@ fn busiest_snapshot(config: &SimConfig) -> (Vec<u8>, SimTime) {
         pause += SimDuration::from_millis(5);
     }
     largest
+}
+
+/// What a storm checkpoint holds, each as (assessing, MAC-queued): the
+/// rebroadcasts at the pause, and how many of them a duplicate cancels
+/// within the second after it.
+#[derive(Debug, Default)]
+struct Held {
+    cancelled: (usize, usize),
+    held: (usize, usize),
+}
+
+/// One rebroadcast's progress at one host: when S1 scheduled it, when S2
+/// queued it, and when it went on the air or (`true`) was cancelled.
+#[derive(Debug, Default)]
+struct Progress {
+    scheduled: Option<SimTime>,
+    fired: Option<SimTime>,
+    settled: Option<(SimTime, bool)>,
+}
+
+/// Every scheduled rebroadcast's progress over the run of `config`, read
+/// from its trace.
+fn rebroadcasts(config: &SimConfig) -> Vec<Progress> {
+    use broadcast_core::{trace::DecisionKind, TraceRecord};
+    use std::collections::BTreeMap;
+
+    let bytes = trace(config);
+    let mut trace = TraceFile::open(&bytes).expect("a recorded trace opens");
+    let mut progress: BTreeMap<(NodeId, PacketId), Progress> = BTreeMap::new();
+    while let Some(record) = trace.next_record().expect("a recorded trace reads") {
+        match record {
+            TraceRecord::Action {
+                at,
+                action: PureAction::AssessmentFired { node, packet },
+            } => progress.entry((node, packet)).or_default().fired = Some(at),
+            TraceRecord::Action {
+                at,
+                action: PureAction::FrameSent { node, packet },
+            } => progress.entry((node, packet)).or_default().settled = Some((at, false)),
+            TraceRecord::Decision(d) => {
+                let entry = progress.entry((d.node, d.packet)).or_default();
+                match d.kind {
+                    DecisionKind::Scheduled => entry.scheduled = Some(d.at),
+                    DecisionKind::Cancelled => entry.settled = Some((d.at, true)),
+                    _ => {}
+                }
+            }
+            TraceRecord::Action { .. } => {}
+        }
+    }
+    progress
+        .into_values()
+        .filter(|p| p.scheduled.is_some())
+        .collect()
+}
+
+/// What `rebroadcasts` hold at `pause` (see [`Held`]).
+fn held_at(rebroadcasts: &[Progress], pause: SimTime) -> Held {
+    let before = |at: Option<SimTime>| at.is_some_and(|at| at < pause);
+    let mut held = Held::default();
+    for p in rebroadcasts {
+        if !before(p.scheduled) || before(p.settled.map(|(at, _)| at)) {
+            continue;
+        }
+        let cancelled = p
+            .settled
+            .is_some_and(|(at, cancelled)| cancelled && at < pause + SimDuration::from_secs(1));
+        let (count, cancels) = if before(p.fired) {
+            (&mut held.held.1, &mut held.cancelled.1)
+        } else {
+            (&mut held.held.0, &mut held.cancelled.0)
+        };
+        *count += 1;
+        *cancels += usize::from(cancelled);
+    }
+    held
+}
+
+/// Two snapshots of a storm run, paused on a millisecond grid: the
+/// largest, and the largest whose rebroadcasts both assessing and
+/// MAC-queued include some a duplicate cancels within the next second (or,
+/// when the scheme never cancels, some held). The two may coincide.
+fn storm_snapshots(config: &SimConfig, cancels: bool) -> Vec<(Vec<u8>, SimTime)> {
+    let rebroadcasts = rebroadcasts(config);
+    let busy = |pause| {
+        let Held { cancelled, held } = held_at(&rebroadcasts, pause);
+        let (assessing, queued) = if cancels { cancelled } else { held };
+        assessing > 0 && queued > 0
+    };
+    let (mut largest, mut busiest) = ((Vec::new(), SimTime::ZERO), (Vec::new(), SimTime::ZERO));
+    let mut world = World::new(config.clone());
+    let mut pause = SimTime::ZERO;
+    while !world.advance(pause) {
+        let bytes = world.snapshot();
+        if bytes.len() > busiest.0.len() && busy(pause) {
+            busiest = (bytes.clone(), pause);
+        }
+        if bytes.len() > largest.0.len() {
+            largest = (bytes, pause);
+        }
+        pause += SimDuration::from_millis(1);
+    }
+    assert!(
+        !busiest.0.is_empty(),
+        "no pause holds both kinds of rebroadcast"
+    );
+    if largest.1 == busiest.1 {
+        vec![busiest]
+    } else {
+        vec![largest, busiest]
+    }
 }
 
 /// The trace of a whole run of `config`.
@@ -223,29 +347,52 @@ fn snapshots_survive_truncation_mutation_and_huge_lengths() {
 }
 
 /// Decoding is not the whole defence: a snapshot that decodes must also
-/// run. Every byte of the busiest `nc` snapshot, xor 1, is refused or
-/// resumes and runs a simulated second without panicking. Queued events
-/// naming a host past the last (six of these bytes) used to resume and
-/// then panic.
+/// run. Every byte, xor 1, of these snapshots is refused or resumes and
+/// runs a simulated second without panicking: the busiest `nc` one, and of
+/// a `counter:3` and a flooding storm paused every millisecond, the
+/// largest and the largest whose assessing and MAC-queued rebroadcasts
+/// include some a duplicate cancels within that second (under flooding,
+/// which never cancels, some held). Queued events naming a host past the
+/// last (six bytes of the `nc` one) used to resume and then panic; so did
+/// 216 and 146 bytes of the largest storm snapshots in format version 3,
+/// which wrote each wakeup's queue key and each rebroadcast's MAC handle
+/// for resume to trust.
 #[test]
 fn a_snapshot_with_any_byte_flipped_is_refused_or_runs_a_second() {
-    let config = coverage_config();
-    let (image, pause) = busiest_snapshot(&config);
-    let (mut refused, mut ran) = (0, 0);
-    for at in 0..image.len() {
-        let mut bytes = image.clone();
-        bytes[at] ^= 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            World::resume(config.clone(), &bytes)
-                .map(|mut world| world.advance(pause + SimDuration::from_secs(1)))
-        }));
-        match outcome {
-            Ok(Ok(_)) => ran += 1,
-            Ok(Err(_)) => refused += 1,
-            Err(_) => panic!("byte {at} xor 1 resumed and then panicked"),
+    let mut checkpoints = vec![(
+        "nc",
+        coverage_config(),
+        busiest_snapshot(&coverage_config()),
+    )];
+    for (name, scheme, cancels) in [
+        ("counter:3", SchemeSpec::Counter(3), true),
+        ("flooding", SchemeSpec::Flooding, false),
+    ] {
+        let config = storm_config(scheme);
+        for image in storm_snapshots(&config, cancels) {
+            checkpoints.push((name, config.clone(), image));
         }
     }
-    assert!(refused > 0 && ran > 0, "{refused} refused, {ran} ran");
+    for (name, config, (image, pause)) in checkpoints {
+        let (mut refused, mut ran) = (0, 0);
+        for at in 0..image.len() {
+            let mut bytes = image.clone();
+            bytes[at] ^= 1;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                World::resume(config.clone(), &bytes)
+                    .map(|mut world| world.advance(pause + SimDuration::from_secs(1)))
+            }));
+            match outcome {
+                Ok(Ok(_)) => ran += 1,
+                Ok(Err(_)) => refused += 1,
+                Err(_) => panic!("{name} at {pause}: byte {at} xor 1 resumed and then panicked"),
+            }
+        }
+        assert!(
+            refused > 0 && ran > 0,
+            "{name}: {refused} refused, {ran} ran"
+        );
+    }
 }
 
 /// `manet-sim --resume FILE` takes the run from the file, so the header is

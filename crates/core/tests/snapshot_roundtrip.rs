@@ -58,6 +58,23 @@ fn resume_refuses_the_retired_version_1() {
     );
 }
 
+/// Version 3 wrote the queue keys and MAC handles that link a world's
+/// parts, for resume to trust; version 4 re-derives them, and version 3 is
+/// refused by name at the version field.
+#[test]
+fn resume_refuses_the_retired_version_3() {
+    let mut world = World::new(adaptive_config(7));
+    world.advance(SimTime::from_secs(2));
+    let mut bytes = world.snapshot();
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    let err = World::resume(adaptive_config(7), &bytes).expect_err("version 3");
+    assert_eq!(err.at, 4);
+    assert!(
+        err.what.starts_with("snapshot version 3 is retired"),
+        "{err}"
+    );
+}
+
 /// The header is the run's whole config: `config_of` reads back one that
 /// encodes to the same bytes, so resuming needs nothing but the file.
 /// Version 2, whose header was a write-only fingerprint, is refused by

@@ -383,10 +383,25 @@ impl Dcf {
         }
     }
 
+    /// The generation a timer must carry to be live.
+    pub fn generation(&self) -> u32 {
+        self.generation
+    }
+
+    /// `true` in DIFS or backoff, the states a live timer ends.
+    pub fn awaits_timer(&self) -> bool {
+        matches!(self.state, State::Difs | State::Backoff { .. })
+    }
+
     /// Serializes the complete MAC state — state machine, transmit queue,
     /// frozen backoff, carrier view, timer generation, RNG stream, and
-    /// counters — for a world snapshot.
-    pub fn snapshot_into(&self, enc: &mut WireEncoder) {
+    /// counters — for a world snapshot. The queue is written in order by
+    /// `put`, one frame per handle: handles and sizes are the wiring's.
+    pub fn snapshot_into(
+        &self,
+        enc: &mut WireEncoder,
+        mut put: impl FnMut(&mut WireEncoder, FrameHandle),
+    ) {
         match self.state {
             State::Idle => enc.u8(0),
             State::WaitIdle => enc.u8(1),
@@ -398,10 +413,7 @@ impl Dcf {
             }
             State::Transmitting => enc.u8(4),
         }
-        enc.seq(&self.queue, |enc, &(handle, bytes)| {
-            enc.u64(handle.0);
-            enc.usize(bytes);
-        });
+        enc.seq(&self.queue, |enc, &(handle, _)| put(enc, handle));
         enc.option(self.backoff_slots, WireEncoder::u32);
         enc.bool(self.medium_busy);
         enc.time(self.idle_since);
@@ -411,8 +423,14 @@ impl Dcf {
         self.stats.snapshot_into(enc);
     }
 
-    /// Rebuilds a MAC from [`snapshot_into`](Self::snapshot_into) output.
-    pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<Dcf, WireError> {
+    /// Rebuilds a MAC from [`snapshot_into`](Self::snapshot_into) output;
+    /// `get` reads one queued frame, at least `min_bytes` of input, and
+    /// returns the handle and size the MAC queues it under.
+    pub fn restore_snapshot<'a>(
+        dec: &mut WireDecoder<'a>,
+        min_bytes: usize,
+        get: impl FnMut(&mut WireDecoder<'a>) -> Result<(FrameHandle, usize), WireError>,
+    ) -> Result<Dcf, WireError> {
         let (tag, invalid) = dec.tag("DCF state tag")?;
         let state = match tag {
             0 => State::Idle,
@@ -425,11 +443,9 @@ impl Dcf {
             4 => State::Transmitting,
             _ => return Err(invalid),
         };
-        Ok(Dcf {
+        let dcf = Dcf {
             state,
-            queue: dec
-                .seq(16, |dec| Ok((FrameHandle(dec.u64()?), dec.usize()?)))?
-                .into(),
+            queue: dec.seq(min_bytes, get)?.into(),
             backoff_slots: dec.option(WireDecoder::u32)?,
             medium_busy: dec.bool()?,
             idle_since: dec.time()?,
@@ -437,7 +453,14 @@ impl Dcf {
             rng: dec.rng()?,
             transmitted: dec.u64()?,
             stats: MacStats::restore_snapshot(dec)?,
-        })
+        };
+        // Only a finished backoff idles, and timers run on an idle medium.
+        let idle_in_backoff = dcf.state == State::Idle && dcf.backoff_slots.is_some();
+        if idle_in_backoff || dcf.awaits_timer() && dcf.medium_busy {
+            let what = "DCF state contradicts its backoff or carrier view";
+            return Err(WireError { what, ..invalid });
+        }
+        Ok(dcf)
     }
 
     /// Draws a post/deferral backoff counter if none is pending.
@@ -764,15 +787,42 @@ mod tests {
     #[test]
     fn a_timer_generation_past_u32_is_refused() {
         let mut enc = WireEncoder::new();
-        mac().snapshot_into(&mut enc);
+        mac().snapshot_into(&mut enc, |_, _| unreachable!("the queue is empty"));
         let mut bytes = enc.into_bytes();
-        assert!(Dcf::restore_snapshot(&mut WireDecoder::new(&bytes)).is_ok());
+        let restore = |bytes: &[u8]| {
+            Dcf::restore_snapshot(&mut WireDecoder::new(bytes), 1, |_| {
+                unreachable!("the queue is empty")
+            })
+        };
+        assert!(restore(&bytes).is_ok());
         // State tag, empty queue, no backoff, carrier flag, idle since.
         let at = 1 + 8 + 1 + 1 + 8;
         bytes[at..at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let err = Dcf::restore_snapshot(&mut WireDecoder::new(&bytes)).unwrap_err();
+        let err = restore(&bytes).unwrap_err();
         let what = "MAC timer generation above u32::MAX";
         assert_eq!((err.at, err.what), (at, what));
+    }
+
+    /// An idle MAC holding a backoff, and DIFS or backoff on a busy
+    /// medium, are states no input sequence reaches; the first input that
+    /// meets one trips a debug assertion, so restore refuses both.
+    #[test]
+    fn a_state_its_backoff_or_carrier_view_contradicts_is_refused() {
+        let restore = |m: &Dcf| {
+            let mut enc = WireEncoder::new();
+            m.snapshot_into(&mut enc, |_, _| unreachable!("the queue is empty"));
+            let mut dec = WireDecoder::new(enc.as_slice());
+            Dcf::restore_snapshot(&mut dec, 1, |_| unreachable!("the queue is empty")).map(drop)
+        };
+        assert_eq!(restore(&mac()), Ok(()));
+        let mut idle = mac();
+        idle.backoff_slots = Some(3);
+        let mut difs = mac();
+        (difs.state, difs.medium_busy) = (State::Difs, true);
+        let what = "DCF state contradicts its backoff or carrier view";
+        for m in [idle, difs] {
+            assert_eq!(restore(&m), Err(WireError { at: 0, what }));
+        }
     }
 
     #[test]

@@ -481,10 +481,11 @@ impl<E> EventQueue<E> {
         held.filter(|entry| !self.cancelled.contains(&entry.seq))
     }
 
-    /// The pending (non-cancelled) entries as `(time, event)`, in no
-    /// particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.live().map(|entry| (entry.time, &entry.event))
+    /// The pending (non-cancelled) entries as `(key, time, event)`, in no
+    /// particular order: a resumed owner re-derives the keys it holds here.
+    pub fn iter(&self) -> impl Iterator<Item = (EventKey, SimTime, &E)> {
+        self.live()
+            .map(|entry| (EventKey(entry.seq), entry.time, &entry.event))
     }
 
     /// Appends a complete image of the queue to a snapshot: the counters

@@ -14,9 +14,8 @@
 //!   `u64`.
 //! * `f64` travels as its IEEE-754 bit pattern, so round-trips are exact
 //!   (including `-0.0`, infinities, and NaN payloads).
-//! * [`SimTime`] and [`SimDuration`] travel as `u64` nanoseconds, an
-//!   [`EventKey`] as its `u64` sequence number, a [`SimRng`] as its four
-//!   `u64` state words (all-zero is refused).
+//! * [`SimTime`] and [`SimDuration`] travel as `u64` nanoseconds, a
+//!   [`SimRng`] as its four `u64` state words (all-zero is refused).
 //! * Strings and byte slices are length-prefixed (`u64` count, then raw
 //!   bytes).
 //! * A sequence is a `u64` element count followed by the elements. The
@@ -49,7 +48,6 @@
 
 use std::fmt;
 
-use crate::queue::EventKey;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -150,11 +148,6 @@ impl WireEncoder {
     /// Appends a duration as `u64` nanoseconds.
     pub fn duration(&mut self, value: SimDuration) {
         self.u64(value.as_nanos());
-    }
-
-    /// Appends an event key as its `u64` sequence number.
-    pub fn key(&mut self, value: EventKey) {
-        self.u64(value.as_raw());
     }
 
     /// Appends a generator's stream position (four `u64` words).
@@ -340,11 +333,6 @@ impl<'a> WireDecoder<'a> {
     /// Reads a duration.
     pub fn duration(&mut self) -> Result<SimDuration, WireError> {
         self.u64().map(SimDuration::from_nanos)
-    }
-
-    /// Reads an event key.
-    pub fn key(&mut self) -> Result<EventKey, WireError> {
-        self.u64().map(EventKey::from_raw)
     }
 
     /// Reads a generator's stream position, rejecting the all-zero state
@@ -533,7 +521,6 @@ mod tests {
         let mut enc = WireEncoder::new();
         enc.time(SimTime::from_millis(3));
         enc.duration(SimDuration::from_micros(7));
-        enc.key(EventKey::from_raw(11));
         enc.rng(&rng);
         enc.option(Some(5u32), WireEncoder::u32);
         enc.option(None, WireEncoder::u32);
@@ -545,7 +532,6 @@ mod tests {
         let mut dec = WireDecoder::new(&bytes);
         assert_eq!(dec.time().unwrap(), SimTime::from_millis(3));
         assert_eq!(dec.duration().unwrap(), SimDuration::from_micros(7));
-        assert_eq!(dec.key().unwrap(), EventKey::from_raw(11));
         assert_eq!(dec.rng().unwrap().state(), rng.state());
         assert_eq!(dec.option(WireDecoder::u32).unwrap(), Some(5));
         assert_eq!(dec.option(WireDecoder::u32).unwrap(), None);

@@ -247,9 +247,12 @@ prop_check! {
             assert_eq!(q.now().as_nanos(), model.now, "step {step}: now");
             assert_eq!(q.len(), model.entries.len(), "step {step}: len");
             assert_eq!(q.is_empty(), model.entries.is_empty(), "step {step}");
-            let mut live: Vec<(u64, u32)> = q.iter().map(|(t, &e)| (t.as_nanos(), e)).collect();
+            let mut live: Vec<(u64, u64, u32)> = q
+                .iter()
+                .map(|(key, t, &e)| (t.as_nanos(), key.as_raw(), e))
+                .collect();
             live.sort_unstable();
-            let mut want: Vec<(u64, u32)> = model.live().map(|&(t, _, e)| (t, e)).collect();
+            let mut want: Vec<(u64, u64, u32)> = model.live().copied().collect();
             want.sort_unstable();
             assert_eq!(live, want, "step {step}: live entries");
             assert_eq!(image(&q), model.image(), "step {step}: encoded image");
