@@ -194,6 +194,18 @@ impl SimConfig {
             .unwrap_or_else(|| self.map().paper_max_speed_kmh())
     }
 
+    /// The interval policy the hosts beacon HELLOs under, or `None` when
+    /// the run sends none: oracle neighbor information, or a scheme that
+    /// reads no neighbor state. Only then does a host keep HELLO state.
+    pub(crate) fn hello_policy(&self) -> Option<HelloIntervalPolicy> {
+        let reads_neighbors =
+            self.scheme.needs_neighbor_count() || self.scheme.needs_two_hop_hellos();
+        match self.neighbor_info {
+            NeighborInfo::Hello(policy) if reads_neighbors => Some(policy),
+            _ => None,
+        }
+    }
+
     /// Checks internal consistency.
     ///
     /// # Errors

@@ -29,7 +29,7 @@ use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationT
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
 
-use crate::config::{NeighborInfo, SimConfig};
+use crate::config::SimConfig;
 use crate::ids::PacketId;
 use crate::ledger::{ActivePacket, PacketLedger, PacketView};
 use crate::metrics::SuppressionCounts;
@@ -222,12 +222,15 @@ pub enum Effect {
 #[derive(Debug)]
 pub struct PureModels {
     scheme: SchemeSpec,
+    /// The HELLO interval policy; `None` when the run sends no HELLOs,
+    /// and then no host has a table, tracker or published list.
     hello_policy: Option<HelloIntervalPolicy>,
     needs_count: bool,
     needs_two_hop: bool,
     /// Per-host packet progress, host-indexed.
     ledgers: Vec<PacketLedger>,
-    /// Per-host HELLO-derived neighbor tables, host-indexed.
+    /// Per-host HELLO-derived neighbor tables, host-indexed (empty when
+    /// the run sends no HELLOs).
     tables: Vec<NeighborTable>,
     /// The neighbor list each host last advertised, sender-indexed and
     /// shared by every table that heard it. A cache, never encoded, sized
@@ -237,7 +240,8 @@ pub struct PureModels {
     /// never shared. A resume leaves in each slot the last list it
     /// restored for that sender ([`publish_restored`](Self::publish_restored)).
     published: Vec<Rc<[NodeId]>>,
-    /// Per-host neighborhood-variation trackers, host-indexed.
+    /// Per-host neighborhood-variation trackers, host-indexed (empty when
+    /// the run sends no HELLOs).
     trackers: Vec<VariationTracker>,
     /// Scheme decisions tallied as the pure transitions make them.
     suppression: SuppressionCounts,
@@ -259,12 +263,7 @@ impl PureModels {
     pub(crate) fn without_hosts(cfg: &SimConfig) -> Self {
         PureModels {
             scheme: cfg.scheme.clone(),
-            hello_policy: match cfg.neighbor_info {
-                NeighborInfo::Hello(policy) => Some(policy),
-                NeighborInfo::Oracle => None,
-            },
-            // (HelloIntervalPolicy is Copy, so the match above copies out
-            // of the borrowed config.)
+            hello_policy: cfg.hello_policy(),
             needs_count: cfg.scheme.needs_neighbor_count(),
             needs_two_hop: cfg.scheme.needs_two_hop_hellos(),
             ledgers: Vec::new(),
@@ -276,13 +275,16 @@ impl PureModels {
         }
     }
 
-    /// Gives hosts `0..hosts` fresh protocol state where they have none.
+    /// Gives hosts `0..hosts` fresh protocol state where they have none:
+    /// a ledger, and HELLO state when the run sends HELLOs.
     pub(crate) fn grow_to(&mut self, hosts: usize) {
         if hosts > self.ledgers.len() {
             self.ledgers.resize_with(hosts, PacketLedger::new);
-            self.tables.resize_with(hosts, NeighborTable::new);
-            self.published.resize_with(hosts, Rc::default);
-            self.trackers.resize_with(hosts, VariationTracker::new);
+            if self.hello_policy.is_some() {
+                self.tables.resize_with(hosts, NeighborTable::new);
+                self.published.resize_with(hosts, Rc::default);
+                self.trackers.resize_with(hosts, VariationTracker::new);
+            }
         }
     }
 
@@ -298,7 +300,7 @@ impl PureModels {
             }
             PureAction::HelloPrepare { node } => {
                 self.expire_neighbors(node, now, fx);
-                let policy = self.hello_policy.expect("hello timer fired in oracle mode");
+                let policy = self.hello_policy.expect("hello timer fired without HELLOs");
                 let i = node.index();
                 let count = self.tables[i].neighbor_count();
                 let interval = policy.current_interval(&mut self.trackers[i], count, now);
@@ -374,12 +376,16 @@ impl PureModels {
                 if crash {
                     // A crash loses everything above the radio; a graceful
                     // leave keeps the host's memory for its return.
-                    let joins = self.tables[i].join_count();
-                    let leaves = self.tables[i].leave_count();
-                    self.tables[i] = NeighborTable::new();
-                    self.trackers[i] = VariationTracker::new();
+                    let table = self.tables.get_mut(i).map(std::mem::take);
+                    let table = table.unwrap_or_default();
+                    if let Some(tracker) = self.trackers.get_mut(i) {
+                        *tracker = VariationTracker::new();
+                    }
                     self.ledgers[i] = PacketLedger::new();
-                    fx.push(Effect::RetireCounters { joins, leaves });
+                    fx.push(Effect::RetireCounters {
+                        joins: table.join_count(),
+                        leaves: table.leave_count(),
+                    });
                 }
             }
         }
@@ -400,6 +406,15 @@ impl PureModels {
                     PacketView::Active(ActivePacket::Assessing(_)) => None,
                     _ => Some("AssessmentFired at a host not assessing the packet"),
                 }
+            }
+            _ if self.hello_policy.is_some() => None,
+            PureAction::HelloPrepare { .. } | PureAction::HelloHeard { .. } => {
+                Some("a HELLO action in a run that sends no HELLOs")
+            }
+            PureAction::PacketHeard { oracle: None, .. }
+                if self.needs_count || self.needs_two_hop =>
+            {
+                Some("PacketHeard without the oracle view its scheme reads")
             }
             _ => None,
         }

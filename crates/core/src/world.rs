@@ -16,7 +16,7 @@
 
 use manet_geom::Vec2;
 use manet_mac::timing::SLOT;
-use manet_mac::{frame_airtime, Dcf, FrameHandle, MacAction, MacStats};
+use manet_mac::{frame_airtime, Dcf, FrameHandle, MacAction, MacCounters, MacStats, DRAW_VALUES};
 use manet_mobility::{
     grid_placement, line_placement, uniform_placement, Mobility, RandomTurn, RandomTurnParams,
     RandomWaypoint, RandomWaypointParams, Segment, Stationary, PAPER_RADIO_RADIUS_M,
@@ -180,6 +180,16 @@ impl Node {
         FrameHandle(u64::from(self.outgoing.insert(payload)))
     }
 
+    /// Remembers the pending wakeup of `packet`'s assessment. A host
+    /// rarely assesses two packets at once: the first gets one slot, not
+    /// the four a growing `Vec` starts with.
+    fn push_assessment(&mut self, packet: PacketId, key: EventKey) {
+        if self.assessing.capacity() == 0 {
+            self.assessing.reserve_exact(1);
+        }
+        self.assessing.push((packet, key));
+    }
+
     /// Forgets and returns the pending wakeup of `packet`'s assessment.
     fn take_assessment(&mut self, packet: PacketId) -> EventKey {
         let i = self.assessing.iter().position(|&(p, _)| p == packet);
@@ -224,9 +234,9 @@ struct ScenarioState {
     respawn_seq: u64,
     /// What the scenario did, reported in [`SimReport::scenario`].
     counts: ScenarioCounts,
-    /// MAC stats of replaced (crashed/left) MAC instances, folded into
+    /// Counters of replaced (crashed/left) MAC instances, folded into
     /// the final report alongside the live MACs'.
-    retired_mac: MacStats,
+    retired_mac: MacCounters,
     /// Neighbor-table join/leave totals of tables reset by crashes.
     retired_joins: u64,
     retired_leaves: u64,
@@ -265,6 +275,9 @@ pub struct World {
     nodes: Vec<Node>,
     medium: Medium,
     metrics: MetricsCollector,
+    /// How often every MAC of the run drew each backoff value (see
+    /// [`World::drive_mac`]), reported as [`MacStats::draw_counts`].
+    draw_counts: [u64; DRAW_VALUES],
     /// All pure protocol state; advanced only via [`World::dispatch`].
     pure: PureModels,
     /// Effect buffer for [`World::dispatch`]. Dispatch never nests (no
@@ -394,8 +407,7 @@ impl World {
         };
         let max_speed = config.effective_max_speed_kmh();
 
-        let hellos_enabled = matches!(config.neighbor_info, NeighborInfo::Hello(_))
-            && (config.scheme.needs_neighbor_count() || config.scheme.needs_two_hop_hellos());
+        let hellos_enabled = config.hello_policy().is_some();
 
         let mut queue = EventQueue::new();
         let mut nodes = Vec::with_capacity(hosts);
@@ -462,7 +474,7 @@ impl World {
                 respawn_rng: root.fork(Stream::ScenarioRespawn as u64),
                 respawn_seq: 0,
                 counts: ScenarioCounts::default(),
-                retired_mac: MacStats::default(),
+                retired_mac: MacCounters::default(),
                 retired_joins: 0,
                 retired_leaves: 0,
             }
@@ -497,6 +509,7 @@ impl World {
                 medium
             },
             metrics: MetricsCollector::new(hosts),
+            draw_counts: [0; DRAW_VALUES],
             pure,
             fx: Vec::new(),
             fx_leaf: Vec::new(),
@@ -658,7 +671,7 @@ impl World {
     /// Consumes the (finished or paused) world, harvesting the per-host
     /// stacks into the aggregated [`SimReport`].
     pub fn into_report(self) -> SimReport {
-        let mut mac = MacStats::default();
+        let mut mac = MacCounters::default();
         let (joins, leaves) = self.pure.net_totals();
         let mut net = NetActivity {
             hello_sent: self.hello_frames,
@@ -675,6 +688,7 @@ impl World {
             net.neighbor_leaves += st.retired_leaves;
             st.counts
         });
+        let mac = MacStats::new(mac, self.draw_counts);
 
         let outcomes = self.metrics.outcomes();
         let (re, srb, latency) = summarize(&outcomes);
@@ -723,8 +737,7 @@ impl World {
                 if epoch != self.current_epoch(node) {
                     return;
                 }
-                let actions = self.nodes[node.index()].mac.on_timer(generation, now);
-                self.process_mac_action(node, actions, now);
+                self.drive_mac(node, now, |mac| mac.on_timer(generation, now));
             }
             Event::TxEnd { frame } => self.finish_transmission(frame, now),
             Event::AssessmentDone { node, packet } => {
@@ -811,10 +824,8 @@ impl World {
                     neighbors,
                 };
                 let bytes = payload.air_bytes();
-                let n = &mut self.nodes[node.index()];
-                let handle = n.queue_payload(Payload::Hello(payload));
-                let actions = n.mac.enqueue(handle, bytes, now);
-                self.process_mac_action(node, actions, now);
+                let handle = self.nodes[node.index()].queue_payload(Payload::Hello(payload));
+                self.drive_mac(node, now, |mac| mac.enqueue(handle, bytes, now));
                 // Re-arm with a small jitter so beacons do not phase-lock.
                 let jitter_num = self.proto_rng.gen_range_u32(95..106);
                 let next = interval * u64::from(jitter_num) / 100;
@@ -837,7 +848,7 @@ impl World {
                 let key = self
                     .queue
                     .schedule(now + delay, Event::AssessmentDone { node, packet });
-                self.nodes[node.index()].assessing.push((packet, key));
+                self.nodes[node.index()].push_assessment(packet, key);
             }
             Effect::CancelAssessment { node, packet, .. } => {
                 let key = self.nodes[node.index()].take_assessment(packet);
@@ -858,10 +869,8 @@ impl World {
             Effect::EnqueueRebroadcast { node, packet } => {
                 // S2 continued: submit to the MAC. An immediate `BeginTx`
                 // marks the packet done via `FrameSent`.
-                let n = &mut self.nodes[node.index()];
-                let handle = n.queue_payload(Payload::Broadcast(packet));
-                let actions = n.mac.enqueue(handle, PACKET_BYTES, now);
-                self.process_mac_action(node, actions, now);
+                let handle = self.nodes[node.index()].queue_payload(Payload::Broadcast(packet));
+                self.drive_mac(node, now, |mac| mac.enqueue(handle, PACKET_BYTES, now));
             }
             Effect::RetireCounters { joins, leaves } => {
                 let st = self.scenario_mut();
@@ -918,10 +927,8 @@ impl World {
                 packet,
             },
         );
-        let node = &mut self.nodes[source.index()];
-        let handle = node.queue_payload(Payload::Broadcast(packet));
-        let actions = node.mac.enqueue(handle, PACKET_BYTES, now);
-        self.process_mac_action(source, actions, now);
+        let handle = self.nodes[source.index()].queue_payload(Payload::Broadcast(packet));
+        self.drive_mac(source, now, |mac| mac.enqueue(handle, PACKET_BYTES, now));
 
         if self.metrics.issued() < self.cfg.broadcasts {
             let gap = self
@@ -949,6 +956,24 @@ impl World {
     }
 
     // ---- MAC / channel wiring --------------------------------------------
+
+    /// Feeds one input to `node`'s MAC and executes the action it asks
+    /// for. An input draws at most one backoff; a draw is folded into the
+    /// run's histogram here, so a MAC keeps only its latest.
+    fn drive_mac(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        input: impl FnOnce(&mut Dcf) -> Option<MacAction>,
+    ) {
+        let mac = &mut self.nodes[node.index()].mac;
+        let draws = mac.stats().backoff_draws;
+        let action = input(mac);
+        if mac.stats().backoff_draws != draws {
+            self.draw_counts[mac.last_draw() as usize] += 1;
+        }
+        self.process_mac_action(node, action, now);
+    }
 
     fn process_mac_action(&mut self, node: NodeId, action: Option<MacAction>, now: SimTime) {
         match action {
@@ -1082,13 +1107,13 @@ impl World {
         if !self.is_active(node) {
             return;
         }
-        let mac = &mut self.nodes[node.index()].mac;
-        let action = if busy {
-            mac.on_medium_busy(now)
-        } else {
-            mac.on_medium_idle(now)
-        };
-        self.process_mac_action(node, action, now);
+        self.drive_mac(node, now, |mac| {
+            if busy {
+                mac.on_medium_busy(now)
+            } else {
+                mac.on_medium_idle(now)
+            }
+        });
     }
 
     fn finish_transmission(&mut self, frame: FrameId, now: SimTime) {
@@ -1105,8 +1130,7 @@ impl World {
         // `finish` use disjoint scratch buffers. A sender that deactivated
         // mid-flight is skipped: its current MAC never started this frame.
         if in_flight.sender_epoch == self.current_epoch(source) {
-            let actions = self.nodes[source.index()].mac.on_tx_end(now);
-            self.process_mac_action(source, actions, now);
+            self.drive_mac(source, now, |mac| mac.on_tx_end(now));
         }
 
         if let Payload::Broadcast(packet) = in_flight.payload {
@@ -1206,11 +1230,9 @@ impl World {
             .expect("scenario event without scenario state")
     }
 
-    /// Whether this run beacons HELLOs at all (mirrors the construction-
-    /// time decision in [`World::new`]).
+    /// Whether this run beacons HELLOs at all.
     fn hellos_enabled(&self) -> bool {
-        matches!(self.cfg.neighbor_info, NeighborInfo::Hello(_))
-            && (self.cfg.scheme.needs_neighbor_count() || self.cfg.scheme.needs_two_hop_hellos())
+        self.cfg.hello_policy().is_some()
     }
 
     /// Applies the scenario timeline entry at `index`.
@@ -1344,8 +1366,7 @@ impl World {
         // The fresh MAC boots believing the medium is idle; correct that
         // if a neighbor's frame is airing over this host right now.
         if self.medium.is_carrier_busy(node) {
-            let action = self.nodes[idx].mac.on_medium_busy(now);
-            self.process_mac_action(node, action, now);
+            self.drive_mac(node, now, |mac| mac.on_medium_busy(now));
         }
         if self.hellos_enabled() {
             let at = now + phase;

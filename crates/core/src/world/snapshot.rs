@@ -32,21 +32,23 @@
 //! version `u32`; the config; event queue (counters, then `(time,
 //! seq, event)` entries); workload and protocol RNG states; the metrics
 //! collector, which every packet written after it must have issued; per
-//! host, the MAC with its queued payloads in queue order, and the mobility
-//! state; the medium; the pure models (ledgers, neighbor tables, variation
-//! trackers, suppression tallies); each frame on the air's payload, send
-//! position and churn epoch, in the medium's order; the delayed
-//! carrier-report batches; the workload scalars; and, when the config has
-//! a scenario, its state. What the config fixes (the host count, whether
-//! a scenario runs) is not written again, and each fact is written once:
-//! what links one part of the world to another — MAC frame handles, the
-//! keys of pending HELLO and assessment wakeups, a frame's sender, the
-//! broadcast counter — is re-derived on resume. Only the medium and the
-//! carrier batches keep their slab layout, because queued events name
-//! their slots.
+//! host, the MAC with its queued payloads in queue order and its seven
+//! counters, and the mobility state; the medium; the pure models (ledgers,
+//! neighbor tables, variation trackers, suppression tallies — a run without
+//! HELLOs keeps no tables or trackers and writes each host's empty, which
+//! resume insists on); each frame on the air's payload, send position and
+//! churn epoch, in the medium's order; the delayed carrier-report batches;
+//! the workload scalars and the run's backoff histogram, which must count
+//! the MACs' draws; and, when the config has a scenario, its state. What
+//! the config fixes (the host count, whether a scenario runs) is not
+//! written again, and each fact is written once: what links one part of
+//! the world to another — MAC frame handles, the keys of pending HELLO and
+//! assessment wakeups, a frame's sender, the broadcast counter — is
+//! re-derived on resume. Only the medium and the carrier batches keep
+//! their slab layout, because queued events name their slots.
 
 use manet_geom::Vec2;
-use manet_mac::{decode_generation, Dcf, FrameHandle, MacStats};
+use manet_mac::{decode_generation, Dcf, FrameHandle, MacCounters};
 use manet_mobility::Mobility;
 use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
@@ -63,10 +65,18 @@ use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
 /// Magic bytes opening a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
 /// Current snapshot format version. Version 1 kept each radio's list of
-/// incoming frames, version 2 a write-only config fingerprint and version
-/// 3 the queue keys and MAC handles of the links resume now re-derives
-/// (DESIGN.md §12); all three are refused by name.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// incoming frames, version 2 a write-only config fingerprint, version 3
+/// the queue keys and MAC handles of the links resume now re-derives and
+/// version 4 a backoff histogram per MAC (DESIGN.md §12); all four are
+/// refused by name.
+pub const SNAPSHOT_VERSION: u32 = 5;
+
+/// The fewest bytes one host adds to a checkpoint body, as a stationary
+/// host of a fresh world writes them: its MAC with an empty queue and no
+/// backoff (123), mobility tag (1), empty ledger (8), neighbor table (25)
+/// and variation tracker (8). Resume refuses a host count the body cannot
+/// hold before it sizes anything by it.
+const MIN_HOST_BYTES: usize = 165;
 
 /// The configuration a snapshot was taken under, read from its header:
 /// what `manet-sim --resume FILE` resumes with.
@@ -87,6 +97,7 @@ fn expect_version(dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         1 => "snapshot version 1 is retired (a frame list per radio); take a new snapshot",
         2 => "snapshot version 2 is retired (a config fingerprint); take a new snapshot",
         3 => "snapshot version 3 is retired (queue keys and MAC handles); take a new snapshot",
+        4 => "snapshot version 4 is retired (a backoff histogram per MAC); take a new snapshot",
         _ => "unsupported snapshot version",
     };
     Err(WireError { at: 4, what })
@@ -110,11 +121,13 @@ impl World {
         for ledger in ledgers {
             ledger.encode(&mut enc, |enc, state| encode_state(enc, state, scheme));
         }
-        for table in tables {
-            table.snapshot_into(&mut enc);
+        // A run without HELLOs holds none: each host's is written empty.
+        let (table, tracker) = (NeighborTable::new(), VariationTracker::new());
+        for i in 0..self.nodes.len() {
+            tables.get(i).unwrap_or(&table).snapshot_into(&mut enc);
         }
-        for tracker in trackers {
-            tracker.snapshot_into(&mut enc);
+        for i in 0..self.nodes.len() {
+            trackers.get(i).unwrap_or(&tracker).snapshot_into(&mut enc);
         }
         encode_suppression(&mut enc, suppression);
 
@@ -137,6 +150,9 @@ impl World {
         enc.u64(self.hello_rx);
         enc.time(self.last_event_at);
         enc.bool(self.finished);
+        for &count in &self.draw_counts {
+            enc.u64(count);
+        }
 
         if let Some(st) = &self.scenario {
             encode_scenario_state(&mut enc, st);
@@ -186,9 +202,9 @@ impl World {
             own.as_slice(),
             "snapshot was taken under a different config",
         )?;
-        // Every host writes bytes of its own below: a body shorter than the
-        // host count is refused before `World::new` sizes anything by it.
-        if config.hosts as usize > bytes.len() - dec.position() {
+        // Every host writes bytes of its own below: a body too short for
+        // the host count is refused before `World::new` sizes anything by it.
+        if (config.hosts as usize).saturating_mul(MIN_HOST_BYTES) > bytes.len() - dec.position() {
             let what = "snapshot body too short for its host count";
             return Err(WireError { at, what });
         }
@@ -241,19 +257,25 @@ impl World {
                 Ok(ledger)
             })
             .collect::<Result<_, _>>()?;
-        // Each two-hop list is interned by content, so the restored tables
-        // share lists as the paused ones did.
-        let (pure, mut restored) = (&mut world.pure, vec![Vec::new(); hosts]);
-        let tables = (0..hosts)
-            .map(|_| {
-                NeighborTable::restore_snapshot(&mut dec, |h, list| {
-                    pure.publish_restored(h, list, &mut restored)
+        let (tables, trackers) = if world.hellos_enabled() {
+            // Each two-hop list is interned by content, so the restored
+            // tables share lists as the paused ones did.
+            let (pure, mut restored) = (&mut world.pure, vec![Vec::new(); hosts]);
+            let tables = (0..hosts)
+                .map(|_| {
+                    NeighborTable::restore_snapshot(&mut dec, |h, list| {
+                        pure.publish_restored(h, list, &mut restored)
+                    })
                 })
-            })
-            .collect::<Result<_, _>>()?;
-        let trackers = (0..hosts)
-            .map(|_| VariationTracker::restore_snapshot(&mut dec))
-            .collect::<Result<_, _>>()?;
+                .collect::<Result<_, _>>()?;
+            let trackers = (0..hosts)
+                .map(|_| VariationTracker::restore_snapshot(&mut dec))
+                .collect::<Result<_, _>>()?;
+            (tables, trackers)
+        } else {
+            expect_empty_hello_state(&mut dec, hosts)?;
+            (Vec::new(), Vec::new())
+        };
         let suppression = decode_suppression(&mut dec)?;
         world
             .pure
@@ -285,6 +307,10 @@ impl World {
         world.hello_rx = dec.u64()?;
         world.last_event_at = dec.time()?;
         world.finished = dec.bool()?;
+        let histogram_at = dec.position();
+        for count in &mut world.draw_counts {
+            *count = dec.u64()?;
+        }
 
         if let Some(st) = world.scenario.as_mut() {
             restore_scenario_state(&mut dec, st)?;
@@ -293,6 +319,7 @@ impl World {
         dec.finish()?;
         world.link_queued_events(queue_at, pure_at, batches_at)?;
         check_frames_on_air(&world, medium_at)?;
+        check_draw_counts(&world, histogram_at)?;
         Ok(world)
     }
 
@@ -391,7 +418,7 @@ impl World {
                     if !up || !assessing || n.assessing.iter().any(|&(p, _)| p.seq == packet.seq) {
                         return refuse("an assessment wakeup its host is not assessing");
                     }
-                    n.assessing.push((packet, key));
+                    n.push_assessment(packet, key);
                 }
                 _ => {}
             }
@@ -481,6 +508,45 @@ fn check_frames_on_air(world: &World, at: usize) -> Result<(), WireError> {
     });
     if idle_sender {
         return refuse("a transmitting MAC has no frame on the air");
+    }
+    Ok(())
+}
+
+/// A run without HELLOs has no neighbor tables or trackers: each host's
+/// must be written empty, or the checkpoint is refused where it is not.
+fn expect_empty_hello_state(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<(), WireError> {
+    let mut table = WireEncoder::new();
+    NeighborTable::new().snapshot_into(&mut table);
+    for _ in 0..hosts {
+        let what = "a run without HELLOs carries a neighbor table";
+        dec.expect_bytes(table.as_slice(), what)?;
+    }
+    let mut tracker = WireEncoder::new();
+    VariationTracker::new().snapshot_into(&mut tracker);
+    for _ in 0..hosts {
+        let what = "a run without HELLOs carries a variation tracker";
+        dec.expect_bytes(tracker.as_slice(), what)?;
+    }
+    Ok(())
+}
+
+/// Checks the run's backoff histogram against the MACs it folds: it counts
+/// as many draws, and as many slots, as the live and retired MACs' counters
+/// do. A checkpoint breaking either is refused at the histogram, `at`.
+fn check_draw_counts(world: &World, at: usize) -> Result<(), WireError> {
+    let retired = world.scenario.as_ref().map(|st| &st.retired_mac);
+    let macs = world.nodes.iter().map(|n| n.mac.stats()).chain(retired);
+    let counted = macs.fold((0, 0), |(draws, slots), mac| {
+        let (d, s) = (mac.backoff_draws, mac.backoff_slots_total);
+        (draws + u128::from(d), slots + u128::from(s))
+    });
+    let histogram = (0..).zip(&world.draw_counts);
+    let folded = histogram.fold((0, 0), |(draws, slots), (value, &n)| {
+        (draws + u128::from(n), slots + value * u128::from(n))
+    });
+    if folded != counted {
+        let what = "the backoff histogram disagrees with the MACs' draw counters";
+        return Err(WireError { at, what });
     }
     Ok(())
 }
@@ -813,7 +879,7 @@ fn restore_scenario_state(
         partition_drops: dec.u64()?,
         noise_drops: dec.u64()?,
     };
-    st.retired_mac = MacStats::restore_snapshot(dec)?;
+    st.retired_mac = MacCounters::restore_snapshot(dec)?;
     st.retired_joins = dec.u64()?;
     st.retired_leaves = dec.u64()?;
     Ok(())
@@ -855,6 +921,21 @@ mod tests {
             }
         }
         assert!(shared > 0, "no two tables hold one sender's list");
+    }
+
+    /// [`MIN_HOST_BYTES`] is what one more host adds to the smallest
+    /// checkpoint there is: a fresh world of stationary hosts, whose MACs,
+    /// ledgers, tables and trackers are empty and queue no event.
+    #[test]
+    fn one_more_host_adds_min_host_bytes_to_the_smallest_checkpoint() {
+        let size = |hosts| {
+            let config = SimConfig::builder(3, SchemeSpec::Counter(3))
+                .hosts(hosts)
+                .mobility(crate::config::MobilitySpec::Stationary)
+                .build();
+            World::new(config).snapshot().len()
+        };
+        assert_eq!(size(9) - size(8), MIN_HOST_BYTES);
     }
 
     /// A queued event naming a host past the last, a carrier batch with no

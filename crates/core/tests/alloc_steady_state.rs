@@ -181,3 +181,27 @@ fn churn_allocates_per_churn_event() {
         );
     }
 }
+
+/// A host keeps only the state it reads. A world that sends no HELLOs
+/// builds no neighbor table, variation tracker or published two-hop list
+/// per host, and a host's queues allocate on first use: `World::new` of a
+/// 2 000-host oracle `counter:3` storm asks the allocator for its arrays
+/// and grid, not for a block per host. (Each host's published list was an
+/// `Rc` of its own: 2 000 requests.)
+#[test]
+fn a_world_without_hellos_allocates_nothing_per_host() {
+    const HOSTS: u32 = 2_000;
+    let config = SimConfig::builder(10, SchemeSpec::Counter(3))
+        .hosts(HOSTS)
+        .neighbor_info(NeighborInfo::Oracle)
+        .seed(7)
+        .build();
+    let (world, asked) = CountingAlloc::measure(|| World::new(config));
+    drop(world);
+    println!("World::new of {HOSTS} hosts: {} requests", asked.requests);
+    assert!(
+        asked.requests < u64::from(HOSTS) / 10,
+        "World::new of {HOSTS} hosts made {} requests",
+        asked.requests
+    );
+}

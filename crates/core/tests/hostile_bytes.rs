@@ -444,6 +444,97 @@ fn a_snapshot_header_read_back_is_refused_or_runs_a_second() {
     }
 }
 
+/// `World::new` sizes a world by the header's host count before one body
+/// byte is read, so resume bounds the count by what a host writes. The
+/// bound was one byte per host: a count just under the body's length
+/// passed it and built that many hosts (≈ 10⁶ from a 1 MB checkpoint, about
+/// 1 GB) before the body was refused. Now it is refused at the header,
+/// asking the allocator for no more than the honest resume does.
+#[test]
+fn a_host_count_the_body_cannot_hold_is_refused() {
+    let config = storm_config(SchemeSpec::Counter(3));
+    let mut world = World::new(config.clone());
+    world.advance(SimTime::from_millis(3_500));
+    let image = world.snapshot();
+    let limit = snapshot_limit(&config, &image);
+    let mut header = WireEncoder::new();
+    config.encode(&mut header);
+    // Magic, version and the config; the host count opens the config.
+    let body = image.len() - (8 + header.as_slice().len());
+    let hosts = u32::try_from(body - 1).expect("a small checkpoint");
+    let mut bytes = image.clone();
+    bytes[8..12].copy_from_slice(&hosts.to_le_bytes());
+    let claimed = snapshot::config_of(&bytes).expect("the patched header decodes");
+    assert_eq!(claimed.hosts, hosts);
+    let (outcome, asked) = CountingAlloc::measure(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            World::resume(claimed, &bytes).map(drop)
+        }))
+    });
+    let what = "snapshot body too short for its host count";
+    assert_eq!(outcome.ok(), Some(Err(WireError { at: 8, what })));
+    assert!(
+        asked.largest <= limit,
+        "{hosts} hosts from a {body}-byte body: {} bytes at once, limit {limit}",
+        asked.largest
+    );
+}
+
+/// A run without HELLOs keeps no neighbor table or variation tracker, and
+/// its checkpoint writes each host's empty. One carrying a non-empty table
+/// or tracker is refused where it stands, not dropped on resume. In a
+/// fresh world's checkpoint they lie just before the suppression tallies
+/// (7 × 8 bytes), an empty carrier-batch slab (12), the workload scalars
+/// (41) and the backoff histogram (32 × 8).
+#[test]
+fn hello_state_in_a_run_without_hellos_is_refused() {
+    use manet_net::{NeighborTable, VariationTracker};
+
+    // `counter:3` reads no neighbor state, so its hosts send no HELLOs.
+    let config = storm_config(SchemeSpec::Counter(3));
+    let hosts = config.hosts as usize;
+    let image = World::new(config.clone()).snapshot();
+    assert!(World::resume(config.clone(), &image).is_ok());
+    const TABLE: usize = 25;
+    const TRACKER: usize = 8;
+    let trackers = image.len() - (7 * 8 + 12 + 41 + 32 * 8) - hosts * TRACKER;
+    let tables = trackers - hosts * TABLE;
+    assert!(image[tables..trackers + hosts * TRACKER]
+        .iter()
+        .all(|&b| b == 0));
+
+    let at = SimTime::from_secs(1);
+    let mut table = NeighborTable::new();
+    table.record_hello(NodeId::new(1), at, SimDuration::from_secs(1), &[]);
+    let mut tracker = VariationTracker::new();
+    tracker.record_change(at);
+    let encoded = |put: &dyn Fn(&mut WireEncoder)| {
+        let mut enc = WireEncoder::new();
+        put(&mut enc);
+        enc.into_bytes()
+    };
+    let last_tracker = trackers + (hosts - 1) * TRACKER;
+    for (what, start, width, patch) in [
+        (
+            "table",
+            tables,
+            TABLE,
+            encoded(&|enc| table.snapshot_into(enc)),
+        ),
+        (
+            "tracker",
+            last_tracker,
+            TRACKER,
+            encoded(&|enc| tracker.snapshot_into(enc)),
+        ),
+    ] {
+        let bytes = [&image[..start], &patch, &image[start + width..]].concat();
+        let err = World::resume(config.clone(), &bytes).expect_err(what);
+        assert_eq!(err.at, start, "{what}: {err}");
+        assert!(err.what.ends_with(what), "{what}: {err}");
+    }
+}
+
 #[test]
 fn traces_survive_truncation_mutation_and_huge_lengths() {
     for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
@@ -908,6 +999,70 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
         replayed.ok(),
         Some(Err(ReplayError::Wire(WireError { at, what })))
     );
+}
+
+/// A run without HELLOs keeps no neighbor tables, so its trace may carry
+/// no HELLO action, nor, where its scheme reads neighbors (an oracle run),
+/// a hear without the oracle view. Each is refused at its record; replay
+/// used to step them through tables no such world keeps.
+#[test]
+fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
+    // `counter:3` under HELLO neighbor info reads no neighbor state.
+    let counter = churn_config();
+    let ac = SchemeSpec::parse("ac").expect("a scheme spelling");
+    let oracle = SimConfig::builder(1, ac)
+        .hosts(8)
+        .neighbor_info(NeighborInfo::Oracle)
+        .build();
+    let (node, sender) = (NodeId::new(0), NodeId::new(1));
+    let packet = PacketId::new(sender, 0);
+    let hello = PureAction::HelloHeard {
+        node,
+        sender,
+        interval: SimDuration::from_secs(1),
+        neighbors: &[],
+    };
+    let heard = PureAction::PacketHeard {
+        node,
+        packet,
+        sender,
+        sender_position: manet_geom::Vec2::ZERO,
+        own_position: manet_geom::Vec2::new(100.0, 0.0),
+        random_unit: 0.5,
+        oracle: None,
+    };
+    let originate = PureAction::Originate {
+        node: sender,
+        packet,
+    };
+    let no_hellos = "a HELLO action in a run that sends no HELLOs";
+    for (case, config, actions, what) in [
+        ("HelloHeard", &counter, vec![hello], no_hellos),
+        (
+            "HelloPrepare",
+            &counter,
+            vec![PureAction::HelloPrepare { node }],
+            no_hellos,
+        ),
+        (
+            "PacketHeard",
+            &oracle,
+            vec![originate, heard],
+            "PacketHeard without the oracle view its scheme reads",
+        ),
+    ] {
+        let mut writer = TraceWriter::new(config);
+        for action in &actions {
+            writer.action(SimTime::ZERO, action);
+        }
+        let record = actions.len() - 1;
+        let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
+        assert_eq!(
+            replayed.ok(),
+            Some(Err(ReplayError::Illegal { record, what })),
+            "{case}"
+        );
+    }
 }
 
 /// A trace that decodes but that no world could emit is refused at the

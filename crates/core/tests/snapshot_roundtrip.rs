@@ -75,6 +75,55 @@ fn resume_refuses_the_retired_version_3() {
     );
 }
 
+/// Version 4 kept a histogram of backoff draws in every MAC, 256 bytes a
+/// host; version 5 keeps one per run, and version 4 is refused by name at
+/// the version field.
+#[test]
+fn resume_refuses_the_retired_version_4() {
+    let mut world = World::new(adaptive_config(7));
+    world.advance(SimTime::from_secs(2));
+    let mut bytes = world.snapshot();
+    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    let err = World::resume(adaptive_config(7), &bytes).expect_err("version 4");
+    assert_eq!(err.at, 4);
+    assert!(
+        err.what.starts_with("snapshot version 4 is retired"),
+        "{err}"
+    );
+}
+
+/// The run's backoff histogram closes a scenario-free checkpoint (32
+/// `u64`s) and must count what the MACs' counters do: one draw more, or
+/// one draw moved to another value, is refused at the histogram.
+#[test]
+fn resume_refuses_a_histogram_the_macs_did_not_draw() {
+    let mut world = World::new(adaptive_config(7));
+    world.advance(SimTime::from_secs(12));
+    let bytes = world.snapshot();
+    let at = bytes.len() - 32 * 8;
+    let count = |bytes: &[u8], slot: usize| {
+        let field = &bytes[at + 8 * slot..at + 8 * slot + 8];
+        u64::from_le_bytes(field.try_into().expect("8 bytes"))
+    };
+    let set = |bytes: &mut [u8], slot: usize, value: u64| {
+        bytes[at + 8 * slot..at + 8 * slot + 8].copy_from_slice(&value.to_le_bytes());
+    };
+    assert!(count(&bytes, 1) > 0, "no draw of one slot by 12 s");
+    let mut extra = bytes.clone();
+    set(&mut extra, 0, count(&bytes, 0) + 1);
+    let mut moved = bytes.clone();
+    set(&mut moved, 0, count(&bytes, 0) + 1);
+    set(&mut moved, 1, count(&bytes, 1) - 1);
+    for (case, bytes) in [("one draw more", extra), ("one draw moved", moved)] {
+        let err = World::resume(adaptive_config(7), &bytes).expect_err(case);
+        assert_eq!(err.at, at, "{case}: {err}");
+        assert!(
+            err.what.starts_with("the backoff histogram"),
+            "{case}: {err}"
+        );
+    }
+}
+
 /// The header is the run's whole config: `config_of` reads back one that
 /// encodes to the same bytes, so resuming needs nothing but the file.
 /// Version 2, whose header was a write-only fingerprint, is refused by

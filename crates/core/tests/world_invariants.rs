@@ -90,6 +90,77 @@ fn blackout_drops_are_attributed() {
     assert_eq!(report.losses.injected, counts.injected_drops());
 }
 
+/// The run's backoff histogram counts every draw of every MAC, on every
+/// path into one, and of the MACs churn retires and respawns: it sums to `backoff_draws`, its
+/// slots to `backoff_slots_total`, and a run paused, checkpointed and
+/// resumed halfway reports what the uninterrupted one does. Each MAC kept
+/// its own histogram before the world took it over.
+#[test]
+fn the_backoff_histogram_counts_every_draw() {
+    let script = Scenario::parse(include_str!("../../../examples/scenarios/churn_quick.txt"))
+        .expect("the committed script parses");
+    let spellings = [
+        "flooding",
+        "counter:3",
+        "ac",
+        "distance:200",
+        "location:0.0134",
+        "al",
+        "nc",
+        "prob:0.7",
+    ];
+    let mut runs: Vec<(&str, SimConfig)> = spellings
+        .iter()
+        .map(|&spelling| {
+            let scheme = SchemeSpec::parse(spelling).expect("a scheme spelling");
+            let config = SimConfig::builder(3, scheme)
+                .hosts(60)
+                .broadcasts(6)
+                .seed(3)
+                .build();
+            (spelling, config)
+        })
+        .collect();
+    let churn = SimConfig::builder(3, SchemeSpec::Counter(3))
+        .broadcasts(30)
+        .scenario(script)
+        .seed(5)
+        .build();
+    runs.push(("counter:3 + churn script", churn));
+    // Beacons every 0.2 s land where a DIFS wait is cut short by a frame:
+    // the one carrier report that draws a backoff.
+    let frequent_hellos = SimConfig::builder(2, SchemeSpec::NeighborCoverage)
+        .hosts(100)
+        .broadcasts(10)
+        .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Fixed(
+            SimDuration::from_millis(200),
+        )))
+        .seed(3)
+        .build();
+    runs.push(("nc + 0.2 s HELLOs", frequent_hellos));
+    for (label, config) in runs {
+        let report = World::new(config.clone()).run();
+        let mac = report.mac;
+        assert!(mac.backoff_draws > 0, "{label}: no MAC drew a backoff");
+        assert_eq!(
+            mac.draw_counts.iter().sum::<u64>(),
+            mac.backoff_draws,
+            "{label}"
+        );
+        let slots: u64 = (0..).zip(&mac.draw_counts).map(|(s, &n)| s * n).sum();
+        assert_eq!(slots, mac.backoff_slots_total, "{label}");
+
+        let mut paused = World::new(config.clone());
+        paused.advance(SimTime::from_nanos((report.sim_seconds * 0.5e9) as u64));
+        let resumed = World::resume(config, &paused.snapshot()).expect("the checkpoint resumes");
+        assert_eq!(
+            format!("{:?}", resumed.run()),
+            format!("{report:?}"),
+            "{label}"
+        );
+    }
+}
+
 fn scheme(g: &mut Gen) -> SchemeSpec {
     match g.usize_in(0..7) {
         0 => SchemeSpec::Flooding,

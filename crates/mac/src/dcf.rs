@@ -57,8 +57,72 @@ pub enum MacAction {
 ///
 /// Pure bookkeeping — nothing here feeds back into the state machine, so
 /// the counters can be read (or merged across hosts) at any point without
-/// perturbing determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// perturbing determinism. The histogram of drawn values is not kept per
+/// MAC: the wiring folds each draw ([`Dcf::last_draw`]) into one per run,
+/// reported in [`MacStats::draw_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MacCounters {
+    /// Backoff counters drawn (post-transmission or deferral).
+    pub backoff_draws: u64,
+    /// Sum of all drawn backoff counters, in slots.
+    pub backoff_slots_total: u64,
+    /// Backoff countdowns frozen by the medium going busy.
+    pub freezes: u64,
+    /// Deferrals: transmission attempts pushed into backoff because the
+    /// medium was busy at enqueue or interrupted the DIFS wait.
+    pub deferrals: u64,
+    /// Frames accepted into the transmit queue.
+    pub enqueued: u64,
+    /// Frames removed from the queue by [`Dcf::cancel`] before airing.
+    pub cancelled: u64,
+    /// Largest transmit-queue depth observed.
+    pub max_queue_depth: u64,
+}
+
+impl MacCounters {
+    /// Serializes the counters for a world snapshot.
+    pub fn snapshot_into(&self, enc: &mut WireEncoder) {
+        enc.u64(self.backoff_draws);
+        enc.u64(self.backoff_slots_total);
+        enc.u64(self.freezes);
+        enc.u64(self.deferrals);
+        enc.u64(self.enqueued);
+        enc.u64(self.cancelled);
+        enc.u64(self.max_queue_depth);
+    }
+
+    /// Decodes counters written by [`snapshot_into`](Self::snapshot_into).
+    pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<MacCounters, WireError> {
+        Ok(MacCounters {
+            backoff_draws: dec.u64()?,
+            backoff_slots_total: dec.u64()?,
+            freezes: dec.u64()?,
+            deferrals: dec.u64()?,
+            enqueued: dec.u64()?,
+            cancelled: dec.u64()?,
+            max_queue_depth: dec.u64()?,
+        })
+    }
+
+    /// Folds another host's counters into this one (max for
+    /// `max_queue_depth`, sums elsewhere).
+    pub fn merge(&mut self, other: &MacCounters) {
+        self.backoff_draws += other.backoff_draws;
+        self.backoff_slots_total += other.backoff_slots_total;
+        self.freezes += other.freezes;
+        self.deferrals += other.deferrals;
+        self.enqueued += other.enqueued;
+        self.cancelled += other.cancelled;
+        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
+    }
+}
+
+/// Backoff values a draw can take: `0..=CW_MIN` slots.
+pub const DRAW_VALUES: usize = (CW_MIN + 1) as usize;
+
+/// A run's MAC activity: its hosts' [`MacCounters`] merged, and how often
+/// each backoff value was drawn.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MacStats {
     /// Backoff counters drawn (post-transmission or deferral).
     pub backoff_draws: u64,
@@ -77,58 +141,25 @@ pub struct MacStats {
     pub max_queue_depth: u64,
     /// Per-value draw counts: `draw_counts[s]` is how many backoff draws
     /// came out as `s` slots, for `s` in `0..=CW_MIN`.
-    pub draw_counts: [u64; (CW_MIN + 1) as usize],
-}
-
-impl Default for MacStats {
-    fn default() -> Self {
-        MacStats {
-            backoff_draws: 0,
-            backoff_slots_total: 0,
-            freezes: 0,
-            deferrals: 0,
-            enqueued: 0,
-            cancelled: 0,
-            max_queue_depth: 0,
-            draw_counts: [0; (CW_MIN + 1) as usize],
-        }
-    }
+    pub draw_counts: [u64; DRAW_VALUES],
 }
 
 impl MacStats {
-    /// Serializes the counters for a world snapshot.
-    pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        enc.u64(self.backoff_draws);
-        enc.u64(self.backoff_slots_total);
-        enc.u64(self.freezes);
-        enc.u64(self.deferrals);
-        enc.u64(self.enqueued);
-        enc.u64(self.cancelled);
-        enc.u64(self.max_queue_depth);
-        for &count in &self.draw_counts {
-            enc.u64(count);
+    /// Merged counters with the histogram of the draws they count.
+    pub fn new(counters: MacCounters, draw_counts: [u64; DRAW_VALUES]) -> Self {
+        MacStats {
+            backoff_draws: counters.backoff_draws,
+            backoff_slots_total: counters.backoff_slots_total,
+            freezes: counters.freezes,
+            deferrals: counters.deferrals,
+            enqueued: counters.enqueued,
+            cancelled: counters.cancelled,
+            max_queue_depth: counters.max_queue_depth,
+            draw_counts,
         }
     }
 
-    /// Decodes counters written by [`snapshot_into`](Self::snapshot_into).
-    pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<MacStats, WireError> {
-        let mut stats = MacStats {
-            backoff_draws: dec.u64()?,
-            backoff_slots_total: dec.u64()?,
-            freezes: dec.u64()?,
-            deferrals: dec.u64()?,
-            enqueued: dec.u64()?,
-            cancelled: dec.u64()?,
-            max_queue_depth: dec.u64()?,
-            draw_counts: [0; (CW_MIN + 1) as usize],
-        };
-        for count in &mut stats.draw_counts {
-            *count = dec.u64()?;
-        }
-        Ok(stats)
-    }
-
-    /// Folds another host's counters into this one (max for
+    /// Folds another run's stats into this one (max for
     /// `max_queue_depth`, sums elsewhere).
     pub fn merge(&mut self, other: &MacStats) {
         self.backoff_draws += other.backoff_draws;
@@ -194,7 +225,10 @@ pub struct Dcf {
     rng: SimRng,
     /// Frames handed to the air (statistics).
     transmitted: u64,
-    stats: MacStats,
+    stats: MacCounters,
+    /// The value of the latest backoff draw, in slots; read by the wiring
+    /// right after the input that drew it, so no snapshot carries it.
+    last_draw: u8,
 }
 
 impl Dcf {
@@ -209,13 +243,20 @@ impl Dcf {
             generation: 0,
             rng,
             transmitted: 0,
-            stats: MacStats::default(),
+            stats: MacCounters::default(),
+            last_draw: 0,
         }
     }
 
     /// Operation counters accumulated so far.
-    pub fn stats(&self) -> &MacStats {
+    pub fn stats(&self) -> &MacCounters {
         &self.stats
+    }
+
+    /// The latest backoff draw, in slots: what the input that last raised
+    /// [`MacCounters::backoff_draws`] drew (0 before any draw).
+    pub fn last_draw(&self) -> u32 {
+        u32::from(self.last_draw)
     }
 
     /// `true` while this host's own frame is on the air.
@@ -230,6 +271,11 @@ impl Dcf {
         payload_bytes: usize,
         now: SimTime,
     ) -> Option<MacAction> {
+        // A host rarely holds more than one frame: the first gets one
+        // slot, not the four a growing queue starts with.
+        if self.queue.capacity() == 0 {
+            self.queue.reserve_exact(1);
+        }
         self.queue.push_back((handle, payload_bytes));
         self.stats.enqueued += 1;
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len() as u64);
@@ -452,7 +498,8 @@ impl Dcf {
             generation: decode_generation(dec)?,
             rng: dec.rng()?,
             transmitted: dec.u64()?,
-            stats: MacStats::restore_snapshot(dec)?,
+            stats: MacCounters::restore_snapshot(dec)?,
+            last_draw: 0,
         };
         // Only a finished backoff idles, and timers run on an idle medium.
         let idle_in_backoff = dcf.state == State::Idle && dcf.backoff_slots.is_some();
@@ -469,7 +516,7 @@ impl Dcf {
             let slots = self.rng.gen_range_u32(0..CW_MIN + 1);
             self.stats.backoff_draws += 1;
             self.stats.backoff_slots_total += u64::from(slots);
-            self.stats.draw_counts[slots as usize] += 1;
+            self.last_draw = slots as u8;
             self.backoff_slots = Some(slots);
         }
     }
@@ -726,7 +773,7 @@ mod tests {
         assert_eq!(s.enqueued, 1);
         assert_eq!(s.deferrals, 1);
         assert_eq!(s.backoff_draws, 1);
-        assert_eq!(s.draw_counts.iter().sum::<u64>(), 1);
+        assert_eq!(u64::from(m.last_draw()), s.backoff_slots_total);
         assert_eq!(s.max_queue_depth, 1);
         // Cancel it while still queued.
         assert!(m.cancel(FrameHandle(1)));
@@ -776,6 +823,13 @@ mod tests {
         assert_eq!(a.max_queue_depth, 5);
         assert_eq!(a.draw_counts[3], 2);
         assert_eq!(a.draw_counts[2], 1);
+    }
+
+    /// The per-MAC draw histogram (256 bytes) went to the world: a MAC is
+    /// its state machine, queue, RNG and seven counters.
+    #[test]
+    fn a_mac_is_168_bytes() {
+        assert_eq!(std::mem::size_of::<Dcf>(), 168);
     }
 
     #[test]

@@ -38,5 +38,5 @@
 mod dcf;
 pub mod timing;
 
-pub use dcf::{decode_generation, Dcf, FrameHandle, MacAction, MacStats};
+pub use dcf::{decode_generation, Dcf, FrameHandle, MacAction, MacCounters, MacStats, DRAW_VALUES};
 pub use timing::frame_airtime;

@@ -88,12 +88,17 @@ impl<T> Slab<T> {
     }
 
     /// Stores `value`, returning its slot. Reuses the most recently
-    /// vacated slot if any (LIFO), else appends.
+    /// vacated slot if any (LIFO), else appends. The first value gets one
+    /// slot, not the four a growing `Vec` starts with: most of the
+    /// simulator's slabs are per host and hold one value at a time.
     pub fn insert(&mut self, value: T) -> u32 {
         self.len += 1;
         match self.free_head {
             NIL => {
                 let key = u32::try_from(self.entries.len()).expect("slab exceeds u32 slots");
+                if self.entries.capacity() == 0 {
+                    self.entries.reserve_exact(1);
+                }
                 self.entries.push(Entry::Occupied(value));
                 key
             }
