@@ -45,7 +45,7 @@ pub(crate) enum PacketView<'a> {
     Unheard,
     /// This host is the packet's source (its original send is pending).
     Source,
-    /// Terminal: transmitted or inhibited.
+    /// Terminal: sent or inhibited.
     Done,
     /// Assessing or MAC-queued; mutable so duplicate hears can update the
     /// scheme state in place.

@@ -208,14 +208,6 @@ pub enum Effect {
         /// The packet.
         packet: PacketId,
     },
-    /// A crashed host's neighbor-table counters, to be folded into the
-    /// run totals before the table was wiped.
-    RetireCounters {
-        /// Lifetime joins of the wiped table.
-        joins: u64,
-        /// Lifetime leaves of the wiped table.
-        leaves: u64,
-    },
 }
 
 /// All pure protocol state, advanced exclusively by [`step`](Self::step).
@@ -374,18 +366,14 @@ impl PureModels {
                 // MAC queue itself.
                 self.ledgers[i].abandon_active();
                 if crash {
-                    // A crash loses everything above the radio; a graceful
-                    // leave keeps the host's memory for its return.
-                    let table = self.tables.get_mut(i).map(std::mem::take);
-                    let table = table.unwrap_or_default();
-                    if let Some(tracker) = self.trackers.get_mut(i) {
-                        *tracker = VariationTracker::new();
+                    // A crash loses everything above the radio, in place;
+                    // the table keeps its lifetime totals. A graceful leave
+                    // keeps the host's memory for its return.
+                    if let Some(table) = self.tables.get_mut(i) {
+                        table.clear();
+                        self.trackers[i] = VariationTracker::new();
                     }
                     self.ledgers[i] = PacketLedger::new();
-                    fx.push(Effect::RetireCounters {
-                        joins: table.join_count(),
-                        leaves: table.leave_count(),
-                    });
                 }
             }
         }
@@ -614,8 +602,8 @@ impl PureModels {
         self.suppression
     }
 
-    /// Lifetime neighbor-table `(joins, leaves)` summed over all live
-    /// tables (crashed tables are reported via [`Effect::RetireCounters`]).
+    /// Lifetime neighbor-table `(joins, leaves)` summed over every host's
+    /// table (a crash clears a table but keeps its totals).
     pub fn net_totals(&self) -> (u64, u64) {
         self.tables.iter().fold((0, 0), |(j, l), table| {
             (j + table.join_count(), l + table.leave_count())
@@ -792,12 +780,29 @@ mod tests {
     }
 
     #[test]
-    fn crash_wipes_state_and_retires_counters() {
-        let mut pure = PureModels::new(&cfg(SchemeSpec::Flooding));
+    fn crash_wipes_state_and_keeps_counters() {
+        let mut pure = PureModels::new(&cfg(SchemeSpec::NeighborCoverage));
         let mut fx = Vec::new();
         let packet = PacketId::new(NodeId::new(0), 0);
+        let hello = PureAction::HelloHeard {
+            node: NodeId::new(1),
+            sender: NodeId::new(2),
+            interval: SimDuration::from_secs(1),
+            neighbors: &[],
+        };
+        pure.step(SimTime::ZERO, &hello, &mut fx);
+        // Two intervals pass without a HELLO: one leave.
+        let prepare = PureAction::HelloPrepare {
+            node: NodeId::new(1),
+        };
+        pure.step(SimTime::from_millis(2_001), &prepare, &mut fx);
+        pure.step(SimTime::from_millis(2_002), &hello, &mut fx);
+        assert_eq!(
+            (pure.net_totals(), pure.neighbor_ids(NodeId::new(1)).len()),
+            ((2, 1), 1)
+        );
         pure.step(
-            SimTime::from_millis(1),
+            SimTime::from_millis(2_003),
             &PureAction::PacketHeard {
                 node: NodeId::new(1),
                 packet,
@@ -811,24 +816,22 @@ mod tests {
         );
         fx.clear();
         pure.step(
-            SimTime::from_millis(2),
+            SimTime::from_millis(2_004),
             &PureAction::Deactivate {
                 node: NodeId::new(1),
                 crash: true,
             },
             &mut fx,
         );
-        assert_eq!(
-            fx,
-            vec![Effect::RetireCounters {
-                joins: 0,
-                leaves: 0
-            }]
-        );
-        // The wiped ledger treats the packet as unheard again.
+        assert!(fx.is_empty(), "{fx:?}");
+        // The table is empty and its totals survive the wipe.
+        assert!(pure.neighbor_ids(NodeId::new(1)).is_empty());
+        assert_eq!(pure.net_totals(), (2, 1));
+        // The wiped ledger hears the packet for the first time again, and
+        // the empty table leaves it nobody to cover.
         fx.clear();
         pure.step(
-            SimTime::from_millis(3),
+            SimTime::from_millis(2_005),
             &PureAction::PacketHeard {
                 node: NodeId::new(1),
                 packet,
@@ -840,6 +843,9 @@ mod tests {
             },
             &mut fx,
         );
-        assert!(matches!(fx[0], Effect::ScheduleAssessment { .. }));
+        assert!(
+            matches!(fx[..], [Effect::InhibitFirstHear { .. }]),
+            "{fx:?}"
+        );
     }
 }

@@ -23,21 +23,20 @@ use manet_mobility::{
 };
 use manet_net::HelloPayload;
 use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NodeId};
-use manet_scenario::{Region, WorldAction};
-use manet_sim_engine::{
-    EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab, Timeline,
-};
+use manet_sim_engine::{EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab};
 
 use crate::config::{NeighborInfo, SimConfig, CS_DELAY, PACKET_BYTES};
 use crate::ids::PacketId;
-use crate::metrics::{summarize, MetricsCollector, NetActivity, ScenarioCounts, SimReport};
+use crate::metrics::{summarize, MetricsCollector, NetActivity, SimReport};
 use crate::pure::{Effect, OracleView, PureAction, PureModels};
 use crate::record::TraceWriter;
 use crate::trace::NoopObserver;
 
+mod churn;
 mod geometry;
 pub mod snapshot;
 
+use churn::ScenarioState;
 use geometry::Geometry;
 
 /// Events on the simulation queue.
@@ -47,15 +46,9 @@ enum Event {
     MobilityTurn { node: NodeId },
     /// Time for a host to emit its next HELLO beacon.
     HelloTimer { node: NodeId },
-    /// A DCF timer (DIFS or backoff countdown) fired. `epoch` is the
-    /// host's churn epoch at scheduling time: a timer armed by a MAC that
-    /// has since been deactivated (and later replaced) must not reach the
-    /// replacement, whose `generation` counter restarted from zero.
-    MacTimer {
-        node: NodeId,
-        generation: u32,
-        epoch: u32,
-    },
+    /// A DCF timer (DIFS or backoff countdown) fired; the MAC ignores a
+    /// stale `generation`.
+    MacTimer { node: NodeId, generation: u32 },
     /// A frame's airtime ended.
     TxEnd { frame: FrameId },
     /// A host's scheme-level assessment delay (S2's 0–31 slots) elapsed.
@@ -108,10 +101,6 @@ struct InFlight {
     /// Sender position at transmission start (carried in the packet for
     /// the location-based schemes).
     sent_from: Vec2,
-    /// Sender's churn epoch at transmission start. If the sender
-    /// deactivated mid-flight, its (possibly replaced) MAC must not see
-    /// the `on_tx_end` for this frame.
-    sender_epoch: u32,
 }
 
 /// The configured mobility model for one host.
@@ -201,51 +190,6 @@ impl Node {
     /// Releases and returns the payload queued under `handle`.
     fn take_payload(&mut self, handle: FrameHandle) -> Payload {
         self.outgoing.remove(handle.0 as u32)
-    }
-}
-
-/// Runtime state of the configured scenario (churn + fault injection).
-/// Absent on ordinary runs, which therefore pay nothing for the feature.
-#[derive(Debug)]
-struct ScenarioState {
-    /// The compiled world-action timeline; `Event::Scenario { index }`
-    /// addresses into it.
-    timeline: Timeline<WorldAction>,
-    /// Per-host membership: `false` while a host is left or crashed.
-    active: Vec<bool>,
-    /// Hosts currently active (validation guarantees it never hits zero).
-    active_count: u32,
-    /// Per-host churn epoch, bumped on every deactivation. Timers and
-    /// in-flight frames carry the epoch they were created under; a
-    /// mismatch at delivery time means the event outlived its MAC.
-    node_epoch: Vec<u32>,
-    /// Currently open link blackouts, as unordered host pairs.
-    blackouts: Vec<(u32, u32)>,
-    /// Drop probabilities of the currently open noise bursts.
-    noise: Vec<f64>,
-    /// Currently open partition regions.
-    partitions: Vec<Region>,
-    /// Scenario randomness: noise-burst drop draws, in delivery order.
-    rng: SimRng,
-    /// Base stream for per-respawn MACs and hello phases; never drawn
-    /// from directly, only forked with `respawn_seq`.
-    respawn_rng: SimRng,
-    /// Fork counter so every respawned MAC gets a distinct stream.
-    respawn_seq: u64,
-    /// What the scenario did, reported in [`SimReport::scenario`].
-    counts: ScenarioCounts,
-    /// Counters of replaced (crashed/left) MAC instances, folded into
-    /// the final report alongside the live MACs'.
-    retired_mac: MacCounters,
-    /// Neighbor-table join/leave totals of tables reset by crashes.
-    retired_joins: u64,
-    retired_leaves: u64,
-}
-
-impl ScenarioState {
-    /// `true` when any fault window is currently open.
-    fn any_fault_open(&self) -> bool {
-        !(self.blackouts.is_empty() && self.noise.is_empty() && self.partitions.is_empty())
     }
 }
 
@@ -362,9 +306,8 @@ enum Stream {
     ChannelLoss = 3,
     /// Scenario link-fault draws (blackout, noise, partition).
     ScenarioFaults = 4,
-    /// Base of the DCF streams handed to hosts that join or recover.
-    /// Never drawn from directly: each respawn takes the child
-    /// `respawn_rng.fork(seq)` with a per-world monotone `seq`.
+    /// Base of the DCF streams a rejoining host's MAC reboots on. Never
+    /// drawn from directly: the n-th rejoin of the run takes `fork(n)`.
     ScenarioRespawn = 5,
     /// `+ host`: per-host mobility model.
     Mobility = 100,
@@ -457,28 +400,8 @@ impl World {
         queue.schedule(SimTime::ZERO + config.warmup, Event::IssueBroadcast);
         let segments = nodes.iter().map(|n| n.mobility.segment()).collect();
 
-        let scenario = config.scenario.as_ref().map(|scenario| {
-            let timeline = scenario.compile();
-            timeline.schedule_into(&mut queue, |index| Event::Scenario {
-                index: u32::try_from(index).expect("scenario timeline too long"),
-            });
-            ScenarioState {
-                timeline,
-                active: vec![true; hosts],
-                active_count: config.hosts,
-                node_epoch: vec![0; hosts],
-                blackouts: Vec::new(),
-                noise: Vec::new(),
-                partitions: Vec::new(),
-                rng: root.fork(Stream::ScenarioFaults as u64),
-                respawn_rng: root.fork(Stream::ScenarioRespawn as u64),
-                respawn_seq: 0,
-                counts: ScenarioCounts::default(),
-                retired_mac: MacCounters::default(),
-                retired_joins: 0,
-                retired_leaves: 0,
-            }
-        });
+        let scenario = (config.scenario.as_ref())
+            .map(|scenario| ScenarioState::new(scenario, hosts, &root, &mut queue));
 
         let pure = PureModels::new(&config);
 
@@ -569,13 +492,6 @@ impl World {
             .is_none_or(|st| st.active[node.index()])
     }
 
-    /// The host's current churn epoch (0 without a scenario).
-    fn current_epoch(&self, node: NodeId) -> u32 {
-        self.scenario
-            .as_ref()
-            .map_or(0, |st| st.node_epoch[node.index()])
-    }
-
     /// Runs the simulation to completion and returns the aggregated
     /// report.
     pub fn run(mut self) -> SimReport {
@@ -645,10 +561,12 @@ impl World {
             if next >= pause_at {
                 break false;
             }
-            let (now, event) = self.queue.pop().expect("peeked event vanished");
-            if now > self.stop_at {
+            // The event past the stop time stays queued: a finished world
+            // still names every scenario entry that has not fired.
+            if next > self.stop_at {
                 break true;
             }
+            let (now, event) = self.queue.pop().expect("peeked event vanished");
             self.last_event_at = now;
             let kind = event.kind();
             let started = profiler.begin();
@@ -673,7 +591,7 @@ impl World {
     pub fn into_report(self) -> SimReport {
         let mut mac = MacCounters::default();
         let (joins, leaves) = self.pure.net_totals();
-        let mut net = NetActivity {
+        let net = NetActivity {
             hello_sent: self.hello_frames,
             hello_received: self.hello_rx,
             neighbor_joins: joins,
@@ -682,12 +600,6 @@ impl World {
         for node in &self.nodes {
             mac.merge(node.mac.stats());
         }
-        let scenario_counts = self.scenario.as_ref().map(|st| {
-            mac.merge(&st.retired_mac);
-            net.neighbor_joins += st.retired_joins;
-            net.neighbor_leaves += st.retired_leaves;
-            st.counts
-        });
         let mac = MacStats::new(mac, self.draw_counts);
 
         let outcomes = self.metrics.outcomes();
@@ -709,7 +621,7 @@ impl World {
             profile: self.profiler.is_enabled().then(|| self.profiler.profile()),
             sim_seconds: self.last_event_at.as_secs_f64(),
             per_broadcast: outcomes,
-            scenario: scenario_counts,
+            scenario: self.scenario.as_ref().map(|st| st.counts),
         }
     }
 
@@ -727,16 +639,7 @@ impl World {
                 }
             }
             Event::HelloTimer { node } => self.dispatch(now, PureAction::HelloPrepare { node }),
-            Event::MacTimer {
-                node,
-                generation,
-                epoch,
-            } => {
-                // A timer that outlived its MAC (host deactivated since it
-                // was armed) must not reach the replacement MAC.
-                if epoch != self.current_epoch(node) {
-                    return;
-                }
+            Event::MacTimer { node, generation } => {
                 self.drive_mac(node, now, |mac| mac.on_timer(generation, now));
             }
             Event::TxEnd { frame } => self.finish_transmission(frame, now),
@@ -872,11 +775,6 @@ impl World {
                 let handle = self.nodes[node.index()].queue_payload(Payload::Broadcast(packet));
                 self.drive_mac(node, now, |mac| mac.enqueue(handle, PACKET_BYTES, now));
             }
-            Effect::RetireCounters { joins, leaves } => {
-                let st = self.scenario_mut();
-                st.retired_joins += joins;
-                st.retired_leaves += leaves;
-            }
         }
     }
 
@@ -888,16 +786,13 @@ impl World {
         // deterministic for a given membership history. Without a scenario
         // the original draw is preserved bit-for-bit.
         let source = if let Some(st) = &self.scenario {
-            let rank = self.workload_rng.gen_range_u32(0..st.active_count);
-            let id = st
-                .active
-                .iter()
-                .enumerate()
-                .filter(|(_, &up)| up)
-                .nth(rank as usize)
-                .expect("active_count matches the membership vector")
-                .0;
-            NodeId::new(id as u32)
+            let mut up = (0..)
+                .zip(&st.active)
+                .filter_map(|(id, &up)| up.then_some(id));
+            let rank = self
+                .workload_rng
+                .gen_range_u32(0..up.clone().count() as u32);
+            NodeId::new(up.nth(rank as usize).expect("a rank below the hosts up"))
         } else {
             NodeId::new(self.workload_rng.gen_range_u32(0..self.cfg.hosts))
         };
@@ -978,15 +873,8 @@ impl World {
     fn process_mac_action(&mut self, node: NodeId, action: Option<MacAction>, now: SimTime) {
         match action {
             Some(MacAction::StartTimer { delay, generation }) => {
-                let epoch = self.current_epoch(node);
-                self.queue.schedule(
-                    now + delay,
-                    Event::MacTimer {
-                        node,
-                        generation,
-                        epoch,
-                    },
-                );
+                let timer = Event::MacTimer { node, generation };
+                self.queue.schedule(now + delay, timer);
             }
             Some(MacAction::BeginTx {
                 handle,
@@ -1072,7 +960,6 @@ impl World {
         self.in_flight[slot] = Some(InFlight {
             payload,
             sent_from: own,
-            sender_epoch: self.current_epoch(node),
         });
         // Busy-carrier fan-out cannot re-enter this function: a MAC that
         // senses carrier never starts a transmission in response (it only
@@ -1102,8 +989,8 @@ impl World {
 
     /// Feeds one carrier transition to a host's MAC.
     fn apply_carrier_change(&mut self, node: NodeId, busy: bool, now: SimTime) {
-        // A host that deactivated after the report was scheduled has no
-        // radio; its replacement MAC syncs its own carrier view on rejoin.
+        // A host that went down after the report was scheduled has no
+        // radio; its rebooted MAC syncs its own carrier view on rejoin.
         if !self.is_active(node) {
             return;
         }
@@ -1127,9 +1014,10 @@ impl World {
 
         // The transmitter's MAC enters post-backoff. This may immediately
         // start the host's next queued frame — which is why `begin` and
-        // `finish` use disjoint scratch buffers. A sender that deactivated
-        // mid-flight is skipped: its current MAC never started this frame.
-        if in_flight.sender_epoch == self.current_epoch(source) {
+        // `finish` use disjoint scratch buffers. A sender that went down
+        // mid-flight is skipped: its MAC is off, and it cannot be back up
+        // yet, because a rejoin waits for the host's last frame to end.
+        if self.is_active(source) {
             self.drive_mac(source, now, |mac| mac.on_tx_end(now));
         }
 
@@ -1222,203 +1110,8 @@ impl World {
         self.scratch_sender_neighbors = sender_neighbors;
     }
 
-    // ---- scenario: host churn & fault injection --------------------------
-
-    fn scenario_mut(&mut self) -> &mut ScenarioState {
-        self.scenario
-            .as_mut()
-            .expect("scenario event without scenario state")
-    }
-
     /// Whether this run beacons HELLOs at all.
     fn hellos_enabled(&self) -> bool {
         self.cfg.hello_policy().is_some()
-    }
-
-    /// Applies the scenario timeline entry at `index`.
-    fn apply_scenario_action(&mut self, index: u32, now: SimTime) {
-        let action = *self.scenario_mut().timeline.get(index as usize).1;
-        match action {
-            WorldAction::Leave { host } => self.deactivate_host(host, false, now),
-            WorldAction::Crash { host } => self.deactivate_host(host, true, now),
-            WorldAction::Join { host } => self.reactivate_host(index, host, false, now),
-            WorldAction::Recover { host } => self.reactivate_host(index, host, true, now),
-            WorldAction::BlackoutStart { a, b } => self.scenario_mut().blackouts.push((a, b)),
-            WorldAction::BlackoutEnd { a, b } => {
-                let st = self.scenario_mut();
-                let pos = st
-                    .blackouts
-                    .iter()
-                    .position(|&open| open == (a, b))
-                    .expect("blackout end without a matching start");
-                st.blackouts.remove(pos);
-            }
-            WorldAction::NoiseStart { drop_probability } => {
-                self.scenario_mut().noise.push(drop_probability)
-            }
-            WorldAction::NoiseEnd { drop_probability } => {
-                let st = self.scenario_mut();
-                let pos = st
-                    .noise
-                    .iter()
-                    .position(|open| open.to_bits() == drop_probability.to_bits())
-                    .expect("noise end without a matching start");
-                st.noise.remove(pos);
-            }
-            WorldAction::PartitionStart { region } => self.scenario_mut().partitions.push(region),
-            WorldAction::PartitionEnd { region } => {
-                let st = self.scenario_mut();
-                let pos = st
-                    .partitions
-                    .iter()
-                    .position(|open| *open == region)
-                    .expect("partition end without a matching start");
-                st.partitions.remove(pos);
-            }
-        }
-    }
-
-    /// Takes a host off the air: its radio stops hearing and sending, all
-    /// of its cancellable protocol activity is abandoned, and (on a crash)
-    /// its protocol state is wiped. Mobility continues — a parked radio
-    /// still moves with its host.
-    fn deactivate_host(&mut self, host: u32, crash: bool, now: SimTime) {
-        let node = NodeId::new(host);
-        let idx = node.index();
-        {
-            let st = self.scenario_mut();
-            debug_assert!(st.active[idx], "deactivating a host that is already down");
-            st.active[idx] = false;
-            st.active_count -= 1;
-            st.node_epoch[idx] += 1;
-            if crash {
-                st.counts.crashes += 1;
-            } else {
-                st.counts.leaves += 1;
-            }
-        }
-        // Silence the beacon and the pending assessments.
-        let n = &mut self.nodes[idx];
-        let hello = n.hello_pending.take().map(|(key, _)| key);
-        for key in hello
-            .into_iter()
-            .chain(n.assessing.drain(..).map(|(_, key)| key))
-        {
-            self.queue.cancel(key);
-        }
-        // Abandon per-packet scheme state; MAC-queued rebroadcasts are
-        // handled by the queue sweep below (which also covers HELLO
-        // frames). On a crash the models also wipe the host's memory,
-        // retiring its counters.
-        self.dispatch(now, PureAction::Deactivate { node, crash });
-        // Sweep the MAC queue: every payload still in `outgoing` belongs
-        // to a queued (not yet airing) frame — `begin_transmission` takes
-        // the payload out the moment a frame hits the air.
-        let slots: Vec<u32> = self.nodes[idx]
-            .outgoing
-            .iter()
-            .map(|(slot, _)| slot)
-            .collect();
-        for slot in slots {
-            let n = &mut self.nodes[idx];
-            let cancelled = n.mac.cancel(FrameHandle(u64::from(slot)));
-            debug_assert!(cancelled, "orphan payload was not queued in the MAC");
-            if let Payload::Hello(hello) = n.outgoing.remove(slot) {
-                self.hello_pool.push(hello.neighbors);
-            }
-        }
-    }
-
-    /// Puts a host back on the air with a factory-fresh radio/MAC, syncing
-    /// its carrier view with whatever is currently airing around it.
-    fn reactivate_host(&mut self, index: u32, host: u32, recover: bool, now: SimTime) {
-        let node = NodeId::new(host);
-        let idx = node.index();
-        // The host's final frame may still be draining out of its old
-        // radio (a transmission cannot be recalled once started). Let it
-        // finish before the replacement radio powers up; the retry is
-        // deterministic and terminates because the downed MAC cannot
-        // start anything new.
-        if self.medium.is_transmitting(node) {
-            self.queue.schedule(
-                now + manet_sim_engine::SimDuration::from_millis(5),
-                Event::Scenario { index },
-            );
-            return;
-        }
-        let (mac_rng, phase) = {
-            let st = self.scenario_mut();
-            debug_assert!(!st.active[idx], "reactivating a host that is already up");
-            st.active[idx] = true;
-            st.active_count += 1;
-            if recover {
-                st.counts.recoveries += 1;
-            } else {
-                st.counts.joins += 1;
-            }
-            st.respawn_seq += 1;
-            let mut rng = st.respawn_rng.fork(st.respawn_seq);
-            let phase = rng.gen_duration_up_to(manet_sim_engine::SimDuration::from_secs(1));
-            (rng, phase)
-        };
-        let old = std::mem::replace(&mut self.nodes[idx].mac, Dcf::new(mac_rng));
-        self.scenario_mut().retired_mac.merge(old.stats());
-        // The fresh MAC boots believing the medium is idle; correct that
-        // if a neighbor's frame is airing over this host right now.
-        if self.medium.is_carrier_busy(node) {
-            self.drive_mac(node, now, |mac| mac.on_medium_busy(now));
-        }
-        if self.hellos_enabled() {
-            let at = now + phase;
-            let key = self.queue.schedule(at, Event::HelloTimer { node });
-            self.nodes[idx].hello_pending = Some((key, at));
-        }
-    }
-
-    /// Destroys individual deliveries of the frame that just started, per
-    /// the open fault windows: a link blackout beats a partition-boundary
-    /// crossing beats an ambient-noise draw (the draw is only made when no
-    /// deterministic fault already applies). Injection respects the
-    /// medium's first-cause-wins rule, so a delivery already garbled by a
-    /// collision stays a collision.
-    fn apply_link_faults(&mut self, frame: FrameId, sender: NodeId, listeners: &[NodeId]) {
-        enum FaultKind {
-            Blackout,
-            Partition,
-            Noise,
-        }
-        let st = self.scenario.as_mut().expect("faults without a scenario");
-        let s = sender.index() as u32;
-        let sender_pos = self.geometry.cached_position(sender);
-        // Independent overlapping bursts compose: survive all or drop.
-        let noise_drop = 1.0 - st.noise.iter().fold(1.0, |acc, &p| acc * (1.0 - p));
-        for (index, &listener) in listeners.iter().enumerate() {
-            let l = listener.index() as u32;
-            let kind = if st
-                .blackouts
-                .iter()
-                .any(|&(a, b)| (a == s && b == l) || (a == l && b == s))
-            {
-                Some(FaultKind::Blackout)
-            } else if st.partitions.iter().any(|region| {
-                let lp = self.geometry.cached_position(listener);
-                region.contains(sender_pos.x, sender_pos.y) != region.contains(lp.x, lp.y)
-            }) {
-                Some(FaultKind::Partition)
-            } else if noise_drop > 0.0 && st.rng.gen_unit_f64() < noise_drop {
-                Some(FaultKind::Noise)
-            } else {
-                None
-            };
-            if let Some(kind) = kind {
-                if self.medium.inject_loss(frame, index) {
-                    match kind {
-                        FaultKind::Blackout => st.counts.blackout_drops += 1,
-                        FaultKind::Partition => st.counts.partition_drops += 1,
-                        FaultKind::Noise => st.counts.noise_drops += 1,
-                    }
-                }
-            }
-        }
     }
 }

@@ -36,19 +36,21 @@
 //! counters, and the mobility state; the medium; the pure models (ledgers,
 //! neighbor tables, variation trackers, suppression tallies — a run without
 //! HELLOs keeps no tables or trackers and writes each host's empty, which
-//! resume insists on); each frame on the air's payload, send position and
-//! churn epoch, in the medium's order; the delayed carrier-report batches;
-//! the workload scalars and the run's backoff histogram, which must count
-//! the MACs' draws; and, when the config has a scenario, its state. What
-//! the config fixes (the host count, whether a scenario runs) is not
-//! written again, and each fact is written once: what links one part of
-//! the world to another — MAC frame handles, the keys of pending HELLO and
-//! assessment wakeups, a frame's sender, the broadcast counter — is
-//! re-derived on resume. Only the medium and the carrier batches keep
+//! resume insists on); each frame on the air's payload and send position,
+//! in the medium's order; the delayed carrier-report batches; the workload
+//! scalars and the run's backoff histogram, which must count the MACs'
+//! draws; and, when the config has a scenario, its fault-draw RNG and
+//! three drop counters. What the config fixes (the host count, whether a
+//! scenario runs) is not written again, and each fact is written once:
+//! what links one part of the world to another — MAC frame handles, the
+//! keys of pending HELLO and assessment wakeups, a frame's sender, the
+//! broadcast counter — is re-derived on resume, and so is what the
+//! scenario's fired timeline entries imply: membership, the open windows
+//! and the churn counts. Only the medium and the carrier batches keep
 //! their slab layout, because queued events name their slots.
 
 use manet_geom::Vec2;
-use manet_mac::{decode_generation, Dcf, FrameHandle, MacCounters};
+use manet_mac::{decode_generation, Dcf, FrameHandle};
 use manet_mobility::Mobility;
 use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
@@ -57,26 +59,26 @@ use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 use crate::config::{SimConfig, COVERAGE_RESOLUTION, PACKET_BYTES};
 use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
-use crate::metrics::{MetricsCollector, ScenarioCounts, SuppressionCounts};
+use crate::metrics::{MetricsCollector, SuppressionCounts};
 use crate::schemes::{Lattice, PacketState, SchemeSpec, COVERAGE};
 
-use super::{Event, HostMobility, InFlight, Payload, ScenarioState, World};
+use super::{churn, Event, HostMobility, InFlight, Payload, World};
 
 /// Magic bytes opening a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
 /// Current snapshot format version. Version 1 kept each radio's list of
 /// incoming frames, version 2 a write-only config fingerprint, version 3
-/// the queue keys and MAC handles of the links resume now re-derives and
-/// version 4 a backoff histogram per MAC (DESIGN.md §12); all four are
-/// refused by name.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// the queue keys and MAC handles of the links resume now re-derives,
+/// version 4 a backoff histogram per MAC and version 5 the churn state the
+/// scenario timeline implies (DESIGN.md §12); all five are refused by name.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// The fewest bytes one host adds to a checkpoint body, as a stationary
 /// host of a fresh world writes them: its MAC with an empty queue and no
-/// backoff (123), mobility tag (1), empty ledger (8), neighbor table (25)
+/// backoff (115), mobility tag (1), empty ledger (8), neighbor table (25)
 /// and variation tracker (8). Resume refuses a host count the body cannot
 /// hold before it sizes anything by it.
-const MIN_HOST_BYTES: usize = 165;
+const MIN_HOST_BYTES: usize = 157;
 
 /// The configuration a snapshot was taken under, read from its header:
 /// what `manet-sim --resume FILE` resumes with.
@@ -98,6 +100,7 @@ fn expect_version(dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         2 => "snapshot version 2 is retired (a config fingerprint); take a new snapshot",
         3 => "snapshot version 3 is retired (queue keys and MAC handles); take a new snapshot",
         4 => "snapshot version 4 is retired (a backoff histogram per MAC); take a new snapshot",
+        5 => "snapshot version 5 is retired (derivable churn state); take a new snapshot",
         _ => "unsupported snapshot version",
     };
     Err(WireError { at: 4, what })
@@ -137,7 +140,6 @@ impl World {
             encode_payload(&mut enc, &sent.payload);
             enc.f64(sent.sent_from.x);
             enc.f64(sent.sent_from.y);
-            enc.u32(sent.sender_epoch);
         }
 
         self.carrier_batches.encode(&mut enc, |enc, hearers| {
@@ -155,7 +157,10 @@ impl World {
         }
 
         if let Some(st) = &self.scenario {
-            encode_scenario_state(&mut enc, st);
+            enc.rng(&st.rng);
+            enc.u64(st.counts.blackout_drops);
+            enc.u64(st.counts.partition_drops);
+            enc.u64(st.counts.noise_drops);
         }
 
         enc.into_bytes()
@@ -294,7 +299,6 @@ impl World {
             world.in_flight[slot] = Some(InFlight {
                 payload: decode_payload(&mut dec, source, &world.metrics)?,
                 sent_from: Vec2::new(dec.f64()?, dec.f64()?),
-                sender_epoch: dec.u32()?,
             });
         }
 
@@ -313,10 +317,24 @@ impl World {
         }
 
         if let Some(st) = world.scenario.as_mut() {
-            restore_scenario_state(&mut dec, st)?;
+            st.rng = dec.rng()?;
+            st.counts.blackout_drops = dec.u64()?;
+            st.counts.partition_drops = dec.u64()?;
+            st.counts.noise_drops = dec.u64()?;
         }
 
         dec.finish()?;
+        // What the scenario's fired entries imply, from those still queued;
+        // a run without a scenario queues none.
+        let queued = world.queue.iter().filter_map(|(_, _, event)| match *event {
+            Event::Scenario { index } => Some(index),
+            _ => None,
+        });
+        match world.scenario.as_mut() {
+            Some(st) => st.derive(queued),
+            None => { queued }.try_for_each(|_| Err(churn::OFF_TIMELINE)),
+        }
+        .map_err(|what| WireError { at: queue_at, what })?;
         world.link_queued_events(queue_at, pure_at, batches_at)?;
         check_frames_on_air(&world, medium_at)?;
         check_draw_counts(&world, histogram_at)?;
@@ -327,15 +345,15 @@ impl World {
     /// key and time, each pending assessment's key — in one pass over it,
     /// and refuses a queue, ledgers and MACs that disagree:
     ///
-    /// * an event naming a host, carrier batch, scenario action or packet
-    ///   that is not there, or a carrier batch twice;
+    /// * an event naming a host, carrier batch or packet that is not
+    ///   there, or a carrier batch twice;
     /// * a frame on the air without exactly one `TxEnd`, at its end;
     /// * a HELLO timer in a run that sends none, at a host that is down,
     ///   or twice at one host;
     /// * an assessment wakeup at a host not assessing the packet, or an
     ///   assessing packet without one;
-    /// * a live MAC timer (at the MAC's epoch and generation) its MAC does
-    ///   not await, or none where it does;
+    /// * a live MAC timer (at the MAC's generation) its MAC does not
+    ///   await, or none where it does;
     /// * a MAC-queued broadcast its host neither sources nor holds queued,
     ///   or a held one without its frame.
     ///
@@ -350,7 +368,6 @@ impl World {
         batches_at: usize,
     ) -> Result<(), WireError> {
         let (hosts, hellos) = (self.nodes.len(), self.hellos_enabled());
-        let timeline = self.scenario.as_ref().map_or(0, |st| st.timeline.len());
         let (ledgers, ..) = self.pure.snapshot_parts();
         let (mut timed, mut batches) = (vec![false; hosts], Vec::new());
         let mut ends = vec![None; self.in_flight.len()];
@@ -380,16 +397,13 @@ impl World {
                     batches.push(slot);
                     continue;
                 }
-                Event::Scenario { index } if index as usize >= timeline => {
-                    return refuse("a queued scenario action is not on the timeline");
-                }
                 _ => continue,
             };
             let i = node.index();
             if i >= hosts {
                 return refuse("a queued event names a host that does not exist");
             }
-            let (up, epoch) = (self.is_active(node), self.current_epoch(node));
+            let up = self.is_active(node);
             let n = &mut self.nodes[i];
             match *event {
                 Event::HelloTimer { .. } if !hellos || !up => {
@@ -398,14 +412,10 @@ impl World {
                 Event::HelloTimer { .. } if n.hello_pending.replace((key, time)).is_some() => {
                     return refuse("two HELLO timers at one host");
                 }
-                Event::MacTimer {
-                    generation,
-                    epoch: at,
-                    ..
-                } if at == epoch
-                    && generation == n.mac.generation()
-                    && (!(up && n.mac.awaits_timer())
-                        || std::mem::replace(&mut timed[i], true)) =>
+                Event::MacTimer { generation, .. }
+                    if generation == n.mac.generation()
+                        && (!(up && n.mac.awaits_timer())
+                            || std::mem::replace(&mut timed[i], true)) =>
                 {
                     return refuse("a live MAC timer its MAC does not await");
                 }
@@ -481,33 +491,19 @@ impl World {
     }
 }
 
-/// Checks the medium against the MACs: each frame on the air is its
-/// sender MAC's transmission (or, if the sender has left since, from an
-/// older churn epoch), and no active host's MAC transmits without a frame.
-/// A snapshot breaking either used to resume and then panic; it is refused
-/// at the medium section, `at`.
+/// Checks the medium against the MACs: a host that is up transmits in its
+/// MAC exactly when the medium has its frame on the air. (A host that is
+/// down may still have its last frame airing; it cannot rejoin before the
+/// frame ends.) A snapshot breaking this used to resume and then panic; it
+/// is refused at the medium section, `at`.
 fn check_frames_on_air(world: &World, at: usize) -> Result<(), WireError> {
-    let refuse = |what| Err(WireError { at, what });
-    for (frame, source, _) in world.medium.frames_on_air() {
-        let sent = world.in_flight[frame.as_u64() as usize].as_ref();
-        let epoch = sent.expect("decoded per frame on the air").sender_epoch;
-        let sending = if world.is_active(source) {
-            epoch == world.current_epoch(source)
-                && world.nodes[source.index()].mac.is_transmitting()
-        } else {
-            epoch < world.current_epoch(source)
-        };
-        if !sending {
-            return refuse("a frame on the air is not its sender MAC's transmission");
-        }
-    }
-    let idle_sender = (0..world.nodes.len() as u32).map(NodeId::new).any(|id| {
-        world.is_active(id)
-            && world.nodes[id.index()].mac.is_transmitting()
-            && !world.medium.is_transmitting(id)
+    let disagree = (0..world.nodes.len() as u32).map(NodeId::new).any(|id| {
+        let mac = &world.nodes[id.index()].mac;
+        world.is_active(id) && mac.is_transmitting() != world.medium.is_transmitting(id)
     });
-    if idle_sender {
-        return refuse("a transmitting MAC has no frame on the air");
+    if disagree {
+        let what = "a MAC's transmission and the medium disagree";
+        return Err(WireError { at, what });
     }
     Ok(())
 }
@@ -531,11 +527,10 @@ fn expect_empty_hello_state(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<(
 }
 
 /// Checks the run's backoff histogram against the MACs it folds: it counts
-/// as many draws, and as many slots, as the live and retired MACs' counters
-/// do. A checkpoint breaking either is refused at the histogram, `at`.
+/// as many draws, and as many slots, as the MACs' counters do. A
+/// checkpoint breaking either is refused at the histogram, `at`.
 fn check_draw_counts(world: &World, at: usize) -> Result<(), WireError> {
-    let retired = world.scenario.as_ref().map(|st| &st.retired_mac);
-    let macs = world.nodes.iter().map(|n| n.mac.stats()).chain(retired);
+    let macs = world.nodes.iter().map(|n| n.mac.stats());
     let counted = macs.fold((0, 0), |(draws, slots), mac| {
         let (d, s) = (mac.backoff_draws, mac.backoff_slots_total);
         (draws + u128::from(d), slots + u128::from(s))
@@ -561,15 +556,10 @@ fn encode_event(enc: &mut WireEncoder, event: &Event) {
             enc.u8(1);
             node.encode(enc);
         }
-        Event::MacTimer {
-            node,
-            generation,
-            epoch,
-        } => {
+        Event::MacTimer { node, generation } => {
             enc.u8(2);
             node.encode(enc);
             enc.u64(u64::from(generation));
-            enc.u32(epoch);
         }
         Event::TxEnd { frame } => {
             enc.u8(3);
@@ -605,7 +595,6 @@ fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
         2 => Event::MacTimer {
             node: NodeId::decode(dec)?,
             generation: decode_generation(dec)?,
-            epoch: dec.u32()?,
         },
         3 => Event::TxEnd {
             frame: FrameId::from_raw(dec.u64()?),
@@ -810,81 +799,6 @@ fn decode_suppression(dec: &mut WireDecoder<'_>) -> Result<SuppressionCounts, Wi
     })
 }
 
-fn encode_scenario_state(enc: &mut WireEncoder, st: &ScenarioState) {
-    for &up in &st.active {
-        enc.bool(up);
-    }
-    enc.u32(st.active_count);
-    for &epoch in &st.node_epoch {
-        enc.u32(epoch);
-    }
-    enc.seq(&st.blackouts, |enc, &(a, b)| {
-        enc.u32(a);
-        enc.u32(b);
-    });
-    enc.seq(st.noise.iter().copied(), WireEncoder::f64);
-    enc.seq(&st.partitions, |enc, region| {
-        enc.f64(region.x0);
-        enc.f64(region.y0);
-        enc.f64(region.x1);
-        enc.f64(region.y1);
-    });
-    enc.rng(&st.rng);
-    enc.rng(&st.respawn_rng);
-    enc.u64(st.respawn_seq);
-    enc.u64(st.counts.leaves);
-    enc.u64(st.counts.joins);
-    enc.u64(st.counts.crashes);
-    enc.u64(st.counts.recoveries);
-    enc.u64(st.counts.blackout_drops);
-    enc.u64(st.counts.partition_drops);
-    enc.u64(st.counts.noise_drops);
-    st.retired_mac.snapshot_into(enc);
-    enc.u64(st.retired_joins);
-    enc.u64(st.retired_leaves);
-}
-
-/// Overwrites the mutable scenario state; the compiled timeline stays as
-/// `World::new` built it from the config.
-fn restore_scenario_state(
-    dec: &mut WireDecoder<'_>,
-    st: &mut ScenarioState,
-) -> Result<(), WireError> {
-    for up in &mut st.active {
-        *up = dec.bool()?;
-    }
-    st.active_count = dec.u32()?;
-    for epoch in &mut st.node_epoch {
-        *epoch = dec.u32()?;
-    }
-    st.blackouts = dec.seq(8, |dec| Ok((dec.u32()?, dec.u32()?)))?;
-    st.noise = dec.seq(8, WireDecoder::f64)?;
-    st.partitions = dec.seq(32, |dec| {
-        Ok(manet_scenario::Region {
-            x0: dec.f64()?,
-            y0: dec.f64()?,
-            x1: dec.f64()?,
-            y1: dec.f64()?,
-        })
-    })?;
-    st.rng = dec.rng()?;
-    st.respawn_rng = dec.rng()?;
-    st.respawn_seq = dec.u64()?;
-    st.counts = ScenarioCounts {
-        leaves: dec.u64()?,
-        joins: dec.u64()?,
-        crashes: dec.u64()?,
-        recoveries: dec.u64()?,
-        blackout_drops: dec.u64()?,
-        partition_drops: dec.u64()?,
-        noise_drops: dec.u64()?,
-    };
-    st.retired_mac = MacCounters::restore_snapshot(dec)?;
-    st.retired_joins = dec.u64()?;
-    st.retired_leaves = dec.u64()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,7 +889,6 @@ mod tests {
                 Event::MacTimer {
                     node,
                     generation: 0,
-                    epoch: 0,
                 },
                 None,
                 "a live MAC timer its MAC does not await",
@@ -986,7 +899,6 @@ mod tests {
                 Event::MacTimer {
                     node: ghost,
                     generation: 1,
-                    epoch: 0,
                 },
                 None,
                 host,

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use broadcast_core::{
     replay_decisions, snapshot, ChurnKind, MobilitySpec, NeighborInfo, OracleView, PacketId,
     PureAction, ReplayError, ReplaySummary, Scenario, SchemeSpec, SimConfig, TraceFile,
-    TraceWriter, World,
+    TraceWriter, World, WorldAction,
 };
 use manet_geom::CoverageGrid;
 use manet_net::HelloIntervalPolicy;
@@ -40,18 +40,23 @@ const SNAPSHOT_BYTES_PER_WIRE_BYTE: usize = 8;
 const TRACE_BYTES_PER_WIRE_BYTE: usize = 2;
 
 /// Counter scheme under churn, a blackout, noise and a partition: the
-/// scenario state, retired MACs and the event queue's scenario entries.
+/// scenario state, powered-off MACs and the event queue's scenario entries.
 fn churn_config() -> SimConfig {
+    churn_config_until(SimTime::from_secs(9))
+}
+
+/// [`churn_config`] with its three windows closing at `until`.
+fn churn_config_until(until: SimTime) -> SimConfig {
     let scenario = Scenario::new("hostile-churn")
         .with_hosts(8)
         .churn(SimTime::from_millis(500), ChurnKind::Leave, 3)
         .churn(SimTime::from_millis(1000), ChurnKind::Crash, 7)
         .churn(SimTime::from_millis(1500), ChurnKind::Join, 3)
-        .blackout(SimTime::from_secs(1), SimTime::from_secs(9), 1, 2)
-        .noise(SimTime::from_secs(1), SimTime::from_secs(9), 0.2)
+        .blackout(SimTime::from_secs(1), until, 1, 2)
+        .noise(SimTime::from_secs(1), until, 0.2)
         .partition(
             SimTime::from_secs(1),
-            SimTime::from_secs(9),
+            until,
             broadcast_core::Region {
                 x0: 0.0,
                 y0: 0.0,
@@ -346,23 +351,39 @@ fn snapshots_survive_truncation_mutation_and_huge_lengths() {
     }
 }
 
+/// [`churn_config`] with its windows closing at 3 s, inside the run, paused
+/// at 1.2 s: hosts 3 and 7 down, all three windows open.
+fn churn_paused_in_its_windows() -> (SimConfig, Vec<u8>) {
+    let config = churn_config_until(SimTime::from_secs(3));
+    let mut world = World::new(config.clone());
+    world.advance(SimTime::from_millis(1_200));
+    let image = world.snapshot();
+    (config, image)
+}
+
 /// Decoding is not the whole defence: a snapshot that decodes must also
 /// run. Every byte, xor 1, of these snapshots is refused or resumes and
 /// runs a simulated second without panicking: the busiest `nc` one, and of
 /// a `counter:3` and a flooding storm paused every millisecond, the
 /// largest and the largest whose assessing and MAC-queued rebroadcasts
 /// include some a duplicate cancels within that second (under flooding,
-/// which never cancels, some held). Queued events naming a host past the
+/// which never cancels, some held). The churn script whose windows close
+/// inside the run is flipped twice, busiest and paused at 1.2 s, and each
+/// resumed world runs to its end. Queued events naming a host past the
 /// last (six bytes of the `nc` one) used to resume and then panic; so did
 /// 216 and 146 bytes of the largest storm snapshots in format version 3,
 /// which wrote each wakeup's queue key and each rebroadcast's MAC handle
-/// for resume to trust.
+/// for resume to trust, and 50 and 53 bytes of the two churn ones in
+/// version 5, which wrote membership, churn epochs and the open windows.
 #[test]
 fn a_snapshot_with_any_byte_flipped_is_refused_or_runs_a_second() {
+    // How long each resumed world runs: a second, or (`None`) to its end.
+    let second = Some(SimDuration::from_secs(1));
     let mut checkpoints = vec![(
         "nc",
         coverage_config(),
         busiest_snapshot(&coverage_config()),
+        second,
     )];
     for (name, scheme, cancels) in [
         ("counter:3", SchemeSpec::Counter(3), true),
@@ -370,17 +391,21 @@ fn a_snapshot_with_any_byte_flipped_is_refused_or_runs_a_second() {
     ] {
         let config = storm_config(scheme);
         for image in storm_snapshots(&config, cancels) {
-            checkpoints.push((name, config.clone(), image));
+            checkpoints.push((name, config.clone(), image, second));
         }
     }
-    for (name, config, (image, pause)) in checkpoints {
+    let (churn, paused) = churn_paused_in_its_windows();
+    let paused = (paused, SimTime::from_millis(1_200));
+    checkpoints.push(("churn", churn.clone(), busiest_snapshot(&churn), None));
+    checkpoints.push(("churn", churn, paused, None));
+    for (name, config, (image, pause), run) in checkpoints {
         let (mut refused, mut ran) = (0, 0);
         for at in 0..image.len() {
             let mut bytes = image.clone();
             bytes[at] ^= 1;
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 World::resume(config.clone(), &bytes)
-                    .map(|mut world| world.advance(pause + SimDuration::from_secs(1)))
+                    .map(|mut world| world.advance(run.map_or(SimTime::MAX, |run| pause + run)))
             }));
             match outcome {
                 Ok(Ok(_)) => ran += 1,
@@ -393,6 +418,39 @@ fn a_snapshot_with_any_byte_flipped_is_refused_or_runs_a_second() {
             "{name}: {refused} refused, {ran} ran"
         );
     }
+}
+
+/// Resume derives the open windows from the timeline entries the queue
+/// still names, so a checkpoint whose queue names a window's start again
+/// and no longer its end — an end that fired before its start — is
+/// refused by name at the queue section. The open windows used to be
+/// written beside the queue, and an end without an open start panicked
+/// when it fired.
+#[test]
+fn a_window_end_that_fired_before_its_start_is_refused() {
+    let (config, image) = churn_paused_in_its_windows();
+    let timeline = config.scenario.as_ref().expect("a scenario").compile();
+    let index = |wanted: fn(&WorldAction) -> bool| {
+        let index = timeline.iter().position(|(_, action)| wanted(action));
+        index.expect("on the timeline") as u32
+    };
+    let start = index(|action| matches!(action, WorldAction::BlackoutStart { .. }));
+    let end = index(|action| matches!(action, WorldAction::BlackoutEnd { .. }));
+    // A queue entry is its time, sequence number, event tag (7 for a
+    // scenario action) and timeline index.
+    let entry: Vec<usize> = (0..image.len() - 21)
+        .filter(|&k| {
+            image[k..k + 8] == 3_000_000_000u64.to_le_bytes()
+                && image[k + 16] == 7
+                && image[k + 17..k + 21] == end.to_le_bytes()
+        })
+        .collect();
+    assert_eq!(entry.len(), 1, "the blackout end's queue entry");
+    assert!(World::resume(config.clone(), &image).is_ok());
+    let mut bytes = image.clone();
+    bytes[entry[0] + 17..entry[0] + 21].copy_from_slice(&start.to_le_bytes());
+    let err = World::resume(config, &bytes).expect_err("an end before its start");
+    assert_eq!(err.what, "a blackout ends without a matching start");
 }
 
 /// `manet-sim --resume FILE` takes the run from the file, so the header is

@@ -4,8 +4,10 @@
 //! **bit-identically** — at any pause time, for any configuration — is the
 //! generated property in the root `tests/equivalence.rs`.
 
-use broadcast_core::{snapshot, CounterThreshold, SchemeSpec, SimConfig, World};
-use manet_sim_engine::{SimTime, WireEncoder};
+use broadcast_core::{
+    snapshot, ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec, SimConfig, World,
+};
+use manet_sim_engine::{SimDuration, SimTime, WireEncoder};
 
 /// Adaptive counter: exercises HELLOs, neighbor tables, and variation
 /// trackers alongside the per-packet counter state.
@@ -90,6 +92,106 @@ fn resume_refuses_the_retired_version_4() {
         err.what.starts_with("snapshot version 4 is retired"),
         "{err}"
     );
+}
+
+/// Version 5 wrote the churn state the scenario timeline implies —
+/// membership, churn epochs, open windows, churn counts, retired counters
+/// and the respawn stream; version 6 re-derives it, and version 5 is
+/// refused by name at the version field.
+#[test]
+fn resume_refuses_the_retired_version_5() {
+    let mut world = World::new(churn_config());
+    world.advance(SimTime::from_secs(5));
+    let mut bytes = world.snapshot();
+    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+    let err = World::resume(churn_config(), &bytes).expect_err("version 5");
+    assert_eq!(err.at, 4);
+    assert!(
+        err.what.starts_with("snapshot version 5 is retired"),
+        "{err}"
+    );
+}
+
+/// The churn pin's script (`report_pins.rs`): two hosts churn while a
+/// blackout, a noise burst and a partition open and close.
+fn churn_config() -> SimConfig {
+    let scenario = Scenario::new("sharded-churn")
+        .with_hosts(40)
+        .churn(SimTime::from_secs(1), ChurnKind::Leave, 3)
+        .churn(SimTime::from_secs(2), ChurnKind::Crash, 11)
+        .churn(SimTime::from_secs(4), ChurnKind::Join, 3)
+        .churn(SimTime::from_secs(6), ChurnKind::Recover, 11)
+        .blackout(SimTime::from_secs(2), SimTime::from_secs(8), 5, 9)
+        .noise(SimTime::from_secs(3), SimTime::from_secs(9), 0.2)
+        .partition(
+            SimTime::from_secs(4),
+            SimTime::from_secs(10),
+            Region {
+                x0: 0.0,
+                y0: 0.0,
+                x1: 700.0,
+                y1: 700.0,
+            },
+        );
+    SimConfig::builder(3, SchemeSpec::Counter(3))
+        .hosts(40)
+        .broadcasts(15)
+        .scenario(scenario)
+        .seed(9)
+        .build()
+}
+
+/// Host 0 of a 4-host flooding run leaves while its first frame (at 2 s)
+/// is on the air, its rejoin at 2.001 s waits for that frame, and it
+/// leaves again at 2.002 s, behind the waiting rejoin.
+fn deferred_rejoin_config() -> SimConfig {
+    let scenario = Scenario::new("deferred-rejoin")
+        .with_hosts(4)
+        .churn(SimTime::from_nanos(2_000_001_000), ChurnKind::Leave, 0)
+        .churn(SimTime::from_millis(2_001), ChurnKind::Join, 0)
+        .churn(SimTime::from_millis(2_002), ChurnKind::Leave, 0);
+    SimConfig::builder(1, SchemeSpec::Flooding)
+        .hosts(4)
+        .broadcasts(40)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(3))
+        .scenario(scenario)
+        .seed(5)
+        .build()
+}
+
+/// Resume derives membership, the open windows and the churn counts from
+/// the timeline entries still queued, so a checkpoint taken exactly on an
+/// entry's time, 1 ns before or 1 ns after it — and while a rejoin waits
+/// for the host's last frame, with a later leave waiting behind it —
+/// resumes to the report the uninterrupted run gives.
+#[test]
+fn churn_resumes_from_every_timeline_boundary() {
+    let ns = SimDuration::from_nanos(1);
+    let mut cases = Vec::new();
+    let config = churn_config();
+    let timeline = config.scenario.as_ref().expect("a scenario").compile();
+    for (at, _) in timeline.iter() {
+        cases.extend([
+            (config.clone(), at - ns),
+            (config.clone(), at),
+            (config.clone(), at + ns),
+        ]);
+    }
+    let deferred = deferred_rejoin_config();
+    // The frame ends at ≈ 2.0024 s, the rejoin retries at 2.006 s and the
+    // leave behind it at 2.007 s.
+    for us in [2_001_500, 2_003_500, 2_006_500] {
+        cases.push((deferred.clone(), SimTime::from_micros(us)));
+    }
+    for (config, pause) in cases {
+        let whole = format!("{:?}", World::new(config.clone()).run());
+        let mut world = World::new(config.clone());
+        world.advance(pause);
+        let resumed = World::resume(config, &world.snapshot())
+            .unwrap_or_else(|err| panic!("paused at {pause}: {err}"));
+        assert_eq!(format!("{:?}", resumed.run()), whole, "paused at {pause}");
+    }
 }
 
 /// The run's backoff histogram closes a scenario-free checkpoint (32

@@ -90,8 +90,50 @@ fn blackout_drops_are_attributed() {
     assert_eq!(report.losses.injected, counts.injected_drops());
 }
 
+/// Host 0 sends the first frame of a 4-host flooding run at 2 s, leaves
+/// 1 µs later and is scripted to rejoin at 2.001 s, while that frame is
+/// still on the air: the rejoin waits for it. `then` scripts what follows.
+fn deferred_rejoin(then: impl FnOnce(Scenario) -> Scenario) -> SimConfig {
+    let scenario = Scenario::new("deferred-rejoin")
+        .with_hosts(4)
+        .churn(SimTime::from_nanos(2_000_001_000), ChurnKind::Leave, 0)
+        .churn(SimTime::from_millis(2_001), ChurnKind::Join, 0);
+    SimConfig::builder(1, SchemeSpec::Flooding)
+        .hosts(4)
+        .broadcasts(40)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(3))
+        .scenario(then(scenario))
+        .seed(5)
+        .build()
+}
+
+/// While a rejoin waits for the host's last frame, later churn waits
+/// behind it, so churn applies in script order. Host 0 leaving again at
+/// 2.002 s used to meet its host still down (a debug assertion; release
+/// builds ran on with a wrong membership count), and hosts 1–3 leaving
+/// then used to leave no host up to source a broadcast (an empty draw
+/// range in every build). Both scripts pass `Scenario::validate`.
+#[test]
+fn churn_behind_a_deferred_rejoin_applies_in_script_order() {
+    let again = deferred_rejoin(|s| s.churn(SimTime::from_millis(2_002), ChurnKind::Leave, 0));
+    let others = deferred_rejoin(|s| {
+        (1..4).fold(s, |s, host| {
+            s.churn(SimTime::from_millis(2_002), ChurnKind::Leave, host)
+        })
+    });
+    for (name, config, leaves) in [("host 0 again", again, 2), ("hosts 1-3", others, 4)] {
+        let scenario = config.scenario.clone().expect("a scenario");
+        scenario.validate(4).expect("the script is valid");
+        let report = World::new(config).run();
+        let counts = report.scenario.expect("scenario runs report their counts");
+        assert_eq!((counts.leaves, counts.joins), (leaves, 1), "{name}");
+        assert_eq!(report.broadcasts, 40, "{name}");
+    }
+}
+
 /// The run's backoff histogram counts every draw of every MAC, on every
-/// path into one, and of the MACs churn retires and respawns: it sums to `backoff_draws`, its
+/// path into one, and of the MACs churn powers off and reboots: it sums to `backoff_draws`, its
 /// slots to `backoff_slots_total`, and a run paused, checkpointed and
 /// resumed halfway reports what the uninterrupted one does. Each MAC kept
 /// its own histogram before the world took it over.

@@ -10,7 +10,7 @@
 //!
 //! ## Rules implemented (paper §2.2.3 / IEEE 802.11 DCF, broadcast only)
 //!
-//! * A frame may be transmitted immediately if the medium has been idle
+//! * A frame may go on the air immediately if the medium has been idle
 //!   for at least DIFS and no backoff is pending.
 //! * A host wanting to transmit while the medium is busy (or that just
 //!   finished a transmission — *post-backoff*) draws a backoff counter
@@ -223,8 +223,6 @@ pub struct Dcf {
     /// a timer is stale after one bump, and outlives far fewer than 2³².
     generation: u32,
     rng: SimRng,
-    /// Frames handed to the air (statistics).
-    transmitted: u64,
     stats: MacCounters,
     /// The value of the latest backoff draw, in slots; read by the wiring
     /// right after the input that drew it, so no snapshot carries it.
@@ -242,10 +240,27 @@ impl Dcf {
             idle_since: SimTime::ZERO,
             generation: 0,
             rng,
-            transmitted: 0,
             stats: MacCounters::default(),
             last_draw: 0,
         }
+    }
+
+    /// Powers the radio off: every timer armed so far turns stale, so none
+    /// fires live. The MAC takes no input until [`reboot`](Self::reboot).
+    pub fn power_off(&mut self) {
+        self.bump_generation();
+    }
+
+    /// Boots the MAC again, exactly as [`Dcf::new`]`(rng)` would make it
+    /// except that its counters are kept and its timer generation keeps
+    /// counting, so a timer armed before the reboot stays stale.
+    pub fn reboot(&mut self, rng: SimRng) {
+        let (stats, generation) = (self.stats, self.generation);
+        *self = Dcf {
+            stats,
+            generation,
+            ..Dcf::new(rng)
+        };
     }
 
     /// Operation counters accumulated so far.
@@ -307,7 +322,7 @@ impl Dcf {
     /// Removes a queued frame before it reaches the air.
     ///
     /// Returns `true` if the frame was still queued. A frame already on
-    /// the air (or already transmitted) cannot be cancelled.
+    /// the air (or already sent) cannot be cancelled.
     pub fn cancel(&mut self, handle: FrameHandle) -> bool {
         let before = self.queue.len();
         self.queue.retain(|&(h, _)| h != handle);
@@ -465,7 +480,6 @@ impl Dcf {
         enc.time(self.idle_since);
         enc.u64(u64::from(self.generation));
         enc.rng(&self.rng);
-        enc.u64(self.transmitted);
         self.stats.snapshot_into(enc);
     }
 
@@ -497,7 +511,6 @@ impl Dcf {
             idle_since: dec.time()?,
             generation: decode_generation(dec)?,
             rng: dec.rng()?,
-            transmitted: dec.u64()?,
             stats: MacCounters::restore_snapshot(dec)?,
             last_draw: 0,
         };
@@ -538,7 +551,6 @@ impl Dcf {
             .pop_front()
             .expect("begin_tx requires a queued frame");
         self.state = State::Transmitting;
-        self.transmitted += 1;
         MacAction::BeginTx {
             handle,
             payload_bytes,
@@ -749,7 +761,7 @@ mod tests {
                 let after = m.on_timer(generation, t2 + delay);
                 assert!(after.is_none(), "nothing to transmit after cancel");
             }
-            Some(MacAction::BeginTx { .. }) => panic!("cancelled frame transmitted"),
+            Some(MacAction::BeginTx { .. }) => panic!("cancelled frame went on the air"),
         }
     }
 
@@ -825,11 +837,42 @@ mod tests {
         assert_eq!(a.draw_counts[2], 1);
     }
 
-    /// The per-MAC draw histogram (256 bytes) went to the world: a MAC is
-    /// its state machine, queue, RNG and seven counters.
+    /// The per-MAC draw histogram (256 bytes) went to the world and the
+    /// write-only count of frames sent went: a MAC is its state machine,
+    /// queue, RNG and seven counters.
     #[test]
-    fn a_mac_is_168_bytes() {
-        assert_eq!(std::mem::size_of::<Dcf>(), 168);
+    fn a_mac_is_160_bytes() {
+        assert_eq!(std::mem::size_of::<Dcf>(), 160);
+    }
+
+    /// A rebooted MAC behaves as a new one on the same stream, keeps its
+    /// counters, and leaves every timer armed before it stale.
+    #[test]
+    fn a_reboot_is_a_new_mac_with_the_old_counters() {
+        let mut m = mac();
+        let t0 = SimTime::from_millis(1);
+        m.on_medium_busy(t0);
+        m.enqueue(FrameHandle(1), 280, t0);
+        let armed = m.on_medium_idle(t0 + SLOT);
+        let Some(MacAction::StartTimer { generation, .. }) = armed else {
+            panic!("expected DIFS, got {armed:?}");
+        };
+        m.power_off();
+        assert!(m.on_timer(generation, t0 + SLOT + DIFS).is_none());
+        let before = *m.stats();
+        assert!(m.cancel(FrameHandle(1)));
+        m.reboot(SimRng::seed_from(7));
+        assert_eq!(m.stats().enqueued, before.enqueued);
+        assert_eq!(m.stats().cancelled, 1);
+        assert!(m.generation() > generation);
+        let mut fresh = Dcf::new(SimRng::seed_from(7));
+        let t1 = SimTime::from_millis(2);
+        for mac in [&mut m, &mut fresh] {
+            mac.on_medium_busy(t1);
+            mac.enqueue(FrameHandle(2), 280, t1);
+        }
+        assert_eq!(m.last_draw(), fresh.last_draw());
+        assert_eq!(m.state, fresh.state);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! > 20 µsec, SIFS = 10 µsec, DIFS = 50 µsec, PLCP preamble = 144 µsec,
 //! > and header length = 48 µsec, as suggested in IEEE 802.11)."
 //!
-//! Broadcast frames are transmitted once with no acknowledgment and no
+//! Broadcast frames go on the air once with no acknowledgment and no
 //! retry, so the contention window never grows past its initial
 //! [`CW_MIN`] = 31 slots.
 

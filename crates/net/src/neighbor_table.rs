@@ -105,6 +105,16 @@ impl NeighborTable {
         NeighborTable::default()
     }
 
+    /// Forgets every neighbor, as a crash does: the table is as
+    /// [`new`](Self::new) makes it except for its lifetime totals.
+    pub fn clear(&mut self) {
+        *self = NeighborTable {
+            joins: self.joins,
+            leaves: self.leaves,
+            ..NeighborTable::default()
+        };
+    }
+
     /// Records a HELLO from `from` announcing its `interval` and one-hop
     /// `neighbors`. Returns `Some(Joined)` when `from` was not already a
     /// neighbor.
