@@ -289,35 +289,43 @@ mod tests {
         fs::remove_dir_all(&out_dir).unwrap();
     }
 
+    /// A fixed scheme and a tuning-family spelling, each streamed through
+    /// a session, give the document the one-shot CLI metrics path writes.
     #[test]
     fn streamed_metrics_match_the_one_shot_pipeline_bytes() {
-        let out_dir = scratch("identity");
-        let options = SessionOptions {
-            out_dir: out_dir.clone(),
-            cancel_after: None,
-            quiet: true,
-        };
-        let (report, _) = round_trip(vec![job("ident", 42)], &options);
-        assert_eq!(report.counts.completed, 1);
+        for scheme in ["counter:3", "ac:4,12,convex"] {
+            let out_dir = scratch("identity");
+            let options = SessionOptions {
+                out_dir: out_dir.clone(),
+                cancel_after: None,
+                quiet: true,
+            };
+            let job = JobEnvelope {
+                scheme: scheme.into(),
+                ..job("ident", 42)
+            };
+            let (report, _) = round_trip(vec![job], &options);
+            assert_eq!(report.counts.completed, 1, "{scheme}");
 
-        // The same document the one-shot CLI metrics path produces.
-        let config = broadcast_core::SimConfig::builder(1, SchemeSpec::parse("counter:3").unwrap())
-            .hosts(6)
-            .broadcasts(1)
-            .seed(42)
-            .build();
-        let report_one_shot = broadcast_core::World::new(config).run();
-        let record = manet_experiments::metrics_record(std::slice::from_ref(&report_one_shot));
-        let expected = manet_experiments::render_metrics_json(
-            "single",
-            &[("manet-sim".to_string(), vec![record])],
-        );
-        let streamed = fs::read_to_string(out_dir.join("ident.json")).unwrap();
-        assert_eq!(
-            streamed, expected,
-            "streamed metrics must be byte-identical"
-        );
-        fs::remove_dir_all(&out_dir).unwrap();
+            // The same document the one-shot CLI metrics path produces.
+            let config = broadcast_core::SimConfig::builder(1, SchemeSpec::parse(scheme).unwrap())
+                .hosts(6)
+                .broadcasts(1)
+                .seed(42)
+                .build();
+            let report_one_shot = broadcast_core::World::new(config).run();
+            let record = manet_experiments::metrics_record(std::slice::from_ref(&report_one_shot));
+            let expected = manet_experiments::render_metrics_json(
+                "single",
+                &[("manet-sim".to_string(), vec![record])],
+            );
+            let streamed = fs::read_to_string(out_dir.join("ident.json")).unwrap();
+            assert_eq!(
+                streamed, expected,
+                "{scheme}: streamed metrics must be byte-identical"
+            );
+            fs::remove_dir_all(&out_dir).unwrap();
+        }
     }
 
     #[test]

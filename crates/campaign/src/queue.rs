@@ -230,7 +230,7 @@ mod tests {
         );
         let first = q.pop().unwrap();
         assert_eq!(first.name, "a");
-        assert_eq!(q.depth(), (1, 1), "popped jobs free capacity");
+        assert_eq!(q.depth(), (1, 1), "taken jobs free capacity");
         // Now the refused campaign fits.
         q.submit("c".into(), vec![job("c0")]).unwrap();
         q.finish(first.id);

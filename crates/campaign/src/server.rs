@@ -55,7 +55,7 @@ impl ServerConfig {
 /// What one session did, for logs and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Campaigns popped and run to a summary frame.
+    /// Campaigns taken from the queue and run to a summary frame.
     pub campaigns: u64,
     /// Job counters aggregated across those campaigns.
     pub jobs: CampaignCounts,

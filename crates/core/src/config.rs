@@ -4,16 +4,18 @@
 //! population and mobility, the broadcast scheme, how neighborhood
 //! information is obtained, and the workload. Defaults match the paper's
 //! fixed parameters (§4); a builder makes the sweeps in the experiment
-//! harness terse. [`SimConfig::encode`] is the one binary spelling of a
-//! run, the header of every `MSNP` checkpoint and `MTRC` trace.
+//! harness terse. [`SimConfig::to_text`] is the one spelling of a run:
+//! `manet-sim`'s run flags are its keys ([`SimConfig::set`]), and
+//! [`SimConfig::encode`] writes it as the header of every `MSNP`
+//! checkpoint and `MTRC` trace.
 
 use manet_mobility::Map;
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
-use manet_scenario::Scenario;
+use manet_scenario::{quote, Scenario};
 use manet_sim_engine::{SimDuration, WireDecoder, WireEncoder, WireError};
 
 use crate::schemes::SchemeSpec;
-use crate::threshold::{AreaThreshold, AreaThresholdKind, CounterThreshold};
+use crate::threshold::{number, split3};
 
 // The paper's fixed parameters that no run varies. The transmission
 // radius is the fourth: `manet_mobility::PAPER_RADIO_RADIUS_M`.
@@ -276,206 +278,193 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Writes every field that affects the run, in the [`WireEncoder`]
-    /// vocabulary (DESIGN.md §12): hosts, scheme, neighbor info; seed,
-    /// map, broadcasts, interarrival, grace, warm-up, drop; capture,
-    /// placement, mobility, max speed; the scenario as its
-    /// [`Scenario::to_text`]. `profile_events` and the dead fields are
-    /// not written.
-    pub fn encode(&self, enc: &mut WireEncoder) {
-        enc.u32(self.hosts);
-        encode_scheme(enc, &self.scheme);
-        match &self.neighbor_info {
-            NeighborInfo::Hello(HelloIntervalPolicy::Fixed(d)) => {
-                enc.u8(0);
-                enc.duration(*d);
-            }
-            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p)) => {
-                enc.u8(1);
-                enc.f64(p.nv_max);
-                enc.duration(p.hi_min);
-                enc.duration(p.hi_max);
-            }
-            NeighborInfo::Oracle => enc.u8(2),
-        }
-        enc.u64(self.seed);
-        enc.u32(self.map_units);
-        enc.u32(self.broadcasts);
-        enc.duration(self.max_interarrival);
-        enc.duration(self.grace);
-        enc.duration(self.warmup);
-        enc.f64(self.drop_probability);
-        enc.option(self.capture, |enc, capture| {
-            enc.f64(capture.sir_threshold);
-            enc.f64(capture.path_loss_exponent);
-        });
-        match self.placement {
-            PlacementSpec::Uniform => enc.u8(0),
-            PlacementSpec::Grid => enc.u8(1),
-            PlacementSpec::Line { spacing_m } => {
-                enc.u8(2);
-                enc.u32(spacing_m);
-            }
-        }
-        enc.u8(match self.mobility {
-            MobilitySpec::RandomTurn => 0,
-            MobilitySpec::RandomWaypoint => 1,
-            MobilitySpec::Stationary => 2,
-        });
-        enc.option(self.max_speed_kmh, WireEncoder::f64);
-        enc.option(self.scenario.as_ref(), |enc, scenario| {
-            enc.str(&scenario.to_text());
-        });
-    }
-
-    /// Reads what [`encode`](Self::encode) wrote, validated once through
-    /// [`SimConfigBuilder::try_build`]. Total: any bytes give a config or
-    /// a positioned [`WireError`]; a config that fails validation is
-    /// refused at its first byte.
-    pub fn decode(dec: &mut WireDecoder<'_>) -> Result<SimConfig, WireError> {
-        let at = dec.position();
-        let hosts = dec.u32()?;
-        let mut builder = SimConfig::builder(0, decode_scheme(dec)?).hosts(hosts);
-        let c = &mut builder.config;
-        c.neighbor_info = match dec.tag("invalid neighbor-info tag")? {
-            (0, _) => NeighborInfo::Hello(HelloIntervalPolicy::Fixed(dec.duration()?)),
-            (1, _) => NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams {
-                nv_max: dec.f64()?,
-                hi_min: dec.duration()?,
-                hi_max: dec.duration()?,
-            })),
-            (2, _) => NeighborInfo::Oracle,
-            (_, invalid) => return Err(invalid),
+    /// Sets the field `key` names from `value`, spelled as
+    /// [`to_text`](Self::to_text) writes it (DESIGN.md §12 lists the
+    /// keys); `manet-sim --KEY VALUE` is this call. Seconds are exact
+    /// decimals. [`validate`](Self::validate) the config once every key is
+    /// set.
+    ///
+    /// # Errors
+    ///
+    /// Names the key and quotes the value that does not parse, or the key
+    /// that does not exist.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        use HelloIntervalPolicy::{Dynamic, Fixed};
+        let bad = |what: &str, want: &str| format!("bad {what} {} ({want})", quote(value));
+        let secs = |value: &str| {
+            SimDuration::from_decimal_secs(value)
+                .map_err(|why| format!("bad {key} {}: {why}", quote(value)))
         };
-        c.seed = dec.u64()?;
-        c.map_units = dec.u32()?;
-        c.broadcasts = dec.u32()?;
-        c.max_interarrival = dec.duration()?;
-        c.grace = dec.duration()?;
-        c.warmup = dec.duration()?;
-        c.drop_probability = dec.f64()?;
-        c.capture = dec.option(|dec| {
-            Ok(CaptureConfig {
-                sir_threshold: dec.f64()?,
-                path_loss_exponent: dec.f64()?,
-            })
-        })?;
-        c.placement = match dec.tag("invalid placement tag")? {
-            (0, _) => PlacementSpec::Uniform,
-            (1, _) => PlacementSpec::Grid,
-            (2, _) => PlacementSpec::Line {
-                spacing_m: dec.u32()?,
-            },
-            (_, invalid) => return Err(invalid),
-        };
-        c.mobility = match dec.tag("invalid mobility tag")? {
-            (0, _) => MobilitySpec::RandomTurn,
-            (1, _) => MobilitySpec::RandomWaypoint,
-            (2, _) => MobilitySpec::Stationary,
-            (_, invalid) => return Err(invalid),
-        };
-        c.max_speed_kmh = dec.option(WireDecoder::f64)?;
-        c.scenario = dec.option(|dec| {
-            let at = dec.position();
-            Scenario::parse(dec.str()?).map_err(|_| WireError {
-                at,
-                what: "scenario text does not parse",
-            })
-        })?;
-        let what = "config fails validation";
-        builder.try_build().map_err(|_| WireError { at, what })
-    }
-}
-
-fn encode_scheme(enc: &mut WireEncoder, scheme: &SchemeSpec) {
-    match scheme {
-        SchemeSpec::Flooding => enc.u8(0),
-        SchemeSpec::Counter(c) => {
-            enc.u8(1);
-            enc.u32(*c);
-        }
-        SchemeSpec::AdaptiveCounter(t) => {
-            enc.u8(2);
-            enc.seq(t.sequence().iter().copied(), WireEncoder::u32);
-            enc.str(t.label());
-        }
-        SchemeSpec::Distance(d) => {
-            enc.u8(3);
-            enc.f64(*d);
-        }
-        SchemeSpec::Location(a) => {
-            enc.u8(4);
-            enc.f64(*a);
-        }
-        SchemeSpec::AdaptiveLocation(t) => {
-            enc.u8(5);
-            match t.kind() {
-                AreaThresholdKind::Fixed(a) => {
-                    enc.u8(0);
-                    enc.f64(a);
-                }
-                AreaThresholdKind::Adaptive { n1, n2, ceiling } => {
-                    enc.u8(1);
-                    enc.u32(n1);
-                    enc.u32(n2);
-                    enc.f64(ceiling);
+        match key {
+            "map" => self.map_units = number(key, value)?,
+            "hosts" => self.hosts = number(key, value)?,
+            "scheme" => self.scheme = SchemeSpec::parse(value)?,
+            "hello" if value == "oracle" => self.neighbor_info = NeighborInfo::Oracle,
+            "hello" => {
+                let want = "seconds | dynamic | oracle";
+                let policy = match value.strip_prefix("dynamic:").and_then(split3) {
+                    _ if value == "dynamic" => Dynamic(DynamicHelloParams::paper()),
+                    Some([nv_max, lo, hi]) => Dynamic(DynamicHelloParams {
+                        nv_max: number("nv_max", nv_max)?,
+                        hi_min: secs(lo)?,
+                        hi_max: secs(hi)?,
+                    }),
+                    None => Fixed(secs(value).map_err(|_| bad("hello policy", want))?),
+                };
+                self.neighbor_info = NeighborInfo::Hello(policy);
+            }
+            "mobility" => {
+                let named = MOBILITY.iter().find(|m| m.1 == value).map(|m| m.0);
+                self.mobility = named.ok_or_else(|| bad("mobility", "turn | waypoint | none"))?;
+            }
+            "speed" if value == "paper" => self.max_speed_kmh = None,
+            "speed" => self.max_speed_kmh = Some(number(key, value)?),
+            "placement" => {
+                self.placement = match (value, value.strip_prefix("line:")) {
+                    ("uniform", _) => PlacementSpec::Uniform,
+                    ("grid", _) => PlacementSpec::Grid,
+                    (_, Some(m)) => PlacementSpec::Line {
+                        spacing_m: number("line spacing", m)?,
+                    },
+                    _ => return Err(bad("placement", "uniform | grid | line:METERS")),
                 }
             }
-            enc.str(t.label());
-        }
-        SchemeSpec::NeighborCoverage => enc.u8(6),
-        SchemeSpec::Probabilistic(p) => {
-            enc.u8(7);
-            enc.f64(*p);
-        }
-    }
-}
-
-/// Reads a scheme, refusing at its tag parameters the decision logic
-/// would not accept.
-fn decode_scheme(dec: &mut WireDecoder<'_>) -> Result<SchemeSpec, WireError> {
-    let (tag, invalid) = dec.tag("invalid scheme tag")?;
-    let scheme = match tag {
-        0 => SchemeSpec::Flooding,
-        1 => SchemeSpec::Counter(dec.u32()?),
-        2 => {
-            let at = dec.position();
-            let sequence = dec.seq(4, WireDecoder::u32)?;
-            let label = dec.str()?.to_string();
-            if sequence.is_empty() || sequence.iter().any(|&c| c < 2) {
-                return Err(WireError {
-                    at,
-                    what: "invalid counter threshold",
+            "capture" if value == "none" => self.capture = None,
+            "capture" => {
+                let split = value.split_once(',');
+                let (sir, exponent) = split.ok_or_else(|| bad("capture", "none | SIR,EXPONENT"))?;
+                self.capture = Some(CaptureConfig {
+                    sir_threshold: number("capture SIR", sir)?,
+                    path_loss_exponent: number("path-loss exponent", exponent)?,
                 });
             }
-            SchemeSpec::AdaptiveCounter(CounterThreshold::from_sequence(sequence, label))
+            "drop" => self.drop_probability = number(key, value)?,
+            "broadcasts" => self.broadcasts = number(key, value)?,
+            "interarrival" => self.max_interarrival = secs(value)?,
+            "warmup" => self.warmup = secs(value)?,
+            "grace" => self.grace = secs(value)?,
+            "seed" => self.seed = number(key, value)?,
+            _ => return Err(format!("unknown key {}", quote(key))),
         }
-        3 => SchemeSpec::Distance(dec.f64()?),
-        4 => SchemeSpec::Location(dec.f64()?),
-        5 => {
-            let (tag, invalid) = dec.tag("invalid area threshold kind")?;
-            let kind = match tag {
-                0 => AreaThresholdKind::Fixed(dec.f64()?),
-                1 => AreaThresholdKind::Adaptive {
-                    n1: dec.u32()?,
-                    n2: dec.u32()?,
-                    ceiling: dec.f64()?,
-                },
-                _ => return Err(invalid),
-            };
-            let label = dec.str()?.to_string();
-            SchemeSpec::AdaptiveLocation(AreaThreshold::from_parts(kind, label))
-        }
-        6 => SchemeSpec::NeighborCoverage,
-        7 => SchemeSpec::Probabilistic(dec.f64()?),
-        _ => return Err(invalid),
-    };
-    if scheme.validate().is_err() {
-        let what = "scheme parameter out of range";
-        return Err(WireError { what, ..invalid });
+        Ok(())
     }
-    Ok(scheme)
+
+    /// The run as text: a line of `key=value` tokens, every key of
+    /// [`set`](Self::set) once in a fixed order, then the scenario's
+    /// [`Scenario::to_text`] on the lines after it, if the run has one.
+    /// `profile_events` and the dead fields are not written.
+    pub fn to_text(&self) -> String {
+        let hello = match self.neighbor_info {
+            NeighborInfo::Oracle => "oracle".to_string(),
+            NeighborInfo::Hello(HelloIntervalPolicy::Fixed(interval)) => interval.decimal_secs(),
+            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p))
+                if p == DynamicHelloParams::paper() =>
+            {
+                "dynamic".to_string()
+            }
+            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p)) => {
+                let (lo, hi) = (p.hi_min.decimal_secs(), p.hi_max.decimal_secs());
+                format!("dynamic:{},{lo},{hi}", p.nv_max)
+            }
+        };
+        let mobility = MOBILITY
+            .iter()
+            .find(|m| m.0 == self.mobility)
+            .map_or("", |m| m.1);
+        let speed = self
+            .max_speed_kmh
+            .map_or("paper".into(), |kmh| kmh.to_string());
+        let placement = match self.placement {
+            PlacementSpec::Uniform => "uniform".to_string(),
+            PlacementSpec::Grid => "grid".to_string(),
+            PlacementSpec::Line { spacing_m } => format!("line:{spacing_m}"),
+        };
+        let capture = (self.capture).map_or("none".into(), |c| {
+            format!("{},{}", c.sir_threshold, c.path_loss_exponent)
+        });
+        let mut text = format!(
+            "map={} hosts={} scheme={} hello={hello} mobility={mobility} speed={speed} \
+             placement={placement} capture={capture} drop={} broadcasts={} interarrival={} \
+             warmup={} grace={} seed={}\n",
+            self.map_units,
+            self.hosts,
+            self.scheme,
+            self.drop_probability,
+            self.broadcasts,
+            self.max_interarrival.decimal_secs(),
+            self.warmup.decimal_secs(),
+            self.grace.decimal_secs(),
+            self.seed,
+        );
+        if let Some(scenario) = &self.scenario {
+            text.push_str(&scenario.to_text());
+        }
+        text
+    }
+
+    /// Reads what [`to_text`](Self::to_text) wrote, validated once: each
+    /// token of the first line through [`set`](Self::set) (a key not
+    /// named keeps [`builder`](Self::builder)'s default), the lines after
+    /// it as a scenario script. Total: any text gives a config or a
+    /// [`WireError`] at the byte of the text that does not parse, naming
+    /// its key (`bad hosts=`), or at byte 0 if the config fails validation.
+    pub fn from_text(text: &str) -> Result<SimConfig, WireError> {
+        let (line, script) = text.split_once('\n').unwrap_or((text, ""));
+        let mut config = SimConfig::builder(1, SchemeSpec::Flooding).build();
+        for token in line.split_whitespace() {
+            let at = token.as_ptr() as usize - text.as_ptr() as usize;
+            let (key, value) = token.split_once('=').unwrap_or(("", token));
+            // The refusal naming the key, sliced out of `REFUSALS`.
+            let refusal = format!("bad {key}=");
+            let what =
+                (REFUSALS.find(&refusal)).map_or(UNKNOWN, |i| &REFUSALS[i..i + refusal.len()]);
+            config.set(key, value).map_err(|_| WireError { at, what })?;
+        }
+        if !script.is_empty() {
+            let (at, what) = (line.len() + 1, "scenario text does not parse");
+            config.scenario = Some(Scenario::parse(script).map_err(|_| WireError { at, what })?);
+        }
+        let what = INVALID;
+        config.validate().map_err(|_| WireError { at: 0, what })?;
+        Ok(config)
+    }
+
+    /// Writes [`to_text`](Self::to_text) as one wire string: the header of
+    /// every `MSNP` checkpoint and `MTRC` trace (DESIGN.md §12).
+    pub fn encode(&self, enc: &mut WireEncoder) {
+        enc.str(&self.to_text());
+    }
+
+    /// Reads what [`encode`](Self::encode) wrote through
+    /// [`from_text`](Self::from_text), refused at the token that does not
+    /// parse or, when the config fails validation, at the header's first
+    /// byte.
+    pub fn decode(dec: &mut WireDecoder<'_>) -> Result<SimConfig, WireError> {
+        let at = dec.position();
+        let text = dec.str()?;
+        let base = dec.position() - text.len();
+        SimConfig::from_text(text).map_err(|e| {
+            let at = if e.what == INVALID { at } else { base + e.at };
+            WireError { at, ..e }
+        })
+    }
 }
+
+/// Each mobility model's spelling.
+const MOBILITY: [(MobilitySpec, &str); 3] = [
+    (MobilitySpec::RandomTurn, "turn"),
+    (MobilitySpec::RandomWaypoint, "waypoint"),
+    (MobilitySpec::Stationary, "none"),
+];
+
+/// The refusal of each key's token, one after another.
+const REFUSALS: &str = "bad map= bad hosts= bad scheme= bad hello= bad mobility= bad speed= \
+    bad placement= bad capture= bad drop= bad broadcasts= bad interarrival= bad warmup= \
+    bad grace= bad seed=";
+/// The refusal of a token that is no key's.
+const UNKNOWN: &str = "not a key=value token of a config";
+/// The refusal of a config text whose every token parses.
+const INVALID: &str = "config fails validation";
 
 /// Builder for [`SimConfig`].
 ///
@@ -656,21 +645,28 @@ mod tests {
     /// A valid config drawing every field the codec writes, placement,
     /// warm-up, grace and interarrival included, and every scheme family.
     fn any_config(g: &mut Gen) -> SimConfig {
-        use crate::threshold::DescentShape;
+        use crate::threshold::{AreaThreshold, CounterThreshold, DescentShape};
         use manet_scenario::{ChurnKind, Region};
         use manet_sim_engine::SimTime;
 
         let millis = |g: &mut Gen| SimDuration::from_millis(g.u64_in(0..20_000));
-        let scheme = match g.u32_in(0..13) {
+        let shapes = [
+            DescentShape::Convex,
+            DescentShape::Linear,
+            DescentShape::Concave,
+        ];
+        let scheme = match g.u32_in(0..15) {
             0 => SchemeSpec::Flooding,
             1 => SchemeSpec::Counter(g.u32_in(2..9)),
             2 => SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
             3 => SchemeSpec::AdaptiveCounter(CounterThreshold::ramp(g.u32_in(1..4))),
             4 => {
                 let n1 = g.u32_in(1..6);
-                let shape = [DescentShape::Convex, DescentShape::Concave][g.usize_in(0..2)];
+                let shape = shapes[g.usize_in(0..3)];
                 SchemeSpec::AdaptiveCounter(CounterThreshold::with_descent(n1, n1 + 4, shape))
             }
+            12 => SchemeSpec::AdaptiveCounter(CounterThreshold::fixed(g.u32_in(2..9))),
+            13 => SchemeSpec::AdaptiveCounter(CounterThreshold::ramp_to(g.u32_in(1..7))),
             5 => SchemeSpec::Distance(g.f64_in(0.0..500.0)),
             6 => SchemeSpec::Location(g.f64_in_incl(0.0, 1.0)),
             7 => SchemeSpec::AdaptiveLocation(AreaThreshold::fixed(g.f64_in(0.0..0.2))),
@@ -748,10 +744,16 @@ mod tests {
     }
 
     prop_check! {
-        /// `decode(encode(c))` re-encodes to the same bytes, and every cut
-        /// and every xor-1 flip of a header decodes to `Ok` or `Err`.
+        /// `from_text(to_text(c))` spells the same text and runs a scheme
+        /// of the same label; `decode(encode(c))` re-encodes to the same
+        /// bytes, and every cut and every xor-1 flip of a header decodes to
+        /// `Ok` or `Err`.
         fn decode_inverts_encode_and_never_panics(g, cases = 64) {
             let config = any_config(g);
+            let text = config.to_text();
+            let back = SimConfig::from_text(&text).expect("a config's text reads back");
+            assert_eq!(back.to_text(), text);
+            assert_eq!(back.scheme.label(), config.scheme.label(), "{text}");
             let mut enc = WireEncoder::new();
             config.encode(&mut enc);
             let bytes = enc.into_bytes();
@@ -793,6 +795,102 @@ mod tests {
                 .expect_err("past the bound");
             assert_eq!((err.at, err.what), (0, "config fails validation"));
         }
+    }
+
+    /// Every threshold constructor has a spelling, inside a config's text
+    /// too, that reads back to the same thresholds under the same label.
+    #[test]
+    fn every_threshold_constructor_reads_back_from_its_spelling() {
+        use crate::threshold::{AreaThreshold, CounterThreshold, DescentShape};
+        let counter = |t: CounterThreshold| SchemeSpec::AdaptiveCounter(t);
+        let area = |t: AreaThreshold| SchemeSpec::AdaptiveLocation(t);
+        for (scheme, spelling, label) in [
+            (counter(CounterThreshold::paper_recommended()), "ac", "AC"),
+            (counter(CounterThreshold::fixed(3)), "ac:fixed3", "C=3"),
+            (counter(CounterThreshold::ramp(2)), "ac:ramp2", "slope 1/2"),
+            (counter(CounterThreshold::ramp_to(4)), "ac:to4", "n1=4"),
+            (
+                counter(CounterThreshold::with_descent(4, 12, DescentShape::Convex)),
+                "ac:4,12,convex",
+                "n1=4,n2=12,convex",
+            ),
+            (area(AreaThreshold::paper_recommended()), "al", "AL"),
+            (
+                area(AreaThreshold::fixed(0.0469)),
+                "al:fixed0.0469",
+                "A=0.0469",
+            ),
+            (area(AreaThreshold::adaptive(6, 12)), "al:6,12", "AL(6,12)"),
+        ] {
+            assert_eq!(
+                (scheme.to_string(), scheme.label()),
+                (spelling.into(), label.into())
+            );
+            let config = SimConfig::builder(3, scheme.clone()).build();
+            let back = SimConfig::from_text(&config.to_text()).expect(spelling);
+            assert_eq!(back.to_text(), config.to_text());
+            assert_eq!(back.scheme.label(), label);
+            match (&back.scheme, &scheme) {
+                (SchemeSpec::AdaptiveCounter(a), SchemeSpec::AdaptiveCounter(b)) => {
+                    assert_eq!(a, b)
+                }
+                (SchemeSpec::AdaptiveLocation(a), SchemeSpec::AdaptiveLocation(b)) => {
+                    assert_eq!(a, b)
+                }
+                other => panic!("{spelling} read back as {other:?}"),
+            }
+        }
+    }
+
+    /// Each run flag's spelling sets its field, and a value that does not
+    /// parse, or a key that does not exist, is refused by name.
+    #[test]
+    fn set_reads_every_key_and_names_a_refusal() {
+        let mut c = SimConfig::builder(3, SchemeSpec::Flooding).build();
+        for (key, value) in [
+            ("hello", "dynamic:0.5,0.25,3"),
+            ("speed", "12.5"),
+            ("placement", "line:40"),
+            ("capture", "10,4"),
+            ("interarrival", "0.000000001"),
+        ] {
+            c.set(key, value).unwrap();
+            assert!(c.to_text().contains(&format!(" {key}={value} ")), "{key}");
+        }
+        assert_eq!(c.capture, Some(CaptureConfig::typical()));
+        for (key, value, names) in [
+            ("map", "x", "bad map \"x\""),
+            ("hello", "sometimes", "bad hello policy \"sometimes\""),
+            ("hello", "1e-9", "bad hello policy"),
+            ("mobility", "fly", "bad mobility \"fly\""),
+            ("placement", "ring", "bad placement"),
+            ("capture", "10", "bad capture"),
+            ("grace", "1.", "bad grace \"1.\": expected decimal seconds"),
+            ("shards", "4", "unknown key \"shards\""),
+        ] {
+            let err = c.set(key, value).unwrap_err();
+            assert!(err.contains(names), "{key}={value}: {err}");
+        }
+    }
+
+    /// A token of the text that does not parse is refused where it stands,
+    /// naming its key; a 1 MiB token of control bytes is quoted in a
+    /// bounded prefix.
+    #[test]
+    fn from_text_refuses_a_token_at_its_offset() {
+        let text = SimConfig::builder(3, SchemeSpec::Flooding)
+            .build()
+            .to_text();
+        let at = text.find("hello=").unwrap();
+        let bad = text.replacen("hello=1", "hello=x", 1);
+        let err = SimConfig::from_text(&bad).unwrap_err();
+        assert_eq!((err.at, err.what), (at, "bad hello="));
+        let err = SimConfig::from_text(&text.replacen("map=", "mop=", 1)).unwrap_err();
+        assert_eq!(err.at, 0);
+        let control = "\u{1}".repeat(1 << 20);
+        let mut c = SimConfig::builder(3, SchemeSpec::Flooding).build();
+        assert!(c.set("scheme", &control).unwrap_err().len() < 400);
+        assert!(c.set(&control, "1").unwrap_err().len() < 400);
     }
 
     #[test]

@@ -49,13 +49,14 @@ impl HostSet {
         self.words[id.index() / 64] & (1u64 << (id.index() % 64)) != 0
     }
 
+    /// Writes the words only: the count is theirs.
     fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.seq(self.words.iter().copied(), WireEncoder::u64);
-        enc.u32(self.count);
     }
 
     /// Reads a set over `hosts` hosts, refusing any other word count (a
-    /// short vector would be indexed past its end on the next insert).
+    /// short vector would be indexed past its end on the next insert),
+    /// and counts its members.
     fn restore_snapshot(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<HostSet, WireError> {
         let at = dec.position();
         let words = dec.seq(8, WireDecoder::u64)?;
@@ -63,10 +64,8 @@ impl HostSet {
             let what = "host set size does not match the host count";
             return Err(WireError { at, what });
         }
-        Ok(HostSet {
-            words,
-            count: dec.u32()?,
-        })
+        let count = words.iter().map(|word| word.count_ones()).sum();
+        Ok(HostSet { words, count })
     }
 }
 
@@ -352,11 +351,11 @@ impl MetricsCollector {
         reachable_set: &[NodeId],
         now: SimTime,
     ) {
-        self.broadcast_issued(packet, source, reachable_set.len() as u32, now);
         let mut eligible = HostSet::new(self.hosts);
         for &id in reachable_set {
             eligible.insert(id);
         }
+        self.broadcast_issued(packet, source, eligible.count, now);
         self.records
             .last_mut()
             .expect("record just pushed")
@@ -399,17 +398,21 @@ impl MetricsCollector {
     }
 
     /// Serializes the collector — every per-broadcast record, whose packet
-    /// is its source and position — for a world snapshot.
+    /// is its source and position — for a world snapshot. A scoped
+    /// record's `e` is its eligible set's count, so only an unscoped one
+    /// writes it.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.usize(self.hosts);
         enc.seq(&self.records, |enc, (_, record)| {
             record.source.encode(enc);
             enc.time(record.issued_at);
-            enc.u32(record.reachable);
+            enc.option(record.eligible.as_ref(), |enc, set| set.snapshot_into(enc));
+            if record.eligible.is_none() {
+                enc.u32(record.reachable);
+            }
             record.received.snapshot_into(enc);
             record.rebroadcasters.snapshot_into(enc);
             enc.time(record.last_decision);
-            enc.option(record.eligible.as_ref(), |enc, set| set.snapshot_into(enc));
         });
     }
 
@@ -426,18 +429,24 @@ impl MetricsCollector {
             return Err(WireError { at, what });
         }
         let mut seq = 0;
-        let records = dec.seq(49, |dec| {
+        let records = dec.seq(41, |dec| {
             let source = NodeId::decode(dec)?;
             let packet = PacketId::new(source, seq);
             seq += 1;
+            let issued_at = dec.time()?;
+            let eligible = dec.option(|dec| HostSet::restore_snapshot(dec, hosts))?;
+            let reachable = match &eligible {
+                Some(set) => set.count,
+                None => dec.u32()?,
+            };
             let record = BroadcastRecord {
                 source,
-                issued_at: dec.time()?,
-                reachable: dec.u32()?,
+                issued_at,
+                reachable,
                 received: HostSet::restore_snapshot(dec, hosts)?,
                 rebroadcasters: HostSet::restore_snapshot(dec, hosts)?,
                 last_decision: dec.time()?,
-                eligible: dec.option(|dec| HostSet::restore_snapshot(dec, hosts))?,
+                eligible,
             };
             Ok((packet, record))
         })?;
@@ -677,6 +686,39 @@ mod tests {
         assert_eq!(a.injected_drops(), 10);
     }
 
+    /// A restored set counts the bits of its words, and a scoped record's
+    /// `e` is its eligible set's count: a checkpoint writes no count that
+    /// could disagree with its words and skew RE and SRB.
+    #[test]
+    fn restored_counts_are_the_popcounts_of_the_words() {
+        let mut m = MetricsCollector::new(70);
+        m.broadcast_issued(pid(0), id(0), 69, SimTime::ZERO);
+        m.broadcast_issued_scoped(pid(1), id(0), &[id(2), id(3), id(66)], SimTime::ZERO);
+        for host in [2, 3, 66] {
+            m.packet_received(pid(0), id(host));
+            m.packet_received(pid(1), id(host));
+        }
+        m.transmission_finished(pid(1), id(66), SimTime::ZERO);
+        let mut enc = WireEncoder::new();
+        m.snapshot_into(&mut enc);
+        let mut bytes = enc.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let restored = MetricsCollector::restore_snapshot(&mut WireDecoder::new(bytes), 70);
+            restored.unwrap().outcomes()
+        };
+        assert_eq!(restore(&bytes), m.outcomes());
+        let scoped = restore(&bytes)[1];
+        assert_eq!(
+            (scoped.reachable, scoped.received, scoped.rebroadcast),
+            (3, 3, 1)
+        );
+        // Hosts, record count, source, issue time, scope flag, reachable
+        // and the word count precede the first received word: host 5's
+        // bit set there is one more receiver, and nothing else says so.
+        bytes[8 + 8 + 4 + 8 + 1 + 4 + 8] |= 1 << 5;
+        assert_eq!(restore(&bytes)[0].received, 4);
+    }
+
     /// A snapshot whose host sets are shorter than the world's population
     /// used to restore, then index past the set on the next reception.
     #[test]
@@ -696,9 +738,9 @@ mod tests {
         assert_eq!(restored.outcomes()[0].received, 1);
         assert_eq!(restore(&bytes, 64).unwrap_err().at, 0);
 
-        // Hosts, record count, source, issue time and reachable precede
-        // the first set: drop its second word.
-        let set = 8 + 8 + 4 + 8 + 4;
+        // Hosts, record count, source, issue time, scope flag and
+        // reachable precede the first set: drop its second word.
+        let set = 8 + 8 + 4 + 8 + 1 + 4;
         assert_eq!(bytes[set..set + 8], 2u64.to_le_bytes());
         let mut short = bytes.clone();
         short[set] = 1;

@@ -16,8 +16,8 @@
 //! file layout is:
 //!
 //! ```text
-//! magic "MTRC" | version u32 (=3)
-//! config (SimConfig::encode; DESIGN.md §12)
+//! magic "MTRC" | version u32 (=4)
+//! config (SimConfig::encode: its text as one string; DESIGN.md §12)
 //! records until end of input, each:
 //!     record tag u8: 0 = action, 1 = decision
 //!     at u64 (nanoseconds)
@@ -67,7 +67,7 @@ use crate::trace::{DecisionKind, SuppressReason};
 /// Magic bytes opening a trace file.
 pub const TRACE_MAGIC: &[u8; 4] = b"MTRC";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 3;
+pub const TRACE_VERSION: u32 = 4;
 
 /// The (interval, list) each sender last advertised in a trace, keyed by
 /// id — never sized by one, since a header may claim 2³² − 1 hosts.
@@ -194,6 +194,7 @@ impl<'a> TraceFile<'a> {
             TRACE_VERSION => None,
             1 => Some("trace version 1 is retired (a list per hearer); record the run again"),
             2 => Some("trace version 2 is retired (a replay-slice header); record the run again"),
+            3 => Some("trace version 3 is retired (a binary config header); record the run again"),
             _ => Some("unsupported trace version"),
         };
         if let Some(what) = what {
@@ -713,9 +714,9 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(TraceFile::decode(&wrong_magic).is_err());
-        // Versions 1 and 2 are refused by name; any other unknown one
+        // Versions 1 to 3 are refused by name; any other unknown one
         // generically.
-        for (version, retired) in [(1u32, true), (2, true), (4, false)] {
+        for (version, retired) in [(1u32, true), (2, true), (3, true), (5, false)] {
             let mut old = bytes.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             let err = TraceFile::decode(&old).unwrap_err();

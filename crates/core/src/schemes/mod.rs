@@ -2,16 +2,16 @@
 //! parameters — one value per world — and owns the S1/S4 decision logic;
 //! [`PacketState`] is the one variable a scheme keeps per packet.
 
-use std::fmt::Display;
-use std::str::FromStr;
+use std::fmt::{self, Display};
 
 use manet_geom::{CoverageGrid, Vec2};
 use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_phy::NodeId;
+use manet_scenario::quote;
 
 use crate::config::COVERAGE_RESOLUTION;
 use crate::policy::{DuplicateDecision, FirstDecision, HearContext};
-use crate::threshold::{AreaThreshold, AreaThresholdKind, CounterThreshold};
+use crate::threshold::{number, AreaThreshold, CounterThreshold};
 use crate::trace::SuppressReason;
 
 /// Which broadcast scheme a simulation runs, with its parameters.
@@ -282,10 +282,12 @@ impl SchemeSpec {
         }
         let fraction = |what, v: f64| require((0.0..=1.0).contains(&v), what, v, "within 0..=1");
         match self {
-            // `CounterThreshold`'s constructors admit no value below 2.
+            // The threshold families' constructors admit no parameter
+            // out of range.
             SchemeSpec::Flooding
             | SchemeSpec::NeighborCoverage
-            | SchemeSpec::AdaptiveCounter(_) => Ok(()),
+            | SchemeSpec::AdaptiveCounter(_)
+            | SchemeSpec::AdaptiveLocation(_) => Ok(()),
             SchemeSpec::Counter(c) => require(*c >= 2, "counter threshold", c, "at least 2"),
             SchemeSpec::Distance(d) => require(
                 d.is_finite() && *d >= 0.0,
@@ -295,14 +297,6 @@ impl SchemeSpec {
             ),
             SchemeSpec::Location(a) => fraction("coverage threshold", *a),
             SchemeSpec::Probabilistic(p) => fraction("rebroadcast probability", *p),
-            SchemeSpec::AdaptiveLocation(f) => match f.kind() {
-                AreaThresholdKind::Fixed(a) => fraction("coverage threshold", a),
-                AreaThresholdKind::Adaptive { n1, n2, ceiling } => {
-                    let ramp = format_args!("n1={n1}, n2={n2}");
-                    require(0 < n1 && n1 < n2, "coverage ramp", ramp, "0 < n1 < n2")?;
-                    fraction("coverage threshold ceiling", ceiling)
-                }
-            },
         }
     }
 
@@ -312,10 +306,10 @@ impl SchemeSpec {
         match self {
             SchemeSpec::Flooding => "flooding".to_string(),
             SchemeSpec::Counter(c) => format!("C={c}"),
-            SchemeSpec::AdaptiveCounter(f) => f.label().to_string(),
+            SchemeSpec::AdaptiveCounter(f) => f.label(),
             SchemeSpec::Distance(d) => format!("D={d}"),
             SchemeSpec::Location(a) => format!("A={a}"),
-            SchemeSpec::AdaptiveLocation(f) => f.label().to_string(),
+            SchemeSpec::AdaptiveLocation(f) => f.label(),
             SchemeSpec::NeighborCoverage => "NC".to_string(),
             SchemeSpec::Probabilistic(p) => format!("P={p}"),
         }
@@ -336,14 +330,12 @@ impl SchemeSpec {
         matches!(self, SchemeSpec::NeighborCoverage)
     }
 
-    /// Parses the CLI/campaign scheme syntax: `flooding`, `ac`, `al`,
+    /// Parses the one scheme grammar of every front end (`manet-sim`,
+    /// campaign jobs, config text), which `Display` writes: `flooding`,
     /// `nc`, `counter:C` (`C ≥ 2`), `distance:D` (meters, `D ≥ 0`),
-    /// `location:A` or `prob:P` (both in `0..=1`).
-    ///
-    /// This is the one shared grammar for every front end that names a
-    /// scheme as a string — `manet-sim`, campaign job envelopes, service
-    /// clients — so a job submitted over the wire selects exactly the
-    /// scheme the CLI would.
+    /// `location:A` or `prob:P` (both in `0..=1`); `ac`, `al` and the rest
+    /// of their families: `ac:fixedC`, `ac:rampK`, `ac:toN1`,
+    /// `ac:N1,N2,SHAPE` (Figs 5, 6), `al:fixedA`, `al:N1,N2` (Figs 8, 9).
     ///
     /// # Errors
     ///
@@ -357,13 +349,13 @@ impl SchemeSpec {
     ///
     /// assert_eq!(SchemeSpec::parse("counter:3").unwrap().label(), "C=3");
     /// assert_eq!(SchemeSpec::parse("ac").unwrap().label(), "AC");
+    /// let convex = SchemeSpec::parse("ac:4,12,convex").unwrap();
+    /// assert_eq!(convex.label(), "n1=4,n2=12,convex");
+    /// assert_eq!(convex.to_string(), "ac:4,12,convex");
     /// assert!(SchemeSpec::parse("bogus").is_err());
     /// assert!(SchemeSpec::parse("counter:1").is_err());
     /// ```
     pub fn parse(s: &str) -> Result<SchemeSpec, String> {
-        fn number<T: FromStr<Err: Display>>(what: &str, arg: &str) -> Result<T, String> {
-            arg.parse().map_err(|e| format!("bad {what} '{arg}': {e}"))
-        }
         let spec = match s.split_once(':') {
             Some(("counter", arg)) => SchemeSpec::Counter(number("counter threshold", arg)?),
             Some(("distance", arg)) => SchemeSpec::Distance(number("distance threshold", arg)?),
@@ -371,7 +363,11 @@ impl SchemeSpec {
             Some(("prob", arg)) => {
                 SchemeSpec::Probabilistic(number("rebroadcast probability", arg)?)
             }
-            Some((other, _)) => return Err(format!("unknown parameterized scheme '{other}'")),
+            Some(("ac", arg)) => SchemeSpec::AdaptiveCounter(CounterThreshold::parse(arg)?),
+            Some(("al", arg)) => SchemeSpec::AdaptiveLocation(AreaThreshold::parse(arg)?),
+            Some((other, _)) => {
+                return Err(format!("unknown parameterized scheme {}", quote(other)))
+            }
             None => match s {
                 "flooding" => SchemeSpec::Flooding,
                 "ac" => SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
@@ -379,13 +375,31 @@ impl SchemeSpec {
                 "nc" => SchemeSpec::NeighborCoverage,
                 other => {
                     return Err(format!(
-                        "unknown scheme '{other}' (try flooding, counter:2, ac, al, nc, prob:0.7)"
+                        "unknown scheme {} (try flooding, counter:2, ac, al, nc, prob:0.7)",
+                        quote(other)
                     ))
                 }
             },
         };
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// The spelling [`SchemeSpec::parse`] reads back: equal spellings name
+/// equal schemes, and no spelling holds `=` or whitespace.
+impl fmt::Display for SchemeSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemeSpec::Flooding => f.write_str("flooding"),
+            SchemeSpec::Counter(c) => write!(f, "counter:{c}"),
+            SchemeSpec::AdaptiveCounter(t) => t.fmt(f),
+            SchemeSpec::Distance(d) => write!(f, "distance:{d}"),
+            SchemeSpec::Location(a) => write!(f, "location:{a}"),
+            SchemeSpec::AdaptiveLocation(t) => t.fmt(f),
+            SchemeSpec::NeighborCoverage => f.write_str("nc"),
+            SchemeSpec::Probabilistic(p) => write!(f, "prob:{p}"),
+        }
     }
 }
 
@@ -454,22 +468,35 @@ mod tests {
         ] {
             assert!(SchemeSpec::parse(ok).is_ok(), "{ok}");
         }
-        // Threshold functions rebuilt from codec parts skip the public
-        // constructors' checks; `validate` is what stands in for them.
-        let area = |kind| SchemeSpec::AdaptiveLocation(AreaThreshold::from_parts(kind, "x".into()));
-        let ramp = |n1, n2, ceiling| area(AreaThresholdKind::Adaptive { n1, n2, ceiling });
-        assert!(ramp(6, 12, 0.187).validate().is_ok());
-        assert!(ramp(0, 12, 0.187).validate().unwrap_err().contains("n1=0"));
-        assert!(ramp(12, 12, 0.187)
-            .validate()
-            .unwrap_err()
-            .contains("n2=12"));
-        assert!(ramp(6, 12, 1.5)
-            .validate()
-            .unwrap_err()
-            .contains("ceiling 1.5"));
-        assert!(area(AreaThresholdKind::Fixed(-1.0)).validate().is_err());
-        assert!(area(AreaThresholdKind::Fixed(0.05)).validate().is_ok());
+        // The threshold families are refused where they are spelled, by
+        // the parameter out of range.
+        for (spec, names) in [
+            ("al:0,12", "n1=0"),
+            ("al:12,12", "n2=12"),
+            ("al:fixed-1", "out of range: -1"),
+            ("al:fixednan", "out of range: NaN"),
+            ("al:6", "unknown coverage threshold \"6\""),
+            ("ac:fixed1", "counter threshold 1"),
+            ("ac:ramp0", "slope denominator"),
+            ("ac:to0", "n1 must be positive"),
+            ("ac:5,5,linear", "n2=5"),
+            ("ac:4,12,wavy", "descent shape \"wavy\""),
+            ("ac:4,x,linear", "bad n2 \"x\""),
+            ("ac:4,12", "unknown counter threshold"),
+        ] {
+            let err = SchemeSpec::parse(spec).expect_err(spec);
+            assert!(err.contains(names), "{spec}: {err}");
+        }
+        for ok in [
+            "al:6,12",
+            "al:fixed0.05",
+            "ac:fixed2",
+            "ac:ramp1",
+            "ac:to1",
+            "ac:1,2,concave",
+        ] {
+            assert!(SchemeSpec::parse(ok).is_ok(), "{ok}");
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! conclusions.
 
 use std::fmt;
+use std::str::FromStr;
+
+use manet_scenario::quote;
 
 /// The minimum useful counter threshold; `C(n) = 2` can still suppress but
 /// never forbids rebroadcasting outright (paper §3.1: "it is unreasonable
@@ -38,22 +41,18 @@ pub enum DescentShape {
     Concave,
 }
 
+/// The shape's name in labels and spellings: `convex`, `linear`, `concave`.
 impl fmt::Display for DescentShape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            DescentShape::Convex => "convex",
-            DescentShape::Linear => "linear",
-            DescentShape::Concave => "concave",
-        };
-        f.write_str(name)
+        f.write_str(&format!("{self:?}").to_lowercase())
     }
 }
 
-/// A counter threshold function `C(n)`.
-///
-/// Internally a lookup sequence `C(1), C(2), …`; queries beyond the end of
-/// the sequence return its last value, matching the paper's
-/// `x₁x₂x₃…` notation where the final digit repeats.
+/// A counter threshold function `C(n)`: one of the families the paper
+/// sweeps (Figs 5 and 6) with its parameters, from which `C(n)` (past a
+/// family's defining prefix its last value repeats, the paper's `x₁x₂x₃…`),
+/// the label and the spelling (`Display`: `ac`, `ac:fixed3`, `ac:ramp2`,
+/// `ac:to4`, `ac:4,12,convex`) derive.
 ///
 /// # Examples
 ///
@@ -65,46 +64,46 @@ impl fmt::Display for DescentShape {
 /// assert_eq!(c.threshold(4), 5);  // peak at n1 = 4
 /// assert_eq!(c.threshold(12), 2); // dense: suppress aggressively
 /// assert_eq!(c.threshold(50), 2); // constant beyond n2
+/// assert_eq!(c.to_string(), "ac");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterThreshold {
-    sequence: Vec<u32>,
-    label: String,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterThreshold(CounterFamily);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CounterFamily {
+    /// The paper's AC: the linear descent from 4 to 12, under its own label.
+    Paper,
+    Fixed(u32),
+    Ramp(u32),
+    RampTo(u32),
+    Descent {
+        n1: u32,
+        n2: u32,
+        shape: DescentShape,
+    },
 }
 
 impl CounterThreshold {
+    /// The family with its parameters, or why they are out of range.
+    fn checked(family: CounterFamily) -> Result<Self, String> {
+        match family {
+            CounterFamily::Fixed(c) if c < MIN_COUNTER_THRESHOLD => Err(format!(
+                "counter threshold {c} is below 2: it suppresses everything"
+            )),
+            CounterFamily::Ramp(0) => Err("slope denominator must be positive".into()),
+            CounterFamily::RampTo(0) => Err("n1 must be positive".into()),
+            CounterFamily::Descent { n1, n2, .. } => ramp_bounds(n1, n2).map(|()| Self(family)),
+            family => Ok(Self(family)),
+        }
+    }
+
     /// A fixed threshold `C(n) = c` — the non-adaptive baseline of \[15\].
     ///
     /// # Panics
     ///
     /// Panics if `c < 2`.
     pub fn fixed(c: u32) -> Self {
-        assert!(
-            c >= MIN_COUNTER_THRESHOLD,
-            "a threshold below 2 suppresses everything"
-        );
-        CounterThreshold {
-            sequence: vec![c],
-            label: format!("C={c}"),
-        }
-    }
-
-    /// Builds `C(n)` from an explicit sequence `C(1), C(2), …`; values
-    /// past the end repeat the last element (the paper's `…` notation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty or contains a value below 2.
-    pub fn from_sequence(sequence: Vec<u32>, label: impl Into<String>) -> Self {
-        assert!(!sequence.is_empty(), "threshold sequence cannot be empty");
-        assert!(
-            sequence.iter().all(|&c| c >= MIN_COUNTER_THRESHOLD),
-            "threshold values below 2 suppress everything"
-        );
-        CounterThreshold {
-            sequence,
-            label: label.into(),
-        }
+        built(Self::checked(CounterFamily::Fixed(c)))
     }
 
     /// The Fig. 5a ramp candidates: thresholds climb from 2 with the given
@@ -119,17 +118,7 @@ impl CounterThreshold {
     ///
     /// Panics if `slope_denominator == 0`.
     pub fn ramp(slope_denominator: u32) -> Self {
-        assert!(slope_denominator > 0, "slope denominator must be positive");
-        let mut seq = Vec::new();
-        for value in 2..=5u32 {
-            for _ in 0..slope_denominator {
-                seq.push(value);
-                if value == 5 {
-                    break; // the plateau repeats implicitly
-                }
-            }
-        }
-        CounterThreshold::from_sequence(seq, format!("slope 1/{slope_denominator}"))
+        built(Self::checked(CounterFamily::Ramp(slope_denominator)))
     }
 
     /// The Fig. 5b candidates: `C(n) = n + 1` for `n ≤ n₁`, constant
@@ -139,10 +128,7 @@ impl CounterThreshold {
     ///
     /// Panics if `n1 == 0`.
     pub fn ramp_to(n1: u32) -> Self {
-        assert!(n1 > 0, "n1 must be positive");
-        let mut seq: Vec<u32> = (1..=n1).map(|n| n + 1).collect();
-        seq.push(n1 + 1); // constant beyond n1
-        CounterThreshold::from_sequence(seq, format!("n1={n1}"))
+        built(Self::checked(CounterFamily::RampTo(n1)))
     }
 
     /// The Fig. 5c/5d family: ramp `C(n) = n + 1` to `n₁`, descend with
@@ -152,32 +138,42 @@ impl CounterThreshold {
     ///
     /// Panics unless `0 < n1 < n2`.
     pub fn with_descent(n1: u32, n2: u32, shape: DescentShape) -> Self {
-        assert!(n1 > 0 && n2 > n1, "need 0 < n1 < n2, got n1={n1}, n2={n2}");
-        let peak = (n1 + 1) as f64;
-        let floor = MIN_COUNTER_THRESHOLD as f64;
-        let mut seq: Vec<u32> = (1..=n1).map(|n| n + 1).collect();
-        for n in (n1 + 1)..n2 {
-            let t = f64::from(n - n1) / f64::from(n2 - n1); // 0 → 1 across the descent
-            let fraction_remaining = match shape {
-                DescentShape::Linear => 1.0 - t,
-                // Convex: lose most of the height early.
-                DescentShape::Convex => (1.0 - t) * (1.0 - t),
-                // Concave: hold the height, drop late.
-                DescentShape::Concave => 1.0 - t * t,
-            };
-            let value = floor + (peak - floor) * fraction_remaining;
-            seq.push((value.round() as u32).max(MIN_COUNTER_THRESHOLD));
-        }
-        seq.push(MIN_COUNTER_THRESHOLD);
-        CounterThreshold::from_sequence(seq, format!("n1={n1},n2={n2},{shape}"))
+        built(Self::checked(CounterFamily::Descent { n1, n2, shape }))
     }
 
     /// The paper's recommended function (the solid line of Fig. 6):
     /// slope-1 ramp to `n₁ = 4`, linear descent to 2 at `n₂ = 12`.
     pub fn paper_recommended() -> Self {
-        let mut c = CounterThreshold::with_descent(4, 12, DescentShape::Linear);
-        c.label = "AC".to_string();
-        c
+        CounterThreshold(CounterFamily::Paper)
+    }
+
+    /// Reads what [`Display`](fmt::Display) writes after `ac:`.
+    pub(crate) fn parse(params: &str) -> Result<Self, String> {
+        let prefixed = |prefix| params.strip_prefix(prefix);
+        let family = match (
+            prefixed("fixed"),
+            prefixed("ramp"),
+            prefixed("to"),
+            split3(params),
+        ) {
+            (Some(c), ..) => CounterFamily::Fixed(number("counter threshold", c)?),
+            (_, Some(k), ..) => CounterFamily::Ramp(number("slope denominator", k)?),
+            (_, _, Some(n1), _) => CounterFamily::RampTo(number("n1", n1)?),
+            (.., Some([n1, n2, shape])) => CounterFamily::Descent {
+                n1: number("n1", n1)?,
+                n2: number("n2", n2)?,
+                shape: [
+                    DescentShape::Convex,
+                    DescentShape::Linear,
+                    DescentShape::Concave,
+                ]
+                .into_iter()
+                .find(|known| known.to_string() == shape)
+                .ok_or_else(|| format!("unknown descent shape {}", quote(shape)))?,
+            },
+            _ => return Err(format!("unknown counter threshold {}", quote(params))),
+        };
+        Self::checked(family)
     }
 
     /// `C(n)` for a host with `n` neighbors.
@@ -185,26 +181,63 @@ impl CounterThreshold {
     /// `n = 0` is treated as `n = 1`: a host that knows of no neighbors
     /// has no reason to suppress.
     pub fn threshold(&self, n: usize) -> u32 {
-        let idx = n.max(1) - 1;
-        *self
-            .sequence
-            .get(idx)
-            .unwrap_or_else(|| self.sequence.last().expect("sequence is non-empty"))
+        let n = u32::try_from(n.max(1)).unwrap_or(u32::MAX);
+        let (n1, n2, shape) = match self.0 {
+            CounterFamily::Fixed(c) => return c,
+            CounterFamily::Ramp(k) => return 2 + ((n - 1) / k).min(3),
+            CounterFamily::RampTo(n1) => return n.min(n1).saturating_add(1),
+            CounterFamily::Paper => (4, 12, DescentShape::Linear),
+            CounterFamily::Descent { n1, n2, shape } => (n1, n2, shape),
+        };
+        if n <= n1 {
+            return n.saturating_add(1);
+        }
+        if n >= n2 {
+            return MIN_COUNTER_THRESHOLD;
+        }
+        let peak = f64::from(n1) + 1.0;
+        let floor = f64::from(MIN_COUNTER_THRESHOLD);
+        let t = f64::from(n - n1) / f64::from(n2 - n1); // 0 → 1 across the descent
+        let fraction_remaining = match shape {
+            DescentShape::Linear => 1.0 - t,
+            // Convex: lose most of the height early.
+            DescentShape::Convex => (1.0 - t) * (1.0 - t),
+            // Concave: hold the height, drop late.
+            DescentShape::Concave => 1.0 - t * t,
+        };
+        let value = floor + (peak - floor) * fraction_remaining;
+        (value.round() as u32).max(MIN_COUNTER_THRESHOLD)
     }
 
-    /// Human-readable label for tables and plots.
-    pub fn label(&self) -> &str {
-        &self.label
+    /// Human-readable label for tables and plots (`AC`, `C=3`,
+    /// `slope 1/2`, `n1=4`, `n1=4,n2=12,convex`).
+    pub fn label(&self) -> String {
+        match self.0 {
+            CounterFamily::Paper => "AC".to_string(),
+            CounterFamily::Fixed(c) => format!("C={c}"),
+            CounterFamily::Ramp(k) => format!("slope 1/{k}"),
+            CounterFamily::RampTo(n1) => format!("n1={n1}"),
+            CounterFamily::Descent { n1, n2, shape } => format!("n1={n1},n2={n2},{shape}"),
+        }
     }
+}
 
-    /// The underlying sequence (for tabulating Fig. 6).
-    pub fn sequence(&self) -> &[u32] {
-        &self.sequence
+impl fmt::Display for CounterThreshold {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            CounterFamily::Paper => f.write_str("ac"),
+            CounterFamily::Fixed(c) => write!(f, "ac:fixed{c}"),
+            CounterFamily::Ramp(k) => write!(f, "ac:ramp{k}"),
+            CounterFamily::RampTo(n1) => write!(f, "ac:to{n1}"),
+            CounterFamily::Descent { n1, n2, shape } => write!(f, "ac:{n1},{n2},{shape}"),
+        }
     }
 }
 
 /// An additional-coverage threshold function `A(n)`, as a fraction of
-/// `πr²` (paper Figs 4 and 8).
+/// `πr²` (paper Figs 4 and 8): a family the paper sweeps with its
+/// parameters, from which `A(n)`, the label and the spelling (`Display`:
+/// `al`, `al:fixed0.0469`, `al:6,12`) derive.
 ///
 /// # Examples
 ///
@@ -215,24 +248,35 @@ impl CounterThreshold {
 /// assert_eq!(a.threshold(3), 0.0);            // sparse: always rebroadcast
 /// assert!((a.threshold(9) - 0.0935).abs() < 1e-4); // halfway up
 /// assert!((a.threshold(20) - 0.187).abs() < 1e-12); // dense: EAC(2)
+/// assert_eq!(AreaThreshold::adaptive(4, 10).to_string(), "al:4,10");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct AreaThreshold {
-    kind: AreaThresholdKind,
-    label: String,
-}
-
-/// The internal shape of an [`AreaThreshold`], exposed crate-internally so
-/// the snapshot/trace codecs can serialize thresholds exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum AreaThresholdKind {
-    /// A constant fraction of `πr²`.
+pub struct AreaThreshold(AreaFamily);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AreaFamily {
+    /// The paper's AL: `Adaptive { n1: 6, n2: 12 }` under its own label.
+    Paper,
     Fixed(f64),
-    /// The Fig. 8 family: 0 to `n₁`, linear to `ceiling` at `n₂`.
-    Adaptive { n1: u32, n2: u32, ceiling: f64 },
+    /// The Fig. 8 family: 0 to `n₁`, linear to [`EAC2_FRACTION`] at `n₂`.
+    Adaptive {
+        n1: u32,
+        n2: u32,
+    },
 }
 
 impl AreaThreshold {
+    /// The family with its parameters, or why they are out of range.
+    fn checked(family: AreaFamily) -> Result<Self, String> {
+        match family {
+            AreaFamily::Fixed(a) if !(0.0..=1.0).contains(&a) => {
+                Err(format!("coverage fraction out of range: {a}"))
+            }
+            AreaFamily::Adaptive { n1, n2 } => ramp_bounds(n1, n2).map(|()| Self(family)),
+            family => Ok(Self(family)),
+        }
+    }
+
     /// A fixed threshold `A(n) = a` — the non-adaptive baseline of \[15\]
     /// (the paper compares against `a ∈ {0.1871, 0.0469, 0.0134}`).
     ///
@@ -240,14 +284,7 @@ impl AreaThreshold {
     ///
     /// Panics if `a` is not in `[0, 1]`.
     pub fn fixed(a: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&a),
-            "coverage fraction out of range: {a}"
-        );
-        AreaThreshold {
-            kind: AreaThresholdKind::Fixed(a),
-            label: format!("A={a}"),
-        }
+        built(Self::checked(AreaFamily::Fixed(a)))
     }
 
     /// The adaptive family of Fig. 8: `A(n) = 0` for `n ≤ n₁`, linear up
@@ -257,62 +294,100 @@ impl AreaThreshold {
     ///
     /// Panics unless `0 < n1 < n2`.
     pub fn adaptive(n1: u32, n2: u32) -> Self {
-        assert!(n1 > 0 && n2 > n1, "need 0 < n1 < n2, got n1={n1}, n2={n2}");
-        AreaThreshold {
-            kind: AreaThresholdKind::Adaptive {
-                n1,
-                n2,
-                ceiling: EAC2_FRACTION,
-            },
-            label: format!("AL({n1},{n2})"),
-        }
+        built(Self::checked(AreaFamily::Adaptive { n1, n2 }))
     }
 
     /// The paper's recommendation after the Fig. 9 sweep: `(6, 12)`.
     pub fn paper_recommended() -> Self {
-        let mut a = AreaThreshold::adaptive(6, 12);
-        a.label = "AL".to_string();
-        a
+        AreaThreshold(AreaFamily::Paper)
+    }
+
+    /// Reads what [`Display`](fmt::Display) writes after `al:`.
+    pub(crate) fn parse(params: &str) -> Result<Self, String> {
+        let family = match (params.strip_prefix("fixed"), params.split_once(',')) {
+            (Some(a), _) => AreaFamily::Fixed(number("coverage threshold", a)?),
+            (_, Some((n1, n2))) => AreaFamily::Adaptive {
+                n1: number("n1", n1)?,
+                n2: number("n2", n2)?,
+            },
+            _ => return Err(format!("unknown coverage threshold {}", quote(params))),
+        };
+        Self::checked(family)
     }
 
     /// `A(n)` for a host with `n` neighbors.
     pub fn threshold(&self, n: usize) -> f64 {
-        match self.kind {
-            AreaThresholdKind::Fixed(a) => a,
-            AreaThresholdKind::Adaptive { n1, n2, ceiling } => {
-                let n = n as f64;
-                let (n1, n2) = (f64::from(n1), f64::from(n2));
-                if n <= n1 {
-                    0.0
-                } else if n >= n2 {
-                    ceiling
-                } else {
-                    ceiling * (n - n1) / (n2 - n1)
-                }
-            }
+        let (n1, n2) = match self.0 {
+            AreaFamily::Fixed(a) => return a,
+            AreaFamily::Paper => (6, 12),
+            AreaFamily::Adaptive { n1, n2 } => (n1, n2),
+        };
+        let n = n as f64;
+        let (n1, n2) = (f64::from(n1), f64::from(n2));
+        if n <= n1 {
+            0.0
+        } else if n >= n2 {
+            EAC2_FRACTION
+        } else {
+            EAC2_FRACTION * (n - n1) / (n2 - n1)
         }
     }
 
-    /// Human-readable label for tables and plots.
-    pub fn label(&self) -> &str {
-        &self.label
+    /// Human-readable label for tables and plots (`AL`, `A=0.0469`,
+    /// `AL(6,12)`).
+    pub fn label(&self) -> String {
+        match self.0 {
+            AreaFamily::Paper => "AL".to_string(),
+            AreaFamily::Fixed(a) => format!("A={a}"),
+            AreaFamily::Adaptive { n1, n2 } => format!("AL({n1},{n2})"),
+        }
     }
+}
 
-    /// The raw shape, for the snapshot/trace codecs.
-    pub(crate) fn kind(&self) -> AreaThresholdKind {
-        self.kind
+impl fmt::Display for AreaThreshold {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            AreaFamily::Paper => f.write_str("al"),
+            AreaFamily::Fixed(a) => write!(f, "al:fixed{a}"),
+            AreaFamily::Adaptive { n1, n2 } => write!(f, "al:{n1},{n2}"),
+        }
     }
+}
 
-    /// Rebuilds a threshold from codec parts, bypassing the public
-    /// constructors so decoded values round-trip exactly.
-    pub(crate) fn from_parts(kind: AreaThresholdKind, label: String) -> Self {
-        AreaThreshold { kind, label }
-    }
+/// `0 < n1 < n2`, the bounds of every ramp, or why not.
+fn ramp_bounds(n1: u32, n2: u32) -> Result<(), String> {
+    let ok = 0 < n1 && n1 < n2;
+    ok.then_some(())
+        .ok_or_else(|| format!("need 0 < n1 < n2, got n1={n1}, n2={n2}"))
+}
+
+/// What a public constructor returns: the checked family, or a panic.
+fn built<T>(checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|why| panic!("{why}"))
+}
+
+/// Parses one numeric parameter of a scheme spelling, naming it and
+/// quoting the text when it does not parse.
+pub(crate) fn number<T: FromStr<Err: fmt::Display>>(what: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|e| format!("bad {what} {}: {e}", quote(text)))
+}
+
+/// The three comma-separated parts of `text`, if it has exactly three.
+pub(crate) fn split3(text: &str) -> Option<[&str; 3]> {
+    let mut parts = text.split(',');
+    let three = [parts.next()?, parts.next()?, parts.next()?];
+    parts.next().is_none().then_some(three)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `C(1), …, C(len)`: a family's defining prefix and one repeat.
+    fn prefix(c: &CounterThreshold, len: usize) -> Vec<u32> {
+        (1..=len).map(|n| c.threshold(n)).collect()
+    }
 
     #[test]
     fn fixed_counter_is_constant() {
@@ -325,20 +400,26 @@ mod tests {
 
     #[test]
     fn ramp_sequences_match_paper_notation() {
-        assert_eq!(CounterThreshold::ramp(1).sequence(), &[2, 3, 4, 5]);
-        assert_eq!(CounterThreshold::ramp(2).sequence(), &[2, 2, 3, 3, 4, 4, 5]);
+        assert_eq!(prefix(&CounterThreshold::ramp(1), 5), [2, 3, 4, 5, 5]);
         assert_eq!(
-            CounterThreshold::ramp(3).sequence(),
-            &[2, 2, 2, 3, 3, 3, 4, 4, 4, 5]
+            prefix(&CounterThreshold::ramp(2), 8),
+            [2, 2, 3, 3, 4, 4, 5, 5]
+        );
+        assert_eq!(
+            prefix(&CounterThreshold::ramp(3), 11),
+            [2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5]
         );
     }
 
     #[test]
     fn ramp_to_matches_fig5b() {
-        assert_eq!(CounterThreshold::ramp_to(2).sequence(), &[2, 3, 3]);
-        assert_eq!(CounterThreshold::ramp_to(3).sequence(), &[2, 3, 4, 4]);
-        assert_eq!(CounterThreshold::ramp_to(4).sequence(), &[2, 3, 4, 5, 5]);
-        assert_eq!(CounterThreshold::ramp_to(5).sequence(), &[2, 3, 4, 5, 6, 6]);
+        assert_eq!(prefix(&CounterThreshold::ramp_to(2), 4), [2, 3, 3, 3]);
+        assert_eq!(prefix(&CounterThreshold::ramp_to(3), 5), [2, 3, 4, 4, 4]);
+        assert_eq!(prefix(&CounterThreshold::ramp_to(4), 6), [2, 3, 4, 5, 5, 5]);
+        assert_eq!(
+            prefix(&CounterThreshold::ramp_to(5), 7),
+            [2, 3, 4, 5, 6, 6, 6]
+        );
     }
 
     #[test]
@@ -349,24 +430,36 @@ mod tests {
         // so these tables can only drift if the arithmetic or the rounding
         // mode changes — pin every value for the paper's (n1, n2) = (4, 12).
         assert_eq!(
-            CounterThreshold::with_descent(4, 12, DescentShape::Linear).sequence(),
-            &[2, 3, 4, 5, 5, 4, 4, 4, 3, 3, 2, 2],
+            prefix(
+                &CounterThreshold::with_descent(4, 12, DescentShape::Linear),
+                13
+            ),
+            [2, 3, 4, 5, 5, 4, 4, 4, 3, 3, 2, 2, 2],
         );
         assert_eq!(
-            CounterThreshold::with_descent(4, 12, DescentShape::Convex).sequence(),
-            &[2, 3, 4, 5, 4, 4, 3, 3, 2, 2, 2, 2],
+            prefix(
+                &CounterThreshold::with_descent(4, 12, DescentShape::Convex),
+                13
+            ),
+            [2, 3, 4, 5, 4, 4, 3, 3, 2, 2, 2, 2, 2],
         );
         assert_eq!(
-            CounterThreshold::with_descent(4, 12, DescentShape::Concave).sequence(),
-            &[2, 3, 4, 5, 5, 5, 5, 4, 4, 3, 3, 2],
+            prefix(
+                &CounterThreshold::with_descent(4, 12, DescentShape::Concave),
+                13
+            ),
+            [2, 3, 4, 5, 5, 5, 5, 4, 4, 3, 3, 2, 2],
         );
         // The paper's AC function is the Linear table under its own label,
         // and saturates at the floor past n2.
         let ac = CounterThreshold::paper_recommended();
         assert_eq!(ac.label(), "AC");
         assert_eq!(
-            ac.sequence(),
-            CounterThreshold::with_descent(4, 12, DescentShape::Linear).sequence()
+            prefix(&ac, 13),
+            prefix(
+                &CounterThreshold::with_descent(4, 12, DescentShape::Linear),
+                13
+            )
         );
         assert_eq!(ac.threshold(12), 2);
         assert_eq!(ac.threshold(100), 2);

@@ -272,8 +272,6 @@ pub struct World {
     data_frames: u64,
     /// HELLO beacons decoded by some listener.
     hello_rx: u64,
-    /// Timestamp of the last handled event, reported as the run length.
-    last_event_at: SimTime,
     /// Set once the run has drained (or passed `stop_at`); further
     /// [`advance`](Self::advance) calls return immediately.
     finished: bool,
@@ -455,7 +453,6 @@ impl World {
             hello_frames: 0,
             data_frames: 0,
             hello_rx: 0,
-            last_event_at: SimTime::ZERO,
             finished: false,
             profiler: if config.profile_events {
                 LoopProfiler::enabled()
@@ -531,7 +528,7 @@ impl World {
             }
             // Skip idle gaps: resume one slice past the furthest point the
             // run has reached, not merely past the previous pause.
-            pause_at = pause_at.max(self.last_event_at) + slice;
+            pause_at = pause_at.max(self.queue.now()) + slice;
         }
     }
 
@@ -567,7 +564,6 @@ impl World {
                 break true;
             }
             let (now, event) = self.queue.pop().expect("peeked event vanished");
-            self.last_event_at = now;
             let kind = event.kind();
             let started = profiler.begin();
             self.handle(now, event);
@@ -619,7 +615,7 @@ impl World {
             net,
             suppression: self.pure.suppression(),
             profile: self.profiler.is_enabled().then(|| self.profiler.profile()),
-            sim_seconds: self.last_event_at.as_secs_f64(),
+            sim_seconds: self.queue.now().as_secs_f64(),
             per_broadcast: outcomes,
             scenario: self.scenario.as_ref().map(|st| st.counts),
         }

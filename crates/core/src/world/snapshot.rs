@@ -18,36 +18,22 @@
 //! * the geometry index's position caches and strips (re-derived);
 //! * the action recorder and the event-loop profiler.
 //!
-//! The stream opens with the run's whole [`SimConfig`]
-//! ([`SimConfig::encode`]): [`config_of`] reads it back, and
-//! [`World::resume`] refuses a config that encodes differently, so a
-//! checkpoint can never be resumed against a world built from different
-//! parameters.
+//! The stream opens with the run's whole [`SimConfig`] as its text
+//! ([`SimConfig::encode`]), so a checkpoint's first line names its run:
+//! [`config_of`] reads it back, and [`World::resume`] refuses a config
+//! that encodes differently.
 //!
 //! # Wire format
 //!
-//! All fields are written in the vocabulary of [`WireEncoder`]
-//! (sequences, options, tagged choices, RNG states, slabs and the event
-//! queue are each coded once, there). Layout (in order): magic `MSNP` +
-//! version `u32`; the config; event queue (counters, then `(time,
-//! seq, event)` entries); workload and protocol RNG states; the metrics
-//! collector, which every packet written after it must have issued; per
-//! host, the MAC with its queued payloads in queue order and its seven
-//! counters, and the mobility state; the medium; the pure models (ledgers,
-//! neighbor tables, variation trackers, suppression tallies — a run without
-//! HELLOs keeps no tables or trackers and writes each host's empty, which
-//! resume insists on); each frame on the air's payload and send position,
-//! in the medium's order; the delayed carrier-report batches; the workload
-//! scalars and the run's backoff histogram, which must count the MACs'
-//! draws; and, when the config has a scenario, its fault-draw RNG and
-//! three drop counters. What the config fixes (the host count, whether a
-//! scenario runs) is not written again, and each fact is written once:
+//! Every field is written in the vocabulary of [`WireEncoder`]; DESIGN.md
+//! §12 lists them in order. What the config fixes (the host count, whether
+//! a scenario runs) is not written again, and each fact is written once:
 //! what links one part of the world to another — MAC frame handles, the
 //! keys of pending HELLO and assessment wakeups, a frame's sender, the
 //! broadcast counter — is re-derived on resume, and so is what the
-//! scenario's fired timeline entries imply: membership, the open windows
-//! and the churn counts. Only the medium and the carrier batches keep
-//! their slab layout, because queued events name their slots.
+//! scenario's fired timeline entries imply. Only the medium and the
+//! carrier batches keep their slab layout, because queued events name
+//! their slots.
 
 use manet_geom::Vec2;
 use manet_mac::{decode_generation, Dcf, FrameHandle};
@@ -69,16 +55,18 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
 /// Current snapshot format version. Version 1 kept each radio's list of
 /// incoming frames, version 2 a write-only config fingerprint, version 3
 /// the queue keys and MAC handles of the links resume now re-derives,
-/// version 4 a backoff histogram per MAC and version 5 the churn state the
-/// scenario timeline implies (DESIGN.md §12); all five are refused by name.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// version 4 a backoff histogram per MAC, version 5 the churn state the
+/// scenario timeline implies and version 6 a binary config header, queue
+/// counters and placeholder HELLO state (DESIGN.md §12); all six are
+/// refused by name.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
-/// The fewest bytes one host adds to a checkpoint body, as a stationary
-/// host of a fresh world writes them: its MAC with an empty queue and no
-/// backoff (115), mobility tag (1), empty ledger (8), neighbor table (25)
-/// and variation tracker (8). Resume refuses a host count the body cannot
-/// hold before it sizes anything by it.
-const MIN_HOST_BYTES: usize = 157;
+/// The fewest bytes one host adds to a checkpoint body under any config,
+/// as a stationary host of a fresh world without HELLOs writes them: its
+/// MAC with an empty queue and no backoff (115), mobility tag (1) and
+/// empty ledger (8). Resume refuses a host count the body cannot hold
+/// before it sizes anything by it.
+const MIN_HOST_BYTES: usize = 124;
 
 /// The configuration a snapshot was taken under, read from its header:
 /// what `manet-sim --resume FILE` resumes with.
@@ -101,6 +89,7 @@ fn expect_version(dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         3 => "snapshot version 3 is retired (queue keys and MAC handles); take a new snapshot",
         4 => "snapshot version 4 is retired (a backoff histogram per MAC); take a new snapshot",
         5 => "snapshot version 5 is retired (derivable churn state); take a new snapshot",
+        6 => "snapshot version 6 is retired (a binary config header); take a new snapshot",
         _ => "unsupported snapshot version",
     };
     Err(WireError { at: 4, what })
@@ -124,13 +113,12 @@ impl World {
         for ledger in ledgers {
             ledger.encode(&mut enc, |enc, state| encode_state(enc, state, scheme));
         }
-        // A run without HELLOs holds none: each host's is written empty.
-        let (table, tracker) = (NeighborTable::new(), VariationTracker::new());
-        for i in 0..self.nodes.len() {
-            tables.get(i).unwrap_or(&table).snapshot_into(&mut enc);
+        // A run without HELLOs holds none.
+        for table in tables {
+            table.snapshot_into(&mut enc);
         }
-        for i in 0..self.nodes.len() {
-            trackers.get(i).unwrap_or(&tracker).snapshot_into(&mut enc);
+        for tracker in trackers {
+            tracker.snapshot_into(&mut enc);
         }
         encode_suppression(&mut enc, suppression);
 
@@ -150,7 +138,6 @@ impl World {
         enc.u64(self.hello_frames);
         enc.u64(self.data_frames);
         enc.u64(self.hello_rx);
-        enc.time(self.last_event_at);
         enc.bool(self.finished);
         for &count in &self.draw_counts {
             enc.u64(count);
@@ -278,7 +265,6 @@ impl World {
                 .collect::<Result<_, _>>()?;
             (tables, trackers)
         } else {
-            expect_empty_hello_state(&mut dec, hosts)?;
             (Vec::new(), Vec::new())
         };
         let suppression = decode_suppression(&mut dec)?;
@@ -309,7 +295,6 @@ impl World {
         world.hello_frames = dec.u64()?;
         world.data_frames = dec.u64()?;
         world.hello_rx = dec.u64()?;
-        world.last_event_at = dec.time()?;
         world.finished = dec.bool()?;
         let histogram_at = dec.position();
         for count in &mut world.draw_counts {
@@ -504,24 +489,6 @@ fn check_frames_on_air(world: &World, at: usize) -> Result<(), WireError> {
     if disagree {
         let what = "a MAC's transmission and the medium disagree";
         return Err(WireError { at, what });
-    }
-    Ok(())
-}
-
-/// A run without HELLOs has no neighbor tables or trackers: each host's
-/// must be written empty, or the checkpoint is refused where it is not.
-fn expect_empty_hello_state(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<(), WireError> {
-    let mut table = WireEncoder::new();
-    NeighborTable::new().snapshot_into(&mut table);
-    for _ in 0..hosts {
-        let what = "a run without HELLOs carries a neighbor table";
-        dec.expect_bytes(table.as_slice(), what)?;
-    }
-    let mut tracker = WireEncoder::new();
-    VariationTracker::new().snapshot_into(&mut tracker);
-    for _ in 0..hosts {
-        let what = "a run without HELLOs carries a variation tracker";
-        dec.expect_bytes(tracker.as_slice(), what)?;
     }
     Ok(())
 }
@@ -838,8 +805,8 @@ mod tests {
     }
 
     /// [`MIN_HOST_BYTES`] is what one more host adds to the smallest
-    /// checkpoint there is: a fresh world of stationary hosts, whose MACs,
-    /// ledgers, tables and trackers are empty and queue no event.
+    /// checkpoint there is: a fresh world of stationary hosts without
+    /// HELLOs, whose MACs and ledgers are empty and queue no event.
     #[test]
     fn one_more_host_adds_min_host_bytes_to_the_smallest_checkpoint() {
         let size = |hosts| {

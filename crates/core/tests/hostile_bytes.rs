@@ -248,6 +248,18 @@ fn storm_snapshots(config: &SimConfig, cancels: bool) -> Vec<(Vec<u8>, SimTime)>
     }
 }
 
+/// `bytes`, a checkpoint or trace, with the first `old` in its config
+/// header replaced by `new` and the header's length prefix (after magic
+/// and version) set to match: a header patched token by token.
+fn with_header_token(bytes: &[u8], old: &str, new: &str) -> Vec<u8> {
+    let end = 16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    let header = std::str::from_utf8(&bytes[16..end]).expect("a text header");
+    assert!(header.contains(old), "{old:?} is not in {header:?}");
+    let header = header.replacen(old, new, 1);
+    let len = (header.len() as u64).to_le_bytes();
+    [&bytes[..8], &len, header.as_bytes(), &bytes[end..]].concat()
+}
+
 /// The trace of a whole run of `config`.
 fn trace(config: &SimConfig) -> Vec<u8> {
     let mut world = World::new(config.clone());
@@ -455,23 +467,32 @@ fn a_window_end_that_fired_before_its_start_is_refused() {
 
 /// `manet-sim --resume FILE` takes the run from the file, so the header is
 /// hostile input too. Every header byte of the busiest `churn` and `nc`
-/// snapshots, changed by each of three masks and resumed as the command
-/// does (`config_of`, then `World::resume`), is refused or runs a second.
-/// A host count, map or HELLO interval patched to its largest value is
-/// refused before `World::new` sizes or arms anything by it: a header
-/// claiming 2³² − 1 hosts used to abort on the allocation, and a HELLO
-/// interval near 2⁶⁴ ns to panic at its first re-arm.
+/// snapshots and of an `ac:4,12,convex` one, changed by each of three
+/// masks and resumed as the command does (`config_of`, then
+/// `World::resume`), is refused or runs a second; every header byte of a
+/// trace of that run, xor 1, is refused or replays. A host count, map or
+/// HELLO interval patched to its largest value is refused before
+/// `World::new` sizes or arms anything by it: a header claiming 2³² − 1
+/// hosts used to abort on the allocation, and a HELLO interval near 2⁶⁴ ns
+/// to panic at its first re-arm.
 #[test]
 fn a_snapshot_header_read_back_is_refused_or_runs_a_second() {
     let resume = |bytes: &[u8], until: SimTime| {
         let config = snapshot::config_of(bytes)?;
         World::resume(config, bytes).map(|mut world| world.advance(until))
     };
-    for (name, config) in [("churn", churn_config()), ("nc", coverage_config())] {
+    let family = SimConfig {
+        scheme: SchemeSpec::parse("ac:4,12,convex").unwrap(),
+        ..location_config()
+    };
+    let header_end = |config: &SimConfig| 16 + config.to_text().len();
+    for (name, config) in [
+        ("churn", churn_config()),
+        ("nc", coverage_config()),
+        ("ac:4,12,convex", family.clone()),
+    ] {
         let (image, pause) = busiest_snapshot(&config);
-        let mut header = WireEncoder::new();
-        config.encode(&mut header);
-        for at in 8..8 + header.as_slice().len() {
+        for at in 8..header_end(&config) {
             for mask in [0x01, 0x80, 0xff] {
                 let mut bytes = image.clone();
                 bytes[at] ^= mask;
@@ -481,24 +502,33 @@ fn a_snapshot_header_read_back_is_refused_or_runs_a_second() {
             }
         }
     }
+    let image = trace(&family);
+    for at in 8..header_end(&family) {
+        let mut bytes = image.clone();
+        bytes[at] ^= 1;
+        let outcome = catch_unwind(AssertUnwindSafe(|| replay_decisions(&bytes)));
+        assert!(outcome.is_ok(), "trace: byte {at} xor 1 panicked");
+    }
 
-    // Hosts, then the `nc` scheme tag, then the fixed HELLO interval's tag
-    // and nanoseconds, seed and map.
+    // The host count, the fixed HELLO interval and the map at their
+    // largest.
     let (image, _) = busiest_snapshot(&coverage_config());
-    for (field, at, width, what) in [
-        ("hosts", 8, 4, "snapshot body too short for its host count"),
+    for (old, new, what) in [
         (
-            "HELLO interval",
-            8 + 4 + 1 + 1,
-            8,
+            "hosts=8 ",
+            "hosts=4294967295 ",
+            "snapshot body too short for its host count",
+        ),
+        (
+            "hello=1 ",
+            "hello=18446744073.709551615 ",
             "config fails validation",
         ),
-        ("map", 8 + 4 + 1 + 9 + 8, 4, "config fails validation"),
+        ("map=1 ", "map=4294967295 ", "config fails validation"),
     ] {
-        let mut bytes = image.clone();
-        bytes[at..at + width].fill(0xff);
-        let err = resume(&bytes, SimTime::MAX).expect_err(field);
-        assert_eq!(err, WireError { at: 8, what }, "{field}");
+        let bytes = with_header_token(&image, old, new);
+        let err = resume(&bytes, SimTime::MAX).expect_err(old);
+        assert_eq!(err, WireError { at: 8, what }, "{old}");
     }
 }
 
@@ -515,13 +545,10 @@ fn a_host_count_the_body_cannot_hold_is_refused() {
     world.advance(SimTime::from_millis(3_500));
     let image = world.snapshot();
     let limit = snapshot_limit(&config, &image);
-    let mut header = WireEncoder::new();
-    config.encode(&mut header);
-    // Magic, version and the config; the host count opens the config.
-    let body = image.len() - (8 + header.as_slice().len());
+    // Magic, version, the config text's length and the text.
+    let body = image.len() - (16 + config.to_text().len());
     let hosts = u32::try_from(body - 1).expect("a small checkpoint");
-    let mut bytes = image.clone();
-    bytes[8..12].copy_from_slice(&hosts.to_le_bytes());
+    let bytes = with_header_token(&image, "hosts=30 ", &format!("hosts={hosts} "));
     let claimed = snapshot::config_of(&bytes).expect("the patched header decodes");
     assert_eq!(claimed.hosts, hosts);
     let (outcome, asked) = CountingAlloc::measure(|| {
@@ -539,27 +566,20 @@ fn a_host_count_the_body_cannot_hold_is_refused() {
 }
 
 /// A run without HELLOs keeps no neighbor table or variation tracker, and
-/// its checkpoint writes each host's empty. One carrying a non-empty table
-/// or tracker is refused where it stands, not dropped on resume. In a
-/// fresh world's checkpoint they lie just before the suppression tallies
+/// its checkpoint writes none. One carrying a table or tracker where a run
+/// with HELLOs writes them is refused, not read as what follows. In a
+/// fresh world's checkpoint that is just before the suppression tallies
 /// (7 × 8 bytes), an empty carrier-batch slab (12), the workload scalars
-/// (41) and the backoff histogram (32 × 8).
+/// (33) and the backoff histogram (32 × 8).
 #[test]
 fn hello_state_in_a_run_without_hellos_is_refused() {
     use manet_net::{NeighborTable, VariationTracker};
 
     // `counter:3` reads no neighbor state, so its hosts send no HELLOs.
     let config = storm_config(SchemeSpec::Counter(3));
-    let hosts = config.hosts as usize;
     let image = World::new(config.clone()).snapshot();
     assert!(World::resume(config.clone(), &image).is_ok());
-    const TABLE: usize = 25;
-    const TRACKER: usize = 8;
-    let trackers = image.len() - (7 * 8 + 12 + 41 + 32 * 8) - hosts * TRACKER;
-    let tables = trackers - hosts * TABLE;
-    assert!(image[tables..trackers + hosts * TRACKER]
-        .iter()
-        .all(|&b| b == 0));
+    let start = image.len() - (7 * 8 + 12 + 33 + 32 * 8);
 
     let at = SimTime::from_secs(1);
     let mut table = NeighborTable::new();
@@ -571,25 +591,17 @@ fn hello_state_in_a_run_without_hellos_is_refused() {
         put(&mut enc);
         enc.into_bytes()
     };
-    let last_tracker = trackers + (hosts - 1) * TRACKER;
-    for (what, start, width, patch) in [
+    for (what, patch) in [
+        ("table", encoded(&|enc| table.snapshot_into(enc))),
+        ("tracker", encoded(&|enc| tracker.snapshot_into(enc))),
         (
-            "table",
-            tables,
-            TABLE,
-            encoded(&|enc| table.snapshot_into(enc)),
-        ),
-        (
-            "tracker",
-            last_tracker,
-            TRACKER,
-            encoded(&|enc| tracker.snapshot_into(enc)),
+            "empty table",
+            encoded(&|enc| NeighborTable::new().snapshot_into(enc)),
         ),
     ] {
-        let bytes = [&image[..start], &patch, &image[start + width..]].concat();
+        let bytes = [&image[..start], &patch, &image[start..]].concat();
         let err = World::resume(config.clone(), &bytes).expect_err(what);
-        assert_eq!(err.at, start, "{what}: {err}");
-        assert!(err.what.ends_with(what), "{what}: {err}");
+        assert!(err.at >= start, "{what}: {err}");
     }
 }
 
@@ -694,37 +706,32 @@ fn a_trace_cannot_name_a_packet_seq_no_originate_issued() {
 /// constructor (`counter:1`, a negative distance, a fraction above 1).
 #[test]
 fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
-    // Magic, version and hosts; then the scheme tag and its fields.
-    const SCHEME_TAG: usize = 4 + 4 + 4;
-    let f64_at = |offset: usize, v: f64| (SCHEME_TAG + offset, v.to_le_bytes().to_vec());
-    let u32_at = |offset: usize, v: u32| (SCHEME_TAG + offset, v.to_le_bytes().to_vec());
-    for (scheme, (at, field)) in [
-        ("counter:3", u32_at(1, 1)),
-        ("distance:200", f64_at(1, -3.0)),
-        ("distance:200", f64_at(1, f64::NAN)),
-        ("location:0.0134", f64_at(1, 2.0)),
-        ("prob:0.7", f64_at(1, 1.5)),
-        // `al`: kind tag, n1, n2, ceiling.
-        ("al", u32_at(2, 0)),
-        ("al", f64_at(10, 1.5)),
-        // `ac`: sequence length, then C(1), C(2), …
-        ("ac", u32_at(9, 1)),
+    for (scheme, patched) in [
+        ("counter:3", "counter:1"),
+        ("distance:200", "distance:-3"),
+        ("distance:200", "distance:NaN"),
+        ("location:0.0134", "location:2"),
+        ("prob:0.7", "prob:1.5"),
+        ("al", "al:0,12"),
+        ("al", "al:fixed1.5"),
+        ("ac", "ac:fixed1"),
+        ("ac", "ac:ramp0"),
+        ("ac", "ac:6,6,linear"),
     ] {
         let config = SimConfig::builder(1, SchemeSpec::parse(scheme).unwrap())
             .hosts(8)
             .broadcasts(2)
             .seed(5)
             .build();
-        let mut bytes = trace(&config);
+        let bytes = trace(&config);
         assert!(replay_decisions(&bytes).is_ok(), "{scheme}: pristine trace");
-        bytes[at..at + field.len()].copy_from_slice(&field);
-        match replay_decisions(&bytes) {
-            Err(ReplayError::Wire(e)) => assert!(
-                (SCHEME_TAG..=at).contains(&e.at),
-                "{scheme}: refused at {} for a field at {at}",
-                e.at
-            ),
-            other => panic!("{scheme} with bytes {at}.. patched: {other:?}"),
+        let (old, new) = (format!(" scheme={scheme} "), format!(" scheme={patched} "));
+        let at = 16 + config.to_text().find(&old).unwrap() + 1;
+        match replay_decisions(&with_header_token(&bytes, &old, &new)) {
+            Err(ReplayError::Wire(e)) => {
+                assert_eq!((e.at, e.what), (at, "bad scheme="), "{patched}")
+            }
+            other => panic!("{patched}: {other:?}"),
         }
     }
 }
@@ -740,12 +747,9 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
 /// no scenario: a script's `hosts` line would refuse the patched count.)
 #[test]
 fn no_id_a_trace_names_sizes_replay_state() {
-    // Magic and version, then the host count.
-    const HOSTS: usize = 4 + 4;
     let (config, coverage) = (location_config(), coverage_config());
-    let claiming = |hosts: u32, mut bytes: Vec<u8>| {
-        bytes[HOSTS..HOSTS + 4].copy_from_slice(&hosts.to_le_bytes());
-        bytes
+    let claiming = |hosts: u32, bytes: Vec<u8>| {
+        with_header_token(&bytes, "hosts=8 ", &format!("hosts={hosts} "))
     };
     // A graceful leave: one action, no effects.
     let leaving = |node: u32| {
@@ -899,7 +903,6 @@ fn a_hello_repeats_only_an_advertisement_its_sender_made() {
 /// input.
 #[test]
 fn distinct_advertisements_stay_within_the_trace_bound() {
-    const HOSTS: usize = 4 + 4;
     let mut writer = TraceWriter::new(&coverage_config());
     for k in 0..2_048u32 {
         let sender = k.wrapping_mul(2_097_143);
@@ -912,8 +915,7 @@ fn distinct_advertisements_stay_within_the_trace_bound() {
         };
         writer.action(SimTime::from_millis(u64::from(k)), &hello);
     }
-    let mut bytes = writer.into_bytes();
-    bytes[HOSTS..HOSTS + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let bytes = with_header_token(&writer.into_bytes(), "hosts=8 ", "hosts=4294967295 ");
     let limit = TRACE_BYTES_PER_WIRE_BYTE * bytes.len();
     let (decoded, asked) = CountingAlloc::measure(|| TraceFile::decode(&bytes).map(drop));
     assert_eq!(decoded, Ok(()));

@@ -110,7 +110,7 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     world.advance(SimTime::from_secs(5));
     let bytes = world.snapshot();
     let hash = fnv1a64(&bytes);
-    assert_eq!(hash, 0xb63d_3741_f228_2fb5, "snapshot: got {hash:#018x}");
+    assert_eq!(hash, 0x4bd4_50f1_83cc_f69e, "snapshot: got {hash:#018x}");
     // The resumed world starts from time-zero strips; it must finish the
     // same run regardless.
     let resumed = World::resume(churn_config(), &bytes).expect("snapshot resumes");
@@ -122,7 +122,7 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     world.enable_recording();
     world.advance(SimTime::MAX);
     let hash = fnv1a64(&world.take_trace().expect("recording was armed"));
-    assert_eq!(hash, 0x4cb9_3460_81fe_271f, "trace: got {hash:#018x}");
+    assert_eq!(hash, 0xe277_ef47_a5d2_62e6, "trace: got {hash:#018x}");
 
     // Snapshot branches the counter world never encodes: the pending-set
     // policy, neighbor tables, variation trackers, waypoint mobility and
@@ -151,8 +151,8 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     // cases of `tests/equivalence.rs` pauses on a live lattice (DESIGN.md
     // §5), so tier-1's round trip of one is here.
     for (label, config, pause_ms, pin) in [
-        ("nc", nc, 11_407, 0xc2b5_3130_adcf_177au64),
-        ("al", al, 7_226, 0x1dd2_737b_254e_00c3),
+        ("nc", nc, 11_407, 0xcdd6_ed88_b429_c145u64),
+        ("al", al, 7_226, 0x0563_4457_0a65_a213),
     ] {
         let mut world = World::new(config.clone());
         world.advance(SimTime::from_millis(pause_ms));

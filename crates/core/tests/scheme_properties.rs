@@ -78,7 +78,7 @@ prop_check! {
         let seq = arrivals(g);
         let fx = Fixture::new();
         let threshold = CounterThreshold::paper_recommended();
-        let spec = SchemeSpec::AdaptiveCounter(threshold.clone());
+        let spec = SchemeSpec::AdaptiveCounter(threshold);
         let first = &seq[0];
         let (decision, mut state) = spec.first_hear(&fx.ctx(first.3, first.0, first.1, first.2));
         assert_eq!(decision, FirstDecision::Schedule);

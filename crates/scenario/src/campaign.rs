@@ -27,7 +27,7 @@
 //! inlines the referenced script before submitting, so the server never
 //! touches the submitter's filesystem.
 
-use crate::text::{fields_with_cols, Field};
+use crate::text::{fields_with_cols, quote, Field};
 use crate::ScenarioError;
 
 /// Schema identifier of the campaign format this module parses.
@@ -123,11 +123,11 @@ impl CampaignSpec {
             if !saw_schema {
                 let line = code.trim();
                 if line != CAMPAIGN_SCHEMA {
-                    return Err(ScenarioError::at(
-                        line_no,
-                        first.col,
-                        format!("expected schema header {CAMPAIGN_SCHEMA:?}, got {line:?}"),
-                    ));
+                    let message = format!(
+                        "expected schema header {CAMPAIGN_SCHEMA:?}, got {}",
+                        quote(line)
+                    );
+                    return Err(ScenarioError::at(line_no, first.col, message));
                 }
                 saw_schema = true;
                 continue;
@@ -205,11 +205,8 @@ impl CampaignSpec {
                     }
                 }
                 directive => {
-                    return Err(ScenarioError::at(
-                        line_no,
-                        first.col,
-                        format!("unknown directive {directive:?}"),
-                    ));
+                    let message = format!("unknown directive {}", quote(directive));
+                    return Err(ScenarioError::at(line_no, first.col, message));
                 }
             }
         }
@@ -274,7 +271,10 @@ pub fn is_job_label(label: &str) -> bool {
 }
 
 fn bad_label(label: &str) -> String {
-    format!("bad job label {label:?} (want 1-128 of [A-Za-z0-9._-], no leading dot)")
+    format!(
+        "bad job label {} (want 1-128 of [A-Za-z0-9._-], no leading dot)",
+        quote(label)
+    )
 }
 
 /// Derives a unique default label from the job's position and identity:
@@ -330,7 +330,7 @@ fn split_binding<'a>(
         ScenarioError::at(
             line_no,
             field.col,
-            format!("expected key=value, got {:?}", field.text),
+            format!("expected key=value, got {}", quote(field.text)),
         )
     })
 }
@@ -348,7 +348,7 @@ fn apply_binding(
         ScenarioError::at(
             line_no,
             field.col,
-            format!("bad {key} value {value:?}: {what}"),
+            format!("bad {} value {}: {what}", quote(key), quote(value)),
         )
     };
     match key {
@@ -370,11 +370,8 @@ fn apply_binding(
             job.scenario = Some(value.to_string());
         }
         other => {
-            return Err(ScenarioError::at(
-                line_no,
-                field.col,
-                format!("unknown key {other:?}"),
-            ));
+            let message = format!("unknown key {}", quote(other));
+            return Err(ScenarioError::at(line_no, field.col, message));
         }
     }
     Ok(())
@@ -398,7 +395,7 @@ fn parse_seed_range(
         ScenarioError::at(
             line_no,
             field.col,
-            format!("bad seed range {value:?}: {what}"),
+            format!("bad seed range {}: {what}", quote(value)),
         )
     };
     let (lo, rest) = value

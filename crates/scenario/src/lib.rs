@@ -62,6 +62,7 @@ use std::fmt;
 use manet_sim_engine::{SimTime, Timeline};
 
 pub use campaign::{is_job_label, CampaignSpec, JobSpec, CAMPAIGN_SCHEMA, MAX_CAMPAIGN_JOBS};
+pub use text::quote;
 
 /// Schema identifier, the first line of the text format.
 pub const SCHEMA: &str = "manet-scenario/1";
@@ -404,8 +405,8 @@ impl Scenario {
         // would not survive `parse(to_text(s))`.
         if self.name.is_empty() || self.name.chars().any(|c| c.is_whitespace() || c == '#') {
             return Err(ScenarioError::new(format!(
-                "scenario name {:?} must be a non-empty token without whitespace or '#'",
-                self.name
+                "scenario name {} must be a non-empty token without whitespace or '#'",
+                quote(&self.name)
             )));
         }
         if let Some(declared) = self.hosts {

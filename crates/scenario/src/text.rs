@@ -21,7 +21,7 @@
 //! exactly (digit by digit, not through `f64`) so that serialize → parse
 //! round-trips to the same nanosecond value.
 
-use manet_sim_engine::SimTime;
+use manet_sim_engine::{SimDuration, SimTime};
 
 use crate::{ChurnKind, LinkBlackout, NoiseBurst, Partition, Region, Scenario, ScenarioError};
 
@@ -65,14 +65,16 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
         let Some(&first) = fields.first() else {
             continue;
         };
+        let refuse = |col, message: String| Err(ScenarioError::at(line_no, col, message));
+        let usage = |usage: &str| refuse(first.col, format!("usage: {usage}"));
         if !saw_schema {
             let line = code.trim();
             if line != crate::SCHEMA {
-                return Err(ScenarioError::at(
-                    line_no,
+                let schema = crate::SCHEMA;
+                return refuse(
                     first.col,
-                    format!("expected schema header {:?}, got {line:?}", crate::SCHEMA),
-                ));
+                    format!("expected schema header {schema:?}, got {}", quote(line)),
+                );
             }
             saw_schema = true;
             continue;
@@ -80,35 +82,23 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
         match first.text {
             "name" => {
                 let [_, name] = fields[..] else {
-                    return Err(ScenarioError::at(line_no, first.col, "usage: name <token>"));
+                    return usage("name <token>");
                 };
                 scenario.name = name.text.to_string();
             }
             "hosts" => {
                 let [_, count] = fields[..] else {
-                    return Err(ScenarioError::at(
-                        line_no,
-                        first.col,
-                        "usage: hosts <count>",
-                    ));
+                    return usage("hosts <count>");
                 };
                 scenario.hosts = Some(parse_u32(count, line_no)?);
             }
             "at" => {
                 let [_, at, kind, host] = fields[..] else {
-                    return Err(ScenarioError::at(
-                        line_no,
-                        first.col,
-                        "usage: at <time> <join|leave|crash|recover> <host>",
-                    ));
+                    return usage("at <time> <join|leave|crash|recover> <host>");
                 };
-                let churn_kind = ChurnKind::from_label(kind.text).ok_or_else(|| {
-                    ScenarioError::at(
-                        line_no,
-                        kind.col,
-                        format!("unknown churn kind {:?}", kind.text),
-                    )
-                })?;
+                let Some(churn_kind) = ChurnKind::from_label(kind.text) else {
+                    return refuse(kind.col, format!("unknown churn kind {}", quote(kind.text)));
+                };
                 scenario.churn.push(crate::ChurnEvent {
                     at: parse_time(at, line_no)?,
                     kind: churn_kind,
@@ -117,11 +107,7 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
             }
             "from" => {
                 if fields.len() < 5 || fields[2].text != "until" {
-                    return Err(ScenarioError::at(
-                        line_no,
-                        first.col,
-                        "usage: from <time> until <time> <blackout|noise|partition> ...",
-                    ));
+                    return usage("from <time> until <time> <blackout|noise|partition> ...");
                 }
                 let from = parse_time(fields[1], line_no)?;
                 let until = parse_time(fields[3], line_no)?;
@@ -147,28 +133,20 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
                             y1: parse_f64(*y1, line_no)?,
                         },
                     }),
-                    (fault, _) => {
-                        return Err(ScenarioError::at(
-                            line_no,
+                    (fault, operands) => {
+                        let fault = format!("bad fault window: {}", quote(fault));
+                        return refuse(
                             fields[4].col,
-                            if fields.len() == MAX_FIELDS {
-                                format!("bad fault window: {fault:?} with too many operands")
-                            } else {
-                                format!(
-                                    "bad fault window: {fault:?} with {} operand(s)",
-                                    fields.len() - 5
-                                )
+                            match fields.len() {
+                                MAX_FIELDS => format!("{fault} with too many operands"),
+                                _ => format!("{fault} with {} operand(s)", operands.len()),
                             },
-                        ));
+                        );
                     }
                 }
             }
             directive => {
-                return Err(ScenarioError::at(
-                    line_no,
-                    first.col,
-                    format!("unknown directive {directive:?}"),
-                ));
+                return refuse(first.col, format!("unknown directive {}", quote(directive)));
             }
         }
     }
@@ -181,106 +159,66 @@ pub(crate) fn parse_scenario(input: &str) -> Result<Scenario, ScenarioError> {
     Ok(scenario)
 }
 
-/// Renders the canonical text encoding.
+/// Renders the canonical text encoding. Numbers are `f64` `Display`,
+/// which is shortest-round-trip: parsing recovers the exact bits.
 pub(crate) fn render_scenario(scenario: &Scenario) -> String {
-    let mut out = String::new();
-    out.push_str(crate::SCHEMA);
-    out.push('\n');
-    out.push_str(&format!("name {}\n", scenario.name));
+    let mut out = format!("{}\nname {}\n", crate::SCHEMA, scenario.name);
     if let Some(hosts) = scenario.hosts {
-        out.push_str(&format!("hosts {hosts}\n"));
+        out += &format!("hosts {hosts}\n");
     }
-    for event in &scenario.churn {
-        out.push_str(&format!(
-            "at {} {} {}\n",
-            render_time(event.at),
-            event.kind.label(),
-            event.host
-        ));
+    let window = |from, until| format!("from {} until {}", render_time(from), render_time(until));
+    for e in &scenario.churn {
+        out += &format!("at {} {} {}\n", render_time(e.at), e.kind.label(), e.host);
     }
-    for window in &scenario.blackouts {
-        out.push_str(&format!(
-            "from {} until {} blackout {} {}\n",
-            render_time(window.from),
-            render_time(window.until),
-            window.a,
-            window.b
-        ));
+    for w in &scenario.blackouts {
+        out += &format!("{} blackout {} {}\n", window(w.from, w.until), w.a, w.b);
     }
-    for burst in &scenario.noise {
-        out.push_str(&format!(
-            "from {} until {} noise {}\n",
-            render_time(burst.from),
-            render_time(burst.until),
-            render_f64(burst.drop_probability)
-        ));
+    for b in &scenario.noise {
+        out += &format!("{} noise {}\n", window(b.from, b.until), b.drop_probability);
     }
-    for window in &scenario.partitions {
-        let r = window.region;
-        out.push_str(&format!(
-            "from {} until {} partition {} {} {} {}\n",
-            render_time(window.from),
-            render_time(window.until),
-            render_f64(r.x0),
-            render_f64(r.y0),
-            render_f64(r.x1),
-            render_f64(r.y1)
-        ));
+    for w in &scenario.partitions {
+        let (r, at) = (w.region, window(w.from, w.until));
+        out += &format!("{at} partition {} {} {} {}\n", r.x0, r.y0, r.x1, r.y1);
     }
     out
 }
 
-/// Parses decimal seconds (`"12"`, `"12.5"`, `"0.000000001"`) exactly into
-/// nanosecond-resolution [`SimTime`]. At most nine fractional digits.
+/// Parses a time token as exact decimal seconds
+/// ([`SimDuration::from_decimal_secs`]).
 fn parse_time(field: Field<'_>, line_no: usize) -> Result<SimTime, ScenarioError> {
-    let token = field.text;
-    let bad =
-        |why: &str| ScenarioError::at(line_no, field.col, format!("bad time {token:?}: {why}"));
-    let (whole, frac) = match token.split_once('.') {
-        Some((_, "")) => return Err(bad("trailing decimal point")),
-        Some((whole, frac)) => (whole, frac),
-        None => (token, ""),
-    };
-    if whole.is_empty() || !whole.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(bad("expected decimal seconds"));
-    }
-    if frac.len() > 9 || !frac.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(bad("at most nine fractional digits"));
-    }
-    let secs: u64 = whole
-        .parse()
-        .map_err(|_| bad("whole seconds out of range"))?;
-    let mut nanos = 0u64;
-    for b in frac.bytes() {
-        nanos = nanos * 10 + u64::from(b - b'0');
-    }
-    nanos *= 10u64.pow(9 - frac.len() as u32);
-    secs.checked_mul(1_000_000_000)
-        .and_then(|n| n.checked_add(nanos))
-        .map(SimTime::from_nanos)
-        .ok_or_else(|| bad("overflows the simulation clock"))
+    SimDuration::from_decimal_secs(field.text)
+        .map(|d| SimTime::ZERO + d)
+        .map_err(|why| {
+            let message = format!("bad time {}: {why}", quote(field.text));
+            ScenarioError::at(line_no, field.col, message)
+        })
 }
 
-/// Renders a [`SimTime`] as decimal seconds, trimming trailing zeros, so
-/// [`parse_time`] recovers the exact nanosecond value.
+/// Renders a [`SimTime`] as exact decimal seconds, so [`parse_time`]
+/// recovers the nanosecond value.
 pub(crate) fn render_time(at: SimTime) -> String {
-    let nanos = at.as_nanos();
-    let (secs, rem) = (nanos / 1_000_000_000, nanos % 1_000_000_000);
-    if rem == 0 {
-        return secs.to_string();
+    (at - SimTime::ZERO).decimal_secs()
+}
+
+/// A token as an error message quotes it: `{:?}`-escaped, and cut after
+/// its first 32 characters, so a hostile token of any length or any
+/// control bytes makes a message of at most a few hundred bytes.
+pub fn quote(token: &str) -> String {
+    const SHOWN: usize = 32;
+    match token.char_indices().nth(SHOWN) {
+        Some((cut, _)) => format!("{:?}...", &token[..cut]),
+        None => format!("{token:?}"),
     }
-    let mut frac = format!("{rem:09}");
-    while frac.ends_with('0') {
-        frac.pop();
-    }
-    format!("{secs}.{frac}")
 }
 
 fn parse_u32(field: Field<'_>, line_no: usize) -> Result<u32, ScenarioError> {
-    field
-        .text
-        .parse()
-        .map_err(|_| ScenarioError::at(line_no, field.col, format!("bad integer {:?}", field.text)))
+    field.text.parse().map_err(|_| {
+        ScenarioError::at(
+            line_no,
+            field.col,
+            format!("bad integer {}", quote(field.text)),
+        )
+    })
 }
 
 fn parse_f64(field: Field<'_>, line_no: usize) -> Result<f64, ScenarioError> {
@@ -289,15 +227,9 @@ fn parse_f64(field: Field<'_>, line_no: usize) -> Result<f64, ScenarioError> {
         _ => Err(ScenarioError::at(
             line_no,
             field.col,
-            format!("bad number {:?}", field.text),
+            format!("bad number {}", quote(field.text)),
         )),
     }
-}
-
-/// Renders an `f64` via `Display`, which is shortest-round-trip in Rust:
-/// parsing the output recovers the exact bit pattern.
-pub(crate) fn render_f64(v: f64) -> String {
-    format!("{v}")
 }
 
 #[cfg(test)]

@@ -183,8 +183,6 @@ pub struct EventQueue<E> {
     cancelled: SeqSet,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -215,12 +213,10 @@ impl<E> EventQueue<E> {
             cancelled: SeqSet::default(),
             next_seq,
             now,
-            popped: 0,
-            scheduled: 0,
         }
     }
 
-    /// The time of the most recently popped event (the simulation "now").
+    /// The time of the most recently delivered event (the simulation "now").
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -275,7 +271,6 @@ impl<E> EventQueue<E> {
             self.rebase(time.as_nanos());
         }
         self.next_seq = seq + 1;
-        self.scheduled += 1;
         self.len += 1;
         self.file(Entry { time, seq, event });
         EventKey(seq)
@@ -444,7 +439,7 @@ impl<E> EventQueue<E> {
 
     /// Like [`pop`](Self::pop), but also returns the entry's sequence
     /// number. A multi-queue executor uses this where the global sequence
-    /// stamp of the popped entry matters — e.g. to order effects buffered
+    /// stamp of the entry it returns matters — e.g. to order effects buffered
     /// during a parallel epoch by the `(time, seq)` of the event that
     /// produced them.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
@@ -453,7 +448,6 @@ impl<E> EventQueue<E> {
         self.len -= 1;
         debug_assert!(entry.time >= self.now, "event queue went backwards");
         self.now = entry.time;
-        self.popped += 1;
         Some((entry.time, entry.seq, entry.event))
     }
 
@@ -488,15 +482,13 @@ impl<E> EventQueue<E> {
             .map(|entry| (EventKey(entry.seq), entry.time, &entry.event))
     }
 
-    /// Appends a complete image of the queue to a snapshot: the counters
-    /// (`now`, next sequence number, delivered, scheduled), then the live
+    /// Appends a complete image of the queue to a snapshot: the clock
+    /// (`now`) and the next sequence number, then the live
     /// (non-tombstoned) entries in pop order, each as time, sequence
     /// number and the event as `put` writes it.
     pub fn encode(&self, enc: &mut WireEncoder, mut put: impl FnMut(&mut WireEncoder, &E)) {
         enc.time(self.now);
         enc.u64(self.next_seq);
-        enc.u64(self.popped);
-        enc.u64(self.scheduled);
         let mut live: Vec<_> = self.live().collect();
         live.sort_by_key(|entry| (entry.time, entry.seq));
         enc.seq(live, |enc, entry| {
@@ -525,8 +517,6 @@ impl<E> EventQueue<E> {
     ) -> Result<Self, WireError> {
         let now = dec.time()?;
         let next_seq = dec.u64()?;
-        let popped = dec.u64()?;
-        let scheduled = dec.u64()?;
         let mut last = None;
         let entries = dec.seq(16 + min_bytes, |dec| {
             let at = dec.position();
@@ -544,8 +534,6 @@ impl<E> EventQueue<E> {
             Ok(Entry { time, seq, event })
         })?;
         let mut queue = EventQueue::starting(now, next_seq);
-        queue.popped = popped;
-        queue.scheduled = scheduled;
         queue.len = entries.len();
         for entry in entries {
             queue.file(entry);
@@ -640,9 +628,9 @@ mod tests {
         }
         let mut expected: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
         expected.sort();
-        let popped: Vec<(u64, usize)> =
+        let delivered: Vec<(u64, usize)> =
             std::iter::from_fn(|| q.pop().map(|(t, i)| (t.as_nanos(), i))).collect();
-        assert_eq!(popped, expected);
+        assert_eq!(delivered, expected);
         assert!(q.is_empty());
     }
 
@@ -706,17 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_track_activity() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        let k = q.schedule(SimTime::from_millis(2), ());
-        q.cancel(k);
-        while q.pop().is_some() {}
-        assert_eq!(q.scheduled, 2);
-        assert_eq!(q.popped, 1);
-    }
-
-    #[test]
     fn codec_round_trips_live_entries_and_refuses_impossible_ones() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(5), 50u32);
@@ -736,13 +713,13 @@ mod tests {
         let mut back = decode(&bytes).unwrap();
         assert_eq!(image(&back), bytes);
         assert_eq!(back.now(), SimTime::from_millis(5));
-        assert_eq!(back.popped, 1);
         assert_eq!(back.schedule(SimTime::from_millis(9), 90), EventKey(3));
         assert_eq!(back.pop(), Some((SimTime::from_millis(7), 70)));
 
-        // Counters are 4 x u64, the entry count one more; the one live
-        // entry's time and sequence number follow.
-        let (time_at, seq_at) = (40, 48);
+        // The clock and the next sequence number are two u64s, the entry
+        // count one more; the one live entry's time and sequence number
+        // follow.
+        let (time_at, seq_at) = (24, 32);
         for (at, value) in [(time_at, 4_999_999u64), (seq_at, 3)] {
             let mut bad = bytes.clone();
             bad[at..at + 8].copy_from_slice(&value.to_le_bytes());

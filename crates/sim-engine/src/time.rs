@@ -135,6 +135,41 @@ impl SimDuration {
         SimDuration(nanos.round() as u64)
     }
 
+    /// Parses decimal seconds (`"12"`, `"12.5"`, `"0.000000001"`, at most
+    /// nine fractional digits) exactly, not through `f64`:
+    /// [`decimal_secs`](Self::decimal_secs) reads back to the nanosecond.
+    ///
+    /// # Errors
+    ///
+    /// Says why the text is not decimal seconds that fit the clock.
+    pub fn from_decimal_secs(text: &str) -> Result<SimDuration, &'static str> {
+        let (whole, frac) = text.split_once('.').unwrap_or((text, ""));
+        let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+        if whole.is_empty() || text.ends_with('.') || !digits(whole) || !digits(frac) {
+            return Err("expected decimal seconds");
+        }
+        if frac.len() > 9 {
+            return Err("at most nine fractional digits");
+        }
+        let secs: u64 = whole.parse().map_err(|_| "whole seconds out of range")?;
+        let nanos: u64 = format!("{frac:0<9}").parse().unwrap_or(0);
+        let total = secs
+            .checked_mul(1_000_000_000)
+            .and_then(|n| n.checked_add(nanos));
+        total
+            .map(SimDuration)
+            .ok_or("overflows the simulation clock")
+    }
+
+    /// The span as decimal seconds with trailing zeros trimmed (`"12.5"`),
+    /// which [`from_decimal_secs`](Self::from_decimal_secs) reads back.
+    pub fn decimal_secs(self) -> String {
+        let frac = format!("{:09}", self.0 % 1_000_000_000);
+        let frac = frac.trim_end_matches('0');
+        let point = if frac.is_empty() { "" } else { "." };
+        format!("{}{point}{frac}", self.0 / 1_000_000_000)
+    }
+
     /// Length of the span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -306,6 +341,30 @@ mod tests {
         let d = SimDuration::from_secs_f64(1.25);
         assert_eq!(d.as_nanos(), 1_250_000_000);
         assert!((d.as_secs_f64() - 1.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decimal_seconds_round_trip_exactly() {
+        for nanos in [0, 1, 999_999_999, 12_500_000_000, 3_000_000_001, u64::MAX] {
+            let d = SimDuration::from_nanos(nanos);
+            assert_eq!(SimDuration::from_decimal_secs(&d.decimal_secs()), Ok(d));
+        }
+        assert_eq!(
+            SimDuration::from_nanos(12_500_000_000).decimal_secs(),
+            "12.5"
+        );
+        for bad in [
+            "",
+            ".",
+            "1.",
+            ".5",
+            "-1",
+            "1e3",
+            "1.0000000001",
+            "18446744074",
+        ] {
+            assert!(SimDuration::from_decimal_secs(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

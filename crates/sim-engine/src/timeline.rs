@@ -78,7 +78,7 @@ impl<T> Timeline<T> {
     /// order, wrapping each index via `make`.
     ///
     /// Because the queue breaks timestamp ties FIFO, same-instant entries
-    /// are later popped in timeline order — the stream interleaves
+    /// are later delivered in timeline order — the stream interleaves
     /// deterministically with everything else on the queue.
     pub fn schedule_into<E>(&self, queue: &mut EventQueue<E>, mut make: impl FnMut(usize) -> E) {
         for (index, (at, _)) in self.entries.iter().enumerate() {

@@ -122,9 +122,13 @@ impl WireEncoder {
         self.u8(u8::from(value));
     }
 
-    /// Appends a length-prefixed byte slice.
+    /// Appends a length-prefixed byte slice, growing the buffer to a power
+    /// of two as pushes do: an odd-sized slice (a config header's text)
+    /// would set the base of every later doubling of a checkpoint.
     pub fn bytes(&mut self, value: &[u8]) {
         self.usize(value.len());
+        self.buf
+            .reserve((self.buf.len() + value.len()).next_power_of_two() - self.buf.len());
         self.buf.extend_from_slice(value);
     }
 

@@ -101,8 +101,6 @@ struct Model {
     tombstones: BTreeSet<u64>,
     next_seq: u64,
     now: u64,
-    popped: u64,
-    scheduled: u64,
 }
 
 impl Model {
@@ -112,7 +110,6 @@ impl Model {
             .partition_point(|&(t, s, _)| (t, s) < (time, seq));
         self.entries.insert(at, (time, seq, event));
         self.next_seq = seq + 1;
-        self.scheduled += 1;
     }
 
     fn cancel(&mut self, key: u64) -> bool {
@@ -133,7 +130,6 @@ impl Model {
         let first = self.head()?;
         self.entries.remove(0);
         self.now = first.0;
-        self.popped += 1;
         Some(first)
     }
 
@@ -148,8 +144,6 @@ impl Model {
         let mut enc = WireEncoder::new();
         enc.time(SimTime::from_nanos(self.now));
         enc.u64(self.next_seq);
-        enc.u64(self.popped);
-        enc.u64(self.scheduled);
         enc.seq(self.live(), |enc, &(time, seq, event)| {
             enc.time(SimTime::from_nanos(time));
             enc.u64(seq);

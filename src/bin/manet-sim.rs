@@ -13,10 +13,7 @@ use std::process::ExitCode;
 
 use manet_broadcast::campaign::{serve, ServerConfig};
 use manet_broadcast::core::{replay_decisions, snapshot};
-use manet_broadcast::{
-    CaptureConfig, DynamicHelloParams, HelloIntervalPolicy, MobilitySpec, NeighborInfo, Scenario,
-    SchemeSpec, SimConfig, SimDuration, SimTime, World,
-};
+use manet_broadcast::{CaptureConfig, Scenario, SchemeSpec, SimConfig, SimTime, World};
 
 const USAGE: &str = "\
 usage: manet-sim [options]
@@ -29,9 +26,12 @@ options:
   --speed KMH           max roaming speed; default = paper's per-map value
   --scheme S            flooding | counter:C | ac | distance:D |
                         location:A | al | nc | prob:P  (default ac);
-                        C >= 2, D >= 0 meters, A and P in 0..=1
-  --hello P             fixed seconds (e.g. 1) | dynamic | oracle
-                        (default: fixed 1 s beacons)
+                        C >= 2, D >= 0 meters, A and P in 0..=1;
+                        the tuning families: ac:fixedC | ac:rampK |
+                        ac:toN1 | ac:N1,N2,SHAPE (convex | linear |
+                        concave) | al:fixedA | al:N1,N2
+  --hello P             fixed seconds (e.g. 1) | dynamic | oracle |
+                        dynamic:NV,MIN,MAX  (default: fixed 1 s beacons)
   --mobility M          turn | waypoint | none      (default turn)
   --capture             enable 10 dB physical-layer capture
   --drop P              inject per-delivery loss probability P
@@ -88,60 +88,31 @@ struct Options {
     replay: Option<String>,
 }
 
-fn parse_hello(s: &str) -> Result<NeighborInfo, String> {
-    match s {
-        "dynamic" => Ok(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
-            DynamicHelloParams::paper(),
-        ))),
-        "oracle" => Ok(NeighborInfo::Oracle),
-        seconds => seconds
-            .parse::<f64>()
-            .ok()
-            .filter(|v| (0.0..=SimConfig::MAX_HELLO_INTERVAL.as_secs_f64()).contains(v))
-            .map(SimDuration::from_secs_f64)
-            // Rounds to zero nanoseconds: the HELLO timer would re-arm at
-            // the same instant forever.
-            .filter(|interval| !interval.is_zero())
-            .map(|interval| NeighborInfo::Hello(HelloIntervalPolicy::Fixed(interval)))
-            .ok_or_else(|| format!("bad hello policy '{seconds}' (seconds | dynamic | oracle)")),
-    }
-}
-
-fn parse_mobility(s: &str) -> Result<MobilitySpec, String> {
-    match s {
-        "turn" => Ok(MobilitySpec::RandomTurn),
-        "waypoint" => Ok(MobilitySpec::RandomWaypoint),
-        "none" => Ok(MobilitySpec::Stationary),
-        other => Err(format!(
-            "unknown mobility '{other}' (turn | waypoint | none)"
-        )),
-    }
-}
-
 /// The flags that define the run; under `--resume` the checkpoint does.
+/// Each but `--capture` (the typical capture model) and `--scenario` (a
+/// script file) sets the config key it names ([`SimConfig::set`]).
 const RUN_FLAGS: &str =
     "--map --hosts --broadcasts --seed --speed --scheme --hello --mobility --capture --drop --scenario";
 
-fn parsed<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    text.parse().map_err(|e| format!("bad {flag}: {e}"))
+/// A flag value that does not parse.
+fn bad(flag: &str, e: std::num::ParseIntError) -> String {
+    format!("bad {flag}: {e}")
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
-    let mut config = SimConfig::builder(5, SchemeSpec::parse("ac")?)
-        .broadcasts(200)
-        .build();
-    let (mut hosts, mut scenario_path, mut run_flag) = (None, None, None);
-    let mut per_broadcast = None;
-    let mut metrics = None;
-    let mut snapshot_at: Option<u64> = None;
-    let mut snapshot_out: Option<String> = None;
-    let mut resume: Option<String> = None;
-    let mut record: Option<String> = None;
-    let mut replay: Option<String> = None;
-
+    let mut o = Options {
+        config: SimConfig::builder(5, SchemeSpec::parse("ac")?)
+            .broadcasts(200)
+            .build(),
+        per_broadcast: None,
+        metrics: None,
+        snapshot_at: None,
+        snapshot_out: None,
+        resume: None,
+        record: None,
+        replay: None,
+    };
+    let (mut scenario_path, mut run_flag, mut hosts_given) = (None, None, false);
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let arg = arg.as_str();
@@ -150,34 +121,28 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 .cloned()
                 .ok_or_else(|| format!("{arg} needs a value"))
         };
-        if RUN_FLAGS.split(' ').any(|flag| flag == arg) {
+        let run = RUN_FLAGS.split(' ').any(|flag| flag == arg);
+        if run {
             run_flag.get_or_insert(arg);
         }
+        hosts_given |= arg == "--hosts";
         match arg {
-            "--map" => config.map_units = parsed(arg, value()?)?,
-            "--hosts" => hosts = Some(parsed(arg, value()?)?),
-            "--broadcasts" => config.broadcasts = parsed(arg, value()?)?,
-            "--seed" => config.seed = parsed(arg, value()?)?,
-            "--speed" => config.max_speed_kmh = Some(parsed(arg, value()?)?),
-            "--scheme" => config.scheme = SchemeSpec::parse(&value()?)?,
-            "--hello" => config.neighbor_info = parse_hello(&value()?)?,
-            "--mobility" => config.mobility = parse_mobility(&value()?)?,
-            "--capture" => config.capture = Some(CaptureConfig::typical()),
-            "--drop" => config.drop_probability = parsed(arg, value()?)?,
+            "--capture" => o.config.capture = Some(CaptureConfig::typical()),
             "--scenario" => scenario_path = Some(value()?),
-            "--per-broadcast" => per_broadcast = Some(value()?),
-            "--metrics" => metrics = Some(value()?),
-            "--profile" => config.profile_events = true,
-            "--snapshot-at" => snapshot_at = Some(parsed(arg, value()?)?),
-            "--snapshot-out" => snapshot_out = Some(value()?),
-            "--resume" => resume = Some(value()?),
-            "--record" => record = Some(value()?),
-            "--replay" => replay = Some(value()?),
+            _ if run => o.config.set(&arg[2..], &value()?)?,
+            "--per-broadcast" => o.per_broadcast = Some(value()?),
+            "--metrics" => o.metrics = Some(value()?),
+            "--profile" => o.config.profile_events = true,
+            "--snapshot-at" => o.snapshot_at = Some(value()?.parse().map_err(|e| bad(arg, e))?),
+            "--snapshot-out" => o.snapshot_out = Some(value()?),
+            "--resume" => o.resume = Some(value()?),
+            "--record" => o.record = Some(value()?),
+            "--replay" => o.replay = Some(value()?),
             "-h" | "--help" => return Ok(None),
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if let (Some(_), Some(flag)) = (&resume, run_flag) {
+    if let (Some(_), Some(flag)) = (&o.resume, run_flag) {
         return Err(format!(
             "{flag} defines the run, and --resume takes the run from its file"
         ));
@@ -186,41 +151,29 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     if let Some(path) = &scenario_path {
         let input = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read scenario {path}: {e}"))?;
-        config.scenario =
+        o.config.scenario =
             Some(Scenario::parse(&input).map_err(|e| format!("bad scenario {path}: {e}"))?);
     }
     // Population: explicit --hosts, then the host count the scenario script
     // declares, then the paper's 100. A script's `hosts` line is a contract,
     // so a conflicting --hosts is an error (out of `validate` below).
-    config.hosts = hosts
-        .or_else(|| config.scenario.as_ref().and_then(|s| s.hosts))
-        .unwrap_or(100);
+    let declared = o.config.scenario.as_ref().and_then(|s| s.hosts);
+    o.config.hosts = declared.filter(|_| !hosts_given).unwrap_or(o.config.hosts);
     // Checkpoint/trace flag consistency. --replay is a standalone mode
     // (the trace embeds its own config); a recording must cover a
     // whole run to be replayable, so it cannot start from a checkpoint.
-    if replay.is_some()
-        && (record.is_some() || resume.is_some() || snapshot_at.is_some() || snapshot_out.is_some())
-    {
+    let checkpoint = o.resume.is_some() || o.snapshot_at.is_some() || o.snapshot_out.is_some();
+    if o.replay.is_some() && (o.record.is_some() || checkpoint) {
         return Err("--replay is standalone; drop the snapshot/record flags".into());
     }
-    if snapshot_at.is_some() != snapshot_out.is_some() {
+    if o.snapshot_at.is_some() != o.snapshot_out.is_some() {
         return Err("--snapshot-at and --snapshot-out go together".into());
     }
-    if record.is_some() && resume.is_some() {
+    if o.record.is_some() && o.resume.is_some() {
         return Err("--record cannot start from --resume: a trace must cover a whole run".into());
     }
-
-    config.validate()?;
-    Ok(Some(Options {
-        config,
-        per_broadcast,
-        metrics,
-        snapshot_at,
-        snapshot_out,
-        resume,
-        record,
-        replay,
-    }))
+    o.config.validate()?;
+    Ok(Some(o))
 }
 
 fn per_broadcast_csv(report: &manet_broadcast::SimReport) -> String {
@@ -263,9 +216,9 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeOptions>, String> {
         match arg {
             "--pipe" => socket = None,
             "--socket" => socket = Some(value()?),
-            "--workers" => config.workers = Some(parsed(arg, value()?)?),
+            "--workers" => config.workers = Some(value()?.parse().map_err(|e| bad(arg, e))?),
             "--queue-capacity" => {
-                config.queue_capacity = parsed(arg, value()?)?;
+                config.queue_capacity = value()?.parse().map_err(|e| bad(arg, e))?;
                 if config.queue_capacity == 0 {
                     return Err("bad --queue-capacity: need room for at least one job".into());
                 }
@@ -477,6 +430,9 @@ fn run(options: Options) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_broadcast::{
+        DynamicHelloParams, HelloIntervalPolicy, MobilitySpec, NeighborInfo, SimDuration,
+    };
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -516,25 +472,96 @@ mod tests {
         }
     }
 
+    fn config_of(list: &[&str]) -> Result<SimConfig, String> {
+        parse_args(&args(list)).map(|options| options.expect("not help").config)
+    }
+
     #[test]
     fn hello_policies_parse() {
-        assert_eq!(parse_hello("oracle").unwrap(), NeighborInfo::Oracle);
-        assert!(matches!(
-            parse_hello("dynamic").unwrap(),
-            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(_))
-        ));
-        assert!(matches!(
-            parse_hello("2.5").unwrap(),
-            NeighborInfo::Hello(HelloIntervalPolicy::Fixed(d))
-                if d == SimDuration::from_millis(2_500)
-        ));
-        assert!(parse_hello("-1").is_err());
-        assert!(parse_hello("sometimes").is_err());
-        // Rounds to zero nanoseconds; does not fit the clock; not a number.
-        for bad in ["0", "1e-10", "1e30", "inf", "nan"] {
-            assert!(parse_hello(bad).is_err(), "{bad}");
+        let hello = |value| config_of(&["--hello", value]).map(|c| c.neighbor_info);
+        assert_eq!(hello("oracle").unwrap(), NeighborInfo::Oracle);
+        assert_eq!(
+            hello("dynamic").unwrap(),
+            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper()))
+        );
+        assert_eq!(
+            hello("2.5").unwrap(),
+            NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::from_millis(2_500)))
+        );
+        assert_eq!(
+            hello("0.000000001").unwrap(),
+            NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::from_nanos(1)))
+        );
+        // Zero; not exact decimal seconds; does not fit the clock; past
+        // the longest interval; not a number.
+        for bad in [
+            "0",
+            "-1",
+            "sometimes",
+            "1e-9",
+            "1e30",
+            "2000000",
+            "inf",
+            "nan",
+        ] {
+            assert!(hello(bad).is_err(), "{bad}");
         }
-        assert!(parse_hello("1e-9").is_ok());
+    }
+
+    /// Every run flag's spelling sets the config key of its name, as the
+    /// text a checkpoint header carries spells it.
+    #[test]
+    fn each_run_flag_sets_its_key() {
+        for (flag, value, token) in [
+            ("--map", "9", "map=9"),
+            ("--hosts", "50", "hosts=50"),
+            ("--broadcasts", "10", "broadcasts=10"),
+            ("--seed", "7", "seed=7"),
+            ("--speed", "60", "speed=60"),
+            ("--scheme", "nc", "scheme=nc"),
+            ("--hello", "dynamic", "hello=dynamic"),
+            ("--hello", "oracle", "hello=oracle"),
+            ("--hello", "2.5", "hello=2.5"),
+            ("--mobility", "turn", "mobility=turn"),
+            ("--mobility", "waypoint", "mobility=waypoint"),
+            ("--mobility", "none", "mobility=none"),
+            ("--drop", "0.1", "drop=0.1"),
+        ] {
+            let text = config_of(&[flag, value]).expect(flag).to_text();
+            assert!(
+                text.split_whitespace().any(|t| t == token),
+                "{flag} {value}: {text}"
+            );
+        }
+        let text = config_of(&["--capture"]).unwrap().to_text();
+        assert!(text.contains(" capture=10,4 "), "{text}");
+        let err = config_of(&["--mobility", "fly"]).unwrap_err();
+        assert!(err.contains("bad mobility \"fly\""), "{err}");
+        assert!(config_of(&["--map", "x"])
+            .unwrap_err()
+            .contains("bad map \"x\""));
+    }
+
+    /// `--scheme` spells a member of every tuning family of Figs 5, 6, 8
+    /// and 9, under the label the figures print.
+    #[test]
+    fn scheme_flag_spells_every_family() {
+        for (scheme, label) in [
+            ("ac:ramp3", "slope 1/3"),
+            ("ac:to4", "n1=4"),
+            ("ac:4,10,linear", "n1=4,n2=10,linear"),
+            ("ac:4,12,convex", "n1=4,n2=12,convex"),
+            ("ac:4,12,concave", "n1=4,n2=12,concave"),
+            ("ac:fixed3", "C=3"),
+            ("al:6,12", "AL(6,12)"),
+            ("al:fixed0.0469", "A=0.0469"),
+        ] {
+            let config = config_of(&["--scheme", scheme]).expect(scheme);
+            assert_eq!(
+                (config.scheme.to_string(), config.scheme.label()),
+                (scheme.into(), label.into())
+            );
+        }
     }
 
     #[test]

@@ -286,8 +286,9 @@ fn cli_rejects_invalid_numbers_without_running() {
         ("--hosts", "0", "need at least one host"),
         ("--map", "0", "map must be at least 1x1"),
         ("--broadcasts", "0", "need at least one broadcast"),
-        ("--hello", "1e-10", "bad hello policy '1e-10'"),
-        ("--hello", "1e30", "bad hello policy '1e30'"),
+        ("--hello", "1e-10", "bad hello policy \"1e-10\""),
+        ("--hello", "1e30", "bad hello policy \"1e30\""),
+        ("--hello", "0", "hello interval must be longer than zero"),
     ] {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_manet-sim"))
             .args(["--map", "1", "--broadcasts", "1", flag, value])
