@@ -1,32 +1,26 @@
-//! The world's geometry index: the one answer to "who is within radio
-//! range of this host right now".
+//! The world's geometry: the one answer to "who is within radio range of
+//! this host right now", and to "whom can a broadcast from it reach".
 //!
 //! Hosts move along piecewise-linear [`Segment`]s, so a position is a pure
-//! function of `(segment, now)`. A range query must not pay for all of
-//! them: the map is cut into vertical strips at least one radio radius
-//! wide ([`StripMap`]), each strip keeps its hosts y-sorted at the
-//! positions they had at the last *sync* (once per simulated second), and
-//! a query evaluates fresh positions only for hosts whose sync position
-//! leaves their membership undecided (see [`Geometry::in_range`]). The
-//! dense all-hosts refresh survives for the two consumers that really
-//! need every position: the strip sync itself and the per-broadcast
-//! reachability search.
+//! function of `(segment, now)`. A [`StripIndex`] holds every host at its
+//! position at the last *sync* (once per simulated second); a range query
+//! evaluates fresh positions only for hosts whose sync position leaves
+//! their membership undecided ([`Geometry::in_range`]), and the
+//! per-broadcast reachability search forces a sync at its instant.
 
 use manet_geom::{Rect, Vec2};
 use manet_mobility::{Map, Segment};
-use manet_phy::{NeighborGrid, NodeId, StripMap};
+use manet_phy::{NodeId, StripIndex};
 use manet_sim_engine::{SimDuration, SimTime};
 
-/// How often strip membership is rebuilt from fresh positions. Between
+/// How often the strip index is rebuilt from fresh positions. Between
 /// syncs, hosts drift from their sync positions by at most
 /// `max_speed × elapsed`, which the query windows absorb.
 const STRIP_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// Absolute slack (meters) added to the `max_speed × elapsed` drift bound,
-/// absorbing the floating-point rounding of that product. Overestimating
-/// drift only widens the candidate window — the exact distance test still
-/// decides membership — so a micrometer of safety costs nothing and
-/// removes any 1-ulp exclusion hazard.
+/// Slack (meters) added to the `max_speed × elapsed` drift bound, absorbing
+/// the rounding of that product: overestimated drift only widens the
+/// window, and the exact distance test still decides membership.
 const DRIFT_SLACK: f64 = 1e-6;
 
 /// Host motion, cached positions and the strip index over them.
@@ -42,24 +36,18 @@ pub(super) struct Geometry {
     keep_hit_positions: bool,
     /// Every host's current motion segment.
     segments: Vec<Segment>,
-    /// Cached positions. All valid at `positions_at` after a dense
-    /// refresh; range queries overwrite individual entries with fresher
-    /// values (see [`Geometry::cached_position`]).
+    /// Cached positions. All valid at `positions_at` after a sync, until
+    /// a segment changes; range queries overwrite individual entries with
+    /// fresher values (see [`Geometry::cached_position`]).
     positions: Vec<Vec2>,
     positions_at: Option<SimTime>,
-    strips: StripMap,
-    /// Each strip's hosts as `(sync position, id)`, sorted by the
-    /// position's y (ties by id). Read-only between syncs.
-    strip_hosts: Vec<Vec<(Vec2, u32)>>,
-    strip_sync_at: SimTime,
+    /// Every host at its position at the last sync, `synced_at`.
+    index: StripIndex,
+    synced_at: SimTime,
     /// Host-id-indexed hit bitmap: a query marks ids while scanning in
     /// spatial order, then reads them back ascending without a sort.
     /// All-zero between queries.
     range_bits: Vec<u64>,
-    /// Cell index over `positions` for the reachability search, synced to
-    /// the dense refresh at `grid_at`.
-    grid: NeighborGrid,
-    grid_at: Option<SimTime>,
 }
 
 impl Geometry {
@@ -74,8 +62,9 @@ impl Geometry {
         keep_hit_positions: bool,
     ) -> Self {
         let bounds = map.bounds();
-        let strips = StripMap::new(bounds.width(), radius);
-        let mut geometry = Geometry {
+        let mut index = StripIndex::new(bounds.width(), radius);
+        index.rebuild(&positions);
+        Geometry {
             bounds,
             radius,
             // RandomWaypoint floors its speed at 3.6 km/h, so the drift
@@ -86,23 +75,17 @@ impl Geometry {
             range_bits: vec![0; positions.len().div_ceil(64)],
             positions,
             positions_at: None,
-            strip_hosts: vec![Vec::new(); strips.strips()],
-            strips,
-            strip_sync_at: SimTime::ZERO,
-            grid: NeighborGrid::new(bounds.width(), bounds.height(), radius),
-            grid_at: None,
-        };
-        geometry.rebuild_strips();
-        geometry
+            index,
+            synced_at: SimTime::ZERO,
+        }
     }
 
     /// Replaces `node`'s motion segment (it turned, or a snapshot restored
-    /// it). Sync positions stay valid — the drift bound does not care
-    /// which way a host went — but dense caches at this timestamp do not.
+    /// it). Sync positions stay valid for the drift bound — it does not
+    /// care which way a host went — but are no longer exact.
     pub(super) fn set_segment(&mut self, node: NodeId, segment: Segment) {
         self.segments[node.index()] = segment;
         self.positions_at = None;
-        self.grid_at = None;
     }
 
     /// `node`'s position at `now`, evaluated from its segment.
@@ -118,44 +101,19 @@ impl Geometry {
         self.positions[node.index()]
     }
 
-    /// Ensures `positions` holds every host's position at `now`; free
-    /// when it already does.
-    fn refresh_positions(&mut self, now: SimTime) {
-        if self.positions_at == Some(now) {
-            return;
-        }
+    /// Rebuilds the strip index from every host's position at `now`. The
+    /// sync is not an event — it consumes no sequence number and draws no
+    /// randomness — and query results do not depend on when it happens,
+    /// which is also why a resumed world may start from the time-zero
+    /// index: the drift bound covers whatever has elapsed since.
+    fn sync(&mut self, now: SimTime) {
         let bounds = self.bounds;
         for (p, s) in self.positions.iter_mut().zip(&self.segments) {
             *p = s.position_at(now, bounds);
         }
+        self.index.rebuild(&self.positions);
         self.positions_at = Some(now);
-    }
-
-    /// Re-bins every host into its strip by `positions`, y-sorted.
-    fn rebuild_strips(&mut self) {
-        for hosts in &mut self.strip_hosts {
-            hosts.clear();
-        }
-        for (i, &p) in self.positions.iter().enumerate() {
-            self.strip_hosts[self.strips.strip_of_x(p.x)].push((p, i as u32));
-        }
-        for hosts in &mut self.strip_hosts {
-            hosts.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));
-        }
-    }
-
-    /// Rebuilds strip membership once per [`STRIP_SYNC_INTERVAL`]. The
-    /// sync is not an event — it consumes no sequence number and draws no
-    /// randomness — and query results do not depend on when it happens,
-    /// which is also why a resumed world may start from the time-zero
-    /// strips: the drift bound covers whatever has elapsed since.
-    fn maybe_strip_sync(&mut self, now: SimTime) {
-        if now < self.strip_sync_at + STRIP_SYNC_INTERVAL {
-            return;
-        }
-        self.refresh_positions(now);
-        self.rebuild_strips();
-        self.strip_sync_at = now;
+        self.synced_at = now;
     }
 
     /// Writes the hosts within the radio radius of `of` at `now` into
@@ -174,7 +132,9 @@ impl Geometry {
     /// exact squared-distance test (identical arithmetic on an identical
     /// position, hence identical results).
     pub(super) fn in_range(&mut self, now: SimTime, of: NodeId, out: &mut Vec<NodeId>) {
-        self.maybe_strip_sync(now);
+        if now >= self.synced_at + STRIP_SYNC_INTERVAL {
+            self.sync(now);
+        }
         let bounds = self.bounds;
         let center = if self.positions_at == Some(now) {
             self.positions[of.index()]
@@ -183,7 +143,7 @@ impl Geometry {
             self.positions[of.index()] = p;
             p
         };
-        let elapsed = now.saturating_duration_since(self.strip_sync_at);
+        let elapsed = now.saturating_duration_since(self.synced_at);
         let drift = self.max_speed_ms * elapsed.as_secs_f64() + DRIFT_SLACK;
         let reach = self.radius + drift;
         let m2 = reach * reach;
@@ -193,35 +153,22 @@ impl Geometry {
         let inner = self.radius - drift;
         let inner2 = if inner > 0.0 { inner * inner } else { -1.0 };
         let me = of.index() as u32;
-        let (lo_y, hi_y) = (center.y - reach, center.y + reach);
-        let (lo, hi) = self
-            .strips
-            .strips_overlapping(center.x - reach, center.x + reach);
-        for hosts in &self.strip_hosts[lo..=hi] {
-            let start = hosts.partition_point(|&(p, _)| p.y < lo_y);
-            for &(sync_pos, h) in &hosts[start..] {
-                if sync_pos.y > hi_y {
-                    break;
-                }
-                if h == me {
-                    continue;
-                }
-                let d2 = sync_pos.distance_squared_to(center);
-                if d2 > m2 {
-                    continue;
-                }
-                if d2 > inner2 {
-                    let p = self.segments[h as usize].position_at(now, bounds);
-                    self.positions[h as usize] = p;
-                    if p.distance_squared_to(center) > r2 {
-                        continue;
-                    }
-                } else if self.keep_hit_positions {
-                    self.positions[h as usize] = self.segments[h as usize].position_at(now, bounds);
-                }
-                self.range_bits[(h >> 6) as usize] |= 1u64 << (h & 63);
+        self.index.window(center, reach, |sync_pos, h| {
+            let d2 = sync_pos.distance_squared_to(center);
+            if h == me || d2 > m2 {
+                return;
             }
-        }
+            if d2 > inner2 {
+                let p = self.segments[h as usize].position_at(now, bounds);
+                self.positions[h as usize] = p;
+                if p.distance_squared_to(center) > r2 {
+                    return;
+                }
+            } else if self.keep_hit_positions {
+                self.positions[h as usize] = self.segments[h as usize].position_at(now, bounds);
+            }
+            self.range_bits[(h >> 6) as usize] |= 1u64 << (h & 63);
+        });
         // Words are zeroed as they are consumed, keeping the map clean
         // for the next query.
         out.clear();
@@ -238,8 +185,9 @@ impl Geometry {
     /// Writes every host reachable from `source` at `now` over one or
     /// more radio hops (excluding `source`, ascending ids) into `out`.
     /// With an `active` mask, hosts that are down neither relay nor
-    /// count. Issued once per broadcast request, so it pays for a dense
-    /// refresh and a grid re-index.
+    /// count. Issued once per broadcast request, so it pays for a sync
+    /// unless one happened at `now` with no turn since: the search is
+    /// exact on the index's positions, which must be `now`'s.
     pub(super) fn reachable_into(
         &mut self,
         now: SimTime,
@@ -247,20 +195,11 @@ impl Geometry {
         active: Option<&[bool]>,
         out: &mut Vec<NodeId>,
     ) {
-        self.refresh_positions(now);
-        if self.grid_at != Some(now) {
-            self.grid.update(&self.positions);
-            self.grid_at = Some(now);
+        if self.positions_at != Some(now) {
+            self.sync(now);
         }
-        match active {
-            Some(active) => {
-                self.grid
-                    .reachable_masked_into(&self.positions, source, self.radius, active, out)
-            }
-            None => self
-                .grid
-                .reachable_into(&self.positions, source, self.radius, out),
-        }
+        self.index
+            .reachable_into(&self.positions, source, self.radius, active, out);
     }
 }
 
@@ -271,11 +210,30 @@ mod tests {
     use manet_sim_engine::SimRng;
     use manet_testkit::prop_check;
 
+    /// [`manet_phy::reachable_from`] over the hosts `active` keeps,
+    /// `source` among them.
+    fn reachable_masked(
+        positions: &[Vec2],
+        source: NodeId,
+        radius: f64,
+        active: &[bool],
+    ) -> Vec<NodeId> {
+        let kept: Vec<usize> = (0..positions.len()).filter(|&i| active[i]).collect();
+        let sub: Vec<Vec2> = kept.iter().map(|&i| positions[i]).collect();
+        let from = kept.binary_search(&source.index()).expect("source is kept");
+        manet_phy::reachable_from(&sub, NodeId::new(from as u32), radius)
+            .into_iter()
+            .map(|v| NodeId::new(kept[v.index()] as u32))
+            .collect()
+    }
+
     prop_check! {
         /// The strip query equals the brute-force scan over freshly
         /// evaluated positions, whatever the map, radius, population,
         /// speed and query time — including the first second, where a
-        /// resumed world still holds its time-zero strips.
+        /// resumed world still holds its time-zero strips — and so does
+        /// the reachability search, masked or not, with the forced syncs
+        /// it makes between range queries.
         fn in_range_matches_the_brute_force_scan(g, cases = 48) {
             let map = Map::square_units(g.u32_in(1..13));
             let radius = g.f64_in(100.0..800.0);
@@ -315,6 +273,24 @@ mod tests {
                 fresh.extend(models.iter().map(|m| m.position_at(now)));
                 for _ in 0..4 {
                     let of = NodeId::new(g.u32_in(0..hosts as u32));
+                    // Reachability searches, masked or not, force syncs
+                    // between the range queries. The quadratic oracles
+                    // check them on populations of a few hundred.
+                    if g.u32_in(0..4) == 0 {
+                        let mut active: Vec<bool> = (0..hosts).map(|_| g.u32_in(0..8) != 0).collect();
+                        active[of.index()] = true;
+                        let small = hosts <= 400;
+                        geometry.reachable_into(now, of, Some(&active), &mut got);
+                        if small {
+                            want = reachable_masked(&fresh, of, radius, &active);
+                            assert_eq!(got, want, "masked search from {of:?} at {now:?}");
+                        }
+                        geometry.reachable_into(now, of, None, &mut got);
+                        if small {
+                            want = manet_phy::reachable_from(&fresh, of, radius);
+                            assert_eq!(got, want, "search from {of:?} at {now:?}");
+                        }
+                    }
                     geometry.in_range(now, of, &mut got);
                     manet_phy::in_range_into(&fresh, of, radius, &mut want);
                     assert_eq!(got, want, "query of {of:?} at {now:?}");

@@ -219,7 +219,7 @@ impl World {
             node.hello_pending = None;
             let (id, outgoing) = (NodeId::new(i as u32), &mut node.outgoing);
             node.mac = Dcf::restore_snapshot(&mut dec, 9, |dec| {
-                let payload = decode_payload(dec, id, metrics)?;
+                let payload = decode_payload(dec, id, hosts, metrics)?;
                 let bytes = match &payload {
                     Payload::Broadcast(_) => PACKET_BYTES,
                     Payload::Hello(hello) => hello.air_bytes(),
@@ -283,7 +283,7 @@ impl World {
                 world.in_flight.resize_with(slot + 1, || None);
             }
             world.in_flight[slot] = Some(InFlight {
-                payload: decode_payload(&mut dec, source, &world.metrics)?,
+                payload: decode_payload(&mut dec, source, hosts, &world.metrics)?,
                 sent_from: Vec2::new(dec.f64()?, dec.f64()?),
             });
         }
@@ -597,10 +597,13 @@ fn encode_payload(enc: &mut WireEncoder, payload: &Payload) {
     }
 }
 
-/// Reads a payload of `sender`'s, refusing a packet `metrics` never issued.
+/// Reads a payload of `sender`'s, refusing a packet `metrics` never
+/// issued and, at the list, a HELLO neighbor list that is not strictly
+/// ascending, names a host outside the run's `hosts` or names `sender`.
 fn decode_payload(
     dec: &mut WireDecoder<'_>,
     sender: NodeId,
+    hosts: usize,
     metrics: &MetricsCollector,
 ) -> Result<Payload, WireError> {
     let (tag, invalid) = dec.tag("invalid payload tag")?;
@@ -614,11 +617,24 @@ fn decode_payload(
             }
             Payload::Broadcast(packet)
         }
-        1 => Payload::Hello(HelloPayload {
-            sender,
-            interval: dec.duration()?,
-            neighbors: NodeId::decode_seq(dec)?,
-        }),
+        1 => {
+            let interval = dec.duration()?;
+            let (at, mut neighbors) = (dec.position(), Vec::new());
+            NodeId::decode_ascending(dec, &mut neighbors, NodeId::decode)?;
+            if neighbors.last().is_some_and(|last| last.index() >= hosts) {
+                let what = "a HELLO lists a host outside the run";
+                return Err(WireError { at, what });
+            }
+            if neighbors.binary_search(&sender).is_ok() {
+                let what = "a HELLO lists its own sender";
+                return Err(WireError { at, what });
+            }
+            Payload::Hello(HelloPayload {
+                sender,
+                interval,
+                neighbors,
+            })
+        }
         _ => return Err(invalid),
     })
 }

@@ -1006,6 +1006,118 @@ fn a_neighbor_list_out_of_order_is_refused() {
     }
 }
 
+/// A checkpoint's HELLOs, queued at their sender's MAC or on the air,
+/// carry neighbor lists that hearers merge and search by id, as a trace's
+/// do. A list out of order, one naming a host outside the run and one
+/// naming the HELLO's own sender are each refused at the list; all three
+/// used to resume.
+#[test]
+fn a_checkpointed_hello_lists_other_hosts_in_order() {
+    use broadcast_core::TraceRecord;
+    use manet_mac::frame_airtime;
+    use manet_net::HelloPayload;
+
+    // Neighbor coverage's HELLOs carry lists and their interval is 1 s,
+    // so a payload starts with its tag and `1e9` ns, and its list follows.
+    // Floods 10 ms apart keep one collision domain busy enough for a
+    // HELLO to wait.
+    let config = SimConfig::builder(1, SchemeSpec::NeighborCoverage)
+        .hosts(20)
+        .broadcasts(40)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(10))
+        .grace(SimDuration::from_secs(1))
+        .seed(5)
+        .build();
+    let payload = [&[1u8][..], &1_000_000_000u64.to_le_bytes()].concat();
+    let lists = |image: &[u8]| -> Vec<usize> {
+        let starts = image.windows(payload.len()).enumerate();
+        starts
+            .filter(|(_, w)| *w == payload)
+            .map(|(at, _)| at + payload.len())
+            .collect()
+    };
+    let checkpoint = |pause: SimTime| {
+        let mut world = World::new(config.clone());
+        world.advance(pause);
+        world.snapshot()
+    };
+
+    // A HELLO is on the air just before it is first heard. It waits at
+    // its MAC just after it is prepared when it went on the air later:
+    // when it is first heard more than its airtime after. MAC queues are
+    // written before the frames on the air, so the first list of a
+    // checkpoint with a HELLO waiting is a waiting one, and the last of
+    // one with a HELLO on the air is an airing one.
+    let bytes = trace(&config);
+    let mut file = TraceFile::open(&bytes).expect("a recorded trace opens");
+    let (mut prepared, mut heard) = (Vec::new(), Vec::new());
+    while let Some(record) = file.next_record().expect("a recorded trace reads") {
+        match record {
+            TraceRecord::Action {
+                at,
+                action: PureAction::HelloPrepare { node },
+            } => prepared.push((at, node)),
+            TraceRecord::Action {
+                at,
+                action:
+                    PureAction::HelloHeard {
+                        sender,
+                        interval,
+                        neighbors,
+                        ..
+                    },
+            } => {
+                let neighbors = neighbors.to_vec();
+                let hello = HelloPayload {
+                    sender,
+                    interval,
+                    neighbors,
+                };
+                heard.push((at, sender, frame_airtime(hello.air_bytes())));
+            }
+            _ => {}
+        }
+    }
+    let ns = SimDuration::from_nanos(1);
+    let waiting = prepared
+        .iter()
+        .enumerate()
+        .find_map(|(i, &(at, node))| {
+            let next = prepared[i + 1..].iter().find(|p| p.1 == node);
+            let before = next.map_or(SimTime::MAX, |p| p.0);
+            let &(taken, _, airtime) = heard
+                .iter()
+                .find(|h| h.1 == node && h.0 > at && h.0 < before)?;
+            (taken - airtime > at + ns).then_some(at + ns)
+        })
+        .expect("a HELLO waits at its MAC");
+    let image = checkpoint(waiting);
+    let queued = (lists(&image)[0], image);
+    let image = checkpoint(heard[0].0);
+    let airing = (*lists(&image).last().expect("a HELLO on the air"), image);
+
+    let splice = |image: &[u8], at: usize, ids: &[u32]| {
+        let len = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+        let mut enc = WireEncoder::new();
+        NodeId::encode_seq(&mut enc, ids.iter().copied().map(NodeId::new));
+        [&image[..at], &enc.into_bytes(), &image[at + 8 + 4 * len..]].concat()
+    };
+    let everyone: Vec<u32> = (0..config.hosts).collect();
+    for (kind, (at, image)) in [("queued", queued), ("airing", airing)] {
+        assert!(World::resume(config.clone(), &image).is_ok(), "{kind}");
+        for (ids, what) in [
+            (&[1, 0][..], "neighbor list is not strictly ascending"),
+            (&[config.hosts][..], "a HELLO lists a host outside the run"),
+            (&everyone[..], "a HELLO lists its own sender"),
+        ] {
+            let patched = splice(&image, at, ids);
+            let resumed = World::resume(config.clone(), &patched).map(drop);
+            assert_eq!(resumed, Err(WireError { at, what }), "{kind} {ids:?}");
+        }
+    }
+}
+
 /// No HELLO timer runs under oracle neighbor info, so a `HelloPrepare`
 /// under an oracle header is refused at its tag. It used to decode and
 /// then panic in `step` ("hello timer fired in oracle mode").

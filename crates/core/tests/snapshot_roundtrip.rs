@@ -5,7 +5,8 @@
 //! generated property in the root `tests/equivalence.rs`.
 
 use broadcast_core::{
-    snapshot, ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec, SimConfig, World,
+    replay_decisions, snapshot, ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec,
+    SimConfig, World,
 };
 use manet_sim_engine::{SimDuration, SimTime, WireEncoder};
 
@@ -192,6 +193,40 @@ fn churn_resumes_from_every_timeline_boundary() {
             .unwrap_or_else(|err| panic!("paused at {pause}: {err}"));
         assert_eq!(format!("{:?}", resumed.run()), whole, "paused at {pause}");
     }
+}
+
+/// A script may name times up to the end of time: host 3 rejoins at
+/// 2⁶⁴ − 2 ns and a noise window closes at 2⁶⁴ − 1 ns, long after the run
+/// stops. The run checkpoints inside the window, resumes to the report the
+/// uninterrupted run gives, and its trace replays.
+#[test]
+fn a_script_reaching_the_end_of_time_resumes_and_replays() {
+    let scenario = Scenario::new("end-of-time")
+        .with_hosts(8)
+        .churn(SimTime::from_secs(1), ChurnKind::Leave, 3)
+        .churn(SimTime::from_nanos(u64::MAX - 1), ChurnKind::Join, 3)
+        .noise(SimTime::from_secs(1), SimTime::from_nanos(u64::MAX), 0.2);
+    let config = SimConfig::builder(1, SchemeSpec::Counter(3))
+        .hosts(8)
+        .broadcasts(4)
+        .warmup(SimDuration::from_secs(2))
+        .max_interarrival(SimDuration::from_millis(500))
+        .grace(SimDuration::from_secs(1))
+        .scenario(scenario)
+        .seed(5)
+        .build();
+    let whole = format!("{:?}", World::new(config.clone()).run());
+    let mut world = World::new(config.clone());
+    world.advance(SimTime::from_secs(3));
+    let resumed = World::resume(config.clone(), &world.snapshot()).expect("resumes");
+    assert_eq!(format!("{:?}", resumed.run()), whole);
+
+    let mut world = World::new(config);
+    world.enable_recording();
+    world.advance(SimTime::MAX);
+    let trace = world.take_trace().expect("recording was armed");
+    let replayed = replay_decisions(&trace).expect("the trace replays");
+    assert!(replayed.decisions > 0, "{replayed:?}");
 }
 
 /// The run's backoff histogram closes a scenario-free checkpoint (32

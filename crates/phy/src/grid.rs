@@ -1,38 +1,15 @@
-//! Uniform-cell spatial index over host positions.
-//!
-//! The brute-force queries in [`topology`](crate::in_range_of) scan every
-//! host per call — O(n) for `in_range_of`, O(n²) for `reachable_from` —
-//! and the `World` hot path issues one such scan per transmission start
-//! and end. [`NeighborGrid`] replaces those scans with a hash-free bucket
-//! grid: hosts are binned into square cells whose edge equals the radio
-//! radius, so every host within range of a query point lives in the 3×3
-//! block of cells around it.
-//!
-//! Exactness, not approximation: the cell scan only *pre-filters*
-//! candidates; membership is still decided by the exact squared-distance
-//! test on the true positions. The 3×3 block is sufficient because the
-//! query radius never exceeds the cell edge ([`NeighborGrid::in_range_into`]
-//! asserts this) and cell assignment clamps positions into the map
-//! rectangle — clamping is non-expansive, so two hosts within one radius
-//! of each other land in cells at most one apart on each axis. Results
-//! are sorted ascending by [`NodeId`], matching the brute-force functions
-//! byte for byte; the property tests in `crates/phy/tests` hold the two
-//! implementations equal under random placements.
-//!
-//! [`NeighborGrid::update`] is incremental: only hosts whose cell changed
-//! since the last call are re-binned, and each cell's member vector keeps
-//! its capacity, so steady-state updates and queries perform no heap
-//! allocation.
+//! The retired cell grid's four calls, answered by [`StripIndex`]. The
+//! grid was the world's second spatial index, for the reachability
+//! search; the harness under `perfbench/` still prices these calls, so
+//! they stay, hidden, until it prices the search through a `World`
+//! (ROADMAP 1(f)) and this file goes (ROADMAP 9(a)).
 
 use manet_geom::Vec2;
 
 use crate::id::NodeId;
+use crate::strips::{StripIndex, WINDOW_SLACK};
 
-/// Marks a host not yet placed in any cell.
-const NO_CELL: u32 = u32::MAX;
-
-/// A uniform-cell spatial index answering unit-disk neighborhood and
-/// reachability queries without scanning every host.
+/// The cell grid's four calls over a [`StripIndex`].
 ///
 /// # Examples
 ///
@@ -41,127 +18,30 @@ const NO_CELL: u32 = u32::MAX;
 /// use manet_phy::{in_range_of, NeighborGrid, NodeId};
 ///
 /// let positions = [Vec2::ZERO, Vec2::new(450.0, 0.0), Vec2::new(900.0, 0.0)];
-/// let mut grid = NeighborGrid::new(2_500.0, 2_500.0, 500.0);
+/// let (mut grid, mut heard) = (NeighborGrid::new(2_500.0, 2_500.0, 500.0), vec![]);
 /// grid.update(&positions);
-///
-/// let mut heard = Vec::new();
 /// grid.in_range_into(&positions, NodeId::new(0), 500.0, &mut heard);
 /// assert_eq!(heard, in_range_of(&positions, NodeId::new(0), 500.0));
 /// ```
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-pub struct NeighborGrid {
-    /// Cell edge length; also the maximum supported query radius.
-    cell: f64,
-    cols: usize,
-    rows: usize,
-    /// Members of each cell, in arbitrary order (queries sort output).
-    cells: Vec<Vec<u32>>,
-    /// Flat cell index of each host, `NO_CELL` before first placement.
-    cell_of: Vec<u32>,
-    /// Index of each host inside its cell's member vector.
-    slot_of: Vec<u32>,
-    /// BFS visited stamps; a host is visited when `mark[i] == epoch`.
-    mark: Vec<u32>,
-    epoch: u32,
-    /// BFS work stack, reused across queries.
-    stack: Vec<u32>,
-}
+pub struct NeighborGrid(StripIndex);
 
 impl NeighborGrid {
-    /// Creates a grid covering a `width` × `height` map with square cells
-    /// of edge `cell` (normally the radio radius). Positions outside the
-    /// rectangle are clamped into it for cell assignment only — queries
-    /// always test true positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cell`, `width`, and `height` are finite and
-    /// positive.
-    pub fn new(width: f64, height: f64, cell: f64) -> Self {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "cell edge must be positive and finite"
-        );
-        assert!(
-            width.is_finite() && width > 0.0 && height.is_finite() && height > 0.0,
-            "map extent must be positive and finite"
-        );
-        let cols = (width / cell).ceil().max(1.0) as usize;
-        let rows = (height / cell).ceil().max(1.0) as usize;
-        NeighborGrid {
-            cell,
-            cols,
-            rows,
-            cells: vec![Vec::new(); cols * rows],
-            cell_of: Vec::new(),
-            slot_of: Vec::new(),
-            mark: Vec::new(),
-            epoch: 0,
-            stack: Vec::new(),
-        }
+    /// An empty index over a `width`-wide map, in strips at least `cell`
+    /// wide; strips span the whole height.
+    pub fn new(width: f64, _height: f64, cell: f64) -> Self {
+        NeighborGrid(StripIndex::new(width, cell))
     }
 
-    /// Flat index of the cell containing `p`, clamped into the grid.
-    fn cell_index(&self, p: Vec2) -> u32 {
-        let cx = axis_cell(p.x, self.cell, self.cols);
-        let cy = axis_cell(p.y, self.cell, self.rows);
-        (cy * self.cols + cx) as u32
-    }
-
-    /// Re-bins hosts whose position moved to a different cell since the
-    /// previous call. The first call (or a call with a different host
-    /// count) places every host.
+    /// Re-indexes every host at `positions`.
     pub fn update(&mut self, positions: &[Vec2]) {
-        if self.cell_of.len() != positions.len() {
-            for members in &mut self.cells {
-                members.clear();
-            }
-            self.cell_of.clear();
-            self.cell_of.resize(positions.len(), NO_CELL);
-            self.slot_of.clear();
-            self.slot_of.resize(positions.len(), 0);
-            self.mark.clear();
-            self.mark.resize(positions.len(), 0);
-            self.epoch = 0;
-        }
-        for (i, &p) in positions.iter().enumerate() {
-            let new_cell = self.cell_index(p);
-            let old_cell = self.cell_of[i];
-            if new_cell == old_cell {
-                continue;
-            }
-            if old_cell != NO_CELL {
-                self.evict(i as u32, old_cell);
-            }
-            let members = &mut self.cells[new_cell as usize];
-            self.slot_of[i] = members.len() as u32;
-            members.push(i as u32);
-            self.cell_of[i] = new_cell;
-        }
+        self.0.rebuild(positions);
     }
 
-    /// Removes `host` from `cell` by swap-remove, fixing the slot of the
-    /// member that took its place.
-    fn evict(&mut self, host: u32, cell: u32) {
-        let members = &mut self.cells[cell as usize];
-        let slot = self.slot_of[host as usize] as usize;
-        members.swap_remove(slot);
-        if let Some(&moved) = members.get(slot) {
-            self.slot_of[moved as usize] = slot as u32;
-        }
-    }
-
-    /// All hosts within `radius` of `positions[of]`, excluding `of`
-    /// itself, written into `out` in ascending [`NodeId`] order — exactly
-    /// the result of [`in_range_of`](crate::in_range_of). `out` is
-    /// cleared first and never shrunk, so a reused buffer settles at its
-    /// peak capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `radius` exceeds the cell edge (the 3×3 scan would
-    /// miss hosts) or when `positions` disagrees with the last
-    /// [`update`](Self::update).
+    /// The hosts within `radius` of `positions[of]`, excluding `of`, in
+    /// ascending order: [`in_range_of`](crate::in_range_of) over the
+    /// positions of the last [`update`](Self::update).
     pub fn in_range_into(
         &self,
         positions: &[Vec2],
@@ -169,29 +49,18 @@ impl NeighborGrid {
         radius: f64,
         out: &mut Vec<NodeId>,
     ) {
-        self.check_query(positions, radius);
         out.clear();
         let center = positions[of.index()];
         let r2 = radius * radius;
-        let me = of.index() as u32;
-        self.for_each_candidate(self.cell_of[of.index()], |host| {
-            if host != me && positions[host as usize].distance_squared_to(center) <= r2 {
-                out.push(NodeId::new(host));
+        self.0.window(center, radius + WINDOW_SLACK, |p, h| {
+            if h as usize != of.index() && p.distance_squared_to(center) <= r2 {
+                out.push(NodeId::new(h));
             }
         });
         out.sort_unstable();
     }
 
-    /// All hosts reachable from `source` over one or more unit-disk hops,
-    /// excluding `source`, written into `out` in ascending [`NodeId`]
-    /// order — exactly the result of
-    /// [`reachable_from`](crate::reachable_from). BFS scratch (visited
-    /// stamps and work stack) lives inside the grid, so repeated queries
-    /// allocate nothing once warm.
-    ///
-    /// # Panics
-    ///
-    /// As for [`in_range_into`](Self::in_range_into).
+    /// [`StripIndex::reachable_into`] with every host active.
     pub fn reachable_into(
         &mut self,
         positions: &[Vec2],
@@ -199,116 +68,7 @@ impl NeighborGrid {
         radius: f64,
         out: &mut Vec<NodeId>,
     ) {
-        self.reachable_inner(positions, source, radius, None, out);
-    }
-
-    /// As [`reachable_into`](Self::reachable_into), restricted to active
-    /// hosts: a host with `active[i] == false` neither relays nor appears
-    /// in `out`. Used under scenario churn, where departed hosts still
-    /// occupy position slots but cannot forward or receive.
-    ///
-    /// # Panics
-    ///
-    /// As for [`in_range_into`](Self::in_range_into), plus when `active`
-    /// disagrees in length with `positions`.
-    pub fn reachable_masked_into(
-        &mut self,
-        positions: &[Vec2],
-        source: NodeId,
-        radius: f64,
-        active: &[bool],
-        out: &mut Vec<NodeId>,
-    ) {
-        assert_eq!(
-            active.len(),
-            positions.len(),
-            "active mask disagrees with positions"
-        );
-        self.reachable_inner(positions, source, radius, Some(active), out);
-    }
-
-    fn reachable_inner(
-        &mut self,
-        positions: &[Vec2],
-        source: NodeId,
-        radius: f64,
-        active: Option<&[bool]>,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.check_query(positions, radius);
-        out.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.mark.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        let r2 = radius * radius;
-        self.mark[source.index()] = epoch;
-        let mut stack = std::mem::take(&mut self.stack);
-        stack.clear();
-        stack.push(source.index() as u32);
-        while let Some(u) = stack.pop() {
-            let pu = positions[u as usize];
-            // Split borrows: `mark` is mutated inside the candidate walk,
-            // which only reads `cells`.
-            let mut mark = std::mem::take(&mut self.mark);
-            self.for_each_candidate(self.cell_of[u as usize], |v| {
-                if mark[v as usize] != epoch
-                    && active.is_none_or(|m| m[v as usize])
-                    && positions[v as usize].distance_squared_to(pu) <= r2
-                {
-                    mark[v as usize] = epoch;
-                    stack.push(v);
-                    out.push(NodeId::new(v));
-                }
-            });
-            self.mark = mark;
-        }
-        self.stack = stack;
-        out.sort_unstable();
-    }
-
-    /// Runs `visit` over every member of the 3×3 cell block around the
-    /// flat cell index `center`.
-    fn for_each_candidate(&self, center: u32, mut visit: impl FnMut(u32)) {
-        let cx = center as usize % self.cols;
-        let cy = center as usize / self.cols;
-        let x0 = cx.saturating_sub(1);
-        let x1 = (cx + 1).min(self.cols - 1);
-        let y0 = cy.saturating_sub(1);
-        let y1 = (cy + 1).min(self.rows - 1);
-        for y in y0..=y1 {
-            let row = y * self.cols;
-            for members in &self.cells[row + x0..=row + x1] {
-                for &host in members {
-                    visit(host);
-                }
-            }
-        }
-    }
-
-    fn check_query(&self, positions: &[Vec2], radius: f64) {
-        assert!(
-            radius <= self.cell,
-            "query radius {radius} exceeds cell edge {} — the 3×3 scan would miss hosts",
-            self.cell
-        );
-        assert_eq!(
-            positions.len(),
-            self.cell_of.len(),
-            "positions slice disagrees with the last update()"
-        );
-    }
-}
-
-/// Cell coordinate of `coord` along one axis, clamped into `0..count`.
-fn axis_cell(coord: f64, cell: f64, count: usize) -> usize {
-    let idx = (coord / cell).floor();
-    if idx <= 0.0 {
-        0
-    } else {
-        (idx as usize).min(count - 1)
+        self.0.reachable_into(positions, source, radius, None, out);
     }
 }
 
@@ -340,7 +100,7 @@ mod tests {
 
     #[test]
     fn exact_on_cell_boundaries_and_radius_edge() {
-        // Hosts sitting exactly on cell edges and exactly at distance R.
+        // Hosts sitting exactly on strip edges and exactly at distance R.
         let positions = [
             Vec2::new(500.0, 500.0),
             Vec2::new(1_000.0, 500.0),
@@ -381,7 +141,7 @@ mod tests {
         let mut grid = NeighborGrid::new(1_500.0, 1_500.0, R);
         grid.update(&positions);
         query_both(&mut grid, &positions, 0);
-        // Walk host 0 across two cell boundaries.
+        // Walk host 0 across two strip boundaries.
         for step in 0..8 {
             positions[0] = Vec2::new(100.0 + step as f64 * 180.0, 100.0);
             grid.update(&positions);
@@ -392,46 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn masked_reachability_removes_relays_and_targets() {
-        // A chain 0-1-2-3: masking out host 1 severs everything past it.
-        let positions: Vec<Vec2> = (0..4).map(|i| Vec2::new(i as f64 * 450.0, 0.0)).collect();
-        let mut grid = NeighborGrid::new(2_000.0, 500.0, R);
-        grid.update(&positions);
-        let mut out = Vec::new();
-        grid.reachable_masked_into(&positions, NodeId::new(0), R, &[true; 4], &mut out);
-        assert_eq!(out, [NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
-        grid.reachable_masked_into(
-            &positions,
-            NodeId::new(0),
-            R,
-            &[true, false, true, true],
-            &mut out,
-        );
-        assert_eq!(out, [], "host 1 was the only relay");
-        grid.reachable_masked_into(
-            &positions,
-            NodeId::new(0),
-            R,
-            &[true, true, true, false],
-            &mut out,
-        );
-        assert_eq!(
-            out,
-            [NodeId::new(1), NodeId::new(2)],
-            "a masked leaf just disappears"
-        );
-    }
-
-    #[test]
     fn exact_map_edge_bins_into_last_cell() {
-        // The map extent is an exact multiple of the cell edge, so
-        // `width / cell` is a whole number and a host clamped to exactly
-        // `width` (or `height`) must bin into the last column (row), not
-        // one past it. `axis_cell` clamps with `.min(count - 1)`; this
-        // test locks that behavior against the brute-force oracle for
-        // every corner and edge midpoint of the map.
-        const W: f64 = 2_000.0; // 4 cells of R exactly
-        const H: f64 = 1_500.0; // 3 cells of R exactly
+        // The map width is an exact multiple of the radius, so a host at
+        // exactly `width` must bin into the last strip, not one past it.
+        // This locks that against the brute-force oracle for every corner
+        // and edge midpoint of the map.
+        const W: f64 = 2_000.0; // 4 strips of R exactly
+        const H: f64 = 1_500.0;
         let positions = [
             Vec2::new(W, H),                 // far corner, both axes exact
             Vec2::new(W, 0.0),               // bottom-right corner
@@ -441,35 +168,12 @@ mod tests {
             Vec2::new(W / 2.0, H),           // top edge midpoint
             Vec2::new(W - 10.0, H - 10.0),   // in range of the far corner
             Vec2::new(W + 300.0, H + 300.0), // overshoot past the corner
-            Vec2::new(1_500.0, 1_000.0),     // interior exact cell boundary
+            Vec2::new(1_500.0, 1_000.0),     // interior exact strip boundary
         ];
         let mut grid = NeighborGrid::new(W, H, R);
         grid.update(&positions);
         for i in 0..positions.len() as u32 {
             query_both(&mut grid, &positions, i);
         }
-    }
-
-    #[test]
-    fn axis_cell_clamps_exact_extent_into_last_bin() {
-        // Direct pin of the boundary arithmetic: 4 columns of 500.0, a
-        // coordinate of exactly 2000.0 computes floor(4.0) = 4 and must
-        // be clamped to column 3.
-        assert_eq!(axis_cell(2_000.0, 500.0, 4), 3);
-        assert_eq!(axis_cell(1_999.999, 500.0, 4), 3);
-        assert_eq!(axis_cell(2_400.0, 500.0, 4), 3);
-        assert_eq!(axis_cell(0.0, 500.0, 4), 0);
-        assert_eq!(axis_cell(-1.0, 500.0, 4), 0);
-        assert_eq!(axis_cell(500.0, 500.0, 4), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds cell edge")]
-    fn oversized_radius_is_rejected() {
-        let positions = [Vec2::ZERO];
-        let mut grid = NeighborGrid::new(1_000.0, 1_000.0, R);
-        grid.update(&positions);
-        let mut out = Vec::new();
-        grid.in_range_into(&positions, NodeId::new(0), R * 1.5, &mut out);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The radio layer of the MANET broadcast-storm reproduction: host and
 //! frame [identifiers](NodeId), the shared [`Medium`] with receiver-side
-//! collision tracking and carrier sense, and unit-disk
-//! [topology queries](reachable_from).
+//! collision tracking and carrier sense, unit-disk
+//! [topology queries](reachable_from), and the map's one spatial index,
+//! [`StripIndex`].
 //!
 //! The medium is a pure state machine — it never looks at positions. The
 //! simulation wiring evaluates host positions at each event, derives the
@@ -48,5 +49,5 @@ pub use medium::{
     CaptureModel, CarrierChange, Delivery, Listener, LossCause, LossCounters, Medium, TxEnd,
     TxStart,
 };
-pub use strips::StripMap;
+pub use strips::StripIndex;
 pub use topology::{in_range, in_range_into, in_range_of, reachable_from};
