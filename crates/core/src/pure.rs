@@ -25,7 +25,9 @@
 use std::rc::Rc;
 
 use manet_geom::Vec2;
-use manet_net::{HelloIntervalPolicy, MembershipChange, NeighborTable, VariationTracker};
+use manet_net::{
+    HelloIntervalPolicy, HelloPayload, MembershipChange, NeighborTable, VariationTracker,
+};
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
 
@@ -59,7 +61,7 @@ pub struct OracleView<'a> {
 /// One input to the pure protocol state machine.
 ///
 /// Actions borrow bulk data (neighbor lists) from whoever produced them:
-/// the dispatcher's buffers live, the trace reader's
+/// the dispatcher's buffers and frames live, the trace reader's
 /// ([`TraceFile`](crate::TraceFile)) on replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PureAction<'a> {
@@ -84,8 +86,9 @@ pub enum PureAction<'a> {
         sender: NodeId,
         /// The interval advertised in the beacon.
         interval: SimDuration,
-        /// The sender's advertised one-hop neighbor list.
-        neighbors: &'a [NodeId],
+        /// The sender's advertised one-hop neighbor list, as its frame
+        /// carries it: the hearer's table keeps a share, not a copy.
+        neighbors: &'a Rc<[NodeId]>,
     },
     /// `node` decoded a copy of a broadcast packet.
     PacketHeard {
@@ -156,14 +159,11 @@ pub enum Effect {
         /// The earliest instant the recomputed interval calls for.
         target: SimTime,
     },
-    /// Queue a HELLO beacon with the given interval to the host's MAC and
-    /// re-arm the beacon timer (with the dispatcher's jitter draw).
-    EmitHello {
-        /// The beaconing host.
-        node: NodeId,
-        /// The interval to advertise (and re-arm from).
-        interval: SimDuration,
-    },
+    /// Queue this HELLO beacon to its sender's MAC and re-arm the beacon
+    /// timer from its interval (with the dispatcher's jitter draw). Its
+    /// list is the host's table ids when the scheme needs two-hop
+    /// knowledge, empty otherwise.
+    EmitHello(HelloPayload),
     /// S1 declined immediately: record the inhibit decision.
     InhibitFirstHear {
         /// The deciding host.
@@ -224,13 +224,13 @@ pub struct PureModels {
     /// Per-host HELLO-derived neighbor tables, host-indexed (empty when
     /// the run sends no HELLOs).
     tables: Vec<NeighborTable>,
-    /// The neighbor list each host last advertised, sender-indexed and
-    /// shared by every table that heard it. A cache, never encoded, sized
-    /// with the tables and never by a sender id (replay's ids are not its
-    /// slots). A share is made on equal content, so what a slot holds only
-    /// decides whether a list is copied, and a sender beyond the store is
-    /// never shared. A resume leaves in each slot the last list it
-    /// restored for that sender ([`publish_restored`](Self::publish_restored)).
+    /// The neighbor list each host last emitted, host-indexed: a beacon
+    /// reuses it while the host's table ids are unchanged, and its frame
+    /// and every table that hears it share it. A cache, never encoded:
+    /// reuse is decided on equal content, so what a slot holds only
+    /// decides whether a list is allocated. A resume leaves in each slot
+    /// the last list it restored for that sender
+    /// ([`publish_restored`](Self::publish_restored)).
     published: Vec<Rc<[NodeId]>>,
     /// Per-host neighborhood-variation trackers, host-indexed (empty when
     /// the run sends no HELLOs).
@@ -296,7 +296,16 @@ impl PureModels {
                 let i = node.index();
                 let count = self.tables[i].neighbor_count();
                 let interval = policy.current_interval(&mut self.trackers[i], count, now);
-                fx.push(Effect::EmitHello { node, interval });
+                // One allocation per changed list, shared by every hearer.
+                let (ids, last) = (self.tables[i].neighbor_ids(), &mut self.published[i]);
+                if self.needs_two_hop && **last != *ids {
+                    *last = ids.into();
+                }
+                fx.push(Effect::EmitHello(HelloPayload {
+                    sender: node,
+                    interval,
+                    neighbors: Rc::clone(last),
+                }));
             }
             PureAction::HelloHeard {
                 node,
@@ -305,17 +314,8 @@ impl PureModels {
                 neighbors,
             } => {
                 self.expire_neighbors(node, now, fx);
-                // One allocation per changed list, shared by every hearer.
-                let list = match self.published.get_mut(sender.index()) {
-                    Some(last) => {
-                        if **last != *neighbors {
-                            *last = neighbors.into();
-                        }
-                        Rc::clone(last)
-                    }
-                    None => neighbors.into(),
-                };
                 let i = node.index();
+                let list = Rc::clone(neighbors);
                 if self.tables[i]
                     .record_shared(sender, now, interval, list)
                     .is_some()
@@ -592,11 +592,6 @@ impl PureModels {
         });
     }
 
-    /// The host's current one-hop neighbor ids `N_x`, strictly ascending.
-    pub fn neighbor_ids(&self, node: NodeId) -> &[NodeId] {
-        self.tables[node.index()].neighbor_ids()
-    }
-
     /// Scheme decisions tallied so far.
     pub fn suppression(&self) -> SuppressionCounts {
         self.suppression
@@ -754,29 +749,49 @@ mod tests {
     fn hearers_of_one_hello_share_one_list() {
         let mut pure = PureModels::new(&cfg(SchemeSpec::NeighborCoverage));
         let sender = NodeId::new(0);
-        // Steps one HELLO at `node`; the address and length of the list
-        // that hearer now holds for the sender.
-        let mut hear = |node: u32, listed: &[u32], at_ms: u64| {
-            let neighbors: Vec<NodeId> = listed.iter().copied().map(NodeId::new).collect();
-            let action = PureAction::HelloHeard {
+        let at = SimTime::from_millis;
+        fn hello(node: u32, from: u32, neighbors: &Rc<[NodeId]>) -> PureAction<'_> {
+            PureAction::HelloHeard {
                 node: NodeId::new(node),
-                sender,
+                sender: NodeId::new(from),
                 interval: SimDuration::from_secs(1),
-                neighbors: &neighbors,
-            };
-            pure.step(SimTime::from_millis(at_ms), &action, &mut Vec::new());
-            let held = pure.tables[node as usize].neighbors_of(sender);
-            held.expect("the sender was heard") as *const [NodeId]
+                neighbors,
+            }
+        }
+        // Prepares the sender's beacon; the list its `EmitHello` carries.
+        let emit = |pure: &mut PureModels, ms| {
+            let mut fx = Vec::new();
+            pure.step(at(ms), &PureAction::HelloPrepare { node: sender }, &mut fx);
+            match fx.as_slice() {
+                [Effect::EmitHello(hello)] => Rc::clone(&hello.neighbors),
+                other => panic!("{other:?}"),
+            }
         };
-        let first = hear(1, &[1, 2, 3], 0);
-        assert!(std::ptr::eq(first, hear(2, &[1, 2, 3], 0)), "two hearers");
-        assert!(
-            std::ptr::eq(first, hear(3, &[1, 2, 3], 900)),
-            "unchanged re-beacon"
-        );
-        let changed = hear(1, &[2, 3], 1_000);
-        assert!(!std::ptr::eq(first, changed));
-        assert!(std::ptr::eq(changed, hear(2, &[2, 3], 1_000)));
+        // Hears `list` from the sender at `node`: the table keeps the
+        // frame's list itself (its slice is the `Rc`'s, so pointer
+        // equality is `Rc::ptr_eq`).
+        let hear = |pure: &mut PureModels, node: u32, list: &Rc<[NodeId]>, ms| {
+            pure.step(at(ms), &hello(node, 0, list), &mut Vec::new());
+            let held = pure.tables[node as usize].neighbors_of(sender);
+            std::ptr::eq(held.expect("the sender was heard"), &**list)
+        };
+        let none = Rc::default();
+        for from in [1, 2] {
+            pure.step(at(0), &hello(0, from, &none), &mut Vec::new());
+        }
+        let first = emit(&mut pure, 100);
+        assert_eq!(*first, [NodeId::new(1), NodeId::new(2)]);
+        for node in 1..4 {
+            assert!(hear(&mut pure, node, &first, 200), "hearer {node}");
+        }
+        let again = emit(&mut pure, 900);
+        assert!(Rc::ptr_eq(&first, &again), "unchanged re-beacon");
+        assert!(hear(&mut pure, 3, &again, 1_000));
+        pure.step(at(1_000), &hello(0, 3, &none), &mut Vec::new());
+        let changed = emit(&mut pure, 1_100);
+        assert_eq!(changed.len(), 3);
+        assert!(!Rc::ptr_eq(&first, &changed));
+        assert!(hear(&mut pure, 1, &changed, 1_200));
     }
 
     #[test]
@@ -788,7 +803,7 @@ mod tests {
             node: NodeId::new(1),
             sender: NodeId::new(2),
             interval: SimDuration::from_secs(1),
-            neighbors: &[],
+            neighbors: &Rc::default(),
         };
         pure.step(SimTime::ZERO, &hello, &mut fx);
         // Two intervals pass without a HELLO: one leave.
@@ -798,7 +813,7 @@ mod tests {
         pure.step(SimTime::from_millis(2_001), &prepare, &mut fx);
         pure.step(SimTime::from_millis(2_002), &hello, &mut fx);
         assert_eq!(
-            (pure.net_totals(), pure.neighbor_ids(NodeId::new(1)).len()),
+            (pure.net_totals(), pure.tables[1].neighbor_count()),
             ((2, 1), 1)
         );
         pure.step(
@@ -825,7 +840,7 @@ mod tests {
         );
         assert!(fx.is_empty(), "{fx:?}");
         // The table is empty and its totals survive the wipe.
-        assert!(pure.neighbor_ids(NodeId::new(1)).is_empty());
+        assert_eq!(pure.tables[1].neighbor_count(), 0);
         assert_eq!(pure.net_totals(), (2, 1));
         // The wiped ledger hears the packet for the first time again, and
         // the empty table leaves it nobody to cover.

@@ -44,7 +44,8 @@
 //! the (interval, list) pair its last tag-0 `HelloHeard` carried: one
 //! HELLO is heard by every host in range, and the writer spells it out
 //! only when it differs from what the trace last carried for that sender,
-//! so a tag 1 before the sender's first tag 0 is refused. Decision
+//! so a tag 1 before the sender's first tag 0 is refused, as are a hear
+//! whose sender is its node and an advertisement listing its sender. Decision
 //! payloads (`record tag 1`) are `node u32, packet, kind u8 (0 scheduled /
 //! 1 inhibited / 2 cancelled), reason u8 (0 none / 1 counter / 2 coverage
 //! / 3 neighbor-coverage / 4 probabilistic)`.
@@ -54,6 +55,7 @@
 //! by name at the version's offset.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use manet_geom::Vec2;
 use manet_phy::NodeId;
@@ -71,7 +73,7 @@ pub const TRACE_VERSION: u32 = 4;
 
 /// The (interval, list) each sender last advertised in a trace, keyed by
 /// id — never sized by one, since a header may claim 2³² − 1 hosts.
-type Advertisements = BTreeMap<NodeId, (SimDuration, Vec<NodeId>)>;
+type Advertisements = BTreeMap<NodeId, (SimDuration, Rc<[NodeId]>)>;
 
 /// One scheme decision as recorded (and as re-derived on replay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,8 +170,8 @@ impl TraceWriter {
 /// An `MTRC` trace, read in one forward pass: the run's configuration,
 /// then each record in recording order from
 /// [`next_record`](Self::next_record). Nothing is collected but each
-/// sender's current advertisement; an oracle view's neighbor lists are
-/// decoded into two buffers the reader reuses.
+/// sender's current advertisement, whose list its `HelloHeard`s share;
+/// neighbor lists are decoded into two buffers the reader reuses.
 #[derive(Debug)]
 pub struct TraceFile<'a> {
     /// The configuration of the recorded run.
@@ -287,17 +289,23 @@ impl<'a> TraceFile<'a> {
             },
             2 => {
                 let node = decode_node(dec, hosts)?;
-                let sender = decode_node(dec, hosts)?;
+                let sender = decode_sender(dec, hosts, node)?;
                 let (tag, invalid) = dec.tag("invalid advertisement tag")?;
                 let (interval, neighbors) = match tag {
                     0 => {
                         let interval = dec.duration()?;
-                        let (last, list) = self.advertised.entry(sender).or_default();
-                        *last = interval;
-                        (interval, NodeId::decode_ascending(dec, list, id)?)
+                        let at = dec.position();
+                        let list = NodeId::decode_ascending(dec, &mut self.neighbors, id)?;
+                        if list.binary_search(&sender).is_ok() {
+                            let what = "a HELLO lists its own sender";
+                            return Err(WireError { at, what });
+                        }
+                        let advertised = self.advertised.entry(sender).or_default();
+                        *advertised = (interval, list.into());
+                        (interval, &advertised.1)
                     }
                     1 => match self.advertised.get(&sender) {
-                        Some((interval, list)) => (*interval, list.as_slice()),
+                        Some((interval, list)) => (*interval, list),
                         None => {
                             let what = "HELLO repeats an advertisement its sender has not made";
                             return Err(WireError { what, ..invalid });
@@ -312,28 +320,31 @@ impl<'a> TraceFile<'a> {
                     neighbors,
                 }
             }
-            3 => PureAction::PacketHeard {
-                node: decode_node(dec, hosts)?,
-                packet: decode_issued_packet(dec, *originated)?,
-                sender: decode_node(dec, hosts)?,
-                sender_position: Vec2::new(dec.f64()?, dec.f64()?),
-                own_position: Vec2::new(dec.f64()?, dec.f64()?),
-                random_unit: dec.f64()?,
-                // An option, read by hand so the view can borrow the buffers.
-                oracle: if dec.bool()? {
-                    Some(OracleView {
-                        neighbor_count: dec.usize()?,
-                        neighbors: NodeId::decode_ascending(dec, &mut self.neighbors, id)?,
-                        sender_neighbors: NodeId::decode_ascending(
-                            dec,
-                            &mut self.sender_neighbors,
-                            id,
-                        )?,
-                    })
-                } else {
-                    None
-                },
-            },
+            3 => {
+                let node = decode_node(dec, hosts)?;
+                PureAction::PacketHeard {
+                    node,
+                    packet: decode_issued_packet(dec, *originated)?,
+                    sender: decode_sender(dec, hosts, node)?,
+                    sender_position: Vec2::new(dec.f64()?, dec.f64()?),
+                    own_position: Vec2::new(dec.f64()?, dec.f64()?),
+                    random_unit: dec.f64()?,
+                    // An option, read by hand so the view can borrow the buffers.
+                    oracle: if dec.bool()? {
+                        Some(OracleView {
+                            neighbor_count: dec.usize()?,
+                            neighbors: NodeId::decode_ascending(dec, &mut self.neighbors, id)?,
+                            sender_neighbors: NodeId::decode_ascending(
+                                dec,
+                                &mut self.sender_neighbors,
+                                id,
+                            )?,
+                        })
+                    } else {
+                        None
+                    },
+                }
+            }
             4 => PureAction::AssessmentFired {
                 node: decode_node(dec, hosts)?,
                 packet: decode_issued_packet(dec, *originated)?,
@@ -525,6 +536,18 @@ fn decode_node(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<NodeId, WireErro
     Ok(node)
 }
 
+/// Reads the sender of a frame `node` heard, refusing `node` itself: a
+/// medium never delivers a frame to its own source.
+fn decode_sender(dec: &mut WireDecoder<'_>, hosts: u32, node: NodeId) -> Result<NodeId, WireError> {
+    let at = dec.position();
+    let sender = decode_node(dec, hosts)?;
+    if sender == node {
+        let what = "a frame heard by its own sender";
+        return Err(WireError { at, what });
+    }
+    Ok(sender)
+}
+
 /// Reads a packet id, refusing a `seq` no `Originate` so far has issued:
 /// replay grows a host's ledger to `seq + 1` entries.
 fn decode_issued_packet(dec: &mut WireDecoder<'_>, originated: u32) -> Result<PacketId, WireError> {
@@ -557,14 +580,16 @@ fn encode_action(enc: &mut WireEncoder, advertised: &mut Advertisements, action:
             enc.u8(2);
             node.encode(enc);
             sender.encode(enc);
+            // One frame's hearers share its list: the pointer test first.
+            let same = |list: &Rc<[NodeId]>| Rc::ptr_eq(list, neighbors) || list == neighbors;
             let last = advertised.get(&sender);
-            if last.is_some_and(|(last, list)| *last == interval && list == neighbors) {
+            if last.is_some_and(|(last, list)| *last == interval && same(list)) {
                 enc.u8(1);
             } else {
                 enc.u8(0);
                 enc.duration(interval);
                 NodeId::encode_seq(enc, neighbors.iter().copied());
-                advertised.insert(sender, (interval, neighbors.to_vec()));
+                advertised.insert(sender, (interval, Rc::clone(neighbors)));
             }
         }
         PureAction::PacketHeard {
@@ -623,8 +648,10 @@ mod tests {
         let config = cfg(SchemeSpec::NeighborCoverage);
         let mut writer = TraceWriter::new(&config);
         let packet = PacketId::new(NodeId::new(0), 0);
-        let neighbors = [NodeId::new(3), NodeId::new(5)];
-        let sender_neighbors = [NodeId::new(1)];
+        let neighbors: Rc<[NodeId]> = [NodeId::new(3), NodeId::new(5)].into();
+        let sender_neighbors: Rc<[NodeId]> = [NodeId::new(1)].into();
+        // Equal content in an allocation of its own.
+        let same_again: Rc<[NodeId]> = sender_neighbors.to_vec().into();
         let hello = |neighbors| PureAction::HelloHeard {
             node: NodeId::new(1),
             sender: NodeId::new(2),
@@ -658,6 +685,8 @@ mod tests {
             hello(&sender_neighbors),
             // Unchanged, so written as a repeat (tag 1).
             hello(&sender_neighbors),
+            // Unchanged content, not the same list: a repeat too.
+            hello(&same_again),
             PureAction::AssessmentFired {
                 node: NodeId::new(4),
                 packet,
@@ -671,6 +700,19 @@ mod tests {
                 crash: true,
             },
         ];
+        // Each HELLO after the first of its list ends its record with
+        // advertisement tag 1.
+        let repeats = [false, false, true, true];
+        let hellos = actions.iter().enumerate();
+        let hellos = hellos.filter(|(_, a)| matches!(a, PureAction::HelloHeard { .. }));
+        for ((i, action), repeat) in hellos.zip(repeats) {
+            let mut prefix = TraceWriter::new(&config);
+            for (at, action) in actions[..=i].iter().enumerate() {
+                prefix.action(SimTime::from_millis(at as u64), action);
+            }
+            let bytes = prefix.into_bytes();
+            assert_eq!(bytes.last() == Some(&1), repeat, "{action:?}");
+        }
         for (i, action) in actions.iter().enumerate() {
             writer.action(SimTime::from_millis(i as u64), action);
         }
@@ -687,6 +729,7 @@ mod tests {
         let mut file = TraceFile::decode(&bytes).expect("decode");
         assert_eq!(file.config.scheme.label(), config.scheme.label());
         assert_eq!(file.config.hosts, 8);
+        let mut decoded = Vec::new();
         for (i, action) in actions.iter().enumerate() {
             let at = SimTime::from_millis(i as u64);
             let record = file.next_record().expect("well-formed");
@@ -697,7 +740,19 @@ mod tests {
                     action: *action
                 })
             );
+            if let Some(TraceRecord::Action {
+                action: PureAction::HelloHeard { neighbors, .. },
+                ..
+            }) = record
+            {
+                decoded.push(Rc::clone(neighbors));
+            }
         }
+        // Replayed hearers of one advertisement share its list, as live
+        // ones share their frame's.
+        assert!(!Rc::ptr_eq(&decoded[0], &decoded[1]));
+        assert!(Rc::ptr_eq(&decoded[1], &decoded[2]));
+        assert!(Rc::ptr_eq(&decoded[1], &decoded[3]));
         let record = file.next_record().expect("well-formed");
         assert_eq!(record, Some(TraceRecord::Decision(decision)));
         assert_eq!(file.next_record(), Ok(None));
@@ -725,6 +780,53 @@ mod tests {
                 (4, retired),
                 "{err}"
             );
+        }
+
+        // Records no world produces, each refused at the field that says
+        // so. All three used to decode and replay.
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
+        let packet = PacketId::new(zero, 0);
+        let hello = |node, neighbors| PureAction::HelloHeard {
+            node,
+            sender: one,
+            interval: SimDuration::from_secs(1),
+            neighbors,
+        };
+        let copy = PureAction::PacketHeard {
+            node: zero,
+            packet,
+            sender: zero,
+            sender_position: Vec2::ZERO,
+            own_position: Vec2::ZERO,
+            random_unit: 0.5,
+            oracle: None,
+        };
+        let originate = PureAction::Originate { node: zero, packet };
+        let coverage = cfg(SchemeSpec::NeighborCoverage);
+        // Record tag, time, action tag and node precede a sender; an
+        // advertisement tag and interval follow it. An `Originate` record
+        // is 22 bytes.
+        let sender = 1 + 8 + 1 + 4;
+        let (empty, listed): (Rc<[NodeId]>, Rc<[NodeId]>) = (Rc::default(), [one].into());
+        let own = "a frame heard by its own sender";
+        let cases = [
+            (&coverage, &[hello(one, &empty)][..], sender, own),
+            (
+                &coverage,
+                &[hello(zero, &listed)],
+                sender + 13,
+                "a HELLO lists its own sender",
+            ),
+            (&config, &[originate, copy], 22 + sender + 8, own),
+        ];
+        for (config, actions, at, what) in cases {
+            let mut writer = TraceWriter::new(config);
+            let at = at + TraceWriter::new(config).into_bytes().len();
+            for action in actions {
+                writer.action(SimTime::ZERO, action);
+            }
+            let err = TraceFile::decode(&writer.into_bytes()).unwrap_err();
+            assert_eq!(err, WireError { at, what });
         }
     }
 

@@ -263,10 +263,6 @@ pub struct World {
     /// vectors so steady-state reports never allocate.
     carrier_batches: Slab<Vec<NodeId>>,
     carrier_pool: Vec<Vec<NodeId>>,
-    /// Recycled HELLO neighbor-list buffers: a beacon's list is built on
-    /// [`Effect::EmitHello`] and returned when its frame leaves the air,
-    /// so steady-state beaconing does not allocate.
-    hello_pool: Vec<Vec<NodeId>>,
     stop_at: SimTime,
     hello_frames: u64,
     data_frames: u64,
@@ -448,7 +444,6 @@ impl World {
             scratch_reachable: Vec::new(),
             carrier_batches: Slab::new(),
             carrier_pool: Vec::new(),
-            hello_pool: Vec::new(),
             stop_at: SimTime::MAX,
             hello_frames: 0,
             data_frames: 0,
@@ -710,20 +705,9 @@ impl World {
                     self.nodes[node.index()].hello_pending = Some((key, target));
                 }
             }
-            Effect::EmitHello { node, interval } => {
-                let include_neighbors = self.cfg.scheme.needs_two_hop_hellos();
-                let mut neighbors = self.hello_pool.pop().unwrap_or_default();
-                neighbors.clear();
-                if include_neighbors {
-                    neighbors.extend_from_slice(self.pure.neighbor_ids(node));
-                }
-                let payload = HelloPayload {
-                    sender: node,
-                    interval,
-                    neighbors,
-                };
-                let bytes = payload.air_bytes();
-                let handle = self.nodes[node.index()].queue_payload(Payload::Hello(payload));
+            Effect::EmitHello(hello) => {
+                let (node, interval, bytes) = (hello.sender, hello.interval, hello.air_bytes());
+                let handle = self.nodes[node.index()].queue_payload(Payload::Hello(hello));
                 self.drive_mac(node, now, |mac| mac.enqueue(handle, bytes, now));
                 // Re-arm with a small jitter so beacons do not phase-lock.
                 let jitter_num = self.proto_rng.gen_range_u32(95..106);
@@ -1033,11 +1017,6 @@ impl World {
                     self.packet_heard(delivery.to, *packet, source, in_flight.sent_from, now);
                 }
             }
-        }
-
-        // A beacon's neighbor list goes back to the pool for the next one.
-        if let Payload::Hello(hello) = in_flight.payload {
-            self.hello_pool.push(hello.neighbors);
         }
 
         // Carrier-sense idle transitions may resume frozen backoffs.

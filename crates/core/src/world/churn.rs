@@ -13,7 +13,7 @@ use manet_sim_engine::{EventQueue, SimDuration, SimRng, SimTime, Timeline};
 use crate::metrics::ScenarioCounts;
 use crate::pure::PureAction;
 
-use super::{Event, Payload, Stream, World};
+use super::{Event, Stream, World};
 
 /// How long a churn entry that cannot apply yet waits before it retries.
 const RETRY: SimDuration = SimDuration::from_millis(5);
@@ -232,9 +232,7 @@ impl World {
         for slot in slots {
             let cancelled = n.mac.cancel(FrameHandle(u64::from(slot)));
             debug_assert!(cancelled, "orphan payload was not queued in the MAC");
-            if let Payload::Hello(hello) = n.outgoing.remove(slot) {
-                self.hello_pool.push(hello.neighbors);
-            }
+            n.outgoing.remove(slot);
         }
     }
 

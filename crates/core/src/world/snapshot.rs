@@ -632,7 +632,7 @@ fn decode_payload(
             Payload::Hello(HelloPayload {
                 sender,
                 interval,
-                neighbors,
+                neighbors: neighbors.into(),
             })
         }
         _ => return Err(invalid),

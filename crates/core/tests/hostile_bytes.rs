@@ -10,6 +10,7 @@
 //! too: no host id a trace names sizes what replay allocates.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use broadcast_core::{
     replay_decisions, snapshot, ChurnKind, MobilitySpec, NeighborInfo, OracleView, PacketId,
@@ -741,10 +742,10 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
 /// and aborted. Each acting host now gets the next slot the first time it
 /// acts, so neither the count nor an id below it (one record at host
 /// 2³² − 2 would do, were state sized by the largest id) sizes anything.
-/// Nor does a HELLO's sender, which is not mapped to a slot: the store
-/// that shares advertised lists is sized with the tables, and the reader's
-/// store of each sender's advertisement is keyed by id. (The runs carry
-/// no scenario: a script's `hosts` line would refuse the patched count.)
+/// Nor does a HELLO's sender, which is not mapped to a slot: hearers share
+/// the list the reader decoded, and the reader's store of each sender's
+/// advertisement is keyed by id. (The runs carry no scenario: a script's
+/// `hosts` line would refuse the patched count.)
 #[test]
 fn no_id_a_trace_names_sizes_replay_state() {
     let (config, coverage) = (location_config(), coverage_config());
@@ -767,7 +768,7 @@ fn no_id_a_trace_names_sizes_replay_state() {
     // interval.
     let hearing = |node: u32, sender: u32| {
         let mut writer = TraceWriter::new(&coverage);
-        let listed = [NodeId::new(0), NodeId::new(node)];
+        let listed: Rc<[NodeId]> = [NodeId::new(0), NodeId::new(node)].into();
         let hello = PureAction::HelloHeard {
             node: NodeId::new(node),
             sender: NodeId::new(sender),
@@ -848,7 +849,7 @@ fn no_id_a_trace_names_sizes_replay_state() {
 fn a_hello_repeats_only_an_advertisement_its_sender_made() {
     let config = coverage_config();
     let header = TraceWriter::new(&config).into_bytes().len();
-    let listed = [NodeId::new(2), NodeId::new(3)];
+    let listed: Rc<[NodeId]> = [NodeId::new(2), NodeId::new(3)].into();
     let hello = PureAction::HelloHeard {
         node: NodeId::new(0),
         sender: NodeId::new(1),
@@ -905,8 +906,9 @@ fn a_hello_repeats_only_an_advertisement_its_sender_made() {
 fn distinct_advertisements_stay_within_the_trace_bound() {
     let mut writer = TraceWriter::new(&coverage_config());
     for k in 0..2_048u32 {
-        let sender = k.wrapping_mul(2_097_143);
-        let listed: Vec<NodeId> = (k..=k + k % 8).map(NodeId::new).collect();
+        // From 1 up: no sender is its hearer, host 0, or on its own list.
+        let sender = k.wrapping_mul(2_097_143) + 1;
+        let listed: Rc<[NodeId]> = (k..=k + k % 8).map(NodeId::new).collect();
         let hello = PureAction::HelloHeard {
             node: NodeId::new(0),
             sender: NodeId::new(sender),
@@ -957,7 +959,7 @@ fn a_neighbor_list_out_of_order_is_refused() {
 
     // HELLO: the list closes the first record.
     let config = coverage_config();
-    let advertised = ids(&[3, 2]);
+    let advertised: Rc<[NodeId]> = ids(&[3, 2]).into();
     let mut writer = TraceWriter::new(&config);
     let hello = PureAction::HelloHeard {
         node: hearer,
@@ -1068,7 +1070,7 @@ fn a_checkpointed_hello_lists_other_hosts_in_order() {
                         ..
                     },
             } => {
-                let neighbors = neighbors.to_vec();
+                let neighbors = Rc::clone(neighbors);
                 let hello = HelloPayload {
                     sender,
                     interval,
@@ -1192,7 +1194,7 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
         node,
         sender,
         interval: SimDuration::from_secs(1),
-        neighbors: &[],
+        neighbors: &Rc::default(),
     };
     let heard = PureAction::PacketHeard {
         node,

@@ -16,6 +16,8 @@
 //! neighborhood beacons every `hi_max` and a maximally churning one every
 //! `hi_min`.
 
+use std::rc::Rc;
+
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
 
@@ -35,9 +37,9 @@ pub struct HelloPayload {
     /// The sender's hello interval; receivers expire the sender's entry
     /// two of these after the last HELLO.
     pub interval: SimDuration,
-    /// The sender's one-hop neighbor set, when the scheme requires two-hop
-    /// knowledge; empty otherwise.
-    pub neighbors: Vec<NodeId>,
+    /// The sender's one-hop neighbor set when the scheme requires two-hop
+    /// knowledge, empty otherwise; the frame and its hearers share it.
+    pub neighbors: Rc<[NodeId]>,
 }
 
 impl HelloPayload {
@@ -130,7 +132,7 @@ mod tests {
         let empty = HelloPayload {
             sender: NodeId::new(0),
             interval: SimDuration::from_secs(1),
-            neighbors: vec![],
+            neighbors: Rc::default(),
         };
         assert_eq!(empty.air_bytes(), HELLO_BASE_BYTES);
         let with = HelloPayload {
