@@ -657,7 +657,7 @@ mod tests {
         ];
         let scheme = match g.u32_in(0..15) {
             0 => SchemeSpec::Flooding,
-            1 => SchemeSpec::Counter(g.u32_in(2..9)),
+            1 | 12 => SchemeSpec::Counter(g.u32_in(2..9)),
             2 => SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
             3 => SchemeSpec::AdaptiveCounter(CounterThreshold::ramp(g.u32_in(1..4))),
             4 => {
@@ -665,11 +665,9 @@ mod tests {
                 let shape = shapes[g.usize_in(0..3)];
                 SchemeSpec::AdaptiveCounter(CounterThreshold::with_descent(n1, n1 + 4, shape))
             }
-            12 => SchemeSpec::AdaptiveCounter(CounterThreshold::fixed(g.u32_in(2..9))),
             13 => SchemeSpec::AdaptiveCounter(CounterThreshold::ramp_to(g.u32_in(1..7))),
             5 => SchemeSpec::Distance(g.f64_in(0.0..500.0)),
-            6 => SchemeSpec::Location(g.f64_in_incl(0.0, 1.0)),
-            7 => SchemeSpec::AdaptiveLocation(AreaThreshold::fixed(g.f64_in(0.0..0.2))),
+            6 | 7 => SchemeSpec::Location(g.f64_in_incl(0.0, 1.0)),
             8 => SchemeSpec::AdaptiveLocation(AreaThreshold::adaptive(2, 2 + g.u32_in(1..9))),
             9 => SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
             10 => SchemeSpec::NeighborCoverage,
@@ -806,7 +804,6 @@ mod tests {
         let area = |t: AreaThreshold| SchemeSpec::AdaptiveLocation(t);
         for (scheme, spelling, label) in [
             (counter(CounterThreshold::paper_recommended()), "ac", "AC"),
-            (counter(CounterThreshold::fixed(3)), "ac:fixed3", "C=3"),
             (counter(CounterThreshold::ramp(2)), "ac:ramp2", "slope 1/2"),
             (counter(CounterThreshold::ramp_to(4)), "ac:to4", "n1=4"),
             (
@@ -815,11 +812,6 @@ mod tests {
                 "n1=4,n2=12,convex",
             ),
             (area(AreaThreshold::paper_recommended()), "al", "AL"),
-            (
-                area(AreaThreshold::fixed(0.0469)),
-                "al:fixed0.0469",
-                "A=0.0469",
-            ),
             (area(AreaThreshold::adaptive(6, 12)), "al:6,12", "AL(6,12)"),
         ] {
             assert_eq!(

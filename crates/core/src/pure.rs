@@ -395,12 +395,8 @@ impl PureModels {
                     _ => Some("AssessmentFired at a host not assessing the packet"),
                 }
             }
-            _ if self.hello_policy.is_some() => None,
-            PureAction::HelloPrepare { .. } | PureAction::HelloHeard { .. } => {
-                Some("a HELLO action in a run that sends no HELLOs")
-            }
             PureAction::PacketHeard { oracle: None, .. }
-                if self.needs_count || self.needs_two_hop =>
+                if self.hello_policy.is_none() && (self.needs_count || self.needs_two_hop) =>
             {
                 Some("PacketHeard without the oracle view its scheme reads")
             }

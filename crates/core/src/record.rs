@@ -29,13 +29,15 @@
 //! | tag | action            | fields |
 //! |-----|-------------------|--------|
 //! | 0   | `Originate`       | node `u32`, packet |
-//! | 1   | `HelloPrepare`    | node `u32` (refused under an oracle header) |
+//! | 1   | `HelloPrepare`    | node `u32` |
 //! | 2   | `HelloHeard`      | node `u32`, sender `u32`, advertisement tag `u8`: 0 = interval `u64` + neighbor list, 1 = the sender's previous advertisement repeated |
 //! | 3   | `PacketHeard`     | node `u32`, packet, sender `u32`, sender pos `2×f64`, own pos `2×f64`, random unit `f64`, oracle flag `u8` (+ count `u64`, two neighbor lists) |
 //! | 4   | `AssessmentFired` | node `u32`, packet |
 //! | 5   | `FrameSent`       | node `u32`, packet |
 //! | 6   | `Deactivate`      | node `u32`, crash `u8` |
 //!
+//! Tags 1 and 2 are refused at the tag when the header's run sends no
+//! HELLOs (oracle neighbor info, or a scheme that reads no neighbors).
 //! A packet is `source u32, seq u32`; a neighbor list is a `u64` count
 //! followed by that many `u32` ids, strictly ascending. Every node id must
 //! be below the config's `hosts`, and every packet `seq` below the
@@ -61,7 +63,7 @@ use manet_geom::Vec2;
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{NeighborInfo, SimConfig};
+use crate::config::SimConfig;
 use crate::ids::{decode_packet, encode_packet, PacketId};
 use crate::pure::{Effect, OracleView, PureAction, PureModels};
 use crate::trace::{DecisionKind, SuppressReason};
@@ -279,9 +281,9 @@ impl<'a> TraceFile<'a> {
                     packet: decode_issued_packet(dec, *originated)?,
                 }
             }
-            // No HELLO timer runs under oracle neighbor info.
-            1 if matches!(self.config.neighbor_info, NeighborInfo::Oracle) => {
-                let what = "HelloPrepare under an oracle neighbor-info header";
+            // A run without HELLOs keeps no neighbor tables.
+            1 | 2 if self.config.hello_policy().is_none() => {
+                let what = "a HELLO action in a run that sends no HELLOs";
                 return Err(WireError { what, ..invalid });
             }
             1 => PureAction::HelloPrepare {

@@ -334,8 +334,9 @@ impl SchemeSpec {
     /// campaign jobs, config text), which `Display` writes: `flooding`,
     /// `nc`, `counter:C` (`C ≥ 2`), `distance:D` (meters, `D ≥ 0`),
     /// `location:A` or `prob:P` (both in `0..=1`); `ac`, `al` and the rest
-    /// of their families: `ac:fixedC`, `ac:rampK`, `ac:toN1`,
-    /// `ac:N1,N2,SHAPE` (Figs 5, 6), `al:fixedA`, `al:N1,N2` (Figs 8, 9).
+    /// of their families: `ac:rampK`, `ac:toN1`, `ac:N1,N2,SHAPE`
+    /// (Figs 5, 6) and `al:N1,N2` (Figs 8, 9). A constant threshold is
+    /// spelled `counter:C` or `location:A` only.
     ///
     /// # Errors
     ///
@@ -473,10 +474,13 @@ mod tests {
         for (spec, names) in [
             ("al:0,12", "n1=0"),
             ("al:12,12", "n2=12"),
-            ("al:fixed-1", "out of range: -1"),
-            ("al:fixednan", "out of range: NaN"),
             ("al:6", "unknown coverage threshold \"6\""),
-            ("ac:fixed1", "counter threshold 1"),
+            // A constant threshold is `counter:C` or `location:A` only.
+            (
+                "al:fixed0.0469",
+                "unknown coverage threshold \"fixed0.0469\"",
+            ),
+            ("ac:fixed3", "unknown counter threshold \"fixed3\""),
             ("ac:ramp0", "slope denominator"),
             ("ac:to0", "n1 must be positive"),
             ("ac:5,5,linear", "n2=5"),
@@ -487,14 +491,7 @@ mod tests {
             let err = SchemeSpec::parse(spec).expect_err(spec);
             assert!(err.contains(names), "{spec}: {err}");
         }
-        for ok in [
-            "al:6,12",
-            "al:fixed0.05",
-            "ac:fixed2",
-            "ac:ramp1",
-            "ac:to1",
-            "ac:1,2,concave",
-        ] {
+        for ok in ["al:6,12", "ac:ramp1", "ac:to1", "ac:1,2,concave"] {
             assert!(SchemeSpec::parse(ok).is_ok(), "{ok}");
         }
     }

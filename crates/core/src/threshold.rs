@@ -51,8 +51,9 @@ impl fmt::Display for DescentShape {
 /// A counter threshold function `C(n)`: one of the families the paper
 /// sweeps (Figs 5 and 6) with its parameters, from which `C(n)` (past a
 /// family's defining prefix its last value repeats, the paper's `x₁x₂x₃…`),
-/// the label and the spelling (`Display`: `ac`, `ac:fixed3`, `ac:ramp2`,
-/// `ac:to4`, `ac:4,12,convex`) derive.
+/// the label and the spelling (`Display`: `ac`, `ac:ramp2`, `ac:to4`,
+/// `ac:4,12,convex`) derive. A constant threshold is `counter:C`, not a
+/// family here.
 ///
 /// # Examples
 ///
@@ -73,7 +74,6 @@ pub struct CounterThreshold(CounterFamily);
 enum CounterFamily {
     /// The paper's AC: the linear descent from 4 to 12, under its own label.
     Paper,
-    Fixed(u32),
     Ramp(u32),
     RampTo(u32),
     Descent {
@@ -87,23 +87,11 @@ impl CounterThreshold {
     /// The family with its parameters, or why they are out of range.
     fn checked(family: CounterFamily) -> Result<Self, String> {
         match family {
-            CounterFamily::Fixed(c) if c < MIN_COUNTER_THRESHOLD => Err(format!(
-                "counter threshold {c} is below 2: it suppresses everything"
-            )),
             CounterFamily::Ramp(0) => Err("slope denominator must be positive".into()),
             CounterFamily::RampTo(0) => Err("n1 must be positive".into()),
             CounterFamily::Descent { n1, n2, .. } => ramp_bounds(n1, n2).map(|()| Self(family)),
             family => Ok(Self(family)),
         }
-    }
-
-    /// A fixed threshold `C(n) = c` — the non-adaptive baseline of \[15\].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c < 2`.
-    pub fn fixed(c: u32) -> Self {
-        built(Self::checked(CounterFamily::Fixed(c)))
     }
 
     /// The Fig. 5a ramp candidates: thresholds climb from 2 with the given
@@ -150,15 +138,9 @@ impl CounterThreshold {
     /// Reads what [`Display`](fmt::Display) writes after `ac:`.
     pub(crate) fn parse(params: &str) -> Result<Self, String> {
         let prefixed = |prefix| params.strip_prefix(prefix);
-        let family = match (
-            prefixed("fixed"),
-            prefixed("ramp"),
-            prefixed("to"),
-            split3(params),
-        ) {
-            (Some(c), ..) => CounterFamily::Fixed(number("counter threshold", c)?),
-            (_, Some(k), ..) => CounterFamily::Ramp(number("slope denominator", k)?),
-            (_, _, Some(n1), _) => CounterFamily::RampTo(number("n1", n1)?),
+        let family = match (prefixed("ramp"), prefixed("to"), split3(params)) {
+            (Some(k), ..) => CounterFamily::Ramp(number("slope denominator", k)?),
+            (_, Some(n1), _) => CounterFamily::RampTo(number("n1", n1)?),
             (.., Some([n1, n2, shape])) => CounterFamily::Descent {
                 n1: number("n1", n1)?,
                 n2: number("n2", n2)?,
@@ -183,7 +165,6 @@ impl CounterThreshold {
     pub fn threshold(&self, n: usize) -> u32 {
         let n = u32::try_from(n.max(1)).unwrap_or(u32::MAX);
         let (n1, n2, shape) = match self.0 {
-            CounterFamily::Fixed(c) => return c,
             CounterFamily::Ramp(k) => return 2 + ((n - 1) / k).min(3),
             CounterFamily::RampTo(n1) => return n.min(n1).saturating_add(1),
             CounterFamily::Paper => (4, 12, DescentShape::Linear),
@@ -209,12 +190,11 @@ impl CounterThreshold {
         (value.round() as u32).max(MIN_COUNTER_THRESHOLD)
     }
 
-    /// Human-readable label for tables and plots (`AC`, `C=3`,
-    /// `slope 1/2`, `n1=4`, `n1=4,n2=12,convex`).
+    /// Human-readable label for tables and plots (`AC`, `slope 1/2`,
+    /// `n1=4`, `n1=4,n2=12,convex`).
     pub fn label(&self) -> String {
         match self.0 {
             CounterFamily::Paper => "AC".to_string(),
-            CounterFamily::Fixed(c) => format!("C={c}"),
             CounterFamily::Ramp(k) => format!("slope 1/{k}"),
             CounterFamily::RampTo(n1) => format!("n1={n1}"),
             CounterFamily::Descent { n1, n2, shape } => format!("n1={n1},n2={n2},{shape}"),
@@ -226,7 +206,6 @@ impl fmt::Display for CounterThreshold {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0 {
             CounterFamily::Paper => f.write_str("ac"),
-            CounterFamily::Fixed(c) => write!(f, "ac:fixed{c}"),
             CounterFamily::Ramp(k) => write!(f, "ac:ramp{k}"),
             CounterFamily::RampTo(n1) => write!(f, "ac:to{n1}"),
             CounterFamily::Descent { n1, n2, shape } => write!(f, "ac:{n1},{n2},{shape}"),
@@ -237,7 +216,8 @@ impl fmt::Display for CounterThreshold {
 /// An additional-coverage threshold function `A(n)`, as a fraction of
 /// `πr²` (paper Figs 4 and 8): a family the paper sweeps with its
 /// parameters, from which `A(n)`, the label and the spelling (`Display`:
-/// `al`, `al:fixed0.0469`, `al:6,12`) derive.
+/// `al`, `al:6,12`) derive. A constant threshold is `location:A`, not a
+/// family here.
 ///
 /// # Examples
 ///
@@ -257,34 +237,17 @@ pub struct AreaThreshold(AreaFamily);
 enum AreaFamily {
     /// The paper's AL: `Adaptive { n1: 6, n2: 12 }` under its own label.
     Paper,
-    Fixed(f64),
     /// The Fig. 8 family: 0 to `n₁`, linear to [`EAC2_FRACTION`] at `n₂`.
-    Adaptive {
-        n1: u32,
-        n2: u32,
-    },
+    Adaptive { n1: u32, n2: u32 },
 }
 
 impl AreaThreshold {
     /// The family with its parameters, or why they are out of range.
     fn checked(family: AreaFamily) -> Result<Self, String> {
         match family {
-            AreaFamily::Fixed(a) if !(0.0..=1.0).contains(&a) => {
-                Err(format!("coverage fraction out of range: {a}"))
-            }
             AreaFamily::Adaptive { n1, n2 } => ramp_bounds(n1, n2).map(|()| Self(family)),
             family => Ok(Self(family)),
         }
-    }
-
-    /// A fixed threshold `A(n) = a` — the non-adaptive baseline of \[15\]
-    /// (the paper compares against `a ∈ {0.1871, 0.0469, 0.0134}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not in `[0, 1]`.
-    pub fn fixed(a: f64) -> Self {
-        built(Self::checked(AreaFamily::Fixed(a)))
     }
 
     /// The adaptive family of Fig. 8: `A(n) = 0` for `n ≤ n₁`, linear up
@@ -304,21 +267,17 @@ impl AreaThreshold {
 
     /// Reads what [`Display`](fmt::Display) writes after `al:`.
     pub(crate) fn parse(params: &str) -> Result<Self, String> {
-        let family = match (params.strip_prefix("fixed"), params.split_once(',')) {
-            (Some(a), _) => AreaFamily::Fixed(number("coverage threshold", a)?),
-            (_, Some((n1, n2))) => AreaFamily::Adaptive {
-                n1: number("n1", n1)?,
-                n2: number("n2", n2)?,
-            },
-            _ => return Err(format!("unknown coverage threshold {}", quote(params))),
-        };
-        Self::checked(family)
+        let (n1, n2) = (params.split_once(','))
+            .ok_or_else(|| format!("unknown coverage threshold {}", quote(params)))?;
+        Self::checked(AreaFamily::Adaptive {
+            n1: number("n1", n1)?,
+            n2: number("n2", n2)?,
+        })
     }
 
     /// `A(n)` for a host with `n` neighbors.
     pub fn threshold(&self, n: usize) -> f64 {
         let (n1, n2) = match self.0 {
-            AreaFamily::Fixed(a) => return a,
             AreaFamily::Paper => (6, 12),
             AreaFamily::Adaptive { n1, n2 } => (n1, n2),
         };
@@ -333,12 +292,10 @@ impl AreaThreshold {
         }
     }
 
-    /// Human-readable label for tables and plots (`AL`, `A=0.0469`,
-    /// `AL(6,12)`).
+    /// Human-readable label for tables and plots (`AL`, `AL(6,12)`).
     pub fn label(&self) -> String {
         match self.0 {
             AreaFamily::Paper => "AL".to_string(),
-            AreaFamily::Fixed(a) => format!("A={a}"),
             AreaFamily::Adaptive { n1, n2 } => format!("AL({n1},{n2})"),
         }
     }
@@ -348,7 +305,6 @@ impl fmt::Display for AreaThreshold {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0 {
             AreaFamily::Paper => f.write_str("al"),
-            AreaFamily::Fixed(a) => write!(f, "al:fixed{a}"),
             AreaFamily::Adaptive { n1, n2 } => write!(f, "al:{n1},{n2}"),
         }
     }
@@ -387,15 +343,6 @@ mod tests {
     /// `C(1), …, C(len)`: a family's defining prefix and one repeat.
     fn prefix(c: &CounterThreshold, len: usize) -> Vec<u32> {
         (1..=len).map(|n| c.threshold(n)).collect()
-    }
-
-    #[test]
-    fn fixed_counter_is_constant() {
-        let c = CounterThreshold::fixed(4);
-        for n in 0..50 {
-            assert_eq!(c.threshold(n), 4);
-        }
-        assert_eq!(c.label(), "C=4");
     }
 
     #[test]
@@ -512,13 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_area_is_constant() {
-        let a = AreaThreshold::fixed(0.0469);
-        assert_eq!(a.threshold(1), 0.0469);
-        assert_eq!(a.threshold(40), 0.0469);
-    }
-
-    #[test]
     fn adaptive_area_matches_fig4() {
         let a = AreaThreshold::adaptive(6, 12);
         assert_eq!(a.threshold(1), 0.0);
@@ -532,12 +472,6 @@ mod tests {
             assert!(v > prev);
             prev = v;
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "suppresses everything")]
-    fn counter_below_two_panics() {
-        let _ = CounterThreshold::fixed(1);
     }
 
     #[test]

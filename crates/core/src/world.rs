@@ -22,7 +22,7 @@ use manet_mobility::{
     RandomWaypoint, RandomWaypointParams, Segment, Stationary, PAPER_RADIO_RADIUS_M,
 };
 use manet_net::HelloPayload;
-use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NodeId};
+use manet_phy::{Delivery, FrameId, Medium, NodeId};
 use manet_sim_engine::{EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab};
 
 use crate::config::{NeighborInfo, SimConfig, CS_DELAY, PACKET_BYTES};
@@ -112,14 +112,6 @@ enum HostMobility {
 }
 
 impl Mobility for HostMobility {
-    fn position_at(&self, t: SimTime) -> Vec2 {
-        match self {
-            HostMobility::Turn(m) => m.position_at(t),
-            HostMobility::Waypoint(m) => m.position_at(t),
-            HostMobility::Fixed(m) => m.position_at(t),
-        }
-    }
-
     fn next_change(&self) -> Option<SimTime> {
         match self {
             HostMobility::Turn(m) => m.next_change(),
@@ -214,7 +206,7 @@ pub struct World {
     cfg: SimConfig,
     queue: EventQueue<Event>,
     /// Host motion and the range-query index over it: the only place
-    /// positions are evaluated or cached.
+    /// positions are evaluated.
     geometry: Geometry,
     nodes: Vec<Node>,
     medium: Medium,
@@ -247,20 +239,18 @@ pub struct World {
     // Reusable hot-path scratch buffers. Each is `mem::take`n for the
     // duration of the call that fills it and restored afterwards, so
     // accidental re-entry degrades to a fresh allocation instead of
-    // corruption. `begin` and `finish` use disjoint buffers because a
-    // finished transmission's post-backoff can immediately start the
-    // next one.
+    // corruption.
     scratch_listeners: Vec<NodeId>,
     scratch_signals: Vec<manet_phy::Listener>,
-    scratch_begin_carrier: Vec<CarrierChange>,
     scratch_deliveries: Vec<Delivery>,
-    scratch_end_carrier: Vec<CarrierChange>,
     scratch_neighbors: Vec<NodeId>,
     scratch_sender_neighbors: Vec<NodeId>,
     scratch_reachable: Vec<NodeId>,
     /// Hearer lists of delayed carrier reports in flight, keyed by the
-    /// slot in their [`Event::CarrierBatch`]; `carrier_pool` recycles the
-    /// vectors so steady-state reports never allocate.
+    /// slot in their [`Event::CarrierBatch`]. Each frame edge takes a list
+    /// from `carrier_pool` for the medium to fill and parks that same list
+    /// here, and the batch returns it, so steady-state reports never
+    /// allocate.
     carrier_batches: Slab<Vec<NodeId>>,
     carrier_pool: Vec<Vec<NodeId>>,
     stop_at: SimTime,
@@ -399,14 +389,7 @@ impl World {
 
         let pure = PureModels::new(&config);
 
-        let geometry = Geometry::new(
-            &map,
-            PAPER_RADIO_RADIUS_M,
-            max_speed,
-            positions,
-            segments,
-            config.capture.is_some() || config.scenario.is_some(),
-        );
+        let geometry = Geometry::new(&map, PAPER_RADIO_RADIUS_M, max_speed, positions, segments);
 
         World {
             queue,
@@ -436,9 +419,7 @@ impl World {
             in_flight: Vec::new(),
             scratch_listeners: Vec::new(),
             scratch_signals: Vec::new(),
-            scratch_begin_carrier: Vec::new(),
             scratch_deliveries: Vec::new(),
-            scratch_end_carrier: Vec::new(),
             scratch_neighbors: Vec::new(),
             scratch_sender_neighbors: Vec::new(),
             scratch_reachable: Vec::new(),
@@ -894,15 +875,15 @@ impl World {
             listeners.retain(|l| st.active[l.index()]);
         }
         let end = now + frame_airtime(payload_bytes);
-        let own = self.geometry.cached_position(node);
-        let mut carrier = std::mem::take(&mut self.scratch_begin_carrier);
+        let own = self.geometry.position_at(node, now);
+        let mut carrier = self.carrier_pool.pop().unwrap_or_default();
         let frame = if let Some(capture) = self.cfg.capture {
             // Received power falls off as (r / d)^alpha, normalized so a
             // listener at the coverage edge receives strength 1.
             let mut signals = std::mem::take(&mut self.scratch_signals);
             signals.clear();
             signals.extend(listeners.iter().map(|&l| {
-                let d = self.geometry.cached_position(l).distance_to(own).max(1.0);
+                let d = self.geometry.position_at(l, now).distance_to(own).max(1.0);
                 manet_phy::Listener {
                     node: l,
                     signal: (PAPER_RADIO_RADIUS_M / d).powf(capture.path_loss_exponent),
@@ -928,7 +909,7 @@ impl World {
             .as_ref()
             .is_some_and(ScenarioState::any_fault_open)
         {
-            self.apply_link_faults(frame, node, &listeners);
+            self.apply_link_faults(frame, node, &listeners, now);
         }
         self.scratch_listeners = listeners;
         self.queue.schedule(end, Event::TxEnd { frame });
@@ -941,27 +922,22 @@ impl World {
             payload,
             sent_from: own,
         });
-        // Busy-carrier fan-out cannot re-enter this function: a MAC that
-        // senses carrier never starts a transmission in response (it only
-        // freezes backoff), so the scratch buffers above are settled.
-        self.deliver_carrier_changes(&carrier, true, now);
-        self.scratch_begin_carrier = carrier;
+        self.deliver_carrier_changes(carrier, true, now);
     }
 
-    /// Routes one frame's carrier-sense transitions to the hearers' MACs
-    /// after the CCA latency. The whole fan-out rides a single
-    /// [`Event::CarrierBatch`]: every per-host report would fire at the
-    /// same instant with consecutive sequence numbers anyway, so one
-    /// event delivering them in list order is indistinguishable from
-    /// scheduling them individually — at a fraction of the event-queue
-    /// traffic (carrier reports are over half of all events in a storm).
-    fn deliver_carrier_changes(&mut self, changes: &[CarrierChange], busy: bool, now: SimTime) {
-        if changes.is_empty() {
+    /// Routes the hosts whose carrier one frame edge flipped to `busy` to
+    /// their MACs after the CCA latency; an empty list goes back to the
+    /// pool. The whole fan-out rides a single [`Event::CarrierBatch`]:
+    /// every per-host report would fire at the same instant with
+    /// consecutive sequence numbers anyway, so one event delivering them
+    /// in list order is indistinguishable from scheduling them
+    /// individually — at a fraction of the event-queue traffic (carrier
+    /// reports are over half of all events in a storm).
+    fn deliver_carrier_changes(&mut self, hearers: Vec<NodeId>, busy: bool, now: SimTime) {
+        if hearers.is_empty() {
+            self.carrier_pool.push(hearers);
             return;
         }
-        let mut hearers = self.carrier_pool.pop().unwrap_or_default();
-        hearers.clear();
-        hearers.extend(changes.iter().map(|c| c.node));
         let slot = self.carrier_batches.insert(hearers);
         self.queue
             .schedule(now + CS_DELAY, Event::CarrierBatch { slot, busy });
@@ -985,7 +961,7 @@ impl World {
 
     fn finish_transmission(&mut self, frame: FrameId, now: SimTime) {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
-        let mut carrier = std::mem::take(&mut self.scratch_end_carrier);
+        let mut carrier = self.carrier_pool.pop().unwrap_or_default();
         let source = self
             .medium
             .end_transmission_into(frame, now, &mut deliveries, &mut carrier);
@@ -993,10 +969,11 @@ impl World {
         let in_flight = self.in_flight[slot].take().expect("unknown frame finished");
 
         // The transmitter's MAC enters post-backoff. This may immediately
-        // start the host's next queued frame — which is why `begin` and
-        // `finish` use disjoint scratch buffers. A sender that went down
-        // mid-flight is skipped: its MAC is off, and it cannot be back up
-        // yet, because a rejoin waits for the host's last frame to end.
+        // start the host's next queued frame, whose carrier list is its
+        // own and whose batch is parked before this one. A sender that
+        // went down mid-flight is skipped: its MAC is off, and it cannot
+        // be back up yet, because a rejoin waits for the host's last frame
+        // to end.
         if self.is_active(source) {
             self.drive_mac(source, now, |mac| mac.on_tx_end(now));
         }
@@ -1008,7 +985,7 @@ impl World {
         // Deliver decoded copies to the upper layer. A listener that went
         // down while the frame was airing has no radio left to decode it.
         for delivery in &deliveries {
-            if !delivery.decoded || !self.is_active(delivery.to) {
+            if delivery.cause.is_some() || !self.is_active(delivery.to) {
                 continue;
             }
             match &in_flight.payload {
@@ -1020,9 +997,8 @@ impl World {
         }
 
         // Carrier-sense idle transitions may resume frozen backoffs.
-        self.deliver_carrier_changes(&carrier, false, now);
+        self.deliver_carrier_changes(carrier, false, now);
         self.scratch_deliveries = deliveries;
-        self.scratch_end_carrier = carrier;
     }
 
     // ---- scheme-level packet handling ------------------------------------

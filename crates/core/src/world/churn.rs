@@ -269,6 +269,7 @@ impl World {
         frame: FrameId,
         sender: NodeId,
         listeners: &[NodeId],
+        now: SimTime,
     ) {
         enum FaultKind {
             Blackout,
@@ -277,7 +278,7 @@ impl World {
         }
         let st = self.scenario.as_mut().expect("faults without a scenario");
         let s = sender.index() as u32;
-        let sender_pos = self.geometry.cached_position(sender);
+        let sender_pos = self.geometry.position_at(sender, now);
         // Independent overlapping bursts compose: survive all or drop.
         let noise_drop = 1.0 - st.noise.iter().fold(1.0, |acc, &p| acc * (1.0 - p));
         for (index, &listener) in listeners.iter().enumerate() {
@@ -289,7 +290,7 @@ impl World {
             {
                 Some(FaultKind::Blackout)
             } else if st.partitions.iter().any(|region| {
-                let lp = self.geometry.cached_position(listener);
+                let lp = self.geometry.position_at(listener, now);
                 region.contains(sender_pos.x, sender_pos.y) != region.contains(lp.x, lp.y)
             }) {
                 Some(FaultKind::Partition)

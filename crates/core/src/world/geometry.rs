@@ -23,22 +23,17 @@ const STRIP_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// window, and the exact distance test still decides membership.
 const DRIFT_SLACK: f64 = 1e-6;
 
-/// Host motion, cached positions and the strip index over them.
+/// Host motion, sync positions and the strip index over them.
 #[derive(Debug)]
 pub(super) struct Geometry {
     bounds: Rect,
     radius: f64,
     /// Upper bound on host speed in m/s, for the drift margin.
     max_speed_ms: f64,
-    /// Whether queries must leave a fresh cached position for *every* hit
-    /// (capture signal strengths and scenario link faults read them), not
-    /// just for the hits that needed one to be decided.
-    keep_hit_positions: bool,
     /// Every host's current motion segment.
     segments: Vec<Segment>,
-    /// Cached positions. All valid at `positions_at` after a sync, until
-    /// a segment changes; range queries overwrite individual entries with
-    /// fresher values (see [`Geometry::cached_position`]).
+    /// Every host's position at the last sync; exact at `positions_at`,
+    /// which a segment change clears.
     positions: Vec<Vec2>,
     positions_at: Option<SimTime>,
     /// Every host at its position at the last sync, `synced_at`.
@@ -59,7 +54,6 @@ impl Geometry {
         max_speed_kmh: f64,
         positions: Vec<Vec2>,
         segments: Vec<Segment>,
-        keep_hit_positions: bool,
     ) -> Self {
         let bounds = map.bounds();
         let mut index = StripIndex::new(bounds.width(), radius);
@@ -70,7 +64,6 @@ impl Geometry {
             // RandomWaypoint floors its speed at 3.6 km/h, so the drift
             // bound must too; overestimating only widens query windows.
             max_speed_ms: max_speed_kmh.max(3.6) / 3.6,
-            keep_hit_positions,
             segments,
             range_bits: vec![0; positions.len().div_ceil(64)],
             positions,
@@ -91,14 +84,6 @@ impl Geometry {
     /// `node`'s position at `now`, evaluated from its segment.
     pub(super) fn position_at(&self, node: NodeId, now: SimTime) -> Vec2 {
         self.segments[node.index()].position_at(now, self.bounds)
-    }
-
-    /// The cached position of `node`: its position at the timestamp of
-    /// the last [`in_range`](Self::in_range) query, provided `node` was
-    /// that query's centre or — with `keep_hit_positions` — one of its
-    /// hits.
-    pub(super) fn cached_position(&self, node: NodeId) -> Vec2 {
-        self.positions[node.index()]
     }
 
     /// Rebuilds the strip index from every host's position at `now`. The
@@ -135,14 +120,7 @@ impl Geometry {
         if now >= self.synced_at + STRIP_SYNC_INTERVAL {
             self.sync(now);
         }
-        let bounds = self.bounds;
-        let center = if self.positions_at == Some(now) {
-            self.positions[of.index()]
-        } else {
-            let p = self.segments[of.index()].position_at(now, bounds);
-            self.positions[of.index()] = p;
-            p
-        };
+        let center = self.position_at(of, now);
         let elapsed = now.saturating_duration_since(self.synced_at);
         let drift = self.max_speed_ms * elapsed.as_secs_f64() + DRIFT_SLACK;
         let reach = self.radius + drift;
@@ -159,13 +137,10 @@ impl Geometry {
                 return;
             }
             if d2 > inner2 {
-                let p = self.segments[h as usize].position_at(now, bounds);
-                self.positions[h as usize] = p;
+                let p = self.segments[h as usize].position_at(now, self.bounds);
                 if p.distance_squared_to(center) > r2 {
                     return;
                 }
-            } else if self.keep_hit_positions {
-                self.positions[h as usize] = self.segments[h as usize].position_at(now, bounds);
             }
             self.range_bits[(h >> 6) as usize] |= 1u64 << (h & 63);
         });
@@ -239,7 +214,6 @@ mod tests {
             let radius = g.f64_in(100.0..800.0);
             let hosts = if g.bool() { g.usize_in(1..60) } else { g.usize_in(60..2_001) };
             let speed_kmh = g.f64_in_incl(0.0, 100.0);
-            let keep_hit_positions = g.bool();
             let mut rng = SimRng::seed_from(g.u64());
             let start = manet_mobility::uniform_placement(&map, hosts, &mut rng);
             let params = RandomTurnParams::paper(speed_kmh);
@@ -249,8 +223,7 @@ mod tests {
                 .map(|(i, &p)| RandomTurn::new(map, params, p, SimTime::ZERO, rng.fork(i as u64)))
                 .collect();
             let segments = models.iter().map(Mobility::segment).collect();
-            let mut geometry =
-                Geometry::new(&map, radius, speed_kmh, start, segments, keep_hit_positions);
+            let mut geometry = Geometry::new(&map, radius, speed_kmh, start, segments);
 
             // Query times climb through the first second and across
             // several syncs, some landing exactly on a sync boundary.
@@ -270,7 +243,7 @@ mod tests {
                     }
                 }
                 fresh.clear();
-                fresh.extend(models.iter().map(|m| m.position_at(now)));
+                fresh.extend(models.iter().map(|m| m.segment().position_at(now, map.bounds())));
                 for _ in 0..4 {
                     let of = NodeId::new(g.u32_in(0..hosts as u32));
                     // Reachability searches, masked or not, force syncs
@@ -295,12 +268,6 @@ mod tests {
                     manet_phy::in_range_into(&fresh, of, radius, &mut want);
                     assert_eq!(got, want, "query of {of:?} at {now:?}");
                     assert!(geometry.range_bits.iter().all(|&w| w == 0), "bitmap left dirty");
-                    assert_eq!(geometry.cached_position(of), fresh[of.index()]);
-                    if keep_hit_positions {
-                        for &hit in &got {
-                            assert_eq!(geometry.cached_position(hit), fresh[hit.index()]);
-                        }
-                    }
                 }
             }
         }

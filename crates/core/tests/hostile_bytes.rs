@@ -714,8 +714,8 @@ fn a_trace_header_cannot_name_an_out_of_range_scheme_parameter() {
         ("location:0.0134", "location:2"),
         ("prob:0.7", "prob:1.5"),
         ("al", "al:0,12"),
-        ("al", "al:fixed1.5"),
-        ("ac", "ac:fixed1"),
+        ("al", "al:12,6"),
+        ("ac", "ac:to0"),
         ("ac", "ac:ramp0"),
         ("ac", "ac:6,6,linear"),
     ] {
@@ -1137,7 +1137,7 @@ fn a_hello_prepare_under_an_oracle_header_is_refused() {
     let bytes = writer.into_bytes();
     // Record tag and time, then the action tag.
     let at = header + 1 + 8;
-    let what = "HelloPrepare under an oracle neighbor-info header";
+    let what = "a HELLO action in a run that sends no HELLOs";
     let replayed = catch_unwind(|| replay_decisions(&bytes));
     assert_eq!(
         replayed.ok(),
@@ -1176,9 +1176,11 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
 }
 
 /// A run without HELLOs keeps no neighbor tables, so its trace may carry
-/// no HELLO action, nor, where its scheme reads neighbors (an oracle run),
-/// a hear without the oracle view. Each is refused at its record; replay
-/// used to step them through tables no such world keeps.
+/// no HELLO action: a `HelloPrepare` or `HelloHeard` is refused at its
+/// action tag, under an oracle header and under a scheme that reads no
+/// neighbors alike. Nor may a hear lack the oracle view where its scheme
+/// reads neighbors (an oracle run); that is refused at its record.
+/// Replay used to step these through tables no such world keeps.
 #[test]
 fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
     // `counter:3` under HELLO neighbor info reads no neighbor state.
@@ -1190,12 +1192,31 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
         .build();
     let (node, sender) = (NodeId::new(0), NodeId::new(1));
     let packet = PacketId::new(sender, 0);
-    let hello = PureAction::HelloHeard {
-        node,
-        sender,
-        interval: SimDuration::from_secs(1),
-        neighbors: &Rc::default(),
-    };
+    let neighbors = Rc::default();
+    let hellos = [
+        PureAction::HelloPrepare { node },
+        PureAction::HelloHeard {
+            node,
+            sender,
+            interval: SimDuration::from_secs(1),
+            neighbors: &neighbors,
+        },
+    ];
+    let what = "a HELLO action in a run that sends no HELLOs";
+    for (header, config) in [("counter:3", &counter), ("oracle", &oracle)] {
+        // Record tag and time, then the action tag.
+        let at = TraceWriter::new(config).into_bytes().len() + 1 + 8;
+        for hello in &hellos {
+            let mut writer = TraceWriter::new(config);
+            writer.action(SimTime::ZERO, hello);
+            let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
+            assert_eq!(
+                replayed.ok(),
+                Some(Err(ReplayError::Wire(WireError { at, what }))),
+                "{hello:?} under {header}"
+            );
+        }
+    }
     let heard = PureAction::PacketHeard {
         node,
         packet,
@@ -1209,34 +1230,16 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
         node: sender,
         packet,
     };
-    let no_hellos = "a HELLO action in a run that sends no HELLOs";
-    for (case, config, actions, what) in [
-        ("HelloHeard", &counter, vec![hello], no_hellos),
-        (
-            "HelloPrepare",
-            &counter,
-            vec![PureAction::HelloPrepare { node }],
-            no_hellos,
-        ),
-        (
-            "PacketHeard",
-            &oracle,
-            vec![originate, heard],
-            "PacketHeard without the oracle view its scheme reads",
-        ),
-    ] {
-        let mut writer = TraceWriter::new(config);
-        for action in &actions {
-            writer.action(SimTime::ZERO, action);
-        }
-        let record = actions.len() - 1;
-        let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
-        assert_eq!(
-            replayed.ok(),
-            Some(Err(ReplayError::Illegal { record, what })),
-            "{case}"
-        );
+    let mut writer = TraceWriter::new(&oracle);
+    for action in [originate, heard] {
+        writer.action(SimTime::ZERO, &action);
     }
+    let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
+    let what = "PacketHeard without the oracle view its scheme reads";
+    assert_eq!(
+        replayed.ok(),
+        Some(Err(ReplayError::Illegal { record: 1, what }))
+    );
 }
 
 /// A trace that decodes but that no world could emit is refused at the

@@ -57,7 +57,7 @@ const TOKENS: &[&str] = &[
     "scheme=ac:ramp4294967295",
     "scheme=ac:to4294967295",
     "scheme=al:6,12",
-    "scheme=al:fixed0.0469",
+    "scheme=location:0.0469",
     "scheme=location:",
     "hello=dynamic:0.02,1,10",
     "hello=0.000000001",

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! manet-experiments <figure>... [--scale quick|default|full] [--csv DIR]
-//! manet-experiments --figure fig05 --figure ext-churn   # same as: fig05 ext-churn
+//! manet-experiments fig05 ext-churn
 //! manet-experiments all [--scale default]
 //! manet-experiments --list
 //! ```
@@ -32,7 +32,6 @@ fn usage() -> &'static str {
      \x20 --scale quick|default|full   work per data point (default: default)\n\
      \x20                              full = the paper's 10,000 broadcasts\n\
      \x20 --csv DIR                    also write each table as CSV into DIR\n\
-     \x20 --figure ID                  the same as naming ID among the figures\n\
      \x20 --metrics FILE               write per-run counters and histograms\n\
      \x20                              as JSON (schema manet-broadcast-metrics/1)\n\
      \x20 --list                       list available figures and exit\n"
@@ -116,8 +115,7 @@ struct Cli {
     scale: Scale,
     csv_dir: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
-    /// Figure ids in command-line order: a positional argument and a
-    /// `--figure` value are the same thing.
+    /// Figure ids in command-line order.
     figures: Vec<String>,
 }
 
@@ -132,7 +130,6 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
     while let Some(arg) = iter.next() {
         let mut value = |needs: &str| iter.next().ok_or_else(|| format!("{arg} needs {needs}"));
         match arg.as_str() {
-            "--figure" => cli.figures.push(value("an id")?.clone()),
             "--metrics" => cli.metrics_path = Some(PathBuf::from(value("a file path")?)),
             "--scale" => {
                 let value = value("a value")?;
@@ -250,8 +247,9 @@ mod tests {
         Ok(figures.into_iter().map(|(id, _)| id).collect())
     }
 
-    /// One spelling rule: an id means the same as a positional argument
-    /// and after `--figure`.
+    /// Zero-padded and sub-figure ids expand against the registry, in
+    /// command-line order. An id is positional only; `--figure` is an
+    /// unknown option.
     #[test]
     fn positional_and_flag_ids_expand_alike() {
         let fig5 = ["fig5a", "fig5b", "fig5c", "fig5d"];
@@ -262,26 +260,23 @@ mod tests {
             ("fig05a", &fig5[..1]),
             ("ext-churn", &["ext-churn"][..]),
         ] {
-            assert_eq!(selected(&[id]).unwrap(), want, "positional {id}");
-            assert_eq!(selected(&["--figure", id]).unwrap(), want, "--figure {id}");
+            assert_eq!(selected(&[id]).unwrap(), want, "{id}");
         }
         let everything: Vec<_> = all_figures().into_iter().map(|(id, _)| id).collect();
         assert_eq!(selected(&["all"]).unwrap(), everything);
-        assert_eq!(selected(&["--figure", "all"]).unwrap(), everything);
-        // Command-line order, whichever way each id is spelled.
         assert_eq!(
-            selected(&["--figure", "fig09", "fig1", "--scale", "quick", "--figure", "claims"]),
+            selected(&["fig09", "fig1", "--scale", "quick", "claims"]),
             Ok(vec!["fig9", "fig1", "claims"])
         );
-        for unknown in [&["fig99"][..], &["--figure", "fig99"], &["fig5x"]] {
+        for unknown in ["fig99", "fig5x"] {
             assert_eq!(
-                selected(unknown),
-                Err(format!("unknown figure '{}'", unknown.last().unwrap()))
+                selected(&[unknown]),
+                Err(format!("unknown figure '{unknown}'"))
             );
         }
         assert_eq!(
-            selected(&["--figure"]),
-            Err("--figure needs an id".to_string())
+            selected(&["--figure", "fig5"]),
+            Err("unknown option '--figure'".to_string())
         );
         assert_eq!(
             selected(&["--scale", "quick"]),

@@ -39,7 +39,7 @@ fn quick_hash(figure: &str) -> u64 {
     let metrics: PathBuf = dir.join("quick-metrics.json");
 
     let output = Command::new(env!("CARGO_BIN_EXE_manet-experiments"))
-        .args(["--figure", figure, "--scale", "quick", "--metrics"])
+        .args([figure, "--scale", "quick", "--metrics"])
         .arg(&metrics)
         .output()
         .expect("experiment binary runs");
@@ -63,8 +63,8 @@ fn fig05_quick_metrics_hash_is_pinned() {
         hash, PINNED_FNV1A64,
         "fig05 quick metrics drifted from the pinned baseline \
          (got {hash:#018x}, pinned {PINNED_FNV1A64:#018x}). If the change \
-         is intentional, rerun `manet-experiments --figure fig05 --scale \
-         quick --metrics m.json`, recompute FNV-1a 64 over the file, and \
+         is intentional, rerun `manet-experiments fig05 --scale quick \
+         --metrics m.json`, recompute FNV-1a 64 over the file, and \
          update PINNED_FNV1A64."
     );
 }

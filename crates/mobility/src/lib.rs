@@ -34,7 +34,7 @@
 //!         )
 //!     })
 //!     .collect();
-//! assert!(map.contains(hosts[0].position_at(SimTime::ZERO)));
+//! assert!(map.contains(hosts[0].segment().position_at(SimTime::ZERO, map.bounds())));
 //! let next = hosts[0].next_change().unwrap();
 //! hosts[0].advance(next);
 //! ```

@@ -2,8 +2,9 @@
 //!
 //! A mobility model answers two questions for one host:
 //!
-//! 1. *Where is the host at time `t`?* — [`Mobility::position_at`], valid
-//!    for any `t` within the current motion segment.
+//! 1. *Where is the host at time `t`?* — its current [`Segment`]'s
+//!    [`position_at`](Segment::position_at), valid for any `t` within the
+//!    segment.
 //! 2. *When does its motion change next?* — [`Mobility::next_change`], at
 //!    which point the driver must call [`Mobility::advance`] so the model
 //!    can start its next segment (pick a new direction, bounce off a wall,
@@ -17,13 +18,9 @@ use manet_sim_engine::SimTime;
 
 /// One host's motion over its current piecewise-linear segment, in the
 /// canonical form every mobility model reduces to: a start point, a
-/// velocity, and the segment's time window.
-///
-/// [`Mobility::segment`] exports this so a driver holding many hosts can
-/// evaluate all their positions in one dense pass instead of dispatching
-/// through the trait per host — the evaluation reproduces each model's
-/// own `position_at` arithmetic operation for operation, so the results
-/// are bit-identical.
+/// velocity, and the segment's time window. It is the one place a
+/// position is evaluated: the models advance through it, and a driver
+/// holding many hosts evaluates all their positions in one dense pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Position at `seg_start` (and the exact result for non-moving
@@ -36,15 +33,14 @@ pub struct Segment {
     /// When this segment ends ([`Mobility::next_change`]).
     pub seg_end: SimTime,
     /// `true` for moving segments, which interpolate and clamp into the
-    /// map; `false` for paused or stationary hosts, which return `origin`
-    /// verbatim (exactly what their `position_at` does).
+    /// map; `false` for paused or stationary hosts, which stay at `origin`.
     pub moving: bool,
 }
 
 impl Segment {
     /// The segment's position at `t`, clamping `t` into the segment's
-    /// window — the same tolerance for same-timestamp queries ordered
-    /// before the segment-change event that the models themselves allow.
+    /// window: a query momentarily past the segment end (a same-timestamp
+    /// event ordered before the turn) gets the segment's endpoint.
     #[inline]
     pub fn position_at(&self, t: SimTime, bounds: Rect) -> Vec2 {
         if !self.moving {
@@ -58,14 +54,6 @@ impl Segment {
 
 /// A single host's motion over time.
 pub trait Mobility {
-    /// The host's position at `t`.
-    ///
-    /// `t` must lie within the current segment: not before the segment's
-    /// start and not after [`next_change`](Self::next_change) (when one is
-    /// pending). Implementations may clamp or panic outside that window —
-    /// see each implementation's documentation.
-    fn position_at(&self, t: SimTime) -> Vec2;
-
     /// The instant at which the current motion segment ends and
     /// [`advance`](Self::advance) must be called, or `None` for models that
     /// never change (e.g. a stationary host).
@@ -88,11 +76,13 @@ pub trait Mobility {
 ///
 /// ```
 /// use manet_geom::Vec2;
-/// use manet_mobility::{Mobility, Stationary};
+/// use manet_mobility::{Map, Mobility, Stationary};
 /// use manet_sim_engine::SimTime;
 ///
 /// let host = Stationary::new(Vec2::new(100.0, 200.0));
-/// assert_eq!(host.position_at(SimTime::from_secs(99)), Vec2::new(100.0, 200.0));
+/// let bounds = Map::square_units(1).bounds();
+/// let at = host.segment().position_at(SimTime::from_secs(99), bounds);
+/// assert_eq!(at, Vec2::new(100.0, 200.0));
 /// assert_eq!(host.next_change(), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,10 +98,6 @@ impl Stationary {
 }
 
 impl Mobility for Stationary {
-    fn position_at(&self, _t: SimTime) -> Vec2 {
-        self.position
-    }
-
     fn next_change(&self) -> Option<SimTime> {
         None
     }
@@ -137,7 +123,9 @@ mod tests {
     fn stationary_is_inert() {
         let mut s = Stationary::new(Vec2::new(1.0, 2.0));
         s.advance(SimTime::from_secs(10));
-        assert_eq!(s.position_at(SimTime::from_secs(20)), Vec2::new(1.0, 2.0));
+        let bounds = Rect::new(5.0, 5.0);
+        let at = s.segment().position_at(SimTime::from_secs(20), bounds);
+        assert_eq!(at, Vec2::new(1.0, 2.0));
         assert_eq!(s.next_change(), None);
     }
 }

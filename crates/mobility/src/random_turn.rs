@@ -19,11 +19,6 @@ use manet_sim_engine::{SimDuration, SimRng, SimTime, WireDecoder, WireEncoder, W
 use crate::map::Map;
 use crate::model::{Mobility, Segment};
 
-/// `a <= b` with a small absolute tolerance for accumulated float error.
-fn approx_le(a: f64, b: f64) -> bool {
-    a <= b + 1e-6
-}
-
 /// Parameters of the random-turn model.
 ///
 /// The defaults are the paper's: turn interval uniform in `[1, 100]` s and
@@ -77,7 +72,7 @@ impl RandomTurnParams {
 /// // Advance through a few turns; the host stays on the map.
 /// for _ in 0..10 {
 ///     let t = host.next_change().unwrap();
-///     assert!(map.contains(host.position_at(t)));
+///     assert!(map.contains(host.segment().position_at(t, map.bounds())));
 ///     host.advance(t);
 /// }
 /// ```
@@ -132,7 +127,8 @@ impl RandomTurn {
     /// Draws a fresh (direction, speed, interval) turn at `now`, clipping
     /// the segment where it would cross the map boundary.
     fn take_turn(&mut self, now: SimTime) {
-        let origin = self.map.bounds().clamp(self.position_at_clamped(now));
+        let bounds = self.map.bounds();
+        let origin = bounds.clamp(self.segment().position_at(now, bounds));
         // Redraw until the direction does not point straight off the map
         // from a boundary position (at most a handful of iterations; half
         // of all directions point inward from an edge).
@@ -171,12 +167,6 @@ impl RandomTurn {
         self.seg_end = now + self.params.min_interval;
     }
 
-    fn position_at_clamped(&self, t: SimTime) -> Vec2 {
-        let t = t.clamp(self.seg_start, self.seg_end);
-        let dt = (t - self.seg_start).as_secs_f64();
-        self.map.bounds().clamp(self.origin + self.velocity * dt)
-    }
-
     /// Serializes the mutable roaming state — RNG position and current
     /// segment — for a world snapshot. The map and parameters are not
     /// written: [`restore_snapshot`](Self::restore_snapshot) targets a
@@ -210,23 +200,6 @@ impl RandomTurn {
 }
 
 impl Mobility for RandomTurn {
-    /// Position at `t`, clamped into the current segment's time window
-    /// (queries momentarily past the segment end — e.g. same-timestamp
-    /// events ordered before the turn event — return the segment endpoint).
-    fn position_at(&self, t: SimTime) -> Vec2 {
-        debug_assert!(
-            t >= self.seg_start,
-            "position query at {t} before segment start {}",
-            self.seg_start
-        );
-        let p = self.position_at_clamped(t);
-        debug_assert!(
-            approx_le(0.0, p.x) && approx_le(p.x, self.map.bounds().width()),
-            "x off map: {p}"
-        );
-        p
-    }
-
     fn next_change(&self) -> Option<SimTime> {
         Some(self.seg_end)
     }
@@ -273,6 +246,10 @@ fn time_to_boundary(origin: Vec2, velocity: Vec2, map: Map) -> Option<f64> {
 mod tests {
     use super::*;
 
+    fn at(host: &RandomTurn, t: SimTime) -> Vec2 {
+        host.segment().position_at(t, host.map.bounds())
+    }
+
     fn walk(seed: u64, units: u32, kmh: f64, turns: usize) -> Vec<Vec2> {
         let map = Map::square_units(units);
         let mut host = RandomTurn::new(
@@ -287,8 +264,8 @@ mod tests {
             let end = host.next_change().unwrap();
             // Sample the middle and the end of each segment.
             let mid = SimTime::from_nanos((host.seg_start.as_nanos() + end.as_nanos()) / 2);
-            positions.push(host.position_at(mid));
-            positions.push(host.position_at(end));
+            positions.push(at(&host, mid));
+            positions.push(at(&host, end));
             host.advance(end);
         }
         positions
@@ -369,9 +346,9 @@ mod tests {
         );
         for _ in 0..200 {
             let end = host.next_change().unwrap();
-            let before = host.position_at(end);
+            let before = at(&host, end);
             host.advance(end);
-            let after = host.position_at(end);
+            let after = at(&host, end);
             assert!(
                 before.distance_to(after) < 1e-6,
                 "teleport at turn: {before} -> {after}"
@@ -392,7 +369,7 @@ mod tests {
         );
         for _ in 0..20 {
             let end = host.next_change().unwrap();
-            assert!(host.position_at(end).distance_to(start) < 1e-6);
+            assert!(at(&host, end).distance_to(start) < 1e-6);
             host.advance(end);
         }
     }

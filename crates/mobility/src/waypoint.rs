@@ -71,7 +71,7 @@ enum Phase {
 /// );
 /// for _ in 0..20 {
 ///     let t = host.next_change().unwrap();
-///     assert!(map.contains(host.position_at(t)));
+///     assert!(map.contains(host.segment().position_at(t, map.bounds())));
 ///     host.advance(t);
 /// }
 /// ```
@@ -200,23 +200,12 @@ impl RandomWaypoint {
 }
 
 impl Mobility for RandomWaypoint {
-    fn position_at(&self, t: SimTime) -> Vec2 {
-        let t = t.clamp(self.seg_start, self.seg_end);
-        match self.phase {
-            Phase::Pausing => self.origin,
-            Phase::Moving { velocity } => {
-                let dt = (t - self.seg_start).as_secs_f64();
-                self.map.bounds().clamp(self.origin + velocity * dt)
-            }
-        }
-    }
-
     fn next_change(&self) -> Option<SimTime> {
         Some(self.seg_end)
     }
 
     fn advance(&mut self, now: SimTime) {
-        self.origin = self.position_at(self.seg_end);
+        self.origin = self.segment().position_at(self.seg_end, self.map.bounds());
         match self.phase {
             Phase::Moving { .. } if !self.params.pause.is_zero() => {
                 self.phase = Phase::Pausing;
@@ -246,6 +235,10 @@ impl Mobility for RandomWaypoint {
 mod tests {
     use super::*;
 
+    fn at(h: &RandomWaypoint, t: SimTime) -> Vec2 {
+        h.segment().position_at(t, h.map.bounds())
+    }
+
     fn host(seed: u64) -> RandomWaypoint {
         let map = Map::square_units(5);
         RandomWaypoint::new(
@@ -264,7 +257,7 @@ mod tests {
             let mut h = host(seed);
             for _ in 0..200 {
                 let end = h.next_change().unwrap();
-                assert!(map.contains(h.position_at(end)));
+                assert!(map.contains(at(&h, end)));
                 h.advance(end);
             }
         }
@@ -279,8 +272,8 @@ mod tests {
             if matches!(h.phase, Phase::Pausing) {
                 saw_pause = true;
                 // Position is constant during a pause.
-                let start = h.position_at(h.seg_start);
-                let end = h.position_at(h.next_change().unwrap());
+                let start = at(&h, h.seg_start);
+                let end = at(&h, h.next_change().unwrap());
                 assert_eq!(start, end);
             } else {
                 saw_travel = true;
@@ -329,9 +322,9 @@ mod tests {
         let mut h = host(4);
         for _ in 0..100 {
             let end = h.next_change().unwrap();
-            let before = h.position_at(end);
+            let before = at(&h, end);
             h.advance(end);
-            let after = h.position_at(end);
+            let after = at(&h, end);
             assert!(before.distance_to(after) < 1e-6);
         }
     }

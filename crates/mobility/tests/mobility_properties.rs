@@ -1,12 +1,14 @@
 //! Property-based tests for the mobility layer.
 
 use manet_geom::Vec2;
-use manet_mobility::{
-    uniform_placement, Map, Mobility, RandomTurn, RandomTurnParams, RandomWaypoint,
-    RandomWaypointParams, Stationary,
-};
-use manet_sim_engine::{SimDuration, SimRng, SimTime};
+use manet_mobility::{uniform_placement, Map, Mobility, RandomTurn, RandomTurnParams};
+use manet_sim_engine::{SimRng, SimTime};
 use manet_testkit::prop_check;
+
+/// `host`'s position at `t`, from its current segment.
+fn at(host: &RandomTurn, map: Map, t: SimTime) -> Vec2 {
+    host.segment().position_at(t, map.bounds())
+}
 
 prop_check! {
     /// Hosts never leave the map regardless of seed, map size, or speed.
@@ -24,7 +26,7 @@ prop_check! {
         );
         for _ in 0..100 {
             let end = host.next_change().unwrap();
-            assert!(map.contains(host.position_at(end)));
+            assert!(map.contains(at(&host, map, end)));
             host.advance(end);
         }
     }
@@ -41,9 +43,9 @@ prop_check! {
         );
         let mut seg_start_t = SimTime::ZERO;
         for _ in 0..50 {
-            let start_pos = host.position_at(seg_start_t);
+            let start_pos = at(&host, map, seg_start_t);
             let end_t = host.next_change().unwrap();
-            let end_pos = host.position_at(end_t);
+            let end_pos = at(&host, map, end_t);
             let elapsed = (end_t - seg_start_t).as_secs_f64();
             assert!(start_pos.distance_to(end_pos) <= params.max_speed_mps * elapsed + 1e-6);
             assert!(host.velocity().length() <= params.max_speed_mps + 1e-9);
@@ -85,59 +87,10 @@ prop_check! {
             let ta = a.next_change().unwrap();
             let tb = b.next_change().unwrap();
             assert_eq!(ta, tb);
-            let (pa, pb): (Vec2, Vec2) = (a.position_at(ta), b.position_at(tb));
+            let (pa, pb) = (at(&a, map, ta), at(&b, map, tb));
             assert_eq!(pa, pb);
             a.advance(ta);
             b.advance(tb);
-        }
-    }
-
-    /// The exported canonical segment reproduces every model's own
-    /// `position_at` bit for bit, at arbitrary in-segment times. The
-    /// world's dense position refresh depends on this exactness.
-    fn segment_matches_position_at(g, cases = 128) {
-        let seed = g.u64();
-        let map = Map::square_units(g.u32_in(1..8));
-        let bounds = map.bounds();
-        let kmh = g.f64_in(0.5..120.0);
-        let mut turn = RandomTurn::new(
-            map,
-            RandomTurnParams::paper(kmh),
-            bounds.center(),
-            SimTime::ZERO,
-            SimRng::seed_from(seed),
-        );
-        let mut wp = RandomWaypoint::new(
-            map,
-            RandomWaypointParams::conventional(kmh.max(3.6)),
-            bounds.center(),
-            SimTime::ZERO,
-            SimRng::seed_from(seed ^ 0xABCD),
-        );
-        let fixed = Stationary::new(Vec2::new(
-            g.f64_in(0.0..bounds.width()),
-            g.f64_in(0.0..bounds.height()),
-        ));
-        for _ in 0..30 {
-            let turn_end = turn.next_change().unwrap();
-            let wp_end = wp.next_change().unwrap();
-            // Sample a few instants inside (and slightly past) each
-            // segment; equality must be exact, not approximate.
-            for frac in [0.0, 0.37, 0.5, 0.99, 1.0, 1.01] {
-                let at = |end: SimTime, start: SimTime| {
-                    start + SimDuration::from_secs_f64((end - start).as_secs_f64() * frac)
-                };
-                let tt = at(turn_end, turn.segment().seg_start);
-                assert_eq!(turn.segment().position_at(tt, bounds), turn.position_at(tt));
-                let tw = at(wp_end, wp.segment().seg_start);
-                assert_eq!(wp.segment().position_at(tw, bounds), wp.position_at(tw));
-                assert_eq!(
-                    fixed.segment().position_at(tt, bounds),
-                    fixed.position_at(tt)
-                );
-            }
-            turn.advance(turn_end);
-            wp.advance(wp_end);
         }
     }
 }

@@ -9,9 +9,10 @@
 //! The medium is a pure state machine — it never looks at positions. The
 //! simulation wiring evaluates host positions at each event, derives the
 //! listener set with [`in_range_of`], and drives
-//! [`Medium::begin_transmission`] / [`Medium::end_transmission`]. This
-//! split keeps the collision model independently testable (including the
-//! hidden-terminal and half-duplex cases of paper §2.2.3).
+//! [`Medium::begin_transmission_into`] and
+//! [`Medium::end_transmission_into`]. This split keeps the collision model
+//! independently testable (including the hidden-terminal and half-duplex
+//! cases of paper §2.2.3).
 //!
 //! # Examples
 //!
@@ -28,10 +29,11 @@
 //! let mut medium = Medium::new(3);
 //! let t0 = SimTime::ZERO;
 //! let airtime = SimDuration::from_micros(2_432); // 280 B at 1 Mb/s + PLCP
-//! let start = medium.begin_transmission(src, t0, t0 + airtime, &listeners);
-//! let end = medium.end_transmission(start.frame, t0 + airtime);
-//! assert_eq!(end.deliveries.len(), 1);
-//! assert!(end.deliveries[0].decoded);
+//! let (mut carrier, mut deliveries) = (Vec::new(), Vec::new());
+//! let frame = medium.begin_transmission_into(src, t0, t0 + airtime, &listeners, &mut carrier);
+//! medium.end_transmission_into(frame, t0 + airtime, &mut deliveries, &mut carrier);
+//! assert_eq!(deliveries.len(), 1);
+//! assert_eq!(deliveries[0].cause, None);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,9 +47,6 @@ mod topology;
 
 pub use grid::NeighborGrid;
 pub use id::{FrameId, NodeId};
-pub use medium::{
-    CaptureModel, CarrierChange, Delivery, Listener, LossCause, LossCounters, Medium, TxEnd,
-    TxStart,
-};
+pub use medium::{CaptureModel, Delivery, Listener, LossCause, LossCounters, Medium};
 pub use strips::StripIndex;
-pub use topology::{in_range, in_range_into, in_range_of, reachable_from};
+pub use topology::{in_range_into, in_range_of, reachable_from};

@@ -4,9 +4,9 @@
 //! transceiver state. It is deliberately ignorant of *positions*: the
 //! caller decides who is in range of a transmission (unit-disk or
 //! otherwise) and passes the listener set to
-//! [`begin_transmission`](Medium::begin_transmission). That keeps this
-//! crate a pure, exhaustively testable state machine and confines geometry
-//! to one place in the simulator.
+//! [`begin_transmission_into`](Medium::begin_transmission_into). That
+//! keeps this crate a pure, exhaustively testable state machine and
+//! confines geometry to one place in the simulator.
 //!
 //! ## Reception model (paper §2.2.3)
 //!
@@ -86,7 +86,7 @@ pub struct LossCounters {
 }
 
 impl LossCounters {
-    /// Sum over all causes: every delivery with `decoded == false`.
+    /// Sum over all causes: every delivery lost.
     pub fn total(&self) -> u64 {
         self.overlap + self.half_duplex + self.injected + self.capture
     }
@@ -224,46 +224,13 @@ impl ActiveTx {
     }
 }
 
-/// Carrier-sense transition at one host caused by a transmission starting
-/// or ending.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CarrierChange {
-    /// The host whose carrier-sense state flipped.
-    pub node: NodeId,
-    /// `true`: medium went busy; `false`: medium went idle.
-    pub busy: bool,
-}
-
-/// Result of starting a transmission.
-#[derive(Debug, Clone)]
-pub struct TxStart {
-    /// Identifier of the new frame.
-    pub frame: FrameId,
-    /// Hosts whose carrier sense flipped from idle to busy.
-    pub carrier_changes: Vec<CarrierChange>,
-}
-
 /// One listener's outcome for a finished frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// The listener.
     pub to: NodeId,
-    /// `true` when the frame was decoded; `false` when it was lost (see
-    /// [`cause`](Self::cause) for why).
-    pub decoded: bool,
-    /// Why the frame was lost; `None` exactly when `decoded` is `true`.
+    /// Why the frame was lost; `None` when it was decoded.
     pub cause: Option<LossCause>,
-}
-
-/// Result of a transmission ending.
-#[derive(Debug, Clone)]
-pub struct TxEnd {
-    /// The transmitting host (now free to transmit again).
-    pub source: NodeId,
-    /// Per-listener outcomes, in listener order.
-    pub deliveries: Vec<Delivery>,
-    /// Hosts whose carrier sense flipped from busy to idle.
-    pub carrier_changes: Vec<CarrierChange>,
 }
 
 /// The shared medium: all transceivers plus every frame on the air.
@@ -278,9 +245,12 @@ pub struct TxEnd {
 /// let a = NodeId::new(0);
 /// let b = NodeId::new(1);
 /// let t0 = SimTime::ZERO;
-/// let start = medium.begin_transmission(a, t0, t0 + SimDuration::from_micros(2432), &[b]);
-/// let end = medium.end_transmission(start.frame, t0 + SimDuration::from_micros(2432));
-/// assert!(end.deliveries[0].decoded);
+/// let end = t0 + SimDuration::from_micros(2432);
+/// let (mut carrier, mut deliveries) = (Vec::new(), Vec::new());
+/// let frame = medium.begin_transmission_into(a, t0, end, &[b], &mut carrier);
+/// assert_eq!(carrier, [b]);
+/// medium.end_transmission_into(frame, end, &mut deliveries, &mut carrier);
+/// assert_eq!(deliveries[0].cause, None);
 /// ```
 #[derive(Debug)]
 pub struct Medium {
@@ -416,7 +386,8 @@ impl Medium {
     }
 
     /// Puts a frame on the air from `source`, heard by `listeners`,
-    /// lasting until `end`.
+    /// lasting until `end`, and returns its id. `carrier` is cleared, then
+    /// receives the listeners whose carrier sense went from idle to busy.
     ///
     /// The listener set is captured now (receivers moving in or out of
     /// range mid-frame are not re-evaluated; at the paper's speeds a host
@@ -427,83 +398,40 @@ impl Medium {
     ///
     /// Panics if the source is already transmitting, if `end <= now`, or
     /// if `listeners` contains `source`.
-    pub fn begin_transmission(
-        &mut self,
-        source: NodeId,
-        now: SimTime,
-        end: SimTime,
-        listeners: &[NodeId],
-    ) -> TxStart {
-        let mut carrier_changes = Vec::new();
-        let frame = self.begin_transmission_into(source, now, end, listeners, &mut carrier_changes);
-        TxStart {
-            frame,
-            carrier_changes,
-        }
-    }
-
-    /// Allocation-free variant of
-    /// [`begin_transmission`](Self::begin_transmission): carrier-sense
-    /// transitions are appended to the caller's reusable `carrier_changes`
-    /// buffer (cleared first) and only the new [`FrameId`] is returned.
     pub fn begin_transmission_into(
         &mut self,
         source: NodeId,
         now: SimTime,
         end: SimTime,
         listeners: &[NodeId],
-        carrier_changes: &mut Vec<CarrierChange>,
+        carrier: &mut Vec<NodeId>,
     ) -> FrameId {
         self.begin_tx_inner(
             source,
             now,
             end,
             listeners.iter().map(|&node| Listener { node, signal: 1.0 }),
-            carrier_changes,
+            carrier,
         )
     }
 
-    /// Like [`begin_transmission`](Self::begin_transmission), but with a
-    /// per-listener received signal strength so a [`CaptureModel`] can
-    /// arbitrate overlaps.
+    /// Like [`begin_transmission_into`](Self::begin_transmission_into),
+    /// but with a per-listener received signal strength so a
+    /// [`CaptureModel`] can arbitrate overlaps.
     ///
     /// # Panics
     ///
-    /// Same conditions as `begin_transmission`, plus non-positive signal
-    /// strengths.
-    pub fn begin_transmission_with_signals(
-        &mut self,
-        source: NodeId,
-        now: SimTime,
-        end: SimTime,
-        listeners: &[Listener],
-    ) -> TxStart {
-        let mut carrier_changes = Vec::new();
-        let frame = self.begin_transmission_with_signals_into(
-            source,
-            now,
-            end,
-            listeners,
-            &mut carrier_changes,
-        );
-        TxStart {
-            frame,
-            carrier_changes,
-        }
-    }
-
-    /// Allocation-free variant of
-    /// [`begin_transmission_with_signals`](Self::begin_transmission_with_signals);
-    /// see [`begin_transmission_into`](Self::begin_transmission_into).
+    /// Same conditions as `begin_transmission_into`, plus non-positive
+    /// signal strengths.
     pub fn begin_transmission_with_signals_into(
         &mut self,
         source: NodeId,
         now: SimTime,
         end: SimTime,
         listeners: &[Listener],
-        carrier_changes: &mut Vec<CarrierChange>,
+        carrier: &mut Vec<NodeId>,
     ) -> FrameId {
-        self.begin_tx_inner(source, now, end, listeners.iter().copied(), carrier_changes)
+        self.begin_tx_inner(source, now, end, listeners.iter().copied(), carrier)
     }
 
     /// Shared transmission-start path. Generic over the listener iterator
@@ -519,7 +447,7 @@ impl Medium {
         now: SimTime,
         end: SimTime,
         listeners: impl Iterator<Item = Listener>,
-        carrier_changes: &mut Vec<CarrierChange>,
+        carrier: &mut Vec<NodeId>,
     ) -> FrameId {
         assert!(end > now, "transmission must have positive duration");
         assert!(
@@ -558,7 +486,7 @@ impl Medium {
             }
         }
 
-        carrier_changes.clear();
+        carrier.clear();
         for (index, listener) in (0u32..).zip(listeners) {
             assert!(
                 listener.node != source,
@@ -627,10 +555,7 @@ impl Medium {
                 radio.decodable = At { slot, index };
             }
             if !was_busy {
-                carrier_changes.push(CarrierChange {
-                    node: listener.node,
-                    busy: true,
-                });
+                carrier.push(listener.node);
             }
             let tx = &mut self.active[slot];
             tx.listeners.push(listener.node);
@@ -639,36 +564,23 @@ impl Medium {
         FrameId::new(u64::from(slot))
     }
 
-    /// Takes a frame off the air at its scheduled end time, reporting
-    /// which listeners decoded it and whose carrier sense went idle.
+    /// Takes a frame off the air at its scheduled end time and returns
+    /// its source. `deliveries` is cleared, then receives each listener's
+    /// outcome in listener order; `carrier` is cleared, then receives the
+    /// listeners whose carrier sense went idle. The frame's listener and
+    /// cause vectors go back into the internal pool for the next
+    /// transmission.
     ///
     /// # Panics
     ///
     /// Panics if `frame` is unknown (already ended or never started) or if
-    /// `now` differs from the end passed to `begin_transmission`.
-    pub fn end_transmission(&mut self, frame: FrameId, now: SimTime) -> TxEnd {
-        let mut deliveries = Vec::new();
-        let mut carrier_changes = Vec::new();
-        let source = self.end_transmission_into(frame, now, &mut deliveries, &mut carrier_changes);
-        TxEnd {
-            source,
-            deliveries,
-            carrier_changes,
-        }
-    }
-
-    /// Allocation-free variant of
-    /// [`end_transmission`](Self::end_transmission): per-listener outcomes
-    /// and idle carrier-sense transitions are appended to the caller's
-    /// reusable buffers (cleared first) and the transmitting host is
-    /// returned. The frame's listener and cause vectors go back into the
-    /// internal pool for the next transmission.
+    /// `now` differs from the end passed to begin.
     pub fn end_transmission_into(
         &mut self,
         frame: FrameId,
         now: SimTime,
         deliveries: &mut Vec<Delivery>,
-        carrier_changes: &mut Vec<CarrierChange>,
+        carrier: &mut Vec<NodeId>,
     ) -> NodeId {
         let slot = u32::try_from(frame.as_u64()).expect("frame slot out of range");
         assert!(
@@ -680,7 +592,7 @@ impl Medium {
         self.radios[tx.source.index()].transmitting = false;
 
         deliveries.clear();
-        carrier_changes.clear();
+        carrier.clear();
         for (index, (&listener, &cause)) in (0u32..).zip(tx.listeners.iter().zip(&tx.causes)) {
             let radio = &mut self.radios[listener.index()];
             radio.on_air -= 1;
@@ -705,14 +617,10 @@ impl Medium {
             }
             deliveries.push(Delivery {
                 to: listener,
-                decoded: cause.is_none(),
                 cause,
             });
             if radio.on_air == 0 {
-                carrier_changes.push(CarrierChange {
-                    node: listener,
-                    busy: false,
-                });
+                carrier.push(listener);
             }
         }
         self.pool.push((tx.listeners, tx.causes));
@@ -928,14 +836,42 @@ mod tests {
         range.map(NodeId::new).collect()
     }
 
+    /// Puts a frame from `source` on the air at `t` for one [`AIRTIME`],
+    /// returning it and the hosts whose carrier went busy.
+    fn send(m: &mut Medium, source: NodeId, t: SimTime, to: &[NodeId]) -> (FrameId, Vec<NodeId>) {
+        let mut carrier = Vec::new();
+        let frame = m.begin_transmission_into(source, t, t + AIRTIME, to, &mut carrier);
+        (frame, carrier)
+    }
+
+    /// [`send`] with a received signal strength per listener.
+    fn send_signals(m: &mut Medium, source: NodeId, t: SimTime, to: &[Listener]) -> FrameId {
+        m.begin_transmission_with_signals_into(source, t, t + AIRTIME, to, &mut Vec::new())
+    }
+
+    /// Ends `frame` at `now`: why each delivery was lost (`None`: decoded),
+    /// and the hosts whose carrier went idle.
+    fn finish(
+        m: &mut Medium,
+        frame: FrameId,
+        now: SimTime,
+    ) -> (Vec<Option<LossCause>>, Vec<NodeId>) {
+        let (mut deliveries, mut carrier) = (Vec::new(), Vec::new());
+        m.end_transmission_into(frame, now, &mut deliveries, &mut carrier);
+        (deliveries.iter().map(|d| d.cause).collect(), carrier)
+    }
+
+    /// The first delivery's loss cause.
+    fn first_cause(m: &mut Medium, frame: FrameId, now: SimTime) -> Option<LossCause> {
+        finish(m, frame, now).0[0]
+    }
+
     #[test]
     fn clean_frame_is_decoded_by_all_listeners() {
         let mut m = Medium::new(4);
         let t0 = SimTime::ZERO;
-        let start = m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &ids(1..4));
-        let end = m.end_transmission(start.frame, t0 + AIRTIME);
-        assert_eq!(end.deliveries.len(), 3);
-        assert!(end.deliveries.iter().all(|d| d.decoded));
+        let (frame, _) = send(&mut m, NodeId::new(0), t0, &ids(1..4));
+        assert_eq!(finish(&mut m, frame, t0 + AIRTIME).0, [None; 3]);
         assert_eq!(m.collision_count(), 0);
     }
 
@@ -943,30 +879,20 @@ mod tests {
     fn injected_loss_garbles_one_listener_without_touching_carrier() {
         let mut m = Medium::new(4);
         let t0 = SimTime::ZERO;
-        let start = m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &ids(1..4));
+        let (frame, _) = send(&mut m, NodeId::new(0), t0, &ids(1..4));
         // Host 2 is the frame's listener number 1.
-        assert!(m.inject_loss(start.frame, 1), "first cause wins");
+        assert!(m.inject_loss(frame, 1), "first cause wins");
         assert!(
-            !m.inject_loss(start.frame, 1),
+            !m.inject_loss(frame, 1),
             "already garbled: injection must report not-applied"
         );
         assert!(
             m.is_carrier_busy(NodeId::new(2)),
             "fault is a deep fade, not silence"
         );
-        let end = m.end_transmission(start.frame, t0 + AIRTIME);
-        let outcomes: Vec<(bool, Option<LossCause>)> = end
-            .deliveries
-            .iter()
-            .map(|d| (d.decoded, d.cause))
-            .collect();
         assert_eq!(
-            outcomes,
-            vec![
-                (true, None),
-                (false, Some(LossCause::Injected)),
-                (true, None)
-            ]
+            finish(&mut m, frame, t0 + AIRTIME).0,
+            [None, Some(LossCause::Injected), None]
         );
         assert_eq!(m.loss_counters().injected, 1);
         assert_eq!(m.collision_count(), 0, "injected loss is not a collision");
@@ -978,13 +904,13 @@ mod tests {
         let mut m = Medium::new(3);
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         let t0 = SimTime::ZERO;
-        let f1 = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
+        let (f1, _) = send(&mut m, a, t0, &[b]);
         let mid = t0 + AIRTIME / 2;
-        let f2 = m.begin_transmission(c, mid, mid + AIRTIME, &[b]);
-        let e1 = m.end_transmission(f1.frame, t0 + AIRTIME);
-        assert!(!e1.deliveries[0].decoded, "first frame garbled");
-        let e2 = m.end_transmission(f2.frame, mid + AIRTIME);
-        assert!(!e2.deliveries[0].decoded, "second frame garbled");
+        let (f2, _) = send(&mut m, c, mid, &[b]);
+        let e1 = first_cause(&mut m, f1, t0 + AIRTIME);
+        assert!(e1.is_some(), "first frame garbled");
+        let e2 = first_cause(&mut m, f2, mid + AIRTIME);
+        assert!(e2.is_some(), "second frame garbled");
         assert!(m.collision_count() >= 2);
     }
 
@@ -995,10 +921,10 @@ mod tests {
         let mut m = Medium::new(3);
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         let t0 = SimTime::ZERO;
-        let f1 = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
-        let f2 = m.begin_transmission(c, t0, t0 + AIRTIME, &[b]);
-        assert!(!m.end_transmission(f1.frame, t0 + AIRTIME).deliveries[0].decoded);
-        assert!(!m.end_transmission(f2.frame, t0 + AIRTIME).deliveries[0].decoded);
+        let (f1, _) = send(&mut m, a, t0, &[b]);
+        let (f2, _) = send(&mut m, c, t0, &[b]);
+        assert!(first_cause(&mut m, f1, t0 + AIRTIME).is_some());
+        assert!(first_cause(&mut m, f2, t0 + AIRTIME).is_some());
     }
 
     #[test]
@@ -1007,12 +933,11 @@ mod tests {
         let mut m = Medium::new(2);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let t0 = SimTime::ZERO;
-        let fb = m.begin_transmission(b, t0, t0 + AIRTIME, &[]);
-        let fa = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
-        let delivery = m.end_transmission(fa.frame, t0 + AIRTIME).deliveries[0];
-        assert!(!delivery.decoded);
-        assert_eq!(delivery.cause, Some(LossCause::HalfDuplex));
-        m.end_transmission(fb.frame, t0 + AIRTIME);
+        let (fb, _) = send(&mut m, b, t0, &[]);
+        let (fa, _) = send(&mut m, a, t0, &[b]);
+        let cause = first_cause(&mut m, fa, t0 + AIRTIME);
+        assert_eq!(cause, Some(LossCause::HalfDuplex));
+        finish(&mut m, fb, t0 + AIRTIME);
         // A half-duplex miss is not a collision: it is counted separately.
         assert_eq!(m.collision_count(), 0);
         assert_eq!(m.loss_counters().half_duplex, 1);
@@ -1030,12 +955,12 @@ mod tests {
             NodeId::new(4),
         );
         let t0 = SimTime::ZERO;
-        let fb = m.begin_transmission(b, t0, t0 + AIRTIME, &[]);
-        let fa = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
-        let fc = m.begin_transmission(c, t0, t0 + AIRTIME, &[d]);
-        let fe = m.begin_transmission(e, t0, t0 + AIRTIME, &[d]);
-        for f in [fb.frame, fa.frame, fc.frame, fe.frame] {
-            m.end_transmission(f, t0 + AIRTIME);
+        let (fb, _) = send(&mut m, b, t0, &[]);
+        let (fa, _) = send(&mut m, a, t0, &[b]);
+        let (fc, _) = send(&mut m, c, t0, &[d]);
+        let (fe, _) = send(&mut m, e, t0, &[d]);
+        for f in [fb, fa, fc, fe] {
+            finish(&mut m, f, t0 + AIRTIME);
         }
         let losses = m.loss_counters();
         assert_eq!(losses.half_duplex, 1);
@@ -1054,17 +979,17 @@ mod tests {
         let mut m = Medium::new(3);
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         let t0 = SimTime::ZERO;
-        let fa = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
+        let (fa, _) = send(&mut m, a, t0, &[b]);
         let quarter = t0 + AIRTIME / 4;
-        let fb = m.begin_transmission(b, quarter, quarter + AIRTIME, &[]);
+        let (fb, _) = send(&mut m, b, quarter, &[]);
         let mid = t0 + AIRTIME / 2;
-        let fc = m.begin_transmission(c, mid, mid + AIRTIME, &[b]);
-        let delivery = m.end_transmission(fa.frame, t0 + AIRTIME).deliveries[0];
-        assert_eq!(delivery.cause, Some(LossCause::HalfDuplex));
-        m.end_transmission(fb.frame, quarter + AIRTIME);
-        let late = m.end_transmission(fc.frame, mid + AIRTIME).deliveries[0];
+        let (fc, _) = send(&mut m, c, mid, &[b]);
+        let cause = first_cause(&mut m, fa, t0 + AIRTIME);
+        assert_eq!(cause, Some(LossCause::HalfDuplex));
+        finish(&mut m, fb, quarter + AIRTIME);
+        let late = first_cause(&mut m, fc, mid + AIRTIME);
         // The late frame arrived while b was transmitting: half-duplex too.
-        assert_eq!(late.cause, Some(LossCause::HalfDuplex));
+        assert_eq!(late, Some(LossCause::HalfDuplex));
         assert_eq!(m.loss_counters().half_duplex, 2);
         assert_eq!(m.collision_count(), 0);
     }
@@ -1082,44 +1007,26 @@ mod tests {
             let mut m = Medium::new(3)
                 .with_capture(CaptureModel::new(4.0))
                 .with_drop_probability(drop_p, SimRng::seed_from(77));
-            let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+            let (a, c) = (NodeId::new(0), NodeId::new(2));
             let mut t = SimTime::ZERO;
             // The strong frame arrives on a clear channel, so it consumes
             // one drop-RNG draw in BOTH runs.
-            let f1 = m.begin_transmission_with_signals(
-                a,
-                t,
-                t + AIRTIME,
-                &[Listener {
-                    node: b,
-                    signal: 100.0,
-                }],
-            );
-            let f2 = with_weak_frame.then(|| {
-                // The weak frame fails the SIR test the moment it arrives:
-                // already garbled, so it must NOT consume a draw.
-                m.begin_transmission_with_signals(
-                    c,
-                    t,
-                    t + AIRTIME,
-                    &[Listener {
-                        node: b,
-                        signal: 1.0,
-                    }],
-                )
-            });
-            m.end_transmission(f1.frame, t + AIRTIME);
+            let f1 = send_signals(&mut m, a, t, &[listener(1, 100.0)]);
+            // The weak frame fails the SIR test the moment it arrives:
+            // already garbled, so it must NOT consume a draw.
+            let f2 = with_weak_frame.then(|| send_signals(&mut m, c, t, &[listener(1, 1.0)]));
+            finish(&mut m, f1, t + AIRTIME);
             if let Some(f2) = f2 {
-                let d2 = m.end_transmission(f2.frame, t + AIRTIME).deliveries[0];
-                assert_eq!(d2.cause, Some(LossCause::Capture));
+                let cause = first_cause(&mut m, f2, t + AIRTIME);
+                assert_eq!(cause, Some(LossCause::Capture));
             }
             t += AIRTIME;
             (0..64)
                 .map(|_| {
-                    let s = m.begin_transmission(a, t, t + AIRTIME, &[b]);
-                    let d = m.end_transmission(s.frame, t + AIRTIME).deliveries[0];
+                    let (s, _) = send(&mut m, a, t, &[NodeId::new(1)]);
+                    let decoded = first_cause(&mut m, s, t + AIRTIME).is_none();
                     t += AIRTIME;
-                    d.decoded
+                    decoded
                 })
                 .collect()
         };
@@ -1141,9 +1048,11 @@ mod tests {
         let mut m = Medium::new(2).with_drop_probability(1.0, SimRng::seed_from(3));
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let t0 = SimTime::ZERO;
-        let s = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
-        let d = m.end_transmission(s.frame, t0 + AIRTIME).deliveries[0];
-        assert_eq!(d.cause, Some(LossCause::Injected));
+        let (s, _) = send(&mut m, a, t0, &[b]);
+        assert_eq!(
+            first_cause(&mut m, s, t0 + AIRTIME),
+            Some(LossCause::Injected)
+        );
         assert_eq!(m.loss_counters().injected, 1);
         assert_eq!(m.collision_count(), 0);
     }
@@ -1153,12 +1062,12 @@ mod tests {
         let mut m = Medium::new(2);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let t0 = SimTime::ZERO;
-        let fa = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
+        let (fa, _) = send(&mut m, a, t0, &[b]);
         // b starts transmitting mid-reception.
         let mid = t0 + AIRTIME / 2;
-        let fb = m.begin_transmission(b, mid, mid + AIRTIME, &[]);
-        assert!(!m.end_transmission(fa.frame, t0 + AIRTIME).deliveries[0].decoded);
-        m.end_transmission(fb.frame, mid + AIRTIME);
+        let (fb, _) = send(&mut m, b, mid, &[]);
+        assert!(first_cause(&mut m, fa, t0 + AIRTIME).is_some());
+        finish(&mut m, fb, mid + AIRTIME);
     }
 
     #[test]
@@ -1167,23 +1076,11 @@ mod tests {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let t0 = SimTime::ZERO;
         assert!(!m.is_carrier_busy(b));
-        let start = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
-        assert_eq!(
-            start.carrier_changes,
-            vec![CarrierChange {
-                node: b,
-                busy: true
-            }]
-        );
+        let (frame, busy) = send(&mut m, a, t0, &[b]);
+        assert_eq!(busy, [b]);
         assert!(m.is_carrier_busy(b));
-        let end = m.end_transmission(start.frame, t0 + AIRTIME);
-        assert_eq!(
-            end.carrier_changes,
-            vec![CarrierChange {
-                node: b,
-                busy: false
-            }]
-        );
+        let (_, idle) = finish(&mut m, frame, t0 + AIRTIME);
+        assert_eq!(idle, [b]);
         assert!(!m.is_carrier_busy(b));
     }
 
@@ -1192,17 +1089,17 @@ mod tests {
         let mut m = Medium::new(3);
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         let t0 = SimTime::ZERO;
-        let f1 = m.begin_transmission(a, t0, t0 + AIRTIME, &[b]);
+        let (f1, _) = send(&mut m, a, t0, &[b]);
         let mid = t0 + AIRTIME / 2;
-        let f2 = m.begin_transmission(c, mid, mid + AIRTIME, &[b]);
+        let (f2, busy) = send(&mut m, c, mid, &[b]);
         // No new busy transition for b on the second frame.
-        assert!(f2.carrier_changes.is_empty());
+        assert!(busy.is_empty());
         // First frame ends: b still hears the second -> no idle transition.
-        let e1 = m.end_transmission(f1.frame, t0 + AIRTIME);
-        assert!(e1.carrier_changes.is_empty());
+        let (_, idle) = finish(&mut m, f1, t0 + AIRTIME);
+        assert!(idle.is_empty());
         assert!(m.is_carrier_busy(b));
-        let e2 = m.end_transmission(f2.frame, mid + AIRTIME);
-        assert_eq!(e2.carrier_changes.len(), 1);
+        let (_, idle) = finish(&mut m, f2, mid + AIRTIME);
+        assert_eq!(idle, [b]);
         assert!(!m.is_carrier_busy(b));
     }
 
@@ -1214,9 +1111,8 @@ mod tests {
         let mut decoded = 0;
         let trials = 2_000;
         for _ in 0..trials {
-            let s = m.begin_transmission(a, t, t + AIRTIME, &[b]);
-            let e = m.end_transmission(s.frame, t + AIRTIME);
-            if e.deliveries[0].decoded {
+            let (s, _) = send(&mut m, a, t, &[b]);
+            if first_cause(&mut m, s, t + AIRTIME).is_none() {
                 decoded += 1;
             }
             t += AIRTIME;
@@ -1229,8 +1125,8 @@ mod tests {
     fn frame_counters() {
         let mut m = Medium::new(2);
         let t0 = SimTime::ZERO;
-        let s = m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &[NodeId::new(1)]);
-        m.end_transmission(s.frame, t0 + AIRTIME);
+        let (s, _) = send(&mut m, NodeId::new(0), t0, &[NodeId::new(1)]);
+        finish(&mut m, s, t0 + AIRTIME);
         assert_eq!(m.frames_sent(), 1);
     }
 
@@ -1239,32 +1135,16 @@ mod tests {
         // b hears a strong frame from a and a weak one from c; with a
         // 4x SIR capture threshold the strong frame decodes.
         let mut m = Medium::new(3).with_capture(CaptureModel::new(4.0));
-        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let (a, c) = (NodeId::new(0), NodeId::new(2));
         let t0 = SimTime::ZERO;
-        let strong = m.begin_transmission_with_signals(
-            a,
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: b,
-                signal: 100.0,
-            }],
-        );
-        let weak = m.begin_transmission_with_signals(
-            c,
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: b,
-                signal: 1.0,
-            }],
-        );
+        let strong = send_signals(&mut m, a, t0, &[listener(1, 100.0)]);
+        let weak = send_signals(&mut m, c, t0, &[listener(1, 1.0)]);
         assert!(
-            m.end_transmission(strong.frame, t0 + AIRTIME).deliveries[0].decoded,
+            first_cause(&mut m, strong, t0 + AIRTIME).is_none(),
             "strong frame captures the receiver"
         );
         assert!(
-            !m.end_transmission(weak.frame, t0 + AIRTIME).deliveries[0].decoded,
+            first_cause(&mut m, weak, t0 + AIRTIME).is_some(),
             "weak frame is lost"
         );
     }
@@ -1272,28 +1152,12 @@ mod tests {
     #[test]
     fn capture_garbles_comparable_frames() {
         let mut m = Medium::new(3).with_capture(CaptureModel::new(4.0));
-        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let (a, c) = (NodeId::new(0), NodeId::new(2));
         let t0 = SimTime::ZERO;
-        let f1 = m.begin_transmission_with_signals(
-            a,
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: b,
-                signal: 2.0,
-            }],
-        );
-        let f2 = m.begin_transmission_with_signals(
-            c,
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: b,
-                signal: 1.5,
-            }],
-        );
-        assert!(!m.end_transmission(f1.frame, t0 + AIRTIME).deliveries[0].decoded);
-        assert!(!m.end_transmission(f2.frame, t0 + AIRTIME).deliveries[0].decoded);
+        let f1 = send_signals(&mut m, a, t0, &[listener(1, 2.0)]);
+        let f2 = send_signals(&mut m, c, t0, &[listener(1, 1.5)]);
+        assert!(first_cause(&mut m, f1, t0 + AIRTIME).is_some());
+        assert!(first_cause(&mut m, f2, t0 + AIRTIME).is_some());
     }
 
     #[test]
@@ -1301,32 +1165,14 @@ mod tests {
         // One 10x frame against three 3x interferers: 10 < 4 * 9, so even
         // the strongest frame is garbled under summed interference.
         let mut m = Medium::new(5).with_capture(CaptureModel::new(4.0));
-        let b = NodeId::new(0);
         let t0 = SimTime::ZERO;
-        let strong = m.begin_transmission_with_signals(
-            NodeId::new(1),
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: b,
-                signal: 10.0,
-            }],
-        );
-        let mut others = Vec::new();
-        for i in 2..5u32 {
-            others.push(m.begin_transmission_with_signals(
-                NodeId::new(i),
-                t0,
-                t0 + AIRTIME,
-                &[Listener {
-                    node: b,
-                    signal: 3.0,
-                }],
-            ));
-        }
-        assert!(!m.end_transmission(strong.frame, t0 + AIRTIME).deliveries[0].decoded);
+        let strong = send_signals(&mut m, NodeId::new(1), t0, &[listener(0, 10.0)]);
+        let others: Vec<FrameId> = (2..5u32)
+            .map(|i| send_signals(&mut m, NodeId::new(i), t0, &[listener(0, 3.0)]))
+            .collect();
+        assert!(first_cause(&mut m, strong, t0 + AIRTIME).is_some());
         for tx in others {
-            assert!(!m.end_transmission(tx.frame, t0 + AIRTIME).deliveries[0].decoded);
+            assert!(first_cause(&mut m, tx, t0 + AIRTIME).is_some());
         }
     }
 
@@ -1335,34 +1181,17 @@ mod tests {
         let mut m = Medium::new(2).with_capture(CaptureModel::new(1.0));
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let t0 = SimTime::ZERO;
-        let fb = m.begin_transmission(b, t0, t0 + AIRTIME, &[]);
-        let fa = m.begin_transmission_with_signals(
-            a,
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: b,
-                signal: 1_000.0,
-            }],
-        );
-        assert!(!m.end_transmission(fa.frame, t0 + AIRTIME).deliveries[0].decoded);
-        m.end_transmission(fb.frame, t0 + AIRTIME);
+        let (fb, _) = send(&mut m, b, t0, &[]);
+        let fa = send_signals(&mut m, a, t0, &[listener(1, 1_000.0)]);
+        assert!(first_cause(&mut m, fa, t0 + AIRTIME).is_some());
+        finish(&mut m, fb, t0 + AIRTIME);
     }
 
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn zero_signal_panics() {
         let mut m = Medium::new(2);
-        let t0 = SimTime::ZERO;
-        m.begin_transmission_with_signals(
-            NodeId::new(0),
-            t0,
-            t0 + AIRTIME,
-            &[Listener {
-                node: NodeId::new(1),
-                signal: 0.0,
-            }],
-        );
+        send_signals(&mut m, NodeId::new(0), SimTime::ZERO, &[listener(1, 0.0)]);
     }
 
     #[test]
@@ -1370,16 +1199,15 @@ mod tests {
     fn double_tx_panics() {
         let mut m = Medium::new(1);
         let t0 = SimTime::ZERO;
-        m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &[]);
-        m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &[]);
+        send(&mut m, NodeId::new(0), t0, &[]);
+        send(&mut m, NodeId::new(0), t0, &[]);
     }
 
     #[test]
     #[should_panic(expected = "cannot listen to itself")]
     fn self_listener_panics() {
         let mut m = Medium::new(1);
-        let t0 = SimTime::ZERO;
-        m.begin_transmission(NodeId::new(0), t0, t0 + AIRTIME, &[NodeId::new(0)]);
+        send(&mut m, NodeId::new(0), SimTime::ZERO, &[NodeId::new(0)]);
     }
 
     #[test]
@@ -1404,8 +1232,8 @@ mod tests {
         let t0 = SimTime::ZERO;
         let (a, b) = (NodeId::new(0), NodeId::new(3));
         let to_both = [listener(1, 2.0), listener(2, 3.0)];
-        m.begin_transmission_with_signals(a, t0, t0 + AIRTIME, &to_both);
-        m.begin_transmission_with_signals(b, t0, t0 + AIRTIME, &[listener(2, 1.0)]);
+        send_signals(&mut m, a, t0, &to_both);
+        send_signals(&mut m, b, t0, &[listener(2, 1.0)]);
         m
     }
 
@@ -1434,12 +1262,7 @@ mod tests {
             let t0 = SimTime::ZERO;
             let outcome = |m: &mut Medium| {
                 let late = t0 + AIRTIME / 2;
-                let c = m.begin_transmission_with_signals(
-                    NodeId::new(2),
-                    late,
-                    late + AIRTIME,
-                    &[listener(1, 1.0)],
-                );
+                let c = send_signals(m, NodeId::new(2), late, &[listener(1, 1.0)]);
                 let state: Vec<_> = (0..4)
                     .map(|h| {
                         (
@@ -1450,9 +1273,9 @@ mod tests {
                     .collect();
                 let mut ended: Vec<_> = [(0, t0 + AIRTIME), (1, t0 + AIRTIME)]
                     .into_iter()
-                    .map(|(slot, at)| m.end_transmission(FrameId::new(slot), at).deliveries)
+                    .map(|(slot, at)| finish(m, FrameId::new(slot), at))
                     .collect();
-                ended.push(m.end_transmission(c.frame, late + AIRTIME).deliveries);
+                ended.push(finish(m, c, late + AIRTIME));
                 (state, ended, m.loss_counters())
             };
             assert_eq!(

@@ -48,11 +48,6 @@ pub fn in_range_into(positions: &[Vec2], of: NodeId, radius: f64, out: &mut Vec<
     }
 }
 
-/// `true` when hosts `a` and `b` are within `radius` of each other.
-pub fn in_range(positions: &[Vec2], a: NodeId, b: NodeId, radius: f64) -> bool {
-    positions[a.index()].distance_squared_to(positions[b.index()]) <= radius * radius
-}
-
 /// The set of hosts reachable from `source` (directly or over multiple
 /// hops) in the unit-disk graph, **excluding** `source` itself.
 ///
@@ -98,8 +93,6 @@ mod tests {
             vec![NodeId::new(1)],
             "exactly at radius counts, just over does not"
         );
-        assert!(in_range(&pos, NodeId::new(0), NodeId::new(1), R));
-        assert!(!in_range(&pos, NodeId::new(0), NodeId::new(2), R));
     }
 
     #[test]

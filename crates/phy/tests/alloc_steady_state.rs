@@ -7,7 +7,7 @@
 //! Lives in its own integration-test binary because a `#[global_allocator]`
 //! is per process.
 
-use manet_phy::{CaptureModel, CarrierChange, Delivery, Listener, Medium, NodeId};
+use manet_phy::{CaptureModel, Delivery, Listener, Medium, NodeId};
 use manet_sim_engine::{SimDuration, SimTime};
 use manet_testkit::CountingAlloc;
 
@@ -23,9 +23,9 @@ const HOSTS: u32 = 12;
 struct Cycle {
     listeners: Vec<NodeId>,
     signals: Vec<Listener>,
-    begin_carrier: Vec<CarrierChange>,
+    begin_carrier: Vec<NodeId>,
     deliveries: Vec<Delivery>,
-    end_carrier: Vec<CarrierChange>,
+    end_carrier: Vec<NodeId>,
 }
 
 impl Cycle {

@@ -2,11 +2,35 @@
 //! schedules: conservation of deliveries, collision symmetry, and
 //! carrier-sense consistency.
 
-use manet_phy::{Medium, NodeId};
+use manet_phy::{Delivery, FrameId, Medium, NodeId};
 use manet_sim_engine::{SimDuration, SimTime};
 use manet_testkit::{prop_check, Gen};
 
 const AIRTIME_US: u64 = 2_432;
+
+/// Begins a frame; returns it and the hosts whose carrier went busy.
+fn start_frame(
+    medium: &mut Medium,
+    source: NodeId,
+    (start, end): (SimTime, SimTime),
+    listeners: &[NodeId],
+) -> (FrameId, Vec<NodeId>) {
+    let mut carrier = Vec::new();
+    let frame = medium.begin_transmission_into(source, start, end, listeners, &mut carrier);
+    (frame, carrier)
+}
+
+/// Ends a frame; returns its source, its deliveries and the hosts whose
+/// carrier went idle.
+fn end_frame(
+    medium: &mut Medium,
+    frame: FrameId,
+    at: SimTime,
+) -> (NodeId, Vec<Delivery>, Vec<NodeId>) {
+    let (mut deliveries, mut carrier) = (Vec::new(), Vec::new());
+    let source = medium.end_transmission_into(frame, at, &mut deliveries, &mut carrier);
+    (source, deliveries, carrier)
+}
 
 /// A random schedule: per transmission (source index, start offset µs).
 fn schedule(g: &mut Gen) -> Vec<(u32, u64)> {
@@ -45,14 +69,13 @@ fn check_deliveries_conserved(raw: Vec<(u32, u64)>) {
     for (_, is_start, idx) in events {
         let (source, start, end) = txs[idx];
         if is_start {
-            let tx = medium.begin_transmission(source, start, end, &listeners);
-            frames[idx] = Some(tx.frame);
+            frames[idx] = Some(start_frame(&mut medium, source, (start, end), &listeners).0);
         } else {
             let frame = frames[idx].take().expect("frame started");
-            let done = medium.end_transmission(frame, end);
-            assert_eq!(done.deliveries.len(), listeners.len());
-            total_verdicts += done.deliveries.len();
-            assert_eq!(done.source, source);
+            let (sender, deliveries, _) = end_frame(&mut medium, frame, end);
+            assert_eq!(deliveries.len(), listeners.len());
+            total_verdicts += deliveries.len();
+            assert_eq!(sender, source);
         }
     }
     assert_eq!(total_verdicts, txs.len() * listeners.len());
@@ -83,21 +106,21 @@ prop_check! {
         let a_end = SimTime::from_micros(AIRTIME_US);
         let b_start = SimTime::from_micros(gap_us);
         let b_end = SimTime::from_micros(gap_us + AIRTIME_US);
-        let fa = medium.begin_transmission(NodeId::new(0), a_start, a_end, &listener);
+        let (fa, _) = start_frame(&mut medium, NodeId::new(0), (a_start, a_end), &listener);
         let overlaps = gap_us < AIRTIME_US;
         // End frame A before starting B when they do not overlap.
         if overlaps {
-            let fb = medium.begin_transmission(NodeId::new(1), b_start, b_end, &listener);
-            let da = medium.end_transmission(fa.frame, a_end);
-            let db = medium.end_transmission(fb.frame, b_end);
-            assert!(!da.deliveries[0].decoded);
-            assert!(!db.deliveries[0].decoded);
+            let (fb, _) = start_frame(&mut medium, NodeId::new(1), (b_start, b_end), &listener);
+            let (_, da, _) = end_frame(&mut medium, fa, a_end);
+            let (_, db, _) = end_frame(&mut medium, fb, b_end);
+            assert!(da[0].cause.is_some());
+            assert!(db[0].cause.is_some());
         } else {
-            let da = medium.end_transmission(fa.frame, a_end);
-            let fb = medium.begin_transmission(NodeId::new(1), b_start, b_end, &listener);
-            let db = medium.end_transmission(fb.frame, b_end);
-            assert!(da.deliveries[0].decoded);
-            assert!(db.deliveries[0].decoded);
+            let (_, da, _) = end_frame(&mut medium, fa, a_end);
+            let (fb, _) = start_frame(&mut medium, NodeId::new(1), (b_start, b_end), &listener);
+            let (_, db, _) = end_frame(&mut medium, fb, b_end);
+            assert_eq!(da[0].cause, None);
+            assert_eq!(db[0].cause, None);
         }
     }
 
@@ -130,23 +153,20 @@ prop_check! {
             let start = SimTime::from_micros(offset);
             let end = start + SimDuration::from_micros(AIRTIME_US);
             let changes = if is_start {
-                let tx = medium.begin_transmission(source, start, end, &listeners);
-                frames[idx] = Some(tx.frame);
-                tx.carrier_changes
+                let (frame, busy) = start_frame(&mut medium, source, (start, end), &listeners);
+                frames[idx] = Some(frame);
+                busy
             } else {
-                medium
-                    .end_transmission(frames[idx].take().expect("started"), end)
-                    .carrier_changes
+                end_frame(&mut medium, frames[idx].take().expect("started"), end).2
             };
-            for change in changes {
+            for node in changes {
                 assert_ne!(
-                    busy_state[change.node.index()],
-                    change.busy,
-                    "non-alternating carrier transition at {}",
-                    change.node
+                    busy_state[node.index()],
+                    is_start,
+                    "non-alternating carrier transition at {node}"
                 );
-                busy_state[change.node.index()] = change.busy;
-                assert_eq!(medium.is_carrier_busy(change.node), change.busy);
+                busy_state[node.index()] = is_start;
+                assert_eq!(medium.is_carrier_busy(node), is_start);
             }
         }
         // After everything ends, the medium must be idle everywhere.

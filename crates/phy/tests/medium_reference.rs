@@ -21,8 +21,7 @@
 //! sum is exact and the order the medium adds them in cannot matter.
 
 use manet_phy::{
-    CaptureModel, CarrierChange, Delivery, FrameId, Listener, LossCause, LossCounters, Medium,
-    NodeId,
+    CaptureModel, Delivery, FrameId, Listener, LossCause, LossCounters, Medium, NodeId,
 };
 use manet_sim_engine::{SimDuration, SimRng, SimTime};
 use manet_testkit::{prop_check, Gen};
@@ -194,19 +193,16 @@ impl Reference {
 
     /// Hosts a frame beginning or ending in call `k` flips, given whether
     /// anything else is on the air at them.
-    fn carrier(&self, n: usize, k: usize, busy: bool) -> Vec<CarrierChange> {
+    fn carrier(&self, n: usize, k: usize) -> Vec<NodeId> {
         (self.frames[n].listeners.iter())
             .filter(|&&(host, _)| {
                 !(self.frames.iter()).any(|g| g.on_air(k) && g.signal_at(host).is_some())
             })
-            .map(|&(host, _)| CarrierChange {
-                node: NodeId::new(host),
-                busy,
-            })
+            .map(|&(host, _)| NodeId::new(host))
             .collect()
     }
 
-    fn begin(&mut self, source: u32, listeners: Vec<(u32, f64)>) -> Vec<CarrierChange> {
+    fn begin(&mut self, source: u32, listeners: Vec<(u32, f64)>) -> Vec<NodeId> {
         self.calls += 1;
         let (n, k) = (self.frames.len(), self.calls);
         self.frames.push(Frame {
@@ -225,10 +221,10 @@ impl Reference {
                 }
             }
         }
-        self.carrier(n, k, true)
+        self.carrier(n, k)
     }
 
-    fn end(&mut self, n: usize) -> (Vec<Delivery>, Vec<CarrierChange>) {
+    fn end(&mut self, n: usize) -> (Vec<Delivery>, Vec<NodeId>) {
         self.calls += 1;
         self.frames[n].end = self.calls;
         let deliveries = (0..self.frames[n].listeners.len())
@@ -236,12 +232,11 @@ impl Reference {
                 let cause = self.verdict(n, i, usize::MAX);
                 Delivery {
                     to: NodeId::new(self.frames[n].listeners[i].0),
-                    decoded: cause.is_none(),
                     cause,
                 }
             })
             .collect();
-        (deliveries, self.carrier(n, self.calls, false))
+        (deliveries, self.carrier(n, self.calls))
     }
 
     fn inject(&mut self, n: usize, i: usize) -> bool {
@@ -292,6 +287,7 @@ fn check(case: &Case) {
     };
     // Frames on the air: (reference index, id, scheduled end).
     let mut on_air: Vec<(usize, FrameId, SimTime)> = Vec::new();
+    let (mut carrier, mut deliveries) = (Vec::new(), Vec::new());
     let ends = case
         .ops
         .iter()
@@ -316,24 +312,29 @@ fn check(case: &Case) {
                         signal,
                     })
                     .collect();
-                let started =
-                    medium.begin_transmission_with_signals(NodeId::new(*source), now, at, &signals);
-                let carrier = reference.begin(*source, heard);
+                let frame = medium.begin_transmission_with_signals_into(
+                    NodeId::new(*source),
+                    now,
+                    at,
+                    &signals,
+                    &mut carrier,
+                );
+                let want = reference.begin(*source, heard);
                 let call = reference.calls;
-                assert_eq!(started.carrier_changes, carrier, "call {call}: carrier");
-                on_air.push((reference.frames.len() - 1, started.frame, at));
+                assert_eq!(carrier, want, "call {call}: carrier");
+                on_air.push((reference.frames.len() - 1, frame, at));
             }
             Op::End { frame } => {
                 if on_air.is_empty() {
                     continue;
                 }
                 let (n, id, at) = on_air.remove(frame % on_air.len());
-                let ended = medium.end_transmission(id, at);
-                let (deliveries, carrier) = reference.end(n);
+                let source = medium.end_transmission_into(id, at, &mut deliveries, &mut carrier);
+                let (want_deliveries, want_carrier) = reference.end(n);
                 let call = reference.calls;
-                assert_eq!(ended.source, NodeId::new(reference.frames[n].source));
-                assert_eq!(ended.deliveries, deliveries, "call {call}: deliveries");
-                assert_eq!(ended.carrier_changes, carrier, "call {call}: carrier");
+                assert_eq!(source, NodeId::new(reference.frames[n].source));
+                assert_eq!(deliveries, want_deliveries, "call {call}: deliveries");
+                assert_eq!(carrier, want_carrier, "call {call}: carrier");
             }
             Op::Inject { frame, index } => {
                 if on_air.is_empty() {

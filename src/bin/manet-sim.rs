@@ -27,9 +27,9 @@ options:
   --scheme S            flooding | counter:C | ac | distance:D |
                         location:A | al | nc | prob:P  (default ac);
                         C >= 2, D >= 0 meters, A and P in 0..=1;
-                        the tuning families: ac:fixedC | ac:rampK |
-                        ac:toN1 | ac:N1,N2,SHAPE (convex | linear |
-                        concave) | al:fixedA | al:N1,N2
+                        the tuning families: ac:rampK | ac:toN1 |
+                        ac:N1,N2,SHAPE (convex | linear | concave) |
+                        al:N1,N2
   --hello P             fixed seconds (e.g. 1) | dynamic | oracle |
                         dynamic:NV,MIN,MAX  (default: fixed 1 s beacons)
   --mobility M          turn | waypoint | none      (default turn)
@@ -552,9 +552,7 @@ mod tests {
             ("ac:4,10,linear", "n1=4,n2=10,linear"),
             ("ac:4,12,convex", "n1=4,n2=12,convex"),
             ("ac:4,12,concave", "n1=4,n2=12,concave"),
-            ("ac:fixed3", "C=3"),
             ("al:6,12", "AL(6,12)"),
-            ("al:fixed0.0469", "A=0.0469"),
         ] {
             let config = config_of(&["--scheme", scheme]).expect(scheme);
             assert_eq!(

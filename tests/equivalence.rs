@@ -63,11 +63,10 @@ fn gen_scheme(g: &mut Gen) -> SchemeSpec {
     match g.u32_in(0..8) {
         0 => SchemeSpec::Flooding,
         1 => SchemeSpec::Counter(g.u32_in(2..7)),
-        2 => SchemeSpec::AdaptiveCounter(match g.u32_in(0..5) {
+        2 => SchemeSpec::AdaptiveCounter(match g.u32_in(0..4) {
             0 => CounterThreshold::paper_recommended(),
-            1 => CounterThreshold::fixed(g.u32_in(2..7)),
-            2 => CounterThreshold::ramp(g.u32_in(1..4)),
-            3 => CounterThreshold::ramp_to(g.u32_in(1..7)),
+            1 => CounterThreshold::ramp(g.u32_in(1..4)),
+            2 => CounterThreshold::ramp_to(g.u32_in(1..7)),
             _ => {
                 let (n1, shape) = (g.u32_in(1..6), pick(g, &[Convex, Linear, Concave]));
                 CounterThreshold::with_descent(n1, n1 + g.u32_in(1..10), shape)
@@ -75,9 +74,8 @@ fn gen_scheme(g: &mut Gen) -> SchemeSpec {
         }),
         3 => SchemeSpec::Distance(g.f64_in(0.0..500.0)),
         4 => SchemeSpec::Location(g.f64_in(0.0..0.2)),
-        5 => SchemeSpec::AdaptiveLocation(match g.u32_in(0..3) {
+        5 => SchemeSpec::AdaptiveLocation(match g.u32_in(0..2) {
             0 => AreaThreshold::paper_recommended(),
-            1 => AreaThreshold::fixed(g.f64_in(0.0..0.2)),
             _ => {
                 let n1 = g.u32_in(1..9);
                 AreaThreshold::adaptive(n1, n1 + g.u32_in(1..10))
