@@ -248,7 +248,16 @@ impl SimConfig {
                 return Err("hello interval must be longer than zero".into());
             }
             if longest > Self::MAX_HELLO_INTERVAL || !positive(nv_max) {
-                return Err(format!("bad hello policy {policy:?}"));
+                let max = Self::MAX_HELLO_INTERVAL.decimal_secs();
+                let why = if positive(nv_max) {
+                    format!("an interval exceeds {max} s")
+                } else {
+                    "nv_max must be positive".into()
+                };
+                return Err(format!(
+                    "bad hello={} ({why})",
+                    hello_text(&self.neighbor_info)
+                ));
             }
         }
         if let Some(speed) = self.max_speed_kmh {
@@ -258,7 +267,10 @@ impl SimConfig {
         }
         if let Some(c) = self.capture {
             if !(positive(c.sir_threshold) && positive(c.path_loss_exponent)) {
-                return Err(format!("bad capture model {c:?}"));
+                return Err(format!(
+                    "bad capture={} (SIR and exponent must be positive)",
+                    capture_text(self.capture)
+                ));
             }
         }
         if let Some(scenario) = &self.scenario {
@@ -354,19 +366,7 @@ impl SimConfig {
     /// [`Scenario::to_text`] on the lines after it, if the run has one.
     /// `profile_events` and the dead fields are not written.
     pub fn to_text(&self) -> String {
-        let hello = match self.neighbor_info {
-            NeighborInfo::Oracle => "oracle".to_string(),
-            NeighborInfo::Hello(HelloIntervalPolicy::Fixed(interval)) => interval.decimal_secs(),
-            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p))
-                if p == DynamicHelloParams::paper() =>
-            {
-                "dynamic".to_string()
-            }
-            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p)) => {
-                let (lo, hi) = (p.hi_min.decimal_secs(), p.hi_max.decimal_secs());
-                format!("dynamic:{},{lo},{hi}", p.nv_max)
-            }
-        };
+        let hello = hello_text(&self.neighbor_info);
         let mobility = MOBILITY
             .iter()
             .find(|m| m.0 == self.mobility)
@@ -379,9 +379,7 @@ impl SimConfig {
             PlacementSpec::Grid => "grid".to_string(),
             PlacementSpec::Line { spacing_m } => format!("line:{spacing_m}"),
         };
-        let capture = (self.capture).map_or("none".into(), |c| {
-            format!("{},{}", c.sir_threshold, c.path_loss_exponent)
-        });
+        let capture = capture_text(self.capture);
         let mut text = format!(
             "map={} hosts={} scheme={} hello={hello} mobility={mobility} speed={speed} \
              placement={placement} capture={capture} drop={} broadcasts={} interarrival={} \
@@ -456,6 +454,30 @@ const MOBILITY: [(MobilitySpec, &str); 3] = [
     (MobilitySpec::RandomWaypoint, "waypoint"),
     (MobilitySpec::Stationary, "none"),
 ];
+
+/// The `hello=` value [`SimConfig::to_text`] writes.
+fn hello_text(info: &NeighborInfo) -> String {
+    match info {
+        NeighborInfo::Oracle => "oracle".to_string(),
+        NeighborInfo::Hello(HelloIntervalPolicy::Fixed(interval)) => interval.decimal_secs(),
+        NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p))
+            if *p == DynamicHelloParams::paper() =>
+        {
+            "dynamic".to_string()
+        }
+        NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(p)) => {
+            let (lo, hi) = (p.hi_min.decimal_secs(), p.hi_max.decimal_secs());
+            format!("dynamic:{},{lo},{hi}", p.nv_max)
+        }
+    }
+}
+
+/// The `capture=` value [`SimConfig::to_text`] writes.
+fn capture_text(capture: Option<CaptureConfig>) -> String {
+    capture.map_or("none".into(), |c| {
+        format!("{},{}", c.sir_threshold, c.path_loss_exponent)
+    })
+}
 
 /// The refusal of each key's token, one after another.
 const REFUSALS: &str = "bad map= bad hosts= bad scheme= bad hello= bad mobility= bad speed= \
@@ -631,6 +653,23 @@ mod tests {
         assert_eq!(
             c.validate().unwrap_err(),
             "hello interval must be longer than zero"
+        );
+        // A refused policy or capture model is named as `to_text` spells it.
+        c.set("hello", "dynamic:0,1,1").unwrap();
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "bad hello=dynamic:0,1,1 (nv_max must be positive)"
+        );
+        c.set("hello", "2000000").unwrap();
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "bad hello=2000000 (an interval exceeds 1000000 s)"
+        );
+        c.set("hello", "1").unwrap();
+        c.set("capture", "0,4").unwrap();
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "bad capture=0,4 (SIR and exponent must be positive)"
         );
     }
 

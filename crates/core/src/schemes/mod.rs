@@ -30,7 +30,7 @@ use crate::trace::SuppressReason;
 /// assert_eq!(spec.label(), "AC");
 /// assert!(!spec.needs_two_hop_hellos());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchemeSpec {
     /// Blind flooding — the baseline that *causes* the broadcast storm:
     /// every host rebroadcasts every packet exactly once, unconditionally

@@ -9,7 +9,7 @@
 //! [`Medium`], the per-host MACs, and the metrics — and executes the
 //! [`Effect`]s each pure step requests.
 //!
-//! Every action funnels through [`World::dispatch`], which is also the
+//! Every action funnels through `World::dispatch`, which is also the
 //! single tap point for action-level recording (see [`crate::record`]):
 //! a recorded trace replayed through [`PureModels`] alone reproduces
 //! every scheme decision of the live run.
@@ -216,16 +216,13 @@ pub struct World {
     draw_counts: [u64; DRAW_VALUES],
     /// All pure protocol state; advanced only via [`World::dispatch`].
     pure: PureModels,
-    /// Effect buffer for [`World::dispatch`]. Dispatch never nests (no
-    /// effect application dispatches a non-leaf action), so one buffer
-    /// suffices; `mem::take` degrades accidental re-entry to a fresh
-    /// allocation instead of corruption.
+    /// Effect buffer for [`World::dispatch`], taken while its effects
+    /// apply.
     fx: Vec<Effect>,
-    /// Effect buffer for [`World::dispatch_leaf`]. Leaf actions
-    /// (`FrameSent`, `Originate`) are dispatched from *inside* effect
-    /// application (a MAC enqueue can immediately start transmitting), so
-    /// they get a disjoint buffer; they must never produce effects.
-    fx_leaf: Vec<Effect>,
+    /// `true` while [`World::dispatch`] applies effects: an action
+    /// dispatched then (`FrameSent`, when a MAC enqueue starts a
+    /// transmission at once) must produce none.
+    applying_effects: bool,
     /// Action-level recorder; `Some` while [`World::enable_recording`]
     /// has armed a trace.
     recorder: Option<TraceWriter>,
@@ -412,7 +409,7 @@ impl World {
             draw_counts: [0; DRAW_VALUES],
             pure,
             fx: Vec::new(),
-            fx_leaf: Vec::new(),
+            applying_effects: false,
             recorder: None,
             workload_rng,
             proto_rng,
@@ -512,7 +509,7 @@ impl World {
     /// after `pause_at`, or the run completes. Returns `true` when the
     /// run is finished (queue drained or stop time passed), `false` when
     /// it paused with the boundary event still queued — the natural point
-    /// to take a [snapshot](crate::snapshot) before resuming.
+    /// to take a [snapshot] before resuming.
     ///
     /// The boundary is exclusive and has exactly one documented winner: a
     /// `pause_at` equal to a queued event's timestamp pauses **strictly
@@ -638,32 +635,29 @@ impl World {
     /// Feeds one action through the pure models and executes the effects
     /// it requests, in order. The single entry point for protocol state
     /// changes — and therefore the single tap point for recording.
+    ///
+    /// A dispatch from inside effect application takes the empty
+    /// placeholder `mem::take` left in `fx`, gets no effects from its
+    /// step, and stores the placeholder back, so it allocates nothing.
     fn dispatch(&mut self, now: SimTime, action: PureAction<'_>) {
         if let Some(rec) = &mut self.recorder {
             rec.action(now, &action);
         }
         let mut fx = std::mem::take(&mut self.fx);
-        debug_assert!(fx.is_empty(), "dispatch re-entered through an effect");
         self.pure.step(now, &action, &mut fx);
+        debug_assert!(
+            fx.is_empty() || !self.applying_effects,
+            "an action dispatched while effects apply produced effects"
+        );
         if let Some(rec) = &mut self.recorder {
             rec.decisions(now, &fx);
         }
+        let outer = std::mem::replace(&mut self.applying_effects, true);
         for effect in fx.drain(..) {
             self.apply_effect(now, effect);
         }
+        self.applying_effects = outer;
         self.fx = fx;
-    }
-
-    /// Dispatches an action that must not produce effects (`FrameSent`,
-    /// `Originate`). Safe to call from inside effect application — it
-    /// uses a buffer disjoint from [`dispatch`](Self::dispatch)'s.
-    fn dispatch_leaf(&mut self, now: SimTime, action: PureAction<'_>) {
-        if let Some(rec) = &mut self.recorder {
-            rec.action(now, &action);
-        }
-        self.pure.step(now, &action, &mut self.fx_leaf);
-        debug_assert!(self.fx_leaf.is_empty(), "leaf action produced effects");
-        self.fx_leaf.clear();
     }
 
     /// Executes one effect requested by a pure step. This is where the
@@ -776,7 +770,7 @@ impl World {
         self.scratch_reachable = reachable_set;
 
         // The source transmits unconditionally: queue straight to its MAC.
-        self.dispatch_leaf(
+        self.dispatch(
             now,
             PureAction::Originate {
                 node: source,
@@ -857,7 +851,7 @@ impl World {
             Payload::Broadcast(packet) => {
                 self.data_frames += 1;
                 // On the air: no longer cancellable.
-                self.dispatch_leaf(
+                self.dispatch(
                     now,
                     PureAction::FrameSent {
                         node,

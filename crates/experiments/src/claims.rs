@@ -6,12 +6,14 @@
 //! PASS/FAIL verdict for each, giving `EXPERIMENTS.md` a mechanically
 //! verifiable backbone.
 
-use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec, SimConfig};
+use broadcast_core::{
+    AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec, SimConfig, SimConfigBuilder,
+};
 use manet_geom::{contention_free_distribution, expected_additional_coverage};
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::{SimDuration, SimRng};
 
-use crate::runner::{parallel_map, run_averaged, AveragedReport, Scale, BASE_SEED};
+use crate::runner::{sweep, Scale, BASE_SEED};
 use crate::table::Table;
 
 /// One verified claim.
@@ -24,11 +26,40 @@ struct Claim {
     pass: bool,
 }
 
-fn config(map: u32, scheme: SchemeSpec, scale: Scale) -> SimConfig {
-    SimConfig::builder(map, scheme)
-        .broadcasts(scale.broadcasts())
-        .seed(BASE_SEED)
-        .build()
+/// Every simulated data point the claims read, by id.
+const POINTS: &str = "flood-1 c2-1 c2-7 c6-7 ac-1 ac-3 ac-7 ac-11 a1871-7 a1871-1 al-7 al-1 \
+                      nc-dhi-9 nc-hi1-9 nc-hi30-9 nc-1";
+
+/// The run behind data point `id`.
+fn point(id: &str) -> SimConfigBuilder {
+    let b = SimConfig::builder;
+    let ac = || SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended());
+    let al = || SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended());
+    let nc_9 = || b(9, SchemeSpec::NeighborCoverage);
+    let dhi = NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper()));
+    let hi_30 = NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::from_secs(30)));
+    match id {
+        "flood-1" => b(1, SchemeSpec::Flooding),
+        "c2-1" => b(1, SchemeSpec::Counter(2)),
+        "c2-7" => b(7, SchemeSpec::Counter(2)),
+        "c6-7" => b(7, SchemeSpec::Counter(6)),
+        "ac-1" => b(1, ac()),
+        "ac-3" => b(3, ac()),
+        "ac-7" => b(7, ac()),
+        "ac-11" => b(11, ac()),
+        "a1871-7" => b(7, SchemeSpec::Location(0.1871)),
+        "a1871-1" => b(1, SchemeSpec::Location(0.1871)),
+        "al-7" => b(7, al()),
+        "al-1" => b(1, al()),
+        "nc-dhi-9" => nc_9().neighbor_info(dhi).warmup(SimDuration::from_secs(12)),
+        "nc-hi1-9" => nc_9().max_speed_kmh(60.0),
+        "nc-hi30-9" => nc_9()
+            .max_speed_kmh(60.0)
+            .neighbor_info(hi_30)
+            .warmup(SimDuration::from_secs(60)),
+        "nc-1" => b(1, SchemeSpec::NeighborCoverage),
+        _ => panic!("no claim data point {id}"),
+    }
 }
 
 /// Title of the `passed | total` table [`run`] ends with.
@@ -83,50 +114,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
     });
 
     // ---- simulation claims ----------------------------------------------
-    // One parallel batch of every run the claims need.
-    let ac = || SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended());
-    let al = || SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended());
-    let jobs: Vec<(&'static str, SimConfig)> = vec![
-        ("flood-1", config(1, SchemeSpec::Flooding, scale)),
-        ("c2-1", config(1, SchemeSpec::Counter(2), scale)),
-        ("c2-7", config(7, SchemeSpec::Counter(2), scale)),
-        ("c6-7", config(7, SchemeSpec::Counter(6), scale)),
-        ("ac-1", config(1, ac(), scale)),
-        ("ac-3", config(3, ac(), scale)),
-        ("ac-7", config(7, ac(), scale)),
-        ("ac-11", config(11, ac(), scale)),
-        ("a1871-7", config(7, SchemeSpec::Location(0.1871), scale)),
-        ("a1871-1", config(1, SchemeSpec::Location(0.1871), scale)),
-        ("al-7", config(7, al(), scale)),
-        ("al-1", config(1, al(), scale)),
-        ("nc-dhi-9", {
-            let mut c = config(9, SchemeSpec::NeighborCoverage, scale);
-            c.neighbor_info =
-                NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper()));
-            c.warmup = SimDuration::from_secs(12);
-            c
-        }),
-        ("nc-hi1-9", {
-            let mut c = config(9, SchemeSpec::NeighborCoverage, scale);
-            c.max_speed_kmh = Some(60.0);
-            c
-        }),
-        ("nc-hi30-9", {
-            let mut c = config(9, SchemeSpec::NeighborCoverage, scale);
-            c.max_speed_kmh = Some(60.0);
-            c.neighbor_info =
-                NeighborInfo::Hello(HelloIntervalPolicy::Fixed(SimDuration::from_secs(30)));
-            c.warmup = SimDuration::from_secs(60);
-            c
-        }),
-        ("nc-1", config(1, SchemeSpec::NeighborCoverage, scale)),
-    ];
-    let reports: Vec<AveragedReport> =
-        parallel_map(jobs.clone(), |(_, c)| run_averaged(c, scale.repeats()));
-    let get = |id: &str| -> &AveragedReport {
-        let idx = jobs.iter().position(|(j, _)| *j == id).expect("job exists");
-        &reports[idx]
-    };
+    // One sweep of every run the claims need.
+    let runs = sweep(POINTS.split_whitespace(), scale, point);
+    let get = |id| runs.get(id);
 
     let flood1 = get("flood-1");
     let c2_1 = get("c2-1");

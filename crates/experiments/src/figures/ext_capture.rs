@@ -8,9 +8,9 @@
 //! model: capture softens the storm (flooding recovers some RE on dense
 //! maps) but the adaptive schemes still win on saving.
 
-use broadcast_core::{CaptureConfig, CounterThreshold, SchemeSpec};
+use broadcast_core::{CaptureConfig, CounterThreshold, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs the capture-on/off grid.
@@ -24,19 +24,14 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ("no-capture", None),
         ("capture", Some(CaptureConfig::typical())),
     ];
-    let jobs: Vec<(usize, usize, u32)> = (0..schemes.len())
-        .flat_map(|s| {
-            (0..modes.len()).flat_map(move |m| PAPER_MAPS.iter().map(move |&map| (s, m, map)))
-        })
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, m, map)| {
-        let mut builder = broadcast_core::SimConfig::builder(map, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED);
-        if let Some(capture) = modes[m].1 {
-            builder = builder.capture(capture);
+    let keys = (0..schemes.len())
+        .flat_map(|s| (0..modes.len()).flat_map(move |m| PAPER_MAPS.map(|map| (s, m, map))));
+    let runs = sweep(keys, scale, |(s, m, map)| {
+        let builder = SimConfig::builder(map, schemes[s].clone());
+        match modes[m].1 {
+            Some(capture) => builder.capture(capture),
+            None => builder,
         }
-        run_averaged(&builder.build(), scale.repeats())
     });
 
     let mut headers = vec!["map".to_string()];
@@ -53,11 +48,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut row = vec![format!("{map}x{map}")];
         for s in 0..schemes.len() {
             for m in 0..modes.len() {
-                let idx = jobs
-                    .iter()
-                    .position(|&j| j == (s, m, map))
-                    .expect("job exists");
-                row.push(pct(reports[idx].reachability));
+                row.push(pct(runs.get((s, m, map)).reachability));
             }
         }
         table.row(row);

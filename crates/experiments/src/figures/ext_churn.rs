@@ -10,17 +10,14 @@
 //! network stops being static — and where the lost frames actually went,
 //! which the per-cause loss split answers.
 //!
-//! Unlike the `run_averaged` figures this one drives [`World`] directly:
-//! the per-cause loss and scenario counters live on the full [`SimReport`]
-//! and would be averaged away. Captured metrics still reach the
-//! `--metrics` document via [`record_metrics`].
+//! The per-cause loss and scenario counters are read from the sweep's
+//! summed metrics ([`Sweep::metrics`](crate::Sweep::metrics)), which an
+//! averaged report leaves out.
 
-use broadcast_core::{
-    ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec, SimConfig, SimReport, World,
-};
+use broadcast_core::{ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec, SimConfig};
 use manet_sim_engine::SimTime;
 
-use crate::runner::{parallel_map, record_metrics, Scale, BASE_SEED};
+use crate::runner::{sweep, Scale};
 use crate::table::{pct, secs, Table};
 
 /// Host population of the churn runs (the paper's default).
@@ -82,18 +79,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SchemeSpec::NeighborCoverage,
     ];
     let scenario = churn_script();
-    let repeats = scale.repeats();
-    let jobs: Vec<(usize, u64)> = (0..schemes.len())
-        .flat_map(|s| (0..repeats).map(move |r| (s, r)))
-        .collect();
-    let reports: Vec<SimReport> = parallel_map(jobs, |&(s, rep)| {
-        let config = SimConfig::builder(3, schemes[s].clone())
+    let runs = sweep(&schemes, scale, |s| {
+        SimConfig::builder(3, s.clone())
             .hosts(HOSTS)
-            .broadcasts(scale.broadcasts())
             .scenario(scenario.clone())
-            .seed(BASE_SEED.wrapping_add(rep))
-            .build();
-        World::new(config).run()
     });
 
     let mut headline = Table::new(
@@ -118,47 +107,29 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "churn applied".into(),
         ],
     );
-    for (s, scheme) in schemes.iter().enumerate() {
-        let chunk = &reports[s * repeats as usize..(s + 1) * repeats as usize];
-        record_metrics(chunk);
-        let n = chunk.len() as f64;
+    for scheme in &schemes {
+        let r = runs.get(scheme);
         headline.row(vec![
             scheme.label(),
-            pct(chunk.iter().map(|r| r.reachability).sum::<f64>() / n),
-            pct(chunk.iter().map(|r| r.saved_rebroadcasts).sum::<f64>() / n),
-            secs(chunk.iter().map(|r| r.avg_latency_s).sum::<f64>() / n),
+            pct(r.reachability),
+            pct(r.saved_rebroadcasts),
+            secs(r.avg_latency_s),
         ]);
-        let sum = |f: fn(&SimReport) -> u64| chunk.iter().map(f).sum::<u64>().to_string();
-        let sc = |f: fn(&broadcast_core::ScenarioCounts) -> u64| {
-            chunk
-                .iter()
-                .map(|r| f(r.scenario.as_ref().expect("scenario run")))
-                .sum::<u64>()
-                .to_string()
-        };
-        let down = chunk
-            .iter()
-            .map(|r| {
-                let c = r.scenario.as_ref().expect("scenario run");
-                c.leaves + c.crashes
-            })
-            .sum::<u64>();
-        let up = chunk
-            .iter()
-            .map(|r| {
-                let c = r.scenario.as_ref().expect("scenario run");
-                c.joins + c.recoveries
-            })
-            .sum::<u64>();
+        let metrics = runs.metrics(scheme);
+        let c = metrics.scenario.expect("scenario run");
         split.row(vec![
             scheme.label(),
-            sum(|r| r.losses.overlap),
-            sum(|r| r.losses.capture),
-            sum(|r| r.losses.half_duplex),
-            sc(|c| c.blackout_drops),
-            sc(|c| c.partition_drops),
-            sc(|c| c.noise_drops),
-            format!("{down} down / {up} up"),
+            metrics.losses.overlap.to_string(),
+            metrics.losses.capture.to_string(),
+            metrics.losses.half_duplex.to_string(),
+            c.blackout_drops.to_string(),
+            c.partition_drops.to_string(),
+            c.noise_drops.to_string(),
+            format!(
+                "{} down / {} up",
+                c.leaves + c.crashes,
+                c.joins + c.recoveries
+            ),
         ]);
     }
     vec![headline, split]

@@ -6,9 +6,9 @@
 //! like the other fixed-threshold schemes, a distance threshold tuned for
 //! dense maps (large `D`) surrenders reachability on sparse ones.
 
-use broadcast_core::{AreaThreshold, CounterThreshold, SchemeSpec};
+use broadcast_core::{AreaThreshold, CounterThreshold, SchemeSpec, SimConfig};
 
-use crate::runner::{run_grid, Scale, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs distance-based baselines against AC/AL on every map.
@@ -20,7 +20,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
         SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
     ];
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let keys = schemes.iter().flat_map(|s| PAPER_MAPS.map(|m| (s, m)));
+    let runs = sweep(keys, scale, |(s, map)| SimConfig::builder(map, s.clone()));
     let mut headers = vec!["map".to_string()];
     for s in &schemes {
         headers.push(format!("RE% {}", s.label()));
@@ -30,11 +31,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "Extension - distance-based baselines (D meters) vs adaptive schemes",
         headers,
     );
-    for (mi, &map) in PAPER_MAPS.iter().enumerate() {
+    for map in PAPER_MAPS {
         let mut row = vec![format!("{map}x{map}")];
-        for results in &grid {
-            row.push(pct(results[mi].reachability));
-            row.push(pct(results[mi].saved_rebroadcasts));
+        for scheme in &schemes {
+            let r = runs.get((scheme, map));
+            row.push(pct(r.reachability));
+            row.push(pct(r.saved_rebroadcasts));
         }
         table.row(row);
     }

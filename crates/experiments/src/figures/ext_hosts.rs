@@ -9,9 +9,9 @@
 //! at 1000 hosts its storm makes runs quadratically slow without adding
 //! information.
 
-use broadcast_core::{CounterThreshold, SchemeSpec};
+use broadcast_core::{CounterThreshold, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED};
+use crate::runner::{sweep, Scale};
 use crate::table::{pct, secs, Table};
 
 /// Host populations swept on the 5×5 map.
@@ -24,16 +24,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
         SchemeSpec::NeighborCoverage,
     ];
-    let jobs: Vec<(usize, u32)> = (0..schemes.len())
-        .flat_map(|s| HOSTS.iter().map(move |&h| (s, h)))
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, hosts)| {
-        let config = broadcast_core::SimConfig::builder(5, schemes[s].clone())
-            .hosts(hosts)
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .build();
-        run_averaged(&config, scale.repeats())
+    let keys = schemes.iter().flat_map(|s| HOSTS.map(|h| (s, h)));
+    let runs = sweep(keys, scale, |(s, hosts)| {
+        SimConfig::builder(5, s.clone()).hosts(hosts)
     });
 
     let mut headers = vec!["hosts".to_string()];
@@ -45,14 +38,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut table = Table::new("Extension - host-count sweep on the 5x5 map", headers);
     for &hosts in &HOSTS {
         let mut row = vec![hosts.to_string()];
-        for s in 0..schemes.len() {
-            let idx = jobs
-                .iter()
-                .position(|&j| j == (s, hosts))
-                .expect("job exists");
-            row.push(pct(reports[idx].reachability));
-            row.push(pct(reports[idx].saved_rebroadcasts));
-            row.push(secs(reports[idx].avg_latency_s));
+        for scheme in &schemes {
+            let r = runs.get((scheme, hosts));
+            row.push(pct(r.reachability));
+            row.push(pct(r.saved_rebroadcasts));
+            row.push(secs(r.avg_latency_s));
         }
         table.row(row);
     }

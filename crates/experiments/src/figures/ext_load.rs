@@ -5,10 +5,10 @@
 //! broadcasts contend with each other, so flooding's storm compounds
 //! while the suppression schemes degrade far more gracefully.
 
-use broadcast_core::{CounterThreshold, SchemeSpec};
+use broadcast_core::{CounterThreshold, SchemeSpec, SimConfig};
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED};
+use crate::runner::{sweep, Scale};
 use crate::table::{pct, secs, Table};
 
 /// Mean interarrival values swept, in milliseconds (uniform on [0, 2x]).
@@ -21,16 +21,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SchemeSpec::Counter(2),
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
     ];
-    let jobs: Vec<(usize, u64)> = (0..schemes.len())
-        .flat_map(|s| MEAN_INTERARRIVAL_MS.iter().map(move |&m| (s, m)))
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, mean_ms)| {
-        let config = broadcast_core::SimConfig::builder(3, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .max_interarrival(SimDuration::from_millis(mean_ms * 2))
-            .build();
-        run_averaged(&config, scale.repeats())
+    let keys = schemes
+        .iter()
+        .flat_map(|s| MEAN_INTERARRIVAL_MS.map(|m| (s, m)));
+    let runs = sweep(keys, scale, |(s, mean_ms)| {
+        SimConfig::builder(3, s.clone()).max_interarrival(SimDuration::from_millis(mean_ms * 2))
     });
 
     let mut headers = vec!["mean gap (s)".to_string()];
@@ -44,13 +39,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
     for &mean_ms in &MEAN_INTERARRIVAL_MS {
         let mut row = vec![format!("{:.2}", mean_ms as f64 / 1_000.0)];
-        for s in 0..schemes.len() {
-            let idx = jobs
-                .iter()
-                .position(|&j| j == (s, mean_ms))
-                .expect("job exists");
-            row.push(pct(reports[idx].reachability));
-            row.push(secs(reports[idx].avg_latency_s));
+        for scheme in &schemes {
+            let r = runs.get((scheme, mean_ms));
+            row.push(pct(r.reachability));
+            row.push(secs(r.avg_latency_s));
         }
         table.row(row);
     }

@@ -7,9 +7,9 @@
 //! hosts toward the map center (the classic density bias), which tends to
 //! raise connectivity on sparse maps.
 
-use broadcast_core::{CounterThreshold, MobilitySpec, SchemeSpec};
+use broadcast_core::{CounterThreshold, MobilitySpec, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs `C = 2` and AC under both mobility models.
@@ -22,18 +22,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ("turn", MobilitySpec::RandomTurn),
         ("waypoint", MobilitySpec::RandomWaypoint),
     ];
-    let jobs: Vec<(usize, usize, u32)> = (0..schemes.len())
-        .flat_map(|s| {
-            (0..models.len()).flat_map(move |m| PAPER_MAPS.iter().map(move |&map| (s, m, map)))
-        })
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, m, map)| {
-        let config = broadcast_core::SimConfig::builder(map, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .mobility(models[m].1)
-            .build();
-        run_averaged(&config, scale.repeats())
+    let keys = (0..schemes.len())
+        .flat_map(|s| (0..models.len()).flat_map(move |m| PAPER_MAPS.map(|map| (s, m, map))));
+    let runs = sweep(keys, scale, |(s, m, map)| {
+        SimConfig::builder(map, schemes[s].clone()).mobility(models[m].1)
     });
 
     let mut headers = vec!["map".to_string()];
@@ -51,12 +43,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut row = vec![format!("{map}x{map}")];
         for s in 0..schemes.len() {
             for m in 0..models.len() {
-                let idx = jobs
-                    .iter()
-                    .position(|&j| j == (s, m, map))
-                    .expect("job exists");
-                row.push(pct(reports[idx].reachability));
-                row.push(pct(reports[idx].saved_rebroadcasts));
+                let r = runs.get((s, m, map));
+                row.push(pct(r.reachability));
+                row.push(pct(r.saved_rebroadcasts));
             }
         }
         table.row(row);

@@ -5,9 +5,9 @@
 //! quantifies the gap: the oracle bound shows how much of any RE loss is
 //! due to stale tables rather than to the scheme's decision rule.
 
-use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec};
+use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs AC, AL, and NC under oracle and HELLO neighbor information.
@@ -24,18 +24,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ),
         ("oracle", NeighborInfo::Oracle),
     ];
-    let jobs: Vec<(usize, usize, u32)> = (0..schemes.len())
-        .flat_map(|s| {
-            (0..infos.len()).flat_map(move |i| PAPER_MAPS.iter().map(move |&m| (s, i, m)))
-        })
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, i, map)| {
-        let config = broadcast_core::SimConfig::builder(map, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .neighbor_info(infos[i].1.clone())
-            .build();
-        run_averaged(&config, scale.repeats())
+    let keys = (0..schemes.len())
+        .flat_map(|s| (0..infos.len()).flat_map(move |i| PAPER_MAPS.map(|m| (s, i, m))));
+    let runs = sweep(keys, scale, |(s, i, map)| {
+        SimConfig::builder(map, schemes[s].clone()).neighbor_info(infos[i].1.clone())
     });
 
     let mut headers = vec!["map".to_string()];
@@ -52,11 +44,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut row = vec![format!("{map}x{map}")];
         for s in 0..schemes.len() {
             for i in 0..infos.len() {
-                let idx = jobs
-                    .iter()
-                    .position(|&j| j == (s, i, map))
-                    .expect("job exists");
-                row.push(pct(reports[idx].reachability));
+                row.push(pct(runs.get((s, i, map)).reachability));
             }
         }
         table.row(row);

@@ -8,9 +8,9 @@
 //!
 //! Each candidate runs on all six maps; RE and SRB are reported per map.
 
-use broadcast_core::{CounterThreshold, DescentShape, SchemeSpec};
+use broadcast_core::{CounterThreshold, DescentShape, SchemeSpec, SimConfig};
 
-use crate::runner::{run_grid, AveragedReport, Scale, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Builds the RE/SRB table for a set of AC threshold candidates.
@@ -20,17 +20,18 @@ fn candidate_table(title: &str, candidates: Vec<CounterThreshold>, scale: Scale)
         .cloned()
         .map(SchemeSpec::AdaptiveCounter)
         .collect();
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let keys = schemes.iter().flat_map(|s| PAPER_MAPS.map(|m| (s, m)));
+    let runs = sweep(keys, scale, |(s, map)| SimConfig::builder(map, s.clone()));
     let mut headers = vec!["map".to_string()];
     for c in &candidates {
         headers.push(format!("RE% {}", c.label()));
         headers.push(format!("SRB% {}", c.label()));
     }
     let mut table = Table::new(title, headers);
-    for (mi, &map) in PAPER_MAPS.iter().enumerate() {
+    for map in PAPER_MAPS {
         let mut row = vec![format!("{map}x{map}")];
-        for results in &grid {
-            let r: &AveragedReport = &results[mi];
+        for scheme in &schemes {
+            let r = runs.get((scheme, map));
             row.push(pct(r.reachability));
             row.push(pct(r.saved_rebroadcasts));
         }

@@ -2,9 +2,9 @@
 //! fixed-threshold location-based scheme (`A = 0.1871, 0.0469, 0.0134`,
 //! the values used in \[15\]): RE and SRB (a), latency (b).
 
-use broadcast_core::{AreaThreshold, SchemeSpec};
+use broadcast_core::{AreaThreshold, SchemeSpec, SimConfig};
 
-use crate::runner::{run_grid, Scale, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, secs, Table};
 
 fn schemes() -> Vec<SchemeSpec> {
@@ -19,7 +19,8 @@ fn schemes() -> Vec<SchemeSpec> {
 /// Regenerates Fig. 10a (RE/SRB) and Fig. 10b (latency).
 pub fn run(scale: Scale) -> Vec<Table> {
     let schemes = schemes();
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let keys = schemes.iter().flat_map(|s| PAPER_MAPS.map(|m| (s, m)));
+    let runs = sweep(keys, scale, |(s, map)| SimConfig::builder(map, s.clone()));
 
     let mut headers = vec!["map".to_string()];
     for s in &schemes {
@@ -34,11 +35,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
     headers_b.extend(schemes.iter().map(|s| format!("latency(s) {}", s.label())));
     let mut b = Table::new("Fig. 10b - average broadcast latency", headers_b);
 
-    for (mi, &map) in PAPER_MAPS.iter().enumerate() {
+    for map in PAPER_MAPS {
         let mut row_a = vec![format!("{map}x{map}")];
         let mut row_b = vec![format!("{map}x{map}")];
-        for results in &grid {
-            let r = &results[mi];
+        for scheme in &schemes {
+            let r = runs.get((scheme, map));
             row_a.push(pct(r.reachability));
             row_a.push(pct(r.saved_rebroadcasts));
             row_b.push(secs(r.avg_latency_s));

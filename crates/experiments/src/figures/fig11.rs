@@ -6,11 +6,11 @@
 //! neighbor knowledge stale and RE degrades, the more so the faster the
 //! hosts move.
 
-use broadcast_core::{NeighborInfo, SchemeSpec};
+use broadcast_core::{NeighborInfo, SchemeSpec, SimConfig};
 use manet_net::HelloIntervalPolicy;
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED};
+use crate::runner::{sweep, Scale};
 use crate::table::{pct, Table};
 
 const INTERVALS_MS: [u64; 5] = [1_000, 5_000, 10_000, 20_000, 30_000];
@@ -20,27 +20,19 @@ const MAPS: [u32; 4] = [5, 7, 9, 11];
 /// Regenerates Fig. 11: one RE table per map, rows = speed, columns =
 /// hello interval.
 pub fn run(scale: Scale) -> Vec<Table> {
-    // Flatten (map, speed, interval) into one parallel batch.
-    let jobs: Vec<(u32, f64, u64)> = MAPS
-        .iter()
-        .flat_map(|&m| {
-            SPEEDS_KMH
-                .iter()
-                .flat_map(move |&v| INTERVALS_MS.iter().map(move |&hi| (m, v, hi)))
-        })
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(map, speed, hi)| {
-        let config = broadcast_core::SimConfig::builder(map, SchemeSpec::NeighborCoverage)
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
+    let keys = MAPS.into_iter().flat_map(|m| {
+        SPEEDS_KMH
+            .into_iter()
+            .flat_map(move |v| INTERVALS_MS.map(|hi| (m, v, hi)))
+    });
+    let runs = sweep(keys, scale, |(map, speed, hi)| {
+        SimConfig::builder(map, SchemeSpec::NeighborCoverage)
             .max_speed_kmh(speed)
             .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Fixed(
                 SimDuration::from_millis(hi),
             )))
             // Give slow beacons a chance to fill tables before measuring.
             .warmup(SimDuration::from_millis(2 * hi))
-            .build();
-        run_averaged(&config, scale.repeats())
     });
 
     let mut tables = Vec::new();
@@ -57,12 +49,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         );
         for &speed in &SPEEDS_KMH {
             let mut row = vec![format!("{speed:.0}")];
-            for &hi in &INTERVALS_MS {
-                let idx = jobs
-                    .iter()
-                    .position(|&j| j == (map, speed, hi))
-                    .expect("job exists");
-                row.push(pct(reports[idx].reachability));
+            for hi in INTERVALS_MS {
+                row.push(pct(runs.get((map, speed, hi)).reachability));
             }
             table.row(row);
         }

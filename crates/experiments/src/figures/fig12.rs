@@ -7,40 +7,28 @@
 //! density; sparse maps churn more, so hosts beacon near `hi_min` (many
 //! hellos), while the quiet 1×1 map settles near `hi_max` (few hellos).
 
-use broadcast_core::{NeighborInfo, SchemeSpec};
+use broadcast_core::{NeighborInfo, SchemeSpec, SimConfig};
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 const SPEEDS_KMH: [f64; 4] = [20.0, 40.0, 60.0, 80.0];
 
 /// Regenerates Fig. 12a/12b.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let jobs: Vec<(u32, f64)> = PAPER_MAPS
-        .iter()
-        .flat_map(|&m| SPEEDS_KMH.iter().map(move |&v| (m, v)))
-        .collect();
-    let reports = parallel_map(jobs.clone(), |&(map, speed)| {
-        let config = broadcast_core::SimConfig::builder(map, SchemeSpec::NeighborCoverage)
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
+    let keys = PAPER_MAPS
+        .into_iter()
+        .flat_map(|m| SPEEDS_KMH.map(|v| (m, v)));
+    let runs = sweep(keys, scale, |(map, speed)| {
+        SimConfig::builder(map, SchemeSpec::NeighborCoverage)
             .max_speed_kmh(speed)
             .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
                 DynamicHelloParams::paper(),
             )))
             .warmup(SimDuration::from_secs(12))
-            .build();
-        run_averaged(&config, scale.repeats())
     });
-    let report = |map: u32, speed: f64| {
-        let idx = jobs
-            .iter()
-            .position(|&j| j == (map, speed))
-            .expect("job exists");
-        &reports[idx]
-    };
 
     let mut headers_a = vec!["map".to_string()];
     for &v in &SPEEDS_KMH {
@@ -62,7 +50,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut row_a = vec![format!("{map}x{map}")];
         let mut row_b = vec![format!("{map}x{map}")];
         for &v in &SPEEDS_KMH {
-            let r = report(map, v);
+            let r = runs.get((map, v));
             row_a.push(pct(r.reachability));
             row_a.push(pct(r.saved_rebroadcasts));
             let rate = if r.sim_seconds > 0.0 {

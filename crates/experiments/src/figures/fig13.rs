@@ -8,11 +8,11 @@
 //! maps; NC is strongest on dense maps; AC/AL are strongest on sparse
 //! maps; the adaptive schemes hold RE ≈ 95 %+ everywhere.
 
-use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec};
+use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec, SimConfig};
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, AveragedReport, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{sweep, Scale, PAPER_MAPS};
 use crate::table::{pct, secs, Table};
 
 /// The compared schemes with their per-scheme neighbor-info policies.
@@ -40,18 +40,12 @@ fn roster() -> Vec<(SchemeSpec, NeighborInfo)> {
 /// Regenerates Fig. 13: one RE/SRB/latency table per map.
 pub fn run(scale: Scale) -> Vec<Table> {
     let roster = roster();
-    let jobs: Vec<(usize, u32)> = (0..roster.len())
-        .flat_map(|s| PAPER_MAPS.iter().map(move |&m| (s, m)))
-        .collect();
-    let reports: Vec<AveragedReport> = parallel_map(jobs.clone(), |&(si, map)| {
-        let (scheme, info) = &roster[si];
-        let config = broadcast_core::SimConfig::builder(map, scheme.clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
+    let keys = (0..roster.len()).flat_map(|s| PAPER_MAPS.map(|m| (s, m)));
+    let runs = sweep(keys, scale, |(s, map)| {
+        let (scheme, info) = &roster[s];
+        SimConfig::builder(map, scheme.clone())
             .neighbor_info(info.clone())
             .warmup(SimDuration::from_secs(12))
-            .build();
-        run_averaged(&config, scale.repeats())
     });
 
     let mut tables = Vec::new();
@@ -65,12 +59,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 "latency(s)".into(),
             ],
         );
-        for (si, (scheme, info)) in roster.iter().enumerate() {
-            let idx = jobs
-                .iter()
-                .position(|&j| j == (si, map))
-                .expect("job exists");
-            let r = &reports[idx];
+        for (s, (scheme, info)) in roster.iter().enumerate() {
+            let r = runs.get((s, map));
             let label = if matches!(scheme, SchemeSpec::NeighborCoverage)
                 && matches!(info, NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(_)))
             {

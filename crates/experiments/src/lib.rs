@@ -2,8 +2,9 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! broadcast-storm paper's evaluation (§4). Each `figures::figNN` module
-//! owns one figure: it sweeps the paper's parameters, runs the simulation
-//! grid (in parallel across CPU cores), and renders text tables plus CSV.
+//! owns one figure: it names the figure's data points and runs them as
+//! one [`sweep`] (in parallel across CPU cores), then renders text tables
+//! plus CSV.
 //!
 //! Run via the `manet-experiments` binary:
 //!
@@ -47,9 +48,8 @@ mod table;
 
 pub use metrics_out::render_metrics_json;
 pub use runner::{
-    drain_metrics_capture, enable_metrics_capture, metrics_record, parallel_map, record_metrics,
-    run_averaged, run_grid, AveragedReport, MetricsRecord, RunMetricsSummary, Scale, BASE_SEED,
-    PAPER_MAPS,
+    drain_metrics_capture, enable_metrics_capture, metrics_record, parallel_map, sweep,
+    AveragedReport, MetricsRecord, RunMetricsSummary, Scale, Sweep, BASE_SEED, PAPER_MAPS,
 };
 pub use table::{pct, secs, Table};
 

@@ -82,8 +82,8 @@ fn expand_figure_id(registry: &[Figure], id: &str) -> Vec<Figure> {
         .collect()
 }
 
-/// The figures `ids` name, in order; `all` anywhere selects the whole
-/// registry.
+/// The figures `ids` name, each once, in the order first named; `all`
+/// anywhere selects the whole registry.
 fn select_figures(registry: Vec<Figure>, ids: &[String]) -> Result<Vec<Figure>, String> {
     if ids.is_empty() {
         return Err("no figure named".to_string());
@@ -97,7 +97,11 @@ fn select_figures(registry: Vec<Figure>, ids: &[String]) -> Result<Vec<Figure>, 
         if expanded.is_empty() {
             return Err(format!("unknown figure '{id}'"));
         }
-        selected.extend(expanded);
+        for figure in expanded {
+            if !selected.iter().any(|(known, _)| *known == figure.0) {
+                selected.push(figure);
+            }
+        }
     }
     Ok(selected)
 }
@@ -267,6 +271,12 @@ mod tests {
         assert_eq!(
             selected(&["fig09", "fig1", "--scale", "quick", "claims"]),
             Ok(vec!["fig9", "fig1", "claims"])
+        );
+        // A figure named twice, or inside a group, runs once where first named.
+        assert_eq!(selected(&["fig1", "fig1"]), Ok(vec!["fig1"]));
+        assert_eq!(
+            selected(&["fig5c", "fig05", "fig1", "fig5a"]),
+            Ok(vec!["fig5c", "fig5a", "fig5b", "fig5d", "fig1"])
         );
         for unknown in ["fig99", "fig5x"] {
             assert_eq!(

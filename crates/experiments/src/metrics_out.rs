@@ -155,25 +155,22 @@ pub fn render_metrics_json(scale: &str, figures: &[(String, Vec<MetricsRecord>)]
 mod tests {
     use super::*;
     use crate::runner::{
-        capture_test_guard, drain_metrics_capture, enable_metrics_capture, metrics_record,
-        run_averaged,
+        capture_test_guard, drain_metrics_capture, enable_metrics_capture, metrics_record, sweep,
+        Scale,
     };
     use broadcast_core::{ChurnKind, Scenario, SchemeSpec, SimConfig, World};
     use manet_sim_engine::SimTime;
 
     #[test]
     fn document_contains_the_required_keys() {
-        let config = SimConfig::builder(3, SchemeSpec::Counter(2))
-            .hosts(20)
-            .broadcasts(4)
-            .seed(11)
-            .build();
         let _guard = capture_test_guard();
         enable_metrics_capture();
-        let _ = run_averaged(&config, 1);
+        let _ = sweep([20], Scale::Quick, |hosts| {
+            SimConfig::builder(3, SchemeSpec::Counter(2)).hosts(hosts)
+        });
         let records: Vec<_> = drain_metrics_capture()
             .into_iter()
-            .filter(|r| r.scheme == "C=2" && r.map == "3x3")
+            .filter(|r| r.scheme == "C=2" && r.map == "3x3" && r.repeats == 1)
             .collect();
         assert_eq!(records.len(), 1);
         let json = render_metrics_json("quick", &[("fig5a".to_string(), records)]);

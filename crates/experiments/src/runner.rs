@@ -1,13 +1,15 @@
-//! Shared experiment machinery: run scales, seed-averaged simulation
-//! runs, and a std-only parallel map over independent configurations.
+//! Shared experiment machinery: run scales, the [`sweep`] every
+//! simulating figure runs its data points through, and a std-only
+//! parallel map over independent jobs.
 
+use std::fmt::Debug;
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
 use std::thread;
 
 use broadcast_core::{
-    LossCounters, MacStats, NetActivity, ScenarioCounts, SimConfig, SimReport, SuppressionCounts,
-    World,
+    LossCounters, MacStats, NetActivity, ScenarioCounts, SimConfigBuilder, SimReport,
+    SuppressionCounts, World,
 };
 use manet_sim_engine::{Histogram, HistogramSnapshot, WorkerPool, DEFAULT_LATENCY_BOUNDS_S};
 
@@ -180,8 +182,8 @@ impl RunMetricsSummary {
     }
 }
 
-/// One captured `(scheme, map)` data point, recorded by [`run_averaged`]
-/// while metrics capture is enabled.
+/// One captured `(scheme, map)` data point, recorded by [`sweep`] while
+/// metrics capture is enabled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRecord {
     /// Scheme label of the underlying runs.
@@ -195,9 +197,8 @@ pub struct MetricsRecord {
 }
 
 /// The capture sink: the records so far, `None` while disabled (the
-/// common case — recording costs nothing when off). A plain `Mutex`
-/// rather than thread-locals because `run_grid` fans runs out over worker
-/// threads.
+/// common case). A plain `Mutex` rather than thread-locals because
+/// [`sweep`] fans data points out over worker threads.
 static METRICS_SINK: Mutex<Option<Vec<MetricsRecord>>> = Mutex::new(None);
 
 /// Held by every test that enables and drains the capture sink: the sink
@@ -215,7 +216,7 @@ fn sink_lock() -> std::sync::MutexGuard<'static, Option<Vec<MetricsRecord>>> {
     METRICS_SINK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Starts capturing a [`MetricsRecord`] per [`run_averaged`] call,
+/// Starts capturing a [`MetricsRecord`] per [`sweep`] data point,
 /// discarding anything captured earlier.
 pub fn enable_metrics_capture() {
     *sink_lock() = Some(Vec::new());
@@ -237,40 +238,16 @@ pub fn drain_metrics_capture() -> Vec<MetricsRecord> {
     records
 }
 
-/// Runs `config` `repeats` times with seeds `seed, seed+1, …` and averages
-/// the headline metrics. The same seed is reused across schemes by the
-/// figure modules, giving paired comparisons (identical placements,
-/// trajectories, and workloads).
-pub fn run_averaged(config: &SimConfig, repeats: u64) -> AveragedReport {
-    assert!(repeats > 0, "need at least one repeat");
-    // Repeats are independent — repeat `i` owns seed `seed + i` and nothing
-    // else — so they fan out over worker threads like the figure sweeps do.
-    // `parallel_map` returns outputs in input order, so the averages and
-    // the summed metrics below fold the reports in exactly the sequential
-    // order regardless of worker scheduling (bit-identical output).
-    let reports: Vec<SimReport> = parallel_map((0..repeats).collect(), |&i| {
-        let mut c = config.clone();
-        c.seed = config.seed.wrapping_add(i);
-        World::new(c).run()
-    });
-    let averaged = AveragedReport::from_reports(&reports);
-    record_metrics(&reports);
-    averaged
-}
-
-/// Feeds already-run reports into the capture sink as one record (a no-op
-/// while capture is disabled). [`run_averaged`] calls this itself; figures
-/// that drive [`World`] directly — because they need the full
-/// [`SimReport`], e.g. per-cause loss splits — call it so their runs still
-/// land in the `--metrics` document.
-pub fn record_metrics(reports: &[SimReport]) {
+/// Feeds one record into the capture sink (a no-op while capture is
+/// disabled).
+fn capture(record: &MetricsRecord) {
     if let Some(records) = sink_lock().as_mut() {
-        records.push(metrics_record(reports));
+        records.push(record.clone());
     }
 }
 
 /// Builds the `--metrics` record for reports that already ran — the same
-/// summation [`run_averaged`] feeds the capture sink, exposed so single-run
+/// summation [`sweep`] feeds the capture sink, exposed so single-run
 /// front ends (`manet-sim --metrics`) can emit the identical document.
 ///
 /// # Panics
@@ -290,8 +267,7 @@ pub fn metrics_record(reports: &[SimReport]) -> MetricsRecord {
 /// threads (the caller included), preserving input order: a
 /// [`WorkerPool`] batch in which job `i` fills slot `i`. Simulations are
 /// independent and CPU-bound, so this is all the parallelism the harness
-/// needs; a nested call (`run_grid` → [`run_averaged`]) is its own batch
-/// on its own scoped threads.
+/// needs; a nested call is its own batch on its own scoped threads.
 ///
 /// A slot's lock is taken only to store a finished output, so a
 /// panicking job poisons nothing; the pool re-raises the panic on the
@@ -318,41 +294,69 @@ where
         .collect()
 }
 
-/// Runs every `(scheme, map)` pair of a figure's sweep in parallel.
-///
-/// Returns `results[scheme_index][map_index]`. All runs share
-/// [`BASE_SEED`]-derived seeds, so schemes are compared on identical host
-/// placements, trajectories, and workloads. `tweak` customizes each
-/// configuration (speed overrides, neighbor-info policy, …).
-pub fn run_grid(
-    maps: &[u32],
-    schemes: &[broadcast_core::SchemeSpec],
-    scale: Scale,
-    tweak: impl Fn(broadcast_core::SimConfigBuilder) -> broadcast_core::SimConfigBuilder + Sync,
-) -> Vec<Vec<AveragedReport>> {
-    let pairs: Vec<(usize, usize)> = (0..schemes.len())
-        .flat_map(|s| (0..maps.len()).map(move |m| (s, m)))
-        .collect();
-    let flat = parallel_map(pairs.clone(), |&(s, m)| {
-        let builder = broadcast_core::SimConfig::builder(maps[m], schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED);
-        let config = tweak(builder).build();
-        run_averaged(&config, scale.repeats())
-    });
-    let mut grid: Vec<Vec<Option<AveragedReport>>> = (0..schemes.len())
-        .map(|_| (0..maps.len()).map(|_| None).collect())
-        .collect();
-    for ((s, m), report) in pairs.into_iter().zip(flat) {
-        grid[s][m] = Some(report);
+/// A figure's data points, one per key of its [`sweep`].
+#[derive(Debug)]
+pub struct Sweep<K> {
+    points: Vec<(K, AveragedReport, RunMetricsSummary)>,
+}
+
+impl<K: PartialEq + Debug> Sweep<K> {
+    /// The averaged report of `key`'s runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the key, when `key` was not swept.
+    pub fn get(&self, key: K) -> &AveragedReport {
+        &self.point(key).1
     }
-    grid.into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|r| r.expect("missing grid cell"))
-                .collect()
-        })
-        .collect()
+
+    /// The counters and distributions of `key`'s runs, summed over its
+    /// repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the key, when `key` was not swept.
+    pub fn metrics(&self, key: K) -> &RunMetricsSummary {
+        &self.point(key).2
+    }
+
+    fn point(&self, key: K) -> &(K, AveragedReport, RunMetricsSummary) {
+        self.points
+            .iter()
+            .find(|point| point.0 == key)
+            .unwrap_or_else(|| panic!("no data point {key:?} in this sweep"))
+    }
+}
+
+/// Runs one data point per key in one [`parallel_map`] batch.
+///
+/// `config(key)` describes the point; the sweep fixes what every point
+/// shares, so comparisons are paired (identical host placements,
+/// trajectories and workloads): [`Scale::broadcasts`] requests, and
+/// [`Scale::repeats`] runs on seeds [`BASE_SEED`] + `i`. A key's job runs
+/// its repeats in seed order, averages them and captures them as one
+/// [`MetricsRecord`]. Its reports are dropped when the job ends; one
+/// batch item per run would hold every run's per-broadcast outcomes until
+/// the whole batch ends.
+pub fn sweep<K, F>(keys: impl IntoIterator<Item = K>, scale: Scale, config: F) -> Sweep<K>
+where
+    K: Copy + PartialEq + Debug + Send + Sync,
+    F: Fn(K) -> SimConfigBuilder + Sync,
+{
+    let points = parallel_map(keys.into_iter().collect(), |&key| {
+        let reports: Vec<SimReport> = (0..scale.repeats())
+            .map(|i| {
+                let run = config(key)
+                    .broadcasts(scale.broadcasts())
+                    .seed(BASE_SEED.wrapping_add(i));
+                World::new(run.build()).run()
+            })
+            .collect();
+        let record = metrics_record(&reports);
+        capture(&record);
+        (key, AveragedReport::from_reports(&reports), record.metrics)
+    });
+    Sweep { points }
 }
 
 /// The paper's six map sizes (side length in 500 m units).
@@ -364,7 +368,7 @@ pub const BASE_SEED: u64 = 20_260_705;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use broadcast_core::SchemeSpec;
+    use broadcast_core::{SchemeSpec, SimConfig};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -381,28 +385,35 @@ mod tests {
 
     #[test]
     fn averaging_runs_distinct_seeds() {
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Flooding)
-            .hosts(15)
-            .broadcasts(3)
-            .seed(1)
-            .build();
-        let avg = run_averaged(&config, 2);
-        assert_eq!(avg.map, "3x3");
+        let runs = sweep([15u32], Scale::Default, |hosts| {
+            SimConfig::builder(3, SchemeSpec::Flooding).hosts(hosts)
+        });
+        let avg = runs.get(15);
+        assert_eq!((avg.map.as_str(), avg.repeats), ("3x3", 2));
         assert!(avg.reachability >= 0.0 && avg.reachability <= 1.01);
     }
 
     #[test]
     fn averaging_reports_spread() {
-        let config = broadcast_core::SimConfig::builder(5, SchemeSpec::Counter(2))
-            .hosts(25)
-            .broadcasts(5)
-            .seed(9)
-            .build();
-        let avg = run_averaged(&config, 3);
-        assert_eq!(avg.repeats, 3);
-        assert!(avg.reachability_std >= 0.0);
-        // Three distinct seeds virtually never agree to 15 decimal places.
+        let runs = sweep([25u32], Scale::Default, |hosts| {
+            SimConfig::builder(5, SchemeSpec::Counter(2)).hosts(hosts)
+        });
+        let avg = runs.get(25);
+        assert_eq!(avg.repeats, 2);
+        // Two distinct seeds virtually never agree to 15 decimal places.
         assert!(avg.reachability_std > 0.0 || avg.reachability == 1.0);
+    }
+
+    #[test]
+    fn an_unswept_key_is_named() {
+        let runs = sweep([2u32], Scale::Quick, |hosts| {
+            SimConfig::builder(1, SchemeSpec::Flooding).hosts(hosts)
+        });
+        assert_eq!(runs.metrics(2).latency_s.count, 60);
+        let missing = std::panic::catch_unwind(|| runs.get(3).reachability);
+        let payload = missing.expect_err("key 3 was not swept");
+        let msg = payload.downcast_ref::<String>().cloned();
+        assert_eq!(msg.as_deref(), Some("no data point 3 in this sweep"));
     }
 
     #[test]
@@ -429,29 +440,22 @@ mod tests {
 
     #[test]
     fn metrics_capture_records_and_drains_sorted() {
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(2))
-            .hosts(20)
-            .broadcasts(4)
-            .seed(5)
-            .build();
-        let flooding = broadcast_core::SimConfig::builder(3, SchemeSpec::Flooding)
-            .hosts(20)
-            .broadcasts(4)
-            .seed(5)
-            .build();
+        let schemes = [SchemeSpec::Flooding, SchemeSpec::Counter(2)];
         let _guard = capture_test_guard();
         enable_metrics_capture();
-        let _ = run_averaged(&flooding, 1);
-        let _ = run_averaged(&config, 2);
+        let _ = sweep([0, 1], Scale::Default, |s| {
+            SimConfig::builder(3, schemes[s].clone()).hosts(20)
+        });
         let records = drain_metrics_capture();
-        // Other tests may run run_averaged concurrently and add records of
-        // their own; assert on ours by (scheme, map) instead of by count.
+        // Other tests may sweep concurrently and add records of their own;
+        // assert on ours by (scheme, map) instead of by count.
         let rec = records
             .iter()
             .find(|r| r.scheme == "C=2" && r.map == "3x3")
             .expect("captured the C=2 record");
         assert_eq!(rec.repeats, 2);
-        assert_eq!(rec.metrics.latency_s.count, 8, "4 broadcasts x 2 repeats");
+        let broadcasts = 2 * u64::from(Scale::Default.broadcasts());
+        assert_eq!(rec.metrics.latency_s.count, broadcasts, "per repeat");
         assert_eq!(
             rec.metrics.backoff_slots.count,
             rec.metrics.mac.backoff_draws
@@ -468,21 +472,21 @@ mod tests {
         // Two records under one (scheme, map, repeats) key, as fig11's
         // speed sweep produces: the rendered document must not depend on
         // which worker finished first.
-        let report = |seed: u64| {
-            let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(2))
+        let record = |seed: u64| {
+            let config = SimConfig::builder(3, SchemeSpec::Counter(2))
                 .hosts(20)
                 .broadcasts(4)
                 .seed(seed)
                 .build();
-            vec![World::new(config).run()]
+            metrics_record(&[World::new(config).run()])
         };
-        let (first, second) = (report(5), report(6));
-        assert_ne!(metrics_record(&first), metrics_record(&second));
+        let (first, second) = (record(5), record(6));
+        assert_ne!(first, second);
         let _guard = capture_test_guard();
-        let document = |order: [&[SimReport]; 2]| {
+        let document = |order: [&MetricsRecord; 2]| {
             enable_metrics_capture();
-            for reports in order {
-                record_metrics(reports);
+            for record in order {
+                capture(record);
             }
             // Concurrent tests may add records of their own; keep ours.
             let ours: Vec<_> = drain_metrics_capture()
@@ -496,41 +500,47 @@ mod tests {
     }
 
     #[test]
-    fn parallel_repeats_match_sequential() {
-        // The exact loop `run_averaged` ran before repeats were fanned out
-        // over workers; the parallel version must reproduce it bit for bit,
-        // both in the averaged report and in the captured metrics record.
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(3))
-            .hosts(20)
-            .broadcasts(5)
-            .seed(77)
-            .build();
-        let repeats = 4u64;
-        let seq_reports: Vec<SimReport> = (0..repeats)
-            .map(|i| {
-                let mut c = config.clone();
-                c.seed = config.seed.wrapping_add(i);
-                World::new(c).run()
+    fn sweep_matches_the_sequential_per_key_loop() {
+        // Every key's runs, one after another on seeds BASE_SEED + i: the
+        // sweep must reproduce this loop bit for bit, in the averaged
+        // reports and in the captured metrics records.
+        let scale = Scale::Default;
+        let config = |scheme: SchemeSpec| SimConfig::builder(4, scheme).hosts(20);
+        let schemes = [SchemeSpec::Counter(3), SchemeSpec::Flooding];
+        let sequential: Vec<(AveragedReport, MetricsRecord)> = schemes
+            .iter()
+            .map(|scheme| {
+                let reports: Vec<SimReport> = (0..scale.repeats())
+                    .map(|i| {
+                        let run = config(scheme.clone())
+                            .broadcasts(scale.broadcasts())
+                            .seed(BASE_SEED + i)
+                            .build();
+                        World::new(run).run()
+                    })
+                    .collect();
+                (
+                    AveragedReport::from_reports(&reports),
+                    metrics_record(&reports),
+                )
             })
             .collect();
-        let seq_avg = AveragedReport::from_reports(&seq_reports);
-        let seq_metrics = RunMetricsSummary::from_reports(&seq_reports);
 
         let _guard = capture_test_guard();
         enable_metrics_capture();
-        let par_avg = run_averaged(&config, repeats);
+        let runs = sweep([0, 1], scale, |s| config(schemes[s].clone()));
         let records = drain_metrics_capture();
 
-        assert_eq!(par_avg, seq_avg, "averaged report must be bit-identical");
-        let rec = records
-            .iter()
-            .find(|r| r.scheme == seq_avg.scheme && r.map == seq_avg.map)
-            .expect("captured the parallel run's metrics record");
-        assert_eq!(rec.repeats, repeats as usize);
-        assert_eq!(
-            rec.metrics, seq_metrics,
-            "summed metrics must be bit-identical"
-        );
+        for (s, (avg, record)) in sequential.iter().enumerate() {
+            assert_eq!(record.repeats, 2);
+            assert_eq!(runs.get(s), avg, "averaged report must be bit-identical");
+            assert_eq!(runs.metrics(s), &record.metrics);
+            let captured = records
+                .iter()
+                .filter(|r| (&r.scheme, &r.map) == (&avg.scheme, &avg.map))
+                .collect::<Vec<_>>();
+            assert_eq!(captured, [record], "captured record must be bit-identical");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   how the host went down), and that the active population never drops
 //!   to zero (the workload needs a source to issue broadcasts from).
 //! * [`compile`] flattens everything into a
-//!   [`Timeline`](manet_sim_engine::Timeline) of [`WorldAction`]s — one
+//!   [`Timeline`] of [`WorldAction`]s — one
 //!   entry per churn event, two (start/end) per fault window — that the
 //!   world schedules onto its main event queue at start-up.
 //!

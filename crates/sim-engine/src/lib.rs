@@ -12,9 +12,9 @@
 //! * **Determinism.** Same seed, same event order, same results. Ties at
 //!   identical timestamps are broken FIFO, and all randomness flows through
 //!   the seedable [`SimRng`].
-//! * **Zero dependencies.** The generator behind [`SimRng`] is the in-tree
-//!   xoshiro256++ in [`prng`]; the whole workspace builds offline from a
-//!   clean checkout with an empty registry.
+//! * **Zero dependencies.** [`SimRng`] is an in-tree xoshiro256++
+//!   generator; the whole workspace builds offline from a clean checkout
+//!   with an empty registry.
 //! * **Cancellation.** Broadcast suppression schemes constantly cancel
 //!   pending rebroadcasts, so [`EventQueue::cancel`] is a first-class,
 //!   `O(1)` operation (lazy deletion).
@@ -43,7 +43,6 @@
 
 pub mod metrics;
 mod pool;
-pub mod prng;
 mod queue;
 mod rng;
 mod slab;
