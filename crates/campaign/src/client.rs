@@ -14,10 +14,10 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use broadcast_core::{Scenario, SchemeSpec};
 use manet_scenario::{is_job_label, CampaignSpec};
 
 use crate::mcmp::{CampaignCounts, Frame, FrameReader, FrameWriter, JobEnvelope};
+use crate::scheduler::job_configs;
 
 /// Client-side session knobs.
 #[derive(Debug, Clone)]
@@ -51,9 +51,9 @@ fn invalid(err: impl std::fmt::Display) -> io::Error {
 ///
 /// Scenario paths are resolved relative to the campaign file's
 /// directory and their *text* is inlined into the envelope — the server
-/// never touches the client's filesystem. Schemes and scenarios are
-/// validated here too, so a bad campaign fails before anything is
-/// queued.
+/// never touches the client's filesystem. Every job is validated here
+/// exactly as the server's scheduler validates it, so a bad campaign
+/// fails before anything is queued.
 ///
 /// # Errors
 ///
@@ -68,7 +68,6 @@ pub fn load_campaign(path: &Path) -> io::Result<(String, Vec<JobEnvelope>)> {
     let mut scripts: BTreeMap<&str, String> = BTreeMap::new();
     let mut envelopes = Vec::with_capacity(spec.jobs.len());
     for job in &spec.jobs {
-        SchemeSpec::parse(&job.scheme).map_err(|e| invalid(format!("job {}: {e}", job.label)))?;
         let scenario = match job.scenario.as_deref() {
             Some(rel) => {
                 if !scripts.contains_key(rel) {
@@ -78,17 +77,11 @@ pub fn load_campaign(path: &Path) -> io::Result<(String, Vec<JobEnvelope>)> {
                     })?;
                     scripts.insert(rel, script);
                 }
-                let script = &scripts[rel];
-                let parsed = Scenario::parse(script)
-                    .map_err(|e| invalid(format!("job {}: {rel}: {e}", job.label)))?;
-                parsed
-                    .validate(job.hosts)
-                    .map_err(|e| invalid(format!("job {}: {rel}: {e}", job.label)))?;
-                Some(script.clone())
+                Some(scripts[rel].clone())
             }
             None => None,
         };
-        envelopes.push(JobEnvelope {
+        let envelope = JobEnvelope {
             label: job.label.clone(),
             scheme: job.scheme.clone(),
             map_units: job.map_units,
@@ -97,7 +90,16 @@ pub fn load_campaign(path: &Path) -> io::Result<(String, Vec<JobEnvelope>)> {
             seed: job.seed,
             repeats: job.repeats,
             scenario,
-        });
+        };
+        // The server's own check, so nothing it would refuse is queued.
+        if let Err(e) = job_configs(&envelope) {
+            let script = match &job.scenario {
+                Some(rel) if e.starts_with("scenario: ") => format!("{rel}: "),
+                _ => String::new(),
+            };
+            return Err(invalid(format!("job {}: {script}{e}", job.label)));
+        }
+        envelopes.push(envelope);
     }
     Ok((spec.name.clone(), envelopes))
 }
@@ -219,6 +221,7 @@ pub fn run_session(
 mod tests {
     use super::*;
     use crate::server::{serve, ServerConfig};
+    use broadcast_core::SchemeSpec;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A unique scratch dir per test, no wall-clock involved.
@@ -403,13 +406,28 @@ mod tests {
     fn bad_schemes_fail_at_load_time() {
         let dir = scratch("badscheme");
         let campaign = dir.join("c.txt");
-        // An unknown name, and a known one with an out-of-range parameter.
-        for (scheme, names) in [("warp9", "warp9"), ("counter:1", "counter threshold 1")] {
-            let text = format!("manet-campaign/1\njob scheme={scheme} seed=1\n");
+        fs::write(
+            dir.join("s.txt"),
+            "manet-scenario/1\nname far\nat 1 leave 99\n",
+        )
+        .unwrap();
+        // An unknown scheme, a known one with an out-of-range parameter, a
+        // map the server refuses, and a script naming a host past `hosts`;
+        // each after a good job, and each named by its job's label.
+        for (job, names) in [
+            ("scheme=warp9", "job b: unknown scheme"),
+            ("scheme=counter:1", "job b: counter threshold 1"),
+            ("map=1001", "job b: map must be at least 1x1"),
+            ("scenario=s.txt hosts=8", "job b: s.txt: scenario:"),
+        ] {
+            let text = format!(
+                "manet-campaign/1\ndefaults scheme=flooding\n\
+                 job label=a seed=1\njob label=b {job} seed=2\n"
+            );
             fs::write(&campaign, text).unwrap();
             let err = load_campaign(&campaign).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(names), "{scheme}: {err}");
+            assert!(err.to_string().contains(names), "{job}: {err}");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -264,6 +264,13 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_default_queue_admits_more_than_65536_jobs() {
+        let q = CampaignQueue::new(crate::server::ServerConfig::default().queue_capacity);
+        let jobs = vec![job("j"); 65_537];
+        assert!(q.submit("big".into(), jobs).is_ok());
+    }
+
+    #[test]
     fn empty_campaigns_are_invalid() {
         let q = CampaignQueue::new(10);
         assert!(matches!(

@@ -50,7 +50,7 @@ enum JobOutcome {
 /// The first problem, as text: what only the envelope can get wrong (no
 /// repeats, a seed range past `u64::MAX`, an unparseable scenario), then
 /// whatever [`SimConfig::validate`] refuses — wire input never panics a world.
-fn job_configs(job: &JobEnvelope) -> Result<Vec<SimConfig>, String> {
+pub(crate) fn job_configs(job: &JobEnvelope) -> Result<Vec<SimConfig>, String> {
     let scheme = SchemeSpec::parse(&job.scheme)?;
     if job.repeats == 0 {
         return Err("repeats must be nonzero".into());

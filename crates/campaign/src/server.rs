@@ -18,6 +18,7 @@
 use std::io::{self, Read, Write};
 use std::sync::Mutex;
 
+use manet_scenario::MAX_CAMPAIGN_JOBS;
 use manet_sim_engine::WorkerPool;
 
 use crate::mcmp::{CampaignCounts, Frame, FrameReader, FrameWriter};
@@ -31,7 +32,9 @@ pub struct ServerConfig {
     /// (`available_parallelism - 1`, so the scheduler thread keeps a
     /// core); `Some(0)` runs jobs inline on the scheduler thread.
     pub workers: Option<usize>,
-    /// Maximum queued (not yet running) jobs across all campaigns.
+    /// Maximum queued (not yet running) jobs across all campaigns. The
+    /// default is [`MAX_CAMPAIGN_JOBS`], so an idle server admits any
+    /// campaign the parser accepts.
     pub queue_capacity: usize,
 }
 
@@ -39,7 +42,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: None,
-            queue_capacity: 65_536,
+            queue_capacity: MAX_CAMPAIGN_JOBS,
         }
     }
 }

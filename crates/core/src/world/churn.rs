@@ -8,7 +8,7 @@
 use manet_mac::FrameHandle;
 use manet_phy::{FrameId, NodeId};
 use manet_scenario::{Region, Scenario, WorldAction};
-use manet_sim_engine::{EventQueue, SimDuration, SimRng, SimTime, Timeline};
+use manet_sim_engine::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::metrics::ScenarioCounts;
 use crate::pure::PureAction;
@@ -26,9 +26,9 @@ pub(super) const OFF_TIMELINE: &str = "a queued scenario action is not on the ti
 /// config's or derived.
 #[derive(Debug)]
 pub(super) struct ScenarioState {
-    /// The compiled world-action timeline; `Event::Scenario { index }`
-    /// addresses into it.
-    timeline: Timeline<WorldAction>,
+    /// The compiled world-action timeline, sorted by time;
+    /// `Event::Scenario { index }` addresses into it.
+    timeline: Vec<(SimTime, WorldAction)>,
     /// Per-host membership: `false` while a host is left or crashed.
     pub(super) active: Vec<bool>,
     /// Timeline index of the first churn entry not yet applied.
@@ -59,9 +59,9 @@ fn churn(action: WorldAction) -> Option<(u32, bool)> {
 
 /// The first churn entry of `timeline` at or after `index` (its length
 /// when there is none).
-fn churn_from(timeline: &Timeline<WorldAction>, index: usize) -> usize {
+fn churn_from(timeline: &[(SimTime, WorldAction)], index: usize) -> usize {
     (index..timeline.len())
-        .find(|&i| churn(*timeline.get(i).1).is_some())
+        .find(|&i| churn(timeline[i].1).is_some())
         .unwrap_or(timeline.len())
 }
 
@@ -77,7 +77,9 @@ fn close<T: PartialEq>(
 
 impl ScenarioState {
     /// The state before any entry of `scenario` fires — every host up, no
-    /// window open — with each entry scheduled on `queue`.
+    /// window open — with each entry scheduled on `queue` in timeline
+    /// order, so the queue's FIFO ties fire same-instant entries in
+    /// declaration order.
     pub(super) fn new(
         scenario: &Scenario,
         hosts: usize,
@@ -85,9 +87,10 @@ impl ScenarioState {
         queue: &mut EventQueue<Event>,
     ) -> Self {
         let timeline = scenario.compile();
-        timeline.schedule_into(queue, |index| Event::Scenario {
-            index: u32::try_from(index).expect("scenario timeline too long"),
-        });
+        for (index, &(at, _)) in timeline.iter().enumerate() {
+            let index = u32::try_from(index).expect("scenario timeline too long");
+            queue.schedule(at, Event::Scenario { index });
+        }
         ScenarioState {
             next_churn: churn_from(&timeline, 0),
             timeline,
@@ -112,7 +115,7 @@ impl ScenarioState {
     /// order or alternation, and an end whose start is not open, are
     /// refused by name.
     fn book(&mut self, index: usize) -> Result<(), &'static str> {
-        let action = *self.timeline.get(index).1;
+        let action = self.timeline[index].1;
         if let Some((host, up)) = churn(action) {
             if index != self.next_churn {
                 return Err("a churn entry fired before an earlier one");
@@ -184,7 +187,7 @@ impl World {
     /// the last host that is up.
     pub(super) fn apply_scenario_action(&mut self, index: u32, now: SimTime) {
         let st = self.scenario_mut();
-        let action = *st.timeline.get(index as usize).1;
+        let action = st.timeline[index as usize].1;
         if let Some((host, up)) = churn(action) {
             let waiting = index as usize != st.next_churn;
             if waiting || up && self.medium.is_transmitting(NodeId::new(host)) {

@@ -172,7 +172,7 @@ fn churn_resumes_from_every_timeline_boundary() {
     let mut cases = Vec::new();
     let config = churn_config();
     let timeline = config.scenario.as_ref().expect("a scenario").compile();
-    for (at, _) in timeline.iter() {
+    for &(at, _) in &timeline {
         cases.extend([
             (config.clone(), at - ns),
             (config.clone(), at),

@@ -46,7 +46,7 @@ mod metrics_out;
 mod runner;
 mod table;
 
-pub use metrics_out::render_metrics_json;
+pub use metrics_out::{render_metrics_json, Histogram};
 pub use runner::{
     drain_metrics_capture, enable_metrics_capture, metrics_record, parallel_map, sweep,
     AveragedReport, MetricsRecord, RunMetricsSummary, Scale, Sweep, BASE_SEED, PAPER_MAPS,

@@ -27,13 +27,104 @@
 //! an always-empty `gauges` object, and the `latency_s` and
 //! `backoff_slots` histograms. Keys are emitted in byte order from the
 //! static [`COUNTERS`] table, so the document is byte-stable for a given
-//! run set.
+//! run set. JSON is hand-rolled: the workspace builds with an empty
+//! registry, so there is no serde.
 
 use std::fmt::Write;
 
 use manet_sim_engine::json_escape;
 
 use crate::runner::{MetricsRecord, RunMetricsSummary};
+
+/// A fixed-bucket histogram over `f64` samples.
+///
+/// Bucket `i` counts samples `v <= bounds[i]` (the first bound that is not
+/// exceeded wins); the extra last bucket counts samples above the last
+/// bound.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Histogram {
+    /// Upper bucket bounds, strictly increasing.
+    pub bounds: Vec<f64>,
+    /// Per-bucket sample counts; `counts.len() == bounds.len() + 1`, the
+    /// final entry being the overflow bucket (`v > bounds.last()`).
+    pub counts: Vec<u64>,
+    /// Total samples.
+    pub count: u64,
+    /// Sum of all samples.
+    pub sum: f64,
+    /// Smallest sample, or `None` if no samples were recorded.
+    pub min: Option<f64>,
+    /// Largest sample, or `None` if no samples were recorded.
+    pub max: Option<f64>,
+}
+
+impl Histogram {
+    /// An empty histogram with the given upper bucket bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is empty, not strictly increasing, or holds a
+    /// non-finite value.
+    pub fn new(bounds: &[f64]) -> Self {
+        assert!(
+            !bounds.is_empty()
+                && bounds.iter().all(|b| b.is_finite())
+                && bounds.windows(2).all(|pair| pair[0] < pair[1]),
+            "histogram bounds must be finite and strictly increasing"
+        );
+        Histogram {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            count: 0,
+            sum: 0.0,
+            min: None,
+            max: None,
+        }
+    }
+
+    /// Records `n` samples of value `v` (pre-counted data, such as
+    /// per-slot backoff draw counts, folds in one step).
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let idx = self
+            .bounds
+            .iter()
+            .position(|&b| v <= b)
+            .unwrap_or(self.bounds.len());
+        self.counts[idx] += n;
+        self.count += n;
+        self.sum += v * n as f64;
+        self.min = Some(self.min.map_or(v, |min| min.min(v)));
+        self.max = Some(self.max.map_or(v, |max| max.max(v)));
+    }
+
+    /// `{"bounds":[...],"counts":[...],"count":n,"sum":x,"min":x|null,"max":x|null}`.
+    fn to_json(&self) -> String {
+        let bounds: Vec<String> = self.bounds.iter().map(|&b| json_f64(b)).collect();
+        let counts: Vec<String> = self.counts.iter().map(u64::to_string).collect();
+        format!(
+            "{{\"bounds\":[{}],\"counts\":[{}],\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
+            bounds.join(","),
+            counts.join(","),
+            self.count,
+            json_f64(self.sum),
+            self.min.map_or("null".into(), json_f64),
+            self.max.map_or("null".into(), json_f64),
+        )
+    }
+}
+
+/// An `f64` as a JSON number; non-finite values become `null` (JSON has
+/// no NaN or Infinity).
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
 
 /// Reads one counter off a record; `None` omits the key.
 type ReadCounter = fn(&RunMetricsSummary) -> Option<u64>;
@@ -251,6 +342,51 @@ mod tests {
             counter_keys(&render_record_metrics(&report(Some(churn)))),
             all
         );
+    }
+
+    #[test]
+    fn histogram_buckets_and_overflow() {
+        let mut h = Histogram::new(&[1.0, 2.0, 5.0]);
+        h.record_n(0.5, 1); // bucket 0 (<= 1.0)
+        h.record_n(1.0, 1); // bucket 0 (inclusive upper bound)
+        h.record_n(1.5, 1); // bucket 1
+        h.record_n(10.0, 1); // overflow
+        assert_eq!(h.counts, vec![2, 1, 0, 1]);
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 13.0);
+        assert_eq!(h.min, Some(0.5));
+        assert_eq!(h.max, Some(10.0));
+    }
+
+    #[test]
+    fn histogram_record_n_matches_repeated_record() {
+        let mut a = Histogram::new(&[1.0, 3.0]);
+        let mut b = Histogram::new(&[1.0, 3.0]);
+        for _ in 0..7 {
+            a.record_n(2.0, 1);
+        }
+        b.record_n(2.0, 7);
+        assert_eq!(a, b);
+        assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn empty_histogram_snapshot_has_null_extremes() {
+        let mut h = Histogram::new(&[1.0]);
+        h.record_n(0.5, 0);
+        assert_eq!(h.min, None);
+        assert_eq!(h.max, None);
+        assert_eq!(
+            h.to_json(),
+            "{\"bounds\":[1],\"counts\":[0,0],\"count\":0,\"sum\":0,\"min\":null,\"max\":null}"
+        );
+    }
+
+    #[test]
+    fn json_f64_rejects_non_finite() {
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(json_f64(1.25), "1.25");
     }
 
     #[test]

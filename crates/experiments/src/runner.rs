@@ -11,9 +11,9 @@ use broadcast_core::{
     LossCounters, MacStats, NetActivity, ScenarioCounts, SimConfigBuilder, SimReport,
     SuppressionCounts, World,
 };
-use manet_sim_engine::{Histogram, HistogramSnapshot, WorkerPool, DEFAULT_LATENCY_BOUNDS_S};
+use manet_sim_engine::WorkerPool;
 
-use crate::metrics_out::render_record_metrics;
+use crate::metrics_out::{render_record_metrics, Histogram};
 
 /// How much work a figure reproduction does.
 ///
@@ -119,6 +119,11 @@ impl AveragedReport {
     }
 }
 
+/// Upper bucket bounds (seconds) of the broadcast latency histogram.
+const LATENCY_BOUNDS_S: [f64; 12] = [
+    0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 5.0,
+];
+
 /// Low-level counters and distributions summed over the repeats of one
 /// configuration — the payload of the `--metrics` JSON output.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,9 +137,9 @@ pub struct RunMetricsSummary {
     /// Scheme decisions summed over repeats.
     pub suppression: SuppressionCounts,
     /// Per-broadcast latency distribution, seconds.
-    pub latency_s: HistogramSnapshot,
+    pub latency_s: Histogram,
     /// Distribution of the MAC's backoff draws, in slots.
-    pub backoff_slots: HistogramSnapshot,
+    pub backoff_slots: Histogram,
     /// Scenario activity summed over repeats; `None` when no run carried
     /// a scenario.
     pub scenario: Option<ScenarioCounts>,
@@ -147,7 +152,7 @@ impl RunMetricsSummary {
         let mut net = NetActivity::default();
         let mut suppression = SuppressionCounts::default();
         let mut scenario: Option<ScenarioCounts> = None;
-        let mut latency = Histogram::new(&DEFAULT_LATENCY_BOUNDS_S);
+        let mut latency = Histogram::new(&LATENCY_BOUNDS_S);
         for r in reports {
             losses.merge(&r.losses);
             mac.merge(&r.mac);
@@ -159,7 +164,7 @@ impl RunMetricsSummary {
                     .merge(counts);
             }
             for b in &r.per_broadcast {
-                latency.record(b.latency.as_secs_f64());
+                latency.record_n(b.latency.as_secs_f64(), 1);
             }
         }
         // The DCF draws uniformly from 0..=CW_MIN slots; buckets are
@@ -175,8 +180,8 @@ impl RunMetricsSummary {
             mac,
             net,
             suppression,
-            latency_s: latency.snapshot(),
-            backoff_slots: backoff.snapshot(),
+            latency_s: latency,
+            backoff_slots: backoff,
             scenario,
         }
     }

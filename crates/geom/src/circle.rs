@@ -1,4 +1,5 @@
-//! Circles and the closed-form intersection area `INTC(d)`.
+//! The closed-form two-circle intersection area `INTC(d)` and the
+//! coverage fractions built on it.
 //!
 //! The broadcast-storm analysis (paper §2.2.1) leans on the area of the
 //! lens formed by two transmission disks of equal radius `r` whose centers
@@ -12,52 +13,6 @@
 //! The *additional coverage* a rebroadcast at distance `d` provides over the
 //! original transmission is `πr² − INTC(d)`, maximized at `d = r` where it
 //! equals ≈ `0.61 πr²`.
-
-use crate::vec2::Vec2;
-
-/// A disk in the plane: all points within `radius` of `center`.
-///
-/// # Examples
-///
-/// ```
-/// use manet_geom::{Circle, Vec2};
-///
-/// let c = Circle::new(Vec2::ZERO, 500.0);
-/// assert!(c.contains(Vec2::new(300.0, 400.0)));
-/// assert!(!c.contains(Vec2::new(300.1, 400.0)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Circle {
-    /// Center of the disk.
-    pub center: Vec2,
-    /// Radius, meters. Must be non-negative.
-    pub radius: f64,
-}
-
-impl Circle {
-    /// Creates a disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or not finite.
-    pub fn new(center: Vec2, radius: f64) -> Self {
-        assert!(
-            radius.is_finite() && radius >= 0.0,
-            "circle radius must be finite and non-negative, got {radius}"
-        );
-        Circle { center, radius }
-    }
-
-    /// Area of the disk, `πr²`.
-    pub fn area(&self) -> f64 {
-        std::f64::consts::PI * self.radius * self.radius
-    }
-
-    /// `true` when `point` lies inside or on the boundary.
-    pub fn contains(&self, point: Vec2) -> bool {
-        self.center.distance_squared_to(point) <= self.radius * self.radius
-    }
-}
 
 /// The paper's `INTC(d)`: intersection area of two circles of radius `r`
 /// with centers `d` apart.
@@ -213,19 +168,5 @@ mod tests {
         let a = mean_additional_coverage_fraction(2_000);
         let c = expected_contention_probability(2_000);
         assert!((a + c - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn circle_contains_and_area() {
-        let c = Circle::new(Vec2::new(10.0, 10.0), 5.0);
-        assert!(c.contains(Vec2::new(13.0, 14.0)));
-        assert!(!c.contains(Vec2::new(16.0, 10.0)));
-        assert!((c.area() - PI * 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_radius_panics() {
-        let _ = Circle::new(Vec2::ZERO, -1.0);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! The crate has three layers:
 //!
-//! 1. **Primitives** — [`Vec2`], [`Circle`], [`Rect`].
+//! 1. **Primitives** — [`Vec2`], [`Rect`].
 //! 2. **Coverage math** — the closed-form two-circle intersection
 //!    [`intc`]`(d)` from the paper, plus union-of-disks *additional
 //!    coverage* estimators ([`CoverageGrid`],
@@ -47,7 +47,7 @@ mod vec2;
 pub use analysis::{contention_free_distribution, expected_additional_coverage};
 pub use circle::{
     additional_coverage_two, expected_contention_probability, intc,
-    max_additional_coverage_fraction, mean_additional_coverage_fraction, Circle,
+    max_additional_coverage_fraction, mean_additional_coverage_fraction,
 };
 pub use coverage::{monte_carlo_additional_fraction, sample_in_disk, CoverageGrid};
 pub use rect::Rect;

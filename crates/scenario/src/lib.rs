@@ -19,10 +19,10 @@
 //!   be up to leave/crash and down to join/recover, and rejoins must match
 //!   how the host went down), and that the active population never drops
 //!   to zero (the workload needs a source to issue broadcasts from).
-//! * [`compile`] flattens everything into a
-//!   [`Timeline`] of [`WorldAction`]s — one
-//!   entry per churn event, two (start/end) per fault window — that the
-//!   world schedules onto its main event queue at start-up.
+//! * [`compile`] flattens everything into a time-sorted list of
+//!   [`WorldAction`]s — one entry per churn event, two (start/end) per
+//!   fault window — that the world schedules onto its main event queue at
+//!   start-up.
 //!
 //! Determinism: parsing, validation, and compilation are pure functions of
 //! the input text, and times round-trip exactly (timestamps are decimal
@@ -59,7 +59,7 @@ mod text;
 use std::error::Error;
 use std::fmt;
 
-use manet_sim_engine::{SimTime, Timeline};
+use manet_sim_engine::SimTime;
 
 pub use campaign::{is_job_label, CampaignSpec, JobSpec, CAMPAIGN_SCHEMA, MAX_CAMPAIGN_JOBS};
 pub use text::quote;
@@ -534,11 +534,11 @@ impl Scenario {
         Ok(())
     }
 
-    /// Flattens the script into a time-sorted [`Timeline`] of
-    /// [`WorldAction`]s: one entry per churn event, a start/end pair per
-    /// fault window. Ties keep declaration order (churn first, then
+    /// Flattens the script into a time-sorted list of [`WorldAction`]s:
+    /// one entry per churn event, a start/end pair per fault window. The
+    /// sort is stable, so ties keep declaration order (churn first, then
     /// blackouts, noise, partitions).
-    pub fn compile(&self) -> Timeline<WorldAction> {
+    pub fn compile(&self) -> Vec<(SimTime, WorldAction)> {
         let mut entries: Vec<(SimTime, WorldAction)> =
             Vec::with_capacity(self.churn.len() + 2 * (self.event_count() - self.churn.len()));
         for event in &self.churn {
@@ -565,7 +565,8 @@ impl Scenario {
             entries.push((window.from, WorldAction::PartitionStart { region }));
             entries.push((window.until, WorldAction::PartitionEnd { region }));
         }
-        Timeline::new(entries)
+        entries.sort_by_key(|&(at, _)| at);
+        entries
     }
 }
 
@@ -605,11 +606,35 @@ mod tests {
         let timeline = s.compile();
         // 4 churn entries + 2 per window * 3 windows.
         assert_eq!(timeline.len(), 10);
-        let times: Vec<SimTime> = timeline.iter().map(|(at, _)| at).collect();
+        let times: Vec<SimTime> = timeline.iter().map(|&(at, _)| at).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted: {times:?}");
         assert_eq!(
-            timeline.get(0),
-            (secs(2), &WorldAction::BlackoutStart { a: 0, b: 1 })
+            timeline[0],
+            (secs(2), WorldAction::BlackoutStart { a: 0, b: 1 })
+        );
+    }
+
+    #[test]
+    fn compile_sorts_stably() {
+        let s = Scenario::new("ties")
+            .churn(secs(3), ChurnKind::Leave, 1)
+            .churn(secs(1), ChurnKind::Crash, 0)
+            .churn(secs(3), ChurnKind::Leave, 2)
+            .noise(secs(3), secs(4), 0.5);
+        let order: Vec<WorldAction> = s.compile().into_iter().map(|(_, a)| a).collect();
+        assert_eq!(
+            order,
+            [
+                WorldAction::Crash { host: 0 },
+                WorldAction::Leave { host: 1 },
+                WorldAction::Leave { host: 2 },
+                WorldAction::NoiseStart {
+                    drop_probability: 0.5
+                },
+                WorldAction::NoiseEnd {
+                    drop_probability: 0.5
+                },
+            ]
         );
     }
 

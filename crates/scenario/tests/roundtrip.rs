@@ -69,8 +69,6 @@ prop_check! {
         });
         assert_eq!(reparsed, scenario, "text round-trip changed the scenario:\n{text}");
         assert_eq!(reparsed.to_text(), text, "second serialization differs");
-        let a: Vec<_> = scenario.compile().iter().map(|(t, v)| (t, *v)).collect();
-        let b: Vec<_> = reparsed.compile().iter().map(|(t, v)| (t, *v)).collect();
-        assert_eq!(a, b, "compiled timelines diverged");
+        assert_eq!(scenario.compile(), reparsed.compile(), "compiled timelines diverged");
     }
 }

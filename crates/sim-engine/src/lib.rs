@@ -47,17 +47,12 @@ mod queue;
 mod rng;
 mod slab;
 mod time;
-mod timeline;
 mod wire;
 
-pub use metrics::{
-    json_escape, json_f64, Histogram, HistogramSnapshot, KindProfile, LoopProfile, LoopProfiler,
-    DEFAULT_LATENCY_BOUNDS_S,
-};
+pub use metrics::{json_escape, KindProfile, LoopProfile, LoopProfiler};
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};
-pub use timeline::Timeline;
 pub use wire::{WireDecoder, WireEncoder, WireError};

@@ -71,7 +71,8 @@ options:
                         connections until a client sends Shutdown
   --workers N           scheduler pool threads (default: cores - 1;
                         0 runs jobs inline)
-  --queue-capacity N    max queued jobs across campaigns (default 65536)
+  --queue-capacity N    max queued jobs across campaigns (default 1000000,
+                        the most one campaign file may hold)
   -h, --help            show this help
 ";
 
@@ -602,7 +603,10 @@ mod tests {
         let options = parse_serve_args(&[]).expect("parses").expect("not help");
         assert!(options.socket.is_none(), "pipe mode is the default");
         assert_eq!(options.config.workers, None);
-        assert_eq!(options.config.queue_capacity, 65_536);
+        assert_eq!(
+            options.config.queue_capacity,
+            manet_scenario::MAX_CAMPAIGN_JOBS
+        );
 
         let options = parse_serve_args(&args(&[
             "--socket",
