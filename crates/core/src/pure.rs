@@ -621,12 +621,6 @@ impl PureModels {
         )
     }
 
-    /// The per-host neighbor tables, for tests that read what they hold.
-    #[cfg(test)]
-    pub(crate) fn tables_mut(&mut self) -> &mut [NeighborTable] {
-        &mut self.tables
-    }
-
     /// Overwrites the mutable protocol state when restoring from a world
     /// snapshot. The receiver must have been built from the same config.
     pub(crate) fn restore_parts(

@@ -800,11 +800,11 @@ mod tests {
             .build();
         let mut world = World::new(config.clone());
         world.advance(manet_sim_engine::SimTime::from_millis(7_500));
-        let mut resumed = World::resume(config, &world.snapshot()).expect("snapshot resumes");
+        let resumed = World::resume(config, &world.snapshot()).expect("snapshot resumes");
         let mut first: BTreeMap<_, *const [NodeId]> = BTreeMap::new();
         let mut shared = 0;
-        for table in resumed.pure.tables_mut() {
-            for h in table.neighbor_ids().to_vec() {
+        for table in resumed.pure.snapshot_parts().1 {
+            for &h in table.neighbor_ids() {
                 let list = table.neighbors_of(h).expect("a listed neighbor");
                 match first.entry((h, list.to_vec())) {
                     Entry::Vacant(slot) => {

@@ -79,8 +79,7 @@ fn a_steady_state_world_allocates_per_broadcast_not_per_hear() {
         ("location:0.0134", "", plain, 110.0),
         ("al", "", plain, 110.0),
         // The pending-set copy per first hear, plus one shared list per
-        // HELLO whose advertised neighbors changed (and a filtered copy
-        // where a read hides a departed host).
+        // HELLO whose advertised neighbors changed.
         ("nc", "", plain, 200.0),
         // The branches a plain run never takes: the capture and
         // injected-loss arms of the medium, the other mobility model,

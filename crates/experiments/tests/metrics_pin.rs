@@ -16,9 +16,9 @@ use std::process::Command;
 /// that introduced this test.
 const PINNED_FNV1A64: u64 = 0xc05cb88f2d2fe4a3;
 
-/// The same for ext-churn, pinned at the parent of the commit that
-/// replaced the metrics registry with a static key table.
-const PINNED_CHURN_FNV1A64: u64 = 0x268e0614a48e0258;
+/// The same for ext-churn, pinned again when `N_{x,h}` became exactly
+/// the list `h` last advertised (its NC row moved).
+const PINNED_CHURN_FNV1A64: u64 = 0x9dd2619f6414f2b6;
 
 /// FNV-1a 64-bit: tiny, dependency-free, and stable across platforms.
 fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -24,16 +24,10 @@ struct NeighborEntry {
     /// The hello interval the neighbor announced; entry expires after two
     /// of these without a HELLO.
     interval: SimDuration,
-    /// The neighbor's own one-hop set as of its last HELLO (`N_{x,h}`),
-    /// possibly still listing hosts that departed since (see `written`).
-    /// Empty when HELLOs do not carry neighbor lists. Other tables that
-    /// heard the same HELLO may hold the same list, so it is never written
-    /// through: a filter replaces the handle.
+    /// The neighbor's own one-hop set exactly as its last HELLO
+    /// advertised it (`N_{x,h}`). Empty when HELLOs do not carry neighbor
+    /// lists. Other tables that heard the same HELLO hold the same list.
     neighbors: Rc<[NodeId]>,
-    /// The table's sweep count when `neighbors` was last written or
-    /// filtered: a listed host is hidden iff it departed this table after
-    /// that (see [`hidden`]).
-    written: u64,
 }
 
 /// Membership changes produced by [`NeighborTable::record_hello`] and
@@ -80,23 +74,10 @@ pub struct NeighborTable {
     /// only push deadlines later, so a stale bound merely costs one
     /// harmless rescan. `None` while the table is empty.
     min_deadline: Option<SimTime>,
-    /// Expiry sweeps that removed someone. A counter, not a timestamp, so
-    /// a HELLO and an expiry at one instant order exactly as called.
-    sweeps: u64,
-    /// Id-sorted `(host, sweep)`: the latest sweep in which `host` left
-    /// this table, kept while some surviving list predates it.
-    departed: Vec<(NodeId, u64)>,
     /// Lifetime join count (statistics; never reset).
     joins: u64,
     /// Lifetime expiry count (statistics; never reset).
     leaves: u64,
-}
-
-/// The lazy-purge test: `id` left the table in a sweep after the list
-/// stamped `written` was written.
-fn hidden(departed: &[(NodeId, u64)], written: u64, id: NodeId) -> bool {
-    let at = departed.binary_search_by_key(&id, |&(host, _)| host);
-    at.is_ok_and(|k| departed[k].1 > written)
 }
 
 impl NeighborTable {
@@ -143,7 +124,6 @@ impl NeighborTable {
             last_heard: now,
             interval,
             neighbors,
-            written: self.sweeps,
         };
         match self.ids.binary_search(&from) {
             Ok(k) => {
@@ -164,13 +144,9 @@ impl NeighborTable {
     /// to `leaves`: the caller owns the buffer and reuses it across the
     /// whole run, so steady-state expiry never allocates.
     ///
-    /// An expired host is also purged from every surviving entry's two-hop
-    /// list: first-hand silence supersedes a relay's stale claim that the
-    /// departed host is still around. (A later HELLO re-listing the host
-    /// reinstates it — the relay may legitimately still hear it.) Without
-    /// this, a host that left the network lingers in `N_{x,h}` sets until
-    /// each relay happens to re-beacon, and the neighbor-coverage scheme
-    /// keeps "covering" a ghost.
+    /// Expiry touches no surviving entry's two-hop list: `N_{x,h}` is what
+    /// `h` last advertised (paper §4.3), even where it lists a host that
+    /// has since left this table.
     pub fn expire_into(&mut self, now: SimTime, leaves: &mut Vec<MembershipChange>) {
         match self.min_deadline {
             // Nothing can have expired yet: every deadline is at or past
@@ -179,28 +155,16 @@ impl NeighborTable {
             None => return,
             Some(_) => {}
         }
-        // Expiry is *not* rare where it matters: on a dense map half of all
-        // HELLOs collide (`nc_dense1k`, seed 7: 31 939 sweeps removed 99 442
-        // entries), and rewriting the ≈ 110 surviving two-hop lists on each
-        // was ≈ 0.4 of that run. So a sweep only notes who left; the lists
-        // are filtered when read, and most are replaced by their owner's
-        // next HELLO before anyone reads them.
-        let (first, sweep) = (leaves.len(), self.sweeps + 1);
+        let first = leaves.len();
         let mut next_bound: Option<SimTime> = None;
-        let (mut kept, mut oldest_list) = (0, u64::MAX);
+        let mut kept = 0;
         for k in 0..self.ids.len() {
             let entry = &self.entries[k];
             let deadline = entry.last_heard + entry.interval * 2;
             if now > deadline {
-                let id = self.ids[k];
-                leaves.push(MembershipChange::Left(id));
-                match self.departed.binary_search_by_key(&id, |&(host, _)| host) {
-                    Ok(at) => self.departed[at].1 = sweep,
-                    Err(at) => self.departed.insert(at, (id, sweep)),
-                }
+                leaves.push(MembershipChange::Left(self.ids[k]));
             } else {
                 next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
-                oldest_list = oldest_list.min(entry.written);
                 if kept < k {
                     self.ids.swap(kept, k);
                     self.entries.swap(kept, k);
@@ -211,11 +175,7 @@ impl NeighborTable {
         self.ids.truncate(kept);
         self.entries.truncate(kept);
         self.min_deadline = next_bound;
-        self.departed.retain(|&(_, left)| left > oldest_list);
-        if leaves.len() > first {
-            self.sweeps = sweep;
-            self.leaves += (leaves.len() - first) as u64;
-        }
+        self.leaves += (leaves.len() - first) as u64;
     }
 
     /// Hosts that have ever joined this table (lifetime churn statistic).
@@ -245,43 +205,27 @@ impl NeighborTable {
         &self.ids
     }
 
-    /// The two-hop knowledge `N_{x,h}`: what `h` last claimed its
-    /// neighborhood was, less the hosts that departed this table since.
-    /// `None` when `h` is not a (live) neighbor. Takes `&mut self` because
-    /// this read is where a stale list gets filtered.
-    pub fn neighbors_of(&mut self, h: NodeId) -> Option<&[NodeId]> {
+    /// The two-hop knowledge `N_{x,h}`: the neighborhood `h` advertised
+    /// in its last HELLO. `None` when `h` is not a (live) neighbor.
+    pub fn neighbors_of(&self, h: NodeId) -> Option<&[NodeId]> {
         self.coverage_view(h).1
     }
 
     /// `(N_x, N_{x,h})` borrowed together — everything the
     /// neighbor-coverage scheme reads when a copy arrives from `h`.
-    pub fn coverage_view(&mut self, h: NodeId) -> (&[NodeId], Option<&[NodeId]>) {
-        let Ok(k) = self.ids.binary_search(&h) else {
-            return (&self.ids, None);
-        };
-        let entry = &mut self.entries[k];
-        if entry.written < self.sweeps {
-            // Other tables may share the list: hiding anyone takes a copy.
-            let visible = |&id: &NodeId| !hidden(&self.departed, entry.written, id);
-            if !entry.neighbors.iter().all(visible) {
-                entry.neighbors = entry.neighbors.iter().copied().filter(visible).collect();
-            }
-            entry.written = self.sweeps;
-        }
-        (&self.ids, Some(&entry.neighbors))
+    pub fn coverage_view(&self, h: NodeId) -> (&[NodeId], Option<&[NodeId]>) {
+        let known = self.ids.binary_search(&h).ok();
+        (&self.ids, known.map(|k| &*self.entries[k].neighbors))
     }
 
     /// Serializes the table for a world snapshot, each two-hop list as
-    /// [`neighbors_of`](Self::neighbors_of) would return it: the encoding
-    /// carries no purge bookkeeping, so it does not depend on which lists
-    /// happen to have been read.
+    /// its sender advertised it.
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
         enc.seq(self.ids.iter().zip(&self.entries), |enc, (id, entry)| {
             id.encode(enc);
             enc.time(entry.last_heard);
             enc.duration(entry.interval);
-            let visible = |id: &NodeId| !hidden(&self.departed, entry.written, *id);
-            NodeId::encode_seq(enc, entry.neighbors.iter().copied().filter(visible));
+            NodeId::encode_seq(enc, entry.neighbors.iter().copied());
         });
         enc.option(self.min_deadline, WireEncoder::time);
         enc.u64(self.joins);
@@ -315,7 +259,6 @@ impl NeighborTable {
                     id,
                     NodeId::decode_ascending(dec, &mut list, NodeId::decode)?,
                 ),
-                written: 0,
             })
         })?;
         table.min_deadline = dec.option(WireDecoder::time)?;
@@ -394,32 +337,23 @@ mod tests {
     }
 
     #[test]
-    fn expiry_purges_departed_hosts_from_two_hop_lists() {
-        // Relay 2 (slow 5 s interval) claims 1 and 9 as neighbors; host 1
-        // is also a direct neighbor on a 1 s interval. When host 1's own
-        // entry expires, it must vanish from the relay's two-hop list too
-        // — with the same exclusive boundary as one-hop expiry.
+    fn expiry_leaves_two_hop_lists_as_advertised() {
+        // Relay 2 (slow 5 s interval) lists 1 and 9; host 1 is also a
+        // direct neighbor on a 1 s interval, and host 3 lists the relay.
+        // Host 1's own entry expires, but `N_{x,h}` is what h advertised
+        // (paper §4.3): no surviving list changes.
         let mut t = NeighborTable::new();
         t.record_hello(id(1), SimTime::ZERO, SEC, &[]);
         t.record_hello(id(2), SimTime::ZERO, SEC * 5, &[id(1), id(9)]);
-        assert!(expire(&mut t, SimTime::from_secs(2)).is_empty());
-        assert_eq!(
-            t.neighbors_of(id(2)),
-            Some(&[id(1), id(9)][..]),
-            "two-hop claim intact at exactly host 1's deadline"
-        );
+        t.record_hello(id(3), SimTime::ZERO, SEC * 5, &[id(1), id(2)]);
         assert_eq!(
             expire(&mut t, SimTime::from_nanos(2_000_000_001)),
             vec![MembershipChange::Left(id(1))]
         );
-        assert_eq!(
-            t.neighbors_of(id(2)),
-            Some(&[id(9)][..]),
-            "departed host purged from the surviving relay's list"
-        );
-        // A fresh HELLO re-listing host 1 reinstates the claim.
-        t.record_hello(id(2), SimTime::from_secs(3), SEC * 5, &[id(1), id(9)]);
+        assert!(!t.contains(id(1)));
         assert_eq!(t.neighbors_of(id(2)), Some(&[id(1), id(9)][..]));
+        assert_eq!(t.neighbors_of(id(3)), Some(&[id(1), id(2)][..]));
+        assert_eq!(t.neighbors_of(id(1)), None);
     }
 
     #[test]
@@ -521,12 +455,11 @@ mod tests {
         }
         // What `share` returns is what the entry holds.
         let shared: Rc<[NodeId]> = Rc::from([id(2), id(6)]);
-        let mut restored =
-            NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes), |h, l| {
-                assert_eq!((h, l), (id(4), &shared[..]));
-                Rc::clone(&shared)
-            })
-            .expect("a pristine table restores");
+        let restored = NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes), |h, l| {
+            assert_eq!((h, l), (id(4), &shared[..]));
+            Rc::clone(&shared)
+        })
+        .expect("a pristine table restores");
         let held = restored.neighbors_of(id(4)).expect("host 4 is a neighbor");
         assert!(std::ptr::eq(held, &shared[..]));
     }

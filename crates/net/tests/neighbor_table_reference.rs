@@ -1,7 +1,7 @@
-//! Test oracle for the lazy-purge [`NeighborTable`]: the table as it was
-//! before — a map of entries whose `expire_into` eagerly rewrites
-//! every surviving two-hop list — and differential property tests that
-//! drive both through the public API with the same operations.
+//! Test oracle for [`NeighborTable`]: an independent model (a `BTreeMap`
+//! of entries, each holding its own copy of the list its neighbor last
+//! advertised) and differential property tests that drive both through
+//! the public API with the same operations.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -12,22 +12,22 @@ use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError
 use manet_testkit::{prop_check, Gen};
 
 #[derive(Debug, Clone)]
-struct EagerEntry {
+struct ReferenceEntry {
     last_heard: SimTime,
     interval: SimDuration,
     neighbors: Vec<NodeId>,
 }
 
-/// The eager reference model.
+/// The reference model.
 #[derive(Debug, Clone, Default)]
-struct EagerTable {
-    entries: BTreeMap<NodeId, EagerEntry>,
+struct ReferenceTable {
+    entries: BTreeMap<NodeId, ReferenceEntry>,
     min_deadline: Option<SimTime>,
     joins: u64,
     leaves: u64,
 }
 
-impl EagerTable {
+impl ReferenceTable {
     fn record_hello(
         &mut self,
         from: NodeId,
@@ -37,7 +37,7 @@ impl EagerTable {
     ) -> Option<MembershipChange> {
         let deadline = now + interval * 2;
         self.min_deadline = Some(self.min_deadline.map_or(deadline, |d| d.min(deadline)));
-        let entry = EagerEntry {
+        let entry = ReferenceEntry {
             last_heard: now,
             interval,
             neighbors: neighbors.to_vec(),
@@ -68,9 +68,6 @@ impl EagerTable {
             }
         });
         self.min_deadline = next_bound;
-        for entry in self.entries.values_mut() {
-            entry.neighbors.retain(|id| gone.binary_search(id).is_err());
-        }
         self.leaves += gone.len() as u64;
         leaves.extend(gone.into_iter().map(MembershipChange::Left));
     }
@@ -105,8 +102,8 @@ impl EagerTable {
         enc.u64(self.leaves);
     }
 
-    fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<EagerTable, WireError> {
-        let mut table = EagerTable::default();
+    fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<ReferenceTable, WireError> {
+        let mut table = ReferenceTable::default();
         for _ in 0..dec.len()? {
             let id = NodeId::new(dec.u32()?);
             let last_heard = SimTime::from_nanos(dec.u64()?);
@@ -115,7 +112,7 @@ impl EagerTable {
             for _ in 0..dec.len()? {
                 neighbors.push(NodeId::new(dec.u32()?));
             }
-            let entry = EagerEntry {
+            let entry = ReferenceEntry {
                 last_heard,
                 interval,
                 neighbors,
@@ -142,31 +139,27 @@ fn bytes_of(snapshot: impl FnOnce(&mut WireEncoder)) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Every observable of the two tables agrees. The per-id reads go through
-/// a clone so they do not settle the lazy table's pending filters — only
-/// the operations the property itself draws may do that.
-fn assert_same(lazy: &NeighborTable, eager: &EagerTable, universe: u32) {
+/// Every observable of the two tables agrees.
+fn assert_same(table: &NeighborTable, reference: &ReferenceTable, universe: u32) {
     assert_eq!(
-        bytes_of(|enc| lazy.snapshot_into(enc)),
-        bytes_of(|enc| eager.snapshot_into(enc)),
+        bytes_of(|enc| table.snapshot_into(enc)),
+        bytes_of(|enc| reference.snapshot_into(enc)),
         "snapshot bytes"
     );
-    assert_eq!(lazy.neighbor_ids(), eager.sorted_ids());
-    assert_eq!(lazy.neighbor_count(), eager.entries.len());
+    assert_eq!(table.neighbor_ids(), reference.sorted_ids());
+    assert_eq!(table.neighbor_count(), reference.entries.len());
     assert_eq!(
-        (lazy.join_count(), lazy.leave_count()),
-        (eager.joins, eager.leaves)
+        (table.join_count(), table.leave_count()),
+        (reference.joins, reference.leaves)
     );
-    let mut probe = lazy.clone();
     for h in (0..universe).map(NodeId::new) {
-        assert_eq!(lazy.contains(h), eager.entries.contains_key(&h));
-        assert_eq!(probe.neighbors_of(h), eager.neighbors_of(h), "N_x,{h:?}");
+        assert_eq!(table.contains(h), reference.entries.contains_key(&h));
+        assert_eq!(
+            table.neighbors_of(h),
+            reference.neighbors_of(h),
+            "N_x,{h:?}"
+        );
     }
-    // Reading every list changed nothing a snapshot can see.
-    assert_eq!(
-        bytes_of(|enc| probe.snapshot_into(enc)),
-        bytes_of(|enc| lazy.snapshot_into(enc)),
-    );
 }
 
 fn gen_id(g: &mut Gen, universe: u32) -> NodeId {
@@ -174,17 +167,17 @@ fn gen_id(g: &mut Gen, universe: u32) -> NodeId {
 }
 
 prop_check! {
-    /// The lazy table is observationally the eager one: equal leave lists,
+    /// The table is observationally the reference: equal leave lists,
     /// equal `neighbors_of` for every id, equal counters and equal snapshot
     /// bytes after every step of a random history — small universes (so
     /// hosts leave, rejoin and get re-listed), sorted and unsorted
     /// advertised lists, intervals that change between beacons, and several
     /// operations at one instant in whatever order they are drawn. A
     /// restore goes through only while every list is strictly ascending.
-    fn lazy_table_matches_the_eager_reference(g, cases = 300) {
+    fn table_matches_the_reference(g, cases = 300) {
         let universe = if g.bool() { g.u32_in(1..9) } else { g.u32_in(1..151) };
-        let mut lazy = NeighborTable::new();
-        let mut eager = EagerTable::default();
+        let mut table = NeighborTable::new();
+        let mut reference = ReferenceTable::default();
         let mut now = SimTime::ZERO;
         for _ in 0..g.usize_in(1..150) {
             if g.u32_in(0..3) != 0 {
@@ -200,51 +193,46 @@ prop_check! {
                         listed.dedup();
                     }
                     assert_eq!(
-                        lazy.record_hello(from, now, interval, &listed),
-                        eager.record_hello(from, now, interval, &listed)
+                        table.record_hello(from, now, interval, &listed),
+                        reference.record_hello(from, now, interval, &listed)
                     );
                 }
-                4 | 5 => {
-                    let (mut left_lazy, mut left_eager) = (Vec::new(), Vec::new());
-                    lazy.expire_into(now, &mut left_lazy);
-                    eager.expire_into(now, &mut left_eager);
-                    assert_eq!(left_lazy, left_eager, "leave lists");
-                }
-                6 => {
-                    let h = gen_id(g, universe);
-                    assert_eq!(lazy.neighbors_of(h), eager.neighbors_of(h));
+                4..=6 => {
+                    let (mut left_table, mut left_reference) = (Vec::new(), Vec::new());
+                    table.expire_into(now, &mut left_table);
+                    reference.expire_into(now, &mut left_reference);
+                    assert_eq!(left_table, left_reference, "leave lists");
                 }
                 _ => {
                     // A restore refuses a list out of order, and only then.
-                    let bytes = bytes_of(|enc| lazy.snapshot_into(enc));
-                    let ascending = eager.entries.values().all(|e| e.neighbors.is_sorted_by(|a, b| a < b));
+                    let bytes = bytes_of(|enc| table.snapshot_into(enc));
+                    let ascending = reference.entries.values().all(|e| e.neighbors.is_sorted_by(|a, b| a < b));
                     match restore(&bytes) {
-                        Ok(table) => {
+                        Ok(restored) => {
                             assert!(ascending, "restored a list out of order");
-                            lazy = table;
-                            eager = EagerTable::restore_snapshot(&mut WireDecoder::new(&bytes)).unwrap();
+                            table = restored;
+                            reference = ReferenceTable::restore_snapshot(&mut WireDecoder::new(&bytes)).unwrap();
                         }
                         Err(e) => assert!(!ascending, "{e}"),
                     }
                 }
             }
-            assert_same(&lazy, &eager, universe);
+            assert_same(&table, &reference, universe);
         }
     }
 }
 
 prop_check! {
     /// Hearers of one HELLO share one copy of its list, as `PureModels`
-    /// hands it out, yet each filters by its own departures: after every
-    /// step each of 2–4 lazy tables is its own eager reference, so a filter
-    /// at one hearer never changes another's `N_{x,h}`. Each hearer misses
-    /// a HELLO, expires, reads and restores on its own draws, so their
-    /// departures diverge.
+    /// hands it out: after every step each of 2–4 tables is its own
+    /// reference, so what one hearer's expiry, restore or later HELLO does
+    /// never changes another's `N_{x,h}`. Each hearer misses a HELLO,
+    /// expires and restores on its own draws, so their memberships diverge.
     fn hearers_of_shared_lists_each_match_their_own_reference(g, cases = 200) {
         let universe = if g.bool() { g.u32_in(1..9) } else { g.u32_in(1..41) };
         let hearers = g.usize_in(2..5);
-        let mut lazy = vec![NeighborTable::new(); hearers];
-        let mut eager = vec![EagerTable::default(); hearers];
+        let mut tables = vec![NeighborTable::new(); hearers];
+        let mut references = vec![ReferenceTable::default(); hearers];
         let mut now = SimTime::ZERO;
         for _ in 0..g.usize_in(1..150) {
             if g.u32_in(0..3) != 0 {
@@ -262,29 +250,25 @@ prop_check! {
                     for k in 0..hearers {
                         if k == at || g.bool() {
                             assert_eq!(
-                                lazy[k].record_shared(from, now, interval, Rc::clone(&shared)),
-                                eager[k].record_hello(from, now, interval, &listed)
+                                tables[k].record_shared(from, now, interval, Rc::clone(&shared)),
+                                references[k].record_hello(from, now, interval, &listed)
                             );
                         }
                     }
                 }
-                3 | 4 => {
-                    let (mut left_lazy, mut left_eager) = (Vec::new(), Vec::new());
-                    lazy[at].expire_into(now, &mut left_lazy);
-                    eager[at].expire_into(now, &mut left_eager);
-                    assert_eq!(left_lazy, left_eager, "leave lists");
-                }
-                5 => {
-                    let h = gen_id(g, universe);
-                    assert_eq!(lazy[at].neighbors_of(h), eager[at].neighbors_of(h));
+                3..=5 => {
+                    let (mut left_table, mut left_reference) = (Vec::new(), Vec::new());
+                    tables[at].expire_into(now, &mut left_table);
+                    references[at].expire_into(now, &mut left_reference);
+                    assert_eq!(left_table, left_reference, "leave lists");
                 }
                 _ => {
-                    let bytes = bytes_of(|enc| lazy[at].snapshot_into(enc));
-                    lazy[at] = restore(&bytes).unwrap();
+                    let bytes = bytes_of(|enc| tables[at].snapshot_into(enc));
+                    tables[at] = restore(&bytes).unwrap();
                 }
             }
-            for (lazy, eager) in lazy.iter().zip(&eager) {
-                assert_same(lazy, eager, universe);
+            for (table, reference) in tables.iter().zip(&references) {
+                assert_same(table, reference, universe);
             }
         }
     }
@@ -294,26 +278,28 @@ prop_check! {
 fn a_host_that_leaves_rejoins_and_is_relisted() {
     const SEC: SimDuration = SimDuration::from_secs(1);
     let (relay, flapper, other) = (NodeId::new(2), NodeId::new(1), NodeId::new(9));
-    let mut lazy = NeighborTable::new();
-    let mut eager = EagerTable::default();
+    let mut table = NeighborTable::new();
+    let mut reference = ReferenceTable::default();
     let mut leaves = Vec::new();
+    // One step on both tables; returns what the table holds for the relay.
     let mut both = |at_ms: u64, from: NodeId, interval: SimDuration, listed: &[NodeId]| {
         let now = SimTime::from_millis(at_ms);
-        lazy.expire_into(now, &mut leaves);
-        eager.expire_into(now, &mut Vec::new());
-        lazy.record_hello(from, now, interval, listed);
-        eager.record_hello(from, now, interval, listed);
-        assert_same(&lazy, &eager, 10);
+        table.expire_into(now, &mut leaves);
+        reference.expire_into(now, &mut Vec::new());
+        table.record_hello(from, now, interval, listed);
+        reference.record_hello(from, now, interval, listed);
+        assert_same(&table, &reference, 10);
+        table.neighbors_of(relay).map(<[NodeId]>::to_vec)
     };
-    both(0, flapper, SEC, &[]);
-    both(0, relay, SEC * 10, &[flapper, other]);
-    // The flapper goes silent and expires (hidden from the relay's list,
-    // unread), rejoins on its own beacon — still hidden: the relay has not
-    // re-listed it — then departs again before the relay finally re-lists.
-    both(2_500, other, SEC * 10, &[flapper]);
-    both(3_000, flapper, SEC, &[relay]);
-    both(5_500, other, SEC * 10, &[]);
-    both(6_000, relay, SEC * 10, &[flapper, other]);
-    assert_eq!(lazy.neighbors_of(relay), Some(&[flapper, other][..]));
+    let relayed = Some(vec![flapper, other]);
+    assert_eq!(both(0, flapper, SEC, &[]), None);
+    assert_eq!(both(0, relay, SEC * 10, &[flapper, other]), relayed);
+    // The flapper goes silent and expires, rejoins on its own beacon, then
+    // departs again before the relay re-beacons. Through all of it the
+    // relay's list is what the relay last advertised: it lists the flapper.
+    assert_eq!(both(2_500, other, SEC * 10, &[flapper]), relayed);
+    assert_eq!(both(3_000, flapper, SEC, &[relay]), relayed);
+    assert_eq!(both(5_500, other, SEC * 10, &[]), relayed);
+    assert_eq!(both(6_000, relay, SEC * 10, &[flapper, other]), relayed);
     assert_eq!(leaves.len(), 2);
 }
