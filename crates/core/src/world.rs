@@ -265,38 +265,41 @@ pub struct World {
     scenario: Option<ScenarioState>,
 }
 
-/// The streams [`World::new`] forks off the root `SimRng` (seeded from
-/// `SimConfig::seed`). Two subsystems on one stream would consume each
-/// other's randomness and silently change every result, so each stream
-/// is a variant here and a duplicated number is compile error E0081. A
-/// subsystem that needs randomness gets a **new** variant; renumbering
-/// an existing one re-pins every hash in the test suite.
+/// The randomness of a run, by family. Two families on one number would
+/// share draws, so a duplicated number is compile error E0081; a new
+/// family gets a new variant, and renumbering one re-pins every hash in
+/// the test suite.
 ///
-/// Nothing else forks the root: the pure models draw no randomness,
-/// the strip index draws none, and a snapshot stores every stream's
-/// position verbatim instead of forking afresh on resume.
+/// Five families are streams [`World::new`] forks off the root `SimRng`
+/// (seeded from `SimConfig::seed`) and draws from in order; a checkpoint
+/// writes each one's position, and resume forks none afresh. The other
+/// three are keyed: each draw is `SimRng::keyed(seed, &[family, key…])`,
+/// a function of the seed and what the draw decides (the words its doc
+/// names), so it has no position to write. The pure models and the strip
+/// index draw nothing.
 #[repr(u64)]
 enum Stream {
     /// Initial host positions on the map.
     Placement = 0,
     /// Broadcast origination schedule: interarrivals and sources.
     Workload = 1,
-    /// Scheme-level draws: assessment slots, HELLO jitter.
+    /// Scheme-level draws: assessment slots, HELLO phases and jitter, the
+    /// probabilistic coin.
     Protocol = 2,
-    /// Injected channel loss (`SimConfig::drop_probability`).
-    ChannelLoss = 3,
-    /// Scenario link-fault draws (blackout, noise, partition).
-    ScenarioFaults = 4,
-    /// Base of the DCF streams a rejoining host's MAC reboots on. Never
-    /// drawn from directly: the n-th rejoin of the run takes `fork(n)`.
-    ScenarioRespawn = 5,
+    /// Keyed `[]`: the seed `phy::Medium` keys injected channel loss
+    /// (`SimConfig::drop_probability`) under, by `[frame serial, listener]`.
+    ChannelDrop = 3,
+    /// Keyed `[frame serial, listener]`: a scenario noise burst's drop.
+    Noise = 4,
+    /// Keyed `[host, instant in ns]`: a rejoining host's first HELLO phase.
+    Rejoin = 5,
     /// `+ host`: per-host mobility model.
     Mobility = 100,
-    /// `+ host`: per-host DCF backoff. From host 9 900 up `Mobility +
-    /// host` runs into this range (host 9 900's mobility stream is host
-    /// 0's DCF stream), so worlds that large share streams between the
-    /// two subsystems. Moving either base changes every pinned hash; it
-    /// is a ROADMAP item, not a silent fix.
+    /// `+ host`: per-host DCF backoff, kept over reboots. From host 9 900
+    /// up `Mobility + host` runs into this range (host 9 900's mobility
+    /// stream is host 0's DCF stream), so worlds that large share streams
+    /// between the two subsystems. Moving either base changes every pinned
+    /// hash; it is a ROADMAP item, not a silent fix.
     Dcf = 10_000,
 }
 
@@ -382,7 +385,7 @@ impl World {
         let segments = nodes.iter().map(|n| n.mobility.segment()).collect();
 
         let scenario = (config.scenario.as_ref())
-            .map(|scenario| ScenarioState::new(scenario, hosts, &root, &mut queue));
+            .map(|scenario| ScenarioState::new(scenario, hosts, &mut queue));
 
         let pure = PureModels::new(&config);
 
@@ -394,10 +397,9 @@ impl World {
             medium: {
                 let mut medium = Medium::new(hosts);
                 if config.drop_probability > 0.0 {
-                    medium = medium.with_drop_probability(
-                        config.drop_probability,
-                        root.fork(Stream::ChannelLoss as u64),
-                    );
+                    let key = [Stream::ChannelDrop as u64];
+                    let seed = SimRng::keyed(config.seed, &key).next_u64();
+                    medium = medium.with_drop_probability(config.drop_probability, seed);
                 }
                 if let Some(capture) = config.capture {
                     medium =

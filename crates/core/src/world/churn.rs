@@ -22,8 +22,8 @@ const RETRY: SimDuration = SimDuration::from_millis(5);
 pub(super) const OFF_TIMELINE: &str = "a queued scenario action is not on the timeline";
 
 /// Runtime state of the configured scenario; absent on ordinary runs. A
-/// checkpoint writes only `rng` and the drop counts: the rest is the
-/// config's or derived.
+/// checkpoint writes only the drop counts: the rest is the config's or
+/// derived.
 #[derive(Debug)]
 pub(super) struct ScenarioState {
     /// The compiled world-action timeline, sorted by time;
@@ -39,11 +39,6 @@ pub(super) struct ScenarioState {
     noise: Vec<f64>,
     /// Currently open partition regions.
     partitions: Vec<Region>,
-    /// Scenario randomness: noise-burst drop draws, in delivery order.
-    pub(super) rng: SimRng,
-    /// Base stream of the rebooted MACs and hello phases; only forked,
-    /// with the rejoin's ordinal.
-    respawn_rng: SimRng,
     /// What the scenario did, reported in `SimReport::scenario`.
     pub(super) counts: ScenarioCounts,
 }
@@ -80,12 +75,7 @@ impl ScenarioState {
     /// window open — with each entry scheduled on `queue` in timeline
     /// order, so the queue's FIFO ties fire same-instant entries in
     /// declaration order.
-    pub(super) fn new(
-        scenario: &Scenario,
-        hosts: usize,
-        root: &SimRng,
-        queue: &mut EventQueue<Event>,
-    ) -> Self {
+    pub(super) fn new(scenario: &Scenario, hosts: usize, queue: &mut EventQueue<Event>) -> Self {
         let timeline = scenario.compile();
         for (index, &(at, _)) in timeline.iter().enumerate() {
             let index = u32::try_from(index).expect("scenario timeline too long");
@@ -98,8 +88,6 @@ impl ScenarioState {
             blackouts: Vec::new(),
             noise: Vec::new(),
             partitions: Vec::new(),
-            rng: root.fork(Stream::ScenarioFaults as u64),
-            respawn_rng: root.fork(Stream::ScenarioRespawn as u64),
             counts: ScenarioCounts::default(),
         }
     }
@@ -155,8 +143,8 @@ impl ScenarioState {
     }
 
     /// Rebuilds what the entries fired so far left behind — membership,
-    /// the open windows, the churn counts and so the next rejoin's stream —
-    /// by booking them in timeline order onto the state before any fired.
+    /// the open windows and the churn counts — by booking them in
+    /// timeline order onto the state before any fired.
     /// An entry has fired exactly when none of the `queued` indices names
     /// it; an index queued twice is refused.
     pub(super) fn derive(&mut self, queued: impl Iterator<Item = u32>) -> Result<(), &'static str> {
@@ -239,22 +227,20 @@ impl World {
         }
     }
 
-    /// Puts a host back on the air: its MAC reboots on the next respawn
-    /// stream and syncs its carrier view with whatever is airing around
-    /// it.
+    /// Puts a host back on the air: its MAC reboots on its own stream and
+    /// syncs its carrier view with whatever is airing around it.
     fn reactivate_host(&mut self, host: u32, now: SimTime) {
         let node = NodeId::new(host);
-        // The respawn stream forked with the count of rejoins so far.
-        let st = self.scenario_mut();
-        let mut rng = st.respawn_rng.fork(st.counts.joins + st.counts.recoveries);
-        let phase = rng.gen_duration_up_to(SimDuration::from_secs(1));
-        self.nodes[node.index()].mac.reboot(rng);
+        self.nodes[node.index()].mac.reboot();
         // The rebooted MAC believes the medium is idle; correct that if a
         // neighbor's frame is airing over this host right now.
         if self.medium.is_carrier_busy(node) {
             self.drive_mac(node, now, |mac| mac.on_medium_busy(now));
         }
         if self.hellos_enabled() {
+            let key = [Stream::Rejoin as u64, u64::from(host), now.as_nanos()];
+            let phase =
+                SimRng::keyed(self.cfg.seed, &key).gen_duration_up_to(SimDuration::from_secs(1));
             let at = now + phase;
             let key = self.queue.schedule(at, Event::HelloTimer { node });
             self.nodes[node.index()].hello_pending = Some((key, at));
@@ -284,6 +270,12 @@ impl World {
         let sender_pos = self.geometry.position_at(sender, now);
         // Independent overlapping bursts compose: survive all or drop.
         let noise_drop = 1.0 - st.noise.iter().fold(1.0, |acc, &p| acc * (1.0 - p));
+        // A delivery's noise draw is keyed by its frame and listener.
+        let (seed, serial) = (self.cfg.seed, self.medium.frames_sent());
+        let noisy = |l: u32| {
+            let key = [Stream::Noise as u64, serial, u64::from(l)];
+            noise_drop > 0.0 && SimRng::keyed(seed, &key).gen_unit_f64() < noise_drop
+        };
         for (index, &listener) in listeners.iter().enumerate() {
             let l = listener.index() as u32;
             let kind = if st
@@ -297,7 +289,7 @@ impl World {
                 region.contains(sender_pos.x, sender_pos.y) != region.contains(lp.x, lp.y)
             }) {
                 Some(FaultKind::Partition)
-            } else if noise_drop > 0.0 && st.rng.gen_unit_f64() < noise_drop {
+            } else if noisy(l) {
                 Some(FaultKind::Noise)
             } else {
                 None

@@ -7,7 +7,9 @@
 //! run. Everything behaviorally relevant is captured: the event queue
 //! (times, sequence numbers, cancellation tombstones already applied),
 //! every RNG stream's position, per-host MAC and mobility state, the
-//! radio medium, the pure protocol models, and the metrics.
+//! radio medium, the pure protocol models, and the metrics. A keyed draw
+//! is a function of the config's seed and what it decides, so it has no
+//! position to write.
 //!
 //! Deliberately *not* captured (rebuilt or irrelevant on resume):
 //!
@@ -57,9 +59,10 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MSNP";
 /// the queue keys and MAC handles of the links resume now re-derives,
 /// version 4 a backoff histogram per MAC, version 5 the churn state the
 /// scenario timeline implies and version 6 a binary config header, queue
-/// counters and placeholder HELLO state (DESIGN.md §12); all six are
-/// refused by name.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// counters and placeholder HELLO state, and version 7 the channel-drop
+/// and scenario-fault generators that keyed draws replaced (DESIGN.md
+/// §12); all seven are refused by name.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// The fewest bytes one host adds to a checkpoint body under any config,
 /// as a stationary host of a fresh world without HELLOs writes them: its
@@ -90,6 +93,7 @@ fn expect_version(dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         4 => "snapshot version 4 is retired (a backoff histogram per MAC); take a new snapshot",
         5 => "snapshot version 5 is retired (derivable churn state); take a new snapshot",
         6 => "snapshot version 6 is retired (a binary config header); take a new snapshot",
+        7 => "snapshot version 7 is retired (drop and fault generators); take a new snapshot",
         _ => "unsupported snapshot version",
     };
     Err(WireError { at: 4, what })
@@ -144,7 +148,6 @@ impl World {
         }
 
         if let Some(st) = &self.scenario {
-            enc.rng(&st.rng);
             enc.u64(st.counts.blackout_drops);
             enc.u64(st.counts.partition_drops);
             enc.u64(st.counts.noise_drops);
@@ -302,7 +305,6 @@ impl World {
         }
 
         if let Some(st) = world.scenario.as_mut() {
-            st.rng = dec.rng()?;
             st.counts.blackout_drops = dec.u64()?;
             st.counts.partition_drops = dec.u64()?;
             st.counts.noise_drops = dec.u64()?;

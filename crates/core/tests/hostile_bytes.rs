@@ -78,7 +78,7 @@ fn churn_config_until(until: SimTime) -> SimConfig {
 
 /// Neighbor coverage over 1 s HELLOs, waypoint mobility and injected
 /// drops: pending sets, neighbor tables, variation trackers, HELLO
-/// payloads in the MAC queues, the waypoint phase and the drop RNG.
+/// payloads in the MAC queues, the waypoint phase and injected drops.
 fn coverage_config() -> SimConfig {
     SimConfig::builder(1, SchemeSpec::NeighborCoverage)
         .hosts(8)

@@ -113,6 +113,23 @@ fn resume_refuses_the_retired_version_5() {
     );
 }
 
+/// Version 7 wrote the positions of the channel-drop and scenario-fault
+/// generators; version 8 keys those draws by frame serial and listener,
+/// and version 7 is refused by name at the version field.
+#[test]
+fn resume_refuses_the_retired_version_7() {
+    let mut world = World::new(churn_config());
+    world.advance(SimTime::from_secs(5));
+    let mut bytes = world.snapshot();
+    bytes[4..8].copy_from_slice(&7u32.to_le_bytes());
+    let err = World::resume(churn_config(), &bytes).expect_err("version 7");
+    assert_eq!(err.at, 4);
+    assert!(
+        err.what.starts_with("snapshot version 7 is retired"),
+        "{err}"
+    );
+}
+
 /// The churn pin's script (`report_pins.rs`): two hosts churn while a
 /// blackout, a noise burst and a partition open and close.
 fn churn_config() -> SimConfig {

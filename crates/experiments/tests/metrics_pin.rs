@@ -17,8 +17,10 @@ use std::process::Command;
 const PINNED_FNV1A64: u64 = 0xc05cb88f2d2fe4a3;
 
 /// The same for ext-churn, pinned again when `N_{x,h}` became exactly
-/// the list `h` last advertised (its NC row moved).
-const PINNED_CHURN_FNV1A64: u64 = 0x9dd2619f6414f2b6;
+/// the list `h` last advertised (its NC row moved), and when noise drops
+/// and rejoin HELLO phases became keyed draws and a rejoining MAC kept
+/// its host's backoff stream.
+const PINNED_CHURN_FNV1A64: u64 = 0xc31803110b61514f;
 
 /// FNV-1a 64-bit: tiny, dependency-free, and stable across platforms.
 fn fnv1a64(bytes: &[u8]) -> u64 {

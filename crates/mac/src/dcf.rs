@@ -251,15 +251,15 @@ impl Dcf {
         self.bump_generation();
     }
 
-    /// Boots the MAC again, exactly as [`Dcf::new`]`(rng)` would make it
-    /// except that its counters are kept and its timer generation keeps
-    /// counting, so a timer armed before the reboot stays stale.
-    pub fn reboot(&mut self, rng: SimRng) {
-        let (stats, generation) = (self.stats, self.generation);
+    /// Boots the MAC again, exactly as [`Dcf::new`] would make it on the
+    /// stream it has drawn from so far, except that its counters are kept
+    /// and its timer generation keeps counting, so a timer armed before
+    /// the reboot stays stale.
+    pub fn reboot(&mut self) {
         *self = Dcf {
-            stats,
-            generation,
-            ..Dcf::new(rng)
+            stats: self.stats,
+            generation: self.generation,
+            ..Dcf::new(self.rng.clone())
         };
     }
 
@@ -861,11 +861,12 @@ mod tests {
         assert!(m.on_timer(generation, t0 + SLOT + DIFS).is_none());
         let before = *m.stats();
         assert!(m.cancel(FrameHandle(1)));
-        m.reboot(SimRng::seed_from(7));
+        let stream = m.rng.clone();
+        m.reboot();
         assert_eq!(m.stats().enqueued, before.enqueued);
         assert_eq!(m.stats().cancelled, 1);
         assert!(m.generation() > generation);
-        let mut fresh = Dcf::new(SimRng::seed_from(7));
+        let mut fresh = Dcf::new(stream);
         let t1 = SimTime::from_millis(2);
         for mac in [&mut m, &mut fresh] {
             mac.on_medium_busy(t1);

@@ -264,9 +264,10 @@ pub struct Medium {
     /// return theirs here and starting frames take a pair back, so
     /// steady-state frame turnover performs no allocation.
     pool: Vec<(Vec<NodeId>, Vec<Option<LossCause>>)>,
-    /// Independent per-delivery loss probability (failure injection).
+    /// Independent per-delivery loss probability (failure injection),
+    /// and the seed its draws are keyed under.
     drop_probability: f64,
-    drop_rng: Option<SimRng>,
+    drop_seed: u64,
     capture: Option<Capture>,
     losses: LossCounters,
     frames_sent: u64,
@@ -280,7 +281,7 @@ impl Medium {
             active: Slab::new(),
             pool: Vec::new(),
             drop_probability: 0.0,
-            drop_rng: None,
+            drop_seed: 0,
             capture: None,
             losses: LossCounters::default(),
             frames_sent: 0,
@@ -289,14 +290,18 @@ impl Medium {
 
     /// Adds independent random frame loss with probability `p` per
     /// delivery — a failure-injection hook for robustness experiments.
+    /// The delivery of the n-th frame sent (counting from 1, as
+    /// [`frames_sent`](Self::frames_sent) does) to `listener` drops when
+    /// `SimRng::keyed(seed, &[n, listener])` says so: the decision
+    /// depends on nothing else the medium did.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub fn with_drop_probability(mut self, p: f64, rng: SimRng) -> Self {
+    pub fn with_drop_probability(mut self, p: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.drop_probability = p;
-        self.drop_rng = Some(rng);
+        self.drop_seed = seed;
         self
     }
 
@@ -437,10 +442,7 @@ impl Medium {
     /// Shared transmission-start path. Generic over the listener iterator
     /// so the plain-`NodeId` entry point can adapt on the fly instead of
     /// materializing a `Vec<Listener>`. Single pass, in listener order:
-    /// each listener is validated before its state is touched, and the
-    /// drop RNG is drawn only for deliveries still decodable, so the
-    /// injected-loss stream does not depend on how much the contention
-    /// model garbled.
+    /// each listener is validated before its state is touched.
     fn begin_tx_inner(
         &mut self,
         source: NodeId,
@@ -542,11 +544,8 @@ impl Medium {
             }
             // Injected channel loss (failure injection, not a collision).
             if cause.is_none() && self.drop_probability > 0.0 {
-                let rng = self
-                    .drop_rng
-                    .as_mut()
-                    .expect("drop probability set without rng");
-                if rng.gen_bool(self.drop_probability) {
+                let key = [self.frames_sent, listener.node.index() as u64];
+                if SimRng::keyed(self.drop_seed, &key).gen_bool(self.drop_probability) {
                     cause = Some(LossCause::Injected);
                 }
             }
@@ -664,7 +663,6 @@ impl Medium {
                 });
             }
         }
-        enc.option(self.drop_rng.as_ref(), WireEncoder::rng);
         enc.u64(self.losses.overlap);
         enc.u64(self.losses.half_duplex);
         enc.u64(self.losses.injected);
@@ -805,15 +803,6 @@ impl Medium {
                 }
             }
         }
-        let rng_at = dec.position();
-        let drop_rng = dec.option(WireDecoder::rng)?;
-        if drop_rng.is_some() != self.drop_rng.is_some() {
-            return Err(WireError {
-                at: rng_at,
-                what: "drop RNG presence mismatch",
-            });
-        }
-        self.drop_rng = drop_rng;
         self.losses = LossCounters {
             overlap: dec.u64()?,
             half_duplex: dec.u64()?,
@@ -995,49 +984,45 @@ mod tests {
     }
 
     #[test]
-    fn injected_drop_rng_not_consumed_for_garbled_frames() {
-        // Two media share drop seed and probability. Medium `noisy` first
-        // suffers a capture episode in which BOTH overlapping frames are
-        // garbled (comparable signals), medium `clean` does not. The
-        // injected-loss RNG must not be consumed for the garbled frames,
-        // so the decode pattern of the subsequent clean frames is
-        // identical on both media.
-        let drop_p = 0.4;
-        let run = |with_weak_frame: bool| -> Vec<bool> {
-            let mut m = Medium::new(3)
+    fn injected_drop_is_keyed_by_frame_serial_and_listener() {
+        // A delivery's drop decision is `keyed(seed, [serial, listener])`,
+        // whether or not other deliveries were garbled. In one medium the
+        // second frame garbles in a capture episode at listener 1; in the
+        // other it lands clear at listener 3. Every clean delivery of both
+        // media, then and on the 64 frames after, drops exactly when its
+        // key says so.
+        let (drop_p, seed) = (0.4, 77);
+        let run = |overlap: bool| -> Vec<Option<LossCause>> {
+            let mut m = Medium::new(4)
                 .with_capture(CaptureModel::new(4.0))
-                .with_drop_probability(drop_p, SimRng::seed_from(77));
+                .with_drop_probability(drop_p, seed);
             let (a, c) = (NodeId::new(0), NodeId::new(2));
             let mut t = SimTime::ZERO;
-            // The strong frame arrives on a clear channel, so it consumes
-            // one drop-RNG draw in BOTH runs.
             let f1 = send_signals(&mut m, a, t, &[listener(1, 100.0)]);
-            // The weak frame fails the SIR test the moment it arrives:
-            // already garbled, so it must NOT consume a draw.
-            let f2 = with_weak_frame.then(|| send_signals(&mut m, c, t, &[listener(1, 1.0)]));
-            finish(&mut m, f1, t + AIRTIME);
-            if let Some(f2) = f2 {
-                let cause = first_cause(&mut m, f2, t + AIRTIME);
-                assert_eq!(cause, Some(LossCause::Capture));
+            let f2 = send_signals(&mut m, c, t, &[listener(if overlap { 1 } else { 3 }, 1.0)]);
+            let mut causes = vec![first_cause(&mut m, f1, t + AIRTIME)];
+            causes.push(first_cause(&mut m, f2, t + AIRTIME));
+            assert_eq!(causes[1] == Some(LossCause::Capture), overlap);
+            for _ in 0..64 {
+                t += AIRTIME;
+                let (frame, _) = send(&mut m, a, t, &[NodeId::new(1)]);
+                causes.push(first_cause(&mut m, frame, t + AIRTIME));
             }
-            t += AIRTIME;
-            (0..64)
-                .map(|_| {
-                    let (s, _) = send(&mut m, a, t, &[NodeId::new(1)]);
-                    let decoded = first_cause(&mut m, s, t + AIRTIME).is_none();
-                    t += AIRTIME;
-                    decoded
-                })
-                .collect()
+            causes
         };
-        let with_weak_frame = run(true);
-        let without_weak_frame = run(false);
-        assert_eq!(
-            with_weak_frame, without_weak_frame,
-            "garbled frames must not consume the injected-drop RNG"
-        );
+        let (garbled, clear) = (run(true), run(false));
+        for (causes, second_listener) in [(&garbled, 1), (&clear, 3)] {
+            for (serial, &cause) in (1u64..).zip(causes.iter()) {
+                let listener = if serial == 2 { second_listener } else { 1 };
+                if cause != Some(LossCause::Capture) {
+                    let drop = SimRng::keyed(seed, &[serial, listener]).gen_bool(drop_p);
+                    assert_eq!(cause == Some(LossCause::Injected), drop, "frame {serial}");
+                }
+            }
+        }
+        assert_eq!(garbled[2..], clear[2..]);
         assert!(
-            with_weak_frame.iter().any(|&d| !d),
+            garbled.contains(&Some(LossCause::Injected)),
             "some injected drops expected at p = {drop_p}"
         );
     }
@@ -1045,7 +1030,7 @@ mod tests {
     #[test]
     fn injected_loss_is_reported_as_injected() {
         // p = 1: every otherwise-clean delivery is an injected drop.
-        let mut m = Medium::new(2).with_drop_probability(1.0, SimRng::seed_from(3));
+        let mut m = Medium::new(2).with_drop_probability(1.0, 3);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let t0 = SimTime::ZERO;
         let (s, _) = send(&mut m, a, t0, &[b]);
@@ -1105,7 +1090,7 @@ mod tests {
 
     #[test]
     fn injected_loss_drops_roughly_p() {
-        let mut m = Medium::new(2).with_drop_probability(0.3, SimRng::seed_from(9));
+        let mut m = Medium::new(2).with_drop_probability(0.3, 9);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let mut t = SimTime::ZERO;
         let mut decoded = 0;

@@ -2,7 +2,8 @@
 //! verdict from the call sequence alone.
 //!
 //! The reference keeps no radio state: it logs each frame with the call
-//! numbers of its begin and end, the drop draws made at its begin and the
+//! numbers of its begin and end, its drop draws (the n-th frame's
+//! delivery to host h draws `SimRng::keyed(seed, [n, h])`) and the
 //! losses scripted into it. Whether a delivery was lost, and to what,
 //! is recomputed on demand by scanning every frame ever sent (O(n²)): the
 //! first of these to strike the frame at the listener wins —
@@ -87,7 +88,8 @@ struct Frame {
     /// Call numbers of its begin and end (`usize::MAX` while on the air).
     begin: usize,
     end: usize,
-    /// Per listener, whether the drop draw at its arrival lost it.
+    /// Per listener, whether its drop draw drops it (read only when
+    /// nothing else struck the delivery at arrival).
     dropped: Vec<bool>,
     /// Scripted losses: (call number, listener index).
     injected: Vec<(usize, usize)>,
@@ -111,7 +113,7 @@ struct Reference {
     frames: Vec<Frame>,
     calls: usize,
     capture: Option<f64>,
-    drop: Option<(f64, SimRng)>,
+    drop: Option<(f64, u64)>,
 }
 
 impl Reference {
@@ -205,22 +207,23 @@ impl Reference {
     fn begin(&mut self, source: u32, listeners: Vec<(u32, f64)>) -> Vec<NodeId> {
         self.calls += 1;
         let (n, k) = (self.frames.len(), self.calls);
+        // Frame n is the medium's (n + 1)-th; a draw counts only for a
+        // delivery nothing else struck at arrival.
+        let dropped = (listeners.iter())
+            .map(|&(host, _)| {
+                self.drop.is_some_and(|(p, seed)| {
+                    SimRng::keyed(seed, &[n as u64 + 1, u64::from(host)]).gen_bool(p)
+                })
+            })
+            .collect();
         self.frames.push(Frame {
             source,
-            dropped: vec![false; listeners.len()],
+            dropped,
             listeners,
             begin: k,
             end: usize::MAX,
             injected: Vec::new(),
         });
-        // Drop draws in listener order, for deliveries nothing else struck.
-        for i in 0..self.frames[n].listeners.len() {
-            if self.arrival_cause(n, i).is_none() {
-                if let Some((p, rng)) = &mut self.drop {
-                    self.frames[n].dropped[i] = rng.gen_bool(*p);
-                }
-            }
-        }
         self.carrier(n, k)
     }
 
@@ -277,13 +280,13 @@ fn check(case: &Case) {
         medium = medium.with_capture(CaptureModel::new(f64::from(threshold)));
     }
     if let Some((p, seed)) = case.drop {
-        medium = medium.with_drop_probability(p, SimRng::seed_from(seed));
+        medium = medium.with_drop_probability(p, seed);
     }
     let mut reference = Reference {
         frames: Vec::new(),
         calls: 0,
         capture: case.capture.map(f64::from),
-        drop: case.drop.map(|(p, seed)| (p, SimRng::seed_from(seed))),
+        drop: case.drop,
     };
     // Frames on the air: (reference index, id, scheduled end).
     let mut on_air: Vec<(usize, FrameId, SimTime)> = Vec::new();
