@@ -222,7 +222,8 @@ pub struct PureModels {
     /// Per-host packet progress, host-indexed.
     ledgers: Vec<PacketLedger>,
     /// Per-host HELLO-derived neighbor tables, host-indexed (empty when
-    /// the run sends no HELLOs).
+    /// the run sends no HELLOs). Only a scheme that reads `N_{x,h}` keeps
+    /// two-hop lists in them; the others' are count-only.
     tables: Vec<NeighborTable>,
     /// The neighbor list each host last emitted, host-indexed: a beacon
     /// reuses it while the host's table ids are unchanged, and its frame
@@ -232,8 +233,9 @@ pub struct PureModels {
     /// the last list it restored for that sender
     /// ([`publish_restored`](Self::publish_restored)).
     published: Vec<Rc<[NodeId]>>,
-    /// Per-host neighborhood-variation trackers, host-indexed (empty when
-    /// the run sends no HELLOs).
+    /// Per-host neighborhood-variation trackers, host-indexed: kept only
+    /// under the dynamic hello interval, their one reader, and empty
+    /// otherwise.
     trackers: Vec<VariationTracker>,
     /// Scheme decisions tallied as the pure transitions make them.
     suppression: SuppressionCounts,
@@ -268,14 +270,23 @@ impl PureModels {
     }
 
     /// Gives hosts `0..hosts` fresh protocol state where they have none:
-    /// a ledger, and HELLO state when the run sends HELLOs.
+    /// a ledger, and the HELLO state its readers need when the run sends
+    /// HELLOs.
     pub(crate) fn grow_to(&mut self, hosts: usize) {
         if hosts > self.ledgers.len() {
             self.ledgers.resize_with(hosts, PacketLedger::new);
-            if self.hello_policy.is_some() {
-                self.tables.resize_with(hosts, NeighborTable::new);
+            if let Some(policy) = self.hello_policy {
+                // Two-hop lists only where the scheme reads `N_{x,h}`.
+                let table: fn() -> NeighborTable = if self.needs_two_hop {
+                    NeighborTable::new
+                } else {
+                    NeighborTable::count_only
+                };
+                self.tables.resize_with(hosts, table);
                 self.published.resize_with(hosts, Rc::default);
-                self.trackers.resize_with(hosts, VariationTracker::new);
+                if policy.reads_variation() {
+                    self.trackers.resize_with(hosts, VariationTracker::new);
+                }
             }
         }
     }
@@ -295,7 +306,7 @@ impl PureModels {
                 let policy = self.hello_policy.expect("hello timer fired without HELLOs");
                 let i = node.index();
                 let count = self.tables[i].neighbor_count();
-                let interval = policy.current_interval(&mut self.trackers[i], count, now);
+                let interval = policy.current_interval(self.trackers.get_mut(i), count, now);
                 // One allocation per changed list, shared by every hearer.
                 let (ids, last) = (self.tables[i].neighbor_ids(), &mut self.published[i]);
                 if self.needs_two_hop && **last != *ids {
@@ -315,12 +326,13 @@ impl PureModels {
             } => {
                 self.expire_neighbors(node, now, fx);
                 let i = node.index();
-                let list = Rc::clone(neighbors);
                 if self.tables[i]
-                    .record_shared(sender, now, interval, list)
+                    .record_shared(sender, now, interval, neighbors)
                     .is_some()
                 {
-                    self.trackers[i].record_change(now);
+                    if let Some(tracker) = self.trackers.get_mut(i) {
+                        tracker.record_change(now);
+                    }
                     self.push_accelerate(node, now, fx);
                 }
             }
@@ -371,7 +383,9 @@ impl PureModels {
                     // keeps the host's memory for its return.
                     if let Some(table) = self.tables.get_mut(i) {
                         table.clear();
-                        self.trackers[i] = VariationTracker::new();
+                    }
+                    if let Some(tracker) = self.trackers.get_mut(i) {
+                        *tracker = VariationTracker::new();
                     }
                     self.ledgers[i] = PacketLedger::new();
                 }
@@ -556,15 +570,17 @@ impl PureModels {
     }
 
     /// Expires stale neighbors, feeding leave events to the variation
-    /// tracker; churn under the dynamic hello policy may accelerate the
-    /// host's beacon.
+    /// tracker where the host keeps one; churn under the dynamic hello
+    /// policy may accelerate the host's beacon.
     fn expire_neighbors(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
         let i = node.index();
         self.scratch_changes.clear();
         self.tables[i].expire_into(now, &mut self.scratch_changes);
         let leaves = self.scratch_changes.len();
-        for _ in 0..leaves {
-            self.trackers[i].record_change(now);
+        if let Some(tracker) = self.trackers.get_mut(i) {
+            for _ in 0..leaves {
+                tracker.record_change(now);
+            }
         }
         if leaves > 0 {
             self.push_accelerate(node, now, fx);
@@ -602,9 +618,9 @@ impl PureModels {
     }
 
     /// The mutable protocol state a world snapshot must carry: per-host
-    /// ledgers, neighbor tables, variation trackers, and the suppression
-    /// tally. Everything else in `PureModels` is config-derived, scratch
-    /// or the `published` cache.
+    /// ledgers, neighbor tables, variation trackers (none under a fixed
+    /// hello interval), and the suppression tally. Everything else in
+    /// `PureModels` is config-derived, scratch or the `published` cache.
     pub(crate) fn snapshot_parts(
         &self,
     ) -> (
@@ -852,5 +868,58 @@ mod tests {
             matches!(fx[..], [Effect::InhibitFirstHear { .. }]),
             "{fx:?}"
         );
+    }
+
+    /// Variation windows only under the dynamic interval, their one
+    /// reader; two-hop lists only under neighbor coverage, theirs. An
+    /// adaptive-counter table hears a list and keeps none.
+    #[test]
+    fn hello_state_is_kept_only_where_it_is_read() {
+        use crate::config::NeighborInfo;
+        use crate::threshold::CounterThreshold;
+        use manet_net::DynamicHelloParams;
+
+        let with = |scheme, policy| {
+            let cfg = SimConfig::builder(1, scheme)
+                .hosts(4)
+                .broadcasts(1)
+                .neighbor_info(NeighborInfo::Hello(policy))
+                .build();
+            PureModels::new(&cfg)
+        };
+        let ac = SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended());
+        let fixed = HelloIntervalPolicy::fixed_1s();
+        let dynamic = HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper());
+        for (scheme, policy, trackers) in [
+            (SchemeSpec::NeighborCoverage, fixed, 0),
+            (SchemeSpec::NeighborCoverage, dynamic, 4),
+            (ac.clone(), fixed, 0),
+            (ac.clone(), dynamic, 4),
+        ] {
+            let pure = with(scheme.clone(), policy);
+            let (_, tables, held, _) = pure.snapshot_parts();
+            assert_eq!(
+                (tables.len(), held.len()),
+                (4, trackers),
+                "{scheme:?} {policy:?}"
+            );
+        }
+        let listed: Rc<[NodeId]> = Rc::from([NodeId::new(3)]);
+        let two_hop = [
+            (ac, &[][..], 1),
+            (SchemeSpec::NeighborCoverage, &listed[..], 2),
+        ];
+        for (scheme, kept, handles) in two_hop {
+            let mut pure = with(scheme, fixed);
+            let hello = PureAction::HelloHeard {
+                node: NodeId::new(1),
+                sender: NodeId::new(2),
+                interval: SimDuration::from_secs(1),
+                neighbors: &listed,
+            };
+            pure.step(SimTime::ZERO, &hello, &mut Vec::new());
+            assert_eq!(pure.tables[1].neighbors_of(NodeId::new(2)), Some(kept));
+            assert_eq!(Rc::strong_count(&listed), handles);
+        }
     }
 }

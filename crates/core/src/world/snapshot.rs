@@ -117,12 +117,14 @@ impl World {
         for ledger in ledgers {
             ledger.encode(&mut enc, |enc, state| encode_state(enc, state, scheme));
         }
-        // A run without HELLOs holds none.
+        // A run without HELLOs holds none. Under a fixed hello interval a
+        // host keeps no tracker, and writes an empty window in its place.
         for table in tables {
             table.snapshot_into(&mut enc);
         }
-        for tracker in trackers {
-            tracker.snapshot_into(&mut enc);
+        let quiet = VariationTracker::new();
+        for i in 0..tables.len() {
+            trackers.get(i).unwrap_or(&quiet).snapshot_into(&mut enc);
         }
         encode_suppression(&mut enc, suppression);
 
@@ -252,20 +254,33 @@ impl World {
                 Ok(ledger)
             })
             .collect::<Result<_, _>>()?;
-        let (tables, trackers) = if world.hellos_enabled() {
+        let (tables, trackers) = if let Some(policy) = world.cfg.hello_policy() {
             // Each two-hop list is interned by content, so the restored
-            // tables share lists as the paused ones did.
+            // tables share lists as the paused ones did. A scheme that
+            // reads no `N_{x,h}` keeps count-only tables, and refuses a list.
             let (pure, mut restored) = (&mut world.pure, vec![Vec::new(); hosts]);
             let tables = (0..hosts)
                 .map(|_| {
-                    NeighborTable::restore_snapshot(&mut dec, |h, list| {
-                        pure.publish_restored(h, list, &mut restored)
-                    })
+                    if scheme.needs_two_hop_hellos() {
+                        NeighborTable::restore_snapshot(&mut dec, |h, list| {
+                            pure.publish_restored(h, list, &mut restored)
+                        })
+                    } else {
+                        NeighborTable::restore_count_only(&mut dec)
+                    }
                 })
                 .collect::<Result<_, _>>()?;
-            let trackers = (0..hosts)
-                .map(|_| VariationTracker::restore_snapshot(&mut dec))
-                .collect::<Result<_, _>>()?;
+            // Under a fixed interval nothing reads a window: each is
+            // checked and dropped, including the non-empty ones that
+            // checkpoints of fixed-interval runs used to carry.
+            let now = world.queue.now();
+            let mut trackers = Vec::new();
+            for _ in 0..hosts {
+                let tracker = VariationTracker::restore_snapshot(&mut dec, now)?;
+                if policy.reads_variation() {
+                    trackers.push(tracker);
+                }
+            }
             (tables, trackers)
         } else {
             (Vec::new(), Vec::new())

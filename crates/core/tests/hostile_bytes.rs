@@ -77,7 +77,8 @@ fn churn_config_until(until: SimTime) -> SimConfig {
 }
 
 /// Neighbor coverage over 1 s HELLOs, waypoint mobility and injected
-/// drops: pending sets, neighbor tables, variation trackers, HELLO
+/// drops: pending sets, neighbor tables with two-hop lists, the empty
+/// variation window each host writes under a fixed interval, HELLO
 /// payloads in the MAC queues, the waypoint phase and injected drops.
 fn coverage_config() -> SimConfig {
     SimConfig::builder(1, SchemeSpec::NeighborCoverage)
@@ -580,7 +581,7 @@ fn hello_state_in_a_run_without_hellos_is_refused() {
     let config = storm_config(SchemeSpec::Counter(3));
     let image = World::new(config.clone()).snapshot();
     assert!(World::resume(config.clone(), &image).is_ok());
-    let start = image.len() - (7 * 8 + 12 + 33 + 32 * 8);
+    let start = image.len() - FRESH_TAIL;
 
     let at = SimTime::from_secs(1);
     let mut table = NeighborTable::new();
@@ -603,6 +604,222 @@ fn hello_state_in_a_run_without_hellos_is_refused() {
         let bytes = [&image[..start], &patch, &image[start..]].concat();
         let err = World::resume(config.clone(), &bytes).expect_err(what);
         assert!(err.at >= start, "{what}: {err}");
+    }
+}
+
+/// What a fresh world's checkpoint writes after the HELLO state: the
+/// suppression tallies (7 × 8 bytes), an empty carrier-batch slab (12),
+/// the workload scalars (33) and the backoff histogram (32 × 8).
+const FRESH_TAIL: usize = 7 * 8 + 12 + 33 + 32 * 8;
+
+/// A fresh world's checkpoint under `config`, which sends HELLOs, and
+/// where its HELLO state starts: each host's empty neighbor table (an
+/// empty entry list, no expiry bound and two zero totals: 25 bytes), then
+/// each host's empty variation window (8).
+fn fresh_hello_state(config: &SimConfig) -> (Vec<u8>, usize, usize) {
+    let hosts = config.hosts as usize;
+    let image = World::new(config.clone()).snapshot();
+    let windows = image.len() - FRESH_TAIL - 8 * hosts;
+    let tables = windows - 25 * hosts;
+    assert!(image[tables..windows + 8 * hosts].iter().all(|&b| b == 0));
+    (image, tables, windows)
+}
+
+/// `image` with the `len` bytes at `at` replaced by `patch`.
+fn spliced(image: &[u8], at: usize, len: usize, patch: &[u8]) -> Vec<u8> {
+    [&image[..at], patch, &image[at + len..]].concat()
+}
+
+/// One neighbor table's bytes: entries of `(id, last heard, interval)`
+/// in ns, each advertising `listed`, then the expiry bound and two zero
+/// totals.
+fn table_bytes(entries: &[(u32, u64, u64)], listed: &[u32], bound: Option<u64>) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
+    enc.seq(entries, |enc, &(id, heard, interval)| {
+        enc.u32(id);
+        enc.u64(heard);
+        enc.u64(interval);
+        enc.seq(listed, |enc, &id| enc.u32(id));
+    });
+    enc.option(bound, WireEncoder::u64);
+    enc.u64(0);
+    enc.u64(0);
+    enc.into_bytes()
+}
+
+/// One variation window's bytes.
+fn window_bytes(times: &[u64]) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
+    enc.seq(times.iter().copied(), WireEncoder::u64);
+    enc.into_bytes()
+}
+
+/// [`coverage_config`] paused at 3.5 s, and where its variation windows
+/// start: under a fixed interval each host writes an empty one (8 zero
+/// bytes), just before the suppression tallies a report at the pause
+/// gives.
+fn coverage_paused_with_its_windows() -> (SimConfig, Vec<u8>, usize) {
+    let (config, pause) = (coverage_config(), SimTime::from_millis(3_500));
+    let mut world = World::new(config.clone());
+    world.advance(pause);
+    let image = world.snapshot();
+    let mut twin = World::new(config.clone());
+    twin.advance(pause);
+    let s = twin.into_report().suppression;
+    let mut enc = WireEncoder::new();
+    for tally in [
+        s.scheduled,
+        s.inhibited_first_hear,
+        s.cancelled,
+        s.counter_threshold,
+        s.coverage_threshold,
+        s.neighbor_coverage,
+        s.probabilistic,
+    ] {
+        enc.u64(tally);
+    }
+    let hosts = config.hosts as usize;
+    let wanted = [vec![0; 8 * hosts], enc.into_bytes()].concat();
+    let found: Vec<usize> = (0..image.len() - wanted.len())
+        .filter(|&at| image[at..at + wanted.len()] == wanted)
+        .collect();
+    assert_eq!(found.len(), 1, "the windows and tallies of {hosts} hosts");
+    (config, image, found[0])
+}
+
+/// A fixed-interval checkpoint written before hosts under a fixed
+/// interval stopped keeping variation windows holds non-empty ones.
+/// Nothing reads them, so resume checks each and drops it: such a
+/// checkpoint resumes to the one this build writes, and finishes the run
+/// exactly as the uninterrupted one does.
+#[test]
+fn a_fixed_interval_checkpoint_with_windows_resumes_as_the_plain_run() {
+    let (config, image, windows) = coverage_paused_with_its_windows();
+    let hosts = config.hosts as usize;
+    let mut bytes = image[..windows].to_vec();
+    for host in 0..hosts as u64 {
+        bytes.extend(window_bytes(&[host * 1_000, 1_000_000_000, 1_000_000_000]));
+    }
+    bytes.extend(&image[windows + 8 * hosts..]);
+    let resumed = World::resume(config.clone(), &bytes).expect("windows of a fixed run resume");
+    assert_eq!(resumed.snapshot(), image, "the windows are dropped");
+    let plain = format!("{:?}", World::new(config).run());
+    assert_eq!(format!("{:?}", resumed.run()), plain);
+}
+
+/// No host records a membership change out of order or ahead of the
+/// clock, so a checkpoint whose window does is refused at the time that
+/// breaks the rule, under either interval policy. Each was resumed as is.
+#[test]
+fn a_variation_window_out_of_order_or_ahead_of_the_clock_is_refused() {
+    let (config, image, windows) = coverage_paused_with_its_windows();
+    // Host 2's window; the clock stands at or before the 3.5 s pause.
+    let at = windows + 2 * 8;
+    for (times, index, what) in [
+        (
+            &[1_000_000_000, 999_999_999][..],
+            1,
+            "variation window times are not non-decreasing",
+        ),
+        (
+            &[3_500_000_001],
+            0,
+            "a variation window holds a time after the checkpoint's clock",
+        ),
+    ] {
+        let bytes = spliced(&image, at, 8, &window_bytes(times));
+        let err = World::resume(config.clone(), &bytes).expect_err(what);
+        assert_eq!(
+            err,
+            WireError {
+                at: at + 8 + 8 * index,
+                what
+            },
+            "{times:?}"
+        );
+    }
+    // A fresh dynamic-interval world's clock reads zero.
+    let dynamic = SimConfig {
+        neighbor_info: NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
+            manet_net::DynamicHelloParams::paper(),
+        )),
+        ..coverage_config()
+    };
+    let (image, _, windows) = fresh_hello_state(&dynamic);
+    assert!(World::resume(
+        dynamic.clone(),
+        &spliced(&image, windows, 8, &window_bytes(&[0, 0]))
+    )
+    .is_ok());
+    let err = World::resume(
+        dynamic,
+        &spliced(&image, windows, 8, &window_bytes(&[0, 1])),
+    )
+    .expect_err("a window ahead of a fresh clock");
+    assert_eq!(err.at, windows + 8 + 8);
+}
+
+/// A neighbor table's expiry bound must be at or below its earliest entry
+/// deadline: expiry skips every sweep until the clock passes the bound,
+/// so a missing bound beside live entries, or a later one, would keep
+/// them past their deadline in the resumed run. Both used to resume. A
+/// lower bound is legal: a live table's bound often is one.
+#[test]
+fn an_expiry_bound_past_an_entry_deadline_is_refused() {
+    let config = coverage_config();
+    let (image, tables, _) = fresh_hello_state(&config);
+    // Host 1's table: host 4 heard at 0 s on a 1 s interval (deadline
+    // 2 s), host 6 at 0 s on 5 s.
+    let at = tables + 25;
+    let entries = [(4, 0, 1_000_000_000), (6, 0, 5_000_000_000)];
+    let with_bound = |bound| spliced(&image, at, 25, &table_bytes(&entries, &[], bound));
+    for ok in [Some(0), Some(2_000_000_000)] {
+        let mut world = World::resume(config.clone(), &with_bound(ok)).expect("a lower bound");
+        world.advance(SimTime::from_secs(3));
+    }
+    let bound_at = at + 8 + 2 * (4 + 8 + 8 + 8);
+    for bad in [None, Some(2_000_000_001), Some(10_000_000_000)] {
+        let err = World::resume(config.clone(), &with_bound(bad)).expect_err("a late bound");
+        let what = "neighbor table expiry bound is missing or past an entry's deadline";
+        assert_eq!(err, WireError { at: bound_at, what }, "{bad:?}");
+    }
+}
+
+/// The adaptive counter and location schemes read `n` alone, so their
+/// tables keep no two-hop lists and their HELLOs advertise none: a
+/// checkpoint of such a run holding a list is refused at the list, where
+/// it used to be kept and never read. The same table resumes under
+/// neighbor coverage.
+#[test]
+fn a_two_hop_list_in_a_count_only_world_is_refused() {
+    use broadcast_core::{AreaThreshold, CounterThreshold};
+
+    let table = table_bytes(&[(4, 0, 1_000_000_000)], &[2, 5], Some(2_000_000_000));
+    let (image, tables, _) = fresh_hello_state(&coverage_config());
+    assert!(World::resume(coverage_config(), &spliced(&image, tables, 25, &table)).is_ok());
+    for scheme in [
+        SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
+        SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
+    ] {
+        let config = SimConfig {
+            scheme,
+            ..coverage_config()
+        };
+        let (image, tables, _) = fresh_hello_state(&config);
+        let empty = table_bytes(&[(4, 0, 1_000_000_000)], &[], Some(2_000_000_000));
+        assert!(World::resume(config.clone(), &spliced(&image, tables, 25, &empty)).is_ok());
+        let err = World::resume(config.clone(), &spliced(&image, tables, 25, &table))
+            .expect_err("a list in a count-only table");
+        let what = "a two-hop list in a table that keeps none";
+        assert_eq!(
+            err,
+            WireError {
+                at: tables + 8 + 4 + 8 + 8,
+                what
+            },
+            "{:?}",
+            config.scheme
+        );
     }
 }
 

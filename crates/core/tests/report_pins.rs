@@ -10,8 +10,12 @@
 //! when channel drops, noise drops and rejoin HELLO phases became keyed
 //! draws (`MSNP` v8, and a rejoining MAC keeps its host's stream); the
 //! geometry-vs-linear-scan anchor of those runs now rests on
-//! `grid_properties.rs` and `tests/equivalence.rs`. Every other pin is
-//! the linear scan's.
+//! `grid_properties.rs` and `tests/equivalence.rs`. The `nc` and `al`
+//! snapshot pins were taken again when hosts under a fixed hello interval
+//! stopped keeping variation windows, which their checkpoints now write
+//! empty; the `nc dynamic` pin holds the windows a checkpoint still
+//! carries, in bytes unchanged since before. Every other pin is the
+//! linear scan's.
 //!
 //! Also pins the `advance` pause boundary: a pause time equal to a
 //! queued event's timestamp stops **strictly before** that event fires.
@@ -20,7 +24,7 @@ use broadcast_core::{
     AreaThreshold, CaptureConfig, ChurnKind, CounterThreshold, MobilitySpec, NeighborInfo,
     Scenario, SchemeSpec, SimConfig, World,
 };
-use manet_net::HelloIntervalPolicy;
+use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::{SimDuration, SimTime};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -133,18 +137,23 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     assert_eq!(hash, 0x56f7_dcab_f39d_c531, "trace: got {hash:#018x}");
 
     // Snapshot branches the counter world never encodes: the pending-set
-    // policy, neighbor tables, variation trackers, waypoint mobility and
-    // injected drops; then the coverage policy and capture signals.
-    let nc = SimConfig::builder(3, SchemeSpec::NeighborCoverage)
-        .hosts(40)
-        .broadcasts(15)
-        .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Fixed(
-            SimDuration::from_secs(1),
-        )))
-        .mobility(MobilitySpec::RandomWaypoint)
-        .drop_probability(0.1)
-        .seed(9)
-        .build();
+    // policy, neighbor tables with two-hop lists, waypoint mobility and
+    // injected drops; then count-only tables, the coverage policy and
+    // capture signals. Both run fixed 1 s HELLOs, so each host writes an
+    // empty variation window; the `nc` run under the dynamic interval
+    // writes the non-empty windows its hosts keep.
+    let nc_with = |policy| {
+        SimConfig::builder(3, SchemeSpec::NeighborCoverage)
+            .hosts(40)
+            .broadcasts(15)
+            .neighbor_info(NeighborInfo::Hello(policy))
+            .mobility(MobilitySpec::RandomWaypoint)
+            .drop_probability(0.1)
+            .seed(9)
+            .build()
+    };
+    let nc = nc_with(HelloIntervalPolicy::Fixed(SimDuration::from_secs(1)));
+    let nc_dhi = nc_with(HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper()));
     let al = SimConfig::builder(
         3,
         SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
@@ -159,8 +168,9 @@ fn churn_scenario_reproduces_the_linear_scan_run_and_snapshot() {
     // cases of `tests/equivalence.rs` pauses on a live lattice (DESIGN.md
     // §5), so tier-1's round trip of one is here.
     for (label, config, pause_ms, pin) in [
-        ("nc", nc, 11_407, 0xc271_9caf_3dcc_4448u64),
-        ("al", al, 7_226, 0x5ae3_d56f_c52e_6a42),
+        ("nc", nc, 11_407, 0x7102_5092_327b_6f75u64),
+        ("al", al, 7_226, 0x7b4b_264a_21cf_02de),
+        ("nc dynamic", nc_dhi, 11_407, 0xaae7_03a7_c6ad_72d4),
     ] {
         let mut world = World::new(config.clone());
         world.advance(SimTime::from_millis(pause_ms));

@@ -104,19 +104,31 @@ impl HelloIntervalPolicy {
         HelloIntervalPolicy::Fixed(SimDuration::from_secs(1))
     }
 
+    /// `true` for the dynamic policy: the only reader of a host's
+    /// variation tracker, so only its hosts keep one.
+    pub fn reads_variation(&self) -> bool {
+        matches!(self, HelloIntervalPolicy::Dynamic(_))
+    }
+
     /// Evaluates the interval a host should use right now.
     ///
     /// For the dynamic policy this consults the host's variation tracker
-    /// and live neighbor count.
+    /// and live neighbor count; a fixed interval reads neither, and its
+    /// hosts keep no tracker (`None`).
+    ///
+    /// # Panics
+    ///
+    /// Under the dynamic policy, when `tracker` is `None`.
     pub fn current_interval(
         &self,
-        tracker: &mut VariationTracker,
+        tracker: Option<&mut VariationTracker>,
         neighbor_count: usize,
         now: SimTime,
     ) -> SimDuration {
         match self {
             HelloIntervalPolicy::Fixed(interval) => *interval,
             HelloIntervalPolicy::Dynamic(params) => {
+                let tracker = tracker.expect("a dynamic interval reads the host's tracker");
                 params.interval_for(tracker.variation(now, neighbor_count))
             }
         }
@@ -177,13 +189,15 @@ mod tests {
         let mut tracker = VariationTracker::new();
         let now = SimTime::from_secs(30);
         let fixed = HelloIntervalPolicy::fixed_1s();
+        assert!(!fixed.reads_variation());
         assert_eq!(
-            fixed.current_interval(&mut tracker, 5, now),
+            fixed.current_interval(None, 5, now),
             SimDuration::from_secs(1)
         );
         let dynamic = HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper());
+        assert!(dynamic.reads_variation());
         assert_eq!(
-            dynamic.current_interval(&mut tracker, 5, now),
+            dynamic.current_interval(Some(&mut tracker), 5, now),
             SimDuration::from_millis(10_000),
             "quiet neighborhood -> hi_max"
         );
@@ -191,7 +205,7 @@ mod tests {
         tracker.record_change(now);
         tracker.record_change(now);
         assert_eq!(
-            dynamic.current_interval(&mut tracker, 1, now),
+            dynamic.current_interval(Some(&mut tracker), 1, now),
             SimDuration::from_millis(1_000)
         );
     }

@@ -8,12 +8,14 @@
 //! All adaptive schemes of the paper consume this layer:
 //!
 //! * The **adaptive counter** and **adaptive location** schemes only need
-//!   the live neighbor count `n` = [`NeighborTable::neighbor_count`].
+//!   the live neighbor count `n` = [`NeighborTable::neighbor_count`],
+//!   which a [`NeighborTable::count_only`] table keeps without lists.
 //! * The **neighbor-coverage** scheme additionally needs two-hop sets
 //!   `N_{x,h}` = [`NeighborTable::neighbors_of`], which HELLOs carry when
 //!   [`HelloPayload::neighbors`] is populated.
 //! * The **dynamic hello interval** couples the beacon rate to
-//!   neighborhood churn via [`HelloIntervalPolicy::Dynamic`].
+//!   neighborhood churn via [`HelloIntervalPolicy::Dynamic`], the one
+//!   reader of a [`VariationTracker`].
 //!
 //! # Examples
 //!
@@ -38,7 +40,7 @@
 //!
 //! // The dynamic policy shortens the hello interval under churn.
 //! let policy = HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper());
-//! let hi = policy.current_interval(&mut tracker, table.neighbor_count(), now);
+//! let hi = policy.current_interval(Some(&mut tracker), table.neighbor_count(), now);
 //! assert!(hi >= SimDuration::from_secs(1));
 //! ```
 

@@ -16,18 +16,13 @@ use std::rc::Rc;
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
-/// What a host knows about one of its neighbors.
-#[derive(Debug, Clone)]
-struct NeighborEntry {
-    /// When the last HELLO from this neighbor arrived.
-    last_heard: SimTime,
-    /// The hello interval the neighbor announced; entry expires after two
-    /// of these without a HELLO.
-    interval: SimDuration,
-    /// The neighbor's own one-hop set exactly as its last HELLO
-    /// advertised it (`N_{x,h}`). Empty when HELLOs do not carry neighbor
-    /// lists. Other tables that heard the same HELLO hold the same list.
-    neighbors: Rc<[NodeId]>,
+/// When a neighbor's last HELLO arrived, and the interval it announced.
+type Heard = (SimTime, SimDuration);
+
+/// The last instant an entry survives: two announced intervals after its
+/// last HELLO.
+fn deadline((last_heard, interval): Heard) -> SimTime {
+    last_heard + interval * 2
 }
 
 /// Membership changes produced by [`NeighborTable::record_hello`] and
@@ -41,6 +36,11 @@ pub enum MembershipChange {
 }
 
 /// One host's view of its neighborhood.
+///
+/// A table from [`new`](Self::new) keeps each neighbor's advertised list
+/// `N_{x,h}`; one from [`count_only`](Self::count_only) keeps membership
+/// and expiry alone, which is all the adaptive counter and location
+/// schemes read.
 ///
 /// # Examples
 ///
@@ -61,13 +61,17 @@ pub enum MembershipChange {
 /// assert_eq!(table.neighbor_count(), 0);
 /// assert_eq!(leaves.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NeighborTable {
     /// The one-hop set `N_x`, strictly ascending (≈ 110 ids on a dense
     /// map: a binary search is ≤ 7 steps and `N_x` is borrowed as is).
     ids: Vec<NodeId>,
-    /// `entries[k]` is what this host knows about `ids[k]`.
-    entries: Vec<NeighborEntry>,
+    /// `heard[k]` is when `ids[k]` was last heard, and at what interval.
+    heard: Vec<Heard>,
+    /// `lists[k]` is `ids[k]`'s own one-hop set exactly as its last HELLO
+    /// advertised it (`N_{x,h}`); other tables that heard the same HELLO
+    /// hold the same list. `None` in a count-only table.
+    lists: Option<Vec<Rc<[NodeId]>>>,
     /// Lower bound on the earliest entry deadline (`last_heard` plus two
     /// intervals). [`expire_into`](Self::expire_into) is a no-op until the
     /// clock passes it, which keeps the per-event expiry check O(1); refreshes
@@ -80,19 +84,44 @@ pub struct NeighborTable {
     leaves: u64,
 }
 
+impl Default for NeighborTable {
+    fn default() -> Self {
+        NeighborTable::new()
+    }
+}
+
 impl NeighborTable {
-    /// Creates an empty table.
+    /// Creates an empty table that keeps each neighbor's advertised list.
     pub fn new() -> Self {
-        NeighborTable::default()
+        NeighborTable {
+            lists: Some(Vec::new()),
+            ..NeighborTable::count_only()
+        }
+    }
+
+    /// Creates an empty table that keeps no two-hop lists: a list handed
+    /// to it is dropped, and [`neighbors_of`](Self::neighbors_of) a live
+    /// neighbor is empty, as if every HELLO advertised none.
+    pub fn count_only() -> Self {
+        NeighborTable {
+            ids: Vec::new(),
+            heard: Vec::new(),
+            lists: None,
+            min_deadline: None,
+            joins: 0,
+            leaves: 0,
+        }
     }
 
     /// Forgets every neighbor, as a crash does: the table is as
-    /// [`new`](Self::new) makes it except for its lifetime totals.
+    /// [`new`](Self::new) or [`count_only`](Self::count_only) made it,
+    /// except for its lifetime totals.
     pub fn clear(&mut self) {
         *self = NeighborTable {
+            lists: self.lists.as_ref().map(|_| Vec::new()),
             joins: self.joins,
             leaves: self.leaves,
-            ..NeighborTable::default()
+            ..NeighborTable::count_only()
         };
     }
 
@@ -106,33 +135,47 @@ impl NeighborTable {
         interval: SimDuration,
         neighbors: &[NodeId],
     ) -> Option<MembershipChange> {
-        self.record_shared(from, now, interval, neighbors.into())
+        self.record(from, now, interval, || neighbors.into())
     }
 
     /// [`record_hello`](Self::record_hello) with the advertised list
-    /// already shared: every table that heard one HELLO holds one copy.
+    /// already shared: every table that heard one HELLO holds one copy,
+    /// and a count-only table touches no handle.
     pub fn record_shared(
         &mut self,
         from: NodeId,
         now: SimTime,
         interval: SimDuration,
-        neighbors: Rc<[NodeId]>,
+        neighbors: &Rc<[NodeId]>,
     ) -> Option<MembershipChange> {
-        let deadline = now + interval * 2;
+        self.record(from, now, interval, || Rc::clone(neighbors))
+    }
+
+    /// Records a HELLO; `list` is asked for only by a table that keeps it.
+    fn record(
+        &mut self,
+        from: NodeId,
+        now: SimTime,
+        interval: SimDuration,
+        list: impl FnOnce() -> Rc<[NodeId]>,
+    ) -> Option<MembershipChange> {
+        let heard = (now, interval);
+        let deadline = deadline(heard);
         self.min_deadline = Some(self.min_deadline.map_or(deadline, |d| d.min(deadline)));
-        let entry = NeighborEntry {
-            last_heard: now,
-            interval,
-            neighbors,
-        };
         match self.ids.binary_search(&from) {
             Ok(k) => {
-                self.entries[k] = entry;
+                self.heard[k] = heard;
+                if let Some(lists) = &mut self.lists {
+                    lists[k] = list();
+                }
                 None
             }
             Err(k) => {
-                self.ids.insert(k, from);
-                self.entries.insert(k, entry);
+                insert_grown(&mut self.ids, k, from);
+                insert_grown(&mut self.heard, k, heard);
+                if let Some(lists) = &mut self.lists {
+                    insert_grown(lists, k, list());
+                }
                 self.joins += 1;
                 Some(MembershipChange::Joined(from))
             }
@@ -159,21 +202,26 @@ impl NeighborTable {
         let mut next_bound: Option<SimTime> = None;
         let mut kept = 0;
         for k in 0..self.ids.len() {
-            let entry = &self.entries[k];
-            let deadline = entry.last_heard + entry.interval * 2;
+            let deadline = deadline(self.heard[k]);
             if now > deadline {
                 leaves.push(MembershipChange::Left(self.ids[k]));
             } else {
                 next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
                 if kept < k {
                     self.ids.swap(kept, k);
-                    self.entries.swap(kept, k);
+                    self.heard.swap(kept, k);
+                    if let Some(lists) = &mut self.lists {
+                        lists.swap(kept, k);
+                    }
                 }
                 kept += 1;
             }
         }
         self.ids.truncate(kept);
-        self.entries.truncate(kept);
+        self.heard.truncate(kept);
+        if let Some(lists) = &mut self.lists {
+            lists.truncate(kept);
+        }
         self.min_deadline = next_bound;
         self.leaves += (leaves.len() - first) as u64;
     }
@@ -215,36 +263,71 @@ impl NeighborTable {
     /// neighbor-coverage scheme reads when a copy arrives from `h`.
     pub fn coverage_view(&self, h: NodeId) -> (&[NodeId], Option<&[NodeId]>) {
         let known = self.ids.binary_search(&h).ok();
-        (&self.ids, known.map(|k| &*self.entries[k].neighbors))
+        (&self.ids, known.map(|k| self.list(k)))
+    }
+
+    /// The list entry `k` holds: empty in a count-only table.
+    fn list(&self, k: usize) -> &[NodeId] {
+        self.lists.as_ref().map_or(&[], |lists| &lists[k])
     }
 
     /// Serializes the table for a world snapshot, each two-hop list as
-    /// its sender advertised it.
+    /// its sender advertised it (empty in a count-only table).
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        enc.seq(self.ids.iter().zip(&self.entries), |enc, (id, entry)| {
-            id.encode(enc);
-            enc.time(entry.last_heard);
-            enc.duration(entry.interval);
-            NodeId::encode_seq(enc, entry.neighbors.iter().copied());
-        });
+        enc.seq(
+            self.ids.iter().zip(&self.heard).enumerate(),
+            |enc, (k, (id, heard))| {
+                id.encode(enc);
+                enc.time(heard.0);
+                enc.duration(heard.1);
+                NodeId::encode_seq(enc, self.list(k).iter().copied());
+            },
+        );
         enc.option(self.min_deadline, WireEncoder::time);
         enc.u64(self.joins);
         enc.u64(self.leaves);
     }
 
-    /// Rebuilds a table from [`snapshot_into`](Self::snapshot_into)
-    /// output, refusing entries or two-hop lists that are not strictly
-    /// ascending by id. Each list is read into a scratch buffer and
-    /// handed to `share` with its sender, which returns the handle the
-    /// entry keeps: a caller that interns lists by content restores
-    /// tables that share them the way live hearers do.
+    /// Rebuilds a list-keeping table from
+    /// [`snapshot_into`](Self::snapshot_into) output. Each list is read
+    /// into a scratch buffer and handed to `share` with its sender, which
+    /// returns the handle the entry keeps: a caller that interns lists by
+    /// content restores tables that share them the way live hearers do.
+    ///
+    /// # Errors
+    ///
+    /// A positioned [`WireError`] on entries or lists not strictly
+    /// ascending by id, a deadline past the end of the clock, and an
+    /// expiry bound missing beside entries or past their earliest deadline
+    /// (it would keep them past it; a lower bound is legal).
     pub fn restore_snapshot(
         dec: &mut WireDecoder<'_>,
         mut share: impl FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>,
     ) -> Result<NeighborTable, WireError> {
-        let mut table = NeighborTable::new();
-        let mut list = Vec::new();
-        table.entries = dec.seq(28, |dec| {
+        NeighborTable::restore(dec, Some(&mut share))
+    }
+
+    /// Rebuilds a [`count_only`](Self::count_only) table from
+    /// [`snapshot_into`](Self::snapshot_into) output.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`restore_snapshot`](Self::restore_snapshot), and a
+    /// two-hop list that is not empty.
+    pub fn restore_count_only(dec: &mut WireDecoder<'_>) -> Result<NeighborTable, WireError> {
+        NeighborTable::restore(dec, None)
+    }
+
+    fn restore(
+        dec: &mut WireDecoder<'_>,
+        mut share: Option<Share<'_>>,
+    ) -> Result<NeighborTable, WireError> {
+        let mut table = NeighborTable {
+            lists: share.is_some().then(Vec::new),
+            ..NeighborTable::count_only()
+        };
+        let (mut list, mut earliest) = (Vec::new(), None::<SimTime>);
+        table.heard = dec.seq(28, |dec| {
             let at = dec.position();
             let id = NodeId::decode(dec)?;
             if table.ids.last().is_some_and(|&last| last >= id) {
@@ -252,20 +335,49 @@ impl NeighborTable {
                 return Err(WireError { at, what });
             }
             table.ids.push(id);
-            Ok(NeighborEntry {
-                last_heard: dec.time()?,
-                interval: dec.duration()?,
-                neighbors: share(
-                    id,
-                    NodeId::decode_ascending(dec, &mut list, NodeId::decode)?,
-                ),
-            })
+            let (last_heard, interval) = (dec.time()?, dec.duration()?);
+            let twice = interval.as_nanos().checked_mul(2);
+            let Some(deadline) = twice.and_then(|d| last_heard.as_nanos().checked_add(d)) else {
+                let what = "a neighbor entry's deadline is past the end of the clock";
+                return Err(WireError { at, what });
+            };
+            let deadline = SimTime::from_nanos(deadline);
+            earliest = Some(earliest.map_or(deadline, |d| d.min(deadline)));
+            let list_at = dec.position();
+            let advertised = NodeId::decode_ascending(dec, &mut list, NodeId::decode)?;
+            match (&mut table.lists, &mut share) {
+                (Some(lists), Some(share)) => lists.push(share(id, advertised)),
+                _ if advertised.is_empty() => {}
+                _ => {
+                    let what = "a two-hop list in a table that keeps none";
+                    return Err(WireError { at: list_at, what });
+                }
+            }
+            Ok((last_heard, interval))
         })?;
+        let at = dec.position();
         table.min_deadline = dec.option(WireDecoder::time)?;
+        if earliest.is_some_and(|earliest| table.min_deadline.is_none_or(|d| d > earliest)) {
+            let what = "neighbor table expiry bound is missing or past an entry's deadline";
+            return Err(WireError { at, what });
+        }
         table.joins = dec.u64()?;
         table.leaves = dec.u64()?;
         Ok(table)
     }
+}
+
+/// What a list-keeping restore asks for the handle on each list it reads.
+type Share<'a> = &'a mut dyn FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>;
+
+/// `Vec::insert`, growing a full vector by a quarter (at least 4 slots)
+/// rather than doubling it: a dense-map host with 129 neighbors holds
+/// 140 slots per column, not 256.
+fn insert_grown<T>(items: &mut Vec<T>, k: usize, item: T) {
+    if items.len() == items.capacity() {
+        items.reserve_exact((items.len() / 4).max(4));
+    }
+    items.insert(k, item);
 }
 
 #[cfg(test)]
@@ -462,5 +574,102 @@ mod tests {
         .expect("a pristine table restores");
         let held = restored.neighbors_of(id(4)).expect("host 4 is a neighbor");
         assert!(std::ptr::eq(held, &shared[..]));
+    }
+
+    #[test]
+    fn a_count_only_table_writes_what_a_table_of_empty_lists_does() {
+        // AC/AL HELLOs advertise empty lists, so their checkpoints do not
+        // change when the tables stop keeping them.
+        let (mut counts, mut lists) = (NeighborTable::count_only(), NeighborTable::new());
+        for (i, ms) in [(4, 0), (2, 300), (9, 700), (4, 1_200), (2, 3_000)] {
+            let now = SimTime::from_millis(ms);
+            let (a, b) = (expire(&mut counts, now), expire(&mut lists, now));
+            assert_eq!(a, b);
+            assert_eq!(
+                counts.record_hello(id(i), now, SEC, &[id(1), id(7)]),
+                lists.record_hello(id(i), now, SEC, &[])
+            );
+            assert_eq!(counts.neighbors_of(id(i)), Some(&[][..]));
+        }
+        let bytes = |t: &NeighborTable| {
+            let mut enc = WireEncoder::new();
+            t.snapshot_into(&mut enc);
+            enc.into_bytes()
+        };
+        assert_eq!(bytes(&counts), bytes(&lists));
+        let restored = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes(&lists)));
+        assert_eq!(
+            bytes(&restored.expect("empty lists restore")),
+            bytes(&lists)
+        );
+        counts.clear();
+        assert!(counts.lists.is_none(), "a crash keeps the table count-only");
+    }
+
+    #[test]
+    fn a_full_table_grows_by_a_quarter() {
+        for keep_lists in [false, true] {
+            let mut t = if keep_lists {
+                NeighborTable::new()
+            } else {
+                NeighborTable::count_only()
+            };
+            for n in 1..=300u32 {
+                // Descending ids insert at the front, moving every entry.
+                t.record_hello(id(1_000 - n), SimTime::ZERO, SEC, &[]);
+                let n = n as usize;
+                let bound = n + (n / 4).max(4);
+                assert!(t.ids.capacity() <= bound, "{n}: {}", t.ids.capacity());
+                assert!(t.heard.capacity() <= bound, "{n}: {}", t.heard.capacity());
+                let lists = t.lists.as_ref().map_or(0, Vec::capacity);
+                assert!(lists <= bound, "{n}: {lists}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_missing_or_late_expiry_bound() {
+        // Entries heard at 0 s (deadline 2 s) and 1 s (deadline 3 s): a
+        // bound of 2 s or less is a lower bound on the earliest deadline;
+        // none, or a later one, would keep host 3 past its deadline.
+        let mut t = NeighborTable::new();
+        t.record_hello(id(3), SimTime::ZERO, SEC, &[]);
+        t.record_hello(id(7), SimTime::from_secs(1), SEC, &[]);
+        let mut enc = WireEncoder::new();
+        t.snapshot_into(&mut enc);
+        let bytes = enc.into_bytes();
+        // Count, two entries with empty lists, then the bound.
+        let bound = 8 + 2 * (4 + 8 + 8 + 8);
+        assert_eq!(bytes.len(), bound + 9 + 16);
+        let with_bound = |bound_ns: Option<u64>| {
+            let mut enc = WireEncoder::new();
+            enc.option(bound_ns, WireEncoder::u64);
+            [&bytes[..bound], &enc.into_bytes(), &bytes[bound + 9..]].concat()
+        };
+        for ok in [0, 1_999_999_999, 2_000_000_000] {
+            assert!(restore(&with_bound(Some(ok))).is_ok(), "bound {ok}");
+        }
+        for bad in [None, Some(2_000_000_001)] {
+            let err = restore(&with_bound(bad)).expect_err("a bound past the earliest deadline");
+            assert_eq!(err.at, bound, "{bad:?}: {err}");
+        }
+        // An empty table has no bound to check.
+        let mut enc = WireEncoder::new();
+        NeighborTable::new().snapshot_into(&mut enc);
+        assert!(restore(&enc.into_bytes()).is_ok());
+    }
+
+    #[test]
+    fn a_count_only_restore_refuses_a_two_hop_list() {
+        let mut t = NeighborTable::new();
+        t.record_hello(id(4), SimTime::ZERO, SEC, &[id(2)]);
+        let mut enc = WireEncoder::new();
+        t.snapshot_into(&mut enc);
+        let bytes = enc.into_bytes();
+        assert!(restore(&bytes).is_ok());
+        let err = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes))
+            .expect_err("a list in a table that keeps none");
+        // Count, then the entry: id, last_heard, interval, the list.
+        assert_eq!(err.at, 8 + 4 + 8 + 8, "{err}");
     }
 }

@@ -87,10 +87,35 @@ impl VariationTracker {
     }
 
     /// Rebuilds a tracker from [`snapshot_into`](Self::snapshot_into)
-    /// output.
-    pub fn restore_snapshot(dec: &mut WireDecoder<'_>) -> Result<VariationTracker, WireError> {
-        let events = dec.seq(8, WireDecoder::time)?.into();
-        Ok(VariationTracker { events })
+    /// output taken when the clock read `now`.
+    ///
+    /// # Errors
+    ///
+    /// A positioned [`WireError`] on a window whose times are not
+    /// non-decreasing, or that holds a time after `now`: no host records
+    /// a change out of order or ahead of the clock.
+    pub fn restore_snapshot(
+        dec: &mut WireDecoder<'_>,
+        now: SimTime,
+    ) -> Result<VariationTracker, WireError> {
+        let mut last = SimTime::ZERO;
+        let events = dec.seq(8, |dec| {
+            let at = dec.position();
+            let time = dec.time()?;
+            if time < last {
+                let what = "variation window times are not non-decreasing";
+                return Err(WireError { at, what });
+            }
+            if time > now {
+                let what = "a variation window holds a time after the checkpoint's clock";
+                return Err(WireError { at, what });
+            }
+            last = time;
+            Ok(time)
+        })?;
+        Ok(VariationTracker {
+            events: events.into(),
+        })
     }
 }
 
@@ -165,5 +190,33 @@ mod tests {
         t.record_change(SimTime::from_secs(1));
         let nv = t.variation(SimTime::from_secs(2), 0);
         assert!((nv - 0.1).abs() < 1e-12, "1 change / (1 * 10 s)");
+    }
+
+    #[test]
+    fn restore_refuses_a_window_out_of_order_or_ahead_of_the_clock() {
+        let window = |times: &[u64]| {
+            let mut enc = WireEncoder::new();
+            enc.seq(times.iter().copied(), WireEncoder::u64);
+            enc.into_bytes()
+        };
+        let restore = |times: &[u64], now| {
+            let bytes = window(times);
+            VariationTracker::restore_snapshot(
+                &mut WireDecoder::new(&bytes),
+                SimTime::from_nanos(now),
+            )
+            .map(|t| {
+                t.events
+                    .into_iter()
+                    .map(SimTime::as_nanos)
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(restore(&[1, 1, 5], 5), Ok(vec![1, 1, 5]));
+        assert_eq!(restore(&[], 0), Ok(vec![]));
+        let at = |err: Result<_, WireError>| err.expect_err("refused").at;
+        // The count, then one time per event.
+        assert_eq!(at(restore(&[1, 5, 4], 9)), 8 + 2 * 8);
+        assert_eq!(at(restore(&[1, 6], 5)), 8 + 8);
     }
 }

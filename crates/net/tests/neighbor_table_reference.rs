@@ -250,7 +250,7 @@ prop_check! {
                     for k in 0..hearers {
                         if k == at || g.bool() {
                             assert_eq!(
-                                tables[k].record_shared(from, now, interval, Rc::clone(&shared)),
+                                tables[k].record_shared(from, now, interval, &shared),
                                 references[k].record_hello(from, now, interval, &listed)
                             );
                         }
@@ -270,6 +270,51 @@ prop_check! {
             for (table, reference) in tables.iter().zip(&references) {
                 assert_same(table, reference, universe);
             }
+        }
+    }
+}
+
+prop_check! {
+    /// A count-only table, as the adaptive counter and location schemes
+    /// keep, is the reference fed empty lists whatever lists its HELLOs
+    /// carry: equal membership and `neighbors_of` (empty for a live
+    /// neighbor), leave lists in the same ascending order, equal counters
+    /// and equal snapshot bytes after every step. Its snapshots restore as
+    /// count-only tables, through shared and unshared records alike.
+    fn a_count_only_table_matches_the_reference_of_empty_lists(g, cases = 300) {
+        let universe = if g.bool() { g.u32_in(1..9) } else { g.u32_in(1..151) };
+        let mut table = NeighborTable::count_only();
+        let mut reference = ReferenceTable::default();
+        let mut now = SimTime::ZERO;
+        for _ in 0..g.usize_in(1..150) {
+            if g.u32_in(0..3) != 0 {
+                now += SimDuration::from_millis(g.u64_in(1..1_800));
+            }
+            match g.u32_in(0..8) {
+                0..=3 => {
+                    let from = gen_id(g, universe);
+                    let interval = SimDuration::from_millis(g.u64_in(1..6) * 500);
+                    let listed = g.vec(0..universe.min(24) as usize + 1, |g| gen_id(g, universe));
+                    let joined = if g.bool() {
+                        table.record_hello(from, now, interval, &listed)
+                    } else {
+                        table.record_shared(from, now, interval, &listed.as_slice().into())
+                    };
+                    assert_eq!(joined, reference.record_hello(from, now, interval, &[]));
+                }
+                4..=6 => {
+                    let (mut left_table, mut left_reference) = (Vec::new(), Vec::new());
+                    table.expire_into(now, &mut left_table);
+                    reference.expire_into(now, &mut left_reference);
+                    assert_eq!(left_table, left_reference, "leave lists");
+                }
+                _ => {
+                    let bytes = bytes_of(|enc| table.snapshot_into(enc));
+                    table = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes))
+                        .expect("a count-only table restores as one");
+                }
+            }
+            assert_same(&table, &reference, universe);
         }
     }
 }
