@@ -92,8 +92,8 @@ pub use metrics::{
 pub use policy::{DuplicateDecision, FirstDecision, HearContext};
 pub use pure::{Effect, OracleView, PureAction, PureModels};
 pub use record::{
-    replay_decisions, DecisionRecord, ReplayError, ReplaySummary, TraceFile, TraceRecord,
-    TraceWriter, TRACE_MAGIC, TRACE_VERSION,
+    first_divergence, replay_decisions, Agreed, DecisionRecord, Divergence, ReplayError,
+    ReplaySummary, TraceFile, TraceRecord, TraceWriter, TRACE_MAGIC, TRACE_VERSION,
 };
 pub use schemes::{Lattice, PacketState, SchemeSpec};
 pub use threshold::{

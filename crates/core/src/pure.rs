@@ -103,7 +103,9 @@ pub enum PureAction<'a> {
         /// The hearer's own position (GPS assumption).
         own_position: Vec2,
         /// A uniform `[0, 1)` sample drawn by the dispatcher for this hear
-        /// event (randomized schemes consume it; others ignore it).
+        /// event (randomized schemes consume it; others ignore it, and a
+        /// trace of them reads it back as zero, as it does the positions
+        /// of a scheme that reads none).
         random_unit: f64,
         /// Oracle-mode neighbor view; `None` in HELLO mode (the models use
         /// their own tables) and when the scheme needs no neighbor info.
@@ -395,14 +397,10 @@ impl PureModels {
 
     /// Why `action` cannot follow the state so far, or `None`: on these
     /// well-formed actions no world delivers, [`step`](Self::step) panics.
+    /// (A second `Originate` of one packet never decodes: each issues the
+    /// next `seq`.)
     pub(crate) fn illegal(&mut self, action: &PureAction<'_>) -> Option<&'static str> {
         match *action {
-            PureAction::Originate { node, packet } => {
-                match self.ledgers[node.index()].view(packet.seq) {
-                    PacketView::Unheard => None,
-                    _ => Some("Originate of a packet its source already knows"),
-                }
-            }
             PureAction::AssessmentFired { node, packet } => {
                 match self.ledgers[node.index()].view(packet.seq) {
                     PacketView::Active(ActivePacket::Assessing(_)) => None,

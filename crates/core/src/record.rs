@@ -8,55 +8,72 @@
 //! replayed through a fresh [`PureModels`] with **no event queue, no
 //! radio medium and no RNG at all** (see [`replay_decisions`]) — ideal
 //! for fuzzing scheme logic against recorded runs. [`TraceFile`] reads
-//! it in one forward pass, one borrowed [`TraceRecord`] at a time.
+//! it in one forward pass, one borrowed [`TraceRecord`] at a time, and
+//! [`first_divergence`] walks two of them in lockstep.
 //!
 //! # Wire format
 //!
-//! All fields are written in the vocabulary of [`WireEncoder`]. The
-//! file layout is:
+//! A trace records what replay reads, and nothing else. The file layout
+//! is:
 //!
 //! ```text
-//! magic "MTRC" | version u32 (=4)
+//! magic "MTRC" | version u32 (=5)
 //! config (SimConfig::encode: its text as one string; DESIGN.md §12)
-//! records until end of input, each:
-//!     record tag u8: 0 = action, 1 = decision
-//!     at u64 (nanoseconds)
-//!     payload (tag-specific, below)
+//! records until end of input, each a tag byte:
+//!     an action: tag, Δt (uvarint ns since the previous action; the
+//!                first since zero), then the tag's fields (below)
+//!     a decision: tag 0x80 | kind << 3 | reason, nothing else
 //! ```
 //!
-//! Action payloads (`record tag 0`) begin with an action tag `u8`:
+//! Every integer below is a canonical LEB128
+//! [`uvarint`](WireEncoder::uvarint); a position or coin is an `f64` bit
+//! pattern.
 //!
-//! | tag | action            | fields |
-//! |-----|-------------------|--------|
-//! | 0   | `Originate`       | node `u32`, packet |
-//! | 1   | `HelloPrepare`    | node `u32` |
-//! | 2   | `HelloHeard`      | node `u32`, sender `u32`, advertisement tag `u8`: 0 = interval `u64` + neighbor list, 1 = the sender's previous advertisement repeated |
-//! | 3   | `PacketHeard`     | node `u32`, packet, sender `u32`, sender pos `2×f64`, own pos `2×f64`, random unit `f64`, oracle flag `u8` (+ count `u64`, two neighbor lists) |
-//! | 4   | `AssessmentFired` | node `u32`, packet |
-//! | 5   | `FrameSent`       | node `u32`, packet |
-//! | 6   | `Deactivate`      | node `u32`, crash `u8` |
+//! | tag | action                         | fields |
+//! |-----|--------------------------------|--------|
+//! | 0   | `Originate`                    | node, seq |
+//! | 1   | `HelloPrepare`                 | node |
+//! | 2   | `HelloHeard`, new advertisement | node, sender, interval (ns), list |
+//! | 3   | `HelloHeard`, a repeat         | node, sender |
+//! | 4   | `PacketHeard`                  | node, seq, sender (+ positions) (+ coin) |
+//! | 5   | `PacketHeard`, oracle view     | as 4, then neighbor count and two lists |
+//! | 6   | `AssessmentFired`              | node, seq |
+//! | 7   | `FrameSent`                    | node, seq |
+//! | 8   | `Deactivate`, graceful         | node |
+//! | 9   | `Deactivate`, a crash          | node |
 //!
-//! Tags 1 and 2 are refused at the tag when the header's run sends no
-//! HELLOs (oracle neighbor info, or a scheme that reads no neighbors).
-//! A packet is `source u32, seq u32`; a neighbor list is a `u64` count
-//! followed by that many `u32` ids, strictly ascending. Every node id must
-//! be below the config's `hosts`, and every packet `seq` below the
-//! number of `Originate` records up to and including the one it appears
-//! in (live runs number packets 0, 1, 2 …). A sender's *advertisement* is
-//! the (interval, list) pair its last tag-0 `HelloHeard` carried: one
-//! HELLO is heard by every host in range, and the writer spells it out
-//! only when it differs from what the trace last carried for that sender,
-//! so a tag 1 before the sender's first tag 0 is refused, as are a hear
-//! whose sender is its node and an advertisement listing its sender. Decision
-//! payloads (`record tag 1`) are `node u32, packet, kind u8 (0 scheduled /
-//! 1 inhibited / 2 cancelled), reason u8 (0 none / 1 counter / 2 coverage
-//! / 3 neighbor-coverage / 4 probabilistic)`.
+//! * **Packets.** A packet is its `seq`; its source is the node of the
+//!   `Originate` that issued it. Each `Originate` issues the next `seq`
+//!   (live runs number packets 0, 1, 2 …), and every other `seq` must be
+//!   one already issued.
+//! * **Hears.** A `PacketHeard` carries the sender's and its own position
+//!   (`2×f64` each) only when the header's scheme
+//!   [reads positions](crate::SchemeSpec::reads_positions), and its
+//!   uniform sample (`f64`) only when it
+//!   [reads the coin](crate::SchemeSpec::reads_coin). Where a field is
+//!   not written the reader hands the pure models zero: the scheme
+//!   decides the same whatever the field holds.
+//! * **Decisions.** A decision's kind (0 scheduled / 1 inhibited / 2
+//!   cancelled) and reason (0 none / 1 counter / 2 coverage / 3
+//!   neighbor-coverage / 4 probabilistic) are its whole record: its
+//!   host, packet and time are those of the `PacketHeard` just recorded,
+//!   and a decision that does not directly follow one is refused.
+//! * **HELLOs.** Tags 1 to 3 are refused at the tag when the header's run
+//!   sends no HELLOs (oracle neighbor info, or a scheme that reads no
+//!   neighbors). A sender's *advertisement* is the (interval, list) pair
+//!   its last tag-2 `HelloHeard` carried: one HELLO is heard by every
+//!   host in range, and the writer spells it out only when it differs
+//!   from what the trace last carried for that sender, so a tag 3 before
+//!   the sender's first tag 2 is refused, as are a hear whose sender is
+//!   its node and an advertisement listing its sender.
+//! * **Lists.** A neighbor list is a count followed by that many ids,
+//!   strictly ascending. Every node id must be below the config's `hosts`.
 //!
-//! Version 1 wrote every `HelloHeard`'s interval and list in full, and
-//! version 2 opened with a replay slice of the config; both are refused
-//! by name at the version's offset.
+//! Versions 1 to 4 are refused by name at the version's offset (DESIGN.md
+//! §12 has their history).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 
 use manet_geom::Vec2;
@@ -64,18 +81,35 @@ use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
 use crate::config::SimConfig;
-use crate::ids::{decode_packet, encode_packet, PacketId};
+use crate::ids::PacketId;
 use crate::pure::{Effect, OracleView, PureAction, PureModels};
 use crate::trace::{DecisionKind, SuppressReason};
 
 /// Magic bytes opening a trace file.
 pub const TRACE_MAGIC: &[u8; 4] = b"MTRC";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 4;
+pub const TRACE_VERSION: u32 = 5;
+
+/// The action tags (the module table).
+const ORIGINATE: u8 = 0;
+const HELLO_PREPARE: u8 = 1;
+const HELLO_ADVERTISED: u8 = 2;
+const HELLO_REPEATED: u8 = 3;
+const HEARD: u8 = 4;
+const HEARD_ORACLE: u8 = 5;
+const ASSESSMENT_FIRED: u8 = 6;
+const FRAME_SENT: u8 = 7;
+const LEFT: u8 = 8;
+const CRASHED: u8 = 9;
+/// The high bit of a tag marks a decision.
+const DECISION: u8 = 0x80;
 
 /// The (interval, list) each sender last advertised in a trace, keyed by
 /// id — never sized by one, since a header may claim 2³² − 1 hosts.
 type Advertisements = BTreeMap<NodeId, (SimDuration, Rc<[NodeId]>)>;
+
+/// A hear a decision may follow: its time, host and packet.
+type Hear = (SimTime, NodeId, PacketId);
 
 /// One scheme decision as recorded (and as re-derived on replay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,10 +142,31 @@ pub enum TraceRecord<'a> {
     Decision(DecisionRecord),
 }
 
+/// Which of a hear's optional fields a trace of one scheme carries.
+#[derive(Debug, Clone, Copy)]
+struct Reads {
+    positions: bool,
+    coin: bool,
+}
+
+impl Reads {
+    fn of(cfg: &SimConfig) -> Self {
+        Reads {
+            positions: cfg.scheme.reads_positions(),
+            coin: cfg.scheme.reads_coin(),
+        }
+    }
+}
+
 /// Appends actions and decisions to an `MTRC` byte stream.
 #[derive(Debug)]
 pub struct TraceWriter {
     enc: WireEncoder,
+    reads: Reads,
+    /// The previous action's time, which the next one's delta counts from.
+    last: SimTime,
+    /// The `PacketHeard` just written, which a decision may follow.
+    hear: Option<Hear>,
     /// What each sender's next `HelloHeard` is compared against.
     advertised: Advertisements,
 }
@@ -124,35 +179,130 @@ impl TraceWriter {
         cfg.encode(&mut enc);
         TraceWriter {
             enc,
+            reads: Reads::of(cfg),
+            last: SimTime::ZERO,
+            hear: None,
             advertised: BTreeMap::new(),
         }
     }
 
     /// Records one dispatched action.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the previous action's time: a trace runs
+    /// forward, as the event loop does.
     pub fn action(&mut self, at: SimTime, action: &PureAction<'_>) {
-        self.enc.u8(0);
-        self.enc.time(at);
-        encode_action(&mut self.enc, &mut self.advertised, action);
+        assert!(
+            at >= self.last,
+            "MTRC action at {at} after one at {}",
+            self.last
+        );
+        let delta = at.as_nanos() - self.last.as_nanos();
+        self.last = at;
+        self.hear = None;
+        let enc = &mut self.enc;
+        // Tag, Δt and the acting host open every action.
+        let head = |enc: &mut WireEncoder, tag, node: NodeId| {
+            enc.u8(tag);
+            enc.uvarint(delta);
+            encode_id(enc, node);
+        };
+        match *action {
+            PureAction::Originate { node, packet } => {
+                head(enc, ORIGINATE, node);
+                enc.uvarint(packet.seq.into());
+            }
+            PureAction::HelloPrepare { node } => head(enc, HELLO_PREPARE, node),
+            PureAction::HelloHeard {
+                node,
+                sender,
+                interval,
+                neighbors,
+            } => {
+                // One frame's hearers share its list: the pointer test first.
+                let same = |list: &Rc<[NodeId]>| Rc::ptr_eq(list, neighbors) || list == neighbors;
+                let last = self.advertised.get(&sender);
+                let repeat = last.is_some_and(|(last, list)| *last == interval && same(list));
+                head(
+                    enc,
+                    if repeat {
+                        HELLO_REPEATED
+                    } else {
+                        HELLO_ADVERTISED
+                    },
+                    node,
+                );
+                encode_id(enc, sender);
+                if !repeat {
+                    enc.uvarint(interval.as_nanos());
+                    encode_list(enc, neighbors);
+                    let advertisement = (interval, Rc::clone(neighbors));
+                    self.advertised.insert(sender, advertisement);
+                }
+            }
+            PureAction::PacketHeard {
+                node,
+                packet,
+                sender,
+                sender_position: from,
+                own_position: to,
+                random_unit,
+                oracle,
+            } => {
+                head(
+                    enc,
+                    if oracle.is_some() {
+                        HEARD_ORACLE
+                    } else {
+                        HEARD
+                    },
+                    node,
+                );
+                enc.uvarint(packet.seq.into());
+                encode_id(enc, sender);
+                if self.reads.positions {
+                    for x in [from.x, from.y, to.x, to.y] {
+                        enc.f64(x);
+                    }
+                }
+                if self.reads.coin {
+                    enc.f64(random_unit);
+                }
+                if let Some(view) = oracle {
+                    enc.uvarint(view.neighbor_count as u64);
+                    encode_list(enc, view.neighbors);
+                    encode_list(enc, view.sender_neighbors);
+                }
+                self.hear = Some((at, node, packet));
+            }
+            PureAction::AssessmentFired { node, packet } => {
+                head(enc, ASSESSMENT_FIRED, node);
+                enc.uvarint(packet.seq.into());
+            }
+            PureAction::FrameSent { node, packet } => {
+                head(enc, FRAME_SENT, node);
+                enc.uvarint(packet.seq.into());
+            }
+            PureAction::Deactivate { node, crash } => {
+                head(enc, if crash { CRASHED } else { LEFT }, node);
+            }
+        }
     }
 
-    /// Records one scheme decision.
+    /// Records one scheme decision, a tag byte alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `record` decides about the `PacketHeard` just
+    /// recorded, at its time, host and packet: the trace spells no other.
     pub fn decision(&mut self, record: DecisionRecord) {
-        self.enc.u8(1);
-        self.enc.time(record.at);
-        record.node.encode(&mut self.enc);
-        encode_packet(&mut self.enc, record.packet);
-        self.enc.u8(match record.kind {
-            DecisionKind::Scheduled => 0,
-            DecisionKind::InhibitedOnFirstHear => 1,
-            DecisionKind::Cancelled => 2,
-        });
-        self.enc.u8(match record.reason {
-            None => 0,
-            Some(SuppressReason::CounterThreshold) => 1,
-            Some(SuppressReason::CoverageThreshold) => 2,
-            Some(SuppressReason::NeighborCoverage) => 3,
-            Some(SuppressReason::Probabilistic) => 4,
-        });
+        assert_eq!(
+            self.hear.take(),
+            Some((record.at, record.node, record.packet)),
+            "an MTRC decision follows the PacketHeard it decides"
+        );
+        self.enc.u8(decision_tag(record.kind, record.reason));
     }
 
     /// Records, in order, the scheme decisions among `effects`: what the
@@ -172,17 +322,24 @@ impl TraceWriter {
 /// An `MTRC` trace, read in one forward pass: the run's configuration,
 /// then each record in recording order from
 /// [`next_record`](Self::next_record). Nothing is collected but each
-/// sender's current advertisement, whose list its `HelloHeard`s share;
-/// neighbor lists are decoded into two buffers the reader reuses.
+/// issued packet's source and each sender's current advertisement, whose
+/// list its `HelloHeard`s share; neighbor lists are decoded into two
+/// buffers the reader reuses.
 #[derive(Debug)]
 pub struct TraceFile<'a> {
     /// The configuration of the recorded run.
     pub config: SimConfig,
     dec: WireDecoder<'a>,
-    /// `Originate`s read so far: live runs number packets 0, 1, 2 … per
-    /// `Originate`, and replay sizes each ledger by the largest `seq`.
-    originated: u32,
-    /// What a tag-1 `HelloHeard` from each sender repeats.
+    reads: Reads,
+    /// The previous action's time.
+    last: SimTime,
+    /// The source of each packet issued so far, by `seq`: live runs number
+    /// packets 0, 1, 2 … per `Originate`, and replay sizes each ledger by
+    /// the largest `seq`.
+    sources: Vec<NodeId>,
+    /// The `PacketHeard` just read, which a decision may follow.
+    hear: Option<Hear>,
+    /// What a tag-3 `HelloHeard` from each sender repeats.
     advertised: Advertisements,
     neighbors: Vec<NodeId>,
     sender_neighbors: Vec<NodeId>,
@@ -199,15 +356,20 @@ impl<'a> TraceFile<'a> {
             1 => Some("trace version 1 is retired (a list per hearer); record the run again"),
             2 => Some("trace version 2 is retired (a replay-slice header); record the run again"),
             3 => Some("trace version 3 is retired (a binary config header); record the run again"),
+            4 => Some("trace version 4 is retired (fixed-width records); record the run again"),
             _ => Some("unsupported trace version"),
         };
         if let Some(what) = what {
             return Err(WireError { at: 4, what });
         }
+        let config = SimConfig::decode(&mut dec)?;
         Ok(TraceFile {
-            config: SimConfig::decode(&mut dec)?,
+            reads: Reads::of(&config),
+            config,
             dec,
-            originated: 0,
+            last: SimTime::ZERO,
+            sources: Vec::new(),
+            hear: None,
             advertised: BTreeMap::new(),
             neighbors: Vec::new(),
             sender_neighbors: Vec::new(),
@@ -231,135 +393,144 @@ impl<'a> TraceFile<'a> {
             return Ok(None);
         }
         let (tag, invalid) = self.dec.tag("invalid record tag")?;
-        let at = self.dec.time()?;
-        let (dec, hosts) = (&mut self.dec, self.config.hosts);
-        Ok(Some(match tag {
-            0 => TraceRecord::Action {
+        let hear = self.hear.take();
+        if tag & DECISION != 0 {
+            let Some((at, node, packet)) = hear else {
+                let what = "a decision that does not follow a PacketHeard";
+                return Err(WireError { what, ..invalid });
+            };
+            let (kind, reason) =
+                decision_of_tag(tag).map_err(|what| WireError { what, ..invalid })?;
+            return Ok(Some(TraceRecord::Decision(DecisionRecord {
                 at,
-                action: self.action()?,
-            },
-            1 => TraceRecord::Decision(DecisionRecord {
-                at,
-                node: decode_node(dec, hosts)?,
-                packet: decode_issued_packet(dec, self.originated)?,
-                kind: {
-                    let (tag, invalid) = dec.tag("invalid decision kind")?;
-                    match tag {
-                        0 => DecisionKind::Scheduled,
-                        1 => DecisionKind::InhibitedOnFirstHear,
-                        2 => DecisionKind::Cancelled,
-                        _ => return Err(invalid),
-                    }
-                },
-                reason: {
-                    let (tag, invalid) = dec.tag("invalid suppress reason")?;
-                    match tag {
-                        0 => None,
-                        1 => Some(SuppressReason::CounterThreshold),
-                        2 => Some(SuppressReason::CoverageThreshold),
-                        3 => Some(SuppressReason::NeighborCoverage),
-                        4 => Some(SuppressReason::Probabilistic),
-                        _ => return Err(invalid),
-                    }
-                },
-            }),
-            _ => return Err(invalid),
-        }))
-    }
-
-    /// Reads one action, its neighbor lists into the reader's buffers; an
-    /// `Originate` counts itself before its `seq` is checked.
-    fn action(&mut self) -> Result<PureAction<'_>, WireError> {
-        let (dec, hosts, originated) = (&mut self.dec, self.config.hosts, &mut self.originated);
-        let id = move |dec: &mut WireDecoder<'_>| decode_node(dec, hosts);
-        let (tag, invalid) = dec.tag("invalid action tag")?;
-        Ok(match tag {
-            0 => {
-                *originated = originated.saturating_add(1);
-                PureAction::Originate {
-                    node: decode_node(dec, hosts)?,
-                    packet: decode_issued_packet(dec, *originated)?,
-                }
-            }
-            // A run without HELLOs keeps no neighbor tables.
-            1 | 2 if self.config.hello_policy().is_none() => {
+                node,
+                packet,
+                kind,
+                reason,
+            })));
+        }
+        match tag {
+            HELLO_PREPARE..=HELLO_REPEATED if self.config.hello_policy().is_none() => {
+                // A run without HELLOs keeps no neighbor tables.
                 let what = "a HELLO action in a run that sends no HELLOs";
                 return Err(WireError { what, ..invalid });
             }
-            1 => PureAction::HelloPrepare {
-                node: decode_node(dec, hosts)?,
-            },
-            2 => {
-                let node = decode_node(dec, hosts)?;
-                let sender = decode_sender(dec, hosts, node)?;
-                let (tag, invalid) = dec.tag("invalid advertisement tag")?;
-                let (interval, neighbors) = match tag {
-                    0 => {
-                        let interval = dec.duration()?;
-                        let at = dec.position();
-                        let list = NodeId::decode_ascending(dec, &mut self.neighbors, id)?;
-                        if list.binary_search(&sender).is_ok() {
-                            let what = "a HELLO lists its own sender";
-                            return Err(WireError { at, what });
-                        }
-                        let advertised = self.advertised.entry(sender).or_default();
-                        *advertised = (interval, list.into());
-                        (interval, &advertised.1)
-                    }
-                    1 => match self.advertised.get(&sender) {
-                        Some((interval, list)) => (*interval, list),
-                        None => {
-                            let what = "HELLO repeats an advertisement its sender has not made";
-                            return Err(WireError { what, ..invalid });
-                        }
-                    },
-                    _ => return Err(invalid),
+            ORIGINATE..=CRASHED => {}
+            _ => return Err(invalid),
+        }
+        let at = self.dec.position();
+        let delta = self.dec.uvarint()?;
+        let Some(now) = self.last.as_nanos().checked_add(delta) else {
+            let what = "a time delta past the end of the clock";
+            return Err(WireError { at, what });
+        };
+        self.last = SimTime::from_nanos(now);
+        let at = self.last;
+        let action = self.action(tag)?;
+        Ok(Some(TraceRecord::Action { at, action }))
+    }
+
+    /// Reads the fields of one action whose tag is known good, its
+    /// neighbor lists into the reader's buffers; an `Originate` issues
+    /// its `seq` before a `seq` is checked.
+    fn action(&mut self, tag: u8) -> Result<PureAction<'_>, WireError> {
+        let (dec, hosts, sources) = (&mut self.dec, self.config.hosts, &mut self.sources);
+        let node = decode_node(dec, hosts)?;
+        Ok(match tag {
+            ORIGINATE => {
+                let at = dec.position();
+                let seq = dec.uvarint()?;
+                let next = u32::try_from(sources.len()).ok();
+                let Some(seq) = next.filter(|&next| u64::from(next) == seq) else {
+                    let what = "an Originate that does not issue the next seq";
+                    return Err(WireError { at, what });
                 };
+                sources.push(node);
+                PureAction::Originate {
+                    node,
+                    packet: PacketId::new(node, seq),
+                }
+            }
+            HELLO_PREPARE => PureAction::HelloPrepare { node },
+            HELLO_ADVERTISED => {
+                let sender = decode_sender(dec, hosts, node)?;
+                let interval = SimDuration::from_nanos(dec.uvarint()?);
+                let at = dec.position();
+                let list = decode_list(dec, hosts, &mut self.neighbors)?;
+                if list.binary_search(&sender).is_ok() {
+                    let what = "a HELLO lists its own sender";
+                    return Err(WireError { at, what });
+                }
+                let advertised = self.advertised.entry(sender).or_default();
+                *advertised = (interval, list.into());
                 PureAction::HelloHeard {
                     node,
                     sender,
                     interval,
+                    neighbors: &advertised.1,
+                }
+            }
+            HELLO_REPEATED => {
+                let at = dec.position();
+                let sender = decode_sender(dec, hosts, node)?;
+                let Some((interval, neighbors)) = self.advertised.get(&sender) else {
+                    let what = "HELLO repeats an advertisement its sender has not made";
+                    return Err(WireError { at, what });
+                };
+                PureAction::HelloHeard {
+                    node,
+                    sender,
+                    interval: *interval,
                     neighbors,
                 }
             }
-            3 => {
-                let node = decode_node(dec, hosts)?;
+            HEARD | HEARD_ORACLE => {
+                let packet = decode_issued_packet(dec, sources)?;
+                let sender = decode_sender(dec, hosts, node)?;
+                // What the scheme does not read is not written: zero.
+                let (mut sender_position, mut own_position) = (Vec2::ZERO, Vec2::ZERO);
+                if self.reads.positions {
+                    sender_position = Vec2::new(dec.f64()?, dec.f64()?);
+                    own_position = Vec2::new(dec.f64()?, dec.f64()?);
+                }
+                let random_unit = if self.reads.coin { dec.f64()? } else { 0.0 };
+                let oracle = if tag == HEARD_ORACLE {
+                    let at = dec.position();
+                    let neighbor_count = usize::try_from(dec.uvarint()?).map_err(|_| {
+                        let what = "usize overflow";
+                        WireError { at, what }
+                    })?;
+                    Some(OracleView {
+                        neighbor_count,
+                        neighbors: decode_list(dec, hosts, &mut self.neighbors)?,
+                        sender_neighbors: decode_list(dec, hosts, &mut self.sender_neighbors)?,
+                    })
+                } else {
+                    None
+                };
+                self.hear = Some((self.last, node, packet));
                 PureAction::PacketHeard {
                     node,
-                    packet: decode_issued_packet(dec, *originated)?,
-                    sender: decode_sender(dec, hosts, node)?,
-                    sender_position: Vec2::new(dec.f64()?, dec.f64()?),
-                    own_position: Vec2::new(dec.f64()?, dec.f64()?),
-                    random_unit: dec.f64()?,
-                    // An option, read by hand so the view can borrow the buffers.
-                    oracle: if dec.bool()? {
-                        Some(OracleView {
-                            neighbor_count: dec.usize()?,
-                            neighbors: NodeId::decode_ascending(dec, &mut self.neighbors, id)?,
-                            sender_neighbors: NodeId::decode_ascending(
-                                dec,
-                                &mut self.sender_neighbors,
-                                id,
-                            )?,
-                        })
-                    } else {
-                        None
-                    },
+                    packet,
+                    sender,
+                    sender_position,
+                    own_position,
+                    random_unit,
+                    oracle,
                 }
             }
-            4 => PureAction::AssessmentFired {
-                node: decode_node(dec, hosts)?,
-                packet: decode_issued_packet(dec, *originated)?,
+            ASSESSMENT_FIRED => PureAction::AssessmentFired {
+                node,
+                packet: decode_issued_packet(dec, sources)?,
             },
-            5 => PureAction::FrameSent {
-                node: decode_node(dec, hosts)?,
-                packet: decode_issued_packet(dec, *originated)?,
+            FRAME_SENT => PureAction::FrameSent {
+                node,
+                packet: decode_issued_packet(dec, sources)?,
             },
-            6 => PureAction::Deactivate {
-                node: decode_node(dec, hosts)?,
-                crash: dec.bool()?,
+            _ => PureAction::Deactivate {
+                node,
+                crash: tag == CRASHED,
             },
-            _ => return Err(invalid),
         })
     }
 }
@@ -387,8 +558,8 @@ pub enum ReplayError {
     },
 }
 
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::Wire(e) => write!(f, "trace decode failed: {e}"),
             ReplayError::Mismatch { record, detail } => {
@@ -432,9 +603,9 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
     // Only a trace that decodes whole reaches `step`.
     let mut file = TraceFile::decode(bytes)?;
     let mut pure = PureModels::without_hosts(&file.config);
-    let mut slots = std::collections::BTreeMap::new();
+    let mut slots = BTreeMap::new();
     let mut fx = Vec::new();
-    let mut expected = std::collections::VecDeque::new();
+    let mut expected = VecDeque::new();
     let mut summary = ReplaySummary::default();
     let mut index = 0;
     while let Some(record) = file.next_record()? {
@@ -492,6 +663,146 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
     Ok(summary)
 }
 
+/// A hear or a decision two traces agree on; see
+/// [`Divergence::last_agreed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agreed {
+    /// Record `record` heard `packet` at `node` from `sender`.
+    Heard {
+        /// Index of the record, from 0 in recording order.
+        record: usize,
+        /// When the copy was heard.
+        at: SimTime,
+        /// The hearing host.
+        node: NodeId,
+        /// The packet heard.
+        packet: PacketId,
+        /// The host the copy was heard from.
+        sender: NodeId,
+    },
+    /// Record `record` is `decision`.
+    Decided {
+        /// Index of the record, from 0 in recording order.
+        record: usize,
+        /// The decision.
+        decision: DecisionRecord,
+    },
+}
+
+/// Where two traces first part; see [`first_divergence`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divergence {
+    /// Index of the first record that differs, from 0 in recording order.
+    pub record: usize,
+    /// Its time, in the first trace (in the second where the first ended).
+    pub at: SimTime,
+    /// The host it happens at.
+    pub node: NodeId,
+    /// The packet it names, if it names one.
+    pub packet: Option<PacketId>,
+    /// The last hear or decision both traces hold at that host about that
+    /// packet, if the record names one and there is any.
+    pub last_agreed: Option<Agreed>,
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "record {} ({}, {}", self.record, self.at, self.node)?;
+        if let Some(packet) = self.packet {
+            write!(f, ", packet {packet}")?;
+        }
+        write!(f, ")")?;
+        match self.last_agreed {
+            None => write!(f, "; nothing agreed there before"),
+            Some(Agreed::Heard {
+                record, at, sender, ..
+            }) => write!(
+                f,
+                "; last agreed: record {record}, heard from {sender} ({at})"
+            ),
+            Some(Agreed::Decided { record, decision }) => write!(
+                f,
+                "; last agreed: record {record}, {:?} ({:?})",
+                decision.kind, decision.reason
+            ),
+        }
+    }
+}
+
+/// Walks the records of two `MTRC` traces in lockstep and returns where
+/// they first differ, or `None` when both hold the same records. Only the
+/// records are compared: two runs of one seed under different headers (a
+/// scheme each, say) part where their decisions do.
+///
+/// # Errors
+///
+/// The positioned [`WireError`] of the first trace that is malformed, the
+/// first one's before the second's.
+pub fn first_divergence(a: &[u8], b: &[u8]) -> Result<Option<Divergence>, WireError> {
+    let (mut a, mut b) = (TraceFile::decode(a)?, TraceFile::decode(b)?);
+    // The last agreed hear or decision per host and packet.
+    let mut agreed = BTreeMap::new();
+    let mut record = 0;
+    loop {
+        let (x, y) = (a.next_record()?, b.next_record()?);
+        if x == y {
+            match x {
+                None => return Ok(None),
+                Some(TraceRecord::Action {
+                    at,
+                    action:
+                        PureAction::PacketHeard {
+                            node,
+                            packet,
+                            sender,
+                            ..
+                        },
+                }) => {
+                    let heard = Agreed::Heard {
+                        record,
+                        at,
+                        node,
+                        packet,
+                        sender,
+                    };
+                    agreed.insert((node, packet), heard);
+                }
+                Some(TraceRecord::Decision(decision)) => {
+                    let decided = Agreed::Decided { record, decision };
+                    agreed.insert((decision.node, decision.packet), decided);
+                }
+                Some(TraceRecord::Action { .. }) => {}
+            }
+            record += 1;
+            continue;
+        }
+        let (at, node, packet) = match x.or(y).expect("unequal records are not both absent") {
+            TraceRecord::Action { at, mut action } => (at, *action.node_mut(), packet_of(&action)),
+            TraceRecord::Decision(d) => (d.at, d.node, Some(d.packet)),
+        };
+        return Ok(Some(Divergence {
+            record,
+            at,
+            node,
+            packet,
+            last_agreed: packet.and_then(|packet| agreed.get(&(node, packet)).copied()),
+        }));
+    }
+}
+
+/// The packet an action names, if it names one.
+fn packet_of(action: &PureAction<'_>) -> Option<PacketId> {
+    match *action {
+        PureAction::Originate { packet, .. }
+        | PureAction::PacketHeard { packet, .. }
+        | PureAction::AssessmentFired { packet, .. }
+        | PureAction::FrameSent { packet, .. } => Some(packet),
+        PureAction::HelloPrepare { .. }
+        | PureAction::HelloHeard { .. }
+        | PureAction::Deactivate { .. } => None,
+    }
+}
+
 /// The decision an effect of the step at `at` carries, if it carries one.
 fn decision_of(at: SimTime, effect: &Effect) -> Option<DecisionRecord> {
     let (node, packet, kind, reason) = match *effect {
@@ -526,16 +837,63 @@ fn decision_of(at: SimTime, effect: &Effect) -> Option<DecisionRecord> {
     })
 }
 
+/// A decision's record: the decision bit, its kind and its reason.
+fn decision_tag(kind: DecisionKind, reason: Option<SuppressReason>) -> u8 {
+    let kind = match kind {
+        DecisionKind::Scheduled => 0,
+        DecisionKind::InhibitedOnFirstHear => 1,
+        DecisionKind::Cancelled => 2,
+    };
+    let reason = match reason {
+        None => 0,
+        Some(SuppressReason::CounterThreshold) => 1,
+        Some(SuppressReason::CoverageThreshold) => 2,
+        Some(SuppressReason::NeighborCoverage) => 3,
+        Some(SuppressReason::Probabilistic) => 4,
+    };
+    DECISION | kind << 3 | reason
+}
+
+/// The kind and reason a [`decision_tag`] spells, or what it gets wrong.
+fn decision_of_tag(tag: u8) -> Result<(DecisionKind, Option<SuppressReason>), &'static str> {
+    let kind = match tag >> 3 & 0xf {
+        0 => DecisionKind::Scheduled,
+        1 => DecisionKind::InhibitedOnFirstHear,
+        2 => DecisionKind::Cancelled,
+        _ => return Err("invalid decision kind"),
+    };
+    let reason = match tag & 7 {
+        0 => None,
+        1 => Some(SuppressReason::CounterThreshold),
+        2 => Some(SuppressReason::CoverageThreshold),
+        3 => Some(SuppressReason::NeighborCoverage),
+        4 => Some(SuppressReason::Probabilistic),
+        _ => return Err("invalid suppress reason"),
+    };
+    Ok((kind, reason))
+}
+
+fn encode_id(enc: &mut WireEncoder, id: NodeId) {
+    enc.uvarint(id.index() as u64);
+}
+
+fn encode_list(enc: &mut WireEncoder, ids: &[NodeId]) {
+    enc.uvarint(ids.len() as u64);
+    for &id in ids {
+        encode_id(enc, id);
+    }
+}
+
 /// Reads a host id, refusing one outside the recorded population:
 /// replay indexes per-host protocol state with it.
 fn decode_node(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<NodeId, WireError> {
     let at = dec.position();
-    let node = NodeId::decode(dec)?;
-    if node.index() >= hosts as usize {
+    let id = dec.uvarint()?;
+    if id >= u64::from(hosts) {
         let what = "node id outside the recorded population";
         return Err(WireError { at, what });
     }
-    Ok(node)
+    Ok(NodeId::new(id as u32))
 }
 
 /// Reads the sender of a frame `node` heard, refusing `node` itself: a
@@ -550,105 +908,99 @@ fn decode_sender(dec: &mut WireDecoder<'_>, hosts: u32, node: NodeId) -> Result<
     Ok(sender)
 }
 
-/// Reads a packet id, refusing a `seq` no `Originate` so far has issued:
-/// replay grows a host's ledger to `seq + 1` entries.
-fn decode_issued_packet(dec: &mut WireDecoder<'_>, originated: u32) -> Result<PacketId, WireError> {
+/// Reads a packet's `seq`, refusing one no `Originate` so far has issued
+/// (replay grows a host's ledger to `seq + 1` entries); its source is the
+/// issuing `Originate`'s node.
+fn decode_issued_packet(
+    dec: &mut WireDecoder<'_>,
+    sources: &[NodeId],
+) -> Result<PacketId, WireError> {
     let at = dec.position();
-    let packet = decode_packet(dec)?;
-    if packet.seq >= originated {
-        let what = "packet seq not issued by an earlier Originate";
-        return Err(WireError { at, what });
+    let seq = dec.uvarint()?;
+    match usize::try_from(seq).ok().and_then(|seq| sources.get(seq)) {
+        Some(&source) => Ok(PacketId::new(source, seq as u32)),
+        None => {
+            let what = "packet seq not issued by an earlier Originate";
+            Err(WireError { at, what })
+        }
     }
-    Ok(packet)
 }
 
-fn encode_action(enc: &mut WireEncoder, advertised: &mut Advertisements, action: &PureAction<'_>) {
-    match *action {
-        PureAction::Originate { node, packet } => {
-            enc.u8(0);
-            node.encode(enc);
-            encode_packet(enc, packet);
-        }
-        PureAction::HelloPrepare { node } => {
-            enc.u8(1);
-            node.encode(enc);
-        }
-        PureAction::HelloHeard {
-            node,
-            sender,
-            interval,
-            neighbors,
-        } => {
-            enc.u8(2);
-            node.encode(enc);
-            sender.encode(enc);
-            // One frame's hearers share its list: the pointer test first.
-            let same = |list: &Rc<[NodeId]>| Rc::ptr_eq(list, neighbors) || list == neighbors;
-            let last = advertised.get(&sender);
-            if last.is_some_and(|(last, list)| *last == interval && same(list)) {
-                enc.u8(1);
-            } else {
-                enc.u8(0);
-                enc.duration(interval);
-                NodeId::encode_seq(enc, neighbors.iter().copied());
-                advertised.insert(sender, (interval, Rc::clone(neighbors)));
-            }
-        }
-        PureAction::PacketHeard {
-            node,
-            packet,
-            sender,
-            sender_position,
-            own_position,
-            random_unit,
-            oracle,
-        } => {
-            enc.u8(3);
-            node.encode(enc);
-            encode_packet(enc, packet);
-            sender.encode(enc);
-            enc.f64(sender_position.x);
-            enc.f64(sender_position.y);
-            enc.f64(own_position.x);
-            enc.f64(own_position.y);
-            enc.f64(random_unit);
-            enc.option(oracle, |enc, view| {
-                enc.usize(view.neighbor_count);
-                NodeId::encode_seq(enc, view.neighbors.iter().copied());
-                NodeId::encode_seq(enc, view.sender_neighbors.iter().copied());
-            });
-        }
-        PureAction::AssessmentFired { node, packet } => {
-            enc.u8(4);
-            node.encode(enc);
-            encode_packet(enc, packet);
-        }
-        PureAction::FrameSent { node, packet } => {
-            enc.u8(5);
-            node.encode(enc);
-            encode_packet(enc, packet);
-        }
-        PureAction::Deactivate { node, crash } => {
-            enc.u8(6);
-            node.encode(enc);
-            enc.bool(crash);
-        }
+/// Reads a neighbor list into `buf`, refusing at the list's offset a
+/// count the input cannot hold (an id takes a byte at least) and a list
+/// that is not strictly ascending: every reader of a neighbor list merges
+/// or searches it by id. The buffer grows by pushes, never by the count.
+fn decode_list<'v>(
+    dec: &mut WireDecoder<'_>,
+    hosts: u32,
+    buf: &'v mut Vec<NodeId>,
+) -> Result<&'v [NodeId], WireError> {
+    let at = dec.position();
+    let count = dec.uvarint()?;
+    if count > dec.remaining() as u64 {
+        let what = "sequence longer than the remaining input";
+        return Err(WireError { at, what });
     }
+    buf.clear();
+    for _ in 0..count {
+        let id = decode_node(dec, hosts)?;
+        if buf.last().is_some_and(|&last| last >= id) {
+            let what = "neighbor list is not strictly ascending";
+            return Err(WireError { at, what });
+        }
+        buf.push(id);
+    }
+    Ok(buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schemes::SchemeSpec;
+    use manet_sim_engine::SimRng;
 
     fn cfg(scheme: SchemeSpec) -> SimConfig {
         SimConfig::builder(1, scheme).hosts(8).broadcasts(1).build()
     }
 
+    /// `action` as a trace of `scheme` reads it back: positions and coin
+    /// zero where the scheme does not read them.
+    fn as_read<'a>(scheme: &SchemeSpec, action: PureAction<'a>) -> PureAction<'a> {
+        match action {
+            PureAction::PacketHeard {
+                node,
+                packet,
+                sender,
+                sender_position,
+                own_position,
+                random_unit,
+                oracle,
+            } => {
+                let positions = scheme.reads_positions();
+                PureAction::PacketHeard {
+                    node,
+                    packet,
+                    sender,
+                    sender_position: if positions {
+                        sender_position
+                    } else {
+                        Vec2::ZERO
+                    },
+                    own_position: if positions { own_position } else { Vec2::ZERO },
+                    random_unit: if scheme.reads_coin() {
+                        random_unit
+                    } else {
+                        0.0
+                    },
+                    oracle,
+                }
+            }
+            other => other,
+        }
+    }
+
     #[test]
     fn actions_round_trip_through_the_wire() {
-        let config = cfg(SchemeSpec::NeighborCoverage);
-        let mut writer = TraceWriter::new(&config);
         let packet = PacketId::new(NodeId::new(0), 0);
         let neighbors: Rc<[NodeId]> = [NodeId::new(3), NodeId::new(5)].into();
         let sender_neighbors: Rc<[NodeId]> = [NodeId::new(1)].into();
@@ -660,6 +1012,19 @@ mod tests {
             interval: SimDuration::from_secs(1),
             neighbors,
         };
+        let heard = PureAction::PacketHeard {
+            node: NodeId::new(4),
+            packet,
+            sender: NodeId::new(0),
+            sender_position: Vec2::new(1.5, -2.0),
+            own_position: Vec2::new(250.0, 300.25),
+            random_unit: 0.625,
+            oracle: Some(OracleView {
+                neighbor_count: 2,
+                neighbors: &neighbors,
+                sender_neighbors: &sender_neighbors,
+            }),
+        };
         let actions = [
             PureAction::Originate {
                 node: NodeId::new(0),
@@ -669,23 +1034,11 @@ mod tests {
                 node: NodeId::new(2),
             },
             hello(&neighbors),
-            PureAction::PacketHeard {
-                node: NodeId::new(4),
-                packet,
-                sender: NodeId::new(0),
-                sender_position: Vec2::new(1.5, -2.0),
-                own_position: Vec2::new(250.0, 300.25),
-                random_unit: 0.625,
-                oracle: Some(OracleView {
-                    neighbor_count: 2,
-                    neighbors: &neighbors,
-                    sender_neighbors: &sender_neighbors,
-                }),
-            },
+            heard,
             // The reader's buffers are reused: a shorter list after a
             // longer one must not keep the tail.
             hello(&sender_neighbors),
-            // Unchanged, so written as a repeat (tag 1).
+            // Unchanged, so written as a repeat (tag 3).
             hello(&sender_neighbors),
             // Unchanged content, not the same list: a repeat too.
             hello(&same_again),
@@ -701,63 +1054,135 @@ mod tests {
                 node: NodeId::new(5),
                 crash: true,
             },
+            PureAction::Deactivate {
+                node: NodeId::new(6),
+                crash: false,
+            },
         ];
-        // Each HELLO after the first of its list ends its record with
-        // advertisement tag 1.
-        let repeats = [false, false, true, true];
-        let hellos = actions.iter().enumerate();
-        let hellos = hellos.filter(|(_, a)| matches!(a, PureAction::HelloHeard { .. }));
-        for ((i, action), repeat) in hellos.zip(repeats) {
-            let mut prefix = TraceWriter::new(&config);
-            for (at, action) in actions[..=i].iter().enumerate() {
-                prefix.action(SimTime::from_millis(at as u64), action);
-            }
-            let bytes = prefix.into_bytes();
-            assert_eq!(bytes.last() == Some(&1), repeat, "{action:?}");
-        }
-        for (i, action) in actions.iter().enumerate() {
-            writer.action(SimTime::from_millis(i as u64), action);
-        }
         let decision = DecisionRecord {
-            at: SimTime::from_millis(3),
+            at: SimTime::ZERO,
             node: NodeId::new(4),
             packet,
             kind: DecisionKind::Cancelled,
             reason: Some(SuppressReason::NeighborCoverage),
         };
-        writer.decision(decision);
-
-        let bytes = writer.into_bytes();
-        let mut file = TraceFile::decode(&bytes).expect("decode");
-        assert_eq!(file.config.scheme.label(), config.scheme.label());
-        assert_eq!(file.config.hosts, 8);
-        let mut decoded = Vec::new();
-        for (i, action) in actions.iter().enumerate() {
-            let at = SimTime::from_millis(i as u64);
-            let record = file.next_record().expect("well-formed");
-            assert_eq!(
-                record,
-                Some(TraceRecord::Action {
-                    at,
-                    action: *action
+        // A scheme that reads neither positions nor the coin, one that
+        // reads positions, and one that reads the coin (and no neighbors,
+        // so its run sends no HELLOs).
+        for scheme in [
+            SchemeSpec::NeighborCoverage,
+            SchemeSpec::AdaptiveLocation(crate::AreaThreshold::paper_recommended()),
+            SchemeSpec::Probabilistic(0.5),
+        ] {
+            let config = cfg(scheme.clone());
+            let hellos = config.hello_policy().is_some();
+            let actions: Vec<_> = actions
+                .iter()
+                .filter(|a| {
+                    hellos
+                        || !matches!(
+                            a,
+                            PureAction::HelloHeard { .. } | PureAction::HelloPrepare { .. }
+                        )
                 })
-            );
-            if let Some(TraceRecord::Action {
-                action: PureAction::HelloHeard { neighbors, .. },
-                ..
-            }) = record
-            {
-                decoded.push(Rc::clone(neighbors));
+                .copied()
+                .collect();
+            // Each HELLO after the first of its list is a repeat: tag 3,
+            // its record's first byte.
+            let repeats = [false, false, true, true];
+            let indexed = actions.iter().enumerate();
+            let indexed = indexed.filter(|(_, a)| matches!(a, PureAction::HelloHeard { .. }));
+            for ((i, action), repeat) in indexed.zip(repeats) {
+                let mut prefix = TraceWriter::new(&config);
+                for (at, action) in actions[..i].iter().enumerate() {
+                    prefix.action(SimTime::from_millis(at as u64), action);
+                }
+                let start = prefix.enc.as_slice().len();
+                prefix.action(SimTime::from_millis(i as u64), action);
+                let tag = prefix.into_bytes()[start];
+                assert_eq!(tag == HELLO_REPEATED, repeat, "{action:?}");
             }
+            let mut writer = TraceWriter::new(&config);
+            for (i, action) in actions.iter().enumerate() {
+                writer.action(SimTime::from_millis(i as u64), action);
+                if matches!(action, PureAction::PacketHeard { .. }) {
+                    writer.decision(DecisionRecord {
+                        at: SimTime::from_millis(i as u64),
+                        ..decision
+                    });
+                }
+            }
+
+            let bytes = writer.into_bytes();
+            let mut file = TraceFile::decode(&bytes).expect("decode");
+            assert_eq!(file.config.scheme.label(), config.scheme.label());
+            assert_eq!(file.config.hosts, 8);
+            let mut decoded = Vec::new();
+            for (i, action) in actions.iter().enumerate() {
+                let at = SimTime::from_millis(i as u64);
+                let record = file.next_record().expect("well-formed");
+                let action = as_read(&scheme, *action);
+                assert_eq!(record, Some(TraceRecord::Action { at, action }));
+                if let Some(TraceRecord::Action {
+                    action: PureAction::HelloHeard { neighbors, .. },
+                    ..
+                }) = record
+                {
+                    decoded.push(Rc::clone(neighbors));
+                }
+                if matches!(action, PureAction::PacketHeard { .. }) {
+                    let record = file.next_record().expect("well-formed");
+                    let decision = DecisionRecord { at, ..decision };
+                    assert_eq!(record, Some(TraceRecord::Decision(decision)));
+                }
+            }
+            // Replayed hearers of one advertisement share its list, as live
+            // ones share their frame's.
+            if hellos {
+                assert!(!Rc::ptr_eq(&decoded[0], &decoded[1]));
+                assert!(Rc::ptr_eq(&decoded[1], &decoded[2]));
+                assert!(Rc::ptr_eq(&decoded[1], &decoded[3]));
+            }
+            assert_eq!(file.next_record(), Ok(None));
         }
-        // Replayed hearers of one advertisement share its list, as live
-        // ones share their frame's.
-        assert!(!Rc::ptr_eq(&decoded[0], &decoded[1]));
-        assert!(Rc::ptr_eq(&decoded[1], &decoded[2]));
-        assert!(Rc::ptr_eq(&decoded[1], &decoded[3]));
-        let record = file.next_record().expect("well-formed");
-        assert_eq!(record, Some(TraceRecord::Decision(decision)));
-        assert_eq!(file.next_record(), Ok(None));
+    }
+
+    /// A hear costs what its scheme reads: six bytes of tag, Δt and ids
+    /// here, 32 more for positions, 8 for the coin.
+    #[test]
+    fn a_hear_writes_only_what_its_scheme_reads() {
+        let packet = PacketId::new(NodeId::new(0), 0);
+        let heard = PureAction::PacketHeard {
+            node: NodeId::new(1),
+            packet,
+            sender: NodeId::new(0),
+            sender_position: Vec2::new(1.0, 2.0),
+            own_position: Vec2::new(3.0, 4.0),
+            random_unit: 0.25,
+            oracle: None,
+        };
+        for (scheme, bytes) in [
+            (SchemeSpec::Flooding, 6),
+            (SchemeSpec::Counter(3), 6),
+            (SchemeSpec::NeighborCoverage, 6),
+            (SchemeSpec::Distance(10.0), 6 + 32),
+            (SchemeSpec::Location(0.5), 6 + 32),
+            (SchemeSpec::Probabilistic(0.5), 6 + 8),
+        ] {
+            let mut writer = TraceWriter::new(&cfg(scheme.clone()));
+            writer.action(
+                SimTime::ZERO,
+                &PureAction::Originate {
+                    node: NodeId::new(0),
+                    packet,
+                },
+            );
+            let start = writer.enc.as_slice().len();
+            // Tag, Δt (1 µs: two bytes), node, seq, sender.
+            writer.action(SimTime::from_micros(1), &heard);
+            let written = writer.enc.as_slice().len() - start;
+            assert_eq!(written, bytes, "{scheme:?}");
+        }
     }
 
     #[test]
@@ -766,14 +1191,14 @@ mod tests {
         let writer = TraceWriter::new(&config);
         let mut bytes = writer.into_bytes();
         assert!(TraceFile::decode(&bytes[..3]).is_err(), "truncated magic");
-        bytes.push(9); // invalid record tag
+        bytes.push(10); // invalid record tag
         assert!(TraceFile::decode(&bytes).is_err());
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(TraceFile::decode(&wrong_magic).is_err());
-        // Versions 1 to 3 are refused by name; any other unknown one
+        // Versions 1 to 4 are refused by name; any other unknown one
         // generically.
-        for (version, retired) in [(1u32, true), (2, true), (3, true), (5, false)] {
+        for (version, retired) in [(1u32, true), (2, true), (3, true), (4, true), (6, false)] {
             let mut old = bytes.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             let err = TraceFile::decode(&old).unwrap_err();
@@ -805,10 +1230,10 @@ mod tests {
         };
         let originate = PureAction::Originate { node: zero, packet };
         let coverage = cfg(SchemeSpec::NeighborCoverage);
-        // Record tag, time, action tag and node precede a sender; an
-        // advertisement tag and interval follow it. An `Originate` record
-        // is 22 bytes.
-        let sender = 1 + 8 + 1 + 4;
+        // Tag, Δt and node precede a sender (a byte each here); an
+        // interval (five bytes for 1 s) follows it. An `Originate` record
+        // is four bytes, and a hear's `seq` precedes its sender.
+        let sender = 3;
         let (empty, listed): (Rc<[NodeId]>, Rc<[NodeId]>) = (Rc::default(), [one].into());
         let own = "a frame heard by its own sender";
         let cases = [
@@ -816,10 +1241,10 @@ mod tests {
             (
                 &coverage,
                 &[hello(zero, &listed)],
-                sender + 13,
+                sender + 1 + 5,
                 "a HELLO lists its own sender",
             ),
-            (&config, &[originate, copy], 22 + sender + 8, own),
+            (&config, &[originate, copy], 4 + sender + 1, own),
         ];
         for (config, actions, at, what) in cases {
             let mut writer = TraceWriter::new(config);
@@ -832,6 +1257,44 @@ mod tests {
         }
     }
 
+    /// Decision tags no writer spells: a second decision after one hear,
+    /// and a kind or reason past the table (`hostile_bytes.rs` has the
+    /// varint, clock and first-decision refusals).
+    #[test]
+    fn decision_tags_the_writer_never_spells_are_refused() {
+        let config = cfg(SchemeSpec::Counter(3));
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
+        let packet = PacketId::new(zero, 0);
+        let mut writer = TraceWriter::new(&config);
+        writer.action(SimTime::ZERO, &PureAction::Originate { node: zero, packet });
+        let heard = PureAction::PacketHeard {
+            node: one,
+            packet,
+            sender: zero,
+            sender_position: Vec2::ZERO,
+            own_position: Vec2::ZERO,
+            random_unit: 0.0,
+            oracle: None,
+        };
+        writer.action(SimTime::ZERO, &heard);
+        let heard = writer.into_bytes();
+        let scheduled = decision_tag(DecisionKind::Scheduled, None);
+        assert!(TraceFile::decode(&[&heard[..], &[scheduled]].concat()).is_ok());
+        let at = heard.len();
+        for (tail, at, what) in [
+            (
+                &[scheduled, scheduled][..],
+                at + 1,
+                "a decision that does not follow a PacketHeard",
+            ),
+            (&[DECISION | 3 << 3], at, "invalid decision kind"),
+            (&[DECISION | 5], at, "invalid suppress reason"),
+        ] {
+            let err = TraceFile::decode(&[&heard[..], tail].concat()).unwrap_err();
+            assert_eq!(err, WireError { at, what }, "{tail:x?}");
+        }
+    }
+
     #[test]
     fn replay_verifies_a_hand_built_trace() {
         // Flooding: a heard packet is always Scheduled.
@@ -841,8 +1304,6 @@ mod tests {
             node: NodeId::new(0),
             packet,
         };
-        let mut writer = TraceWriter::new(&config);
-        writer.action(SimTime::ZERO, &originate);
         let hear = PureAction::PacketHeard {
             node: NodeId::new(1),
             packet,
@@ -852,31 +1313,25 @@ mod tests {
             random_unit: 0.5,
             oracle: None,
         };
-        writer.action(SimTime::from_millis(1), &hear);
-        writer.decision(DecisionRecord {
-            at: SimTime::from_millis(1),
-            node: NodeId::new(1),
-            packet,
-            kind: DecisionKind::Scheduled,
-            reason: None,
-        });
-        let bytes = writer.into_bytes();
-        let summary = replay_decisions(&bytes).expect("replay");
+        let recorded = |kind| {
+            let mut writer = TraceWriter::new(&config);
+            writer.action(SimTime::ZERO, &originate);
+            writer.action(SimTime::from_millis(1), &hear);
+            writer.decision(DecisionRecord {
+                at: SimTime::from_millis(1),
+                node: NodeId::new(1),
+                packet,
+                kind,
+                reason: None,
+            });
+            writer.into_bytes()
+        };
+        let summary = replay_decisions(&recorded(DecisionKind::Scheduled)).expect("replay");
         assert_eq!(summary.actions, 2);
         assert_eq!(summary.decisions, 1);
 
         // Tampering with the recorded decision must be detected.
-        let mut writer = TraceWriter::new(&config);
-        writer.action(SimTime::ZERO, &originate);
-        writer.action(SimTime::from_millis(1), &hear);
-        writer.decision(DecisionRecord {
-            at: SimTime::from_millis(1),
-            node: NodeId::new(1),
-            packet,
-            kind: DecisionKind::InhibitedOnFirstHear,
-            reason: None,
-        });
-        let tampered = writer.into_bytes();
+        let tampered = recorded(DecisionKind::InhibitedOnFirstHear);
         assert!(matches!(
             replay_decisions(&tampered),
             Err(ReplayError::Mismatch { .. })
@@ -901,20 +1356,136 @@ mod tests {
             },
         );
         let err = replay_decisions(&writer.into_bytes()).expect_err("host 8 of 8");
-        // Record tag, time, action tag, then the id.
-        let at = header + 1 + 8 + 1;
+        // The tag and Δt, then the id.
+        let at = header + 2;
         let what = "node id outside the recorded population";
         assert_eq!(err, ReplayError::Wire(WireError { at, what }));
 
-        let mut writer = TraceWriter::new(&config);
-        writer.decision(DecisionRecord {
-            at: SimTime::ZERO,
-            node: stranger,
+        // A hear's sender, past the population and past `u32`.
+        let originate = PureAction::Originate {
+            node: NodeId::new(0),
             packet,
-            kind: DecisionKind::Scheduled,
-            reason: None,
-        });
-        let err = TraceFile::decode(&writer.into_bytes()).expect_err("host 8 of 8");
-        assert_eq!(err.at, header + 1 + 8);
+        };
+        let mut writer = TraceWriter::new(&config);
+        writer.action(SimTime::ZERO, &originate);
+        let bytes = writer.into_bytes();
+        for sender in [u64::from(config.hosts), 1 << 40] {
+            let mut enc = WireEncoder::new();
+            enc.u8(HEARD);
+            enc.uvarint(0);
+            enc.uvarint(1);
+            enc.uvarint(0);
+            let at = bytes.len() + enc.as_slice().len();
+            enc.uvarint(sender);
+            let err = TraceFile::decode(&[&bytes[..], enc.as_slice()].concat()).unwrap_err();
+            assert_eq!(err, WireError { at, what }, "sender {sender}");
+        }
+    }
+
+    /// The decoded records of `bytes`, written again by a fresh writer,
+    /// with the decision at `change` (if any) turned into another kind.
+    fn rewritten(bytes: &[u8], change: Option<usize>) -> Vec<u8> {
+        let mut file = TraceFile::open(bytes).expect("a trace opens");
+        let mut writer = TraceWriter::new(&file.config);
+        let mut index = 0;
+        while let Some(record) = file.next_record().expect("a trace reads") {
+            match record {
+                TraceRecord::Action { at, action } => writer.action(at, &action),
+                TraceRecord::Decision(mut d) => {
+                    if change == Some(index) {
+                        d.kind = match d.kind {
+                            DecisionKind::Cancelled => DecisionKind::Scheduled,
+                            _ => DecisionKind::Cancelled,
+                        };
+                    }
+                    writer.decision(d);
+                }
+            }
+            index += 1;
+        }
+        writer.into_bytes()
+    }
+
+    /// `bytes` up to its record `index`.
+    fn cut_before(bytes: &[u8], index: usize) -> Vec<u8> {
+        let mut file = TraceFile::open(bytes).expect("a trace opens");
+        for _ in 0..index {
+            file.next_record().expect("a trace reads");
+        }
+        bytes[..file.dec.position()].to_vec()
+    }
+
+    #[test]
+    fn first_divergence_names_the_changed_record_and_what_came_before() {
+        let config = SimConfig::builder(3, SchemeSpec::Counter(3))
+            .hosts(30)
+            .broadcasts(4)
+            .seed(21)
+            .build();
+        let mut world = crate::World::new(config);
+        world.enable_recording();
+        world.advance(SimTime::MAX);
+        let live = world.take_trace().expect("recording was armed");
+        // A trace read and written again is the same bytes.
+        assert_eq!(rewritten(&live, None), live);
+        assert_eq!(first_divergence(&live, &live), Ok(None));
+
+        // One decision, chosen by a seeded draw, decided the other way;
+        // each directly follows the hear it decides, the last agreement.
+        let mut decisions = Vec::new();
+        let mut file = TraceFile::open(&live).expect("a live trace opens");
+        let (mut index, mut heard) = (0, None);
+        while let Some(record) = file.next_record().expect("a live trace reads") {
+            match record {
+                TraceRecord::Action {
+                    at,
+                    action:
+                        PureAction::PacketHeard {
+                            node,
+                            packet,
+                            sender,
+                            ..
+                        },
+                } => {
+                    heard = Some(Agreed::Heard {
+                        record: index,
+                        at,
+                        node,
+                        packet,
+                        sender,
+                    })
+                }
+                TraceRecord::Decision(d) => decisions.push((index, d, heard)),
+                TraceRecord::Action { .. } => {}
+            }
+            index += 1;
+        }
+        let mut rng = SimRng::seed_from(0x6469_7665);
+        let (index, changed, heard) =
+            decisions[rng.gen_range_u32(0..decisions.len() as u32) as usize];
+        let forked = rewritten(&live, Some(index));
+        let divergence = first_divergence(&live, &forked)
+            .expect("both traces decode")
+            .expect("the traces differ");
+        assert_eq!(
+            divergence,
+            Divergence {
+                record: index,
+                at: changed.at,
+                node: changed.node,
+                packet: Some(changed.packet),
+                last_agreed: heard,
+            }
+        );
+        assert!(divergence
+            .to_string()
+            .starts_with(&format!("record {index} (")));
+        assert!(matches!(heard, Some(Agreed::Heard { record, .. }) if record == index - 1));
+        // Symmetric, and a trace cut just before the changed record parts
+        // from the whole one there.
+        assert_eq!(first_divergence(&forked, &live), Ok(Some(divergence)));
+        let cut = cut_before(&live, index);
+        let ended = first_divergence(&live, &cut).expect("both decode");
+        assert_eq!(ended, Some(divergence));
     }
 }

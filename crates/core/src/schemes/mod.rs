@@ -330,6 +330,24 @@ impl SchemeSpec {
         matches!(self, SchemeSpec::NeighborCoverage)
     }
 
+    /// `true` when the scheme's decisions read positions, the hearer's
+    /// own and the sender's ([`HearContext::own_position`],
+    /// [`HearContext::sender_position`]): the distance and location
+    /// schemes. An `MTRC` trace writes a hear's positions only then.
+    pub fn reads_positions(&self) -> bool {
+        matches!(
+            self,
+            SchemeSpec::Distance(_) | SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_)
+        )
+    }
+
+    /// `true` when the scheme's decisions read the hear's uniform sample
+    /// ([`HearContext::random_unit`]): the probabilistic scheme. An
+    /// `MTRC` trace writes a hear's coin only then.
+    pub fn reads_coin(&self) -> bool {
+        matches!(self, SchemeSpec::Probabilistic(_))
+    }
+
     /// Parses the one scheme grammar of every front end (`manet-sim`,
     /// campaign jobs, config text), which `Display` writes: `flooding`,
     /// `nc`, `counter:C` (`C ≥ 2`), `distance:D` (meters, `D ≥ 0`),

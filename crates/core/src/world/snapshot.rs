@@ -258,22 +258,23 @@ impl World {
             // Each two-hop list is interned by content, so the restored
             // tables share lists as the paused ones did. A scheme that
             // reads no `N_{x,h}` keeps count-only tables, and refuses a list.
+            // No table or window holds a time after the checkpoint's clock.
+            let now = world.queue.now();
             let (pure, mut restored) = (&mut world.pure, vec![Vec::new(); hosts]);
             let tables = (0..hosts)
                 .map(|_| {
                     if scheme.needs_two_hop_hellos() {
-                        NeighborTable::restore_snapshot(&mut dec, |h, list| {
+                        NeighborTable::restore_snapshot(&mut dec, now, |h, list| {
                             pure.publish_restored(h, list, &mut restored)
                         })
                     } else {
-                        NeighborTable::restore_count_only(&mut dec)
+                        NeighborTable::restore_count_only(&mut dec, now)
                     }
                 })
                 .collect::<Result<_, _>>()?;
             // Under a fixed interval nothing reads a window: each is
             // checked and dropped, including the non-empty ones that
             // checkpoints of fixed-interval runs used to carry.
-            let now = world.queue.now();
             let mut trackers = Vec::new();
             for _ in 0..hosts {
                 let tracker = VariationTracker::restore_snapshot(&mut dec, now)?;

@@ -34,10 +34,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// itself does (see [`snapshot_limit`]).
 const SNAPSHOT_BYTES_PER_WIRE_BYTE: usize = 8;
 
-/// A trace is read in one pass and nothing is collected but each sender's
-/// current advertisement: its largest blocks are neighbor lists, 4 bytes
-/// per id as on the wire, and the nodes of that id-keyed store, so
-/// materialising the records (≈ 4–5× the input) fails it.
+/// A trace is read in one pass and nothing is collected but each issued
+/// packet's source and each sender's current advertisement: its largest
+/// blocks are neighbor lists, 4 bytes per id against at least one on the
+/// wire, and the nodes of that id-keyed store, so materialising the
+/// records fails it.
 const TRACE_BYTES_PER_WIRE_BYTE: usize = 2;
 
 /// Counter scheme under churn, a blackout, noise and a partition: the
@@ -785,6 +786,38 @@ fn an_expiry_bound_past_an_entry_deadline_is_refused() {
     }
 }
 
+/// No host hears a HELLO ahead of the clock, so a checkpoint whose table
+/// holds an entry heard after the checkpoint's own clock is refused at
+/// that entry's time, as a variation window's is. A fresh `nc` world's
+/// clock reads zero; host 1's table holding host 4 heard at 10 s used to
+/// resume.
+#[test]
+fn a_neighbor_heard_after_the_checkpoint_clock_is_refused() {
+    let config = coverage_config();
+    let (image, tables, _) = fresh_hello_state(&config);
+    let at = tables + 25;
+    let heard_at = |ns: u64| {
+        let entry = [(4, ns, 1_000_000_000)];
+        spliced(
+            &image,
+            at,
+            25,
+            &table_bytes(&entry, &[], Some(ns + 2_000_000_000)),
+        )
+    };
+    assert!(World::resume(config.clone(), &heard_at(0)).is_ok());
+    let err = World::resume(config, &heard_at(10_000_000_000)).expect_err("heard at 10 s");
+    // The entry count and host 4's id precede the time.
+    let what = "a neighbor entry heard after the checkpoint's clock";
+    assert_eq!(
+        err,
+        WireError {
+            at: at + 8 + 4,
+            what
+        }
+    );
+}
+
 /// The adaptive counter and location schemes read `n` alone, so their
 /// tables keep no two-hop lists and their HELLOs advertise none: a
 /// checkpoint of such a run holding a list is refused at the list, where
@@ -896,25 +929,34 @@ fn a_snapshot_cannot_carry_a_lattice_this_build_would_not_lay() {
 /// Replay grows a host's packet ledger to `seq + 1` entries, so a trace
 /// may only name a `seq` an `Originate` has issued: live runs number
 /// packets 0, 1, 2 …. Unbounded, one `Originate` carrying `seq` 2³² − 5
-/// decodes and then makes `replay_decisions` ask for 16 GiB.
+/// decodes and then makes `replay_decisions` ask for 16 GiB. Each
+/// `Originate` issues the next `seq`, so it cannot carry that one either.
 #[test]
 fn a_trace_cannot_name_a_packet_seq_no_originate_issued() {
     let config = churn_config();
     let source = NodeId::new(0);
-    let only_originate = |seq| {
+    let packet = |seq| PacketId::new(source, seq);
+    let traced = |seq, then: Option<PureAction<'static>>| {
         let mut writer = TraceWriter::new(&config);
-        let packet = PacketId::new(source, seq);
-        writer.action(
-            SimTime::ZERO,
-            &PureAction::Originate {
-                node: source,
-                packet,
-            },
-        );
+        let originate = PureAction::Originate {
+            node: source,
+            packet: packet(seq),
+        };
+        writer.action(SimTime::ZERO, &originate);
+        if let Some(action) = then {
+            writer.action(SimTime::ZERO, &action);
+        }
         writer.into_bytes()
     };
-    assert!(TraceFile::decode(&only_originate(0)).is_ok());
-    let err = TraceFile::decode(&only_originate(1_000_000)).expect_err("seq 1 000 000 of 1");
+    assert!(TraceFile::decode(&traced(0, None)).is_ok());
+    let err = TraceFile::decode(&traced(1_000_000, None)).expect_err("Originate of seq 1 000 000");
+    assert_eq!(err.what, "an Originate that does not issue the next seq");
+    let node = NodeId::new(1);
+    let fired = PureAction::AssessmentFired {
+        node,
+        packet: packet(1_000_000),
+    };
+    let err = TraceFile::decode(&traced(0, Some(fired))).expect_err("seq 1 000 000 of 1");
     assert_eq!(err.what, "packet seq not issued by an earlier Originate");
 }
 
@@ -980,7 +1022,7 @@ fn no_id_a_trace_names_sizes_replay_state() {
         writer.into_bytes()
     };
     // A HELLO with a list and the same HELLO again, which the writer
-    // spells as a repeat (its last byte, tag 1), heard under a
+    // spells as a repeat (its record's tag, 3), heard under a
     // neighbor-coverage header: two actions, no effects under its fixed
     // interval.
     let hearing = |node: u32, sender: u32| {
@@ -993,9 +1035,12 @@ fn no_id_a_trace_names_sizes_replay_state() {
             neighbors: &listed,
         };
         writer.action(SimTime::ZERO, &hello);
+        let first = writer.into_bytes().len();
+        let mut writer = TraceWriter::new(&coverage);
+        writer.action(SimTime::ZERO, &hello);
         writer.action(SimTime::from_millis(1), &hello);
         let bytes = writer.into_bytes();
-        assert_eq!(bytes.last(), Some(&1), "the second HELLO is a repeat");
+        assert_eq!(bytes[first], 3, "the second HELLO is a repeat");
         bytes
     };
     let one_action = Ok(ReplaySummary {
@@ -1057,11 +1102,11 @@ fn no_id_a_trace_names_sizes_replay_state() {
     assert_eq!(replay_decisions(&claiming(u32::MAX, bytes)), replayed);
 }
 
-/// A `HelloHeard` either carries its sender's advertisement (tag 0) or
-/// repeats the one the trace last carried for that sender (tag 1). A repeat
-/// with nothing to repeat — before any advertisement, or from another
-/// sender than the one that made it — and any other tag are refused at the
-/// tag.
+/// A `HelloHeard` either carries its sender's advertisement (tag 2) or
+/// repeats the one the trace last carried for that sender (tag 3). A
+/// repeat with nothing to repeat — before any advertisement, or from
+/// another sender than the one that made it — is refused at its sender,
+/// and a tag past the table at the tag.
 #[test]
 fn a_hello_repeats_only_an_advertisement_its_sender_made() {
     let config = coverage_config();
@@ -1078,41 +1123,96 @@ fn a_hello_repeats_only_an_advertisement_its_sender_made() {
     writer.action(SimTime::from_millis(1), &hello);
     let bytes = writer.into_bytes();
     assert!(TraceFile::decode(&bytes).is_ok());
-    // Record and action tags, time, node and sender precede the
-    // advertisement tag; a tag-0 record then holds the interval and list.
-    let tag = 1 + 8 + 1 + 4 + 4;
-    let advertisement = tag + 1 + 8 + 8 + 4 * listed.len();
-    assert_eq!(bytes.len(), header + advertisement + tag + 1);
-    assert_eq!(
-        (bytes[header + tag], bytes[header + advertisement + tag]),
-        (0, 1)
-    );
+    // A byte each for the tag, a zero Δt, the node and the sender, then
+    // 10⁹ ns in five and the list in three; the repeat's Δt of 10⁶ ns
+    // takes three, and its sender closes the trace.
+    let advertisement = 1 + 1 + 1 + 1 + 5 + 1 + listed.len();
+    let sender = header + advertisement + 1 + 3 + 1;
+    assert_eq!(bytes.len(), sender + 1);
+    assert_eq!((bytes[header], bytes[header + advertisement]), (2, 3));
 
     let unmade = "HELLO repeats an advertisement its sender has not made";
     let repeat_only = [&bytes[..header], &bytes[header + advertisement..]].concat();
     let mut other_sender = bytes.clone();
-    let sender = header + advertisement + tag - 4;
-    other_sender[sender..sender + 4].copy_from_slice(&2u32.to_le_bytes());
+    other_sender[sender] = 2;
     let mut unknown_tag = bytes.clone();
-    unknown_tag[header + tag] = 2;
+    unknown_tag[header] = 10;
     for (case, bytes, at, what) in [
-        ("a repeat first", repeat_only, header + tag, unmade),
         (
-            "a repeat from sender 2",
-            other_sender,
-            header + advertisement + tag,
+            "a repeat first",
+            repeat_only,
+            sender - advertisement,
             unmade,
         ),
-        (
-            "tag 2",
-            unknown_tag,
-            header + tag,
-            "invalid advertisement tag",
-        ),
+        ("a repeat from sender 2", other_sender, sender, unmade),
+        ("tag 10", unknown_tag, header, "invalid record tag"),
     ] {
         let err = TraceFile::decode(&bytes).expect_err(case);
         assert_eq!(err, WireError { at, what }, "{case}");
     }
+}
+
+/// Every integer of a v5 record is one canonical LEB128 varint, its time
+/// a delta, and a decision only its tag: a varint with a redundant zero
+/// group, one longer than ten bytes, a delta that runs the clock past
+/// `u64`, and a decision with no `PacketHeard` just before it are each
+/// refused at the byte that starts them. Each spelling has one meaning, so
+/// none can hide a second trace inside a first.
+#[test]
+fn a_v5_record_spelled_two_ways_or_past_the_clock_is_refused() {
+    let config = churn_config();
+    let source = NodeId::new(0);
+    let mut writer = TraceWriter::new(&config);
+    let originate = PureAction::Originate {
+        node: source,
+        packet: PacketId::new(source, 0),
+    };
+    writer.action(SimTime::from_secs(1), &originate);
+    let bytes = writer.into_bytes();
+    // A `FrameSent` (tag 7) of packet 0 at host 0, its Δt spelled in turn.
+    let sent = |delta: &[u8]| [&bytes[..], &[7], delta, &[0, 0]].concat();
+    assert!(replay_decisions(&sent(&[0])).is_ok());
+    let at = bytes.len() + 1;
+    let mut past = WireEncoder::new();
+    past.uvarint(u64::MAX - 999_999_999);
+    for (case, delta, what) in [
+        (
+            "zero as two bytes",
+            &[0x80, 0x00][..],
+            "non-canonical varint (a trailing zero group)",
+        ),
+        (
+            "eleven bytes",
+            &[
+                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            ],
+            "varint longer than ten bytes or past u64",
+        ),
+        (
+            "the clock past u64",
+            past.as_slice(),
+            "a time delta past the end of the clock",
+        ),
+    ] {
+        let replayed = catch_unwind(|| replay_decisions(&sent(delta)));
+        let refused = Err(ReplayError::Wire(WireError { at, what }));
+        assert_eq!(replayed.ok(), Some(refused), "{case}");
+    }
+    // A node id of one byte, spelled in two.
+    let padded = [&bytes[..], &[7, 0, 0x80, 0x00, 0]].concat();
+    let what = "non-canonical varint (a trailing zero group)";
+    assert_eq!(
+        TraceFile::decode(&padded).map(drop),
+        Err(WireError { at: at + 1, what })
+    );
+    // A scheduling decision (tag 0x80) after the `Originate`.
+    let decided = [&bytes[..], &[0x80]].concat();
+    let what = "a decision that does not follow a PacketHeard";
+    let at = bytes.len();
+    assert_eq!(
+        TraceFile::decode(&decided).map(drop),
+        Err(WireError { at, what })
+    );
 }
 
 /// The reader keeps each sender's current advertisement, keyed by id.
@@ -1185,7 +1285,8 @@ fn a_neighbor_list_out_of_order_is_refused() {
         neighbors: &advertised,
     };
     writer.action(SimTime::ZERO, &hello);
-    let at = writer.into_bytes().len() - 8 - 4 * advertised.len();
+    // A one-byte count and one byte per id.
+    let at = writer.into_bytes().len() - 1 - advertised.len();
     let mut writer = TraceWriter::new(&config);
     writer.action(SimTime::ZERO, &hello);
     writer.action(SimTime::from_millis(1), &originate);
@@ -1204,7 +1305,7 @@ fn a_neighbor_list_out_of_order_is_refused() {
         .broadcasts(4)
         .neighbor_info(NeighborInfo::Oracle)
         .build();
-    for (own, theirs, from_end) in [([1, 2], [3, 2], 16), ([2, 1], [0, 3], 32)] {
+    for (own, theirs, from_end) in [([1, 2], [3, 2], 3), ([2, 1], [0, 3], 6)] {
         let (own, theirs) = (ids(&own), ids(&theirs));
         let view = OracleView {
             neighbor_count: own.len(),
@@ -1338,7 +1439,7 @@ fn a_checkpointed_hello_lists_other_hosts_in_order() {
 }
 
 /// No HELLO timer runs under oracle neighbor info, so a `HelloPrepare`
-/// under an oracle header is refused at its tag. It used to decode and
+/// under an oracle header is refused at its record's tag. It used to decode and
 /// then panic in `step` ("hello timer fired in oracle mode").
 #[test]
 fn a_hello_prepare_under_an_oracle_header_is_refused() {
@@ -1352,8 +1453,8 @@ fn a_hello_prepare_under_an_oracle_header_is_refused() {
     let node = NodeId::new(0);
     writer.action(SimTime::ZERO, &PureAction::HelloPrepare { node });
     let bytes = writer.into_bytes();
-    // Record tag and time, then the action tag.
-    let at = header + 1 + 8;
+    // The record's tag.
+    let at = header;
     let what = "a HELLO action in a run that sends no HELLOs";
     let replayed = catch_unwind(|| replay_decisions(&bytes));
     assert_eq!(
@@ -1381,9 +1482,9 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
     let node = NodeId::new(1);
     writer.action(SimTime::ZERO, &PureAction::AssessmentFired { node, packet });
     let mut bytes = writer.into_bytes();
-    // A record with tag 9 (and a time).
+    // A record with tag 10, the first past the table (and a Δt).
     let at = bytes.len();
-    bytes.extend([9, 0, 0, 0, 0, 0, 0, 0, 0]);
+    bytes.extend([10, 0]);
     let what = "invalid record tag";
     let replayed = catch_unwind(|| replay_decisions(&bytes));
     assert_eq!(
@@ -1394,7 +1495,7 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
 
 /// A run without HELLOs keeps no neighbor tables, so its trace may carry
 /// no HELLO action: a `HelloPrepare` or `HelloHeard` is refused at its
-/// action tag, under an oracle header and under a scheme that reads no
+/// record's tag, under an oracle header and under a scheme that reads no
 /// neighbors alike. Nor may a hear lack the oracle view where its scheme
 /// reads neighbors (an oracle run); that is refused at its record.
 /// Replay used to step these through tables no such world keeps.
@@ -1421,8 +1522,8 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
     ];
     let what = "a HELLO action in a run that sends no HELLOs";
     for (header, config) in [("counter:3", &counter), ("oracle", &oracle)] {
-        // Record tag and time, then the action tag.
-        let at = TraceWriter::new(config).into_bytes().len() + 1 + 8;
+        // The record's tag.
+        let at = TraceWriter::new(config).into_bytes().len();
         for hello in &hellos {
             let mut writer = TraceWriter::new(config);
             writer.action(SimTime::ZERO, hello);
@@ -1463,7 +1564,9 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
 /// record that breaks it: an `AssessmentFired` at a host with no
 /// assessment of the packet, and a second `Originate` of one packet at its
 /// source. Both used to reach `step` and panic (the ledger's "no active
-/// state" assert, the "source packet already known" debug assert).
+/// state" assert, the "source packet already known" debug assert). Each
+/// `Originate` now issues the next `seq`, so the second is refused as it
+/// is read, at its `seq`: the fourth byte of the second four-byte record.
 #[test]
 fn an_action_no_world_could_deliver_is_refused_at_its_record() {
     let config = churn_config();
@@ -1486,23 +1589,34 @@ fn an_action_no_world_could_deliver_is_refused_at_its_record() {
         random_unit: 0.5,
         oracle: None,
     };
+    let illegal = |record, what| ReplayError::Illegal { record, what };
     let not_assessing = "AssessmentFired at a host not assessing the packet";
-    for (case, actions, record, what) in [
-        ("never heard", vec![originate, fired(1)], 1, not_assessing),
-        ("at the source", vec![originate, fired(0)], 1, not_assessing),
+    let header = TraceWriter::new(&config).into_bytes().len();
+    for (case, actions, refused) in [
+        (
+            "never heard",
+            vec![originate, fired(1)],
+            illegal(1, not_assessing),
+        ),
+        (
+            "at the source",
+            vec![originate, fired(0)],
+            illegal(1, not_assessing),
+        ),
         // Host 1 schedules (record 2 is its decision), fires, then fires
         // again once the packet is queued.
         (
             "fired twice",
             vec![originate, heard, fired(1), fired(1)],
-            4,
-            not_assessing,
+            illegal(4, not_assessing),
         ),
         (
             "originated twice",
             vec![originate, originate],
-            1,
-            "Originate of a packet its source already knows",
+            ReplayError::Wire(WireError {
+                at: header + 4 + 3,
+                what: "an Originate that does not issue the next seq",
+            }),
         ),
     ] {
         let mut writer = TraceWriter::new(&config);
@@ -1519,10 +1633,6 @@ fn an_action_no_world_could_deliver_is_refused_at_its_record() {
             }
         }
         let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
-        assert_eq!(
-            replayed.ok(),
-            Some(Err(ReplayError::Illegal { record, what })),
-            "{case}"
-        );
+        assert_eq!(replayed.ok(), Some(Err(refused)), "{case}");
     }
 }

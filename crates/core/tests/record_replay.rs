@@ -1,11 +1,29 @@
 //! What `replay_decisions` refuses: a truncated `MTRC` trace (a wire
 //! error) and a forged decision the pure models never derived (a replay
-//! mismatch). That every live trace replays cleanly, byte-deterministically
-//! and with tallies equal to the live suppression counters is the
-//! generated property in the root `tests/equivalence.rs`.
+//! mismatch); that every scheme's trace, whose reader hands the pure
+//! models zero for each field the scheme does not read, replays to the
+//! recorded decisions; and what a trace costs per record. That every live
+//! trace replays cleanly, byte-deterministically and with tallies equal to
+//! the live suppression counters is the generated property in the root
+//! `tests/equivalence.rs`.
 
-use broadcast_core::{replay_decisions, ReplayError, SchemeSpec, SimConfig, World};
-use manet_sim_engine::SimTime;
+use broadcast_core::{
+    replay_decisions, NeighborInfo, PureAction, ReplayError, Scenario, SchemeSpec, SimConfig,
+    TraceFile, TraceRecord, TraceWriter, World,
+};
+use manet_geom::Vec2;
+use manet_net::HelloIntervalPolicy;
+use manet_sim_engine::{SimTime, WireEncoder};
+
+/// The trace of a whole run of `config`, and the run's decision count.
+fn recorded(config: SimConfig) -> (Vec<u8>, u64) {
+    let mut world = World::new(config);
+    world.enable_recording();
+    world.advance(SimTime::MAX);
+    let trace = world.take_trace().expect("recording was armed");
+    let s = world.into_report().suppression;
+    (trace, s.scheduled + s.inhibited_first_hear + s.cancelled)
+}
 
 #[test]
 fn corrupted_traces_are_rejected() {
@@ -14,10 +32,7 @@ fn corrupted_traces_are_rejected() {
         .broadcasts(15)
         .seed(31)
         .build();
-    let mut world = World::new(config);
-    world.enable_recording();
-    world.advance(SimTime::MAX);
-    let trace = world.take_trace().expect("recording was armed");
+    let (trace, _) = recorded(config);
 
     let truncated = &trace[..trace.len() - 3];
     assert!(
@@ -25,20 +40,131 @@ fn corrupted_traces_are_rejected() {
         "truncated trace replayed cleanly",
     );
 
-    // Forge a Cancelled decision nobody made, about the first packet (an
-    // unissued `seq` would already fail to decode): tag=1, time u64,
-    // node u32, packet (source u32, seq u32), kind u8, reason u8 — all
-    // little-endian, matching the writer.
-    let mut forged = trace.clone();
-    forged.push(1);
-    forged.extend_from_slice(&1_000_000u64.to_le_bytes());
-    forged.extend_from_slice(&0u32.to_le_bytes());
-    forged.extend_from_slice(&0u32.to_le_bytes());
-    forged.extend_from_slice(&0u32.to_le_bytes());
-    forged.push(2);
-    forged.push(0);
+    // Forge a hear of the first packet at host 1 from host 0, a second
+    // after the last action, and a Cancelled decision (counter reason)
+    // nobody made about it: tag 4, then Δt, node, seq and sender as
+    // LEB128, then the decision's tag, 0x80 | kind 2 << 3 | reason 1.
+    let mut forged = WireEncoder::new();
+    forged.u8(4);
+    for field in [1_000_000_000, 1, 0, 0] {
+        forged.uvarint(field);
+    }
+    forged.u8(0x80 | 2 << 3 | 1);
+    let forged = [&trace[..], forged.as_slice()].concat();
     assert!(
         matches!(replay_decisions(&forged), Err(ReplayError::Mismatch { .. })),
         "forged decision replayed cleanly",
     );
+}
+
+/// Each of the eight schemes, under HELLO and oracle neighbor info: the
+/// trace writes a hear's positions and coin only where the scheme reads
+/// them, the reader hands zero for the rest, and replay through the pure
+/// models alone re-derives every recorded decision. A scheme that reads a
+/// field gets it back as recorded: not all zero.
+#[test]
+fn every_scheme_replays_from_what_its_trace_writes() {
+    for spelling in [
+        "flooding",
+        "counter:3",
+        "ac",
+        "distance:120",
+        "location:0.0134",
+        "al",
+        "nc",
+        "prob:0.6",
+    ] {
+        let scheme = SchemeSpec::parse(spelling).expect("a scheme spelling");
+        let hello = NeighborInfo::Hello(HelloIntervalPolicy::fixed_1s());
+        for info in [hello, NeighborInfo::Oracle] {
+            let leg = format!("{spelling} under {info:?}");
+            let config = SimConfig::builder(3, scheme.clone())
+                .hosts(25)
+                .broadcasts(6)
+                .neighbor_info(info)
+                .seed(77)
+                .build();
+            let (trace, decided) = recorded(config);
+            let replayed = replay_decisions(&trace).unwrap_or_else(|e| panic!("{leg}: {e}"));
+            assert_eq!(replayed.decisions, decided, "{leg}");
+            assert!(
+                decided > 0,
+                "{leg}: a run that decides nothing shows nothing"
+            );
+
+            let (mut positions, mut coins) = (Vec::new(), Vec::new());
+            let mut file = TraceFile::open(&trace).expect("a live trace opens");
+            while let Some(record) = file.next_record().expect("a live trace reads") {
+                if let TraceRecord::Action {
+                    action:
+                        PureAction::PacketHeard {
+                            sender_position,
+                            own_position,
+                            random_unit,
+                            ..
+                        },
+                    ..
+                } = record
+                {
+                    positions.extend([sender_position, own_position]);
+                    coins.push(random_unit);
+                }
+            }
+            let zero = |p: &Vec2| *p == Vec2::ZERO;
+            assert_eq!(
+                positions.iter().all(zero),
+                !scheme.reads_positions(),
+                "{leg}: positions"
+            );
+            assert_eq!(
+                coins.iter().all(|&c| c == 0.0),
+                !scheme.reads_coin(),
+                "{leg}: coins"
+            );
+        }
+    }
+}
+
+/// Body bytes (after the header) per record of the trace of `config`.
+fn bytes_per_record(config: SimConfig) -> f64 {
+    let header = TraceWriter::new(&config).into_bytes().len();
+    let (trace, _) = recorded(config);
+    let mut file = TraceFile::open(&trace).expect("a live trace opens");
+    let mut records = 0;
+    while file.next_record().expect("a live trace reads").is_some() {
+        records += 1;
+    }
+    (trace.len() - header) as f64 / f64::from(records)
+}
+
+/// A gate that fails `cargo test`, not only a bench row, when a change
+/// fattens the trace: bytes per record of two fixed runs, each bounded by
+/// its measured value plus 10 %. The churn script CI records under `nc`
+/// (v5: 4.64; v4 wrote 26.9), whose HELLOs spell out lists; and a 1×1
+/// `ac` run, the densest map, where nearly every record is a HELLO heard
+/// again (v5: 4.02; v4: 20.1). Writing a hear's positions back, or
+/// absolute times, moves either past its bound.
+#[test]
+fn a_trace_spends_a_few_bytes_per_record() {
+    let script = Scenario::parse(include_str!("../../../examples/scenarios/churn_quick.txt"))
+        .expect("the CI churn script parses");
+    let churn = SimConfig::builder(3, SchemeSpec::NeighborCoverage)
+        .hosts(100)
+        .broadcasts(60)
+        .scenario(script)
+        .seed(5)
+        .build();
+    let ac = SimConfig::builder(1, SchemeSpec::parse("ac").expect("a scheme spelling"))
+        .hosts(100)
+        .broadcasts(10)
+        .seed(5)
+        .build();
+    for (run, config, bound) in [("churn under nc", churn, 5.1), ("1x1 ac", ac, 4.4)] {
+        let measured = bytes_per_record(config);
+        eprintln!("{run}: {measured:.3} bytes per record");
+        assert!(
+            measured <= bound,
+            "{run}: {measured:.3} bytes per record, bound {bound}"
+        );
+    }
 }

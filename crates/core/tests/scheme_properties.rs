@@ -1,10 +1,17 @@
 //! Property-based tests of the scheme decision state machines, driven as
 //! pure functions over arbitrary duplicate sequences.
 
+use std::rc::Rc;
+
 use broadcast_core::policy::{DuplicateDecision, FirstDecision, HearContext};
-use broadcast_core::{AreaThreshold, CounterThreshold, PacketState, SchemeSpec};
+use broadcast_core::{
+    AreaThreshold, CounterThreshold, NeighborInfo, OracleView, PacketId, PacketState, PureAction,
+    PureModels, SchemeSpec, SimConfig,
+};
 use manet_geom::Vec2;
+use manet_net::HelloIntervalPolicy;
 use manet_phy::NodeId;
+use manet_sim_engine::{SimDuration, SimTime};
 use manet_testkit::{prop_check, Gen};
 
 /// Builds a context for a sender at polar position (rho, theta) with a
@@ -45,6 +52,33 @@ fn arrivals(g: &mut Gen) -> Vec<(u32, f64, f64, usize)> {
             g.usize_in(0..20),
         )
     })
+}
+
+/// One spelling of each scheme family (`SchemeSpec::parse`).
+const FAMILIES: [&str; 12] = [
+    "flooding",
+    "counter:3",
+    "ac",
+    "ac:ramp3",
+    "ac:to4",
+    "ac:4,12,convex",
+    "distance:120",
+    "location:0.0134",
+    "al",
+    "al:6,12",
+    "nc",
+    "prob:0.6",
+];
+
+/// A value a field may hold when nothing reads it: any finite number, or
+/// a NaN or an infinity.
+fn arbitrary(g: &mut Gen) -> f64 {
+    match g.usize_in(0..4) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => g.f64_in(-5_000.0..5_000.0),
+    }
 }
 
 /// The additional-coverage estimate `ac` a location-scheme state stands for.
@@ -239,5 +273,91 @@ prop_check! {
                 break;
             }
         }
+    }
+
+    /// What a scheme does not read cannot move a decision: an `MTRC`
+    /// trace writes a hear's positions only for a scheme that
+    /// [`reads_positions`](SchemeSpec::reads_positions) and its coin only
+    /// for one that [`reads_coin`](SchemeSpec::reads_coin), and its reader
+    /// hands zero for the rest. Two pure models of each scheme family, in
+    /// HELLO and in oracle mode, step the same hears, except that one sees
+    /// arbitrary values where the other's scheme reads nothing; every
+    /// `first_hear` and `duplicate_hear` behind them decides the same.
+    fn unread_hear_fields_never_move_a_decision(g, cases = 96) {
+        let spelling = FAMILIES[g.usize_in(0..FAMILIES.len())];
+        let scheme = SchemeSpec::parse(spelling).expect("a scheme spelling");
+        let oracle = g.bool();
+        let info = if oracle {
+            NeighborInfo::Oracle
+        } else {
+            NeighborInfo::Hello(HelloIntervalPolicy::fixed_1s())
+        };
+        let reads_neighbors = scheme.needs_neighbor_count() || scheme.needs_two_hop_hellos();
+        let hosts = 10u32;
+        let config = SimConfig::builder(1, scheme.clone()).hosts(hosts).neighbor_info(info).build();
+        let (mut read, mut unread) = (PureModels::new(&config), PureModels::new(&config));
+        let (mut fx_read, mut fx_unread) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        let sources: Vec<_> = (0..g.usize_in(1..4)).map(|_| NodeId::new(g.u32_in(0..hosts))).collect();
+        let packet = |seq: usize| PacketId::new(sources[seq], seq as u32);
+        for (seq, &node) in sources.iter().enumerate() {
+            let originate = PureAction::Originate { node, packet: packet(seq) };
+            read.step(now, &originate, &mut fx_read);
+            unread.step(now, &originate, &mut fx_unread);
+        }
+        let ids = |set: std::collections::BTreeSet<u32>| -> Vec<NodeId> {
+            set.into_iter().map(NodeId::new).collect()
+        };
+        for _ in 0..g.usize_in(1..40) {
+            now += SimDuration::from_millis(g.u64_in(0..300));
+            let node = NodeId::new(g.u32_in(0..hosts));
+            let sender = NodeId::new((node.index() as u32 + g.u32_in(1..hosts)) % hosts);
+            if reads_neighbors && !oracle && g.bool() {
+                // A HELLO fills the hearer's table, so HELLO-mode counts and
+                // lists are not all empty.
+                let mut listed = g.u32_set(0..hosts, 0..6);
+                listed.remove(&(sender.index() as u32));
+                let listed: Rc<[NodeId]> = ids(listed).into();
+                let hello = PureAction::HelloHeard {
+                    node,
+                    sender,
+                    interval: SimDuration::from_secs(1),
+                    neighbors: &listed,
+                };
+                read.step(now, &hello, &mut fx_read);
+                unread.step(now, &hello, &mut fx_unread);
+                continue;
+            }
+            let packet = packet(g.usize_in(0..sources.len()));
+            let (own, theirs) = (ids(g.u32_set(0..hosts, 0..6)), ids(g.u32_set(0..hosts, 0..6)));
+            let view = (oracle && reads_neighbors).then(|| OracleView {
+                neighbor_count: own.len(),
+                neighbors: &own,
+                sender_neighbors: &theirs,
+            });
+            let positions = [g.f64_in(0.0..500.0), g.f64_in(0.0..500.0), g.f64_in(0.0..500.0), g.f64_in(0.0..500.0)];
+            let coin = g.f64_in(0.0..1.0);
+            let hear = |positions: [f64; 4], coin| PureAction::PacketHeard {
+                node,
+                packet,
+                sender,
+                sender_position: Vec2::new(positions[0], positions[1]),
+                own_position: Vec2::new(positions[2], positions[3]),
+                random_unit: coin,
+                oracle: view,
+            };
+            let other = if scheme.reads_positions() {
+                positions
+            } else {
+                [arbitrary(g), arbitrary(g), arbitrary(g), arbitrary(g)]
+            };
+            let other_coin = if scheme.reads_coin() { coin } else { arbitrary(g) };
+            fx_read.clear();
+            fx_unread.clear();
+            read.step(now, &hear(positions, coin), &mut fx_read);
+            unread.step(now, &hear(other, other_coin), &mut fx_unread);
+            assert_eq!(fx_read, fx_unread, "{spelling}, oracle {oracle}");
+        }
+        assert_eq!(read.suppression(), unread.suppression(), "{spelling}, oracle {oracle}");
     }
 }

@@ -289,37 +289,45 @@ impl NeighborTable {
     }
 
     /// Rebuilds a list-keeping table from
-    /// [`snapshot_into`](Self::snapshot_into) output. Each list is read
-    /// into a scratch buffer and handed to `share` with its sender, which
-    /// returns the handle the entry keeps: a caller that interns lists by
-    /// content restores tables that share them the way live hearers do.
+    /// [`snapshot_into`](Self::snapshot_into) output taken when the clock
+    /// read `now`. Each list is read into a scratch buffer and handed to
+    /// `share` with its sender, which returns the handle the entry keeps:
+    /// a caller that interns lists by content restores tables that share
+    /// them the way live hearers do.
     ///
     /// # Errors
     ///
     /// A positioned [`WireError`] on entries or lists not strictly
-    /// ascending by id, a deadline past the end of the clock, and an
-    /// expiry bound missing beside entries or past their earliest deadline
-    /// (it would keep them past it; a lower bound is legal).
+    /// ascending by id, an entry heard after `now` (no host hears ahead of
+    /// the clock), a deadline past the end of the clock, and an expiry
+    /// bound missing beside entries or past their earliest deadline (it
+    /// would keep them past it; a lower bound is legal).
     pub fn restore_snapshot(
         dec: &mut WireDecoder<'_>,
+        now: SimTime,
         mut share: impl FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>,
     ) -> Result<NeighborTable, WireError> {
-        NeighborTable::restore(dec, Some(&mut share))
+        NeighborTable::restore(dec, now, Some(&mut share))
     }
 
     /// Rebuilds a [`count_only`](Self::count_only) table from
-    /// [`snapshot_into`](Self::snapshot_into) output.
+    /// [`snapshot_into`](Self::snapshot_into) output taken when the clock
+    /// read `now`.
     ///
     /// # Errors
     ///
     /// Those of [`restore_snapshot`](Self::restore_snapshot), and a
     /// two-hop list that is not empty.
-    pub fn restore_count_only(dec: &mut WireDecoder<'_>) -> Result<NeighborTable, WireError> {
-        NeighborTable::restore(dec, None)
+    pub fn restore_count_only(
+        dec: &mut WireDecoder<'_>,
+        now: SimTime,
+    ) -> Result<NeighborTable, WireError> {
+        NeighborTable::restore(dec, now, None)
     }
 
     fn restore(
         dec: &mut WireDecoder<'_>,
+        now: SimTime,
         mut share: Option<Share<'_>>,
     ) -> Result<NeighborTable, WireError> {
         let mut table = NeighborTable {
@@ -335,7 +343,12 @@ impl NeighborTable {
                 return Err(WireError { at, what });
             }
             table.ids.push(id);
+            let heard_at = dec.position();
             let (last_heard, interval) = (dec.time()?, dec.duration()?);
+            if last_heard > now {
+                let what = "a neighbor entry heard after the checkpoint's clock";
+                return Err(WireError { at: heard_at, what });
+            }
             let twice = interval.as_nanos().checked_mul(2);
             let Some(deadline) = twice.and_then(|d| last_heard.as_nanos().checked_add(d)) else {
                 let what = "a neighbor entry's deadline is past the end of the clock";
@@ -543,8 +556,10 @@ mod tests {
         }
     }
 
+    /// What the tests' tables heard, restored by a clock past all of it.
     fn restore(bytes: &[u8]) -> Result<NeighborTable, WireError> {
-        NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), |_, list| list.into())
+        let now = SimTime::from_secs(60);
+        NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), now, |_, list| list.into())
     }
 
     #[test]
@@ -567,11 +582,13 @@ mod tests {
         }
         // What `share` returns is what the entry holds.
         let shared: Rc<[NodeId]> = Rc::from([id(2), id(6)]);
-        let restored = NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes), |h, l| {
-            assert_eq!((h, l), (id(4), &shared[..]));
-            Rc::clone(&shared)
-        })
-        .expect("a pristine table restores");
+        let now = SimTime::ZERO;
+        let restored =
+            NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes), now, |h, l| {
+                assert_eq!((h, l), (id(4), &shared[..]));
+                Rc::clone(&shared)
+            })
+            .expect("a pristine table restores");
         let held = restored.neighbors_of(id(4)).expect("host 4 is a neighbor");
         assert!(std::ptr::eq(held, &shared[..]));
     }
@@ -597,7 +614,9 @@ mod tests {
             enc.into_bytes()
         };
         assert_eq!(bytes(&counts), bytes(&lists));
-        let restored = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes(&lists)));
+        let now = SimTime::from_secs(3);
+        let restored =
+            NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes(&lists)), now);
         assert_eq!(
             bytes(&restored.expect("empty lists restore")),
             bytes(&lists)
@@ -660,6 +679,29 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_an_entry_heard_after_the_clock() {
+        let mut t = NeighborTable::count_only();
+        t.record_hello(id(4), SimTime::from_secs(10), SEC, &[]);
+        let mut enc = WireEncoder::new();
+        t.snapshot_into(&mut enc);
+        let bytes = enc.into_bytes();
+        // Count, then the entry: id, then when it was heard.
+        let heard = 8 + 4;
+        for (now, ok) in [(10_000, true), (9_999, false), (0, false)] {
+            let now = SimTime::from_millis(now);
+            let restored = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), now);
+            match restored {
+                Ok(_) => assert!(ok, "{now}"),
+                Err(err) => {
+                    assert!(!ok, "{now}: {err}");
+                    let what = "a neighbor entry heard after the checkpoint's clock";
+                    assert_eq!(err, WireError { at: heard, what });
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_count_only_restore_refuses_a_two_hop_list() {
         let mut t = NeighborTable::new();
         t.record_hello(id(4), SimTime::ZERO, SEC, &[id(2)]);
@@ -667,7 +709,7 @@ mod tests {
         t.snapshot_into(&mut enc);
         let bytes = enc.into_bytes();
         assert!(restore(&bytes).is_ok());
-        let err = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes))
+        let err = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), SimTime::ZERO)
             .expect_err("a list in a table that keeps none");
         // Count, then the entry: id, last_heard, interval, the list.
         assert_eq!(err.at, 8 + 4 + 8 + 8, "{err}");

@@ -128,9 +128,10 @@ impl ReferenceTable {
     }
 }
 
-/// A table restored with a copy of each list, shared with nothing.
-fn restore(bytes: &[u8]) -> Result<NeighborTable, WireError> {
-    NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), |_, list| list.into())
+/// A table checkpointed at `now`, restored with a copy of each list,
+/// shared with nothing.
+fn restore(bytes: &[u8], now: SimTime) -> Result<NeighborTable, WireError> {
+    NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), now, |_, list| list.into())
 }
 
 fn bytes_of(snapshot: impl FnOnce(&mut WireEncoder)) -> Vec<u8> {
@@ -207,7 +208,7 @@ prop_check! {
                     // A restore refuses a list out of order, and only then.
                     let bytes = bytes_of(|enc| table.snapshot_into(enc));
                     let ascending = reference.entries.values().all(|e| e.neighbors.is_sorted_by(|a, b| a < b));
-                    match restore(&bytes) {
+                    match restore(&bytes, now) {
                         Ok(restored) => {
                             assert!(ascending, "restored a list out of order");
                             table = restored;
@@ -264,7 +265,7 @@ prop_check! {
                 }
                 _ => {
                     let bytes = bytes_of(|enc| tables[at].snapshot_into(enc));
-                    tables[at] = restore(&bytes).unwrap();
+                    tables[at] = restore(&bytes, now).unwrap();
                 }
             }
             for (table, reference) in tables.iter().zip(&references) {
@@ -310,7 +311,7 @@ prop_check! {
                 }
                 _ => {
                     let bytes = bytes_of(|enc| table.snapshot_into(enc));
-                    table = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes))
+                    table = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), now)
                         .expect("a count-only table restores as one");
                 }
             }

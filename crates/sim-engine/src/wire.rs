@@ -11,7 +11,10 @@
 //! Layout rules:
 //!
 //! * All integers are little-endian and fixed-width; `usize` travels as
-//!   `u64`.
+//!   `u64`. The one exception is a [`uvarint`](WireEncoder::uvarint),
+//!   which the dense `MTRC` records use: canonical unsigned LEB128, seven
+//!   bits a byte, low group first, at most ten bytes, and never a
+//!   redundant trailing zero group, so each value has one spelling.
 //! * `f64` travels as its IEEE-754 bit pattern, so round-trips are exact
 //!   (including `-0.0`, infinities, and NaN payloads).
 //! * [`SimTime`] and [`SimDuration`] travel as `u64` nanoseconds, a
@@ -105,6 +108,18 @@ impl WireEncoder {
     #[inline]
     pub fn u64(&mut self, value: u64) {
         self.buf.extend_from_slice(&value.to_le_bytes());
+    }
+
+    /// Appends `value` as canonical unsigned LEB128: seven bits a byte,
+    /// low group first, the high bit set on every byte but the last (one
+    /// byte below 128, ten at most).
+    #[inline]
+    pub fn uvarint(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.buf.push(value as u8 | 0x80);
+            value >>= 7;
+        }
+        self.buf.push(value as u8);
     }
 
     /// Appends a `usize` as a `u64`.
@@ -219,6 +234,12 @@ impl<'a> WireDecoder<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed: what bounds a count before its elements
+    /// are read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     /// `true` when every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
@@ -278,6 +299,34 @@ impl<'a> WireDecoder<'a> {
     pub fn u64(&mut self) -> Result<u64, WireError> {
         let bytes = self.take(8, "u64")?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    }
+
+    /// Reads a [`WireEncoder::uvarint`], refusing at its first byte one
+    /// with a redundant trailing zero group (`0x80 0x00` for zero), and
+    /// one longer than ten bytes or past `u64::MAX`: each value has one
+    /// spelling.
+    #[inline]
+    pub fn uvarint(&mut self) -> Result<u64, WireError> {
+        let at = self.pos;
+        let mut value = 0;
+        let mut shift = 0;
+        loop {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7f);
+            if shift == 63 && byte > 1 {
+                let what = "varint longer than ten bytes or past u64";
+                return Err(WireError { at, what });
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    let what = "non-canonical varint (a trailing zero group)";
+                    return Err(WireError { at, what });
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
     }
 
     /// Reads a `usize` (stored as `u64`), rejecting values that do not fit.
@@ -542,6 +591,57 @@ mod tests {
         assert_eq!(dec.seq(4, WireDecoder::u32).unwrap(), [1, 2, 3]);
         assert_eq!(dec.seq(4, WireDecoder::u32).unwrap(), [1, 3, 5, 7, 9]);
         assert!(dec.finish().is_ok());
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_one_spelling() {
+        let values = [
+            0,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ];
+        let lengths = [1, 1, 1, 2, 2, 2, 3, 5, 10];
+        let mut enc = WireEncoder::new();
+        for (value, len) in values.into_iter().zip(lengths) {
+            let before = enc.as_slice().len();
+            enc.uvarint(value);
+            assert_eq!(enc.as_slice().len() - before, len, "{value}");
+        }
+        let bytes = enc.into_bytes();
+        let mut dec = WireDecoder::new(&bytes);
+        for value in values {
+            assert_eq!(dec.uvarint(), Ok(value));
+        }
+        assert!(dec.finish().is_ok());
+    }
+
+    #[test]
+    fn overlong_and_non_canonical_varints_are_refused_at_their_start() {
+        let past = "varint longer than ten bytes or past u64";
+        let padded = "non-canonical varint (a trailing zero group)";
+        let max = [&[0xff; 9][..], &[0x01]].concat();
+        for (bytes, what) in [
+            (&[0x80, 0x00][..], padded),
+            (&[0xff, 0x80, 0x00], padded),
+            // u64::MAX + 1: the tenth byte may carry one bit only.
+            (&[&[0x80; 9][..], &[0x02]].concat(), past),
+            (&[0xff; 10], past),
+            (&[&[0x80; 10][..], &[0x00]].concat(), past),
+        ] {
+            let input = [&[0xee][..], bytes].concat();
+            let mut dec = WireDecoder::new(&input);
+            dec.u8().unwrap();
+            assert_eq!(dec.uvarint(), Err(WireError { at: 1, what }), "{bytes:x?}");
+        }
+        assert_eq!(WireDecoder::new(&max).uvarint(), Ok(u64::MAX));
+        // A cut varint is a truncation at the missing byte.
+        assert_eq!(WireDecoder::new(&[0x80, 0x80]).uvarint().unwrap_err().at, 2);
     }
 
     #[test]
