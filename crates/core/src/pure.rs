@@ -78,10 +78,11 @@ pub enum PureAction<'a> {
         /// The beaconing host.
         node: NodeId,
     },
-    /// `node` decoded a HELLO beacon.
+    /// One HELLO beacon frame ended: every host in `hearers` decoded it.
     HelloHeard {
-        /// The hearing host.
-        node: NodeId,
+        /// The hosts that decoded the frame, in the medium's listener
+        /// order (ascending by id): at least one, never the sender.
+        hearers: &'a [NodeId],
         /// The beaconing host.
         sender: NodeId,
         /// The interval advertised in the beacon.
@@ -136,16 +137,17 @@ pub enum PureAction<'a> {
 }
 
 impl PureAction<'_> {
-    /// The host the action happens at: the one whose state it steps.
-    pub(crate) fn node_mut(&mut self) -> &mut NodeId {
+    /// The one host the action happens at, whose state it steps; `None`
+    /// for a `HelloHeard`, which steps each of its hearers.
+    pub(crate) fn node_mut(&mut self) -> Option<&mut NodeId> {
         match self {
             PureAction::Originate { node, .. }
             | PureAction::HelloPrepare { node }
-            | PureAction::HelloHeard { node, .. }
             | PureAction::PacketHeard { node, .. }
             | PureAction::AssessmentFired { node, .. }
             | PureAction::FrameSent { node, .. }
-            | PureAction::Deactivate { node, .. } => node,
+            | PureAction::Deactivate { node, .. } => Some(node),
+            PureAction::HelloHeard { .. } => None,
         }
     }
 }
@@ -321,21 +323,24 @@ impl PureModels {
                 }));
             }
             PureAction::HelloHeard {
-                node,
+                hearers,
                 sender,
                 interval,
                 neighbors,
             } => {
-                self.expire_neighbors(node, now, fx);
-                let i = node.index();
-                if self.tables[i]
-                    .record_shared(sender, now, interval, neighbors)
-                    .is_some()
-                {
-                    if let Some(tracker) = self.trackers.get_mut(i) {
-                        tracker.record_change(now);
+                // Each hearer in turn, as if its copy were an action.
+                for &node in hearers {
+                    self.expire_neighbors(node, now, fx);
+                    let i = node.index();
+                    if self.tables[i]
+                        .record_shared(sender, now, interval, neighbors)
+                        .is_some()
+                    {
+                        if let Some(tracker) = self.trackers.get_mut(i) {
+                            tracker.record_change(now);
+                        }
+                        self.push_accelerate(node, now, fx);
                     }
-                    self.push_accelerate(node, now, fx);
                 }
             }
             PureAction::PacketHeard {
@@ -655,9 +660,178 @@ impl PureModels {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use manet_testkit::prop_check;
 
     fn cfg(scheme: SchemeSpec) -> SimConfig {
         SimConfig::builder(1, scheme).hosts(4).broadcasts(1).build()
+    }
+
+    /// HELLO handling one hearer at a time, written against the public
+    /// calls of `NeighborTable` and `VariationTracker` alone: each hearer
+    /// expires its table, then records the beacon; a leave or a join
+    /// feeds its tracker and, under the dynamic interval, asks for an
+    /// earlier beacon.
+    struct PerHearer {
+        policy: HelloIntervalPolicy,
+        two_hop: bool,
+        tables: Vec<NeighborTable>,
+        trackers: Vec<VariationTracker>,
+        published: Vec<Vec<NodeId>>,
+    }
+
+    impl PerHearer {
+        fn accelerate(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
+            if let HelloIntervalPolicy::Dynamic(params) = self.policy {
+                let i = node.index();
+                let count = self.tables[i].neighbor_count();
+                let target = now + params.interval_for(self.trackers[i].variation(now, count));
+                fx.push(Effect::AccelerateHello { node, target });
+            }
+        }
+
+        fn expire(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
+            let mut leaves = Vec::new();
+            self.tables[node.index()].expire_into(now, &mut leaves);
+            if self.policy.reads_variation() {
+                for _ in &leaves {
+                    self.trackers[node.index()].record_change(now);
+                }
+            }
+            if !leaves.is_empty() {
+                self.accelerate(node, now, fx);
+            }
+        }
+
+        fn hear(&mut self, node: NodeId, hello: &HelloPayload, now: SimTime, fx: &mut Vec<Effect>) {
+            self.expire(node, now, fx);
+            let table = &mut self.tables[node.index()];
+            if table
+                .record_hello(hello.sender, now, hello.interval, &hello.neighbors)
+                .is_some()
+            {
+                if self.policy.reads_variation() {
+                    self.trackers[node.index()].record_change(now);
+                }
+                self.accelerate(node, now, fx);
+            }
+        }
+
+        fn prepare(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
+            self.expire(node, now, fx);
+            let i = node.index();
+            let tracker = self.policy.reads_variation().then(|| &mut self.trackers[i]);
+            let interval =
+                self.policy
+                    .current_interval(tracker, self.tables[i].neighbor_count(), now);
+            if self.two_hop {
+                self.published[i] = self.tables[i].neighbor_ids().to_vec();
+            }
+            fx.push(Effect::EmitHello(HelloPayload {
+                sender: node,
+                interval,
+                neighbors: self.published[i].as_slice().into(),
+            }));
+        }
+    }
+
+    prop_check! {
+        /// One `HelloHeard` per beacon frame is the per-hearer handling of
+        /// its hearers in turn: random frames from random senders heard by
+        /// random subsets of the rest (the others lost it), on gaps that
+        /// make neighbors flap, with beacon preparations and crashes in
+        /// between, under neighbor coverage (two-hop lists) and the
+        /// adaptive counter (count-only tables), fixed and dynamic
+        /// intervals. After every action the effects, every table, the
+        /// join/leave totals and every published list agree.
+        fn a_frame_is_its_hearers_one_by_one(g, cases = 96) {
+            let hosts = g.u32_in(2..14);
+            let scheme = if g.bool() {
+                SchemeSpec::NeighborCoverage
+            } else {
+                SchemeSpec::parse("ac").expect("a scheme spelling")
+            };
+            let policy = if g.bool() {
+                HelloIntervalPolicy::Fixed(SimDuration::from_millis(g.u64_in(1..9) * 250))
+            } else {
+                HelloIntervalPolicy::Dynamic(manet_net::DynamicHelloParams::paper())
+            };
+            let config = SimConfig::builder(1, scheme.clone())
+                .hosts(hosts)
+                .neighbor_info(crate::config::NeighborInfo::Hello(policy))
+                .build();
+            let mut pure = PureModels::new(&config);
+            let two_hop = scheme.needs_two_hop_hellos();
+            let table: fn() -> NeighborTable = if two_hop { NeighborTable::new } else { NeighborTable::count_only };
+            let mut reference = PerHearer {
+                policy,
+                two_hop,
+                tables: (0..hosts).map(|_| table()).collect(),
+                trackers: vec![VariationTracker::new(); hosts as usize],
+                published: vec![Vec::new(); hosts as usize],
+            };
+            let (mut fx, mut expected) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..g.usize_in(1..120) {
+                now += SimDuration::from_millis(g.u64_in(0..1_500));
+                let node = NodeId::new(g.u32_in(0..hosts));
+                fx.clear();
+                expected.clear();
+                match g.u32_in(0..10) {
+                    0..=6 => {
+                        let others = (0..hosts).filter(|&h| h != node.index() as u32);
+                        let hearers: Vec<NodeId> = others.filter(|_| g.bool()).map(NodeId::new).collect();
+                        if hearers.is_empty() {
+                            continue;
+                        }
+                        let listed = g.u32_set(0..hosts, 0..hosts as usize);
+                        let listed = listed.into_iter().filter(|&h| h != node.index() as u32);
+                        let hello = HelloPayload {
+                            sender: node,
+                            interval: match policy {
+                                HelloIntervalPolicy::Fixed(interval) => interval,
+                                HelloIntervalPolicy::Dynamic(_) => SimDuration::from_millis(g.u64_in(1..11) * 500),
+                            },
+                            neighbors: listed.map(NodeId::new).collect(),
+                        };
+                        let action = PureAction::HelloHeard {
+                            hearers: &hearers,
+                            sender: hello.sender,
+                            interval: hello.interval,
+                            neighbors: &hello.neighbors,
+                        };
+                        pure.step(now, &action, &mut fx);
+                        for &hearer in &hearers {
+                            reference.hear(hearer, &hello, now, &mut expected);
+                        }
+                    }
+                    7 | 8 => {
+                        pure.step(now, &PureAction::HelloPrepare { node }, &mut fx);
+                        reference.prepare(node, now, &mut expected);
+                    }
+                    _ => {
+                        pure.step(now, &PureAction::Deactivate { node, crash: true }, &mut fx);
+                        reference.tables[node.index()].clear();
+                        reference.trackers[node.index()] = VariationTracker::new();
+                    }
+                }
+                assert_eq!(fx, expected, "effects at {now}");
+                let bytes = |table: &NeighborTable| {
+                    let mut enc = manet_sim_engine::WireEncoder::new();
+                    table.snapshot_into(&mut enc);
+                    enc.into_bytes()
+                };
+                let (mut joins, mut leaves) = (0, 0);
+                for (i, (got, want)) in pure.tables.iter().zip(&reference.tables).enumerate() {
+                    assert_eq!(bytes(got), bytes(want), "host {i}'s table at {now}");
+                    joins += want.join_count();
+                    leaves += want.leave_count();
+                }
+                assert_eq!(pure.net_totals(), (joins, leaves));
+                for (got, want) in pure.published.iter().zip(&reference.published) {
+                    assert_eq!(&got[..], &want[..], "published at {now}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -754,9 +928,13 @@ mod tests {
         let mut pure = PureModels::new(&cfg(SchemeSpec::NeighborCoverage));
         let sender = NodeId::new(0);
         let at = SimTime::from_millis;
-        fn hello(node: u32, from: u32, neighbors: &Rc<[NodeId]>) -> PureAction<'_> {
+        fn hello<'a>(
+            hearers: &'a [NodeId],
+            from: u32,
+            neighbors: &'a Rc<[NodeId]>,
+        ) -> PureAction<'a> {
             PureAction::HelloHeard {
-                node: NodeId::new(node),
+                hearers,
                 sender: NodeId::new(from),
                 interval: SimDuration::from_secs(1),
                 neighbors,
@@ -775,13 +953,17 @@ mod tests {
         // frame's list itself (its slice is the `Rc`'s, so pointer
         // equality is `Rc::ptr_eq`).
         let hear = |pure: &mut PureModels, node: u32, list: &Rc<[NodeId]>, ms| {
-            pure.step(at(ms), &hello(node, 0, list), &mut Vec::new());
+            pure.step(
+                at(ms),
+                &hello(&[NodeId::new(node)], 0, list),
+                &mut Vec::new(),
+            );
             let held = pure.tables[node as usize].neighbors_of(sender);
             std::ptr::eq(held.expect("the sender was heard"), &**list)
         };
         let none = Rc::default();
         for from in [1, 2] {
-            pure.step(at(0), &hello(0, from, &none), &mut Vec::new());
+            pure.step(at(0), &hello(&[sender], from, &none), &mut Vec::new());
         }
         let first = emit(&mut pure, 100);
         assert_eq!(*first, [NodeId::new(1), NodeId::new(2)]);
@@ -791,7 +973,7 @@ mod tests {
         let again = emit(&mut pure, 900);
         assert!(Rc::ptr_eq(&first, &again), "unchanged re-beacon");
         assert!(hear(&mut pure, 3, &again, 1_000));
-        pure.step(at(1_000), &hello(0, 3, &none), &mut Vec::new());
+        pure.step(at(1_000), &hello(&[sender], 3, &none), &mut Vec::new());
         let changed = emit(&mut pure, 1_100);
         assert_eq!(changed.len(), 3);
         assert!(!Rc::ptr_eq(&first, &changed));
@@ -804,7 +986,7 @@ mod tests {
         let mut fx = Vec::new();
         let packet = PacketId::new(NodeId::new(0), 0);
         let hello = PureAction::HelloHeard {
-            node: NodeId::new(1),
+            hearers: &[NodeId::new(1)],
             sender: NodeId::new(2),
             interval: SimDuration::from_secs(1),
             neighbors: &Rc::default(),
@@ -910,7 +1092,7 @@ mod tests {
         for (scheme, kept, handles) in two_hop {
             let mut pure = with(scheme, fixed);
             let hello = PureAction::HelloHeard {
-                node: NodeId::new(1),
+                hearers: &[NodeId::new(1)],
                 sender: NodeId::new(2),
                 interval: SimDuration::from_secs(1),
                 neighbors: &listed,

@@ -17,12 +17,13 @@
 //! is:
 //!
 //! ```text
-//! magic "MTRC" | version u32 (=5)
+//! magic "MTRC" | version u32 (=6)
 //! config (SimConfig::encode: its text as one string; DESIGN.md §12)
-//! records until end of input, each a tag byte:
+//! records, each a tag byte:
 //!     an action: tag, Δt (uvarint ns since the previous action; the
 //!                first since zero), then the tag's fields (below)
 //!     a decision: tag 0x80 | kind << 3 | reason, nothing else
+//! the end: tag 0x7f, then the number of records before it; nothing after
 //! ```
 //!
 //! Every integer below is a canonical LEB128
@@ -33,8 +34,8 @@
 //! |-----|--------------------------------|--------|
 //! | 0   | `Originate`                    | node, seq |
 //! | 1   | `HelloPrepare`                 | node |
-//! | 2   | `HelloHeard`, new advertisement | node, sender, interval (ns), list |
-//! | 3   | `HelloHeard`, a repeat         | node, sender |
+//! | 2   | `HelloHeard`, new advertisement | sender, hearers, interval (ns), list |
+//! | 3   | `HelloHeard`, a repeat         | sender, hearers |
 //! | 4   | `PacketHeard`                  | node, seq, sender (+ positions) (+ coin) |
 //! | 5   | `PacketHeard`, oracle view     | as 4, then neighbor count and two lists |
 //! | 6   | `AssessmentFired`              | node, seq |
@@ -60,16 +61,21 @@
 //!   and a decision that does not directly follow one is refused.
 //! * **HELLOs.** Tags 1 to 3 are refused at the tag when the header's run
 //!   sends no HELLOs (oracle neighbor info, or a scheme that reads no
-//!   neighbors). A sender's *advertisement* is the (interval, list) pair
-//!   its last tag-2 `HelloHeard` carried: one HELLO is heard by every
-//!   host in range, and the writer spells it out only when it differs
-//!   from what the trace last carried for that sender, so a tag 3 before
-//!   the sender's first tag 2 is refused, as are a hear whose sender is
-//!   its node and an advertisement listing its sender.
+//!   neighbors). A `HelloHeard` is one beacon frame: its hearers are a
+//!   count, then the first id, then each next id as its gap from the one
+//!   before; at least one, strictly ascending (no gap is zero), and never
+//!   the sender. A sender's *advertisement* is the (interval, list) pair
+//!   its last tag-2 `HelloHeard` carried: the writer spells it out only
+//!   when it differs from what the trace last carried for that sender, so
+//!   a tag 3 before the sender's first tag 2 is refused, as is an
+//!   advertisement listing its sender.
 //! * **Lists.** A neighbor list is a count followed by that many ids,
 //!   strictly ascending. Every node id must be below the config's `hosts`.
+//! * **The end.** A trace closes with its end record, which counts the
+//!   records before it, so a trace cut anywhere, even between two records,
+//!   is refused, as is anything after the end.
 //!
-//! Versions 1 to 4 are refused by name at the version's offset (DESIGN.md
+//! Versions 1 to 5 are refused by name at the version's offset (DESIGN.md
 //! §12 has their history).
 
 use std::collections::{BTreeMap, VecDeque};
@@ -88,7 +94,7 @@ use crate::trace::{DecisionKind, SuppressReason};
 /// Magic bytes opening a trace file.
 pub const TRACE_MAGIC: &[u8; 4] = b"MTRC";
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 5;
+pub const TRACE_VERSION: u32 = 6;
 
 /// The action tags (the module table).
 const ORIGINATE: u8 = 0;
@@ -101,6 +107,8 @@ const ASSESSMENT_FIRED: u8 = 6;
 const FRAME_SENT: u8 = 7;
 const LEFT: u8 = 8;
 const CRASHED: u8 = 9;
+/// The tag of the end record.
+const END: u8 = 0x7f;
 /// The high bit of a tag marks a decision.
 const DECISION: u8 = 0x80;
 
@@ -169,6 +177,8 @@ pub struct TraceWriter {
     hear: Option<Hear>,
     /// What each sender's next `HelloHeard` is compared against.
     advertised: Advertisements,
+    /// Records written so far, which the end record counts.
+    records: u64,
 }
 
 impl TraceWriter {
@@ -183,6 +193,7 @@ impl TraceWriter {
             last: SimTime::ZERO,
             hear: None,
             advertised: BTreeMap::new(),
+            records: 0,
         }
     }
 
@@ -190,8 +201,9 @@ impl TraceWriter {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is before the previous action's time: a trace runs
-    /// forward, as the event loop does.
+    /// Panics if `at` is before the previous action's time (a trace runs
+    /// forward, as the event loop does), and on a `HelloHeard` whose
+    /// hearers are none, out of order or include its sender.
     pub fn action(&mut self, at: SimTime, action: &PureAction<'_>) {
         assert!(
             at >= self.last,
@@ -201,6 +213,7 @@ impl TraceWriter {
         let delta = at.as_nanos() - self.last.as_nanos();
         self.last = at;
         self.hear = None;
+        self.records += 1;
         let enc = &mut self.enc;
         // Tag, Δt and the acting host open every action.
         let head = |enc: &mut WireEncoder, tag, node: NodeId| {
@@ -215,12 +228,19 @@ impl TraceWriter {
             }
             PureAction::HelloPrepare { node } => head(enc, HELLO_PREPARE, node),
             PureAction::HelloHeard {
-                node,
+                hearers,
                 sender,
                 interval,
                 neighbors,
             } => {
-                // One frame's hearers share its list: the pointer test first.
+                assert!(
+                    !hearers.is_empty()
+                        && hearers.is_sorted_by(|a, b| a < b)
+                        && !hearers.contains(&sender),
+                    "an MTRC HELLO is heard by hosts ascending, not its sender: {hearers:?}"
+                );
+                // A frame's list is the one its sender last beaconed: the
+                // pointer test first.
                 let same = |list: &Rc<[NodeId]>| Rc::ptr_eq(list, neighbors) || list == neighbors;
                 let last = self.advertised.get(&sender);
                 let repeat = last.is_some_and(|(last, list)| *last == interval && same(list));
@@ -231,9 +251,14 @@ impl TraceWriter {
                     } else {
                         HELLO_ADVERTISED
                     },
-                    node,
+                    sender,
                 );
-                encode_id(enc, sender);
+                enc.uvarint(hearers.len() as u64);
+                let mut previous = 0;
+                for &hearer in hearers {
+                    enc.uvarint(hearer.index() as u64 - previous);
+                    previous = hearer.index() as u64;
+                }
                 if !repeat {
                     enc.uvarint(interval.as_nanos());
                     encode_list(enc, neighbors);
@@ -303,6 +328,7 @@ impl TraceWriter {
             "an MTRC decision follows the PacketHeard it decides"
         );
         self.enc.u8(decision_tag(record.kind, record.reason));
+        self.records += 1;
     }
 
     /// Records, in order, the scheme decisions among `effects`: what the
@@ -313,8 +339,11 @@ impl TraceWriter {
         }
     }
 
-    /// Finishes the trace, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Finishes the trace with its end record, returning the encoded
+    /// bytes.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.enc.u8(END);
+        self.enc.uvarint(self.records);
         self.enc.into_bytes()
     }
 }
@@ -323,8 +352,8 @@ impl TraceWriter {
 /// then each record in recording order from
 /// [`next_record`](Self::next_record). Nothing is collected but each
 /// issued packet's source and each sender's current advertisement, whose
-/// list its `HelloHeard`s share; neighbor lists are decoded into two
-/// buffers the reader reuses.
+/// list its `HelloHeard`s share; hearers and neighbor lists are decoded
+/// into buffers the reader reuses.
 #[derive(Debug)]
 pub struct TraceFile<'a> {
     /// The configuration of the recorded run.
@@ -341,6 +370,11 @@ pub struct TraceFile<'a> {
     hear: Option<Hear>,
     /// What a tag-3 `HelloHeard` from each sender repeats.
     advertised: Advertisements,
+    /// Records read so far, which the end record must count.
+    records: u64,
+    /// Whether the end record has been read.
+    ended: bool,
+    hearers: Vec<NodeId>,
     neighbors: Vec<NodeId>,
     sender_neighbors: Vec<NodeId>,
 }
@@ -357,6 +391,7 @@ impl<'a> TraceFile<'a> {
             2 => Some("trace version 2 is retired (a replay-slice header); record the run again"),
             3 => Some("trace version 3 is retired (a binary config header); record the run again"),
             4 => Some("trace version 4 is retired (fixed-width records); record the run again"),
+            5 => Some("trace version 5 is retired (a record per hearer); record the run again"),
             _ => Some("unsupported trace version"),
         };
         if let Some(what) = what {
@@ -371,6 +406,9 @@ impl<'a> TraceFile<'a> {
             sources: Vec::new(),
             hear: None,
             advertised: BTreeMap::new(),
+            records: 0,
+            ended: false,
+            hearers: Vec::new(),
             neighbors: Vec::new(),
             sender_neighbors: Vec::new(),
         })
@@ -385,14 +423,34 @@ impl<'a> TraceFile<'a> {
         Self::open(bytes)
     }
 
-    /// The next record, `None` at the end of the input, or the positioned
+    /// The next record, `None` after the end record, or the positioned
     /// [`WireError`] of a malformed one. A lending read: the record borrows
     /// the reader, so take what you need from it before the next.
     pub fn next_record(&mut self) -> Result<Option<TraceRecord<'_>>, WireError> {
-        if self.dec.is_empty() {
+        if self.ended {
             return Ok(None);
         }
+        if self.dec.is_empty() {
+            let at = self.dec.position();
+            let what = "a trace that ends without its end record";
+            return Err(WireError { at, what });
+        }
         let (tag, invalid) = self.dec.tag("invalid record tag")?;
+        if tag == END {
+            let at = self.dec.position();
+            if self.dec.uvarint()? != self.records {
+                let what = "an end record that miscounts the records before it";
+                return Err(WireError { at, what });
+            }
+            let at = self.dec.position();
+            if !self.dec.is_empty() {
+                let what = "bytes after the end record";
+                return Err(WireError { at, what });
+            }
+            self.ended = true;
+            return Ok(None);
+        }
+        self.records += 1;
         let hear = self.hear.take();
         if tag & DECISION != 0 {
             let Some((at, node, packet)) = hear else {
@@ -431,10 +489,12 @@ impl<'a> TraceFile<'a> {
     }
 
     /// Reads the fields of one action whose tag is known good, its
-    /// neighbor lists into the reader's buffers; an `Originate` issues
-    /// its `seq` before a `seq` is checked.
+    /// hearers and neighbor lists into the reader's buffers; an
+    /// `Originate` issues its `seq` before a `seq` is checked.
     fn action(&mut self, tag: u8) -> Result<PureAction<'_>, WireError> {
         let (dec, hosts, sources) = (&mut self.dec, self.config.hosts, &mut self.sources);
+        // The acting host: a HELLO's sender.
+        let node_at = dec.position();
         let node = decode_node(dec, hosts)?;
         Ok(match tag {
             ORIGINATE => {
@@ -453,7 +513,8 @@ impl<'a> TraceFile<'a> {
             }
             HELLO_PREPARE => PureAction::HelloPrepare { node },
             HELLO_ADVERTISED => {
-                let sender = decode_sender(dec, hosts, node)?;
+                let sender = node;
+                let hearers = decode_hearers(dec, hosts, sender, &mut self.hearers)?;
                 let interval = SimDuration::from_nanos(dec.uvarint()?);
                 let at = dec.position();
                 let list = decode_list(dec, hosts, &mut self.neighbors)?;
@@ -464,21 +525,21 @@ impl<'a> TraceFile<'a> {
                 let advertised = self.advertised.entry(sender).or_default();
                 *advertised = (interval, list.into());
                 PureAction::HelloHeard {
-                    node,
+                    hearers,
                     sender,
                     interval,
                     neighbors: &advertised.1,
                 }
             }
             HELLO_REPEATED => {
-                let at = dec.position();
-                let sender = decode_sender(dec, hosts, node)?;
+                let sender = node;
+                let hearers = decode_hearers(dec, hosts, sender, &mut self.hearers)?;
                 let Some((interval, neighbors)) = self.advertised.get(&sender) else {
                     let what = "HELLO repeats an advertisement its sender has not made";
-                    return Err(WireError { at, what });
+                    return Err(WireError { at: node_at, what });
                 };
                 PureAction::HelloHeard {
-                    node,
+                    hearers,
                     sender,
                     interval: *interval,
                     neighbors,
@@ -604,6 +665,7 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
     let mut file = TraceFile::decode(bytes)?;
     let mut pure = PureModels::without_hosts(&file.config);
     let mut slots = BTreeMap::new();
+    let mut hearers = Vec::new();
     let mut fx = Vec::new();
     let mut expected = VecDeque::new();
     let mut summary = ReplaySummary::default();
@@ -621,9 +683,20 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
                 // A host's state is the next slot the first time it acts, so
                 // the records size it, not their ids (a header may claim
                 // 2³² − 1 hosts); what its step derives is at its own id.
-                let host = action.node_mut();
-                let (id, next) = (*host, NodeId::new(slots.len() as u32));
-                *host = *slots.entry(id).or_insert(next);
+                let mut slot = |id: NodeId| {
+                    let next = NodeId::new(slots.len() as u32);
+                    *slots.entry(id).or_insert(next)
+                };
+                let id = action.node_mut().map(|host| {
+                    let id = *host;
+                    *host = slot(id);
+                    id
+                });
+                if let PureAction::HelloHeard { hearers: heard, .. } = &mut action {
+                    hearers.clear();
+                    hearers.extend(heard.iter().map(|&hearer| slot(hearer)));
+                    *heard = &hearers;
+                }
                 pure.grow_to(slots.len());
                 if let Some(what) = pure.illegal(&action) {
                     return Err(ReplayError::Illegal {
@@ -632,8 +705,12 @@ pub fn replay_decisions(bytes: &[u8]) -> Result<ReplaySummary, ReplayError> {
                     });
                 }
                 pure.step(at, &action, &mut fx);
+                // Only a hear decides, and it has one host.
                 let derived = fx.iter().filter_map(|effect| decision_of(at, effect));
-                expected.extend(derived.map(|d| DecisionRecord { node: id, ..d }));
+                expected.extend(derived.map(|d| DecisionRecord {
+                    node: id.unwrap_or(d.node),
+                    ..d
+                }));
                 summary.actions += 1;
             }
             TraceRecord::Decision(recorded) => match expected.pop_front() {
@@ -696,7 +773,8 @@ pub struct Divergence {
     pub record: usize,
     /// Its time, in the first trace (in the second where the first ended).
     pub at: SimTime,
-    /// The host it happens at.
+    /// The host it happens at; for a HELLO frame, the first hearer one
+    /// trace lists and the other does not (its first, if they agree).
     pub node: NodeId,
     /// The packet it names, if it names one.
     pub packet: Option<PacketId>,
@@ -776,8 +854,18 @@ pub fn first_divergence(a: &[u8], b: &[u8]) -> Result<Option<Divergence>, WireEr
             record += 1;
             continue;
         }
-        let (at, node, packet) = match x.or(y).expect("unequal records are not both absent") {
-            TraceRecord::Action { at, mut action } => (at, *action.node_mut(), packet_of(&action)),
+        let (this, other) = match x {
+            Some(x) => (x, hearers_of(y)),
+            None => (y.expect("unequal records are not both absent"), &[][..]),
+        };
+        let (at, node, packet) = match this {
+            TraceRecord::Action { at, mut action } => {
+                let node = match action.node_mut() {
+                    Some(node) => *node,
+                    None => parted_hearer(hearers_of(Some(this)), other),
+                };
+                (at, node, packet_of(&action))
+            }
             TraceRecord::Decision(d) => (d.at, d.node, Some(d.packet)),
         };
         return Ok(Some(Divergence {
@@ -787,6 +875,30 @@ pub fn first_divergence(a: &[u8], b: &[u8]) -> Result<Option<Divergence>, WireEr
             packet,
             last_agreed: packet.and_then(|packet| agreed.get(&(node, packet)).copied()),
         }));
+    }
+}
+
+/// The hearers of `record` if it is a `HelloHeard`, else none.
+fn hearers_of<'r>(record: Option<TraceRecord<'r>>) -> &'r [NodeId] {
+    match record {
+        Some(TraceRecord::Action {
+            action: PureAction::HelloHeard { hearers, .. },
+            ..
+        }) => hearers,
+        _ => &[],
+    }
+}
+
+/// Where hearers `a` part from `other`: the first host one frame lists
+/// and the other does not (both ascend, so it is the smaller at the first
+/// place they differ), or `a`'s first when they agree.
+fn parted_hearer(a: &[NodeId], other: &[NodeId]) -> NodeId {
+    let agreed = a.iter().zip(other).take_while(|(x, y)| x == y).count();
+    match (a.get(agreed), other.get(agreed)) {
+        (Some(&x), Some(&y)) => x.min(y),
+        (Some(&x), None) => x,
+        (None, Some(&y)) => y,
+        (None, None) => a[0],
     }
 }
 
@@ -888,7 +1000,11 @@ fn encode_list(enc: &mut WireEncoder, ids: &[NodeId]) {
 /// replay indexes per-host protocol state with it.
 fn decode_node(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<NodeId, WireError> {
     let at = dec.position();
-    let id = dec.uvarint()?;
+    node_at(at, dec.uvarint()?, hosts)
+}
+
+/// The host `id` read at `at`, if it is one of the recorded population.
+fn node_at(at: usize, id: u64, hosts: u32) -> Result<NodeId, WireError> {
     if id >= u64::from(hosts) {
         let what = "node id outside the recorded population";
         return Err(WireError { at, what });
@@ -906,6 +1022,47 @@ fn decode_sender(dec: &mut WireDecoder<'_>, hosts: u32, node: NodeId) -> Result<
         return Err(WireError { at, what });
     }
     Ok(sender)
+}
+
+/// Reads the hearers of a HELLO from `sender` into `buf`: a count, the
+/// first id, then each next id as its gap from the one before. Refuses,
+/// each at its own offset, no hearers or a count the input cannot hold
+/// (each takes a byte at least), a zero gap (hearers strictly ascend, as
+/// a medium lists its listeners), an id outside the population and the
+/// sender itself. The buffer grows by pushes, never by the count.
+fn decode_hearers<'v>(
+    dec: &mut WireDecoder<'_>,
+    hosts: u32,
+    sender: NodeId,
+    buf: &'v mut Vec<NodeId>,
+) -> Result<&'v [NodeId], WireError> {
+    let at = dec.position();
+    let count = dec.uvarint()?;
+    if count == 0 {
+        let what = "a HELLO heard by no host";
+        return Err(WireError { at, what });
+    }
+    if count > dec.remaining() as u64 {
+        let what = "sequence longer than the remaining input";
+        return Err(WireError { at, what });
+    }
+    buf.clear();
+    for _ in 0..count {
+        let at = dec.position();
+        let gap = dec.uvarint()?;
+        let last = buf.last().map(|last| last.index() as u64);
+        if last.is_some() && gap == 0 {
+            let what = "HELLO hearers are not strictly ascending";
+            return Err(WireError { at, what });
+        }
+        let hearer = node_at(at, last.unwrap_or(0).saturating_add(gap), hosts)?;
+        if hearer == sender {
+            let what = "a frame heard by its own sender";
+            return Err(WireError { at, what });
+        }
+        buf.push(hearer);
+    }
+    Ok(buf)
 }
 
 /// Reads a packet's `seq`, refusing one no `Originate` so far has issued
@@ -1006,8 +1163,9 @@ mod tests {
         let sender_neighbors: Rc<[NodeId]> = [NodeId::new(1)].into();
         // Equal content in an allocation of its own.
         let same_again: Rc<[NodeId]> = sender_neighbors.to_vec().into();
+        let hearers = [NodeId::new(1), NodeId::new(3), NodeId::new(7)];
         let hello = |neighbors| PureAction::HelloHeard {
-            node: NodeId::new(1),
+            hearers: &hearers,
             sender: NodeId::new(2),
             interval: SimDuration::from_secs(1),
             neighbors,
@@ -1188,17 +1346,29 @@ mod tests {
     #[test]
     fn decode_rejects_corruption() {
         let config = cfg(SchemeSpec::Flooding);
-        let writer = TraceWriter::new(&config);
-        let mut bytes = writer.into_bytes();
-        assert!(TraceFile::decode(&bytes[..3]).is_err(), "truncated magic");
-        bytes.push(10); // invalid record tag
-        assert!(TraceFile::decode(&bytes).is_err());
+        let empty = TraceWriter::new(&config).into_bytes();
+        assert!(TraceFile::decode(&empty).is_ok());
+        assert!(TraceFile::decode(&empty[..3]).is_err(), "truncated magic");
+        // An invalid record tag where the end record stood.
+        let (header, end) = empty.split_at(empty.len() - 2);
+        assert_eq!(end, [END, 0]);
+        let bytes = [header, &[10]].concat();
+        let err = TraceFile::decode(&bytes).unwrap_err();
+        assert_eq!((err.at, err.what), (header.len(), "invalid record tag"));
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(TraceFile::decode(&wrong_magic).is_err());
-        // Versions 1 to 4 are refused by name; any other unknown one
+        // Versions 1 to 5 are refused by name; any other unknown one
         // generically.
-        for (version, retired) in [(1u32, true), (2, true), (3, true), (4, true), (6, false)] {
+        let versions = [
+            (1u32, true),
+            (2, true),
+            (3, true),
+            (4, true),
+            (5, true),
+            (7, false),
+        ];
+        for (version, retired) in versions {
             let mut old = bytes.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             let err = TraceFile::decode(&old).unwrap_err();
@@ -1213,8 +1383,8 @@ mod tests {
         // so. All three used to decode and replay.
         let (zero, one) = (NodeId::new(0), NodeId::new(1));
         let packet = PacketId::new(zero, 0);
-        let hello = |node, neighbors| PureAction::HelloHeard {
-            node,
+        let hello = |hearers, neighbors| PureAction::HelloHeard {
+            hearers,
             sender: one,
             interval: SimDuration::from_secs(1),
             neighbors,
@@ -1230,29 +1400,35 @@ mod tests {
         };
         let originate = PureAction::Originate { node: zero, packet };
         let coverage = cfg(SchemeSpec::NeighborCoverage);
-        // Tag, Δt and node precede a sender (a byte each here); an
-        // interval (five bytes for 1 s) follows it. An `Originate` record
-        // is four bytes, and a hear's `seq` precedes its sender.
-        let sender = 3;
-        let (empty, listed): (Rc<[NodeId]>, Rc<[NodeId]>) = (Rc::default(), [one].into());
+        // A HELLO's tag, Δt, sender, hearer count and one hearer take a
+        // byte each here; an interval (five bytes for 1 s) follows them.
+        // An `Originate` record is four bytes, and a hear's tag, Δt, node
+        // and `seq` precede its sender.
+        let listed: Rc<[NodeId]> = [one].into();
         let own = "a frame heard by its own sender";
-        let cases = [
-            (&coverage, &[hello(one, &empty)][..], sender, own),
-            (
-                &coverage,
-                &[hello(zero, &listed)],
-                sender + 1 + 5,
-                "a HELLO lists its own sender",
-            ),
-            (&config, &[originate, copy], 4 + sender + 1, own),
-        ];
-        for (config, actions, at, what) in cases {
+        let body = |config: &SimConfig, actions: &[PureAction<'_>]| {
             let mut writer = TraceWriter::new(config);
-            let at = at + TraceWriter::new(config).into_bytes().len();
             for action in actions {
                 writer.action(SimTime::ZERO, action);
             }
-            let err = TraceFile::decode(&writer.into_bytes()).unwrap_err();
+            writer.into_bytes()[TraceWriter::new(config).into_bytes().len() - 2..].to_vec()
+        };
+        let cases = [
+            // Host 1's HELLO heard by host 1: no writer spells it.
+            (&coverage, vec![HELLO_REPEATED, 0, 1, 1, 1], 4, own),
+            (
+                &coverage,
+                body(&coverage, &[hello(&[zero], &listed)]),
+                5 + 5,
+                "a HELLO lists its own sender",
+            ),
+            (&config, body(&config, &[originate, copy]), 4 + 4, own),
+        ];
+        for (config, records, at, what) in cases {
+            let header = TraceWriter::new(config).into_bytes();
+            let header = &header[..header.len() - 2];
+            let at = at + header.len();
+            let err = TraceFile::decode(&[header, &records].concat()).unwrap_err();
             assert_eq!(err, WireError { at, what });
         }
     }
@@ -1278,8 +1454,10 @@ mod tests {
         };
         writer.action(SimTime::ZERO, &heard);
         let heard = writer.into_bytes();
+        // The two records, without their end.
+        let heard = &heard[..heard.len() - 2];
         let scheduled = decision_tag(DecisionKind::Scheduled, None);
-        assert!(TraceFile::decode(&[&heard[..], &[scheduled]].concat()).is_ok());
+        assert!(TraceFile::decode(&[heard, &[scheduled, END, 3]].concat()).is_ok());
         let at = heard.len();
         for (tail, at, what) in [
             (
@@ -1290,7 +1468,7 @@ mod tests {
             (&[DECISION | 3 << 3], at, "invalid decision kind"),
             (&[DECISION | 5], at, "invalid suppress reason"),
         ] {
-            let err = TraceFile::decode(&[&heard[..], tail].concat()).unwrap_err();
+            let err = TraceFile::decode(&[heard, tail].concat()).unwrap_err();
             assert_eq!(err, WireError { at, what }, "{tail:x?}");
         }
     }
@@ -1343,7 +1521,8 @@ mod tests {
     #[test]
     fn node_ids_outside_the_population_are_refused() {
         let config = cfg(SchemeSpec::Flooding);
-        let header = TraceWriter::new(&config).into_bytes().len();
+        // The header, without the end record.
+        let header = TraceWriter::new(&config).into_bytes().len() - 2;
         let packet = PacketId::new(NodeId::new(0), 0);
         let stranger = NodeId::new(config.hosts);
 
@@ -1369,6 +1548,7 @@ mod tests {
         let mut writer = TraceWriter::new(&config);
         writer.action(SimTime::ZERO, &originate);
         let bytes = writer.into_bytes();
+        let bytes = &bytes[..bytes.len() - 2];
         for sender in [u64::from(config.hosts), 1 << 40] {
             let mut enc = WireEncoder::new();
             enc.u8(HEARD);
@@ -1377,42 +1557,44 @@ mod tests {
             enc.uvarint(0);
             let at = bytes.len() + enc.as_slice().len();
             enc.uvarint(sender);
-            let err = TraceFile::decode(&[&bytes[..], enc.as_slice()].concat()).unwrap_err();
+            let err = TraceFile::decode(&[bytes, enc.as_slice()].concat()).unwrap_err();
             assert_eq!(err, WireError { at, what }, "sender {sender}");
         }
     }
 
-    /// The decoded records of `bytes`, written again by a fresh writer,
-    /// with the decision at `change` (if any) turned into another kind.
-    fn rewritten(bytes: &[u8], change: Option<usize>) -> Vec<u8> {
+    /// The first `until` records of `bytes`, each handed with its index
+    /// to `write`, which writes it (or what it makes of it) to a fresh
+    /// writer; then the end.
+    fn rewritten(
+        bytes: &[u8],
+        until: usize,
+        mut write: impl FnMut(&mut TraceWriter, usize, TraceRecord<'_>),
+    ) -> Vec<u8> {
         let mut file = TraceFile::open(bytes).expect("a trace opens");
         let mut writer = TraceWriter::new(&file.config);
-        let mut index = 0;
-        while let Some(record) = file.next_record().expect("a trace reads") {
-            match record {
-                TraceRecord::Action { at, action } => writer.action(at, &action),
-                TraceRecord::Decision(mut d) => {
-                    if change == Some(index) {
-                        d.kind = match d.kind {
-                            DecisionKind::Cancelled => DecisionKind::Scheduled,
-                            _ => DecisionKind::Cancelled,
-                        };
-                    }
-                    writer.decision(d);
-                }
+        for index in 0..until {
+            match file.next_record().expect("a trace reads") {
+                Some(record) => write(&mut writer, index, record),
+                None => break,
             }
-            index += 1;
         }
         writer.into_bytes()
     }
 
-    /// `bytes` up to its record `index`.
-    fn cut_before(bytes: &[u8], index: usize) -> Vec<u8> {
-        let mut file = TraceFile::open(bytes).expect("a trace opens");
-        for _ in 0..index {
-            file.next_record().expect("a trace reads");
+    /// Writes `record` as it is.
+    fn verbatim(writer: &mut TraceWriter, _: usize, record: TraceRecord<'_>) {
+        match record {
+            TraceRecord::Action { at, action } => writer.action(at, &action),
+            TraceRecord::Decision(d) => writer.decision(d),
         }
-        bytes[..file.dec.position()].to_vec()
+    }
+
+    /// A run of `config`'s trace.
+    fn live_trace(config: SimConfig) -> Vec<u8> {
+        let mut world = crate::World::new(config);
+        world.enable_recording();
+        world.advance(SimTime::MAX);
+        world.take_trace().expect("recording was armed")
     }
 
     #[test]
@@ -1422,12 +1604,9 @@ mod tests {
             .broadcasts(4)
             .seed(21)
             .build();
-        let mut world = crate::World::new(config);
-        world.enable_recording();
-        world.advance(SimTime::MAX);
-        let live = world.take_trace().expect("recording was armed");
+        let live = live_trace(config);
         // A trace read and written again is the same bytes.
-        assert_eq!(rewritten(&live, None), live);
+        assert_eq!(rewritten(&live, usize::MAX, verbatim), live);
         assert_eq!(first_divergence(&live, &live), Ok(None));
 
         // One decision, chosen by a seeded draw, decided the other way;
@@ -1463,7 +1642,16 @@ mod tests {
         let mut rng = SimRng::seed_from(0x6469_7665);
         let (index, changed, heard) =
             decisions[rng.gen_range_u32(0..decisions.len() as u32) as usize];
-        let forked = rewritten(&live, Some(index));
+        let forked = rewritten(&live, usize::MAX, |writer, at, record| match record {
+            TraceRecord::Decision(mut d) if at == index => {
+                d.kind = match d.kind {
+                    DecisionKind::Cancelled => DecisionKind::Scheduled,
+                    _ => DecisionKind::Cancelled,
+                };
+                writer.decision(d);
+            }
+            record => verbatim(writer, at, record),
+        });
         let divergence = first_divergence(&live, &forked)
             .expect("both traces decode")
             .expect("the traces differ");
@@ -1481,11 +1669,88 @@ mod tests {
             .to_string()
             .starts_with(&format!("record {index} (")));
         assert!(matches!(heard, Some(Agreed::Heard { record, .. }) if record == index - 1));
-        // Symmetric, and a trace cut just before the changed record parts
-        // from the whole one there.
+        // Symmetric, and a trace that ends just before the changed record
+        // parts from the whole one there.
         assert_eq!(first_divergence(&forked, &live), Ok(Some(divergence)));
-        let cut = cut_before(&live, index);
+        let cut = rewritten(&live, index, verbatim);
         let ended = first_divergence(&live, &cut).expect("both decode");
         assert_eq!(ended, Some(divergence));
+    }
+
+    /// A beacon frame is one record for all its hearers: when one host
+    /// drops out of a frame's hearers, or one is added, the divergence is
+    /// that record, named at that host.
+    #[test]
+    fn first_divergence_names_the_hearer_a_frame_gained_or_lost() {
+        let config = SimConfig::builder(3, SchemeSpec::parse("ac").expect("a scheme spelling"))
+            .hosts(30)
+            .broadcasts(2)
+            .seed(21)
+            .build();
+        let hosts = config.hosts;
+        let live = live_trace(config);
+        // The HELLO frames with at least three hearers, and one drawn.
+        let mut frames = Vec::new();
+        let mut file = TraceFile::open(&live).expect("a live trace opens");
+        let mut index = 0;
+        while let Some(record) = file.next_record().expect("a live trace reads") {
+            if let TraceRecord::Action {
+                at,
+                action: PureAction::HelloHeard { hearers, .. },
+            } = record
+            {
+                if hearers.len() >= 3 {
+                    frames.push((index, at, hearers.to_vec()));
+                }
+            }
+            index += 1;
+        }
+        let mut rng = SimRng::seed_from(0x6865_6172);
+        let (index, at, hearers) = &frames[rng.gen_range_u32(0..frames.len() as u32) as usize];
+        let lost = hearers[rng.gen_range_u32(0..hearers.len() as u32) as usize];
+        let gained = (0..hosts)
+            .map(NodeId::new)
+            .find(|h| !hearers.contains(h) && hearers.iter().any(|x| x > h))
+            .unwrap_or_else(|| NodeId::new(hosts - 1));
+        for changed in [lost, gained] {
+            let mut edited: Vec<NodeId> =
+                hearers.iter().copied().filter(|&h| h != changed).collect();
+            if changed == gained {
+                edited.push(gained);
+                edited.sort_unstable();
+            }
+            let forked = rewritten(&live, usize::MAX, |writer, k, record| match record {
+                TraceRecord::Action {
+                    at,
+                    action:
+                        PureAction::HelloHeard {
+                            sender,
+                            interval,
+                            neighbors,
+                            ..
+                        },
+                } if k == *index => {
+                    let action = PureAction::HelloHeard {
+                        hearers: &edited,
+                        sender,
+                        interval,
+                        neighbors,
+                    };
+                    writer.action(at, &action);
+                }
+                record => verbatim(writer, k, record),
+            });
+            for (a, b) in [(&live, &forked), (&forked, &live)] {
+                let divergence = first_divergence(a, b).expect("both decode");
+                let expected = Divergence {
+                    record: *index,
+                    at: *at,
+                    node: changed,
+                    packet: None,
+                    last_agreed: None,
+                };
+                assert_eq!(divergence, Some(expected), "{changed} of {hearers:?}");
+            }
+        }
     }
 }

@@ -240,6 +240,7 @@ pub struct World {
     scratch_listeners: Vec<NodeId>,
     scratch_signals: Vec<manet_phy::Listener>,
     scratch_deliveries: Vec<Delivery>,
+    scratch_hearers: Vec<NodeId>,
     scratch_neighbors: Vec<NodeId>,
     scratch_sender_neighbors: Vec<NodeId>,
     scratch_reachable: Vec<NodeId>,
@@ -419,6 +420,7 @@ impl World {
             scratch_listeners: Vec::new(),
             scratch_signals: Vec::new(),
             scratch_deliveries: Vec::new(),
+            scratch_hearers: Vec::new(),
             scratch_neighbors: Vec::new(),
             scratch_sender_neighbors: Vec::new(),
             scratch_reachable: Vec::new(),
@@ -792,21 +794,6 @@ impl World {
         }
     }
 
-    // ---- HELLO beaconing ------------------------------------------------
-
-    fn hello_received(&mut self, node: NodeId, payload: &HelloPayload, now: SimTime) {
-        self.hello_rx += 1;
-        self.dispatch(
-            now,
-            PureAction::HelloHeard {
-                node,
-                sender: payload.sender,
-                interval: payload.interval,
-                neighbors: &payload.neighbors,
-            },
-        );
-    }
-
     // ---- MAC / channel wiring --------------------------------------------
 
     /// Feeds one input to `node`'s MAC and executes the action it asks
@@ -980,14 +967,34 @@ impl World {
 
         // Deliver decoded copies to the upper layer. A listener that went
         // down while the frame was airing has no radio left to decode it.
-        for delivery in &deliveries {
-            if delivery.cause.is_some() || !self.is_active(delivery.to) {
-                continue;
+        let decoded = |world: &Self, delivery: &Delivery| {
+            delivery.cause.is_none() && world.is_active(delivery.to)
+        };
+        match &in_flight.payload {
+            Payload::Hello(hello) => {
+                // One action for the whole frame, its hearers in listener
+                // order.
+                let mut hearers = std::mem::take(&mut self.scratch_hearers);
+                hearers.clear();
+                let heard = deliveries.iter().filter(|d| decoded(self, d));
+                hearers.extend(heard.map(|d| d.to));
+                if !hearers.is_empty() {
+                    self.hello_rx += hearers.len() as u64;
+                    let action = PureAction::HelloHeard {
+                        hearers: &hearers,
+                        sender: hello.sender,
+                        interval: hello.interval,
+                        neighbors: &hello.neighbors,
+                    };
+                    self.dispatch(now, action);
+                }
+                self.scratch_hearers = hearers;
             }
-            match &in_flight.payload {
-                Payload::Hello(h) => self.hello_received(delivery.to, h, now),
-                Payload::Broadcast(packet) => {
-                    self.packet_heard(delivery.to, *packet, source, in_flight.sent_from, now);
+            &Payload::Broadcast(packet) => {
+                for delivery in &deliveries {
+                    if decoded(self, delivery) {
+                        self.packet_heard(delivery.to, packet, source, in_flight.sent_from, now);
+                    }
                 }
             }
         }

@@ -263,6 +263,23 @@ fn with_header_token(bytes: &[u8], old: &str, new: &str) -> Vec<u8> {
     [&bytes[..8], &len, header.as_bytes(), &bytes[end..]].concat()
 }
 
+/// The end record of a trace of fewer than 128 records: its tag and a
+/// one-byte count.
+const SHORT_END: usize = 2;
+
+/// Bytes before a trace's first record under `config`'s header.
+fn header_len(config: &SimConfig) -> usize {
+    TraceWriter::new(config).into_bytes().len() - SHORT_END
+}
+
+/// The end record closing a trace of `records` records.
+fn end_record(records: u64) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
+    enc.u8(0x7f);
+    enc.uvarint(records);
+    enc.into_bytes()
+}
+
 /// The trace of a whole run of `config`.
 fn trace(config: &SimConfig) -> Vec<u8> {
     let mut world = World::new(config.clone());
@@ -312,15 +329,14 @@ fn attack<T>(
     let pristine = survives(&format!("{name}, pristine"), image, limit, &decode);
     assert!(pristine, "{name}: pristine image must decode");
 
-    // Every truncation point. Neither format has optional trailing
-    // fields, but a trace is a record stream: a cut between two records
-    // is a shorter, valid trace.
+    // Every truncation point, each refused: neither format has optional
+    // trailing fields, and a trace ends with a record counting the ones
+    // before it, so no cut is a shorter valid image.
     for cut in 0..image.len() {
-        survives(
-            &format!("{name} cut at {cut}"),
-            &image[..cut],
-            limit,
-            &decode,
+        let what = format!("{name} cut at {cut}");
+        assert!(
+            !survives(&what, &image[..cut], limit, &decode),
+            "{what} decoded"
         );
     }
 
@@ -1029,13 +1045,13 @@ fn no_id_a_trace_names_sizes_replay_state() {
         let mut writer = TraceWriter::new(&coverage);
         let listed: Rc<[NodeId]> = [NodeId::new(0), NodeId::new(node)].into();
         let hello = PureAction::HelloHeard {
-            node: NodeId::new(node),
+            hearers: &[NodeId::new(node)],
             sender: NodeId::new(sender),
             interval: SimDuration::from_secs(1),
             neighbors: &listed,
         };
         writer.action(SimTime::ZERO, &hello);
-        let first = writer.into_bytes().len();
+        let first = writer.into_bytes().len() - SHORT_END;
         let mut writer = TraceWriter::new(&coverage);
         writer.action(SimTime::ZERO, &hello);
         writer.action(SimTime::from_millis(1), &hello);
@@ -1110,10 +1126,10 @@ fn no_id_a_trace_names_sizes_replay_state() {
 #[test]
 fn a_hello_repeats_only_an_advertisement_its_sender_made() {
     let config = coverage_config();
-    let header = TraceWriter::new(&config).into_bytes().len();
+    let header = header_len(&config);
     let listed: Rc<[NodeId]> = [NodeId::new(2), NodeId::new(3)].into();
     let hello = PureAction::HelloHeard {
-        node: NodeId::new(0),
+        hearers: &[NodeId::new(0)],
         sender: NodeId::new(1),
         interval: SimDuration::from_secs(1),
         neighbors: &listed,
@@ -1123,12 +1139,13 @@ fn a_hello_repeats_only_an_advertisement_its_sender_made() {
     writer.action(SimTime::from_millis(1), &hello);
     let bytes = writer.into_bytes();
     assert!(TraceFile::decode(&bytes).is_ok());
-    // A byte each for the tag, a zero Δt, the node and the sender, then
-    // 10⁹ ns in five and the list in three; the repeat's Δt of 10⁶ ns
-    // takes three, and its sender closes the trace.
-    let advertisement = 1 + 1 + 1 + 1 + 5 + 1 + listed.len();
-    let sender = header + advertisement + 1 + 3 + 1;
-    assert_eq!(bytes.len(), sender + 1);
+    // A byte each for the tag, a zero Δt, the sender, the hearer count
+    // and the hearer, then 10⁹ ns in five and the list in three; the
+    // repeat's Δt of 10⁶ ns takes three, and its sender, hearer count
+    // and hearer a byte each precede the end record.
+    let advertisement = 1 + 1 + 1 + 1 + 1 + 5 + 1 + listed.len();
+    let sender = header + advertisement + 1 + 3;
+    assert_eq!(bytes.len(), sender + 3 + SHORT_END);
     assert_eq!((bytes[header], bytes[header + advertisement]), (2, 3));
 
     let unmade = "HELLO repeats an advertisement its sender has not made";
@@ -1152,8 +1169,133 @@ fn a_hello_repeats_only_an_advertisement_its_sender_made() {
     }
 }
 
-/// Every integer of a v5 record is one canonical LEB128 varint, its time
-/// a delta, and a decision only its tag: a varint with a redundant zero
+/// A `HelloHeard` is one beacon frame and names its hearers once each:
+/// a count, the first id, then each next id as its gap from the one
+/// before. No hearers, a zero gap (a hearer again, or out of order), a
+/// hearer that is the frame's sender, one past the population (first, or
+/// by a gap) and a count the input cannot hold are each refused at the
+/// field that says so; each used to be, or would be, a frame no medium
+/// delivers.
+#[test]
+fn a_frame_names_each_hearer_once_in_order_and_never_its_sender() {
+    let config = coverage_config();
+    let header = TraceWriter::new(&config).into_bytes();
+    let header = &header[..header.len() - SHORT_END];
+    // Host 1's HELLO: its advertisement (1 s, listing host 0) follows
+    // the hearers.
+    let frame = |hearers: &[u8]| {
+        let advertisement = [0x80, 0x94, 0xeb, 0xdc, 0x03, 1, 0];
+        [header, &[2, 0, 1], hearers, &advertisement, &end_record(1)].concat()
+    };
+    assert!(
+        TraceFile::decode(&frame(&[3, 0, 2, 5])).is_ok(),
+        "hosts 0, 2 and 7"
+    );
+    // Offsets within the frame: tag, Δt, sender, the count at 3, then the
+    // first hearer at 4.
+    let at = |k: usize| header.len() + k;
+    let own = "a frame heard by its own sender";
+    let outside = "node id outside the recorded population";
+    let again = "HELLO hearers are not strictly ascending";
+    for (case, hearers, offset, what) in [
+        ("no hearers", &[0][..], 3, "a HELLO heard by no host"),
+        ("host 2 twice", &[2, 2, 0], 5, again),
+        ("its sender first", &[2, 1, 1], 4, own),
+        ("its sender by a gap", &[2, 0, 1], 5, own),
+        ("host 8 of 8", &[1, 8], 4, outside),
+        ("host 8 by a gap", &[2, 2, 6], 5, outside),
+        (
+            "a gap past u64",
+            &[
+                2, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            ],
+            5,
+            outside,
+        ),
+        (
+            "more hearers than bytes",
+            &[0x7f, 0],
+            3,
+            "sequence longer than the remaining input",
+        ),
+    ] {
+        let replayed = catch_unwind(|| replay_decisions(&frame(hearers)));
+        let refused = Err(ReplayError::Wire(WireError {
+            at: at(offset),
+            what,
+        }));
+        assert_eq!(replayed.ok(), Some(refused), "{case}");
+    }
+}
+
+/// A trace closes with its end record, which counts the records before
+/// it: a trace cut anywhere, even between two records, lacks it, and so
+/// is refused rather than read as a shorter run, as is an end record
+/// that miscounts and any byte after it. A trace stamped version 5 (one
+/// record per hearer, no end) is refused by name.
+#[test]
+fn a_trace_ends_with_its_end_record_and_nothing_after() {
+    let config = churn_config();
+    let bytes = trace(&config);
+    let records = {
+        let mut file = TraceFile::open(&bytes).expect("a recorded trace opens");
+        let mut records = 0u64;
+        while file
+            .next_record()
+            .expect("a recorded trace reads")
+            .is_some()
+        {
+            records += 1;
+        }
+        records
+    };
+    let end = end_record(records);
+    assert!(bytes.ends_with(&end));
+    let body = &bytes[..bytes.len() - end.len()];
+    let at = body.len();
+    let missing = "a trace that ends without its end record";
+    let miscounts = "an end record that miscounts the records before it";
+    let after = "bytes after the end record";
+    for (case, bytes, at, what) in [
+        ("no end record", body.to_vec(), at, missing),
+        (
+            "one record short",
+            [body, &end_record(records - 1)].concat(),
+            at + 1,
+            miscounts,
+        ),
+        (
+            "one record over",
+            [body, &end_record(records + 1)].concat(),
+            at + 1,
+            miscounts,
+        ),
+        (
+            "a byte after",
+            [&bytes[..], &[0]].concat(),
+            bytes.len(),
+            after,
+        ),
+        (
+            "a second end",
+            [&bytes[..], &end].concat(),
+            bytes.len(),
+            after,
+        ),
+    ] {
+        let replayed = catch_unwind(|| replay_decisions(&bytes));
+        let refused = Err(ReplayError::Wire(WireError { at, what }));
+        assert_eq!(replayed.ok(), Some(refused), "{case}");
+    }
+    let mut v5 = bytes.clone();
+    v5[4..8].copy_from_slice(&5u32.to_le_bytes());
+    let err = TraceFile::decode(&v5).map(drop).expect_err("a v5 trace");
+    assert_eq!(err.at, 4);
+    assert!(err.what.starts_with("trace version 5 is retired"), "{err}");
+}
+
+/// Every integer of a record (since v5) is one canonical LEB128 varint,
+/// its time a delta, and a decision only its tag: a varint with a redundant zero
 /// group, one longer than ten bytes, a delta that runs the clock past
 /// `u64`, and a decision with no `PacketHeard` just before it are each
 /// refused at the byte that starts them. Each spelling has one meaning, so
@@ -1169,8 +1311,10 @@ fn a_v5_record_spelled_two_ways_or_past_the_clock_is_refused() {
     };
     writer.action(SimTime::from_secs(1), &originate);
     let bytes = writer.into_bytes();
-    // A `FrameSent` (tag 7) of packet 0 at host 0, its Δt spelled in turn.
-    let sent = |delta: &[u8]| [&bytes[..], &[7], delta, &[0, 0]].concat();
+    let bytes = &bytes[..bytes.len() - SHORT_END];
+    // A `FrameSent` (tag 7) of packet 0 at host 0, its Δt spelled in
+    // turn, and the end of two records.
+    let sent = |delta: &[u8]| [bytes, &[7], delta, &[0, 0], &end_record(2)].concat();
     assert!(replay_decisions(&sent(&[0])).is_ok());
     let at = bytes.len() + 1;
     let mut past = WireEncoder::new();
@@ -1199,14 +1343,14 @@ fn a_v5_record_spelled_two_ways_or_past_the_clock_is_refused() {
         assert_eq!(replayed.ok(), Some(refused), "{case}");
     }
     // A node id of one byte, spelled in two.
-    let padded = [&bytes[..], &[7, 0, 0x80, 0x00, 0]].concat();
+    let padded = [bytes, &[7, 0, 0x80, 0x00, 0]].concat();
     let what = "non-canonical varint (a trailing zero group)";
     assert_eq!(
         TraceFile::decode(&padded).map(drop),
         Err(WireError { at: at + 1, what })
     );
     // A scheduling decision (tag 0x80) after the `Originate`.
-    let decided = [&bytes[..], &[0x80]].concat();
+    let decided = [bytes, &[0x80]].concat();
     let what = "a decision that does not follow a PacketHeard";
     let at = bytes.len();
     assert_eq!(
@@ -1227,7 +1371,7 @@ fn distinct_advertisements_stay_within_the_trace_bound() {
         let sender = k.wrapping_mul(2_097_143) + 1;
         let listed: Rc<[NodeId]> = (k..=k + k % 8).map(NodeId::new).collect();
         let hello = PureAction::HelloHeard {
-            node: NodeId::new(0),
+            hearers: &[NodeId::new(0)],
             sender: NodeId::new(sender),
             interval: SimDuration::from_secs(u64::from(1 + k % 3)),
             neighbors: &listed,
@@ -1279,14 +1423,14 @@ fn a_neighbor_list_out_of_order_is_refused() {
     let advertised: Rc<[NodeId]> = ids(&[3, 2]).into();
     let mut writer = TraceWriter::new(&config);
     let hello = PureAction::HelloHeard {
-        node: hearer,
+        hearers: &[hearer],
         sender,
         interval: SimDuration::from_secs(1),
         neighbors: &advertised,
     };
     writer.action(SimTime::ZERO, &hello);
-    // A one-byte count and one byte per id.
-    let at = writer.into_bytes().len() - 1 - advertised.len();
+    // A one-byte count and one byte per id, then the end record.
+    let at = writer.into_bytes().len() - SHORT_END - 1 - advertised.len();
     let mut writer = TraceWriter::new(&config);
     writer.action(SimTime::ZERO, &hello);
     writer.action(SimTime::from_millis(1), &originate);
@@ -1316,7 +1460,7 @@ fn a_neighbor_list_out_of_order_is_refused() {
         writer.action(SimTime::ZERO, &originate);
         writer.action(SimTime::from_millis(1), &heard(packet, Some(view)));
         let bytes = writer.into_bytes();
-        let at = bytes.len() - from_end;
+        let at = bytes.len() - SHORT_END - from_end;
         let replayed = catch_unwind(|| replay_decisions(&bytes));
         assert_eq!(
             replayed.ok(),
@@ -1448,7 +1592,7 @@ fn a_hello_prepare_under_an_oracle_header_is_refused() {
         .broadcasts(4)
         .neighbor_info(NeighborInfo::Oracle)
         .build();
-    let header = TraceWriter::new(&config).into_bytes().len();
+    let header = header_len(&config);
     let mut writer = TraceWriter::new(&config);
     let node = NodeId::new(0);
     writer.action(SimTime::ZERO, &PureAction::HelloPrepare { node });
@@ -1482,7 +1626,9 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
     let node = NodeId::new(1);
     writer.action(SimTime::ZERO, &PureAction::AssessmentFired { node, packet });
     let mut bytes = writer.into_bytes();
-    // A record with tag 10, the first past the table (and a Δt).
+    // A record with tag 10, the first past the table (and a Δt), where
+    // the end record stood.
+    bytes.truncate(bytes.len() - SHORT_END);
     let at = bytes.len();
     bytes.extend([10, 0]);
     let what = "invalid record tag";
@@ -1514,7 +1660,7 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
     let hellos = [
         PureAction::HelloPrepare { node },
         PureAction::HelloHeard {
-            node,
+            hearers: &[node],
             sender,
             interval: SimDuration::from_secs(1),
             neighbors: &neighbors,
@@ -1523,7 +1669,7 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
     let what = "a HELLO action in a run that sends no HELLOs";
     for (header, config) in [("counter:3", &counter), ("oracle", &oracle)] {
         // The record's tag.
-        let at = TraceWriter::new(config).into_bytes().len();
+        let at = header_len(config);
         for hello in &hellos {
             let mut writer = TraceWriter::new(config);
             writer.action(SimTime::ZERO, hello);
@@ -1591,7 +1737,7 @@ fn an_action_no_world_could_deliver_is_refused_at_its_record() {
     };
     let illegal = |record, what| ReplayError::Illegal { record, what };
     let not_assessing = "AssessmentFired at a host not assessing the packet";
-    let header = TraceWriter::new(&config).into_bytes().len();
+    let header = header_len(&config);
     for (case, actions, refused) in [
         (
             "never heard",

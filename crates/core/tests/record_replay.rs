@@ -1,8 +1,8 @@
-//! What `replay_decisions` refuses: a truncated `MTRC` trace (a wire
-//! error) and a forged decision the pure models never derived (a replay
-//! mismatch); that every scheme's trace, whose reader hands the pure
-//! models zero for each field the scheme does not read, replays to the
-//! recorded decisions; and what a trace costs per record. That every live
+//! What `replay_decisions` refuses: a truncated `MTRC` trace, cut at any
+//! byte (a wire error), and a forged decision the pure models never
+//! derived (a replay mismatch); that every scheme's trace, whose reader
+//! hands the pure models zero for each field the scheme does not read,
+//! replays to the recorded decisions; and what a trace costs per hear. That every live
 //! trace replays cleanly, byte-deterministically and with tallies equal to
 //! the live suppression counters is the generated property in the root
 //! `tests/equivalence.rs`.
@@ -13,7 +13,7 @@ use broadcast_core::{
 };
 use manet_geom::Vec2;
 use manet_net::HelloIntervalPolicy;
-use manet_sim_engine::{SimTime, WireEncoder};
+use manet_sim_engine::{SimTime, WireEncoder, WireError};
 
 /// The trace of a whole run of `config`, and the run's decision count.
 fn recorded(config: SimConfig) -> (Vec<u8>, u64) {
@@ -43,18 +43,67 @@ fn corrupted_traces_are_rejected() {
     // Forge a hear of the first packet at host 1 from host 0, a second
     // after the last action, and a Cancelled decision (counter reason)
     // nobody made about it: tag 4, then Δt, node, seq and sender as
-    // LEB128, then the decision's tag, 0x80 | kind 2 << 3 | reason 1.
+    // LEB128, then the decision's tag, 0x80 | kind 2 << 3 | reason 1; and
+    // an end record that counts them.
+    let records = records_of(&trace);
+    let end = end_record(records);
     let mut forged = WireEncoder::new();
     forged.u8(4);
     for field in [1_000_000_000, 1, 0, 0] {
         forged.uvarint(field);
     }
     forged.u8(0x80 | 2 << 3 | 1);
-    let forged = [&trace[..], forged.as_slice()].concat();
+    let body = &trace[..trace.len() - end.len()];
+    let forged = [body, forged.as_slice(), &end_record(records + 2)].concat();
     assert!(
         matches!(replay_decisions(&forged), Err(ReplayError::Mismatch { .. })),
         "forged decision replayed cleanly",
     );
+}
+
+/// How many records `trace` holds before its end.
+fn records_of(trace: &[u8]) -> u64 {
+    let mut file = TraceFile::open(trace).expect("a live trace opens");
+    let mut records = 0;
+    while file.next_record().expect("a live trace reads").is_some() {
+        records += 1;
+    }
+    records
+}
+
+/// The end record closing a trace of `records` records.
+fn end_record(records: u64) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
+    enc.u8(0x7f);
+    enc.uvarint(records);
+    enc.into_bytes()
+}
+
+/// A trace ends with a record that counts the records before it, so a
+/// cut at any byte, between two records as well as inside one, is a
+/// decode error, never a shorter trace that replays.
+#[test]
+fn a_trace_cut_at_any_byte_is_refused() {
+    let config = SimConfig::builder(3, SchemeSpec::parse("ac").expect("a scheme spelling"))
+        .hosts(20)
+        .broadcasts(2)
+        .seed(7)
+        .build();
+    let (trace, _) = recorded(config);
+    assert!(replay_decisions(&trace).is_ok());
+    let header = TraceWriter::new(&TraceFile::open(&trace).expect("opens").config)
+        .into_bytes()
+        .len()
+        - end_record(0).len();
+    assert!(records_of(&trace) > 100, "a trace of many records");
+    for cut in 0..trace.len() {
+        match replay_decisions(&trace[..cut]) {
+            Err(ReplayError::Wire(WireError { at, .. })) => {
+                assert!(cut < header || at <= cut, "cut at {cut}: refused at {at}")
+            }
+            other => panic!("cut at {cut} of {}: {other:?}", trace.len()),
+        }
+    }
 }
 
 /// Each of the eight schemes, under HELLO and oracle neighbor info: the
@@ -125,25 +174,34 @@ fn every_scheme_replays_from_what_its_trace_writes() {
     }
 }
 
-/// Body bytes (after the header) per record of the trace of `config`.
-fn bytes_per_record(config: SimConfig) -> f64 {
+/// Body bytes (after the header) per hear of the trace of `config`: per
+/// record, where a HELLO frame's record counts once for each hearer (as
+/// v5 wrote one record per hearer).
+fn bytes_per_hear(config: SimConfig) -> f64 {
     let header = TraceWriter::new(&config).into_bytes().len();
     let (trace, _) = recorded(config);
     let mut file = TraceFile::open(&trace).expect("a live trace opens");
-    let mut records = 0;
-    while file.next_record().expect("a live trace reads").is_some() {
-        records += 1;
+    let mut hears = 0;
+    while let Some(record) = file.next_record().expect("a live trace reads") {
+        hears += match record {
+            TraceRecord::Action {
+                action: PureAction::HelloHeard { hearers, .. },
+                ..
+            } => hearers.len(),
+            _ => 1,
+        };
     }
-    (trace.len() - header) as f64 / f64::from(records)
+    (trace.len() - header) as f64 / hears as f64
 }
 
 /// A gate that fails `cargo test`, not only a bench row, when a change
-/// fattens the trace: bytes per record of two fixed runs, each bounded by
+/// fattens the trace: bytes per hear of two fixed runs, each bounded by
 /// its measured value plus 10 %. The churn script CI records under `nc`
-/// (v5: 4.64; v4 wrote 26.9), whose HELLOs spell out lists; and a 1×1
-/// `ac` run, the densest map, where nearly every record is a HELLO heard
-/// again (v5: 4.02; v4: 20.1). Writing a hear's positions back, or
-/// absolute times, moves either past its bound.
+/// (v6: 2.46; v5 wrote 4.64 and v4 26.9), whose HELLOs spell out lists;
+/// and a 1×1 `ac` run, the densest map, where nearly every hear is a
+/// HELLO heard again (v6: 1.18; v5: 4.02; v4: 20.1). Writing a hear's
+/// positions back, absolute times, or a record per HELLO hearer moves
+/// either past its bound.
 #[test]
 fn a_trace_spends_a_few_bytes_per_record() {
     let script = Scenario::parse(include_str!("../../../examples/scenarios/churn_quick.txt"))
@@ -159,12 +217,12 @@ fn a_trace_spends_a_few_bytes_per_record() {
         .broadcasts(10)
         .seed(5)
         .build();
-    for (run, config, bound) in [("churn under nc", churn, 5.1), ("1x1 ac", ac, 4.4)] {
-        let measured = bytes_per_record(config);
-        eprintln!("{run}: {measured:.3} bytes per record");
+    for (run, config, bound) in [("churn under nc", churn, 2.7), ("1x1 ac", ac, 1.3)] {
+        let measured = bytes_per_hear(config);
+        eprintln!("{run}: {measured:.3} bytes per hear");
         assert!(
             measured <= bound,
-            "{run}: {measured:.3} bytes per record, bound {bound}"
+            "{run}: {measured:.3} bytes per hear, bound {bound}"
         );
     }
 }

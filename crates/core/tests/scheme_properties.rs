@@ -319,7 +319,7 @@ prop_check! {
                 listed.remove(&(sender.index() as u32));
                 let listed: Rc<[NodeId]> = ids(listed).into();
                 let hello = PureAction::HelloHeard {
-                    node,
+                    hearers: &[node],
                     sender,
                     interval: SimDuration::from_secs(1),
                     neighbors: &listed,

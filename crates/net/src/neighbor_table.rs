@@ -35,6 +35,15 @@ pub enum MembershipChange {
     Left(NodeId),
 }
 
+impl MembershipChange {
+    /// The host that joined or left.
+    fn host(&self) -> NodeId {
+        match *self {
+            MembershipChange::Joined(id) | MembershipChange::Left(id) => id,
+        }
+    }
+}
+
 /// One host's view of its neighborhood.
 ///
 /// A table from [`new`](Self::new) keeps each neighbor's advertised list
@@ -63,8 +72,11 @@ pub enum MembershipChange {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NeighborTable {
-    /// The one-hop set `N_x`, strictly ascending (≈ 110 ids on a dense
-    /// map: a binary search is ≤ 7 steps and `N_x` is borrowed as is).
+    /// The one-hop set `N_x`. A list-keeping table holds it strictly
+    /// ascending (≈ 110 ids on a dense map: a binary search is ≤ 7 steps
+    /// and `N_x` is borrowed as is). A count-only table holds it in slot
+    /// order: a join appends, a leave swap-removes, and `index` finds an
+    /// id's slot.
     ids: Vec<NodeId>,
     /// `heard[k]` is when `ids[k]` was last heard, and at what interval.
     heard: Vec<Heard>,
@@ -72,6 +84,8 @@ pub struct NeighborTable {
     /// advertised it (`N_{x,h}`); other tables that heard the same HELLO
     /// hold the same list. `None` in a count-only table.
     lists: Option<Vec<Rc<[NodeId]>>>,
+    /// From id to slot in a count-only table; empty in a list-keeping one.
+    index: SlotIndex,
     /// Lower bound on the earliest entry deadline (`last_heard` plus two
     /// intervals). [`expire_into`](Self::expire_into) is a no-op until the
     /// clock passes it, which keeps the per-event expiry check O(1); refreshes
@@ -107,6 +121,7 @@ impl NeighborTable {
             ids: Vec::new(),
             heard: Vec::new(),
             lists: None,
+            index: SlotIndex::default(),
             min_deadline: None,
             joins: 0,
             leaves: 0,
@@ -162,20 +177,28 @@ impl NeighborTable {
         let heard = (now, interval);
         let deadline = deadline(heard);
         self.min_deadline = Some(self.min_deadline.map_or(deadline, |d| d.min(deadline)));
+        let Some(lists) = &mut self.lists else {
+            // Count-only: a refresh is one probe, a join one append.
+            if let Some(k) = self.index.slot(from, &self.ids) {
+                self.heard[k] = heard;
+                return None;
+            }
+            push_grown(&mut self.ids, from);
+            push_grown(&mut self.heard, heard);
+            self.index.push(&self.ids);
+            self.joins += 1;
+            return Some(MembershipChange::Joined(from));
+        };
         match self.ids.binary_search(&from) {
             Ok(k) => {
                 self.heard[k] = heard;
-                if let Some(lists) = &mut self.lists {
-                    lists[k] = list();
-                }
+                lists[k] = list();
                 None
             }
             Err(k) => {
                 insert_grown(&mut self.ids, k, from);
                 insert_grown(&mut self.heard, k, heard);
-                if let Some(lists) = &mut self.lists {
-                    insert_grown(lists, k, list());
-                }
+                insert_grown(lists, k, list());
                 self.joins += 1;
                 Some(MembershipChange::Joined(from))
             }
@@ -200,27 +223,44 @@ impl NeighborTable {
         }
         let first = leaves.len();
         let mut next_bound: Option<SimTime> = None;
-        let mut kept = 0;
-        for k in 0..self.ids.len() {
-            let deadline = deadline(self.heard[k]);
-            if now > deadline {
-                leaves.push(MembershipChange::Left(self.ids[k]));
-            } else {
-                next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
-                if kept < k {
-                    self.ids.swap(kept, k);
-                    self.heard.swap(kept, k);
-                    if let Some(lists) = &mut self.lists {
-                        lists.swap(kept, k);
+        match &mut self.lists {
+            // Count-only: swap-remove each leaver, then report them in order.
+            None => {
+                let mut k = 0;
+                while k < self.ids.len() {
+                    let deadline = deadline(self.heard[k]);
+                    if now > deadline {
+                        leaves.push(MembershipChange::Left(self.ids[k]));
+                        self.index.remove(k, &self.ids);
+                        self.ids.swap_remove(k);
+                        self.heard.swap_remove(k);
+                    } else {
+                        next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
+                        k += 1;
                     }
                 }
-                kept += 1;
+                leaves[first..].sort_unstable_by_key(MembershipChange::host);
             }
-        }
-        self.ids.truncate(kept);
-        self.heard.truncate(kept);
-        if let Some(lists) = &mut self.lists {
-            lists.truncate(kept);
+            Some(lists) => {
+                let mut kept = 0;
+                for k in 0..self.ids.len() {
+                    let deadline = deadline(self.heard[k]);
+                    if now > deadline {
+                        leaves.push(MembershipChange::Left(self.ids[k]));
+                    } else {
+                        next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
+                        if kept < k {
+                            self.ids.swap(kept, k);
+                            self.heard.swap(kept, k);
+                            lists.swap(kept, k);
+                        }
+                        kept += 1;
+                    }
+                }
+                self.ids.truncate(kept);
+                self.heard.truncate(kept);
+                lists.truncate(kept);
+            }
         }
         self.min_deadline = next_bound;
         self.leaves += (leaves.len() - first) as u64;
@@ -245,12 +285,22 @@ impl NeighborTable {
 
     /// `true` when `id` is currently believed to be a neighbor.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.ids.binary_search(&id).is_ok()
+        self.slot(id).is_some()
     }
 
-    /// The current one-hop set `N_x`, strictly ascending.
+    /// The current one-hop set `N_x`: strictly ascending in a table from
+    /// [`new`](Self::new), in no set order in a
+    /// [`count_only`](Self::count_only) one.
     pub fn neighbor_ids(&self) -> &[NodeId] {
         &self.ids
+    }
+
+    /// The slot `id` holds, if it is a neighbor.
+    fn slot(&self, id: NodeId) -> Option<usize> {
+        match self.lists {
+            Some(_) => self.ids.binary_search(&id).ok(),
+            None => self.index.slot(id, &self.ids),
+        }
     }
 
     /// The two-hop knowledge `N_{x,h}`: the neighborhood `h` advertised
@@ -262,8 +312,7 @@ impl NeighborTable {
     /// `(N_x, N_{x,h})` borrowed together — everything the
     /// neighbor-coverage scheme reads when a copy arrives from `h`.
     pub fn coverage_view(&self, h: NodeId) -> (&[NodeId], Option<&[NodeId]>) {
-        let known = self.ids.binary_search(&h).ok();
-        (&self.ids, known.map(|k| self.list(k)))
+        (&self.ids, self.slot(h).map(|k| self.list(k)))
     }
 
     /// The list entry `k` holds: empty in a count-only table.
@@ -271,18 +320,18 @@ impl NeighborTable {
         self.lists.as_ref().map_or(&[], |lists| &lists[k])
     }
 
-    /// Serializes the table for a world snapshot, each two-hop list as
-    /// its sender advertised it (empty in a count-only table).
+    /// Serializes the table for a world snapshot, entries ascending by id
+    /// and each two-hop list as its sender advertised it (empty in a
+    /// count-only table).
     pub fn snapshot_into(&self, enc: &mut WireEncoder) {
-        enc.seq(
-            self.ids.iter().zip(&self.heard).enumerate(),
-            |enc, (k, (id, heard))| {
-                id.encode(enc);
-                enc.time(heard.0);
-                enc.duration(heard.1);
-                NodeId::encode_seq(enc, self.list(k).iter().copied());
-            },
-        );
+        let mut slots: Vec<usize> = (0..self.ids.len()).collect();
+        slots.sort_unstable_by_key(|&k| self.ids[k]);
+        enc.seq(slots, |enc, k| {
+            self.ids[k].encode(enc);
+            enc.time(self.heard[k].0);
+            enc.duration(self.heard[k].1);
+            NodeId::encode_seq(enc, self.list(k).iter().copied());
+        });
         enc.option(self.min_deadline, WireEncoder::time);
         enc.u64(self.joins);
         enc.u64(self.leaves);
@@ -376,12 +425,110 @@ impl NeighborTable {
         }
         table.joins = dec.u64()?;
         table.leaves = dec.u64()?;
+        if table.lists.is_none() {
+            for k in 1..=table.ids.len() {
+                table.index.push(&table.ids[..k]);
+            }
+        }
         Ok(table)
     }
 }
 
 /// What a list-keeping restore asks for the handle on each list it reads.
 type Share<'a> = &'a mut dyn FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>;
+
+/// A count-only table's map from id to slot: open addressing with linear
+/// probing over a power-of-two array kept at most half full, each bucket
+/// a slot plus one (0 is empty). A join or leave updates one bucket (a
+/// leave also shifts back the run after it), so nothing is rebuilt but on
+/// growth; the ids themselves stay in the table's column.
+#[derive(Debug, Clone, Default)]
+struct SlotIndex {
+    buckets: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// Where `id`'s probe starts: ids are small dense integers, so a
+    /// multiplicative hash spreads them.
+    fn home(&self, id: NodeId) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        ((id.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    /// The bucket holding `id`, or the empty one that ends its probe, and
+    /// its slot in `ids` if it holds one. The index must not be empty.
+    fn probe(&self, id: NodeId, ids: &[NodeId]) -> (usize, Option<usize>) {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(id);
+        loop {
+            match self.buckets[b] {
+                0 => return (b, None),
+                s if ids[s as usize - 1] == id => return (b, Some(s as usize - 1)),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot of `id` in `ids`, if it holds one.
+    fn slot(&self, id: NodeId, ids: &[NodeId]) -> Option<usize> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        self.probe(id, ids).1
+    }
+
+    /// Points the last id of `ids`, just appended, at its slot; grows the
+    /// array to keep it at most half full.
+    fn push(&mut self, ids: &[NodeId]) {
+        if 2 * ids.len() > self.buckets.len() {
+            self.buckets = vec![0; (4 * ids.len()).next_power_of_two()];
+            for k in 1..ids.len() {
+                self.point(&ids[..k]);
+            }
+        }
+        self.point(ids);
+    }
+
+    /// Stores the last slot of `ids` in the empty bucket its probe ends at.
+    fn point(&mut self, ids: &[NodeId]) {
+        let slot = u32::try_from(ids.len()).expect("a neighbor table past u32 slots");
+        let (b, _) = self.probe(ids[ids.len() - 1], &ids[..ids.len() - 1]);
+        self.buckets[b] = slot;
+    }
+
+    /// Forgets the id at slot `k` of `ids`, about to be swap-removed, and
+    /// re-points the last slot's id at `k`, where it is about to move.
+    fn remove(&mut self, k: usize, ids: &[NodeId]) {
+        let mask = self.buckets.len() - 1;
+        let (mut hole, _) = self.probe(ids[k], ids);
+        // Backward-shift deletion: pull each later bucket of the run back
+        // into the hole unless its probe starts after the hole.
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let s = self.buckets[b];
+            if s == 0 {
+                break;
+            }
+            let home = self.home(ids[s as usize - 1]);
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.buckets[hole] = s;
+                hole = b;
+            }
+        }
+        self.buckets[hole] = 0;
+        let last = ids.len() - 1;
+        if k != last {
+            let (b, _) = self.probe(ids[last], ids);
+            self.buckets[b] = k as u32 + 1;
+        }
+    }
+}
+
+/// `Vec::push`, growing a full vector by a quarter, as [`insert_grown`].
+fn push_grown<T>(items: &mut Vec<T>, item: T) {
+    insert_grown(items, items.len(), item);
+}
 
 /// `Vec::insert`, growing a full vector by a quarter (at least 4 slots)
 /// rather than doubling it: a dense-map host with 129 neighbors holds

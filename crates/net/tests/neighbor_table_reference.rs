@@ -140,14 +140,23 @@ fn bytes_of(snapshot: impl FnOnce(&mut WireEncoder)) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Every observable of the two tables agrees.
+/// Every observable of the two tables agrees, `N_x` in ascending order.
 fn assert_same(table: &NeighborTable, reference: &ReferenceTable, universe: u32) {
+    assert_same_members(table, reference, universe);
+    assert_eq!(table.neighbor_ids(), reference.sorted_ids(), "N_x in order");
+}
+
+/// Every observable of the two tables agrees, `N_x` as a set: a
+/// count-only table keeps its ids in no set order.
+fn assert_same_members(table: &NeighborTable, reference: &ReferenceTable, universe: u32) {
     assert_eq!(
         bytes_of(|enc| table.snapshot_into(enc)),
         bytes_of(|enc| reference.snapshot_into(enc)),
         "snapshot bytes"
     );
-    assert_eq!(table.neighbor_ids(), reference.sorted_ids());
+    let mut ids = table.neighbor_ids().to_vec();
+    ids.sort_unstable();
+    assert_eq!(ids, reference.sorted_ids());
     assert_eq!(table.neighbor_count(), reference.entries.len());
     assert_eq!(
         (table.join_count(), table.leave_count()),
@@ -315,7 +324,66 @@ prop_check! {
                         .expect("a count-only table restores as one");
                 }
             }
-            assert_same(&table, &reference, universe);
+            assert_same_members(&table, &reference, universe);
+        }
+    }
+}
+
+prop_check! {
+    /// A count-only table under heavy flapping: up to 600 hosts beaconing
+    /// at intervals near the gaps between steps, so each step joins some
+    /// and expires others and the table's id index grows, empties and
+    /// refills. After every join, sweep, crash `clear` and restore it is
+    /// the reference fed empty lists (membership, count, totals, leaves in
+    /// ascending order), and its snapshot is a list-keeping table's that
+    /// heard the same HELLOs with empty lists, byte for byte.
+    fn a_flapping_count_only_table_matches_the_reference(g, cases = 64) {
+        let universe = g.u32_in(1..601);
+        let mut table = NeighborTable::count_only();
+        let mut listing = NeighborTable::new();
+        let mut reference = ReferenceTable::default();
+        let mut now = SimTime::ZERO;
+        for _ in 0..g.usize_in(1..150) {
+            now += SimDuration::from_millis(g.u64_in(0..400));
+            match g.u32_in(0..16) {
+                0..=9 => {
+                    // A burst of HELLOs at one instant, as a frame's hearers see.
+                    for _ in 0..g.usize_in(1..40) {
+                        let from = gen_id(g, universe);
+                        let interval = SimDuration::from_millis(g.u64_in(1..5) * 100);
+                        let joined = reference.record_hello(from, now, interval, &[]);
+                        assert_eq!(table.record_hello(from, now, interval, &[from]), joined);
+                        assert_eq!(listing.record_hello(from, now, interval, &[]), joined);
+                    }
+                }
+                10..=13 => {
+                    let (mut left_table, mut left_reference) = (Vec::new(), Vec::new());
+                    table.expire_into(now, &mut left_table);
+                    listing.expire_into(now, &mut Vec::new());
+                    reference.expire_into(now, &mut left_reference);
+                    assert_eq!(left_table, left_reference, "leave lists");
+                }
+                14 => {
+                    table.clear();
+                    listing.clear();
+                    reference = ReferenceTable {
+                        joins: reference.joins,
+                        leaves: reference.leaves,
+                        ..ReferenceTable::default()
+                    };
+                }
+                _ => {
+                    let bytes = bytes_of(|enc| table.snapshot_into(enc));
+                    table = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), now)
+                        .expect("a count-only table restores as one");
+                }
+            }
+            assert_same_members(&table, &reference, universe);
+            assert_eq!(
+                bytes_of(|enc| table.snapshot_into(enc)),
+                bytes_of(|enc| listing.snapshot_into(enc)),
+                "a list-keeping table fed empty lists"
+            );
         }
     }
 }

@@ -204,6 +204,7 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -214,6 +215,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -222,6 +224,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -234,6 +237,7 @@ impl Sub<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -246,12 +250,14 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -260,12 +266,14 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -274,6 +282,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
@@ -282,6 +291,7 @@ impl Mul<u64> for SimDuration {
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
