@@ -43,6 +43,42 @@ pub enum NeighborInfo {
     Oracle,
 }
 
+/// The neighbour knowledge a scheme reads (§3–4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View {
+    /// None: flooding, the fixed thresholds and the coin.
+    None,
+    /// The neighbour count `n`: the adaptive counter and location schemes.
+    Count,
+    /// `N_x` and each neighbour's `N_{x,h}`: neighbour coverage.
+    TwoHop,
+}
+
+/// What a run's hosts keep and its actions carry, decided once from its
+/// scheme and neighbour information ([`SimConfig::reads`]). The world,
+/// the pure models, a checkpoint and a trace all read this one value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reads {
+    /// The neighbour knowledge the scheme reads.
+    pub view: View,
+    /// The beacon policy when the view comes from HELLO tables; `None`
+    /// when the run sends no HELLOs, and then no host keeps HELLO state.
+    pub hello: Option<HelloIntervalPolicy>,
+    /// Whether the decisions read positions, the hearer's and the
+    /// sender's (the distance and location schemes), so a hear carries them.
+    pub positions: bool,
+    /// Whether they read a hear's uniform sample (the probabilistic scheme).
+    pub coin: bool,
+}
+
+impl Reads {
+    /// Whether the view rides on each hear, computed from geometry, in
+    /// place of HELLO tables.
+    pub fn oracle(&self) -> bool {
+        self.view != View::None && self.hello.is_none()
+    }
+}
+
 /// Which mobility model hosts follow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MobilitySpec {
@@ -196,15 +232,21 @@ impl SimConfig {
             .unwrap_or_else(|| self.map().paper_max_speed_kmh())
     }
 
-    /// The interval policy the hosts beacon HELLOs under, or `None` when
-    /// the run sends none: oracle neighbor information, or a scheme that
-    /// reads no neighbor state. Only then does a host keep HELLO state.
-    pub(crate) fn hello_policy(&self) -> Option<HelloIntervalPolicy> {
-        let reads_neighbors =
-            self.scheme.needs_neighbor_count() || self.scheme.needs_two_hop_hellos();
-        match self.neighbor_info {
-            NeighborInfo::Hello(policy) if reads_neighbors => Some(policy),
-            _ => None,
+    /// What this run's hosts keep and its actions carry: the one map
+    /// from scheme and neighbour information to HELLO state and views.
+    pub fn reads(&self) -> Reads {
+        let view = self.scheme.view();
+        Reads {
+            view,
+            hello: match self.neighbor_info {
+                NeighborInfo::Hello(policy) if view != View::None => Some(policy),
+                _ => None,
+            },
+            positions: matches!(
+                self.scheme,
+                SchemeSpec::Distance(_) | SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_)
+            ),
+            coin: matches!(self.scheme, SchemeSpec::Probabilistic(_)),
         }
     }
 
@@ -671,6 +713,47 @@ mod tests {
             c.validate().unwrap_err(),
             "bad capture=0,4 (SIR and exponent must be positive)"
         );
+    }
+
+    /// What every scheme family keeps and carries under fixed HELLO,
+    /// dynamic HELLO and oracle information: HELLO state only where a
+    /// view is read from tables, a view on each hear only where one is
+    /// read without them.
+    #[test]
+    fn reads_follow_the_scheme_and_the_neighbor_info() {
+        let fixed = HelloIntervalPolicy::fixed_1s();
+        let dynamic = HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper());
+        for (spelling, view, positions, coin) in [
+            ("flooding", View::None, false, false),
+            ("counter:3", View::None, false, false),
+            ("distance:120", View::None, true, false),
+            ("location:0.0134", View::None, true, false),
+            ("prob:0.6", View::None, false, true),
+            ("ac", View::Count, false, false),
+            ("al", View::Count, true, false),
+            ("nc", View::TwoHop, false, false),
+        ] {
+            let scheme = SchemeSpec::parse(spelling).expect("a scheme spelling");
+            let read = view != View::None;
+            for (info, hello, oracle) in [
+                (NeighborInfo::Hello(fixed), read.then_some(fixed), false),
+                (NeighborInfo::Hello(dynamic), read.then_some(dynamic), false),
+                (NeighborInfo::Oracle, None, read),
+            ] {
+                let config = SimConfig::builder(1, scheme.clone())
+                    .neighbor_info(info.clone())
+                    .build();
+                let reads = config.reads();
+                let want = Reads {
+                    view,
+                    hello,
+                    positions,
+                    coin,
+                };
+                assert_eq!(reads, want, "{spelling} under {info:?}");
+                assert_eq!(reads.oracle(), oracle, "{spelling} under {info:?}");
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,8 @@ pub mod world;
 
 pub use cancel::CancelToken;
 pub use config::{
-    CaptureConfig, MobilitySpec, NeighborInfo, PlacementSpec, SimConfig, SimConfigBuilder,
+    CaptureConfig, MobilitySpec, NeighborInfo, PlacementSpec, Reads, SimConfig, SimConfigBuilder,
+    View,
 };
 pub use ids::PacketId;
 // Report-embedded types from the lower layers, re-exported so downstream

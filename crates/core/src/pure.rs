@@ -31,7 +31,7 @@ use manet_net::{
 use manet_phy::NodeId;
 use manet_sim_engine::{SimDuration, SimTime};
 
-use crate::config::SimConfig;
+use crate::config::{Reads, SimConfig, View};
 use crate::ids::PacketId;
 use crate::ledger::{ActivePacket, PacketLedger, PacketView};
 use crate::metrics::SuppressionCounts;
@@ -218,16 +218,14 @@ pub enum Effect {
 #[derive(Debug)]
 pub struct PureModels {
     scheme: SchemeSpec,
-    /// The HELLO interval policy; `None` when the run sends no HELLOs,
-    /// and then no host has a table, tracker or published list.
-    hello_policy: Option<HelloIntervalPolicy>,
-    needs_count: bool,
-    needs_two_hop: bool,
+    /// What the run's hosts keep: no table, tracker or published list
+    /// unless `reads.hello` is `Some`.
+    pub(crate) reads: Reads,
     /// Per-host packet progress, host-indexed.
     ledgers: Vec<PacketLedger>,
     /// Per-host HELLO-derived neighbor tables, host-indexed (empty when
-    /// the run sends no HELLOs). Only a scheme that reads `N_{x,h}` keeps
-    /// two-hop lists in them; the others' are count-only.
+    /// the run sends no HELLOs): two-hop lists under a two-hop view,
+    /// count-only under a count.
     tables: Vec<NeighborTable>,
     /// The neighbor list each host last emitted, host-indexed: a beacon
     /// reuses it while the host's table ids are unchanged, and its frame
@@ -261,9 +259,7 @@ impl PureModels {
     pub(crate) fn without_hosts(cfg: &SimConfig) -> Self {
         PureModels {
             scheme: cfg.scheme.clone(),
-            hello_policy: cfg.hello_policy(),
-            needs_count: cfg.scheme.needs_neighbor_count(),
-            needs_two_hop: cfg.scheme.needs_two_hop_hellos(),
+            reads: cfg.reads(),
             ledgers: Vec::new(),
             tables: Vec::new(),
             published: Vec::new(),
@@ -279,12 +275,10 @@ impl PureModels {
     pub(crate) fn grow_to(&mut self, hosts: usize) {
         if hosts > self.ledgers.len() {
             self.ledgers.resize_with(hosts, PacketLedger::new);
-            if let Some(policy) = self.hello_policy {
-                // Two-hop lists only where the scheme reads `N_{x,h}`.
-                let table: fn() -> NeighborTable = if self.needs_two_hop {
-                    NeighborTable::new
-                } else {
-                    NeighborTable::count_only
+            if let Some(policy) = self.reads.hello {
+                let table: fn() -> NeighborTable = match self.reads.view {
+                    View::TwoHop => NeighborTable::new,
+                    _ => NeighborTable::count_only,
                 };
                 self.tables.resize_with(hosts, table);
                 self.published.resize_with(hosts, Rc::default);
@@ -307,13 +301,13 @@ impl PureModels {
             }
             PureAction::HelloPrepare { node } => {
                 self.expire_neighbors(node, now, fx);
-                let policy = self.hello_policy.expect("hello timer fired without HELLOs");
+                let policy = self.reads.hello.expect("hello timer fired without HELLOs");
                 let i = node.index();
                 let count = self.tables[i].neighbor_count();
                 let interval = policy.current_interval(self.trackers.get_mut(i), count, now);
                 // One allocation per changed list, shared by every hearer.
                 let (ids, last) = (self.tables[i].neighbor_ids(), &mut self.published[i]);
-                if self.needs_two_hop && **last != *ids {
+                if self.reads.view == View::TwoHop && **last != *ids {
                     *last = ids.into();
                 }
                 fx.push(Effect::EmitHello(HelloPayload {
@@ -405,19 +399,12 @@ impl PureModels {
     /// (A second `Originate` of one packet never decodes: each issues the
     /// next `seq`.)
     pub(crate) fn illegal(&mut self, action: &PureAction<'_>) -> Option<&'static str> {
-        match *action {
-            PureAction::AssessmentFired { node, packet } => {
-                match self.ledgers[node.index()].view(packet.seq) {
-                    PacketView::Active(ActivePacket::Assessing(_)) => None,
-                    _ => Some("AssessmentFired at a host not assessing the packet"),
-                }
-            }
-            PureAction::PacketHeard { oracle: None, .. }
-                if self.hello_policy.is_none() && (self.needs_count || self.needs_two_hop) =>
-            {
-                Some("PacketHeard without the oracle view its scheme reads")
-            }
-            _ => None,
+        let PureAction::AssessmentFired { node, packet } = *action else {
+            return None;
+        };
+        match self.ledgers[node.index()].view(packet.seq) {
+            PacketView::Active(ActivePacket::Assessing(_)) => None,
+            _ => Some("AssessmentFired at a host not assessing the packet"),
         }
     }
 
@@ -467,8 +454,7 @@ impl PureModels {
         fx: &mut Vec<Effect>,
     ) {
         let i = node.index();
-        let wants_view = self.needs_count || self.needs_two_hop;
-        if wants_view && oracle.is_none() {
+        if self.reads.hello.is_some() {
             // HELLO mode: the models' own tables are the source of truth.
             // Expiry runs for every copy, wanted or not — its tracker
             // updates, beacon accelerations and leave counts are observable.
@@ -480,16 +466,16 @@ impl PureModels {
         if let PacketView::Source | PacketView::Done = self.ledgers[i].view(packet.seq) {
             return;
         }
-        let (neighbor_count, neighbors, sender_neighbors): (_, &[NodeId], &[NodeId]) = match oracle
-        {
-            _ if !wants_view => (0, &[], &[]),
-            Some(view) => (view.neighbor_count, view.neighbors, view.sender_neighbors),
-            None if self.needs_two_hop => {
-                let (own, known) = self.tables[i].coverage_view(sender);
-                (own.len(), own, known.unwrap_or_default())
-            }
-            None => (self.tables[i].neighbor_count(), &[], &[]),
-        };
+        let (neighbor_count, neighbors, sender_neighbors): (_, &[NodeId], &[NodeId]) =
+            match (oracle, self.reads.view) {
+                (_, View::None) => (0, &[], &[]),
+                (Some(view), _) => (view.neighbor_count, view.neighbors, view.sender_neighbors),
+                (None, View::Count) => (self.tables[i].neighbor_count(), &[], &[]),
+                (None, View::TwoHop) => {
+                    let (own, known) = self.tables[i].coverage_view(sender);
+                    (own.len(), own, known.unwrap_or_default())
+                }
+            };
         let ascending = |ids: &[NodeId]| ids.is_sorted_by(|a, b| a < b);
         debug_assert!(ascending(neighbors) && ascending(sender_neighbors));
 
@@ -595,12 +581,12 @@ impl PureModels {
     /// forward if it now fires too late. (The paper notes "each host's
     /// hello interval may change dynamically".)
     fn push_accelerate(&mut self, node: NodeId, now: SimTime, fx: &mut Vec<Effect>) {
-        let Some(HelloIntervalPolicy::Dynamic(params)) = self.hello_policy else {
+        let Some(policy @ HelloIntervalPolicy::Dynamic(_)) = self.reads.hello else {
             return;
         };
         let i = node.index();
         let count = self.tables[i].neighbor_count();
-        let interval = params.interval_for(self.trackers[i].variation(now, count));
+        let interval = policy.current_interval(self.trackers.get_mut(i), count, now);
         fx.push(Effect::AccelerateHello {
             node,
             target: now + interval,
@@ -760,7 +746,7 @@ mod tests {
                 .neighbor_info(crate::config::NeighborInfo::Hello(policy))
                 .build();
             let mut pure = PureModels::new(&config);
-            let two_hop = scheme.needs_two_hop_hellos();
+            let two_hop = scheme.view() == View::TwoHop;
             let table: fn() -> NeighborTable = if two_hop { NeighborTable::new } else { NeighborTable::count_only };
             let mut reference = PerHearer {
                 policy,
@@ -1051,38 +1037,38 @@ mod tests {
     }
 
     /// Variation windows only under the dynamic interval, their one
-    /// reader; two-hop lists only under neighbor coverage, theirs. An
-    /// adaptive-counter table hears a list and keeps none.
+    /// reader; two-hop lists only under neighbor coverage, theirs; no
+    /// table and no window under oracle information. An adaptive-counter
+    /// table hears a list and keeps none.
     #[test]
     fn hello_state_is_kept_only_where_it_is_read() {
         use crate::config::NeighborInfo;
         use crate::threshold::CounterThreshold;
         use manet_net::DynamicHelloParams;
 
-        let with = |scheme, policy| {
+        let with = |scheme, info| {
             let cfg = SimConfig::builder(1, scheme)
                 .hosts(4)
                 .broadcasts(1)
-                .neighbor_info(NeighborInfo::Hello(policy))
+                .neighbor_info(info)
                 .build();
             PureModels::new(&cfg)
         };
         let ac = SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended());
-        let fixed = HelloIntervalPolicy::fixed_1s();
-        let dynamic = HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper());
-        for (scheme, policy, trackers) in [
-            (SchemeSpec::NeighborCoverage, fixed, 0),
-            (SchemeSpec::NeighborCoverage, dynamic, 4),
-            (ac.clone(), fixed, 0),
-            (ac.clone(), dynamic, 4),
+        let fixed = NeighborInfo::Hello(HelloIntervalPolicy::fixed_1s());
+        let dynamic =
+            NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(DynamicHelloParams::paper()));
+        for (scheme, info, kept) in [
+            (SchemeSpec::NeighborCoverage, fixed.clone(), (4, 0)),
+            (SchemeSpec::NeighborCoverage, dynamic.clone(), (4, 4)),
+            (SchemeSpec::NeighborCoverage, NeighborInfo::Oracle, (0, 0)),
+            (ac.clone(), fixed.clone(), (4, 0)),
+            (ac.clone(), dynamic, (4, 4)),
+            (ac.clone(), NeighborInfo::Oracle, (0, 0)),
         ] {
-            let pure = with(scheme.clone(), policy);
+            let pure = with(scheme.clone(), info.clone());
             let (_, tables, held, _) = pure.snapshot_parts();
-            assert_eq!(
-                (tables.len(), held.len()),
-                (4, trackers),
-                "{scheme:?} {policy:?}"
-            );
+            assert_eq!((tables.len(), held.len()), kept, "{scheme:?} {info:?}");
         }
         let listed: Rc<[NodeId]> = Rc::from([NodeId::new(3)]);
         let two_hop = [
@@ -1090,7 +1076,7 @@ mod tests {
             (SchemeSpec::NeighborCoverage, &listed[..], 2),
         ];
         for (scheme, kept, handles) in two_hop {
-            let mut pure = with(scheme, fixed);
+            let mut pure = with(scheme, fixed.clone());
             let hello = PureAction::HelloHeard {
                 hearers: &[NodeId::new(1)],
                 sender: NodeId::new(2),

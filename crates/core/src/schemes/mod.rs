@@ -9,7 +9,7 @@ use manet_mobility::PAPER_RADIO_RADIUS_M;
 use manet_phy::NodeId;
 use manet_scenario::quote;
 
-use crate::config::COVERAGE_RESOLUTION;
+use crate::config::{View, COVERAGE_RESOLUTION};
 use crate::policy::{DuplicateDecision, FirstDecision, HearContext};
 use crate::threshold::{number, AreaThreshold, CounterThreshold};
 use crate::trace::SuppressReason;
@@ -24,11 +24,11 @@ use crate::trace::SuppressReason;
 /// # Examples
 ///
 /// ```
-/// use broadcast_core::{CounterThreshold, SchemeSpec};
+/// use broadcast_core::{CounterThreshold, SchemeSpec, View};
 ///
 /// let spec = SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended());
 /// assert_eq!(spec.label(), "AC");
-/// assert!(!spec.needs_two_hop_hellos());
+/// assert_eq!(spec.view(), View::Count);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchemeSpec {
@@ -315,37 +315,14 @@ impl SchemeSpec {
         }
     }
 
-    /// `true` when the scheme's decisions read the neighbor count `n`,
-    /// i.e. neighbor discovery must run.
-    pub fn needs_neighbor_count(&self) -> bool {
-        matches!(
-            self,
-            SchemeSpec::AdaptiveCounter(_) | SchemeSpec::AdaptiveLocation(_)
-        )
-    }
-
-    /// `true` when HELLOs must carry the sender's neighbor list (two-hop
-    /// knowledge) — only the neighbor-coverage scheme needs this.
-    pub fn needs_two_hop_hellos(&self) -> bool {
-        matches!(self, SchemeSpec::NeighborCoverage)
-    }
-
-    /// `true` when the scheme's decisions read positions, the hearer's
-    /// own and the sender's ([`HearContext::own_position`],
-    /// [`HearContext::sender_position`]): the distance and location
-    /// schemes. An `MTRC` trace writes a hear's positions only then.
-    pub fn reads_positions(&self) -> bool {
-        matches!(
-            self,
-            SchemeSpec::Distance(_) | SchemeSpec::Location(_) | SchemeSpec::AdaptiveLocation(_)
-        )
-    }
-
-    /// `true` when the scheme's decisions read the hear's uniform sample
-    /// ([`HearContext::random_unit`]): the probabilistic scheme. An
-    /// `MTRC` trace writes a hear's coin only then.
-    pub fn reads_coin(&self) -> bool {
-        matches!(self, SchemeSpec::Probabilistic(_))
+    /// The neighbour knowledge the scheme's decisions read: the count `n`
+    /// for the adaptive schemes, two-hop lists for neighbor coverage.
+    pub fn view(&self) -> View {
+        match self {
+            SchemeSpec::AdaptiveCounter(_) | SchemeSpec::AdaptiveLocation(_) => View::Count,
+            SchemeSpec::NeighborCoverage => View::TwoHop,
+            _ => View::None,
+        }
     }
 
     /// Parses the one scheme grammar of every front end (`manet-sim`,
@@ -516,12 +493,12 @@ mod tests {
 
     #[test]
     fn capability_flags() {
-        assert!(
-            SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended())
-                .needs_neighbor_count()
+        assert_eq!(
+            SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()).view(),
+            View::Count
         );
-        assert!(!SchemeSpec::Counter(2).needs_neighbor_count());
-        assert!(SchemeSpec::NeighborCoverage.needs_two_hop_hellos());
+        assert_eq!(SchemeSpec::Counter(2).view(), View::None);
+        assert_eq!(SchemeSpec::NeighborCoverage.view(), View::TwoHop);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use manet_net::HelloPayload;
 use manet_phy::{Delivery, FrameId, Medium, NodeId};
 use manet_sim_engine::{EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab};
 
-use crate::config::{NeighborInfo, SimConfig, CS_DELAY, PACKET_BYTES};
+use crate::config::{SimConfig, View, CS_DELAY, PACKET_BYTES};
 use crate::ids::PacketId;
 use crate::metrics::{summarize, MetricsCollector, NetActivity, SimReport};
 use crate::pure::{Effect, OracleView, PureAction, PureModels};
@@ -335,7 +335,7 @@ impl World {
         };
         let max_speed = config.effective_max_speed_kmh();
 
-        let hellos_enabled = config.hello_policy().is_some();
+        let hellos_enabled = config.reads().hello.is_some();
 
         let mut queue = EventQueue::new();
         let mut nodes = Vec::with_capacity(hosts);
@@ -1020,18 +1020,15 @@ impl World {
         // Oracle-mode neighbor views are geometry, which only the
         // dispatcher can evaluate; they ride into the pure step on the
         // action. HELLO-mode views come from the models' own tables.
-        let needs_count = self.cfg.scheme.needs_neighbor_count();
-        let needs_two_hop = self.cfg.scheme.needs_two_hop_hellos();
-        let use_oracle = matches!(self.cfg.neighbor_info, NeighborInfo::Oracle)
-            && (needs_count || needs_two_hop);
+        let reads = self.pure.reads;
         let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
         let mut sender_neighbors = std::mem::take(&mut self.scratch_sender_neighbors);
         neighbors.clear();
         sender_neighbors.clear();
-        let oracle = if use_oracle {
+        let oracle = if reads.oracle() {
             self.geometry.in_range(now, node, &mut neighbors);
             let neighbor_count = neighbors.len();
-            if needs_two_hop {
+            if reads.view == View::TwoHop {
                 self.geometry.in_range(now, sender, &mut sender_neighbors);
             } else {
                 neighbors.clear();
@@ -1062,10 +1059,5 @@ impl World {
         );
         self.scratch_neighbors = neighbors;
         self.scratch_sender_neighbors = sender_neighbors;
-    }
-
-    /// Whether this run beacons HELLOs at all.
-    fn hellos_enabled(&self) -> bool {
-        self.cfg.hello_policy().is_some()
     }
 }

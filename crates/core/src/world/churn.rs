@@ -237,7 +237,7 @@ impl World {
         if self.medium.is_carrier_busy(node) {
             self.drive_mac(node, now, |mac| mac.on_medium_busy(now));
         }
-        if self.hellos_enabled() {
+        if self.pure.reads.hello.is_some() {
             let key = [Stream::Rejoin as u64, u64::from(host), now.as_nanos()];
             let phase =
                 SimRng::keyed(self.cfg.seed, &key).gen_duration_up_to(SimDuration::from_secs(1));

@@ -44,7 +44,7 @@ use manet_net::{HelloPayload, NeighborTable, VariationTracker};
 use manet_phy::{FrameId, NodeId};
 use manet_sim_engine::{EventQueue, Slab, WireDecoder, WireEncoder, WireError};
 
-use crate::config::{SimConfig, COVERAGE_RESOLUTION, PACKET_BYTES};
+use crate::config::{SimConfig, View, COVERAGE_RESOLUTION, PACKET_BYTES};
 use crate::ids::{decode_packet, encode_packet};
 use crate::ledger::{ActivePacket, PacketLedger};
 use crate::metrics::{MetricsCollector, SuppressionCounts};
@@ -254,16 +254,17 @@ impl World {
                 Ok(ledger)
             })
             .collect::<Result<_, _>>()?;
-        let (tables, trackers) = if let Some(policy) = world.cfg.hello_policy() {
+        let reads = world.pure.reads;
+        let (tables, trackers) = if let Some(policy) = reads.hello {
             // Each two-hop list is interned by content, so the restored
-            // tables share lists as the paused ones did. A scheme that
-            // reads no `N_{x,h}` keeps count-only tables, and refuses a list.
+            // tables share lists as the paused ones did. A count view
+            // keeps count-only tables, and refuses a list.
             // No table or window holds a time after the checkpoint's clock.
             let now = world.queue.now();
             let (pure, mut restored) = (&mut world.pure, vec![Vec::new(); hosts]);
             let tables = (0..hosts)
                 .map(|_| {
-                    if scheme.needs_two_hop_hellos() {
+                    if reads.view == View::TwoHop {
                         NeighborTable::restore_snapshot(&mut dec, now, |h, list| {
                             pure.publish_restored(h, list, &mut restored)
                         })
@@ -370,7 +371,7 @@ impl World {
         pure_at: usize,
         batches_at: usize,
     ) -> Result<(), WireError> {
-        let (hosts, hellos) = (self.nodes.len(), self.hellos_enabled());
+        let (hosts, hellos) = (self.nodes.len(), self.pure.reads.hello.is_some());
         let (ledgers, ..) = self.pure.snapshot_parts();
         let (mut timed, mut batches) = (vec![false; hosts], Vec::new());
         let mut ends = vec![None; self.in_flight.len()];

@@ -1643,7 +1643,7 @@ fn a_malformed_trace_is_refused_before_replay_steps_it() {
 /// no HELLO action: a `HelloPrepare` or `HelloHeard` is refused at its
 /// record's tag, under an oracle header and under a scheme that reads no
 /// neighbors alike. Nor may a hear lack the oracle view where its scheme
-/// reads neighbors (an oracle run); that is refused at its record.
+/// reads neighbors (an oracle run); that is refused at its record's tag.
 /// Replay used to step these through tables no such world keeps.
 #[test]
 fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
@@ -1699,11 +1699,85 @@ fn a_trace_of_a_run_without_hellos_carries_no_hello_action() {
         writer.action(SimTime::ZERO, &action);
     }
     let replayed = catch_unwind(|| replay_decisions(&writer.into_bytes()));
-    let what = "PacketHeard without the oracle view its scheme reads";
+    // The hear's tag, after the four-byte `Originate`.
+    let at = header_len(&oracle) + 4;
+    let what = "a hear without the oracle view its run reads";
     assert_eq!(
         replayed.ok(),
-        Some(Err(ReplayError::Illegal { record: 1, what }))
+        Some(Err(ReplayError::Wire(WireError { at, what })))
     );
+}
+
+/// A view rides on a hear only in an oracle run, whose hosts keep no
+/// tables. Under an NC header with 1 s HELLOs, host 0 hears host 1's
+/// HELLO listing nobody, then hears host 1's packet with a forged oracle
+/// view `[1, 2] / []` and a `Scheduled` decision; host 0's own table
+/// would inhibit. Under `counter:3`, which reads no view, a hear carrying
+/// one is as foreign. Replay used to hand the forged view to the hearer,
+/// skip its expiry and replay both `ok`; each is refused at the hear's
+/// tag, by replay and by `first_divergence` alike.
+#[test]
+fn a_hear_carries_a_view_only_in_an_oracle_run() {
+    let coverage = SimConfig::builder(1, SchemeSpec::NeighborCoverage)
+        .hosts(4)
+        .build();
+    let counter = SimConfig::builder(1, SchemeSpec::Counter(3))
+        .hosts(4)
+        .build();
+    let (zero, one, two) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+    let packet = PacketId::new(one, 0);
+    let listed = [one, two];
+    let view = OracleView {
+        neighbor_count: 2,
+        neighbors: &listed,
+        sender_neighbors: &[],
+    };
+    let heard = PureAction::PacketHeard {
+        node: zero,
+        packet,
+        sender: one,
+        sender_position: manet_geom::Vec2::ZERO,
+        own_position: manet_geom::Vec2::ZERO,
+        random_unit: 0.0,
+        oracle: Some(view),
+    };
+    let hello = PureAction::HelloHeard {
+        hearers: &[zero],
+        sender: one,
+        interval: SimDuration::from_secs(1),
+        neighbors: &Rc::default(),
+    };
+    let originate = PureAction::Originate { node: one, packet };
+    let what = "an oracle view in a run that reads none";
+    for (config, before) in [
+        (&coverage, &[hello, originate][..]),
+        (&counter, &[originate]),
+    ] {
+        let written = || {
+            let mut writer = TraceWriter::new(config);
+            for action in before {
+                writer.action(SimTime::ZERO, action);
+            }
+            writer
+        };
+        let at = written().into_bytes().len() - SHORT_END;
+        let mut writer = written();
+        writer.action(SimTime::ZERO, &heard);
+        writer.decision(broadcast_core::DecisionRecord {
+            at: SimTime::ZERO,
+            node: zero,
+            packet,
+            kind: broadcast_core::trace::DecisionKind::Scheduled,
+            reason: None,
+        });
+        let bytes = writer.into_bytes();
+        let refused = || WireError { at, what };
+        let replayed = catch_unwind(|| replay_decisions(&bytes));
+        assert_eq!(replayed.ok(), Some(Err(ReplayError::Wire(refused()))));
+        assert_eq!(TraceFile::decode(&bytes).map(drop), Err(refused()));
+        let diverged = broadcast_core::first_divergence(&bytes, &bytes);
+        assert_eq!(diverged, Err(refused()));
+    }
 }
 
 /// A trace that decodes but that no world could emit is refused at the

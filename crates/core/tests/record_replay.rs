@@ -108,7 +108,9 @@ fn a_trace_cut_at_any_byte_is_refused() {
 
 /// Each of the eight schemes, under HELLO and oracle neighbor info: the
 /// trace writes a hear's positions and coin only where the scheme reads
-/// them, the reader hands zero for the rest, and replay through the pure
+/// them, and a view exactly when the run reads one from geometry
+/// ([`Reads::oracle`](broadcast_core::Reads::oracle)); the reader hands
+/// zero for the rest, and replay through the pure
 /// models alone re-derives every recorded decision. A scheme that reads a
 /// field gets it back as recorded: not all zero.
 #[test]
@@ -133,6 +135,7 @@ fn every_scheme_replays_from_what_its_trace_writes() {
                 .neighbor_info(info)
                 .seed(77)
                 .build();
+            let reads = config.reads();
             let (trace, decided) = recorded(config);
             let replayed = replay_decisions(&trace).unwrap_or_else(|e| panic!("{leg}: {e}"));
             assert_eq!(replayed.decisions, decided, "{leg}");
@@ -150,6 +153,7 @@ fn every_scheme_replays_from_what_its_trace_writes() {
                             sender_position,
                             own_position,
                             random_unit,
+                            oracle: view,
                             ..
                         },
                     ..
@@ -157,19 +161,16 @@ fn every_scheme_replays_from_what_its_trace_writes() {
                 {
                     positions.extend([sender_position, own_position]);
                     coins.push(random_unit);
+                    assert_eq!(view.is_some(), reads.oracle(), "{leg}: a hear's view");
                 }
             }
             let zero = |p: &Vec2| *p == Vec2::ZERO;
             assert_eq!(
                 positions.iter().all(zero),
-                !scheme.reads_positions(),
+                !reads.positions,
                 "{leg}: positions"
             );
-            assert_eq!(
-                coins.iter().all(|&c| c == 0.0),
-                !scheme.reads_coin(),
-                "{leg}: coins"
-            );
+            assert_eq!(coins.iter().all(|&c| c == 0.0), !reads.coin, "{leg}: coins");
         }
     }
 }

@@ -276,9 +276,8 @@ prop_check! {
     }
 
     /// What a scheme does not read cannot move a decision: an `MTRC`
-    /// trace writes a hear's positions only for a scheme that
-    /// [`reads_positions`](SchemeSpec::reads_positions) and its coin only
-    /// for one that [`reads_coin`](SchemeSpec::reads_coin), and its reader
+    /// trace writes a hear's positions and coin only where the run's
+    /// [`Reads`](broadcast_core::Reads) says it reads them, and its reader
     /// hands zero for the rest. Two pure models of each scheme family, in
     /// HELLO and in oracle mode, step the same hears, except that one sees
     /// arbitrary values where the other's scheme reads nothing; every
@@ -292,9 +291,9 @@ prop_check! {
         } else {
             NeighborInfo::Hello(HelloIntervalPolicy::fixed_1s())
         };
-        let reads_neighbors = scheme.needs_neighbor_count() || scheme.needs_two_hop_hellos();
         let hosts = 10u32;
         let config = SimConfig::builder(1, scheme.clone()).hosts(hosts).neighbor_info(info).build();
+        let reads = config.reads();
         let (mut read, mut unread) = (PureModels::new(&config), PureModels::new(&config));
         let (mut fx_read, mut fx_unread) = (Vec::new(), Vec::new());
         let mut now = SimTime::ZERO;
@@ -312,7 +311,7 @@ prop_check! {
             now += SimDuration::from_millis(g.u64_in(0..300));
             let node = NodeId::new(g.u32_in(0..hosts));
             let sender = NodeId::new((node.index() as u32 + g.u32_in(1..hosts)) % hosts);
-            if reads_neighbors && !oracle && g.bool() {
+            if reads.hello.is_some() && g.bool() {
                 // A HELLO fills the hearer's table, so HELLO-mode counts and
                 // lists are not all empty.
                 let mut listed = g.u32_set(0..hosts, 0..6);
@@ -330,7 +329,7 @@ prop_check! {
             }
             let packet = packet(g.usize_in(0..sources.len()));
             let (own, theirs) = (ids(g.u32_set(0..hosts, 0..6)), ids(g.u32_set(0..hosts, 0..6)));
-            let view = (oracle && reads_neighbors).then(|| OracleView {
+            let view = reads.oracle().then(|| OracleView {
                 neighbor_count: own.len(),
                 neighbors: &own,
                 sender_neighbors: &theirs,
@@ -346,12 +345,12 @@ prop_check! {
                 random_unit: coin,
                 oracle: view,
             };
-            let other = if scheme.reads_positions() {
+            let other = if reads.positions {
                 positions
             } else {
                 [arbitrary(g), arbitrary(g), arbitrary(g), arbitrary(g)]
             };
-            let other_coin = if scheme.reads_coin() { coin } else { arbitrary(g) };
+            let other_coin = if reads.coin { coin } else { arbitrary(g) };
             fx_read.clear();
             fx_unread.clear();
             read.step(now, &hear(positions, coin), &mut fx_read);

@@ -14,7 +14,7 @@
 use std::rc::Rc;
 
 use manet_phy::NodeId;
-use manet_sim_engine::{SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
+use manet_sim_engine::{FixedState, SimDuration, SimTime, WireDecoder, WireEncoder, WireError};
 
 /// When a neighbor's last HELLO arrived, and the interval it announced.
 type Heard = (SimTime, SimDuration);
@@ -179,13 +179,14 @@ impl NeighborTable {
         self.min_deadline = Some(self.min_deadline.map_or(deadline, |d| d.min(deadline)));
         let Some(lists) = &mut self.lists else {
             // Count-only: a refresh is one probe, a join one append.
-            if let Some(k) = self.index.slot(from, &self.ids) {
-                self.heard[k] = heard;
+            if let Some(&k) = self.index.get(&from) {
+                self.heard[k as usize] = heard;
                 return None;
             }
+            // Ids are `u32`s, so a table's slots are too.
+            self.index.insert(from, self.ids.len() as u32);
             push_grown(&mut self.ids, from);
             push_grown(&mut self.heard, heard);
-            self.index.push(&self.ids);
             self.joins += 1;
             return Some(MembershipChange::Joined(from));
         };
@@ -231,9 +232,12 @@ impl NeighborTable {
                     let deadline = deadline(self.heard[k]);
                     if now > deadline {
                         leaves.push(MembershipChange::Left(self.ids[k]));
-                        self.index.remove(k, &self.ids);
+                        self.index.remove(&self.ids[k]);
                         self.ids.swap_remove(k);
                         self.heard.swap_remove(k);
+                        if let Some(&moved) = self.ids.get(k) {
+                            self.index.insert(moved, k as u32);
+                        }
                     } else {
                         next_bound = Some(next_bound.map_or(deadline, |d| d.min(deadline)));
                         k += 1;
@@ -299,7 +303,7 @@ impl NeighborTable {
     fn slot(&self, id: NodeId) -> Option<usize> {
         match self.lists {
             Some(_) => self.ids.binary_search(&id).ok(),
-            None => self.index.slot(id, &self.ids),
+            None => self.index.get(&id).map(|&k| k as usize),
         }
     }
 
@@ -426,9 +430,7 @@ impl NeighborTable {
         table.joins = dec.u64()?;
         table.leaves = dec.u64()?;
         if table.lists.is_none() {
-            for k in 1..=table.ids.len() {
-                table.index.push(&table.ids[..k]);
-            }
+            table.index = table.ids.iter().copied().zip(0..).collect();
         }
         Ok(table)
     }
@@ -437,93 +439,12 @@ impl NeighborTable {
 /// What a list-keeping restore asks for the handle on each list it reads.
 type Share<'a> = &'a mut dyn FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>;
 
-/// A count-only table's map from id to slot: open addressing with linear
-/// probing over a power-of-two array kept at most half full, each bucket
-/// a slot plus one (0 is empty). A join or leave updates one bucket (a
-/// leave also shifts back the run after it), so nothing is rebuilt but on
-/// growth; the ids themselves stay in the table's column.
-#[derive(Debug, Clone, Default)]
-struct SlotIndex {
-    buckets: Vec<u32>,
-}
-
-impl SlotIndex {
-    /// Where `id`'s probe starts: ids are small dense integers, so a
-    /// multiplicative hash spreads them.
-    fn home(&self, id: NodeId) -> usize {
-        let bits = self.buckets.len().trailing_zeros();
-        ((id.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
-    }
-
-    /// The bucket holding `id`, or the empty one that ends its probe, and
-    /// its slot in `ids` if it holds one. The index must not be empty.
-    fn probe(&self, id: NodeId, ids: &[NodeId]) -> (usize, Option<usize>) {
-        let mask = self.buckets.len() - 1;
-        let mut b = self.home(id);
-        loop {
-            match self.buckets[b] {
-                0 => return (b, None),
-                s if ids[s as usize - 1] == id => return (b, Some(s as usize - 1)),
-                _ => b = (b + 1) & mask,
-            }
-        }
-    }
-
-    /// The slot of `id` in `ids`, if it holds one.
-    fn slot(&self, id: NodeId, ids: &[NodeId]) -> Option<usize> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        self.probe(id, ids).1
-    }
-
-    /// Points the last id of `ids`, just appended, at its slot; grows the
-    /// array to keep it at most half full.
-    fn push(&mut self, ids: &[NodeId]) {
-        if 2 * ids.len() > self.buckets.len() {
-            self.buckets = vec![0; (4 * ids.len()).next_power_of_two()];
-            for k in 1..ids.len() {
-                self.point(&ids[..k]);
-            }
-        }
-        self.point(ids);
-    }
-
-    /// Stores the last slot of `ids` in the empty bucket its probe ends at.
-    fn point(&mut self, ids: &[NodeId]) {
-        let slot = u32::try_from(ids.len()).expect("a neighbor table past u32 slots");
-        let (b, _) = self.probe(ids[ids.len() - 1], &ids[..ids.len() - 1]);
-        self.buckets[b] = slot;
-    }
-
-    /// Forgets the id at slot `k` of `ids`, about to be swap-removed, and
-    /// re-points the last slot's id at `k`, where it is about to move.
-    fn remove(&mut self, k: usize, ids: &[NodeId]) {
-        let mask = self.buckets.len() - 1;
-        let (mut hole, _) = self.probe(ids[k], ids);
-        // Backward-shift deletion: pull each later bucket of the run back
-        // into the hole unless its probe starts after the hole.
-        let mut b = hole;
-        loop {
-            b = (b + 1) & mask;
-            let s = self.buckets[b];
-            if s == 0 {
-                break;
-            }
-            let home = self.home(ids[s as usize - 1]);
-            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
-                self.buckets[hole] = s;
-                hole = b;
-            }
-        }
-        self.buckets[hole] = 0;
-        let last = ids.len() - 1;
-        if k != last {
-            let (b, _) = self.probe(ids[last], ids);
-            self.buckets[b] = k as u32 + 1;
-        }
-    }
-}
+/// A count-only table's map from id to slot.
+#[expect(
+    clippy::disallowed_types,
+    reason = "explicit fixed hasher, and the set is only probed (insert / contains / remove), never iterated"
+)]
+type SlotIndex = std::collections::HashMap<NodeId, u32, FixedState>;
 
 /// `Vec::push`, growing a full vector by a quarter, as [`insert_grown`].
 fn push_grown<T>(items: &mut Vec<T>, item: T) {

@@ -51,7 +51,7 @@ mod wire;
 
 pub use metrics::{json_escape, KindProfile, LoopProfile, LoopProfiler};
 pub use pool::WorkerPool;
-pub use queue::{EventKey, EventQueue};
+pub use queue::{EventKey, EventQueue, FixedHasher, FixedState};
 pub use rng::SimRng;
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};
