@@ -43,9 +43,13 @@ pub(crate) fn encode_packet(enc: &mut WireEncoder, packet: PacketId) {
     enc.u32(packet.seq);
 }
 
-/// Reads a packet id written by [`encode_packet`].
-pub(crate) fn decode_packet(dec: &mut WireDecoder<'_>) -> Result<PacketId, WireError> {
-    Ok(PacketId::new(NodeId::decode(dec)?, dec.u32()?))
+/// Reads a packet id written by [`encode_packet`] in a run of `hosts`
+/// hosts.
+pub(crate) fn decode_packet(
+    dec: &mut WireDecoder<'_>,
+    hosts: usize,
+) -> Result<PacketId, WireError> {
+    Ok(PacketId::new(NodeId::decode(dec, hosts, None)?, dec.u32()?))
 }
 
 impl fmt::Display for PacketId {

@@ -55,13 +55,19 @@ impl HostSet {
     }
 
     /// Reads a set over `hosts` hosts, refusing any other word count (a
-    /// short vector would be indexed past its end on the next insert),
-    /// and counts its members.
+    /// short vector would be indexed past its end on the next insert)
+    /// and, at its byte, a member past the last host; counts its members.
     fn restore_snapshot(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<HostSet, WireError> {
         let at = dec.position();
         let words = dec.seq(8, WireDecoder::u64)?;
         if words.len() != hosts.div_ceil(64) {
             let what = "host set size does not match the host count";
+            return Err(WireError { at, what });
+        }
+        // The bits of the last word from `hosts` up name no host.
+        let past = (hosts..64 * words.len()).find(|&h| words[h / 64] >> (h % 64) & 1 == 1);
+        if let Some(h) = past {
+            let (at, what) = (at + 8 + h / 8, "host id outside the run");
             return Err(WireError { at, what });
         }
         let count = words.iter().map(|word| word.count_ones()).sum();
@@ -430,7 +436,7 @@ impl MetricsCollector {
         }
         let mut seq = 0;
         let records = dec.seq(41, |dec| {
-            let source = NodeId::decode(dec)?;
+            let source = NodeId::decode(dec, hosts, None)?;
             let packet = PacketId::new(source, seq);
             seq += 1;
             let issued_at = dec.time()?;
@@ -715,8 +721,31 @@ mod tests {
         // Hosts, record count, source, issue time, scope flag, reachable
         // and the word count precede the first received word: host 5's
         // bit set there is one more receiver, and nothing else says so.
-        bytes[8 + 8 + 4 + 8 + 1 + 4 + 8] |= 1 << 5;
+        let received = 8 + 8 + 4 + 8 + 1 + 4 + 8;
+        bytes[received] |= 1 << 5;
         assert_eq!(restore(&bytes)[0].received, 4);
+        // Host 69 is the last of 70: its bit is one more receiver too. No
+        // bit past it names a host, so host 70's and host 100's are
+        // refused at their byte, where they used to count (and inflate RE).
+        let restored = |bytes: &[u8]| {
+            MetricsCollector::restore_snapshot(&mut WireDecoder::new(bytes), 70).map(drop)
+        };
+        let with_host = |host: usize| {
+            let mut bytes = bytes.clone();
+            bytes[received + host / 8] |= 1 << (host % 8);
+            bytes
+        };
+        assert_eq!(restore(&with_host(69))[0].received, 5);
+        let what = "host id outside the run";
+        for host in [70, 100] {
+            let at = received + host / 8;
+            assert_eq!(restored(&with_host(host)), Err(WireError { at, what }));
+        }
+        // So is a broadcast's source past the last host, at its id: the
+        // hosts and the record count precede it.
+        let mut bytes = bytes.clone();
+        bytes[16..20].copy_from_slice(&70u32.to_le_bytes());
+        assert_eq!(restored(&bytes), Err(WireError { at: 16, what }));
     }
 
     /// A snapshot whose host sets are shorter than the world's population

@@ -72,7 +72,11 @@
 //!   a tag 3 before the sender's first tag 2 is refused, as is an
 //!   advertisement listing its sender.
 //! * **Lists.** A neighbor list is a count followed by that many ids,
-//!   strictly ascending. Every node id must be below the config's `hosts`.
+//!   strictly ascending.
+//! * **Ids.** Every node id names one of the config's `hosts`, and not
+//!   the host it belongs to: a hear's sender is not its node, a HELLO's
+//!   hearers and list are not its sender, and an oracle view's lists are
+//!   not their host ([`NodeId::decode_uvarint`] refuses both at the id).
 //! * **The end.** A trace closes with its end record, which counts the
 //!   records before it, so a trace cut anywhere, even between two records,
 //!   is refused, as is anything after the end.
@@ -487,10 +491,10 @@ impl<'a> TraceFile<'a> {
     /// hearers and neighbor lists into the reader's buffers; an
     /// `Originate` issues its `seq` before a `seq` is checked.
     fn action(&mut self, tag: u8) -> Result<PureAction<'_>, WireError> {
-        let (dec, hosts, sources) = (&mut self.dec, self.config.hosts, &mut self.sources);
+        let (dec, hosts, sources) = (&mut self.dec, self.config.hosts as usize, &mut self.sources);
         // The acting host: a HELLO's sender.
         let node_at = dec.position();
-        let node = decode_node(dec, hosts)?;
+        let node = NodeId::decode_uvarint(dec, None, hosts, None)?;
         Ok(match tag {
             ORIGINATE => {
                 let at = dec.position();
@@ -511,12 +515,7 @@ impl<'a> TraceFile<'a> {
                 let sender = node;
                 let hearers = decode_hearers(dec, hosts, sender, &mut self.hearers)?;
                 let interval = SimDuration::from_nanos(dec.uvarint()?);
-                let at = dec.position();
-                let list = decode_list(dec, hosts, &mut self.neighbors)?;
-                if list.binary_search(&sender).is_ok() {
-                    let what = "a HELLO lists its own sender";
-                    return Err(WireError { at, what });
-                }
+                let list = decode_list(dec, hosts, sender, &mut self.neighbors)?;
                 let advertised = self.advertised.entry(sender).or_default();
                 *advertised = (interval, list.into());
                 PureAction::HelloHeard {
@@ -542,7 +541,7 @@ impl<'a> TraceFile<'a> {
             }
             HEARD | HEARD_ORACLE => {
                 let packet = decode_issued_packet(dec, sources)?;
-                let sender = decode_sender(dec, hosts, node)?;
+                let sender = NodeId::decode_uvarint(dec, None, hosts, Some(node))?;
                 // What the scheme does not read is not written: zero.
                 let (mut sender_position, mut own_position) = (Vec2::ZERO, Vec2::ZERO);
                 if self.reads.positions {
@@ -556,10 +555,12 @@ impl<'a> TraceFile<'a> {
                         let what = "usize overflow";
                         WireError { at, what }
                     })?;
+                    let neighbors = decode_list(dec, hosts, node, &mut self.neighbors)?;
+                    let theirs = decode_list(dec, hosts, sender, &mut self.sender_neighbors)?;
                     Some(OracleView {
                         neighbor_count,
-                        neighbors: decode_list(dec, hosts, &mut self.neighbors)?,
-                        sender_neighbors: decode_list(dec, hosts, &mut self.sender_neighbors)?,
+                        neighbors,
+                        sender_neighbors: theirs,
                     })
                 } else {
                     None
@@ -991,43 +992,16 @@ fn encode_list(enc: &mut WireEncoder, ids: &[NodeId]) {
     }
 }
 
-/// Reads a host id, refusing one outside the recorded population:
-/// replay indexes per-host protocol state with it.
-fn decode_node(dec: &mut WireDecoder<'_>, hosts: u32) -> Result<NodeId, WireError> {
-    let at = dec.position();
-    node_at(at, dec.uvarint()?, hosts)
-}
-
-/// The host `id` read at `at`, if it is one of the recorded population.
-fn node_at(at: usize, id: u64, hosts: u32) -> Result<NodeId, WireError> {
-    if id >= u64::from(hosts) {
-        let what = "node id outside the recorded population";
-        return Err(WireError { at, what });
-    }
-    Ok(NodeId::new(id as u32))
-}
-
-/// Reads the sender of a frame `node` heard, refusing `node` itself: a
-/// medium never delivers a frame to its own source.
-fn decode_sender(dec: &mut WireDecoder<'_>, hosts: u32, node: NodeId) -> Result<NodeId, WireError> {
-    let at = dec.position();
-    let sender = decode_node(dec, hosts)?;
-    if sender == node {
-        let what = "a frame heard by its own sender";
-        return Err(WireError { at, what });
-    }
-    Ok(sender)
-}
-
 /// Reads the hearers of a HELLO from `sender` into `buf`: a count, the
 /// first id, then each next id as its gap from the one before. Refuses,
 /// each at its own offset, no hearers or a count the input cannot hold
 /// (each takes a byte at least), a zero gap (hearers strictly ascend, as
-/// a medium lists its listeners), an id outside the population and the
-/// sender itself. The buffer grows by pushes, never by the count.
+/// a medium lists its listeners) and an id [`NodeId::decode_uvarint`]
+/// refuses, the sender's too. The buffer grows by pushes, never by the
+/// count.
 fn decode_hearers<'v>(
     dec: &mut WireDecoder<'_>,
-    hosts: u32,
+    hosts: usize,
     sender: NodeId,
     buf: &'v mut Vec<NodeId>,
 ) -> Result<&'v [NodeId], WireError> {
@@ -1043,16 +1017,10 @@ fn decode_hearers<'v>(
     }
     buf.clear();
     for _ in 0..count {
-        let at = dec.position();
-        let gap = dec.uvarint()?;
-        let last = buf.last().map(|last| last.index() as u64);
-        if last.is_some() && gap == 0 {
+        let (at, last) = (dec.position(), buf.last().copied());
+        let hearer = NodeId::decode_uvarint(dec, last, hosts, Some(sender))?;
+        if last == Some(hearer) {
             let what = "HELLO hearers are not strictly ascending";
-            return Err(WireError { at, what });
-        }
-        let hearer = node_at(at, last.unwrap_or(0).saturating_add(gap), hosts)?;
-        if hearer == sender {
-            let what = "a frame heard by its own sender";
             return Err(WireError { at, what });
         }
         buf.push(hearer);
@@ -1078,13 +1046,15 @@ fn decode_issued_packet(
     }
 }
 
-/// Reads a neighbor list into `buf`, refusing at the list's offset a
-/// count the input cannot hold (an id takes a byte at least) and a list
-/// that is not strictly ascending: every reader of a neighbor list merges
-/// or searches it by id. The buffer grows by pushes, never by the count.
+/// Reads `owner`'s neighbor list into `buf`, refusing at the list's
+/// offset a count the input cannot hold (an id takes a byte at least) and
+/// a list that is not strictly ascending: every reader of a neighbor list
+/// merges or searches it by id. The buffer grows by pushes, never by the
+/// count.
 fn decode_list<'v>(
     dec: &mut WireDecoder<'_>,
-    hosts: u32,
+    hosts: usize,
+    owner: NodeId,
     buf: &'v mut Vec<NodeId>,
 ) -> Result<&'v [NodeId], WireError> {
     let at = dec.position();
@@ -1095,7 +1065,7 @@ fn decode_list<'v>(
     }
     buf.clear();
     for _ in 0..count {
-        let id = decode_node(dec, hosts)?;
+        let id = NodeId::decode_uvarint(dec, None, hosts, Some(owner))?;
         if buf.last().is_some_and(|&last| last >= id) {
             let what = "neighbor list is not strictly ascending";
             return Err(WireError { at, what });
@@ -1405,7 +1375,7 @@ mod tests {
         // An `Originate` record is four bytes, and a hear's tag, Δt, node
         // and `seq` precede its sender.
         let listed: Rc<[NodeId]> = [one].into();
-        let own = "a frame heard by its own sender";
+        let own = "host id names its owner";
         let body = |config: &SimConfig, actions: &[PureAction<'_>]| {
             let mut writer = TraceWriter::new(config);
             for action in actions {
@@ -1416,11 +1386,12 @@ mod tests {
         let cases = [
             // Host 1's HELLO heard by host 1: no writer spells it.
             (&coverage, vec![HELLO_REPEATED, 0, 1, 1, 1], 4, own),
+            // The list's count precedes its one id.
             (
                 &coverage,
                 body(&coverage, &[hello(&[zero], &listed)]),
-                5 + 5,
-                "a HELLO lists its own sender",
+                5 + 5 + 1,
+                own,
             ),
             (&config, body(&config, &[originate, copy]), 4 + 4, own),
         ];
@@ -1537,7 +1508,7 @@ mod tests {
         let err = replay_decisions(&writer.into_bytes()).expect_err("host 8 of 8");
         // The tag and Δt, then the id.
         let at = header + 2;
-        let what = "node id outside the recorded population";
+        let what = "host id outside the run";
         assert_eq!(err, ReplayError::Wire(WireError { at, what }));
 
         // A hear's sender, past the population and past `u32`.

@@ -213,7 +213,7 @@ impl World {
         // snapshotted one (same times, same seqs, so the keys re-derived
         // below address their events).
         let queue_at = dec.position();
-        world.queue = EventQueue::decode(&mut dec, 1, decode_event)?;
+        world.queue = EventQueue::decode(&mut dec, 1, |dec| decode_event(dec, hosts))?;
         world.workload_rng = dec.rng()?;
         world.proto_rng = dec.rng()?;
         world.metrics = MetricsCollector::restore_snapshot(&mut dec, hosts)?;
@@ -244,9 +244,10 @@ impl World {
         let pure_at = dec.position();
         let issued = world.metrics.issued() as usize;
         let ledgers = (0..hosts)
-            .map(|_| {
-                let at = dec.position();
-                let ledger = PacketLedger::decode(&mut dec, |dec| decode_state(dec, &scheme))?;
+            .map(|i| {
+                let (at, host) = (dec.position(), NodeId::new(i as u32));
+                let ledger =
+                    PacketLedger::decode(&mut dec, |dec| decode_state(dec, &scheme, hosts, host))?;
                 if ledger.len() > issued {
                     let what = "a ledger names a packet the metrics never issued";
                     return Err(WireError { at, what });
@@ -262,14 +263,15 @@ impl World {
             // No table or window holds a time after the checkpoint's clock.
             let now = world.queue.now();
             let (pure, mut restored) = (&mut world.pure, vec![Vec::new(); hosts]);
-            let tables = (0..hosts)
-                .map(|_| {
+            let tables = (0..hosts as u32)
+                .map(NodeId::new)
+                .map(|host| {
                     if reads.view == View::TwoHop {
-                        NeighborTable::restore_snapshot(&mut dec, now, |h, list| {
+                        NeighborTable::restore_snapshot(&mut dec, now, hosts, host, |h, list| {
                             pure.publish_restored(h, list, &mut restored)
                         })
                     } else {
-                        NeighborTable::restore_count_only(&mut dec, now)
+                        NeighborTable::restore_count_only(&mut dec, now, hosts, host)
                     }
                 })
                 .collect::<Result<_, _>>()?;
@@ -308,8 +310,9 @@ impl World {
             });
         }
 
-        let batches_at = dec.position();
-        world.carrier_batches = Slab::decode(&mut dec, 8, NodeId::decode_seq)?;
+        world.carrier_batches = Slab::decode(&mut dec, 8, |dec| {
+            dec.seq(4, |dec| NodeId::decode(dec, hosts, None))
+        })?;
 
         world.stop_at = dec.time()?;
         world.hello_frames = dec.u64()?;
@@ -339,7 +342,7 @@ impl World {
             None => { queued }.try_for_each(|_| Err(churn::OFF_TIMELINE)),
         }
         .map_err(|what| WireError { at: queue_at, what })?;
-        world.link_queued_events(queue_at, pure_at, batches_at)?;
+        world.link_queued_events(queue_at, pure_at)?;
         check_frames_on_air(&world, medium_at)?;
         check_draw_counts(&world, histogram_at)?;
         Ok(world)
@@ -349,8 +352,8 @@ impl World {
     /// key and time, each pending assessment's key — in one pass over it,
     /// and refuses a queue, ledgers and MACs that disagree:
     ///
-    /// * an event naming a host, carrier batch or packet that is not
-    ///   there, or a carrier batch twice;
+    /// * an event naming a carrier batch or packet that is not there, or
+    ///   a carrier batch twice;
     /// * a frame on the air without exactly one `TxEnd`, at its end;
     /// * a HELLO timer in a run that sends none, at a host that is down,
     ///   or twice at one host;
@@ -363,14 +366,9 @@ impl World {
     ///
     /// A finished world runs nothing more, so it needs no pending event.
     /// Each used to resume and then panic; each is refused at the queue
-    /// section, `queue_at`, at the pure models, `pure_at`, or for a hearer
-    /// at the carrier batches, `batches_at`.
-    fn link_queued_events(
-        &mut self,
-        queue_at: usize,
-        pure_at: usize,
-        batches_at: usize,
-    ) -> Result<(), WireError> {
+    /// section, `queue_at`, or at the pure models, `pure_at`. (An id
+    /// naming no host was refused where it was read.)
+    fn link_queued_events(&mut self, queue_at: usize, pure_at: usize) -> Result<(), WireError> {
         let (hosts, hellos) = (self.nodes.len(), self.pure.reads.hello.is_some());
         let (ledgers, ..) = self.pure.snapshot_parts();
         let (mut timed, mut batches) = (vec![false; hosts], Vec::new());
@@ -404,9 +402,6 @@ impl World {
                 _ => continue,
             };
             let i = node.index();
-            if i >= hosts {
-                return refuse("a queued event names a host that does not exist");
-            }
             let up = self.is_active(node);
             let n = &mut self.nodes[i];
             match *event {
@@ -480,16 +475,6 @@ impl World {
             if held != rebroadcasts || held + own != queued || !up && !n.outgoing.is_empty() {
                 return refuse(pure_at, "a host's MAC queue and ledger disagree");
             }
-        }
-        let stray = self
-            .carrier_batches
-            .iter()
-            .any(|(_, hearers)| hearers.iter().any(|hearer| hearer.index() >= hosts));
-        if stray {
-            return refuse(
-                batches_at,
-                "a carrier batch names a host that does not exist",
-            );
         }
         Ok(())
     }
@@ -569,25 +554,23 @@ fn encode_event(enc: &mut WireEncoder, event: &Event) {
     }
 }
 
-fn decode_event(dec: &mut WireDecoder<'_>) -> Result<Event, WireError> {
+/// Reads an event of a run of `hosts` hosts.
+fn decode_event(dec: &mut WireDecoder<'_>, hosts: usize) -> Result<Event, WireError> {
     let (tag, invalid) = dec.tag("invalid event tag")?;
+    let node = |dec: &mut WireDecoder<'_>| NodeId::decode(dec, hosts, None);
     Ok(match tag {
-        0 => Event::MobilityTurn {
-            node: NodeId::decode(dec)?,
-        },
-        1 => Event::HelloTimer {
-            node: NodeId::decode(dec)?,
-        },
+        0 => Event::MobilityTurn { node: node(dec)? },
+        1 => Event::HelloTimer { node: node(dec)? },
         2 => Event::MacTimer {
-            node: NodeId::decode(dec)?,
+            node: node(dec)?,
             generation: decode_generation(dec)?,
         },
         3 => Event::TxEnd {
             frame: FrameId::from_raw(dec.u64()?),
         },
         4 => Event::AssessmentDone {
-            node: NodeId::decode(dec)?,
-            packet: decode_packet(dec)?,
+            node: node(dec)?,
+            packet: decode_packet(dec, hosts)?,
         },
         5 => Event::IssueBroadcast,
         6 => Event::CarrierBatch {
@@ -616,9 +599,9 @@ fn encode_payload(enc: &mut WireEncoder, payload: &Payload) {
     }
 }
 
-/// Reads a payload of `sender`'s, refusing a packet `metrics` never
-/// issued and, at the list, a HELLO neighbor list that is not strictly
-/// ascending, names a host outside the run's `hosts` or names `sender`.
+/// Reads a payload of `sender`'s in a run of `hosts` hosts, refusing a
+/// packet `metrics` never issued and a HELLO neighbor list that
+/// [`NodeId::decode_ascending`] refuses (one naming `sender`, too).
 fn decode_payload(
     dec: &mut WireDecoder<'_>,
     sender: NodeId,
@@ -629,7 +612,7 @@ fn decode_payload(
     Ok(match tag {
         0 => {
             let at = dec.position();
-            let packet = decode_packet(dec)?;
+            let packet = decode_packet(dec, hosts)?;
             if !metrics.was_issued(packet) {
                 let what = "a frame carries a packet the metrics never issued";
                 return Err(WireError { at, what });
@@ -638,16 +621,8 @@ fn decode_payload(
         }
         1 => {
             let interval = dec.duration()?;
-            let (at, mut neighbors) = (dec.position(), Vec::new());
-            NodeId::decode_ascending(dec, &mut neighbors, NodeId::decode)?;
-            if neighbors.last().is_some_and(|last| last.index() >= hosts) {
-                let what = "a HELLO lists a host outside the run";
-                return Err(WireError { at, what });
-            }
-            if neighbors.binary_search(&sender).is_ok() {
-                let what = "a HELLO lists its own sender";
-                return Err(WireError { at, what });
-            }
+            let mut neighbors = Vec::new();
+            NodeId::decode_ascending(dec, &mut neighbors, hosts, Some(sender))?;
             Payload::Hello(HelloPayload {
                 sender,
                 interval,
@@ -692,9 +667,15 @@ fn encode_state(enc: &mut WireEncoder, state: &PacketState, scheme: &SchemeSpec)
     }
 }
 
-/// Reads the variant the configured scheme keeps; thresholds and
-/// parameters are the scheme's and were never in the snapshot.
-fn decode_state(dec: &mut WireDecoder<'_>, scheme: &SchemeSpec) -> Result<PacketState, WireError> {
+/// Reads the variant the configured scheme keeps at `host`, one of
+/// `hosts`; thresholds and parameters are the scheme's and were never in
+/// the snapshot.
+fn decode_state(
+    dec: &mut WireDecoder<'_>,
+    scheme: &SchemeSpec,
+    hosts: usize,
+    host: NodeId,
+) -> Result<PacketState, WireError> {
     let (tag, mismatch) = dec.tag("policy tag does not match the configured scheme")?;
     if tag == 3 {
         let what = "the location point-list state (tag 3) is retired; take a new snapshot";
@@ -711,7 +692,7 @@ fn decode_state(dec: &mut WireDecoder<'_>, scheme: &SchemeSpec) -> Result<Packet
             let mut last = None;
             PacketState::Pending(dec.seq(4, |dec| {
                 let at = dec.position();
-                let id = NodeId::decode(dec)?;
+                let id = NodeId::decode(dec, hosts, Some(host))?;
                 if last.replace(id).is_some_and(|last| last >= id) {
                     let what = "pending set is not strictly ascending";
                     return Err(WireError { at, what });
@@ -854,12 +835,13 @@ mod tests {
         assert_eq!(size(9) - size(8), MIN_HOST_BYTES);
     }
 
-    /// A queued event naming a host past the last, a carrier batch with no
-    /// hearer list, a hearer past the last host and a scenario action off
-    /// the timeline are each refused, at the queue section or (the hearer)
-    /// at the carrier batches; so are, at an existing host, an assessment
-    /// of a packet not yet issued, a HELLO timer in a run without HELLOs
-    /// and a live timer at an idle MAC. Each used to resume and then panic.
+    /// A queued event naming a host past the last and a carrier-batch
+    /// hearer past the last host are each refused at that id's byte; a
+    /// carrier batch with no hearer list and a scenario action off the
+    /// timeline at the queue section, and so are, at an existing host, an
+    /// assessment of a packet not yet issued, a HELLO timer in a run
+    /// without HELLOs and a live timer at an idle MAC. Each used to resume
+    /// and then panic.
     #[test]
     fn queued_events_naming_nothing_are_refused() {
         use manet_sim_engine::SimTime;
@@ -872,80 +854,93 @@ mod tests {
         config.encode(&mut header);
         // Magic, version and the config.
         let queue_at = 4 + 4 + header.as_slice().len();
-        let ghost = NodeId::new(8);
         let packet = crate::ids::PacketId::new(NodeId::new(0), 0);
-        let host = "a queued event names a host that does not exist";
+        let host = "host id outside the run";
         let node = NodeId::new(1);
-        let cases = [
-            (
-                Event::AssessmentDone { node, packet },
-                None,
-                "an event names a packet the metrics never issued",
-            ),
-            (
-                Event::HelloTimer { node },
-                None,
-                "a HELLO timer at a host that sends none",
-            ),
-            (
-                Event::MacTimer {
-                    node,
-                    generation: 0,
-                },
-                None,
-                "a live MAC timer its MAC does not await",
-            ),
-            (Event::MobilityTurn { node: ghost }, None, host),
-            (Event::HelloTimer { node: ghost }, None, host),
-            (
-                Event::MacTimer {
-                    node: ghost,
-                    generation: 1,
-                },
-                None,
-                host,
-            ),
-            (
-                Event::AssessmentDone {
-                    node: ghost,
-                    packet,
-                },
-                None,
-                host,
-            ),
-            (
-                Event::CarrierBatch {
-                    slot: 0,
-                    busy: true,
-                },
-                None,
-                "a queued carrier batch has no hearer list",
-            ),
-            (
-                Event::Scenario { index: 0 },
-                None,
-                "a queued scenario action is not on the timeline",
-            ),
-            (
-                Event::CarrierBatch {
-                    slot: 0,
-                    busy: true,
-                },
-                Some(vec![NodeId::new(0), ghost]),
-                "a carrier batch names a host that does not exist",
-            ),
-        ];
-        for (event, hearers, what) in cases {
+        // Each case naming `ghost`; the one naming host 2 in its place
+        // differs from it at that id's byte alone.
+        let cases = |ghost: NodeId| {
+            [
+                (
+                    Event::AssessmentDone { node, packet },
+                    None,
+                    "an event names a packet the metrics never issued",
+                ),
+                (
+                    Event::HelloTimer { node },
+                    None,
+                    "a HELLO timer at a host that sends none",
+                ),
+                (
+                    Event::MacTimer {
+                        node,
+                        generation: 0,
+                    },
+                    None,
+                    "a live MAC timer its MAC does not await",
+                ),
+                (Event::MobilityTurn { node: ghost }, None, host),
+                (Event::HelloTimer { node: ghost }, None, host),
+                (
+                    Event::MacTimer {
+                        node: ghost,
+                        generation: 1,
+                    },
+                    None,
+                    host,
+                ),
+                (
+                    Event::AssessmentDone {
+                        node: ghost,
+                        packet,
+                    },
+                    None,
+                    host,
+                ),
+                (
+                    Event::CarrierBatch {
+                        slot: 0,
+                        busy: true,
+                    },
+                    None,
+                    "a queued carrier batch has no hearer list",
+                ),
+                (
+                    Event::Scenario { index: 0 },
+                    None,
+                    "a queued scenario action is not on the timeline",
+                ),
+                (
+                    Event::CarrierBatch {
+                        slot: 0,
+                        busy: true,
+                    },
+                    Some(vec![NodeId::new(0), ghost]),
+                    host,
+                ),
+            ]
+        };
+        let image = |(event, hearers, _): (Event, Option<Vec<NodeId>>, &str)| {
             let mut world = World::new(config.clone());
             assert!(World::resume(config.clone(), &world.snapshot()).is_ok());
-            let batch = hearers.is_some();
             if let Some(hearers) = hearers {
                 assert_eq!(world.carrier_batches.insert(hearers), 0);
             }
             world.queue.schedule(SimTime::from_secs(1), event);
-            let err = World::resume(config.clone(), &world.snapshot()).expect_err(what);
-            assert_eq!(err.what, what);
-            assert_eq!(err.at == queue_at, !batch, "{what} refused at {}", err.at);
+            world.snapshot()
+        };
+        for (case, twin) in cases(NodeId::new(8)).into_iter().zip(cases(NodeId::new(2))) {
+            let what = case.2;
+            let bytes = image(case);
+            let named = bytes.iter().zip(&image(twin)).position(|(a, b)| a != b);
+            let err = World::resume(config.clone(), &bytes).expect_err(what);
+            assert_eq!(
+                err,
+                WireError {
+                    at: named.unwrap_or(queue_at),
+                    what
+                }
+            );
         }
     }
 
@@ -1035,6 +1030,155 @@ mod tests {
         }
     }
 
+    /// Each non-empty pending set's host and the offset of each of its ids.
+    type PendingIds = Vec<(NodeId, Vec<usize>)>;
+
+    /// A checkpoint of `world`, the offset of each entry's id in each
+    /// host's neighbor table, and its [`PendingIds`].
+    fn id_layout(world: &World) -> (Vec<u8>, Vec<Vec<usize>>, PendingIds) {
+        let mut enc = world.encode_through_nodes();
+        world.medium.snapshot_into(&mut enc);
+        let (ledgers, tables, ..) = world.pure.snapshot_parts();
+        let mut pending = Vec::new();
+        for (host, ledger) in (0..).map(NodeId::new).zip(ledgers) {
+            ledger.encode(&mut enc, |enc, state| {
+                if let PacketState::Pending(set) = state {
+                    // The state's tag and the set's count precede its ids.
+                    let first = enc.as_slice().len() + 1 + 8;
+                    pending.push((host, (0..set.len()).map(|k| first + 4 * k).collect()));
+                }
+                encode_state(enc, state, &world.cfg.scheme);
+            });
+        }
+        pending.retain(|(_, ids): &(_, Vec<_>)| !ids.is_empty());
+        let mut entries = Vec::new();
+        for table in tables {
+            // The entry count, then each entry: its id, when it was heard,
+            // its interval, and its two-hop list's count and ids.
+            let mut at = enc.as_slice().len() + 8;
+            table.snapshot_into(&mut enc);
+            let bytes = enc.as_slice();
+            let listed = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            entries.push(
+                (0..table.neighbor_count())
+                    .map(|_| {
+                        let entry = at;
+                        at += 28 + 4 * listed(at + 20) as usize;
+                        entry
+                    })
+                    .collect(),
+            );
+        }
+        let image = world.snapshot();
+        assert!(image.starts_with(enc.as_slice()));
+        (image, entries, pending)
+    }
+
+    /// `image` with `id` in place of one of the ascending ids at `ids`:
+    /// the first at or past it, or else the last, so the ids still ascend
+    /// unless one repeats.
+    fn with_id(image: &[u8], ids: &[usize], id: u32) -> (Vec<u8>, usize) {
+        let read = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+        let at = *ids
+            .iter()
+            .find(|&&at| read(at) >= id)
+            .unwrap_or(&ids[ids.len() - 1]);
+        let mut bytes = image.to_vec();
+        bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
+        (bytes, at)
+    }
+
+    /// A host enlists only hosts it has heard, and `N_{x,h}` is what `h`
+    /// advertised (§4.3): a checkpoint whose neighbor table names its own
+    /// host or a host past `hosts`, under `nc` and `ac`, or whose two-hop
+    /// list names its own entry, is refused at that id's byte. Each used
+    /// to resume and run to the end.
+    #[test]
+    fn a_neighbor_table_naming_its_own_host_or_no_host_is_refused() {
+        use crate::threshold::CounterThreshold;
+        use manet_sim_engine::SimTime;
+
+        let (own, outside) = ("host id names its owner", "host id outside the run");
+        for scheme in [
+            SchemeSpec::NeighborCoverage,
+            SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
+        ] {
+            let config = SimConfig::builder(1, scheme)
+                .hosts(60)
+                .broadcasts(10)
+                .build();
+            let mut world = World::new(config.clone());
+            world.advance(SimTime::from_secs(6));
+            let (image, entries, _) = id_layout(&world);
+            let mut cases = vec![
+                (&entries[0][..], 0, own),
+                (&entries[0], 60, outside),
+                (&entries[1], 4_000_000_000, outside),
+            ];
+            // An entry's two-hop list follows its id and 24 bytes.
+            let lists: Vec<(Vec<usize>, u32)> = (entries.iter().flatten())
+                .map(|&entry| {
+                    let listed = u64::from_le_bytes(image[entry + 20..][..8].try_into().unwrap());
+                    let ids = (0..listed as usize).map(|k| entry + 28 + 4 * k).collect();
+                    (
+                        ids,
+                        u32::from_le_bytes(image[entry..][..4].try_into().unwrap()),
+                    )
+                })
+                .filter(|(ids, _): &(Vec<_>, _)| !ids.is_empty())
+                .collect();
+            assert_eq!(lists.is_empty(), config.reads().view != View::TwoHop);
+            if let Some((list, named)) = lists.first() {
+                cases.push((list, *named, own));
+            }
+            for (ids, id, what) in cases {
+                let (bytes, at) = with_id(&image, ids, id);
+                let resumed = World::resume(config.clone(), &bytes).map(drop);
+                let scheme = &config.scheme;
+                assert_eq!(resumed, Err(WireError { at, what }), "{scheme:?} {id}");
+            }
+        }
+    }
+
+    /// NC's pending set `T` starts from `N_x` (§3.3), so it names neither
+    /// its own host nor a host past `hosts`: a checkpoint whose set does
+    /// is refused at that id's byte. Both used to resume and run to the
+    /// end.
+    #[test]
+    fn a_pending_set_naming_its_own_host_or_no_host_is_refused() {
+        use manet_sim_engine::{SimDuration, SimTime};
+
+        let config = SimConfig::builder(1, SchemeSpec::NeighborCoverage)
+            .hosts(60)
+            .broadcasts(10)
+            .build();
+        let mut world = World::new(config.clone());
+        let holds_a_set = |world: &World| {
+            let (ledgers, ..) = world.pure.snapshot_parts();
+            ledgers.iter().any(|ledger| {
+                (0..ledger.len() as u32).any(|seq| match ledger.active_state(seq) {
+                    Some(ActivePacket::Assessing(PacketState::Pending(set))) => !set.is_empty(),
+                    _ => false,
+                })
+            })
+        };
+        let mut pause = SimTime::from_secs(5);
+        while !holds_a_set(&world) {
+            assert!(!world.advance(pause), "no host assessed with a pending set");
+            pause += SimDuration::from_micros(100);
+        }
+        let (image, _, pending) = id_layout(&world);
+        let (host, ids) = &pending[0];
+        for (id, what) in [
+            (host.index() as u32, "host id names its owner"),
+            (4_000_000_000, "host id outside the run"),
+        ] {
+            let (bytes, at) = with_id(&image, ids, id);
+            let resumed = World::resume(config.clone(), &bytes).map(drop);
+            assert_eq!(resumed, Err(WireError { at, what }), "{host}: {id}");
+        }
+    }
+
     /// Corruption is never silent: a pending set with two ids swapped or
     /// one duplicated used to be normalised through a `BTreeSet` into some
     /// other set; now the decoder refuses it.
@@ -1051,15 +1195,13 @@ mod tests {
             bytes[ids..].iter().step_by(4).collect::<Vec<_>>(),
             [&3, &7, &9]
         );
-        assert_eq!(
-            decode_state(&mut WireDecoder::new(&bytes), &scheme),
-            Ok(state)
-        );
+        let decode =
+            |bytes: &[u8]| decode_state(&mut WireDecoder::new(bytes), &scheme, 10, NodeId::new(0));
+        assert_eq!(decode(&bytes), Ok(state));
         for (a, b) in [(7, 3), (3, 3), (7, 7)] {
             let mut bad = bytes.clone();
             (bad[ids], bad[ids + 4]) = (a, b);
-            let err = decode_state(&mut WireDecoder::new(&bad), &scheme)
-                .expect_err("accepted a pending set out of order");
+            let err = decode(&bad).expect_err("accepted a pending set out of order");
             assert_eq!(err.at, ids + 4, "{err}");
         }
     }

@@ -1194,8 +1194,8 @@ fn a_frame_names_each_hearer_once_in_order_and_never_its_sender() {
     // Offsets within the frame: tag, Δt, sender, the count at 3, then the
     // first hearer at 4.
     let at = |k: usize| header.len() + k;
-    let own = "a frame heard by its own sender";
-    let outside = "node id outside the recorded population";
+    let own = "host id names its owner";
+    let outside = "host id outside the run";
     let again = "HELLO hearers are not strictly ascending";
     for (case, hearers, offset, what) in [
         ("no hearers", &[0][..], 3, "a HELLO heard by no host"),
@@ -1472,9 +1472,9 @@ fn a_neighbor_list_out_of_order_is_refused() {
 
 /// A checkpoint's HELLOs, queued at their sender's MAC or on the air,
 /// carry neighbor lists that hearers merge and search by id, as a trace's
-/// do. A list out of order, one naming a host outside the run and one
-/// naming the HELLO's own sender are each refused at the list; all three
-/// used to resume.
+/// do. A list out of order is refused at the list, and one naming a host
+/// outside the run or the HELLO's own sender at that id; all three used
+/// to resume.
 #[test]
 fn a_checkpointed_hello_lists_other_hosts_in_order() {
     use broadcast_core::TraceRecord;
@@ -1570,14 +1570,39 @@ fn a_checkpointed_hello_lists_other_hosts_in_order() {
     let everyone: Vec<u32> = (0..config.hosts).collect();
     for (kind, (at, image)) in [("queued", queued), ("airing", airing)] {
         assert!(World::resume(config.clone(), &image).is_ok(), "{kind}");
-        for (ids, what) in [
-            (&[1, 0][..], "neighbor list is not strictly ascending"),
-            (&[config.hosts][..], "a HELLO lists a host outside the run"),
-            (&everyone[..], "a HELLO lists its own sender"),
+        // The sender is the one host a list of all the others may name.
+        let sender = (0..config.hosts).find(|&k| {
+            let others: Vec<u32> = everyone.iter().copied().filter(|&h| h != k).collect();
+            World::resume(config.clone(), &splice(&image, at, &others)).is_ok()
+        });
+        // Past the list's count, an id's four bytes. Two hosts out of
+        // order, neither the sender: a list is read id by id.
+        let id_at = |k: Option<u32>| at + 8 + 4 * k.expect("a sender") as usize;
+        let others: Vec<u32> = everyone
+            .iter()
+            .copied()
+            .filter(|&h| Some(h) != sender)
+            .collect();
+        for (ids, what, refused_at) in [
+            (
+                &[others[1], others[0]][..],
+                "neighbor list is not strictly ascending",
+                at,
+            ),
+            (
+                &[config.hosts][..],
+                "host id outside the run",
+                id_at(Some(0)),
+            ),
+            (&everyone[..], "host id names its owner", id_at(sender)),
         ] {
             let patched = splice(&image, at, ids);
             let resumed = World::resume(config.clone(), &patched).map(drop);
-            assert_eq!(resumed, Err(WireError { at, what }), "{kind} {ids:?}");
+            let refused = WireError {
+                at: refused_at,
+                what,
+            };
+            assert_eq!(resumed, Err(refused), "{kind} {ids:?}");
         }
     }
 }

@@ -341,31 +341,33 @@ impl NeighborTable {
         enc.u64(self.leaves);
     }
 
-    /// Rebuilds a list-keeping table from
-    /// [`snapshot_into`](Self::snapshot_into) output taken when the clock
-    /// read `now`. Each list is read into a scratch buffer and handed to
-    /// `share` with its sender, which returns the handle the entry keeps:
-    /// a caller that interns lists by content restores tables that share
-    /// them the way live hearers do.
+    /// Rebuilds `owner`'s list-keeping table, in a run of `hosts` hosts,
+    /// from [`snapshot_into`](Self::snapshot_into) output taken when the
+    /// clock read `now`. Each list is read into a scratch buffer and
+    /// handed to `share` with its sender, which returns the handle the
+    /// entry keeps: a caller that interns lists by content restores tables
+    /// that share them the way live hearers do.
     ///
     /// # Errors
     ///
-    /// A positioned [`WireError`] on entries or lists not strictly
-    /// ascending by id, an entry heard after `now` (no host hears ahead of
-    /// the clock), a deadline past the end of the clock, and an expiry
-    /// bound missing beside entries or past their earliest deadline (it
-    /// would keep them past it; a lower bound is legal).
+    /// A positioned [`WireError`] on an id [`NodeId::decode`] refuses (an
+    /// entry naming `owner`, a list its entry), ids not strictly ascending,
+    /// an entry heard after `now` (no host hears ahead of the clock), a
+    /// deadline past the clock's end, and an expiry bound missing beside
+    /// entries or past their earliest deadline (a lower one is legal).
     pub fn restore_snapshot(
         dec: &mut WireDecoder<'_>,
         now: SimTime,
+        hosts: usize,
+        owner: NodeId,
         mut share: impl FnMut(NodeId, &[NodeId]) -> Rc<[NodeId]>,
     ) -> Result<NeighborTable, WireError> {
-        NeighborTable::restore(dec, now, Some(&mut share))
+        NeighborTable::restore(dec, now, hosts, owner, Some(&mut share))
     }
 
-    /// Rebuilds a [`count_only`](Self::count_only) table from
-    /// [`snapshot_into`](Self::snapshot_into) output taken when the clock
-    /// read `now`.
+    /// Rebuilds `owner`'s [`count_only`](Self::count_only) table, in a
+    /// run of `hosts` hosts, from [`snapshot_into`](Self::snapshot_into)
+    /// output taken when the clock read `now`.
     ///
     /// # Errors
     ///
@@ -374,13 +376,17 @@ impl NeighborTable {
     pub fn restore_count_only(
         dec: &mut WireDecoder<'_>,
         now: SimTime,
+        hosts: usize,
+        owner: NodeId,
     ) -> Result<NeighborTable, WireError> {
-        NeighborTable::restore(dec, now, None)
+        NeighborTable::restore(dec, now, hosts, owner, None)
     }
 
     fn restore(
         dec: &mut WireDecoder<'_>,
         now: SimTime,
+        hosts: usize,
+        owner: NodeId,
         mut share: Option<Share<'_>>,
     ) -> Result<NeighborTable, WireError> {
         let mut table = NeighborTable {
@@ -390,7 +396,7 @@ impl NeighborTable {
         let (mut list, mut earliest) = (Vec::new(), None::<SimTime>);
         table.heard = dec.seq(28, |dec| {
             let at = dec.position();
-            let id = NodeId::decode(dec)?;
+            let id = NodeId::decode(dec, hosts, Some(owner))?;
             if table.ids.last().is_some_and(|&last| last >= id) {
                 let what = "neighbor table entries are not strictly ascending";
                 return Err(WireError { at, what });
@@ -410,7 +416,7 @@ impl NeighborTable {
             let deadline = SimTime::from_nanos(deadline);
             earliest = Some(earliest.map_or(deadline, |d| d.min(deadline)));
             let list_at = dec.position();
-            let advertised = NodeId::decode_ascending(dec, &mut list, NodeId::decode)?;
+            let advertised = NodeId::decode_ascending(dec, &mut list, hosts, Some(id))?;
             match (&mut table.lists, &mut share) {
                 (Some(lists), Some(share)) => lists.push(share(id, advertised)),
                 _ if advertised.is_empty() => {}
@@ -624,10 +630,20 @@ mod tests {
         }
     }
 
-    /// What the tests' tables heard, restored by a clock past all of it.
+    /// What the tests' tables heard, restored by a clock past all of it
+    /// as host 0's table in a run of [`HOSTS`].
     fn restore(bytes: &[u8]) -> Result<NeighborTable, WireError> {
         let now = SimTime::from_secs(60);
-        NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), now, |_, list| list.into())
+        let dec = &mut WireDecoder::new(bytes);
+        NeighborTable::restore_snapshot(dec, now, HOSTS, id(0), |_, list| list.into())
+    }
+
+    /// The run the tests' tables are restored into: hosts 0 to 9.
+    const HOSTS: usize = 10;
+
+    /// Restores `bytes` as host 0's count-only table at `now`.
+    fn restore_count_only(bytes: &[u8], now: SimTime) -> Result<NeighborTable, WireError> {
+        NeighborTable::restore_count_only(&mut WireDecoder::new(bytes), now, HOSTS, id(0))
     }
 
     #[test]
@@ -651,12 +667,17 @@ mod tests {
         // What `share` returns is what the entry holds.
         let shared: Rc<[NodeId]> = Rc::from([id(2), id(6)]);
         let now = SimTime::ZERO;
-        let restored =
-            NeighborTable::restore_snapshot(&mut WireDecoder::new(&bytes), now, |h, l| {
+        let restored = NeighborTable::restore_snapshot(
+            &mut WireDecoder::new(&bytes),
+            now,
+            HOSTS,
+            id(0),
+            |h, l| {
                 assert_eq!((h, l), (id(4), &shared[..]));
                 Rc::clone(&shared)
-            })
-            .expect("a pristine table restores");
+            },
+        )
+        .expect("a pristine table restores");
         let held = restored.neighbors_of(id(4)).expect("host 4 is a neighbor");
         assert!(std::ptr::eq(held, &shared[..]));
     }
@@ -683,8 +704,7 @@ mod tests {
         };
         assert_eq!(bytes(&counts), bytes(&lists));
         let now = SimTime::from_secs(3);
-        let restored =
-            NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes(&lists)), now);
+        let restored = restore_count_only(&bytes(&lists), now);
         assert_eq!(
             bytes(&restored.expect("empty lists restore")),
             bytes(&lists)
@@ -757,7 +777,7 @@ mod tests {
         let heard = 8 + 4;
         for (now, ok) in [(10_000, true), (9_999, false), (0, false)] {
             let now = SimTime::from_millis(now);
-            let restored = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), now);
+            let restored = restore_count_only(&bytes, now);
             match restored {
                 Ok(_) => assert!(ok, "{now}"),
                 Err(err) => {
@@ -777,7 +797,7 @@ mod tests {
         t.snapshot_into(&mut enc);
         let bytes = enc.into_bytes();
         assert!(restore(&bytes).is_ok());
-        let err = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), SimTime::ZERO)
+        let err = restore_count_only(&bytes, SimTime::ZERO)
             .expect_err("a list in a table that keeps none");
         // Count, then the entry: id, last_heard, interval, the list.
         assert_eq!(err.at, 8 + 4 + 8 + 8, "{err}");

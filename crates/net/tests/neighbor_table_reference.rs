@@ -128,11 +128,22 @@ impl ReferenceTable {
     }
 }
 
-/// A table checkpointed at `now`, restored with a copy of each list,
-/// shared with nothing.
+/// A table checkpointed at `now`, restored as [`OWNER`]'s with a copy of
+/// each list, shared with nothing.
 fn restore(bytes: &[u8], now: SimTime) -> Result<NeighborTable, WireError> {
-    NeighborTable::restore_snapshot(&mut WireDecoder::new(bytes), now, |_, list| list.into())
+    let dec = &mut WireDecoder::new(bytes);
+    NeighborTable::restore_snapshot(dec, now, HOSTS, OWNER, |_, list| list.into())
 }
+
+/// A count-only table checkpointed at `now`, restored as [`OWNER`]'s.
+fn restore_count_only(bytes: &[u8], now: SimTime) -> Result<NeighborTable, WireError> {
+    NeighborTable::restore_count_only(&mut WireDecoder::new(bytes), now, HOSTS, OWNER)
+}
+
+/// The run a table is restored into: every universe's ids (below 600)
+/// and the table's owner, host 600, which no universe holds.
+const HOSTS: usize = 601;
+const OWNER: NodeId = NodeId::new(600);
 
 fn bytes_of(snapshot: impl FnOnce(&mut WireEncoder)) -> Vec<u8> {
     let mut enc = WireEncoder::new();
@@ -183,7 +194,8 @@ prop_check! {
     /// hosts leave, rejoin and get re-listed), sorted and unsorted
     /// advertised lists, intervals that change between beacons, and several
     /// operations at one instant in whatever order they are drawn. A
-    /// restore goes through only while every list is strictly ascending.
+    /// restore goes through only while every list is strictly ascending
+    /// and leaves out its own entry.
     fn table_matches_the_reference(g, cases = 300) {
         let universe = if g.bool() { g.u32_in(1..9) } else { g.u32_in(1..151) };
         let mut table = NeighborTable::new();
@@ -214,16 +226,19 @@ prop_check! {
                     assert_eq!(left_table, left_reference, "leave lists");
                 }
                 _ => {
-                    // A restore refuses a list out of order, and only then.
+                    // A restore refuses a list out of order or naming its
+                    // entry, and only then.
                     let bytes = bytes_of(|enc| table.snapshot_into(enc));
-                    let ascending = reference.entries.values().all(|e| e.neighbors.is_sorted_by(|a, b| a < b));
+                    let legal = reference.entries.iter().all(|(h, e)| {
+                        e.neighbors.is_sorted_by(|a, b| a < b) && !e.neighbors.contains(h)
+                    });
                     match restore(&bytes, now) {
                         Ok(restored) => {
-                            assert!(ascending, "restored a list out of order");
+                            assert!(legal, "restored a list out of order or naming its entry");
                             table = restored;
                             reference = ReferenceTable::restore_snapshot(&mut WireDecoder::new(&bytes)).unwrap();
                         }
-                        Err(e) => assert!(!ascending, "{e}"),
+                        Err(e) => assert!(!legal, "{e}"),
                     }
                 }
             }
@@ -256,6 +271,8 @@ prop_check! {
                     let mut listed = g.vec(0..universe.min(24) as usize + 1, |g| gen_id(g, universe));
                     listed.sort_unstable();
                     listed.dedup();
+                    // A HELLO never lists its sender.
+                    listed.retain(|&h| h != from);
                     let shared: Rc<[NodeId]> = listed.as_slice().into();
                     for k in 0..hearers {
                         if k == at || g.bool() {
@@ -320,7 +337,7 @@ prop_check! {
                 }
                 _ => {
                     let bytes = bytes_of(|enc| table.snapshot_into(enc));
-                    table = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), now)
+                    table = restore_count_only(&bytes, now)
                         .expect("a count-only table restores as one");
                 }
             }
@@ -374,7 +391,7 @@ prop_check! {
                 }
                 _ => {
                     let bytes = bytes_of(|enc| table.snapshot_into(enc));
-                    table = NeighborTable::restore_count_only(&mut WireDecoder::new(&bytes), now)
+                    table = restore_count_only(&bytes, now)
                         .expect("a count-only table restores as one");
                 }
             }

@@ -677,10 +677,10 @@ impl Medium {
     /// the parts the snapshot can see are reported as errors.
     ///
     /// Frames no run could put on the air are refused at the frame: a host
-    /// id out of range, a listener that is the source or is listed twice,
-    /// a host sending two frames, a frame decodable at a transmitting
-    /// listener, two decodable at one radio without capture, and capture
-    /// arrivals that are not exactly the frames' deliveries.
+    /// id outside the run or a listener that is the source (at the id), a
+    /// listener listed twice, a host sending two frames, a frame decodable
+    /// at a transmitting listener, two decodable at one radio without
+    /// capture, and capture arrivals that are not exactly the deliveries.
     pub fn restore_snapshot(&mut self, dec: &mut WireDecoder<'_>) -> Result<(), WireError> {
         let hosts = self.radios.len();
         let count_at = dec.position();
@@ -690,30 +690,18 @@ impl Medium {
                 what: "medium host count mismatch",
             });
         }
-        let host = |dec: &mut WireDecoder<'_>| {
-            let at = dec.position();
-            let id = NodeId::decode(dec)?;
-            let what = "medium host id out of range";
-            (id.index() < hosts)
-                .then_some(id)
-                .ok_or(WireError { at, what })
-        };
         // The frame each host was last listed by, to refuse a repeat.
         let mut listed_by = vec![u32::MAX; hosts];
         let mut frame_at = Vec::new();
         self.active = Slab::decode(dec, 20, |dec| {
             frame_at.push(dec.position());
             let frame = frame_at.len() as u32;
-            let source = host(dec)?;
+            let source = NodeId::decode(dec, hosts, None)?;
             let end = dec.time()?;
             let mut causes = Vec::new();
             let listeners = dec.seq(5, |dec| {
                 let at = dec.position();
-                let id = host(dec)?;
-                if id == source {
-                    let what = "a frame's source is among its listeners";
-                    return Err(WireError { at, what });
-                }
+                let id = NodeId::decode(dec, hosts, Some(source))?;
                 if std::mem::replace(&mut listed_by[id.index()], frame) == frame {
                     let what = "a frame lists one listener twice";
                     return Err(WireError { at, what });
@@ -1282,13 +1270,8 @@ mod tests {
     fn restore_refuses_frames_no_run_could_put_on_the_air() {
         let id = |v: u32| v.to_le_bytes().to_vec();
         for (capture, what, patches, at) in [
-            (false, "medium host id out of range", vec![(41, id(9))], 41),
-            (
-                false,
-                "a frame's source is among its listeners",
-                vec![(41, id(0))],
-                41,
-            ),
+            (false, "host id outside the run", vec![(41, id(9))], 41),
+            (false, "host id names its owner", vec![(41, id(0))], 41),
             (
                 false,
                 "a frame lists one listener twice",
